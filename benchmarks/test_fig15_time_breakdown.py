@@ -52,19 +52,7 @@ def _measure(job):
 
 
 def test_fig15_time_breakdown(benchmark):
-    # Both assembly twins are measured: their *virtual* component timings
-    # must coincide exactly (the columnar path's real wall-clock win is
-    # fig24's subject, not the simulated clock's).
-    by_mode = benchmark(
-        lambda: {
-            assembly: [
-                (name, _measure(replace(job, assembly=assembly)))
-                for name, job in VARIANTS
-            ]
-            for assembly in ("legacy", "columnar")
-        }
-    )
-    rows = by_mode["columnar"]
+    rows = benchmark(lambda: [(name, _measure(job)) for name, job in VARIANTS])
 
     report = MetricReport(
         title="Fig. 15 - per-step component breakdown vs scaling dimension",
@@ -83,19 +71,9 @@ def test_fig15_time_breakdown(benchmark):
             round(row["iteration_s"], 2),
         )
     emit(report)
-    write_bench_json(
-        "fig15",
-        "component_breakdown",
-        {mode: dict(mode_rows) for mode, mode_rows in by_mode.items()},
-    )
-
-    # Twin discipline: identical virtual timings, component by component.
-    legacy_by_name = dict(by_mode["legacy"])
-    for name, row in rows:
-        for key, value in row.items():
-            assert value == pytest.approx(legacy_by_name[name][key], rel=1e-9, abs=1e-12)
-
     by_name = dict(rows)
+    write_bench_json("fig15", "component_breakdown", by_name)
+
     # The data pipeline overhead is always hidden behind the iteration time.
     for name, row in rows:
         assert row["total_pipeline_s"] < row["iteration_s"]

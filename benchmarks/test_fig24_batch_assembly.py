@@ -1,28 +1,28 @@
 """Fig. 24 — batch-assembly (collation) throughput vs batch size × source count.
 
-PR 6 left the per-step data path object-bound: the legacy collator first-fits
-every sample with a linear scan over all open bins — O(samples × bins) residual
-checks per microbatch — and materialises RoPE position ids one Python list at
-a time.  The columnar assembly path (``assembly="columnar"``) keeps prepared
-samples as token-length *columns* end to end and collates with array kernels:
-first-fit on a max tournament tree (O(samples · log bins)), positions from a
-single int32 cumsum over a delta array, segment tables from one stable argsort.
+The per-sample reference collator first-fits every sample with a linear scan
+over all open bins — O(samples × bins) residual checks per microbatch — and
+materialises RoPE position ids one Python list at a time.  The data path keeps
+prepared samples as token-length *columns* end to end and collates with array
+kernels: first-fit on a max tournament tree (O(samples · log bins)), positions
+from a single int32 cumsum over a delta array, segment tables from one stable
+argsort.
 
 This benchmark sweeps batch size × source count (sources shape the length
 mixture: each source draws from its own band, so more sources = a wider,
 more realistic token-length distribution) and measures raw collation
-throughput (samples/sec) under both implementations over identical inputs.
-In the same run, each sweep point also drives a real ``DataConstructor`` in
-both assembly modes over the same plan and asserts the per-rank
-``RankDelivery`` objects are **byte-identical** (``==`` over every rank of a
-pp=2 × cp=2 × tp=2 mesh) — the fast path must be indistinguishable
-everywhere it can be observed.
+throughput (samples/sec) of the reference collator (reported as ``legacy_*``)
+and of the kernel over identical inputs.  In the same run, each sweep point
+also drives a real ``DataConstructor`` over the same plan and asserts its
+per-rank ``RankDelivery`` objects are **byte-identical** (``==`` over every
+rank of a pp=2 × cp=2 × tp=2 mesh) to the ones built from the reference
+collator's output.
 
-The columnar path must deliver **>= 10x** the legacy samples/sec at the
-largest sweep point (the gap widens with batch size: log-depth tree queries
-vs linear bin scans).  Results are written to ``BENCH_fig24_assembly.json``;
-the CI ``assembly-bench`` leg re-runs the middle sweep point in smoke mode
-and fails on a >30% samples/sec regression against the committed artifact via
+The kernel must deliver **>= 10x** the reference samples/sec at the largest
+sweep point (the gap widens with batch size: log-depth tree queries vs linear
+bin scans).  Results are written to ``BENCH_fig24_assembly.json``; the CI
+``assembly-bench`` leg re-runs the middle sweep point in smoke mode and fails
+on a >30% samples/sec regression against the committed artifact via
 ``check_assembly_regression.py``.
 
 Env knobs: ``BENCH_ASSEMBLY_SMOKE=1`` restricts the sweep to the middle point
@@ -39,10 +39,9 @@ import time
 import numpy as np
 
 from repro.core.assembly import StagedColumns
-from repro.core.data_constructor import DataConstructor
+from repro.core.data_constructor import DataConstructor, RankDelivery
 from repro.core.plans import MicrobatchAssignment, ModulePlan
-from repro.core.source_loader import PreparedSample
-from repro.data.samples import Modality, Sample, SampleMetadata
+from repro.data.samples import Modality, SampleMetadata
 from repro.metrics.report import MetricReport
 from repro.parallelism.mesh import DeviceMesh
 from repro.transforms.microbatch import (
@@ -50,6 +49,7 @@ from repro.transforms.microbatch import (
     collate_columns_with_positions,
     collate_with_positions,
 )
+from repro.transforms.parallelism import build_rank_slices
 
 from .conftest import emit, write_bench_json
 
@@ -64,7 +64,7 @@ MAX_SEQUENCE_LENGTH = 2048
 TIMED_REPS = 2
 #: Microbatches per constructor plan in the byte-identity drive.
 DELIVERY_MICROBATCHES = 8
-#: Required columnar-over-legacy collation speedup at the largest sweep point.
+#: Required kernel-over-reference collation speedup at the largest sweep point.
 REQUIRED_SPEEDUP = 10.0
 
 
@@ -93,7 +93,7 @@ def _make_batch(batch: int, num_sources: int) -> list[SampleMetadata]:
 
 
 def _time_collation(metas: list[SampleMetadata]) -> dict[str, float]:
-    """Time legacy vs columnar collation of one whole batch; return samples/s."""
+    """Time reference vs kernel collation of one whole batch; return samples/s."""
     microbatch = Microbatch(index=0, samples=list(metas))
     sample_ids = [meta.sample_id for meta in metas]
     lengths = np.array([meta.total_tokens for meta in metas], dtype=np.int64)
@@ -154,40 +154,37 @@ def _delivery_plan(metas: list[SampleMetadata]) -> ModulePlan:
 
 
 def _assert_deliveries_identical(metas: list[SampleMetadata]) -> None:
-    """Drive a real constructor in both modes; per-rank deliveries must match."""
+    """Drive a real constructor; its per-rank deliveries must equal the ones
+    built from the reference collator's output."""
     mesh = DeviceMesh(pp=2, dp=1, cp=2, tp=2, gpus_per_node=8)
     plan = _delivery_plan(metas)
-    deliveries = {}
-    for assembly in ("legacy", "columnar"):
-        constructor = DataConstructor(
-            bucket_index=0,
-            mesh=mesh,
-            dp_index=0,
-            max_sequence_length=MAX_SEQUENCE_LENGTH,
+    constructor = DataConstructor(
+        bucket_index=0,
+        mesh=mesh,
+        dp_index=0,
+        max_sequence_length=MAX_SEQUENCE_LENGTH,
+        packing=True,
+    )
+    staged = StagedColumns()
+    for meta in metas:
+        staged.append(meta, meta.raw_bytes)
+    payload, _ = staged.take([meta.sample_id for meta in metas])
+    constructor.construct(0, plan, payload)
+
+    expected: dict[int, RankDelivery] = {}
+    for assignment in plan.bucket_assignments(0):
+        collated = collate_with_positions(
+            Microbatch(index=assignment.microbatch_index, samples=list(assignment.samples)),
+            MAX_SEQUENCE_LENGTH,
             packing=True,
-            assembly=assembly,
         )
-        if assembly == "columnar":
-            staged = StagedColumns()
-            for meta in metas:
-                staged.append(meta, meta.raw_bytes, 0.001, [])
-            payload, _ = staged.take([meta.sample_id for meta in metas])
-        else:
-            payload = {
-                meta.sample_id: PreparedSample(
-                    sample=Sample(metadata=meta),
-                    transform_latency_s=0.001,
-                    transferred_bytes=meta.raw_bytes,
-                )
-                for meta in metas
-            }
-        constructor.construct(0, plan, payload)
-        deliveries[assembly] = {
-            rank: constructor.get_batch(0, rank) for rank in constructor.ranks_served(0)
-        }
-    assert deliveries["legacy"].keys() == deliveries["columnar"].keys()
-    for rank, delivery in deliveries["legacy"].items():
-        assert delivery == deliveries["columnar"][rank]
+        for piece in build_rank_slices(collated, mesh, dp_index=0):
+            expected.setdefault(piece.rank, RankDelivery(rank=piece.rank)).slices.append(
+                piece
+            )
+    assert constructor.ranks_served(0) == sorted(expected)
+    for rank, delivery in expected.items():
+        assert constructor.get_batch(0, rank) == delivery
 
 
 def _sweep(points) -> list[dict[str, object]]:

@@ -5,8 +5,7 @@ engine for this one: every actor gets a **mailbox** drained by a bounded pool
 of real lane threads (``concurrency=n`` ⇒ n lanes), and the same
 ``submit_call``/``tick``/``drain``/``cancel_pending``/``retire_actor`` API is
 served from real completions instead of simulated ones.  `StepPipeline`,
-`LoaderFleet`, `FaultToleranceManager` and both planning/assembly modes run
-unmodified on top.
+`LoaderFleet` and `FaultToleranceManager` run unmodified on top.
 
 Design invariants (the cross-backend byte-identity guarantee):
 

@@ -1,25 +1,18 @@
-"""Columnar batch-assembly data structures (loader staging → constructor).
+"""Prepared-sample columns: the loader → constructor hand-off format.
 
-PR 5 stopped the columnar :class:`~repro.core.columns.SampleColumns` layout at
-the Planner; this module carries it through the rest of the data path.  Two
-structures implement the zero-copy hand-off:
+Prepared samples travel between Source Loaders and Data Constructors as
+struct-of-arrays columns, never as per-sample objects:
 
-- :class:`StagedColumns` — the Source Loader's staging store in columnar
-  (struct-of-arrays) form: one append per prepared sample, and a *vectorized*
-  ``take`` that gathers a fetch's rows with fancy indexing instead of popping
-  per-sample ``PreparedSample`` objects out of a dict.  Removals tombstone
-  rows; compaction runs only when tombstones pile up (same amortised-O(1)
-  discipline as :class:`~repro.core.columns.ColumnarBufferCache`).
+- :class:`StagedColumns` — the Source Loader's staging store: one append per
+  prepared sample, and a *vectorized* ``take`` that gathers a fetch's rows
+  with fancy indexing.  Removals tombstone rows; compaction runs only when
+  tombstones pile up (same amortised-O(1) discipline as
+  :class:`~repro.core.columns.ColumnarBufferCache`).
 - :class:`PreparedColumns` — an immutable column slice handed from loader to
   constructor.  It travels *by reference* through the GCS freeze-on-put path
   (``put(..., immutable=True)``), so a fetch moves one key instead of copying
-  per-sample objects, and the Data Constructor's vectorized collation kernels
+  per-sample records, and the Data Constructor's vectorized collation kernels
   consume its token-length arrays directly.
-
-Both paths stay byte-identical: the metadata ``object`` column carries the
-very same :class:`~repro.data.samples.SampleMetadata` records the legacy
-per-object path carries, so anything that must still materialise objects
-(compatibility ``fetch_prepared``, audits) reproduces them exactly.
 """
 
 from __future__ import annotations
@@ -28,9 +21,6 @@ import numpy as np
 
 from repro.data.samples import SampleMetadata
 from repro.errors import PlanError
-
-#: Batch-assembly implementations selectable via ``TrainingJobSpec.assembly``.
-ASSEMBLY_MODES = ("columnar", "legacy")
 
 #: Tombstone fraction beyond which staged backing arrays are compacted.
 COMPACT_TOMBSTONE_FRACTION = 0.5
@@ -45,13 +35,6 @@ class PreparedColumns:
     ----------
     sample_ids / text_tokens / image_tokens / total_tokens / transferred_bytes:
         ``int64`` arrays, one entry per prepared sample, in fetch order.
-    transform_latency_s:
-        ``float64`` array of per-sample transform latencies (kept so the
-        compatibility object path can reproduce ``PreparedSample`` exactly).
-    metas:
-        ``object`` array of the underlying :class:`SampleMetadata` records.
-    deferred:
-        ``object`` array of per-sample deferred-transform name lists.
     """
 
     __slots__ = (
@@ -60,9 +43,6 @@ class PreparedColumns:
         "image_tokens",
         "total_tokens",
         "transferred_bytes",
-        "transform_latency_s",
-        "metas",
-        "deferred",
         "_order",
         "_sorted_ids",
     )
@@ -73,18 +53,12 @@ class PreparedColumns:
         text_tokens: np.ndarray,
         image_tokens: np.ndarray,
         transferred_bytes: np.ndarray,
-        transform_latency_s: np.ndarray,
-        metas: np.ndarray,
-        deferred: np.ndarray,
     ) -> None:
         self.sample_ids = sample_ids
         self.text_tokens = text_tokens
         self.image_tokens = image_tokens
         self.total_tokens = text_tokens + image_tokens
         self.transferred_bytes = transferred_bytes
-        self.transform_latency_s = transform_latency_s
-        self.metas = metas
-        self.deferred = deferred
         # Lazy id -> row index (built on first lookup, shared by every
         # assignment of a step).
         self._order: np.ndarray | None = None
@@ -97,9 +71,6 @@ class PreparedColumns:
             text_tokens=np.empty(0, dtype=np.int64),
             image_tokens=np.empty(0, dtype=np.int64),
             transferred_bytes=np.empty(0, dtype=np.int64),
-            transform_latency_s=np.empty(0, dtype=np.float64),
-            metas=np.empty(0, dtype=object),
-            deferred=np.empty(0, dtype=object),
         )
 
     @classmethod
@@ -115,11 +86,6 @@ class PreparedColumns:
             transferred_bytes=np.concatenate(
                 [part.transferred_bytes for part in parts]
             ),
-            transform_latency_s=np.concatenate(
-                [part.transform_latency_s for part in parts]
-            ),
-            metas=np.concatenate([part.metas for part in parts]),
-            deferred=np.concatenate([part.deferred for part in parts]),
         )
 
     def __len__(self) -> int:
@@ -153,10 +119,8 @@ class StagedColumns:
     """The Source Loader's columnar staging store (prepared, not yet fetched).
 
     Appends accumulate in pending lists; ``take``/``drop`` tombstone rows and
-    compact lazily once at least half the backing rows are dead.  Fetch order
-    follows the requested id order (the legacy dict-pop path's order), so the
-    resulting :class:`PreparedColumns` is row-for-row identical to what the
-    per-object path would deliver.
+    compact lazily once at least half the backing rows are dead.  A fetch's
+    rows come back in the requested id order.
     """
 
     def __init__(self) -> None:
@@ -164,9 +128,6 @@ class StagedColumns:
         self._text: np.ndarray = np.empty(0, dtype=np.int64)
         self._image: np.ndarray = np.empty(0, dtype=np.int64)
         self._bytes: np.ndarray = np.empty(0, dtype=np.int64)
-        self._latency: np.ndarray = np.empty(0, dtype=np.float64)
-        self._metas: np.ndarray = np.empty(0, dtype=object)
-        self._deferred: np.ndarray = np.empty(0, dtype=object)
         self._alive: np.ndarray = np.empty(0, dtype=bool)
         self._pending: list[tuple] = []
         self._pos: dict[int, int] = {}
@@ -175,16 +136,15 @@ class StagedColumns:
     def __len__(self) -> int:
         return self._live
 
-    def append(
-        self,
-        metadata: SampleMetadata,
-        transferred_bytes: int,
-        transform_latency_s: float,
-        deferred_transforms: list[str],
-    ) -> None:
+    def append(self, metadata: SampleMetadata, transferred_bytes: int) -> None:
         self._pos[metadata.sample_id] = len(self._ids) + len(self._pending)
         self._pending.append(
-            (metadata, transferred_bytes, transform_latency_s, deferred_transforms)
+            (
+                metadata.sample_id,
+                metadata.text_tokens,
+                metadata.image_tokens,
+                transferred_bytes,
+            )
         )
         self._live += 1
 
@@ -195,7 +155,7 @@ class StagedColumns:
         """Remove and return the rows for ``sample_ids`` (in that order).
 
         Returns ``(columns, released_bytes)``; raises :class:`PlanError` when
-        any id is not staged (mirroring the legacy dict-pop error).
+        any id is not staged.
         """
         self._flush_pending()
         rows = np.empty(len(sample_ids), dtype=np.intp)
@@ -209,9 +169,6 @@ class StagedColumns:
             text_tokens=self._text[rows],
             image_tokens=self._image[rows],
             transferred_bytes=self._bytes[rows],
-            transform_latency_s=self._latency[rows],
-            metas=self._metas[rows],
-            deferred=self._deferred[rows],
         )
         self._alive[rows] = False
         self._live -= len(sample_ids)
@@ -246,30 +203,12 @@ class StagedColumns:
     def _flush_pending(self) -> None:
         if not self._pending:
             return
-        count = len(self._pending)
-        metas = np.empty(count, dtype=object)
-        deferred = np.empty(count, dtype=object)
-        ids = np.empty(count, dtype=np.int64)
-        text = np.empty(count, dtype=np.int64)
-        image = np.empty(count, dtype=np.int64)
-        sizes = np.empty(count, dtype=np.int64)
-        latency = np.empty(count, dtype=np.float64)
-        for index, (metadata, size, lat, defer) in enumerate(self._pending):
-            metas[index] = metadata
-            deferred[index] = defer
-            ids[index] = metadata.sample_id
-            text[index] = metadata.text_tokens
-            image[index] = metadata.image_tokens
-            sizes[index] = size
-            latency[index] = lat
+        ids, text, image, sizes = np.array(self._pending, dtype=np.int64).T
         self._ids = np.concatenate([self._ids, ids])
         self._text = np.concatenate([self._text, text])
         self._image = np.concatenate([self._image, image])
         self._bytes = np.concatenate([self._bytes, sizes])
-        self._latency = np.concatenate([self._latency, latency])
-        self._metas = np.concatenate([self._metas, metas])
-        self._deferred = np.concatenate([self._deferred, deferred])
-        self._alive = np.concatenate([self._alive, np.ones(count, dtype=bool)])
+        self._alive = np.concatenate([self._alive, np.ones(len(ids), dtype=bool)])
         self._pending.clear()
 
     def _maybe_compact(self) -> None:
@@ -283,8 +222,5 @@ class StagedColumns:
         self._text = self._text[keep]
         self._image = self._image[keep]
         self._bytes = self._bytes[keep]
-        self._latency = self._latency[keep]
-        self._metas = self._metas[keep]
-        self._deferred = self._deferred[keep]
         self._alive = np.ones(len(self._ids), dtype=bool)
         self._pos = {int(sample_id): index for index, sample_id in enumerate(self._ids)}

@@ -1,20 +1,16 @@
 """Columnar (struct-of-arrays) views over buffered sample metadata.
 
-The legacy planning cycle re-materialises every buffered
-:class:`~repro.data.samples.SampleMetadata` as Python objects each step: the
-Planner copies whole loader buffers, and the DGraph builds per-sample node
-dictionaries and per-sample grouping lists before a single sample is mixed.
-At large buffer depths that object churn — not event dispatch — dominates the
-per-step planning latency.
-
-This module provides the columnar fast path's two building blocks:
+Buffered :class:`~repro.data.samples.SampleMetadata` reaches the Planner and
+the DGraph as columns, so a planning cycle costs numpy index arithmetic over
+the buffered set rather than per-sample Python object churn.  Two building
+blocks:
 
 - :class:`SampleColumns` — an immutable struct-of-arrays view over a set of
   buffered samples: numpy arrays for sample id, token counts and source
   codes, plus an object array of the metadata records themselves so plan
-  finalization can still emit the exact :class:`SampleMetadata` objects the
-  legacy path emits.  Selection, filtering, rotation and concatenation are
-  all fancy-indexing / ``np.concatenate`` — C speed, no per-sample Python.
+  finalization emits the very :class:`SampleMetadata` objects the loaders
+  buffered.  Selection, filtering, rotation and concatenation are all
+  fancy-indexing / ``np.concatenate`` — C speed, no per-sample Python.
 - :class:`ColumnarBufferCache` — the Planner's persistent per-loader mirror
   of one Source Loader's read buffer, updated *incrementally* from the
   loader's :meth:`~repro.core.source_loader.SourceLoader.buffer_delta` event
@@ -25,7 +21,7 @@ This module provides the columnar fast path's two building blocks:
 Row order is authoritative: a loader's buffer only ever appends at the end
 and removes from the middle, and the cache replays exactly those operations,
 so :meth:`ColumnarBufferCache.columns` reproduces the loader's buffer order
-byte for byte — the property the fast-vs-legacy plan equivalence rests on.
+byte for byte — the property plan determinism rests on.
 """
 
 from __future__ import annotations
@@ -54,7 +50,7 @@ class SampleColumns:
     metas:
         ``object`` array of the underlying :class:`SampleMetadata` records —
         fancy indexing over it keeps selection vectorized while letting the
-        finalized plan carry the very same objects the legacy path carries.
+        finalized plan carry the very objects the loaders buffered.
     """
 
     __slots__ = (
@@ -130,6 +126,20 @@ class SampleColumns:
         )
 
     @classmethod
+    def coerce(cls, samples) -> "SampleColumns":
+        """One column set from any accepted metadata input.
+
+        ``samples`` is a :class:`SampleColumns` (returned as is), a flat
+        collection of metadata records, or a ``source -> records | columns``
+        mapping (concatenated in mapping order).
+        """
+        if isinstance(samples, SampleColumns):
+            return samples
+        if isinstance(samples, dict):
+            return cls.concat([cls.coerce(value) for value in samples.values()])
+        return cls.from_samples(list(samples))
+
+    @classmethod
     def concat(cls, parts: list["SampleColumns"]) -> "SampleColumns":
         """Concatenate column sets, merging (and deduplicating) source tables."""
         if not parts:
@@ -188,14 +198,14 @@ class SampleColumns:
         return self.select(indices)
 
     def source_order(self) -> list[int]:
-        """Source codes present, ordered by first occurrence (legacy order)."""
+        """Source codes present, ordered by first occurrence."""
         if len(self) == 0:
             return []
         present, first = np.unique(self.source_codes, return_index=True)
         return [int(code) for code in present[np.argsort(first, kind="stable")]]
 
     def pool_positions(self) -> dict[int, np.ndarray]:
-        """Row positions per source code, each ascending (legacy pool order)."""
+        """Row positions per source code, each ascending."""
         order = np.argsort(self.source_codes, kind="stable")
         sorted_codes = self.source_codes[order]
         pools: dict[int, np.ndarray] = {}

@@ -106,14 +106,12 @@ class DataPlaneLatencyProvider:
     (anything else)       (any)               0 — only the RPC latency applies
     ====================  ==================  =====================================
 
-    Methods that merely move references (``fetch_prepared``, the columnar
-    ``fetch_prepared_ref`` GCS hand-off, ``get_batch``, buffer-metadata
-    gathers) are deliberately free: their cost is the simulated RPC latency
-    the runtime already charges.  Because both assembly modes charge
-    ``construct`` the same token-proportional ``collate_seconds``, virtual
-    timing stays byte-identical across ``assembly=`` twins; the columnar
-    path's real (Python wall-clock) speedup is measured by the fig24
-    benchmark instead.
+    Methods that merely move references (the ``fetch_prepared_ref`` GCS
+    hand-off, ``get_batch``, buffer-metadata gathers) are deliberately free:
+    their cost is the simulated RPC latency the runtime already charges.
+    ``construct`` is charged the token-proportional ``collate_seconds``, a
+    modelled quantity; the collation kernels' real (Python wall-clock) speed
+    is measured by the fig24 benchmark instead.
 
     **Lane models.**  A loader actor exposes ``prefetch_depth + 1`` execution
     lanes so its worker pool can pipeline several step tickets.  Under the

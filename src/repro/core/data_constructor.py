@@ -14,16 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.actors.actor import Actor
-from repro.core.assembly import ASSEMBLY_MODES, PreparedColumns
+from repro.core.assembly import PreparedColumns
 from repro.core.plans import ModulePlan
-from repro.core.source_loader import PreparedSample
 from repro.errors import BackpressureError, PlanError
 from repro.parallelism.mesh import DeviceMesh
-from repro.transforms.microbatch import (
-    Microbatch,
-    collate_columns_with_positions,
-    collate_with_positions,
-)
+from repro.transforms.microbatch import collate_columns_with_positions
 from repro.transforms.parallelism import ParallelSlice, build_rank_slices
 
 
@@ -86,7 +81,6 @@ class DataConstructor(Actor):
         bytes_per_token: int = 4,
         staging_capacity: int = 2,
         enforce_delivery_order: bool = True,
-        assembly: str = "legacy",
     ) -> None:
         super().__init__()
         if staging_capacity < 2:
@@ -94,10 +88,6 @@ class DataConstructor(Actor):
             # staged ahead (double buffering); anything less deadlocks the
             # pull workflow.
             raise PlanError("staging_capacity must be >= 2 (double buffering)")
-        if assembly not in ASSEMBLY_MODES:
-            raise PlanError(
-                f"unknown assembly mode {assembly!r}; expected one of {ASSEMBLY_MODES}"
-            )
         self.bucket_index = bucket_index
         self.mesh = mesh
         self.dp_index = dp_index
@@ -108,11 +98,6 @@ class DataConstructor(Actor):
         self.bytes_per_token = bytes_per_token
         self.staging_capacity = staging_capacity
         self.enforce_delivery_order = enforce_delivery_order
-        #: Collation implementation: ``"columnar"`` accepts a
-        #: :class:`PreparedColumns` hand-off and collates with the vectorized
-        #: kernels; ``"legacy"`` walks per-sample objects.  Both emit
-        #: byte-identical deliveries.
-        self.assembly = assembly
         self.stats = ConstructorStats()
         self._pending_deliveries: dict[int, dict[int, RankDelivery]] = {}
         self._staged_bytes: dict[int, int] = {}
@@ -124,13 +109,12 @@ class DataConstructor(Actor):
         self,
         step: int,
         module_plan: ModulePlan,
-        prepared: dict[int, PreparedSample] | PreparedColumns,
+        prepared: PreparedColumns,
     ) -> dict[str, float]:
         """Build this bucket's microbatches for ``step`` from prepared samples.
 
-        ``prepared`` maps sample id -> the staged sample fetched from Source
-        Loaders — or, on the columnar path, is the :class:`PreparedColumns`
-        hand-off received by reference.  Returns timing/size information for
+        ``prepared`` is the :class:`PreparedColumns` hand-off the Source
+        Loaders published by reference.  Returns timing/size information for
         the step.
 
         Staging is bounded: at most ``staging_capacity`` steps may be held at
@@ -152,43 +136,24 @@ class DataConstructor(Actor):
                 f"constructor {self.actor_name!r}: plan has no microbatches for bucket "
                 f"{self.bucket_index}"
             )
-        columnar = isinstance(prepared, PreparedColumns)
-        if columnar and self.assembly != "columnar":
-            raise PlanError(
-                f"constructor {self.actor_name!r} uses legacy assembly and cannot "
-                "consume a PreparedColumns hand-off"
-            )
         collate_seconds = 0.0
         staged_bytes = 0
         deliveries: dict[int, RankDelivery] = {}
         for assignment in assignments:
-            if columnar:
-                ids = assignment.sample_ids()
-                rows, missing = prepared.lookup(ids)
-                if missing:
-                    raise PlanError(
-                        f"constructor {self.actor_name!r}: missing prepared samples "
-                        f"{missing[:5]}"
-                    )
-                collated = collate_columns_with_positions(
-                    assignment.microbatch_index,
-                    list(ids),
-                    prepared.total_tokens[rows],
-                    self.max_sequence_length,
-                    packing=self.packing,
+            ids = assignment.sample_ids()
+            rows, missing = prepared.lookup(ids)
+            if missing:
+                raise PlanError(
+                    f"constructor {self.actor_name!r}: missing prepared samples "
+                    f"{missing[:5]}"
                 )
-            else:
-                missing = [sid for sid in assignment.sample_ids() if sid not in prepared]
-                if missing:
-                    raise PlanError(
-                        f"constructor {self.actor_name!r}: missing prepared samples {missing[:5]}"
-                    )
-                microbatch = Microbatch(
-                    index=assignment.microbatch_index, samples=list(assignment.samples)
-                )
-                collated = collate_with_positions(
-                    microbatch, self.max_sequence_length, packing=self.packing
-                )
+            collated = collate_columns_with_positions(
+                assignment.microbatch_index,
+                list(ids),
+                prepared.total_tokens[rows],
+                self.max_sequence_length,
+                packing=self.packing,
+            )
             collate_seconds += collated.total_tokens() * self.COLLATE_SECONDS_PER_TOKEN
             rank_slices = build_rank_slices(
                 collated,

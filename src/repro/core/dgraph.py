@@ -18,20 +18,15 @@ topology, and manipulated through a small set of declarative primitives
 
 Only lightweight metadata flows through the graph; payload bytes never do.
 
-Two execution modes produce byte-identical plans:
-
-- **Legacy (row) mode** — ``buffer_infos`` values are metadata lists; every
-  buffered sample eagerly materialises a ``buffered`` :class:`DGraphNode` and
-  the primitives run Python loops over the objects.
-- **Columnar (vectorized) mode** — ``buffer_infos`` values are
-  :class:`~repro.core.columns.SampleColumns`; ``mix``/``cost``/``plan`` run
-  as numpy index arithmetic over the column arrays, and the per-sample
-  lineage graph is **lazy**: nodes, edges and state transitions are recorded
-  as compact column-level operations and only expanded into
-  :class:`DGraphNode`/:class:`DGraphEdge` objects when :attr:`nodes`,
-  :attr:`edges` or :meth:`lineage` is actually consulted (telemetry,
-  debugging).  The hot planning path therefore allocates O(selected) small
-  objects instead of O(buffered).
+Inside the graph the samples are one
+:class:`~repro.core.columns.SampleColumns` (metadata lists are converted at
+the door): ``mix``/``cost``/``plan`` run as numpy index arithmetic over the
+column arrays, and the per-sample lineage graph is **lazy** — nodes, edges
+and state transitions are recorded as compact column-level operations and
+only expanded into :class:`DGraphNode`/:class:`DGraphEdge` objects when
+:attr:`nodes`, :attr:`edges` or :meth:`lineage` is actually consulted
+(telemetry, debugging).  The hot planning path therefore allocates
+O(selected) small objects instead of O(buffered).
 """
 
 from __future__ import annotations
@@ -75,10 +70,9 @@ def metas_text_only(metadata: SampleMetadata) -> SampleMetadata | None:
     return metadata if metadata.image_tokens == 0 else None
 
 
-# Columnar counterparts: a selector that is a pure *filter* (returns the
-# sample unchanged or None) can advertise a vectorized mask over
-# SampleColumns; ``None`` means "select all".  Selectors without the
-# attribute fall back to per-object evaluation even in columnar mode.
+# A selector that is a pure *filter* (returns the sample unchanged or None)
+# can advertise a vectorized mask over SampleColumns; ``None`` means "select
+# all".  Selectors without the attribute are evaluated per object.
 metas_token.columns_mask = lambda columns: None
 metas_image.columns_mask = lambda columns: columns.image_tokens > 0
 metas_text_only.columns_mask = lambda columns: columns.image_tokens == 0
@@ -193,26 +187,14 @@ class DGraph:
         self.module = module
         self._nodes: dict[tuple[int, str], DGraphNode] = {}
         self._edges: list[DGraphEdge] = []
-        # Lazy lineage (columnar mode): compact column-level ops replayed
-        # into nodes/edges only when the lineage is actually inspected.
+        # Lazy lineage: compact column-level ops replayed into nodes/edges
+        # only when the lineage is actually inspected.
         self._lineage_ops: list[tuple] = []
         self._lineage_cursor = 0
         self._base_materialized = False
 
-        if isinstance(samples, SampleColumns):
-            self._vectorized = True
-            self._columns: SampleColumns | None = samples
-            self._samples_list: list[SampleMetadata] | None = None
-            self._selected_columns: SampleColumns | None = samples
-            self._selected_list: list[SampleMetadata] | None = None
-        else:
-            self._vectorized = False
-            self._columns = None
-            self._samples_list = list(samples)
-            self._selected_columns = None
-            self._selected_list = list(self._samples_list)
-            for sample in self._samples_list:
-                self._add_node(sample.sample_id, "buffered", sample.source)
+        self._columns = SampleColumns.coerce(samples)
+        self._selected = self._columns
 
         self._tree: ClientPlaceTree | None = None
         self._mixture_weights: dict[str, float] = {}
@@ -253,49 +235,17 @@ class DGraph:
         buffer dictionary, giving the "unified multisource representation" of
         Sec. 4.1.
 
-        Values may be metadata lists (legacy row mode) or
-        :class:`SampleColumns` (the Planner's columnar gather); the columnar
-        form enters the vectorized fast path and yields byte-identical plans.
+        Values may be metadata lists or :class:`SampleColumns` (the Planner's
+        gather); either way the graph holds one concatenated column set.
         """
-        columns = cls._coerce_columns(buffer_infos)
-        if columns is not None:
-            mask_fn = getattr(metas, "columns_mask", None)
-            if mask_fn is not None:
-                mask = mask_fn(columns)
-                selected = columns if mask is None else columns.where(mask)
-                return cls(selected, module=module)
-            # Arbitrary (possibly transforming) selector: fall back to
-            # per-object evaluation, then re-enter columnar mode.
-            viewed = [metas(sample) for sample in columns.to_list()]
-            chosen = [sample for sample in viewed if sample is not None]
-            return cls(SampleColumns.from_samples(chosen), module=module)
-        if isinstance(buffer_infos, dict):
-            flat = [sample for samples in buffer_infos.values() for sample in samples]
-        else:
-            flat = list(buffer_infos)
-        selected = []
-        for sample in flat:
-            viewed = metas(sample)
-            if viewed is not None:
-                selected.append(viewed)
-        return cls(selected, module=module)
-
-    @staticmethod
-    def _coerce_columns(buffer_infos) -> SampleColumns | None:
-        """Normalise columnar inputs to one concatenated SampleColumns."""
-        if isinstance(buffer_infos, SampleColumns):
-            return buffer_infos
-        if isinstance(buffer_infos, dict) and any(
-            isinstance(value, SampleColumns) for value in buffer_infos.values()
-        ):
-            parts = [
-                value
-                if isinstance(value, SampleColumns)
-                else SampleColumns.from_samples(list(value))
-                for value in buffer_infos.values()
-            ]
-            return SampleColumns.concat(parts)
-        return None
+        columns = SampleColumns.coerce(buffer_infos)
+        mask_fn = getattr(metas, "columns_mask", None)
+        if mask_fn is not None:
+            mask = mask_fn(columns)
+            return cls(columns if mask is None else columns.where(mask), module=module)
+        # Arbitrary (possibly transforming) selector: evaluate per object.
+        viewed = [metas(sample) for sample in columns.to_list()]
+        return cls([sample for sample in viewed if sample is not None], module=module)
 
     def init(self, tree: ClientPlaceTree) -> "DGraph":
         """Bind the graph to a trainer topology."""
@@ -308,23 +258,6 @@ class DGraph:
         self._seed = int(seed)
         return self
 
-    # -- selection bookkeeping ----------------------------------------------------------
-
-    def _selection(self) -> list[SampleMetadata]:
-        """The currently selected samples as objects (materialised lazily)."""
-        if self._selected_list is None:
-            self._selected_list = self._selected_columns.to_list()
-        return self._selected_list
-
-    def _selection_count(self) -> int:
-        if self._selected_columns is not None:
-            return len(self._selected_columns)
-        return len(self._selected_list or [])
-
-    def _set_selected_columns(self, columns: SampleColumns) -> None:
-        self._selected_columns = columns
-        self._selected_list = None
-
     # -- primitives ---------------------------------------------------------------------
 
     def mix(self, schedule: MixtureSchedule, sample_count: int | None = None) -> "DGraph":
@@ -335,50 +268,7 @@ class DGraph:
         buffer contribute nothing; only sampled data participates in
         subsequent orchestration (un-sampled nodes stay in ``buffered`` state).
         """
-        if self._vectorized:
-            return self._mix_columns(schedule, sample_count)
-        weights = schedule.weights_at(self._step)
-        self._mixture_weights = dict(weights)
-        by_source: dict[str, list[SampleMetadata]] = {}
-        for sample in self._selection():
-            by_source.setdefault(sample.source, []).append(sample)
-
-        available_sources = [name for name in by_source if weights.get(name, 0.0) > 0.0]
-        if not available_sources:
-            raise OrchestrationError(
-                "mixture schedule assigns zero weight to every buffered source"
-            )
-        target = sample_count if sample_count is not None else self._selection_count()
-        target = min(target, self._selection_count())
-
-        rng = derive_rng(self._seed, "mix", self._step)
-        probs = np.array([weights[name] for name in available_sources], dtype=float)
-        probs = probs / probs.sum()
-        pool_sizes = {name: len(by_source[name]) for name in available_sources}
-        quotas = self._quota_per_source(
-            available_sources, probs, pool_sizes, target,
-            strict_target=sample_count is not None,
-        )
-
-        chosen: list[SampleMetadata] = []
-        for name in available_sources:
-            pool = by_source[name]
-            quota = quotas[name]
-            if quota >= len(pool):
-                chosen.extend(pool)
-            else:
-                indices = rng.choice(len(pool), size=quota, replace=False)
-                chosen.extend(pool[index] for index in sorted(indices))
-        for sample in chosen:
-            self._transition(sample.sample_id, "buffered", "sampled", "mix")
-        self._selected_list = chosen
-        return self
-
-    def _mix_columns(
-        self, schedule: MixtureSchedule, sample_count: int | None
-    ) -> "DGraph":
-        """Vectorized mix: identical draws to the row path, no object churn."""
-        columns = self._selected_columns
+        columns = self._selected
         weights = schedule.weights_at(self._step)
         self._mixture_weights = dict(weights)
 
@@ -421,7 +311,7 @@ class DGraph:
         )
         selected = columns.select(chosen)
         self._lineage_ops.append(("mix", selected.sample_ids))
-        self._set_selected_columns(selected)
+        self._selected = selected
         return self
 
     def distribute(self, axis: str, group_size: int | None = None) -> "DGraph":
@@ -490,7 +380,7 @@ class DGraph:
 
         items = [
             WeightedItem(key=sample, cost=self._costs[sample.sample_id])
-            for sample in self._selection()
+            for sample in self._selected.to_list()
         ]
         bucket_result = balance_items(items, self._num_buckets, method)
         assignments: list[list[list[SampleMetadata]]] = []
@@ -514,20 +404,7 @@ class DGraph:
         self._api_costs["balance"] = self._api_costs.get("balance", 0.0) + (
             2.5e-6 * n * math.log2(n + 1) * coordination
         )
-        if self._vectorized:
-            self._lineage_ops.append(("balance", f"balance[{method}]", assignments))
-        else:
-            for bucket_index, bucket in enumerate(assignments):
-                for mb_index, bin_samples in enumerate(bucket):
-                    for sample in bin_samples:
-                        self._transition(
-                            sample.sample_id,
-                            "sampled" if (sample.sample_id, "sampled") in self._nodes else "buffered",
-                            "assigned",
-                            f"balance[{method}]",
-                            bucket=bucket_index,
-                            microbatch=mb_index,
-                        )
+        self._lineage_ops.append(("balance", f"balance[{method}]", assignments))
         return self
 
     def broadcast_at(self, target_dim: str) -> "DGraph":
@@ -581,20 +458,15 @@ class DGraph:
         )
 
     def _source_demands(self) -> dict[str, list[int]]:
-        """Selected sample ids per source, sorted (vectorized when columnar)."""
-        columns = self._selected_columns
-        if self._vectorized and columns is not None:
-            demands: dict[str, list[int]] = {}
-            for code in columns.source_order():
-                mask = columns.source_codes == code
-                demands[columns.sources[code]] = np.sort(
-                    columns.sample_ids[mask]
-                ).tolist()
-            return demands
-        demands_raw: dict[str, list[int]] = {}
-        for sample in self._selection():
-            demands_raw.setdefault(sample.source, []).append(sample.sample_id)
-        return {source: sorted(ids) for source, ids in demands_raw.items()}
+        """Selected sample ids per source, sorted."""
+        columns = self._selected
+        demands: dict[str, list[int]] = {}
+        for code in columns.source_order():
+            mask = columns.source_codes == code
+            demands[columns.sources[code]] = np.sort(
+                columns.sample_ids[mask]
+            ).tolist()
+        return demands
 
     # -- low-level interfaces (plan_raw / summary_buffer) --------------------------------
 
@@ -604,7 +476,7 @@ class DGraph:
         """Escape hatch: supply the full bucket/bin assignment directly."""
         if self._num_buckets is None:
             raise OrchestrationError("call distribute() before plan_raw()")
-        assignment = assignment_fn(self._selection(), self._num_buckets, self._num_microbatches)
+        assignment = assignment_fn(self._selected.to_list(), self._num_buckets, self._num_microbatches)
         if len(assignment) != self._num_buckets:
             raise OrchestrationError(
                 f"plan_raw returned {len(assignment)} buckets, expected {self._num_buckets}"
@@ -616,7 +488,7 @@ class DGraph:
     def summary_buffer(self) -> dict[str, dict[str, float]]:
         """Summarise the buffered metadata per source (tokens, counts, cost)."""
         summary: dict[str, dict[str, float]] = {}
-        for sample in self._selection():
+        for sample in self._selected.to_list():
             entry = summary.setdefault(
                 sample.source, {"count": 0.0, "tokens": 0.0, "image_tokens": 0.0, "cost": 0.0}
             )
@@ -630,18 +502,12 @@ class DGraph:
 
     @property
     def selected_samples(self) -> list[SampleMetadata]:
-        return list(self._selection())
+        return self._selected.to_list()
 
     @property
     def selected_ids(self) -> np.ndarray:
         """Ids of the selected samples (no object materialisation needed)."""
-        if self._selected_columns is not None:
-            return self._selected_columns.sample_ids
-        return np.fromiter(
-            (sample.sample_id for sample in self._selection()),
-            dtype=np.int64,
-            count=self._selection_count(),
-        )
+        return self._selected.sample_ids
 
     @property
     def num_buckets(self) -> int | None:
@@ -671,7 +537,7 @@ class DGraph:
 
     def describe(self) -> str:
         return (
-            f"DGraph(module={self.module!r}, samples={self._selection_count()}, "
+            f"DGraph(module={self.module!r}, samples={len(self._selected)}, "
             f"axis={self._axis}, buckets={self._num_buckets}, "
             f"microbatches={self._num_microbatches}, balance={self._balance_method!r})"
         )
@@ -701,14 +567,12 @@ class DGraph:
         )
 
     def _materialize_lineage(self) -> None:
-        """Expand recorded column-level ops into nodes/edges (columnar mode).
+        """Expand recorded column-level ops into nodes/edges.
 
         Idempotent and incremental: the buffered base nodes are created once,
-        and each recorded op is consumed exactly once, so interleaving
-        primitive calls with lineage inspection behaves like the eager path.
+        and each recorded op is consumed exactly once, so primitive calls and
+        lineage inspection can interleave freely.
         """
-        if not self._vectorized:
-            return
         if not self._base_materialized:
             self._base_materialized = True
             columns = self._columns
@@ -747,16 +611,16 @@ class DGraph:
         estimate (a fixed per-sample evaluation cost) so that Table 2 numbers
         are deterministic and machine-independent.
 
-        Columnar mode: cost functions advertising a ``columns_eval`` hook
-        (metadata columns -> (load array, memory array)) are evaluated in one
-        vectorized pass; others fall back to the per-object loop, which
-        yields bit-identical values by construction.
+        Cost functions advertising a ``columns_eval`` hook (metadata columns
+        -> (load array, memory array)) are evaluated in one vectorized pass;
+        others fall back to the per-object loop, which yields bit-identical
+        values by construction.
         """
         if self._cost_fn is None:
             return
-        columns = self._selected_columns if self._vectorized else None
+        columns = self._selected
         columns_eval = getattr(self._cost_fn, "columns_eval", None)
-        if columns is not None and columns_eval is not None:
+        if columns_eval is not None:
             loads, memories = columns_eval(columns)
             ids = columns.sample_ids.tolist()
             self._costs = dict(zip(ids, np.asarray(loads, dtype=float).tolist()))
@@ -766,7 +630,7 @@ class DGraph:
         else:
             costs: dict[int, float] = {}
             memory: dict[int, float] = {}
-            for sample in self._selection():
+            for sample in self._selected.to_list():
                 result = self._cost_fn(sample)
                 if isinstance(result, tuple):
                     load, mem = float(result[0]), float(result[1])
@@ -777,7 +641,7 @@ class DGraph:
             self._costs = costs
             self._memory_costs = memory
         self._api_costs["cost"] = (
-            self._api_costs.get("cost", 0.0) + 1.2e-6 * self._selection_count()
+            self._api_costs.get("cost", 0.0) + 1.2e-6 * len(columns)
         )
 
     def _round_robin_bins(self, bucket_items: list[WeightedItem]) -> list[list[SampleMetadata]]:
@@ -792,7 +656,7 @@ class DGraph:
             [[] for _ in range(self._num_microbatches)] for _ in range(self._num_buckets or 1)
         ]
         num_buckets = self._num_buckets or 1
-        selected = self._selection()
+        selected = self._selected.to_list()
         per_bucket = math.ceil(len(selected) / num_buckets) or 1
         for position, sample in enumerate(selected):
             bucket_index = min(num_buckets - 1, position // per_bucket)

@@ -42,7 +42,7 @@ from repro.core.autoscaler import (
     ResourceBudget,
     SourceAutoPartitioner,
 )
-from repro.core.assembly import ASSEMBLY_MODES, PreparedColumns
+from repro.core.assembly import PreparedColumns
 from repro.core.checkpoint import (
     CheckpointStore,
     InMemoryCheckpointStore,
@@ -55,7 +55,7 @@ from repro.core.fault_tolerance import FaultToleranceConfig, FaultToleranceManag
 from repro.core.columns import SampleColumns
 from repro.core.loader_fleet import LoaderFleet
 from repro.core.place_tree import ClientPlaceTree
-from repro.core.planner import PLANNING_MODES, Planner, PlanTimings
+from repro.core.planner import Planner, PlanTimings
 from repro.core.plans import LoadingPlan
 from repro.core.resharding import ElasticResharder, ReshardNotification, ReshardReport
 from repro.core.source_loader import SourceLoader
@@ -166,20 +166,6 @@ class TrainingJobSpec:
     #: benchmarks and equivalence tests — both execute identical orders).
     dispatcher: str = "indexed"
 
-    #: Planning-cycle implementation: "columnar" (delta buffer gather +
-    #: vectorized DGraph with lazy lineage, the default) or "legacy" (full
-    #: per-step buffer copies + eager row path, kept for A/B runs and
-    #: equivalence tests — both emit byte-identical loading plans).
-    planning: str = "columnar"
-
-    #: Batch-assembly implementation: "columnar" (loaders stage prepared
-    #: samples as struct-of-arrays columns served by reference through the
-    #: GCS freeze-on-put path, constructors collate with vectorized numpy
-    #: kernels — the default) or "legacy" (per-sample PreparedSample objects
-    #: and Python-loop collators, kept for A/B runs and equivalence tests —
-    #: both deliver byte-identical RankDelivery payloads).
-    assembly: str = "columnar"
-
     #: Opt-in bounded telemetry for long runs: caps the actor call log and
     #: switches the system timeline to the bounded/aggregating mode, so
     #: per-event bookkeeping stops growing O(E) with executed events while
@@ -251,19 +237,9 @@ class TrainingJobSpec:
             )
         if self.telemetry_window < 1:
             raise ConfigurationError("telemetry_window must be >= 1")
-        if self.planning not in PLANNING_MODES:
-            raise ConfigurationError(
-                f"unknown planning mode {self.planning!r}; "
-                f"expected one of {PLANNING_MODES}"
-            )
         if self.lane_model not in LANE_MODELS:
             raise ConfigurationError(
                 f"unknown lane_model {self.lane_model!r}; expected one of {LANE_MODELS}"
-            )
-        if self.assembly not in ASSEMBLY_MODES:
-            raise ConfigurationError(
-                f"unknown assembly mode {self.assembly!r}; "
-                f"expected one of {ASSEMBLY_MODES}"
             )
         if self.spawn_warmup_s < 0:
             raise ConfigurationError("spawn_warmup_s must be >= 0")
@@ -888,7 +864,6 @@ class MegaScaleData:
                         shard_index=idx,
                         shard_count=cfg.num_actors,
                         deferred_transforms=set(job.deferred_transforms) or None,
-                        assembly=job.assembly,
                     ),
                     name=name,
                     cpu_cores=config.workers_per_actor * 1.0,
@@ -921,7 +896,6 @@ class MegaScaleData:
                     # The sync workflow keeps legacy random step access;
                     # prefetching requires strict in-order consumption.
                     enforce_delivery_order=job.prefetch_depth > 0,
-                    assembly=job.assembly,
                 ),
                 name=name,
                 cpu_cores=2.0,
@@ -967,7 +941,6 @@ class MegaScaleData:
                 gcs=system.gcs,
                 seed=job.seed,
                 clock=system.clock,
-                planning=job.planning,
                 checkpoint_store=checkpoint_store,
                 replay_window=job.replay_window,
                 gcs_prefix=job.scoped("planner"),
@@ -997,7 +970,6 @@ class MegaScaleData:
                     buffer_size=ldr.buffer_size,
                     shard_index=ldr.shard_index,
                     shard_count=ldr.shard_count,
-                    assembly=ldr.assembly,
                 ),
                 name=shadow_name,
                 cpu_cores=1.0,
@@ -1097,15 +1069,12 @@ class MegaScaleData:
     def _prepare_and_fetch(self, handle, sample_ids: list[int]):
         """One member's synchronous prepare + hand-off (retried on recovery).
 
-        Legacy assembly fetches :class:`PreparedSample` objects; columnar
-        assembly fetches a GCS *reference* and resolves it with ``take`` —
+        The fetch returns a GCS *reference* that is resolved with ``take`` —
         the column slice travels by reference end to end, never copied.
         """
         result = handle.call("prepare", sample_ids)
-        if self.job.assembly == "columnar":
-            ref = handle.call("fetch_prepared_ref", sample_ids)
-            return result, self.system.gcs.take(ref["key"])
-        return result, handle.call("fetch_prepared", sample_ids)
+        ref = handle.call("fetch_prepared_ref", sample_ids)
+        return result, self.system.gcs.take(ref["key"])
 
     # -- fault absorption (chaos-hardened call sites) -------------------------------------
 
@@ -1119,8 +1088,6 @@ class MegaScaleData:
         ft = self.fault_manager
         loader_wall_clock = 0.0
         loader_transform = 0.0
-        columnar = self.job.assembly == "columnar"
-        prepared: dict[int, object] | PreparedColumns = {}
         prepared_parts: list[PreparedColumns] = []
         demands_by_loader: dict[object, list[int]] = {}
         for handle, sample_ids in self._split_demands(plan).items():
@@ -1149,16 +1116,15 @@ class MegaScaleData:
                     continue
                 loader_wall_clock = max(loader_wall_clock, result["wall_clock_s"])
                 loader_transform += result["transform_latency_s"]
-                if columnar:
-                    prepared_parts.append(fetched)
-                else:
-                    for item in fetched:
-                        prepared[item.sample.sample_id] = item
+                prepared_parts.append(fetched)
                 break
             demands_by_loader[handle] = sample_ids
-        if columnar:
-            prepared = PreparedColumns.concat(prepared_parts)
-        return prepared, demands_by_loader, loader_wall_clock, loader_transform
+        return (
+            PreparedColumns.concat(prepared_parts),
+            demands_by_loader,
+            loader_wall_clock,
+            loader_transform,
+        )
 
     def _plan_with_tolerance(self, planner: Planner, step: int, sample_count: int):
         """Generate the step's plan, healing/degrading/waiting through faults."""
@@ -1773,14 +1739,22 @@ class MegaScaleData:
             cluster=cluster,
             checkpoint_store=checkpoint_store,
         )
+        # Match snapshots by the shard they describe, not by actor name: a
+        # promoted mirror saves under its own name (``…/0m2``), which the
+        # fresh deployment's canonical for that shard does not share.
+        snapshots = {
+            (snapshot["source"], snapshot["shard_index"]): snapshot
+            for snapshot in payload["loaders"].values()
+        }
         for handle in instance.loader_handles:
-            snapshot = payload["loaders"].get(handle.name)
+            loader: SourceLoader = handle.instance()
+            snapshot = snapshots.get((loader.source.name, loader.shard_index))
             if snapshot is None:
                 raise ConfigurationError(
                     f"whole-run checkpoint holds no snapshot for loader "
                     f"{handle.name!r}; was it saved under a different job spec?"
                 )
-            handle.instance().restore_replay_checkpoint(snapshot, restore_stats=True)
+            loader.restore_replay_checkpoint(snapshot, restore_stats=True)
         if payload.get("mixture") is not None:
             instance.set_mixture(MixtureSchedule.from_descriptor(payload["mixture"]))
         planner: Planner = instance.planner_handle.instance()
@@ -1835,7 +1809,6 @@ class MegaScaleData:
                     broadcast_cp=self.job.broadcast_cp,
                     staging_capacity=max(2, self.job.prefetch_depth + 2),
                     enforce_delivery_order=self.job.prefetch_depth > 0,
-                    assembly=self.job.assembly,
                 ),
                 name=self.job.scoped(f"constructor/dp{dp_index}"),
                 cpu_cores=2.0,
@@ -1966,7 +1939,7 @@ class MegaScaleData:
         self,
         step: int,
         sample_count: int,
-        buffer_infos: dict[str, list[SampleMetadata] | SampleColumns],
+        buffer_infos: dict[str, SampleColumns],
     ) -> dict[str, int] | None:
         """Per-source bounding quotas under a degraded-mode controller.
 
@@ -1999,25 +1972,24 @@ class MegaScaleData:
 
     @staticmethod
     def _bound_buffer(
-        buffer_infos: dict[str, list[SampleMetadata] | SampleColumns],
+        buffer_infos: dict[str, SampleColumns],
         sample_count: int,
         step: int,
         seed: int,
         quotas: dict[str, int] | None = None,
-    ) -> dict[str, list[SampleMetadata] | SampleColumns]:
+    ) -> dict[str, SampleColumns]:
         """Deterministically subsample the buffered metadata to the step budget.
 
-        Handles both gather representations: metadata lists (legacy planning)
-        and :class:`SampleColumns` (columnar planning), whose rotation+take is
-        index arithmetic rather than list copies — the two paths select the
-        exact same samples in the same order.  Explicit ``quotas`` (degraded
-        catch-up) replace the proportional share; a source whose buffer runs
-        shorter than its quota hands the spare budget to the next sources.
+        Each source keeps the first ``share`` rows of its buffer rotated by a
+        per-step offset (index arithmetic over the gathered columns).
+        Explicit ``quotas`` (degraded catch-up) replace the proportional
+        share; a source whose buffer runs shorter than its quota hands the
+        spare budget to the next sources.
         """
         total = sum(len(samples) for samples in buffer_infos.values())
         if total <= sample_count:
             return buffer_infos
-        bounded: dict[str, list[SampleMetadata] | SampleColumns] = {}
+        bounded: dict[str, SampleColumns] = {}
         remaining = sample_count
         sources = sorted(buffer_infos)
         spare = 0
@@ -2031,11 +2003,7 @@ class MegaScaleData:
                 share = min(share, remaining - (len(sources) - index - 1)) if index < len(sources) - 1 else remaining
             share = max(0, min(share, len(samples), remaining))
             offset = (step * 7) % max(1, len(samples))
-            if isinstance(samples, SampleColumns):
-                bounded[source] = samples.rotate_take(offset, share)
-            else:
-                rotated = samples[offset:] + samples[:offset]
-                bounded[source] = rotated[:share]
+            bounded[source] = samples.rotate_take(offset, share)
             remaining -= share
         return bounded
 

@@ -400,7 +400,6 @@ class LoaderFleet:
             shard=group.shard_index,
             shards=group.shard_count,
             transforms=deferred_transforms,
-            assembly=canonical.assembly,
         ):
             return SourceLoader(
                 source=src,
@@ -411,7 +410,6 @@ class LoaderFleet:
                 shard_count=shards,
                 deferred_transforms=transforms,
                 deferred_refill=True,
-                assembly=assembly,
             )
 
         try:

@@ -21,7 +21,6 @@ from repro.core.place_tree import ClientPlaceTree
 from repro.core.plans import LoadingPlan, ScalingPlan
 from repro.core.strategies import StrategyFn
 from repro.data.mixture import MixtureSchedule
-from repro.data.samples import SampleMetadata
 from repro.errors import ActorDead, ActorError, ActorTimeout, PlanError, StorageError
 
 #: Simulated cost of gathering one loader's buffer summary over RPC.
@@ -29,17 +28,12 @@ GATHER_RPC_SECONDS = 0.00035
 #: Per-sample metadata deserialisation cost during gathering.
 GATHER_PER_SAMPLE_SECONDS = 1.0e-7
 #: Per-event deserialisation cost of an incremental buffer delta.  The
-#: columnar gather ships only the mutations since the previous plan, so its
-#: modelled latency scales with the per-step churn, not the buffer depth.
+#: gather ships only the mutations since the previous plan, so its modelled
+#: latency scales with the per-step churn, not the buffer depth.
 GATHER_PER_DELTA_SECONDS = 1.0e-7
 #: Broadcast base latency plus per-byte cost for shipping the finalized plan.
 BROADCAST_BASE_SECONDS = 0.0008
 BROADCAST_PER_BYTE_SECONDS = 1.0 / 4.0e9
-
-#: Planning-cycle implementations: "columnar" (delta gather + vectorized
-#: DGraph, the default) or "legacy" (full-buffer copy + eager row path, kept
-#: for A/B runs and equivalence tests — both emit byte-identical plans).
-PLANNING_MODES = ("columnar", "legacy")
 
 #: Checkpoint-store namespace holding one entry per generated plan.
 PLAN_NAMESPACE = "planner/plans"
@@ -84,19 +78,13 @@ class Planner(Actor):
         seed: int = 0,
         checkpoint_every: int = 1,
         clock: object | None = None,
-        planning: str = "columnar",
         checkpoint_store: CheckpointStore | None = None,
         replay_window: int = 50,
         gcs_prefix: str = "planner",
     ) -> None:
         super().__init__()
-        if planning not in PLANNING_MODES:
-            raise PlanError(
-                f"unknown planning mode {planning!r}; expected one of {PLANNING_MODES}"
-            )
         if replay_window < 1:
             raise PlanError("replay_window must be positive")
-        self.planning = planning
         self.strategy = strategy
         self.tree = tree
         self.mixture = mixture
@@ -185,21 +173,6 @@ class Planner(Actor):
 
     # -- planning -------------------------------------------------------------------------------
 
-    def gather_buffer_metadata(self) -> tuple[dict[str, list[SampleMetadata]], float]:
-        """Collect full buffer summaries from every loader (legacy gather)."""
-        infos: dict[str, list[SampleMetadata]] = {}
-        latency = 0.0
-        for handle in self._loader_handles:
-            if self._is_excluded(handle):
-                continue
-            summary: list[SampleMetadata] = handle.call("summary_buffer")
-            source_name = (
-                summary[0].source if summary else self._declared_source(handle)
-            )
-            infos.setdefault(source_name, []).extend(summary)
-            latency += GATHER_RPC_SECONDS + GATHER_PER_SAMPLE_SECONDS * len(summary)
-        return infos, latency
-
     def gather_buffer_columns(self) -> tuple[dict[str, SampleColumns], float]:
         """Delta gather: maintain per-loader columnar mirrors incrementally.
 
@@ -231,8 +204,8 @@ class Planner(Actor):
                 # anything thrown *inside* a real buffer_delta propagates.
                 # Loader without the delta protocol (custom/stub actors):
                 # degrade to a per-step snapshot of its summary buffer,
-                # bucketed like the legacy gather — under the buffered
-                # metadata's source when there is any.
+                # bucketed under the buffered metadata's source when there
+                # is any.
                 summary = handle.call("summary_buffer")
                 if summary and cache.source != summary[0].source:
                     cache.source = summary[0].source
@@ -284,10 +257,7 @@ class Planner(Actor):
             raise PlanError("the planner has no registered source loaders")
         step = self._step if step is None else step
 
-        if self.planning == "columnar":
-            buffer_infos, gather_latency = self.gather_buffer_columns()
-        else:
-            buffer_infos, gather_latency = self.gather_buffer_metadata()
+        buffer_infos, gather_latency = self.gather_buffer_columns()
         dgraph_plan = self.strategy(buffer_infos, self.tree, step, self.seed)
         compute_latency = sum(dgraph_plan.api_costs.values()) + 0.0005
         for subplan in dgraph_plan.subplan.values():

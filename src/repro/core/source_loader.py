@@ -13,10 +13,10 @@ redundancy is eliminated (Sec. 3).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.actors.actor import Actor
-from repro.core.assembly import ASSEMBLY_MODES, StagedColumns
+from repro.core.assembly import StagedColumns
 from repro.data.samples import Sample, SampleMetadata
 from repro.data.sources import DataSource, SourceCursor
 from repro.errors import PlanError
@@ -55,16 +55,6 @@ class LoaderStats:
 
 
 @dataclass
-class PreparedSample:
-    """A transformed sample staged for delivery."""
-
-    sample: Sample
-    transform_latency_s: float
-    transferred_bytes: int
-    deferred_transforms: list[str] = field(default_factory=list)
-
-
-@dataclass
 class _PrepareTicket:
     """Book-keeping for one in-flight asynchronous prepare request."""
 
@@ -91,31 +81,19 @@ class SourceLoader(Actor):
         shard_index: int = 0,
         shard_count: int = 1,
         deferred_transforms: set[str] | None = None,
-        keep_payloads: bool = False,
         deferred_refill: bool = False,
-        assembly: str = "legacy",
     ) -> None:
         super().__init__()
         if num_workers < 1:
             raise PlanError("a source loader needs at least one worker")
         if buffer_size < 1:
             raise PlanError("buffer_size must be positive")
-        if assembly not in ASSEMBLY_MODES:
-            raise PlanError(
-                f"unknown assembly mode {assembly!r}; expected one of {ASSEMBLY_MODES}"
-            )
-        if assembly == "columnar" and keep_payloads:
-            raise PlanError(
-                "columnar assembly stages metadata columns only and cannot retain "
-                "sample payloads; use assembly='legacy' with keep_payloads=True"
-            )
         self.source = source
         self.filesystem = filesystem
         self.num_workers = num_workers
         self.buffer_size = buffer_size
         self.shard_index = shard_index
         self.shard_count = shard_count
-        self.keep_payloads = keep_payloads
         #: Fleet shard-group mode: a member of a multi-loader shard group
         #: prepares only its slice of the group's demands, so refilling at
         #: the end of :meth:`prepare`/:meth:`poll` would desynchronise its
@@ -125,11 +103,6 @@ class SourceLoader(Actor):
         #: single refill instead, keeping every member's cursor consumption
         #: byte-identical to a lone loader preparing the full demand list.
         self.deferred_refill = deferred_refill
-        #: Batch-assembly mode: ``"legacy"`` stages per-sample
-        #: :class:`PreparedSample` objects in a dict; ``"columnar"`` stages
-        #: struct-of-arrays columns and serves fetches by reference through
-        #: the GCS freeze-on-put path (:meth:`fetch_prepared_ref`).
-        self.assembly = assembly
         self.pipeline = TransformPipeline.for_modality(
             source.modality, deferred=deferred_transforms
         )
@@ -142,7 +115,8 @@ class SourceLoader(Actor):
         #: O(buffer) list scan; dict insertion order preserves the exact
         #: arrival order the list-based buffer had.
         self._buffer: dict[int, SampleMetadata] = {}
-        self._staged: dict[int, PreparedSample] = {}
+        #: Prepared samples awaiting hand-off, as struct-of-arrays columns
+        #: served by reference through :meth:`fetch_prepared_ref`.
         self._staged_columns = StagedColumns()
         #: Monotone suffix for GCS hand-off keys minted by
         #: :meth:`fetch_prepared_ref`.
@@ -160,9 +134,9 @@ class SourceLoader(Actor):
         self._delta_seq = 0
         self._delta_base = 0
         self._delta_log: list[tuple[int, str, object]] = []
-        #: Log size cap: with no consumer (legacy planning mode) the log is
-        #: dropped once it exceeds this, forcing a resync on first gather
-        #: instead of growing without bound.
+        #: Log size cap: a loader nobody gathers from (standalone, shadow)
+        #: drops the log once it exceeds this, forcing a resync on first
+        #: gather instead of growing without bound.
         self._delta_cap = max(4 * buffer_size, 256)
 
     # -- lifecycle -----------------------------------------------------------------------
@@ -514,28 +488,9 @@ class SourceLoader(Actor):
             / max(1e-9, _pipeline_reference_cost(self.source)),
             0.1,
         ) + fixed
-        if self.assembly == "columnar":
-            # Columnar staging: one row appended per sample — no
-            # PreparedSample object is materialised until (and unless) a
-            # legacy-compat fetch asks for one.
-            self._staged_columns.append(
-                metadata,
-                result.transferred_bytes,
-                latency,
-                result.deferred_transforms,
-            )
-        else:
-            prepared = PreparedSample(
-                sample=sample,
-                transform_latency_s=latency,
-                transferred_bytes=result.transferred_bytes,
-                deferred_transforms=result.deferred_transforms,
-            )
-            if not self.keep_payloads:
-                # Payload arrays are not retained in the metadata-only
-                # simulation; only their byte size is charged.
-                prepared.sample.payload.clear()
-            self._staged[sample_id] = prepared
+        # Payload arrays are not retained in the metadata-only simulation;
+        # only the sample's columns are staged and its byte size charged.
+        self._staged_columns.append(metadata, result.transferred_bytes)
         self.ledger.charge("sample_payload", result.transferred_bytes)
         self._remove_from_buffer(sample_id)
         return latency, result.transferred_bytes
@@ -557,63 +512,25 @@ class SourceLoader(Actor):
             "num_samples": float(num_samples),
         }
 
-    def fetch_prepared(self, sample_ids: list[int]) -> list[PreparedSample]:
+    def fetch_prepared_ref(self, sample_ids: list[int]) -> dict[str, object]:
         """Hand staged samples to a Data Constructor, releasing their memory.
 
-        In columnar mode this is the compatibility path: the requested column
-        rows are materialised back into :class:`PreparedSample` objects (the
-        exact records the legacy path would have staged), so synchronous
-        callers and audits keep working unchanged.
-        """
-        if self.assembly == "columnar":
-            columns, released = self._take_columns(sample_ids)
-            self.ledger.release("sample_payload", released)
-            delivered = []
-            for row in range(len(columns)):
-                sample = Sample(metadata=columns.metas[row])
-                delivered.append(
-                    PreparedSample(
-                        sample=sample,
-                        transform_latency_s=float(columns.transform_latency_s[row]),
-                        transferred_bytes=int(columns.transferred_bytes[row]),
-                        deferred_transforms=list(columns.deferred[row]),
-                    )
-                )
-            self.stats.samples_delivered += len(delivered)
-            return delivered
-        delivered = []
-        for sample_id in sample_ids:
-            prepared = self._staged.pop(sample_id, None)
-            if prepared is None:
-                raise PlanError(
-                    f"loader {self.actor_name!r} has no staged sample {sample_id}"
-                )
-            self.ledger.release("sample_payload", prepared.transferred_bytes)
-            delivered.append(prepared)
-        self.stats.samples_delivered += len(delivered)
-        return delivered
-
-    def fetch_prepared_ref(self, sample_ids: list[int]) -> dict[str, object]:
-        """Zero-copy fetch: publish the staged columns by reference via the GCS.
-
-        The requested rows are gathered into an immutable
+        Zero-copy: the requested rows are gathered into an immutable
         :class:`~repro.core.assembly.PreparedColumns` slice, published with
         ``gcs.put(key, columns, immutable=True)`` (stored and served by
         reference — the freeze-on-put path), and only the *key* is returned.
         The consumer resolves it with ``gcs.take(key)``, receiving the very
         same column object with no per-sample copies anywhere on the path.
         """
-        if self.assembly != "columnar":
-            raise PlanError(
-                f"loader {self.actor_name!r} uses legacy assembly; "
-                "fetch_prepared_ref requires assembly='columnar'"
-            )
         if self.gcs is None:
             raise PlanError(
                 f"loader {self.actor_name!r} has no GCS attached; "
                 "fetch_prepared_ref needs a runtime-managed actor"
             )
-        columns, released = self._take_columns(sample_ids)
+        try:
+            columns, released = self._staged_columns.take(sample_ids)
+        except PlanError as exc:
+            raise PlanError(f"loader {self.actor_name!r} has {exc}") from None
         self.ledger.release("sample_payload", released)
         self.stats.samples_delivered += len(columns)
         self._ref_seq += 1
@@ -621,31 +538,15 @@ class SourceLoader(Actor):
         self.gcs.put(key, columns, immutable=True)
         return {"key": key, "count": len(columns), "staged_bytes": released}
 
-    def _take_columns(self, sample_ids: list[int]):
-        try:
-            return self._staged_columns.take(sample_ids)
-        except PlanError as exc:
-            raise PlanError(f"loader {self.actor_name!r} has {exc}") from None
-
     def discard_staged(self, sample_ids: list[int]) -> int:
         """Drop staged samples that will never be fetched (pipeline flush)."""
-        if self.assembly == "columnar":
-            dropped, released = self._staged_columns.drop(sample_ids)
-            if released:
-                self.ledger.release("sample_payload", released)
-            return dropped
-        dropped = 0
-        for sample_id in sample_ids:
-            prepared = self._staged.pop(sample_id, None)
-            if prepared is not None:
-                self.ledger.release("sample_payload", prepared.transferred_bytes)
-                dropped += 1
+        dropped, released = self._staged_columns.drop(sample_ids)
+        if released:
+            self.ledger.release("sample_payload", released)
         return dropped
 
     def staged_count(self) -> int:
-        if self.assembly == "columnar":
-            return len(self._staged_columns)
-        return len(self._staged)
+        return len(self._staged_columns)
 
     # -- checkpointing ----------------------------------------------------------------------------
 
@@ -689,8 +590,8 @@ class SourceLoader(Actor):
         self._delta_seq += 1
         self._delta_log.append((self._delta_seq, op, payload))
         if len(self._delta_log) > self._delta_cap:
-            # Nobody is consuming the log (legacy planning mode): drop it and
-            # let the first columnar gather, if any, start from a snapshot.
+            # Nobody is consuming the log: drop it and let the first gather,
+            # if any, start from a snapshot.
             self._delta_log.clear()
             self._delta_base = self._delta_seq
 
@@ -708,9 +609,6 @@ class SourceLoader(Actor):
         self._delta_base = self._delta_seq
 
     def _drop_staged(self) -> None:
-        for prepared in self._staged.values():
-            self.ledger.release("sample_payload", prepared.transferred_bytes)
-        self._staged.clear()
         released = self._staged_columns.drop_all()
         if released:
             self.ledger.release("sample_payload", released)

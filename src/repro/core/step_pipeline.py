@@ -96,10 +96,10 @@ class _InflightStep:
 
     unfetched: set[ActorHandle] = field(default_factory=set)
     fetch_futures: dict[ActorHandle, ActorFuture] = field(default_factory=dict)
-    prepared: object = field(default_factory=dict)
-    #: Columnar assembly: per-loader PreparedColumns parts resolved from GCS
-    #: references, concatenated into ``prepared`` when the last fetch lands.
+    #: Per-loader PreparedColumns parts resolved from GCS references,
+    #: concatenated into ``prepared`` when the last fetch lands.
     prepared_parts: list = field(default_factory=list)
+    prepared: PreparedColumns | None = None
     #: Virtual instant the last fetch handed its samples over.
     fetch_ready_s: float = 0.0
 
@@ -227,20 +227,17 @@ class StepPipeline:
         steps occupied on the constructors.
 
         Each restore/reset starts a fresh buffer-delta epoch on its loader, so
-        the Planner's columnar gather mirrors (``planning="columnar"``) resync
-        from a full snapshot on the next plan instead of splicing events from
-        the pre-flush incarnation — the flush costs one O(buffer) gather,
-        after which delta gathering resumes.
+        the Planner's gather mirrors resync from a full snapshot on the next
+        plan instead of splicing events from the pre-flush incarnation — the
+        flush costs one O(buffer) gather, after which delta gathering resumes.
         """
         fw = self.framework
         for item in self._queue:
             for future in item.fetch_futures.values():
-                # Columnar assembly: a hand-off reference published but never
-                # resolved would leak its frozen columns in the GCS.
+                # A hand-off reference published but never resolved would leak
+                # its frozen columns in the GCS.
                 if future.done() and future.exception() is None:
-                    ref = future.result()
-                    if isinstance(ref, dict) and "key" in ref:
-                        fw.system.gcs.delete(ref["key"])
+                    fw.system.gcs.delete(future.result()["key"])
             for future in item.all_futures():
                 future.cancel()
         # Cancellation cannot claw back calls already executing on wallclock
@@ -444,14 +441,12 @@ class StepPipeline:
 
     def _advance_fetching(self, item: _InflightStep) -> bool:
         fw = self.framework
-        columnar = fw.job.assembly == "columnar"
-        fetch_method = "fetch_prepared_ref" if columnar else "fetch_prepared"
         for handle in list(item.unfetched):
             if handle not in item.fetch_futures:
                 # Causal floor: the hand-off cannot precede the ticket's
                 # final poll (nor the plan broadcast).
                 item.fetch_futures[handle] = handle.submit_timed(
-                    fetch_method, list(item.demands[handle]),
+                    "fetch_prepared_ref", list(item.demands[handle]),
                     step_tag=item.step,
                     earliest_start_s=max(
                         item.plan_ready_s, item.loader_cursor_s.get(handle, 0.0)
@@ -467,21 +462,16 @@ class StepPipeline:
                 return True
             if exc is not None:
                 raise exc
-            if columnar:
-                # Resolve the GCS reference: the very column slice the loader
-                # froze travels to the constructor without a copy.
-                ref = future.result()
-                item.prepared_parts.append(fw.system.gcs.take(ref["key"]))
-            else:
-                for prepared in future.result():
-                    item.prepared[prepared.sample.sample_id] = prepared
+            # Resolve the GCS reference: the very column slice the loader
+            # froze travels to the constructor without a copy.
+            ref = future.result()
+            item.prepared_parts.append(fw.system.gcs.take(ref["key"]))
             item.fetch_ready_s = max(item.fetch_ready_s, future.available_at_s or 0.0)
             del item.fetch_futures[handle]
             item.unfetched.discard(handle)
         if not item.unfetched:
-            if columnar:
-                item.prepared = PreparedColumns.concat(item.prepared_parts)
-                item.prepared_parts = []
+            item.prepared = PreparedColumns.concat(item.prepared_parts)
+            item.prepared_parts = []
             item.unconstructed = list(fw.constructor_handles)
             item.state = "constructing"
         return True

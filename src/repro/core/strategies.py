@@ -40,7 +40,7 @@ def _square_columns(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return floats * floats, np.zeros(len(floats), dtype=float)
 
 
-# Vectorized twins consumed by the columnar DGraph fast path: one array pass
+# Vectorized forms the DGraph evaluates over SampleColumns: one array pass
 # instead of a per-sample call, bit-identical to the scalar forms above
 # (squaring a double rounds once either way).
 _token_cost.columns_eval = lambda columns: _square_columns(columns.total_tokens)
@@ -139,7 +139,8 @@ def hybrid_vlm_strategy(config: StrategyConfig | None = None) -> StrategyFn:
         step: int,
         seed: int = 0,
     ) -> DGraphPlan:
-        dgraph = DGraph.from_buffer_infos(buffer_infos, metas_token, module="backbone")
+        columns = SampleColumns.coerce(buffer_infos)
+        dgraph = DGraph.from_buffer_infos(columns, metas_token, module="backbone")
         dgraph.init(tree).with_step(step, seed)
         if config.mixture is not None:
             dgraph.mix(config.mixture, sample_count=config.sample_count)
@@ -158,17 +159,7 @@ def hybrid_vlm_strategy(config: StrategyConfig | None = None) -> StrategyFn:
 
         # Encoder subplan: the image view of the *same* selected samples,
         # distributed across every GPU (world-wide encoder data parallelism).
-        # Columnar buffers filter with one isin pass per source; metadata
-        # lists keep the legacy per-object comprehension — same rows, same
-        # order either way.
-        selected_ids = dgraph.selected_ids
-        selected_id_set = set(selected_ids.tolist())
-        encoder_buffer = {
-            source: samples.where(np.isin(samples.sample_ids, selected_ids))
-            if isinstance(samples, SampleColumns)
-            else [s for s in samples if s.sample_id in selected_id_set]
-            for source, samples in buffer_infos.items()
-        }
+        encoder_buffer = columns.where(np.isin(columns.sample_ids, dgraph.selected_ids))
         dgraph_encoder = DGraph.from_buffer_infos(encoder_buffer, metas_image, module="encoder")
         dgraph_encoder.init(tree).with_step(step, seed)
         dgraph_encoder.distribute(axis="WORLD")

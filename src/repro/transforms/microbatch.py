@@ -6,16 +6,16 @@ subsequences into complete sequences with segment masks, *padding* aligns
 variable-length sequences with dummy tokens, and RoPE position ids provide the
 positional context the backbone expects.
 
-Two collation implementations live here.  The legacy object path
-(:class:`PackingCollator` / :class:`PaddingCollator` / per-sequence RoPE
-loops) walks Python objects one sample at a time; the columnar path
-(:func:`collate_columns_with_positions`) runs the same transformations as
-numpy kernels over token-length arrays — first-fit packing via a max-residual
-tournament tree over open-bin residuals (O(samples · log bins) instead of the
-O(samples · bins) linear scan), padding and RoPE position ids via
-``cumsum``/``repeat`` broadcasts, and segment tables built from int arrays.
-Both paths emit byte-identical :class:`CollatedMicrobatch` objects; the
-hypothesis equivalence tests in ``tests/test_core_assembly.py`` pin that.
+The Data Constructor collates with :func:`collate_columns_with_positions`:
+numpy kernels over a microbatch's token-length array — first-fit packing via
+a max-residual tournament tree over open-bin residuals (O(samples · log bins)
+instead of an O(samples · bins) linear scan), padding and RoPE position ids
+via ``cumsum``/``repeat`` broadcasts, and segment tables built from int
+arrays.  :class:`PackingCollator` / :class:`PaddingCollator` /
+:func:`apply_rope_positions` state the same transformations one sample at a
+time over metadata objects; they are the readable reference the kernels are
+specified against, and the hypothesis tests in ``tests/test_core_assembly.py``
+require both to emit byte-identical :class:`CollatedMicrobatch` objects.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.data.samples import Sample, SampleMetadata
+from repro.data.samples import SampleMetadata
 from repro.errors import TransformError
 
 
@@ -86,9 +86,9 @@ class PackedSequence:
 class CollatedMicrobatch:
     """A collated microbatch ready for parallelism transformations.
 
-    ``sequence_lengths`` is the columnar twin of ``sequences``: per-sequence
-    token counts as an ``int64`` array, populated by the columnar collation
-    kernels so downstream parallelism slicing can stay vectorized.  Token
+    ``sequence_lengths`` holds the per-sequence token counts of
+    ``sequences`` as an ``int64`` array, populated by the collation kernels
+    so downstream parallelism slicing can stay vectorized.  Token
     totals are computed once at collation time and cached; the lazy fallback
     keeps hand-built instances working.
     """
@@ -282,7 +282,7 @@ def first_fit_bin_indices(
     tree), so a microbatch packs in O(samples · log bins) instead of the
     linear scan's O(samples · bins).  Over-capacity samples are clipped to
     ``capacity`` (or rejected when ``allow_overflow`` is false), mirroring
-    the object path's overflow rule.
+    :class:`PackingCollator`'s overflow rule.
     """
     if capacity <= 0:
         raise TransformError("max_sequence_length must be positive")
@@ -311,7 +311,7 @@ def first_fit_bin_indices(
             leaf = node - size
         elif length == 0 and num_bins > 0:
             # A zero-length sample fits the first open bin unconditionally
-            # (the object path's ``tokens + 0 <= capacity`` check).
+            # (:class:`PackingCollator`'s ``tokens + 0 <= capacity`` check).
             leaf = 0
             node = size
         else:
@@ -364,15 +364,14 @@ def collate_columns_with_positions(
     packing: bool = True,
     allow_overflow: bool = True,
 ) -> CollatedMicrobatch:
-    """Columnar twin of :func:`collate_with_positions`.
+    """Collate a microbatch straight from its token-length array.
 
-    Collates a microbatch straight from its token-length array: packing runs
-    :func:`first_fit_bin_indices`, padding is a clip/subtract, and RoPE
-    position ids come from one global ``arange`` minus repeated block starts.
-    The returned :class:`CollatedMicrobatch` is byte-identical to the object
-    path's output (sequences, segment tables, sample ids, position ids) and
-    additionally carries ``sequence_lengths`` so parallelism slicing can stay
-    on int arrays.
+    Packing runs :func:`first_fit_bin_indices`, padding is a clip/subtract,
+    and RoPE position ids come from one global ``arange`` minus repeated
+    block starts.  The returned :class:`CollatedMicrobatch` is byte-identical
+    to :func:`collate_with_positions`' output (sequences, segment tables,
+    sample ids, position ids) and additionally carries ``sequence_lengths``
+    so parallelism slicing can stay on int arrays.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     if not allow_overflow and len(lengths) and int(lengths.max()) > max_sequence_length:
@@ -464,22 +463,3 @@ def collate_columns_with_positions(
         _total_tokens=target * len(sequences),
         _padding_tokens=int(paddings.sum()),
     )
-
-
-def materialize_payload(collated: CollatedMicrobatch, samples: list[Sample]) -> dict[str, object]:
-    """Assemble the token tensor payload for a collated microbatch.
-
-    Returns a dict with a fused token-id array and the segment index, sized
-    according to the collated token counts; used by the Data Constructor when
-    producing final per-rank tensors.
-    """
-    by_id = {sample.sample_id: sample for sample in samples}
-    missing = [sid for sid in collated.sample_ids if sid not in by_id]
-    if missing:
-        raise TransformError(f"missing payloads for samples {missing[:5]}")
-    total_tokens = collated.total_tokens()
-    return {
-        "token_ids": np.zeros(total_tokens, dtype=np.int32),
-        "segment_index": [seq.segments for seq in collated.sequences],
-        "position_ids": collated.position_ids,
-    }

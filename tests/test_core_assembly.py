@@ -1,11 +1,11 @@
-"""Columnar batch assembly: byte-identity vs the legacy path, staging, hand-off.
+"""Batch assembly: collation kernels vs their reference, staging, hand-off.
 
-The ``assembly="columnar"`` twin must be indistinguishable from the legacy
-object path everywhere it can be observed: collated microbatches, bin
-assignments, RoPE positions, per-rank deliveries, end-to-end runs across
-prefetch depths and mid-run elasticity.  These tests pin that, plus the
-zero-copy mechanics (GCS reference identity) and the delivered-batch
-manifest audit trail.
+The collation kernels must be indistinguishable from the per-sample reference
+collators everywhere it can be observed: collated microbatches, bin
+assignments, RoPE positions, per-rank deliveries.  These tests pin that, plus
+the zero-copy mechanics (GCS reference identity) and the delivered-batch
+manifest audit trail.  End-to-end bytes are pinned in
+``test_golden_digests.py``.
 """
 
 from __future__ import annotations
@@ -19,12 +19,12 @@ from repro.actors.gcs import GlobalControlStore
 from repro.actors.runtime import ActorSystem, ClusterSpec
 from repro.core.assembly import PreparedColumns, StagedColumns
 from repro.core.checkpoint import InMemoryCheckpointStore, SqliteCheckpointStore
-from repro.core.data_constructor import DataConstructor
+from repro.core.data_constructor import DataConstructor, RankDelivery
 from repro.core.framework import MANIFEST_NAMESPACE, MegaScaleData, TrainingJobSpec
 from repro.core.plans import MicrobatchAssignment, ModulePlan
 from repro.core.source_loader import SourceLoader
 from repro.data.samples import Modality, SampleMetadata
-from repro.errors import ConfigurationError, PlanError, TransformError
+from repro.errors import PlanError, TransformError
 from repro.parallelism.mesh import DeviceMesh
 from repro.transforms.microbatch import (
     Microbatch,
@@ -33,6 +33,7 @@ from repro.transforms.microbatch import (
     collate_with_positions,
     first_fit_bin_indices,
 )
+from repro.transforms.parallelism import build_rank_slices
 from repro.utils.units import GIB
 
 
@@ -175,7 +176,7 @@ class TestStagedColumns:
     def test_take_returns_rows_in_requested_order(self):
         staged = StagedColumns()
         for sample_id in (5, 3, 9, 7):
-            staged.append(meta(sample_id, 10 * sample_id), 40 * sample_id, 0.5, [])
+            staged.append(meta(sample_id, 10 * sample_id), 40 * sample_id)
         columns, released = staged.take([9, 5])
         assert columns.sample_ids.tolist() == [9, 5]
         assert columns.total_tokens.tolist() == [90, 50]
@@ -185,14 +186,14 @@ class TestStagedColumns:
 
     def test_take_missing_raises(self):
         staged = StagedColumns()
-        staged.append(meta(1, 8), 32, 0.1, [])
+        staged.append(meta(1, 8), 32)
         with pytest.raises(PlanError, match="no staged sample 2"):
             staged.take([2])
 
     def test_drop_and_drop_all_release_bytes(self):
         staged = StagedColumns()
         for sample_id in range(1, 6):
-            staged.append(meta(sample_id, 4), 100, 0.1, [])
+            staged.append(meta(sample_id, 4), 100)
         dropped, released = staged.drop([2, 4, 99])
         assert (dropped, released) == (2, 200)
         assert staged.drop_all() == 300
@@ -201,7 +202,7 @@ class TestStagedColumns:
     def test_compaction_preserves_contents(self):
         staged = StagedColumns()
         for sample_id in range(200):
-            staged.append(meta(sample_id, sample_id + 1), 8, 0.1, [])
+            staged.append(meta(sample_id, sample_id + 1), 8)
         staged.take(list(range(0, 200, 2)))  # tombstone half -> compaction
         columns, _ = staged.take([151, 3])
         assert columns.sample_ids.tolist() == [151, 3]
@@ -210,7 +211,7 @@ class TestStagedColumns:
     def test_prepared_columns_lookup_reports_missing(self):
         staged = StagedColumns()
         for sample_id in (4, 8, 2):
-            staged.append(meta(sample_id, 16), 64, 0.1, [])
+            staged.append(meta(sample_id, 16), 64)
         columns, _ = staged.take([4, 8, 2])
         rows, missing = columns.lookup([8, 6, 2])
         assert missing == [6]
@@ -235,11 +236,9 @@ def spawn_loader(system, catalog, filesystem, **kwargs):
     )
 
 
-class TestColumnarLoader:
+class TestLoaderHandOff:
     def test_fetch_prepared_ref_is_zero_copy(self, system, small_catalog, filesystem):
-        handle = spawn_loader(
-            system, small_catalog, filesystem, buffer_size=16, assembly="columnar"
-        )
+        handle = spawn_loader(system, small_catalog, filesystem, buffer_size=16)
         loader = handle.instance()
         sample_ids = [m.sample_id for m in loader.summary_buffer()[:4]]
         handle.call("prepare", sample_ids)
@@ -248,66 +247,33 @@ class TestColumnarLoader:
         assert ref["count"] == 4
         # The GCS serves the frozen columns BY REFERENCE: the exact object
         # the loader published, not a copy — and take() removes the key.
+        published = system.gcs.get(ref["key"])
         resolved = system.gcs.take(ref["key"])
+        assert resolved is published
         assert isinstance(resolved, PreparedColumns)
         assert resolved.sample_ids.tolist() == sample_ids
         assert system.gcs.get(ref["key"]) is None
         assert loader.staged_count() == 0
         assert loader.ledger.live_bytes("sample_payload") == 0
 
-    def test_ref_payload_reference_identity(self, system, small_catalog, filesystem):
-        handle = spawn_loader(
-            system, small_catalog, filesystem, buffer_size=8, assembly="columnar"
-        )
+    def test_ref_columns_carry_the_buffered_metadata(
+        self, system, small_catalog, filesystem
+    ):
+        handle = spawn_loader(system, small_catalog, filesystem, buffer_size=8)
         loader = handle.instance()
-        sample_ids = [m.sample_id for m in loader.summary_buffer()[:2]]
+        buffered = loader.summary_buffer()[:2]
+        sample_ids = [m.sample_id for m in buffered]
         handle.call("prepare", sample_ids)
-        # Reach into the staging store to grab the metadata objects, then
-        # verify the object identity survives the whole hand-off.
         ref = handle.call("fetch_prepared_ref", sample_ids)
         columns = system.gcs.take(ref["key"])
-        assert columns.metas[0] is loader._metadata_by_id[sample_ids[0]]
+        assert columns.text_tokens.tolist() == [m.text_tokens for m in buffered]
+        assert columns.image_tokens.tolist() == [m.image_tokens for m in buffered]
+        assert columns.total_bytes() == ref["staged_bytes"]
 
-    def test_columnar_fetch_prepared_compat_materializes(
-        self, system, small_catalog, filesystem
-    ):
-        legacy = spawn_loader(
-            system, small_catalog, filesystem, buffer_size=16, assembly="legacy"
-        )
-        columnar = spawn_loader(
-            system, small_catalog, filesystem, buffer_size=16, assembly="columnar"
-        )
-        ids_a = [m.sample_id for m in legacy.instance().summary_buffer()[:3]]
-        ids_b = [m.sample_id for m in columnar.instance().summary_buffer()[:3]]
-        assert ids_a == ids_b
-        legacy.call("prepare", ids_a)
-        columnar.call("prepare", ids_b)
-        got_a = legacy.call("fetch_prepared", ids_a)
-        got_b = columnar.call("fetch_prepared", ids_b)
-        for a, b in zip(got_a, got_b):
-            assert a.sample.metadata == b.sample.metadata
-            assert a.transform_latency_s == b.transform_latency_s
-            assert a.transferred_bytes == b.transferred_bytes
-            assert a.deferred_transforms == b.deferred_transforms
-
-    def test_legacy_loader_rejects_ref_fetch(self, system, small_catalog, filesystem):
-        handle = spawn_loader(system, small_catalog, filesystem, assembly="legacy")
-        with pytest.raises(PlanError, match="legacy assembly"):
-            handle.call("fetch_prepared_ref", [1])
-
-    def test_missing_staged_sample_error_matches_legacy(
-        self, system, small_catalog, filesystem
-    ):
-        handle = spawn_loader(system, small_catalog, filesystem, assembly="columnar")
+    def test_missing_staged_sample_rejected(self, system, small_catalog, filesystem):
+        handle = spawn_loader(system, small_catalog, filesystem)
         with pytest.raises(PlanError, match="has no staged sample 12345"):
-            handle.call("fetch_prepared", [12345])
-
-    def test_invalid_assembly_configuration(self, small_catalog, filesystem):
-        source = small_catalog.sources()[0]
-        with pytest.raises(PlanError, match="unknown assembly"):
-            SourceLoader(source, filesystem, assembly="vectorized")
-        with pytest.raises(PlanError, match="keep_payloads"):
-            SourceLoader(source, filesystem, assembly="columnar", keep_payloads=True)
+            handle.call("fetch_prepared_ref", [12345])
 
 
 # -- constructor equivalence ------------------------------------------------------------
@@ -335,25 +301,10 @@ def columns_for(plan):
     ids = []
     for assignment in plan.assignments:
         for metadata in assignment.samples:
-            staged.append(metadata, metadata.raw_bytes, 0.001, [])
+            staged.append(metadata, metadata.raw_bytes)
             ids.append(metadata.sample_id)
     columns, _ = staged.take(ids)
     return columns
-
-
-def prepared_for(plan):
-    from repro.core.source_loader import PreparedSample
-    from repro.data.samples import Sample
-
-    prepared = {}
-    for assignment in plan.assignments:
-        for metadata in assignment.samples:
-            prepared[metadata.sample_id] = PreparedSample(
-                sample=Sample(metadata=metadata),
-                transform_latency_s=0.001,
-                transferred_bytes=metadata.raw_bytes,
-            )
-    return prepared
 
 
 class TestConstructorEquivalence:
@@ -367,64 +318,54 @@ class TestConstructorEquivalence:
         mesh_dims=st.sampled_from([(1, 1, 1, 1), (2, 1, 2, 2), (1, 2, 2, 1), (2, 2, 1, 2)]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_rank_deliveries_byte_identical(self, tokens, packing, mesh_dims):
+    def test_rank_deliveries_match_reference_collation(self, tokens, packing, mesh_dims):
         pp, dp, cp, tp = mesh_dims
         mesh = DeviceMesh(pp=pp, dp=dp, cp=cp, tp=tp, gpus_per_node=8)
         plan = make_plan(tokens)
-        deliveries = {}
-        for assembly in ("legacy", "columnar"):
-            constructor = DataConstructor(
-                bucket_index=0,
-                mesh=mesh,
-                dp_index=0,
-                max_sequence_length=512,
+        constructor = DataConstructor(
+            bucket_index=0, mesh=mesh, dp_index=0, max_sequence_length=512, packing=packing
+        )
+        stats = constructor.construct(0, plan, columns_for(plan))
+
+        # Expected: the per-sample reference collator + the same slicing.
+        expected: dict[int, RankDelivery] = {}
+        expected_tokens = 0
+        for assignment in plan.bucket_assignments(0):
+            collated = collate_with_positions(
+                Microbatch(
+                    index=assignment.microbatch_index, samples=list(assignment.samples)
+                ),
+                512,
                 packing=packing,
-                assembly=assembly,
             )
-            payload = columns_for(plan) if assembly == "columnar" else prepared_for(plan)
-            stats = constructor.construct(0, plan, payload)
-            deliveries[assembly] = {
-                rank: constructor.get_batch(0, rank) for rank in constructor.ranks_served(0)
-            }
-            deliveries[f"{assembly}_stats"] = stats
-        assert deliveries["legacy"].keys() == deliveries["columnar"].keys()
-        for rank in deliveries["legacy"]:
-            legacy, columnar = deliveries["legacy"][rank], deliveries["columnar"][rank]
-            assert legacy == columnar
-            assert legacy.total_tokens() == columnar.total_tokens()
-            assert legacy.total_payload_bytes() == columnar.total_payload_bytes()
-        # The virtual-clock charge must be identical too, or the twins would
-        # diverge on the simulated timeline.
-        assert (
-            deliveries["legacy_stats"]["collate_seconds"]
-            == deliveries["columnar_stats"]["collate_seconds"]
+            expected_tokens += collated.total_tokens()
+            for piece in build_rank_slices(collated, mesh, dp_index=0):
+                expected.setdefault(piece.rank, RankDelivery(rank=piece.rank)).slices.append(
+                    piece
+                )
+        assert constructor.ranks_served(0) == sorted(expected)
+        for rank, reference in expected.items():
+            delivered = constructor.get_batch(0, rank)
+            assert delivered == reference
+            assert delivered.total_tokens() == reference.total_tokens()
+            assert delivered.total_payload_bytes() == reference.total_payload_bytes()
+        # The virtual-clock charge is the reference token count's, too.
+        assert stats["collate_seconds"] == pytest.approx(
+            expected_tokens * DataConstructor.COLLATE_SECONDS_PER_TOKEN, rel=1e-12
         )
 
-    def test_missing_sample_error_matches_legacy(self):
+    def test_missing_sample_rejected(self):
         mesh = DeviceMesh(pp=1, dp=1, cp=1, tp=1, gpus_per_node=8)
         plan = make_plan([[64, 64]])
-        constructor = DataConstructor(
-            bucket_index=0, mesh=mesh, dp_index=0, assembly="columnar"
-        )
+        constructor = DataConstructor(bucket_index=0, mesh=mesh, dp_index=0)
         with pytest.raises(PlanError, match=r"missing prepared samples \[1, 2\]"):
             constructor.construct(0, plan, PreparedColumns.empty())
-
-    def test_legacy_constructor_rejects_columns(self):
-        mesh = DeviceMesh(pp=1, dp=1, cp=1, tp=1, gpus_per_node=8)
-        plan = make_plan([[64]])
-        constructor = DataConstructor(
-            bucket_index=0, mesh=mesh, dp_index=0, assembly="legacy"
-        )
-        with pytest.raises(PlanError, match="cannot"):
-            constructor.construct(0, plan, columns_for(plan))
 
 
 # -- end-to-end -------------------------------------------------------------------------
 
 
-def run_job(
-    assembly, prefetch_depth=0, steps=3, scale_at=None, checkpoint_store=None, **overrides
-):
+def run_job(prefetch_depth=0, steps=3, checkpoint_store=None, **overrides):
     job = TrainingJobSpec(
         pp=2,
         dp=2,
@@ -437,45 +378,24 @@ def run_job(
         samples_per_source=64,
         seed=13,
         prefetch_depth=prefetch_depth,
-        assembly=assembly,
         **overrides,
     )
     framework = MegaScaleData.deploy(job, checkpoint_store=checkpoint_store)
     results = []
-    for index in range(steps):
-        if scale_at is not None and index == scale_at:
-            framework.scale_source(framework.catalog.sources()[0].name, 2)
+    for _ in range(steps):
         results.append(framework.run_step(simulate=False))
     return framework, results
 
 
-def assert_same_deliveries(legacy_results, columnar_results):
-    for a, b in zip(legacy_results, columnar_results):
-        assert a.step == b.step
-        assert sorted(a.deliveries) == sorted(b.deliveries)
-        for rank in a.deliveries:
-            assert a.deliveries[rank] == b.deliveries[rank]
-        assert a.data_fetch_latency_s == pytest.approx(b.data_fetch_latency_s, abs=1e-12)
-
-
 class TestEndToEnd:
-    @pytest.mark.parametrize("prefetch_depth", [0, 1, 3])
-    def test_modes_identical_across_prefetch_depths(self, prefetch_depth):
-        _, legacy = run_job("legacy", prefetch_depth=prefetch_depth)
-        _, columnar = run_job("columnar", prefetch_depth=prefetch_depth)
-        assert_same_deliveries(legacy, columnar)
+    def test_format_knobs_are_gone(self):
+        with pytest.raises(TypeError):
+            TrainingJobSpec(assembly="legacy")
+        with pytest.raises(TypeError):
+            TrainingJobSpec(planning="legacy")
 
-    def test_modes_identical_across_midrun_elasticity(self):
-        _, legacy = run_job("legacy", steps=4, scale_at=2)
-        _, columnar = run_job("columnar", steps=4, scale_at=2)
-        assert_same_deliveries(legacy, columnar)
-
-    def test_unknown_assembly_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown assembly"):
-            TrainingJobSpec(assembly="zero_copy")
-
-    def test_columnar_leaves_no_gcs_handoff_keys(self):
-        framework, _ = run_job("columnar", prefetch_depth=2, steps=3)
+    def test_run_leaves_no_gcs_handoff_keys(self):
+        framework, _ = run_job(prefetch_depth=2, steps=3)
         assert framework.system.gcs.keys(prefix="prepared/") == []
 
 
@@ -485,9 +405,7 @@ class TestEndToEnd:
 class TestDeliveryManifests:
     @pytest.mark.parametrize("backend", ["memory", "sqlite"])
     def test_manifest_round_trip(self, backend):
-        framework, results = run_job(
-            "columnar", steps=3, checkpoint_backend=backend
-        )
+        framework, results = run_job(steps=3, checkpoint_backend=backend)
         for result in results:
             manifest = framework.delivery_manifest(result.step)
             assert manifest is not None
@@ -511,7 +429,7 @@ class TestDeliveryManifests:
         assert audit["gaps"] == []
 
     def test_audit_detects_gaps_and_duplicates(self):
-        framework, _ = run_job("columnar", steps=3)
+        framework, _ = run_job(steps=3)
         store = framework.checkpoint_store
         # Simulate a lost manifest and a double delivery.
         steps = store.steps(MANIFEST_NAMESPACE)
@@ -529,7 +447,7 @@ class TestDeliveryManifests:
 
     def test_manifests_survive_restore(self):
         store = InMemoryCheckpointStore()
-        framework, _ = run_job("columnar", steps=3, checkpoint_store=store)
+        framework, _ = run_job(steps=3, checkpoint_store=store)
         framework.save_checkpoint()
         restored = MegaScaleData.restore(framework.job, store)
         audit = restored.delivery_audit()

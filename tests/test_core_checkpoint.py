@@ -392,6 +392,36 @@ class TestHotStandbyPromotion:
             reference.shutdown()
             system.shutdown()
 
+    def test_restore_after_mirror_promotion_continues_byte_identical(self):
+        """Regression: a whole-run checkpoint saved after a promotion lists the
+        promoted member under its mirror name (``…/0m2``), which a fresh
+        deployment does not have; restore matches snapshots by the
+        ``(source, shard_index)`` they carry instead."""
+        job = make_job()
+        reference = MegaScaleData.deploy(make_job())
+        system = MegaScaleData.deploy(job)
+        store = system.checkpoint_store
+        try:
+            source = "navit_data/src000"
+            for peer in (reference, system):
+                peer.run_step()
+                peer.scale_source(source, 2)
+            canonical = system.fleet._by_source[source][0].canonical
+            reference.scale_source(source, 1)
+            reference.run_step()
+            system.system.failures.fail(canonical.name)
+            system.run_step()
+            assert system.fault_manager.events()[-1].kind == "mirror_promotion"
+            system.save_checkpoint()
+            system.shutdown()
+            system = MegaScaleData.restore(job, store)
+            assert delivery_signature(system.run_step()) == delivery_signature(
+                reference.run_step()
+            )
+        finally:
+            reference.shutdown()
+            system.shutdown()
+
     def test_failed_mirror_still_restarts_without_promotion(self):
         """Promotion is canonical-only: a dead mirror is replaced inside its
         group via bounded replay, leaving the canonical untouched."""
@@ -414,11 +444,10 @@ class TestHotStandbyPromotion:
 
 
 class TestWholeRunRestore:
-    @pytest.mark.parametrize("planning", ["columnar", "legacy"])
     @pytest.mark.parametrize("backend", ["memory", "sqlite"])
-    def test_continuation_byte_identical(self, planning, backend):
-        job = make_job(prefetch_depth=2, planning=planning, checkpoint_backend=backend)
-        reference = MegaScaleData.deploy(make_job(prefetch_depth=2, planning=planning))
+    def test_continuation_byte_identical(self, backend):
+        job = make_job(prefetch_depth=2, checkpoint_backend=backend)
+        reference = MegaScaleData.deploy(make_job(prefetch_depth=2))
         system = MegaScaleData.deploy(job)
         store = system.checkpoint_store
         try:
@@ -530,22 +559,21 @@ class TestWholeRunRestore:
             system.shutdown()
 
 
-# -- property: crash + restore is invisible, under any planning/elastic mix ---------
+# -- property: crash + restore is invisible, under any depth/elastic mix ------------
 
 
 @given(
     seed=st.integers(min_value=0, max_value=15),
-    planning=st.sampled_from(["columnar", "legacy"]),
     depth=st.sampled_from([0, 2]),
     crash_step=st.integers(min_value=4, max_value=6),
     elastic_event=st.sampled_from(["none", "up", "up_down"]),
 )
 @settings(max_examples=6, deadline=None)
 def test_crash_restore_continuation_byte_identical(
-    seed, planning, depth, crash_step, elastic_event
+    seed, depth, crash_step, elastic_event
 ):
-    """The durability contract: for any seed, planning mode, prefetch depth
-    and mid-run fleet churn, killing the whole deployment after
+    """The durability contract: for any seed, prefetch depth and mid-run
+    fleet churn, killing the whole deployment after
     ``save_checkpoint`` and restoring from the store continues the run with
     batches byte-identical to the uninterrupted twin."""
 
@@ -564,8 +592,8 @@ def test_crash_restore_continuation_byte_identical(
                           delivery_signature(result)))
         return trace
 
-    job = make_job(prefetch_depth=depth, seed=seed, planning=planning)
-    reference = deploy(make_job(prefetch_depth=depth, seed=seed, planning=planning))
+    job = make_job(prefetch_depth=depth, seed=seed)
+    reference = deploy(make_job(prefetch_depth=depth, seed=seed))
     system = deploy(job)
     store = system.checkpoint_store
     try:

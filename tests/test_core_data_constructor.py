@@ -5,10 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.actors.runtime import ActorSystem, ClusterSpec
+from repro.core.assembly import PreparedColumns, StagedColumns
 from repro.core.data_constructor import DataConstructor
 from repro.core.plans import MicrobatchAssignment, ModulePlan
-from repro.core.source_loader import PreparedSample
-from repro.data.samples import Sample
 from repro.errors import PlanError
 from repro.parallelism.mesh import DeviceMesh
 from repro.utils.units import GIB
@@ -27,16 +26,16 @@ def make_plan(sample_factory, buckets=2, microbatches=2, tokens=128):
     return plan
 
 
-def prepared_for(plan):
-    prepared = {}
+def prepared_for(plan) -> PreparedColumns:
+    """The hand-off a loader would publish for every sample of ``plan``."""
+    staged = StagedColumns()
+    ids = []
     for assignment in plan.assignments:
         for metadata in assignment.samples:
-            prepared[metadata.sample_id] = PreparedSample(
-                sample=Sample(metadata=metadata),
-                transform_latency_s=0.001,
-                transferred_bytes=metadata.raw_bytes,
-            )
-    return prepared
+            staged.append(metadata, metadata.raw_bytes)
+            ids.append(metadata.sample_id)
+    columns, _ = staged.take(ids)
+    return columns
 
 
 @pytest.fixture()
@@ -69,7 +68,7 @@ class TestConstruct:
         handle = spawn_constructor(system, vlm_mesh)
         plan = make_plan(sample_factory)
         with pytest.raises(PlanError):
-            handle.call("construct", 0, plan, {})
+            handle.call("construct", 0, plan, PreparedColumns.empty())
 
     def test_plan_without_bucket_rejected(self, system, vlm_mesh, sample_factory):
         handle = spawn_constructor(system, vlm_mesh, dp_index=1)

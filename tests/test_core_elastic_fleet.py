@@ -328,8 +328,8 @@ class TestElasticReporting:
             system.shutdown()
 
 
-class TestColumnarDeltaCacheUnderFleetChurn:
-    """The planner's columnar buffer mirrors must stay exact through every
+class TestDeltaCacheUnderFleetChurn:
+    """The planner's buffer mirrors must stay exact through every
     fleet mutation: mirror spawn (bootstrap replay), per-step group sync
     (`replay_demands` on the canonical), drain-retire, and loader crash +
     pristine-replay recovery."""
@@ -338,7 +338,6 @@ class TestColumnarDeltaCacheUnderFleetChurn:
     def _assert_caches_exact(system):
         """Gather once, then compare every cached mirror to its loader."""
         planner = system.planner_handle.instance()
-        assert planner.planning == "columnar"
         planner.gather_buffer_columns()
         for handle in system.loader_handles:
             cache = planner._gather_caches[handle.name]
@@ -348,8 +347,8 @@ class TestColumnarDeltaCacheUnderFleetChurn:
 
     @pytest.mark.parametrize("depth", [0, 2])
     def test_cache_exact_across_scale_up_down_and_mirror_crash(self, depth):
-        frozen = MegaScaleData.deploy(make_job(0, elastic=False, planning="legacy"))
-        elastic = MegaScaleData.deploy(make_job(depth, elastic=True, planning="columnar"))
+        frozen = MegaScaleData.deploy(make_job(0, elastic=False))
+        elastic = MegaScaleData.deploy(make_job(depth, elastic=True))
         arm_scaler(frozen)
         arm_scaler(elastic)
         killed = False
@@ -375,22 +374,22 @@ class TestColumnarDeltaCacheUnderFleetChurn:
     def test_cache_resyncs_after_canonical_crash_recovery(self):
         """A canonical loader dying mid-prefetch is recovered by pristine
         replay; the recovered loader starts a new delta epoch, so the next
-        gather must resync its mirror instead of splicing stale events."""
-        legacy = MegaScaleData.deploy(make_job(2, elastic=False, planning="legacy"))
-        columnar = MegaScaleData.deploy(make_job(2, elastic=False, planning="columnar"))
+        gather must resync its mirror instead of splicing stale events —
+        and the run stays byte-identical to an undisturbed one."""
+        undisturbed = MegaScaleData.deploy(make_job(2, elastic=False))
+        crashed = MegaScaleData.deploy(make_job(2, elastic=False))
         try:
             for step in range(10):
-                a = legacy.run_step()
+                a = undisturbed.run_step()
                 if step == 4:
-                    columnar.system.failures.fail(columnar.loader_handles[0].name)
-                    legacy.system.failures.fail(legacy.loader_handles[0].name)
-                b = columnar.run_step()
+                    crashed.system.failures.fail(crashed.loader_handles[0].name)
+                b = crashed.run_step()
                 assert a.plan.source_demands == b.plan.source_demands, step
                 assert delivery_signature(a) == delivery_signature(b), step
             assert any(
-                event.kind == "restart" for event in columnar.fault_manager.events()
+                event.kind == "restart" for event in crashed.fault_manager.events()
             )
-            self._assert_caches_exact(columnar)
+            self._assert_caches_exact(crashed)
         finally:
-            legacy.shutdown()
-            columnar.shutdown()
+            undisturbed.shutdown()
+            crashed.shutdown()

@@ -188,7 +188,7 @@ class TestFaultTolerance:
         assert fresh.heartbeat_payload()["step"] == 1
 
 
-# -- columnar planning fast path --------------------------------------------------
+# -- columnar planning -------------------------------------------------------------
 
 
 def _random_buffer_infos(draw_spec):
@@ -244,7 +244,8 @@ def _plan_signature(plan):
 
 
 class TestColumnarPlanEquivalence:
-    """The fast path must emit byte-identical plans to the legacy row path."""
+    """Metadata lists and SampleColumns entering the DGraph's door must yield
+    byte-identical plans (pinned draws: ``test_golden_digests.py``)."""
 
     @given(
         spec=buffer_specs,
@@ -295,74 +296,67 @@ class TestColumnarPlanEquivalence:
         consume=st.lists(st.integers(min_value=0, max_value=11), min_size=1, max_size=8),
     )
     @settings(max_examples=15, deadline=None)
-    def test_planner_modes_identical_across_buffer_churn(self, steps, seed, consume):
-        """Columnar and legacy planners agree step for step while loader
-        buffers churn (prepares between plans), including a mid-run pristine
-        replay that forces a delta-epoch resync."""
+    def test_delta_gather_exact_across_buffer_churn(self, steps, seed, consume):
+        """The delta gather equals a full copy of every loader's buffer, and
+        the plan equals the one the strategy computes from those full copies,
+        step for step while loader buffers churn (prepares between plans) —
+        including a mid-run pristine replay that forces a delta-epoch
+        resync."""
         filesystem = SimulatedFileSystem()
         catalog = build_source_catalog(
             navit_like_spec(num_sources=3, samples_per_source=48, seed=7), filesystem
         )
         mesh = DeviceMesh(pp=1, dp=4, cp=1, tp=1, gpus_per_node=4)
-
-        def build(planning):
-            system = ActorSystem(ClusterSpec(accelerator_nodes=1, cpu_pods=1))
-            handles = []
-            for index, source in enumerate(catalog.sources()):
-                handles.append(
-                    system.create_actor(
-                        lambda src=source: SourceLoader(src, filesystem, buffer_size=16),
-                        name=f"loader-{index}",
-                        memory_bytes=GIB,
-                    )
-                )
-            mixture = MixtureSchedule.uniform([h.instance().source.name for h in handles])
-            planner = Planner(
-                strategy=backbone_balance_strategy(
-                    StrategyConfig(mixture=mixture, sample_count=8, num_microbatches=2)
-                ),
-                tree=ClientPlaceTree(mesh),
-                mixture=mixture,
-                seed=seed,
-                planning=planning,
+        system = ActorSystem(ClusterSpec(accelerator_nodes=1, cpu_pods=1))
+        handles = [
+            system.create_actor(
+                lambda src=source: SourceLoader(src, filesystem, buffer_size=16),
+                name=f"loader-{index}",
+                memory_bytes=GIB,
             )
-            planner.register_loaders(handles)
-            return system, planner, handles
+            for index, source in enumerate(catalog.sources())
+        ]
+        mixture = MixtureSchedule.uniform([h.instance().source.name for h in handles])
+        strategy = backbone_balance_strategy(
+            StrategyConfig(mixture=mixture, sample_count=8, num_microbatches=2)
+        )
+        planner = Planner(
+            strategy=strategy, tree=ClientPlaceTree(mesh), mixture=mixture, seed=seed
+        )
+        planner.register_loaders(handles)
 
-        _, planner_cols, handles_cols = build("columnar")
-        _, planner_rows, handles_rows = build("legacy")
+        def full_copies():
+            return {
+                handle.instance().source.name: handle.instance().summary_buffer()
+                for handle in handles
+            }
+
         for step in range(steps):
-            plan_cols = planner_cols.generate_plan(step)
-            plan_rows = planner_rows.generate_plan(step)
-            assert plan_cols.source_demands == plan_rows.source_demands
-            assert plan_cols.mixture_weights == plan_rows.mixture_weights
-            assert plan_cols.fetching_ranks == plan_rows.fetching_ranks
-            for name, module in plan_cols.modules.items():
-                assert module.assignments == plan_rows.modules[name].assignments
-            # Churn both fleets identically: prepare a drawn subset of the
-            # demanded ids (consuming them and triggering a refill).
-            for h_cols, h_rows in zip(handles_cols, handles_rows):
-                source = h_cols.instance().source.name
-                ids = plan_cols.source_demands.get(source, [])
+            expected = strategy(full_copies(), ClientPlaceTree(mesh), step, seed)
+            plan = planner.generate_plan(step)
+            assert plan.source_demands == expected.all_source_demands()
+            assert plan.mixture_weights == expected.mixture_weights
+            assert plan.fetching_ranks == expected.fetching_ranks
+            assert plan.modules["backbone"].assignments == expected.module.assignments
+            # Churn the fleet: prepare a drawn subset of the demanded ids
+            # (consuming them and triggering a refill).
+            for handle in handles:
+                ids = plan.source_demands.get(handle.instance().source.name, [])
                 picked = sorted({ids[c % len(ids)] for c in consume}) if ids else []
                 if picked:
-                    h_cols.call("prepare", picked)
-                    h_cols.call("fetch_prepared", picked)
-                    h_rows.call("prepare", picked)
-                    h_rows.call("fetch_prepared", picked)
+                    handle.call("prepare", picked)
+                    system.gcs.take(handle.call("fetch_prepared_ref", picked)["key"])
             if step == steps // 2:
                 # Pristine replay (the failover bootstrap): new delta epoch on
-                # one loader — the columnar gather must resync, not splice.
-                for handle in (handles_cols[0], handles_rows[0]):
-                    handle.call("reset_for_replay")
-        # After the next gather the planner's columnar mirror is exactly each
-        # loader's buffer — no stale rows, no duplicates, same order.
-        planner_cols.gather_buffer_columns()
-        for handle in handles_cols:
-            cache = planner_cols._gather_caches[handle.name]
-            assert cache.sample_ids() == [
-                m.sample_id for m in handle.instance().summary_buffer()
-            ]
+                # one loader — the gather must resync, not splice.
+                handles[0].call("reset_for_replay")
+            # The gathered columns are exactly each loader's buffer — no
+            # stale rows, no duplicates, same order.
+            infos, _ = planner.gather_buffer_columns()
+            for source, buffered in full_copies().items():
+                assert infos[source].sample_ids.tolist() == [
+                    m.sample_id for m in buffered
+                ]
 
 
 class TestEmptyBufferBucketing:
@@ -385,19 +379,14 @@ class TestEmptyBufferBucketing:
         loader = handles[1].instance()
         ids = [m.sample_id for m in loader.summary_buffer()]
         handles[1].call("prepare", ids)
-        handles[1].call("fetch_prepared", ids)
+        system.gcs.take(handles[1].call("fetch_prepared_ref", ids)["key"])
         assert loader.buffer_depth() == 0
 
-        for planning in ("legacy", "columnar"):
-            planner = Planner(
-                strategy=vanilla_strategy(StrategyConfig(num_microbatches=2)),
-                tree=ClientPlaceTree(dp_mesh),
-                planning=planning,
-            )
-            planner.register_loaders(handles)
-            if planning == "legacy":
-                infos, _ = planner.gather_buffer_metadata()
-            else:
-                infos, _ = planner.gather_buffer_columns()
-            assert set(infos) == {source.name}, planning
-            assert len(infos[source.name]) == 8
+        planner = Planner(
+            strategy=vanilla_strategy(StrategyConfig(num_microbatches=2)),
+            tree=ClientPlaceTree(dp_mesh),
+        )
+        planner.register_loaders(handles)
+        infos, _ = planner.gather_buffer_columns()
+        assert set(infos) == {source.name}
+        assert len(infos[source.name]) == 8

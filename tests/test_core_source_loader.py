@@ -25,6 +25,12 @@ def spawn_loader(system, catalog, filesystem, source_index=0, **kwargs):
     )
 
 
+def fetch(system, handle, sample_ids):
+    """The production hand-off: fetch a GCS reference, resolve it once."""
+    ref = handle.call("fetch_prepared_ref", sample_ids)
+    return system.gcs.take(ref["key"])
+
+
 class TestLifecycle:
     def test_on_start_opens_files_and_fills_buffer(self, system, small_catalog, filesystem):
         handle = spawn_loader(system, small_catalog, filesystem, buffer_size=32, num_workers=2)
@@ -55,8 +61,8 @@ class TestPrepareAndFetch:
         assert result["num_samples"] == 4
         assert result["transform_latency_s"] > 0
         assert loader.staged_count() == 4
-        delivered = handle.call("fetch_prepared", sample_ids)
-        assert [d.sample.sample_id for d in delivered] == sample_ids
+        delivered = fetch(system, handle, sample_ids)
+        assert delivered.sample_ids.tolist() == sample_ids
         assert loader.staged_count() == 0
 
     def test_prepare_refills_buffer(self, system, small_catalog, filesystem):
@@ -85,7 +91,7 @@ class TestPrepareAndFetch:
     def test_fetch_unstaged_sample_rejected(self, system, small_catalog, filesystem):
         handle = spawn_loader(system, small_catalog, filesystem)
         with pytest.raises(PlanError):
-            handle.call("fetch_prepared", [123456])
+            handle.call("fetch_prepared_ref", [123456])
 
     def test_staged_memory_released_on_fetch(self, system, small_catalog, filesystem):
         handle = spawn_loader(system, small_catalog, filesystem, buffer_size=16)
@@ -94,7 +100,7 @@ class TestPrepareAndFetch:
         handle.call("prepare", ids)
         staged_bytes = loader.ledger.live_bytes("sample_payload")
         assert staged_bytes > 0
-        handle.call("fetch_prepared", ids)
+        fetch(system, handle, ids)
         assert loader.ledger.live_bytes("sample_payload") == 0
 
     def test_deferred_transforms_reduce_transfer(self, system, small_catalog, filesystem):
@@ -181,8 +187,8 @@ class TestAsyncPrepareProtocol:
             assert status[key] == pytest.approx(sync_result[key])
         # Both loaders staged the same samples and can deliver them.
         assert async_handle.instance().staged_count() == sync_handle.instance().staged_count()
-        delivered = async_handle.call("fetch_prepared", ids)
-        assert [p.sample.sample_id for p in delivered] == ids
+        delivered = fetch(system, async_handle, ids)
+        assert delivered.sample_ids.tolist() == ids
 
     def test_duplicate_ticket_rejected(self, system, small_catalog, filesystem):
         handle = spawn_loader(system, small_catalog, filesystem, buffer_size=8)
@@ -263,7 +269,7 @@ class TestBufferDeltaProtocol:
                 round_index::5
             ]
             handle.call("prepare", ids)
-            handle.call("fetch_prepared", ids)
+            fetch(system, handle, ids)
             reply = self._pull(handle, cache)
             assert not reply["resync"]  # steady state ships only the churn
             assert len(reply["events"]) <= 2 * len(ids) + 1
@@ -300,7 +306,7 @@ class TestBufferDeltaProtocol:
         for _ in range(loader._delta_cap):
             ids = [m.sample_id for m in loader.summary_buffer()[:2]]
             handle.call("prepare", ids)
-            handle.call("fetch_prepared", ids)
+            fetch(system, handle, ids)
         assert len(loader._delta_log) <= loader._delta_cap
         reply = self._pull(handle, cache)
         assert reply["resync"]

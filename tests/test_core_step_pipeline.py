@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.assembly import PreparedColumns, StagedColumns
 from repro.core.data_constructor import DataConstructor
 from repro.core.framework import MegaScaleData, TrainingJobSpec
 from repro.errors import BackpressureError, ConfigurationError, PlanError
@@ -22,6 +23,15 @@ def make_job(prefetch_depth: int, **overrides) -> TrainingJobSpec:
     )
     defaults.update(overrides)
     return TrainingJobSpec(**defaults)
+
+
+def prepared_columns(samples) -> PreparedColumns:
+    """The hand-off a loader would publish for ``samples``."""
+    staged = StagedColumns()
+    for sample in samples:
+        staged.append(sample, sample.raw_bytes)
+    columns, _ = staged.take([sample.sample_id for sample in samples])
+    return columns
 
 
 def delivery_signature(result):
@@ -130,8 +140,7 @@ class TestBackpressure:
         plan = DGraph.from_buffer_infos(samples).init(tree).distribute("DP").balance(
             num_microbatches=2
         ).plan()
-        # construct() checks membership only, so object() stand-ins suffice.
-        prepared = {s.sample_id: object() for s in samples}
+        prepared = prepared_columns(samples)
         constructor.construct(0, plan.module, prepared)
         constructor.construct(1, plan.module, prepared)
         assert constructor.staging_backlog() == 2
@@ -158,7 +167,7 @@ class TestBackpressure:
         plan = DGraph.from_buffer_infos(samples).init(tree).distribute("DP").balance(
             num_microbatches=1
         ).plan()
-        prepared = {s.sample_id: object() for s in samples}
+        prepared = prepared_columns(samples)
         constructor.construct(0, plan.module, prepared)
         with pytest.raises(PlanError):
             constructor.construct(0, plan.module, prepared)
@@ -195,7 +204,7 @@ class TestInOrderDelivery:
         plan = DGraph.from_buffer_infos(samples).init(tree).distribute("DP").balance(
             num_microbatches=1
         ).plan()
-        prepared = {s.sample_id: object() for s in samples}
+        prepared = prepared_columns(samples)
         constructor.construct(0, plan.module, prepared)
         constructor.construct(1, plan.module, prepared)
 

@@ -32,12 +32,11 @@ from repro.errors import ActorError, ConfigurationError, SchedulingError
 from repro.utils.units import GIB
 
 
-def make_job(seed=0, planning="columnar", prefetch_depth=2, **kwargs):
+def make_job(seed=0, prefetch_depth=2, **kwargs):
     return TrainingJobSpec(
         pp=1, dp=2, cp=1, tp=1, encoder=None, strategy="backbone_balance",
         samples_per_dp_step=8, num_microbatches=2, num_sources=3,
-        samples_per_source=64, seed=seed, planning=planning,
-        prefetch_depth=prefetch_depth, **kwargs,
+        samples_per_source=64, seed=seed, prefetch_depth=prefetch_depth, **kwargs,
     )
 
 
@@ -384,10 +383,9 @@ class TestPreemption:
 # -- byte-identity under co-tenancy --------------------------------------------------
 
 
-def run_solo(seed, planning, depth, num_steps):
+def run_solo(seed, depth, num_steps):
     solo = MegaScaleData.deploy(
-        make_job(seed=seed, planning=planning, prefetch_depth=depth),
-        cluster=big_cluster(),
+        make_job(seed=seed, prefetch_depth=depth), cluster=big_cluster()
     )
     try:
         return [delivery_bytes(solo.run_step()) for _ in range(num_steps)]
@@ -397,30 +395,29 @@ def run_solo(seed, planning, depth, num_steps):
 
 @given(
     seed=st.integers(min_value=0, max_value=15),
-    planning=st.sampled_from(["columnar", "legacy"]),
     depth=st.integers(min_value=1, max_value=2),
     co_priority=st.sampled_from([0, 2]),
 )
 @settings(max_examples=6, deadline=None)
-def test_tenant_batches_byte_identical_to_solo_run(seed, planning, depth, co_priority):
+def test_tenant_batches_byte_identical_to_solo_run(seed, depth, co_priority):
     """The multi-tenant determinism contract: co-tenants, priorities and
     fair-share contention change timing and capacity, never bytes."""
     num_steps = 4
-    solo_steps = run_solo(seed, planning, depth, num_steps)
+    solo_steps = run_solo(seed, depth, num_steps)
 
     manager = TenantManager(cluster=big_cluster())
     try:
         observed = manager.admit(
             TenantSpec(
                 name="observed",
-                job=make_job(seed=seed, planning=planning, prefetch_depth=depth),
+                job=make_job(seed=seed, prefetch_depth=depth),
                 priority=1,
             )
         )
         other = manager.admit(
             TenantSpec(
                 name="other",
-                job=make_job(seed=seed + 17, planning=planning, prefetch_depth=depth),
+                job=make_job(seed=seed + 17, prefetch_depth=depth),
                 priority=co_priority,
                 weight=2.0,
             )
@@ -439,7 +436,7 @@ def test_tenant_batches_byte_identical_under_mid_run_preemption():
     """Preemption drain-retires the victim's mirrors mid-run; the victim's
     delivered batches stay byte-identical to its solo run."""
     num_steps = 6
-    solo_steps = run_solo(1, "columnar", 2, num_steps)
+    solo_steps = run_solo(1, 2, num_steps)
 
     manager, high, low = preemption_scenario()
     try:
@@ -464,7 +461,7 @@ def test_wallclock_shared_system_smoke():
     """Both backends serve multi-tenant deployments: a wallclock pool runs two
     tenants and their batches match the virtual solo run byte for byte."""
     num_steps = 3
-    solo_steps = run_solo(2, "columnar", 1, num_steps)
+    solo_steps = run_solo(2, 1, num_steps)
 
     manager = TenantManager(
         cluster=big_cluster(), backend="wallclock", time_scale=0.001

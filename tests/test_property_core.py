@@ -215,24 +215,21 @@ def test_prefetched_batches_byte_identical_to_synchronous(seed, depth):
         prefetched.shutdown()
 
 
-# -- columnar planning fast path -----------------------------------------------------
-
-
 @given(
     seed=st.integers(min_value=0, max_value=15),
-    depth=st.sampled_from([0, 2]),
+    depth=st.sampled_from([1, 2]),
     event_step=st.integers(min_value=1, max_value=4),
     event=st.sampled_from(["none", "flush_mixture", "reshard", "scale_up_down"]),
 )
 @settings(max_examples=10, deadline=None)
-def test_columnar_plans_byte_identical_to_legacy_through_runtime_events(
+def test_prefetched_plans_byte_identical_to_synchronous_through_runtime_events(
     seed, depth, event_step, event
 ):
-    """The tentpole contract of the columnar fast path: for any seed and any
-    mid-run event (mixture swap with pipeline flush, trainer reshard, loader
-    fleet scale-up **and** scale-down), every LoadingPlan — demands, mixture
-    weights, fetching ranks, module/subplan assignments — and every delivered
-    batch is byte-identical to a ``planning="legacy"`` run."""
+    """For any seed and any mid-run event (mixture swap with pipeline flush,
+    trainer reshard, loader fleet scale-up **and** scale-down), every
+    LoadingPlan — demands, mixture weights, fetching ranks, module/subplan
+    assignments — and every delivered batch of the prefetching pipeline is
+    byte-identical to the synchronous run's."""
     from repro.core.resharding import ReshardNotification
 
     def mixture():
@@ -248,13 +245,13 @@ def test_columnar_plans_byte_identical_to_legacy_through_runtime_events(
             ]
         )
 
-    def deploy(planning):
+    def deploy(prefetch_depth):
         return MegaScaleData.deploy(
             TrainingJobSpec(
                 pp=1, dp=2, cp=1, tp=1, encoder=None, strategy="backbone_balance",
                 samples_per_dp_step=8, num_microbatches=2, num_sources=3,
-                samples_per_source=48, seed=seed, prefetch_depth=depth,
-                mixture=mixture(), planning=planning,
+                samples_per_source=48, seed=seed, prefetch_depth=prefetch_depth,
+                mixture=mixture(),
             )
         )
 
@@ -276,18 +273,18 @@ def test_columnar_plans_byte_identical_to_legacy_through_runtime_events(
         elif event == "scale_up_down":
             system.scale_source("navit_data/src000", 2)
 
-    columnar = deploy("columnar")
-    legacy = deploy("legacy")
+    prefetched = deploy(depth)
+    sync = deploy(0)
     try:
         for step in range(7):
             if step == event_step:
-                apply_event(columnar)
-                apply_event(legacy)
+                apply_event(prefetched)
+                apply_event(sync)
             if event == "scale_up_down" and step == event_step + 2:
-                columnar.scale_source("navit_data/src000", 1)
-                legacy.scale_source("navit_data/src000", 1)
-            a = columnar.run_step()
-            b = legacy.run_step()
+                prefetched.scale_source("navit_data/src000", 1)
+                sync.scale_source("navit_data/src000", 1)
+            a = prefetched.run_step()
+            b = sync.run_step()
             assert a.step == b.step == step
             assert a.plan.source_demands == b.plan.source_demands
             assert a.plan.mixture_weights == b.plan.mixture_weights
@@ -297,8 +294,8 @@ def test_columnar_plans_byte_identical_to_legacy_through_runtime_events(
                 assert module.assignments == b.plan.modules[name].assignments, (step, name)
             assert _delivery_bytes(a) == _delivery_bytes(b)
         if event == "scale_up_down":
-            assert columnar.fleet.spawn_count() >= 1
-            assert columnar.fleet.retire_count() >= 1
+            assert prefetched.fleet.spawn_count() >= 1
+            assert prefetched.fleet.retire_count() >= 1
     finally:
-        columnar.shutdown()
-        legacy.shutdown()
+        prefetched.shutdown()
+        sync.shutdown()
