@@ -3,8 +3,8 @@
 Prepared samples travel between Source Loaders and Data Constructors as
 struct-of-arrays columns, never as per-sample objects:
 
-- :class:`StagedColumns` — the Source Loader's staging store: one append per
-  prepared sample, and a *vectorized* ``take`` that gathers a fetch's rows
+- :class:`StagedColumns` — the Source Loader's staging store: one extend per
+  prepared chunk, and a *vectorized* ``take`` that gathers a fetch's rows
   with fancy indexing.  Removals tombstone rows; compaction runs only when
   tombstones pile up (same amortised-O(1) discipline as
   :class:`~repro.core.columns.ColumnarBufferCache`).
@@ -137,16 +137,16 @@ class StagedColumns:
         return self._live
 
     def append(self, metadata: SampleMetadata, transferred_bytes: int) -> None:
-        self._pos[metadata.sample_id] = len(self._ids) + len(self._pending)
-        self._pending.append(
-            (
-                metadata.sample_id,
-                metadata.text_tokens,
-                metadata.image_tokens,
-                transferred_bytes,
-            )
+        self.extend(
+            [(metadata.sample_id, metadata.text_tokens, metadata.image_tokens, transferred_bytes)]
         )
-        self._live += 1
+
+    def extend(self, rows: list[tuple[int, int, int, int]]) -> None:
+        """Stage ``(sample_id, text_tokens, image_tokens, transferred_bytes)`` rows."""
+        start = len(self._ids) + len(self._pending)
+        self._pending.extend(rows)
+        self._pos.update((row[0], start + offset) for offset, row in enumerate(rows))
+        self._live += len(rows)
 
     def __contains__(self, sample_id: int) -> bool:
         return sample_id in self._pos

@@ -1,13 +1,14 @@
 """Source Loader actors: per-source sample ingestion and transformation.
 
 A Source Loader is a dedicated actor for one data source (or one shard of a
-source when the AutoScaler splits it).  It continuously ingests metadata/rows
-from the source's columnar files, applies sample-level transformations with a
-pool of parallel workers, keeps a read buffer of lightweight metadata the
-Planner can inspect, and stages transformed samples for Data Constructors to
-fetch.  Because the file access state lives in exactly one actor per source
-(not in every dataloader worker on every rank), source-scaling memory
-redundancy is eliminated (Sec. 3).
+source when the AutoScaler splits it).  It ingests metadata from the source's
+columnar files a chunk at a time, costs the sample-level transformations from
+that metadata as the chunk arrives (a pool of parallel workers amortises the
+latency), keeps a read buffer of lightweight metadata the Planner can inspect,
+and stages prepared samples as columns for Data Constructors to fetch.
+Because the file access state lives in exactly one actor per source (not in
+every dataloader worker on every rank), source-scaling memory redundancy is
+eliminated (Sec. 3).
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from dataclasses import dataclass
 
 from repro.actors.actor import Actor
 from repro.core.assembly import StagedColumns
-from repro.data.samples import Sample, SampleMetadata
+from repro.data.samples import MetadataColumns, SampleMetadata
 from repro.data.sources import DataSource, SourceCursor
+from repro.data.synthetic import MODALITY_COST_PER_TOKEN
 from repro.errors import PlanError
 from repro.storage.filesystem import SimulatedFileSystem
 from repro.storage.reader import ColumnarReader
@@ -106,15 +108,23 @@ class SourceLoader(Actor):
         self.pipeline = TransformPipeline.for_modality(
             source.modality, deferred=deferred_transforms
         )
+        #: The pipeline's built-in latencies already encode the modality cost
+        #: ratios; the per-source ``cost_per_token`` multiplies on top of the
+        #: modality baseline to express within-modality heterogeneity.
+        self._latency_scale = max(
+            source.profile.cost_per_token / max(1e-9, MODALITY_COST_PER_TOKEN[source.modality]),
+            0.1,
+        )
         self.stats = LoaderStats()
 
         self._cursor: SourceCursor | None = None
         self._readers: list[ColumnarReader] = []
-        #: Read buffer in arrival order.  Keyed by sample id (ids are unique
-        #: within a buffer) so consuming a demanded id is O(1) instead of an
-        #: O(buffer) list scan; dict insertion order preserves the exact
-        #: arrival order the list-based buffer had.
-        self._buffer: dict[int, SampleMetadata] = {}
+        #: Read buffer in arrival order: ``(metadata, transform latency,
+        #: transferred bytes)`` per row, the last two costed when the row's
+        #: chunk was ingested so preparing a sample is a lookup.  Keyed by
+        #: sample id (ids are unique within a buffer) so consuming a demanded
+        #: id is O(1); dict insertion order preserves the arrival order.
+        self._buffer: dict[int, tuple[SampleMetadata, float, int]] = {}
         #: Prepared samples awaiting hand-off, as struct-of-arrays columns
         #: served by reference through :meth:`fetch_prepared_ref`.
         self._staged_columns = StagedColumns()
@@ -171,19 +181,26 @@ class SourceLoader(Actor):
         """Top the read buffer back up to ``buffer_size`` metadata entries."""
         if self._cursor is None:
             raise PlanError(f"loader {self.actor_name!r} is not started")
-        added = 0
-        while len(self._buffer) < self.buffer_size:
-            metadata = self._cursor.next_metadata()
-            if metadata.sample_id in self._buffer:
-                # The cursor wrapped around the shard: every distinct sample is
-                # already buffered, so stop rather than introduce duplicates.
+        wanted = self.buffer_size - len(self._buffer)
+        if wanted <= 0:
+            return 0
+        # Rows are new up to the first id already buffered: there the cursor
+        # has wrapped around the shard onto a sample still waiting, and the
+        # refill stops rather than introduce duplicates, the cursor left just
+        # past the repeated row.  Only the ids are scanned to find that row.
+        fresh: set[int] = set()
+        for sample_id in self._cursor.peek_ids(wanted):
+            if sample_id in self._buffer or sample_id in fresh:
                 break
-            self._buffer[metadata.sample_id] = metadata
-            self._metadata_by_id[metadata.sample_id] = metadata
-            self._log_delta("add", metadata)
-            self.ledger.charge("prefetch_buffer", BUFFERED_METADATA_BYTES)
-            added += 1
+            fresh.add(sample_id)
+        added = len(fresh)
+        chunk = self._cursor.take_columns(min(wanted, added + 1))
+        self._buffer.update(zip(chunk.sample_id[:added], self._cost_rows(chunk)))
         if added:
+            records = chunk.records[:added]
+            self._metadata_by_id.update(zip(chunk.sample_id, records))
+            self._log_deltas("add", records)
+            self.ledger.charge("prefetch_buffer", BUFFERED_METADATA_BYTES * added)
             self.stats.refills += 1
             self.stats.samples_buffered += added
             # Sequential row reads at the storage bandwidth.
@@ -194,7 +211,7 @@ class SourceLoader(Actor):
 
     def summary_buffer(self) -> list[SampleMetadata]:
         """Buffer metadata handed to the Planner during plan generation."""
-        return list(self._buffer.values())
+        return [row[0] for row in self._buffer.values()]
 
     def declared_source(self) -> str:
         """The source this loader was deployed for.
@@ -228,7 +245,7 @@ class SourceLoader(Actor):
                 "epoch": self._delta_epoch,
                 "seq": self._delta_seq,
                 "resync": True,
-                "buffer": list(self._buffer.values()),
+                "buffer": self.summary_buffer(),
             }
         if since_seq > self._delta_base:
             self._delta_log = [e for e in self._delta_log if e[0] > since_seq]
@@ -254,12 +271,10 @@ class SourceLoader(Actor):
         Returns timing information: total transformation latency and the
         effective wall-clock latency after amortising across parallel workers.
         """
+        latencies, staged_bytes = self._stage(sample_ids)
         total_latency = 0.0
-        staged_bytes = 0
-        for sample_id in sample_ids:
-            latency, transferred = self._prepare_one(sample_id)
+        for latency in latencies:
             total_latency += latency
-            staged_bytes += transferred
         return self._finish_prepare(len(sample_ids), total_latency, staged_bytes)
 
     # -- asynchronous plan execution -------------------------------------------------------
@@ -295,13 +310,16 @@ class SourceLoader(Actor):
         if max_samples < 1:
             raise PlanError("poll must advance at least one sample")
         budget = min(max_samples, entry.remaining())
+        latencies, staged_bytes = self._stage(
+            entry.sample_ids[entry.position : entry.position + budget]
+        )
+        entry.position += budget
+        entry.staged_bytes += staged_bytes
+        # Left to right from the ticket's running total, sample by sample:
+        # the float totals are part of the modelled clock.
         chunk_latency = 0.0
-        for _ in range(budget):
-            sample_id = entry.sample_ids[entry.position]
-            latency, transferred = self._prepare_one(sample_id)
+        for latency in latencies:
             entry.total_latency_s += latency
-            entry.staged_bytes += transferred
-            entry.position += 1
             chunk_latency += latency
         chunk_wall_clock = chunk_latency / self.num_workers
         if entry.remaining() > 0:
@@ -372,11 +390,9 @@ class SourceLoader(Actor):
         slice without refilling, and this call performs the step's single
         refill even when it absorbed nothing).
         """
-        replayed = 0
-        for sample_id in sample_ids:
-            if sample_id in self._metadata_by_id:
-                self._remove_from_buffer(sample_id)
-                replayed += 1
+        known = [sample_id for sample_id in sample_ids if sample_id in self._metadata_by_id]
+        replayed = len(known)
+        self._consume(known)
         self.stats.samples_replayed += replayed
         if refill is True or (refill is None and replayed):
             self.refill()
@@ -399,7 +415,7 @@ class SourceLoader(Actor):
             "shard_index": self.shard_index,
             "shard_count": self.shard_count,
             "cursor": self._cursor.state_dict() if self._cursor is not None else {},
-            "buffer": list(self._buffer.values()),
+            "buffer": self.summary_buffer(),
             "stats": {
                 "samples_buffered": self.stats.samples_buffered,
                 "samples_prepared": self.stats.samples_prepared,
@@ -444,10 +460,11 @@ class SourceLoader(Actor):
         )
         if snapshot.get("cursor"):
             self._cursor.load_state_dict(snapshot["cursor"])
-        for metadata in snapshot.get("buffer", ()):
-            self._buffer[metadata.sample_id] = metadata
-            self._metadata_by_id[metadata.sample_id] = metadata
-            self.ledger.charge("prefetch_buffer", BUFFERED_METADATA_BYTES)
+        chunk = MetadataColumns.from_records(list(snapshot.get("buffer", ())))
+        if len(chunk):
+            self._buffer.update(zip(chunk.sample_id, self._cost_rows(chunk)))
+            self._metadata_by_id.update(zip(chunk.sample_id, chunk.records))
+            self.ledger.charge("prefetch_buffer", BUFFERED_METADATA_BYTES * len(chunk))
         if restore_stats:
             stats = snapshot.get("stats", {})
             self.stats.samples_buffered = int(stats.get("samples_buffered", 0))
@@ -473,27 +490,55 @@ class SourceLoader(Actor):
         self.num_workers = num_workers
         return self.num_workers
 
-    def _prepare_one(self, sample_id: int) -> tuple[float, int]:
-        """Transform and stage one sample; returns (latency_s, staged_bytes)."""
-        metadata = self._metadata_by_id.get(sample_id)
-        if metadata is None:
-            raise PlanError(
-                f"loader {self.actor_name!r} was asked for unknown sample {sample_id}"
-            )
-        sample = Sample(metadata=metadata)
-        result = self.pipeline.run(sample)
+    def _cost_rows(self, chunk: MetadataColumns) -> list[tuple[SampleMetadata, float, int]]:
+        """Buffer rows for an ingested chunk: metadata, transform latency, staged bytes.
+
+        Prepare is metadata-only: the pipeline's column evaluator gives what
+        running the transforms over each sample would charge and ship, and the
+        source's cost profile scales that to this source.
+        """
+        latencies, transferred = self.pipeline.run_columns(chunk)
+        scale = self._latency_scale
         fixed = self.source.profile.fixed_cost_s
-        latency = result.latency_s * max(
-            self.source.profile.cost_per_token
-            / max(1e-9, _pipeline_reference_cost(self.source)),
-            0.1,
-        ) + fixed
-        # Payload arrays are not retained in the metadata-only simulation;
-        # only the sample's columns are staged and its byte size charged.
-        self._staged_columns.append(metadata, result.transferred_bytes)
-        self.ledger.charge("sample_payload", result.transferred_bytes)
-        self._remove_from_buffer(sample_id)
-        return latency, result.transferred_bytes
+        return list(
+            zip(chunk.records, [latency * scale + fixed for latency in latencies], transferred)
+        )
+
+    def _stage(self, sample_ids: list[int]) -> tuple[list[float], int]:
+        """Move the demanded samples from the buffer to the staging columns.
+
+        Returns their transform latencies, in demand order, and the bytes
+        staged.  A sample this loader read earlier but no longer buffers is
+        costed again from its retained metadata.
+        """
+        for sample_id in sample_ids:
+            if sample_id not in self._metadata_by_id:
+                raise PlanError(
+                    f"loader {self.actor_name!r} was asked for unknown sample {sample_id}"
+                )
+        rows = self._consume(sample_ids)
+        for index, row in enumerate(rows):
+            if row is None:
+                record = self._metadata_by_id[sample_ids[index]]
+                (rows[index],) = self._cost_rows(MetadataColumns.from_records([record]))
+        # The original metadata is staged: a crop inside the pipeline never
+        # reaches the hand-off columns.
+        self._staged_columns.extend(
+            [(m.sample_id, m.text_tokens, m.image_tokens, size) for m, _, size in rows]
+        )
+        staged_bytes = sum(size for _, _, size in rows)
+        if rows:
+            self.ledger.charge("sample_payload", staged_bytes)
+        return [latency for _, latency, _ in rows], staged_bytes
+
+    def _consume(self, sample_ids: list[int]) -> list:
+        """Pop ``sample_ids`` from the buffer; a row is None where the id was not buffered."""
+        rows = [self._buffer.pop(sample_id, None) for sample_id in sample_ids]
+        removed = [sample_id for sample_id, row in zip(sample_ids, rows) if row is not None]
+        if removed:
+            self._log_deltas("del", removed)
+            self.ledger.release("prefetch_buffer", BUFFERED_METADATA_BYTES * len(removed))
+        return rows
 
     def _finish_prepare(
         self, num_samples: int, total_latency: float, staged_bytes: int
@@ -586,19 +631,19 @@ class SourceLoader(Actor):
 
     # -- internals -----------------------------------------------------------------------------------
 
-    def _log_delta(self, op: str, payload: object) -> None:
-        self._delta_seq += 1
-        self._delta_log.append((self._delta_seq, op, payload))
+    def _log_deltas(self, op: str, payloads: list) -> None:
+        """Append one ``op`` event per payload to the buffer delta log."""
+        self._delta_log.extend(
+            zip(itertools.count(self._delta_seq + 1), itertools.repeat(op), payloads)
+        )
+        self._delta_seq += len(payloads)
         if len(self._delta_log) > self._delta_cap:
-            # Nobody is consuming the log: drop it and let the first gather,
-            # if any, start from a snapshot.
-            self._delta_log.clear()
-            self._delta_base = self._delta_seq
-
-    def _remove_from_buffer(self, sample_id: int) -> None:
-        if self._buffer.pop(sample_id, None) is not None:
-            self._log_delta("del", sample_id)
-            self.ledger.release("prefetch_buffer", BUFFERED_METADATA_BYTES)
+            # Nobody is consuming the log: it is dropped each time it grows
+            # past the cap, and the first gather, if any, starts from a
+            # snapshot.  What is left is what came in since the last drop.
+            kept = len(self._delta_log) % (self._delta_cap + 1)
+            del self._delta_log[: len(self._delta_log) - kept]
+            self._delta_base = self._delta_seq - kept
 
     def _drop_buffer(self) -> None:
         self.ledger.release("prefetch_buffer", BUFFERED_METADATA_BYTES * len(self._buffer))
@@ -613,14 +658,3 @@ class SourceLoader(Actor):
         if released:
             self.ledger.release("sample_payload", released)
 
-
-def _pipeline_reference_cost(source: DataSource) -> float:
-    """Reference cost-per-token of the source's modality-default pipeline.
-
-    The transform pipeline's built-in latencies already encode the modality
-    cost ratios; the per-source ``cost_per_token`` multiplies on top of the
-    modality baseline to express within-modality heterogeneity.
-    """
-    from repro.data.synthetic import MODALITY_COST_PER_TOKEN
-
-    return MODALITY_COST_PER_TOKEN[source.modality]

@@ -9,7 +9,7 @@ Constructors, mirroring the paper's "lightweight metadata" plan generation.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 
 class Modality(str, enum.Enum):
@@ -65,6 +65,35 @@ class SampleMetadata:
     def with_updates(self, **changes: object) -> "SampleMetadata":
         """Return a copy with selected fields replaced."""
         return replace(self, **changes)
+
+
+@dataclass
+class MetadataColumns:
+    """A chunk of sample metadata, column by column.
+
+    One list per stored field, named as in :class:`SampleMetadata` and the
+    columnar files — what the sample transformations charge a sample by —
+    plus ``records``, the same rows as the :class:`SampleMetadata` objects
+    the Planner's buffer mirrors carry.
+    """
+
+    records: list[SampleMetadata]
+    sample_id: list[int]
+    modality: list[Modality]
+    text_tokens: list[int]
+    image_tokens: list[int]
+    video_frames: list[int]
+    audio_seconds: list[float]
+    raw_bytes: list[int]
+    decoded_bytes: list[int]
+
+    @classmethod
+    def from_records(cls, records: list[SampleMetadata]) -> "MetadataColumns":
+        names = [column.name for column in fields(cls)][1:]
+        return cls(records, *([getattr(record, name) for record in records] for name in names))
+
+    def __len__(self) -> int:
+        return len(self.records)
 
 
 @dataclass

@@ -8,11 +8,13 @@ partitions across Source Loader actors.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate, repeat
 
 import numpy as np
 
-from repro.data.samples import Modality, SampleMetadata, metadata_from_record
+from repro.data.samples import MetadataColumns, Modality, SampleMetadata
 from repro.errors import ConfigurationError
 from repro.storage.filesystem import SimulatedFileSystem
 
@@ -120,12 +122,30 @@ class SourceCatalog:
         return max(latencies) / max(1e-12, min(latencies))
 
 
+#: Storage columns a cursor reads, in :class:`SampleMetadata` field order: the
+#: type a value is read as, and what a file whose schema lacks the column
+#: yields (``sample_id`` is required).
+_COLUMNS = {
+    "sample_id": (int, None),
+    "modality": (str, "text"),
+    "text_tokens": (int, 0),
+    "image_tokens": (int, 0),
+    "video_frames": (int, 0),
+    "audio_seconds": (float, 0.0),
+    "raw_bytes": (int, 0),
+    "decoded_bytes": (int, 0),
+}
+
+
 class SourceCursor:
     """Sequential (wrapping) read cursor over one source's samples.
 
-    The cursor reads lightweight metadata records directly from the source's
-    columnar files via the filesystem; payload materialisation is left to the
-    Source Loader / transformation pipeline.
+    The cursor slices lightweight metadata columns straight out of the row
+    groups of the source's columnar files; payload materialisation is left to
+    the Source Loader / transformation pipeline.  Its state is the row-group
+    index plus one position: shard row ``k`` is global row
+    ``shard_index + k * shard_count``, located by bisecting the row groups'
+    prefix offsets, so nothing per row is held.
     """
 
     def __init__(
@@ -141,41 +161,80 @@ class SourceCursor:
                 f"invalid shard ({shard_index}/{shard_count}) for source {source.name!r}"
             )
         self.source = source
-        self._fs = filesystem
-        self._files = [filesystem.read(path) for path in source.paths]
-        self._total_rows = sum(f.total_rows for f in self._files)
+        self._groups = [
+            group for path in source.paths for group in filesystem.read(path).row_groups
+        ]
+        #: Global row at which each row group ends (prefix offsets over all files).
+        self._group_ends = list(accumulate(group.row_count for group in self._groups))
+        total_rows = self._group_ends[-1] if self._group_ends else 0
         self._shard_index = shard_index
         self._shard_count = shard_count
-        shard_rows = self._shard_row_indices()
-        offset = int(start_fraction * len(shard_rows)) % max(1, len(shard_rows))
-        self._rows = shard_rows[offset:] + shard_rows[:offset]
+        self._shard_rows = len(range(shard_index, total_rows, shard_count))
+        #: Shard row the cursor starts from (``start_fraction`` of the way in).
+        self._rotation = int(start_fraction * self._shard_rows) % max(1, self._shard_rows)
         self._position = 0
 
-    def _shard_row_indices(self) -> list[int]:
-        return [
-            row for row in range(self._total_rows) if row % self._shard_count == self._shard_index
-        ]
+    def _segments(self, count: int):
+        """Locate the next ``count`` shard rows: ``(row group, slice of its rows, length)``."""
+        stride = self._shard_count
+        shard_row = (self._position + self._rotation) % self._shard_rows
+        while count > 0:
+            run = min(count, self._shard_rows - shard_row)
+            row = self._shard_index + shard_row * stride
+            stop = row + run * stride
+            group_index = bisect_right(self._group_ends, row)
+            while row < stop:
+                group_end = self._group_ends[group_index]
+                group = self._groups[group_index]
+                group_start = group_end - group.row_count
+                rows = range(row, min(stop, group_end), stride)
+                if rows:
+                    picked = slice(row - group_start, rows.stop - group_start, stride)
+                    yield group, picked, len(rows)
+                row += len(rows) * stride
+                group_index += 1
+            count -= run
+            shard_row = 0  # the shard wrapped
 
-    def _locate(self, global_row: int) -> tuple[int, int]:
-        remaining = global_row
-        for file_index, file in enumerate(self._files):
-            if remaining < file.total_rows:
-                return file_index, remaining
-            remaining -= file.total_rows
-        raise ConfigurationError(f"row {global_row} out of range for source {self.source.name!r}")
+    def take_columns(self, count: int) -> MetadataColumns:
+        """Read the next ``count`` samples as one chunk (wrapping at the end of shard)."""
+        if not self._shard_rows:
+            raise ConfigurationError(f"source {self.source.name!r} shard is empty")
+        segments = list(self._segments(count))
+        self._position += count
+
+        def read(name: str, kind: type, default: object) -> list:
+            return [
+                kind(value)
+                for group, picked, length in segments
+                for value in (
+                    group.columns[name][picked] if name in group.columns else [default] * length
+                )
+            ]
+
+        columns = {name: read(name, *spec) for name, spec in _COLUMNS.items()}
+        modalities = {value: Modality(value) for value in set(columns["modality"])}
+        columns["modality"] = [modalities[value] for value in columns["modality"]]
+        ids, *rest = columns.values()
+        records = list(map(SampleMetadata, ids, repeat(self.source.name), *rest))
+        return MetadataColumns(records, **columns)
 
     def next_metadata(self) -> SampleMetadata:
         """Return metadata for the next sample (wrapping at the end of shard)."""
-        if not self._rows:
-            raise ConfigurationError(f"source {self.source.name!r} shard is empty")
-        global_row = self._rows[self._position % len(self._rows)]
-        self._position += 1
-        file_index, local_row = self._locate(global_row)
-        record = self._files[file_index].read_row(local_row)
-        return metadata_from_record(record, self.source.name)
+        return self.take_columns(1).records[0]
 
     def take(self, count: int) -> list[SampleMetadata]:
-        return [self.next_metadata() for _ in range(count)]
+        return self.take_columns(count).records
+
+    def peek_ids(self, count: int) -> list[int]:
+        """Sample ids of the next ``count`` rows, without reading them."""
+        if not self._shard_rows:
+            raise ConfigurationError(f"source {self.source.name!r} shard is empty")
+        return [
+            int(value)
+            for group, picked, _ in self._segments(count)
+            for value in group.column("sample_id")[picked]
+        ]
 
     @property
     def position(self) -> int:

@@ -45,12 +45,16 @@ class MemoryLedger:
     _live: dict[str, int] = field(default_factory=dict)
     _peak_total: int = 0
     _children: list["MemoryLedger"] = field(default_factory=list)
+    #: Sum of ``_live``, kept incrementally so a charge does not re-sum it.
+    _own_total: int = 0
 
     def charge(self, category: str, n_bytes: int) -> None:
         """Add ``n_bytes`` of live memory under ``category``."""
         if n_bytes < 0:
             raise ValueError(f"cannot charge negative bytes ({n_bytes})")
-        self._live[category] = self._live.get(category, 0) + int(n_bytes)
+        n_bytes = int(n_bytes)
+        self._live[category] = self._live.get(category, 0) + n_bytes
+        self._own_total += n_bytes
         self._peak_total = max(self._peak_total, self.total_bytes())
 
     def release(self, category: str, n_bytes: int) -> None:
@@ -63,13 +67,15 @@ class MemoryLedger:
             raise ValueError(f"cannot release negative bytes ({n_bytes})")
         current = self._live.get(category, 0)
         self._live[category] = max(0, current - int(n_bytes))
+        self._own_total -= current - self._live[category]
 
     def release_all(self, category: str | None = None) -> None:
         """Drop every byte in ``category``, or the entire ledger when None."""
         if category is None:
             self._live.clear()
+            self._own_total = 0
         else:
-            self._live.pop(category, None)
+            self._own_total -= self._live.pop(category, 0)
 
     def adopt(self, child: "MemoryLedger") -> None:
         """Aggregate ``child`` into this ledger's totals (hierarchical view)."""
@@ -88,8 +94,7 @@ class MemoryLedger:
 
     def total_bytes(self) -> int:
         """Live bytes including all adopted children."""
-        own = sum(self._live.values())
-        return own + sum(child.total_bytes() for child in self._children)
+        return self._own_total + sum(child.total_bytes() for child in self._children)
 
     def peak_bytes(self) -> int:
         """Peak of this ledger's own live bytes plus children peaks.

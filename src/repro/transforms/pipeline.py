@@ -12,9 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.data.samples import Modality, Sample, SampleMetadata
+from repro.data.samples import MetadataColumns, Modality, Sample, SampleMetadata
 from repro.errors import TransformError
 from repro.transforms.sample import SampleTransform, default_transforms_for
+
+
+#: Stages that inflate a sample to its decoded size; deferring one ships raw bytes.
+_DECODE_STAGES = ("image_decode", "audio_featurize")
 
 
 @dataclass
@@ -85,6 +89,45 @@ class TransformPipeline:
             deferred_transforms=deferred,
         )
 
+    def run_columns(self, chunk: MetadataColumns) -> tuple[list[float], list[int]]:
+        """Metadata-only :meth:`run` over a chunk: no sample object, no payload.
+
+        Returns, per row, exactly the ``latency_s`` and ``transferred_bytes``
+        :meth:`run` returns for a sample with that metadata — what the Source
+        Loader charges and stages — evaluated a column at a time.
+        """
+        modalities = set(chunk.modality)
+        if len(modalities) > 1:
+            # Rows of different modalities run different stages: evaluate
+            # each modality's rows on their own.
+            latencies = [0.0] * len(chunk)
+            transferred = [0] * len(chunk)
+            for modality in modalities:
+                rows = [row for row, other in enumerate(chunk.modality) if other == modality]
+                part = MetadataColumns.from_records([chunk.records[row] for row in rows])
+                for row, latency, size in zip(rows, *self.run_columns(part)):
+                    latencies[row] = latency
+                    transferred[row] = size
+            return latencies, transferred
+        latencies = [0.0] * len(chunk)
+        image_tokens = chunk.image_tokens
+        decode_deferred = False
+        for transform in self._transforms:
+            if transform.modalities and not modalities.issubset(transform.modalities):
+                continue
+            if transform.name in self._deferred:
+                decode_deferred |= transform.name in _DECODE_STAGES
+                continue
+            stage, image_tokens = transform.apply_columns(
+                chunk.text_tokens, image_tokens, chunk.video_frames
+            )
+            latencies = [total + latency for total, latency in zip(latencies, stage)]
+        if decode_deferred:
+            return latencies, [max(raw, 1) for raw in chunk.raw_bytes]
+        return latencies, [
+            max(decoded, raw, 1) for decoded, raw in zip(chunk.decoded_bytes, chunk.raw_bytes)
+        ]
+
     def run_deferred(self, sample: Sample, deferred_names: list[str]) -> float:
         """Apply previously deferred stages (on the receiving component)."""
         latency = 0.0
@@ -115,7 +158,7 @@ class TransformPipeline:
         otherwise the (much larger) decoded bytes do — which is exactly the
         trade-off "transformation reordering" exploits.
         """
-        decode_deferred = any(name in ("image_decode", "audio_featurize") for name in deferred)
+        decode_deferred = any(name in _DECODE_STAGES for name in deferred)
         if decode_deferred:
             return max(metadata.raw_bytes, 1)
         return max(metadata.decoded_bytes, metadata.raw_bytes, 1)

@@ -39,6 +39,17 @@ class SampleTransform:
         """Latency estimate from token counts only (used by cost models)."""
         raise NotImplementedError
 
+    def apply_columns(
+        self, text_tokens: list[int], image_tokens: list[int], video_frames: list[int]
+    ) -> tuple[list[float], list[int]]:
+        """Metadata-only form of :meth:`apply` over columns of samples.
+
+        Returns, per row, the latency :meth:`apply` returns for a sample with
+        these counts, and the ``image_tokens`` column it leaves behind (the
+        given list when the stage does not rescale).  No payload is built.
+        """
+        raise NotImplementedError
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
 
@@ -59,6 +70,9 @@ class TextTokenize(SampleTransform):
 
     def estimate_latency(self, text_tokens: int, image_tokens: int) -> float:
         return self.seconds_per_token * text_tokens
+
+    def apply_columns(self, text_tokens, image_tokens, video_frames):
+        return [self.seconds_per_token * tokens for tokens in text_tokens], image_tokens
 
 
 @dataclass
@@ -83,6 +97,9 @@ class ImageDecode(SampleTransform):
     def estimate_latency(self, text_tokens: int, image_tokens: int) -> float:
         return self.seconds_per_patch * image_tokens
 
+    def apply_columns(self, text_tokens, image_tokens, video_frames):
+        return [self.seconds_per_patch * patches for patches in image_tokens], image_tokens
+
 
 @dataclass
 class ImageCrop(SampleTransform):
@@ -106,6 +123,11 @@ class ImageCrop(SampleTransform):
     def estimate_latency(self, text_tokens: int, image_tokens: int) -> float:
         return self.seconds_per_patch * image_tokens
 
+    def apply_columns(self, text_tokens, image_tokens, video_frames):
+        # Charged by the patches that arrive, not by the patches the crop keeps.
+        latencies = [self.seconds_per_patch * patches for patches in image_tokens]
+        return latencies, [min(patches, self.max_patches) for patches in image_tokens]
+
 
 @dataclass
 class ImageResize(SampleTransform):
@@ -128,6 +150,14 @@ class ImageResize(SampleTransform):
     def estimate_latency(self, text_tokens: int, image_tokens: int) -> float:
         return self.seconds_per_patch * image_tokens
 
+    def apply_columns(self, text_tokens, image_tokens, video_frames):
+        if self.scale <= 0:
+            raise TransformError("resize scale must be positive")
+        latencies = [self.seconds_per_patch * patches for patches in image_tokens]
+        return latencies, [
+            max(1, int(round(patches * self.scale))) if patches else 0 for patches in image_tokens
+        ]
+
 
 @dataclass
 class VideoKeyframeExtract(SampleTransform):
@@ -146,6 +176,11 @@ class VideoKeyframeExtract(SampleTransform):
     def estimate_latency(self, text_tokens: int, image_tokens: int) -> float:
         return self.seconds_per_frame * (image_tokens // 256) + 0.002
 
+    def apply_columns(self, text_tokens, image_tokens, video_frames):
+        # By the container's frame count, like ``apply`` (``estimate_latency``
+        # only has token counts and guesses frames from them).
+        return [self.seconds_per_frame * frames + 0.002 for frames in video_frames], image_tokens
+
 
 @dataclass
 class AudioFeaturize(SampleTransform):
@@ -163,6 +198,9 @@ class AudioFeaturize(SampleTransform):
 
     def estimate_latency(self, text_tokens: int, image_tokens: int) -> float:
         return self.seconds_per_token * text_tokens
+
+    def apply_columns(self, text_tokens, image_tokens, video_frames):
+        return [self.seconds_per_token * tokens for tokens in text_tokens], image_tokens
 
 
 def default_transforms_for(modality: Modality) -> list[SampleTransform]:

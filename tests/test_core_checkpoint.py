@@ -644,8 +644,7 @@ class TestDeltaEpochResync:
         epoch, stale_seq = first["epoch"], first["seq"]
         # Overflow the capped log without ever gathering: the loader drops
         # the backlog and advances its base past the consumer's position.
-        for _ in range(loader._delta_cap + 8):
-            loader._log_delta("add", None)
+        loader._log_deltas("add", [None] * (loader._delta_cap + 8))
         assert loader._delta_base > stale_seq
         delta = loader.buffer_delta(epoch, stale_seq)
         assert delta["resync"] is True

@@ -2,12 +2,27 @@
 
 from __future__ import annotations
 
+import hashlib
+import inspect
+import math
+from dataclasses import replace
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.actors.runtime import ActorSystem, ClusterSpec
+from repro.core import source_loader
+from repro.core.framework import MegaScaleData, TrainingJobSpec
 from repro.core.source_loader import WORKER_CONTEXT_BYTES, SourceLoader
+from repro.data.sources import SourceCursor
+from repro.data.synthetic import build_source_catalog, navit_like_spec
 from repro.errors import PlanError
+from repro.storage.filesystem import SimulatedFileSystem
+from repro.transforms.sample import AudioFeaturize, ImageDecode, TextTokenize
 from repro.utils.units import GIB
+from test_golden_digests import _feed
 
 
 @pytest.fixture()
@@ -317,3 +332,172 @@ class TestBufferDeltaProtocol:
     ):
         handle = spawn_loader(system, small_catalog, filesystem)
         assert handle.call("declared_source") == handle.instance().source.name
+
+
+# -- per chunk, not per sample: properties of the chunked hot path ----------------------
+
+PROPERTY_FILESYSTEM = SimulatedFileSystem()
+#: Six heterogeneous sources (image, text, video, audio) of 64 samples each.
+PROPERTY_CATALOG = build_source_catalog(
+    navit_like_spec(num_sources=6, samples_per_source=64, seed=7), PROPERTY_FILESYSTEM
+)
+
+
+def fresh_system():
+    return ActorSystem(ClusterSpec(accelerator_nodes=1, cpu_pods=1))
+
+
+@given(
+    source_index=st.integers(0, 5),
+    deferred_mask=st.lists(st.booleans(), min_size=4, max_size=4),
+    shard_count=st.integers(1, 4),
+    buffer_size=st.sampled_from([8, 24, 256]),
+    num_workers=st.integers(1, 3),
+    picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=40),
+)
+@settings(max_examples=40, deadline=None)
+def test_sync_prepare_equals_async_polls_of_any_chunk_size(
+    source_index, deferred_mask, shard_count, buffer_size, num_workers, picks
+):
+    """``prepare(ids)`` and ``prepare_async`` + ``poll(k)`` are the same call, chunked."""
+    system = fresh_system()
+    source = PROPERTY_CATALOG.sources()[source_index]
+    stages = source_loader.TransformPipeline.for_modality(source.modality).transform_names
+    options = dict(
+        buffer_size=buffer_size, num_workers=num_workers, shard_count=shard_count,
+        deferred_transforms={name for name, drop in zip(stages, deferred_mask) if drop},
+    )
+    sync = spawn_loader(system, PROPERTY_CATALOG, PROPERTY_FILESYSTEM, source_index, **options)
+    buffered = [m.sample_id for m in sync.instance().summary_buffer()]
+    # Shards of 16 rows against a 24- or 256-row buffer hold the whole shard.
+    assert len(buffered) == min(buffer_size, math.ceil(64 / shard_count))
+    ids = list(dict.fromkeys(buffered[pick % len(buffered)] for pick in picks))
+    expected = sync.call("prepare", ids)
+    for chunk in (1, 8, 16, len(ids)):
+        chunked = spawn_loader(
+            system, PROPERTY_CATALOG, PROPERTY_FILESYSTEM, source_index, **options
+        )
+        chunked.call("prepare_async", 3, ids)
+        polls, wall_clock = 0, 0.0
+        while True:
+            reply = chunked.call("poll", 3, chunk)
+            polls += 1
+            wall_clock += reply.pop("chunk_wall_clock_s")
+            if reply.pop("done", False):
+                break
+        assert polls == math.ceil(len(ids) / chunk)
+        assert reply == expected  # floats included: no tolerance
+        assert wall_clock == pytest.approx(expected["wall_clock_s"])
+        a, b = sync.instance(), chunked.instance()
+        assert a.staged_count() == b.staged_count() == len(ids)
+        assert a.ledger.snapshot().by_category == b.ledger.snapshot().by_category
+        assert a.summary_buffer() == b.summary_buffer()
+        assert a.state_dict() == b.state_dict()
+        # Hand-off: equal columns (fetched from a twin so ``sync`` keeps its rows).
+        twin = spawn_loader(system, PROPERTY_CATALOG, PROPERTY_FILESYSTEM, source_index, **options)
+        twin.call("prepare", ids)
+        want, got = fetch(system, twin, ids), fetch(system, chunked, ids)
+        for column in ("sample_ids", "text_tokens", "image_tokens", "transferred_bytes"):
+            assert np.array_equal(getattr(want, column), getattr(got, column))
+        assert b.ledger.live_bytes("sample_payload") == 0
+
+
+@given(
+    source_index=st.integers(0, 5),
+    shard_count=st.integers(1, 4),
+    buffer_size=st.sampled_from([5, 16, 40, 256]),
+    demands=st.lists(st.lists(st.integers(0, 10**6), max_size=12), min_size=1, max_size=8),
+)
+@settings(max_examples=60, deadline=None)
+def test_chunked_refill_equals_the_per_row_loop(source_index, shard_count, buffer_size, demands):
+    """Buffer order, cursor position (wrap-around probe included) and ledger bytes."""
+    system = fresh_system()
+    source = PROPERTY_CATALOG.sources()[source_index]
+    handle = spawn_loader(
+        system, PROPERTY_CATALOG, PROPERTY_FILESYSTEM, source_index,
+        buffer_size=buffer_size, shard_count=shard_count,
+    )
+    loader = handle.instance()
+    cursor = SourceCursor(source, PROPERTY_FILESYSTEM, shard_count=shard_count)
+    model: dict[int, object] = {}
+
+    def per_row_refill():
+        while len(model) < buffer_size:
+            metadata = cursor.next_metadata()
+            if metadata.sample_id in model:
+                break
+            model[metadata.sample_id] = metadata
+
+    per_row_refill()
+    for picks in demands:
+        assert loader.summary_buffer() == list(model.values())
+        assert loader.state_dict()["cursor"] == cursor.state_dict()
+        assert loader.ledger.live_bytes("prefetch_buffer") == 96 * len(model)
+        ids = list(dict.fromkeys(list(model)[pick % len(model)] for pick in picks))
+        handle.call("replay_demands", ids)
+        for sample_id in ids:
+            del model[sample_id]
+        if ids:
+            per_row_refill()
+    assert loader.summary_buffer() == list(model.values())
+    assert loader.state_dict()["cursor"] == cursor.state_dict()
+
+
+@given(
+    backlog=st.integers(0, 300),
+    batches=st.lists(st.integers(0, 700), min_size=1, max_size=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_batched_delta_log_equals_one_event_at_a_time(backlog, batches):
+    """The capped log drops and re-bases exactly where per-event logging did."""
+    loader = SourceLoader(PROPERTY_CATALOG.sources()[0], PROPERTY_FILESYSTEM, buffer_size=8)
+    cap = loader._delta_cap
+    assert cap == 256
+    log: list[tuple[int, str, object]] = []
+    seq = base = 0
+    for size in (backlog, *batches):
+        loader._log_deltas("del", list(range(size)))
+        for payload in range(size):
+            seq += 1
+            log.append((seq, "del", payload))
+            if len(log) > cap:
+                log.clear()
+                base = seq
+        assert loader._delta_log == log
+        assert (loader._delta_seq, loader._delta_base) == (seq, base)
+
+
+class TestMetadataOnlyPrepare:
+    """The loader costs transforms from metadata: ``apply`` is the reference, not the hot path."""
+
+    #: sha256 over ``(step, rank, microbatch, token_count, payload_bytes)`` of
+    #: three ``vlm_example`` steps, recorded at 09d8b23 where ``apply`` ran per sample.
+    THREE_STEP_DELIVERIES = "c915175012f9d0dc64cbc7d1ea23ba4e2263502f7289cde16a01b1e80b55dac1"
+
+    @pytest.mark.parametrize("prefetch_depth", [0, 2])
+    def test_no_payload_is_built_on_the_step_path(self, monkeypatch, prefetch_depth):
+        def dead_store(self, sample):
+            raise AssertionError(f"{type(self).__name__}.apply ran on the step path")
+
+        for transform in (ImageDecode, AudioFeaturize, TextTokenize):
+            monkeypatch.setattr(transform, "apply", dead_store)
+        system = MegaScaleData.deploy(
+            replace(TrainingJobSpec.vlm_example(), prefetch_depth=prefetch_depth)
+        )
+        deliveries = hashlib.sha256()
+        try:
+            for _ in range(3):
+                result = system.run_step()
+                for rank in sorted(result.deliveries):
+                    for piece in result.deliveries[rank].slices:
+                        _feed(
+                            deliveries,
+                            (result.step, rank, piece.microbatch_index,
+                             piece.token_count, piece.payload_bytes),
+                        )
+        finally:
+            system.shutdown()
+        assert deliveries.hexdigest() == self.THREE_STEP_DELIVERIES
+
+    def test_the_loader_builds_no_sample_objects(self):
+        assert "Sample(" not in inspect.getsource(source_loader)

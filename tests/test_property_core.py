@@ -77,22 +77,37 @@ def test_rope_positions_length_matches_tokens(spec, max_len):
 
 @given(
     operations=st.lists(
-        st.tuples(st.sampled_from(["charge", "release"]), st.integers(min_value=0, max_value=10**9)),
+        st.tuples(
+            st.sampled_from(["charge", "release", "release_all", "adopt", "disown"]),
+            st.integers(min_value=0, max_value=2),  # which ledger: node, actor, actor
+            st.sampled_from(["cat", "dog", None]),
+            st.integers(min_value=0, max_value=10**9),
+        ),
         max_size=60,
     )
 )
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_ledger_never_negative_and_peak_monotone(operations):
-    ledger = MemoryLedger()
-    peak_seen = 0
-    for op, amount in operations:
+    node, *actors = ledgers = [MemoryLedger(name=str(index)) for index in range(3)]
+    peak_seen = [0, 0, 0]
+    for op, which, category, amount in operations:
+        ledger = ledgers[which]
         if op == "charge":
-            ledger.charge("cat", amount)
-        else:
-            ledger.release("cat", amount)
-        assert ledger.total_bytes() >= 0
-        peak_seen = max(peak_seen, ledger.total_bytes())
-    assert ledger.peak_bytes() >= peak_seen
+            ledger.charge(category or "cat", amount)
+        elif op == "release":
+            ledger.release(category or "cat", amount)
+        elif op == "release_all":
+            ledger.release_all(category)
+        elif op == "adopt" and ledger is not node and ledger not in node._children:
+            node.adopt(ledger)
+        elif op == "disown":
+            node.disown(ledger)
+        for index, each in enumerate(ledgers):
+            # The incrementally kept total is the re-summed one, children included.
+            assert each.total_bytes() == each.snapshot().total_bytes >= 0
+            peak_seen[index] = max(peak_seen[index], each.total_bytes())
+    for index, actor in enumerate(actors, start=1):
+        assert actor.peak_bytes() >= peak_seen[index]
 
 
 # -- device mesh ------------------------------------------------------------------

@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.data.samples import Modality, Sample
+from repro.data.samples import MetadataColumns, Modality, Sample, SampleMetadata
 from repro.errors import TransformError
 from repro.transforms.pipeline import TransformPipeline
-from repro.transforms.sample import ImageDecode, TextTokenize
+from repro.transforms.sample import (
+    ImageCrop,
+    ImageDecode,
+    ImageResize,
+    TextTokenize,
+    default_transforms_for,
+)
 
 
 class TestConstruction:
@@ -86,3 +94,43 @@ class TestEstimates:
     def test_deferred_names_property(self):
         pipeline = TransformPipeline.for_modality(Modality.IMAGE, deferred={"image_decode"})
         assert pipeline.deferred_names == ["image_decode"]
+
+
+# -- the column evaluator against the per-sample reference -----------------------------
+
+#: The four modality defaults plus a chain whose rescale feeds later stages.
+PIPELINE_STAGES = [default_transforms_for(modality) for modality in Modality] + [
+    [TextTokenize(), ImageResize(scale=0.37), ImageDecode(), ImageCrop(max_patches=512)]
+]
+
+metadata_rows = st.lists(
+    st.builds(
+        SampleMetadata,
+        sample_id=st.integers(0, 10**6),
+        source=st.just("src"),
+        modality=st.sampled_from(list(Modality)),
+        # Zero-token samples and images past ``ImageCrop.max_patches`` included.
+        text_tokens=st.integers(0, 9000),
+        image_tokens=st.one_of(st.integers(0, 600), st.integers(16000, 17000)),
+        video_frames=st.integers(0, 300),
+        raw_bytes=st.integers(0, 10**7),
+        decoded_bytes=st.integers(0, 10**8),
+    ),
+    max_size=10,
+)
+
+
+@given(
+    stages=st.sampled_from(PIPELINE_STAGES),
+    deferred_mask=st.lists(st.booleans(), min_size=4, max_size=4),
+    rows=metadata_rows,
+)
+@settings(max_examples=150, deadline=None)
+def test_run_columns_equals_run_sample_by_sample(stages, deferred_mask, rows):
+    """Every deferred subset, mixed-modality chunks: floats and bytes equal exactly."""
+    deferred = {stage.name for stage, drop in zip(stages, deferred_mask) if drop}
+    pipeline = TransformPipeline(stages, deferred=deferred)
+    reference = [pipeline.run(Sample(metadata=row)) for row in rows]
+    latencies, transferred = pipeline.run_columns(MetadataColumns.from_records(rows))
+    assert latencies == [result.latency_s for result in reference]
+    assert transferred == [result.transferred_bytes for result in reference]
