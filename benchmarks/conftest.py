@@ -8,6 +8,8 @@ Run with ``pytest benchmarks/ --benchmark-only``.
 
 from __future__ import annotations
 
+import json
+import os
 from pathlib import Path
 
 import pytest
@@ -37,9 +39,11 @@ def emit(report: MetricReport) -> None:
     print(report.to_text())
 
 
-#: Repository root — BENCH_*.json perf artifacts are written here so the
-#: perf trajectory is tracked across PRs (and uploaded by the CI matrix leg).
+#: Repository root — the committed ``BENCH_*.json`` perf artifacts live here
+#: so the perf trajectory is tracked across PRs (and uploaded by the CI legs).
 REPO_ROOT = Path(__file__).resolve().parent.parent
+#: Where a plain test run writes its artifacts (ignored by git).
+OUT_DIR = Path(__file__).resolve().parent / "out"
 
 
 def write_bench_json(figure: str, section: str, payload: object) -> Path:
@@ -48,17 +52,25 @@ def write_bench_json(figure: str, section: str, payload: object) -> Path:
     Each benchmark test owns one section of its figure's artifact, so tests
     can run independently (e.g. one prefetch-depth leg of the CI matrix)
     without clobbering each other's numbers.
-    """
-    import json
 
-    path = REPO_ROOT / f"BENCH_{figure}.json"
+    A plain run leaves the tree clean: it writes to ``benchmarks/out/``,
+    starting from the committed artifact so the other sections are still
+    there for a regression gate to compare against (point the gate at it with
+    ``--artifact benchmarks/out/BENCH_<figure>.json``).  Only ``BENCH_COMMIT=1``
+    — set by CI for the whole workflow, and by hand to refresh a committed
+    baseline — writes the tracked file in the repository root.
+    """
+    committed = REPO_ROOT / f"BENCH_{figure}.json"
+    path = committed if os.environ.get("BENCH_COMMIT") == "1" else OUT_DIR / committed.name
+    source = path if path.exists() else committed
     document: dict[str, object] = {}
-    if path.exists():
+    if source.exists():
         try:
-            document = json.loads(path.read_text())
+            document = json.loads(source.read_text())
         except json.JSONDecodeError:
             document = {}
     document[section] = payload
+    path.parent.mkdir(exist_ok=True)
     path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     return path
 

@@ -19,7 +19,7 @@ from repro.core.plans import ModulePlan
 from repro.errors import BackpressureError, PlanError
 from repro.parallelism.mesh import DeviceMesh
 from repro.transforms.microbatch import collate_columns_with_positions
-from repro.transforms.parallelism import ParallelSlice, build_rank_slices
+from repro.transforms.parallelism import ParallelSlice, RankLayout
 
 
 @dataclass
@@ -89,8 +89,6 @@ class DataConstructor(Actor):
             # pull workflow.
             raise PlanError("staging_capacity must be >= 2 (double buffering)")
         self.bucket_index = bucket_index
-        self.mesh = mesh
-        self.dp_index = dp_index
         self.max_sequence_length = max_sequence_length
         self.packing = packing
         self.broadcast_tp = broadcast_tp
@@ -102,6 +100,8 @@ class DataConstructor(Actor):
         self._pending_deliveries: dict[int, dict[int, RankDelivery]] = {}
         self._staged_bytes: dict[int, int] = {}
         self._delivered_up_to: dict[int, int] = {}
+        # Adopting the first mesh (``mesh``, ``dp_index``) is a reshard with nothing staged.
+        self.reshard(mesh, dp_index)
 
     # -- construction --------------------------------------------------------------------------
 
@@ -136,35 +136,32 @@ class DataConstructor(Actor):
                 f"constructor {self.actor_name!r}: plan has no microbatches for bucket "
                 f"{self.bucket_index}"
             )
+        ids = [assignment.sample_ids() for assignment in assignments]
+        rows, missing = prepared.lookup([sample_id for chunk in ids for sample_id in chunk])
+        if missing:
+            raise PlanError(
+                f"constructor {self.actor_name!r}: missing prepared samples "
+                f"{missing[:5]}"
+            )
+        lengths = prepared.total_tokens[rows]
         collate_seconds = 0.0
         staged_bytes = 0
+        offset = 0
         deliveries: dict[int, RankDelivery] = {}
-        for assignment in assignments:
-            ids = assignment.sample_ids()
-            rows, missing = prepared.lookup(ids)
-            if missing:
-                raise PlanError(
-                    f"constructor {self.actor_name!r}: missing prepared samples "
-                    f"{missing[:5]}"
-                )
+        for assignment, chunk in zip(assignments, ids):
+            # Slicing reads lengths and totals only; the collation's per-token
+            # and per-segment fields are built on first read, i.e. not here.
             collated = collate_columns_with_positions(
                 assignment.microbatch_index,
-                list(ids),
-                prepared.total_tokens[rows],
+                chunk,
+                lengths[offset : offset + len(chunk)],
                 self.max_sequence_length,
                 packing=self.packing,
             )
+            offset += len(chunk)
             collate_seconds += collated.total_tokens() * self.COLLATE_SECONDS_PER_TOKEN
-            rank_slices = build_rank_slices(
-                collated,
-                self.mesh,
-                dp_index=self.dp_index,
-                broadcast_tp=self.broadcast_tp,
-                broadcast_cp=self.broadcast_cp,
-                bytes_per_token=self.bytes_per_token,
-            )
             full_bytes = collated.total_tokens() * self.bytes_per_token
-            for piece in rank_slices:
+            for piece in self._rank_layout.slices(collated.index, collated.sequence_lengths):
                 deliveries.setdefault(piece.rank, RankDelivery(rank=piece.rank)).slices.append(piece)
                 staged_bytes += piece.payload_bytes
                 if piece.replicated_from is not None or piece.metadata_only:
@@ -246,12 +243,15 @@ class DataConstructor(Actor):
     def reshard(self, mesh: DeviceMesh, dp_index: int) -> None:
         """Adopt a new device mesh (elastic resharding, Sec. 6.1).
 
-        Already staged steps are re-expanded lazily on the next construct();
-        pending deliveries for the old topology are dropped since the trainer
-        re-requests data after a reshard.
+        Steps staged for the old topology are dropped and their memory
+        released, not re-expanded: the trainer re-requests data after a
+        reshard, and the next construct() slices for the new mesh.
         """
         self.mesh = mesh
         self.dp_index = dp_index
+        self._rank_layout = RankLayout(
+            mesh, dp_index, self.broadcast_tp, self.broadcast_cp, self.bytes_per_token
+        )
         for step in list(self._pending_deliveries):
             self.release_step(step)
         # Rank numbering changed with the topology; the in-order ledger

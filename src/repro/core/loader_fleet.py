@@ -205,14 +205,14 @@ class LoaderFleet:
             if len(groups) == 1:
                 # Single-shard source (the common case): every id lands on
                 # the one group regardless of which buffer holds it, so skip
-                # building the O(buffer) membership map entirely.
+                # probing the buffers entirely.
                 group_ids[id(groups[0])] = list(sample_ids)
             else:
                 buffered: dict[int, ShardGroup] = {}
                 for group in groups:
                     loader: SourceLoader = group.canonical.instance()
-                    for metadata in loader.summary_buffer():
-                        buffered.setdefault(metadata.sample_id, group)
+                    for sample_id in loader.buffered_among(sample_ids):
+                        buffered.setdefault(sample_id, group)
                 for position, sample_id in enumerate(sample_ids):
                     group = buffered.get(sample_id, groups[position % len(groups)])
                     group_ids.setdefault(id(group), []).append(sample_id)

@@ -213,6 +213,10 @@ class SourceLoader(Actor):
         """Buffer metadata handed to the Planner during plan generation."""
         return [row[0] for row in self._buffer.values()]
 
+    def buffered_among(self, sample_ids: list[int]) -> set[int]:
+        """The subset of ``sample_ids`` waiting in the read buffer (O(ids), not O(buffer))."""
+        return self._buffer.keys() & sample_ids
+
     def declared_source(self) -> str:
         """The source this loader was deployed for.
 

@@ -9,9 +9,12 @@ positional context the backbone expects.
 The Data Constructor collates with :func:`collate_columns_with_positions`:
 numpy kernels over a microbatch's token-length array — first-fit packing via
 a max-residual tournament tree over open-bin residuals (O(samples · log bins)
-instead of an O(samples · bins) linear scan), padding and RoPE position ids
-via ``cumsum``/``repeat`` broadcasts, and segment tables built from int
-arrays.  :class:`PackingCollator` / :class:`PaddingCollator` /
+instead of an O(samples · bins) linear scan) and padding as a clip/subtract.
+What parallelism slicing reads (``sequence_lengths``, token totals) is
+computed at collation; the per-token and per-segment outputs (``position_ids``
+as slices of one cached int32 ramp, ``sequences`` from one stable argsort) are
+built on first read, so a caller that only slices never pays for them.
+:class:`PackingCollator` / :class:`PaddingCollator` /
 :func:`apply_rope_positions` state the same transformations one sample at a
 time over metadata objects; they are the readable reference the kernels are
 specified against, and the hypothesis tests in ``tests/test_core_assembly.py``
@@ -91,10 +94,15 @@ class CollatedMicrobatch:
     so downstream parallelism slicing can stay vectorized.  Token
     totals are computed once at collation time and cached; the lazy fallback
     keeps hand-built instances working.
+
+    A kernel-built instance carries ``_layout`` — ``(bin index per sample or
+    None for one sample per padded sequence, clipped sample lengths)`` — in
+    place of ``sequences`` and ``position_ids``; either is expanded from it on
+    first read and kept.
     """
 
     index: int
-    sequences: list[PackedSequence]
+    sequences: list[PackedSequence] | None
     max_sequence_length: int
     sample_ids: list[int]
     position_ids: np.ndarray | None = None
@@ -102,6 +110,9 @@ class CollatedMicrobatch:
     sequence_lengths: np.ndarray | None = field(default=None, repr=False, compare=False)
     _total_tokens: int | None = field(default=None, repr=False, compare=False)
     _padding_tokens: int | None = field(default=None, repr=False, compare=False)
+    _layout: tuple[np.ndarray | None, np.ndarray] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def total_tokens(self) -> int:
         if self._total_tokens is None:
@@ -120,6 +131,25 @@ class CollatedMicrobatch:
     def tensor_bytes(self, bytes_per_token: int = 4) -> int:
         """Approximate memory footprint of the collated token tensor."""
         return self.total_tokens() * bytes_per_token
+
+
+def _lazy_field(name: str, build) -> property:
+    """A :class:`CollatedMicrobatch` field that ``build`` fills on first read.
+
+    Assigned after the class body, so it stays a dataclass constructor argument;
+    a value given there or set later (:func:`apply_rope_positions`) is kept.
+    """
+
+    def read(self):
+        value = self.__dict__.get(name)
+        if value is None and self._layout is not None:
+            value = self.__dict__[name] = build(self, *self._layout)
+        return value
+
+    def write(self, value) -> None:
+        self.__dict__[name] = value
+
+    return property(read, write)
 
 
 def batch_samples(samples: list[SampleMetadata], num_microbatches: int) -> list[Microbatch]:
@@ -270,9 +300,7 @@ def collate_with_positions(
 # -- columnar collation kernels -----------------------------------------------------------------
 
 
-def first_fit_bin_indices(
-    lengths: np.ndarray, capacity: int, allow_overflow: bool = True
-) -> np.ndarray:
+def first_fit_bin_indices(lengths: np.ndarray, capacity: int) -> np.ndarray:
     """First-fit bin index per sample, in arrival order.
 
     Exactly the assignment :class:`PackingCollator` computes — each sample
@@ -281,14 +309,12 @@ def first_fit_bin_indices(
     a max tournament tree over open-bin residuals (a heap-shaped segment
     tree), so a microbatch packs in O(samples · log bins) instead of the
     linear scan's O(samples · bins).  Over-capacity samples are clipped to
-    ``capacity`` (or rejected when ``allow_overflow`` is false), mirroring
-    :class:`PackingCollator`'s overflow rule.
+    ``capacity``, :class:`PackingCollator`'s default overflow rule; rejecting
+    them instead is :func:`collate_columns_with_positions`' ``allow_overflow``.
     """
     if capacity <= 0:
         raise TransformError("max_sequence_length must be positive")
     count = len(lengths)
-    if count == 0:
-        return np.empty(0, dtype=np.intp)
     bins = [0] * count
     size = 1
     while size < count:
@@ -334,26 +360,72 @@ def first_fit_bin_indices(
     return np.asarray(bins, dtype=np.intp)
 
 
-def _positions_from_blocks(block_lengths: np.ndarray, block_is_padding: np.ndarray) -> np.ndarray:
-    """Position ids for concatenated blocks: 0..len-1 per block, 0 on padding."""
-    total = int(block_lengths.sum())
-    if total == 0:
+#: ``0..n-1`` as int32, shared by every position block; regrown (never shrunk
+#: or written to) when a block is longer than any seen before.
+_RAMP = np.arange(4096, dtype=np.int32)
+
+
+def _positions_from_blocks(
+    block_lengths: np.ndarray, padding_lengths: np.ndarray | None = None
+) -> np.ndarray:
+    """Position ids ``0..len-1`` per block, block ``i`` followed by ``padding_lengths[i]`` zeros.
+
+    Every block is a slice of the one cached ramp (padding a slice of one
+    zeros array) and a single ``concatenate`` copies them out, so the cost is
+    one pass at memory bandwidth with no per-token arithmetic.
+    """
+    global _RAMP
+    if len(block_lengths) == 0:
         return np.empty(0, dtype=np.int32)
-    if not block_is_padding.any():
-        # Fast path (packed mode): one int32 cumsum over a delta array — a 1
-        # per token, with a negative jump at each block start resetting the
-        # running position to 0.  No O(total)-sized repeat()s.
-        lens = block_lengths[block_lengths > 0]
-        deltas = np.ones(total, dtype=np.int32)
-        deltas[0] = 0
-        if len(lens) > 1:
-            starts = np.cumsum(lens[:-1])
-            deltas[starts] = 1 - lens[:-1]
-        return np.cumsum(deltas, dtype=np.int32)
-    starts = np.concatenate([[0], np.cumsum(block_lengths)[:-1]])
-    positions = np.arange(total, dtype=np.int64) - np.repeat(starts, block_lengths)
-    positions[np.repeat(block_is_padding, block_lengths)] = 0
-    return positions.astype(np.int32)
+    ramp = _RAMP
+    longest = int(block_lengths.max())
+    if longest > len(ramp):
+        ramp = _RAMP = np.arange(max(longest, 2 * len(ramp)), dtype=np.int32)
+    if padding_lengths is None:
+        return np.concatenate([ramp[:length] for length in block_lengths.tolist()])
+    zeros = np.zeros(int(padding_lengths.max()), dtype=np.int32)
+    return np.concatenate(
+        [
+            part
+            for length, padding in zip(block_lengths.tolist(), padding_lengths.tolist())
+            for part in (ramp[:length], zeros[:padding])
+        ]
+    )
+
+
+def _expand_sequences(
+    collated: CollatedMicrobatch, bins: np.ndarray | None, clipped: np.ndarray
+) -> list[PackedSequence]:
+    """Segment tables of a kernel-built collation (one stable argsort by bin)."""
+    if bins is None:
+        target = collated.max_sequence_length
+        return [
+            PackedSequence(tokens=target, segments=[(sample_id, length)], padding=target - length)
+            for sample_id, length in zip(collated.sample_ids, clipped.tolist())
+        ]
+    order = np.argsort(bins, kind="stable")
+    ordered_ids = [collated.sample_ids[i] for i in order.tolist()]
+    ordered_lengths = clipped[order].tolist()
+    ends = np.cumsum(np.bincount(bins)).tolist()
+    return [
+        PackedSequence(
+            tokens=tokens, segments=list(zip(ordered_ids[start:end], ordered_lengths[start:end]))
+        )
+        for tokens, start, end in zip(collated.sequence_lengths.tolist(), [0, *ends], ends)
+    ]
+
+
+def _expand_positions(
+    collated: CollatedMicrobatch, bins: np.ndarray | None, clipped: np.ndarray
+) -> np.ndarray:
+    """RoPE position ids of a kernel-built collation, restarting per segment."""
+    if bins is None:
+        return _positions_from_blocks(clipped, collated.max_sequence_length - clipped)
+    return _positions_from_blocks(clipped[np.argsort(bins, kind="stable")])
+
+
+CollatedMicrobatch.sequences = _lazy_field("sequences", _expand_sequences)
+CollatedMicrobatch.position_ids = _lazy_field("position_ids", _expand_positions)
 
 
 def collate_columns_with_positions(
@@ -366,12 +438,13 @@ def collate_columns_with_positions(
 ) -> CollatedMicrobatch:
     """Collate a microbatch straight from its token-length array.
 
-    Packing runs :func:`first_fit_bin_indices`, padding is a clip/subtract,
-    and RoPE position ids come from one global ``arange`` minus repeated
-    block starts.  The returned :class:`CollatedMicrobatch` is byte-identical
-    to :func:`collate_with_positions`' output (sequences, segment tables,
-    sample ids, position ids) and additionally carries ``sequence_lengths``
-    so parallelism slicing can stay on int arrays.
+    Packing runs :func:`first_fit_bin_indices`, padding is a clip/subtract;
+    both fill in ``sequence_lengths`` and the token totals, which is all that
+    parallelism slicing reads.  ``sequences`` and ``position_ids`` are built
+    from the bin assignment when first read.  The returned
+    :class:`CollatedMicrobatch` is byte-identical to
+    :func:`collate_with_positions`' output (sequences, segment tables, sample
+    ids, position ids).
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     if not allow_overflow and len(lengths) and int(lengths.max()) > max_sequence_length:
@@ -380,86 +453,25 @@ def collate_columns_with_positions(
             f"sample {sample_ids[worst]} has {int(lengths[worst])} tokens, exceeding "
             f"the {max_sequence_length}-token sequence limit"
         )
-    if len(lengths) == 0:
-        collated = CollatedMicrobatch(
-            index=index,
-            sequences=[],
-            max_sequence_length=max_sequence_length if packing else (max_sequence_length or 0),
-            sample_ids=[],
-            position_ids=np.empty(0, dtype=np.int32),
-            collation="packed" if packing else "padded",
-            sequence_lengths=np.empty(0, dtype=np.int64),
-            _total_tokens=0,
-            _padding_tokens=0,
-        )
-        return collated
-    clipped = np.minimum(lengths, max_sequence_length)
-    if packing:
-        bins = first_fit_bin_indices(lengths, max_sequence_length)
-        num_bins = int(bins.max()) + 1
-        order = np.argsort(bins, kind="stable")
-        ordered_lengths = clipped[order]
-        seq_tokens = np.bincount(bins, weights=None, minlength=num_bins)
-        packed_tokens = np.bincount(bins, weights=clipped, minlength=num_bins).astype(np.int64)
-        boundaries = np.concatenate([[0], np.cumsum(seq_tokens)]).astype(np.intp)
-        ordered_ids = [sample_ids[i] for i in order.tolist()]
-        ordered_lengths_list = ordered_lengths.tolist()
-        sequences = [
-            PackedSequence(
-                tokens=int(packed_tokens[bin_index]),
-                segments=list(
-                    zip(
-                        ordered_ids[boundaries[bin_index] : boundaries[bin_index + 1]],
-                        ordered_lengths_list[boundaries[bin_index] : boundaries[bin_index + 1]],
-                    )
-                ),
-            )
-            for bin_index in range(num_bins)
-        ]
-        position_ids = _positions_from_blocks(
-            ordered_lengths, np.zeros(len(ordered_lengths), dtype=bool)
-        )
-        return CollatedMicrobatch(
-            index=index,
-            sequences=sequences,
-            max_sequence_length=max_sequence_length,
-            sample_ids=list(sample_ids),
-            position_ids=position_ids,
-            collation="packed",
-            sequence_lengths=packed_tokens,
-            _total_tokens=int(packed_tokens.sum()),
-            _padding_tokens=0,
-        )
-    target = int(lengths.max())
-    if max_sequence_length is not None:
-        target = min(max(target, 1), max_sequence_length)
+    target = max_sequence_length
+    if not packing and len(lengths):
+        target = min(max(int(lengths.max()), 1), target)
     clipped = np.minimum(lengths, target)
-    paddings = target - clipped
-    clipped_list = clipped.tolist()
-    padding_list = paddings.tolist()
-    sequences = [
-        PackedSequence(
-            tokens=target,
-            segments=[(sample_id, seg)],
-            padding=pad,
-        )
-        for sample_id, seg, pad in zip(sample_ids, clipped_list, padding_list)
-    ]
-    # Interleave (segment, padding) blocks per sequence for the position kernel.
-    block_lengths = np.empty(2 * len(clipped), dtype=np.int64)
-    block_lengths[0::2] = clipped
-    block_lengths[1::2] = paddings
-    block_is_padding = np.zeros(2 * len(clipped), dtype=bool)
-    block_is_padding[1::2] = True
-    position_ids = _positions_from_blocks(block_lengths, block_is_padding)
+    if packing:
+        bins = first_fit_bin_indices(lengths, target)
+        sequence_lengths = np.bincount(bins, weights=clipped).astype(np.int64)
+    else:
+        bins = None
+        sequence_lengths = np.full(len(clipped), target, dtype=np.int64)
+    total_tokens = int(sequence_lengths.sum())
     return CollatedMicrobatch(
         index=index,
-        sequences=sequences,
+        sequences=None,
         max_sequence_length=target,
         sample_ids=list(sample_ids),
-        position_ids=position_ids,
-        collation="padded",
-        sequence_lengths=np.full(len(clipped), target, dtype=np.int64),
-        _total_tokens=target * len(sequences),
-        _padding_tokens=int(paddings.sum()),
+        collation="packed" if packing else "padded",
+        sequence_lengths=sequence_lengths,
+        _total_tokens=total_tokens,
+        _padding_tokens=total_tokens - int(clipped.sum()),
+        _layout=(bins, clipped),
     )

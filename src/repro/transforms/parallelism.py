@@ -48,6 +48,20 @@ def data_parallel_shards(
     return shards
 
 
+def _cp_token_counts(lengths: np.ndarray, cp_size: int) -> list[int]:
+    """Tokens per CP rank from a sequence-length array, without a rank × sequence loop.
+
+    CP rank r gets floor(len/cp) from every sequence plus one extra token
+    from each sequence whose remainder exceeds r: one bincount of the
+    remainders, suffix-summed.
+    """
+    if cp_size == 1:
+        return [int(lengths.sum())]
+    base = int((lengths // cp_size).sum())
+    extras = np.bincount(lengths % cp_size, minlength=cp_size)[::-1].cumsum()[::-1]
+    return [base + int(extra) for extra in extras[1:]] + [base]
+
+
 def context_parallel_slices(
     collated: CollatedMicrobatch, cp_size: int, bytes_per_token: int = 4
 ) -> list[dict[str, object]]:
@@ -61,22 +75,13 @@ def context_parallel_slices(
         raise TransformError("cp_size must be positive")
     lengths = collated.sequence_lengths
     if lengths is not None:
-        # Columnar fast path: per-rank token counts come from one bincount of
-        # the sequence-length remainders instead of a rank × sequence loop.
-        # CP rank r gets floor(len/cp) from every sequence plus one extra
-        # token from each sequence whose remainder exceeds r.
-        base = int((lengths // cp_size).sum())
-        remainder_counts = np.bincount(lengths % cp_size, minlength=cp_size)
-        extras = remainder_counts[::-1].cumsum()[::-1]
-        tokens_by_rank = [base + int(extras[rank + 1]) if rank + 1 < cp_size else base
-                          for rank in range(cp_size)]
         return [
             {
                 "cp_rank": cp_rank,
                 "token_count": tokens,
                 "payload_bytes": tokens * bytes_per_token,
             }
-            for cp_rank, tokens in enumerate(tokens_by_rank)
+            for cp_rank, tokens in enumerate(_cp_token_counts(lengths, cp_size))
         ]
     slices = []
     for cp_rank in range(cp_size):
@@ -207,3 +212,62 @@ def build_rank_slices(
             )
         )
     return slices
+
+
+class RankLayout:
+    """The mesh walk of :func:`build_rank_slices` for one DP group, done once.
+
+    Which ranks the group holds, which PP stages need payloads and which TP/CP
+    ranks are served by a broadcast (and from which rank) depends on the mesh
+    and the flags, not on the microbatch.  :meth:`slices` sizes a microbatch's
+    slices from its ``sequence_lengths`` alone and returns what
+    :func:`build_rank_slices` returns for a collation with those lengths.
+    """
+
+    def __init__(
+        self,
+        mesh: DeviceMesh,
+        dp_index: int,
+        broadcast_tp: bool = True,
+        broadcast_cp: bool = False,
+        bytes_per_token: int = 4,
+    ) -> None:
+        self.cp_size = mesh.size("CP")
+        self.bytes_per_token = bytes_per_token
+        payload_stages = (0, mesh.size("PP") - 1)
+        tp_heads: dict[tuple[int, int], int] = {}
+        #: Per rank: (rank, slice_info, CP index whose share it fetches or
+        #: None, rank it is broadcast from or None).
+        self._ranks: list[tuple[int, dict, int | None, int | None]] = []
+        for rank in mesh.ranks_where(dp=dp_index):
+            coord = mesh.coordinate(rank)
+            head = tp_heads.setdefault((coord.pp, coord.cp), rank)
+            if coord.pp not in payload_stages:
+                self._ranks.append((rank, {}, None, None))  # shape metadata only
+                continue
+            via_tp_broadcast = broadcast_tp and coord.tp > 0
+            fetches = not via_tp_broadcast and not (broadcast_cp and coord.cp > 0)
+            info = {"cp_rank": coord.cp, "tp_rank": coord.tp, "pp_rank": coord.pp}
+            self._ranks.append(
+                (rank, info, coord.cp if fetches else None, head if via_tp_broadcast else None)
+            )
+
+    def slices(self, microbatch_index: int, sequence_lengths: np.ndarray) -> list[ParallelSlice]:
+        """Per-rank delivery slices of one collated microbatch."""
+        cp_tokens = _cp_token_counts(sequence_lengths, self.cp_size)
+        metadata_bytes = 64 * len(sequence_lengths)
+        slices = []
+        for rank, slice_info, cp_share, source in self._ranks:
+            tokens = 0 if cp_share is None else cp_tokens[cp_share]
+            slices.append(
+                ParallelSlice(
+                    rank=rank,
+                    microbatch_index=microbatch_index,
+                    token_count=tokens,
+                    payload_bytes=tokens * self.bytes_per_token + metadata_bytes,
+                    metadata_only=tokens == 0,
+                    replicated_from=source,
+                    slice_info=dict(slice_info),
+                )
+            )
+        return slices

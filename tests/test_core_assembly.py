@@ -26,9 +26,11 @@ from repro.core.source_loader import SourceLoader
 from repro.data.samples import Modality, SampleMetadata
 from repro.errors import PlanError, TransformError
 from repro.parallelism.mesh import DeviceMesh
+from repro.transforms import microbatch
 from repro.transforms.microbatch import (
     Microbatch,
     PackingCollator,
+    _positions_from_blocks,
     collate_columns_with_positions,
     collate_with_positions,
     first_fit_bin_indices,
@@ -65,16 +67,89 @@ def assert_collated_equal(a, b) -> None:
     assert np.array_equal(a.position_ids, b.position_ids)
     assert a.total_tokens() == b.total_tokens()
     assert a.padding_tokens() == b.padding_tokens()
+    assert b.sequence_lengths.tolist() == [sequence.tokens for sequence in a.sequences]
 
 
 # -- collation kernels ------------------------------------------------------------------
 
 
-lengths_lists = st.lists(st.integers(min_value=0, max_value=1200), max_size=48)
+MAX_LENGTHS = [1, 8, 96, 640]
+# Any length, salted with the boundaries: empty samples, exactly one full
+# sequence, one token over.
+lengths_lists = st.lists(
+    st.integers(min_value=0, max_value=1200)
+    | st.sampled_from([0, *MAX_LENGTHS, *(n + 1 for n in MAX_LENGTHS)]),
+    max_size=48,
+)
+
+
+def old_positions_from_blocks(block_lengths, block_is_padding):
+    """The position kernel as it stood at 6bb56dd (delta cumsum / arange - repeat)."""
+    total = int(block_lengths.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int32)
+    if not block_is_padding.any():
+        lens = block_lengths[block_lengths > 0]
+        deltas = np.ones(total, dtype=np.int32)
+        deltas[0] = 0
+        if len(lens) > 1:
+            starts = np.cumsum(lens[:-1])
+            deltas[starts] = 1 - lens[:-1]
+        return np.cumsum(deltas, dtype=np.int32)
+    starts = np.concatenate([[0], np.cumsum(block_lengths)[:-1]])
+    positions = np.arange(total, dtype=np.int64) - np.repeat(starts, block_lengths)
+    positions[np.repeat(block_is_padding, block_lengths)] = 0
+    return positions.astype(np.int32)
+
+
+def assert_same_array(a, b) -> None:
+    assert a.dtype == b.dtype == np.int32
+    assert a.tolist() == b.tolist()
+
+
+block_lengths = st.integers(min_value=0, max_value=300)
+
+
+class TestPositionKernel:
+    @given(blocks=st.lists(block_lengths, max_size=24))
+    @settings(max_examples=120, deadline=None)
+    def test_blocks_match_old_kernel_and_per_block_arange(self, blocks):
+        lengths = np.array(blocks, dtype=np.int64)
+        got = _positions_from_blocks(lengths)
+        assert_same_array(got, old_positions_from_blocks(lengths, np.zeros(len(blocks), bool)))
+        per_block = [np.arange(n, dtype=np.int32) for n in blocks]
+        assert_same_array(got, np.concatenate([np.empty(0, np.int32), *per_block]))
+
+    @given(blocks=st.lists(st.tuples(block_lengths, block_lengths), max_size=24))
+    @settings(max_examples=120, deadline=None)
+    def test_padded_blocks_match_old_kernel_and_per_block_arange(self, blocks):
+        lengths = np.array([n for n, _ in blocks], dtype=np.int64)
+        paddings = np.array([pad for _, pad in blocks], dtype=np.int64)
+        got = _positions_from_blocks(lengths, paddings)
+        interleaved = np.array([n for pair in blocks for n in pair], dtype=np.int64)
+        is_padding = np.arange(len(interleaved)) % 2 == 1
+        assert_same_array(got, old_positions_from_blocks(interleaved, is_padding))
+        per_block = [
+            part
+            for n, pad in blocks
+            for part in (np.arange(n, dtype=np.int32), np.zeros(pad, dtype=np.int32))
+        ]
+        assert_same_array(got, np.concatenate([np.empty(0, np.int32), *per_block]))
+
+    def test_block_longer_than_the_cached_ramp_grows_it(self):
+        before = len(microbatch._RAMP)
+        lengths = np.array([3, before + 7, 0, 5], dtype=np.int64)
+        got = _positions_from_blocks(lengths)
+        assert_same_array(got, old_positions_from_blocks(lengths, np.zeros(4, bool)))
+        assert len(microbatch._RAMP) >= before + 7
+        assert_same_array(microbatch._RAMP, np.arange(len(microbatch._RAMP), dtype=np.int32))
+        # The result is a copy: writing to it must not reach the shared ramp.
+        got[:] = -1
+        assert microbatch._RAMP[:3].tolist() == [0, 1, 2]
 
 
 class TestCollationEquivalence:
-    @given(lengths=lengths_lists, max_len=st.sampled_from([1, 8, 96, 640]))
+    @given(lengths=lengths_lists, max_len=st.sampled_from(MAX_LENGTHS))
     @settings(max_examples=120, deadline=None)
     def test_packed_collation_byte_identical(self, lengths, max_len):
         metas = [meta(3 * i + 1, n) for i, n in enumerate(lengths)]
@@ -90,7 +165,7 @@ class TestCollationEquivalence:
         )
         assert_collated_equal(legacy, columnar)
 
-    @given(lengths=lengths_lists, max_len=st.sampled_from([1, 8, 96, 640]))
+    @given(lengths=lengths_lists, max_len=st.sampled_from(MAX_LENGTHS))
     @settings(max_examples=120, deadline=None)
     def test_padded_collation_byte_identical(self, lengths, max_len):
         metas = [meta(3 * i + 1, n) for i, n in enumerate(lengths)]
@@ -155,6 +230,34 @@ class TestCollationEquivalence:
         if packing and corner == "all_overflow":
             # Every clipped sample fills a whole bin: assignments are 0..n-1.
             assert [len(seq.segments) for seq in columnar.sequences] == [1] * len(metas)
+
+    @given(lengths=lengths_lists, packing=st.booleans(), positions_first=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_collation_expands_on_first_read_only(self, lengths, packing, positions_first):
+        metas = [meta(3 * i + 1, n) for i, n in enumerate(lengths)]
+        columnar = collate_columns_with_positions(
+            4, [m.sample_id for m in metas], np.array(lengths, dtype=np.int64), 96,
+            packing=packing,
+        )
+        # Slicing inputs are there without either lazy field having been built.
+        assert vars(columnar)["sequences"] is None and vars(columnar)["position_ids"] is None
+        assert columnar.total_tokens() == int(columnar.sequence_lengths.sum())
+        assert vars(columnar)["sequences"] is None and vars(columnar)["position_ids"] is None
+        # Either read order gives the reference's values, and a second read
+        # returns the object the first one built.
+        first = columnar.position_ids if positions_first else columnar.sequences
+        assert (columnar.position_ids if positions_first else columnar.sequences) is first
+        assert_collated_equal(
+            collate_with_positions(Microbatch(index=4, samples=metas), 96, packing=packing),
+            columnar,
+        )
+
+    def test_first_fit_clips_and_has_no_overflow_flag(self):
+        # The flag was accepted and ignored; strict rejection is
+        # collate_columns_with_positions' (next test).
+        assert first_fit_bin_indices(np.array([100, 10]), 64).tolist() == [0, 1]
+        with pytest.raises(TypeError):
+            first_fit_bin_indices(np.array([100]), 64, allow_overflow=False)
 
     def test_columnar_strict_overflow_matches_legacy_error(self):
         metas = [meta(9, 100)]
@@ -315,19 +418,27 @@ class TestConstructorEquivalence:
             max_size=4,
         ),
         packing=st.booleans(),
-        mesh_dims=st.sampled_from([(1, 1, 1, 1), (2, 1, 2, 2), (1, 2, 2, 1), (2, 2, 1, 2)]),
+        pp=st.sampled_from([1, 2, 4]),
+        dp=st.sampled_from([1, 2]),
+        cp=st.sampled_from([1, 2, 3]),
+        tp=st.sampled_from([1, 2]),
+        broadcast_tp=st.booleans(),
+        broadcast_cp=st.booleans(),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_rank_deliveries_match_reference_collation(self, tokens, packing, mesh_dims):
-        pp, dp, cp, tp = mesh_dims
+    @settings(max_examples=150, deadline=None)
+    def test_rank_deliveries_match_reference_collation(
+        self, tokens, packing, pp, dp, cp, tp, broadcast_tp, broadcast_cp
+    ):
         mesh = DeviceMesh(pp=pp, dp=dp, cp=cp, tp=tp, gpus_per_node=8)
+        dp_index = dp - 1
         plan = make_plan(tokens)
         constructor = DataConstructor(
-            bucket_index=0, mesh=mesh, dp_index=0, max_sequence_length=512, packing=packing
+            bucket_index=0, mesh=mesh, dp_index=dp_index, max_sequence_length=512,
+            packing=packing, broadcast_tp=broadcast_tp, broadcast_cp=broadcast_cp,
         )
         stats = constructor.construct(0, plan, columns_for(plan))
 
-        # Expected: the per-sample reference collator + the same slicing.
+        # Expected: the per-sample reference collator + the reference mesh walk.
         expected: dict[int, RankDelivery] = {}
         expected_tokens = 0
         for assignment in plan.bucket_assignments(0):
@@ -339,7 +450,10 @@ class TestConstructorEquivalence:
                 packing=packing,
             )
             expected_tokens += collated.total_tokens()
-            for piece in build_rank_slices(collated, mesh, dp_index=0):
+            for piece in build_rank_slices(
+                collated, mesh, dp_index=dp_index,
+                broadcast_tp=broadcast_tp, broadcast_cp=broadcast_cp,
+            ):
                 expected.setdefault(piece.rank, RankDelivery(rank=piece.rank)).slices.append(
                     piece
                 )
@@ -347,6 +461,10 @@ class TestConstructorEquivalence:
         for rank, reference in expected.items():
             delivered = constructor.get_batch(0, rank)
             assert delivered == reference
+            # ``slice_info`` is excluded from ``==``; it must match all the same.
+            assert [piece.slice_info for piece in delivered.slices] == [
+                piece.slice_info for piece in reference.slices
+            ]
             assert delivered.total_tokens() == reference.total_tokens()
             assert delivered.total_payload_bytes() == reference.total_payload_bytes()
         # The virtual-clock charge is the reference token count's, too.

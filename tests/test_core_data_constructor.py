@@ -10,7 +10,11 @@ from repro.core.data_constructor import DataConstructor
 from repro.core.plans import MicrobatchAssignment, ModulePlan
 from repro.errors import PlanError
 from repro.parallelism.mesh import DeviceMesh
+from repro.transforms import microbatch
+from repro.transforms.microbatch import Microbatch, collate_with_positions
+from repro.transforms.parallelism import build_rank_slices
 from repro.utils.units import GIB
+from test_core_source_loader import THREE_STEP_DELIVERIES, three_step_vlm_deliveries
 
 
 def make_plan(sample_factory, buckets=2, microbatches=2, tokens=128):
@@ -153,6 +157,27 @@ class TestReshardAndCheckpoint:
         assert constructor.staged_steps() == []
         assert constructor.ledger.live_bytes("constructed_batch") == 0
 
+    def test_deliveries_after_reshard_follow_the_new_mesh(self, system, vlm_mesh, sample_factory):
+        """The per-mesh rank layout is rebuilt by reshard(), not kept from __init__."""
+        handle = spawn_constructor(system, vlm_mesh)
+        plan = make_plan(sample_factory, tokens=101)
+        handle.call("construct", 0, plan, prepared_for(plan))
+        new_mesh = DeviceMesh(pp=4, dp=2, cp=3, tp=1)
+        handle.call("reshard", new_mesh, 1)
+        handle.call("construct", 1, plan, prepared_for(plan))
+        constructor = handle.instance()
+        expected: dict[int, list] = {}
+        for assignment in plan.bucket_assignments(0):
+            collated = collate_with_positions(
+                Microbatch(index=assignment.microbatch_index, samples=list(assignment.samples)),
+                constructor.max_sequence_length,
+            )
+            for piece in build_rank_slices(collated, new_mesh, dp_index=1):
+                expected.setdefault(piece.rank, []).append(piece)
+        assert constructor.ranks_served(1) == new_mesh.ranks_where(dp=1)
+        for rank, slices in expected.items():
+            assert constructor.get_batch(1, rank).slices == slices
+
     def test_state_dict_roundtrip(self, system, vlm_mesh, sample_factory):
         handle = spawn_constructor(system, vlm_mesh)
         state = handle.instance().state_dict()
@@ -165,3 +190,16 @@ class TestReshardAndCheckpoint:
         handle = spawn_constructor(system, vlm_mesh)
         payload = handle.call("heartbeat_payload")
         assert payload["bucket"] == 0
+
+
+class TestLengthsOnlyAssembly:
+    """The step path slices from sequence lengths: nothing per token or per segment is built."""
+
+    @pytest.mark.parametrize("prefetch_depth", [0, 2])
+    def test_no_per_token_array_is_built_on_the_step_path(self, monkeypatch, prefetch_depth):
+        def dead_store(*args, **kwargs):
+            raise AssertionError("a collation was materialised on the step path")
+
+        monkeypatch.setattr(microbatch, "_positions_from_blocks", dead_store)
+        monkeypatch.setattr(microbatch, "PackedSequence", dead_store)
+        assert three_step_vlm_deliveries(prefetch_depth) == THREE_STEP_DELIVERIES

@@ -9,10 +9,17 @@ or retiring loader actors moves *timing* only.
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.actors.runtime import ActorSystem, ClusterSpec
 from repro.core.framework import MegaScaleData, TrainingJobSpec
+from repro.core.loader_fleet import LoaderFleet
+from repro.core.plans import LoadingPlan
+from repro.core.source_loader import SourceLoader
 from repro.data.mixture import MixturePhase, MixtureSchedule
 from repro.errors import ConfigurationError
+from repro.utils.units import GIB
 
 
 def bursty_mixture():
@@ -393,3 +400,67 @@ class TestDeltaCacheUnderFleetChurn:
         finally:
             undisturbed.shutdown()
             crashed.shutdown()
+
+
+class TestDemandRouting:
+    """split_demands probes the canonicals per demanded id; the rule it replaced
+    built an id -> group map from every canonical's whole buffer."""
+
+    @staticmethod
+    def _map_based_routing(fleet, plan):
+        """split_demands as it stood at 6bb56dd, from ``summary_buffer()``."""
+        demands = {handle: [] for handle in fleet.all_handles()}
+        for source, sample_ids in plan.source_demands.items():
+            groups = fleet._by_source[source]
+            buffered = {}
+            for group in groups:
+                for metadata in group.canonical.instance().summary_buffer():
+                    buffered.setdefault(metadata.sample_id, group)
+            group_ids = {}
+            for position, sample_id in enumerate(sample_ids):
+                group = buffered.get(sample_id, groups[position % len(groups)])
+                group_ids.setdefault(id(group), []).append(sample_id)
+            for group in groups:
+                for position, sample_id in enumerate(group_ids.get(id(group), [])):
+                    demands[group.members[position % len(group.members)]].append(sample_id)
+        return demands
+
+    @pytest.mark.parametrize("shards", [2, 3])
+    @given(picks=st.lists(st.integers(min_value=0, max_value=63), max_size=40), data=st.data())
+    @settings(
+        max_examples=40, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_probe_routing_equals_map_routing(self, small_catalog, filesystem, shards, picks, data):
+        system = ActorSystem(ClusterSpec(accelerator_nodes=1, cpu_pods=1))
+        fleet = LoaderFleet(system, filesystem, job=None)
+        source = small_catalog.sources()[0]
+        # One group per shard plus a last group reading the whole source, so
+        # some ids sit in one canonical's buffer, some in two, most in none.
+        layouts = [(index, shards) for index in range(shards)] + [(0, 1)]
+        for index, (shard_index, shard_count) in enumerate(layouts):
+            handle = system.create_actor(
+                lambda: SourceLoader(
+                    source, filesystem, buffer_size=8,
+                    shard_index=shard_index, shard_count=shard_count,
+                ),
+                name=f"loader-{index}",
+                memory_bytes=GIB,
+            )
+            fleet.register_canonical(handle, source.name, shard_index, shard_count, 1, GIB)
+        buffers = [
+            [m.sample_id for m in group.canonical.instance().summary_buffer()]
+            for group in fleet._by_source[source.name]
+        ]
+        in_two = set(buffers[-1]) & set().union(*buffers[:-1])
+        assert in_two and any(set(ids) - in_two for ids in buffers)
+        known = [sample_id for ids in buffers for sample_id in ids]
+        unknown = max(known) + 1
+        # A pick below len(known) names a buffered id, anything else an id no
+        # canonical holds; demands carry no duplicates.
+        ids = list(dict.fromkeys(
+            known[pick] if pick < len(known) else unknown + pick for pick in picks
+        ))
+        ids = data.draw(st.permutations(ids))
+        plan = LoadingPlan(step=0, source_demands={source.name: list(ids)})
+        assert fleet.split_demands(plan) == self._map_based_routing(fleet, plan)

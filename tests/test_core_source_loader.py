@@ -467,12 +467,35 @@ def test_batched_delta_log_equals_one_event_at_a_time(backlog, batches):
         assert (loader._delta_seq, loader._delta_base) == (seq, base)
 
 
+#: sha256 over ``(step, rank, microbatch, token_count, payload_bytes)`` of three
+#: ``vlm_example`` steps, recorded at 09d8b23 where ``apply`` ran per sample and
+#: every collation materialised its position ids and segment tables.
+THREE_STEP_DELIVERIES = "c915175012f9d0dc64cbc7d1ea23ba4e2263502f7289cde16a01b1e80b55dac1"
+
+
+def three_step_vlm_deliveries(prefetch_depth: int) -> str:
+    """Digest of what three ``vlm_example`` steps deliver (dead-store regressions)."""
+    system = MegaScaleData.deploy(
+        replace(TrainingJobSpec.vlm_example(), prefetch_depth=prefetch_depth)
+    )
+    deliveries = hashlib.sha256()
+    try:
+        for _ in range(3):
+            result = system.run_step()
+            for rank in sorted(result.deliveries):
+                for piece in result.deliveries[rank].slices:
+                    _feed(
+                        deliveries,
+                        (result.step, rank, piece.microbatch_index,
+                         piece.token_count, piece.payload_bytes),
+                    )
+    finally:
+        system.shutdown()
+    return deliveries.hexdigest()
+
+
 class TestMetadataOnlyPrepare:
     """The loader costs transforms from metadata: ``apply`` is the reference, not the hot path."""
-
-    #: sha256 over ``(step, rank, microbatch, token_count, payload_bytes)`` of
-    #: three ``vlm_example`` steps, recorded at 09d8b23 where ``apply`` ran per sample.
-    THREE_STEP_DELIVERIES = "c915175012f9d0dc64cbc7d1ea23ba4e2263502f7289cde16a01b1e80b55dac1"
 
     @pytest.mark.parametrize("prefetch_depth", [0, 2])
     def test_no_payload_is_built_on_the_step_path(self, monkeypatch, prefetch_depth):
@@ -481,23 +504,7 @@ class TestMetadataOnlyPrepare:
 
         for transform in (ImageDecode, AudioFeaturize, TextTokenize):
             monkeypatch.setattr(transform, "apply", dead_store)
-        system = MegaScaleData.deploy(
-            replace(TrainingJobSpec.vlm_example(), prefetch_depth=prefetch_depth)
-        )
-        deliveries = hashlib.sha256()
-        try:
-            for _ in range(3):
-                result = system.run_step()
-                for rank in sorted(result.deliveries):
-                    for piece in result.deliveries[rank].slices:
-                        _feed(
-                            deliveries,
-                            (result.step, rank, piece.microbatch_index,
-                             piece.token_count, piece.payload_bytes),
-                        )
-        finally:
-            system.shutdown()
-        assert deliveries.hexdigest() == self.THREE_STEP_DELIVERIES
+        assert three_step_vlm_deliveries(prefetch_depth) == THREE_STEP_DELIVERIES
 
     def test_the_loader_builds_no_sample_objects(self):
         assert "Sample(" not in inspect.getsource(source_loader)
