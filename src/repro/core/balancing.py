@@ -54,60 +54,42 @@ class BalanceResult:
 
 
 BalanceFn = Callable[[Sequence[WeightedItem], int], BalanceResult]
+#: A packing loop: costs -> (positions into them per bin, cost per bin).
+PackFn = Callable[[Sequence[float], int], tuple[list[list[int]], list[float]]]
 
 
-def _empty_result(num_bins: int) -> BalanceResult:
-    return BalanceResult(bins=[[] for _ in range(num_bins)], bin_costs=[0.0] * num_bins)
-
-
-def greedy_binpack(items: Sequence[WeightedItem], num_bins: int) -> BalanceResult:
-    """Longest-processing-time-first greedy packing.
-
-    Sort by descending cost, repeatedly place the next item into the currently
-    lightest bin.  O(n log n + n log k) with a heap; guarantees a makespan
-    within 4/3 of optimal.
-    """
+def _pack_greedy(costs: Sequence[float], num_bins: int) -> tuple[list[list[int]], list[float]]:
     if num_bins <= 0:
         raise OrchestrationError("num_bins must be positive")
-    result = _empty_result(num_bins)
-    if not items:
-        return result
+    bins: list[list[int]] = [[] for _ in range(num_bins)]
     heap = [(0.0, index) for index in range(num_bins)]
-    heapq.heapify(heap)
     # The heap entries *are* the running bin costs — the final tally falls
     # out of the packing loop instead of a second O(n·bins) nested sum.
     running = [0.0] * num_bins
-    for item in sorted(items, key=lambda it: it.cost, reverse=True):
-        cost, index = heapq.heappop(heap)
-        result.bins[index].append(item)
-        cost += item.cost
-        running[index] = cost
-        heapq.heappush(heap, (cost, index))
-    result.bin_costs = running
-    return result
+    for position in sorted(range(len(costs)), key=costs.__getitem__, reverse=True):
+        cost, index = heap[0]
+        bins[index].append(position)
+        running[index] = cost = cost + costs[position]
+        heapq.heapreplace(heap, (cost, index))
+    return bins, running
 
 
-def karmarkar_karp(items: Sequence[WeightedItem], num_bins: int) -> BalanceResult:
-    """Karmarkar-Karp largest-differencing-method partitioning.
-
-    Maintains partial partitions ordered by their internal spread and
-    repeatedly merges the two with the largest spreads, cancelling their
-    differences.  Typically beats greedy packing when item costs are highly
-    skewed (long-tailed sequence lengths).
-    """
+def _pack_karmarkar_karp(
+    costs: Sequence[float], num_bins: int
+) -> tuple[list[list[int]], list[float]]:
     if num_bins <= 0:
         raise OrchestrationError("num_bins must be positive")
-    if not items:
-        return _empty_result(num_bins)
+    if not costs:
+        return [[] for _ in range(num_bins)], [0.0] * num_bins
 
     # Each heap entry is (-spread, tie_breaker, subsets) where subsets is a list
-    # of (cost, [items]) sorted descending by cost.
-    heap: list[tuple[float, int, list[tuple[float, list[WeightedItem]]]]] = []
-    for tie, item in enumerate(items):
-        subsets = [(item.cost, [item])] + [(0.0, []) for _ in range(num_bins - 1)]
-        heapq.heappush(heap, (-item.cost, tie, subsets))
+    # of (cost, [positions]) sorted descending by cost.
+    heap: list[tuple[float, int, list[tuple[float, list[int]]]]] = []
+    for tie, cost in enumerate(costs):
+        subsets = [(cost, [tie])] + [(0.0, []) for _ in range(num_bins - 1)]
+        heapq.heappush(heap, (-cost, tie, subsets))
 
-    tie = len(items)
+    tie = len(costs)
     while len(heap) > 1:
         spread_a, _, subsets_a = heapq.heappop(heap)
         spread_b, _, subsets_b = heapq.heappop(heap)
@@ -123,9 +105,55 @@ def karmarkar_karp(items: Sequence[WeightedItem], num_bins: int) -> BalanceResul
         tie += 1
 
     _, _, final_subsets = heap[0]
-    bins = [list(subset_items) for _, subset_items in final_subsets]
-    costs = [float(cost) for cost, _ in final_subsets]
-    return BalanceResult(bins=bins, bin_costs=costs)
+    return [subset for _, subset in final_subsets], [float(cost) for cost, _ in final_subsets]
+
+
+def _pack_interleaved(
+    costs: Sequence[float], num_bins: int
+) -> tuple[list[list[int]], list[float]]:
+    if num_bins <= 0:
+        raise OrchestrationError("num_bins must be positive")
+    bins: list[list[int]] = [[] for _ in range(num_bins)]
+    ordered = sorted(range(len(costs)), key=costs.__getitem__, reverse=True)
+    if not ordered:
+        return bins, [0.0] * num_bins
+    indices = np.empty(len(ordered), dtype=np.intp)
+    for rank, position in enumerate(ordered):
+        round_index, offset = divmod(rank, num_bins)
+        index = offset if round_index % 2 == 0 else num_bins - 1 - offset
+        indices[rank] = index
+        bins[index].append(position)
+    # Vectorized tally: one bincount over the dealt positions replaces the
+    # nested per-bin sum.
+    weights = np.fromiter(map(costs.__getitem__, ordered), dtype=float, count=len(ordered))
+    return bins, np.bincount(indices, weights=weights, minlength=num_bins).tolist()
+
+
+def _item_form(pack: PackFn, items: Sequence[WeightedItem], num_bins: int) -> BalanceResult:
+    """Run a packing loop over the items' costs and bin the items themselves."""
+    bins, bin_costs = pack([item.cost for item in items], num_bins)
+    return BalanceResult([[items[position] for position in bin_] for bin_ in bins], bin_costs)
+
+
+def greedy_binpack(items: Sequence[WeightedItem], num_bins: int) -> BalanceResult:
+    """Longest-processing-time-first greedy packing.
+
+    Sort by descending cost, repeatedly place the next item into the currently
+    lightest bin.  O(n log n + n log k) with a heap; guarantees a makespan
+    within 4/3 of optimal.
+    """
+    return _item_form(_pack_greedy, items, num_bins)
+
+
+def karmarkar_karp(items: Sequence[WeightedItem], num_bins: int) -> BalanceResult:
+    """Karmarkar-Karp largest-differencing-method partitioning.
+
+    Maintains partial partitions ordered by their internal spread and
+    repeatedly merges the two with the largest spreads, cancelling their
+    differences.  Typically beats greedy packing when item costs are highly
+    skewed (long-tailed sequence lengths).
+    """
+    return _item_form(_pack_karmarkar_karp, items, num_bins)
 
 
 def interleaved_balance(items: Sequence[WeightedItem], num_bins: int) -> BalanceResult:
@@ -134,24 +162,15 @@ def interleaved_balance(items: Sequence[WeightedItem], num_bins: int) -> Balance
     Cheap, deterministic and order-preserving within a bin; a good fit when
     intra-microbatch sample order must stay close to the sampled order.
     """
-    if num_bins <= 0:
-        raise OrchestrationError("num_bins must be positive")
-    result = _empty_result(num_bins)
-    ordered = sorted(items, key=lambda it: it.cost, reverse=True)
-    if not ordered:
-        return result
-    indices = np.empty(len(ordered), dtype=np.intp)
-    for position, item in enumerate(ordered):
-        round_index, offset = divmod(position, num_bins)
-        index = offset if round_index % 2 == 0 else num_bins - 1 - offset
-        indices[position] = index
-        result.bins[index].append(item)
-    # Vectorized tally: one bincount over the dealt positions replaces the
-    # nested per-bin sum.
-    costs = np.fromiter((item.cost for item in ordered), dtype=float, count=len(ordered))
-    result.bin_costs = np.bincount(indices, weights=costs, minlength=num_bins).tolist()
-    return result
+    return _item_form(_pack_interleaved, items, num_bins)
 
+
+#: The packing loop behind each built-in strategy.
+_PACKING_LOOPS: dict[BalanceFn, PackFn] = {
+    greedy_binpack: _pack_greedy,
+    karmarkar_karp: _pack_karmarkar_karp,
+    interleaved_balance: _pack_interleaved,
+}
 
 #: Registry of built-in and user-defined balancing strategies.
 _STRATEGIES: dict[str, BalanceFn] = {
@@ -186,6 +205,22 @@ def balance_items(
 ) -> BalanceResult:
     """Dispatch to a named strategy."""
     return get_strategy(method)(items, num_bins)
+
+
+def balance_positions(
+    costs: Sequence[float], num_bins: int, method: str = "greedy"
+) -> list[list[int]]:
+    """:func:`balance_items` by index: the positions into ``costs`` each bin gets.
+
+    A built-in strategy runs its packing loop on the costs as they are; a
+    user-defined one is handed :class:`WeightedItem`s keyed by position.
+    """
+    strategy = get_strategy(method)
+    pack = _PACKING_LOOPS.get(strategy)
+    if pack is not None:
+        return pack(costs, num_bins)[0]
+    items = [WeightedItem(position, cost) for position, cost in enumerate(costs)]
+    return strategy(items, num_bins).keys_per_bin()
 
 
 def hierarchical_balance(

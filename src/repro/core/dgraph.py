@@ -21,7 +21,8 @@ Only lightweight metadata flows through the graph; payload bytes never do.
 Inside the graph the samples are one
 :class:`~repro.core.columns.SampleColumns` (metadata lists are converted at
 the door): ``mix``/``cost``/``plan`` run as numpy index arithmetic over the
-column arrays, and the per-sample lineage graph is **lazy** — nodes, edges
+column arrays, ``balance`` packs row positions into the selection by one cost
+list aligned with it, and the per-sample lineage graph is **lazy** — nodes, edges
 and state transitions are recorded as compact column-level operations and
 only expanded into :class:`DGraphNode`/:class:`DGraphEdge` objects when
 :attr:`nodes`, :attr:`edges` or :meth:`lineage` is actually consulted
@@ -31,14 +32,14 @@ O(selected) small objects instead of O(buffered).
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
 
-from repro.core.balancing import WeightedItem, balance_items
+from repro.core.balancing import balance_positions
 from repro.core.columns import SampleColumns
 from repro.core.place_tree import DISTRIBUTION_AXES, ClientPlaceTree
 from repro.core.plans import MicrobatchAssignment, ModulePlan
@@ -127,25 +128,6 @@ class DGraphEdge:
     label: str
 
 
-def _merge_sorted_unique(runs: list[list[int]]) -> list[int]:
-    """Merge pre-sorted id runs into one sorted, deduplicated list."""
-    if len(runs) == 1:
-        ids = runs[0]
-        if all(ids[i] < ids[i + 1] for i in range(len(ids) - 1)):
-            return list(ids)
-        return sorted(set(ids))
-    if any(
-        any(ids[i] > ids[i + 1] for i in range(len(ids) - 1)) for ids in runs
-    ):
-        # Defensive fallback for externally built, unsorted demand lists.
-        return sorted({sample_id for ids in runs for sample_id in ids})
-    merged: list[int] = []
-    for sample_id in heapq.merge(*runs):
-        if not merged or sample_id != merged[-1]:
-            merged.append(sample_id)
-    return merged
-
-
 @dataclass
 class DGraphPlan:
     """The finalized output of :meth:`DGraph.plan`."""
@@ -158,22 +140,12 @@ class DGraphPlan:
     api_costs: dict[str, float] = field(default_factory=dict)
 
     def all_source_demands(self) -> dict[str, list[int]]:
-        """Source demands of this plan plus every subplan (deduplicated).
-
-        Per-source demand lists are sorted once at plan finalization (see
-        :meth:`DGraph.plan`), so merging is a k-way merge of sorted runs with
-        inline dedup — no per-call set build + re-sort.  Unsorted runs (e.g.
-        hand-built plans) fall back to the sort-based path.
-        """
+        """Source demands of this plan plus every subplan (sorted, deduplicated)."""
         runs_by_source: dict[str, list[list[int]]] = {}
-        plans = [self] + list(self.subplan.values())
-        for plan in plans:
+        for plan in [self, *self.subplan.values()]:
             for source, ids in plan.source_demands.items():
                 runs_by_source.setdefault(source, []).append(ids)
-        merged: dict[str, list[int]] = {}
-        for source, runs in runs_by_source.items():
-            merged[source] = _merge_sorted_unique(runs)
-        return merged
+        return {source: sorted(set().union(*runs)) for source, runs in runs_by_source.items()}
 
 
 class DGraph:
@@ -202,9 +174,10 @@ class DGraph:
         self._group_size: int | None = None
         self._num_buckets: int | None = None
         self._cost_fn: CostFnLike | None = None
-        self._costs: dict[int, float] = {}
-        self._memory_costs: dict[int, float] = {}
-        self._balance_result: list[list[list[SampleMetadata]]] | None = None
+        #: Load cost per selected sample, aligned with ``_selected``.
+        self._costs: list[float] = []
+        #: Per bucket, per microbatch bin: row positions into ``_selected``.
+        self._balance_result: list[list[list[int]]] | None = None
         self._balance_method = "none"
         self._num_microbatches = 1
         self._broadcast_dims: list[str] = []
@@ -310,6 +283,7 @@ class DGraph:
             else np.empty(0, dtype=np.intp)
         )
         selected = columns.select(chosen)
+        self._costs = [self._costs[position] for position in chosen.tolist()] if self._costs else []
         self._lineage_ops.append(("mix", selected.sample_ids))
         self._selected = selected
         return self
@@ -378,33 +352,35 @@ class DGraph:
             self._num_microbatches = num_microbatches
         self._intra_reorder = intra_microbatch_reorder
 
-        items = [
-            WeightedItem(key=sample, cost=self._costs[sample.sample_id])
-            for sample in self._selected.to_list()
-        ]
-        bucket_result = balance_items(items, self._num_buckets, method)
-        assignments: list[list[list[SampleMetadata]]] = []
-        for bucket_items in bucket_result.bins:
+        costs = self._costs
+        bins = self._num_microbatches
+        assignments: list[list[list[int]]] = []
+        for bucket in balance_positions(costs, self._num_buckets, method):
             if self._intra_reorder:
-                bin_result = balance_items(bucket_items, self._num_microbatches, method)
-                bins = [
-                    [item.key for item in bin_items] for bin_items in bin_result.bins
-                ]
+                bucket_costs = [costs[position] for position in bucket]
+                assignments.append(
+                    [
+                        [bucket[index] for index in bin_]
+                        for bin_ in balance_positions(bucket_costs, bins, method)
+                    ]
+                )
             else:
-                bins = self._round_robin_bins(bucket_items)
-            assignments.append(bins)
+                # Sampled order kept: the bucket is dealt round-robin.
+                assignments.append([bucket[offset::bins] for offset in range(bins)])
 
         self._balance_result = assignments
         self._balance_method = method
         # Analytical estimate of the balance primitive's own latency: an
         # n-log-n sort plus bucket/bin heap operations per sample, scaled by
         # the bucket count (coordination across larger clusters costs more).
-        n = max(1, len(items))
+        n = max(1, len(costs))
         coordination = 1.0 + 0.002 * (self._num_buckets or 1)
         self._api_costs["balance"] = self._api_costs.get("balance", 0.0) + (
             2.5e-6 * n * math.log2(n + 1) * coordination
         )
-        self._lineage_ops.append(("balance", f"balance[{method}]", assignments))
+        self._lineage_ops.append(
+            ("balance", f"balance[{method}]", assignments, self._selected.sample_ids)
+        )
         return self
 
     def broadcast_at(self, target_dim: str) -> "DGraph":
@@ -436,15 +412,16 @@ class DGraph:
             num_microbatches=self._num_microbatches,
             balance_method=self._balance_method,
         )
+        samples = self._selected.to_list()
+        costs = self._costs or [0.0] * len(samples)
         for bucket_index, bucket in enumerate(self._balance_result):
-            for mb_index, bin_samples in enumerate(bucket):
-                cost = sum(self._costs.get(sample.sample_id, 0.0) for sample in bin_samples)
+            for mb_index, positions in enumerate(bucket):
                 module_plan.assignments.append(
                     MicrobatchAssignment(
                         bucket_index=bucket_index,
                         microbatch_index=mb_index,
-                        samples=tuple(bin_samples),
-                        estimated_cost=cost,
+                        samples=tuple([samples[position] for position in positions]),
+                        estimated_cost=sum([costs[position] for position in positions]),
                     )
                 )
         module_plan.validate()
@@ -481,21 +458,28 @@ class DGraph:
             raise OrchestrationError(
                 f"plan_raw returned {len(assignment)} buckets, expected {self._num_buckets}"
             )
-        self._balance_result = assignment
+        position_of = {
+            sample_id: position
+            for position, sample_id in enumerate(self._selected.sample_ids.tolist())
+        }
+        self._balance_result = [
+            [[position_of[sample.sample_id] for sample in bin_] for bin_ in bucket]
+            for bucket in assignment
+        ]
         self._balance_method = "user"
         return self
 
     def summary_buffer(self) -> dict[str, dict[str, float]]:
         """Summarise the buffered metadata per source (tokens, counts, cost)."""
         summary: dict[str, dict[str, float]] = {}
-        for sample in self._selected.to_list():
+        for sample, cost in zip(self._selected.to_list(), self._costs or repeat(0.0)):
             entry = summary.setdefault(
                 sample.source, {"count": 0.0, "tokens": 0.0, "image_tokens": 0.0, "cost": 0.0}
             )
             entry["count"] += 1
             entry["tokens"] += sample.total_tokens
             entry["image_tokens"] += sample.image_tokens
-            entry["cost"] += self._costs.get(sample.sample_id, 0.0)
+            entry["cost"] += cost
         return summary
 
     # -- introspection ---------------------------------------------------------------------
@@ -586,17 +570,16 @@ class DGraph:
                 for sample_id in op[1].tolist():
                     self._transition(sample_id, "buffered", "sampled", "mix")
             elif op[0] == "balance":
-                _, label, assignments = op
+                _, label, assignments, sample_ids = op
+                sample_ids = sample_ids.tolist()
                 for bucket_index, bucket in enumerate(assignments):
-                    for mb_index, bin_samples in enumerate(bucket):
-                        for sample in bin_samples:
+                    for mb_index, positions in enumerate(bucket):
+                        for sample_id in map(sample_ids.__getitem__, positions):
                             from_state = (
-                                "sampled"
-                                if (sample.sample_id, "sampled") in self._nodes
-                                else "buffered"
+                                "sampled" if (sample_id, "sampled") in self._nodes else "buffered"
                             )
                             self._transition(
-                                sample.sample_id,
+                                sample_id,
                                 from_state,
                                 "assigned",
                                 label,
@@ -621,49 +604,30 @@ class DGraph:
         columns = self._selected
         columns_eval = getattr(self._cost_fn, "columns_eval", None)
         if columns_eval is not None:
-            loads, memories = columns_eval(columns)
-            ids = columns.sample_ids.tolist()
-            self._costs = dict(zip(ids, np.asarray(loads, dtype=float).tolist()))
-            self._memory_costs = dict(
-                zip(ids, np.asarray(memories, dtype=float).tolist())
-            )
+            loads, _ = columns_eval(columns)
+            self._costs = np.asarray(loads, dtype=float).tolist()
         else:
-            costs: dict[int, float] = {}
-            memory: dict[int, float] = {}
-            for sample in self._selected.to_list():
-                result = self._cost_fn(sample)
-                if isinstance(result, tuple):
-                    load, mem = float(result[0]), float(result[1])
-                else:
-                    load, mem = float(result), 0.0
-                costs[sample.sample_id] = load
-                memory[sample.sample_id] = mem
-            self._costs = costs
-            self._memory_costs = memory
+            results = map(self._cost_fn, columns.to_list())
+            self._costs = [
+                float(result[0] if isinstance(result, tuple) else result) for result in results
+            ]
         self._api_costs["cost"] = (
             self._api_costs.get("cost", 0.0) + 1.2e-6 * len(columns)
         )
 
-    def _round_robin_bins(self, bucket_items: list[WeightedItem]) -> list[list[SampleMetadata]]:
-        bins: list[list[SampleMetadata]] = [[] for _ in range(self._num_microbatches)]
-        for position, item in enumerate(bucket_items):
-            bins[position % self._num_microbatches].append(item.key)
-        return bins
-
-    def _unbalanced_assignment(self) -> list[list[list[SampleMetadata]]]:
+    def _unbalanced_assignment(self) -> list[list[list[int]]]:
         """Arrival-order assignment used when balance() was never called."""
-        buckets: list[list[list[SampleMetadata]]] = [
+        buckets: list[list[list[int]]] = [
             [[] for _ in range(self._num_microbatches)] for _ in range(self._num_buckets or 1)
         ]
         num_buckets = self._num_buckets or 1
-        selected = self._selected.to_list()
-        per_bucket = math.ceil(len(selected) / num_buckets) or 1
-        for position, sample in enumerate(selected):
+        per_bucket = math.ceil(len(self._selected) / num_buckets) or 1
+        for position in range(len(self._selected)):
             bucket_index = min(num_buckets - 1, position // per_bucket)
             offset = position - bucket_index * per_bucket
             per_bin = math.ceil(per_bucket / self._num_microbatches) or 1
             mb_index = min(self._num_microbatches - 1, offset // per_bin)
-            buckets[bucket_index][mb_index].append(sample)
+            buckets[bucket_index][mb_index].append(position)
         return buckets
 
     @staticmethod

@@ -61,7 +61,7 @@ class ModulePlan:
         return ids
 
     def validate(self) -> None:
-        seen: set[tuple[int, int, int]] = set()
+        seen: dict[tuple[int, int], set[int]] = {}
         for assignment in self.assignments:
             if not (0 <= assignment.bucket_index < self.num_buckets):
                 raise PlanError(
@@ -71,13 +71,13 @@ class ModulePlan:
                 raise PlanError(
                     f"module {self.module!r}: microbatch {assignment.microbatch_index} out of range"
                 )
-            for sample_id in assignment.sample_ids():
-                key = (assignment.bucket_index, assignment.microbatch_index, sample_id)
-                if key in seen:
-                    raise PlanError(
-                        f"module {self.module!r}: sample {sample_id} assigned twice to the same bin"
-                    )
-                seen.add(key)
+            bin_ = (assignment.bucket_index, assignment.microbatch_index)
+            ids = assignment.sample_ids()
+            bin_ids = seen.setdefault(bin_, set())
+            expected = len(bin_ids) + len(ids)
+            bin_ids.update(ids)
+            if len(bin_ids) != expected:
+                raise PlanError(f"module {self.module!r}: a sample is assigned twice to bin {bin_}")
 
 
 @dataclass
@@ -108,15 +108,8 @@ class LoadingPlan:
     def validate(self) -> None:
         for module_plan in self.modules.values():
             module_plan.validate()
-        planned_ids = {
-            sample_id
-            for module_plan in self.modules.values()
-            for sample_id in module_plan.all_sample_ids()
-        }
-        demanded_ids = {
-            sample_id for ids in self.source_demands.values() for sample_id in ids
-        }
-        missing = planned_ids - demanded_ids
+        planned_ids = set().union(*(plan.all_sample_ids() for plan in self.modules.values()))
+        missing = planned_ids.difference(*self.source_demands.values())
         if missing:
             raise PlanError(
                 f"plan step {self.step}: {len(missing)} assigned samples missing from source demands"

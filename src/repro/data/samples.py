@@ -24,7 +24,7 @@ class Modality(str, enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SampleMetadata:
     """Lightweight description of a sample used for planning and balancing.
 
@@ -66,6 +66,15 @@ class SampleMetadata:
         """Return a copy with selected fields replaced."""
         return replace(self, **changes)
 
+    def __reduce__(self) -> tuple:
+        # Pickled as one constructor call: the per-field ``__getstate__``
+        # dataclasses generate for ``slots=True`` is several times slower, and
+        # every checkpoint carries the buffered records.
+        return SampleMetadata, (
+            self.sample_id, self.source, self.modality, self.text_tokens, self.image_tokens,
+            self.video_frames, self.audio_seconds, self.raw_bytes, self.decoded_bytes, self.extra,
+        )
+
 
 @dataclass
 class MetadataColumns:
@@ -91,6 +100,14 @@ class MetadataColumns:
     def from_records(cls, records: list[SampleMetadata]) -> "MetadataColumns":
         names = [column.name for column in fields(cls)][1:]
         return cls(records, *([getattr(record, name) for record in records] for name in names))
+
+    @classmethod
+    def join(cls, parts: list["MetadataColumns"]) -> "MetadataColumns":
+        """Chunks read one after another, as one chunk."""
+        if len(parts) == 1:
+            return parts[0]
+        names = [column.name for column in fields(cls)]
+        return cls(*([row for part in parts for row in getattr(part, name)] for name in names))
 
     def __len__(self) -> int:
         return len(self.records)

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
+from itertools import accumulate, compress, repeat
 
 import numpy as np
 
 from repro.data.samples import MetadataColumns, Modality, SampleMetadata
 from repro.errors import ConfigurationError
+from repro.storage.columnar import RowGroup
 from repro.storage.filesystem import SimulatedFileSystem
 
 
@@ -122,11 +123,10 @@ class SourceCatalog:
         return max(latencies) / max(1e-12, min(latencies))
 
 
-#: Storage columns a cursor reads, in :class:`SampleMetadata` field order: the
-#: type a value is read as, and what a file whose schema lacks the column
-#: yields (``sample_id`` is required).
+#: Optional storage columns a cursor reads beside the required ``sample_id``,
+#: in :class:`SampleMetadata` field order: the type a value is read as, and
+#: what a file whose schema lacks the column yields.
 _COLUMNS = {
-    "sample_id": (int, None),
     "modality": (str, "text"),
     "text_tokens": (int, 0),
     "image_tokens": (int, 0),
@@ -140,12 +140,13 @@ _COLUMNS = {
 class SourceCursor:
     """Sequential (wrapping) read cursor over one source's samples.
 
-    The cursor slices lightweight metadata columns straight out of the row
-    groups of the source's columnar files; payload materialisation is left to
-    the Source Loader / transformation pipeline.  Its state is the row-group
-    index plus one position: shard row ``k`` is global row
-    ``shard_index + k * shard_count``, located by bisecting the row groups'
-    prefix offsets, so nothing per row is held.
+    The cursor reads lightweight metadata records out of the row groups of
+    the source's columnar files (each row decoded once, whichever cursor gets
+    to it first); payload materialisation is left to the Source Loader /
+    transformation pipeline.  Its state is the row-group index plus one
+    position: shard row ``k`` is global row ``shard_index + k * shard_count``,
+    located by bisecting the row groups' prefix offsets, so the cursor itself
+    holds nothing per row.
     """
 
     def __init__(
@@ -175,7 +176,7 @@ class SourceCursor:
         self._position = 0
 
     def _segments(self, count: int):
-        """Locate the next ``count`` shard rows: ``(row group, slice of its rows, length)``."""
+        """Locate the next ``count`` shard rows: ``(row group, slice of its rows)``."""
         stride = self._shard_count
         shard_row = (self._position + self._rotation) % self._shard_rows
         while count > 0:
@@ -189,35 +190,54 @@ class SourceCursor:
                 group_start = group_end - group.row_count
                 rows = range(row, min(stop, group_end), stride)
                 if rows:
-                    picked = slice(row - group_start, rows.stop - group_start, stride)
-                    yield group, picked, len(rows)
+                    yield group, slice(row - group_start, rows.stop - group_start, stride)
                 row += len(rows) * stride
                 group_index += 1
             count -= run
             shard_row = 0  # the shard wrapped
 
+    def _read(self, group: RowGroup, picked: slice) -> MetadataColumns:
+        """``group``'s rows at ``picked`` as a chunk.
+
+        A row is decoded into its record the first time any cursor reads it;
+        the record stays on the row group (:attr:`RowGroup.decoded`), so every
+        later read of the row — by this cursor or another over the same file —
+        is a list slice that returns the same record.
+        """
+        name = self.source.name
+        decoded = group.decoded.get(name)
+        if decoded is None:
+            decoded = group.decoded.setdefault(name, [None] * group.row_count)
+        rows = decoded[picked]
+        if all(rows):
+            return MetadataColumns.from_records(rows)
+
+        def read(column: str, kind: type, default: object) -> list:
+            if column not in group.columns:
+                return [default] * len(rows)
+            return list(map(kind, group.columns[column][picked]))
+
+        ids = list(map(int, group.column("sample_id")[picked]))
+        columns = {column: read(column, *spec) for column, spec in _COLUMNS.items()}
+        members = {value: Modality(value) for value in set(columns["modality"])}
+        columns["modality"] = [members[value] for value in columns["modality"]]
+        # The stored values are converted for the whole slice (they are the
+        # chunk's columns); a record is built only for the rows without one.
+        missing = [row is None for row in rows]
+        fresh = map(
+            SampleMetadata, compress(ids, missing), repeat(name),
+            *(compress(column, missing) for column in columns.values()),
+        )
+        rows = decoded[picked] = [row or next(fresh) for row in rows]
+        return MetadataColumns(rows, ids, **columns)
+
     def take_columns(self, count: int) -> MetadataColumns:
         """Read the next ``count`` samples as one chunk (wrapping at the end of shard)."""
         if not self._shard_rows:
             raise ConfigurationError(f"source {self.source.name!r} shard is empty")
-        segments = list(self._segments(count))
+        parts = [self._read(group, picked) for group, picked in self._segments(count)]
         self._position += count
-
-        def read(name: str, kind: type, default: object) -> list:
-            return [
-                kind(value)
-                for group, picked, length in segments
-                for value in (
-                    group.columns[name][picked] if name in group.columns else [default] * length
-                )
-            ]
-
-        columns = {name: read(name, *spec) for name, spec in _COLUMNS.items()}
-        modalities = {value: Modality(value) for value in set(columns["modality"])}
-        columns["modality"] = [modalities[value] for value in columns["modality"]]
-        ids, *rest = columns.values()
-        records = list(map(SampleMetadata, ids, repeat(self.source.name), *rest))
-        return MetadataColumns(records, **columns)
+        return MetadataColumns.join(parts)
 
     def next_metadata(self) -> SampleMetadata:
         """Return metadata for the next sample (wrapping at the end of shard)."""
@@ -232,7 +252,7 @@ class SourceCursor:
             raise ConfigurationError(f"source {self.source.name!r} shard is empty")
         return [
             int(value)
-            for group, picked, _ in self._segments(count)
+            for group, picked in self._segments(count)
             for value in group.column("sample_id")[picked]
         ]
 

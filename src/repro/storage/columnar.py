@@ -38,6 +38,10 @@ class RowGroup:
     row_count: int
     columns: dict[str, list] = field(default_factory=dict)
     compressed_bytes: int = 0
+    #: Per source name, this group's rows as the records a cursor decoded them
+    #: into (None until first read).  Row groups are immutable, so every
+    #: cursor over the file shares the one decoded copy.
+    decoded: dict[str, list] = field(default_factory=dict, repr=False, compare=False)
 
     def column(self, name: str) -> list:
         try:

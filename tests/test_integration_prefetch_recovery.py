@@ -12,6 +12,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.framework import MegaScaleData, TrainingJobSpec
+from repro.data.synthetic import build_source_catalog, navit_like_spec
+from repro.storage.filesystem import SimulatedFileSystem
 
 
 def make_job(prefetch_depth: int, shadows: bool, seed: int) -> TrainingJobSpec:
@@ -163,3 +165,71 @@ def test_recovered_loader_serves_subsequent_prefetch():
         assert all(r.deliveries for r in results)
     finally:
         system.shutdown()
+
+
+def test_a_row_is_decoded_once_however_often_it_is_reread(monkeypatch):
+    """Mirrors, flush rewinds, restarts and ``restore`` re-read rows the process
+    already decoded: none of those reads may build a ``SampleMetadata`` again."""
+    from repro.data import sources
+    from repro.data.mixture import MixtureSchedule
+
+    built = []
+    plain_record = sources.SampleMetadata
+    monkeypatch.setattr(
+        sources, "SampleMetadata", lambda *fields: built.append(1) or plain_record(*fields)
+    )
+    served = []
+    plain_take = sources.SourceCursor.take_columns
+
+    def take_columns(cursor, count):
+        chunk = plain_take(cursor, count)
+        served.extend((cursor.source.name, sample_id) for sample_id in chunk.sample_id)
+        return chunk
+
+    monkeypatch.setattr(sources.SourceCursor, "take_columns", take_columns)
+
+    job = TrainingJobSpec(
+        pp=1, dp=2, cp=1, tp=1, encoder=None, strategy="backbone_balance",
+        samples_per_dp_step=8, num_microbatches=2, num_sources=3, samples_per_source=256,
+        seed=9, prefetch_depth=2, checkpoint_backend="sqlite", replay_window=10,
+    )
+    filesystem = SimulatedFileSystem()
+    catalog = build_source_catalog(
+        navit_like_spec(num_sources=3, samples_per_source=256, seed=9), filesystem
+    )
+    names = catalog.names()
+    system = MegaScaleData.deploy(job, catalog=catalog, filesystem=filesystem)
+    try:
+        steps = 0
+
+        def run(count):
+            nonlocal steps
+            for _ in range(count):
+                assert system.run_step().step == steps
+                steps += 1
+
+        run(3)
+        system.set_mixture(
+            MixtureSchedule.static({name: 2.0 if name == names[0] else 1.0 for name in names}),
+            flush_pending=True,
+        )
+        run(3)
+        system.scale_source(names[0], 3)
+        run(3)
+        victim = next(
+            handle for handle in system.loader_handles
+            if len(system.fleet.group_for(handle.name).members) == 1
+        )
+        system.system.failures.fail(victim.name)
+        run(3)
+        system.scale_source(names[0], 1)
+        run(2)
+        system.save_checkpoint()
+        store = system.checkpoint_store
+        system.shutdown()
+        system = MegaScaleData.restore(job, store, catalog=catalog, filesystem=filesystem)
+        run(1)
+    finally:
+        system.shutdown()
+    assert len(served) > 3 * len(set(served))  # the scenario does re-read
+    assert len(built) <= len(set(served))

@@ -2,18 +2,27 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.balancing import (
+    BalanceResult,
     WeightedItem,
     balance_items,
+    balance_positions,
     greedy_binpack,
     interleaved_balance,
     karmarkar_karp,
+    register_strategy,
 )
+from repro.core.dgraph import DGraph
+from repro.core.place_tree import ClientPlaceTree
+from repro.data.samples import Modality, SampleMetadata
+from repro.parallelism.mesh import DeviceMesh
 
 costs_strategy = st.lists(st.floats(min_value=0.01, max_value=1e6), min_size=1, max_size=80)
 bins_strategy = st.integers(min_value=1, max_value=12)
@@ -109,3 +118,122 @@ def test_single_bin_gets_everything(costs):
     for method in ("greedy", "karmarkar-karp", "interleave"):
         result = balance_items(make_items(costs), 1, method)
         assert math.isclose(result.bin_costs[0], sum(costs), rel_tol=1e-9)
+
+
+# -- position form == item form ------------------------------------------------------
+#
+# The packing loops run on costs and return positions (what ``DGraph.balance``
+# calls); the reference below is the item form of the three built-in
+# strategies as it was before that change (commit 340732f), kept here so the
+# comparison does not depend on the code under test.
+
+
+def _reference_greedy(items, num_bins):
+    bins = [[] for _ in range(num_bins)]
+    heap = [(0.0, index) for index in range(num_bins)]
+    heapq.heapify(heap)
+    running = [0.0] * num_bins
+    for item in sorted(items, key=lambda it: it.cost, reverse=True):
+        cost, index = heapq.heappop(heap)
+        bins[index].append(item)
+        cost += item.cost
+        running[index] = cost
+        heapq.heappush(heap, (cost, index))
+    return bins, running
+
+
+def _reference_karmarkar_karp(items, num_bins):
+    if not items:
+        return [[] for _ in range(num_bins)], [0.0] * num_bins
+    heap = []
+    for tie, item in enumerate(items):
+        subsets = [(item.cost, [item])] + [(0.0, []) for _ in range(num_bins - 1)]
+        heapq.heappush(heap, (-item.cost, tie, subsets))
+    tie = len(items)
+    while len(heap) > 1:
+        _, _, subsets_a = heapq.heappop(heap)
+        _, _, subsets_b = heapq.heappop(heap)
+        subsets_b_sorted = sorted(subsets_b, key=lambda entry: entry[0])
+        merged = []
+        for (cost_a, items_a), (cost_b, items_b) in zip(subsets_a, subsets_b_sorted):
+            merged.append((cost_a + cost_b, items_a + items_b))
+        merged.sort(key=lambda entry: entry[0], reverse=True)
+        heapq.heappush(heap, (-(merged[0][0] - merged[-1][0]), tie, merged))
+        tie += 1
+    _, _, final_subsets = heap[0]
+    return [list(subset) for _, subset in final_subsets], [float(cost) for cost, _ in final_subsets]
+
+
+def _reference_interleaved(items, num_bins):
+    bins = [[] for _ in range(num_bins)]
+    ordered = sorted(items, key=lambda it: it.cost, reverse=True)
+    if not ordered:
+        return bins, [0.0] * num_bins
+    indices = np.empty(len(ordered), dtype=np.intp)
+    for position, item in enumerate(ordered):
+        round_index, offset = divmod(position, num_bins)
+        index = offset if round_index % 2 == 0 else num_bins - 1 - offset
+        indices[position] = index
+        bins[index].append(item)
+    costs = np.fromiter((item.cost for item in ordered), dtype=float, count=len(ordered))
+    return bins, np.bincount(indices, weights=costs, minlength=num_bins).tolist()
+
+
+REFERENCE_ITEM_FORMS = {
+    "greedy": (_reference_greedy, greedy_binpack),
+    "karmarkar-karp": (_reference_karmarkar_karp, karmarkar_karp),
+    "interleave": (_reference_interleaved, interleaved_balance),
+}
+
+
+@given(
+    # Few distinct values: ties and zeros are the common case, not the rare one.
+    costs=st.lists(
+        st.one_of(st.sampled_from([0.0, 1.0, 2.5, 7.0]), st.floats(min_value=0.0, max_value=1e6)),
+        min_size=0, max_size=60,
+    ),
+    num_bins=st.integers(min_value=1, max_value=12),
+    method=st.sampled_from(sorted(REFERENCE_ITEM_FORMS)),
+)
+@settings(max_examples=200, deadline=None)
+def test_position_form_equals_the_item_form(costs, num_bins, method):
+    reference, public = REFERENCE_ITEM_FORMS[method]
+    items = make_items(costs)
+    expected_bins, expected_costs = reference(items, num_bins)
+    expected_positions = [[item.key for item in bin_] for bin_ in expected_bins]
+    assert balance_positions(costs, num_bins, method) == expected_positions
+    result = public(items, num_bins)
+    assert result.keys_per_bin() == expected_positions
+    assert result.bin_costs == expected_costs
+    assert all(item is items[item.key] for bin_ in result.bins for item in bin_)
+
+
+def test_dgraph_balance_still_hands_a_registered_strategy_weighted_items():
+    seen = []
+
+    def reversed_greedy(items, num_bins):
+        seen.append(list(items))
+        result = greedy_binpack(items, num_bins)
+        return BalanceResult(result.bins[::-1], result.bin_costs[::-1])
+
+    register_strategy("reversed_greedy_test", reversed_greedy, overwrite=True)
+    samples = [
+        SampleMetadata(sample_id, "src", Modality.TEXT, text_tokens=tokens)
+        for sample_id, tokens in enumerate([5, 9, 9, 0, 3, 12, 7, 1, 4, 4, 8, 2])
+    ]
+
+    def planned(method):
+        tree = ClientPlaceTree(DeviceMesh(pp=1, dp=2, cp=1, tp=1))
+        dgraph = DGraph.from_buffer_infos(samples).init(tree).distribute("DP")
+        plan = dgraph.balance(method=method, num_microbatches=3).plan()
+        return [
+            [assignment.sample_ids() for assignment in plan.module.bucket_assignments(bucket)]
+            for bucket in range(2)
+        ]
+
+    greedy = planned("greedy")
+    # The strategy's bin order, reversed at both levels, is what the plan carries.
+    assert planned("reversed_greedy_test") == [bucket[::-1] for bucket in greedy[::-1]]
+    assert len(seen) == 3  # once across the buckets, once inside each
+    assert all(isinstance(item, WeightedItem) for items in seen for item in items)
+    assert sorted(item.cost for item in seen[0]) == sorted(float(s.total_tokens) for s in samples)
