@@ -4,9 +4,9 @@ A mixture burst concentrates demand on one source: its loader becomes the
 bottleneck and the trainer stalls.  With the elastic fleet enabled the
 AutoScaler's piggybacked ScalingPlan directives actually spawn mirror
 loaders through the placement scheduler, splitting the hot source's demands
-and cutting the exposed data stall; the frozen fleet (PR-2/PR-3 behaviour:
-directives logged only) keeps paying it.  Batches are byte-identical either
-way — elasticity moves timing, never data.
+and cutting the exposed data stall; the frozen fleet
+(``enable_autoscaler=False``: no scaler, no directives) keeps paying it.
+Batches are byte-identical either way — elasticity moves timing, never data.
 
 Writes ``BENCH_fig21_elastic.json``:
 
@@ -56,7 +56,7 @@ def make_job(elastic: bool, gpu_spec=None) -> TrainingJobSpec:
         pp=1, dp=2, cp=1, tp=1, encoder=None, strategy="backbone_balance",
         samples_per_dp_step=8, num_microbatches=2, num_sources=3,
         samples_per_source=64, seed=5, prefetch_depth=2,
-        mixture=bursty_mixture(), elastic_fleet=elastic, gpu_spec=gpu_spec,
+        mixture=bursty_mixture(), enable_autoscaler=elastic, gpu_spec=gpu_spec,
     )
 
 
@@ -78,9 +78,10 @@ def fetch_bound_gpu():
 
 def run_mode(elastic: bool) -> dict:
     system = MegaScaleData.deploy(make_job(elastic, gpu_spec=fetch_bound_gpu()))
-    scaler = system.planner_handle.instance().scaler
-    scaler.consecutive_intervals = 2
-    scaler.window = 3
+    if elastic:  # a frozen fleet (enable_autoscaler=False) deploys no scaler
+        scaler = system.planner_handle.instance().scaler
+        scaler.consecutive_intervals = 2
+        scaler.window = 3
     try:
         summary = system.run_training(num_steps=NUM_STEPS, simulate=True)
         stall_series = [
@@ -104,6 +105,17 @@ def run_mode(elastic: bool) -> dict:
         }
     finally:
         system.shutdown()
+
+
+def test_fig21_frozen_fleet_is_enable_autoscaler_false():
+    """The frozen baseline deploys no scaler and is pinned bit for bit: these
+    virtual-clock numbers are the ones the retired ``elastic_fleet=False``
+    twin produced (the committed artifact's frozen row)."""
+    frozen = run_mode(elastic=False)
+    assert frozen["fleet_spawns"] == 0
+    assert frozen["data_stall_time_s"] == 196.31357341700587
+    assert frozen["virtual_wall_time_s"] == 328.11445935052427
+    assert frozen["hidden_data_time_s"] + frozen["exposed_data_time_s"] == 374.42266841060257
 
 
 def test_fig21_elastic_fleet_cuts_exposed_stall(benchmark):

@@ -117,8 +117,7 @@ def make_job(tenant_index: int, gpu_spec=None) -> TrainingJobSpec:
         pp=1, dp=2, cp=1, tp=1, encoder=None, strategy="backbone_balance",
         samples_per_dp_step=8, num_microbatches=2, num_sources=3,
         samples_per_source=64, seed=5, prefetch_depth=2,
-        mixture=staggered_mixture(tenant_index), elastic_fleet=True,
-        gpu_spec=gpu_spec,
+        mixture=staggered_mixture(tenant_index), gpu_spec=gpu_spec,
     )
 
 
@@ -229,7 +228,7 @@ def isolation_job(bursty: bool) -> TrainingJobSpec:
         pp=1, dp=2, cp=1, tp=1, encoder=None, strategy="backbone_balance",
         samples_per_dp_step=8, num_microbatches=2, num_sources=3,
         samples_per_source=64, seed=5, prefetch_depth=2,
-        mixture=mixture, elastic_fleet=bursty, gpu_spec=fetch_bound_gpu(),
+        mixture=mixture, enable_autoscaler=bursty, gpu_spec=fetch_bound_gpu(),
     )
 
 

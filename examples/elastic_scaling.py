@@ -53,7 +53,7 @@ def main() -> None:
         samples_per_source=64,
         prefetch_depth=2,
         mixture=schedule,
-        elastic_fleet=True,   # the default; False freezes the fleet
+        enable_autoscaler=True,  # the default; False freezes the fleet
         seed=5,
     )
     system = MegaScaleData.deploy(job)

@@ -69,7 +69,7 @@ def make_job(bursty: bool) -> TrainingJobSpec:
         samples_per_source=64,
         prefetch_depth=2,
         mixture=mixture,
-        elastic_fleet=bursty,
+        enable_autoscaler=bursty,
         seed=5,
     )
 

@@ -116,10 +116,6 @@ class GlobalControlStore:
         self._actor_registry.pop(name, None)
         self._heartbeats.pop(name, None)
 
-    def actor_info(self, name: str) -> dict | None:
-        info = self._actor_registry.get(name)
-        return dict(info) if info is not None else None
-
     def list_actors(self, role: str | None = None) -> list[str]:
         if role is None:
             return sorted(self._actor_registry)
@@ -131,9 +127,6 @@ class GlobalControlStore:
 
     def heartbeat(self, name: str, timestamp: float) -> None:
         self._heartbeats[name] = timestamp
-
-    def last_heartbeat(self, name: str) -> float | None:
-        return self._heartbeats.get(name)
 
     def stale_actors(self, now: float, timeout_s: float) -> list[str]:
         """Actors whose last heartbeat is older than ``timeout_s``."""

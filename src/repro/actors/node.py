@@ -76,14 +76,6 @@ class Node:
     def reserved_cpu(self) -> float:
         return self._reserved_cpu
 
-    @property
-    def reserved_memory(self) -> int:
-        return self._reserved_memory
-
-    @property
-    def resident_actors(self) -> set[str]:
-        return set(self._resident_actors)
-
     def can_fit(self, cpu_cores: float, memory_bytes: int) -> bool:
         return self.available_cpu >= cpu_cores and self.available_memory >= memory_bytes
 

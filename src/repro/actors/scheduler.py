@@ -127,12 +127,6 @@ class PlacementScheduler:
         self._quotas[quota.tenant] = quota
         self._usage.setdefault(quota.tenant, _TenantUsage())
 
-    def tenant_quota(self, tenant: str) -> TenantQuota:
-        try:
-            return self._quotas[tenant]
-        except KeyError:
-            raise SchedulingError(f"unknown tenant {tenant!r}") from None
-
     def tenants(self) -> list[str]:
         return list(self._quotas)
 

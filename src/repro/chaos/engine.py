@@ -51,11 +51,6 @@ class ChaosEngine:
         system.chaos = self
         return self
 
-    def detach(self) -> None:
-        if self.system is not None and getattr(self.system, "chaos", None) is self:
-            self.system.chaos = None
-        self.system = None
-
     def wrap_store(self, store: CheckpointStore) -> "ChaosCheckpointStore":
         """A checkpoint store that obeys this plan's ``store_outage`` windows."""
         return ChaosCheckpointStore(store, self)

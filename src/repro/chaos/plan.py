@@ -97,9 +97,6 @@ class FaultPlan:
         self.events.sort(key=lambda e: (e.at_s, e.kind, e.target))
         return self
 
-    def kinds(self) -> set[str]:
-        return {event.kind for event in self.events}
-
     def counts(self) -> dict[str, int]:
         out: dict[str, int] = {}
         for event in self.events:

@@ -9,7 +9,8 @@
 - :mod:`repro.core.fault_tolerance`, :mod:`repro.core.resharding` —
   operational adaptability (Sec. 6.1).
 - :mod:`repro.core.framework` — the :class:`MegaScaleData` facade tying the
-  components into the pull-based runtime workflow.
+  components into the pull workflow; ``job``, ``deploy``, ``recovery``,
+  ``degradation`` and ``durability`` hold the seams it was cut along.
 """
 
 from repro.core.dgraph import DGraph

@@ -47,10 +47,6 @@ from repro.training.simulator import BACKWARD_MULTIPLIER, GpuSpec, IterationResu
 CostFn = Callable[[SampleMetadata], tuple[float, float]]
 
 
-#: Lane models accepted by :class:`DataPlaneLatencyProvider`.
-LANE_MODELS = ("capacity_split", "amortized")
-
-
 def capacity_split_duration_s(
     amortized_s: float, start_s: float, lane_ends_s: tuple[float, ...] | list[float]
 ) -> float:
@@ -113,17 +109,14 @@ class DataPlaneLatencyProvider:
     modelled quantity; the collation kernels' real (Python wall-clock) speed
     is measured by the fig24 benchmark instead.
 
-    **Lane models.**  A loader actor exposes ``prefetch_depth + 1`` execution
-    lanes so its worker pool can pipeline several step tickets.  Under the
-    default ``lane_model="capacity_split"`` the pool's throughput divides
-    across concurrently busy lanes: the event engine reports the busy lanes'
-    end instants at a poll's start (via the ``wants_lane_context`` protocol
-    flag), and the chunk's amortised wall clock is stretched by integrating
-    its fair pool share over those windows
-    (:func:`capacity_split_duration_s`) — overlapping tickets split the pool,
-    conserving aggregate throughput.  ``lane_model="amortized"`` restores the
-    PR-2 idealised model where every ticket sees the whole pool regardless of
-    overlap (kept for A/B runs).
+    **Lane model.**  A loader actor exposes ``prefetch_depth + 1`` execution
+    lanes so its worker pool can pipeline several step tickets, and the
+    pool's throughput divides across concurrently busy lanes (capacity
+    split): the event engine reports the busy lanes' end instants at a
+    poll's start (via the ``wants_lane_context`` protocol flag), and the
+    chunk's amortised wall clock is stretched by integrating its fair pool
+    share over those windows (:func:`capacity_split_duration_s`) —
+    overlapping tickets split the pool, conserving aggregate throughput.
     """
 
     #: Protocol flag read by the event engine: providers that set this
@@ -131,13 +124,6 @@ class DataPlaneLatencyProvider:
     #: occupied lanes including the one the event takes (``busy_lanes``) and
     #: the busy lanes' end instants (``lane_ends_s``) as keyword arguments.
     wants_lane_context = True
-
-    def __init__(self, lane_model: str = "capacity_split") -> None:
-        if lane_model not in LANE_MODELS:
-            raise ValueError(
-                f"unknown lane_model {lane_model!r}; expected one of {LANE_MODELS}"
-            )
-        self.lane_model = lane_model
 
     def call_duration_s(
         self,
@@ -157,9 +143,7 @@ class DataPlaneLatencyProvider:
                 return float(result.get("wall_clock_s", 0.0))
             if method == "poll":
                 amortized = float(result.get("chunk_wall_clock_s", 0.0))
-                if self.lane_model == "capacity_split":
-                    return capacity_split_duration_s(amortized, start_s, lane_ends_s)
-                return amortized
+                return capacity_split_duration_s(amortized, start_s, lane_ends_s)
             return 0.0
         if role == "data_constructor" and method == "construct" and isinstance(result, dict):
             return float(result.get("collate_seconds", 0.0))
@@ -242,10 +226,6 @@ class CalibratedLatencyProvider:
             self._cursor[key] = index + 1
             return values[index]
         return self._means[key]
-
-    def replay_depth(self) -> dict[str, int]:
-        """How many samples each key has consumed (``role.method`` keys)."""
-        return {f"{role}.{method}": index for (role, method), index in self._cursor.items()}
 
 
 #: Summary keys compared by :func:`reconcile_timing` — the measured-vs-

@@ -111,16 +111,12 @@ class CircuitBreaker:
     def is_open(self, name: str) -> bool:
         return self._streaks.get(name, 0) >= self.threshold
 
-    def streak(self, name: str) -> int:
-        return self._streaks.get(name, 0)
-
 
 @dataclass
 class FaultToleranceConfig:
     """Knobs controlling recovery behaviour."""
 
     loader_checkpoint_interval: int = 50
-    planner_checkpoint_interval: int = 1
     rpc_timeout_s: float = 5.0
     shadow_promotion_latency_s: float = 0.2
     coordinator_restart_latency_s: float = 2.0
@@ -201,9 +197,6 @@ class FaultToleranceManager:
         """Backoff for a wait-out round (the long-cap ``wait`` policy)."""
         return self.config.wait.delay_s(attempt, key)
 
-    def retry_budget(self, role: str, method: str) -> int:
-        return self.config.retry_budgets.get((role, method), self.config.retry.max_attempts)
-
     def call_with_retry(
         self,
         role: str,
@@ -222,7 +215,7 @@ class FaultToleranceManager:
         """
         policy = self.config.retry
         retry_on = policy.retry_on if retry_on is None else retry_on
-        attempts = self.retry_budget(role, method)
+        attempts = self.config.retry_budgets.get((role, method), policy.max_attempts)
         key = f"{role}.{method}.{actor or ''}"
         last_exc: BaseException | None = None
         for attempt in range(1, attempts + 1):
@@ -402,67 +395,15 @@ class FaultToleranceManager:
 
     def probe_loader(self, handle: ActorHandle) -> bool:
         """Heartbeat a loader; returns True when it is healthy."""
-        return self._probe(handle, expect_key="source")
-
-    def probe_loader_resilient(self, handle: ActorHandle) -> bool:
-        """Heartbeat with backoff: distinguishes a blip from a real failure.
-
-        A transient fault (GCS blip, short blackout) clears within the retry
-        budget and the loader reports healthy; a crashed actor keeps failing
-        and the probe returns False — the signal callers use to route to
-        recovery rather than retry in place.
-        """
-        policy = self.config.retry
-        attempts = self.retry_budget("loader", "heartbeat_payload")
-        key = f"probe.{handle.name}"
-        for attempt in range(1, attempts + 1):
-            if self._probe(handle, expect_key="source"):
-                self.breaker.record_success(handle.name)
-                return True
-            if self.breaker.is_open(handle.name):
-                return False
-            if attempt < attempts:
-                self.sleep(policy.delay_s(attempt, key))
-        return False
-
-    def _probe(self, handle: ActorHandle, expect_key: str) -> bool:
         try:
             payload = handle.call("heartbeat_payload", timeout_s=self.config.rpc_timeout_s)
         except (ActorDead, ActorTimeout):
             return False
-        # Payload integrity check: a healthy component reports its vital key.
-        return isinstance(payload, dict) and expect_key in payload
+        # Payload integrity check: a healthy loader reports its source.
+        return isinstance(payload, dict) and "source" in payload
 
     def detect_failures(self, loader_handles: list[ActorHandle]) -> list[ActorHandle]:
         return [handle for handle in loader_handles if not self.probe_loader(handle)]
-
-    def heartbeat_sweep(
-        self,
-        loaders: list[ActorHandle] = (),
-        constructors: list[ActorHandle] = (),
-        planner: ActorHandle | None = None,
-        trainer: ActorHandle | None = None,
-    ) -> dict[str, list[ActorHandle]]:
-        """Probe every data-plane component, not just loaders.
-
-        Returns the unhealthy handles grouped by component role; an empty
-        dict means the whole plane answered its heartbeats.  Constructors,
-        the planner and the trainer each expose a ``heartbeat_payload`` with
-        a role-specific integrity key (loaders: ``source``; constructors:
-        ``bucket``; planner: ``plans``; trainer: ``steps_consumed``).
-        """
-        unhealthy: dict[str, list[ActorHandle]] = {}
-        for handle in loaders:
-            if not self.probe_loader(handle):
-                unhealthy.setdefault("loader", []).append(handle)
-        for handle in constructors:
-            if not self._probe(handle, expect_key="bucket"):
-                unhealthy.setdefault("constructor", []).append(handle)
-        if planner is not None and not self._probe(planner, expect_key="plans"):
-            unhealthy["planner"] = [planner]
-        if trainer is not None and not self._probe(trainer, expect_key="steps_consumed"):
-            unhealthy["trainer"] = [trainer]
-        return unhealthy
 
     # -- recovery ----------------------------------------------------------------------------------------
 

@@ -45,6 +45,28 @@ from repro.errors import ActorError, PlanError, SchedulingError
 from repro.metrics.timeline import FleetEvent
 
 
+def loader_factory(
+    job, filesystem, source, num_workers, buffer_size, shard_index, shard_count,
+    deferred_refill=False,
+):
+    """The actor factory every Source Loader of ``job`` is built (and restarted) by.
+
+    Deploy-time canonicals, their shadows and elastic mirrors differ only in
+    these arguments and in how their actor is placed.
+    """
+    deferred_transforms = set(job.deferred_transforms) or None
+    return lambda: SourceLoader(
+        source=source,
+        filesystem=filesystem,
+        num_workers=num_workers,
+        buffer_size=buffer_size,
+        shard_index=shard_index,
+        shard_count=shard_count,
+        deferred_transforms=deferred_transforms,
+        deferred_refill=deferred_refill,
+    )
+
+
 @dataclass
 class ShardGroup:
     """One source shard and the loader members currently serving it."""
@@ -387,34 +409,13 @@ class LoaderFleet:
         self._spawn_serial += 1
         name = self.job.scoped(f"loader/{source}/{group.shard_index}m{self._spawn_serial}")
         job = self.job
-        filesystem = self.filesystem
-        source_obj = canonical.source
-        deferred_transforms = set(job.deferred_transforms) or None
-        buffer_size = canonical.buffer_size
-
-        def factory(
-            src=source_obj,
-            fs=filesystem,
-            workers=group.workers_per_actor,
-            buf=buffer_size,
-            shard=group.shard_index,
-            shards=group.shard_count,
-            transforms=deferred_transforms,
-        ):
-            return SourceLoader(
-                source=src,
-                filesystem=fs,
-                num_workers=workers,
-                buffer_size=buf,
-                shard_index=shard,
-                shard_count=shards,
-                deferred_transforms=transforms,
-                deferred_refill=True,
-            )
-
         try:
             handle = self.system.create_actor(
-                factory,
+                loader_factory(
+                    job, self.filesystem, canonical.source, group.workers_per_actor,
+                    canonical.buffer_size, group.shard_index, group.shard_count,
+                    deferred_refill=True,
+                ),
                 name=name,
                 cpu_cores=group.workers_per_actor * 1.0,
                 memory_bytes=group.memory_bytes,
@@ -425,7 +426,7 @@ class LoaderFleet:
                 prefer=NodeKind.ACCELERATOR,
                 allow_spill=False,
                 concurrency=job.prefetch_depth + 1,
-                warmup_s=getattr(job, "spawn_warmup_s", 0.0),
+                warmup_s=job.spawn_warmup_s,
                 tenant=job.tenant,
                 free_from_s=self.spawn_anchor_s,
                 # Failure domain: keep the mirror off its canonical's node so

@@ -21,7 +21,7 @@ from repro.core.place_tree import ClientPlaceTree
 from repro.core.plans import LoadingPlan, ScalingPlan
 from repro.core.strategies import StrategyFn
 from repro.data.mixture import MixtureSchedule
-from repro.errors import ActorDead, ActorError, ActorTimeout, PlanError, StorageError
+from repro.errors import ActorDead, ActorTimeout, PlanError, StorageError
 
 #: Simulated cost of gathering one loader's buffer summary over RPC.
 GATHER_RPC_SECONDS = 0.00035
@@ -157,9 +157,6 @@ class Planner(Actor):
         """
         self._excluded_sources = frozenset(sources)
 
-    def excluded_sources(self) -> frozenset[str]:
-        return self._excluded_sources
-
     def _is_excluded(self, handle: ActorHandle) -> bool:
         if not self._excluded_sources:
             return False
@@ -195,24 +192,7 @@ class Planner(Actor):
             if cache is None:
                 cache = ColumnarBufferCache(source=self._declared_source(handle))
                 self._gather_caches[handle.name] = cache
-            try:
-                reply = handle.call("buffer_delta", cache.epoch, cache.seq)
-            except (ActorDead, ActorTimeout):
-                raise
-            except ActorError:
-                # The runtime raises plain ActorError for a missing method;
-                # anything thrown *inside* a real buffer_delta propagates.
-                # Loader without the delta protocol (custom/stub actors):
-                # degrade to a per-step snapshot of its summary buffer,
-                # bucketed under the buffered metadata's source when there
-                # is any.
-                summary = handle.call("summary_buffer")
-                if summary and cache.source != summary[0].source:
-                    cache.source = summary[0].source
-                cache.snapshot(summary)
-                latency += GATHER_RPC_SECONDS + GATHER_PER_SAMPLE_SECONDS * len(summary)
-                parts.setdefault(cache.source, []).append(cache)
-                continue
+            reply = handle.call("buffer_delta", cache.epoch, cache.seq)
             if reply["resync"]:
                 buffer = reply["buffer"]
                 cache.snapshot(buffer)
@@ -233,21 +213,13 @@ class Planner(Actor):
     def _declared_source(self, handle: ActorHandle) -> str:
         """The source a loader serves, resolved once and cached by actor name.
 
-        Falls back to the actor name for loaders that do not expose
-        ``declared_source`` (hand-rolled test doubles); for real Source
-        Loaders this keeps an empty buffer bucketed under its source instead
-        of splitting one source across a metadata-derived bucket and an
-        actor-name-derived one.
+        Keeps an empty buffer bucketed under its source instead of splitting
+        one source across a metadata-derived bucket and a missing one.
         """
         cached = self._declared_sources.get(handle.name)
         if cached is not None:
             return cached
-        try:
-            source = handle.call("declared_source")
-        except (ActorDead, ActorTimeout):
-            raise
-        except ActorError:  # missing method: a hand-rolled test double
-            source = handle.name
+        source = handle.call("declared_source")
         self._declared_sources[handle.name] = source
         return source
 
@@ -332,10 +304,6 @@ class Planner(Actor):
             self._persist_backlog.pop(0)
             flushed += 1
         return flushed
-
-    def persist_backlog_depth(self) -> int:
-        """Plans awaiting durability (non-zero only during a store outage)."""
-        return len(self._persist_backlog)
 
     def _maybe_checkpoint(self, plan: LoadingPlan) -> None:
         if self.gcs is None:

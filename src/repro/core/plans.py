@@ -48,6 +48,19 @@ class ModulePlan:
             key=lambda a: a.microbatch_index,
         )
 
+    def bucket_samples(self) -> list[list[list[SampleMetadata]]]:
+        """Per bucket, its microbatches' sample lists (padded to ``num_microbatches``)."""
+        assignments: list[list[list[SampleMetadata]]] = []
+        for bucket_index in range(self.num_buckets):
+            bucket = [
+                list(assignment.samples)
+                for assignment in self.bucket_assignments(bucket_index)
+            ]
+            while len(bucket) < self.num_microbatches:
+                bucket.append([])
+            assignments.append(bucket)
+        return assignments
+
     def bucket_costs(self) -> list[float]:
         costs = [0.0] * self.num_buckets
         for assignment in self.assignments:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.data_constructor import DataConstructor
+from repro.core.deploy import spawn_constructor
 from repro.core.place_tree import ClientPlaceTree
 from repro.errors import ReshardingError
 from repro.parallelism.mesh import DeviceMesh
@@ -96,3 +97,24 @@ class ElasticResharder:
             constructors[name].reshard(notification.new_mesh, dp_index=bucket_index)
         self.tree = new_tree
         return report
+
+
+def resize_constructors(
+    system, job, handles: list, report: ReshardReport, mesh: DeviceMesh
+) -> list:
+    """The constructor handles serving ``mesh`` after ``report`` was applied.
+
+    Retires constructors whose bucket disappeared (shrinking DP) and
+    provisions one for every bucket the new topology added.
+    """
+    kept = set(report.reassigned_buckets)
+    for handle in handles:
+        if handle.name not in kept:
+            try:
+                system.stop_actor(handle.name)
+            except Exception:  # noqa: BLE001 - best-effort retirement
+                pass
+    handles = [handle for handle in handles if handle.name in kept]
+    for dp_index in range(len(handles), report.constructors_required):
+        handles.append(spawn_constructor(job, mesh, system, dp_index))
+    return handles

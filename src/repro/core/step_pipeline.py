@@ -133,7 +133,9 @@ class StepPipeline:
         self.prefetch_depth = prefetch_depth
         self.poll_chunk = poll_chunk
         self._queue: deque[_InflightStep] = deque()
-        self._next_issue_step = framework._step
+        #: Next step number to enqueue (everything below it is in flight or
+        #: consumed); ``restore`` sets it to the resumed consume position.
+        self.next_issue_step = framework.step
         self._cancelled = False
 
     # -- public API --------------------------------------------------------------------
@@ -143,7 +145,7 @@ class StepPipeline:
         fw = self.framework
         if self._cancelled:
             raise PlanError("the step pipeline has been shut down; deploy a new instance")
-        expected = fw._step
+        expected = fw.step
         if step is not None and step != expected:
             raise ConfigurationError(
                 f"the prefetching pipeline consumes steps in order; expected step "
@@ -172,7 +174,7 @@ class StepPipeline:
         # recorded data-ready instant and books the compute window on the
         # shared virtual clock — overlap is measured, not credited.
         lead = max(0, expected - head.issued_at)
-        result = fw._finalize_step(
+        result = fw.finalize_step(
             step=head.step,
             plan=head.plan,
             plan_timings=head.plan_timings,
@@ -184,13 +186,13 @@ class StepPipeline:
             simulate=simulate,
         )
 
-        # The release in _finalize_step may have unblocked prefetch that hit
+        # The release in finalize_step may have unblocked prefetch that hit
         # constructor backpressure; retried constructs may not start before
         # the consume instant that freed the staging slot.
         for item in self._queue:
             if item.blocked:
                 item.blocked = False
-                item.retry_after_s = max(item.retry_after_s, fw._last_release_s)
+                item.retry_after_s = max(item.retry_after_s, fw.last_release_s)
 
         # Prefetch: drive the queued steps' data-plane work now; their events
         # land during this step's compute window on the virtual clock.
@@ -200,8 +202,20 @@ class StepPipeline:
         # Wallclock backend: the trainer's window for this step was deferred
         # so the prefetch pump above could overlap real compute; settle it
         # now that the next steps' data-plane work is in flight.
-        fw._collect_iteration()
+        fw.collect_iteration()
         return result
+
+    def plan_frontier(self) -> int:
+        """First step whose plan is not yet applied to the loader buffers.
+
+        The pump is strict-order, so that is the earliest queued step still
+        short of ``fetching`` — between ``run_step`` calls normally none, i.e.
+        the next step to issue.
+        """
+        for item in self._queue:
+            if item.state in ("pending", "planning", "preparing"):
+                return item.step
+        return self.next_issue_step
 
     def inflight(self) -> list[tuple[int, str]]:
         """(step, state) for every queued step — for tests and monitoring."""
@@ -250,15 +264,15 @@ class StepPipeline:
             + [fw.planner_handle.name]
         )
         planner = fw.planner_handle.instance()
-        planner.truncate_history(fw._step)
+        planner.truncate_history(fw.step)
         # Degraded-mode catch-up accounting observed the flushed plans; they
         # will be re-planned, so rewind their deficit deltas and memoized
         # catch-up weights along with the plan history.
         if fw.degradation is not None:
-            fw.degradation.invalidate_from(fw._step)
+            fw.degradation.invalidate_from(fw.step)
         # Checkpoints taken at the sync points of flushed (never-delivered)
         # steps would replay demands that no longer exist post-flush.
-        fw.fault_manager.discard_checkpoints_after(fw._step - 1)
+        fw.fault_manager.discard_checkpoints_after(fw.step - 1)
         # Rewind the *whole* fleet (canonicals and elastic mirrors alike) to
         # the delivered prefix: restore the newest consistent differential
         # checkpoint and replay only the plan suffix past it — bounded in run
@@ -266,17 +280,17 @@ class StepPipeline:
         # tests) fall back to pristine reset + full delivered-history replay;
         # either way every shard-group member is a byte-exact replica of the
         # state a lone loader would hold after the delivered prefix.
-        fw._rewind_members(fw._step)
+        fw.recovery.rewind_members(fw.step)
         # Steps already constructed for the flushed future occupy bounded
         # staging slots on every constructor (including ones a reshard is
         # about to retire); release them so re-planned steps can stage again.
         for constructor_handle in fw.constructor_handles:
             try:
-                constructor_handle.call("release_steps_below", self._next_issue_step)
+                constructor_handle.call("release_steps_below", self.next_issue_step)
             except Exception:  # noqa: BLE001 - best-effort cleanup
                 pass
         self._queue.clear()
-        self._next_issue_step = fw._step
+        self.next_issue_step = fw.step
 
     # -- state machine -----------------------------------------------------------------
 
@@ -286,12 +300,12 @@ class StepPipeline:
         while len(self._queue) < self.prefetch_depth + 1:
             self._queue.append(
                 _InflightStep(
-                    step=self._next_issue_step,
-                    issued_at=self.framework._step,
-                    issue_time_s=self.framework._last_release_s,
+                    step=self.next_issue_step,
+                    issued_at=self.framework.step,
+                    issue_time_s=self.framework.last_release_s,
                 )
             )
-            self._next_issue_step += 1
+            self.next_issue_step += 1
 
     def _pump(self) -> bool:
         """Advance the earliest incomplete step one transition (strict order)."""
@@ -321,13 +335,18 @@ class StepPipeline:
             # Re-admit healed dark sources before this step plans, so the
             # plan samples from the restored mixture.
             fw.degradation.maybe_restore(item.step)
-        planner = fw.planner_handle.instance()
-        fw._ensure_sized_strategy(planner)
+        self._submit_plan(item)
+        item.state = "planning"
+        return True
+
+    def _submit_plan(self, item: _InflightStep) -> None:
+        """(Re-)issue the step's plan on the sized planner (a restarted
+        planner comes back with its deploy-time, unbounded strategy)."""
+        fw = self.framework
+        fw.sized_planner()
         item.plan_future = fw.planner_handle.submit_timed(
             "generate_plan", item.step, step_tag=item.step, earliest_start_s=item.issue_time_s
         )
-        item.state = "planning"
-        return True
 
     def _advance_planning(self, item: _InflightStep) -> bool:
         fw = self.framework
@@ -343,15 +362,12 @@ class StepPipeline:
             # and re-plan the whole in-flight window — or waited out (strict).
             item.recovery_attempts += 1
             dark_before = set(fw.degradation.dark) if fw.degradation is not None else set()
-            if not fw._absorb_gather_fault(item.step, item.recovery_attempts, exc):
+            if not fw.recovery.absorb_gather_fault(item.step, item.recovery_attempts):
                 raise exc
             if fw.degradation is not None and set(fw.degradation.dark) != dark_before:
                 self.flush()
                 return True
-            item.plan_future = fw.planner_handle.submit_timed(
-                "generate_plan", item.step, step_tag=item.step,
-                earliest_start_s=item.issue_time_s,
-            )
+            self._submit_plan(item)
             return True
         if exc is not None:
             raise exc
@@ -366,19 +382,22 @@ class StepPipeline:
         # (spawn/retire through the placement scheduler) before routing this
         # step's demands, so the resized fleet serves the step that carried
         # the directive — exactly like the synchronous path.
-        fw._apply_scaling_plan(item.plan)
-        item.demands = fw._split_demands(item.plan)
+        fw.apply_scaling_plan(item.plan)
+        item.demands = fw.split_demands(item.plan)
         for handle, sample_ids in item.demands.items():
-            if not sample_ids:
-                continue
-            item.prepare_futures[handle] = handle.submit_timed(
-                "prepare_async", item.step, list(sample_ids),
-                step_tag=item.step, earliest_start_s=item.plan_ready_s,
-            )
-            item.pending_loaders.add(handle)
-            item.unfetched.add(handle)
+            if sample_ids:
+                self._submit_prepare(item, handle)
         item.state = "preparing"
         return True
+
+    def _submit_prepare(self, item: _InflightStep, handle: ActorHandle) -> None:
+        """(Re-)issue ``handle``'s prepare ticket for the step's demands."""
+        item.prepare_futures[handle] = handle.submit_timed(
+            "prepare_async", item.step, list(item.demands[handle]),
+            step_tag=item.step, earliest_start_s=item.plan_ready_s,
+        )
+        item.pending_loaders.add(handle)
+        item.unfetched.add(handle)
 
     def _advance_preparing(self, item: _InflightStep) -> bool:
         fw = self.framework
@@ -435,7 +454,7 @@ class StepPipeline:
             # Differential-interval checkpoint at the per-step sync point —
             # the strict-order pump guarantees every plan <= item.step is
             # fully applied here and nothing beyond has started.
-            fw._checkpoint_members(item.step)
+            fw.recovery.checkpoint_members(item.step)
             item.state = "fetching"
         return True
 
@@ -535,19 +554,6 @@ class StepPipeline:
 
     # -- recovery ----------------------------------------------------------------------
 
-    def _recover_loader_handle(self, handle: ActorHandle, at_step: int) -> ActorHandle:
-        """Promote/restart a failed loader and resync its buffer state.
-
-        Delegates to :meth:`MegaScaleData.recover_fleet_member` — the one
-        recovery implementation shared with the synchronous path: promote a
-        hot-standby mirror when the group has one (zero replay), otherwise
-        restore the replacement from its newest consistent differential
-        checkpoint and replay only the post-checkpoint plan suffix before
-        ``at_step`` (Sec. 6.1 differential checkpoint + replay, bounded in
-        run length), reproducing the failed primary's buffer exactly.
-        """
-        return self.framework.recover_fleet_member(handle, at_step)
-
     def _handle_loader_failure(self, item: _InflightStep, handle: ActorHandle) -> None:
         """Recover a loader that died mid-prepare/fetch and re-issue its work.
 
@@ -571,7 +577,7 @@ class StepPipeline:
             self._degrade_or_wait(item, handle)
             return
         try:
-            promoted = self._recover_loader_handle(handle, item.step)
+            promoted = fw.recover_fleet_member(handle, item.step)
         except (ActorDead, ActorTimeout, StorageError):
             self._degrade_or_wait(item, handle)
             return
@@ -585,12 +591,7 @@ class StepPipeline:
         item.unfetched.discard(handle)
         item.demands[promoted] = sample_ids
         if sample_ids:
-            item.prepare_futures[promoted] = promoted.submit_timed(
-                "prepare_async", item.step, list(sample_ids),
-                step_tag=item.step, earliest_start_s=item.plan_ready_s,
-            )
-            item.pending_loaders.add(promoted)
-            item.unfetched.add(promoted)
+            self._submit_prepare(item, promoted)
         item.state = "preparing"
 
     def _degrade_or_wait(self, item: _InflightStep, handle: ActorHandle) -> None:
@@ -603,8 +604,8 @@ class StepPipeline:
         retries after the fault window may have expired.
         """
         fw = self.framework
-        source = fw._member_source(handle)
-        if fw.degradation is not None and fw._can_degrade({source}):
+        source = fw.recovery.member_source(handle)
+        if fw.degradation is not None and fw.degradation.can_degrade({source}):
             fw.degradation.degrade({source}, item.step)
             self.flush()
             return
@@ -624,10 +625,7 @@ class StepPipeline:
         # re-triggering this wait loop even after the fault window expires.
         prepare = item.prepare_futures.get(handle)
         if prepare is not None and prepare.done() and prepare.exception() is not None:
-            item.prepare_futures[handle] = handle.submit_timed(
-                "prepare_async", item.step, list(item.demands[handle]),
-                step_tag=item.step, earliest_start_s=item.plan_ready_s,
-            )
+            self._submit_prepare(item, handle)
         for futures in (item.poll_futures, item.fetch_futures):
             future = futures.get(handle)
             if future is not None and future.done() and future.exception() is not None:

@@ -87,7 +87,6 @@ class TenantManager:
         cluster: ClusterSpec | None = None,
         system: ActorSystem | None = None,
         checkpoint_store: CheckpointStore | None = None,
-        dispatcher: str = "indexed",
         backend: str = "virtual",
         time_scale: float = 1.0,
         enable_preemption: bool = True,
@@ -98,7 +97,6 @@ class TenantManager:
         #: tenant's burst borrow capacity a dedicated silo would not have.
         self.system = system or ActorSystem(
             cluster or ClusterSpec(),
-            dispatcher=dispatcher,
             backend=backend,
             time_scale=time_scale,
             placement_policy=placement_policy,
@@ -110,8 +108,6 @@ class TenantManager:
         self.tenants: dict[str, TenantSpec] = {}
         self.deployments: dict[str, MegaScaleData] = {}
         self.preemptions: list[PreemptionEvent] = []
-        self._steps_run: dict[str, int] = {}
-        self._lane_model: str | None = None
 
     # -- admission -------------------------------------------------------------
 
@@ -134,13 +130,6 @@ class TenantManager:
                 f"tenant {spec.name!r} wants backend {job.backend!r} but the shared "
                 f"system runs {self.system.backend!r}"
             )
-        if self._lane_model is None:
-            self._lane_model = job.lane_model
-        elif job.lane_model != self._lane_model:
-            raise ConfigurationError(
-                f"tenant {spec.name!r} wants lane_model {job.lane_model!r} but the "
-                f"shared pool was calibrated with {self._lane_model!r}"
-            )
         if not job.namespace:
             job = replace(job, namespace=spec.name)
         self.system.scheduler.register_tenant(
@@ -160,14 +149,12 @@ class TenantManager:
         )
         self.tenants[spec.name] = spec
         self.deployments[spec.name] = deployment
-        self._steps_run[spec.name] = 0
         return deployment
 
     def evict(self, name: str) -> None:
         """Shut down one tenant's actors; its reservations return to the pool."""
         deployment = self.deployments.pop(name, None)
         self.tenants.pop(name, None)
-        self._steps_run.pop(name, None)
         if deployment is not None:
             deployment.shutdown()
 
@@ -186,7 +173,6 @@ class TenantManager:
         for round_index in range(num_steps):
             for name in list(self.deployments):
                 self.deployments[name].run_step(simulate=simulate)
-                self._steps_run[name] += 1
             self.service_round(round_index)
         return self.report()
 
@@ -222,7 +208,7 @@ class TenantManager:
                 continue
             planner: Planner = deployment.planner_handle.instance()
             spawned += deployment.fleet.retry_pending_spawns(
-                self._steps_run[name], planner, scaler=planner.scaler
+                deployment.plan_frontier(), planner, scaler=planner.scaler
             )
         return spawned
 
@@ -255,9 +241,7 @@ class TenantManager:
                         break
                     source = entry["source"]
                     while unmet > 0 and entry["mirrors"] > 0:
-                        if not deployment.fleet.retire_member(
-                            source, self._steps_run[victim]
-                        ):
+                        if not deployment.fleet.retire_member(source, deployment.step):
                             break
                         entry["mirrors"] -= 1
                         unmet -= 1

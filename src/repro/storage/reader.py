@@ -75,7 +75,6 @@ class ColumnarReader:
         self._ledger = ledger
         self._config = config or ReaderConfig()
         self._file: ColumnarFile | None = None
-        self._open_latency = 0.0
         self._buffered_groups: list[int] = []
         self._buffer_bytes = 0
         self._cursor = 0
@@ -100,7 +99,6 @@ class ColumnarReader:
         self._ledger.charge("file_state", SCHEMA_STATE_BYTES)
         if self._config.cache_footer:
             self._ledger.charge("file_state", payload.footer_bytes)
-        self._open_latency = latency
         return latency
 
     def close(self) -> None:
@@ -166,10 +164,6 @@ class ColumnarReader:
             schema_bytes=SCHEMA_STATE_BYTES,
             buffer_bytes=self._buffer_bytes,
         )
-
-    @property
-    def open_latency(self) -> float:
-        return self._open_latency
 
     # -- internals -------------------------------------------------------------
 

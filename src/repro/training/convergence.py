@@ -93,10 +93,6 @@ class ConvergenceSimulator:
         return [self.step(batch) for batch in batches]
 
     @property
-    def losses(self) -> list[float]:
-        return list(self._losses)
-
-    @property
     def cumulative_tokens(self) -> float:
         return self._cumulative_tokens
 

@@ -80,10 +80,6 @@ class PackedSequence:
     segments: list[tuple[int, int]]  # (sample_id, token_count)
     padding: int = 0
 
-    @property
-    def payload_tokens(self) -> int:
-        return self.tokens - self.padding
-
 
 @dataclass
 class CollatedMicrobatch:

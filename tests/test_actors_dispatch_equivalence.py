@@ -239,14 +239,19 @@ def _delivery_bytes(result):
 
 
 def _deploy(dispatcher: str, depth: int, **overrides) -> MegaScaleData:
-    return MegaScaleData.deploy(
-        TrainingJobSpec(
-            pp=1, dp=2, cp=1, tp=1, encoder=None, strategy="backbone_balance",
-            samples_per_dp_step=4, num_microbatches=2, num_sources=3,
-            samples_per_source=48, seed=11, prefetch_depth=depth,
-            dispatcher=dispatcher, **overrides,
-        )
+    job = TrainingJobSpec(
+        pp=1, dp=2, cp=1, tp=1, encoder=None, strategy="backbone_balance",
+        samples_per_dp_step=4, num_microbatches=2, num_sources=3,
+        samples_per_source=48, seed=11, prefetch_depth=depth, **overrides,
     )
+    if dispatcher == "indexed":
+        return MegaScaleData.deploy(job)
+    # The linear scan is an ActorSystem-level reference, not a job option:
+    # deploy onto a pre-built system with the cluster a fresh deploy sizes.
+    cluster = ClusterSpec(
+        accelerator_nodes=max(1, job.device_mesh().num_nodes), cpu_pods=job.cpu_pods
+    )
+    return MegaScaleData.deploy(job, system=ActorSystem(cluster, dispatcher=dispatcher))
 
 
 @pytest.mark.parametrize("depth", [1, 2])
@@ -281,7 +286,7 @@ def test_prefetch_pipeline_byte_identical_across_dispatchers(depth):
 def test_bounded_telemetry_preserves_overlap_reconciliation():
     """Bounded/aggregating telemetry reports the same ledger as full mode."""
     full = _deploy("indexed", 1)
-    bounded = _deploy("indexed", 1, bounded_telemetry=True, telemetry_window=32)
+    bounded = _deploy("indexed", 1, telemetry_window=32)
     try:
         for _ in range(4):
             full.run_step(simulate=True)

@@ -132,14 +132,8 @@ class TestCapacitySplitLaneModel:
             role = "source_loader"
 
         result = {"chunk_wall_clock_s": 1.0}
-        split = DataPlaneLatencyProvider(lane_model="capacity_split")
-        amortized = DataPlaneLatencyProvider(lane_model="amortized")
+        split = DataPlaneLatencyProvider()
         assert split.wants_lane_context
         assert split.call_duration_s(
             FakeLoader(), "poll", result, busy_lanes=2, start_s=0.0, lane_ends_s=(50.0,)
         ) == pytest.approx(2.0)
-        assert amortized.call_duration_s(
-            FakeLoader(), "poll", result, busy_lanes=2, start_s=0.0, lane_ends_s=(50.0,)
-        ) == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            DataPlaneLatencyProvider(lane_model="bogus")

@@ -39,7 +39,7 @@ def make_job(prefetch_depth: int, elastic: bool, seed: int = 3, **overrides):
         pp=1, dp=2, cp=1, tp=1, encoder=None, strategy="backbone_balance",
         samples_per_dp_step=8, num_microbatches=2, num_sources=3,
         samples_per_source=48, seed=seed, prefetch_depth=prefetch_depth,
-        mixture=bursty_mixture(), elastic_fleet=elastic,
+        mixture=bursty_mixture(), enable_autoscaler=elastic,
     )
     spec.update(overrides)
     return TrainingJobSpec(**spec)
@@ -73,7 +73,6 @@ class TestElasticByteIdentity:
         batches as a frozen-fleet synchronous run."""
         frozen = MegaScaleData.deploy(make_job(0, elastic=False, seed=seed))
         elastic = MegaScaleData.deploy(make_job(depth, elastic=True, seed=seed))
-        arm_scaler(frozen)
         arm_scaler(elastic)
         try:
             for step in range(14):
@@ -96,7 +95,6 @@ class TestElasticByteIdentity:
         """Elasticity on the synchronous path is behaviour-invisible too."""
         frozen = MegaScaleData.deploy(make_job(0, elastic=False))
         elastic = MegaScaleData.deploy(make_job(0, elastic=True))
-        arm_scaler(frozen)
         arm_scaler(elastic)
         try:
             for _ in range(10):
@@ -114,7 +112,6 @@ class TestElasticByteIdentity:
         delivered batches still match the frozen fleet's."""
         frozen = MegaScaleData.deploy(make_job(0, elastic=False))
         elastic = MegaScaleData.deploy(make_job(0, elastic=True))
-        arm_scaler(frozen)
         arm_scaler(elastic)
         killed = False
         try:
@@ -140,7 +137,6 @@ class TestElasticByteIdentity:
         delivered batches still match the frozen-fleet synchronous run."""
         frozen = MegaScaleData.deploy(make_job(0, elastic=False))
         elastic = MegaScaleData.deploy(make_job(2, elastic=True))
-        arm_scaler(frozen)
         arm_scaler(elastic)
         killed = False
         try:
@@ -251,7 +247,6 @@ class TestFleetMechanics:
         )
         frozen = MegaScaleData.deploy(make_job(0, elastic=False))
         elastic = MegaScaleData.deploy(make_job(2, elastic=True))
-        arm_scaler(frozen)
         arm_scaler(elastic)
         try:
             for _ in range(5):
@@ -268,6 +263,52 @@ class TestFleetMechanics:
         finally:
             frozen.shutdown()
             elastic.shutdown()
+
+
+class TestManualScaleUnderPrefetch:
+    """``scale_source`` mid-prefetch, then a pipeline flush while the mirror lives.
+
+    Regression: the mirror clones its canonical's *live* buffer, which at
+    depth 2 already has the in-flight steps' plans applied, but the spawn
+    (and so the mirror's bootstrap baseline) was stamped with the consume
+    position; the flush restored that baseline, replayed plans it already
+    contained, and the next poll raised ``PlanError: loader …/0m1 was asked
+    for unknown sample``.  Sync never prefetches, so depth 0 is the reference.
+    """
+
+    @staticmethod
+    def drive(depth: int, gap: int) -> list:
+        job = TrainingJobSpec.text_example()
+        job.prefetch_depth = depth
+        system = MegaScaleData.deploy(job)
+        names = system.catalog.names()
+        delivered = []
+
+        def steps(count):
+            for _ in range(count):
+                result = system.run_step()
+                delivered.append((result.plan.source_demands, delivery_signature(result)))
+
+        try:
+            steps(3)
+            frontier = system.plan_frontier()
+            assert frontier == system.step + (depth + 1 if depth else 0)
+            assert system.scale_source(names[0], 2) == 2
+            assert system.fleet.changes[-1].step == frontier
+            steps(gap)
+            system.set_mixture(
+                MixtureSchedule.static(dict(zip(names, (0.7, 0.1, 0.1, 0.1)))),
+                flush_pending=True,
+            )
+            steps(3)
+            assert system.fleet.member_count(names[0]) >= 2  # the mirror lived through it
+            return delivered
+        finally:
+            system.shutdown()
+
+    @pytest.mark.parametrize("gap", [0, 1, 2, 3])
+    def test_flush_after_scale_source_matches_sync(self, gap):
+        assert self.drive(2, gap) == self.drive(0, gap)
 
 
 class TestElasticReporting:
@@ -356,7 +397,6 @@ class TestDeltaCacheUnderFleetChurn:
     def test_cache_exact_across_scale_up_down_and_mirror_crash(self, depth):
         frozen = MegaScaleData.deploy(make_job(0, elastic=False))
         elastic = MegaScaleData.deploy(make_job(depth, elastic=True))
-        arm_scaler(frozen)
         arm_scaler(elastic)
         killed = False
         try:

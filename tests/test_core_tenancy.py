@@ -239,10 +239,6 @@ class TestTenantManager:
                 manager.admit(
                     TenantSpec(name="b", job=make_job(seed=1, backend="wallclock"))
                 )
-            with pytest.raises(ConfigurationError, match="lane_model"):
-                manager.admit(
-                    TenantSpec(name="c", job=make_job(seed=1, lane_model="amortized"))
-                )
         finally:
             manager.shutdown()
 
