@@ -321,6 +321,28 @@ class ActorHandle:
             step_tag=step_tag,
         )
 
+    def call_settled(
+        self,
+        method: str,
+        *args: object,
+        step_tag: int | None = None,
+        earliest_start_s: float | None = None,
+    ) -> ActorFuture:
+        """:meth:`call` in :meth:`submit_timed`'s shape: run now, settle a future.
+
+        The call executes on the caller, as any ``call`` does, and its outcome
+        (result or raised exception) rides on the returned, already-settled
+        future, so a driver written against futures can issue inline.  Nothing
+        is queued on the engine and no timeline event is recorded: the
+        scheduling keywords go unused and ``available_at_s`` stays ``None``.
+        """
+        future = ActorFuture(self.name, method)
+        try:
+            future._complete(self.call(method, *args))
+        except Exception as exc:  # noqa: BLE001 - routed to the future, as tick() does
+            future._fail(exc)
+        return future
+
     def instance(self) -> Actor:
         """Direct access to the underlying object (tests / same-process reads)."""
         return self._system.actor_instance(self.name)

@@ -401,7 +401,7 @@ class WallclockEngine:
 
         The body serializes with submitted-call bodies (actor state is never
         mutated concurrently); afterwards the provider-modelled latency is
-        slept on the *caller's* thread, so the depth-0 synchronous data path
+        slept on the *caller's* thread, so the depth-0 (inline) data path
         pays realistic wall latency — the fig25 baseline.  Re-entrant direct
         calls from a body to its own actor skip the turnstile (plain nested
         call, as in the virtual engine).

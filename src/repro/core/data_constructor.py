@@ -184,11 +184,11 @@ class DataConstructor(Actor):
     def get_batch(self, step: int, rank: int) -> RankDelivery:
         """A trainer client pulls its slices for ``step``.
 
-        With ``enforce_delivery_order`` (required by the prefetching
-        pipeline) delivery is strictly in step order per rank: once a rank
-        has received step ``s`` it may only request steps ``> s``, so
-        prefetched steps can never be consumed out of order or twice.  The
-        synchronous workflow disables the guard to keep random step access.
+        With ``enforce_delivery_order`` (set at ``prefetch_depth >= 1``)
+        delivery is strictly in step order per rank: once a rank has
+        received step ``s`` it may only request steps ``> s``, so prefetched
+        steps can never be consumed out of order or twice.  Depth 0 disables
+        the guard to keep random step access.
         """
         step_deliveries = self._pending_deliveries.get(step)
         if step_deliveries is None:

@@ -256,7 +256,7 @@ def ensure_sized_strategy(
     global batch size fixed a mixture-less planner gets one that samples the
     per-step budget uniformly from the buffered pool via the DGraph mix
     primitive (the controller's catch-up schedule in renormalize mode).
-    Idempotent, so both step drivers call it before every plan — which also
+    Idempotent, so the step driver calls it before every plan — which also
     re-installs it on a restarted planner, whose factory rebuilt the
     deploy-time (unbounded) strategy.
     """

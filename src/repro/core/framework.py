@@ -12,10 +12,10 @@ with a centralized Planner (Sec. 4) and exposes the per-step pull workflow::
     4. the Planner gathers buffer metadata and synthesizes the plan
     5. loaders prepare samples, stage them, and refill from storage
 
-With ``prefetch_depth=0`` (the default) the workflow runs synchronously, one
-step at a time.  With ``prefetch_depth>=1`` the facade routes steps through
-the asynchronous :class:`~repro.core.step_pipeline.StepPipeline`, which keeps
-that many future steps in flight behind the trainer.
+Every step is driven by the :class:`~repro.core.step_pipeline.StepPipeline`:
+with ``prefetch_depth=0`` (the default) it issues each data-plane call inline,
+one step at a time; with ``prefetch_depth>=1`` it defers the calls on the
+event engine and keeps that many future steps in flight behind the trainer.
 
 Trainer and data plane co-simulate on the actor system's shared
 :class:`~repro.actors.runtime.VirtualClock`: the trainer is a
@@ -33,10 +33,9 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.actors.actor import ActorFuture, ActorState
+from repro.actors.actor import ActorFuture
 from repro.actors.node import NodeKind
 from repro.actors.runtime import ActorSystem, ClusterSpec
-from repro.core.assembly import PreparedColumns
 from repro.core.autoscaler import MixtureDrivenScaler, PartitionPlan
 from repro.core.checkpoint import CheckpointStore
 from repro.core.cost_model import DataPlaneLatencyProvider
@@ -68,7 +67,7 @@ from repro.core.source_loader import SourceLoader
 from repro.core.step_pipeline import StepPipeline
 from repro.data.mixture import MixtureSchedule
 from repro.data.sources import SourceCatalog
-from repro.errors import ActorDead, ActorTimeout, ConfigurationError, PlanError, StorageError
+from repro.errors import ActorTimeout, ConfigurationError
 from repro.metrics.report import ClusterUtilizationTracker
 from repro.metrics.timeline import FLEET_ROLE, OverlapLedger
 from repro.storage.filesystem import SimulatedFileSystem
@@ -82,10 +81,6 @@ __all__ = [
     "TrainingJobSpec",
     "fetch_bound_gpu_spec",
 ]
-
-
-class _ReplanStep(Exception):
-    """Internal signal: the current step must be re-planned (source degraded)."""
 
 
 class MegaScaleData:
@@ -160,8 +155,7 @@ class MegaScaleData:
         self.overlap = OverlapLedger(tenant=job.tenant)
         #: Renormalize-mode policy (None under degraded_mode="strict").
         self.degradation = degradation
-        #: Fault absorption, rewind and member checkpoints — shared by the
-        #: synchronous driver below and the :class:`StepPipeline`.
+        #: Fault absorption, rewind and member checkpoints.
         self.recovery = FleetRecovery(
             self.fleet, fault_manager, planner_handle, self.loader_handles, degradation,
             heal=self.recover_fleet_member,
@@ -173,15 +167,12 @@ class MegaScaleData:
         #: Virtual instant the latest consumed step began on the trainer —
         #: the issue instant for steps the pipeline queues at that consume.
         self.last_release_s = 0.0
-        #: Deferred trainer iteration (wallclock + pipeline only): the await
+        #: Deferred trainer iteration (wallclock + prefetching only): the await
         #: is postponed until after the pipeline pumps prefetch work, so real
         #: trainer compute overlaps the next steps' fetches on lane threads.
         self._pending_iteration: tuple | None = None
-        self.pipeline: StepPipeline | None = (
-            StepPipeline(self, prefetch_depth=job.prefetch_depth)
-            if job.prefetch_depth > 0
-            else None
-        )
+        #: The step driver (inline issue at depth 0, prefetching above).
+        self.pipeline = StepPipeline(self, prefetch_depth=job.prefetch_depth)
 
     @property
     def simulator(self) -> TrainingSimulator:
@@ -216,154 +207,14 @@ class MegaScaleData:
     # -- runtime workflow ----------------------------------------------------------------------------
 
     def run_step(self, step: int | None = None, simulate: bool = False) -> StepResult:
-        """Execute one pull-workflow step end to end.
+        """Execute one pull-workflow step end to end (see :class:`StepPipeline`)."""
+        return self.pipeline.run_step(step=step, simulate=simulate)
 
-        With ``prefetch_depth>=1`` the step is served by the asynchronous
-        :class:`StepPipeline` (which keeps future steps in flight); otherwise
-        the whole workflow runs inline and its latency is fully exposed.
-        """
-        if self.pipeline is not None:
-            return self.pipeline.run_step(step=step, simulate=simulate)
-        return self._run_step_sync(step, simulate)
-
-    def _run_step_sync(self, step: int | None, simulate: bool) -> StepResult:
-        step = self.step if step is None else step
-        if self.degradation is not None:
-            self.degradation.maybe_restore(step)
-
-        # Steps 3-5: plan, then route demands and prepare.  A fault at either
-        # stage is healed (recover the member), degraded (renormalize mode:
-        # drop the dark source and re-plan the step) or waited out (strict
-        # mode: jittered backoff until the fault window expires).
-        for _round in range(2 * max(1, self.job.num_sources)):
-            plan = self._plan_with_tolerance(step)
-            # Apply any piggybacked scaling directives before routing
-            # demands, so an enlarged (or shrunk) fleet serves this step.
-            self.apply_scaling_plan(plan)
-            try:
-                (
-                    prepared,
-                    demands_by_loader,
-                    loader_wall_clock,
-                    loader_transform,
-                ) = self._prepare_all(plan, step)
-                break
-            except _ReplanStep:
-                # A source went dark mid-prepare and was degraded; partially
-                # prepared members have consumed buffer samples this plan
-                # will never deliver.  Rewind everything to the delivered
-                # prefix and re-plan the step over the survivors.
-                self.planner_handle.instance().truncate_history(step)
-                if self.degradation is not None:
-                    self.degradation.invalidate_from(step)
-                self.fault_manager.discard_checkpoints_after(step - 1)
-                self.recovery.rewind_members(step)
-        else:
-            raise PlanError(
-                f"step {step} could not be planned after repeated degradation"
-            )
-        # Shard-group members absorb their peers' demands (one refill each),
-        # keeping every mirror byte-identical to a lone loader's buffer.
-        self.fleet.sync_after_prepare(demands_by_loader)
-        # Differential-interval checkpoint at the per-step sync point, where
-        # every plan up to and including this step has been applied.
-        self.recovery.checkpoint_members(step)
-
-        # Step 2: constructors assemble microbatches and parallelism slices.
-        backbone_plan = plan.module("backbone")
-        collate_seconds = 0.0
-        for constructor_handle in self.constructor_handles:
-            stats = self.recovery.call_constructor(
-                constructor_handle, step, "construct", step, backbone_plan, prepared
-            )
-            collate_seconds = max(collate_seconds, stats["collate_seconds"])
-
-        # The synchronous workflow runs inline (data_ready_s=None), so the
-        # whole fetch latency lands on the critical path and nothing is hidden.
-        return self.finalize_step(
-            step=step,
-            plan=plan,
-            plan_timings=self.planner_handle.instance().stats.latest_timings(),
-            loader_wall_clock_s=loader_wall_clock,
-            loader_transform_s=loader_transform,
-            collate_seconds=collate_seconds,
-            data_ready_s=None,
-            prefetched=False,
-            simulate=simulate,
+    def size_planner(self) -> None:
+        """Cap the live Planner at the job's per-step sample budget (idempotent)."""
+        ensure_sized_strategy(
+            self.planner_handle.instance(), self.job, self.catalog, self.degradation
         )
-
-    def _prepare_all(self, plan: LoadingPlan, step: int):
-        """Route the plan's demands and prepare every member's slice.
-
-        A member fault is recovered in place when possible; an unrecoverable
-        one either waits (strict) or degrades its source and raises
-        :class:`_ReplanStep` (renormalize) so the caller re-plans the step.
-        """
-        ft = self.fault_manager
-        loader_wall_clock = 0.0
-        loader_transform = 0.0
-        prepared_parts: list[PreparedColumns] = []
-        demands_by_loader: dict[object, list[int]] = {}
-        for handle, sample_ids in self.split_demands(plan).items():
-            attempt = 0
-            while sample_ids:
-                try:
-                    # The fetch returns a GCS *reference* resolved with
-                    # ``take``: the column slice is never copied.
-                    result = handle.call("prepare", sample_ids)
-                    ref = handle.call("fetch_prepared_ref", sample_ids)
-                    fetched = self.system.gcs.take(ref["key"])
-                except (ActorDead, ActorTimeout) as exc:
-                    attempt += 1
-                    if self.system.actor_state(handle.name) is not ActorState.RUNNING:
-                        # Only a genuinely dead member is restarted; an
-                        # alive-but-dark one (blackout, blip) keeps its
-                        # prefetch cursor and is waited out or degraded.
-                        try:
-                            handle = self.recover_fleet_member(handle, step)
-                            continue
-                        except (ActorDead, ActorTimeout, StorageError):
-                            pass
-                    source = self.recovery.member_source(handle)
-                    if self.degradation is not None and self.degradation.can_degrade({source}):
-                        self.degradation.degrade({source}, step)
-                        raise _ReplanStep(source) from exc
-                    if attempt >= ft.config.degraded_wait_attempts:
-                        raise
-                    ft.sleep(ft.wait_delay_s(attempt, f"prepare.{handle.name}"))
-                    continue
-                loader_wall_clock = max(loader_wall_clock, result["wall_clock_s"])
-                loader_transform += result["transform_latency_s"]
-                prepared_parts.append(fetched)
-                break
-            demands_by_loader[handle] = sample_ids
-        return (
-            PreparedColumns.concat(prepared_parts),
-            demands_by_loader,
-            loader_wall_clock,
-            loader_transform,
-        )
-
-    def sized_planner(self) -> Planner:
-        """The live Planner, capped at the job's per-step sample budget."""
-        planner: Planner = self.planner_handle.instance()
-        ensure_sized_strategy(planner, self.job, self.catalog, self.degradation)
-        return planner
-
-    def _plan_with_tolerance(self, step: int) -> LoadingPlan:
-        """Generate the step's plan, healing/degrading/waiting through faults."""
-        attempt = 0
-        while True:
-            try:
-                plan = self.sized_planner().generate_plan(step)
-            except (ActorDead, ActorTimeout):
-                attempt += 1
-                if not self.recovery.absorb_gather_fault(step, attempt):
-                    raise
-                continue
-            if self.degradation is not None:
-                self.degradation.observe_plan(plan)
-            return plan
 
     def finalize_step(
         self,
@@ -377,21 +228,17 @@ class MegaScaleData:
         prefetched: bool,
         simulate: bool,
     ) -> StepResult:
-        """Shared consume epilogue of the synchronous and prefetching paths.
+        """The consume epilogue of a fully constructed step.
 
-        Collects the per-rank deliveries for a fully constructed step,
-        measures the trainer stall on the virtual clock, records the overlap
-        entry, books the trainer's compute window as an event on the same
-        clock (optionally simulating the iteration) and releases older
-        staging.  Keeping this in one place guarantees the two paths cannot
-        drift apart in delivery filtering, latency accounting or staging
-        release.
+        Collects the per-rank deliveries, measures the trainer stall on the
+        virtual clock, records the overlap entry, books the trainer's compute
+        window as an event on the same clock (optionally simulating the
+        iteration) and releases older staging.
 
         ``data_ready_s`` is the virtual instant the step's last construct
-        event completed (prefetching path), or ``None`` for the synchronous
-        path, where the data plane only starts once the trainer goes idle and
-        readiness is therefore the trainer's free instant plus the full fetch
-        latency.
+        event completed, or ``None`` at ``prefetch_depth=0``, where the data
+        plane only starts once the trainer goes idle and readiness is
+        therefore the trainer's free instant plus the full fetch latency.
         """
         # Step 1 (accounting): the fetch latency seen by the trainer clients.
         data_fetch_latency = plan_timings.total_s + loader_wall_clock_s + collate_seconds
@@ -401,8 +248,8 @@ class MegaScaleData:
         # not stall the trainer was hidden behind earlier compute windows.
         if data_ready_s is None:
             if self.system.engine is not None:
-                # Wallclock synchronous path: the inline fetch already slept
-                # its modelled latency on the caller thread, so readiness is
+                # Wallclock at depth 0: the inline calls already slept their
+                # modelled latency on the caller thread, so readiness is
                 # "now" on the shared clock, not an offset reconstruction.
                 data_ready_s = self.system.clock.now_s
                 stall_s = max(0.0, data_ready_s - trainer_free_s)
@@ -472,7 +319,7 @@ class MegaScaleData:
                     "consume_step", step, step_tag=step, earliest_start_s=begin_s
                 )
         iteration_future = submit_iteration()
-        if self.system.engine is not None and self.pipeline is not None:
+        if self.system.engine is not None and self.job.prefetch_depth:
             # Wallclock + prefetching: awaiting the iteration here would
             # serialize trainer compute against the pipeline's next pump and
             # forfeit the very overlap the backend exists to measure.  Defer
@@ -538,7 +385,7 @@ class MegaScaleData:
             result.iteration = iteration
 
     def collect_iteration(self) -> None:
-        """Await a deferred trainer iteration (wallclock pipeline path only)."""
+        """Await a deferred trainer iteration (wallclock + prefetching only)."""
         pending, self._pending_iteration = self._pending_iteration, None
         if pending is not None:
             self._await_iteration(*pending)
@@ -550,7 +397,7 @@ class MegaScaleData:
         mirror clones its canonical's *live* buffer, which under prefetch
         already holds the in-flight steps' plans.
         """
-        return self.pipeline.plan_frontier() if self.pipeline is not None else self.step
+        return self.pipeline.plan_frontier()
 
     def next_batch(self) -> dict[int, RankDelivery]:
         """Convenience wrapper: run a step and return the per-rank deliveries."""
@@ -627,17 +474,17 @@ class MegaScaleData:
         mixture-driven AutoScaler, supporting curriculum-style schedule swaps
         without redeploying the data plane.
 
-        With a prefetching pipeline, steps already planned in flight were
+        With ``prefetch_depth>=1``, steps already planned in flight were
         sampled under the *old* mixture.  ``flush_pending=True`` flushes
         those not-yet-delivered plans (cancelling their queued work,
         truncating the plan history and deterministically replaying loader
         state back to the delivered prefix) so every step from the current
         one onward is re-planned under the new mixture — byte-identical to a
-        synchronous run that switched mixtures at the same step.  The default
+        depth-0 run that switched mixtures at the same step.  The default
         keeps the old behaviour: in-flight steps deliver under the old
         mixture and only not-yet-planned steps see the new one.
         """
-        if flush_pending and self.pipeline is not None:
+        if flush_pending:
             self.pipeline.flush()
         planner: Planner = self.planner_handle.instance()
         if self.degradation is not None:
@@ -670,8 +517,7 @@ class MegaScaleData:
         already carries, :meth:`restore` resumes the run from the returned
         step with byte-identical batches — at a cost flat in run length.
         """
-        if self.pipeline is not None:
-            self.pipeline.flush()
+        self.pipeline.flush()
         step = self.step
         # Between steps every delivered plan (<= step - 1) is fully applied
         # and nothing newer has started: the canonical snapshots and the
@@ -710,9 +556,7 @@ class MegaScaleData:
         )
         if payload.get("mixture") is not None:
             instance.set_mixture(MixtureSchedule.from_descriptor(payload["mixture"]))
-        step = instance.step = payload["step"]
-        if instance.pipeline is not None:
-            instance.pipeline.next_issue_step = step
+        step = instance.step = instance.pipeline.next_issue_step = payload["step"]
         load_run_checkpoint(
             payload, instance.loader_handles, instance.planner_handle.instance(), instance.fleet
         )
@@ -723,10 +567,9 @@ class MegaScaleData:
 
     def handle_reshard(self, notification: ReshardNotification) -> ReshardReport:
         """React to a trainer topology change (elastic resharding)."""
-        if self.pipeline is not None:
-            # In-flight prefetched steps were planned for the old topology;
-            # flush them so the pipeline restarts from the current step.
-            self.pipeline.flush()
+        # In-flight prefetched steps were planned for the old topology;
+        # flush them so the pipeline restarts from the current step.
+        self.pipeline.flush()
         constructors = {
             handle.name: handle.instance() for handle in self.constructor_handles
         }
@@ -773,8 +616,7 @@ class MegaScaleData:
             return
         self._shutdown_done = True
         self._pending_iteration = None
-        if self.pipeline is not None:
-            self.pipeline.cancel()
+        self.pipeline.cancel()
         known = [
             handle.name
             for handle in self.loader_handles + self.constructor_handles + [self.planner_handle]
@@ -847,7 +689,7 @@ class MegaScaleData:
     def recover_fleet_member(self, handle, at_step: int):
         """Promote/restart a failed fleet member and resync its buffer state.
 
-        The one recovery entry point of both step drivers and every heal
+        The one recovery entry point of the step driver and every heal
         path; see :meth:`FleetRecovery.recover_member` for the policy.
         """
         return self.recovery.recover_member(handle, at_step)
@@ -872,7 +714,7 @@ class MegaScaleData:
 def fetch_bound_gpu_spec(job: TrainingJobSpec, compute_fraction: float = 0.42) -> GpuSpec:
     """Calibrate a :class:`GpuSpec` that makes ``job`` fetch-bound.
 
-    Probes one synchronous step under the default GPU to measure the job's
+    Probes one depth-0 step under the default GPU to measure the job's
     fetch chain and compute window, then scales the GPU's throughput so one
     iteration's compute window is ``compute_fraction`` of the fetch chain —
     a single iteration cannot hide a fetch.  Used by the fetch-bound

@@ -72,9 +72,9 @@ class TrainingJobSpec:
     #: mid-run by the elastic fleet (0 = instant warm-up).
     spawn_warmup_s: float = 0.0
 
-    #: How many future steps the data plane keeps in flight behind the
-    #: trainer.  0 = fully synchronous pull workflow; >=1 enables the
-    #: asynchronous prefetching StepPipeline.
+    #: How many future steps the StepPipeline keeps in flight behind the
+    #: trainer.  0 = every data-plane call is issued inline, one step at a
+    #: time (fetch latency fully exposed); >=1 = deferred calls, prefetching.
     prefetch_depth: int = 0
 
     #: Accelerator model for the trainer simulator (None = the default
@@ -265,7 +265,7 @@ class StepResult:
     encoder_assignments: list[list[list[SampleMetadata]]] | None = None
     iteration: IterationResult | None = None
     #: Portion of the fetch latency hidden behind compute, *measured* on the
-    #: virtual clock (always 0 on the synchronous path).
+    #: virtual clock (always 0 at ``prefetch_depth=0``).
     hidden_fetch_s: float = 0.0
     #: Whether the step was served from the prefetch pipeline.
     prefetched: bool = False

@@ -248,10 +248,10 @@ class LoaderFleet:
         """Absorb peers' demands on every deferred-mode member (one refill each).
 
         Called once per step after the step's prepare work finished mutating
-        buffers (both the synchronous path and the pipeline's
-        preparing→fetching transition).  Members in legacy mode (singleton
-        groups) already refilled inside their prepare epilogue and are
-        skipped, so the frozen-fleet fast path stays call-for-call identical.
+        buffers (the pipeline's preparing→fetching transition).  Members in
+        legacy mode (singleton groups) already refilled inside their prepare
+        epilogue and are skipped, so the frozen-fleet fast path stays
+        call-for-call identical.
         """
         by_group: dict[int, tuple[ShardGroup, dict[str, list[int]]]] = {}
         for handle, sample_ids in demands.items():

@@ -1,10 +1,11 @@
 """Fault absorption and deterministic replay for the loader fleet.
 
-:class:`FleetRecovery` holds what both step drivers do when a data-plane
+:class:`FleetRecovery` holds what the step driver does when a planning-path
 call fails — heal the member (mirror promotion, shadow promotion or restart
 with bounded replay), degrade its source (renormalize mode) or wait the
-fault window out (strict mode) — and the rewind / checkpoint primitives
-those paths share with the pipeline flush and whole-run save.
+fault window out (strict mode) — and the heal / rewind / checkpoint
+primitives the pipeline's prepare- and fetch-stage policy, its flush and the
+whole-run save are built from.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ class FleetRecovery:
         # The planner itself may be the casualty (node crash, targeted kill):
         # restart it from its live state — plan history and persist backlog
         # ride in its state dict — and rewire the loader registry the
-        # restarted instance cannot carry.  (The drivers reinstall the sized
-        # sampling strategy before they re-issue the plan.)
+        # restarted instance cannot carry.  (The pipeline reinstalls the sized
+        # sampling strategy before it re-issues the plan.)
         if self.system.actor_state(self.planner_handle.name) is not ActorState.RUNNING:
             try:
                 ft.recover_coordinator(self.planner_handle, step)
@@ -205,8 +206,7 @@ class FleetRecovery:
     def rewind_members(self, limit_step: int, handles=None) -> None:
         """Rewind loaders (default: the whole fleet) to the prefix ``< limit_step``.
 
-        Shared by the sync degraded re-plan, the pipeline flush and source
-        re-admission.
+        Shared by the pipeline flush and source re-admission.
         """
         planner: Planner = self.planner_handle.instance()
         for handle in handles if handles is not None else self.fleet.all_handles():

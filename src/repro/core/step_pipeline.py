@@ -1,23 +1,32 @@
-"""Asynchronous prefetching execution engine for the pull workflow.
+"""The step driver of the pull workflow, at every prefetch depth.
 
-The synchronous :meth:`MegaScaleData.run_step` executes the whole pull
-workflow (plan → prepare → fetch → construct) inline, so data-preparation
-latency adds to iteration time.  :class:`StepPipeline` instead keeps up to
-``prefetch_depth`` future steps in flight: while the trainer consumes step
-``N`` it issues plan generation, non-blocking loader preparation
+:class:`StepPipeline` runs each step through one state machine (plan →
+prepare → fetch → construct → consume).  With ``prefetch_depth >= 1`` it keeps
+that many future steps in flight: while the trainer consumes step ``N`` it
+issues plan generation, non-blocking loader preparation
 (:meth:`SourceLoader.prepare_async` / :meth:`SourceLoader.poll`) and
 constructor staging for steps ``N+1..N+prefetch_depth`` through the actor
 system's cooperative event loop (deferred calls + futures).
 
+``prefetch_depth=0`` is the same machine with one thing changed — how a call
+is issued.  Each data-plane call runs inline on the caller
+(:meth:`ActorHandle.call_settled` instead of :meth:`ActorHandle.submit_timed`)
+and comes back as an already-settled future, so nothing is queued on or
+ticked from the engine (a co-tenant's events never run mid-step), a ticket is
+polled in one chunk, nothing is issued ahead of the consume, the queue is
+empty between steps (``flush`` has nothing to rewind, ``run_step(step=N)`` may
+move the consume position) and the trainer's stall is *computed* from the
+step's modelled fetch latency rather than measured.
+
 Determinism: data-plane operations are issued in strict step order — the plan
 for step ``N+1`` is generated only after step ``N``'s loader work finished
-mutating the read buffers — so the delivered batches are identical to the
-synchronous path for the same seed.
+mutating the read buffers — so the delivered batches are identical at every
+depth for the same seed.
 
-Timing is a discrete-event co-simulation on the actor system's shared
-:class:`~repro.actors.runtime.VirtualClock`: every deferred call is submitted
-with its causal dependency (``earliest_start_s`` — a step's loader work
-cannot start before its plan was broadcast, a construct not before its
+Timing (depth >= 1) is a discrete-event co-simulation on the actor system's
+shared :class:`~repro.actors.runtime.VirtualClock`: every deferred call is
+submitted with its causal dependency (``earliest_start_s`` — a step's loader
+work cannot start before its plan was broadcast, a construct not before its
 fetches completed, a re-issued construct not before the consume that freed a
 staging slot) and occupies its actor for a cost-model-derived virtual
 duration.  The instant a step's last construct event completes is its
@@ -31,7 +40,7 @@ Backpressure: Data Constructors bound their staging queues; a full queue
 raises :class:`BackpressureError` and the pipeline pauses prefetching until
 the trainer consumes (and releases) a step.
 
-Fault tolerance: a loader failure mid-prefetch is detected on its future,
+Fault tolerance: a loader failure mid-step is detected on its future,
 recovered through :class:`FaultToleranceManager` (shadow promotion or restart)
 and the failed step's demands are re-issued after deterministically replaying
 the Planner's plan history against the replacement's buffer, so no sample is
@@ -57,9 +66,14 @@ from repro.errors import (
 )
 
 
+#: Samples one deferred (depth >= 1) poll advances its ticket by; the inline
+#: (depth 0) case polls the whole ticket in one call.
+POLL_CHUNK = 8
+
+
 @dataclass(slots=True)
 class _InflightStep:
-    """One future step moving through the prefetch state machine."""
+    """One step moving through the state machine."""
 
     step: int
     #: Trainer consumption position when this step was issued (sets the
@@ -122,16 +136,15 @@ class _InflightStep:
 
 
 class StepPipeline:
-    """Double-buffered asynchronous driver of the pull workflow."""
+    """The one driver of the pull workflow: inline at depth 0, prefetching above."""
 
-    def __init__(self, framework, prefetch_depth: int, poll_chunk: int = 8) -> None:
-        if prefetch_depth < 1:
-            raise ConfigurationError("StepPipeline requires prefetch_depth >= 1")
-        if poll_chunk < 1:
-            raise ConfigurationError("poll_chunk must be positive")
+    def __init__(self, framework, prefetch_depth: int) -> None:
+        if prefetch_depth < 0:
+            raise ConfigurationError("StepPipeline requires prefetch_depth >= 0")
         self.framework = framework
         self.prefetch_depth = prefetch_depth
-        self.poll_chunk = poll_chunk
+        #: How a data-plane call is issued: deferred, or (depth 0) inline.
+        self._issue = ActorHandle.submit_timed if prefetch_depth else ActorHandle.call_settled
         self._queue: deque[_InflightStep] = deque()
         #: Next step number to enqueue (everything below it is in flight or
         #: consumed); ``restore`` sets it to the resumed consume position.
@@ -141,17 +154,24 @@ class StepPipeline:
     # -- public API --------------------------------------------------------------------
 
     def run_step(self, step: int | None = None, simulate: bool = False):
-        """Consume the next prefetched step and top the pipeline back up."""
+        """Drive the next step to readiness, consume it, then prefetch ahead."""
         fw = self.framework
         if self._cancelled:
             raise PlanError("the step pipeline has been shut down; deploy a new instance")
+        if step is not None and step != fw.step:
+            if self.prefetch_depth or self._queue:
+                raise ConfigurationError(
+                    f"the prefetching pipeline consumes steps in order; expected step "
+                    f"{fw.step}, got {step} (use prefetch_depth=0 for random access)"
+                )
+            # Nothing is in flight, so the trainer may move the consume
+            # position (rollback, skip-ahead).
+            fw.step = self.next_issue_step = step
         expected = fw.step
-        if step is not None and step != expected:
-            raise ConfigurationError(
-                f"the prefetching pipeline consumes steps in order; expected step "
-                f"{expected}, got {step} (use prefetch_depth=0 for random access)"
-            )
         self._fill()
+        # The wait budget bounds one call: a step that raised past it resumes
+        # where it stopped when the caller retries.
+        self._queue[0].recovery_attempts = 0
         stalls = 0
         # Re-read the head every round: a degraded-mode flush mid-pump
         # rebuilds the queue, so the object identity of "the next step" can
@@ -172,8 +192,8 @@ class StepPipeline:
 
         # The framework measures the trainer's stall against the step's
         # recorded data-ready instant and books the compute window on the
-        # shared virtual clock — overlap is measured, not credited.
-        lead = max(0, expected - head.issued_at)
+        # shared virtual clock — overlap is measured, not credited.  Inline
+        # calls have no completion instant: at depth 0 the stall is computed.
         result = fw.finalize_step(
             step=head.step,
             plan=head.plan,
@@ -181,8 +201,8 @@ class StepPipeline:
             loader_wall_clock_s=head.loader_wall_clock_s,
             loader_transform_s=head.loader_transform_s,
             collate_seconds=head.collate_seconds,
-            data_ready_s=head.data_ready_s,
-            prefetched=lead > 0,
+            data_ready_s=head.data_ready_s if self.prefetch_depth else None,
+            prefetched=head.issued_at < expected,
             simulate=simulate,
         )
 
@@ -196,9 +216,10 @@ class StepPipeline:
 
         # Prefetch: drive the queued steps' data-plane work now; their events
         # land during this step's compute window on the virtual clock.
-        self._fill()
-        while self._pump():
-            pass
+        if self.prefetch_depth:
+            self._fill()
+            while self._pump():
+                pass
         # Wallclock backend: the trainer's window for this step was deferred
         # so the prefetch pump above could overlap real compute; settle it
         # now that the next steps' data-plane work is in flight.
@@ -245,6 +266,10 @@ class StepPipeline:
         plan instead of splicing events from the pre-flush incarnation — the
         flush costs one O(buffer) gather, after which delta gathering resumes.
         """
+        if not self._queue:
+            # Nothing in flight (always so between steps at depth 0): loaders,
+            # plan history and staging already hold the delivered prefix.
+            return
         fw = self.framework
         for item in self._queue:
             for future in item.fetch_futures.values():
@@ -343,14 +368,16 @@ class StepPipeline:
         """(Re-)issue the step's plan on the sized planner (a restarted
         planner comes back with its deploy-time, unbounded strategy)."""
         fw = self.framework
-        fw.sized_planner()
-        item.plan_future = fw.planner_handle.submit_timed(
-            "generate_plan", item.step, step_tag=item.step, earliest_start_s=item.issue_time_s
+        fw.size_planner()
+        item.plan_future = self._issue(
+            fw.planner_handle, "generate_plan", item.step,
+            step_tag=item.step, earliest_start_s=item.issue_time_s,
         )
 
     def _advance_planning(self, item: _InflightStep) -> bool:
         fw = self.framework
-        fw.system.tick()
+        if self.prefetch_depth:
+            fw.system.tick()
         if not item.plan_future.done():
             return True
         exc = item.plan_future.exception()
@@ -381,7 +408,7 @@ class StepPipeline:
         # Step boundary: consume the plan's piggybacked scaling directives
         # (spawn/retire through the placement scheduler) before routing this
         # step's demands, so the resized fleet serves the step that carried
-        # the directive — exactly like the synchronous path.
+        # the directive.
         fw.apply_scaling_plan(item.plan)
         item.demands = fw.split_demands(item.plan)
         for handle, sample_ids in item.demands.items():
@@ -392,8 +419,8 @@ class StepPipeline:
 
     def _submit_prepare(self, item: _InflightStep, handle: ActorHandle) -> None:
         """(Re-)issue ``handle``'s prepare ticket for the step's demands."""
-        item.prepare_futures[handle] = handle.submit_timed(
-            "prepare_async", item.step, list(item.demands[handle]),
+        item.prepare_futures[handle] = self._issue(
+            handle, "prepare_async", item.step, list(item.demands[handle]),
             step_tag=item.step, earliest_start_s=item.plan_ready_s,
         )
         item.pending_loaders.add(handle)
@@ -401,8 +428,11 @@ class StepPipeline:
 
     def _advance_preparing(self, item: _InflightStep) -> bool:
         fw = self.framework
-        fw.system.tick(2)
-        for handle in list(item.pending_loaders):
+        if self.prefetch_depth:
+            fw.system.tick(2)
+        # Routing (demand) order, not set order: the float totals below must
+        # accumulate the same way in every run.
+        for handle in [h for h in item.demands if h in item.pending_loaders]:
             accept = item.prepare_futures.get(handle)
             if accept is not None:
                 if not accept.done():
@@ -420,8 +450,9 @@ class StepPipeline:
 
             poll = item.poll_futures.get(handle)
             if poll is None:
-                item.poll_futures[handle] = handle.submit_timed(
-                    "poll", item.step, self.poll_chunk,
+                item.poll_futures[handle] = self._issue(
+                    handle, "poll", item.step,
+                    POLL_CHUNK if self.prefetch_depth else len(item.demands[handle]),
                     step_tag=item.step,
                     earliest_start_s=max(
                         item.plan_ready_s, item.loader_cursor_s.get(handle, 0.0)
@@ -460,18 +491,19 @@ class StepPipeline:
 
     def _advance_fetching(self, item: _InflightStep) -> bool:
         fw = self.framework
-        for handle in list(item.unfetched):
+        for handle in [h for h in item.demands if h in item.unfetched]:
             if handle not in item.fetch_futures:
                 # Causal floor: the hand-off cannot precede the ticket's
                 # final poll (nor the plan broadcast).
-                item.fetch_futures[handle] = handle.submit_timed(
-                    "fetch_prepared_ref", list(item.demands[handle]),
+                item.fetch_futures[handle] = self._issue(
+                    handle, "fetch_prepared_ref", list(item.demands[handle]),
                     step_tag=item.step,
                     earliest_start_s=max(
                         item.plan_ready_s, item.loader_cursor_s.get(handle, 0.0)
                     ),
                 )
-        fw.system.tick(2)
+        if self.prefetch_depth:
+            fw.system.tick(2)
         for handle, future in list(item.fetch_futures.items()):
             if not future.done():
                 continue
@@ -500,12 +532,13 @@ class StepPipeline:
         backbone_plan = item.plan.module("backbone")
         for constructor_handle in item.unconstructed:
             if constructor_handle.name not in item.construct_futures:
-                item.construct_futures[constructor_handle.name] = constructor_handle.submit_timed(
-                    "construct", item.step, backbone_plan, item.prepared,
+                item.construct_futures[constructor_handle.name] = self._issue(
+                    constructor_handle, "construct", item.step, backbone_plan, item.prepared,
                     step_tag=item.step,
                     earliest_start_s=max(item.fetch_ready_s, item.retry_after_s),
                 )
-        fw.system.tick(2)
+        if self.prefetch_depth:
+            fw.system.tick(2)
         blocked = False
         for constructor_handle in list(item.unconstructed):
             future = item.construct_futures.get(constructor_handle.name)

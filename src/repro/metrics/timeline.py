@@ -446,8 +446,8 @@ class OverlapLedger:
         - ``hidden_s``: the portion of that busy time falling inside trainer
           compute windows.
 
-        Only events tagged with a step participate, so synchronous-path calls
-        (which carry no step) are excluded by construction.
+        Only events tagged with a step participate, so depth-0 data-plane
+        calls (issued inline: no event, no step) are excluded by construction.
 
         When the timeline maintains an :class:`OverlapAggregator` (bounded /
         aggregating mode) *configured with the same classification rules*,

@@ -11,7 +11,10 @@ import pytest
 from repro.core.assembly import PreparedColumns, StagedColumns
 from repro.core.data_constructor import DataConstructor
 from repro.core.framework import MegaScaleData, TrainingJobSpec
+from repro.core.source_loader import SourceLoader
+from repro.data.mixture import MixtureSchedule
 from repro.errors import BackpressureError, ConfigurationError, PlanError
+from repro.metrics.timeline import DATA_PLANE_ROLES
 from repro.parallelism.mesh import DeviceMesh
 
 
@@ -46,14 +49,52 @@ def delivery_signature(result):
 
 
 class TestPrefetchDepths:
-    def test_depth_zero_keeps_synchronous_path(self):
+    def test_depth_zero_issues_inline_holds_nothing(self):
+        """Depth 0 is the pipeline's inline case: nothing queued on the
+        engine or held in the pipeline around a step, no step-tagged
+        data-plane event for ``OverlapLedger.from_timeline`` to pick up, the
+        stall computed (nothing hidden)."""
         system = MegaScaleData.deploy(make_job(0))
-        assert system.pipeline is None
-        result = system.run_step()
-        assert result.deliveries
-        assert not result.prefetched
-        assert result.hidden_fetch_s == 0.0
-        system.shutdown()
+        try:
+            assert system.pipeline.prefetch_depth == 0
+            for _ in range(3):
+                assert system.pipeline.inflight() == []
+                assert system.system.pending_count() == 0
+                result = system.run_step(simulate=True)
+                assert system.pipeline.inflight() == []
+                assert system.system.pending_count() == 0
+                assert result.deliveries
+                assert not result.prefetched
+                assert result.hidden_fetch_s == 0.0
+                assert result.data_stall_s == result.data_fetch_latency_s
+            assert [
+                event
+                for event in system.system.timeline.events()
+                if "step" in event.metadata
+                and event.metadata.get("role") in DATA_PLANE_ROLES
+            ] == []
+        finally:
+            system.shutdown()
+
+    def test_depth_zero_flush_points_rewind_no_loader(self, monkeypatch):
+        """With nothing in flight the flush inside ``set_mixture`` /
+        ``save_checkpoint`` is free: no loader is reset or restored."""
+        system = MegaScaleData.deploy(make_job(0))
+        rewinds = []
+        for method in ("reset_for_replay", "restore_replay_checkpoint"):
+            monkeypatch.setattr(
+                SourceLoader, method, lambda self, *args, _m=method, **kw: rewinds.append(_m)
+            )
+        try:
+            system.run_step()
+            weights = {name: 1.0 + i for i, name in enumerate(system.catalog.names())}
+            system.set_mixture(MixtureSchedule.static(weights), flush_pending=True)
+            system.run_step()
+            assert system.save_checkpoint() == 2
+            system.run_step()
+            assert rewinds == []
+        finally:
+            system.shutdown()
 
     @pytest.mark.parametrize("depth", [1, 2])
     def test_prefetch_matches_synchronous_deliveries(self, depth):

@@ -18,6 +18,17 @@ emitting:
 - **pinned DGraph draws** — ``_plan_signature`` of fixed draws from the input
   space of ``test_columns_and_lists_emit_identical_plans``, recorded from
   list-input (row-mode) graphs.
+
+A second twin went the same way: until ``34f2e2c`` a synchronous step driver
+in ``core/framework.py`` served ``prefetch_depth=0`` beside ``StepPipeline``.
+Recorded from it at that commit, for what :class:`StepPipeline`'s inline
+(depth-0) case must keep emitting:
+
+- **depth-0 timing model** — per delivered step the modelled fetch latency,
+  the computed stall, hidden time, loader wall-clock / transform time,
+  collation time, the plan's total latency and the trainer's virtual clock;
+- **depth-0 fault cell** — a canonical loader killed before step 3: the
+  ``RecoveryEvent`` kinds and the delivered bytes.
 """
 
 from __future__ import annotations
@@ -101,10 +112,53 @@ def matrix_job(job_name: str, depth: int, seed: int) -> TrainingJobSpec:
     return replace(JOBS[job_name](), prefetch_depth=depth, seed=seed)
 
 
-def run_cell(job: TrainingJobSpec) -> tuple[str, str]:
-    """Drive one matrix cell; returns ``(plan digest, delivery digest)``."""
+def _feed_deliveries(digest, result) -> None:
+    _feed(digest, result.step)
+    _feed(
+        digest,
+        [
+            [[sample.sample_id for sample in bin_] for bin_ in bucket]
+            for bucket in result.backbone_assignments
+        ],
+    )
+    for rank in sorted(result.deliveries):
+        for piece in result.deliveries[rank].slices:
+            _feed(
+                digest,
+                (
+                    result.step,
+                    rank,
+                    piece.microbatch_index,
+                    piece.token_count,
+                    piece.payload_bytes,
+                    piece.metadata_only,
+                    piece.replicated_from,
+                ),
+            )
+
+
+def _feed_timing(digest, system, result) -> None:
+    _feed(
+        digest,
+        (
+            result.step,
+            result.data_fetch_latency_s,
+            result.data_stall_s,
+            result.hidden_fetch_s,
+            result.loader_wall_clock_s,
+            result.loader_transform_s,
+            result.constructor_collate_s,
+            result.plan_timings.total_s,
+            system.virtual_time_s(),
+        ),
+    )
+
+
+def run_cell(job: TrainingJobSpec) -> tuple[str, str, str]:
+    """Drive one matrix cell; returns ``(plan, delivery, timing)`` digests."""
     plans = hashlib.sha256()
     deliveries = hashlib.sha256()
+    timing = hashlib.sha256()
     finalize = DGraph.plan
 
     def recording_plan(dgraph):
@@ -125,32 +179,12 @@ def run_cell(job: TrainingJobSpec) -> tuple[str, str]:
                     )
                 if step == SCALE_AT:
                     system.scale_source(names[0], 2)
-                result = system.run_step()
-                _feed(deliveries, result.step)
-                _feed(
-                    deliveries,
-                    [
-                        [[sample.sample_id for sample in bin_] for bin_ in bucket]
-                        for bucket in result.backbone_assignments
-                    ],
-                )
-                for rank in sorted(result.deliveries):
-                    for piece in result.deliveries[rank].slices:
-                        _feed(
-                            deliveries,
-                            (
-                                result.step,
-                                rank,
-                                piece.microbatch_index,
-                                piece.token_count,
-                                piece.payload_bytes,
-                                piece.metadata_only,
-                                piece.replicated_from,
-                            ),
-                        )
+                result = system.run_step(simulate=True)
+                _feed_deliveries(deliveries, result)
+                _feed_timing(timing, system, result)
         finally:
             system.shutdown()
-    return plans.hexdigest(), deliveries.hexdigest()
+    return plans.hexdigest(), deliveries.hexdigest(), timing.hexdigest()
 
 
 #: ``(job, prefetch_depth, seed) -> (plan digest, delivery digest)``.
@@ -192,18 +226,65 @@ GOLDEN_MATRIX: dict[tuple[str, int, int], tuple[str, str]] = {
 
 @pytest.mark.parametrize("job_name,depth,seed", MATRIX)
 def test_matrix_cell_matches_recorded_digests(job_name, depth, seed):
-    assert run_cell(matrix_job(job_name, depth, seed)) == GOLDEN_MATRIX[
+    assert run_cell(matrix_job(job_name, depth, seed))[:2] == GOLDEN_MATRIX[
         (job_name, depth, seed)
     ]
 
 
 def test_prefetch_depth_does_not_change_the_bytes():
-    """The sync driver and the pipeline deliver the same run."""
+    """Inline (depth 0) and deferred (depth 2) issue deliver the same run."""
     for job_name in JOBS:
         for seed in (0, 1):
             assert GOLDEN_MATRIX[(job_name, 0, seed)][1] == GOLDEN_MATRIX[
                 (job_name, 2, seed)
             ][1]
+
+
+# -- depth-0 timing model and fault cell ------------------------------------------
+
+#: ``(job, seed) -> timing digest`` of the ``prefetch_depth=0`` cells.
+GOLDEN_DEPTH_ZERO_TIMING: dict[tuple[str, int], str] = {
+    ("vlm_hybrid", 0): "30af09187e37b5c53b219561803de9faa714169afca2e03bbb7ff8651f933b08",
+    ("vlm_hybrid", 1): "fcc7385b91e2bc5d4402a3c5f17c851548ee2b6d8e5f3cad5c590f1f100eb65c",
+    ("text_backbone", 0): "31d47447ec06b09bad9993e5b5e2e60783108904d5f21fac07c99a73c07a1f73",
+    ("text_backbone", 1): "51ab8cc25984bd4f74bd169739e03b803fee23f5c93519c76c0a02ccc7ad7bb8",
+}
+
+
+@pytest.mark.parametrize("job_name,seed", sorted(GOLDEN_DEPTH_ZERO_TIMING))
+def test_depth_zero_timing_model_matches_recorded_digest(job_name, seed):
+    assert run_cell(matrix_job(job_name, 0, seed))[2] == GOLDEN_DEPTH_ZERO_TIMING[
+        (job_name, seed)
+    ]
+
+
+KILL_LOADER_BEFORE = 3
+
+
+def run_fault_cell() -> tuple[list[str], str]:
+    """Depth 0, first canonical loader killed before step 3; returns
+    ``(RecoveryEvent kinds, delivery digest)``."""
+    deliveries = hashlib.sha256()
+    system = MegaScaleData.deploy(matrix_job("text_backbone", 0, 0))
+    try:
+        for step in range(STEPS):
+            if step == KILL_LOADER_BEFORE:
+                system.system.kill_actor(system.loader_handles[0].name)
+            _feed_deliveries(deliveries, system.run_step())
+        kinds = [event.kind for event in system.fault_manager.events()]
+    finally:
+        system.shutdown()
+    return kinds, deliveries.hexdigest()
+
+
+GOLDEN_FAULT_CELL: tuple[list[str], str] = (
+    ["restart"],
+    "0df614b3cc96d8915708a68c42aa4e19084d495e78301fcf39c146ade5a8b3c2",
+)
+
+
+def test_depth_zero_fault_cell_matches_recording():
+    assert run_fault_cell() == GOLDEN_FAULT_CELL
 
 
 # -- pinned DGraph draws ----------------------------------------------------------

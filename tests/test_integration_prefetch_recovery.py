@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.framework import MegaScaleData, TrainingJobSpec
 from repro.data.synthetic import build_source_catalog, navit_like_spec
+from repro.errors import ActorTimeout
 from repro.storage.filesystem import SimulatedFileSystem
 
 
@@ -233,3 +234,57 @@ def test_a_row_is_decoded_once_however_often_it_is_reread(monkeypatch):
         system.shutdown()
     assert len(served) > 3 * len(set(served))  # the scenario does re-read
     assert len(built) <= len(set(served))
+
+
+# -- planner faults: one policy at every depth ---------------------------------------
+
+
+@pytest.mark.parametrize("depth", [0, 2])
+def test_killed_planner_is_restarted_once(depth):
+    """Planner calls go through the handle at every depth, so a planner killed
+    between steps is restarted (once) by the next plan — depth 0 used to plan
+    on the dead actor's instance."""
+    reference = MegaScaleData.deploy(make_job(depth, shadows=False, seed=11))
+    system = MegaScaleData.deploy(make_job(depth, shadows=False, seed=11))
+    try:
+        expected = [delivery_signature(reference.run_step()) for _ in range(5)]
+        delivered = [delivery_signature(system.run_step())]
+        planner = system.planner_handle.name
+        system.system.kill_actor(planner)
+        delivered.extend(delivery_signature(system.run_step()) for _ in range(4))
+
+        assert delivered == expected
+        assert system.system.restart_count(planner) == 1
+        assert system.planner_handle.state.value == "running"
+        kinds = [event.kind for event in system.fault_manager.events()]
+        assert kinds == ["coordinator_restart"]
+    finally:
+        reference.shutdown()
+        system.shutdown()
+
+
+@pytest.mark.parametrize("depth", [0, 2])
+def test_planner_timeout_is_waited_out_or_cleared(depth):
+    """An injected planner timeout is seen at every depth: the step waits out
+    the degraded-wait budget and raises; cleared first, it delivers normally."""
+    reference = MegaScaleData.deploy(make_job(depth, shadows=False, seed=12))
+    system = MegaScaleData.deploy(make_job(depth, shadows=False, seed=12))
+    try:
+        expected = [delivery_signature(reference.run_step()) for _ in range(3)]
+        planner = system.planner_handle.name
+        system.system.failures.timeout(planner)
+        with pytest.raises(ActorTimeout):
+            system.run_step()
+        budget = system.fault_manager.config.degraded_wait_attempts
+        failed_plans = [
+            record
+            for record in system.system.call_log()
+            if record.actor == planner and record.method == "generate_plan" and record.failed
+        ]
+        assert len(failed_plans) == budget
+
+        system.system.failures.clear(planner)
+        assert [delivery_signature(system.run_step()) for _ in range(3)] == expected
+    finally:
+        reference.shutdown()
+        system.shutdown()
