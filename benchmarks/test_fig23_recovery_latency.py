@@ -27,8 +27,17 @@ to ``BENCH_fig23_recovery.json``; the CI ``recovery-bench`` leg re-runs the
 middle point in smoke mode and gates on a >30% bounded-recovery throughput
 regression via ``check_recovery_regression.py``.
 
-Env knobs: ``BENCH_RECOVERY_SMOKE=1`` restricts the sweep to the middle point
-(CI smoke) and writes the ``smoke`` section of the artifact.
+A second section, ``checkpoint_cost``, drives the whole facade at
+``prefetch_depth=2`` for the same run lengths and records what one
+``MegaScaleData.save_checkpoint()`` costs beside the prefetch window — the
+virtual stall it adds to the run (none: the save neither flushes nor waits)
+and real milliseconds per save and per ``restore`` (flat in run length: the
+entry holds one differential checkpoint per loader plus at most a replay
+window of plans, and restore replays at most that suffix).
+
+Env knobs: ``BENCH_RECOVERY_SMOKE=1`` restricts the sweeps to the middle point
+(CI smoke) and writes the ``smoke`` / ``checkpoint_cost_smoke`` sections of
+the artifact.
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ import time
 from repro.actors.runtime import ActorSystem, ClusterSpec
 from repro.core.checkpoint import InMemoryCheckpointStore
 from repro.core.fault_tolerance import FaultToleranceConfig, FaultToleranceManager
+from repro.core.framework import MegaScaleData, TrainingJobSpec
 from repro.core.place_tree import ClientPlaceTree
 from repro.core.planner import Planner
 from repro.core.source_loader import SourceLoader
@@ -76,6 +86,14 @@ REQUIRED_SPEEDUP = 5.0
 #: Bounded recovery across a 16x run-length spread must stay within this
 #: factor — "flat", allowing for timer noise on small absolute latencies.
 FLATNESS_FACTOR = 4.0
+#: Steps run past the save before the twin runs are compared: the prefetch
+#: window the parent's flushing save used to re-plan, and one more.
+STEPS_AFTER_SAVE = 4
+#: Save and restore cost at 1600 steps over the cost at 100 steps.
+CHECKPOINT_FLATNESS_FACTOR = 2.0
+#: Timed saves and restores per point (minimum kept): a save is a third of a
+#: millisecond, so a ratio of two of them needs more than ``REPETITIONS``.
+CHECKPOINT_REPETITIONS = 15
 
 
 def _smoke_mode() -> bool:
@@ -244,3 +262,107 @@ def test_fig23_recovery_latency(benchmark):
         assert longest["speedup"] >= REQUIRED_SPEEDUP
         # The gap widens with run length (O(interval) vs O(steps)).
         assert longest["speedup"] > shortest["speedup"]
+
+
+def _checkpoint_job() -> TrainingJobSpec:
+    return TrainingJobSpec(
+        pp=1, dp=2, cp=1, tp=1, encoder=None, strategy="backbone_balance",
+        samples_per_dp_step=4, num_microbatches=2, num_sources=3, samples_per_source=64,
+        prefetch_depth=2, replay_window=CHECKPOINT_INTERVAL, telemetry_window=64,
+        # SQLite: the save pays for pickling its entry, as a durable store would.
+        checkpoint_backend="sqlite", enable_autoscaler=False, seed=0,
+    )
+
+
+def _checkpoint_costs(points) -> list[dict[str, object]]:
+    """Per run length: twin runs, one of which saves once at the end.
+
+    The timed saves and restores of the different run lengths are interleaved
+    (this box's speed drifts by up to 1.5x within seconds), so the ratio
+    between two run lengths compares work, not the minute it was measured in.
+    """
+    job = _checkpoint_job()
+    runs = []
+    try:
+        for num_steps in points:
+            twin, system = MegaScaleData.deploy(job), MegaScaleData.deploy(job)
+            runs.append((num_steps, twin, system))
+            for _ in range(num_steps):
+                twin.run_step()
+                system.run_step()
+
+        save_times = {num_steps: [] for num_steps in points}
+        for _ in range(CHECKPOINT_REPETITIONS):
+            for num_steps, _, system in runs:
+                inflight = system.pipeline.inflight()
+                begin = time.perf_counter()
+                saved_at = system.save_checkpoint()
+                save_times[num_steps].append(time.perf_counter() - begin)
+                assert saved_at == num_steps and system.pipeline.inflight() == inflight
+
+        rows = []
+        for num_steps, twin, system in runs:
+            stall = twin_stall = 0.0
+            for _ in range(STEPS_AFTER_SAVE):
+                twin_stall += twin.run_step().data_stall_s
+                stall += system.run_step().data_stall_s
+            rows.append({
+                "steps": num_steps,
+                "prefetch_depth": job.prefetch_depth,
+                "virtual_stall_added_s": stall - twin_stall,
+                "virtual_time_added_s": system.virtual_time_s() - twin.virtual_time_s(),
+                "save_ms": min(save_times[num_steps]) * 1e3,
+            })
+
+        # The saving runs are abandoned here (no shutdown); every repetition
+        # restores from what they left in their stores.
+        restore_times = {num_steps: [] for num_steps in points}
+        for _ in range(CHECKPOINT_REPETITIONS):
+            for num_steps, _, system in runs:
+                begin = time.perf_counter()
+                restored = MegaScaleData.restore(job, system.checkpoint_store)
+                restore_times[num_steps].append(time.perf_counter() - begin)
+                assert restored.step == num_steps
+                restored.shutdown()
+        for row in rows:
+            row["restore_ms"] = min(restore_times[row["steps"]]) * 1e3
+    finally:
+        for _, twin, system in runs:
+            twin.shutdown()
+            system.shutdown()
+    return rows
+
+
+def test_fig23_checkpoint_cost(benchmark):
+    smoke = _smoke_mode()
+    points = SMOKE_POINTS if smoke else SWEEP_POINTS
+    rows = benchmark(_checkpoint_costs, points)
+
+    report = MetricReport(
+        title="Fig. 23 (checkpoint) - cost of one save beside the prefetch window",
+        columns=["steps", "stall added s", "virtual time added s", "save ms", "restore ms"],
+    )
+    for row in rows:
+        report.add_row(
+            row["steps"], row["virtual_stall_added_s"], row["virtual_time_added_s"],
+            round(row["save_ms"], 3), round(row["restore_ms"], 2),
+        )
+    emit(report)
+    write_bench_json(
+        "fig23_recovery",
+        "checkpoint_cost_smoke" if smoke else "checkpoint_cost",
+        {
+            "rows": rows,
+            "replay_window": CHECKPOINT_INTERVAL,
+            "repetitions": CHECKPOINT_REPETITIONS,
+        },
+    )
+
+    # A save stalls nobody: the twin that never saved ran the same clock.
+    for row in rows:
+        assert row["virtual_stall_added_s"] == 0.0
+        assert row["virtual_time_added_s"] == 0.0
+    if not smoke:
+        shortest, longest = rows[0], rows[-1]
+        assert longest["save_ms"] <= CHECKPOINT_FLATNESS_FACTOR * shortest["save_ms"]
+        assert longest["restore_ms"] <= CHECKPOINT_FLATNESS_FACTOR * shortest["restore_ms"]

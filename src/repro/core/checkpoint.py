@@ -66,6 +66,10 @@ class CheckpointStore:
     def steps(self, namespace: str) -> list[int]:
         raise NotImplementedError
 
+    def namespaces(self, prefix: str = "") -> list[str]:
+        """Every namespace holding an entry whose name starts with ``prefix``."""
+        raise NotImplementedError
+
     def delete_from(self, namespace: str, step: int) -> int:
         """Drop entries with step >= ``step``; returns how many were dropped."""
         raise NotImplementedError
@@ -119,6 +123,10 @@ class NamespacedCheckpointStore(CheckpointStore):
     def steps(self, namespace: str) -> list[int]:
         return self.backend.steps(self._scoped(namespace))
 
+    def namespaces(self, prefix: str = "") -> list[str]:
+        scope = len(self._scoped(""))
+        return [name[scope:] for name in self.backend.namespaces(self._scoped(prefix))]
+
     def delete_from(self, namespace: str, step: int) -> int:
         return self.backend.delete_from(self._scoped(namespace), step)
 
@@ -162,6 +170,11 @@ class InMemoryCheckpointStore(CheckpointStore):
 
     def steps(self, namespace: str) -> list[int]:
         return sorted(self._data.get(namespace, {}))
+
+    def namespaces(self, prefix: str = "") -> list[str]:
+        return sorted(
+            name for name, entries in self._data.items() if entries and name.startswith(prefix)
+        )
 
     def delete_from(self, namespace: str, step: int) -> int:
         entries = self._data.get(namespace, {})
@@ -229,6 +242,9 @@ class SqliteCheckpointStore(CheckpointStore):
 
     def steps(self, namespace: str) -> list[int]:
         return self._kv.steps(namespace)
+
+    def namespaces(self, prefix: str = "") -> list[str]:
+        return self._kv.namespaces(prefix)
 
     def delete_from(self, namespace: str, step: int) -> int:
         return self._kv.delete_from(namespace, step)

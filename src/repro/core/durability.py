@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from repro.core.checkpoint import CheckpointStore
 from repro.core.data_constructor import DataConstructor
-from repro.core.loader_fleet import LoaderFleet
 from repro.core.planner import Planner
 from repro.core.plans import LoadingPlan
-from repro.core.source_loader import SourceLoader
+from repro.core.recovery import FleetRecovery
 from repro.errors import ConfigurationError, StorageError
 
 #: Checkpoint-store namespace for whole-run control-plane checkpoints.
@@ -101,30 +100,44 @@ class DeliveryManifests:
 
 
 def save_run_checkpoint(
-    store: CheckpointStore, step: int, planner: Planner, loader_handles: list, fleet: LoaderFleet
+    store: CheckpointStore, step: int, recovery: FleetRecovery, mixtures: list[tuple]
 ) -> None:
     """Write one ``run`` entry: the control plane as of consume position ``step``.
 
-    Holds the Planner position, every canonical loader's replay snapshot
-    (buffer + cursor), the fleet topology (mirror counts, worker sizing) and
-    the active mixture's construction recipe when it has one.
+    Built from what the fault manager and the store already hold, so steps in
+    flight beyond ``step`` are neither waited for nor disturbed: per canonical
+    loader the newest consistent differential checkpoint below ``step``
+    (``None`` = pristine), the Planner's state cut to ``step``, the fleet
+    topology (mirror counts, worker sizing) and the construction recipes of
+    ``mixtures`` — ``(first step, schedule)`` runs, the first in effect at
+    ``step``.  The plans between a loader's checkpoint and ``step``, which
+    :func:`load_run_checkpoint` replays, are in the durable ``planner/plans``
+    namespace or, after a store outage, in the Planner state's persist backlog.
     """
-    # Persist the mixture only when it is user-installed: the sizing
-    # mixture ensure_sized_strategy auto-installs (recognizable by its
-    # sized-strategy wrapper) is rebuilt identically on redeploy, and
-    # restoring it through set_mixture would replace the sized strategy
-    # with an unbounded one.
-    auto_sized = getattr(planner.strategy, "mixture_names", None) is not None
-    mixture = None if auto_sized else planner.mixture
+    planner: Planner = recovery.planner_handle.instance()
+    loaders = {}
+    for handle in recovery.loader_handles:
+        group = recovery.fleet.group_for(handle.name)
+        loaders[handle.name] = {
+            "source": group.source,
+            "shard_index": group.shard_index,
+            "checkpoint": recovery.fault_manager.last_loader_checkpoint(
+                handle.name, max_step=step - 1, consistent=True
+            ),
+        }
+    recipes = [
+        (first_step, mixture.descriptor() if mixture is not None else None)
+        for first_step, mixture in mixtures
+    ]
     payload = {
         "step": step,
-        "planner": planner.state_dict(),
-        "loaders": {
-            handle.name: handle.instance().replay_checkpoint()
-            for handle in loader_handles
-        },
-        "topology": fleet.topology(),
-        "mixture": mixture.descriptor() if mixture is not None else None,
+        "planner": planner.state_dict(before_step=step),
+        "loaders": loaders,
+        "topology": recovery.fleet.topology(),
+        "mixture": recipes[0][1],
+        # Unflushed set_mixture() calls whose old-mixture plans were still in
+        # flight at ``step``: restore re-installs each at its first step.
+        "mixture_swaps": [recipe for recipe in recipes[1:] if recipe[1] is not None],
     }
     store.save(RUN_NAMESPACE, step, payload)
 
@@ -140,35 +153,54 @@ def latest_run_checkpoint(store: CheckpointStore) -> dict:
     return found[1]
 
 
-def load_run_checkpoint(
-    payload: dict, loader_handles: list, planner: Planner, fleet: LoaderFleet
-) -> None:
-    """Load ``payload`` into a fresh deployment: loaders, Planner, fleet shape.
+def load_run_checkpoint(payload: dict, recovery: FleetRecovery) -> None:
+    """Load ``payload`` into a fresh deployment: Planner, loaders, fleet shape.
 
-    The canonical loaders restore the checkpointed replay snapshots (fresh
-    delta epochs force a full planner-gather resync), the Planner resumes at
-    the saved position and mirrors are respawned to the saved fleet shape by
-    cloning the already-restored canonicals.
+    The Planner resumes at the saved position, and what a run that was killed
+    (or simply ran on) after the save left in the store beyond it — plans
+    never delivered as far as this entry knows, loader checkpoints taken at
+    their sync points — is purged before anything is planned.  Every canonical
+    loader adopts its saved checkpoint and goes through the resync a flush or
+    a failover uses (:meth:`FleetRecovery.resync`: restore it, or reset when
+    pristine, and replay the plan suffix up to the saved position); mirrors
+    are respawned to the saved fleet shape by cloning the rebuilt canonicals.
+    A prefix that cannot be rebuilt — no entry for a loader's shard, a plan of
+    the suffix gone from store and Planner state — raises
+    :class:`ConfigurationError`: restore never resumes from a guessed state.
     """
-    # Match snapshots by the shard they describe, not by actor name: a
+    planner: Planner = recovery.planner_handle.instance()
+    step = payload["step"]
+    planner.load_state_dict(payload["planner"])
+    planner.truncate_history(step)
+    recovery.fault_manager.discard_checkpoints_after(step - 1)
+    # Match entries by the shard they describe, not by actor name: a
     # promoted mirror saves under its own name (``…/0m2``), which the
     # fresh deployment's canonical for that shard does not share.
-    snapshots = {
-        (snapshot["source"], snapshot["shard_index"]): snapshot
-        for snapshot in payload["loaders"].values()
+    saved = {
+        (entry["source"], entry["shard_index"]): entry["checkpoint"]
+        for entry in payload["loaders"].values()
     }
-    for handle in loader_handles:
-        loader: SourceLoader = handle.instance()
-        snapshot = snapshots.get((loader.source.name, loader.shard_index))
-        if snapshot is None:
+    replay_after = step - 1
+    for handle in recovery.loader_handles:
+        group = recovery.fleet.group_for(handle.name)
+        if (group.source, group.shard_index) not in saved:
             raise ConfigurationError(
-                f"whole-run checkpoint holds no snapshot for loader "
+                f"whole-run checkpoint holds no entry for loader "
                 f"{handle.name!r}; was it saved under a different job spec?"
             )
-        loader.restore_replay_checkpoint(snapshot, restore_stats=True)
-    planner.load_state_dict(payload["planner"])
-    step = payload["step"]
+        checkpoint = saved[group.source, group.shard_index]
+        if checkpoint is not None:
+            recovery.fault_manager.adopt_loader_checkpoint(handle.name, checkpoint)
+        replay_after = min(replay_after, checkpoint["step"] if checkpoint else -1)
+    suffix = [plan.step for plan in planner.plans_since(replay_after)]
+    if suffix != list(range(replay_after + 1, step)):
+        raise ConfigurationError(
+            f"whole-run checkpoint at step {step} needs the plans of steps "
+            f"{replay_after + 1}..{step - 1} to rebuild its loaders; found {suffix}"
+        )
+    for handle in recovery.loader_handles:
+        recovery.resync(handle, step, planner, handle.name)
     for entry in payload["topology"]:
-        fleet.resize_workers(entry["source"], entry["workers_per_actor"], step)
+        recovery.fleet.resize_workers(entry["source"], entry["workers_per_actor"], step)
         for _ in range(entry["mirrors"]):
-            fleet.spawn_member(entry["source"], step, planner)
+            recovery.fleet.spawn_member(entry["source"], step, planner)

@@ -374,21 +374,29 @@ class FaultToleranceManager:
             return entry
         return None
 
+    def adopt_loader_checkpoint(self, name: str, entry: dict) -> None:
+        """Make ``entry`` — a checkpoint another incarnation recorded for the
+        same shard — loader ``name``'s history (whole-run restore)."""
+        self._loader_checkpoints[name] = [entry]
+
     def discard_checkpoints_after(self, step: int) -> int:
-        """Drop checkpoint entries for steps ``> step`` (pipeline flush).
+        """Drop checkpoint entries for steps ``> step`` (pipeline flush, restore).
 
         Checkpoints taken at the sync point of a prefetched step whose
         delivery was later flushed include demands that will never be
         delivered; restoring one would diverge from the re-planned timeline.
-        Returns how many entries were discarded.
+        The durable mirror is purged by namespace, not by known member, so
+        rows a dead incarnation's members left behind go too.
+        Returns how many in-memory entries were discarded.
         """
         dropped = 0
-        for name, history in self._loader_checkpoints.items():
+        for history in self._loader_checkpoints.values():
             kept = [e for e in history if e["step"] <= step]
             dropped += len(history) - len(kept)
             history[:] = kept
-            if self.checkpoint_store is not None:
-                self.checkpoint_store.delete_from(f"loader/{name}", step + 1)
+        if self.checkpoint_store is not None:
+            for namespace in self.checkpoint_store.namespaces("loader/"):
+                self.checkpoint_store.delete_from(namespace, step + 1)
         return dropped
 
     # -- detection -------------------------------------------------------------------------------------

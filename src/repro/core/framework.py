@@ -510,21 +510,23 @@ class MegaScaleData:
     def save_checkpoint(self) -> int:
         """Persist the whole control plane to the checkpoint store.
 
-        Flushes any in-flight prefetched steps (their plans were never
-        delivered), then writes one ``run`` checkpoint entry
-        (:func:`~repro.core.durability.save_run_checkpoint`).  Together with
-        the plan suffix and per-loader differential checkpoints the store
-        already carries, :meth:`restore` resumes the run from the returned
-        step with byte-identical batches — at a cost flat in run length.
+        Transparent to the live run: steps in flight stay staged and are
+        consumed as if nothing happened.  Writes one ``run`` entry for the
+        consume position (:func:`~repro.core.durability.save_run_checkpoint`)
+        out of what the fault manager and the store already hold — per loader
+        the newest consistent differential checkpoint below it, the Planner
+        cut to it — from which :meth:`restore` resumes the run at the returned
+        step with byte-identical batches, at a cost flat in run length.
         """
-        self.pipeline.flush()
         step = self.step
-        # Between steps every delivered plan (<= step - 1) is fully applied
-        # and nothing newer has started: the canonical snapshots and the
-        # forced per-loader baselines are consistent by construction.
-        self.recovery.checkpoint_members(step - 1, force=True)
-        planner: Planner = self.planner_handle.instance()
-        save_run_checkpoint(self.checkpoint_store, step, planner, self.loader_handles, self.fleet)
+        if not self.pipeline.inflight():
+            # Between steps with nothing in flight (always so at depth 0) every
+            # delivered plan (<= step - 1) is fully applied and nothing newer
+            # has started: force the baselines to exactly that point, so the
+            # entry needs no replay.
+            self.recovery.checkpoint_members(step - 1, force=True)
+        self.adopt_swapped_canonicals()
+        save_run_checkpoint(self.checkpoint_store, step, self.recovery, self.pipeline.mixtures())
         return step
 
     @classmethod
@@ -539,11 +541,14 @@ class MegaScaleData:
         """Redeploy ``job`` and resume from the newest whole-run checkpoint.
 
         The checkpoint is loaded into the fresh deployment
-        (:func:`~repro.core.durability.load_run_checkpoint`) and every member
-        gets a forced consistent baseline so post-restore failures keep
-        bounded replay.  Continuation is byte-identical to the uninterrupted
-        run: plans are a pure function of (buffer state, step, seed,
-        mixture), all of which round-trip.
+        (:func:`~repro.core.durability.load_run_checkpoint`: the store is
+        purged of everything past the saved position — so a run killed without
+        ``shutdown()`` restores like a cleanly stopped one — and each loader is
+        rebuilt from its saved differential checkpoint plus a replay of the
+        plan suffix) and every member gets a forced consistent baseline so
+        post-restore failures keep bounded replay.  Continuation is
+        byte-identical to the uninterrupted run: plans are a pure function of
+        (buffer state, step, seed, mixture), all of which round-trip.
         """
         checkpoint_store = scoped_store(job, checkpoint_store)
         payload = latest_run_checkpoint(checkpoint_store)
@@ -556,10 +561,12 @@ class MegaScaleData:
         )
         if payload.get("mixture") is not None:
             instance.set_mixture(MixtureSchedule.from_descriptor(payload["mixture"]))
+        instance.pipeline.mixture_swaps = [
+            (first_step, MixtureSchedule.from_descriptor(recipe))
+            for first_step, recipe in payload["mixture_swaps"]
+        ]
         step = instance.step = instance.pipeline.next_issue_step = payload["step"]
-        load_run_checkpoint(
-            payload, instance.loader_handles, instance.planner_handle.instance(), instance.fleet
-        )
+        load_run_checkpoint(payload, instance.recovery)
         instance.recovery.checkpoint_members(step - 1, force=True)
         return instance
 
@@ -651,10 +658,14 @@ class MegaScaleData:
         Canonicals swapped externally (manual failover at the facade level)
         are adopted into their shard groups first.
         """
+        self.adopt_swapped_canonicals()
+        return self.fleet.split_demands(plan)
+
+    def adopt_swapped_canonicals(self) -> None:
+        """Tell the fleet about canonicals swapped in ``loader_handles`` directly."""
         for handle in self.loader_handles:
             if self.fleet.group_for(handle.name) is None:
                 self.fleet.adopt_canonical(handle)
-        return self.fleet.split_demands(plan)
 
     def apply_scaling_plan(self, plan: LoadingPlan) -> None:
         """Consume a plan's piggybacked ScalingPlan at the step boundary."""

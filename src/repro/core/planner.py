@@ -147,6 +147,18 @@ class Planner(Actor):
     def loader_names(self) -> list[str]:
         return [handle.name for handle in self._loader_handles]
 
+    @property
+    def installed_mixture(self) -> MixtureSchedule | None:
+        """The user-installed mixture, ``None`` under the auto-sized default.
+
+        The sizing mixture ``ensure_sized_strategy`` installs (recognizable
+        by its sized-strategy wrapper) is rebuilt identically on redeploy;
+        restoring it through ``set_mixture`` would replace the sized strategy
+        with an unbounded one, so run checkpoints must not persist it.
+        """
+        auto_sized = getattr(self.strategy, "mixture_names", None) is not None
+        return None if auto_sized else self.mixture
+
     def set_excluded_sources(self, sources) -> None:
         """Drop ``sources`` from the gather set (degraded-mode renormalize).
 
@@ -324,16 +336,19 @@ class Planner(Actor):
             self.gcs.put(f"{self.gcs_prefix}/last_step", plan.step)
             self.stats.checkpoints_written += 1
 
-    def state_dict(self) -> dict:
+    def state_dict(self, before_step: float = float("inf")) -> dict:
+        """Position and replay state, cut to the plans for steps below
+        ``before_step``: a whole-run save taken with steps in flight records
+        the Planner as of the consume position, not of the prefetch frontier."""
         return {
-            "step": self._step,
+            "step": min(self._step, before_step),
             "plans_generated": self.stats.plans_generated,
             # Coordinator-restart payload: the in-memory history (including
             # the not-yet-durable persist backlog) rides along so a restarted
             # planner can still replay delivered plans into rewound loaders
             # even when a store outage delayed persistence.
-            "plan_history": list(self._plan_history),
-            "persist_backlog": list(self._persist_backlog),
+            "plan_history": [p for p in self._plan_history if p.step < before_step],
+            "persist_backlog": [p for p in self._persist_backlog if p.step < before_step],
             "excluded_sources": tuple(sorted(self._excluded_sources)),
         }
 
@@ -384,21 +399,18 @@ class Planner(Actor):
         Served from the bounded in-memory window when possible; plans pruned
         from memory are fetched back from the durable store.  Replay
         consumers pass the restored checkpoint's step so only the suffix is
-        ever materialised.
+        ever materialised: memory holds the newest plans, so what is missing
+        lies between ``step`` and the window's first plan, and only an empty
+        window makes the store list every step of the run.
         """
         plans = [plan for plan in self._plan_history if plan.step > step]
         if self.checkpoint_store is not None:
-            in_memory = {plan.step for plan in plans}
-            missing = [
-                s
-                for s in self.checkpoint_store.steps(PLAN_NAMESPACE)
-                if s > step and s not in in_memory
-            ]
-            if missing:
-                fetched = [
-                    self.checkpoint_store.load(PLAN_NAMESPACE, s) for s in missing
-                ]
-                plans = sorted(fetched + plans, key=lambda plan: plan.step)
+            if self._plan_history:
+                missing = range(step + 1, self._plan_history[0].step)
+            else:
+                missing = [s for s in self.checkpoint_store.steps(PLAN_NAMESPACE) if s > step]
+            fetched = [self.checkpoint_store.load(PLAN_NAMESPACE, s) for s in missing]
+            plans = [plan for plan in fetched if plan is not None] + plans
         return plans
 
     def truncate_history(self, step: int) -> int:

@@ -5,7 +5,7 @@ call fails — heal the member (mirror promotion, shadow promotion or restart
 with bounded replay), degrade its source (renormalize mode) or wait the
 fault window out (strict mode) — and the heal / rewind / checkpoint
 primitives the pipeline's prepare- and fetch-stage policy, its flush and the
-whole-run save are built from.
+whole-run save/restore are built from.
 """
 
 from __future__ import annotations
@@ -178,13 +178,14 @@ class FleetRecovery:
 
     # -- replay ----------------------------------------------------------------------------
 
-    def _resync(self, handle, limit_step: int, planner: Planner, checkpoint_of: str) -> None:
+    def resync(self, handle, limit_step: int, planner: Planner, checkpoint_of: str) -> None:
         """Bring ``handle``'s buffer to the delivered prefix ``< limit_step``.
 
         Restores the newest consistent differential checkpoint recorded for
         ``checkpoint_of`` (pristine reset when there is none) and replays the
         plan suffix past it — bounded in run length, byte-exact with an
-        uninterrupted run.
+        uninterrupted run.  The one replay routine of flush, failover and
+        whole-run restore.
         """
         checkpoint = self.fault_manager.last_loader_checkpoint(
             checkpoint_of, max_step=limit_step - 1, consistent=True
@@ -211,7 +212,7 @@ class FleetRecovery:
         planner: Planner = self.planner_handle.instance()
         for handle in handles if handles is not None else self.fleet.all_handles():
             try:
-                self._resync(handle, limit_step, planner, handle.name)
+                self.resync(handle, limit_step, planner, handle.name)
             except Exception:  # noqa: BLE001 - unreachable members recover later
                 continue
 
@@ -258,7 +259,7 @@ class FleetRecovery:
         promoted = self.fault_manager.recover_loader(handle, step=at_step)
         self._adopt(handle, promoted, planner)
         self.fleet.replace_member(handle, promoted)
-        self._resync(promoted, at_step, planner, handle.name)
+        self.resync(promoted, at_step, planner, handle.name)
         return promoted
 
     def _adopt(self, failed, promoted, planner: Planner) -> None:

@@ -420,15 +420,9 @@ class SourceLoader(Actor):
             "shard_count": self.shard_count,
             "cursor": self._cursor.state_dict() if self._cursor is not None else {},
             "buffer": self.summary_buffer(),
-            "stats": {
-                "samples_buffered": self.stats.samples_buffered,
-                "samples_prepared": self.stats.samples_prepared,
-                "samples_delivered": self.stats.samples_delivered,
-                "samples_replayed": self.stats.samples_replayed,
-            },
         }
 
-    def restore_replay_checkpoint(self, snapshot: dict, restore_stats: bool = False) -> None:
+    def restore_replay_checkpoint(self, snapshot: dict) -> None:
         """Adopt a :meth:`replay_checkpoint` snapshot as this loader's state.
 
         Drops any staged/buffered state, installs the snapshot's cursor and
@@ -469,12 +463,6 @@ class SourceLoader(Actor):
             self._buffer.update(zip(chunk.sample_id, self._cost_rows(chunk)))
             self._metadata_by_id.update(zip(chunk.sample_id, chunk.records))
             self.ledger.charge("prefetch_buffer", BUFFERED_METADATA_BYTES * len(chunk))
-        if restore_stats:
-            stats = snapshot.get("stats", {})
-            self.stats.samples_buffered = int(stats.get("samples_buffered", 0))
-            self.stats.samples_prepared = int(stats.get("samples_prepared", 0))
-            self.stats.samples_delivered = int(stats.get("samples_delivered", 0))
-            self.stats.samples_replayed = int(stats.get("samples_replayed", 0))
 
     def resize_worker_pool(self, num_workers: int) -> int:
         """Grow or shrink the transform worker pool in place.

@@ -56,6 +56,7 @@ from repro.actors.actor import ActorFuture, ActorHandle, ActorState
 from repro.core.assembly import PreparedColumns
 from repro.core.planner import PlanTimings
 from repro.core.plans import LoadingPlan
+from repro.data.mixture import MixtureSchedule
 from repro.errors import (
     ActorDead,
     ActorTimeout,
@@ -92,6 +93,9 @@ class _InflightStep:
     recovery_attempts: int = 0
 
     plan_future: ActorFuture | None = None
+    #: The user-installed mixture the plan was requested under (None: the
+    #: auto-sized default).
+    mixture: MixtureSchedule | None = None
     plan: LoadingPlan | None = None
     plan_timings: PlanTimings = field(default_factory=PlanTimings)
     #: Virtual instant the plan finished broadcasting.
@@ -149,6 +153,10 @@ class StepPipeline:
         #: Next step number to enqueue (everything below it is in flight or
         #: consumed); ``restore`` sets it to the resumed consume position.
         self.next_issue_step = framework.step
+        #: ``(first step, mixture)`` swaps a restored run has yet to install:
+        #: the saving run's unflushed ``set_mixture`` calls whose old-mixture
+        #: plans were still in flight at the saved position.
+        self.mixture_swaps: list[tuple[int, MixtureSchedule]] = []
         self._cancelled = False
 
     # -- public API --------------------------------------------------------------------
@@ -238,6 +246,32 @@ class StepPipeline:
                 return item.step
         return self.next_issue_step
 
+    def mixtures(self) -> list[tuple[int, MixtureSchedule | None]]:
+        """``(first step, mixture)`` runs re-planning from the consume position
+        must follow.
+
+        What each planned in-flight step was sampled under, then what the
+        Planner holds for the steps still to plan; more than one run only
+        while an unflushed ``set_mixture`` is working through the window.
+        """
+        planned = [
+            (item.step, item.mixture) for item in self._queue if item.plan_future is not None
+        ]
+        upcoming = (
+            planned[-1][0] + 1 if planned else self.framework.step,
+            self.framework.planner_handle.instance().installed_mixture,
+        )
+        runs: list[tuple[int, MixtureSchedule | None]] = []
+        for first_step, mixture in [*planned, upcoming, *self.mixture_swaps]:
+            if not runs or runs[-1][1] is not mixture:
+                runs.append((first_step, mixture))
+        return runs
+
+    def _install_mixtures(self, due_by: float = float("inf")) -> None:
+        """Install the restored mixture swaps whose first step is at most ``due_by``."""
+        while self.mixture_swaps and self.mixture_swaps[0][0] <= due_by:
+            self.framework.set_mixture(self.mixture_swaps.pop(0)[1])
+
     def inflight(self) -> list[tuple[int, str]]:
         """(step, state) for every queued step — for tests and monitoring."""
         return [(item.step, item.state) for item in self._queue]
@@ -266,6 +300,9 @@ class StepPipeline:
         plan instead of splicing events from the pre-flush incarnation — the
         flush costs one O(buffer) gather, after which delta gathering resumes.
         """
+        # The run being continued had every swap installed on its Planner, so
+        # there a flush re-plans under the newest one.
+        self._install_mixtures()
         if not self._queue:
             # Nothing in flight (always so between steps at depth 0): loaders,
             # plan history and staging already hold the delivered prefix.
@@ -360,6 +397,7 @@ class StepPipeline:
             # Re-admit healed dark sources before this step plans, so the
             # plan samples from the restored mixture.
             fw.degradation.maybe_restore(item.step)
+        self._install_mixtures(due_by=item.step)
         self._submit_plan(item)
         item.state = "planning"
         return True
@@ -369,6 +407,7 @@ class StepPipeline:
         planner comes back with its deploy-time, unbounded strategy)."""
         fw = self.framework
         fw.size_planner()
+        item.mixture = fw.planner_handle.instance().installed_mixture
         item.plan_future = self._issue(
             fw.planner_handle, "generate_plan", item.step,
             step_tag=item.step, earliest_start_s=item.issue_time_s,

@@ -131,6 +131,19 @@ class SqliteKVStore:
         ).fetchall()
         return [int(row[0]) for row in rows]
 
+    def namespaces(self, prefix: str = "") -> list[str]:
+        """Every namespace with at least one entry whose name starts with ``prefix``.
+
+        A range over the primary key, so only rows under ``prefix`` are
+        visited (``U+10FFFF`` sorts after anything a name continues with).
+        """
+        rows = self._conn.execute(
+            "SELECT DISTINCT namespace FROM checkpoints"
+            " WHERE namespace >= ? AND namespace < ? ORDER BY namespace",
+            (prefix, prefix + "\U0010ffff"),
+        ).fetchall()
+        return [row[0] for row in rows]
+
     def delete_from(self, namespace: str, step: int) -> int:
         """Drop every entry in ``namespace`` with step >= ``step``."""
         cursor = self._conn.execute(

@@ -9,13 +9,17 @@ rejected placements, and hot-standby promotion of fleet mirrors.
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chaos import ChaosEngine, FaultEvent, FaultPlan
 from repro.core.checkpoint import (
     CheckpointError,
     InMemoryCheckpointStore,
+    NamespacedCheckpointStore,
     SqliteCheckpointStore,
 )
 from repro.core.fault_tolerance import FaultToleranceConfig, FaultToleranceManager
@@ -24,7 +28,7 @@ from repro.core.planner import PLAN_NAMESPACE
 from repro.core.plans import LoaderScalingDirective, ScalingPlan
 from repro.core.source_loader import SourceLoader
 from repro.data.mixture import MixturePhase, MixtureSchedule
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, StorageError
 from repro.utils.units import GIB
 
 
@@ -607,6 +611,270 @@ def test_crash_restore_continuation_byte_identical(
     finally:
         reference.shutdown()
         system.shutdown()
+
+
+# -- tentpole: save_checkpoint() is transparent to the live run ---------------------
+
+HOT_SOURCE = "navit_data/src000"
+TRANSPARENCY_STEPS = 9
+CONTROL_OPS = ("save", "scale_up", "scale_down", "swap", "swap_flush", "fail")
+
+#: Op pairs at one step boundary left out of the schedules, with the reason.
+NOT_A_SAVE_MATTER = (
+    # An unflushed swap takes effect at the first unplanned step, which in a
+    # freshly restored run (empty window) is the saved step itself: issued
+    # right after the save it is not the same request in both runs.
+    ["save", "swap"],
+    # Cloning a mirror from a canonical that was failed a moment ago, before
+    # any RPC noticed, raises ActorDead — with or without saves.
+    ["fail", "scale_up"],
+)
+
+
+def apply_control_op(system, op: str, index: int) -> None:
+    """One control op of a transparency schedule, before step ``index``."""
+    if op == "scale_up":
+        system.scale_source(HOT_SOURCE, 2)
+    elif op == "scale_down":
+        system.scale_source(HOT_SOURCE, 1)
+    elif op in ("swap", "swap_flush"):
+        names = system.catalog.names()
+        weights = {name: 1.0 + (index + offset) % 3 for offset, name in enumerate(names)}
+        system.set_mixture(MixtureSchedule.static(weights), flush_pending=op == "swap_flush")
+    elif op == "fail":
+        # The hot source's canonical: promoted from its mirror when scaled
+        # up (hot standby), restarted with bounded replay otherwise.
+        canonical = system.fleet._by_source[HOT_SOURCE][0].canonical
+        system.system.failures.fail(canonical.name)
+
+
+def run_schedule(system, schedule, start: tuple[int, int] = (0, 0), saves: bool = True):
+    """Drive ``schedule`` from ``start`` — ``(step boundary, ops of it already
+    applied)``; returns the per-step trace and, per save, ``(saved step, where
+    the schedule stood, copy of the store one delivered step later)``: what a
+    run killed right there would leave behind."""
+    trace, snapshots = [], []
+    for index in range(start[0], len(schedule)):
+        saved = []
+        for position, op in enumerate(schedule[index]):
+            if (index, position) < start:
+                continue
+            if op != "save":
+                apply_control_op(system, op, index)
+            elif saves:
+                before = system.pipeline.inflight()
+                assert system.save_checkpoint() == system.step
+                assert system.pipeline.inflight() == before
+                saved = [(system.step, (index, position + 1))]
+        result = system.run_step()
+        trace.append((result.step, result.plan.source_demands, delivery_signature(result)))
+        snapshots += [(*save, copy.deepcopy(system.checkpoint_store)) for save in saved]
+    return trace, snapshots
+
+
+def run_totals(system) -> tuple:
+    return (
+        system.virtual_time_s(),
+        sum(result.data_stall_s for result in system.history()),
+        len(system.fleet.all_handles()),
+        system.memory_report()["total"],
+    )
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=7),
+    depth=st.sampled_from([0, 1, 2]),
+    schedule=st.lists(
+        st.lists(st.sampled_from(CONTROL_OPS), max_size=2).filter(
+            lambda ops: ops not in NOT_A_SAVE_MATTER
+        ),
+        min_size=TRANSPARENCY_STEPS, max_size=TRANSPARENCY_STEPS,
+    ).filter(lambda ops: sum(step.count("fail") for step in ops) <= 1),
+)
+@settings(max_examples=25, deadline=None)
+def test_save_checkpoint_is_transparent_and_every_entry_restores(seed, depth, schedule):
+    """A run with ``save_checkpoint()`` calls anywhere — beside fleet churn,
+    flushed and unflushed mixture swaps and a loader failure (hot-standby
+    promotion included) — equals the run without them on delivered bytes,
+    virtual time, stall, fleet size, memory and the in-flight window; and
+    every entry it wrote restores a killed run to the uninterrupted run's
+    continuation, byte for byte."""
+    job = make_job(prefetch_depth=depth, seed=seed, replay_window=4)
+    reference = MegaScaleData.deploy(job)
+    system = MegaScaleData.deploy(job)
+    try:
+        expected, _ = run_schedule(reference, schedule, saves=False)
+        trace, snapshots = run_schedule(system, schedule)
+        assert trace == expected
+        assert run_totals(system) == run_totals(reference)
+    finally:
+        reference.shutdown()
+        system.shutdown()
+    for saved_at, resume, store in snapshots:
+        restored = MegaScaleData.restore(job, store)
+        try:
+            assert restored.step == saved_at
+            suffix, _ = run_schedule(restored, schedule, start=resume, saves=False)
+            assert suffix == expected[saved_at:]
+        finally:
+            restored.shutdown()
+
+
+class TestSaveBesidePrefetch:
+    def test_save_does_not_flush_and_costs_no_virtual_time(self):
+        system = MegaScaleData.deploy(make_job(prefetch_depth=2))
+        try:
+            for _ in range(4):
+                system.run_step()
+            inflight = system.pipeline.inflight()
+            assert [step for step, _ in inflight] == [4, 5, 6]
+            planner = system.planner_handle.instance()
+            plans_before = planner.stats.plans_generated
+            clock_before = system.system.clock.now_s
+            assert system.save_checkpoint() == 4
+            assert system.pipeline.inflight() == inflight
+            assert system.system.clock.now_s == clock_before
+            payload = system.checkpoint_store.load(RUN_NAMESPACE, 4)
+            # The entry is the control plane as of step 4, not of the frontier.
+            assert payload["planner"]["step"] == 4
+            assert [plan.step for plan in payload["planner"]["plan_history"]] == [0, 1, 2, 3]
+            assert all(
+                entry["checkpoint"] is None or entry["checkpoint"]["step"] <= 3
+                for entry in payload["loaders"].values()
+            )
+            system.run_step()
+            # One new plan for the one new window slot: nothing was re-planned.
+            assert planner.stats.plans_generated == plans_before + 1
+        finally:
+            system.shutdown()
+
+    def test_killed_run_restores_like_a_cleanly_stopped_one(self):
+        """Regression: only a flush (``shutdown()``) used to purge the
+        never-delivered plans and sync-point checkpoints from the store."""
+        job = make_job(prefetch_depth=2, replay_window=4)
+        reference = MegaScaleData.deploy(job)
+        system = MegaScaleData.deploy(job)
+        store = system.checkpoint_store
+        try:
+            expected = run_signature(reference, 10)
+            prefix = run_signature(system, 5)
+            saved_at = system.save_checkpoint()
+            run_signature(system, 2)
+            assert max(store.steps(PLAN_NAMESPACE)) >= saved_at + 2
+            # Killed: no shutdown(), nothing flushed.
+            restored = MegaScaleData.restore(job, store)
+            assert max(store.steps(PLAN_NAMESPACE)) < saved_at
+            for namespace in store.namespaces("loader/"):
+                assert max(store.steps(namespace)) <= saved_at - 1
+            assert prefix + run_signature(restored, 5) == expected
+            restored.shutdown()
+        finally:
+            reference.shutdown()
+            system.shutdown()
+
+    def test_early_save_replays_from_the_step_zero_baseline(self):
+        """Before the first ``replay_window`` boundary past step 0 the only
+        consistent checkpoints are step 0's: restore replays plan 1 over them."""
+        job = make_job(prefetch_depth=2, replay_window=50)
+        reference = MegaScaleData.deploy(job)
+        system = MegaScaleData.deploy(job)
+        store = system.checkpoint_store
+        try:
+            expected = run_signature(reference, 6)
+            prefix = run_signature(system, 2)
+            assert system.save_checkpoint() == 2
+            loaders = store.load(RUN_NAMESPACE, 2)["loaders"].values()
+            assert {entry["checkpoint"]["step"] for entry in loaders} == {0}
+            restored = MegaScaleData.restore(job, store)
+            assert prefix + run_signature(restored, 4) == expected
+            restored.shutdown()
+        finally:
+            reference.shutdown()
+            system.shutdown()
+
+    def test_pristine_entry_replays_from_genesis(self):
+        """No consistent checkpoint at or below the saved position (here the
+        deep window's sync points pushed every delivered one out of the
+        fault manager's short history): the entry says "pristine" and restore
+        replays the whole plan history, fetched back from the store."""
+        job = make_job(prefetch_depth=4, replay_window=1)
+        reference = MegaScaleData.deploy(job)
+        system = MegaScaleData.deploy(job)
+        store = system.checkpoint_store
+        try:
+            expected = run_signature(reference, 8)
+            prefix = run_signature(system, 5)
+            assert system.save_checkpoint() == 5
+            payload = store.load(RUN_NAMESPACE, 5)
+            assert all(entry["checkpoint"] is None for entry in payload["loaders"].values())
+            assert len(payload["planner"]["plan_history"]) < 5
+            restored = MegaScaleData.restore(job, store)
+            assert prefix + run_signature(restored, 3) == expected
+            restored.shutdown()
+        finally:
+            reference.shutdown()
+            system.shutdown()
+
+    def test_save_around_a_store_outage(self):
+        """Inside the outage window the save raises and writes nothing; right
+        after it, the delivered plans are durable only in the Planner's
+        persist backlog — they ride in the entry and the restore is exact."""
+        job = make_job(prefetch_depth=2, replay_window=4)
+        reference = MegaScaleData.deploy(job)
+        engine = ChaosEngine(FaultPlan([FaultEvent("store_outage", 0.0, duration_s=1e5)]))
+        backend = InMemoryCheckpointStore()
+        system = MegaScaleData.deploy(job, checkpoint_store=engine.wrap_store(backend))
+        engine.attach(system.system)
+        try:
+            expected = run_signature(reference, 9)
+            prefix = run_signature(system, 5)
+            planner = system.planner_handle.instance()
+            assert [plan.step for plan in planner._persist_backlog][:5] == [0, 1, 2, 3, 4]
+            with pytest.raises(StorageError):
+                system.save_checkpoint()
+            assert backend.steps(RUN_NAMESPACE) == []
+            system.fault_manager.sleep(1e5)  # the outage ends
+            assert system.save_checkpoint() == 5
+            assert backend.steps(PLAN_NAMESPACE) == []
+            restored = MegaScaleData.restore(job, backend)
+            assert prefix + run_signature(restored, 4) == expected
+            restored.shutdown()
+        finally:
+            reference.shutdown()
+            system.shutdown()
+
+    def test_unrebuildable_prefix_raises(self):
+        """A plan of the needed suffix gone from both the store and the
+        entry's Planner state: restore refuses instead of guessing."""
+        job = make_job(prefetch_depth=2, replay_window=50)
+        system = MegaScaleData.deploy(job)
+        store = system.checkpoint_store
+        try:
+            run_signature(system, 3)
+            system.save_checkpoint()
+            payload = store.load(RUN_NAMESPACE, 3)
+            payload["planner"]["plan_history"] = [
+                plan for plan in payload["planner"]["plan_history"] if plan.step != 1
+            ]
+            store._data[PLAN_NAMESPACE].pop(1)
+            with pytest.raises(ConfigurationError, match=r"plans of steps 1\.\.2"):
+                MegaScaleData.restore(job, store)
+        finally:
+            system.shutdown()
+
+
+def test_store_namespaces_enumerates_by_prefix(store):
+    store.save("loader/a/0", 1, "x")
+    store.save("loader/a/0m1", 2, "y")
+    store.save("planner/plans", 1, "z")
+    assert store.namespaces("loader/") == ["loader/a/0", "loader/a/0m1"]
+    assert store.namespaces() == ["loader/a/0", "loader/a/0m1", "planner/plans"]
+    store.delete_from("loader/a/0m1", 0)
+    assert store.namespaces("loader/") == ["loader/a/0"]
+    scoped = NamespacedCheckpointStore(store, "jobA")
+    scoped.save("loader/b", 0, "w")
+    assert scoped.namespaces("loader/") == ["loader/b"]
+    assert store.namespaces("jobA/") == ["jobA/loader/b"]
 
 
 # -- satellite: delta-log epoch resync after restore --------------------------------

@@ -287,6 +287,90 @@ def test_depth_zero_fault_cell_matches_recording():
     assert run_fault_cell() == GOLDEN_FAULT_CELL
 
 
+# -- churn cell: what the flushing save proved ------------------------------------
+
+CHURN_CYCLE = 10
+CHURN_CYCLES = 2
+
+
+def run_churn_cell() -> tuple[str, list[int]]:
+    """Depth 2, two cycles of mixture swap (with flush), scale-up, loader
+    kill, scale-down and save, then shutdown + restore + one step; returns
+    ``(delivery digest, crc32 of each delivered step's sample ids)``."""
+    job = replace(
+        matrix_job("text_backbone", 2, 0),
+        checkpoint_backend="sqlite", replay_window=4, enable_autoscaler=True,
+    )
+    deliveries = hashlib.sha256()
+    sample_ids: list[int] = []
+
+    def deliver(system) -> None:
+        result = system.run_step(simulate=True)
+        _feed_deliveries(deliveries, result)
+        ids = [
+            sample.sample_id
+            for bucket in result.backbone_assignments
+            for bin_ in bucket
+            for sample in bin_
+        ]
+        sample_ids.append(zlib.crc32(repr((result.step, ids)).encode()))
+
+    system = MegaScaleData.deploy(job)
+    store = system.checkpoint_store
+    try:
+        names = system.catalog.names()
+        for index in range(CHURN_CYCLE * CHURN_CYCLES):
+            cycle, offset = divmod(index, CHURN_CYCLE)
+            hot = names[cycle % len(names)]
+            if offset == 2:
+                weights = {name: 1.0 for name in names}
+                weights[hot] = float(len(names))
+                system.set_mixture(MixtureSchedule.static(weights), flush_pending=True)
+            elif offset == 4:
+                system.scale_source(hot, 2)
+            elif offset == 6:
+                # A mirror-less canonical: restart + bounded replay, never a
+                # hot-standby promotion.
+                victim = next(
+                    handle for handle in system.loader_handles
+                    if len(system.fleet.group_for(handle.name).members) == 1
+                )
+                system.system.failures.fail(victim.name)
+            elif offset == 7:
+                system.scale_source(hot, 1)
+            elif offset == 9:
+                system.save_checkpoint()
+            deliver(system)
+        system.shutdown()
+        system = MegaScaleData.restore(job, store)
+        deliver(system)
+    finally:
+        system.shutdown()
+    return deliveries.hexdigest(), sample_ids
+
+
+#: Recorded at ``14828e5``, where ``save_checkpoint()`` still flushed the
+#: pipeline and restored from live snapshots: the non-flushing save and the
+#: replaying restore must deliver exactly these steps (the last entry is the
+#: saved step, re-delivered after ``restore``).
+GOLDEN_CHURN_CELL: tuple[str, list[int]] = (
+    "c40fd971dfb7be86bdf1aae4d15911134d1a7e78030d2f9ed04f57d496bdb2b1",
+    [
+        2192632915, 1195496019, 218482903, 1866026640, 3165276729, 905968177, 330289277,
+        3595476183, 3497347900, 3697390174, 3292863431, 2368101409, 658312585, 4092911547,
+        4096125298, 1515357242, 2630685804, 1844401809, 3408041466, 164240557, 164240557,
+    ],
+)
+
+
+def test_churn_cell_with_saves_matches_flushing_recording():
+    digest, sample_ids = run_churn_cell()
+    assert sample_ids == GOLDEN_CHURN_CELL[1]
+    assert digest == GOLDEN_CHURN_CELL[0]
+    # The step re-run after restore is the one delivered right after the save.
+    assert sample_ids[-1] == sample_ids[-2]
+
+
 # -- pinned DGraph draws ----------------------------------------------------------
 
 NUM_DRAWS = 12
