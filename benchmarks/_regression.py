@@ -1,8 +1,8 @@
 """Shared machinery for the CI benchmark-regression gate scripts.
 
-Each gate script (``check_sched_regression.py``, ``check_elastic_regression.py``,
-``check_plan_regression.py``) follows the same shape: the CI leg re-runs its
-benchmark in smoke mode, which merges a fresh ``smoke`` section into the
+Each gate (the table-driven ``gate.py`` and the bespoke
+``check_*_regression.py`` scripts) follows the same shape: the CI leg re-runs
+its benchmark in smoke mode, which merges a fresh ``smoke`` section into the
 committed ``BENCH_*.json`` artifact next to the committed full-sweep section;
 the script then compares fresh numbers against committed ones and exits
 non-zero past a threshold.  This module factors the shared pieces — argument

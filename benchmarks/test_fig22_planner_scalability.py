@@ -18,7 +18,7 @@ where both planners demanded identical samples.
 Results are written to ``BENCH_fig22_planner.json``; the CI ``planner-bench``
 leg re-runs the middle sweep point in smoke mode and fails on a >30%
 plans/sec regression against the committed artifact via
-``check_plan_regression.py``.
+``gate.py plan``.
 
 Env knobs: ``BENCH_PLANNER_SMOKE=1`` restricts the sweep to the middle point
 (CI smoke — the smallest point's timed region is too short to gate on) and

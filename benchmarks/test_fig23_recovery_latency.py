@@ -25,7 +25,7 @@ asserted every sweep point.  The bounded path must stay approximately flat
 across the sweep and beat full replay by **>= 5x** at 1600 steps.  Results go
 to ``BENCH_fig23_recovery.json``; the CI ``recovery-bench`` leg re-runs the
 middle point in smoke mode and gates on a >30% bounded-recovery throughput
-regression via ``check_recovery_regression.py``.
+regression via ``gate.py recovery``.
 
 A second section, ``checkpoint_cost``, drives the whole facade at
 ``prefetch_depth=2`` for the same run lengths and records what one

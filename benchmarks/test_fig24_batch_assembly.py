@@ -25,7 +25,7 @@ sweep point (the gap widens with batch size: log-depth tree queries vs linear
 bin scans).  Results are written to ``BENCH_fig24_assembly.json``; the CI
 ``assembly-bench`` leg re-runs the middle sweep point in smoke mode and fails
 on a >30% samples/sec regression against the committed artifact via
-``check_assembly_regression.py``.
+``gate.py assembly``.
 
 Env knobs: ``BENCH_ASSEMBLY_SMOKE=1`` restricts the sweep to the middle point
 (CI smoke — the smallest point's timed region is too short to gate on) and

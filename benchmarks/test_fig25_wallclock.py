@@ -89,8 +89,10 @@ def run_backend(job: TrainingJobSpec, provider=None):
             metrics["hidden_data_time_s"] += result.hidden_fetch_s
             metrics["exposed_data_time_s"] += result.exposed_fetch_s
         metrics["virtual_wall_time_s"] = fw.virtual_time_s() - wall_start
-        engine = fw.system.engine
-        samples = engine.calibration.samples() if engine is not None else None
+        system = fw.system
+        samples = (
+            system.engine.calibration.samples() if system.backend == "wallclock" else None
+        )
         return signatures, metrics, samples
     finally:
         fw.shutdown()

@@ -116,7 +116,7 @@ class ActorFuture:
         #: Virtual-clock instant the call's result becomes available (set on
         #: completion by the event engine); ``None`` while pending/failed.
         self.available_at_s: float | None = None
-        #: Owning system (set by ``submit_call``): cancellation must notify
+        #: Owning engine (set by ``submit_call``): cancellation must notify
         #: the dispatcher, because cancelling a queue *head* can lower its
         #: actor's dispatch key (the next call may be ready earlier), and
         #: ``result(timeout=)`` delegates its wait strategy to the owner.
@@ -146,7 +146,7 @@ class ActorFuture:
 
         ``timeout`` (clock seconds — virtual seconds under the virtual
         backend, scaled wall seconds under wallclock) bounds how long the
-        call may take to complete instead of hanging: the owning system
+        call may take to complete instead of hanging: the owning engine
         drives/awaits completion and a still-pending future raises
         :class:`TimeoutError`.  ``timeout=None`` keeps the historical
         semantics: an un-completed future raises :class:`ActorError`
@@ -154,9 +154,9 @@ class ActorFuture:
         """
         if self.state is FutureState.PENDING and timeout is not None:
             if self._owner is not None:
-                self._owner._wait_future(self, timeout)
+                self._owner.wait_future(self, timeout)
             else:
-                # Detached future (no owning system): wait for a completion
+                # Detached future (no owning engine): wait for a completion
                 # signalled from another thread, timeout in wall seconds.
                 self._completion_event().wait(timeout)
             if self.state is FutureState.PENDING:
@@ -218,7 +218,7 @@ class ActorFuture:
         if event is not None:
             event.set()
         if self._owner is not None:
-            self._owner._on_future_cancelled(self.actor, self)
+            self._owner.on_future_cancelled(self.actor, self)
         for callback in callbacks or ():
             callback(self)
         return True

@@ -5,40 +5,22 @@ failure-injection hooks, accounts a small RPC latency per remote call and
 supports the recovery mechanisms the paper relies on: automatic restart of
 coordinators from GCS state and promotion of hot-standby (shadow) actors.
 
-Besides synchronous :meth:`ActorSystem.call_actor` dispatch, the system owns a
-**virtual-clock discrete-event engine**: calls submitted via
-:meth:`ActorSystem.submit_call` are queued per actor and, when
-:meth:`ActorSystem.tick` runs, the engine picks the queued call with the
-earliest virtual start time (respecting per-actor serialization via busy
-windows and caller-declared causal dependencies via ``earliest_start_s``),
-advances the shared :class:`VirtualClock` to that instant and executes it.
-Each executed call occupies its actor for a *virtual duration* — explicitly
-provided, or derived from the call's result by the system's pluggable
-``latency_provider`` (see
-:class:`repro.core.cost_model.DataPlaneLatencyProvider`) — and its completion
-instant is published on the future (``ActorFuture.available_at_s``) and on
-the system :class:`~repro.metrics.timeline.Timeline`.  Trainer compute and
-data-plane work are therefore co-simulated on one clock, which is what makes
-prefetch overlap a *measured* quantity rather than a heuristic credit.
-
-Dispatch is an **indexed priority queue** (``dispatcher="indexed"``, the
-default): one global heap holds an entry per actor queue head, keyed by
-``(max(ready_at_s, actor_free_at_s), seq)``, so popping the next event is
-O(log A) in the number of actors instead of a linear scan over every queue.
-Executing an event only changes its own actor's busy window, so only that
-actor's head is re-keyed (lazy invalidation: stale heap entries are
-discarded or corrected when they surface).  Per-actor execution lanes are
-kept as min-heaps, making the busy-window lookup and the lane booking O(1)
-amortized / O(log L).  The O(A)-per-pop linear-scan reference survives as
-``dispatcher="linear"`` for A/B benchmarks and the order-equivalence
-property test: both dispatchers execute the exact same ``(start, seq)``
-sequence because per-actor keys are non-decreasing between head changes and
-ties cannot occur (``seq`` is globally unique).
+Deferred calls (:meth:`ActorSystem.submit_call` / :meth:`ActorSystem.tick`)
+execute on exactly one **engine**, built in ``__init__`` and held as
+``ActorSystem.engine``: the deterministic discrete-event
+:class:`~repro.actors.virtual.VirtualEngine` (``backend="virtual"``, the
+default) or the thread-parallel
+:class:`~repro.actors.wallclock.WallclockEngine` (``backend="wallclock"``).
+Both serve one method set, so every engine-facing method here is an
+unconditional delegation.  What they share is written once on
+:class:`ActorSystem` and called by both: the invocation core (``invoke``),
+the duration model (``modelled_duration``), timeline recording
+(``record_event``) and the drain-retirement sweep (``finish_retirement`` /
+``sweep_retirements``).
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -53,39 +35,11 @@ from repro.actors.node import (
     ResourceSpec,
 )
 from repro.actors.scheduler import PlacementDecision, PlacementRequest, PlacementScheduler
+from repro.actors.virtual import PendingCall, VirtualClock, VirtualEngine
 from repro.errors import ActorDead, ActorError, ActorTimeout, SchedulingError
 from repro.metrics.memory import MemoryLedger
 from repro.metrics.timeline import Timeline
 from repro.utils.ids import IdAllocator
-
-
-class VirtualClock:
-    """Monotonic simulated-time clock shared by every co-simulated component.
-
-    The clock is a high-water mark over executed event start times: it never
-    runs backwards, and it is advanced by the event engine (and by simulated
-    RPC latency on synchronous calls), never by real time.
-    """
-
-    def __init__(self, now_s: float = 0.0) -> None:
-        self._now_s = float(now_s)
-
-    @property
-    def now_s(self) -> float:
-        return self._now_s
-
-    def advance(self, seconds: float) -> None:
-        if seconds < 0:
-            raise ActorError("cannot advance the clock backwards")
-        self._now_s += seconds
-
-    def advance_to(self, instant_s: float) -> None:
-        """Move the clock forward to ``instant_s`` (no-op if already past it)."""
-        if instant_s > self._now_s:
-            self._now_s = float(instant_s)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"VirtualClock({self._now_s:.6f}s)"
 
 
 @dataclass(frozen=True)
@@ -129,36 +83,6 @@ class _ActorRecord:
     #: crash: a restart must re-book it (the node rebooted) and a stop must
     #: not release it twice.
     released: bool = False
-
-
-@dataclass(slots=True)
-class _PendingCall:
-    future: ActorFuture
-    name: str
-    method: str
-    args: tuple
-    kwargs: dict
-    timeout_s: float | None
-    #: Virtual instant the call became eligible to run (submit time, or the
-    #: caller-declared causal dependency when ``earliest_start_s`` was given).
-    ready_at_s: float = 0.0
-    #: Explicit virtual duration; ``None`` defers to the latency provider.
-    duration_s: float | None = None
-    #: Pipeline step the call belongs to (timeline metadata), if any.
-    step: int | None = None
-    #: Global submission sequence number — the deterministic tie-breaker.
-    seq: int = 0
-
-
-def _purge_cancelled_heads(queue: deque[_PendingCall]) -> None:
-    """Drop cancelled calls from the queue front.
-
-    The single definition both dispatchers (and the head indexer) share:
-    the linear/indexed equivalence guarantee depends on identical purge
-    behaviour at every site that inspects a queue head.
-    """
-    while queue and queue[0].future.cancelled():
-        queue.popleft()
 
 
 @dataclass
@@ -222,12 +146,6 @@ class ActorSystem:
         self.rpc_latency_s = rpc_latency_s
         self.dispatcher = dispatcher
         self._actors: dict[str, _ActorRecord] = {}
-        #: Per-name incarnation counter.  Heap entries are stamped with the
-        #: generation current at push time, so entries belonging to a removed
-        #: (or removed-and-recreated) actor are recognisably stale and are
-        #: discarded the moment they surface — `tick()` can never dispatch to
-        #: a dead incarnation, and a reused name starts with clean accounting.
-        self._generation: dict[str, int] = {}
         #: Actors retiring in "drain" mode: no new submissions are accepted
         #: and the actor is finalized as soon as its queue runs dry.
         self._retiring: set[str] = set()
@@ -235,21 +153,7 @@ class ActorSystem:
         #: Executed-call records; bounded to the most recent ``call_log_limit``
         #: entries when set (opt-in, so long runs stop accruing O(E) memory).
         self._call_log: deque[CallRecord] = deque(maxlen=call_log_limit)
-        #: Per-actor FIFO queues of deferred calls (the event engine's inputs).
-        self._queues: dict[str, deque[_PendingCall]] = {}
-        #: Per-actor busy windows, kept as min-heaps: one entry per execution
-        #: lane holding the virtual instant that lane finishes its latest
-        #: executed call (``lanes[0]`` is the actor's earliest-free instant).
-        self._lanes_s: dict[str, list[float]] = {}
-        #: Indexed dispatcher state: a global heap of per-actor queue-head
-        #: entries ``(start, seq, actor, generation)`` plus a per-actor
-        #: live-entry count used for lazy invalidation (stale entries are
-        #: discarded when they surface; the count guarantees every non-empty
-        #: queue stays represented by at least one entry).  The generation
-        #: stamp keeps the count exact across actor destruction and name
-        #: reuse: entries of dead incarnations are not counted at all.
-        self._heap: list[tuple[float, int, str, int]] = []
-        self._heap_entries: dict[str, int] = {}
+        #: Global submission sequence (the engines' deterministic tie-breaker).
         self._seq = 0
         #: Optional execution-trace sink for equivalence tests: when set to a
         #: list, every dispatched event appends ``(start, seq, actor, method)``.
@@ -262,12 +166,11 @@ class ActorSystem:
             from repro.actors.wallclock import WallClock, WallclockEngine
 
             self.clock = WallClock(time_scale)
-            self.engine: WallclockEngine | None = WallclockEngine(
-                self, tick_timeout_s=wallclock_tick_timeout_s
-            )
+            self.engine = WallclockEngine(self, tick_timeout_s=wallclock_tick_timeout_s)
         else:
             self.clock = VirtualClock()
-            self.engine = None
+            self.engine = VirtualEngine(self, dispatcher=dispatcher)
+        self.engine: VirtualEngine | WallclockEngine  # exactly one, never None
         #: Executed deferred calls as timed intervals (one event per call),
         #: tagged with the actor's role and, when provided, the pipeline step.
         self.timeline = Timeline()
@@ -277,9 +180,10 @@ class ActorSystem:
         #: is instantaneous apart from the RPC latency.
         self.latency_provider = None
         #: Optional fault-injection hook (see :mod:`repro.chaos`): consulted
-        #: on every invocation (both backends route through ``_invoke``) and
-        #: on every modelled duration, so declarative fault plans act on
-        #: virtual and wallclock execution through one interface.
+        #: on every invocation (both engines route through :meth:`invoke`)
+        #: and on every deferred call's :meth:`modelled_duration`, so
+        #: declarative fault plans act on virtual and wallclock execution
+        #: through one interface.
         self.chaos = None
 
     # -- cluster management --------------------------------------------------------
@@ -302,15 +206,11 @@ class ActorSystem:
     def actor_free_at_s(self, name: str) -> float:
         """Virtual instant the actor can start another call (earliest lane).
 
-        Lane lists are maintained as min-heaps, so this is O(1) rather than a
-        min-scan over every lane.  Under the wallclock backend this is the
-        actor's latest *real* completion instant instead (there is no booked
-        future window to report — lanes finish when they finish).
+        Under the wallclock backend this is the actor's latest *real*
+        completion instant instead (there is no booked future window to
+        report — lanes finish when they finish).
         """
-        if self.engine is not None:
-            return self.engine.free_at_s(name)
-        lanes = self._lanes_s.get(name)
-        return lanes[0] if lanes else 0.0
+        return self.engine.free_at_s(name)
 
     def quiesce(self, actor_names=None) -> None:
         """Barrier: wait until the named actors (all, if None) are idle.
@@ -320,8 +220,7 @@ class ActorSystem:
         have no queued or in-flight call — the invariant recovery code needs
         before rewinding actor state.
         """
-        if self.engine is not None:
-            self.engine.quiesce(actor_names)
+        self.engine.quiesce(actor_names)
 
     # -- actor lifecycle --------------------------------------------------------------
 
@@ -354,10 +253,10 @@ class ActorSystem:
         actors spawned *mid-run* (elastic scale-up): the new actor exists
         immediately but cannot start events before its warm-up elapsed.
 
-        ``free_from_s`` overrides that "current instant" on the virtual
-        backend.  On a dedicated system the global clock's ``now_s`` is the
-        spawning job's own event frontier, so the default is right; on a
-        *shared* (multi-tenant) system the global clock sits at whichever
+        ``free_from_s`` overrides that "current instant" (only virtual-backend
+        callers pass one).  On a dedicated system the global clock's ``now_s``
+        is the spawning job's own event frontier, so the default is right; on
+        a *shared* (multi-tenant) system the global clock sits at whichever
         tenant was simulated last, and anchoring a spawn there would charge
         this tenant a wait it never caused.  Callers spawning on behalf of
         one tenant pass that tenant's causal frontier instead.
@@ -402,12 +301,9 @@ class ActorSystem:
             concurrency=concurrency,
         )
         self._actors[actor_name] = record
-        self._generation[actor_name] = self._generation.get(actor_name, 0) + 1
         self._retiring.discard(actor_name)
         anchor_s = self.clock.now_s if free_from_s is None else float(free_from_s)
-        self._lanes_s[actor_name] = [anchor_s + warmup_s] * concurrency
-        if self.engine is not None:
-            self.engine.register_actor(actor_name, concurrency, warmup_s)
+        self.engine.register_actor(actor_name, concurrency, anchor_s + warmup_s)
         self.gcs.register_actor(
             actor_name, {"role": role, "node": node.name, "spilled": placement.spilled}
         )
@@ -453,19 +349,7 @@ class ActorSystem:
                 old.tenant, name, cpu_cores - old.cpu_cores, 0
             )
         if concurrency is not None and concurrency != record.concurrency:
-            if self.engine is not None:
-                self.engine.resize_lanes(name, concurrency)
-                record.concurrency = concurrency
-                return
-            lanes = sorted(self._lanes_s.get(name, [self.clock.now_s]))
-            if concurrency > len(lanes):
-                lanes.extend([self.clock.now_s] * (concurrency - len(lanes)))
-            else:
-                # Retire the earliest-free (idlest) lanes; the surviving
-                # workers keep their already-booked busy windows.
-                lanes = lanes[len(lanes) - concurrency :]
-            heapq.heapify(lanes)
-            self._lanes_s[name] = lanes
+            self.engine.resize_lanes(name, concurrency)
             record.concurrency = concurrency
 
     def kill_actor(self, name: str) -> None:
@@ -493,28 +377,13 @@ class ActorSystem:
             and record.state is ActorState.RUNNING
         ]
         for name in victims:
-            record = self._actors[name]
-            record.state = ActorState.FAILED
-            record.instance.ledger.release_all()
-            if not record.released:
-                self.scheduler.release(
-                    name,
-                    node_name,
-                    record.request.cpu_cores,
-                    record.request.memory_bytes,
-                    tenant=record.request.tenant,
-                )
-                record.released = True
+            self.kill_actor(name)
+            self._release_reservation(name)
         return victims
 
-    def stop_actor(self, name: str, remove: bool = True) -> None:
-        """Gracefully stop an actor and release its resources."""
-        record = self._record(name)
-        record.instance.on_stop()
-        record.instance.ledger.release_all()
-        record.state = ActorState.STOPPED
-        node = self.scheduler.node(record.placement.node_name)
-        node.ledger.disown(record.instance.ledger)
+    def _release_reservation(self, name: str) -> None:
+        """Return the actor's CPU/memory booking to the scheduler, once."""
+        record = self._actors[name]
         if not record.released:
             self.scheduler.release(
                 name,
@@ -523,30 +392,22 @@ class ActorSystem:
                 record.request.memory_bytes,
                 tenant=record.request.tenant,
             )
-        record.released = True
-        if remove:
-            self._actors.pop(name, None)
-            self._lanes_s.pop(name, None)
-            self._retiring.discard(name)
-            if self.engine is not None:
-                # Close the mailbox: fails queued calls, lane threads exit.
-                self.engine.stop_actor(name)
-            # Fail (don't leak) any still-queued deferred calls: a removed
-            # actor's queue would otherwise be scanned forever and its lane
-            # lookup would backdate the call's start to 0.
-            queue = self._queues.pop(name, None)
-            if queue:
-                for call in queue:
-                    if not call.future.cancelled():
-                        call.future._fail(ActorError(f"actor {name!r} was stopped"))
-            # Eagerly invalidate the actor's indexed-heap entries: dropping
-            # the live-entry count turns every entry of this incarnation
-            # stale (its generation no longer matches), so they are discarded
-            # untouched when they surface and a later same-name actor starts
-            # with exact accounting — `tick()` can never dispatch to the dead
-            # incarnation, and surviving actors' dispatch order is unchanged.
-            self._heap_entries.pop(name, None)
-            self.gcs.deregister_actor(name)
+            record.released = True
+
+    def stop_actor(self, name: str) -> None:
+        """Gracefully stop and remove an actor, releasing its resources; its
+        still-queued deferred calls fail with "was stopped"."""
+        record = self._record(name)
+        record.instance.on_stop()
+        record.instance.ledger.release_all()
+        record.state = ActorState.STOPPED
+        node = self.scheduler.node(record.placement.node_name)
+        node.ledger.disown(record.instance.ledger)
+        self._release_reservation(name)
+        self._actors.pop(name, None)
+        self._retiring.discard(name)
+        self.engine.stop_actor(name)
+        self.gcs.deregister_actor(name)
 
     def retire_actor(
         self, name: str, mode: str = "drain", successor: str | None = None
@@ -583,22 +444,10 @@ class ActorSystem:
             target = self._record(successor)
             if target.state is not ActorState.RUNNING or successor in self._retiring:
                 raise ActorError(f"successor {successor!r} cannot accept handed-off calls")
-            if self.engine is not None:
-                self.engine.handoff_queue(name, successor)
-            else:
-                self._handoff_queue(name, successor)
+            self.engine.handoff_queue(name, successor)
             self.stop_actor(name)
             return True
-        if self.engine is not None:
-            if self.engine.is_idle(name):
-                self.stop_actor(name)
-                return True
-            self._retiring.add(name)
-            return False
-        queue = self._queues.get(name)
-        if queue:
-            _purge_cancelled_heads(queue)
-        if not queue:
+        if self.engine.is_idle(name):
             self.stop_actor(name)
             return True
         self._retiring.add(name)
@@ -608,28 +457,15 @@ class ActorSystem:
         """Whether the actor is draining toward retirement."""
         return name in self._retiring
 
-    def _handoff_queue(self, name: str, successor: str) -> None:
-        """Merge the retiree's pending calls into the successor's queue by seq."""
-        pending = self._queues.pop(name, None)
-        if not pending:
-            return
-        target_queue = self._queues.get(successor)
-        if target_queue is None:
-            target_queue = self._queues[successor] = deque()
-        merged = sorted(
-            [call for call in pending if not call.future.cancelled()]
-            + [call for call in target_queue if not call.future.cancelled()],
-            key=lambda call: call.seq,
-        )
-        for call in merged:
-            call.name = successor
-            call.future.actor = successor
-        self._queues[successor] = deque(merged)
-        # The successor's head may now be an earlier call than the one its
-        # heap entry was keyed for; re-index it (the retiree's entries go
-        # stale via the generation stamp once stop_actor drops its count).
-        if self.dispatcher == "indexed":
-            self._push_head(successor)
+    def finish_retirement(self, name: str) -> None:
+        """Finalize a drain-mode retirement once the engine reports it idle."""
+        if name in self._retiring and self.engine.is_idle(name):
+            self.stop_actor(name)
+
+    def sweep_retirements(self) -> None:
+        """The one retirement sweep: both engines call it when they run dry."""
+        for name in list(self._retiring):
+            self.finish_retirement(name)
 
     def restart_actor(self, name: str, state: dict | None = None) -> ActorHandle:
         """Restart a failed actor in place, optionally restoring checkpoint state."""
@@ -666,12 +502,9 @@ class ActorSystem:
         kwargs: dict,
         timeout_s: float | None = None,
     ):
-        if self.engine is not None:
-            return self.engine.direct_call(name, method, args, kwargs, timeout_s)
-        result = self._invoke(name, method, args, kwargs, timeout_s, advance_rpc=True)
-        return result
+        return self.engine.direct_call(name, method, args, kwargs, timeout_s)
 
-    def _invoke(
+    def invoke(
         self,
         name: str,
         method: str,
@@ -715,7 +548,7 @@ class ActorSystem:
         self._call_log.append(CallRecord(name, method, self.rpc_latency_s, failed=False))
         return result
 
-    # -- virtual-clock event engine ------------------------------------------------------
+    # -- deferred calls (executed by the engine) -----------------------------------------
 
     def submit_call(
         self,
@@ -748,13 +581,10 @@ class ActorSystem:
         future = ActorFuture(name, method)
         ready_at = self.clock.now_s if earliest_start_s is None else float(earliest_start_s)
         self._seq += 1
-        queue = self._queues.get(name)
-        if queue is None:
-            queue = self._queues[name] = deque()
         # ``kwargs`` is stored without a defensive copy: ActorHandle builds a
         # fresh dict per submit, and copying here doubled the per-submit
         # allocations on the hot path.
-        call = _PendingCall(
+        call = PendingCall(
             future,
             name,
             method,
@@ -766,230 +596,62 @@ class ActorSystem:
             step=step_tag,
             seq=self._seq,
         )
-        future._owner = self
-        if self.engine is not None:
-            # Wallclock waiters block on a real Event; create it on the
-            # driver thread so lane-side completion only has to set it.
-            future._completion_event()
-            self.engine.submit(call)
-            return future
-        was_empty = not queue
-        queue.append(call)
-        if self.dispatcher == "indexed":
-            if was_empty:
-                # The call became its actor's queue head: index it in the
-                # global dispatch heap.  Non-head calls are indexed lazily
-                # when they surface (FIFO per actor), keeping submission
-                # O(log A).  The linear dispatcher never consumes the heap,
-                # so it must not feed it either (entries would accumulate
-                # unboundedly).
-                self._push_head(name)
+        future._owner = self.engine  # cancel() / result(timeout=) go to the queue's holder
+        self.engine.submit(call)
         return future
 
-    def _next_call(self) -> _PendingCall | None:
-        """Pop the earliest queued call — the O(A·L) linear-scan reference.
-
-        Per-actor queues are FIFO; across actors the head with the smallest
-        ``(start, seq)`` wins, where ``start`` respects both the call's ready
-        instant and the actor's busy window.  Cancelled heads are discarded.
-        This is the reference implementation the indexed dispatcher must
-        match event-for-event (``dispatcher="linear"``); it is kept for A/B
-        benchmarks and the equivalence property test.
-        """
-        best: _PendingCall | None = None
-        best_key: tuple[float, int] | None = None
-        for name, queue in self._queues.items():
-            _purge_cancelled_heads(queue)
-            if not queue:
-                continue
-            head = queue[0]
-            start = max(head.ready_at_s, self.actor_free_at_s(name))
-            key = (start, head.seq)
-            if best_key is None or key < best_key:
-                best, best_key = head, key
-        if best is not None:
-            self._queues[best.name].popleft()
-        return best
-
-    def _push_head(self, name: str) -> None:
-        """Index the actor's current queue head in the global dispatch heap."""
-        queue = self._queues.get(name)
-        if queue:
-            _purge_cancelled_heads(queue)
-        if not queue:
-            return
-        head = queue[0]
-        lanes = self._lanes_s.get(name)
-        free = lanes[0] if lanes else 0.0
-        start = head.ready_at_s if head.ready_at_s >= free else free
-        heapq.heappush(self._heap, (start, head.seq, name, self._generation.get(name, 0)))
-        self._heap_entries[name] = self._heap_entries.get(name, 0) + 1
-
-    def _on_future_cancelled(self, name: str, future) -> None:
-        """Re-key an actor whose queue *head* was cancelled.
-
-        Cancelling the head exposes the next call, whose dispatch key may be
-        *smaller* (an earlier ``earliest_start_s``) — the one way an actor's
-        true key can decrease.  Without an immediate re-index the stale heap
-        entry would over-estimate the actor's key and another actor could be
-        dispatched first, diverging from the linear-scan reference.
-        Non-head cancellations leave the head (and its key) untouched.
-        """
-        if self.engine is not None:
-            self.engine.on_future_cancelled(name, future)
-            return
-        if self.dispatcher != "indexed":
-            # The linear dispatcher never consumes the heap, so it must not
-            # feed it (owners are now set on every backend for
-            # ``result(timeout=)`` support, not just the indexed one).
-            return
-        queue = self._queues.get(name)
-        if queue and queue[0].future is future:
-            self._push_head(name)
-
-    def _drop_heap_entry(self, name: str) -> None:
-        remaining = self._heap_entries.get(name, 1) - 1
-        if remaining > 0:
-            self._heap_entries[name] = remaining
-        else:
-            self._heap_entries.pop(name, None)
-
-    def _pop_next_indexed(self) -> _PendingCall | None:
-        """Pop the earliest queued call via the indexed heap — O(log A).
-
-        Heap entries are keyed ``(start, seq)`` with ``seq`` globally unique,
-        so ties cannot occur and the executed order is byte-identical to the
-        linear-scan reference.  Entries go stale only when their actor's head
-        changed (the head executes → busy window moves → next head surfaces)
-        or its future was cancelled externally; stale entries are discarded
-        when they reach the top — or re-keyed in place when they are the
-        actor's last entry, preserving the invariant that every non-empty
-        queue keeps at least one entry.  A same-head entry is always *exact*:
-        the busy window of an actor only moves when that actor executes,
-        which pops the head and retires the entry by sequence number.
-        """
-        heap = self._heap
-        queues = self._queues
-        while heap:
-            start, seq, name, gen = heap[0]
-            if gen != self._generation.get(name, 0):
-                # Entry of a retired/destroyed incarnation (possibly of a
-                # reused name): its count was dropped at removal, so discard
-                # without touching the live accounting.
-                heapq.heappop(heap)
-                continue
-            queue = queues.get(name)
-            if queue:
-                _purge_cancelled_heads(queue)
-            if not queue:
-                heapq.heappop(heap)
-                self._drop_heap_entry(name)
-                continue
-            head = queue[0]
-            lanes = self._lanes_s.get(name)
-            free = lanes[0] if lanes else 0.0
-            cur_start = head.ready_at_s if head.ready_at_s >= free else free
-            if seq != head.seq or start != cur_start:
-                if self._heap_entries.get(name, 1) > 1:
-                    heapq.heappop(heap)
-                    self._heap_entries[name] -= 1
-                else:
-                    heapq.heapreplace(heap, (cur_start, head.seq, name, gen))
-                continue
-            heapq.heappop(heap)
-            self._drop_heap_entry(name)
-            queue.popleft()
-            return head
-        return None
-
     def tick(self, max_calls: int | None = 1) -> int:
-        """Execute up to ``max_calls`` deferred calls in virtual-time order.
+        """Execute up to ``max_calls`` deferred calls (``None``: until none is
+        runnable); returns how many ran.
 
-        ``max_calls=None`` executes without a budget until no runnable call
-        remains — the batched mode :meth:`drain` uses, which stays inside the
-        dispatch loop instead of re-entering the dispatcher per call.
-
-        Each executed call advances the shared clock to its start instant,
-        marks its actor busy until ``start + rpc + duration`` and publishes
-        that completion instant on the future and the system timeline.
-        Returns the number of calls actually executed.  Exceptions raised by
-        the callee (including injected :class:`ActorDead` / :class:`ActorTimeout`)
-        are captured on the future rather than propagated.
-
-        Under the wallclock backend the same signature acknowledges *real*
-        completions instead: it returns immediately while unacknowledged
-        completions exist, blocks for at least one when work is in flight,
-        and returns 0 only when the engine is idle — so virtual-engine
-        driver loops terminate unmodified.
+        The virtual engine executes them here, in virtual-time order; the
+        wallclock engine acknowledges *real* completions instead: it returns
+        immediately while unacknowledged completions exist, blocks for at
+        least one when work is in flight, and returns 0 only when the engine
+        is idle — so virtual-engine driver loops terminate unmodified.
         """
-        if self.engine is not None:
-            return self.engine.tick(max_calls)
-        indexed = self.dispatcher == "indexed"
-        executed = 0
-        while max_calls is None or executed < max_calls:
-            if indexed:
-                call = self._pop_next_indexed()
-            else:
-                call = self._next_call()
-            if call is None:
-                self._sweep_retirements()
-                break
-            start = max(call.ready_at_s, self.actor_free_at_s(call.name))
-            if self.dispatch_trace is not None:
-                self.dispatch_trace.append((start, call.seq, call.name, call.method))
-            self.clock.advance_to(start)
-            clock_before = self.clock.now_s
-            try:
-                result = self._invoke(
-                    call.name, call.method, call.args, call.kwargs, call.timeout_s,
-                    advance_rpc=False,
-                )
-            except Exception as exc:  # noqa: BLE001 - routed to the future
-                call.future._fail(exc)
-            else:
-                duration = call.duration_s
-                if duration is None:
-                    duration = self._derived_duration(call.name, call.method, result, start)
-                # Nested synchronous calls made by the target advance the
-                # clock; fold exactly that delta into the event so completion
-                # never precedes work the call itself performed.
-                nested_s = self.clock.now_s - clock_before
-                end = start + nested_s + self.rpc_latency_s + max(0.0, duration)
-                self._occupy_lane(call.name, end)
-                call.future._complete(result, available_at_s=end)
-                self._record_event(call, start, end)
-            if indexed:
-                # Only this actor's key changed: re-index its next head.
-                self._push_head(call.name)
-            if call.name in self._retiring:
-                self._maybe_finish_retirement(call.name)
-            executed += 1
-        return executed
+        return self.engine.tick(max_calls)
 
-    def _maybe_finish_retirement(self, name: str) -> None:
-        """Finalize a drain-mode retirement once the actor's queue is empty."""
-        queue = self._queues.get(name)
-        if queue:
-            _purge_cancelled_heads(queue)
-        if not queue and name in self._retiring:
-            self.stop_actor(name)
+    def drain(self, deadline_s: float | None = None) -> int:
+        """Run the engine until no pending calls remain; returns how many ran.
 
-    def _sweep_retirements(self) -> None:
-        for name in list(self._retiring):
-            self._maybe_finish_retirement(name)
-
-    def _occupy_lane(self, name: str, end_s: float) -> None:
-        """Book the earliest-free execution lane until ``end_s``.
-
-        Lane lists are min-heaps, so booking replaces the root — O(log L)
-        instead of an argmin scan (and O(1) for single-lane actors).
+        ``deadline_s`` bounds the drain in clock units (virtual seconds on
+        either backend) and raises :class:`TimeoutError` on expiry.
         """
-        lanes = self._lanes_s.setdefault(name, [0.0])
-        heapq.heapreplace(lanes, end_s)
+        return self.engine.drain(deadline_s)
 
-    def _derived_duration(
-        self, name: str, method: str, result: object, start_s: float = 0.0
+    def pending_count(self, actor_name: str | None = None) -> int:
+        return self.engine.pending_count(actor_name)
+
+    def cancel_pending(self, actor_name: str | None = None) -> int:
+        """Cancel queued calls (for one actor, or all); returns how many.
+
+        Under the wallclock backend this additionally *waits* for the
+        affected actors' in-flight calls to drain, preserving the virtual
+        engine's contract that nothing pending is mid-execution afterwards.
+        """
+        return self.engine.cancel_pending(actor_name)
+
+    # -- shared by both engines ----------------------------------------------------------
+
+    def modelled_duration(
+        self,
+        name: str,
+        method: str,
+        result: object,
+        start_s: float,
+        lane_ends_s=(),
+        inline: bool = False,
     ) -> float:
+        """The one duration model: what the ``latency_provider`` says an
+        executed call costs (``0.0`` without one).
+
+        A *deferred* call's duration is stretched by any active chaos
+        ``straggler`` window, on both engines.  An ``inline`` (synchronous
+        :meth:`call_actor`) call's is not, on either: the virtual engine gives
+        an inline call no modelled duration at all, and the wallclock direct
+        call — the only inline caller — sleeps the unscaled latency.
+        """
         provider = self.latency_provider
         if provider is None:
             return 0.0
@@ -1001,8 +663,7 @@ class ActorSystem:
             # event's start instant — which lanes are still busy and until
             # when — so a worker pool's throughput can be split across
             # concurrently in-flight tickets (the capacity-split lane model).
-            lanes = self._lanes_s.get(name) or ()
-            busy_ends = tuple(end for end in lanes if end > start_s)
+            busy_ends = tuple(end for end in lane_ends_s if end > start_s)
             duration = provider.call_duration_s(
                 record.instance,
                 method,
@@ -1014,16 +675,15 @@ class ActorSystem:
         else:
             duration = provider.call_duration_s(record.instance, method, result)
         duration = max(0.0, float(duration or 0.0))
-        if self.chaos is not None:
+        if self.chaos is not None and not inline:
             duration = self.chaos.scale_duration(
                 record.instance, name, method, duration, start_s
             )
         return duration
 
-    def _record_event(self, call: _PendingCall, start: float, end: float) -> None:
-        record = self._actors.get(call.name)
-        role = getattr(type(record.instance), "role", "actor") if record else "actor"
-        metadata: dict[str, object] = {"role": role}
+    def record_event(self, call: PendingCall, start: float, end: float) -> None:
+        """Record an executed deferred call as a timed interval on the timeline."""
+        metadata: dict[str, object] = {"role": self.actor_role(call.name)}
         if call.step is not None:
             metadata["step"] = call.step
         self.timeline.record(
@@ -1034,106 +694,15 @@ class ActorSystem:
             **metadata,
         )
 
-    def drain(self, deadline_s: float | None = None) -> int:
-        """Run the event engine until no pending calls remain.
-
-        One unbounded tick per pass: the dispatch loop keeps popping until
-        the index is empty (nested submits included), so draining no longer
-        pays a pending-count scan per batch.
-
-        ``deadline_s`` bounds the drain in clock units (virtual seconds on
-        either backend): if pending calls remain once the clock has advanced
-        that far past the drain's start, :class:`TimeoutError` is raised
-        instead of hanging — API parity with the wallclock backend, where a
-        wedged lane would otherwise block forever.
-        """
-        if self.engine is not None:
-            return self.engine.drain(deadline_s)
-        executed = 0
-        start_s = self.clock.now_s
-        if deadline_s is None:
-            while True:
-                ran = self.tick(max_calls=None)
-                executed += ran
-                if ran == 0:
-                    break
-            return executed
-        while True:
-            ran = self.tick(max_calls=1)
-            executed += ran
-            if ran == 0:
-                break
-            if self.clock.now_s - start_s >= deadline_s and self.pending_count() > 0:
-                raise TimeoutError(
-                    f"drain deadline of {deadline_s}s (virtual) expired with "
-                    f"{self.pending_count()} calls still pending"
-                )
-        return executed
-
-    def _wait_future(self, future: ActorFuture, timeout_s: float) -> None:
-        """Drive the engine until ``future`` completes or the deadline passes.
-
-        Backing strategy for ``ActorFuture.result(timeout=...)``: the virtual
-        engine ticks events forward (the clock *is* the progress meter) until
-        the future resolves, the virtual deadline passes, or the engine runs
-        dry; the wallclock engine blocks on the future's completion event for
-        the scaled real duration.  The caller (the future) raises
-        :class:`TimeoutError` if still pending afterwards.
-        """
-        if self.engine is not None:
-            self.engine.wait_future(future, timeout_s)
-            return
-        deadline = self.clock.now_s + timeout_s
-        while not future.done() and self.clock.now_s < deadline:
-            if self.tick() == 0:
-                break
-
-    def pending_count(self, actor_name: str | None = None) -> int:
-        if self.engine is not None:
-            return self.engine.pending_count(actor_name)
-        queues = (
-            self._queues.values()
-            if actor_name is None
-            else [self._queues.get(actor_name, deque())]
-        )
-        return sum(
-            1
-            for queue in queues
-            for call in queue
-            if not call.future.cancelled()
-        )
-
-    def cancel_pending(self, actor_name: str | None = None) -> int:
-        """Cancel queued calls (for one actor, or all); returns how many.
-
-        Under the wallclock backend this additionally *waits* for the
-        affected actors' in-flight calls to drain, preserving the virtual
-        engine's contract that nothing pending is mid-execution afterwards.
-        """
-        if self.engine is not None:
-            return self.engine.cancel_pending(actor_name)
-        cancelled = 0
-        names = list(self._queues) if actor_name is None else [actor_name]
-        for name in names:
-            queue = self._queues.get(name)
-            if not queue:
-                continue
-            # Snapshot first: cancelling a head triggers the dispatcher's
-            # re-key hook, which purges cancelled heads from the live deque.
-            snapshot = list(queue)
-            for call in snapshot:
-                if call.future.cancel():
-                    cancelled += 1
-            self._queues[name] = deque(
-                call for call in snapshot if not call.future.cancelled()
-            )
-        # Cancellation may have drained a retiring actor's queue; finalize
-        # such retirements now rather than waiting for a dispatch that may
-        # never come.
-        self._sweep_retirements()
-        return cancelled
-
     # -- introspection ----------------------------------------------------------------------
+
+    def has_actor(self, name: str) -> bool:
+        return name in self._actors
+
+    def actor_role(self, name: str) -> str:
+        """The actor class's ``role`` tag (``"actor"`` if unset or unknown)."""
+        record = self._actors.get(name)
+        return getattr(type(record.instance), "role", "actor") if record else "actor"
 
     def actor_state(self, name: str) -> ActorState:
         return self._record(name).state
@@ -1148,8 +717,7 @@ class ActorSystem:
         return self._record(name).restart_count
 
     def handles(self, role: str | None = None) -> list[ActorHandle]:
-        names = self.gcs.list_actors(role)
-        return [ActorHandle(self, name) for name in names if name in self._actors]
+        return [ActorHandle(self, name) for name in self.list_actor_names(role)]
 
     def list_actor_names(self, role: str | None = None) -> list[str]:
         return [name for name in self.gcs.list_actors(role) if name in self._actors]

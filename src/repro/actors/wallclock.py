@@ -1,11 +1,16 @@
 """Real thread-parallel execution engine behind the ActorSystem API.
 
-``ActorSystem(backend="wallclock")`` swaps the discrete-event virtual-clock
-engine for this one: every actor gets a **mailbox** drained by a bounded pool
-of real lane threads (``concurrency=n`` ⇒ n lanes), and the same
+``ActorSystem(backend="wallclock")`` builds this engine instead of the
+discrete-event :class:`repro.actors.virtual.VirtualEngine`: every actor gets
+a **mailbox** drained by a bounded pool of real lane threads
+(``concurrency=n`` ⇒ n lanes), and the same
 ``submit_call``/``tick``/``drain``/``cancel_pending``/``retire_actor`` API is
 served from real completions instead of simulated ones.  `StepPipeline`,
 `LoaderFleet` and `FaultToleranceManager` run unmodified on top.
+
+:class:`WallclockEngine` is the twin of ``VirtualEngine`` literally: the two
+serve one method set (``tests/test_actors_engine_seam.py`` holds them to it)
+and what they share lives once on :class:`~repro.actors.runtime.ActorSystem`.
 
 Design invariants (the cross-backend byte-identity guarantee):
 
@@ -46,6 +51,7 @@ import threading
 import time
 from collections import deque
 
+from repro.actors.virtual import merge_handoff, purge_cancelled_heads
 from repro.errors import ActorError
 
 
@@ -165,8 +171,8 @@ class WallclockEngine:
 
     # -- lifecycle ----------------------------------------------------------------------
 
-    def register_actor(self, name: str, concurrency: int, warmup_s: float) -> None:
-        box = _Mailbox(name, concurrency, self.clock.now_s + warmup_s)
+    def register_actor(self, name: str, concurrency: int, ready_at_s: float) -> None:
+        box = _Mailbox(name, concurrency, ready_at_s)
         with self._cond:
             self._mailboxes[name] = box
         self._free_at[name] = max(self._free_at.get(name, 0.0), box.ready_floor_s)
@@ -226,17 +232,10 @@ class WallclockEngine:
             return
         first, second = sorted((box, target), key=lambda b: b.name)
         with first.cond, second.cond:
-            moved = [call for call in box.queue if not call.future.cancelled()]
+            merged, moved = merge_handoff(box.queue, target.queue, successor)
             box.inflight -= len(box.queue)
             box.queue.clear()
-            for call in moved:
-                call.name = successor
-                call.future.actor = successor
-            merged = sorted(
-                moved + [c for c in target.queue if not c.future.cancelled()],
-                key=lambda call: call.seq,
-            )
-            target.inflight += len(moved)
+            target.inflight += moved
             target.queue.clear()
             target.queue.extend(merged)
             if target.queue:
@@ -247,6 +246,9 @@ class WallclockEngine:
     # -- submission ----------------------------------------------------------------------
 
     def submit(self, call) -> None:
+        # Waiters block on a real Event; create it on the driver thread so
+        # lane-side completion only has to set it.
+        call.future._completion_event()
         box = self._box(call.name)
         with box.cond:
             if not box.open:
@@ -281,8 +283,7 @@ class WallclockEngine:
                         if lane_index >= box.target_lanes:
                             box.spawned = min(box.spawned, box.target_lanes)
                         return
-                    while box.queue and box.queue[0].future.cancelled():
-                        box.queue.popleft()
+                    purge_cancelled_heads(box.queue)
                     if box.queue and not box.executing:
                         call = box.queue.popleft()
                         box.executing = True
@@ -305,14 +306,21 @@ class WallclockEngine:
             self.clock.sleep_until(max(call.ready_at_s, box.ready_floor_s))
             start_s = self.clock.now_s
             try:
-                result = system._invoke(
+                result = system.invoke(
                     call.name, call.method, call.args, call.kwargs, call.timeout_s,
                     advance_rpc=False,
                 )
             except Exception as exc:  # noqa: BLE001 - routed to the future
                 failure = exc
             else:
-                duration = self._modelled_duration(box, call, result, start_s)
+                duration = call.duration_s
+                if duration is None:
+                    with box.cond:
+                        lane_ends = tuple(box.lane_ends_s)
+                    duration = system.modelled_duration(
+                        call.name, call.method, result, start_s, lane_ends
+                    )
+                duration = max(0.0, float(duration))
         # Release the turnstile *before* sleeping out the modelled latency:
         # the next call's body may start while this one's latency elapses —
         # exactly the virtual engine's overlapping busy windows.
@@ -342,49 +350,16 @@ class WallclockEngine:
         call.future._complete(result, available_at_s=end_s)
         self._finish(box, call, start_s, end_s, failed=False)
 
-    def _modelled_duration(self, box: _Mailbox, call, result, start_s: float) -> float:
-        if call.duration_s is not None:
-            return max(0.0, float(call.duration_s))
-        provider = self.system.latency_provider
-        if provider is None:
-            return 0.0
-        record = self.system._actors.get(call.name)
-        if record is None:
-            return 0.0
-        if getattr(provider, "wants_lane_context", False):
-            with box.cond:
-                busy_ends = tuple(end for end in box.lane_ends_s if end > start_s)
-            duration = provider.call_duration_s(
-                record.instance,
-                call.method,
-                result,
-                busy_lanes=1 + len(busy_ends),
-                start_s=start_s,
-                lane_ends_s=busy_ends,
-            )
-        else:
-            duration = provider.call_duration_s(record.instance, call.method, result)
-        duration = max(0.0, float(duration or 0.0))
-        chaos = self.system.chaos
-        if chaos is not None:
-            # Same chaos hook as the virtual backend's _derived_duration, so
-            # one straggler window stretches modelled latency on both engines.
-            duration = chaos.scale_duration(
-                record.instance, call.name, call.method, duration, start_s
-            )
-        return duration
-
     def _finish(self, box: _Mailbox, call, start_s: float, end_s: float, failed: bool) -> None:
         if not failed:
             with box.cond:
                 # Under the box lock: concurrent lane completions of the same
                 # actor must not lose the larger instant to a read/write race.
                 self._free_at[call.name] = max(self._free_at.get(call.name, 0.0), end_s)
-            self.system._record_event(call, start_s, end_s)
-            record = self.system._actors.get(call.name)
-            if record is not None:
-                role = getattr(type(record.instance), "role", "actor")
-                self.calibration.record(role, call.method, end_s - start_s)
+            system = self.system
+            system.record_event(call, start_s, end_s)
+            if system.has_actor(call.name):
+                self.calibration.record(system.actor_role(call.name), call.method, end_s - start_s)
         with box.cond:
             box.inflight -= 1
             box.cond.notify_all()
@@ -426,26 +401,15 @@ class WallclockEngine:
                     owned = True
         start_s = self.clock.now_s
         try:
-            result = self.system._invoke(name, method, args, kwargs, timeout_s,
-                                         advance_rpc=True)
+            result = self.system.invoke(name, method, args, kwargs, timeout_s,
+                                        advance_rpc=True)
         finally:
             if owned:
                 with box.cond:
                     box.executing = False
                     box.executing_thread = None
                     box.cond.notify_all()
-        duration = 0.0
-        provider = self.system.latency_provider
-        record = self.system._actors.get(name)
-        if provider is not None and record is not None:
-            if getattr(provider, "wants_lane_context", False):
-                duration = provider.call_duration_s(
-                    record.instance, method, result,
-                    busy_lanes=1, start_s=start_s, lane_ends_s=(),
-                )
-            else:
-                duration = provider.call_duration_s(record.instance, method, result)
-            duration = max(0.0, float(duration or 0.0))
+        duration = self.system.modelled_duration(name, method, result, start_s, inline=True)
         if duration > 0:
             self.clock.sleep_virtual(duration)
             self._free_at[name] = max(self._free_at.get(name, 0.0), self.clock.now_s)
@@ -480,7 +444,7 @@ class WallclockEngine:
                         "calls in flight"
                     )
                 self._cond.wait(min(remaining, 0.2))
-        self._sweep_retirements()
+        self.system.sweep_retirements()
         return taken
 
     def drain(self, deadline_s: float | None = None) -> int:
@@ -513,7 +477,7 @@ class WallclockEngine:
                         f"with {self._inflight_total} calls in flight"
                     )
                 self._cond.wait(0.05)
-        self._sweep_retirements()
+        self.system.sweep_retirements()
         return executed
 
     def wait_future(self, future, timeout_s: float) -> None:
@@ -527,14 +491,8 @@ class WallclockEngine:
         code relies on before rewinding actor state (the virtual engine gets
         it for free between ticks).
         """
-        with self._cond:
-            boxes = (
-                list(self._mailboxes.values())
-                if actor_names is None
-                else [self._mailboxes[n] for n in actor_names if n in self._mailboxes]
-            )
         deadline = time.monotonic() + self.tick_timeout_s
-        for box in boxes:
+        for box in self._boxes(actor_names):
             with box.cond:
                 while box.inflight > 0:
                     remaining = deadline - time.monotonic()
@@ -546,14 +504,8 @@ class WallclockEngine:
                     box.cond.wait(min(remaining, 0.2))
 
     def pending_count(self, actor_name: str | None = None) -> int:
-        with self._cond:
-            boxes = (
-                list(self._mailboxes.values())
-                if actor_name is None
-                else [b for n, b in self._mailboxes.items() if n == actor_name]
-            )
         total = 0
-        for box in boxes:
+        for box in self._boxes(None if actor_name is None else [actor_name]):
             with box.cond:
                 total += box.inflight
         return total
@@ -565,24 +517,16 @@ class WallclockEngine:
         cancel_pending, nothing of this actor's pending work is executing" —
         which recovery paths rely on before restarting/restoring actors.
         """
-        with self._cond:
-            names = (
-                list(self._mailboxes)
-                if actor_name is None
-                else [actor_name] if actor_name in self._mailboxes else []
-            )
+        boxes = self._boxes(None if actor_name is None else [actor_name])
         cancelled = 0
-        for name in names:
-            box = self._mailboxes.get(name)
-            if box is None:
-                continue
+        for box in boxes:
             with box.cond:
                 snapshot = list(box.queue)
             for call in snapshot:
                 if call.future.cancel():
                     cancelled += 1
-        self.quiesce(names)
-        self._sweep_retirements()
+        self.quiesce([box.name for box in boxes])
+        self.system.sweep_retirements()
         return cancelled
 
     def on_future_cancelled(self, name: str, future) -> None:
@@ -605,10 +549,12 @@ class WallclockEngine:
 
     # -- internals ----------------------------------------------------------------------
 
-    def _sweep_retirements(self) -> None:
-        for name in list(self.system._retiring):
-            if self.is_idle(name):
-                self.system.stop_actor(name)
+    def _boxes(self, names=None) -> list[_Mailbox]:
+        """Snapshot of the named actors' mailboxes (all, if None), skipping unknown names."""
+        with self._cond:
+            if names is None:
+                return list(self._mailboxes.values())
+            return [self._mailboxes[n] for n in names if n in self._mailboxes]
 
     def _box(self, name: str) -> _Mailbox:
         try:

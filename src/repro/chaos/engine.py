@@ -2,12 +2,12 @@
 
 ``ChaosEngine.attach(system)`` installs the engine as the runtime's ``chaos``
 hook, after which both backends consult it on every invocation
-(:meth:`on_invoke`, called from ``ActorSystem._invoke`` — the shared
+(:meth:`on_invoke`, called from ``ActorSystem.invoke`` — the shared
 execution core of virtual ticks, wallclock lane threads and direct calls)
-and on every modelled duration (:meth:`scale_duration`, called from the
-virtual ``_derived_duration`` and the wallclock ``_modelled_duration``).
-One hook pair therefore covers both execution backends with no per-backend
-code.
+and on every deferred call's modelled duration (:meth:`scale_duration`,
+called from ``ActorSystem.modelled_duration`` — the one duration model both
+engines use).  One hook pair therefore covers both execution backends with
+no per-backend code.
 
 One-shot events (actor/node crashes) fire the first time the shared clock
 reaches their instant; windowed events act for their whole window.  Faults
@@ -136,7 +136,7 @@ class ChaosEngine:
                 self.fired.append((event.kind, event.target, event.at_s))
         for event in due:
             if event.kind == "actor_crash":
-                if event.target in self.system._actors:
+                if self.system.has_actor(event.target):
                     self.system.failures.fail(event.target)
             elif event.kind == "node_crash":
                 self.system.crash_node(event.target)

@@ -18,7 +18,7 @@ one step at a time; with ``prefetch_depth>=1`` it defers the calls on the
 event engine and keeps that many future steps in flight behind the trainer.
 
 Trainer and data plane co-simulate on the actor system's shared
-:class:`~repro.actors.runtime.VirtualClock`: the trainer is a
+:class:`~repro.actors.virtual.VirtualClock`: the trainer is a
 :class:`~repro.training.simulator.TrainerActor` whose compute windows are
 events on that clock, and every data-plane call occupies its actor for a
 cost-model-derived virtual duration (see
@@ -246,16 +246,14 @@ class MegaScaleData:
         # Measured overlap: the trainer's wait for this step's data is real
         # virtual time, not an estimate — whatever portion of the fetch did
         # not stall the trainer was hidden behind earlier compute windows.
+        if data_ready_s is None and self.system.backend == "wallclock":
+            # Wallclock at depth 0: the inline calls already slept their
+            # modelled latency on the caller thread, so readiness is
+            # "now" on the shared clock, not an offset reconstruction.
+            data_ready_s = self.system.clock.now_s
         if data_ready_s is None:
-            if self.system.engine is not None:
-                # Wallclock at depth 0: the inline calls already slept their
-                # modelled latency on the caller thread, so readiness is
-                # "now" on the shared clock, not an offset reconstruction.
-                data_ready_s = self.system.clock.now_s
-                stall_s = max(0.0, data_ready_s - trainer_free_s)
-            else:
-                data_ready_s = trainer_free_s + data_fetch_latency
-                stall_s = data_fetch_latency  # inline fetch: exact, no float residue
+            data_ready_s = trainer_free_s + data_fetch_latency
+            stall_s = data_fetch_latency  # inline fetch: exact, no float residue
         else:
             stall_s = max(0.0, data_ready_s - trainer_free_s)
         hidden_s = max(0.0, data_fetch_latency - stall_s)
@@ -319,7 +317,7 @@ class MegaScaleData:
                     "consume_step", step, step_tag=step, earliest_start_s=begin_s
                 )
         iteration_future = submit_iteration()
-        if self.system.engine is not None and self.job.prefetch_depth:
+        if self.system.backend == "wallclock" and self.job.prefetch_depth:
             # Wallclock + prefetching: awaiting the iteration here would
             # serialize trainer compute against the pipeline's next pump and
             # forfeit the very overlap the backend exists to measure.  Defer
@@ -328,7 +326,7 @@ class MegaScaleData:
         else:
             self._await_iteration(iteration_future, result, simulate, submit_iteration)
         self.last_release_s = begin_s
-        if self.job.tenant is not None and self.system.engine is None:
+        if self.job.tenant is not None and self.system.backend == "virtual":
             # Shared virtual-clock system: spawns fired at this boundary (or
             # by the tenant manager's service round) anchor their warm-up at
             # this job's own frontier, not wherever a co-tenant's simulation

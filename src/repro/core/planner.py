@@ -100,7 +100,7 @@ class Planner(Actor):
         #: stay durable in the store and are served via :meth:`plans_since`.
         self.checkpoint_store = checkpoint_store
         self.replay_window = replay_window
-        #: Shared :class:`~repro.actors.runtime.VirtualClock` (when deployed on
+        #: Shared :class:`~repro.actors.virtual.VirtualClock` (when deployed on
         #: an actor system) so AutoScaler decisions are stamped with the
         #: simulated instant they landed.
         self.clock = clock

@@ -14,7 +14,7 @@ from typing import Callable
 
 from repro.actors.actor import ActorHandle, ActorState
 from repro.core.planner import Planner
-from repro.errors import ActorDead, ActorTimeout, StorageError
+from repro.errors import ActorDead, ActorTimeout, ReproError, StorageError
 
 
 class FleetRecovery:
@@ -110,7 +110,7 @@ class FleetRecovery:
             return group.source
         try:
             return handle.instance().source.name
-        except Exception:  # noqa: BLE001 - the record may already be gone
+        except ReproError:  # the record may already be gone
             return handle.name
 
     def revive_source(self, source: str, step: int) -> bool:
@@ -213,7 +213,7 @@ class FleetRecovery:
         for handle in handles if handles is not None else self.fleet.all_handles():
             try:
                 self.resync(handle, limit_step, planner, handle.name)
-            except Exception:  # noqa: BLE001 - unreachable members recover later
+            except ReproError:  # unreachable members recover later
                 continue
 
     def recover_member(self, handle, at_step: int):
@@ -252,7 +252,7 @@ class FleetRecovery:
             self._adopt(handle, promoted, planner)
             try:
                 self.system.stop_actor(handle.name)
-            except Exception:  # noqa: BLE001 - the failed actor may be gone
+            except ReproError:  # the failed actor may be gone
                 pass
             return promoted
 
@@ -284,7 +284,7 @@ class FleetRecovery:
                     self.fault_manager.checkpoint_loader(
                         handle, step - 1, consistent=True, force=True
                     )
-                except Exception:  # noqa: BLE001 - best-effort baseline
+                except ReproError:  # best-effort baseline
                     pass
                 break
 
@@ -306,14 +306,14 @@ class FleetRecovery:
                 # died since the last boundary is skipped here and recovered
                 # at its next RPC.
                 handle.instance()
-            except Exception:  # noqa: BLE001 - a dying member is recovered later
+            except ReproError:  # a dying member is recovered later
                 continue
             healthy.append(handle)
         try:
             self.fault_manager.checkpoint_loaders(
                 healthy, step, consistent=True, force=force
             )
-        except Exception:  # noqa: BLE001 - a dying member is recovered later
+        except ReproError:  # a dying member is recovered later
             # Batched spill failed mid-flight; fall back to per-member writes
             # so one bad snapshot cannot suppress the others.
             for handle in healthy:
@@ -321,5 +321,5 @@ class FleetRecovery:
                     self.fault_manager.checkpoint_loader(
                         handle, step, consistent=True, force=force
                     )
-                except Exception:  # noqa: BLE001
+                except ReproError:
                     continue

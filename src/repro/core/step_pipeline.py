@@ -24,7 +24,7 @@ mutating the read buffers — so the delivered batches are identical at every
 depth for the same seed.
 
 Timing (depth >= 1) is a discrete-event co-simulation on the actor system's
-shared :class:`~repro.actors.runtime.VirtualClock`: every deferred call is
+shared :class:`~repro.actors.virtual.VirtualClock`: every deferred call is
 submitted with its causal dependency (``earliest_start_s`` — a step's loader
 work cannot start before its plan was broadcast, a construct not before its
 fetches completed, a re-issued construct not before the consume that freed a

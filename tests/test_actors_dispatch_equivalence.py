@@ -203,8 +203,8 @@ class TestIndexedDispatcher:
         for token in range(10):
             handle.submit("work", token)
             system.drain()
-        assert system._heap == []
-        assert system._heap_entries == {}
+        assert system.engine._heap == []
+        assert system.engine._heap_entries == {}
 
     def test_call_log_limit_bounds_memory(self):
         system = self.make_system(call_log_limit=3)

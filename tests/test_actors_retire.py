@@ -178,7 +178,7 @@ class TestStaleHeapEntries:
         a.submit_timed("work", 1, earliest_start_s=6.0)
         head.cancel()  # old incarnation now holds two heap entries
         system.stop_actor("a")
-        assert "a" not in system._heap_entries
+        assert "a" not in system.engine._heap_entries
 
         a2 = system.create_actor(lambda: Recorder(log, tag="new"), name="a")
         future = a2.submit_timed("work", 2, earliest_start_s=0.0)
@@ -187,8 +187,8 @@ class TestStaleHeapEntries:
         assert future.result() == 2
         assert log == [("new", 2)]
         # All phantom entries were discarded and the accounting is clean.
-        assert system._heap_entries.get("a", 0) == 0
-        assert not system._heap
+        assert system.engine._heap_entries.get("a", 0) == 0
+        assert not system.engine._heap
 
     def test_pending_events_of_dead_actor_fail_not_dispatch(self):
         system = make_system()

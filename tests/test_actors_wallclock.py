@@ -194,9 +194,16 @@ class TestTimeoutParity:
         assert system.drain(deadline_s=1000.0) == 1
 
 
+#: Retire/cancel cases whose contract is the same on both engines run on both;
+#: the handoff and stop cases have their cross-engine form in
+#: tests/test_actors_engine_seam.py.
+both_backends = pytest.mark.parametrize("backend", ActorSystem.BACKENDS)
+
+
 class TestRetireAndCancel:
-    def test_retire_drain_under_load(self):
-        system = make_system(time_scale=FAST)
+    @both_backends
+    def test_retire_drain_under_load(self, backend):
+        system = make_system(backend=backend, time_scale=FAST)
         handle = system.create_actor(Recorder, name="r")
         futures = [handle.submit_timed("mark", i, duration_s=5.0) for i in range(4)]
         assert system.retire_actor("r", mode="drain") is False
@@ -225,8 +232,9 @@ class TestRetireAndCancel:
         assert len(successor.instance().log) >= 5
         assert "a" not in system.list_actor_names()
 
-    def test_cancel_pending_under_contention(self):
-        system = make_system(time_scale=FAST)
+    @both_backends
+    def test_cancel_pending_under_contention(self, backend):
+        system = make_system(backend=backend, time_scale=FAST)
         handle = system.create_actor(Sleeper, name="s", concurrency=2)
         futures = [handle.submit("nap", 0.05) for _ in range(10)]
         time.sleep(0.01)  # let a couple of calls get claimed by lanes

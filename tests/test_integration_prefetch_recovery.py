@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.fault_tolerance import FaultToleranceManager
 from repro.core.framework import MegaScaleData, TrainingJobSpec
 from repro.data.synthetic import build_source_catalog, navit_like_spec
-from repro.errors import ActorTimeout
+from repro.errors import ActorTimeout, StorageError
 from repro.storage.filesystem import SimulatedFileSystem
 
 
@@ -287,4 +288,34 @@ def test_planner_timeout_is_waited_out_or_cleared(depth):
         assert [delivery_signature(system.run_step()) for _ in range(3)] == expected
     finally:
         reference.shutdown()
+        system.shutdown()
+
+
+def test_checkpoint_members_surfaces_programming_errors(monkeypatch):
+    """Recovery rides out the ``ReproError`` taxonomy, not bugs: with the
+    batched spill failing on a dark store, a ``TypeError`` inside the
+    per-member fallback propagates instead of being skipped."""
+    system = MegaScaleData.deploy(make_job(0, shadows=False, seed=13))
+    try:
+        system.run_step()
+
+        def dark_store(self, handles, step, consistent=False, force=False):
+            raise StorageError("store is dark")
+
+        monkeypatch.setattr(FaultToleranceManager, "checkpoint_loaders", dark_store)
+        # A storage failure on every member is ridden out (recovered later).
+        monkeypatch.setattr(
+            FaultToleranceManager, "checkpoint_loader",
+            lambda self, handle, step, consistent=False, force=False: dark_store(self, [], step),
+        )
+        system.recovery.checkpoint_members(1, force=True)
+
+        def buggy(self, handle, step, consistent=False, force=False):
+            raise TypeError("a bug, not a fault")
+
+        monkeypatch.setattr(FaultToleranceManager, "checkpoint_loader", buggy)
+        with pytest.raises(TypeError, match="a bug"):
+            system.recovery.checkpoint_members(1, force=True)
+    finally:
+        monkeypatch.undo()
         system.shutdown()
