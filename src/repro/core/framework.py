@@ -67,7 +67,7 @@ from repro.core.source_loader import SourceLoader
 from repro.core.step_pipeline import StepPipeline
 from repro.data.mixture import MixtureSchedule
 from repro.data.sources import SourceCatalog
-from repro.errors import ActorTimeout, ConfigurationError
+from repro.errors import ActorTimeout, ConfigurationError, ReproError
 from repro.metrics.report import ClusterUtilizationTracker
 from repro.metrics.timeline import FLEET_ROLE, OverlapLedger
 from repro.storage.filesystem import SimulatedFileSystem
@@ -611,11 +611,13 @@ class MegaScaleData:
     def shutdown(self) -> None:
         """Stop every actor of this job and release their resources.
 
-        Idempotent: in-flight prefetch work is drained/cancelled exactly once
-        and a second call is a no-op, so teardown paths (tests, context
-        managers, error handlers) can all call it safely.  With a namespace
-        set (multi-tenant shared system) only *this* job's actors are
-        cancelled and stopped — co-tenants are untouched.
+        Idempotent: in-flight prefetch work is abandoned exactly once (no
+        loader is rewound; the checkpoint store is cut back to the delivered
+        prefix, as a flush would leave it) and a second call is a no-op, so
+        teardown paths (tests, context managers, error handlers) can all call
+        it safely.  With a namespace set (multi-tenant shared system) only
+        *this* job's actors are cancelled and stopped — co-tenants are
+        untouched.
         """
         if self._shutdown_done:
             return
@@ -641,7 +643,7 @@ class MegaScaleData:
         for name in owned:
             try:
                 self.system.stop_actor(name)
-            except Exception:  # noqa: BLE001 - best-effort shutdown
+            except ReproError:  # already stopped, or failed and gone
                 continue
 
     # -- fleet: routing, scaling, recovery ------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from repro.core.data_constructor import DataConstructor
 from repro.core.deploy import spawn_constructor
 from repro.core.place_tree import ClientPlaceTree
-from repro.errors import ReshardingError
+from repro.errors import ReproError, ReshardingError
 from repro.parallelism.mesh import DeviceMesh
 
 
@@ -112,7 +112,7 @@ def resize_constructors(
         if handle.name not in kept:
             try:
                 system.stop_actor(handle.name)
-            except Exception:  # noqa: BLE001 - best-effort retirement
+            except ReproError:  # already stopped, or failed and gone
                 pass
     handles = [handle for handle in handles if handle.name in kept]
     for dp_index in range(len(handles), report.constructors_required):

@@ -63,6 +63,7 @@ from repro.errors import (
     BackpressureError,
     ConfigurationError,
     PlanError,
+    ReproError,
     StorageError,
 )
 
@@ -277,11 +278,20 @@ class StepPipeline:
         return [(item.step, item.state) for item in self._queue]
 
     def cancel(self) -> None:
-        """Drain and cancel all in-flight work (idempotent; used by shutdown)."""
+        """Abandon the in-flight window for good (idempotent; used by shutdown).
+
+        Cancels the queued work, deletes the hand-off references it published
+        and cuts plan history, degradation accounting and loader checkpoints
+        back to the delivered prefix — exactly the cut :meth:`flush` makes, so
+        a stopped run leaves the store ``restore`` expects.  Loaders and
+        constructors are not rewound: the caller stops every actor next, so
+        rewinding them would be work thrown away.  No step runs after a
+        cancel.
+        """
         if self._cancelled:
             return
         self._cancelled = True
-        self.flush()
+        self._abandon()
 
     def flush(self) -> None:
         """Abort every in-flight step, restoring a consistent delivered state.
@@ -289,11 +299,14 @@ class StepPipeline:
         Flushed steps may have partially mutated loader buffers (polled
         samples are consumed as they are prepared) and their plans sit in the
         Planner's history even though they were never delivered.  To keep the
-        data plane deterministic and replayable, the flush (1) cancels the
-        queued work, (2) truncates the plan history back to the delivered
-        prefix, (3) resets every loader to pristine state and replays the
-        delivered plans against it, and (4) releases the staging the flushed
-        steps occupied on the constructors.
+        data plane deterministic and replayable, the flush (1) abandons the
+        window as :meth:`cancel` does — cancels the queued work and cuts plan
+        history, degradation accounting and loader checkpoints back to the
+        delivered prefix — (2) rewinds every fleet member to that prefix:
+        restores its newest consistent differential checkpoint and replays
+        the plan suffix past it (pristine reset + full replay for a member
+        without one), and (3) releases the staging the flushed steps occupied
+        on the constructors.
 
         Each restore/reset starts a fresh buffer-delta epoch on its loader, so
         the Planner's gather mirrors resync from a full snapshot on the next
@@ -303,45 +316,15 @@ class StepPipeline:
         # The run being continued had every swap installed on its Planner, so
         # there a flush re-plans under the newest one.
         self._install_mixtures()
-        if not self._queue:
+        if not self._abandon():
             # Nothing in flight (always so between steps at depth 0): loaders,
             # plan history and staging already hold the delivered prefix.
             return
         fw = self.framework
-        for item in self._queue:
-            for future in item.fetch_futures.values():
-                # A hand-off reference published but never resolved would leak
-                # its frozen columns in the GCS.
-                if future.done() and future.exception() is None:
-                    fw.system.gcs.delete(future.result()["key"])
-            for future in item.all_futures():
-                future.cancel()
-        # Cancellation cannot claw back calls already executing on wallclock
-        # lane threads; wait for the affected actors to go quiet before the
-        # restores below mutate their state (no-op on the virtual backend,
-        # which executes nothing between ticks).
-        fw.system.quiesce(
-            [handle.name for handle in fw.fleet.all_handles()]
-            + [handle.name for handle in fw.constructor_handles]
-            + [fw.planner_handle.name]
-        )
-        planner = fw.planner_handle.instance()
-        planner.truncate_history(fw.step)
-        # Degraded-mode catch-up accounting observed the flushed plans; they
-        # will be re-planned, so rewind their deficit deltas and memoized
-        # catch-up weights along with the plan history.
-        if fw.degradation is not None:
-            fw.degradation.invalidate_from(fw.step)
-        # Checkpoints taken at the sync points of flushed (never-delivered)
-        # steps would replay demands that no longer exist post-flush.
-        fw.fault_manager.discard_checkpoints_after(fw.step - 1)
         # Rewind the *whole* fleet (canonicals and elastic mirrors alike) to
-        # the delivered prefix: restore the newest consistent differential
-        # checkpoint and replay only the plan suffix past it — bounded in run
-        # length.  Members without one (fresh deployments, manual-checkpoint
-        # tests) fall back to pristine reset + full delivered-history replay;
-        # either way every shard-group member is a byte-exact replica of the
-        # state a lone loader would hold after the delivered prefix.
+        # the delivered prefix — bounded in run length; every shard-group
+        # member becomes a byte-exact replica of the state a lone loader
+        # would hold after the delivered prefix.
         fw.recovery.rewind_members(fw.step)
         # Steps already constructed for the flushed future occupy bounded
         # staging slots on every constructor (including ones a reshard is
@@ -349,10 +332,51 @@ class StepPipeline:
         for constructor_handle in fw.constructor_handles:
             try:
                 constructor_handle.call("release_steps_below", self.next_issue_step)
-            except Exception:  # noqa: BLE001 - best-effort cleanup
+            except ReproError:  # a stopped or failed constructor holds nothing
                 pass
-        self._queue.clear()
         self.next_issue_step = fw.step
+
+    def _abandon(self) -> bool:
+        """Drop the in-flight window; returns False when nothing was in flight.
+
+        Cancels the queued work, deletes the hand-off references it published
+        and cuts the durable state — plan history, degradation accounting,
+        loader checkpoints — back to the delivered prefix.  Actor state is
+        the caller's: :meth:`flush` rewinds it, :meth:`cancel` lets it go.
+        """
+        if not self._queue:
+            return False
+        fw = self.framework
+        for item in self._queue:
+            for future in item.all_futures():
+                future.cancel()
+        # Cancellation cannot claw back calls already executing on wallclock
+        # lane threads; wait for the affected actors to go quiet before the
+        # state below is cut (no-op on the virtual backend, which executes
+        # nothing between ticks).
+        fw.system.quiesce(
+            [handle.name for handle in fw.fleet.all_handles()]
+            + [handle.name for handle in fw.constructor_handles]
+            + [fw.planner_handle.name]
+        )
+        for item in self._queue:
+            for future in item.fetch_futures.values():
+                # A hand-off reference published but never resolved would leak
+                # its frozen columns in the GCS.
+                if future.done() and not future.cancelled() and future.exception() is None:
+                    fw.system.gcs.delete(future.result()["key"])
+        planner = fw.planner_handle.instance()
+        planner.truncate_history(fw.step)
+        # Degraded-mode catch-up accounting observed the abandoned plans, which
+        # were never delivered, so rewind their deficit deltas and memoized
+        # catch-up weights along with the plan history.
+        if fw.degradation is not None:
+            fw.degradation.invalidate_from(fw.step)
+        # Checkpoints taken at the sync points of flushed (never-delivered)
+        # steps would replay demands that no longer exist post-flush.
+        fw.fault_manager.discard_checkpoints_after(fw.step - 1)
+        self._queue.clear()
+        return True
 
     # -- state machine -----------------------------------------------------------------
 

@@ -19,6 +19,7 @@ Payloads are opaque byte strings; serialization policy belongs to the caller.
 from __future__ import annotations
 
 import sqlite3
+import threading
 
 from repro.storage.filesystem import SimulatedFileSystem
 
@@ -45,7 +46,10 @@ class SqliteKVStore:
     ) -> None:
         self.path = path
         self.filesystem = filesystem
-        self._conn = sqlite3.connect(path)
+        # Wallclock actors checkpoint from their lane threads: one connection
+        # shared across threads, every statement (and its commit) under a lock.
+        self._conn = sqlite3.connect(path, check_same_thread=False)
+        self._lock = threading.Lock()
         # Write-ahead logging + NORMAL fsync policy: checkpoint writers land
         # on the WAL (sequential appends, readers never block) and fsyncs
         # move off the per-transaction critical path — the standard durable
@@ -64,12 +68,22 @@ class SqliteKVStore:
 
     # -- primitives ------------------------------------------------------------
 
+    def _write(self, sql: str, params, many: bool = False) -> int:
+        """Run one write statement and commit it; returns the rows it touched."""
+        with self._lock:
+            cursor = (self._conn.executemany if many else self._conn.execute)(sql, params)
+            self._conn.commit()
+        return cursor.rowcount
+
+    def _read(self, sql: str, params) -> list[tuple]:
+        with self._lock:
+            return self._conn.execute(sql, params).fetchall()
+
     def put(self, namespace: str, step: int, payload: bytes) -> None:
-        self._conn.execute(
+        self._write(
             "INSERT OR REPLACE INTO checkpoints (namespace, step, payload) VALUES (?, ?, ?)",
             (namespace, int(step), payload),
         )
-        self._conn.commit()
         if self.filesystem is not None:
             self.filesystem.write(
                 f"/checkpoints/{namespace}/{int(step)}",
@@ -88,11 +102,11 @@ class SqliteKVStore:
         """
         if not entries:
             return
-        self._conn.executemany(
+        self._write(
             "INSERT OR REPLACE INTO checkpoints (namespace, step, payload) VALUES (?, ?, ?)",
             [(namespace, int(step), payload) for namespace, step, payload in entries],
+            many=True,
         )
-        self._conn.commit()
         if self.filesystem is not None:
             for namespace, step, payload in entries:
                 self.filesystem.write(
@@ -103,32 +117,32 @@ class SqliteKVStore:
                 )
 
     def get(self, namespace: str, step: int) -> bytes | None:
-        row = self._conn.execute(
+        rows = self._read(
             "SELECT payload FROM checkpoints WHERE namespace = ? AND step = ?",
             (namespace, int(step)),
-        ).fetchone()
-        return None if row is None else row[0]
+        )
+        return rows[0][0] if rows else None
 
     def latest(self, namespace: str, max_step: int | None = None) -> tuple[int, bytes] | None:
         if max_step is None:
-            row = self._conn.execute(
+            rows = self._read(
                 "SELECT step, payload FROM checkpoints WHERE namespace = ?"
                 " ORDER BY step DESC LIMIT 1",
                 (namespace,),
-            ).fetchone()
+            )
         else:
-            row = self._conn.execute(
+            rows = self._read(
                 "SELECT step, payload FROM checkpoints WHERE namespace = ? AND step <= ?"
                 " ORDER BY step DESC LIMIT 1",
                 (namespace, int(max_step)),
-            ).fetchone()
-        return None if row is None else (int(row[0]), row[1])
+            )
+        return (int(rows[0][0]), rows[0][1]) if rows else None
 
     def steps(self, namespace: str) -> list[int]:
-        rows = self._conn.execute(
+        rows = self._read(
             "SELECT step FROM checkpoints WHERE namespace = ? ORDER BY step",
             (namespace,),
-        ).fetchall()
+        )
         return [int(row[0]) for row in rows]
 
     def namespaces(self, prefix: str = "") -> list[str]:
@@ -137,34 +151,30 @@ class SqliteKVStore:
         A range over the primary key, so only rows under ``prefix`` are
         visited (``U+10FFFF`` sorts after anything a name continues with).
         """
-        rows = self._conn.execute(
+        rows = self._read(
             "SELECT DISTINCT namespace FROM checkpoints"
             " WHERE namespace >= ? AND namespace < ? ORDER BY namespace",
             (prefix, prefix + "\U0010ffff"),
-        ).fetchall()
+        )
         return [row[0] for row in rows]
 
     def delete_from(self, namespace: str, step: int) -> int:
         """Drop every entry in ``namespace`` with step >= ``step``."""
-        cursor = self._conn.execute(
+        return self._write(
             "DELETE FROM checkpoints WHERE namespace = ? AND step >= ?",
             (namespace, int(step)),
         )
-        self._conn.commit()
-        return cursor.rowcount
 
     def delete_below(self, namespace: str, step: int) -> int:
         """Drop every entry in ``namespace`` with step < ``step``."""
-        cursor = self._conn.execute(
+        return self._write(
             "DELETE FROM checkpoints WHERE namespace = ? AND step < ?",
             (namespace, int(step)),
         )
-        self._conn.commit()
-        return cursor.rowcount
 
     def clear(self) -> None:
-        self._conn.execute("DELETE FROM checkpoints")
-        self._conn.commit()
+        self._write("DELETE FROM checkpoints", ())
 
     def close(self) -> None:
-        self._conn.close()
+        with self._lock:
+            self._conn.close()

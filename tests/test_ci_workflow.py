@@ -23,8 +23,31 @@ def job_names(text: str) -> list[str]:
     return names
 
 
+def job_runs(text: str, job: str) -> list[str]:
+    """The ``run:`` commands of ``job``'s steps, in order (single-line form)."""
+    lines = text.splitlines()
+    start = lines.index(f"  {job}:") + 1
+    runs = []
+    for line in lines[start:]:
+        if re.fullmatch(r"  [A-Za-z0-9_-]+:\s*(#.*)?", line) or (line and not line[0].isspace()):
+            break  # next job or top-level key
+        match = re.fullmatch(r"\s+(?:- )?run: (.+)", line)
+        if match:
+            runs.append(match.group(1))
+    return runs
+
+
 def test_ci_job_names_are_unique():
     names = job_names(WORKFLOW.read_text())
     assert "unit-tests" in names and "end-to-end-bench" in names
     assert [name for name, count in Counter(names).items() if count > 1] == []
+
+
+def test_unit_tests_end_with_a_clean_tree_check():
+    """Tier-1 must leave the checkout untouched; the last unit-tests step
+    fails the job (and prints ``git status``) when it does not."""
+    runs = job_runs(WORKFLOW.read_text(), "unit-tests")
+    assert any("pytest tests" in run for run in runs[:-1])
+    assert 'test -z "$(git status --porcelain)"' in runs[-1]
+    assert "git status;" in runs[-1]
 

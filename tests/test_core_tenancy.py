@@ -280,6 +280,24 @@ class TestTenantManager:
         finally:
             manager.shutdown()
 
+    def test_evict_costs_the_co_tenant_no_virtual_time(self):
+        """Evicting a tenant with prefetch in flight abandons its window: no
+        rewind RPC lands on the shared clock, and the survivor's next step
+        delivers what its solo run delivers."""
+        solo_steps = run_solo(1, 2, 5)
+        manager = TenantManager(cluster=big_cluster())
+        try:
+            manager.admit(TenantSpec(name="alpha", job=make_job(seed=0)))
+            beta = manager.admit(TenantSpec(name="beta", job=make_job(seed=1)))
+            manager.run(4)
+            assert manager.deployments["alpha"].pipeline.inflight()
+            before_s = manager.system.clock.now_s
+            manager.evict("alpha")
+            assert manager.system.clock.now_s == before_s
+            assert delivery_bytes(beta.run_step()) == solo_steps[4]
+        finally:
+            manager.shutdown()
+
     def test_overlap_ledger_carries_tenant_tag(self):
         manager = TenantManager(cluster=big_cluster())
         try:

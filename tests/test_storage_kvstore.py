@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 from repro.core.checkpoint import SqliteCheckpointStore
 from repro.storage.filesystem import SimulatedFileSystem
 from repro.storage.kvstore import SqliteKVStore
@@ -64,6 +67,47 @@ class TestPutMany:
         store.put_many([("ns", 1, b"abc"), ("ns", 2, b"defgh")])
         assert fs.exists("/checkpoints/ns/1")
         assert fs.exists("/checkpoints/ns/2")
+
+
+class TestSharedAcrossThreads:
+    def test_concurrent_writers_lose_nothing(self, tmp_path):
+        """Wallclock actor lanes write through one store from many threads."""
+        path = str(tmp_path / "shared.db")
+        store = SqliteKVStore(path)
+        writers, errors = 4, []
+
+        def write(index):
+            try:
+                namespace = f"loader/{index}"
+                for step in range(200):
+                    store.put(namespace, step, bytes([index]))
+                    if step % 10 == 9:
+                        store.put_many([(f"plans/{index}", step, b"p")])
+                        store.delete_from(namespace, step - 4)
+                    assert store.latest(namespace)[1] == bytes([index])
+            except Exception as exc:  # noqa: BLE001 - reported by the assert below
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write, args=(i,)) for i in range(writers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        other = SqliteKVStore(path)
+        for index in range(writers):
+            kept = [step for step in range(200) if step % 10 < 5]
+            assert store.steps(f"loader/{index}") == kept
+            assert other.steps(f"loader/{index}") == kept
+            assert other.steps(f"plans/{index}") == list(range(9, 200, 10))
+        store.close()
+        other.close()
 
 
 class TestCheckpointStoreSaveMany:
