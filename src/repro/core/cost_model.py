@@ -95,16 +95,20 @@ class DataPlaneLatencyProvider:
     ``source_loader``     ``prepare``         worker-amortised ``wall_clock_s``
     ``source_loader``     ``poll``            the chunk's ``chunk_wall_clock_s``,
                                               stretched by lane contention under
-                                              the capacity-split lane model
+                                              the capacity-split lane model; the
+                                              accept (first poll) and hand-off
+                                              (final poll) it carries add nothing
     ``data_constructor``  ``construct``       ``collate_seconds`` of the step
     ``trainer``           ``train_step``      the iteration's compute window
                                               (iteration time minus exposed fetch)
     (anything else)       (any)               0 — only the RPC latency applies
     ====================  ==================  =====================================
 
-    Methods that merely move references (the ``fetch_prepared_ref`` GCS
-    hand-off, ``get_batch``, buffer-metadata gathers) are deliberately free:
-    their cost is the simulated RPC latency the runtime already charges.
+    Methods that merely move references (the ``prepared/`` GCS hand-off,
+    ``get_batch``, buffer-metadata gathers) are deliberately free: their
+    cost is the simulated RPC latency the runtime already charges.  The
+    hand-off rides a ticket's final poll, so it is still free and now costs
+    no RPC of its own either.
     ``construct`` is charged the token-proportional ``collate_seconds``, a
     modelled quantity; the collation kernels' real (Python wall-clock) speed
     is measured by the fig24 benchmark instead.

@@ -6,6 +6,13 @@ columnar files a chunk at a time, costs the sample-level transformations from
 that metadata as the chunk arrives (a pool of parallel workers amortises the
 latency), keeps a read buffer of lightweight metadata the Planner can inspect,
 and stages prepared samples as columns for Data Constructors to fetch.
+
+One step's work on one loader is a *ticket* and costs only its polls
+(:meth:`SourceLoader.poll`): the first poll carries the sample ids and
+registers the ticket, each poll transforms one chunk, and the final poll
+publishes the staged columns as a ``prepared/`` GCS reference and returns its
+key.  There is no separate accept or hand-off call.
+
 Because the file access state lives in exactly one actor per source (not in
 every dataloader worker on every rank), source-scaling memory redundancy is
 eliminated (Sec. 3).
@@ -288,7 +295,8 @@ class SourceLoader(Actor):
 
         The actual transformation work happens incrementally through
         :meth:`poll` calls, so the caller (the step pipeline) can interleave
-        preparation across loaders and overlap it with trainer compute.
+        preparation across loaders and overlap it with trainer compute.  The
+        pipeline never sends this call: a ticket's first poll makes it.
         """
         if ticket in self._tickets:
             raise PlanError(
@@ -297,20 +305,31 @@ class SourceLoader(Actor):
         self._tickets[ticket] = _PrepareTicket(sample_ids=list(sample_ids))
         return {"ticket": float(ticket), "num_samples": float(len(sample_ids))}
 
-    def poll(self, ticket: int, max_samples: int = 16) -> dict[str, float | bool]:
+    def poll(
+        self, ticket: int, max_samples: int = 16, sample_ids: list[int] | None = None
+    ) -> dict[str, object]:
         """Advance an asynchronous prepare by up to ``max_samples`` samples.
 
-        Returns ``{"done": False, "remaining": n}`` while work is left; on the
-        final poll the ticket is retired and the same timing dictionary as
-        :meth:`prepare` is returned (with ``done=True``).  Every poll reports
+        A ticket costs only its polls.  The first one carries ``sample_ids``
+        and registers the ticket (:meth:`prepare_async`); a later one carries
+        the ticket alone.  Returns ``{"done": False, "remaining": n}`` while
+        work is left.  The final poll retires the ticket, hands its samples
+        off (:meth:`fetch_prepared_ref`) and returns the same timing
+        dictionary as :meth:`prepare` with ``done=True`` and the ``key`` of
+        the ``prepared/`` reference.  Every poll reports
         ``chunk_wall_clock_s`` — the worker-amortised latency of just this
         chunk — which the latency provider books as the poll's virtual
         duration, so a ticket's chunks occupy the loader for exactly its
         total wall-clock time on the shared clock.
         """
+        if sample_ids is not None:
+            self.prepare_async(ticket, sample_ids)
         entry = self._tickets.get(ticket)
         if entry is None:
-            raise PlanError(f"loader {self.actor_name!r} has no ticket {ticket}")
+            raise PlanError(
+                f"loader {self.actor_name!r} has no ticket {ticket}; "
+                "its first poll must carry the sample ids"
+            )
         if max_samples < 1:
             raise PlanError("poll must advance at least one sample")
         budget = min(max_samples, entry.remaining())
@@ -338,6 +357,7 @@ class SourceLoader(Actor):
         )
         result["done"] = True
         result["chunk_wall_clock_s"] = chunk_wall_clock
+        result["key"] = self.fetch_prepared_ref(entry.sample_ids)["key"]
         return result
 
     def cancel_prepare(self, ticket: int) -> bool:

@@ -1,12 +1,21 @@
 """The step driver of the pull workflow, at every prefetch depth.
 
-:class:`StepPipeline` runs each step through one state machine (plan →
-prepare → fetch → construct → consume).  With ``prefetch_depth >= 1`` it keeps
-that many future steps in flight: while the trainer consumes step ``N`` it
-issues plan generation, non-blocking loader preparation
-(:meth:`SourceLoader.prepare_async` / :meth:`SourceLoader.poll`) and
-constructor staging for steps ``N+1..N+prefetch_depth`` through the actor
-system's cooperative event loop (deferred calls + futures).
+:class:`StepPipeline` runs each step through one state machine of four
+states (pending → planning → preparing → constructing, then ready to
+consume).  With ``prefetch_depth >= 1`` it keeps that many future steps in
+flight: while the trainer consumes step ``N`` it issues plan generation,
+non-blocking loader preparation and constructor staging for steps
+``N+1..N+prefetch_depth`` through the actor system's cooperative event loop
+(deferred calls + futures).
+
+A loader's share of a step is one ticket of *k* :meth:`SourceLoader.poll`
+calls and nothing else: the first poll carries the demanded ids and registers
+the ticket, a continuation poll is sent only once the ticket is accepted, and
+the final poll hands the samples off, returning the key of a ``prepared/``
+GCS reference.  The final poll's completion instant is the loader's fetch
+instant.  Once every loader's final poll is in (and the per-step sync point
+has passed), the references are taken in demand order and the step moves on
+to constructing.
 
 ``prefetch_depth=0`` is the same machine with one thing changed — how a call
 is issued.  Each data-plane call runs inline on the caller
@@ -27,8 +36,8 @@ Timing (depth >= 1) is a discrete-event co-simulation on the actor system's
 shared :class:`~repro.actors.virtual.VirtualClock`: every deferred call is
 submitted with its causal dependency (``earliest_start_s`` — a step's loader
 work cannot start before its plan was broadcast, a construct not before its
-fetches completed, a re-issued construct not before the consume that freed a
-staging slot) and occupies its actor for a cost-model-derived virtual
+final polls completed, a re-issued construct not before the consume that
+freed a staging slot) and occupies its actor for a cost-model-derived virtual
 duration.  The instant a step's last construct event completes is its
 ``data_ready_s``; the framework measures the trainer's stall against it, so
 the :class:`~repro.metrics.timeline.OverlapLedger` reports *measured* hidden
@@ -103,23 +112,22 @@ class _InflightStep:
     plan_ready_s: float = 0.0
 
     demands: dict[ActorHandle, list[int]] = field(default_factory=dict)
-    prepare_futures: dict[ActorHandle, ActorFuture] = field(default_factory=dict)
+    #: Each loader's latest poll.  A completed final poll stays here, its
+    #: ``prepared/`` key not yet taken, until the step leaves ``preparing``.
     poll_futures: dict[ActorHandle, ActorFuture] = field(default_factory=dict)
+    #: Loaders whose ticket a completed first poll registered; only these
+    #: are sent continuation polls, which carry no sample ids.
+    accepted: set[ActorHandle] = field(default_factory=set)
     pending_loaders: set[ActorHandle] = field(default_factory=set)
     #: Per-loader causal cursor: the completion instant of this ticket's
-    #: latest prepare/poll event, serializing the ticket's chunks even when
-    #: the loader's worker-pool lanes run other steps' tickets concurrently.
+    #: latest poll event, serializing the ticket's chunks even when the
+    #: loader's worker-pool lanes run other steps' tickets concurrently.
     loader_cursor_s: dict[ActorHandle, float] = field(default_factory=dict)
     loader_wall_clock_s: float = 0.0
     loader_transform_s: float = 0.0
 
-    unfetched: set[ActorHandle] = field(default_factory=set)
-    fetch_futures: dict[ActorHandle, ActorFuture] = field(default_factory=dict)
-    #: Per-loader PreparedColumns parts resolved from GCS references,
-    #: concatenated into ``prepared`` when the last fetch lands.
-    prepared_parts: list = field(default_factory=list)
     prepared: PreparedColumns | None = None
-    #: Virtual instant the last fetch handed its samples over.
+    #: Virtual instant the last final poll handed its samples over.
     fetch_ready_s: float = 0.0
 
     unconstructed: list[ActorHandle] = field(default_factory=list)
@@ -133,9 +141,7 @@ class _InflightStep:
         futures: list[ActorFuture] = []
         if self.plan_future is not None:
             futures.append(self.plan_future)
-        futures.extend(self.prepare_futures.values())
         futures.extend(self.poll_futures.values())
-        futures.extend(self.fetch_futures.values())
         futures.extend(self.construct_futures.values())
         return futures
 
@@ -239,8 +245,8 @@ class StepPipeline:
         """First step whose plan is not yet applied to the loader buffers.
 
         The pump is strict-order, so that is the earliest queued step still
-        short of ``fetching`` — between ``run_step`` calls normally none, i.e.
-        the next step to issue.
+        short of ``constructing`` — between ``run_step`` calls normally none,
+        i.e. the next step to issue.
         """
         for item in self._queue:
             if item.state in ("pending", "planning", "preparing"):
@@ -360,11 +366,15 @@ class StepPipeline:
             + [fw.planner_handle.name]
         )
         for item in self._queue:
-            for future in item.fetch_futures.values():
-                # A hand-off reference published but never resolved would leak
-                # its frozen columns in the GCS.
+            # A final poll published a hand-off reference; one never taken
+            # would leak its frozen columns in the GCS.  Read the futures, not
+            # what the pump observed: a wallclock lane may have completed a
+            # final poll during the quiesce.
+            for future in item.poll_futures.values():
                 if future.done() and not future.cancelled() and future.exception() is None:
-                    fw.system.gcs.delete(future.result()["key"])
+                    key = future.result().get("key")
+                    if key is not None:
+                        fw.system.gcs.delete(key)
         planner = fw.planner_handle.instance()
         planner.truncate_history(fw.step)
         # Degraded-mode catch-up accounting observed the abandoned plans, which
@@ -409,8 +419,6 @@ class StepPipeline:
             return self._advance_planning(item)
         if item.state == "preparing":
             return self._advance_preparing(item)
-        if item.state == "fetching":
-            return self._advance_fetching(item)
         if item.state == "constructing":
             return self._advance_constructing(item)
         raise PlanError(f"unknown pipeline state {item.state!r}")
@@ -481,13 +489,20 @@ class StepPipeline:
         return True
 
     def _submit_prepare(self, item: _InflightStep, handle: ActorHandle) -> None:
-        """(Re-)issue ``handle``'s prepare ticket for the step's demands."""
-        item.prepare_futures[handle] = self._issue(
-            handle, "prepare_async", item.step, list(item.demands[handle]),
-            step_tag=item.step, earliest_start_s=item.plan_ready_s,
-        )
+        """(Re-)issue ``handle``'s ticket for the step's demands: its first poll."""
         item.pending_loaders.add(handle)
-        item.unfetched.add(handle)
+        self._submit_poll(item, handle)
+
+    def _submit_poll(self, item: _InflightStep, handle: ActorHandle) -> None:
+        """Issue ``handle``'s next poll; until the ticket is accepted, that is
+        the first poll, which carries the demands and registers the ticket."""
+        item.poll_futures[handle] = self._issue(
+            handle, "poll", item.step,
+            POLL_CHUNK if self.prefetch_depth else len(item.demands[handle]),
+            None if handle in item.accepted else list(item.demands[handle]),
+            step_tag=item.step,
+            earliest_start_s=max(item.plan_ready_s, item.loader_cursor_s.get(handle, 0.0)),
+        )
 
     def _advance_preparing(self, item: _InflightStep) -> bool:
         fw = self.framework
@@ -496,31 +511,9 @@ class StepPipeline:
         # Routing (demand) order, not set order: the float totals below must
         # accumulate the same way in every run.
         for handle in [h for h in item.demands if h in item.pending_loaders]:
-            accept = item.prepare_futures.get(handle)
-            if accept is not None:
-                if not accept.done():
-                    continue
-                exc = accept.exception()
-                if isinstance(exc, (ActorDead, ActorTimeout)):
-                    self._handle_loader_failure(item, handle)
-                    return True
-                if exc is not None:
-                    raise exc
-                item.loader_cursor_s[handle] = max(
-                    item.loader_cursor_s.get(handle, 0.0), accept.available_at_s or 0.0
-                )
-                del item.prepare_futures[handle]
-
             poll = item.poll_futures.get(handle)
             if poll is None:
-                item.poll_futures[handle] = self._issue(
-                    handle, "poll", item.step,
-                    POLL_CHUNK if self.prefetch_depth else len(item.demands[handle]),
-                    step_tag=item.step,
-                    earliest_start_s=max(
-                        item.plan_ready_s, item.loader_cursor_s.get(handle, 0.0)
-                    ),
-                )
+                self._submit_poll(item, handle)
                 continue
             if not poll.done():
                 continue
@@ -531,14 +524,19 @@ class StepPipeline:
             if exc is not None:
                 raise exc
             status = poll.result()
+            item.accepted.add(handle)
             item.loader_cursor_s[handle] = max(
                 item.loader_cursor_s.get(handle, 0.0), poll.available_at_s or 0.0
             )
-            del item.poll_futures[handle]
-            if status.get("done"):
+            if status["done"]:
+                # The final poll handed the samples off; its future keeps the
+                # key until the step leaves ``preparing``.
                 item.loader_wall_clock_s = max(item.loader_wall_clock_s, status["wall_clock_s"])
                 item.loader_transform_s += status["transform_latency_s"]
+                item.fetch_ready_s = max(item.fetch_ready_s, poll.available_at_s or 0.0)
                 item.pending_loaders.discard(handle)
+            else:
+                del item.poll_futures[handle]
 
         if not item.pending_loaders:
             # Every loader finished mutating its buffer for this step: let
@@ -549,43 +547,17 @@ class StepPipeline:
             # the strict-order pump guarantees every plan <= item.step is
             # fully applied here and nothing beyond has started.
             fw.recovery.checkpoint_members(item.step)
-            item.state = "fetching"
-        return True
-
-    def _advance_fetching(self, item: _InflightStep) -> bool:
-        fw = self.framework
-        for handle in [h for h in item.demands if h in item.unfetched]:
-            if handle not in item.fetch_futures:
-                # Causal floor: the hand-off cannot precede the ticket's
-                # final poll (nor the plan broadcast).
-                item.fetch_futures[handle] = self._issue(
-                    handle, "fetch_prepared_ref", list(item.demands[handle]),
-                    step_tag=item.step,
-                    earliest_start_s=max(
-                        item.plan_ready_s, item.loader_cursor_s.get(handle, 0.0)
-                    ),
-                )
-        if self.prefetch_depth:
-            fw.system.tick(2)
-        for handle, future in list(item.fetch_futures.items()):
-            if not future.done():
-                continue
-            exc = future.exception()
-            if isinstance(exc, (ActorDead, ActorTimeout)):
-                self._handle_loader_failure(item, handle)
-                return True
-            if exc is not None:
-                raise exc
-            # Resolve the GCS reference: the very column slice the loader
-            # froze travels to the constructor without a copy.
-            ref = future.result()
-            item.prepared_parts.append(fw.system.gcs.take(ref["key"]))
-            item.fetch_ready_s = max(item.fetch_ready_s, future.available_at_s or 0.0)
-            del item.fetch_futures[handle]
-            item.unfetched.discard(handle)
-        if not item.unfetched:
-            item.prepared = PreparedColumns.concat(item.prepared_parts)
-            item.prepared_parts = []
+            # Resolve the final polls' GCS references in demand order: the
+            # very column slices the loaders froze travel to the constructors
+            # without a copy.
+            item.prepared = PreparedColumns.concat(
+                [
+                    fw.system.gcs.take(item.poll_futures[handle].result()["key"])
+                    for handle in item.demands
+                    if handle in item.poll_futures
+                ]
+            )
+            item.poll_futures.clear()
             item.unconstructed = list(fw.constructor_handles)
             item.state = "constructing"
         return True
@@ -651,7 +623,7 @@ class StepPipeline:
     # -- recovery ----------------------------------------------------------------------
 
     def _handle_loader_failure(self, item: _InflightStep, handle: ActorHandle) -> None:
-        """Recover a loader that died mid-prepare/fetch and re-issue its work.
+        """Recover a loader that died mid-ticket and re-issue its work.
 
         The in-flight step's samples were never delivered, so re-preparing
         them on the replacement neither drops nor duplicates any sample.
@@ -679,16 +651,13 @@ class StepPipeline:
             return
 
         sample_ids = item.demands.pop(handle, [])
-        item.prepare_futures.pop(handle, None)
         item.poll_futures.pop(handle, None)
-        item.fetch_futures.pop(handle, None)
+        item.accepted.discard(handle)
         item.loader_cursor_s.pop(handle, None)
         item.pending_loaders.discard(handle)
-        item.unfetched.discard(handle)
         item.demands[promoted] = sample_ids
         if sample_ids:
             self._submit_prepare(item, promoted)
-        item.state = "preparing"
 
     def _degrade_or_wait(self, item: _InflightStep, handle: ActorHandle) -> None:
         """Policy for a loader that cannot be (or must not be) recovered.
@@ -716,15 +685,11 @@ class StepPipeline:
             )
         )
         # Chaos faults fire before the target method body runs, so the failed
-        # calls never executed and the identical re-issue is safe.  Without
-        # re-issuing, the same completed-with-exception future would keep
+        # poll never executed and the identical re-issue is safe: the
+        # preparing loop re-submits a missing poll on its next round, with
+        # the ids again if the failed one was the unaccepted first poll.
+        # Without that, the same completed-with-exception future would keep
         # re-triggering this wait loop even after the fault window expires.
-        prepare = item.prepare_futures.get(handle)
-        if prepare is not None and prepare.done() and prepare.exception() is not None:
-            self._submit_prepare(item, handle)
-        for futures in (item.poll_futures, item.fetch_futures):
-            future = futures.get(handle)
-            if future is not None and future.done() and future.exception() is not None:
-                # The preparing/fetching advance loops re-submit a missing
-                # poll/fetch future on their next round.
-                del futures[handle]
+        poll = item.poll_futures.get(handle)
+        if poll is not None and poll.done() and poll.exception() is not None:
+            del item.poll_futures[handle]

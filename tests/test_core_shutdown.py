@@ -19,6 +19,7 @@ from repro.core.data_constructor import DataConstructor
 from repro.core.framework import MegaScaleData, TrainingJobSpec
 from repro.core.planner import PLAN_NAMESPACE
 from repro.core.source_loader import SourceLoader
+from repro.core.step_pipeline import StepPipeline
 from repro.errors import ActorError
 
 #: Real seconds per virtual second for the wallclock legs.
@@ -139,6 +140,58 @@ def test_restore_after_shutdown_continues_byte_identical():
         system = MegaScaleData.restore(job, store)
         assert system.step == saved_at
         assert prefix + run_steps(system, 5) == expected
+    finally:
+        reference.shutdown()
+        system.shutdown()
+
+
+def freeze_before_preparing(monkeypatch, step: int) -> None:
+    """Stop the pump the first time it would look at ``step``'s polls, so they
+    complete (on a wallclock lane, or by an explicit tick) unobserved."""
+    observe = StepPipeline._advance_preparing
+
+    def frozen(self, item):
+        return False if item.step == step else observe(self, item)
+
+    monkeypatch.setattr(StepPipeline, "_advance_preparing", frozen)
+
+
+@pytest.mark.parametrize("backend", ["virtual", "wallclock"])
+@pytest.mark.parametrize("prefetch_depth", [1, 2])
+@pytest.mark.parametrize("abandon", ["flush", "cancel", "shutdown"])
+def test_no_hand_off_leaks_from_final_polls_nobody_observed(
+    monkeypatch, abandon, prefetch_depth, backend
+):
+    """A final poll publishes its ``prepared/`` key the moment it runs, before
+    the pump sees it; abandoning the window must delete that key too."""
+    job = make_job(prefetch_depth, backend)
+    reference = MegaScaleData.deploy(job)
+    system = MegaScaleData.deploy(job)
+    try:
+        expected = run_steps(reference, 6)
+        delivered = run_steps(system, 2)
+        frozen = system.pipeline.next_issue_step
+        freeze_before_preparing(monkeypatch, frozen)
+        delivered += run_steps(system, 1)
+        item = next(item for item in system.pipeline._queue if item.step == frozen)
+        assert item.state == "preparing"
+        # Eight samples a step: every ticket is one poll, so each is final.
+        while not any(future.done() for future in item.poll_futures.values()):
+            if not system.system.tick():
+                break
+        published = [
+            future.result()["key"] for future in item.poll_futures.values() if future.done()
+        ]
+        assert published
+        assert set(published) <= set(system.system.gcs.keys("prepared/"))
+        monkeypatch.undo()
+
+        getattr(system if abandon == "shutdown" else system.pipeline, abandon)()
+        assert system.system.gcs.keys("prepared/") == []
+        if abandon == "flush":
+            delivered += run_steps(system, 3)
+            assert system.system.gcs.keys("prepared/") == []
+        assert delivered == expected[: len(delivered)]
     finally:
         reference.shutdown()
         system.shutdown()

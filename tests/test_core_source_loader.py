@@ -189,21 +189,27 @@ class TestAsyncPrepareProtocol:
         ids = [m.sample_id for m in sync_handle.instance().summary_buffer()[:6]]
 
         sync_result = sync_handle.call("prepare", ids)
+        want = fetch(system, sync_handle, ids)
 
-        async_handle.call("prepare_async", 0, ids)
-        polls = 0
-        while True:
+        with pytest.raises(PlanError, match="first poll must carry"):
+            async_handle.call("poll", 0, 2)
+        status = async_handle.call("poll", 0, 2, ids)  # accepts the ticket
+        polls = 1
+        while not status["done"]:
             status = async_handle.call("poll", 0, 2)
             polls += 1
-            if status.get("done"):
-                break
-        assert polls >= 3  # chunked: 6 samples at 2 per poll
+        assert polls == 3  # chunked: 6 samples at 2 per poll
         for key in ("transform_latency_s", "wall_clock_s", "staged_bytes", "num_samples"):
             assert status[key] == pytest.approx(sync_result[key])
-        # Both loaders staged the same samples and can deliver them.
-        assert async_handle.instance().staged_count() == sync_handle.instance().staged_count()
-        delivered = fetch(system, async_handle, ids)
-        assert delivered.sample_ids.tolist() == ids
+        # The final poll handed the samples off: nothing stays staged and its
+        # key resolves to the columns ``prepare`` + ``fetch_prepared_ref`` gave.
+        loader = async_handle.instance()
+        assert loader.inflight_tickets() == []
+        assert loader.staged_count() == sync_handle.instance().staged_count() == 0
+        got = system.gcs.take(status["key"])
+        assert got.sample_ids.tolist() == want.sample_ids.tolist() == ids
+        assert np.array_equal(got.transferred_bytes, want.transferred_bytes)
+        assert system.gcs.keys("prepared/") == []
 
     def test_duplicate_ticket_rejected(self, system, small_catalog, filesystem):
         handle = spawn_loader(system, small_catalog, filesystem, buffer_size=8)
@@ -359,7 +365,8 @@ def fresh_system():
 def test_sync_prepare_equals_async_polls_of_any_chunk_size(
     source_index, deferred_mask, shard_count, buffer_size, num_workers, picks
 ):
-    """``prepare(ids)`` and ``prepare_async`` + ``poll(k)`` are the same call, chunked."""
+    """``prepare(ids)`` + ``fetch_prepared_ref(ids)`` and ``poll(k)`` calls are
+    the same work, chunked: the first poll carries the ids, the final one the key."""
     system = fresh_system()
     source = PROPERTY_CATALOG.sources()[source_index]
     stages = source_loader.TransformPipeline.for_modality(source.modality).transform_names
@@ -373,33 +380,34 @@ def test_sync_prepare_equals_async_polls_of_any_chunk_size(
     assert len(buffered) == min(buffer_size, math.ceil(64 / shard_count))
     ids = list(dict.fromkeys(buffered[pick % len(buffered)] for pick in picks))
     expected = sync.call("prepare", ids)
+    want = fetch(system, sync, ids)
     for chunk in (1, 8, 16, len(ids)):
         chunked = spawn_loader(
             system, PROPERTY_CATALOG, PROPERTY_FILESYSTEM, source_index, **options
         )
-        chunked.call("prepare_async", 3, ids)
+        with pytest.raises(PlanError):
+            chunked.call("poll", 3, chunk)  # no ticket until a poll carries the ids
         polls, wall_clock = 0, 0.0
         while True:
-            reply = chunked.call("poll", 3, chunk)
+            reply = chunked.call("poll", 3, chunk, None if polls else ids)
             polls += 1
             wall_clock += reply.pop("chunk_wall_clock_s")
-            if reply.pop("done", False):
+            if reply.pop("done"):
                 break
         assert polls == math.ceil(len(ids) / chunk)
+        key = reply.pop("key")
         assert reply == expected  # floats included: no tolerance
         assert wall_clock == pytest.approx(expected["wall_clock_s"])
         a, b = sync.instance(), chunked.instance()
-        assert a.staged_count() == b.staged_count() == len(ids)
+        assert a.staged_count() == b.staged_count() == 0
         assert a.ledger.snapshot().by_category == b.ledger.snapshot().by_category
         assert a.summary_buffer() == b.summary_buffer()
         assert a.state_dict() == b.state_dict()
-        # Hand-off: equal columns (fetched from a twin so ``sync`` keeps its rows).
-        twin = spawn_loader(system, PROPERTY_CATALOG, PROPERTY_FILESYSTEM, source_index, **options)
-        twin.call("prepare", ids)
-        want, got = fetch(system, twin, ids), fetch(system, chunked, ids)
+        # Hand-off: the final poll's key resolves to equal columns.
+        got = system.gcs.take(key)
         for column in ("sample_ids", "text_tokens", "image_tokens", "transferred_bytes"):
             assert np.array_equal(getattr(want, column), getattr(got, column))
-        assert b.ledger.live_bytes("sample_payload") == 0
+        assert system.gcs.keys("prepared/") == []
 
 
 @given(

@@ -11,8 +11,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.actors.runtime import ActorSystem
+from repro.chaos.engine import ChaosEngine
+from repro.chaos.plan import FaultEvent, FaultPlan
 from repro.core.fault_tolerance import FaultToleranceManager
 from repro.core.framework import MegaScaleData, TrainingJobSpec
+from repro.core.source_loader import SourceLoader
 from repro.data.synthetic import build_source_catalog, navit_like_spec
 from repro.errors import ActorTimeout, StorageError
 from repro.storage.filesystem import SimulatedFileSystem
@@ -289,6 +293,129 @@ def test_planner_timeout_is_waited_out_or_cleared(depth):
     finally:
         reference.shutdown()
         system.shutdown()
+
+
+# -- faults on the polls that carry a ticket's accept and hand-off -------------------
+
+FAULTED_STEP = 2
+
+
+def two_poll_job(prefetch_depth: int) -> TrainingJobSpec:
+    """Two sources at 12 demanded ids per step each: a deferred ticket is two polls."""
+    return TrainingJobSpec(
+        pp=1, dp=2, cp=1, tp=1, encoder=None, strategy="backbone_balance",
+        samples_per_dp_step=12, num_microbatches=2, num_sources=2,
+        samples_per_source=96, seed=4, prefetch_depth=prefetch_depth,
+    )
+
+
+def arm_fault(system, kind: str, name: str):
+    """Make the next call to ``name`` time out; returns the disarm callable."""
+    if kind == "timeout":
+        system.failures.timeout(name)
+        return lambda: system.failures.clear(name)
+    blip = FaultEvent("gcs_blip", system.clock.now_s, target=name, duration_s=1e-3)
+    ChaosEngine(FaultPlan([blip])).attach(system)
+    return lambda: setattr(system, "chaos", None)
+
+
+def fault_one_poll(monkeypatch, kind: str, which: str) -> dict:
+    """Fault one loader poll of ``FAULTED_STEP`` once, before its body runs.
+
+    ``which="first"`` picks a poll that carries sample ids (it would accept the
+    ticket); ``"final"`` picks a continuation poll that would finish its
+    ticket.  Returns a log of every loader poll — ``(loader, ticket, carried
+    ids, failed)`` — plus the tickets accepted and the keys published.
+    """
+    log ={"polls": [], "accepted": [], "published": [], "faulted": []}
+    invoke = ActorSystem.invoke
+    accept = SourceLoader.prepare_async
+    publish = SourceLoader.fetch_prepared_ref
+
+    def is_target(system, name, method, args) -> bool:
+        if log["faulted"] or method != "poll" or args[0] != FAULTED_STEP:
+            return False
+        if which == "first":
+            return args[2] is not None
+        if args[2] is not None:
+            return False
+        return system.actor_instance(name)._tickets[args[0]].remaining() <= args[1]
+
+    def faulty_invoke(self, name, method, args, kwargs, timeout_s, advance_rpc):
+        disarm = None
+        if is_target(self, name, method, args):
+            log["faulted"].append((name, args[0]))
+            disarm = arm_fault(self, kind, name)
+        try:
+            result = invoke(self, name, method, args, kwargs, timeout_s, advance_rpc)
+        except ActorTimeout:
+            if method == "poll":
+                log["polls"].append((name, args[0], args[2] is not None, True))
+            raise
+        finally:
+            if disarm is not None:
+                disarm()
+        if method == "poll":
+            log["polls"].append((name, args[0], args[2] is not None, False))
+        return result
+
+    def counted_accept(self, ticket, sample_ids):
+        log["accepted"].append((self.actor_name, ticket))
+        return accept(self, ticket, sample_ids)
+
+    def counted_publish(self, sample_ids):
+        ref = publish(self, sample_ids)
+        log["published"].append((self.actor_name, ref["key"]))
+        return ref
+
+    monkeypatch.setattr(ActorSystem, "invoke", faulty_invoke)
+    monkeypatch.setattr(SourceLoader, "prepare_async", counted_accept)
+    monkeypatch.setattr(SourceLoader, "fetch_prepared_ref", counted_publish)
+    return log
+
+
+@pytest.mark.parametrize("kind", ["timeout", "blip"])
+@pytest.mark.parametrize(
+    "prefetch_depth,which", [(0, "first"), (2, "first"), (2, "final")]
+)
+def test_a_fault_on_a_folded_poll_is_retried_exactly_once(
+    monkeypatch, kind, prefetch_depth, which
+):
+    """The accept rides a ticket's first poll and the hand-off its final one.
+    A fault on either fires before the body runs, so the retry accepts the
+    ticket once and publishes one ``prepared/`` key, and the run delivers
+    what a fault-free run delivers."""
+    reference = MegaScaleData.deploy(two_poll_job(prefetch_depth))
+    try:
+        expected = [delivery_signature(reference.run_step()) for _ in range(5)]
+    finally:
+        reference.shutdown()
+    log = fault_one_poll(monkeypatch, kind, which)
+    system = MegaScaleData.deploy(two_poll_job(prefetch_depth))
+    try:
+        assert [delivery_signature(system.run_step()) for _ in range(5)] == expected
+        assert system.system.gcs.keys("prepared/") == []
+    finally:
+        system.shutdown()
+
+    assert len(log["faulted"]) == 1
+    victim, ticket = log["faulted"][0]
+    polls = [(ids, failed) for name, step, ids, failed in log["polls"]
+             if (name, step) == (victim, ticket)]
+    assert sum(failed for _, failed in polls) == 1
+    if which == "first":
+        # Re-issued with its ids: the ticket was never registered.
+        assert polls[:2] == [(True, True), (True, False)]
+    else:
+        assert polls[-2:] == [(False, True), (False, False)]
+    # Every ticket was accepted exactly once and handed off exactly once.
+    assert len(log["accepted"]) == len(set(log["accepted"]))
+    tickets = sorted({(name, step) for name, step, _, _ in log["polls"]})
+    assert sorted(log["accepted"]) == tickets
+    assert len(log["published"]) == len(tickets)
+    assert [name for name, _ in log["published"]].count(victim) == len(
+        [t for t in tickets if t[0] == victim]
+    )
 
 
 def test_checkpoint_members_surfaces_programming_errors(monkeypatch):
