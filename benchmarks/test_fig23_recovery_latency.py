@@ -139,9 +139,7 @@ def _drive(num_steps: int) -> dict[str, object]:
     )
     planner.register_loaders(handles)
     fault_manager = FaultToleranceManager(
-        system,
-        FaultToleranceConfig(loader_checkpoint_interval=CHECKPOINT_INTERVAL),
-        checkpoint_store=store,
+        system, FaultToleranceConfig(loader_checkpoint_interval=CHECKPOINT_INTERVAL)
     )
 
     # The training run: one plan per step, every loader consumes its demands

@@ -186,14 +186,8 @@ class ChaosCheckpointStore(CheckpointStore):
     def steps(self, namespace: str) -> list[int]:
         return self._store.steps(namespace)
 
-    def namespaces(self, prefix: str = "") -> list[str]:
-        return self._store.namespaces(prefix)
-
     def delete_from(self, namespace: str, step: int) -> int:
         return self._store.delete_from(namespace, step)
-
-    def prune_below(self, namespace: str, step: int) -> int:
-        return self._store.prune_below(namespace, step)
 
     def clear(self) -> None:
         self._store.clear()

@@ -20,10 +20,14 @@ ship here:
 
 Payload conventions
 -------------------
-Stores are namespaced (``planner/plans``, ``loader/<name>``, ``run``, ...) and
-step-indexed.  Payloads must be picklable for the SQLite backend; the
-in-memory backend keeps live references, so callers should only store
-plain-data snapshots (dicts, lists, dataclass instances) — never live actors.
+Stores are namespaced (``planner/plans``, ``delivery/manifests``, ``run``) and
+step-indexed.  Loader differential checkpoints are not rows here: they live in
+:class:`~repro.core.fault_tolerance.FaultToleranceManager`'s in-memory
+history, and the ``run`` entry embeds the ones a whole-run restore needs.
+
+Payloads must be picklable for the SQLite backend; the in-memory backend keeps
+live references, so callers should only store plain-data snapshots (dicts,
+lists, dataclass instances) — never live actors.
 """
 
 from __future__ import annotations
@@ -50,8 +54,8 @@ class CheckpointStore:
         """Persist ``(namespace, step, payload)`` triples as one batch.
 
         Backends with transactional writes override this to commit the whole
-        batch atomically (one fsync per sync point instead of one per
-        member); the default falls back to sequential :meth:`save` calls.
+        batch atomically (one fsync per batch instead of one per entry); the
+        default falls back to sequential :meth:`save` calls.
         """
         for namespace, step, payload in entries:
             self.save(namespace, step, payload)
@@ -66,16 +70,8 @@ class CheckpointStore:
     def steps(self, namespace: str) -> list[int]:
         raise NotImplementedError
 
-    def namespaces(self, prefix: str = "") -> list[str]:
-        """Every namespace holding an entry whose name starts with ``prefix``."""
-        raise NotImplementedError
-
     def delete_from(self, namespace: str, step: int) -> int:
         """Drop entries with step >= ``step``; returns how many were dropped."""
-        raise NotImplementedError
-
-    def prune_below(self, namespace: str, step: int) -> int:
-        """Drop entries with step < ``step``; returns how many were dropped."""
         raise NotImplementedError
 
     def clear(self) -> None:
@@ -87,9 +83,8 @@ class NamespacedCheckpointStore(CheckpointStore):
 
     Multi-tenant deployments hand each job this wrapper around the one shared
     backend so ``planner/plans``, ``run``, ``delivery/manifests`` etc. never
-    collide across tenants.  ``clear()`` only clears the scoped view's
-    entries when the backend supports namespace enumeration; otherwise it is
-    refused to protect co-tenants.
+    collide across tenants.  ``clear()`` is always refused, to protect
+    co-tenants: clear the backend store explicitly.
     """
 
     def __init__(self, store: CheckpointStore, prefix: str) -> None:
@@ -123,15 +118,8 @@ class NamespacedCheckpointStore(CheckpointStore):
     def steps(self, namespace: str) -> list[int]:
         return self.backend.steps(self._scoped(namespace))
 
-    def namespaces(self, prefix: str = "") -> list[str]:
-        scope = len(self._scoped(""))
-        return [name[scope:] for name in self.backend.namespaces(self._scoped(prefix))]
-
     def delete_from(self, namespace: str, step: int) -> int:
         return self.backend.delete_from(self._scoped(namespace), step)
-
-    def prune_below(self, namespace: str, step: int) -> int:
-        return self.backend.prune_below(self._scoped(namespace), step)
 
     def clear(self) -> None:
         raise CheckpointError(
@@ -171,21 +159,9 @@ class InMemoryCheckpointStore(CheckpointStore):
     def steps(self, namespace: str) -> list[int]:
         return sorted(self._data.get(namespace, {}))
 
-    def namespaces(self, prefix: str = "") -> list[str]:
-        return sorted(
-            name for name, entries in self._data.items() if entries and name.startswith(prefix)
-        )
-
     def delete_from(self, namespace: str, step: int) -> int:
         entries = self._data.get(namespace, {})
         doomed = [s for s in entries if s >= step]
-        for s in doomed:
-            del entries[s]
-        return len(doomed)
-
-    def prune_below(self, namespace: str, step: int) -> int:
-        entries = self._data.get(namespace, {})
-        doomed = [s for s in entries if s < step]
         for s in doomed:
             del entries[s]
         return len(doomed)
@@ -243,14 +219,8 @@ class SqliteCheckpointStore(CheckpointStore):
     def steps(self, namespace: str) -> list[int]:
         return self._kv.steps(namespace)
 
-    def namespaces(self, prefix: str = "") -> list[str]:
-        return self._kv.namespaces(prefix)
-
     def delete_from(self, namespace: str, step: int) -> int:
         return self._kv.delete_from(namespace, step)
-
-    def prune_below(self, namespace: str, step: int) -> int:
-        return self._kv.delete_below(namespace, step)
 
     def clear(self) -> None:
         self._kv.clear()

@@ -115,9 +115,7 @@ def provision(
     planner.register_loaders(loader_handles)
 
     fault_manager = FaultToleranceManager(
-        system,
-        FaultToleranceConfig(loader_checkpoint_interval=job.replay_window),
-        checkpoint_store=checkpoint_store,
+        system, FaultToleranceConfig(loader_checkpoint_interval=job.replay_window)
     )
     if job.enable_shadow_loaders:
         spawn_shadow_loaders(
@@ -134,6 +132,7 @@ def provision(
         constructor_handles=constructor_handles,
         tree=tree,
         fault_manager=fault_manager,
+        checkpoint_store=checkpoint_store,
         degradation=degradation,
     )
 

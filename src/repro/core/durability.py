@@ -156,12 +156,12 @@ def latest_run_checkpoint(store: CheckpointStore) -> dict:
 def load_run_checkpoint(payload: dict, recovery: FleetRecovery) -> None:
     """Load ``payload`` into a fresh deployment: Planner, loaders, fleet shape.
 
-    The Planner resumes at the saved position, and what a run that was killed
-    (or simply ran on) after the save left in the store beyond it — plans
-    never delivered as far as this entry knows, loader checkpoints taken at
-    their sync points — is purged before anything is planned.  Every canonical
-    loader adopts its saved checkpoint and goes through the resync a flush or
-    a failover uses (:meth:`FleetRecovery.resync`: restore it, or reset when
+    The Planner resumes at the saved position, and the plans a run that was
+    killed (or simply ran on) after the save left in ``planner/plans`` beyond
+    it — never delivered as far as this entry knows — are purged before
+    anything is planned.  Every canonical loader adopts the checkpoint the
+    entry embeds (its only durable copy) and goes through the resync a flush
+    or a failover uses (:meth:`FleetRecovery.resync`: restore it, or reset when
     pristine, and replay the plan suffix up to the saved position); mirrors
     are respawned to the saved fleet shape by cloning the rebuilt canonicals.
     A prefix that cannot be rebuilt — no entry for a loader's shard, a plan of
@@ -172,7 +172,6 @@ def load_run_checkpoint(payload: dict, recovery: FleetRecovery) -> None:
     step = payload["step"]
     planner.load_state_dict(payload["planner"])
     planner.truncate_history(step)
-    recovery.fault_manager.discard_checkpoints_after(step - 1)
     # Match entries by the shard they describe, not by actor name: a
     # promoted mirror saves under its own name (``…/0m2``), which the
     # fresh deployment's canonical for that shard does not share.

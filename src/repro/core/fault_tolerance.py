@@ -9,6 +9,11 @@ Recovery is decoupled by component role (Sec. 6.1):
   *differential checkpointing*: loaders snapshot less frequently than the
   Planner and the gap is bridged by deterministic replay of the Planner's
   plan history.
+
+A loader checkpoint lives in one place: the manager's short per-loader
+history.  Nothing writes it to the checkpoint store; the durable copy a
+whole-run restore needs is the one the ``run`` entry embeds
+(:func:`repro.core.durability.save_run_checkpoint`).
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from typing import Callable
 
 from repro.actors.actor import ActorHandle, ActorState
 from repro.actors.runtime import ActorSystem
-from repro.core.checkpoint import CheckpointStore
 from repro.core.source_loader import SourceLoader
 from repro.errors import ActorDead, ActorTimeout, ReproError
 
@@ -155,14 +159,9 @@ class FaultToleranceManager:
         self,
         system: ActorSystem,
         config: FaultToleranceConfig | None = None,
-        checkpoint_store: CheckpointStore | None = None,
     ) -> None:
         self.system = system
         self.config = config or FaultToleranceConfig()
-        #: Optional durable store mirroring every loader checkpoint under the
-        #: ``loader/<name>`` namespace (bounded-replay recovery survives a
-        #: control-plane restart).
-        self.checkpoint_store = checkpoint_store
         self._shadows: dict[str, ShadowRegistration] = {}
         #: Per-loader checkpoint history, newest last, at most
         #: :data:`CHECKPOINT_HISTORY` entries.
@@ -289,47 +288,10 @@ class FaultToleranceManager:
         full replay snapshot (:meth:`SourceLoader.replay_checkpoint`), which
         recovery restores verbatim so only the post-checkpoint plan suffix is
         replayed.  ``force=True`` bypasses the interval gate (spawn-time
-        baseline checkpoints, whole-run save).
+        baseline checkpoints, whole-run save).  The entry lives only in the
+        manager's short per-loader history; a whole-run save embeds what it
+        needs of it in the ``run`` entry.
         """
-        entry = self._build_loader_checkpoint(handle, step, consistent, force)
-        if entry is None:
-            return False
-        if self.checkpoint_store is not None:
-            self.checkpoint_store.save(f"loader/{handle.name}", step, entry)
-        return True
-
-    def checkpoint_loaders(
-        self,
-        handles: list[ActorHandle],
-        step: int,
-        consistent: bool = False,
-        force: bool = False,
-    ) -> int:
-        """Batched :meth:`checkpoint_loader` over a whole fleet sync point.
-
-        Snapshots every eligible member, then persists all entries through
-        the store's :meth:`~repro.core.checkpoint.CheckpointStore.save_many`
-        — one transaction (and one WAL fsync on the SQLite backend) per sync
-        point instead of one per member.  Returns how many members were
-        checkpointed.
-        """
-        batch: list[tuple[str, int, dict]] = []
-        for handle in handles:
-            entry = self._build_loader_checkpoint(handle, step, consistent, force)
-            if entry is not None:
-                batch.append((f"loader/{handle.name}", step, entry))
-        if batch and self.checkpoint_store is not None:
-            self.checkpoint_store.save_many(batch)
-        return len(batch)
-
-    def _build_loader_checkpoint(
-        self,
-        handle: ActorHandle,
-        step: int,
-        consistent: bool,
-        force: bool,
-    ) -> dict | None:
-        """Snapshot one loader into the in-memory history; None if not due."""
         loader = handle.instance()
         if not isinstance(loader, SourceLoader):
             raise FaultToleranceError(f"{handle.name!r} is not a source loader")
@@ -338,7 +300,7 @@ class FaultToleranceManager:
             and step % self.config.loader_checkpoint_interval != 0
             and not loader.should_checkpoint()
         ):
-            return None
+            return False
         entry = {
             "step": step,
             "state": loader.state_dict(),
@@ -352,7 +314,20 @@ class FaultToleranceManager:
         history.sort(key=lambda e: e["step"])
         del history[:-CHECKPOINT_HISTORY]
         loader.mark_checkpointed()
-        return entry
+        return True
+
+    def checkpoint_loaders(
+        self,
+        handles: list[ActorHandle],
+        step: int,
+        consistent: bool = False,
+        force: bool = False,
+    ) -> int:
+        """:meth:`checkpoint_loader` over a whole fleet sync point; returns
+        how many members were checkpointed."""
+        return sum(
+            self.checkpoint_loader(handle, step, consistent, force) for handle in handles
+        )
 
     def last_loader_checkpoint(
         self,
@@ -380,23 +355,18 @@ class FaultToleranceManager:
         self._loader_checkpoints[name] = [entry]
 
     def discard_checkpoints_after(self, step: int) -> int:
-        """Drop checkpoint entries for steps ``> step`` (pipeline flush, restore).
+        """Drop checkpoint entries for steps ``> step`` (pipeline flush).
 
         Checkpoints taken at the sync point of a prefetched step whose
         delivery was later flushed include demands that will never be
         delivered; restoring one would diverge from the re-planned timeline.
-        The durable mirror is purged by namespace, not by known member, so
-        rows a dead incarnation's members left behind go too.
-        Returns how many in-memory entries were discarded.
+        Returns how many entries were discarded.
         """
         dropped = 0
         for history in self._loader_checkpoints.values():
             kept = [e for e in history if e["step"] <= step]
             dropped += len(history) - len(kept)
             history[:] = kept
-        if self.checkpoint_store is not None:
-            for namespace in self.checkpoint_store.namespaces("loader/"):
-                self.checkpoint_store.delete_from(namespace, step + 1)
         return dropped
 
     # -- detection -------------------------------------------------------------------------------------

@@ -98,6 +98,7 @@ class MegaScaleData:
         constructor_handles,
         tree: ClientPlaceTree,
         fault_manager: FaultToleranceManager,
+        checkpoint_store: CheckpointStore,
         degradation: DegradationController | None = None,
     ) -> None:
         self.job = job
@@ -111,8 +112,8 @@ class MegaScaleData:
         self.tree = tree
         self.fault_manager = fault_manager
         #: Durable control-plane checkpoint store shared by the Planner, the
-        #: fault-tolerance manager and whole-run save/restore.
-        self.checkpoint_store = fault_manager.checkpoint_store
+        #: delivery manifests and whole-run save/restore.
+        self.checkpoint_store = checkpoint_store
         self.resharder = ElasticResharder(tree)
         # The data plane and the trainer co-simulate on the actor system's
         # virtual clock: results of deferred calls determine how long each
@@ -539,10 +540,10 @@ class MegaScaleData:
         """Redeploy ``job`` and resume from the newest whole-run checkpoint.
 
         The checkpoint is loaded into the fresh deployment
-        (:func:`~repro.core.durability.load_run_checkpoint`: the store is
-        purged of everything past the saved position — so a run killed without
-        ``shutdown()`` restores like a cleanly stopped one — and each loader is
-        rebuilt from its saved differential checkpoint plus a replay of the
+        (:func:`~repro.core.durability.load_run_checkpoint`: ``planner/plans``
+        is cut to the saved position — so a run killed without ``shutdown()``
+        restores like a cleanly stopped one — and each loader is rebuilt from
+        the differential checkpoint the entry embeds plus a replay of the
         plan suffix) and every member gets a forced consistent baseline so
         post-restore failures keep bounded replay.  Continuation is
         byte-identical to the uninterrupted run: plans are a pure function of

@@ -295,9 +295,8 @@ class FleetRecovery:
         — the instant where every plan up to and including ``step`` has been
         applied to every member and nothing beyond has started — so the
         snapshots are valid bases for bounded suffix replay.  The differential
-        interval gate inside :meth:`FaultToleranceManager.checkpoint_loaders`
-        keeps this O(1) on non-interval steps, and the batched spill commits
-        the whole sync point in one store transaction.
+        interval gate inside :meth:`FaultToleranceManager.checkpoint_loader`
+        keeps this O(1) on non-interval steps.
         """
         healthy = []
         for handle in self.fleet.all_handles():
@@ -309,17 +308,4 @@ class FleetRecovery:
             except ReproError:  # a dying member is recovered later
                 continue
             healthy.append(handle)
-        try:
-            self.fault_manager.checkpoint_loaders(
-                healthy, step, consistent=True, force=force
-            )
-        except ReproError:  # a dying member is recovered later
-            # Batched spill failed mid-flight; fall back to per-member writes
-            # so one bad snapshot cannot suppress the others.
-            for handle in healthy:
-                try:
-                    self.fault_manager.checkpoint_loader(
-                        handle, step, consistent=True, force=force
-                    )
-                except ReproError:
-                    continue
+        self.fault_manager.checkpoint_loaders(healthy, step, consistent=True, force=force)

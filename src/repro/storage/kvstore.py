@@ -95,10 +95,9 @@ class SqliteKVStore:
     def put_many(self, entries: list[tuple[str, int, bytes]]) -> None:
         """Write ``(namespace, step, payload)`` triples in one transaction.
 
-        The per-step spill paths (member checkpoints at a sync point,
-        delivery manifests) write one blob per actor/constructor; batching
-        them amortizes the commit (and its WAL fsync) across the whole sync
-        point instead of paying it per blob.
+        One commit (and one WAL fsync) for the whole batch instead of one per
+        blob.  No control-plane path batches its writes today: plans, delivery
+        manifests and run entries each go through :meth:`put`.
         """
         if not entries:
             return
@@ -145,30 +144,10 @@ class SqliteKVStore:
         )
         return [int(row[0]) for row in rows]
 
-    def namespaces(self, prefix: str = "") -> list[str]:
-        """Every namespace with at least one entry whose name starts with ``prefix``.
-
-        A range over the primary key, so only rows under ``prefix`` are
-        visited (``U+10FFFF`` sorts after anything a name continues with).
-        """
-        rows = self._read(
-            "SELECT DISTINCT namespace FROM checkpoints"
-            " WHERE namespace >= ? AND namespace < ? ORDER BY namespace",
-            (prefix, prefix + "\U0010ffff"),
-        )
-        return [row[0] for row in rows]
-
     def delete_from(self, namespace: str, step: int) -> int:
         """Drop every entry in ``namespace`` with step >= ``step``."""
         return self._write(
             "DELETE FROM checkpoints WHERE namespace = ? AND step >= ?",
-            (namespace, int(step)),
-        )
-
-    def delete_below(self, namespace: str, step: int) -> int:
-        """Drop every entry in ``namespace`` with step < ``step``."""
-        return self._write(
-            "DELETE FROM checkpoints WHERE namespace = ? AND step < ?",
             (namespace, int(step)),
         )
 

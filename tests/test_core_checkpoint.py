@@ -19,17 +19,19 @@ from repro.chaos import ChaosEngine, FaultEvent, FaultPlan
 from repro.core.checkpoint import (
     CheckpointError,
     InMemoryCheckpointStore,
-    NamespacedCheckpointStore,
     SqliteCheckpointStore,
 )
-from repro.core.fault_tolerance import FaultToleranceConfig, FaultToleranceManager
-from repro.core.framework import RUN_NAMESPACE, MegaScaleData, TrainingJobSpec
+from repro.core.framework import (
+    MANIFEST_NAMESPACE,
+    RUN_NAMESPACE,
+    MegaScaleData,
+    TrainingJobSpec,
+)
 from repro.core.planner import PLAN_NAMESPACE
 from repro.core.plans import LoaderScalingDirective, ScalingPlan
 from repro.core.source_loader import SourceLoader
 from repro.data.mixture import MixturePhase, MixtureSchedule
 from repro.errors import ConfigurationError, StorageError
-from repro.utils.units import GIB
 
 
 def make_job(prefetch_depth: int = 0, seed: int = 11, **overrides) -> TrainingJobSpec:
@@ -52,6 +54,15 @@ def delivery_signature(result):
         ]
         for rank, delivery in sorted(result.deliveries.items())
     }
+
+
+def stored_namespaces(store) -> list[str]:
+    """Every namespace holding a row in ``store`` (the store interface itself
+    does not enumerate namespaces)."""
+    if isinstance(store, SqliteCheckpointStore):
+        rows = store._kv._read("SELECT DISTINCT namespace FROM checkpoints ORDER BY namespace", ())
+        return [namespace for (namespace,) in rows]
+    return sorted(namespace for namespace, entries in store._data.items() if entries)
 
 
 def run_signature(system, steps):
@@ -100,8 +111,7 @@ class TestCheckpointStores:
             store.save("ns", step, step)
         assert store.delete_from("ns", 4) == 2
         assert store.steps("ns") == [0, 1, 2, 3]
-        assert store.prune_below("ns", 2) == 2
-        assert store.steps("ns") == [2, 3]
+        assert store.delete_from("ns", 9) == 0
         store.clear()
         assert store.steps("ns") == []
 
@@ -750,7 +760,7 @@ class TestSaveBesidePrefetch:
 
     def test_killed_run_restores_like_a_cleanly_stopped_one(self):
         """Regression: only a flush (``shutdown()``) used to purge the
-        never-delivered plans and sync-point checkpoints from the store."""
+        never-delivered plans from the store."""
         job = make_job(prefetch_depth=2, replay_window=4)
         reference = MegaScaleData.deploy(job)
         system = MegaScaleData.deploy(job)
@@ -764,8 +774,9 @@ class TestSaveBesidePrefetch:
             # Killed: no shutdown(), nothing flushed.
             restored = MegaScaleData.restore(job, store)
             assert max(store.steps(PLAN_NAMESPACE)) < saved_at
-            for namespace in store.namespaces("loader/"):
-                assert max(store.steps(namespace)) <= saved_at - 1
+            assert stored_namespaces(store) == sorted(
+                [MANIFEST_NAMESPACE, PLAN_NAMESPACE, RUN_NAMESPACE]
+            )
             assert prefix + run_signature(restored, 5) == expected
             restored.shutdown()
         finally:
@@ -863,20 +874,6 @@ class TestSaveBesidePrefetch:
             system.shutdown()
 
 
-def test_store_namespaces_enumerates_by_prefix(store):
-    store.save("loader/a/0", 1, "x")
-    store.save("loader/a/0m1", 2, "y")
-    store.save("planner/plans", 1, "z")
-    assert store.namespaces("loader/") == ["loader/a/0", "loader/a/0m1"]
-    assert store.namespaces() == ["loader/a/0", "loader/a/0m1", "planner/plans"]
-    store.delete_from("loader/a/0m1", 0)
-    assert store.namespaces("loader/") == ["loader/a/0"]
-    scoped = NamespacedCheckpointStore(store, "jobA")
-    scoped.save("loader/b", 0, "w")
-    assert scoped.namespaces("loader/") == ["loader/b"]
-    assert store.namespaces("jobA/") == ["jobA/loader/b"]
-
-
 # -- satellite: delta-log epoch resync after restore --------------------------------
 
 
@@ -957,27 +954,80 @@ def test_save_checkpoint_writes_run_namespace():
         system.shutdown()
 
 
-def test_fault_manager_mirrors_loader_checkpoints_to_store(
-    filesystem, small_catalog
-):
-    from repro.actors.runtime import ActorSystem, ClusterSpec
+# -- a loader checkpoint lives in one place ----------------------------------------
 
-    store = InMemoryCheckpointStore()
-    system = ActorSystem(ClusterSpec(accelerator_nodes=1, cpu_pods=1))
-    manager = FaultToleranceManager(
-        system,
-        FaultToleranceConfig(loader_checkpoint_interval=5),
-        checkpoint_store=store,
+
+def spy_on_store_writes(monkeypatch, store) -> list[tuple[str, str]]:
+    """Record ``(op, namespace)`` for every write ``store`` takes from here on."""
+    writes: list[tuple[str, str]] = []
+    cls = type(store)
+    for op in ("save", "delete_from"):
+        original = getattr(cls, op)
+
+        def spied(self, namespace, *args, _original=original, _op=op):
+            writes.append((_op, namespace))
+            return _original(self, namespace, *args)
+
+        monkeypatch.setattr(cls, op, spied)
+    save_many = cls.save_many
+
+    def spied_many(self, entries):
+        writes.extend(("save_many", namespace) for namespace, _, _ in entries)
+        return save_many(self, entries)
+
+    monkeypatch.setattr(cls, "save_many", spied_many)
+    return writes
+
+
+@pytest.mark.parametrize("backend", ["virtual", "wallclock"])
+@pytest.mark.parametrize("checkpoint_backend", ["memory", "sqlite"])
+def test_loader_checkpoints_never_reach_the_store(monkeypatch, checkpoint_backend, backend):
+    """Regression: every loader checkpoint used to be mirrored into the store
+    as ``loader/<name>`` rows that nothing read, and every flush and restore
+    purged them with one ``delete_from`` per namespace ever written.  Through
+    scaling, a failover, a flushed mixture swap, a save, a shutdown and a
+    restore, only plans, manifests and run entries reach the store."""
+    job = make_job(
+        prefetch_depth=2, replay_window=2, checkpoint_backend=checkpoint_backend,
+        backend=backend, wallclock_time_scale=2e-4,
     )
-    handle = system.create_actor(
-        lambda: SourceLoader(small_catalog.sources()[0], filesystem, buffer_size=8),
-        name="durable-loader",
-        memory_bytes=GIB,
-    )
-    assert manager.checkpoint_loader(handle, step=0, consistent=True)
-    assert manager.checkpoint_loader(handle, step=5, consistent=True)
-    assert store.steps("loader/durable-loader") == [0, 5]
-    manager.discard_checkpoints_after(0)
-    assert store.steps("loader/durable-loader") == [0]
-    entry = store.load("loader/durable-loader", 0)
-    assert entry["consistent"] and "replay" in entry
+    system = MegaScaleData.deploy(job)
+    store = system.checkpoint_store
+    restored = None
+    try:
+        run_signature(system, 2)
+        source = system.catalog.sources()[0].name
+        assert system.scale_source(source, 3) == 3
+        run_signature(system, 2)
+        assert system.scale_source(source, 1) == 1
+        run_signature(system, 2)
+        victim = next(
+            handle for handle in system.loader_handles
+            if len(system.fleet.group_for(handle.name).members) == 1
+        )
+        system.system.failures.fail(victim.name)
+        run_signature(system, 2)
+        assert [event.component for event in system.fault_manager.events()] == [victim.name]
+        writes = spy_on_store_writes(monkeypatch, store)
+        names = system.catalog.names()
+        system.set_mixture(
+            MixtureSchedule.static({name: 3.0 if name == source else 1.0 for name in names}),
+            flush_pending=True,
+        )
+        assert [write for write in writes if write[1] != PLAN_NAMESPACE] == []
+        run_signature(system, 2)
+        system.save_checkpoint()
+        run_signature(system, 2)
+        system.shutdown()
+        writes.clear()
+        restored = MegaScaleData.restore(job, store)
+        assert [write for write in writes if write[1] != PLAN_NAMESPACE] == []
+        restored.run_step()
+        assert stored_namespaces(store) == sorted(
+            [MANIFEST_NAMESPACE, PLAN_NAMESPACE, RUN_NAMESPACE]
+        )
+    finally:
+        monkeypatch.undo()
+        system.shutdown()
+        if restored is not None:
+            restored.shutdown()

@@ -21,6 +21,7 @@ from repro.core.planner import PLAN_NAMESPACE
 from repro.core.source_loader import SourceLoader
 from repro.core.step_pipeline import StepPipeline
 from repro.errors import ActorError
+from test_core_checkpoint import stored_namespaces
 
 #: Real seconds per virtual second for the wallclock legs.
 TIME_SCALE = 2e-4
@@ -83,8 +84,7 @@ def deploy_scaled(job: TrainingJobSpec) -> MegaScaleData:
 
 def assert_clean_stop(system, store, delivered: int) -> None:
     assert store.steps(PLAN_NAMESPACE) == list(range(delivered))
-    for namespace in store.namespaces("loader/"):
-        assert all(step <= delivered - 1 for step in store.steps(namespace)), namespace
+    assert not [name for name in stored_namespaces(store) if name.startswith("loader/")]
     assert not [key for key in system.system.gcs.keys() if "prepared/" in key]
     assert system.system.list_actor_names() == []
     assert all(node.reserved_cpu == 0.0 for node in system.system.scheduler.nodes)

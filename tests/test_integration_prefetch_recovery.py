@@ -14,11 +14,10 @@ import pytest
 from repro.actors.runtime import ActorSystem
 from repro.chaos.engine import ChaosEngine
 from repro.chaos.plan import FaultEvent, FaultPlan
-from repro.core.fault_tolerance import FaultToleranceManager
 from repro.core.framework import MegaScaleData, TrainingJobSpec
 from repro.core.source_loader import SourceLoader
 from repro.data.synthetic import build_source_catalog, navit_like_spec
-from repro.errors import ActorTimeout, StorageError
+from repro.errors import ActorTimeout
 from repro.storage.filesystem import SimulatedFileSystem
 
 
@@ -419,30 +418,30 @@ def test_a_fault_on_a_folded_poll_is_retried_exactly_once(
 
 
 def test_checkpoint_members_surfaces_programming_errors(monkeypatch):
-    """Recovery rides out the ``ReproError`` taxonomy, not bugs: with the
-    batched spill failing on a dark store, a ``TypeError`` inside the
-    per-member fallback propagates instead of being skipped."""
+    """Recovery rides out the ``ReproError`` taxonomy, not bugs: a member
+    gone from the system is skipped, but a ``TypeError`` from one member's
+    snapshot propagates instead of being skipped."""
     system = MegaScaleData.deploy(make_job(0, shadows=False, seed=13))
     try:
         system.run_step()
-
-        def dark_store(self, handles, step, consistent=False, force=False):
-            raise StorageError("store is dark")
-
-        monkeypatch.setattr(FaultToleranceManager, "checkpoint_loaders", dark_store)
-        # A storage failure on every member is ridden out (recovered later).
-        monkeypatch.setattr(
-            FaultToleranceManager, "checkpoint_loader",
-            lambda self, handle, step, consistent=False, force=False: dark_store(self, [], step),
-        )
+        dead, buggy, *_ = system.fleet.all_handles()
+        system.system.stop_actor(dead.name)
         system.recovery.checkpoint_members(1, force=True)
+        manager = system.fault_manager
+        assert manager.last_loader_checkpoint(dead.name)["step"] == 0
+        assert manager.last_loader_checkpoint(buggy.name)["step"] == 1
 
-        def buggy(self, handle, step, consistent=False, force=False):
-            raise TypeError("a bug, not a fault")
+        snapshot = SourceLoader.replay_checkpoint
+        broken = buggy.instance()
 
-        monkeypatch.setattr(FaultToleranceManager, "checkpoint_loader", buggy)
+        def replay_checkpoint(self):
+            if self is broken:
+                raise TypeError("a bug, not a fault")
+            return snapshot(self)
+
+        monkeypatch.setattr(SourceLoader, "replay_checkpoint", replay_checkpoint)
         with pytest.raises(TypeError, match="a bug"):
-            system.recovery.checkpoint_members(1, force=True)
+            system.recovery.checkpoint_members(2, force=True)
     finally:
         monkeypatch.undo()
         system.shutdown()
