@@ -75,6 +75,8 @@ class _ActorRecord:
     request: PlacementRequest
     placement: PlacementDecision
     state: ActorState
+    #: The actor class's ``role`` tag, read once here instead of per event.
+    role: str = "actor"
     restart_count: int = 0
     #: Parallel execution lanes on the virtual clock (a multi-server station:
     #: e.g. a loader's worker pool serving several step tickets concurrently).
@@ -298,6 +300,7 @@ class ActorSystem:
             request=request,
             placement=placement,
             state=ActorState.RUNNING,
+            role=role,
             concurrency=concurrency,
         )
         self._actors[actor_name] = record
@@ -484,6 +487,7 @@ class ActorSystem:
         fresh.gcs = self.gcs
         node.ledger.adopt(fresh.ledger)
         record.instance = fresh
+        record.role = getattr(type(fresh), "role", "actor")
         record.state = ActorState.RUNNING
         record.restart_count += 1
         self.failures.clear(name)
@@ -575,7 +579,8 @@ class ActorSystem:
         occupies the actor for ``duration_s`` virtual seconds (derived via the
         system's ``latency_provider`` when ``None``) plus the RPC latency.
         """
-        self._record(name)  # reject unknown actors eagerly
+        if name not in self._actors:  # reject unknown actors eagerly
+            raise ActorError(f"unknown actor {name!r}")
         if name in self._retiring:
             raise ActorError(f"actor {name!r} is retiring and accepts no new calls")
         future = ActorFuture(name, method)
@@ -683,16 +688,13 @@ class ActorSystem:
 
     def record_event(self, call: PendingCall, start: float, end: float) -> None:
         """Record an executed deferred call as a timed interval on the timeline."""
-        metadata: dict[str, object] = {"role": self.actor_role(call.name)}
-        if call.step is not None:
-            metadata["step"] = call.step
-        self.timeline.record(
-            component=call.name,
-            name=call.method,
-            start=start,
-            duration=end - start,
-            **metadata,
-        )
+        role = self.actor_role(call.name)
+        if call.step is None:
+            self.timeline.record(call.name, call.method, start, end - start, role=role)
+        else:
+            self.timeline.record(
+                call.name, call.method, start, end - start, role=role, step=call.step
+            )
 
     # -- introspection ----------------------------------------------------------------------
 
@@ -702,7 +704,7 @@ class ActorSystem:
     def actor_role(self, name: str) -> str:
         """The actor class's ``role`` tag (``"actor"`` if unset or unknown)."""
         record = self._actors.get(name)
-        return getattr(type(record.instance), "role", "actor") if record else "actor"
+        return record.role if record is not None else "actor"
 
     def actor_state(self, name: str) -> ActorState:
         return self._record(name).state

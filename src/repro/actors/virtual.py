@@ -352,8 +352,10 @@ class VirtualEngine:
         """Execute up to ``max_calls`` deferred calls in virtual-time order.
 
         ``max_calls=None`` executes without a budget until no runnable call
-        remains — the batched mode :meth:`drain` uses, which stays inside the
-        dispatch loop instead of re-entering the dispatcher per call.
+        remains.  It is the batched mode :meth:`drain` uses, and it is one
+        round of ``StepPipeline``'s pump: the pipeline drains the engine, then
+        scans the step's loaders once.  Either way the loop stays inside the
+        dispatcher instead of re-entering it per call.
 
         Each executed call advances the shared clock to its start instant,
         marks its actor busy until ``start + rpc + duration`` and publishes
@@ -364,6 +366,9 @@ class VirtualEngine:
         """
         system = self.system
         clock = system.clock
+        lanes_s = self._lanes_s
+        queues = self._queues
+        retiring = system._retiring
         indexed = self._indexed
         pop_next = self._pop_next_indexed if indexed else self._next_call
         executed = 0
@@ -372,47 +377,49 @@ class VirtualEngine:
             if call is None:
                 system.sweep_retirements()
                 break
-            start = max(call.ready_at_s, self.free_at_s(call.name))
+            name = call.name
+            # Lane lists are min-heaps: ``lanes[0]`` is the earliest-free lane.
+            lanes = lanes_s.get(name)
+            free = lanes[0] if lanes else 0.0
+            start = call.ready_at_s if call.ready_at_s >= free else free
             if system.dispatch_trace is not None:
-                system.dispatch_trace.append((start, call.seq, call.name, call.method))
+                system.dispatch_trace.append((start, call.seq, name, call.method))
             clock.advance_to(start)
             clock_before = clock.now_s
             try:
                 result = system.invoke(
-                    call.name, call.method, call.args, call.kwargs, call.timeout_s,
+                    name, call.method, call.args, call.kwargs, call.timeout_s,
                     advance_rpc=False,
                 )
             except Exception as exc:  # noqa: BLE001 - routed to the future
                 call.future._fail(exc)
             else:
+                # Re-read: the call may have resized its own lanes.
+                lanes = lanes_s.get(name)
                 duration = call.duration_s
                 if duration is None:
                     duration = system.modelled_duration(
-                        call.name, call.method, result, start, self._lanes_s.get(call.name) or ()
+                        name, call.method, result, start, lanes or ()
                     )
                 # Nested synchronous calls made by the target advance the
                 # clock; fold exactly that delta into the event so completion
                 # never precedes work the call itself performed.
                 nested_s = clock.now_s - clock_before
                 end = start + nested_s + system.rpc_latency_s + max(0.0, duration)
-                self._occupy_lane(call.name, end)
+                # Book the earliest-free lane until ``end``: replacing the
+                # heap root is O(log L), O(1) for a single-lane actor.
+                if lanes is None:
+                    lanes = lanes_s[name] = [0.0]
+                heapq.heapreplace(lanes, end)
                 call.future._complete(result, available_at_s=end)
                 system.record_event(call, start, end)
-            if indexed:
+            if indexed and queues.get(name):
                 # Only this actor's key changed: re-index its next head.
-                self._push_head(call.name)
-            system.finish_retirement(call.name)
+                self._push_head(name)
+            if retiring:
+                system.finish_retirement(name)
             executed += 1
         return executed
-
-    def _occupy_lane(self, name: str, end_s: float) -> None:
-        """Book the earliest-free execution lane until ``end_s``.
-
-        Lane lists are min-heaps, so booking replaces the root — O(log L)
-        instead of an argmin scan (and O(1) for single-lane actors).
-        """
-        lanes = self._lanes_s.setdefault(name, [0.0])
-        heapq.heapreplace(lanes, end_s)
 
     def drain(self, deadline_s: float | None = None) -> int:
         """Run the event engine until no pending calls remain.

@@ -90,9 +90,8 @@ class ChaosEngine:
         """
         now_s = self._now_s()
         self._fire_due(now_s)
-        role = getattr(type(record.instance), "role", "actor")
         for event in self._active("gcs_blip", now_s):
-            if self._matches(event.target, name, role):
+            if self._matches(event.target, name, record.role):
                 raise ActorTimeout(
                     f"chaos gcs_blip: call to {name}.{method} timed out"
                 )

@@ -45,6 +45,20 @@ vs exposed data time — deep pipelines (``prefetch_depth > 1``) faithfully
 hide fetch chains longer than one iteration as long as per-stage throughput
 keeps up.
 
+Rounds (depth >= 1): one pump round of ``preparing`` or ``constructing``
+drains the engine — ``tick(None)`` runs every runnable event — and then scans
+the step's loaders (or constructors) once, in demand order, issuing the next
+poll of every ticket whose previous one completed.  Round size cannot move
+the modelled clock: while a step is ``preparing`` only its own polls are
+queued, each on its own loader actor with an explicit ``earliest_start_s``
+(the plan broadcast, or the ticket's previous poll completion), so an event's
+start and end instants depend on its loader's lanes and that cursor, not on
+how many events ran beside it.  On a shared (multi-tenant) system a round may
+also run a co-tenant's runnable events, whose instants are fixed the same
+way.  The step's loader transform time, a float sum, is added up in demand
+order when it leaves ``preparing``, so its last bits do not depend on round
+size either.
+
 Backpressure: Data Constructors bound their staging queues; a full queue
 raises :class:`BackpressureError` and the pipeline pauses prefetching until
 the trainer consumes (and releases) a step.
@@ -507,9 +521,13 @@ class StepPipeline:
     def _advance_preparing(self, item: _InflightStep) -> bool:
         fw = self.framework
         if self.prefetch_depth:
-            fw.system.tick(2)
-        # Routing (demand) order, not set order: the float totals below must
-        # accumulate the same way in every run.
+            # Drain, then scan once; the module docstring says why the round
+            # size cannot move the modelled clock.
+            fw.system.tick(None)
+        # Routing (demand) order, not set order: re-issued polls take their
+        # sequence numbers, and a failure is handled, in the same order in
+        # every run.  A round handles at most one failed poll; the next round
+        # picks up any other.
         for handle in [h for h in item.demands if h in item.pending_loaders]:
             poll = item.poll_futures.get(handle)
             if poll is None:
@@ -530,13 +548,14 @@ class StepPipeline:
             )
             if status["done"]:
                 # The final poll handed the samples off; its future keeps the
-                # key until the step leaves ``preparing``.
+                # key (and its transform total) until the step leaves
+                # ``preparing``.
                 item.loader_wall_clock_s = max(item.loader_wall_clock_s, status["wall_clock_s"])
-                item.loader_transform_s += status["transform_latency_s"]
                 item.fetch_ready_s = max(item.fetch_ready_s, poll.available_at_s or 0.0)
                 item.pending_loaders.discard(handle)
             else:
-                del item.poll_futures[handle]
+                # Issue the continuation now, so the next round runs it.
+                self._submit_poll(item, handle)
 
         if not item.pending_loaders:
             # Every loader finished mutating its buffer for this step: let
@@ -549,14 +568,19 @@ class StepPipeline:
             fw.recovery.checkpoint_members(item.step)
             # Resolve the final polls' GCS references in demand order: the
             # very column slices the loaders froze travel to the constructors
-            # without a copy.
-            item.prepared = PreparedColumns.concat(
-                [
-                    fw.system.gcs.take(item.poll_futures[handle].result()["key"])
-                    for handle in item.demands
-                    if handle in item.poll_futures
-                ]
-            )
+            # without a copy.  The transform total is summed in that order
+            # too, so its last bits never depend on which round a final poll
+            # landed in.
+            columns = []
+            transform_s = 0.0
+            for handle in item.demands:
+                poll = item.poll_futures.get(handle)
+                if poll is not None:
+                    status = poll.result()
+                    transform_s += status["transform_latency_s"]
+                    columns.append(fw.system.gcs.take(status["key"]))
+            item.loader_transform_s = transform_s
+            item.prepared = PreparedColumns.concat(columns)
             item.poll_futures.clear()
             item.unconstructed = list(fw.constructor_handles)
             item.state = "constructing"
@@ -573,7 +597,7 @@ class StepPipeline:
                     earliest_start_s=max(item.fetch_ready_s, item.retry_after_s),
                 )
         if self.prefetch_depth:
-            fw.system.tick(2)
+            fw.system.tick(None)
         blocked = False
         for constructor_handle in list(item.unconstructed):
             future = item.construct_futures.get(constructor_handle.name)

@@ -56,7 +56,11 @@ class Timeline:
     ) -> None:
         if max_events is not None and max_events < 1:
             raise ValueError("max_events must be >= 1 (or None for unbounded)")
-        self._events: deque[TimelineEvent] = deque(maxlen=max_events)
+        #: Retained events as ``(component, name, start, duration, metadata)``
+        #: tuples — the engine appends one per executed call, and a tuple
+        #: costs a fraction of a frozen dataclass; :meth:`events` builds the
+        #: :class:`TimelineEvent` views on demand.
+        self._events: deque[tuple[str, str, float, float, dict]] = deque(maxlen=max_events)
         #: Appends mutate several counters together; the wallclock backend
         #: records events from concurrent lane threads, so the update must be
         #: atomic (the virtual backend pays one uncontended acquire).
@@ -87,42 +91,37 @@ class Timeline:
         start: float,
         duration: float,
         **metadata: object,
-    ) -> TimelineEvent:
-        """Append an event and return it."""
+    ) -> None:
+        """Append an event (read it back through :meth:`events`)."""
         if duration < 0:
             raise ValueError(f"negative duration {duration} for event {name!r}")
-        event = TimelineEvent(
-            component=component,
-            name=name,
-            start=float(start),
-            duration=float(duration),
-            metadata=metadata,
-        )
-        self._append(event)
-        return event
+        self._append(component, name, float(start), float(duration), metadata)
 
-    def _append(self, event: TimelineEvent) -> None:
+    def _append(
+        self, component: str, name: str, start: float, duration: float, metadata: dict
+    ) -> None:
         with self._lock:
-            self._events.append(event)
+            self._events.append((component, name, start, duration, metadata))
             self._count += 1
-            end = event.start + event.duration
+            end = start + duration
             if end > self._span:
                 self._span = end
-            pair = (event.component, event.name)
-            self._pair_totals[pair] = self._pair_totals.get(pair, 0.0) + event.duration
+            pair = (component, name)
+            self._pair_totals[pair] = self._pair_totals.get(pair, 0.0) + duration
             if self.overlap_aggregator is not None:
-                self.overlap_aggregator.observe(event)
+                self.overlap_aggregator.observe(component, name, start, duration, metadata)
 
     def events(
         self, component: str | None = None, name: str | None = None
     ) -> list[TimelineEvent]:
         """Events filtered by component and/or name (retained events only)."""
-        selected: "list[TimelineEvent] | deque[TimelineEvent]" = self._events
-        if component is not None:
-            selected = [event for event in selected if event.component == component]
-        if name is not None:
-            selected = [event for event in selected if event.name == name]
-        return list(selected)
+        # Copy first: a wallclock lane thread may append meanwhile.
+        return [
+            TimelineEvent(*fields)
+            for fields in list(self._events)
+            if (component is None or fields[0] == component)
+            and (name is None or fields[1] == name)
+        ]
 
     def total_duration(self, component: str | None = None, name: str | None = None) -> float:
         """Sum of durations for the selected events (exact in bounded mode)."""
@@ -154,16 +153,16 @@ class Timeline:
         aggregation cannot see evicted events, so merging a bounded source
         into an aggregating destination only credits the retained window.
         """
-        for event in other.events():
-            self._append(event)
+        for fields in list(other._events):
+            self._append(*fields)
         if other.dropped_events:
             self._count += other.dropped_events
             if other._span > self._span:
                 self._span = other._span
             retained: dict[tuple[str, str], float] = {}
-            for event in other._events:
-                pair = (event.component, event.name)
-                retained[pair] = retained.get(pair, 0.0) + event.duration
+            for component, name, _, duration, _ in other._events:
+                pair = (component, name)
+                retained[pair] = retained.get(pair, 0.0) + duration
             for pair, total in other._pair_totals.items():
                 evicted = total - retained.get(pair, 0.0)
                 if evicted > 0.0:
@@ -284,18 +283,22 @@ class OverlapAggregator:
 
     # -- ingestion ---------------------------------------------------------------
 
-    def observe(self, event: TimelineEvent) -> None:
-        role = event.metadata.get("role")
-        if event.component == self.trainer_component or role == "trainer":
+    def observe(
+        self, component: str, name: str, start: float, duration: float, metadata: dict
+    ) -> None:
+        """Fold in one timeline event, given by its fields."""
+        role = metadata.get("role")
+        end = start + duration
+        if component == self.trainer_component or role == "trainer":
             # consume_step markers book zero compute (their span is just the
             # RPC) — they are not windows work can hide behind.
-            if event.name != "consume_step":
-                self._add_window(event.start, event.end)
+            if name != "consume_step":
+                self._add_window(start, end)
             return
-        step = event.metadata.get("step")
+        step = metadata.get("step")
         if step is None or role not in self.data_roles:
             return
-        self._add_event(int(step), event.start, event.end, event.duration)
+        self._add_event(int(step), start, end, duration)
 
     def _add_window(self, start: float, end: float) -> None:
         new_segments = self._insert_window(start, end)

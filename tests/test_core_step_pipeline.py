@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.actors.runtime import ActorSystem
 from repro.core.assembly import PreparedColumns, StagedColumns
 from repro.core.data_constructor import DataConstructor
 from repro.core.framework import MegaScaleData, TrainingJobSpec
 from repro.core.source_loader import SourceLoader
+from repro.core.step_pipeline import POLL_CHUNK
 from repro.data.mixture import MixtureSchedule
 from repro.errors import BackpressureError, ConfigurationError, PlanError
 from repro.metrics.timeline import DATA_PLANE_ROLES
@@ -155,6 +157,35 @@ class TestPrefetchDepths:
                 system.run_step(step=5)
         finally:
             system.shutdown()
+
+    def test_a_round_drains_the_engine(self, monkeypatch):
+        """One pump round runs every runnable event, then scans the loaders:
+        engine ticks per step are bounded by the most polls any ticket needs,
+        not by the events a step runs (twelve loaders, about two polls each)."""
+        ticks = [0]
+        plain_tick = ActorSystem.tick
+
+        def counting_tick(self, max_calls=1):
+            ticks[0] += 1
+            return plain_tick(self, max_calls)
+
+        monkeypatch.setattr(ActorSystem, "tick", counting_tick)
+        system = MegaScaleData.deploy(
+            make_job(2, num_sources=12, samples_per_dp_step=96, samples_per_source=256)
+        )
+        try:
+            system.run_step(simulate=True)  # fills the prefetch window
+            ticks[0] = 0
+            results = [system.run_step(simulate=True) for _ in range(4)]
+        finally:
+            system.shutdown()
+        most_polls = max(
+            -(-len(ids) // POLL_CHUNK)
+            for result in results
+            for ids in result.plan.source_demands.values()
+        )
+        # Per step: the trainer's window, the plan, the polls, the constructs.
+        assert ticks[0] / len(results) <= most_polls + 3
 
     def test_run_training_reports_overlap(self):
         system = MegaScaleData.deploy(make_job(2))

@@ -29,6 +29,10 @@ Recorded from it at that commit, for what :class:`StepPipeline`'s inline
   collation time, the plan's total latency and the trainer's virtual clock;
 - **depth-0 fault cell** — a canonical loader killed before step 3: the
   ``RecoveryEvent`` kinds and the delivered bytes.
+
+The same timing digest is pinned for the ``prefetch_depth=2`` cells, where
+the values come from the event engine's co-simulation rather than the inline
+computation.
 """
 
 from __future__ import annotations
@@ -240,22 +244,34 @@ def test_prefetch_depth_does_not_change_the_bytes():
             ][1]
 
 
-# -- depth-0 timing model and fault cell ------------------------------------------
+# -- timing model (depth 0 and 2) and depth-0 fault cell --------------------------
 
-#: ``(job, seed) -> timing digest`` of the ``prefetch_depth=0`` cells.
-GOLDEN_DEPTH_ZERO_TIMING: dict[tuple[str, int], str] = {
-    ("vlm_hybrid", 0): "30af09187e37b5c53b219561803de9faa714169afca2e03bbb7ff8651f933b08",
-    ("vlm_hybrid", 1): "fcc7385b91e2bc5d4402a3c5f17c851548ee2b6d8e5f3cad5c590f1f100eb65c",
-    ("text_backbone", 0): "31d47447ec06b09bad9993e5b5e2e60783108904d5f21fac07c99a73c07a1f73",
-    ("text_backbone", 1): "51ab8cc25984bd4f74bd169739e03b803fee23f5c93519c76c0a02ccc7ad7bb8",
+#: ``(job, prefetch_depth, seed) -> timing digest``.  The depth-2 cells pin
+#: the co-simulated (event-engine) timing model, which must not depend on
+#: how many events a pipeline round runs.
+GOLDEN_TIMING: dict[tuple[str, int, int], str] = {
+    ("vlm_hybrid", 0, 0): "30af09187e37b5c53b219561803de9faa714169afca2e03bbb7ff8651f933b08",
+    ("vlm_hybrid", 0, 1): "fcc7385b91e2bc5d4402a3c5f17c851548ee2b6d8e5f3cad5c590f1f100eb65c",
+    ("text_backbone", 0, 0): "31d47447ec06b09bad9993e5b5e2e60783108904d5f21fac07c99a73c07a1f73",
+    ("text_backbone", 0, 1): "51ab8cc25984bd4f74bd169739e03b803fee23f5c93519c76c0a02ccc7ad7bb8",
+    ("vlm_hybrid", 2, 0): "f0bffeecbfb1536a6c54f216de665fe6866800729a1acdbc9b9d71e958a5d4da",
+    ("vlm_hybrid", 2, 1): "aae65f33df948ebc8a3baac66466acd4e0a1b15d1cbf471c7127a982c43eacc5",
+    ("text_backbone", 2, 0): "bcc9bc2c0c6ea8be6ea5dcc9072e447607ac30edf345651d16dab4898d6a3727",
+    ("text_backbone", 2, 1): "ff9bb71ae2b6bcdadad072d82c4e4411cd56be96a6986fd374d45028a80d3e06",
 }
 
 
-@pytest.mark.parametrize("job_name,seed", sorted(GOLDEN_DEPTH_ZERO_TIMING))
+TIMING_CELLS = sorted({(job_name, seed) for job_name, _, seed in GOLDEN_TIMING})
+
+
+@pytest.mark.parametrize("job_name,seed", TIMING_CELLS)
 def test_depth_zero_timing_model_matches_recorded_digest(job_name, seed):
-    assert run_cell(matrix_job(job_name, 0, seed))[2] == GOLDEN_DEPTH_ZERO_TIMING[
-        (job_name, seed)
-    ]
+    assert run_cell(matrix_job(job_name, 0, seed))[2] == GOLDEN_TIMING[(job_name, 0, seed)]
+
+
+@pytest.mark.parametrize("job_name,seed", TIMING_CELLS)
+def test_depth_two_timing_model_matches_recorded_digest(job_name, seed):
+    assert run_cell(matrix_job(job_name, 2, seed))[2] == GOLDEN_TIMING[(job_name, 2, seed)]
 
 
 KILL_LOADER_BEFORE = 3

@@ -9,6 +9,8 @@ failure-free synchronous run (deterministic replay, Sec. 6.1).
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.actors.runtime import ActorSystem
@@ -17,7 +19,7 @@ from repro.chaos.plan import FaultEvent, FaultPlan
 from repro.core.framework import MegaScaleData, TrainingJobSpec
 from repro.core.source_loader import SourceLoader
 from repro.data.synthetic import build_source_catalog, navit_like_spec
-from repro.errors import ActorTimeout
+from repro.errors import ActorDead, ActorTimeout
 from repro.storage.filesystem import SimulatedFileSystem
 
 
@@ -297,42 +299,53 @@ def test_planner_timeout_is_waited_out_or_cleared(depth):
 # -- faults on the polls that carry a ticket's accept and hand-off -------------------
 
 FAULTED_STEP = 2
+#: Real seconds per modelled second on the wallclock backend.
+TIME_SCALE = 2e-4
 
 
-def two_poll_job(prefetch_depth: int) -> TrainingJobSpec:
-    """Two sources at 12 demanded ids per step each: a deferred ticket is two polls."""
+def two_poll_job(prefetch_depth: int, num_sources: int = 2, **overrides) -> TrainingJobSpec:
+    """Sources at 12 demanded ids per step each: a deferred ticket is two polls."""
     return TrainingJobSpec(
         pp=1, dp=2, cp=1, tp=1, encoder=None, strategy="backbone_balance",
-        samples_per_dp_step=12, num_microbatches=2, num_sources=2,
-        samples_per_source=96, seed=4, prefetch_depth=prefetch_depth,
+        samples_per_dp_step=6 * num_sources, num_microbatches=2, num_sources=num_sources,
+        samples_per_source=96, seed=4, prefetch_depth=prefetch_depth, **overrides,
     )
 
 
 def arm_fault(system, kind: str, name: str):
-    """Make the next call to ``name`` time out; returns the disarm callable."""
+    """Make the next call to ``name`` time out, or (``"kill"``) kill the actor;
+    returns the disarm callable."""
     if kind == "timeout":
         system.failures.timeout(name)
         return lambda: system.failures.clear(name)
+    if kind == "kill":
+        system.kill_actor(name)
+        return lambda: None
     blip = FaultEvent("gcs_blip", system.clock.now_s, target=name, duration_s=1e-3)
     ChaosEngine(FaultPlan([blip])).attach(system)
     return lambda: setattr(system, "chaos", None)
 
 
-def fault_one_poll(monkeypatch, kind: str, which: str) -> dict:
-    """Fault one loader poll of ``FAULTED_STEP`` once, before its body runs.
+def fault_polls(monkeypatch, kind: str, which: str, loaders: int = 1) -> dict:
+    """Fault one loader poll of ``FAULTED_STEP`` on each of ``loaders``
+    loaders, once, before its body runs.
 
     ``which="first"`` picks a poll that carries sample ids (it would accept the
     ticket); ``"final"`` picks a continuation poll that would finish its
     ticket.  Returns a log of every loader poll — ``(loader, ticket, carried
     ids, failed)`` — plus the tickets accepted and the keys published.
     """
-    log ={"polls": [], "accepted": [], "published": [], "faulted": []}
+    log = {"polls": [], "accepted": [], "published": [], "faulted": []}
     invoke = ActorSystem.invoke
     accept = SourceLoader.prepare_async
     publish = SourceLoader.fetch_prepared_ref
+    # Wallclock lanes invoke concurrently: pick the victims atomically.
+    picking = threading.Lock()
 
     def is_target(system, name, method, args) -> bool:
-        if log["faulted"] or method != "poll" or args[0] != FAULTED_STEP:
+        if len(log["faulted"]) >= loaders or method != "poll" or args[0] != FAULTED_STEP:
+            return False
+        if (name, args[0]) in log["faulted"]:
             return False
         if which == "first":
             return args[2] is not None
@@ -342,12 +355,13 @@ def fault_one_poll(monkeypatch, kind: str, which: str) -> dict:
 
     def faulty_invoke(self, name, method, args, kwargs, timeout_s, advance_rpc):
         disarm = None
-        if is_target(self, name, method, args):
-            log["faulted"].append((name, args[0]))
-            disarm = arm_fault(self, kind, name)
+        with picking:
+            if is_target(self, name, method, args):
+                log["faulted"].append((name, args[0]))
+                disarm = arm_fault(self, kind, name)
         try:
             result = invoke(self, name, method, args, kwargs, timeout_s, advance_rpc)
-        except ActorTimeout:
+        except (ActorDead, ActorTimeout):
             if method == "poll":
                 log["polls"].append((name, args[0], args[2] is not None, True))
             raise
@@ -373,6 +387,23 @@ def fault_one_poll(monkeypatch, kind: str, which: str) -> dict:
     return log
 
 
+def victim_polls(log: dict, victim: tuple[str, int]) -> list[tuple[bool, bool]]:
+    """``(carried ids, failed)`` of every poll of the victim's ticket, in order."""
+    return [(ids, failed) for name, step, ids, failed in log["polls"] if (name, step) == victim]
+
+
+def assert_each_ticket_handed_off_once(log: dict) -> None:
+    """Every ticket was accepted exactly once and handed off exactly once."""
+    assert len(log["accepted"]) == len(set(log["accepted"]))
+    tickets = sorted({(name, step) for name, step, _, _ in log["polls"]})
+    assert sorted(log["accepted"]) == tickets
+    assert len(log["published"]) == len(tickets)
+    for victim, _ in log["faulted"]:
+        assert [name for name, _ in log["published"]].count(victim) == len(
+            [t for t in tickets if t[0] == victim]
+        )
+
+
 @pytest.mark.parametrize("kind", ["timeout", "blip"])
 @pytest.mark.parametrize(
     "prefetch_depth,which", [(0, "first"), (2, "first"), (2, "final")]
@@ -389,7 +420,7 @@ def test_a_fault_on_a_folded_poll_is_retried_exactly_once(
         expected = [delivery_signature(reference.run_step()) for _ in range(5)]
     finally:
         reference.shutdown()
-    log = fault_one_poll(monkeypatch, kind, which)
+    log = fault_polls(monkeypatch, kind, which)
     system = MegaScaleData.deploy(two_poll_job(prefetch_depth))
     try:
         assert [delivery_signature(system.run_step()) for _ in range(5)] == expected
@@ -398,23 +429,54 @@ def test_a_fault_on_a_folded_poll_is_retried_exactly_once(
         system.shutdown()
 
     assert len(log["faulted"]) == 1
-    victim, ticket = log["faulted"][0]
-    polls = [(ids, failed) for name, step, ids, failed in log["polls"]
-             if (name, step) == (victim, ticket)]
+    polls = victim_polls(log, log["faulted"][0])
     assert sum(failed for _, failed in polls) == 1
     if which == "first":
         # Re-issued with its ids: the ticket was never registered.
         assert polls[:2] == [(True, True), (True, False)]
     else:
         assert polls[-2:] == [(False, True), (False, False)]
-    # Every ticket was accepted exactly once and handed off exactly once.
-    assert len(log["accepted"]) == len(set(log["accepted"]))
-    tickets = sorted({(name, step) for name, step, _, _ in log["polls"]})
-    assert sorted(log["accepted"]) == tickets
-    assert len(log["published"]) == len(tickets)
-    assert [name for name, _ in log["published"]].count(victim) == len(
-        [t for t in tickets if t[0] == victim]
-    )
+    assert_each_ticket_handed_off_once(log)
+
+
+@pytest.mark.parametrize("kind", ["timeout", "kill"])
+@pytest.mark.parametrize("backend", ["virtual", "wallclock"])
+def test_two_first_polls_failing_in_one_round_are_each_retried_once(
+    monkeypatch, backend, kind
+):
+    """A pump round drains the engine, so two loaders' first polls of one step
+    can fail in the same round (timed out, or the loaders killed just before
+    them).  The round handles one failure and the next round the other: each
+    failed poll is re-sent once, with its ids, each ticket is accepted once
+    and handed off once, and the run delivers what a fault-free run does."""
+    job = two_poll_job(2, num_sources=3, backend=backend, wallclock_time_scale=TIME_SCALE)
+    reference = MegaScaleData.deploy(job)
+    try:
+        expected = [delivery_signature(reference.run_step()) for _ in range(5)]
+    finally:
+        reference.shutdown()
+    log = fault_polls(monkeypatch, kind, "first", loaders=2)
+    system = MegaScaleData.deploy(job)
+    try:
+        assert [delivery_signature(system.run_step()) for _ in range(5)] == expected
+        assert system.system.gcs.keys("prepared/") == []
+        recoveries = [event.kind for event in system.fault_manager.events()]
+    finally:
+        system.shutdown()
+
+    assert len(log["faulted"]) == 2
+    for victim in log["faulted"]:
+        polls = victim_polls(log, victim)
+        assert sum(failed for _, failed in polls) == 1
+        assert polls[:2] == [(True, True), (True, False)]
+    if backend == "virtual":
+        # Both failed in one round: neither retry ran before the other failure.
+        faulted = [
+            failed for name, step, _, failed in log["polls"] if (name, step) in log["faulted"]
+        ]
+        assert faulted[:2] == [True, True]
+    assert recoveries == (["restart", "restart"] if kind == "kill" else [])
+    assert_each_ticket_handed_off_once(log)
 
 
 def test_checkpoint_members_surfaces_programming_errors(monkeypatch):

@@ -148,7 +148,8 @@ class TestTimeline:
 
     def test_event_metadata_preserved(self):
         timeline = Timeline()
-        event = timeline.record("a", "x", 0.0, 1.0, microbatch=3)
+        timeline.record("a", "x", 0.0, 1.0, microbatch=3)
+        (event,) = timeline.events()
         assert event.metadata["microbatch"] == 3
         assert event.end == pytest.approx(1.0)
 
