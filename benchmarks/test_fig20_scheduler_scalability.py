@@ -29,7 +29,6 @@ from repro.actors.actor import Actor
 from repro.actors.node import DEFAULT_ACCELERATOR_RESOURCES
 from repro.actors.runtime import ActorSystem, ClusterSpec
 from repro.metrics.report import MetricReport
-from repro.metrics.timeline import Timeline
 
 from .conftest import emit, write_bench_json
 
@@ -66,10 +65,7 @@ def _drive(dispatcher: str, num_actors: int) -> dict[str, float]:
     """Submit and drain one synthetic fetch-bound schedule; time the engine."""
     per_node = int(DEFAULT_ACCELERATOR_RESOURCES.cpu_cores / 0.25) - 8
     cluster = ClusterSpec(accelerator_nodes=1 + num_actors // per_node, cpu_pods=1)
-    system = ActorSystem(cluster, dispatcher=dispatcher, call_log_limit=256)
-    # Bounded timeline keeps per-event telemetry allocation flat so the
-    # measurement isolates dispatch cost (identical for both dispatchers).
-    system.timeline = Timeline(max_events=256)
+    system = ActorSystem(cluster, dispatcher=dispatcher)
 
     handles = [
         system.create_actor(

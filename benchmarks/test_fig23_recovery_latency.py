@@ -266,7 +266,7 @@ def _checkpoint_job() -> TrainingJobSpec:
     return TrainingJobSpec(
         pp=1, dp=2, cp=1, tp=1, encoder=None, strategy="backbone_balance",
         samples_per_dp_step=4, num_microbatches=2, num_sources=3, samples_per_source=64,
-        prefetch_depth=2, replay_window=CHECKPOINT_INTERVAL, telemetry_window=64,
+        prefetch_depth=2, replay_window=CHECKPOINT_INTERVAL,
         # SQLite: the save pays for pickling its entry, as a durable store would.
         checkpoint_backend="sqlite", enable_autoscaler=False, seed=0,
     )

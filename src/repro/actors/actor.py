@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import threading
-from dataclasses import dataclass
 
 from repro.errors import ActorDead, ActorError, ActorTimeout
 from repro.metrics.memory import MemoryLedger
@@ -85,7 +84,8 @@ class ActorFuture:
     order) rather than wall-clock dependent.  Under the wallclock backend the
     same futures bridge to *real* completions signalled from actor lane
     threads, so every state transition is guarded by a shared lock and
-    waiters/done-callbacks are thread-safe.
+    waiters are thread-safe.  Completion is observed by polling :meth:`done`
+    or waiting in :meth:`result` (``timeout=``).
     """
 
     __slots__ = (
@@ -97,7 +97,6 @@ class ActorFuture:
         "available_at_s",
         "_owner",
         "_event",
-        "_callbacks",
         "_running",
     )
 
@@ -124,8 +123,6 @@ class ActorFuture:
         #: Completion event, created lazily (wallclock submits pre-create it;
         #: virtual futures never pay for one unless a waiter asks).
         self._event: threading.Event | None = None
-        #: Thread-safe done callbacks (lazily created list).
-        self._callbacks: list | None = None
         #: True once an execution lane picked the call up — the point past
         #: which cancellation must fail (the body may be mutating state).
         self._running = False
@@ -174,20 +171,6 @@ class ActorFuture:
             raise self._exception
         return self._result
 
-    def add_done_callback(self, callback) -> None:
-        """Run ``callback(self)`` on completion (immediately if already done).
-
-        Thread-safe: a callback registered concurrently with completion runs
-        exactly once, on whichever thread loses the race.
-        """
-        with ActorFuture._transitions:
-            if self.state is FutureState.PENDING:
-                if self._callbacks is None:
-                    self._callbacks = []
-                self._callbacks.append(callback)
-                return
-        callback(self)
-
     # -- completion (runtime-internal) ---------------------------------------------
 
     def _completion_event(self) -> threading.Event:
@@ -214,13 +197,10 @@ class ActorFuture:
                 return False
             self.state = FutureState.CANCELLED
             event = self._event
-            callbacks, self._callbacks = self._callbacks, None
         if event is not None:
             event.set()
         if self._owner is not None:
             self._owner.on_future_cancelled(self.actor, self)
-        for callback in callbacks or ():
-            callback(self)
         return True
 
     def _complete(self, result: object, available_at_s: float | None = None) -> None:
@@ -231,11 +211,8 @@ class ActorFuture:
             self.available_at_s = available_at_s
             self.state = FutureState.DONE
             event = self._event
-            callbacks, self._callbacks = self._callbacks, None
         if event is not None:
             event.set()
-        for callback in callbacks or ():
-            callback(self)
 
     def _fail(self, exc: BaseException) -> None:
         with ActorFuture._transitions:
@@ -244,24 +221,11 @@ class ActorFuture:
             self._exception = exc
             self.state = FutureState.FAILED
             event = self._event
-            callbacks, self._callbacks = self._callbacks, None
         if event is not None:
             event.set()
-        for callback in callbacks or ():
-            callback(self)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ActorFuture({self.actor!r}.{self.method}, {self.state})"
-
-
-@dataclass(slots=True)
-class CallRecord:
-    """One recorded actor method invocation (for introspection/tests)."""
-
-    actor: str
-    method: str
-    latency_s: float
-    failed: bool
 
 
 class ActorHandle:
@@ -368,7 +332,6 @@ __all__ = [
     "ActorFuture",
     "ActorHandle",
     "ActorState",
-    "CallRecord",
     "FutureState",
     "ActorDead",
     "ActorTimeout",

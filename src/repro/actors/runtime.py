@@ -21,11 +21,10 @@ the duration model (``modelled_duration``), timeline recording
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
-from repro.actors.actor import Actor, ActorFuture, ActorHandle, ActorState, CallRecord
+from repro.actors.actor import Actor, ActorFuture, ActorHandle, ActorState
 from repro.actors.gcs import GlobalControlStore
 from repro.actors.node import (
     DEFAULT_ACCELERATOR_RESOURCES,
@@ -126,7 +125,6 @@ class ActorSystem:
         cluster: ClusterSpec | None = None,
         rpc_latency_s: float = 0.0002,
         dispatcher: str = "indexed",
-        call_log_limit: int | None = None,
         backend: str = "virtual",
         time_scale: float = 1.0,
         placement_policy: str = "spread",
@@ -152,9 +150,6 @@ class ActorSystem:
         #: and the actor is finalized as soon as its queue runs dry.
         self._retiring: set[str] = set()
         self._ids = IdAllocator()
-        #: Executed-call records; bounded to the most recent ``call_log_limit``
-        #: entries when set (opt-in, so long runs stop accruing O(E) memory).
-        self._call_log: deque[CallRecord] = deque(maxlen=call_log_limit)
         #: Global submission sequence (the engines' deterministic tie-breaker).
         self._seq = 0
         #: Optional execution-trace sink for equivalence tests: when set to a
@@ -520,8 +515,9 @@ class ActorSystem:
         """Shared execution core of synchronous and deferred dispatch.
 
         Applies failure injection and liveness checks, optionally charges the
-        RPC latency to the virtual clock (synchronous path) and records the
-        call in the call log.
+        RPC latency to the virtual clock (synchronous path) and runs the
+        method.  The engine, not this method, books an executed deferred
+        call on :attr:`timeline` (:meth:`record_event`).
         """
         record = self._record(name)
         if self.chaos is not None:
@@ -529,28 +525,18 @@ class ActorSystem:
             # very actor — caught by the liveness check below) and vetoes the
             # call when a blip/blackout window covers it.  Faults raise before
             # the method body runs, so retried calls re-execute cleanly.
-            try:
-                self.chaos.on_invoke(name, method, record)
-            except ActorTimeout:
-                self._call_log.append(
-                    CallRecord(name, method, timeout_s or 0.0, failed=True)
-                )
-                raise
+            self.chaos.on_invoke(name, method, record)
         if name in self.failures.timeout_actors:
-            self._call_log.append(CallRecord(name, method, timeout_s or 0.0, failed=True))
             raise ActorTimeout(f"call to {name}.{method} timed out")
         if record.state is not ActorState.RUNNING or name in self.failures.dead_actors:
             record.state = ActorState.FAILED
-            self._call_log.append(CallRecord(name, method, 0.0, failed=True))
             raise ActorDead(f"actor {name!r} is not running")
         target = getattr(record.instance, method, None)
         if target is None or not callable(target):
             raise ActorError(f"actor {name!r} has no method {method!r}")
         if advance_rpc:
             self.advance_clock(self.rpc_latency_s)
-        result = target(*args, **kwargs)
-        self._call_log.append(CallRecord(name, method, self.rpc_latency_s, failed=False))
-        return result
+        return target(*args, **kwargs)
 
     # -- deferred calls (executed by the engine) -----------------------------------------
 
@@ -723,9 +709,6 @@ class ActorSystem:
 
     def list_actor_names(self, role: str | None = None) -> list[str]:
         return [name for name in self.gcs.list_actors(role) if name in self._actors]
-
-    def call_log(self) -> list[CallRecord]:
-        return list(self._call_log)
 
     def memory_by_node(self) -> dict[str, int]:
         """Live actor-charged memory per node (the Fig. 12 per-node metric)."""

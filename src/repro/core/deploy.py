@@ -37,7 +37,6 @@ from repro.data.synthetic import (
     coyo700m_like_spec,
     navit_like_spec,
 )
-from repro.metrics.timeline import Timeline
 from repro.parallelism.mesh import DeviceMesh
 from repro.storage.filesystem import SimulatedFileSystem
 from repro.utils.units import GIB
@@ -71,18 +70,10 @@ def provision(
         )
         system = ActorSystem(
             cluster,
-            call_log_limit=job.telemetry_window,
             backend=job.backend,
             time_scale=job.wallclock_time_scale,
             wallclock_tick_timeout_s=job.wallclock_tick_timeout_s,
         )
-        if job.telemetry_window is not None:
-            # Swap in the bounded/aggregating timeline before any actor is
-            # deployed, so every recorded event feeds the online overlap
-            # aggregate and per-event memory stays O(telemetry_window).
-            system.timeline = Timeline(
-                max_events=job.telemetry_window, aggregate_overlap=True
-            )
 
     partition_plan = partition_sources(catalog, cluster)
     loader_handles = spawn_loaders(job, catalog, filesystem, system, partition_plan)

@@ -82,13 +82,6 @@ class TrainingJobSpec:
     #: dial the compute/fetch ratio (e.g. fetch-bound jobs).
     gpu_spec: GpuSpec | None = None
 
-    #: Bounded telemetry for long runs: an int caps the actor call log at
-    #: that many records and switches the system timeline to the
-    #: bounded/aggregating mode (per-event bookkeeping stops growing O(E)
-    #: with executed events while OverlapLedger reconciliation keeps working
-    #: from the online aggregate); ``None`` keeps every event and record.
-    telemetry_window: int | None = None
-
     #: Bounded-replay window: the differential checkpoint interval for loader
     #: state and the number of plans the Planner keeps in memory.  Recovery
     #: restores the latest consistent checkpoint and replays at most this
@@ -144,8 +137,6 @@ class TrainingJobSpec:
             )
         if self.prefetch_depth < 0:
             raise ConfigurationError("prefetch_depth must be >= 0")
-        if self.telemetry_window is not None and self.telemetry_window < 1:
-            raise ConfigurationError("telemetry_window must be >= 1 (None = unbounded)")
         if self.spawn_warmup_s < 0:
             raise ConfigurationError("spawn_warmup_s must be >= 0")
         if self.replay_window < 1:

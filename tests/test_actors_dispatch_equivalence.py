@@ -20,7 +20,6 @@ from repro.actors.actor import Actor
 from repro.actors.runtime import ActorSystem, ClusterSpec
 from repro.core.framework import MegaScaleData, TrainingJobSpec
 from repro.errors import ActorError
-from repro.metrics.timeline import OverlapLedger
 
 NUM_ACTORS = 4
 
@@ -206,16 +205,6 @@ class TestIndexedDispatcher:
         assert system.engine._heap == []
         assert system.engine._heap_entries == {}
 
-    def test_call_log_limit_bounds_memory(self):
-        system = self.make_system(call_log_limit=3)
-        handle = system.create_actor(Probe, name="p")
-        for token in range(8):
-            handle.submit("work", token)
-        system.drain()
-        records = system.call_log()
-        assert len(records) == 3
-        assert all(record.method == "work" for record in records)
-
 
 # -- full data-plane regression ---------------------------------------------------
 
@@ -238,11 +227,11 @@ def _delivery_bytes(result):
     }
 
 
-def _deploy(dispatcher: str, depth: int, **overrides) -> MegaScaleData:
+def _deploy(dispatcher: str, depth: int) -> MegaScaleData:
     job = TrainingJobSpec(
         pp=1, dp=2, cp=1, tp=1, encoder=None, strategy="backbone_balance",
         samples_per_dp_step=4, num_microbatches=2, num_sources=3,
-        samples_per_source=48, seed=11, prefetch_depth=depth, **overrides,
+        samples_per_source=48, seed=11, prefetch_depth=depth,
     )
     if dispatcher == "indexed":
         return MegaScaleData.deploy(job)
@@ -282,24 +271,3 @@ def test_prefetch_pipeline_byte_identical_across_dispatchers(depth):
         reference.shutdown()
         indexed.shutdown()
 
-
-def test_bounded_telemetry_preserves_overlap_reconciliation():
-    """Bounded/aggregating telemetry reports the same ledger as full mode."""
-    full = _deploy("indexed", 1)
-    bounded = _deploy("indexed", 1, telemetry_window=32)
-    try:
-        for _ in range(4):
-            full.run_step(simulate=True)
-            bounded.run_step(simulate=True)
-        assert bounded.system.timeline.dropped_events > 0
-        assert len(bounded.system.call_log()) <= 32
-        reference = OverlapLedger.from_timeline(full.system.timeline)
-        aggregated = OverlapLedger.from_timeline(bounded.system.timeline)
-        assert len(aggregated) == len(reference)
-        for ref, agg in zip(reference.records(), aggregated.records()):
-            assert agg.step == ref.step
-            assert agg.fetch_s == pytest.approx(ref.fetch_s)
-            assert agg.hidden_s == pytest.approx(ref.hidden_s)
-    finally:
-        full.shutdown()
-        bounded.shutdown()

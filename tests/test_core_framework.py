@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.actors.runtime import ActorSystem
 from repro.core.cost_model import DataPlaneLatencyProvider
 from repro.core.framework import MegaScaleData, TrainingJobSpec
 from repro.core.resharding import ReshardNotification
 from repro.core.tenancy import TenantManager
 from repro.data.mixture import MixtureSchedule
 from repro.errors import ConfigurationError
+from repro.metrics.timeline import Timeline
 from repro.parallelism.mesh import DeviceMesh
 
 
@@ -68,7 +70,7 @@ class TestTrainingJobSpec:
 
 
 class TestRetiredKnobs:
-    """The four job-level A/B twins are gone, not renamed."""
+    """Retired A/B twins and telemetry knobs are gone, not renamed."""
 
     @pytest.mark.parametrize(
         "build",
@@ -79,9 +81,13 @@ class TestRetiredKnobs:
             lambda: TrainingJobSpec(dispatcher="indexed"),
             lambda: TenantManager(dispatcher="indexed"),
             lambda: DataPlaneLatencyProvider(lane_model="capacity_split"),
+            lambda: TrainingJobSpec(telemetry_window=32),
+            lambda: ActorSystem(call_log_limit=3),
+            lambda: Timeline(max_events=2),
         ],
         ids=["job-lane_model", "job-elastic_fleet", "job-bounded_telemetry",
-             "job-dispatcher", "tenancy-dispatcher", "provider-lane_model"],
+             "job-dispatcher", "tenancy-dispatcher", "provider-lane_model",
+             "job-telemetry_window", "system-call_log_limit", "timeline-max_events"],
     )
     def test_removed_spelling_raises_type_error(self, build):
         with pytest.raises(TypeError):
@@ -90,38 +96,7 @@ class TestRetiredKnobs:
     def test_spec_field_count(self):
         import dataclasses
 
-        assert len(dataclasses.fields(TrainingJobSpec)) == 35
-
-
-class TestTelemetryWindow:
-    JOB = dict(
-        pp=1, dp=2, cp=1, tp=1, encoder=None, strategy="backbone_balance",
-        samples_per_dp_step=4, num_microbatches=2, num_sources=3,
-        samples_per_source=48, seed=11, prefetch_depth=1,
-    )
-
-    def test_none_keeps_every_event_and_call_record(self):
-        assert TrainingJobSpec().telemetry_window is None
-        full = MegaScaleData.deploy(TrainingJobSpec(**self.JOB))
-        bounded = MegaScaleData.deploy(TrainingJobSpec(telemetry_window=32, **self.JOB))
-        try:
-            for _ in range(4):
-                full.run_step(simulate=True)
-                bounded.run_step(simulate=True)
-            timeline, capped = full.system.timeline, bounded.system.timeline
-            assert timeline.max_events is None and timeline.dropped_events == 0
-            assert capped.max_events == 32 and capped.dropped_events > 0
-            # Same job, same events: the window only bounds what is retained.
-            assert len(timeline.events()) == len(capped.events()) + capped.dropped_events
-            assert len(bounded.system.call_log()) == 32 < len(full.system.call_log())
-        finally:
-            full.shutdown()
-            bounded.shutdown()
-
-    @pytest.mark.parametrize("window", [0, -5])
-    def test_window_below_one_rejected(self, window):
-        with pytest.raises(ConfigurationError, match="telemetry_window"):
-            TrainingJobSpec(telemetry_window=window)
+        assert len(dataclasses.fields(TrainingJobSpec)) == 34
 
 
 class TestDeployment:

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.metrics.memory import MemoryLedger
 from repro.metrics.report import MetricReport, summarize
@@ -119,6 +117,7 @@ class TestTimeline:
         timeline.record("a", "x", 0.0, 1.5)
         timeline.record("a", "y", 2.0, 0.5)
         assert timeline.total_duration(component="a") == pytest.approx(2.0)
+        assert timeline.total_duration(component="a", name="y") == pytest.approx(0.5)
 
     def test_span_is_latest_end(self):
         timeline = Timeline()
@@ -137,14 +136,6 @@ class TestTimeline:
         breakdown = timeline.breakdown()
         assert breakdown["a"] == pytest.approx(3.0)
         assert breakdown["b"] == pytest.approx(4.0)
-
-    def test_merge(self):
-        a = Timeline()
-        b = Timeline()
-        a.record("a", "x", 0.0, 1.0)
-        b.record("b", "y", 0.0, 1.0)
-        a.merge(b)
-        assert len(a) == 2
 
     def test_event_metadata_preserved(self):
         timeline = Timeline()
@@ -239,6 +230,8 @@ class TestOverlapLedgerFromTimeline:
         # Untagged sync work and unknown roles are excluded.
         timeline.record("loader/a", "prepare", 0.0, 9.0, role="source_loader")
         timeline.record("oracle", "noise", 0.0, 9.0, role="oracle", step=1)
+        # consume_step markers are not compute windows work can hide behind.
+        timeline.record("trainer", "consume_step", 0.0, 9.0, role="trainer", step=2)
         return timeline
 
     def test_measures_interval_overlap_per_step(self):
@@ -252,147 +245,6 @@ class TestOverlapLedgerFromTimeline:
 
     def test_empty_timeline_gives_empty_ledger(self):
         assert len(OverlapLedger.from_timeline(Timeline())) == 0
-
-
-class TestBoundedTimeline:
-    def test_bounded_mode_keeps_aggregates_exact(self):
-        timeline = Timeline(max_events=2)
-        for index in range(5):
-            timeline.record("c", "x", float(index), 1.0)
-        assert len(timeline) == 5
-        assert timeline.dropped_events == 3
-        assert len(timeline.events()) == 2
-        assert timeline.span() == pytest.approx(5.0)
-        assert timeline.breakdown()["c"] == pytest.approx(5.0)
-        assert timeline.total_duration(component="c", name="x") == pytest.approx(5.0)
-
-    def test_unbounded_mode_drops_nothing(self):
-        timeline = Timeline()
-        timeline.record("c", "x", 0.0, 1.0)
-        assert timeline.dropped_events == 0
-        assert timeline.max_events is None
-
-    def test_invalid_max_events_rejected(self):
-        with pytest.raises(ValueError):
-            Timeline(max_events=0)
-
-    def test_merge_folds_evicted_aggregates(self):
-        source = Timeline(max_events=1)
-        source.record("c", "x", 0.0, 1.0)
-        source.record("c", "y", 1.0, 1.5)  # evicts the first event
-        destination = Timeline()
-        destination.merge(source)
-        assert len(destination) == 2
-        assert destination.total_duration(component="c") == pytest.approx(2.5)
-        assert destination.total_duration(component="c", name="x") == pytest.approx(1.0)
-        assert destination.span() == pytest.approx(2.5)
-
-
-def _record_reference_workload(timeline: Timeline) -> None:
-    """The TestOverlapLedgerFromTimeline workload, reused for the aggregate."""
-    timeline.record("trainer", "train_step", 1.0, 1.0, role="trainer", step=0)
-    timeline.record("trainer", "train_step", 3.0, 1.0, role="trainer", step=1)
-    timeline.record("loader/a", "poll", 0.5, 1.0, role="source_loader", step=1)
-    timeline.record("constructor/0", "construct", 3.2, 0.2, role="data_constructor", step=1)
-    timeline.record("loader/a", "prepare", 0.0, 9.0, role="source_loader")
-    timeline.record("oracle", "noise", 0.0, 9.0, role="oracle", step=1)
-    timeline.record("trainer", "consume_step", 4.0, 5.0, role="trainer", step=2)
-
-
-class TestOverlapAggregator:
-    def _ledgers(self, workload) -> tuple[OverlapLedger, OverlapLedger]:
-        full = Timeline()
-        aggregated = Timeline(max_events=1, aggregate_overlap=True)
-        workload(full)
-        workload(aggregated)
-        assert aggregated.overlap_aggregator is not None
-        return OverlapLedger.from_timeline(full), OverlapLedger.from_timeline(aggregated)
-
-    @staticmethod
-    def _assert_ledgers_match(reference: OverlapLedger, aggregated: OverlapLedger):
-        assert [entry.step for entry in aggregated.records()] == [
-            entry.step for entry in reference.records()
-        ]
-        for ref, agg in zip(reference.records(), aggregated.records()):
-            assert agg.fetch_s == pytest.approx(ref.fetch_s, abs=1e-12)
-            assert agg.hidden_s == pytest.approx(ref.hidden_s, abs=1e-12)
-
-    def test_aggregate_matches_reference_workload(self):
-        reference, aggregated = self._ledgers(_record_reference_workload)
-        self._assert_ledgers_match(reference, aggregated)
-        entry = aggregated.records()[0]
-        assert entry.step == 1
-        assert entry.fetch_s == pytest.approx(1.2)
-        assert entry.hidden_s == pytest.approx(0.7)
-
-    def test_out_of_order_merged_windows_fall_back_to_events(self):
-        """A merge can replay trainer windows below the watermark; with the
-        events still retained, from_timeline must prefer the exact rebuild."""
-        destination = Timeline(aggregate_overlap=True)
-        destination.record("trainer", "train_step", 10.0, 1.0, role="trainer")
-        destination.record("loader/a", "poll", 0.0, 1.0, role="source_loader", step=0)
-        source = Timeline()
-        source.record("trainer", "train_step", 0.0, 5.0, role="trainer")
-        destination.merge(source)
-        assert not destination.overlap_aggregator.exact
-        ledger = OverlapLedger.from_timeline(destination)
-        assert ledger.records()[0].hidden_s == pytest.approx(1.0)
-
-    def test_custom_classification_bypasses_the_aggregate(self):
-        """from_timeline args that differ from the aggregator's config win."""
-        timeline = Timeline(aggregate_overlap=True)
-        _record_reference_workload(timeline)
-        custom = OverlapLedger.from_timeline(timeline, data_roles=frozenset())
-        # No data-plane roles under the custom classification: empty ledger.
-        assert len(custom) == 0
-        default = OverlapLedger.from_timeline(timeline)
-        assert default.hidden_total_s() == pytest.approx(0.7)
-
-    @given(
-        windows=st.lists(
-            st.tuples(
-                st.floats(min_value=0.0, max_value=2.0),  # gap before the window
-                st.floats(min_value=0.0, max_value=2.0),  # window duration
-            ),
-            max_size=6,
-        ),
-        events=st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=6),  # recorded before window i
-                st.floats(min_value=0.0, max_value=10.0),  # start (may lag windows)
-                st.floats(min_value=0.0, max_value=3.0),  # duration
-                st.integers(min_value=0, max_value=3),  # step
-            ),
-            max_size=12,
-        ),
-    )
-    @settings(max_examples=120, deadline=None)
-    def test_aggregate_matches_reference_on_random_workloads(self, windows, events):
-        """Online aggregation == full-event rebuild for any interleaving.
-
-        Trainer windows are recorded with non-decreasing starts (they come
-        from one serialized actor); data events may start arbitrarily far in
-        the past relative to the window watermark.
-        """
-
-        def workload(timeline: Timeline) -> None:
-            cursor = 0.0
-            for index, (gap, duration) in enumerate(windows + [(0.0, 0.0)]):
-                for position, start, event_duration, step in events:
-                    if position == index:
-                        timeline.record(
-                            "loader/a", "poll", start, event_duration,
-                            role="source_loader", step=step,
-                        )
-                if index < len(windows):
-                    cursor += gap
-                    timeline.record(
-                        "trainer", "train_step", cursor, duration, role="trainer"
-                    )
-                    cursor += duration
-
-        reference, aggregated = self._ledgers(workload)
-        self._assert_ledgers_match(reference, aggregated)
 
 
 class TestFleetEvents:
@@ -433,25 +285,16 @@ class TestFleetEvents:
         they carry a step tag."""
         from repro.metrics.timeline import FLEET_ROLE
 
-        def workload(timeline: Timeline) -> None:
-            timeline.record("trainer", "train_step", 0.0, 2.0, role="trainer")
-            timeline.record("loader/a", "poll", 1.0, 2.0, role="source_loader", step=0)
-            timeline.record("loader/a/0m1", "spawn", 1.5, 0.0, role=FLEET_ROLE, step=0)
-            timeline.record("loader/a/0m1", "retire", 2.5, 0.0, role=FLEET_ROLE, step=1)
-
         plain = Timeline()
-        workload(plain)
+        plain.record("trainer", "train_step", 0.0, 2.0, role="trainer")
+        plain.record("loader/a", "poll", 1.0, 2.0, role="source_loader", step=0)
+        plain.record("loader/a/0m1", "spawn", 1.5, 0.0, role=FLEET_ROLE, step=0)
+        plain.record("loader/a/0m1", "retire", 2.5, 0.0, role=FLEET_ROLE, step=1)
         rebuilt = OverlapLedger.from_timeline(plain)
         records = rebuilt.records()
         assert len(records) == 1
         assert records[0].fetch_s == pytest.approx(2.0)
         assert records[0].hidden_s == pytest.approx(1.0)
-        # The aggregating (bounded-telemetry) path ignores them identically.
-        aggregating = Timeline(max_events=1, aggregate_overlap=True)
-        workload(aggregating)
-        from_aggregate = OverlapLedger.from_timeline(aggregating)
-        assert from_aggregate.records()[0].fetch_s == records[0].fetch_s
-        assert from_aggregate.records()[0].hidden_s == records[0].hidden_s
 
 
 class TestClusterUtilizationTracker:
