@@ -99,6 +99,14 @@ class TestRetiredKnobs:
         assert len(dataclasses.fields(TrainingJobSpec)) == 34
 
 
+class TestTelemetryWindow:
+    @pytest.mark.parametrize("window", [0, -5])
+    def test_window_below_one_rejected(self, window):
+        # The field is gone, so every window is rejected at construction.
+        with pytest.raises(TypeError, match="telemetry_window"):
+            TrainingJobSpec(telemetry_window=window)
+
+
 class TestDeployment:
     def test_actor_inventory(self, deployed_system):
         system = deployed_system
