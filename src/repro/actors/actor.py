@@ -239,20 +239,17 @@ class ActorHandle:
     def state(self) -> ActorState:
         return self._system.actor_state(self.name)
 
-    def call(self, method: str, *args: object, timeout_s: float | None = None, **kwargs: object):
+    def call(self, method: str, *args: object, **kwargs: object):
         """Invoke ``method`` on the actor.
 
         Raises :class:`ActorDead` if the actor has failed or been stopped and
-        :class:`ActorTimeout` if failure injection delays the reply past
-        ``timeout_s``.
+        :class:`ActorTimeout` if failure injection times the actor out.
         """
-        return self._system.call_actor(self.name, method, args, kwargs, timeout_s=timeout_s)
+        return self._system.call_actor(self.name, method, args, kwargs)
 
-    def submit(
-        self, method: str, *args: object, timeout_s: float | None = None, **kwargs: object
-    ) -> ActorFuture:
+    def submit(self, method: str, *args: object, **kwargs: object) -> ActorFuture:
         """Enqueue ``method`` as a deferred call; completed when the system ticks."""
-        return self._system.submit_call(self.name, method, args, kwargs, timeout_s=timeout_s)
+        return self._system.submit_call(self.name, method, args, kwargs)
 
     def submit_timed(
         self,
@@ -261,7 +258,6 @@ class ActorHandle:
         step_tag: int | None = None,
         duration_s: float | None = None,
         earliest_start_s: float | None = None,
-        timeout_s: float | None = None,
         **kwargs: object,
     ) -> ActorFuture:
         """Enqueue a deferred call with explicit virtual-clock scheduling.
@@ -279,7 +275,6 @@ class ActorHandle:
             method,
             args,
             kwargs,
-            timeout_s=timeout_s,
             duration_s=duration_s,
             earliest_start_s=earliest_start_s,
             step_tag=step_tag,

@@ -493,25 +493,10 @@ class ActorSystem:
 
     # -- invocation ----------------------------------------------------------------------
 
-    def call_actor(
-        self,
-        name: str,
-        method: str,
-        args: tuple,
-        kwargs: dict,
-        timeout_s: float | None = None,
-    ):
-        return self.engine.direct_call(name, method, args, kwargs, timeout_s)
+    def call_actor(self, name: str, method: str, args: tuple, kwargs: dict):
+        return self.engine.direct_call(name, method, args, kwargs)
 
-    def invoke(
-        self,
-        name: str,
-        method: str,
-        args: tuple,
-        kwargs: dict,
-        timeout_s: float | None,
-        advance_rpc: bool,
-    ):
+    def invoke(self, name: str, method: str, args: tuple, kwargs: dict, advance_rpc: bool):
         """Shared execution core of synchronous and deferred dispatch.
 
         Applies failure injection and liveness checks, optionally charges the
@@ -546,7 +531,6 @@ class ActorSystem:
         method: str,
         args: tuple,
         kwargs: dict,
-        timeout_s: float | None = None,
         duration_s: float | None = None,
         earliest_start_s: float | None = None,
         step_tag: int | None = None,
@@ -581,7 +565,6 @@ class ActorSystem:
             method,
             args,
             kwargs,
-            timeout_s,
             ready_at_s=ready_at,
             duration_s=duration_s,
             step=step_tag,

@@ -79,7 +79,6 @@ class PendingCall:
     method: str
     args: tuple
     kwargs: dict
-    timeout_s: float | None
     #: Virtual instant the call became eligible to run (submit time, or the
     #: caller-declared causal dependency when ``earliest_start_s`` was given).
     ready_at_s: float = 0.0
@@ -212,11 +211,10 @@ class VirtualEngine:
 
     # -- submission ----------------------------------------------------------------------
 
-    def direct_call(self, name: str, method: str, args: tuple, kwargs: dict,
-                    timeout_s: float | None):
+    def direct_call(self, name: str, method: str, args: tuple, kwargs: dict):
         """Synchronous call: the body runs inline and only the RPC latency is
         charged to the clock (an inline call has no modelled duration here)."""
-        return self.system.invoke(name, method, args, kwargs, timeout_s, advance_rpc=True)
+        return self.system.invoke(name, method, args, kwargs, advance_rpc=True)
 
     def submit(self, call: PendingCall) -> None:
         queue = self._queues.get(call.name)
@@ -388,8 +386,7 @@ class VirtualEngine:
             clock_before = clock.now_s
             try:
                 result = system.invoke(
-                    name, call.method, call.args, call.kwargs, call.timeout_s,
-                    advance_rpc=False,
+                    name, call.method, call.args, call.kwargs, advance_rpc=False
                 )
             except Exception as exc:  # noqa: BLE001 - routed to the future
                 call.future._fail(exc)

@@ -307,8 +307,7 @@ class WallclockEngine:
             start_s = self.clock.now_s
             try:
                 result = system.invoke(
-                    call.name, call.method, call.args, call.kwargs, call.timeout_s,
-                    advance_rpc=False,
+                    call.name, call.method, call.args, call.kwargs, advance_rpc=False
                 )
             except Exception as exc:  # noqa: BLE001 - routed to the future
                 failure = exc
@@ -370,8 +369,7 @@ class WallclockEngine:
 
     # -- direct (synchronous) calls ------------------------------------------------------
 
-    def direct_call(self, name: str, method: str, args: tuple, kwargs: dict,
-                    timeout_s: float | None):
+    def direct_call(self, name: str, method: str, args: tuple, kwargs: dict):
         """Synchronous call through the actor's turnstile.
 
         The body serializes with submitted-call bodies (actor state is never
@@ -401,8 +399,7 @@ class WallclockEngine:
                     owned = True
         start_s = self.clock.now_s
         try:
-            result = self.system.invoke(name, method, args, kwargs, timeout_s,
-                                        advance_rpc=True)
+            result = self.system.invoke(name, method, args, kwargs, advance_rpc=True)
         finally:
             if owned:
                 with box.cond:

@@ -121,7 +121,6 @@ class FaultToleranceConfig:
     """Knobs controlling recovery behaviour."""
 
     loader_checkpoint_interval: int = 50
-    rpc_timeout_s: float = 5.0
     shadow_promotion_latency_s: float = 0.2
     coordinator_restart_latency_s: float = 2.0
     replay_latency_per_step_s: float = 0.01
@@ -374,7 +373,7 @@ class FaultToleranceManager:
     def probe_loader(self, handle: ActorHandle) -> bool:
         """Heartbeat a loader; returns True when it is healthy."""
         try:
-            payload = handle.call("heartbeat_payload", timeout_s=self.config.rpc_timeout_s)
+            payload = handle.call("heartbeat_payload")
         except (ActorDead, ActorTimeout):
             return False
         # Payload integrity check: a healthy loader reports its source.

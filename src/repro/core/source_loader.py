@@ -7,6 +7,10 @@ that metadata as the chunk arrives (a pool of parallel workers amortises the
 latency), keeps a read buffer of lightweight metadata the Planner can inspect,
 and stages prepared samples as columns for Data Constructors to fetch.
 
+A row is costed once per process: the costed row stays on its row group
+under the loader's cost key, so a shard-group mirror, or a loader rewound by
+a flush, restarted or restored, reads it back instead of costing it again.
+
 One step's work on one loader is a *ticket* and costs only its polls
 (:meth:`SourceLoader.poll`): the first poll carries the sample ids and
 registers the ticket, each poll transforms one chunk, and the final poll
@@ -122,13 +126,23 @@ class SourceLoader(Actor):
             source.profile.cost_per_token / max(1e-9, MODALITY_COST_PER_TOKEN[source.modality]),
             0.1,
         )
+        #: Everything :meth:`_cost_columns` reads besides a row's metadata.  A
+        #: row is costed once per process under this key, and every later
+        #: read of it, by any loader with the same key, reuses those costs.
+        self._cost_key = (
+            source.name,
+            tuple(map(repr, self.pipeline._transforms)),
+            tuple(self.pipeline.deferred_names),
+            self._latency_scale,
+            source.profile.fixed_cost_s,
+        )
         self.stats = LoaderStats()
 
         self._cursor: SourceCursor | None = None
         self._readers: list[ColumnarReader] = []
         #: Read buffer in arrival order: ``(metadata, transform latency,
-        #: transferred bytes)`` per row, the last two costed when the row's
-        #: chunk was ingested so preparing a sample is a lookup.  Keyed by
+        #: transferred bytes)`` per row, the last two costed when the process
+        #: first read the row so preparing a sample is a lookup.  Keyed by
         #: sample id (ids are unique within a buffer) so consuming a demanded
         #: id is O(1); dict insertion order preserves the arrival order.
         self._buffer: dict[int, tuple[SampleMetadata, float, int]] = {}
@@ -146,14 +160,15 @@ class SourceLoader(Actor):
         # Buffer delta log consumed by the Planner's columnar gather: every
         # buffer mutation is appended as ("add", metadata) / ("del", id) so a
         # single consumer can mirror the buffer incrementally instead of
-        # copying it whole each step (see :meth:`buffer_delta`).
-        self._delta_epoch = next(_DELTA_EPOCHS)
+        # copying it whole each step (see :meth:`buffer_delta`).  The log
+        # holds the events after ``_delta_base`` up to ``_delta_seq``.
         self._delta_seq = 0
         self._delta_base = 0
         self._delta_log: list[tuple[int, str, object]] = []
-        #: Log size cap: a loader nobody gathers from (standalone, shadow)
-        #: drops the log once it exceeds this, forcing a resync on first
-        #: gather instead of growing without bound.
+        self._new_delta_epoch()
+        #: Log size cap: a loader that was gathered from and then left the
+        #: gather set drops the log once it exceeds this, forcing a resync
+        #: on its next gather instead of growing without bound.
         self._delta_cap = max(4 * buffer_size, 256)
 
     # -- lifecycle -----------------------------------------------------------------------
@@ -185,7 +200,13 @@ class SourceLoader(Actor):
     # -- buffer management ------------------------------------------------------------------
 
     def refill(self) -> int:
-        """Top the read buffer back up to ``buffer_size`` metadata entries."""
+        """Top the read buffer back up to ``buffer_size`` metadata entries.
+
+        The cursor hands over costed buffer rows (:meth:`SourceCursor.take_costed`):
+        a row this process already costed under this loader's cost key — read
+        before by a shard-group mirror, or by this loader before a flush
+        rewind, restart or restore — is reused, not costed again.
+        """
         if self._cursor is None:
             raise PlanError(f"loader {self.actor_name!r} is not started")
         wanted = self.buffer_size - len(self._buffer)
@@ -195,17 +216,21 @@ class SourceLoader(Actor):
         # has wrapped around the shard onto a sample still waiting, and the
         # refill stops rather than introduce duplicates, the cursor left just
         # past the repeated row.  Only the ids are scanned to find that row.
+        ids = self._cursor.peek_ids(wanted)
         fresh: set[int] = set()
-        for sample_id in self._cursor.peek_ids(wanted):
+        for sample_id in ids:
             if sample_id in self._buffer or sample_id in fresh:
                 break
             fresh.add(sample_id)
         added = len(fresh)
-        chunk = self._cursor.take_columns(min(wanted, added + 1))
-        self._buffer.update(zip(chunk.sample_id[:added], self._cost_rows(chunk)))
+        rows = self._cursor.take_costed(
+            min(wanted, added + 1), self._cost_key, self._cost_columns
+        )
         if added:
-            records = chunk.records[:added]
-            self._metadata_by_id.update(zip(chunk.sample_id, records))
+            ids = ids[:added]
+            records = [row[0] for row in rows[:added]]
+            self._buffer.update(zip(ids, rows))
+            self._metadata_by_id.update(zip(ids, records))
             self._log_deltas("add", records)
             self.ledger.charge("prefetch_buffer", BUFFERED_METADATA_BYTES * added)
             self.stats.refills += 1
@@ -243,8 +268,11 @@ class SourceLoader(Actor):
         truncated past the caller) ``resync`` is true and ``buffer`` holds a
         full snapshot.  Served events are dropped from the log — the protocol
         assumes a single consumer (the Planner), which is also why a stale
-        position simply degenerates to a snapshot rather than an error.
+        position simply degenerates to a snapshot rather than an error.  The
+        log is kept only from an epoch's first call on: a loader nobody
+        gathers from (a fleet mirror, a shadow) builds none.
         """
+        self._gathered = True
         if (
             epoch != self._delta_epoch
             or since_seq < self._delta_base
@@ -382,9 +410,7 @@ class SourceLoader(Actor):
         """
         self._drop_staged()
         self._drop_buffer()
-        # New delta epoch: a consumer holding a log position from the
-        # pre-replay incarnation must resync rather than splice stale events.
-        self._delta_epoch = next(_DELTA_EPOCHS)
+        self._new_delta_epoch()
         self._metadata_by_id.clear()
         self._tickets.clear()
         self._cursor = SourceCursor(
@@ -467,7 +493,7 @@ class SourceLoader(Actor):
             )
         self._drop_staged()
         self._drop_buffer()
-        self._delta_epoch = next(_DELTA_EPOCHS)
+        self._new_delta_epoch()
         self._metadata_by_id.clear()
         self._tickets.clear()
         self._cursor = SourceCursor(
@@ -502,8 +528,8 @@ class SourceLoader(Actor):
         self.num_workers = num_workers
         return self.num_workers
 
-    def _cost_rows(self, chunk: MetadataColumns) -> list[tuple[SampleMetadata, float, int]]:
-        """Buffer rows for an ingested chunk: metadata, transform latency, staged bytes.
+    def _cost_columns(self, chunk: MetadataColumns) -> tuple[list[float], list[int]]:
+        """Transform latency and staged bytes of each row of an ingested chunk.
 
         Prepare is metadata-only: the pipeline's column evaluator gives what
         running the transforms over each sample would charge and ship, and the
@@ -512,9 +538,11 @@ class SourceLoader(Actor):
         latencies, transferred = self.pipeline.run_columns(chunk)
         scale = self._latency_scale
         fixed = self.source.profile.fixed_cost_s
-        return list(
-            zip(chunk.records, [latency * scale + fixed for latency in latencies], transferred)
-        )
+        return [latency * scale + fixed for latency in latencies], transferred
+
+    def _cost_rows(self, chunk: MetadataColumns) -> list[tuple[SampleMetadata, float, int]]:
+        """Buffer rows for an ingested chunk: metadata, transform latency, staged bytes."""
+        return list(zip(chunk.records, *self._cost_columns(chunk)))
 
     def _stage(self, sample_ids: list[int]) -> tuple[list[float], int]:
         """Move the demanded samples from the buffer to the staging columns.
@@ -643,16 +671,36 @@ class SourceLoader(Actor):
 
     # -- internals -----------------------------------------------------------------------------------
 
+    def _new_delta_epoch(self) -> None:
+        """Start a delta epoch (fresh loader, pristine replay, restore).
+
+        A consumer holding a log position from an earlier incarnation must
+        resync rather than splice stale events, so until the next
+        :meth:`buffer_delta` call no log is kept.
+        """
+        self._delta_epoch = next(_DELTA_EPOCHS)
+        self._gathered = False
+
     def _log_deltas(self, op: str, payloads: list) -> None:
-        """Append one ``op`` event per payload to the buffer delta log."""
+        """Append one ``op`` event per payload to the buffer delta log.
+
+        Before the epoch's first :meth:`buffer_delta` call only the sequence
+        advances: that call resyncs from a snapshot, so the events would be
+        dropped unread (a mirror, a shadow or a standalone loader is never
+        gathered from at all).
+        """
+        if not self._gathered:
+            self._delta_seq = self._delta_base = self._delta_seq + len(payloads)
+            return
         self._delta_log.extend(
             zip(itertools.count(self._delta_seq + 1), itertools.repeat(op), payloads)
         )
         self._delta_seq += len(payloads)
         if len(self._delta_log) > self._delta_cap:
-            # Nobody is consuming the log: it is dropped each time it grows
-            # past the cap, and the first gather, if any, starts from a
-            # snapshot.  What is left is what came in since the last drop.
+            # Nobody consumes the log any more (the loader left the gather
+            # set): it is dropped each time it grows past the cap, and the
+            # next gather, if any, starts from a snapshot.  What is left is
+            # what came in since the last drop.
             kept = len(self._delta_log) % (self._delta_cap + 1)
             del self._delta_log[: len(self._delta_log) - kept]
             self._delta_base = self._delta_seq - kept

@@ -9,6 +9,7 @@ partitions across Source Loader actors.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, repeat
 
@@ -142,11 +143,12 @@ class SourceCursor:
 
     The cursor reads lightweight metadata records out of the row groups of
     the source's columnar files (each row decoded once, whichever cursor gets
-    to it first); payload materialisation is left to the Source Loader /
-    transformation pipeline.  Its state is the row-group index plus one
-    position: shard row ``k`` is global row ``shard_index + k * shard_count``,
-    located by bisecting the row groups' prefix offsets, so the cursor itself
-    holds nothing per row.
+    to it first), or a Source Loader's costed buffer rows
+    (:meth:`take_costed`, each row costed once per cost key); payload
+    materialisation is left to the Source Loader / transformation pipeline.
+    Its state is the row-group index plus one position: shard row ``k`` is
+    global row ``shard_index + k * shard_count``, located by bisecting the
+    row groups' prefix offsets, so the cursor itself holds nothing per row.
     """
 
     def __init__(
@@ -231,13 +233,73 @@ class SourceCursor:
         rows = decoded[picked] = [row or next(fresh) for row in rows]
         return MetadataColumns(rows, ids, **columns)
 
-    def take_columns(self, count: int) -> MetadataColumns:
-        """Read the next ``count`` samples as one chunk (wrapping at the end of shard)."""
+    def _read_costed(self, group: RowGroup, picked: slice, key: tuple, cost) -> list:
+        """``group``'s rows at ``picked`` as ``(metadata, latency_s, bytes)`` rows.
+
+        As with decoded records, a row is costed the first time any cursor
+        reads it under ``key`` and its costs stay on the row group
+        (``group.decoded[key]``, a latency list and a bytes list), so every
+        later read of it is list slices.  A row's record and bytes are written
+        before its latency, and a reader looks at the latency first: a reader
+        on another thread never sees a latency without its bytes.
+        """
+        costs = group.decoded.get(key)
+        if costs is None:
+            costs = group.decoded.setdefault(
+                key, ([None] * group.row_count, [None] * group.row_count)
+            )
+        latencies, sizes = costs
+        latency = latencies[picked]
+        if None not in latency:
+            records = group.decoded[self.source.name][picked]
+            return list(zip(records, latency, sizes[picked]))
+        chunk = self._read(group, picked)
+        records = chunk.records
+        missing = [index for index, value in enumerate(latency) if value is None]
+        if len(missing) == len(records):
+            latency, size = cost(chunk)
+        else:
+            fresh = cost(MetadataColumns.from_records([records[index] for index in missing]))
+            size = sizes[picked]
+            for index, value, nbytes in zip(missing, *fresh):
+                latency[index] = value
+                size[index] = nbytes
+        sizes[picked] = size
+        latencies[picked] = latency
+        return list(zip(records, latency, size))
+
+    def _check_shard(self) -> None:
         if not self._shard_rows:
             raise ConfigurationError(f"source {self.source.name!r} shard is empty")
+
+    def take_columns(self, count: int) -> MetadataColumns:
+        """Read the next ``count`` samples as one chunk (wrapping at the end of shard)."""
+        self._check_shard()
         parts = [self._read(group, picked) for group, picked in self._segments(count)]
         self._position += count
         return MetadataColumns.join(parts)
+
+    def take_costed(
+        self,
+        count: int,
+        key: tuple,
+        cost: Callable[[MetadataColumns], tuple[list[float], list[int]]],
+    ) -> list[tuple[SampleMetadata, float, int]]:
+        """``(metadata, latency_s, bytes)`` for the next ``count`` samples
+        (wrapping at the end of shard): a Source Loader's buffer rows.
+
+        ``cost(chunk)`` gives a chunk's latencies and bytes, one per record;
+        ``key`` must cover everything ``cost`` reads besides the chunk.  Only
+        rows no cursor has read under ``key`` yet are costed, and only the
+        ``count`` rows returned: nothing is costed ahead.
+        """
+        self._check_shard()
+        parts = [
+            self._read_costed(group, picked, key, cost)
+            for group, picked in self._segments(count)
+        ]
+        self._position += count
+        return parts[0] if len(parts) == 1 else [row for part in parts for row in part]
 
     def next_metadata(self) -> SampleMetadata:
         """Return metadata for the next sample (wrapping at the end of shard)."""
@@ -248,8 +310,7 @@ class SourceCursor:
 
     def peek_ids(self, count: int) -> list[int]:
         """Sample ids of the next ``count`` rows, without reading them."""
-        if not self._shard_rows:
-            raise ConfigurationError(f"source {self.source.name!r} shard is empty")
+        self._check_shard()
         return [
             int(value)
             for group, picked in self._segments(count)

@@ -39,9 +39,10 @@ class RowGroup:
     columns: dict[str, list] = field(default_factory=dict)
     compressed_bytes: int = 0
     #: Per source name, this group's rows as the records a cursor decoded them
-    #: into (None until first read).  Row groups are immutable, so every
-    #: cursor over the file shares the one decoded copy.
-    decoded: dict[str, list] = field(default_factory=dict, repr=False, compare=False)
+    #: into; per Source Loader cost key, a list of their transform latencies
+    #: and one of their staged bytes (None until first read).  Row groups are
+    #: immutable, so every cursor over the file shares the one decoded copy.
+    decoded: dict[str | tuple, list] = field(default_factory=dict, repr=False, compare=False)
 
     def column(self, name: str) -> list:
         try:

@@ -213,6 +213,32 @@ class TestFleetMechanics:
         finally:
             system.shutdown()
 
+    @pytest.mark.parametrize("prefetch_depth", [0, 2])
+    def test_mirrors_keep_no_delta_log(self, prefetch_depth):
+        """Only the canonical is gathered from: a mirror's buffer churns every
+        step but it logs nothing, and its first gather is a full snapshot."""
+        system = MegaScaleData.deploy(make_job(prefetch_depth, elastic=False))
+        try:
+            system.run_step()
+            source = "navit_data/src000"
+            system.scale_source(source, 3)
+            for _ in range(4):
+                system.run_step()
+            mirrors = [
+                member.instance()
+                for group in system.fleet._by_source[source]
+                for member in group.members[1:]
+            ]
+            assert mirrors
+            for mirror in mirrors:
+                assert mirror.stats.samples_buffered > mirror.buffer_size  # it churned
+                assert mirror._delta_log == []
+                reply = mirror.buffer_delta(-1, -1)
+                assert reply["resync"]
+                assert reply["buffer"] == mirror.summary_buffer()
+        finally:
+            system.shutdown()
+
     def test_placement_rejection_reconciles_scaler(self):
         """Node budgets gate scale-up: with the cluster saturated, directives
         are rejected, recorded, and the scaler adopts the true fleet size."""

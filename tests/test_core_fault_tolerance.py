@@ -58,6 +58,11 @@ class TestDetection:
         system.failures.timeout(primary.name)
         assert manager.detect_failures([primary]) == [primary]
 
+    def test_no_per_call_rpc_timeout(self):
+        """No engine bounds a call by a timeout, so the heartbeat has none to pass."""
+        with pytest.raises(TypeError, match="rpc_timeout_s"):
+            FaultToleranceConfig(rpc_timeout_s=1.0)
+
 
 class TestCheckpointing:
     def test_checkpoint_written_on_interval(self, system, manager, small_catalog, filesystem):

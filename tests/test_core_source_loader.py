@@ -459,6 +459,7 @@ def test_chunked_refill_equals_the_per_row_loop(source_index, shard_count, buffe
 def test_batched_delta_log_equals_one_event_at_a_time(backlog, batches):
     """The capped log drops and re-bases exactly where per-event logging did."""
     loader = SourceLoader(PROPERTY_CATALOG.sources()[0], PROPERTY_FILESYSTEM, buffer_size=8)
+    assert loader.buffer_delta(-1, -1)["resync"]  # the log is kept once gathered from
     cap = loader._delta_cap
     assert cap == 256
     log: list[tuple[int, str, object]] = []
@@ -473,6 +474,84 @@ def test_batched_delta_log_equals_one_event_at_a_time(backlog, batches):
                 base = seq
         assert loader._delta_log == log
         assert (loader._delta_seq, loader._delta_base) == (seq, base)
+
+
+# -- a row is costed once per process, per cost key ------------------------------------
+
+
+def fresh_catalog(samples_per_source=64):
+    """A catalog over its own files: rows nothing has read or costed yet."""
+    filesystem = SimulatedFileSystem()
+    spec = navit_like_spec(num_sources=6, samples_per_source=samples_per_source, seed=7)
+    return build_source_catalog(spec, filesystem), filesystem
+
+
+@pytest.mark.parametrize("plain_first", [True, False])
+def test_loaders_with_different_deferred_transforms_never_share_costs(plain_first):
+    """Two loaders of one image source over the same row groups, one with
+    ``image_decode`` deferred: each stages what it would stage alone."""
+    catalog, filesystem = fresh_catalog()
+    index = next(i for i, s in enumerate(catalog.sources()) if s.modality.value == "image")
+    variants = [{}, {"deferred_transforms": {"image_decode"}}]
+    if not plain_first:
+        variants.reverse()
+
+    def stage(system, catalog, filesystem, options):
+        handle = spawn_loader(system, catalog, filesystem, index, buffer_size=16, **options)
+        ids = [m.sample_id for m in handle.instance().summary_buffer()]
+        first = handle.call("prepare", ids[::2])
+        fetch(system, handle, ids[::2])
+        ids = [m.sample_id for m in handle.instance().summary_buffer()]  # refilled rows too
+        second = handle.call("prepare", ids)
+        return first, second, list(fetch(system, handle, ids).transferred_bytes)
+
+    shared = fresh_system()
+    together = [stage(shared, catalog, filesystem, options) for options in variants]
+    alone = [stage(fresh_system(), *fresh_catalog(), options) for options in variants]
+    assert together == alone
+    assert together[0][2] != together[1][2]  # deferring the decode ships other bytes
+
+
+def test_concurrent_first_reads_cost_every_row_whole():
+    """Under ``backend="wallclock"`` a canonical and its mirror can refill at
+    once: threads (more than cores) read the same fresh rows through their own
+    cursors, released together, and each row carries its latency and its
+    bytes, as read alone."""
+    import os
+    import sys
+    import threading
+
+    catalog, filesystem = fresh_catalog(samples_per_source=256)
+    reference, reference_fs = fresh_catalog(samples_per_source=256)
+    readers = (os.cpu_count() or 1) + 1
+    chunk = 8
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for index, source in enumerate(catalog.sources()):
+            loader = SourceLoader(source, filesystem)
+            key, cost = loader._cost_key, loader._cost_columns
+            cursors = [SourceCursor(source, filesystem) for _ in range(readers)]
+            expected = SourceCursor(reference.sources()[index], reference_fs).take_costed(
+                source.num_samples, key, cost
+            )
+            barrier = threading.Barrier(readers, timeout=30)
+            got = [[] for _ in range(readers)]
+
+            def read(reader):
+                for _ in range(source.num_samples // chunk):
+                    barrier.wait()
+                    got[reader].extend(cursors[reader].take_costed(chunk, key, cost))
+
+            threads = [threading.Thread(target=read, args=(r,)) for r in range(readers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert all(rows == expected for rows in got)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 #: sha256 over ``(step, rank, microbatch, token_count, payload_bytes)`` of three

@@ -176,9 +176,11 @@ def test_recovered_loader_serves_subsequent_prefetch():
 
 def test_a_row_is_decoded_once_however_often_it_is_reread(monkeypatch):
     """Mirrors, flush rewinds, restarts and ``restore`` re-read rows the process
-    already decoded: none of those reads may build a ``SampleMetadata`` again."""
+    already decoded and costed: none of those reads may build a
+    ``SampleMetadata`` again, nor refill a buffer by costing a row again."""
     from repro.data import sources
     from repro.data.mixture import MixtureSchedule
+    from repro.transforms.pipeline import TransformPipeline
 
     built = []
     plain_record = sources.SampleMetadata
@@ -186,14 +188,44 @@ def test_a_row_is_decoded_once_however_often_it_is_reread(monkeypatch):
         sources, "SampleMetadata", lambda *fields: built.append(1) or plain_record(*fields)
     )
     served = []
-    plain_take = sources.SourceCursor.take_columns
+    plain_take = sources.SourceCursor.take_costed
 
-    def take_columns(cursor, count):
-        chunk = plain_take(cursor, count)
-        served.extend((cursor.source.name, sample_id) for sample_id in chunk.sample_id)
-        return chunk
+    def take_costed(cursor, count, key, cost):
+        rows = plain_take(cursor, count, key, cost)
+        served.extend((cursor.source.name, row[0].sample_id) for row in rows)
+        return rows
 
-    monkeypatch.setattr(sources.SourceCursor, "take_columns", take_columns)
+    monkeypatch.setattr(sources.SourceCursor, "take_costed", take_costed)
+
+    # Every row the transform pipeline costs: (loader method, source, sample id).
+    costed = []
+    callers = []
+
+    def traced(method):
+        plain = getattr(SourceLoader, method)
+
+        def call(loader, *args):
+            callers.append(method)
+            try:
+                return plain(loader, *args)
+            finally:
+                callers.pop()
+
+        monkeypatch.setattr(SourceLoader, method, call)
+
+    for method in ("refill", "restore_replay_checkpoint", "_stage"):
+        traced(method)
+    plain_run = TransformPipeline.run_columns
+
+    def run_columns(pipeline, chunk):
+        # A mixed-modality chunk is costed one modality at a time, through
+        # this same method: its rows are counted there, once.
+        if len(set(chunk.modality)) < 2:
+            caller = callers[-1] if callers else None
+            costed.extend((caller, m.source, m.sample_id) for m in chunk.records)
+        return plain_run(pipeline, chunk)
+
+    monkeypatch.setattr(TransformPipeline, "run_columns", run_columns)
 
     job = TrainingJobSpec(
         pp=1, dp=2, cp=1, tp=1, encoder=None, strategy="backbone_balance",
@@ -240,6 +272,13 @@ def test_a_row_is_decoded_once_however_often_it_is_reread(monkeypatch):
         system.shutdown()
     assert len(served) > 3 * len(set(served))  # the scenario does re-read
     assert len(built) <= len(set(served))
+    refilled = [(source, sample_id) for caller, source, sample_id in costed if caller == "refill"]
+    assert refilled and len(refilled) == len(set(refilled))
+    # What is still costed again: a restored snapshot's buffer, and a demanded
+    # id the loader no longer buffers.
+    others = {caller for caller, *_ in costed} - {"refill"}
+    assert "restore_replay_checkpoint" in others
+    assert others <= {"restore_replay_checkpoint", "_stage"}
 
 
 # -- planner faults: one policy at every depth ---------------------------------------
@@ -360,14 +399,14 @@ def fault_polls(monkeypatch, kind: str, which: str, loaders: int = 1) -> dict:
             return False
         return system.actor_instance(name)._tickets[args[0]].remaining() <= args[1]
 
-    def faulty_invoke(self, name, method, args, kwargs, timeout_s, advance_rpc):
+    def faulty_invoke(self, name, method, args, kwargs, advance_rpc):
         disarm = None
         with picking:
             if is_target(self, name, method, args):
                 log["faulted"].append((name, args[0]))
                 disarm = arm_fault(self, kind, name)
         try:
-            result = invoke(self, name, method, args, kwargs, timeout_s, advance_rpc)
+            result = invoke(self, name, method, args, kwargs, advance_rpc)
         except (ActorDead, ActorTimeout):
             if method == "poll":
                 log["polls"].append((name, args[0], args[2] is not None, True))
