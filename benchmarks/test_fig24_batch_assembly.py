@@ -40,7 +40,7 @@ import time
 
 import numpy as np
 
-from repro.core.assembly import StagedColumns
+from repro.core.assembly import PreparedColumns
 from repro.core.data_constructor import DataConstructor, RankDelivery
 from repro.core.plans import MicrobatchAssignment, ModulePlan
 from repro.data.samples import Modality, SampleMetadata
@@ -169,10 +169,9 @@ def _assert_deliveries_identical(metas: list[SampleMetadata]) -> None:
         max_sequence_length=MAX_SEQUENCE_LENGTH,
         packing=True,
     )
-    staged = StagedColumns()
-    for meta in metas:
-        staged.append(meta, meta.raw_bytes)
-    payload, _ = staged.take([meta.sample_id for meta in metas])
+    payload = PreparedColumns.from_rows(
+        [(m.sample_id, m.text_tokens, m.image_tokens, m.raw_bytes) for m in metas]
+    )
     constructor.construct(0, plan, payload)
 
     expected: dict[int, RankDelivery] = {}

@@ -1,27 +1,30 @@
 """Columnar (struct-of-arrays) views over buffered sample metadata.
 
 Buffered :class:`~repro.data.samples.SampleMetadata` reaches the Planner and
-the DGraph as columns, so a planning cycle costs numpy index arithmetic over
-the buffered set rather than per-sample Python object churn.  Two building
-blocks:
+the DGraph as :class:`SampleColumns`, so a planning cycle costs numpy index
+arithmetic over the rows it selects rather than per-sample Python object
+churn.  Two building blocks:
 
 - :class:`SampleColumns` — an immutable struct-of-arrays view over a set of
   buffered samples: numpy arrays for sample id, token counts and source
   codes, plus an object array of the metadata records themselves so plan
   finalization emits the very :class:`SampleMetadata` objects the loaders
-  buffered.  Selection, filtering, rotation and concatenation are all
-  fancy-indexing / ``np.concatenate`` — C speed, no per-sample Python.
-- :class:`ColumnarBufferCache` — the Planner's persistent per-loader mirror
-  of one Source Loader's read buffer, updated *incrementally* from the
-  loader's :meth:`~repro.core.source_loader.SourceLoader.buffer_delta` event
-  log instead of re-copying the full buffer every step.  Removals tombstone
-  rows and appends accumulate in pending column lists, so the per-step cost
-  is O(delta) amortised; compaction runs only when tombstones pile up.
+  buffered.  A set gathered from the loaders (:meth:`SampleColumns.of_source`)
+  holds only its record list and builds its arrays on first read: length,
+  per-source grouping, rotation, selection and the concatenation of
+  distinct sources work on the lists, so a plan builds arrays once, over the
+  rows it selects.
+- :class:`BufferMirror` — the Planner's persistent per-loader mirror of one
+  Source Loader's read buffer: an insertion-ordered ``sample_id -> metadata``
+  dict updated from the loader's
+  :meth:`~repro.core.source_loader.SourceLoader.buffer_delta` event log, so
+  the per-step cost is O(delta).
 
-Row order is authoritative: a loader's buffer only ever appends at the end
-and removes from the middle, and the cache replays exactly those operations,
-so :meth:`ColumnarBufferCache.columns` reproduces the loader's buffer order
-byte for byte — the property plan determinism rests on.
+Row order is authoritative: a loader's buffer is a dict that only ever
+appends at the end and removes from the middle, and the mirror replays
+exactly those operations onto a dict of its own, so
+:meth:`BufferMirror.records` reproduces the loader's buffer order byte for
+byte — the property plan determinism rests on.
 """
 
 from __future__ import annotations
@@ -30,10 +33,23 @@ import numpy as np
 
 from repro.data.samples import SampleMetadata
 
-#: Tombstone fraction beyond which the cache compacts its backing arrays.
-COMPACT_TOMBSTONE_FRACTION = 0.5
-#: Never bother compacting arrays smaller than this.
-COMPACT_MIN_ROWS = 64
+#: The array slots a lazy set (:meth:`SampleColumns.of_source`) fills on first read.
+_ARRAYS = ("sample_ids", "text_tokens", "image_tokens", "total_tokens", "source_codes", "metas")
+
+
+def _record_arrays(
+    records: list[SampleMetadata],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Id, text token and image token arrays plus the object array of ``records``."""
+    count = len(records)
+    metas = np.empty(count, dtype=object)
+    metas[:] = records
+    return (
+        np.fromiter((s.sample_id for s in records), dtype=np.int64, count=count),
+        np.fromiter((s.text_tokens for s in records), dtype=np.int64, count=count),
+        np.fromiter((s.image_tokens for s in records), dtype=np.int64, count=count),
+        metas,
+    )
 
 
 class SampleColumns:
@@ -51,17 +67,13 @@ class SampleColumns:
         ``object`` array of the underlying :class:`SampleMetadata` records —
         fancy indexing over it keeps selection vectorized while letting the
         finalized plan carry the very objects the loaders buffered.
+
+    A lazy set (:meth:`of_source`, and :meth:`concat` of lazy sets over
+    distinct sources) keeps its records as one list with one run per source
+    and builds these arrays only when one is read.
     """
 
-    __slots__ = (
-        "sample_ids",
-        "text_tokens",
-        "image_tokens",
-        "total_tokens",
-        "source_codes",
-        "sources",
-        "metas",
-    )
+    __slots__ = (*_ARRAYS, "sources", "_rows", "_ends")
 
     def __init__(
         self,
@@ -79,6 +91,9 @@ class SampleColumns:
         self.source_codes = source_codes
         self.sources = sources
         self.metas = metas
+        #: Lazy sets only: the records, and the end of each source's run.
+        self._rows: list[SampleMetadata] | None = None
+        self._ends: list[int] | None = None
 
     # -- constructors ---------------------------------------------------------------
 
@@ -94,36 +109,32 @@ class SampleColumns:
         )
 
     @classmethod
-    def from_samples(cls, samples: list[SampleMetadata]) -> "SampleColumns":
-        """Build columns from metadata objects (one attribute pass per sample).
+    def of_source(cls, source: str, records: list[SampleMetadata]) -> "SampleColumns":
+        """One source's buffered records, in buffer order; arrays built on first read."""
+        return cls._lazy((source,), records, [len(records)])
 
-        Used for snapshots/resyncs and as the generic fallback; the steady
-        state maintains columns incrementally via :class:`ColumnarBufferCache`.
-        """
+    @classmethod
+    def _lazy(
+        cls, sources: tuple[str, ...], rows: list[SampleMetadata], ends: list[int]
+    ) -> "SampleColumns":
+        columns = cls.__new__(cls)
+        columns.sources = sources
+        columns._rows = rows
+        columns._ends = ends
+        return columns
+
+    @classmethod
+    def from_samples(cls, samples: list[SampleMetadata]) -> "SampleColumns":
+        """Build columns from metadata records of any sources, in the given order."""
         if not samples:
             return cls.empty()
-        count = len(samples)
-        codes = np.empty(count, dtype=np.int32)
+        codes = np.empty(len(samples), dtype=np.int32)
         code_of: dict[str, int] = {}
         for index, sample in enumerate(samples):
             code = code_of.setdefault(sample.source, len(code_of))
             codes[index] = code
-        metas = np.empty(count, dtype=object)
-        metas[:] = samples
-        return cls(
-            sample_ids=np.fromiter(
-                (s.sample_id for s in samples), dtype=np.int64, count=count
-            ),
-            text_tokens=np.fromiter(
-                (s.text_tokens for s in samples), dtype=np.int64, count=count
-            ),
-            image_tokens=np.fromiter(
-                (s.image_tokens for s in samples), dtype=np.int64, count=count
-            ),
-            source_codes=codes,
-            sources=tuple(code_of),
-            metas=metas,
-        )
+        sample_ids, text_tokens, image_tokens, metas = _record_arrays(samples)
+        return cls(sample_ids, text_tokens, image_tokens, codes, tuple(code_of), metas)
 
     @classmethod
     def coerce(cls, samples) -> "SampleColumns":
@@ -141,11 +152,23 @@ class SampleColumns:
 
     @classmethod
     def concat(cls, parts: list["SampleColumns"]) -> "SampleColumns":
-        """Concatenate column sets, merging (and deduplicating) source tables."""
+        """Concatenate column sets, merging (and deduplicating) source tables.
+
+        Lazy sets over distinct sources concatenate lazily: one record list,
+        one run per source.
+        """
         if not parts:
             return cls.empty()
         if len(parts) == 1:
             return parts[0]
+        sources = tuple(name for part in parts for name in part.sources)
+        if len(set(sources)) == len(sources) and all(part._rows is not None for part in parts):
+            rows: list[SampleMetadata] = []
+            ends: list[int] = []
+            for part in parts:
+                ends.extend(len(rows) + end for end in part._ends)
+                rows.extend(part._rows)
+            return cls._lazy(sources, rows, ends)
         code_of: dict[str, int] = {}
         recoded: list[np.ndarray] = []
         for part in parts:
@@ -165,13 +188,40 @@ class SampleColumns:
             metas=np.concatenate([part.metas for part in parts]),
         )
 
+    # -- lazy sets ------------------------------------------------------------------
+
+    def __getattr__(self, name: str):
+        # Reached only for an unset slot: a lazy set's arrays, built here
+        # once over its whole record list.
+        if name not in _ARRAYS or self._rows is None:
+            raise AttributeError(name)
+        built = self._build(np.arange(len(self._rows)))
+        for slot in _ARRAYS:
+            setattr(self, slot, getattr(built, slot))
+        return getattr(self, name)
+
+    def _build(self, positions: np.ndarray) -> "SampleColumns":
+        """Columns over a lazy set's rows at ``positions`` (one array build)."""
+        records = list(map(self._rows.__getitem__, positions.tolist()))
+        sample_ids, text_tokens, image_tokens, metas = _record_arrays(records)
+        codes = np.searchsorted(self._ends, positions, side="right").astype(np.int32)
+        return SampleColumns(sample_ids, text_tokens, image_tokens, codes, self.sources, metas)
+
+    def _runs(self):
+        """``(start, end)`` of each source's rows in a lazy set, in code order."""
+        return zip([0, *self._ends], self._ends)
+
     # -- views ----------------------------------------------------------------------
 
     def __len__(self) -> int:
+        if self._rows is not None:
+            return len(self._rows)
         return len(self.sample_ids)
 
     def select(self, indices: np.ndarray) -> "SampleColumns":
         """Rows at ``indices`` (fancy indexing; preserves the given order)."""
+        if self._rows is not None:
+            return self._build(np.asarray(indices, dtype=np.intp))
         return SampleColumns(
             sample_ids=self.sample_ids[indices],
             text_tokens=self.text_tokens[indices],
@@ -190,8 +240,15 @@ class SampleColumns:
 
         Byte-identical to ``(rows[offset:] + rows[:offset])[:count]`` for
         ``count <= len(rows)`` — the rotation the framework's deterministic
-        per-step buffer bounding applies.
+        per-step buffer bounding applies.  A lazy one-source set rotates its
+        record list and stays lazy.
         """
+        rows = self._rows
+        if rows is not None and len(self.sources) == 1 and 0 <= count <= len(rows):
+            offset %= max(1, len(rows))
+            taken = rows[offset : offset + count]
+            taken += rows[: count - len(taken)]
+            return SampleColumns.of_source(self.sources[0], taken)
         if len(self) == 0 or count <= 0:
             return self.select(np.empty(0, dtype=np.intp))
         indices = (np.arange(count, dtype=np.intp) + offset) % len(self)
@@ -199,6 +256,8 @@ class SampleColumns:
 
     def source_order(self) -> list[int]:
         """Source codes present, ordered by first occurrence."""
+        if self._rows is not None:
+            return [code for code, (start, end) in enumerate(self._runs()) if end > start]
         if len(self) == 0:
             return []
         present, first = np.unique(self.source_codes, return_index=True)
@@ -206,6 +265,12 @@ class SampleColumns:
 
     def pool_positions(self) -> dict[int, np.ndarray]:
         """Row positions per source code, each ascending."""
+        if self._rows is not None:
+            return {
+                code: np.arange(start, end)
+                for code, (start, end) in enumerate(self._runs())
+                if end > start
+            }
         order = np.argsort(self.source_codes, kind="stable")
         sorted_codes = self.source_codes[order]
         pools: dict[int, np.ndarray] = {}
@@ -216,19 +281,20 @@ class SampleColumns:
         return pools
 
     def to_list(self) -> list[SampleMetadata]:
+        if self._rows is not None:
+            return list(self._rows)
         return self.metas.tolist()
 
 
-class ColumnarBufferCache:
-    """Planner-side incremental mirror of one Source Loader's read buffer.
+class BufferMirror:
+    """Planner-side mirror of one Source Loader's read buffer.
 
-    The cache consumes the loader's delta event log — ``("add", metadata)`` /
-    ``("del", sample_id)`` in mutation order — and maintains backing arrays
-    with an alive mask plus pending-append column lists, so each step costs
-    O(delta events) amortised rather than O(buffer).  ``epoch``/``seq`` track
-    the loader's log position for the next gather; a loader restart or log
-    truncation surfaces as a mismatch there and the Planner resynchronises
-    via :meth:`snapshot`.
+    An insertion-ordered ``sample_id -> metadata`` dict that replays the
+    loader's delta event log — ``("add", metadata)`` / ``("del", sample_id)``
+    in mutation order — so each step costs O(delta events).  ``epoch``/``seq``
+    track the loader's log position for the next gather; a loader restart or
+    log truncation surfaces as a mismatch there and the Planner
+    resynchronises via :meth:`snapshot`.
     """
 
     def __init__(self, source: str) -> None:
@@ -236,128 +302,27 @@ class ColumnarBufferCache:
         #: Loader log position acknowledged by the previous gather.
         self.epoch = -1
         self.seq = -1
-        self._ids = np.empty(0, dtype=np.int64)
-        self._text = np.empty(0, dtype=np.int64)
-        self._image = np.empty(0, dtype=np.int64)
-        self._metas = np.empty(0, dtype=object)
-        self._alive = np.empty(0, dtype=bool)
-        self._pending_ids: list[int] = []
-        self._pending_text: list[int] = []
-        self._pending_image: list[int] = []
-        self._pending_metas: list[SampleMetadata] = []
-        self._pending_alive: list[bool] = []
-        self._pos: dict[int, int] = {}
-        self._live = 0
-        self._columns: SampleColumns | None = None
-
-    # -- mutation -------------------------------------------------------------------
+        self._rows: dict[int, SampleMetadata] = {}
 
     def snapshot(self, samples: list[SampleMetadata]) -> None:
-        """Replace the cache contents with a full buffer snapshot (resync)."""
-        count = len(samples)
-        self._ids = np.fromiter(
-            (s.sample_id for s in samples), dtype=np.int64, count=count
-        )
-        self._text = np.fromiter(
-            (s.text_tokens for s in samples), dtype=np.int64, count=count
-        )
-        self._image = np.fromiter(
-            (s.image_tokens for s in samples), dtype=np.int64, count=count
-        )
-        self._metas = np.empty(count, dtype=object)
-        self._metas[:] = samples
-        self._alive = np.ones(count, dtype=bool)
-        self._pending_ids.clear()
-        self._pending_text.clear()
-        self._pending_image.clear()
-        self._pending_metas.clear()
-        self._pending_alive.clear()
-        self._pos = {int(sample_id): index for index, sample_id in enumerate(self._ids)}
-        self._live = count
-        self._columns = None
+        """Replace the mirror's contents with a full buffer snapshot (resync)."""
+        self._rows = {sample.sample_id: sample for sample in samples}
 
     def apply(self, events: list[tuple[str, object]]) -> None:
-        """Replay loader buffer mutations, in order, onto the cache."""
-        if not events:
-            return
-        base_len = len(self._ids)
+        """Replay loader buffer mutations, in order, onto the mirror."""
+        rows = self._rows
         for op, payload in events:
             if op == "add":
-                metadata: SampleMetadata = payload  # type: ignore[assignment]
-                self._pos[metadata.sample_id] = base_len + len(self._pending_ids)
-                self._pending_ids.append(metadata.sample_id)
-                self._pending_text.append(metadata.text_tokens)
-                self._pending_image.append(metadata.image_tokens)
-                self._pending_metas.append(metadata)
-                self._pending_alive.append(True)
-                self._live += 1
+                rows[payload.sample_id] = payload  # type: ignore[union-attr]
             elif op == "del":
-                index = self._pos.pop(int(payload), None)
-                if index is None:
-                    continue  # defensive: unknown id (should not happen)
-                if index >= base_len:
-                    self._pending_alive[index - base_len] = False
-                else:
-                    self._alive[index] = False
-                self._live -= 1
+                rows.pop(payload, None)
             else:  # pragma: no cover - protocol misuse
                 raise ValueError(f"unknown buffer delta op {op!r}")
-        self._columns = None
-
-    # -- views ----------------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return self._live
 
     def sample_ids(self) -> list[int]:
-        """Live sample ids in buffer order (tests / resync verification)."""
-        return self.columns().sample_ids.tolist()
+        """Buffered sample ids in buffer order (tests / resync verification)."""
+        return list(self._rows)
 
-    def columns(self) -> SampleColumns:
-        """The live rows as :class:`SampleColumns`, in loader buffer order."""
-        if self._columns is not None:
-            return self._columns
-        if self._pending_ids:
-            self._ids = np.concatenate(
-                [self._ids, np.asarray(self._pending_ids, dtype=np.int64)]
-            )
-            self._text = np.concatenate(
-                [self._text, np.asarray(self._pending_text, dtype=np.int64)]
-            )
-            self._image = np.concatenate(
-                [self._image, np.asarray(self._pending_image, dtype=np.int64)]
-            )
-            pending_metas = np.empty(len(self._pending_metas), dtype=object)
-            pending_metas[:] = self._pending_metas
-            self._metas = np.concatenate([self._metas, pending_metas])
-            self._alive = np.concatenate(
-                [self._alive, np.asarray(self._pending_alive, dtype=bool)]
-            )
-            self._pending_ids.clear()
-            self._pending_text.clear()
-            self._pending_image.clear()
-            self._pending_metas.clear()
-            self._pending_alive.clear()
-        ids = self._ids[self._alive]
-        text = self._text[self._alive]
-        image = self._image[self._alive]
-        metas = self._metas[self._alive]
-        if (
-            len(self._ids) > COMPACT_MIN_ROWS
-            and self._live < COMPACT_TOMBSTONE_FRACTION * len(self._ids)
-        ):
-            # Compact: the tombstoned majority is dropped and row positions
-            # re-derived.  Amortised O(1) per deletion — compaction only runs
-            # after at least half the backing rows died.
-            self._ids, self._text, self._image, self._metas = ids, text, image, metas
-            self._alive = np.ones(len(ids), dtype=bool)
-            self._pos = {int(sample_id): index for index, sample_id in enumerate(ids)}
-        self._columns = SampleColumns(
-            sample_ids=ids,
-            text_tokens=text,
-            image_tokens=image,
-            source_codes=np.zeros(len(ids), dtype=np.int32),
-            sources=(self.source,),
-            metas=metas,
-        )
-        return self._columns
+    def records(self):
+        """The buffered metadata in buffer order (a live view)."""
+        return self._rows.values()

@@ -296,7 +296,8 @@ def bound_buffer(
     """Deterministically subsample the buffered metadata to the step budget.
 
     Each source keeps the first ``share`` rows of its buffer rotated by a
-    per-step offset (index arithmetic over the gathered columns).
+    per-step offset (a slice of a gathered set's record list, so no arrays
+    are built for the rows it drops).
     Explicit ``quotas`` (degraded catch-up) replace the proportional
     share; a source whose buffer runs shorter than its quota hands the
     spare budget to the next sources.

@@ -20,9 +20,12 @@ Only lightweight metadata flows through the graph; payload bytes never do.
 
 Inside the graph the samples are one
 :class:`~repro.core.columns.SampleColumns` (metadata lists are converted at
-the door): ``mix``/``cost``/``plan`` run as numpy index arithmetic over the
-column arrays, ``balance`` packs row positions into the selection by one cost
-list aligned with it, and the per-sample lineage graph is **lazy** — nodes, edges
+the door).  The Planner's gather hands over lazy per-source record lists, so
+``mix`` groups and draws over index ranges, O(sources + selected), and builds
+column arrays once, for the rows it draws; ``cost``/``plan`` then run as
+numpy index arithmetic over those arrays, ``balance`` packs row positions
+into the selection by one cost list aligned with it, and the per-sample
+lineage graph is **lazy** — nodes, edges
 and state transitions are recorded as compact column-level operations and
 only expanded into :class:`DGraphNode`/:class:`DGraphEdge` objects when
 :attr:`nodes`, :attr:`edges` or :meth:`lineage` is actually consulted

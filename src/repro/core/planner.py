@@ -16,11 +16,12 @@ from repro.actors.actor import Actor, ActorHandle
 from repro.actors.gcs import GlobalControlStore
 from repro.core.autoscaler import MixtureDrivenScaler
 from repro.core.checkpoint import CheckpointStore
-from repro.core.columns import ColumnarBufferCache, SampleColumns
+from repro.core.columns import BufferMirror, SampleColumns
 from repro.core.place_tree import ClientPlaceTree
 from repro.core.plans import LoadingPlan, ScalingPlan
 from repro.core.strategies import StrategyFn
 from repro.data.mixture import MixtureSchedule
+from repro.data.samples import SampleMetadata
 from repro.errors import ActorDead, ActorTimeout, PlanError, StorageError
 
 #: Simulated cost of gathering one loader's buffer summary over RPC.
@@ -109,10 +110,10 @@ class Planner(Actor):
         self._loader_handles: list[ActorHandle] = []
         self._plan_history: list[LoadingPlan] = []
         self._step = 0
-        #: Columnar gather state: per-loader incremental buffer mirrors and
-        #: each loader's declared source (the bucket key even when a buffer
-        #: is momentarily empty).
-        self._gather_caches: dict[str, ColumnarBufferCache] = {}
+        #: Gather state: per-loader incremental buffer mirrors and each
+        #: loader's declared source (the bucket key even when a buffer is
+        #: momentarily empty).
+        self._mirrors: dict[str, BufferMirror] = {}
         self._declared_sources: dict[str, str] = {}
         #: Sources dropped from planning while degraded (all loaders dark).
         self._excluded_sources: frozenset[str] = frozenset()
@@ -126,12 +127,12 @@ class Planner(Actor):
     def register_loaders(self, handles: list[ActorHandle]) -> None:
         """Tell the Planner which Source Loaders exist (called at deploy time)."""
         self._loader_handles = list(handles)
-        # Re-registration (deploy-time wiring, failover swaps) drops caches
+        # Re-registration (deploy-time wiring, failover swaps) drops mirrors
         # for handles that left the gather set; replacement loaders start a
         # new delta epoch, so surviving names resynchronise automatically.
         names = {handle.name for handle in handles}
-        self._gather_caches = {
-            name: cache for name, cache in self._gather_caches.items() if name in names
+        self._mirrors = {
+            name: mirror for name, mirror in self._mirrors.items() if name in names
         }
         self._declared_sources = {
             name: source
@@ -183,42 +184,44 @@ class Planner(Actor):
     # -- planning -------------------------------------------------------------------------------
 
     def gather_buffer_columns(self) -> tuple[dict[str, SampleColumns], float]:
-        """Delta gather: maintain per-loader columnar mirrors incrementally.
+        """Delta gather: maintain per-loader buffer mirrors incrementally.
 
         Instead of copying every loader's whole buffer each step, ask each
         loader for the mutations since the previous gather
         (:meth:`~repro.core.source_loader.SourceLoader.buffer_delta`) and
-        replay them onto a persistent :class:`ColumnarBufferCache`.  A fresh
+        replay them onto a persistent :class:`BufferMirror`.  A fresh
         consumer position, a loader restart/pristine replay (new delta epoch)
         or a truncated log degenerates to a full snapshot for that loader —
         so the mirror is always exact, never merely hopefully-consistent.
         The modelled latency charges per delta event (or per sample on a
         resync), keeping gather cost proportional to churn rather than depth.
+        Each source gets a lazy column set over its mirrors' records
+        (:meth:`SampleColumns.of_source`): arrays are built only for rows a
+        strategy reads, so a plan builds them for the rows it selects.
         """
-        parts: dict[str, list[ColumnarBufferCache]] = {}
+        records: dict[str, list[SampleMetadata]] = {}
         latency = 0.0
         for handle in self._loader_handles:
             if self._is_excluded(handle):
                 continue
-            cache = self._gather_caches.get(handle.name)
-            if cache is None:
-                cache = ColumnarBufferCache(source=self._declared_source(handle))
-                self._gather_caches[handle.name] = cache
-            reply = handle.call("buffer_delta", cache.epoch, cache.seq)
+            mirror = self._mirrors.get(handle.name)
+            if mirror is None:
+                mirror = BufferMirror(source=self._declared_source(handle))
+                self._mirrors[handle.name] = mirror
+            reply = handle.call("buffer_delta", mirror.epoch, mirror.seq)
             if reply["resync"]:
                 buffer = reply["buffer"]
-                cache.snapshot(buffer)
+                mirror.snapshot(buffer)
                 latency += GATHER_RPC_SECONDS + GATHER_PER_SAMPLE_SECONDS * len(buffer)
             else:
                 events = reply["events"]
-                cache.apply(events)
+                mirror.apply(events)
                 latency += GATHER_RPC_SECONDS + GATHER_PER_DELTA_SECONDS * len(events)
-            cache.epoch = reply["epoch"]
-            cache.seq = reply["seq"]
-            parts.setdefault(cache.source, []).append(cache)
+            mirror.epoch = reply["epoch"]
+            mirror.seq = reply["seq"]
+            records.setdefault(mirror.source, []).extend(mirror.records())
         infos = {
-            source: SampleColumns.concat([cache.columns() for cache in caches])
-            for source, caches in parts.items()
+            source: SampleColumns.of_source(source, rows) for source, rows in records.items()
         }
         return infos, latency
 

@@ -5,7 +5,8 @@ source when the AutoScaler splits it).  It ingests metadata from the source's
 columnar files a chunk at a time, costs the sample-level transformations from
 that metadata as the chunk arrives (a pool of parallel workers amortises the
 latency), keeps a read buffer of lightweight metadata the Planner can inspect,
-and stages prepared samples as columns for Data Constructors to fetch.
+and stages prepared samples as rows that a fetch hands to Data Constructors
+as one column slice.
 
 A row is costed once per process: the costed row stays on its row group
 under the loader's cost key, so a shard-group mirror, or a loader rewound by
@@ -14,8 +15,8 @@ a flush, restarted or restored, reads it back instead of costing it again.
 One step's work on one loader is a *ticket* and costs only its polls
 (:meth:`SourceLoader.poll`): the first poll carries the sample ids and
 registers the ticket, each poll transforms one chunk, and the final poll
-publishes the staged columns as a ``prepared/`` GCS reference and returns its
-key.  There is no separate accept or hand-off call.
+publishes the ticket's staged rows as a ``prepared/`` GCS reference and
+returns its key.  There is no separate accept or hand-off call.
 
 Because the file access state lives in exactly one actor per source (not in
 every dataloader worker on every rank), source-scaling memory redundancy is
@@ -28,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 
 from repro.actors.actor import Actor
-from repro.core.assembly import StagedColumns
+from repro.core.assembly import PreparedColumns
 from repro.data.samples import MetadataColumns, SampleMetadata
 from repro.data.sources import DataSource, SourceCursor
 from repro.data.synthetic import MODALITY_COST_PER_TOKEN
@@ -146,9 +147,10 @@ class SourceLoader(Actor):
         #: sample id (ids are unique within a buffer) so consuming a demanded
         #: id is O(1); dict insertion order preserves the arrival order.
         self._buffer: dict[int, tuple[SampleMetadata, float, int]] = {}
-        #: Prepared samples awaiting hand-off, as struct-of-arrays columns
-        #: served by reference through :meth:`fetch_prepared_ref`.
-        self._staged_columns = StagedColumns()
+        #: Prepared samples awaiting hand-off: ``sample_id -> (sample_id,
+        #: text_tokens, image_tokens, transferred_bytes)``, turned into one
+        #: column slice by :meth:`fetch_prepared_ref`.
+        self._staged: dict[int, tuple[int, int, int, int]] = {}
         #: Monotone suffix for GCS hand-off keys minted by
         #: :meth:`fetch_prepared_ref`.
         self._ref_seq = 0
@@ -562,11 +564,16 @@ class SourceLoader(Actor):
                 record = self._metadata_by_id[sample_ids[index]]
                 (rows[index],) = self._cost_rows(MetadataColumns.from_records([record]))
         # The original metadata is staged: a crop inside the pipeline never
-        # reaches the hand-off columns.
-        self._staged_columns.extend(
-            [(m.sample_id, m.text_tokens, m.image_tokens, size) for m, _, size in rows]
+        # reaches the hand-off columns.  Staging an id again replaces its row.
+        staged = self._staged
+        replaced = sum(staged[sample_id][3] for sample_id in staged.keys() & sample_ids)
+        staged.update(
+            (m.sample_id, (m.sample_id, m.text_tokens, m.image_tokens, size))
+            for m, _, size in rows
         )
         staged_bytes = sum(size for _, _, size in rows)
+        if replaced:
+            self.ledger.release("sample_payload", replaced)
         if rows:
             self.ledger.charge("sample_payload", staged_bytes)
         return [latency for _, latency, _ in rows], staged_bytes
@@ -600,22 +607,31 @@ class SourceLoader(Actor):
     def fetch_prepared_ref(self, sample_ids: list[int]) -> dict[str, object]:
         """Hand staged samples to a Data Constructor, releasing their memory.
 
-        Zero-copy: the requested rows are gathered into an immutable
+        Zero-copy: the requested rows are built into one immutable
         :class:`~repro.core.assembly.PreparedColumns` slice, published with
         ``gcs.put(key, columns, immutable=True)`` (stored and served by
         reference — the freeze-on-put path), and only the *key* is returned.
         The consumer resolves it with ``gcs.take(key)``, receiving the very
         same column object with no per-sample copies anywhere on the path.
+        Every id is checked before any is removed, so a fetch naming an
+        unstaged id leaves the staged rows as they were.
         """
         if self.gcs is None:
             raise PlanError(
                 f"loader {self.actor_name!r} has no GCS attached; "
                 "fetch_prepared_ref needs a runtime-managed actor"
             )
+        staged = self._staged
         try:
-            columns, released = self._staged_columns.take(sample_ids)
-        except PlanError as exc:
-            raise PlanError(f"loader {self.actor_name!r} has {exc}") from None
+            rows = [staged[sample_id] for sample_id in sample_ids]
+        except KeyError as missing:
+            raise PlanError(
+                f"loader {self.actor_name!r} has no staged sample {missing.args[0]}"
+            ) from None
+        for sample_id in sample_ids:
+            staged.pop(sample_id, None)
+        columns = PreparedColumns.from_rows(rows)
+        released = columns.total_bytes()
         self.ledger.release("sample_payload", released)
         self.stats.samples_delivered += len(columns)
         self._ref_seq += 1
@@ -625,13 +641,15 @@ class SourceLoader(Actor):
 
     def discard_staged(self, sample_ids: list[int]) -> int:
         """Drop staged samples that will never be fetched (pipeline flush)."""
-        dropped, released = self._staged_columns.drop(sample_ids)
+        rows = [self._staged.pop(sample_id, None) for sample_id in sample_ids]
+        dropped = [row for row in rows if row is not None]
+        released = sum(row[3] for row in dropped)
         if released:
             self.ledger.release("sample_payload", released)
-        return dropped
+        return len(dropped)
 
     def staged_count(self) -> int:
-        return len(self._staged_columns)
+        return len(self._staged)
 
     # -- checkpointing ----------------------------------------------------------------------------
 
@@ -714,7 +732,8 @@ class SourceLoader(Actor):
         self._delta_base = self._delta_seq
 
     def _drop_staged(self) -> None:
-        released = self._staged_columns.drop_all()
+        released = sum(row[3] for row in self._staged.values())
+        self._staged.clear()
         if released:
             self.ledger.release("sample_payload", released)
 

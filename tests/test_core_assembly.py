@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.actors.gcs import GlobalControlStore
 from repro.actors.runtime import ActorSystem, ClusterSpec
-from repro.core.assembly import PreparedColumns, StagedColumns
+from repro.core.assembly import PreparedColumns
 from repro.core.checkpoint import InMemoryCheckpointStore, SqliteCheckpointStore
 from repro.core.data_constructor import DataConstructor, RankDelivery
 from repro.core.framework import MANIFEST_NAMESPACE, MegaScaleData, TrainingJobSpec
@@ -272,50 +272,81 @@ class TestCollationEquivalence:
         assert str(legacy_err.value) == str(columnar_err.value)
 
 
-# -- staging store ----------------------------------------------------------------------
+# -- loader staging ---------------------------------------------------------------------
 
 
 class TestStagedColumns:
-    def test_take_returns_rows_in_requested_order(self):
-        staged = StagedColumns()
-        for sample_id in (5, 3, 9, 7):
-            staged.append(meta(sample_id, 10 * sample_id), 40 * sample_id)
-        columns, released = staged.take([9, 5])
-        assert columns.sample_ids.tolist() == [9, 5]
-        assert columns.total_tokens.tolist() == [90, 50]
-        assert released == 40 * 9 + 40 * 5
-        assert len(staged) == 2
-        assert 9 not in staged and 3 in staged
+    """A loader stages prepared rows in a dict; a fetch turns the requested
+    rows into one ``PreparedColumns`` slice."""
 
-    def test_take_missing_raises(self):
-        staged = StagedColumns()
-        staged.append(meta(1, 8), 32)
-        with pytest.raises(PlanError, match="no staged sample 2"):
-            staged.take([2])
+    def test_from_rows_keeps_row_order(self):
+        columns = PreparedColumns.from_rows(
+            [(5, 50, 0, 200), (3, 30, 7, 120), (9, 90, 0, 360)]
+        )
+        assert columns.sample_ids.tolist() == [5, 3, 9]
+        assert columns.total_tokens.tolist() == [50, 37, 90]
+        assert columns.transferred_bytes.tolist() == [200, 120, 360]
+        assert columns.total_bytes() == 680
+        assert len(PreparedColumns.from_rows([])) == 0
 
-    def test_drop_and_drop_all_release_bytes(self):
-        staged = StagedColumns()
-        for sample_id in range(1, 6):
-            staged.append(meta(sample_id, 4), 100)
-        dropped, released = staged.drop([2, 4, 99])
-        assert (dropped, released) == (2, 200)
-        assert staged.drop_all() == 300
-        assert len(staged) == 0
+    def test_take_returns_rows_in_requested_order(self, system, small_catalog, filesystem):
+        handle = spawn_loader(system, small_catalog, filesystem, buffer_size=16)
+        loader = handle.instance()
+        buffered = loader.summary_buffer()[:4]
+        handle.call("prepare", [m.sample_id for m in buffered])
+        wanted = [buffered[2], buffered[0]]
+        ref = handle.call("fetch_prepared_ref", [m.sample_id for m in wanted])
+        columns = system.gcs.take(ref["key"])
+        assert columns.sample_ids.tolist() == [m.sample_id for m in wanted]
+        assert columns.total_tokens.tolist() == [m.total_tokens for m in wanted]
+        assert ref["staged_bytes"] == columns.total_bytes() > 0
+        assert loader.staged_count() == 2
 
-    def test_compaction_preserves_contents(self):
-        staged = StagedColumns()
-        for sample_id in range(200):
-            staged.append(meta(sample_id, sample_id + 1), 8)
-        staged.take(list(range(0, 200, 2)))  # tombstone half -> compaction
-        columns, _ = staged.take([151, 3])
-        assert columns.sample_ids.tolist() == [151, 3]
-        assert columns.total_tokens.tolist() == [152, 4]
+    def test_take_missing_raises(self, system, small_catalog, filesystem):
+        """A fetch naming an unstaged id fails before removing anything: the
+        retry without that id succeeds and releases every staged byte."""
+        handle = spawn_loader(system, small_catalog, filesystem, buffer_size=16)
+        loader = handle.instance()
+        ids = [m.sample_id for m in loader.summary_buffer()[:2]]
+        handle.call("prepare", ids)
+        staged_bytes = loader.ledger.live_bytes("sample_payload")
+        with pytest.raises(PlanError, match="has no staged sample 12345"):
+            handle.call("fetch_prepared_ref", [ids[0], 12345])
+        assert loader.staged_count() == 2
+        assert loader.ledger.live_bytes("sample_payload") == staged_bytes
+        ref = handle.call("fetch_prepared_ref", ids)
+        assert system.gcs.take(ref["key"]).sample_ids.tolist() == ids
+        assert ref["staged_bytes"] == staged_bytes
+        assert loader.staged_count() == 0
+        assert loader.ledger.live_bytes("sample_payload") == 0
+
+    def test_drop_and_drop_all_release_bytes(self, system, small_catalog, filesystem):
+        handle = spawn_loader(system, small_catalog, filesystem, buffer_size=16)
+        loader = handle.instance()
+        ids = [m.sample_id for m in loader.summary_buffer()[:5]]
+        handle.call("prepare", ids)
+        kept = [ids[0], ids[2], ids[4]]
+        kept_bytes = sum(loader._staged[sample_id][3] for sample_id in kept)
+        assert handle.call("discard_staged", [ids[1], ids[3], 12345]) == 2
+        assert loader.staged_count() == 3
+        assert loader.ledger.live_bytes("sample_payload") == kept_bytes
+        system.stop_actor(handle.name)
+        assert loader.staged_count() == 0
+        assert loader.ledger.live_bytes("sample_payload") == 0
+
+    def test_restaging_an_id_replaces_its_row(self, system, small_catalog, filesystem):
+        handle = spawn_loader(system, small_catalog, filesystem, buffer_size=16)
+        loader = handle.instance()
+        ids = [m.sample_id for m in loader.summary_buffer()[:3]]
+        handle.call("prepare", ids)
+        handle.call("prepare", ids[:2])  # no longer buffered: costed again
+        assert loader.staged_count() == 3
+        ref = handle.call("fetch_prepared_ref", ids)
+        assert system.gcs.take(ref["key"]).sample_ids.tolist() == ids
+        assert loader.ledger.live_bytes("sample_payload") == 0
 
     def test_prepared_columns_lookup_reports_missing(self):
-        staged = StagedColumns()
-        for sample_id in (4, 8, 2):
-            staged.append(meta(sample_id, 16), 64)
-        columns, _ = staged.take([4, 8, 2])
+        columns = PreparedColumns.from_rows([(4, 16, 0, 64), (8, 16, 0, 64), (2, 16, 0, 64)])
         rows, missing = columns.lookup([8, 6, 2])
         assert missing == [6]
         assert columns.sample_ids[rows].tolist() == [8, 2]
@@ -400,14 +431,13 @@ def make_plan(tokens_by_microbatch, bucket=0):
 
 
 def columns_for(plan):
-    staged = StagedColumns()
-    ids = []
-    for assignment in plan.assignments:
-        for metadata in assignment.samples:
-            staged.append(metadata, metadata.raw_bytes)
-            ids.append(metadata.sample_id)
-    columns, _ = staged.take(ids)
-    return columns
+    return PreparedColumns.from_rows(
+        [
+            (m.sample_id, m.text_tokens, m.image_tokens, m.raw_bytes)
+            for assignment in plan.assignments
+            for m in assignment.samples
+        ]
+    )
 
 
 class TestConstructorEquivalence:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.actors.runtime import ActorSystem, ClusterSpec
-from repro.core.assembly import PreparedColumns, StagedColumns
+from repro.core.assembly import PreparedColumns
 from repro.core.data_constructor import DataConstructor
 from repro.core.plans import MicrobatchAssignment, ModulePlan
 from repro.errors import PlanError
@@ -32,14 +32,13 @@ def make_plan(sample_factory, buckets=2, microbatches=2, tokens=128):
 
 def prepared_for(plan) -> PreparedColumns:
     """The hand-off a loader would publish for every sample of ``plan``."""
-    staged = StagedColumns()
-    ids = []
-    for assignment in plan.assignments:
-        for metadata in assignment.samples:
-            staged.append(metadata, metadata.raw_bytes)
-            ids.append(metadata.sample_id)
-    columns, _ = staged.take(ids)
-    return columns
+    return PreparedColumns.from_rows(
+        [
+            (m.sample_id, m.text_tokens, m.image_tokens, m.raw_bytes)
+            for assignment in plan.assignments
+            for m in assignment.samples
+        ]
+    )
 
 
 @pytest.fixture()

@@ -414,7 +414,7 @@ class TestDeltaCacheUnderFleetChurn:
         planner = system.planner_handle.instance()
         planner.gather_buffer_columns()
         for handle in system.loader_handles:
-            cache = planner._gather_caches[handle.name]
+            cache = planner._mirrors[handle.name]
             buffered = [m.sample_id for m in handle.instance().summary_buffer()]
             mirrored = cache.sample_ids()
             assert mirrored == buffered  # no stale ids, no dups, exact order

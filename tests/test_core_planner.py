@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from repro.actors.runtime import ActorSystem, ClusterSpec
 from repro.core.autoscaler import MixtureDrivenScaler, ResourceBudget, SourceAutoPartitioner
 from repro.core.columns import SampleColumns
+from repro.core.degradation import bound_buffer
+from repro.core.framework import MegaScaleData, TrainingJobSpec
 from repro.core.place_tree import ClientPlaceTree
 from repro.core.planner import Planner
 from repro.core.source_loader import SourceLoader
@@ -286,9 +289,62 @@ class TestColumnarPlanEquivalence:
             source: SampleColumns.from_samples(samples)
             for source, samples in buffer_infos.items()
         }
+        # The Planner's gather: per-source record lists, arrays built lazily.
+        lazy_infos = {
+            source: SampleColumns.of_source(source, samples)
+            for source, samples in buffer_infos.items()
+        }
         plan_rows = strategy_rows(buffer_infos, tree_rows, step, seed)
         plan_cols = strategy_cols(columns_infos, tree_cols, step, seed)
+        plan_lazy = make_strategy(strategy_name, config)(
+            lazy_infos, ClientPlaceTree(DeviceMesh(pp=1, dp=2, cp=1, tp=2, gpus_per_node=8)),
+            step, seed,
+        )
         assert _plan_signature(plan_cols) == _plan_signature(plan_rows)
+        assert _plan_signature(plan_lazy) == _plan_signature(plan_rows)
+
+    @given(
+        spec=buffer_specs,
+        step=st.integers(min_value=0, max_value=50),
+        budget=st.integers(min_value=1, max_value=60),
+        picks=st.lists(st.integers(min_value=0, max_value=10**6), max_size=12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_lazy_sets_match_eager_columns(self, spec, step, budget, picks):
+        """Every view of a lazy per-source set — bounded, concatenated,
+        grouped, selected, or built whole — equals the same view of eager
+        columns over the same records."""
+        buffer_infos = _random_buffer_infos(spec)
+        lazy = {source: SampleColumns.of_source(source, rows) for source, rows in buffer_infos.items()}
+        eager = {source: SampleColumns.from_samples(rows) for source, rows in buffer_infos.items()}
+
+        def view(columns):
+            return (
+                columns.sources,
+                columns.sample_ids.tolist(),
+                columns.text_tokens.tolist(),
+                columns.image_tokens.tolist(),
+                columns.total_tokens.tolist(),
+                columns.source_codes.tolist(),
+                columns.to_list(),
+            )
+
+        bounded_lazy = bound_buffer(lazy, budget, step)
+        bounded_eager = bound_buffer(eager, budget, step)
+        assert list(bounded_lazy) == list(bounded_eager)
+        for source in bounded_eager:
+            assert view(bounded_lazy[source]) == view(bounded_eager[source])
+        whole_lazy = SampleColumns.coerce(lazy)
+        whole_eager = SampleColumns.coerce(eager)
+        assert len(whole_lazy) == len(whole_eager)
+        assert whole_lazy.source_order() == whole_eager.source_order()
+        assert {code: pool.tolist() for code, pool in whole_lazy.pool_positions().items()} == {
+            code: pool.tolist() for code, pool in whole_eager.pool_positions().items()
+        }
+        indices = np.array([pick % len(whole_eager) for pick in picks], dtype=np.intp)
+        assert view(whole_lazy.select(indices)) == view(whole_eager.select(indices))
+        assert view(whole_lazy) == view(whole_eager)
+
 
     @given(
         steps=st.integers(min_value=2, max_value=6),
@@ -357,6 +413,80 @@ class TestColumnarPlanEquivalence:
                 assert infos[source].sample_ids.tolist() == [
                     m.sample_id for m in buffered
                 ]
+
+
+class TestArrayBuildsPerPlan:
+    """A plan builds sample arrays once, over the rows it draws — not over
+    every loader's buffer."""
+
+    @staticmethod
+    def _spy_rows_built(monkeypatch) -> list[int]:
+        built: list[int] = []
+        init = SampleColumns.__init__
+
+        def spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(len(self.sample_ids))
+
+        monkeypatch.setattr(SampleColumns, "__init__", spy)
+        return built
+
+    def test_mixture_plan_builds_only_selected_rows(self, monkeypatch):
+        """fig22's middle point: 16 sources x 1024 deep, a 64-sample mixture plan."""
+        depth, num_sources, batch = 1024, 16, 64
+        filesystem = SimulatedFileSystem()
+        catalog = build_source_catalog(
+            navit_like_spec(num_sources=num_sources, samples_per_source=depth, seed=0),
+            filesystem,
+        )
+        system = ActorSystem(ClusterSpec(accelerator_nodes=4, cpu_pods=1))
+        handles = [
+            system.create_actor(
+                lambda src=source: SourceLoader(src, filesystem, buffer_size=depth),
+                name=f"loader-{index}",
+                memory_bytes=GIB,
+            )
+            for index, source in enumerate(catalog.sources())
+        ]
+        mixture = MixtureSchedule.uniform(catalog.names())
+        planner = Planner(
+            strategy=backbone_balance_strategy(
+                StrategyConfig(mixture=mixture, sample_count=batch, num_microbatches=2)
+            ),
+            tree=ClientPlaceTree(DeviceMesh(pp=1, dp=4, cp=1, tp=1, gpus_per_node=4)),
+            mixture=mixture,
+        )
+        planner.register_loaders(handles)
+        built = self._spy_rows_built(monkeypatch)
+        for step in range(3):
+            built.clear()
+            plan = planner.generate_plan(step)
+            assert plan.total_samples() == batch
+            assert 0 < sum(built) <= 2 * batch, built
+            for handle in handles:
+                ids = plan.source_demands.get(handle.instance().source.name, [])
+                if ids:
+                    handle.call("replay_demands", list(ids))
+
+    def test_sized_path_builds_only_the_batch(self, monkeypatch):
+        """The auto-sized strategy: ``bound_buffer`` rotates each source's
+        records, then the mix builds the batch's arrays."""
+        system = MegaScaleData.deploy(
+            TrainingJobSpec(
+                pp=1, dp=2, cp=1, tp=1, encoder=None, strategy="backbone_balance",
+                samples_per_dp_step=8, num_microbatches=2, num_sources=6,
+                samples_per_source=256, seed=3, prefetch_depth=0,
+            )
+        )
+        try:
+            system.run_step()  # the gather's one-time resync
+            built = self._spy_rows_built(monkeypatch)
+            for _ in range(3):
+                built.clear()
+                planned = system.run_step().plan.total_samples()
+                assert 0 < sum(built) <= 2 * planned, built
+        finally:
+            system.shutdown()
 
 
 class TestEmptyBufferBucketing:

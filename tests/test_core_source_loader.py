@@ -262,10 +262,10 @@ class TestBufferDeltaProtocol:
 
     @staticmethod
     def _mirror(handle):
-        from repro.core.columns import ColumnarBufferCache
+        from repro.core.columns import BufferMirror
 
         loader = handle.instance()
-        cache = ColumnarBufferCache(source=loader.source.name)
+        cache = BufferMirror(source=loader.source.name)
         reply = handle.call("buffer_delta", cache.epoch, cache.seq)
         assert reply["resync"]  # a fresh consumer always snapshots
         cache.snapshot(reply["buffer"])

@@ -9,7 +9,7 @@ from __future__ import annotations
 import pytest
 
 from repro.actors.runtime import ActorSystem
-from repro.core.assembly import PreparedColumns, StagedColumns
+from repro.core.assembly import PreparedColumns
 from repro.core.data_constructor import DataConstructor
 from repro.core.framework import MegaScaleData, TrainingJobSpec
 from repro.core.source_loader import SourceLoader
@@ -32,11 +32,9 @@ def make_job(prefetch_depth: int, **overrides) -> TrainingJobSpec:
 
 def prepared_columns(samples) -> PreparedColumns:
     """The hand-off a loader would publish for ``samples``."""
-    staged = StagedColumns()
-    for sample in samples:
-        staged.append(sample, sample.raw_bytes)
-    columns, _ = staged.take([sample.sample_id for sample in samples])
-    return columns
+    return PreparedColumns.from_rows(
+        [(s.sample_id, s.text_tokens, s.image_tokens, s.raw_bytes) for s in samples]
+    )
 
 
 def delivery_signature(result):
