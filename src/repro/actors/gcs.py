@@ -56,9 +56,9 @@ class GlobalControlStore:
         Mutable payloads are deep-copied in (and back out on :meth:`get`) so
         neither side can alias the stored state.  Immutable payloads —
         auto-detected scalars/tuples, or caller-declared via
-        ``immutable=True`` for read-only structures like broadcast plans —
-        skip both copies entirely, which matters on the per-step
-        plan-checkpoint path.  A caller-declared-immutable *mapping* is
+        ``immutable=True`` for read-only structures like prepared column
+        slices — skip both copies entirely, which matters on the per-step
+        hand-off path.  A caller-declared-immutable *mapping* is
         shallow-copied once behind a read-only ``MappingProxyType``, so
         neither the putter nor any reader can mutate versioned state in
         place (nested values are the caller's responsibility — use tuples).

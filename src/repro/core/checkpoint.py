@@ -21,13 +21,15 @@ ship here:
 Payload conventions
 -------------------
 Stores are namespaced (``planner/plans``, ``delivery/manifests``, ``run``) and
-step-indexed.  Loader differential checkpoints are not rows here: they live in
+step-indexed.  A ``planner/plans`` row, like the ``run`` entry's plan history,
+is a :class:`~repro.core.plans.PlanRecord`: demanded ids, no sample metadata.
+Loader differential checkpoints are not rows here: they live in
 :class:`~repro.core.fault_tolerance.FaultToleranceManager`'s in-memory
 history, and the ``run`` entry embeds the ones a whole-run restore needs.
 
 Payloads must be picklable for the SQLite backend; the in-memory backend keeps
 live references, so callers should only store plain-data snapshots (dicts,
-lists, dataclass instances) — never live actors.
+lists, frozen records) — never live actors or objects the step path mutates.
 """
 
 from __future__ import annotations

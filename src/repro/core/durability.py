@@ -111,7 +111,7 @@ def save_run_checkpoint(
     topology (mirror counts, worker sizing) and the construction recipes of
     ``mixtures`` — ``(first step, schedule)`` runs, the first in effect at
     ``step``.  The plans between a loader's checkpoint and ``step``, which
-    :func:`load_run_checkpoint` replays, are in the durable ``planner/plans``
+    :func:`load_run_checkpoint` replays, are demand records in the durable ``planner/plans``
     namespace or, after a store outage, in the Planner state's persist backlog.
     """
     planner: Planner = recovery.planner_handle.instance()

@@ -18,7 +18,7 @@ from repro.core.autoscaler import MixtureDrivenScaler
 from repro.core.checkpoint import CheckpointStore
 from repro.core.columns import BufferMirror, SampleColumns
 from repro.core.place_tree import ClientPlaceTree
-from repro.core.plans import LoadingPlan, ScalingPlan
+from repro.core.plans import LoadingPlan, PlanRecord, ScalingPlan
 from repro.core.strategies import StrategyFn
 from repro.data.mixture import MixtureSchedule
 from repro.data.samples import SampleMetadata
@@ -36,7 +36,7 @@ GATHER_PER_DELTA_SECONDS = 1.0e-7
 BROADCAST_BASE_SECONDS = 0.0008
 BROADCAST_PER_BYTE_SECONDS = 1.0 / 4.0e9
 
-#: Checkpoint-store namespace holding one entry per generated plan.
+#: Checkpoint-store namespace holding one :class:`PlanRecord` per generated plan.
 PLAN_NAMESPACE = "planner/plans"
 
 
@@ -57,7 +57,6 @@ class PlanTimings:
 class PlannerStats:
     plans_generated: int = 0
     samples_planned: int = 0
-    checkpoints_written: int = 0
     timings: list[PlanTimings] = field(default_factory=list)
 
     def latest_timings(self) -> PlanTimings:
@@ -77,7 +76,6 @@ class Planner(Actor):
         scaler: MixtureDrivenScaler | None = None,
         gcs: GlobalControlStore | None = None,
         seed: int = 0,
-        checkpoint_every: int = 1,
         clock: object | None = None,
         checkpoint_store: CheckpointStore | None = None,
         replay_window: int = 50,
@@ -96,8 +94,8 @@ class Planner(Actor):
         #: so co-scheduled planners never clobber each other's markers.
         self.gcs_prefix = gcs_prefix
         self.seed = seed
-        #: Durable store for generated plans.  In-memory history is bounded
-        #: to ``replay_window`` entries once a store is attached; older plans
+        #: Durable store for plan records.  In-memory history is bounded to
+        #: ``replay_window`` records once a store is attached; older records
         #: stay durable in the store and are served via :meth:`plans_since`.
         self.checkpoint_store = checkpoint_store
         self.replay_window = replay_window
@@ -105,10 +103,9 @@ class Planner(Actor):
         #: an actor system) so AutoScaler decisions are stamped with the
         #: simulated instant they landed.
         self.clock = clock
-        self.checkpoint_every = max(1, checkpoint_every)
         self.stats = PlannerStats()
         self._loader_handles: list[ActorHandle] = []
-        self._plan_history: list[LoadingPlan] = []
+        self._plan_history: list[PlanRecord] = []
         self._step = 0
         #: Gather state: per-loader incremental buffer mirrors and each
         #: loader's declared source (the bucket key even when a buffer is
@@ -117,10 +114,10 @@ class Planner(Actor):
         self._declared_sources: dict[str, str] = {}
         #: Sources dropped from planning while degraded (all loaders dark).
         self._excluded_sources: frozenset[str] = frozenset()
-        #: Plans generated but not yet durably persisted (store outage).
+        #: Records generated but not yet durably persisted (store outage).
         #: In-memory history is never trimmed while this is non-empty, so a
         #: flaky store delays durability without ever losing replay state.
-        self._persist_backlog: list[LoadingPlan] = []
+        self._persist_backlog: list[PlanRecord] = []
 
     # -- wiring ---------------------------------------------------------------------------
 
@@ -239,7 +236,7 @@ class Planner(Actor):
         return source
 
     def generate_plan(self, step: int | None = None) -> LoadingPlan:
-        """Run one full planning cycle and return the finalized plan."""
+        """Run one planning cycle; return the plan, keeping its record in history."""
         if not self._loader_handles:
             raise PlanError("the planner has no registered source loaders")
         step = self._step if step is None else step
@@ -276,20 +273,22 @@ class Planner(Actor):
         self.stats.timings.append(timings)
         self.stats.plans_generated += 1
         self.stats.samples_planned += plan.total_samples()
-        self._plan_history.append(plan)
+        record = plan.record()
+        self._plan_history.append(record)
         if self.checkpoint_store is not None:
-            # Persist the plan before trimming: in-memory history keeps only
-            # the bounded replay window, the store keeps everything, so
+            # Persist the record before trimming: in-memory history keeps
+            # only the bounded replay window, the store keeps everything, so
             # replay consumers restore a checkpoint and fetch just the
             # suffix instead of rebuilding from genesis.  A store outage
-            # queues the plan instead of failing the planning cycle; memory
-            # holds every unpersisted plan until the store heals.
-            self._persist_backlog.append(plan)
+            # queues the record instead of failing the planning cycle; memory
+            # holds every unpersisted record until the store heals.
+            self._persist_backlog.append(record)
             self._flush_persist_backlog()
             if not self._persist_backlog and len(self._plan_history) > self.replay_window:
                 del self._plan_history[: len(self._plan_history) - self.replay_window]
         self._step = step + 1
-        self._maybe_checkpoint(plan)
+        if self.gcs is not None:
+            self.gcs.put(f"{self.gcs_prefix}/last_step", step)
         self.ledger.charge("plan_metadata", plan.metadata_bytes())
         return plan
 
@@ -302,47 +301,25 @@ class Planner(Actor):
 
     # -- fault tolerance -----------------------------------------------------------------------------
 
-    def _flush_persist_backlog(self) -> int:
-        """Drain queued plan saves in order; stops at the first store error.
+    def _flush_persist_backlog(self) -> None:
+        """Drain queued record saves in order; stops at the first store error.
 
         Ordering matters: a later plan must never be durable while an
-        earlier one is not, or replay-from-store would see a gap.  Returns
-        how many plans were flushed.
+        earlier one is not, or replay-from-store would see a gap.
         """
-        flushed = 0
         while self._persist_backlog:
-            plan = self._persist_backlog[0]
+            record = self._persist_backlog[0]
             try:
-                self.checkpoint_store.save(PLAN_NAMESPACE, plan.step, plan)
+                self.checkpoint_store.save(PLAN_NAMESPACE, record.step, record)
             except StorageError:
                 break
             self._persist_backlog.pop(0)
-            flushed += 1
-        return flushed
-
-    def _maybe_checkpoint(self, plan: LoadingPlan) -> None:
-        if self.gcs is None:
-            return
-        if plan.step % self.checkpoint_every == 0:
-            # Snapshot with tuple-valued demand lists and declare the payload
-            # immutable: the GCS then stores and serves it by reference, so
-            # the per-step checkpoint no longer deep-copies the whole demand
-            # map twice (once in, once per read) on the plan-broadcast path.
-            checkpoint = {
-                "step": plan.step,
-                "source_demands": {
-                    source: tuple(ids) for source, ids in plan.source_demands.items()
-                },
-                "mixture_weights": dict(plan.mixture_weights),
-            }
-            self.gcs.put(f"{self.gcs_prefix}/plan/{plan.step}", checkpoint, immutable=True)
-            self.gcs.put(f"{self.gcs_prefix}/last_step", plan.step)
-            self.stats.checkpoints_written += 1
 
     def state_dict(self, before_step: float = float("inf")) -> dict:
         """Position and replay state, cut to the plans for steps below
         ``before_step``: a whole-run save taken with steps in flight records
-        the Planner as of the consume position, not of the prefetch frontier."""
+        the Planner as of the consume position, not of the prefetch frontier.
+        History rides as :class:`PlanRecord` values: no sample metadata."""
         return {
             "step": min(self._step, before_step),
             "plans_generated": self.stats.plans_generated,
@@ -392,18 +369,19 @@ class Planner(Actor):
 
     # -- introspection -----------------------------------------------------------------------------------
 
-    def plan_history(self) -> list[LoadingPlan]:
-        """Every generated plan, oldest first (store-backed beyond the window)."""
+    def plan_history(self) -> list[PlanRecord]:
+        """Every plan's record, oldest first (store-backed beyond the window)."""
         return self.plans_since(-1)
 
-    def plans_since(self, step: int) -> list[LoadingPlan]:
-        """All plans with ``plan.step > step``, oldest first.
+    def plans_since(self, step: int) -> list[PlanRecord]:
+        """The records of all plans with ``plan.step > step``, oldest first.
 
-        Served from the bounded in-memory window when possible; plans pruned
-        from memory are fetched back from the durable store.  Replay
-        consumers pass the restored checkpoint's step so only the suffix is
-        ever materialised: memory holds the newest plans, so what is missing
-        lies between ``step`` and the window's first plan, and only an empty
+        Served from the bounded in-memory window when possible; records
+        pruned from memory are fetched back from the durable store, so both
+        halves are the same :class:`PlanRecord` type.  Replay consumers pass
+        the restored checkpoint's step so only the suffix is ever
+        materialised: memory holds the newest plans, so what is missing lies
+        between ``step`` and the window's first plan, and only an empty
         window makes the store list every step of the run.
         """
         plans = [plan for plan in self._plan_history if plan.step > step]
@@ -436,7 +414,7 @@ class Planner(Actor):
         self._step = min(self._step, step)
         return dropped
 
-    def latest_plan(self) -> LoadingPlan:
+    def latest_plan(self) -> PlanRecord:
         if not self._plan_history:
             raise PlanError("no plan has been generated yet")
         return self._plan_history[-1]

@@ -3,8 +3,8 @@
 A :class:`LoadingPlan` is the Planner's output for one training step: which
 samples each Source Loader must prepare, how they are grouped into
 microbatches per consumer bucket, and which trainer clients fetch versus
-receive broadcasts.  A :class:`ScalingPlan` is the AutoScaler's resource
-adjustment directive.
+receive broadcasts; plan history keeps only its :class:`PlanRecord`.  A
+:class:`ScalingPlan` is the AutoScaler's resource adjustment directive.
 """
 
 from __future__ import annotations
@@ -137,6 +137,26 @@ class LoadingPlan:
             for assignment in module_plan.assignments
         )
         return 1024 + per_sample * (assignments + self.total_samples())
+
+    def record(self) -> "PlanRecord":
+        """The compact form plan history keeps of this plan."""
+        demands = {source: tuple(ids) for source, ids in self.source_demands.items()}
+        return PlanRecord(self.step, demands, dict(self.mixture_weights), self.scaling)
+
+
+@dataclass(frozen=True, slots=True)
+class PlanRecord:
+    """What replay reads of a plan, the form the Planner's history keeps.
+
+    The window, the persist backlog, the ``planner/plans`` rows and the
+    ``run`` entry hold these: no modules, no sample metadata.  Demands are
+    tuples, so a record never aliases the live plan's lists.
+    """
+
+    step: int
+    source_demands: dict[str, tuple[int, ...]]
+    mixture_weights: dict[str, float]
+    scaling: "ScalingPlan | None" = None
 
 
 @dataclass(frozen=True)

@@ -183,9 +183,9 @@ class FleetRecovery:
 
         Restores the newest consistent differential checkpoint recorded for
         ``checkpoint_of`` (pristine reset when there is none) and replays the
-        plan suffix past it — bounded in run length, byte-exact with an
-        uninterrupted run.  The one replay routine of flush, failover and
-        whole-run restore.
+        plan suffix past it (each record's ``source_demands``) — bounded in
+        run length, byte-exact with an uninterrupted run.  The one replay
+        routine of flush, failover and whole-run restore.
         """
         checkpoint = self.fault_manager.last_loader_checkpoint(
             checkpoint_of, max_step=limit_step - 1, consistent=True

@@ -69,7 +69,7 @@ class SampleMetadata:
     def __reduce__(self) -> tuple:
         # Pickled as one constructor call: the per-field ``__getstate__``
         # dataclasses generate for ``slots=True`` is several times slower, and
-        # every checkpoint carries the buffered records.
+        # the loader snapshots a ``run`` entry embeds carry buffered records.
         return SampleMetadata, (
             self.sample_id, self.source, self.modality, self.text_tokens, self.image_tokens,
             self.video_frames, self.audio_seconds, self.raw_bytes, self.decoded_bytes, self.extra,

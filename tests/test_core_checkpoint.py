@@ -28,7 +28,7 @@ from repro.core.framework import (
     TrainingJobSpec,
 )
 from repro.core.planner import PLAN_NAMESPACE
-from repro.core.plans import LoaderScalingDirective, ScalingPlan
+from repro.core.plans import LoaderScalingDirective, PlanRecord, ScalingPlan
 from repro.core.source_loader import SourceLoader
 from repro.data.mixture import MixturePhase, MixtureSchedule
 from repro.errors import ConfigurationError, StorageError
@@ -178,6 +178,18 @@ class TestPlannerBoundedWindow:
             # and history queries transparently merge the persisted prefix.
             assert [p.step for p in planner.plan_history()] == list(range(10))
             assert [p.step for p in planner.plans_since(6)] == [7, 8, 9]
+            # The window and the store serve the same record, value for value.
+            store = system.checkpoint_store
+            window = list(planner._plan_history)
+            assert all(type(record) is PlanRecord for record in planner.plan_history())
+            assert window == [store.load(PLAN_NAMESPACE, r.step) for r in window]
+            # A durable row holds the demanded ids, not per-sample metadata.
+            for record in planner.plan_history():
+                blob = store._kv.get(PLAN_NAMESPACE, record.step)
+                assert b"SampleMetadata" not in blob
+                ids = sum(len(ids) for ids in record.source_demands.values())
+                assert ids > 0
+                assert len(blob) < 16 * ids + 1024
         finally:
             system.shutdown()
 
@@ -747,7 +759,9 @@ class TestSaveBesidePrefetch:
             payload = system.checkpoint_store.load(RUN_NAMESPACE, 4)
             # The entry is the control plane as of step 4, not of the frontier.
             assert payload["planner"]["step"] == 4
-            assert [plan.step for plan in payload["planner"]["plan_history"]] == [0, 1, 2, 3]
+            history = payload["planner"]["plan_history"]
+            assert [plan.step for plan in history] == [0, 1, 2, 3]
+            assert all(type(plan) is PlanRecord for plan in history)
             assert all(
                 entry["checkpoint"] is None or entry["checkpoint"]["step"] <= 3
                 for entry in payload["loaders"].values()
