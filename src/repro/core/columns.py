@@ -3,28 +3,17 @@
 Buffered :class:`~repro.data.samples.SampleMetadata` reaches the Planner and
 the DGraph as :class:`SampleColumns`, so a planning cycle costs numpy index
 arithmetic over the rows it selects rather than per-sample Python object
-churn.  Two building blocks:
+churn.
 
-- :class:`SampleColumns` — an immutable struct-of-arrays view over a set of
-  buffered samples: numpy arrays for sample id, token counts and source
-  codes, plus an object array of the metadata records themselves so plan
-  finalization emits the very :class:`SampleMetadata` objects the loaders
-  buffered.  A set gathered from the loaders (:meth:`SampleColumns.of_source`)
-  holds only its record list and builds its arrays on first read: length,
-  per-source grouping, rotation, selection and the concatenation of
-  distinct sources work on the lists, so a plan builds arrays once, over the
-  rows it selects.
-- :class:`BufferMirror` — the Planner's persistent per-loader mirror of one
-  Source Loader's read buffer: an insertion-ordered ``sample_id -> metadata``
-  dict updated from the loader's
-  :meth:`~repro.core.source_loader.SourceLoader.buffer_delta` event log, so
-  the per-step cost is O(delta).
-
-Row order is authoritative: a loader's buffer is a dict that only ever
-appends at the end and removes from the middle, and the mirror replays
-exactly those operations onto a dict of its own, so
-:meth:`BufferMirror.records` reproduces the loader's buffer order byte for
-byte — the property plan determinism rests on.
+:class:`SampleColumns` is an immutable struct-of-arrays view over a set of
+buffered samples: numpy arrays for sample id, token counts and source codes,
+plus an object array of the metadata records themselves so plan finalization
+emits the very :class:`SampleMetadata` objects the loaders buffered.  A set
+gathered from the loaders (:meth:`SampleColumns.of_source`) holds only its
+record list, in each loader's buffer order (the order plan determinism rests
+on), and builds its arrays on first read: length, per-source grouping,
+rotation, selection and the concatenation of distinct sources work on the
+lists, so a plan builds arrays once, over the rows it selects.
 """
 
 from __future__ import annotations
@@ -285,44 +274,3 @@ class SampleColumns:
             return list(self._rows)
         return self.metas.tolist()
 
-
-class BufferMirror:
-    """Planner-side mirror of one Source Loader's read buffer.
-
-    An insertion-ordered ``sample_id -> metadata`` dict that replays the
-    loader's delta event log — ``("add", metadata)`` / ``("del", sample_id)``
-    in mutation order — so each step costs O(delta events).  ``epoch``/``seq``
-    track the loader's log position for the next gather; a loader restart or
-    log truncation surfaces as a mismatch there and the Planner
-    resynchronises via :meth:`snapshot`.
-    """
-
-    def __init__(self, source: str) -> None:
-        self.source = source
-        #: Loader log position acknowledged by the previous gather.
-        self.epoch = -1
-        self.seq = -1
-        self._rows: dict[int, SampleMetadata] = {}
-
-    def snapshot(self, samples: list[SampleMetadata]) -> None:
-        """Replace the mirror's contents with a full buffer snapshot (resync)."""
-        self._rows = {sample.sample_id: sample for sample in samples}
-
-    def apply(self, events: list[tuple[str, object]]) -> None:
-        """Replay loader buffer mutations, in order, onto the mirror."""
-        rows = self._rows
-        for op, payload in events:
-            if op == "add":
-                rows[payload.sample_id] = payload  # type: ignore[union-attr]
-            elif op == "del":
-                rows.pop(payload, None)
-            else:  # pragma: no cover - protocol misuse
-                raise ValueError(f"unknown buffer delta op {op!r}")
-
-    def sample_ids(self) -> list[int]:
-        """Buffered sample ids in buffer order (tests / resync verification)."""
-        return list(self._rows)
-
-    def records(self):
-        """The buffered metadata in buffer order (a live view)."""
-        return self._rows.values()

@@ -33,6 +33,11 @@ from repro.errors import ActorDead, ActorTimeout, ReproError
 #: history lets a flush discard entries for never-delivered future steps
 #: without losing the last delivered one.
 CHECKPOINT_HISTORY = 4
+#: Modelled recovery latencies: promoting a hot standby (shadow or fleet
+#: mirror), restarting an actor in place, and replaying one plan.
+SHADOW_PROMOTION_LATENCY_S = 0.2
+COORDINATOR_RESTART_LATENCY_S = 2.0
+REPLAY_LATENCY_PER_STEP_S = 0.01
 
 
 class FaultToleranceError(ReproError):
@@ -121,15 +126,8 @@ class FaultToleranceConfig:
     """Knobs controlling recovery behaviour."""
 
     loader_checkpoint_interval: int = 50
-    shadow_promotion_latency_s: float = 0.2
-    coordinator_restart_latency_s: float = 2.0
-    replay_latency_per_step_s: float = 0.01
     #: Backoff policy applied by :meth:`FaultToleranceManager.call_with_retry`.
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    #: Per-(role, method) retry budgets overriding ``retry.max_attempts`` —
-    #: e.g. ``{("planner", "generate_plan"): 10}`` lets planning wait out a
-    #: long blackout window while ordinary RPCs stay snappy.
-    retry_budgets: dict[tuple[str, str], int] = field(default_factory=dict)
     #: Consecutive failures before an actor's circuit breaker opens.
     breaker_threshold: int = 3
     #: How many heal-sleep-retry rounds the framework spends waiting out an
@@ -203,17 +201,18 @@ class FaultToleranceManager:
         actor: str | None = None,
         retry_on: tuple[type[BaseException], ...] | None = None,
     ):
-        """Invoke ``fn`` under the retry policy for ``(role, method)``.
+        """Invoke ``fn`` under the retry policy.
 
-        Retryable exceptions back off with deterministic jitter and retry up
-        to the per-(role, method) budget.  When ``actor`` is given, failures
-        feed its circuit breaker; an *open* breaker short-circuits the loop
-        (the first failure re-raises immediately) so repeat offenders route
-        straight to recovery instead of burning the whole backoff budget.
+        Retryable exceptions back off with deterministic jitter keyed by
+        ``(role, method, actor)``, up to ``retry.max_attempts`` attempts.
+        When ``actor`` is given, failures feed its circuit breaker; an *open*
+        breaker short-circuits the loop (the first failure re-raises
+        immediately) so repeat offenders route straight to recovery instead
+        of burning the whole backoff budget.
         """
         policy = self.config.retry
         retry_on = policy.retry_on if retry_on is None else retry_on
-        attempts = self.config.retry_budgets.get((role, method), policy.max_attempts)
+        attempts = policy.max_attempts
         key = f"{role}.{method}.{actor or ''}"
         last_exc: BaseException | None = None
         for attempt in range(1, attempts + 1):
@@ -277,7 +276,7 @@ class FaultToleranceManager:
         consistent: bool = False,
         force: bool = False,
     ) -> bool:
-        """Snapshot a loader if its differential-checkpoint interval elapsed.
+        """Snapshot a loader at multiples of ``loader_checkpoint_interval``.
 
         Plain checkpoints hold the cursor-and-counters ``state_dict`` only
         (they shorten the modelled recovery latency).  When the caller can
@@ -294,11 +293,7 @@ class FaultToleranceManager:
         loader = handle.instance()
         if not isinstance(loader, SourceLoader):
             raise FaultToleranceError(f"{handle.name!r} is not a source loader")
-        if (
-            not force
-            and step % self.config.loader_checkpoint_interval != 0
-            and not loader.should_checkpoint()
-        ):
+        if not force and step % self.config.loader_checkpoint_interval != 0:
             return False
         entry = {
             "step": step,
@@ -312,7 +307,6 @@ class FaultToleranceManager:
         history.append(entry)
         history.sort(key=lambda e: e["step"])
         del history[:-CHECKPOINT_HISTORY]
-        loader.mark_checkpointed()
         return True
 
     def checkpoint_loaders(
@@ -394,13 +388,13 @@ class FaultToleranceManager:
         registration = self._shadows.get(failed.name)
         checkpoint = self.last_loader_checkpoint(failed.name, max_step=step)
         replay_steps = step - checkpoint["step"] if checkpoint else step
-        replay_latency = max(0, replay_steps) * self.config.replay_latency_per_step_s
+        replay_latency = max(0, replay_steps) * REPLAY_LATENCY_PER_STEP_S
 
         if registration is not None and registration.shadow.state is ActorState.RUNNING:
             promoted = registration.shadow
             if checkpoint is not None:
                 promoted.instance().load_state_dict(checkpoint["state"])
-            latency = self.config.shadow_promotion_latency_s + replay_latency
+            latency = SHADOW_PROMOTION_LATENCY_S + replay_latency
             self._append_event(
                 RecoveryEvent(
                     step=step,
@@ -417,7 +411,7 @@ class FaultToleranceManager:
         # No shadow: restart in place from the last checkpoint.
         state = checkpoint["state"] if checkpoint else None
         restarted = self.system.restart_actor(failed.name, state=state)
-        latency = self.config.coordinator_restart_latency_s + replay_latency
+        latency = COORDINATOR_RESTART_LATENCY_S + replay_latency
         self._append_event(
             RecoveryEvent(
                 step=step,
@@ -442,10 +436,7 @@ class FaultToleranceManager:
         elastically spawned fleet members.  ``replay_steps`` charges for any
         demands the failed member had in flight past the mirror's state.
         """
-        latency = (
-            self.config.shadow_promotion_latency_s
-            + max(0, replay_steps) * self.config.replay_latency_per_step_s
-        )
+        latency = SHADOW_PROMOTION_LATENCY_S + max(0, replay_steps) * REPLAY_LATENCY_PER_STEP_S
         self._append_event(
             RecoveryEvent(
                 step=step,
@@ -468,7 +459,7 @@ class FaultToleranceManager:
                 step=step,
                 component=handle.name,
                 kind="coordinator_restart",
-                recovery_latency_s=self.config.coordinator_restart_latency_s,
+                recovery_latency_s=COORDINATOR_RESTART_LATENCY_S,
             )
         )
         self.breaker.reset(handle.name)

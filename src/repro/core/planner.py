@@ -16,7 +16,7 @@ from repro.actors.actor import Actor, ActorHandle
 from repro.actors.gcs import GlobalControlStore
 from repro.core.autoscaler import MixtureDrivenScaler
 from repro.core.checkpoint import CheckpointStore
-from repro.core.columns import BufferMirror, SampleColumns
+from repro.core.columns import SampleColumns
 from repro.core.place_tree import ClientPlaceTree
 from repro.core.plans import LoadingPlan, PlanRecord, ScalingPlan
 from repro.core.strategies import StrategyFn
@@ -28,9 +28,10 @@ from repro.errors import ActorDead, ActorTimeout, PlanError, StorageError
 GATHER_RPC_SECONDS = 0.00035
 #: Per-sample metadata deserialisation cost during gathering.
 GATHER_PER_SAMPLE_SECONDS = 1.0e-7
-#: Per-event deserialisation cost of an incremental buffer delta.  The
-#: gather ships only the mutations since the previous plan, so its modelled
-#: latency scales with the per-step churn, not the buffer depth.
+#: Per-change deserialisation cost of an incremental gather.  Once a loader
+#: is in sync, a gather is charged for the rows its buffer gained or lost
+#: since the previous plan, so the modelled latency scales with the per-step
+#: churn, not the buffer depth.
 GATHER_PER_DELTA_SECONDS = 1.0e-7
 #: Broadcast base latency plus per-byte cost for shipping the finalized plan.
 BROADCAST_BASE_SECONDS = 0.0008
@@ -107,10 +108,11 @@ class Planner(Actor):
         self._loader_handles: list[ActorHandle] = []
         self._plan_history: list[PlanRecord] = []
         self._step = 0
-        #: Gather state: per-loader incremental buffer mirrors and each
-        #: loader's declared source (the bucket key even when a buffer is
-        #: momentarily empty).
-        self._mirrors: dict[str, BufferMirror] = {}
+        #: Gather state: the loaders this instance has gathered from since
+        #: they were registered (the rest are charged a full resync), and
+        #: each loader's declared source (the bucket key even when a buffer
+        #: is momentarily empty).
+        self._synced: set[str] = set()
         self._declared_sources: dict[str, str] = {}
         #: Sources dropped from planning while degraded (all loaders dark).
         self._excluded_sources: frozenset[str] = frozenset()
@@ -124,13 +126,11 @@ class Planner(Actor):
     def register_loaders(self, handles: list[ActorHandle]) -> None:
         """Tell the Planner which Source Loaders exist (called at deploy time)."""
         self._loader_handles = list(handles)
-        # Re-registration (deploy-time wiring, failover swaps) drops mirrors
-        # for handles that left the gather set; replacement loaders start a
-        # new delta epoch, so surviving names resynchronise automatically.
+        # Re-registration (deploy-time wiring, failover swaps) forgets handles
+        # that left the gather set, so one that comes back resyncs; a
+        # replacement loader reports its own rebuild (``resync``).
         names = {handle.name for handle in handles}
-        self._mirrors = {
-            name: mirror for name, mirror in self._mirrors.items() if name in names
-        }
+        self._synced &= names
         self._declared_sources = {
             name: source
             for name, source in self._declared_sources.items()
@@ -181,42 +181,34 @@ class Planner(Actor):
     # -- planning -------------------------------------------------------------------------------
 
     def gather_buffer_columns(self) -> tuple[dict[str, SampleColumns], float]:
-        """Delta gather: maintain per-loader buffer mirrors incrementally.
+        """Gather every loader's buffer; charge each loader for what changed.
 
-        Instead of copying every loader's whole buffer each step, ask each
-        loader for the mutations since the previous gather
-        (:meth:`~repro.core.source_loader.SourceLoader.buffer_delta`) and
-        replay them onto a persistent :class:`BufferMirror`.  A fresh
-        consumer position, a loader restart/pristine replay (new delta epoch)
-        or a truncated log degenerates to a full snapshot for that loader —
-        so the mirror is always exact, never merely hopefully-consistent.
-        The modelled latency charges per delta event (or per sample on a
-        resync), keeping gather cost proportional to churn rather than depth.
-        Each source gets a lazy column set over its mirrors' records
-        (:meth:`SampleColumns.of_source`): arrays are built only for rows a
-        strategy reads, so a plan builds them for the rows it selects.
+        Each loader returns its buffer and the rows it gained or lost since
+        the previous gather
+        (:meth:`~repro.core.source_loader.SourceLoader.buffer_delta`).  The
+        modelled latency charges per change, or per buffered sample on a
+        resync: the first gather from a loader after it was registered or
+        rebuilt (fresh instance, restart, pristine replay, restore), which a
+        restarted Planner does for every loader.  Gather cost thus follows
+        churn rather than depth once in sync.  Each source gets a lazy column
+        set over its loaders' records (:meth:`SampleColumns.of_source`):
+        arrays are built only for rows a strategy reads, so a plan builds
+        them for the rows it selects.
         """
         records: dict[str, list[SampleMetadata]] = {}
         latency = 0.0
         for handle in self._loader_handles:
             if self._is_excluded(handle):
                 continue
-            mirror = self._mirrors.get(handle.name)
-            if mirror is None:
-                mirror = BufferMirror(source=self._declared_source(handle))
-                self._mirrors[handle.name] = mirror
-            reply = handle.call("buffer_delta", mirror.epoch, mirror.seq)
-            if reply["resync"]:
-                buffer = reply["buffer"]
-                mirror.snapshot(buffer)
+            source = self._declared_source(handle)
+            reply = handle.call("buffer_delta")
+            buffer = reply["buffer"]
+            if reply["resync"] or handle.name not in self._synced:
+                self._synced.add(handle.name)
                 latency += GATHER_RPC_SECONDS + GATHER_PER_SAMPLE_SECONDS * len(buffer)
             else:
-                events = reply["events"]
-                mirror.apply(events)
-                latency += GATHER_RPC_SECONDS + GATHER_PER_DELTA_SECONDS * len(events)
-            mirror.epoch = reply["epoch"]
-            mirror.seq = reply["seq"]
-            records.setdefault(mirror.source, []).extend(mirror.records())
+                latency += GATHER_RPC_SECONDS + GATHER_PER_DELTA_SECONDS * reply["changes"]
+            records.setdefault(source, []).extend(buffer)
         infos = {
             source: SampleColumns.of_source(source, rows) for source, rows in records.items()
         }

@@ -25,7 +25,6 @@ eliminated (Sec. 3).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from repro.actors.actor import Actor
@@ -44,12 +43,6 @@ from repro.transforms.pipeline import TransformPipeline
 WORKER_CONTEXT_BYTES = 96 * 1024 * 1024
 #: Metadata bytes buffered per sample in the read buffer.
 BUFFERED_METADATA_BYTES = 96
-
-#: Monotone generation counter for buffer-delta epochs.  A fresh loader
-#: instance (initial start, in-place restart, pristine replay) gets a new
-#: epoch, so a consumer holding a log position from a previous incarnation
-#: can never be served that incarnation's events by accident.
-_DELTA_EPOCHS = itertools.count(1)
 
 
 @dataclass
@@ -156,22 +149,11 @@ class SourceLoader(Actor):
         self._ref_seq = 0
         self._metadata_by_id: dict[int, SampleMetadata] = {}
         self._tickets: dict[int, _PrepareTicket] = {}
-        self._checkpoint_interval = 50
-        self._steps_since_checkpoint = 0
-
-        # Buffer delta log consumed by the Planner's columnar gather: every
-        # buffer mutation is appended as ("add", metadata) / ("del", id) so a
-        # single consumer can mirror the buffer incrementally instead of
-        # copying it whole each step (see :meth:`buffer_delta`).  The log
-        # holds the events after ``_delta_base`` up to ``_delta_seq``.
-        self._delta_seq = 0
-        self._delta_base = 0
-        self._delta_log: list[tuple[int, str, object]] = []
-        self._new_delta_epoch()
-        #: Log size cap: a loader that was gathered from and then left the
-        #: gather set drops the log once it exceeds this, forcing a resync
-        #: on its next gather instead of growing without bound.
-        self._delta_cap = max(4 * buffer_size, 256)
+        #: What :meth:`buffer_delta` reports since the previous gather: rows
+        #: added to or removed from the buffer, and whether the buffer was
+        #: rebuilt (a fresh instance, pristine replay, restore or stop).
+        self._changes = 0
+        self._rebuilt = True
 
     # -- lifecycle -----------------------------------------------------------------------
 
@@ -233,7 +215,7 @@ class SourceLoader(Actor):
             records = [row[0] for row in rows[:added]]
             self._buffer.update(zip(ids, rows))
             self._metadata_by_id.update(zip(ids, records))
-            self._log_deltas("add", records)
+            self._changes += added
             self.ledger.charge("prefetch_buffer", BUFFERED_METADATA_BYTES * added)
             self.stats.refills += 1
             self.stats.samples_buffered += added
@@ -260,46 +242,24 @@ class SourceLoader(Actor):
         """
         return self.source.name
 
-    def buffer_delta(self, epoch: int, since_seq: int) -> dict[str, object]:
-        """Buffer mutations since ``(epoch, since_seq)`` — the columnar gather RPC.
+    def buffer_delta(self) -> dict[str, object]:
+        """The Planner's gather RPC: the buffer and what changed since the last call.
 
-        Returns ``{"epoch", "seq", "resync", ...}``: when the caller's log
-        position is still covered by the retained log, ``events`` holds the
-        ordered ``("add", metadata)`` / ``("del", sample_id)`` mutations after
-        ``since_seq``; otherwise (fresh consumer, loader restart, log
-        truncated past the caller) ``resync`` is true and ``buffer`` holds a
-        full snapshot.  Served events are dropped from the log — the protocol
-        assumes a single consumer (the Planner), which is also why a stale
-        position simply degenerates to a snapshot rather than an error.  The
-        log is kept only from an epoch's first call on: a loader nobody
-        gathers from (a fleet mirror, a shadow) builds none.
+        Returns ``{"buffer", "changes", "resync"}``: the buffered metadata in
+        buffer order, the rows added plus the rows removed since the previous
+        call, and whether the buffer was rebuilt since then (always true on
+        an instance's first call).  Both reset at each call, so the
+        protocol assumes one consumer, the Planner, which charges a gather by
+        ``changes`` unless it must resync.
         """
-        self._gathered = True
-        if (
-            epoch != self._delta_epoch
-            or since_seq < self._delta_base
-            or since_seq > self._delta_seq
-        ):
-            self._delta_log.clear()
-            self._delta_base = self._delta_seq
-            return {
-                "epoch": self._delta_epoch,
-                "seq": self._delta_seq,
-                "resync": True,
-                "buffer": self.summary_buffer(),
-            }
-        if since_seq > self._delta_base:
-            self._delta_log = [e for e in self._delta_log if e[0] > since_seq]
-            self._delta_base = since_seq
-        events = [(op, payload) for _, op, payload in self._delta_log]
-        self._delta_log = []
-        self._delta_base = self._delta_seq
-        return {
-            "epoch": self._delta_epoch,
-            "seq": self._delta_seq,
-            "resync": False,
-            "events": events,
+        reply = {
+            "buffer": self.summary_buffer(),
+            "changes": self._changes,
+            "resync": self._rebuilt,
         }
+        self._changes = 0
+        self._rebuilt = False
+        return reply
 
     def buffer_depth(self) -> int:
         return len(self._buffer)
@@ -412,7 +372,6 @@ class SourceLoader(Actor):
         """
         self._drop_staged()
         self._drop_buffer()
-        self._new_delta_epoch()
         self._metadata_by_id.clear()
         self._tickets.clear()
         self._cursor = SourceCursor(
@@ -473,9 +432,8 @@ class SourceLoader(Actor):
     def restore_replay_checkpoint(self, snapshot: dict) -> None:
         """Adopt a :meth:`replay_checkpoint` snapshot as this loader's state.
 
-        Drops any staged/buffered state, installs the snapshot's cursor and
-        buffer verbatim, and starts a fresh delta epoch so planner-side
-        mirrors resync rather than splice events across incarnations.  Used
+        Drops any staged/buffered state and installs the snapshot's cursor and
+        buffer verbatim; the next gather resyncs (:meth:`buffer_delta`).  Used
         by bounded failover recovery, mirror bootstrap (cloning the
         canonical's live state) and whole-run restore.
         """
@@ -495,7 +453,6 @@ class SourceLoader(Actor):
             )
         self._drop_staged()
         self._drop_buffer()
-        self._new_delta_epoch()
         self._metadata_by_id.clear()
         self._tickets.clear()
         self._cursor = SourceCursor(
@@ -583,7 +540,7 @@ class SourceLoader(Actor):
         rows = [self._buffer.pop(sample_id, None) for sample_id in sample_ids]
         removed = [sample_id for sample_id, row in zip(sample_ids, rows) if row is not None]
         if removed:
-            self._log_deltas("del", removed)
+            self._changes += len(removed)
             self.ledger.release("prefetch_buffer", BUFFERED_METADATA_BYTES * len(removed))
         return rows
 
@@ -596,7 +553,6 @@ class SourceLoader(Actor):
         wall_clock = total_latency / self.num_workers
         if not self.deferred_refill:
             self.refill()
-        self._steps_since_checkpoint += 1
         return {
             "transform_latency_s": total_latency,
             "wall_clock_s": wall_clock,
@@ -673,13 +629,6 @@ class SourceLoader(Actor):
         self.stats.samples_prepared = int(state.get("samples_prepared", 0))
         self.stats.samples_delivered = int(state.get("samples_delivered", 0))
 
-    def should_checkpoint(self) -> bool:
-        """Differential checkpointing: snapshot less often than the Planner."""
-        return self._steps_since_checkpoint >= self._checkpoint_interval
-
-    def mark_checkpointed(self) -> None:
-        self._steps_since_checkpoint = 0
-
     def heartbeat_payload(self) -> dict:
         return {
             "buffer_depth": len(self._buffer),
@@ -689,47 +638,10 @@ class SourceLoader(Actor):
 
     # -- internals -----------------------------------------------------------------------------------
 
-    def _new_delta_epoch(self) -> None:
-        """Start a delta epoch (fresh loader, pristine replay, restore).
-
-        A consumer holding a log position from an earlier incarnation must
-        resync rather than splice stale events, so until the next
-        :meth:`buffer_delta` call no log is kept.
-        """
-        self._delta_epoch = next(_DELTA_EPOCHS)
-        self._gathered = False
-
-    def _log_deltas(self, op: str, payloads: list) -> None:
-        """Append one ``op`` event per payload to the buffer delta log.
-
-        Before the epoch's first :meth:`buffer_delta` call only the sequence
-        advances: that call resyncs from a snapshot, so the events would be
-        dropped unread (a mirror, a shadow or a standalone loader is never
-        gathered from at all).
-        """
-        if not self._gathered:
-            self._delta_seq = self._delta_base = self._delta_seq + len(payloads)
-            return
-        self._delta_log.extend(
-            zip(itertools.count(self._delta_seq + 1), itertools.repeat(op), payloads)
-        )
-        self._delta_seq += len(payloads)
-        if len(self._delta_log) > self._delta_cap:
-            # Nobody consumes the log any more (the loader left the gather
-            # set): it is dropped each time it grows past the cap, and the
-            # next gather, if any, starts from a snapshot.  What is left is
-            # what came in since the last drop.
-            kept = len(self._delta_log) % (self._delta_cap + 1)
-            del self._delta_log[: len(self._delta_log) - kept]
-            self._delta_base = self._delta_seq - kept
-
     def _drop_buffer(self) -> None:
         self.ledger.release("prefetch_buffer", BUFFERED_METADATA_BYTES * len(self._buffer))
         self._buffer.clear()
-        # A wholesale drop invalidates any incrementally maintained mirror.
-        self._delta_seq += 1
-        self._delta_log.clear()
-        self._delta_base = self._delta_seq
+        self._rebuilt = True
 
     def _drop_staged(self) -> None:
         released = sum(row[3] for row in self._staged.values())

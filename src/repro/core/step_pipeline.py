@@ -328,10 +328,10 @@ class StepPipeline:
         without one), and (3) releases the staging the flushed steps occupied
         on the constructors.
 
-        Each restore/reset starts a fresh buffer-delta epoch on its loader, so
-        the Planner's gather mirrors resync from a full snapshot on the next
-        plan instead of splicing events from the pre-flush incarnation — the
-        flush costs one O(buffer) gather, after which delta gathering resumes.
+        Each restore/reset rebuilds its loader's buffer, so the next plan
+        charges that loader a full O(buffer) resync gather
+        (:meth:`~repro.core.planner.Planner.gather_buffer_columns`), after
+        which gathers are charged per change again.
         """
         # The run being continued had every swap installed on its Planner, so
         # there a flush re-plans under the newest one.

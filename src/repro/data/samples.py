@@ -83,7 +83,7 @@ class MetadataColumns:
     One list per stored field, named as in :class:`SampleMetadata` and the
     columnar files — what the sample transformations charge a sample by —
     plus ``records``, the same rows as the :class:`SampleMetadata` objects
-    the Planner's buffer mirrors carry.
+    loader buffers and the Planner's gathers carry.
     """
 
     records: list[SampleMetadata]

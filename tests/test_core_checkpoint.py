@@ -21,6 +21,10 @@ from repro.core.checkpoint import (
     InMemoryCheckpointStore,
     SqliteCheckpointStore,
 )
+from repro.core.fault_tolerance import (
+    COORDINATOR_RESTART_LATENCY_S,
+    REPLAY_LATENCY_PER_STEP_S,
+)
 from repro.core.framework import (
     MANIFEST_NAMESPACE,
     RUN_NAMESPACE,
@@ -577,8 +581,7 @@ class TestWholeRunRestore:
             assert event.kind in ("restart", "shadow_promotion")
             # Bounded: the replay charge covers a suffix, not the whole run.
             assert event.recovery_latency_s < (
-                system.fault_manager.config.coordinator_restart_latency_s
-                + 8 * system.fault_manager.config.replay_latency_per_step_s
+                COORDINATOR_RESTART_LATENCY_S + 8 * REPLAY_LATENCY_PER_STEP_S
             )
             reference.shutdown()
         finally:
@@ -888,62 +891,53 @@ class TestSaveBesidePrefetch:
             system.shutdown()
 
 
-# -- satellite: delta-log epoch resync after restore --------------------------------
+# -- a restored loader resyncs the gather -------------------------------------------
 
 
-class TestDeltaEpochResync:
+class TestGatherResync:
     def test_restored_loader_forces_gather_resync(self, filesystem, small_catalog):
-        """A consumer holding a pre-restore (epoch, seq) position must get a
-        full snapshot, never a splice of stale events across incarnations."""
+        """The first gather after a restore is a resync of the restored buffer;
+        the gathers between count the rows the buffer gained and lost."""
         loader = SourceLoader(small_catalog.sources()[0], filesystem, buffer_size=8)
         loader.on_start()
-        first = loader.buffer_delta(0, 0)
+        first = loader.buffer_delta()
         assert first["resync"] is True
-        epoch, seq = first["epoch"], first["seq"]
         ids = [m.sample_id for m in loader.summary_buffer()[:2]]
         loader.prepare(ids)
-        delta = loader.buffer_delta(epoch, seq)
+        delta = loader.buffer_delta()
         assert delta["resync"] is False
-        assert [op for op, _ in delta["events"]].count("del") >= 2
+        assert delta["changes"] == 4  # two rows consumed, two refilled
         snapshot = loader.replay_checkpoint()
         loader.restore_replay_checkpoint(snapshot)
-        resync = loader.buffer_delta(epoch, delta["seq"])
+        resync = loader.buffer_delta()
         assert resync["resync"] is True
-        assert [m.sample_id for m in resync["buffer"]] == [
-            m.sample_id for m in loader.summary_buffer()
-        ]
+        assert resync["buffer"] == loader.summary_buffer() == delta["buffer"]
+        assert loader.buffer_delta() == {
+            "buffer": loader.summary_buffer(), "changes": 0, "resync": False
+        }
 
-    def test_stale_seq_past_capped_log_resyncs(self, filesystem, small_catalog):
-        """When the retained delta log was truncated past the consumer's
-        position (cap overflow drops the log), the gather degenerates to a
-        snapshot instead of silently losing mutations."""
-        loader = SourceLoader(small_catalog.sources()[0], filesystem, buffer_size=8)
-        loader.on_start()
-        first = loader.buffer_delta(0, 0)
-        epoch, stale_seq = first["epoch"], first["seq"]
-        # Overflow the capped log without ever gathering: the loader drops
-        # the backlog and advances its base past the consumer's position.
-        loader._log_deltas("add", [None] * (loader._delta_cap + 8))
-        assert loader._delta_base > stale_seq
-        delta = loader.buffer_delta(epoch, stale_seq)
-        assert delta["resync"] is True
-        assert [m.sample_id for m in delta["buffer"]] == [
-            m.sample_id for m in loader.summary_buffer()
-        ]
 
-    def test_since_seq_predating_base_resyncs(self, filesystem, small_catalog):
-        """A restored consumer whose ``since_seq`` predates the log base (the
-        capped-delta-log case after an epoch bump) resyncs cleanly."""
-        loader = SourceLoader(small_catalog.sources()[0], filesystem, buffer_size=8)
-        loader.on_start()
-        loader.buffer_delta(0, 0)
-        ids = [m.sample_id for m in loader.summary_buffer()[:1]]
-        loader.prepare(ids)
-        current = loader.buffer_delta(loader._delta_epoch, loader._delta_seq - 1)
-        # since_seq below the served base → snapshot, not a partial splice.
-        old = loader.buffer_delta(loader._delta_epoch, 0)
-        assert current["resync"] or old["resync"]
-        assert old["resync"] is True
+# -- one differential-checkpoint interval -------------------------------------------
+
+
+@pytest.mark.parametrize("depth", [0, 2])
+def test_consistent_checkpoints_land_only_at_interval_multiples(depth):
+    """``replay_window`` is the loaders' checkpoint interval and nothing else
+    gates it: with a window of 60, a 62-step run checkpoints at 0 and 60."""
+    system = MegaScaleData.deploy(make_job(depth, replay_window=60))
+    try:
+        steps: dict[str, list[int]] = {}
+        for _ in range(62):
+            system.run_step()
+            for handle in system.loader_handles:
+                entry = system.fault_manager.last_loader_checkpoint(handle.name)
+                taken = steps.setdefault(handle.name, [])
+                if entry is not None and entry["step"] not in taken:
+                    assert entry["consistent"]
+                    taken.append(entry["step"])
+        assert steps and all(taken == [0, 60] for taken in steps.values())
+    finally:
+        system.shutdown()
 
 
 # -- whole-run checkpoints land in the run namespace --------------------------------

@@ -213,32 +213,6 @@ class TestFleetMechanics:
         finally:
             system.shutdown()
 
-    @pytest.mark.parametrize("prefetch_depth", [0, 2])
-    def test_mirrors_keep_no_delta_log(self, prefetch_depth):
-        """Only the canonical is gathered from: a mirror's buffer churns every
-        step but it logs nothing, and its first gather is a full snapshot."""
-        system = MegaScaleData.deploy(make_job(prefetch_depth, elastic=False))
-        try:
-            system.run_step()
-            source = "navit_data/src000"
-            system.scale_source(source, 3)
-            for _ in range(4):
-                system.run_step()
-            mirrors = [
-                member.instance()
-                for group in system.fleet._by_source[source]
-                for member in group.members[1:]
-            ]
-            assert mirrors
-            for mirror in mirrors:
-                assert mirror.stats.samples_buffered > mirror.buffer_size  # it churned
-                assert mirror._delta_log == []
-                reply = mirror.buffer_delta(-1, -1)
-                assert reply["resync"]
-                assert reply["buffer"] == mirror.summary_buffer()
-        finally:
-            system.shutdown()
-
     def test_placement_rejection_reconciles_scaler(self):
         """Node budgets gate scale-up: with the cluster saturated, directives
         are rejected, recorded, and the scaler adopts the true fleet size."""
@@ -403,21 +377,22 @@ class TestElasticReporting:
 
 
 class TestDeltaCacheUnderFleetChurn:
-    """The planner's buffer mirrors must stay exact through every
-    fleet mutation: mirror spawn (bootstrap replay), per-step group sync
-    (`replay_demands` on the canonical), drain-retire, and loader crash +
-    pristine-replay recovery."""
+    """The planner's gather must stay exact through every fleet mutation:
+    mirror spawn (bootstrap replay), per-step group sync (`replay_demands` on
+    the canonical), drain-retire, and loader crash + pristine-replay
+    recovery."""
 
     @staticmethod
-    def _assert_caches_exact(system):
-        """Gather once, then compare every cached mirror to its loader."""
-        planner = system.planner_handle.instance()
-        planner.gather_buffer_columns()
+    def _assert_gather_exact(system):
+        """Gather once: each source's rows are its canonicals' buffers, in order."""
+        infos, _ = system.planner_handle.instance().gather_buffer_columns()
+        buffered: dict[str, list[int]] = {}
         for handle in system.loader_handles:
-            cache = planner._mirrors[handle.name]
-            buffered = [m.sample_id for m in handle.instance().summary_buffer()]
-            mirrored = cache.sample_ids()
-            assert mirrored == buffered  # no stale ids, no dups, exact order
+            loader = handle.instance()
+            buffered.setdefault(loader.source.name, []).extend(
+                m.sample_id for m in loader.summary_buffer()
+            )
+        assert {source: rows.sample_ids.tolist() for source, rows in infos.items()} == buffered
 
     @pytest.mark.parametrize("depth", [0, 2])
     def test_cache_exact_across_scale_up_down_and_mirror_crash(self, depth):
@@ -439,16 +414,15 @@ class TestDeltaCacheUnderFleetChurn:
             assert killed
             assert elastic.fleet.spawn_count() >= 1
             assert elastic.fleet.retire_count() >= 1
-            self._assert_caches_exact(elastic)
+            self._assert_gather_exact(elastic)
         finally:
             frozen.shutdown()
             elastic.shutdown()
 
     def test_cache_resyncs_after_canonical_crash_recovery(self):
         """A canonical loader dying mid-prefetch is recovered by pristine
-        replay; the recovered loader starts a new delta epoch, so the next
-        gather must resync its mirror instead of splicing stale events —
-        and the run stays byte-identical to an undisturbed one."""
+        replay; the next gather sees the recovered buffer, and the run stays
+        byte-identical to an undisturbed one."""
         undisturbed = MegaScaleData.deploy(make_job(2, elastic=False))
         crashed = MegaScaleData.deploy(make_job(2, elastic=False))
         try:
@@ -462,7 +436,7 @@ class TestDeltaCacheUnderFleetChurn:
             assert any(
                 event.kind == "restart" for event in crashed.fault_manager.events()
             )
-            self._assert_caches_exact(crashed)
+            self._assert_gather_exact(crashed)
         finally:
             undisturbed.shutdown()
             crashed.shutdown()

@@ -63,6 +63,21 @@ class TestDetection:
         with pytest.raises(TypeError, match="rpc_timeout_s"):
             FaultToleranceConfig(rpc_timeout_s=1.0)
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "retry_budgets",
+            "shadow_promotion_latency_s",
+            "coordinator_restart_latency_s",
+            "replay_latency_per_step_s",
+        ],
+    )
+    def test_recovery_latencies_and_retry_budgets_are_not_knobs(self, name):
+        """No caller set them: the latencies are module constants and every
+        RPC retries under the one ``retry`` policy."""
+        with pytest.raises(TypeError, match=name):
+            FaultToleranceConfig(**{name: 1})
+
 
 class TestCheckpointing:
     def test_checkpoint_written_on_interval(self, system, manager, small_catalog, filesystem):

@@ -15,7 +15,13 @@ from repro.core.columns import SampleColumns
 from repro.core.degradation import bound_buffer
 from repro.core.framework import MegaScaleData, TrainingJobSpec
 from repro.core.place_tree import ClientPlaceTree
-from repro.core.planner import Planner
+from repro.core.fault_tolerance import FaultToleranceManager
+from repro.core.planner import (
+    GATHER_PER_DELTA_SECONDS,
+    GATHER_PER_SAMPLE_SECONDS,
+    GATHER_RPC_SECONDS,
+    Planner,
+)
 from repro.core.source_loader import SourceLoader
 from repro.core.strategies import (
     StrategyConfig,
@@ -192,6 +198,45 @@ class TestFaultTolerance:
         fresh.load_state_dict(state)
         assert fresh.heartbeat_payload()["step"] == 1
 
+    def test_gather_charges_a_resync_after_restarts(self, system, dp_mesh, loader_handles):
+        """The first plan after a loader restart charges that loader per
+        buffered sample, the others per change; the first plan after a
+        Planner restart charges every loader per buffered sample."""
+        planner = make_planner(system, ClientPlaceTree(dp_mesh), loader_handles)
+
+        def charged(resynced, changes):
+            expected = 0.0
+            for handle in loader_handles:
+                if handle.name in resynced:
+                    depth = handle.instance().buffer_depth()
+                    expected += GATHER_RPC_SECONDS + GATHER_PER_SAMPLE_SECONDS * depth
+                else:
+                    expected += GATHER_RPC_SECONDS + GATHER_PER_DELTA_SECONDS * changes.get(
+                        handle.name, 0
+                    )
+            return expected
+
+        def gathered():
+            return planner.instance().stats.latest_timings().buffer_gather_s
+
+        everyone = {handle.name for handle in loader_handles}
+        planner.call("generate_plan")
+        assert gathered() == charged(everyone, {})
+        churned, restarted = loader_handles[0], loader_handles[1]
+        ids = [m.sample_id for m in churned.instance().summary_buffer()[:3]]
+        before = churned.instance().stats.samples_buffered
+        churned.call("prepare", ids)
+        refilled = churned.instance().stats.samples_buffered - before
+        system.restart_actor(restarted.name)
+        planner.call("generate_plan")
+        assert gathered() == charged({restarted.name}, {churned.name: len(ids) + refilled})
+        planner.call("generate_plan")
+        assert gathered() == charged(set(), {})
+        FaultToleranceManager(system).recover_coordinator(planner, step=3)
+        planner.instance().register_loaders(loader_handles)
+        planner.call("generate_plan")
+        assert gathered() == charged(everyone, {})
+
 
 # -- columnar planning -------------------------------------------------------------
 
@@ -358,8 +403,7 @@ class TestColumnarPlanEquivalence:
         """The delta gather equals a full copy of every loader's buffer, and
         the plan equals the one the strategy computes from those full copies,
         step for step while loader buffers churn (prepares between plans) —
-        including a mid-run pristine replay that forces a delta-epoch
-        resync."""
+        including a mid-run pristine replay that forces a resync."""
         filesystem = SimulatedFileSystem()
         catalog = build_source_catalog(
             navit_like_spec(num_sources=3, samples_per_source=48, seed=7), filesystem
@@ -405,8 +449,8 @@ class TestColumnarPlanEquivalence:
                     handle.call("prepare", picked)
                     system.gcs.take(handle.call("fetch_prepared_ref", picked)["key"])
             if step == steps // 2:
-                # Pristine replay (the failover bootstrap): new delta epoch on
-                # one loader — the gather must resync, not splice.
+                # Pristine replay (the failover bootstrap) on one loader: the
+                # gather must see the rebuilt buffer.
                 handles[0].call("reset_for_replay")
             # The gathered columns are exactly each loader's buffer — no
             # stale rows, no duplicates, same order.

@@ -172,15 +172,6 @@ class TestShardingAndCheckpoint:
         assert payload["buffer_depth"] == 8
         assert payload["source"] == small_catalog.sources()[0].name
 
-    def test_differential_checkpoint_interval(self, system, small_catalog, filesystem):
-        handle = spawn_loader(system, small_catalog, filesystem, buffer_size=8)
-        loader = handle.instance()
-        assert not loader.should_checkpoint()
-        loader._steps_since_checkpoint = loader._checkpoint_interval
-        assert loader.should_checkpoint()
-        loader.mark_checkpointed()
-        assert not loader.should_checkpoint()
-
 
 class TestAsyncPrepareProtocol:
     def test_poll_until_done_matches_sync_prepare(self, system, small_catalog, filesystem):
@@ -258,80 +249,15 @@ class TestAsyncPrepareProtocol:
 
 
 class TestBufferDeltaProtocol:
-    """The incremental gather RPC behind the Planner's columnar fast path."""
-
-    @staticmethod
-    def _mirror(handle):
-        from repro.core.columns import BufferMirror
-
-        loader = handle.instance()
-        cache = BufferMirror(source=loader.source.name)
-        reply = handle.call("buffer_delta", cache.epoch, cache.seq)
-        assert reply["resync"]  # a fresh consumer always snapshots
-        cache.snapshot(reply["buffer"])
-        cache.epoch, cache.seq = reply["epoch"], reply["seq"]
-        return cache
-
-    @staticmethod
-    def _pull(handle, cache):
-        reply = handle.call("buffer_delta", cache.epoch, cache.seq)
-        if reply["resync"]:
-            cache.snapshot(reply["buffer"])
-        else:
-            cache.apply(reply["events"])
-        cache.epoch, cache.seq = reply["epoch"], reply["seq"]
-        return reply
-
-    def test_deltas_reconstruct_buffer_order_exactly(self, system, small_catalog, filesystem):
-        handle = spawn_loader(system, small_catalog, filesystem, buffer_size=16)
-        cache = self._mirror(handle)
-        for round_index in range(4):
-            ids = [m.sample_id for m in handle.instance().summary_buffer()][
-                round_index::5
-            ]
-            handle.call("prepare", ids)
-            fetch(system, handle, ids)
-            reply = self._pull(handle, cache)
-            assert not reply["resync"]  # steady state ships only the churn
-            assert len(reply["events"]) <= 2 * len(ids) + 1
-            assert cache.sample_ids() == [
-                m.sample_id for m in handle.instance().summary_buffer()
-            ]
+    """The gather RPC behind the Planner's per-change charge."""
 
     def test_empty_delta_between_quiet_steps(self, system, small_catalog, filesystem):
         handle = spawn_loader(system, small_catalog, filesystem, buffer_size=8)
-        cache = self._mirror(handle)
-        reply = self._pull(handle, cache)
+        assert handle.call("buffer_delta")["resync"]  # a fresh instance resyncs
+        reply = handle.call("buffer_delta")
         assert not reply["resync"]
-        assert reply["events"] == []
-
-    def test_pristine_replay_bumps_epoch_and_forces_resync(
-        self, system, small_catalog, filesystem
-    ):
-        handle = spawn_loader(system, small_catalog, filesystem, buffer_size=8)
-        cache = self._mirror(handle)
-        handle.call("reset_for_replay")
-        reply = self._pull(handle, cache)
-        assert reply["resync"]
-        assert cache.sample_ids() == [
-            m.sample_id for m in handle.instance().summary_buffer()
-        ]
-
-    def test_unconsumed_log_is_capped_and_degrades_to_resync(
-        self, system, small_catalog, filesystem
-    ):
-        handle = spawn_loader(system, small_catalog, filesystem, buffer_size=4)
-        cache = self._mirror(handle)
-        loader = handle.instance()
-        # Churn far past the log cap without ever gathering.
-        for _ in range(loader._delta_cap):
-            ids = [m.sample_id for m in loader.summary_buffer()[:2]]
-            handle.call("prepare", ids)
-            fetch(system, handle, ids)
-        assert len(loader._delta_log) <= loader._delta_cap
-        reply = self._pull(handle, cache)
-        assert reply["resync"]
-        assert cache.sample_ids() == [m.sample_id for m in loader.summary_buffer()]
+        assert reply["changes"] == 0
+        assert reply["buffer"] == handle.instance().summary_buffer()
 
     def test_declared_source_names_the_deployed_source(
         self, system, small_catalog, filesystem
@@ -452,28 +378,63 @@ def test_chunked_refill_equals_the_per_row_loop(source_index, shard_count, buffe
 
 
 @given(
-    backlog=st.integers(0, 300),
-    batches=st.lists(st.integers(0, 700), min_size=1, max_size=4),
+    buffer_size=st.sampled_from([5, 16, 40]),
+    shard_count=st.integers(1, 3),
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["gather", "refill", "poll", "replay", "reset", "restore"]),
+            st.lists(st.integers(0, 10**6), max_size=8),
+        ),
+        max_size=16,
+    ),
 )
-@settings(max_examples=60, deadline=None)
-def test_batched_delta_log_equals_one_event_at_a_time(backlog, batches):
-    """The capped log drops and re-bases exactly where per-event logging did."""
-    loader = SourceLoader(PROPERTY_CATALOG.sources()[0], PROPERTY_FILESYSTEM, buffer_size=8)
-    assert loader.buffer_delta(-1, -1)["resync"]  # the log is kept once gathered from
-    cap = loader._delta_cap
-    assert cap == 256
-    log: list[tuple[int, str, object]] = []
-    seq = base = 0
-    for size in (backlog, *batches):
-        loader._log_deltas("del", list(range(size)))
-        for payload in range(size):
-            seq += 1
-            log.append((seq, "del", payload))
-            if len(log) > cap:
-                log.clear()
-                base = seq
-        assert loader._delta_log == log
-        assert (loader._delta_seq, loader._delta_base) == (seq, base)
+@settings(max_examples=40, deadline=None)
+def test_gather_reports_the_buffer_its_changes_and_rebuilds(buffer_size, shard_count, ops):
+    """Every ``buffer_delta`` reply carries the buffer; ``changes`` is the rows
+    added plus the rows removed since the previous reply; ``resync`` is set on
+    exactly the first reply after a rebuild (start, pristine reset, restore)."""
+    system = fresh_system()
+    handle = spawn_loader(
+        system, PROPERTY_CATALOG, PROPERTY_FILESYSTEM, 0,
+        buffer_size=buffer_size, shard_count=shard_count,
+    )
+    loader = handle.instance()
+    snapshot = loader.replay_checkpoint()
+    consumed: list[int] = []
+    changes, rebuilt = 0, True
+    for ticket, (op, picks) in enumerate([*ops, ("gather", [])]):
+        buffered = [m.sample_id for m in loader.summary_buffer()]
+        ids = list(dict.fromkeys(buffered[pick % len(buffered)] for pick in picks if buffered))
+        added = loader.stats.samples_buffered
+        if op == "gather":
+            reply = handle.call("buffer_delta")
+            assert reply["buffer"] == loader.summary_buffer()
+            assert reply["resync"] is rebuilt
+            if not rebuilt:
+                assert reply["changes"] == changes
+            changes, rebuilt = 0, False
+            continue
+        if op == "refill":
+            handle.call("refill")
+        elif op == "poll" and ids:
+            reply = handle.call("poll", ticket, 3, ids)
+            while not reply["done"]:
+                reply = handle.call("poll", ticket, 3)
+            system.gcs.take(reply["key"])
+        elif op == "replay":
+            # An id consumed earlier is known but may no longer be buffered.
+            ids += [sample_id for sample_id in consumed[-2:] if sample_id not in ids]
+            handle.call("replay_demands", ids, False)
+        elif op == "reset":
+            handle.call("reset_for_replay")
+            rebuilt, consumed = True, []
+        elif op == "restore":
+            handle.call("restore_replay_checkpoint", snapshot)
+            rebuilt, consumed = True, []
+        if op in ("poll", "replay"):
+            consumed += ids
+            changes += len(set(ids) & set(buffered))
+        changes += loader.stats.samples_buffered - added
 
 
 # -- a row is costed once per process, per cost key ------------------------------------
