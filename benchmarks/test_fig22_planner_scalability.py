@@ -1,16 +1,17 @@
 """Fig. 22 (planner leg) — plan-generation throughput vs buffer depth × sources.
 
 With event *dispatch* at O(E·log A), what bounds the simulator next is the
-per-step planning cycle itself.  The Planner gathers only the buffer
-mutations since the previous plan (delta gather) and the DGraph mixes, costs
-and finalizes over column arrays with lazy lineage, so a plan costs
-O(per-step churn + selected samples) rather than O(total buffered samples).
+per-step planning cycle itself.  The Planner gathers each loader's buffer
+rows by reference, charged per row changed since the previous plan, and the
+DGraph mixes, costs and finalizes over column arrays built for the selected
+rows only, with lazy lineage, so a plan costs a pointer copy per buffered
+row plus O(selected samples) of record reads and array work.
 This benchmark sweeps buffer depth × source count and measures raw planning
 throughput (plans/sec of ``Planner.generate_plan``).
 
 Between timed plans each loader *consumes* its demanded ids and refills
 (``replay_demands``), so the planner is measured in its steady state:
-non-empty deltas proportional to the per-step batch, not to the buffer.
+per-step buffer changes proportional to the batch, not to the buffer.
 Every sweep point's per-step source demands are checked against a digest
 recorded from the retired full-copy/row-mode planner at commit ``a95f6d8``,
 where both planners demanded identical samples.
@@ -100,7 +101,7 @@ def _drive(depth: int, num_sources: int) -> dict[str, object]:
     )
     planner.register_loaders(handles)
 
-    planner.generate_plan(0)  # warm-up: the delta gather's one-time resync
+    planner.generate_plan(0)  # warm-up: the gather's one-time resync charge
     plan_seconds = 0.0
     demand_trace: list[dict[str, list[int]]] = []
     for step in range(1, TIMED_STEPS + 1):
@@ -109,7 +110,7 @@ def _drive(depth: int, num_sources: int) -> dict[str, object]:
         plan_seconds += time.perf_counter() - begin
         demand_trace.append(plan.source_demands)
         # Steady-state churn (untimed): every loader consumes its demanded
-        # ids and refills, so the next delta carries ~one batch of events.
+        # ids and refills, so the next gather is charged ~one batch of changes.
         for handle in handles:
             ids = plan.source_demands.get(handle.instance().source.name, [])
             if ids:

@@ -9,14 +9,17 @@ churn.
 buffered samples: numpy arrays for sample id, token counts and source codes,
 plus an object array of the metadata records themselves so plan finalization
 emits the very :class:`SampleMetadata` objects the loaders buffered.  A set
-gathered from the loaders (:meth:`SampleColumns.of_source`) holds only its
-record list, in each loader's buffer order (the order plan determinism rests
-on), and builds its arrays on first read: length, per-source grouping,
-rotation, selection and the concatenation of distinct sources work on the
-lists, so a plan builds arrays once, over the rows it selects.
+gathered from the loaders (:meth:`SampleColumns.of_source`) holds the
+loaders' own buffer rows, ``(metadata, ...)`` tuples in each loader's buffer
+order (the order plan determinism rests on), and builds its arrays on first
+read: length, per-source grouping, rotation, selection and the concatenation
+of distinct sources work on the row lists, so a plan reads a record, and
+builds arrays, only for the rows it selects.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 import numpy as np
 
@@ -24,6 +27,9 @@ from repro.data.samples import SampleMetadata
 
 #: The array slots a lazy set (:meth:`SampleColumns.of_source`) fills on first read.
 _ARRAYS = ("sample_ids", "text_tokens", "image_tokens", "total_tokens", "source_codes", "metas")
+
+#: The record of a loader buffer row, ``(metadata, ...)``.
+_record_of = itemgetter(0)
 
 
 def _record_arrays(
@@ -58,8 +64,9 @@ class SampleColumns:
         finalized plan carry the very objects the loaders buffered.
 
     A lazy set (:meth:`of_source`, and :meth:`concat` of lazy sets over
-    distinct sources) keeps its records as one list with one run per source
-    and builds these arrays only when one is read.
+    distinct sources) keeps its buffer rows as one list with one run per
+    source, and reads a row's record only to build these arrays, for the
+    rows a view keeps, or to list the set (:meth:`to_list`).
     """
 
     __slots__ = (*_ARRAYS, "sources", "_rows", "_ends")
@@ -80,8 +87,8 @@ class SampleColumns:
         self.source_codes = source_codes
         self.sources = sources
         self.metas = metas
-        #: Lazy sets only: the records, and the end of each source's run.
-        self._rows: list[SampleMetadata] | None = None
+        #: Lazy sets only: the buffer rows, and the end of each source's run.
+        self._rows: list[tuple] | None = None
         self._ends: list[int] | None = None
 
     # -- constructors ---------------------------------------------------------------
@@ -98,13 +105,17 @@ class SampleColumns:
         )
 
     @classmethod
-    def of_source(cls, source: str, records: list[SampleMetadata]) -> "SampleColumns":
-        """One source's buffered records, in buffer order; arrays built on first read."""
-        return cls._lazy((source,), records, [len(records)])
+    def of_source(cls, source: str, rows: list[tuple]) -> "SampleColumns":
+        """One source's buffer rows, in buffer order; arrays built on first read.
+
+        ``rows`` are the loader's own buffer rows (``row[0]`` the record) and
+        are held as given, not copied: the caller hands over the list.
+        """
+        return cls._lazy((source,), rows, [len(rows)])
 
     @classmethod
     def _lazy(
-        cls, sources: tuple[str, ...], rows: list[SampleMetadata], ends: list[int]
+        cls, sources: tuple[str, ...], rows: list[tuple], ends: list[int]
     ) -> "SampleColumns":
         columns = cls.__new__(cls)
         columns.sources = sources
@@ -152,7 +163,7 @@ class SampleColumns:
             return parts[0]
         sources = tuple(name for part in parts for name in part.sources)
         if len(set(sources)) == len(sources) and all(part._rows is not None for part in parts):
-            rows: list[SampleMetadata] = []
+            rows: list[tuple] = []
             ends: list[int] = []
             for part in parts:
                 ends.extend(len(rows) + end for end in part._ends)
@@ -181,7 +192,7 @@ class SampleColumns:
 
     def __getattr__(self, name: str):
         # Reached only for an unset slot: a lazy set's arrays, built here
-        # once over its whole record list.
+        # once over all its rows.
         if name not in _ARRAYS or self._rows is None:
             raise AttributeError(name)
         built = self._build(np.arange(len(self._rows)))
@@ -191,7 +202,7 @@ class SampleColumns:
 
     def _build(self, positions: np.ndarray) -> "SampleColumns":
         """Columns over a lazy set's rows at ``positions`` (one array build)."""
-        records = list(map(self._rows.__getitem__, positions.tolist()))
+        records = list(map(_record_of, map(self._rows.__getitem__, positions.tolist())))
         sample_ids, text_tokens, image_tokens, metas = _record_arrays(records)
         codes = np.searchsorted(self._ends, positions, side="right").astype(np.int32)
         return SampleColumns(sample_ids, text_tokens, image_tokens, codes, self.sources, metas)
@@ -230,7 +241,7 @@ class SampleColumns:
         Byte-identical to ``(rows[offset:] + rows[:offset])[:count]`` for
         ``count <= len(rows)`` — the rotation the framework's deterministic
         per-step buffer bounding applies.  A lazy one-source set rotates its
-        record list and stays lazy.
+        row list and stays lazy.
         """
         rows = self._rows
         if rows is not None and len(self.sources) == 1 and 0 <= count <= len(rows):
@@ -271,6 +282,6 @@ class SampleColumns:
 
     def to_list(self) -> list[SampleMetadata]:
         if self._rows is not None:
-            return list(self._rows)
+            return list(map(_record_of, self._rows))
         return self.metas.tolist()
 

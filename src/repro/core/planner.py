@@ -11,6 +11,7 @@ Each of those phases is timed so the Fig. 15 breakdown can be regenerated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from repro.actors.actor import Actor, ActorHandle
 from repro.actors.gcs import GlobalControlStore
@@ -21,7 +22,6 @@ from repro.core.place_tree import ClientPlaceTree
 from repro.core.plans import LoadingPlan, PlanRecord, ScalingPlan
 from repro.core.strategies import StrategyFn
 from repro.data.mixture import MixtureSchedule
-from repro.data.samples import SampleMetadata
 from repro.errors import ActorDead, ActorTimeout, PlanError, StorageError
 
 #: Simulated cost of gathering one loader's buffer summary over RPC.
@@ -191,11 +191,12 @@ class Planner(Actor):
         rebuilt (fresh instance, restart, pristine replay, restore), which a
         restarted Planner does for every loader.  Gather cost thus follows
         churn rather than depth once in sync.  Each source gets a lazy column
-        set over its loaders' records (:meth:`SampleColumns.of_source`):
-        arrays are built only for rows a strategy reads, so a plan builds
-        them for the rows it selects.
+        set over its loaders' buffer rows as they reply them
+        (:meth:`SampleColumns.of_source`; a source with one loader keeps that
+        loader's reply list): a record is read, and arrays are built, only
+        for the rows a strategy keeps, and the rows' cost fields never.
         """
-        records: dict[str, list[SampleMetadata]] = {}
+        replies: dict[str, list[list[tuple]]] = {}
         latency = 0.0
         for handle in self._loader_handles:
             if self._is_excluded(handle):
@@ -208,9 +209,12 @@ class Planner(Actor):
                 latency += GATHER_RPC_SECONDS + GATHER_PER_SAMPLE_SECONDS * len(buffer)
             else:
                 latency += GATHER_RPC_SECONDS + GATHER_PER_DELTA_SECONDS * reply["changes"]
-            records.setdefault(source, []).extend(buffer)
+            replies.setdefault(source, []).append(buffer)
         infos = {
-            source: SampleColumns.of_source(source, rows) for source, rows in records.items()
+            source: SampleColumns.of_source(
+                source, buffers[0] if len(buffers) == 1 else list(chain.from_iterable(buffers))
+            )
+            for source, buffers in replies.items()
         }
         return infos, latency
 

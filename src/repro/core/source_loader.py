@@ -226,7 +226,12 @@ class SourceLoader(Actor):
         return added
 
     def summary_buffer(self) -> list[SampleMetadata]:
-        """Buffer metadata handed to the Planner during plan generation."""
+        """The buffered metadata records, in buffer order.
+
+        Rebuilds a list over every buffered row: the replay checkpoint and
+        inspection read it.  The Planner's gather takes the rows themselves
+        (:meth:`buffer_delta`) instead.
+        """
         return [row[0] for row in self._buffer.values()]
 
     def buffered_among(self, sample_ids: list[int]) -> set[int]:
@@ -245,15 +250,17 @@ class SourceLoader(Actor):
     def buffer_delta(self) -> dict[str, object]:
         """The Planner's gather RPC: the buffer and what changed since the last call.
 
-        Returns ``{"buffer", "changes", "resync"}``: the buffered metadata in
-        buffer order, the rows added plus the rows removed since the previous
+        Returns ``{"buffer", "changes", "resync"}``: this loader's own buffer
+        rows, ``(metadata, transform latency, staged bytes)`` in buffer order
+        (a fresh list over the rows it holds: a pointer copy, no row is
+        rebuilt), the rows added plus the rows removed since the previous
         call, and whether the buffer was rebuilt since then (always true on
         an instance's first call).  Both reset at each call, so the
         protocol assumes one consumer, the Planner, which charges a gather by
         ``changes`` unless it must resync.
         """
         reply = {
-            "buffer": self.summary_buffer(),
+            "buffer": list(self._buffer.values()),
             "changes": self._changes,
             "resync": self._rebuilt,
         }

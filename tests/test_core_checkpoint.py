@@ -911,10 +911,13 @@ class TestGatherResync:
         loader.restore_replay_checkpoint(snapshot)
         resync = loader.buffer_delta()
         assert resync["resync"] is True
-        assert resync["buffer"] == loader.summary_buffer() == delta["buffer"]
-        assert loader.buffer_delta() == {
-            "buffer": loader.summary_buffer(), "changes": 0, "resync": False
-        }
+        records = loader.summary_buffer()
+        assert [row[0] for row in resync["buffer"]] == records
+        assert [row[0] for row in delta["buffer"]] == records
+        quiet = loader.buffer_delta()
+        assert [row[0] for row in quiet["buffer"]] == records
+        assert (quiet["changes"], quiet["resync"]) == (0, False)
+        assert quiet.keys() == {"buffer", "changes", "resync"}
 
 
 # -- one differential-checkpoint interval -------------------------------------------

@@ -263,6 +263,11 @@ def _random_buffer_infos(draw_spec):
     return buffer_infos
 
 
+def _buffer_rows(samples):
+    """Loader-shaped buffer rows over ``samples``: ``(metadata, latency, bytes)``."""
+    return [(sample, 1e-3 * index, 64 * index) for index, sample in enumerate(samples)]
+
+
 buffer_specs = st.lists(
     st.lists(
         st.tuples(
@@ -336,9 +341,9 @@ class TestColumnarPlanEquivalence:
             source: SampleColumns.from_samples(samples)
             for source, samples in buffer_infos.items()
         }
-        # The Planner's gather: per-source record lists, arrays built lazily.
+        # The Planner's gather: per-source loader buffer rows, arrays built lazily.
         lazy_infos = {
-            source: SampleColumns.of_source(source, samples)
+            source: SampleColumns.of_source(source, _buffer_rows(samples))
             for source, samples in buffer_infos.items()
         }
         plan_rows = strategy_rows(buffer_infos, tree_rows, step, seed)
@@ -358,11 +363,14 @@ class TestColumnarPlanEquivalence:
     )
     @settings(max_examples=60, deadline=None)
     def test_lazy_sets_match_eager_columns(self, spec, step, budget, picks):
-        """Every view of a lazy per-source set — bounded, concatenated,
-        grouped, selected, or built whole — equals the same view of eager
-        columns over the same records."""
+        """Every view of a lazy per-source set over buffer rows — bounded,
+        concatenated, grouped, selected, or built whole — equals the same
+        view of eager columns over the rows' records."""
         buffer_infos = _random_buffer_infos(spec)
-        lazy = {source: SampleColumns.of_source(source, rows) for source, rows in buffer_infos.items()}
+        lazy = {
+            source: SampleColumns.of_source(source, _buffer_rows(rows))
+            for source, rows in buffer_infos.items()
+        }
         eager = {source: SampleColumns.from_samples(rows) for source, rows in buffer_infos.items()}
 
         def view(columns):
@@ -400,7 +408,7 @@ class TestColumnarPlanEquivalence:
     )
     @settings(max_examples=15, deadline=None)
     def test_delta_gather_exact_across_buffer_churn(self, steps, seed, consume):
-        """The delta gather equals a full copy of every loader's buffer, and
+        """The gather equals a full copy of every loader's buffer, and
         the plan equals the one the strategy computes from those full copies,
         step for step while loader buffers churn (prepares between plans) —
         including a mid-run pristine replay that forces a resync."""
@@ -478,7 +486,9 @@ class TestArrayBuildsPerPlan:
         return built
 
     def test_mixture_plan_builds_only_selected_rows(self, monkeypatch):
-        """fig22's middle point: 16 sources x 1024 deep, a 64-sample mixture plan."""
+        """fig22's middle point: 16 sources x 1024 deep, a 64-sample mixture
+        plan.  The gather takes each loader's buffer rows as they are: no
+        loader rebuilds a record list over its buffer for the plan."""
         depth, num_sources, batch = 1024, 16, 64
         filesystem = SimulatedFileSystem()
         catalog = build_source_catalog(
@@ -504,11 +514,21 @@ class TestArrayBuildsPerPlan:
         )
         planner.register_loaders(handles)
         built = self._spy_rows_built(monkeypatch)
+        summaries: list[str] = []
+        summary_buffer = SourceLoader.summary_buffer
+
+        def spy_summary(loader):
+            summaries.append(loader.actor_name)
+            return summary_buffer(loader)
+
+        monkeypatch.setattr(SourceLoader, "summary_buffer", spy_summary)
         for step in range(3):
             built.clear()
+            summaries.clear()
             plan = planner.generate_plan(step)
             assert plan.total_samples() == batch
             assert 0 < sum(built) <= 2 * batch, built
+            assert summaries == []
             for handle in handles:
                 ids = plan.source_demands.get(handle.instance().source.name, [])
                 if ids:

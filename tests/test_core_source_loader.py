@@ -257,7 +257,22 @@ class TestBufferDeltaProtocol:
         reply = handle.call("buffer_delta")
         assert not reply["resync"]
         assert reply["changes"] == 0
-        assert reply["buffer"] == handle.instance().summary_buffer()
+        assert [row[0] for row in reply["buffer"]] == handle.instance().summary_buffer()
+
+    def test_gather_replies_the_rows_the_loader_buffers(
+        self, system, small_catalog, filesystem
+    ):
+        """The reply is a fresh list over the loader's own buffer rows: no
+        row is rebuilt, and the loader's later churn never reaches it."""
+        handle = spawn_loader(system, small_catalog, filesystem, buffer_size=8)
+        loader = handle.instance()
+        reply = handle.call("buffer_delta")
+        held = list(loader._buffer.values())
+        assert len(reply["buffer"]) == len(held) == 8
+        assert all(row is buffered for row, buffered in zip(reply["buffer"], held))
+        ids = [m.sample_id for m in loader.summary_buffer()[:2]]
+        handle.call("prepare", ids)
+        assert reply["buffer"] == held
 
     def test_declared_source_names_the_deployed_source(
         self, system, small_catalog, filesystem
@@ -408,7 +423,7 @@ def test_gather_reports_the_buffer_its_changes_and_rebuilds(buffer_size, shard_c
         added = loader.stats.samples_buffered
         if op == "gather":
             reply = handle.call("buffer_delta")
-            assert reply["buffer"] == loader.summary_buffer()
+            assert [row[0] for row in reply["buffer"]] == loader.summary_buffer()
             assert reply["resync"] is rebuilt
             if not rebuilt:
                 assert reply["changes"] == changes
