@@ -4,9 +4,8 @@ A Source Loader is a dedicated actor for one data source (or one shard of a
 source when the AutoScaler splits it).  It ingests metadata from the source's
 columnar files a chunk at a time, costs the sample-level transformations from
 that metadata as the chunk arrives (a pool of parallel workers amortises the
-latency), keeps a read buffer of lightweight metadata the Planner can inspect,
-and stages prepared samples as rows that a fetch hands to Data Constructors
-as one column slice.
+latency), and keeps a read buffer of lightweight metadata the Planner can
+inspect.
 
 A row is costed once per process: the costed row stays on its row group
 under the loader's cost key, so a shard-group mirror, or a loader rewound by
@@ -14,9 +13,11 @@ a flush, restarted or restored, reads it back instead of costing it again.
 
 One step's work on one loader is a *ticket* and costs only its polls
 (:meth:`SourceLoader.poll`): the first poll carries the sample ids and
-registers the ticket, each poll transforms one chunk, and the final poll
-publishes the ticket's staged rows as a ``prepared/`` GCS reference and
-returns its key.  There is no separate accept or hand-off call.
+registers the ticket, each poll moves one chunk of buffer rows onto the
+ticket, and the final poll publishes exactly the rows the ticket took as a
+``prepared/`` GCS reference and returns its key.  There is no separate
+accept or hand-off call, and a row is only ever in the buffer or on one
+ticket.
 
 Because the file access state lives in exactly one actor per source (not in
 every dataloader worker on every rank), source-scaling memory redundancy is
@@ -25,7 +26,7 @@ eliminated (Sec. 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.actors.actor import Actor
 from repro.core.assembly import PreparedColumns
@@ -63,15 +64,17 @@ class LoaderStats:
 
 @dataclass
 class _PrepareTicket:
-    """Book-keeping for one in-flight asynchronous prepare request."""
+    """One in-flight prepare: its demands and the buffer rows its polls took."""
 
     sample_ids: list[int]
-    position: int = 0
+    #: The ``(metadata, transform latency, staged bytes)`` buffer rows taken
+    #: so far, in demand order; the final poll hands exactly these off.
+    rows: list[tuple[SampleMetadata, float, int]] = field(default_factory=list)
     total_latency_s: float = 0.0
     staged_bytes: int = 0
 
     def remaining(self) -> int:
-        return len(self.sample_ids) - self.position
+        return len(self.sample_ids) - len(self.rows)
 
 
 class SourceLoader(Actor):
@@ -138,17 +141,15 @@ class SourceLoader(Actor):
         #: transferred bytes)`` per row, the last two costed when the process
         #: first read the row so preparing a sample is a lookup.  Keyed by
         #: sample id (ids are unique within a buffer) so consuming a demanded
-        #: id is O(1); dict insertion order preserves the arrival order.
+        #: id is O(1); dict insertion order preserves the arrival order.  A
+        #: demanded row moves from here onto its ticket, and from there to
+        #: the hand-off: the loader holds it nowhere else.
         self._buffer: dict[int, tuple[SampleMetadata, float, int]] = {}
-        #: Prepared samples awaiting hand-off: ``sample_id -> (sample_id,
-        #: text_tokens, image_tokens, transferred_bytes)``, turned into one
-        #: column slice by :meth:`fetch_prepared_ref`.
-        self._staged: dict[int, tuple[int, int, int, int]] = {}
         #: Monotone suffix for GCS hand-off keys minted by
         #: :meth:`fetch_prepared_ref`.
         self._ref_seq = 0
-        self._metadata_by_id: dict[int, SampleMetadata] = {}
-        self._tickets: dict[int, _PrepareTicket] = {}
+        #: Open tickets by id; :meth:`prepare`'s goes by ``None``.
+        self._tickets: dict[int | None, _PrepareTicket] = {}
         #: What :meth:`buffer_delta` reports since the previous gather: rows
         #: added to or removed from the buffer, and whether the buffer was
         #: rebuilt (a fresh instance, pristine replay, restore or stop).
@@ -177,9 +178,8 @@ class SourceLoader(Actor):
             reader.close()
         self._readers.clear()
         self.ledger.release("worker_context", WORKER_CONTEXT_BYTES * self.num_workers)
-        self._tickets.clear()
         self._drop_buffer()
-        self._drop_staged()
+        self._drop_tickets()
 
     # -- buffer management ------------------------------------------------------------------
 
@@ -211,10 +211,7 @@ class SourceLoader(Actor):
             min(wanted, added + 1), self._cost_key, self._cost_columns
         )
         if added:
-            ids = ids[:added]
-            records = [row[0] for row in rows[:added]]
-            self._buffer.update(zip(ids, rows))
-            self._metadata_by_id.update(zip(ids, records))
+            self._buffer.update(zip(ids[:added], rows))
             self._changes += added
             self.ledger.charge("prefetch_buffer", BUFFERED_METADATA_BYTES * added)
             self.stats.refills += 1
@@ -273,21 +270,20 @@ class SourceLoader(Actor):
 
     # -- plan execution -----------------------------------------------------------------------
 
-    def prepare(self, sample_ids: list[int]) -> dict[str, float]:
-        """Transform the requested samples and stage them for delivery.
+    def prepare(self, sample_ids: list[int]) -> dict[str, object]:
+        """Transform the requested samples and hand them off: a one-chunk ticket.
 
-        Returns timing information: total transformation latency and the
-        effective wall-clock latency after amortising across parallel workers.
+        Returns what a ticket's final :meth:`poll` returns: the total
+        transformation latency, the wall-clock latency after amortising it
+        across the parallel workers, and the ``key`` of the ``prepared/``
+        reference.  Until its hand-off succeeds the ticket is open under the
+        id ``None``.
         """
-        latencies, staged_bytes = self._stage(sample_ids)
-        total_latency = 0.0
-        for latency in latencies:
-            total_latency += latency
-        return self._finish_prepare(len(sample_ids), total_latency, staged_bytes)
+        return self.poll(None, max(1, len(sample_ids)), sample_ids)
 
     # -- asynchronous plan execution -------------------------------------------------------
 
-    def prepare_async(self, ticket: int, sample_ids: list[int]) -> dict[str, float]:
+    def prepare_async(self, ticket: int | None, sample_ids: list[int]) -> dict[str, object]:
         """Register a non-blocking prepare request identified by ``ticket``.
 
         The actual transformation work happens incrementally through
@@ -300,25 +296,32 @@ class SourceLoader(Actor):
                 f"loader {self.actor_name!r} already has an in-flight ticket {ticket}"
             )
         self._tickets[ticket] = _PrepareTicket(sample_ids=list(sample_ids))
-        return {"ticket": float(ticket), "num_samples": float(len(sample_ids))}
+        return {"ticket": ticket, "num_samples": float(len(sample_ids))}
 
     def poll(
-        self, ticket: int, max_samples: int = 16, sample_ids: list[int] | None = None
+        self, ticket: int | None, max_samples: int = 16, sample_ids: list[int] | None = None
     ) -> dict[str, object]:
         """Advance an asynchronous prepare by up to ``max_samples`` samples.
 
         A ticket costs only its polls.  The first one carries ``sample_ids``
         and registers the ticket (:meth:`prepare_async`); a later one carries
-        the ticket alone.  Returns ``{"done": False, "remaining": n}`` while
-        work is left.  The final poll retires the ticket, hands its samples
-        off (:meth:`fetch_prepared_ref`) and returns the same timing
-        dictionary as :meth:`prepare` with ``done=True`` and the ``key`` of
-        the ``prepared/`` reference.  Every poll reports
-        ``chunk_wall_clock_s`` — the worker-amortised latency of just this
-        chunk — which the latency provider books as the poll's virtual
-        duration, so a ticket's chunks occupy the loader for exactly its
-        total wall-clock time on the shared clock.
+        the ticket alone.  Each poll moves its chunk's rows from the buffer
+        onto the ticket, and returns ``{"done": False, "remaining": n}``
+        while work is left.  The final poll refills the buffer (unless
+        ``deferred_refill``), hands the ticket's rows off
+        (:meth:`fetch_prepared_ref`), retires the ticket and returns its
+        transform latency, its worker-amortised wall-clock latency, its
+        staged bytes, ``done=True`` and the ``key`` of the ``prepared/``
+        reference.  A poll that names an id the buffer does not hold takes
+        nothing; a failed hand-off leaves the ticket open, its rows still
+        charged.  Every poll reports ``chunk_wall_clock_s`` — the
+        worker-amortised latency of just this chunk — which the latency
+        provider books as the poll's virtual duration, so a ticket's chunks
+        occupy the loader for exactly its total wall-clock time on the
+        shared clock.
         """
+        if max_samples < 1:
+            raise PlanError("poll must advance at least one sample")
         if sample_ids is not None:
             self.prepare_async(ticket, sample_ids)
         entry = self._tickets.get(ticket)
@@ -327,18 +330,19 @@ class SourceLoader(Actor):
                 f"loader {self.actor_name!r} has no ticket {ticket}; "
                 "its first poll must carry the sample ids"
             )
-        if max_samples < 1:
-            raise PlanError("poll must advance at least one sample")
-        budget = min(max_samples, entry.remaining())
-        latencies, staged_bytes = self._stage(
-            entry.sample_ids[entry.position : entry.position + budget]
-        )
-        entry.position += budget
+        position = len(entry.rows)
+        try:
+            rows, staged_bytes = self._stage(entry.sample_ids[position : position + max_samples])
+        except PlanError:
+            if sample_ids is not None:  # a first poll that takes nothing registers nothing
+                del self._tickets[ticket]
+            raise
+        entry.rows += rows
         entry.staged_bytes += staged_bytes
         # Left to right from the ticket's running total, sample by sample:
         # the float totals are part of the modelled clock.
         chunk_latency = 0.0
-        for latency in latencies:
+        for _, latency, _ in rows:
             entry.total_latency_s += latency
             chunk_latency += latency
         chunk_wall_clock = chunk_latency / self.num_workers
@@ -348,21 +352,21 @@ class SourceLoader(Actor):
                 "remaining": float(entry.remaining()),
                 "chunk_wall_clock_s": chunk_wall_clock,
             }
+        self.stats.samples_prepared += len(entry.sample_ids)
+        self.stats.transform_seconds += entry.total_latency_s
+        if not self.deferred_refill:
+            self.refill()
+        key = self.fetch_prepared_ref(entry.rows)["key"]
         del self._tickets[ticket]
-        result = self._finish_prepare(
-            len(entry.sample_ids), entry.total_latency_s, entry.staged_bytes
-        )
-        result["done"] = True
-        result["chunk_wall_clock_s"] = chunk_wall_clock
-        result["key"] = self.fetch_prepared_ref(entry.sample_ids)["key"]
-        return result
-
-    def cancel_prepare(self, ticket: int) -> bool:
-        """Abandon an in-flight async prepare; already-staged samples remain."""
-        return self._tickets.pop(ticket, None) is not None
-
-    def inflight_tickets(self) -> list[int]:
-        return sorted(self._tickets)
+        return {
+            "transform_latency_s": entry.total_latency_s,
+            "wall_clock_s": entry.total_latency_s / self.num_workers,
+            "staged_bytes": float(entry.staged_bytes),
+            "num_samples": float(len(entry.sample_ids)),
+            "done": True,
+            "chunk_wall_clock_s": chunk_wall_clock,
+            "key": key,
+        }
 
     def reset_for_replay(self) -> None:
         """Return the loader to its pristine post-start state.
@@ -377,16 +381,7 @@ class SourceLoader(Actor):
         replay instead restores a consistent buffer snapshot via
         :meth:`restore_replay_checkpoint` and replays only the suffix.
         """
-        self._drop_staged()
-        self._drop_buffer()
-        self._metadata_by_id.clear()
-        self._tickets.clear()
-        self._cursor = SourceCursor(
-            self.source,
-            self.filesystem,
-            shard_index=self.shard_index,
-            shard_count=self.shard_count,
-        )
+        self._rebuild()
         self.refill()
 
     def replay_demands(self, sample_ids: list[int], refill: bool | None = None) -> int:
@@ -395,7 +390,8 @@ class SourceLoader(Actor):
         Used after failover or a pipeline flush: replaying the Planner's plan
         history — consuming the demanded ids from the buffer without staging
         payloads — reproduces the failed primary's buffer state.  Returns how
-        many ids were consumed; ids served by other shards are ignored.
+        many ids were consumed; ids not buffered here (served by other
+        shards) are ignored.
 
         ``refill`` controls the step's buffer top-up.  The default (``None``)
         refills only when this loader consumed something — matching the live
@@ -408,9 +404,7 @@ class SourceLoader(Actor):
         slice without refilling, and this call performs the step's single
         refill even when it absorbed nothing).
         """
-        known = [sample_id for sample_id in sample_ids if sample_id in self._metadata_by_id]
-        replayed = len(known)
-        self._consume(known)
+        replayed = len(self._consume(sample_ids))
         self.stats.samples_replayed += replayed
         if refill is True or (refill is None and replayed):
             self.refill()
@@ -439,8 +433,8 @@ class SourceLoader(Actor):
     def restore_replay_checkpoint(self, snapshot: dict) -> None:
         """Adopt a :meth:`replay_checkpoint` snapshot as this loader's state.
 
-        Drops any staged/buffered state and installs the snapshot's cursor and
-        buffer verbatim; the next gather resyncs (:meth:`buffer_delta`).  Used
+        Drops the open tickets and the buffer, and installs the snapshot's
+        cursor and buffer verbatim; the next gather resyncs (:meth:`buffer_delta`).  Used
         by bounded failover recovery, mirror bootstrap (cloning the
         canonical's live state) and whole-run restore.
         """
@@ -458,22 +452,12 @@ class SourceLoader(Actor):
                 f"{snapshot.get('shard_count')} does not match loader "
                 f"{self.shard_index}/{self.shard_count}"
             )
-        self._drop_staged()
-        self._drop_buffer()
-        self._metadata_by_id.clear()
-        self._tickets.clear()
-        self._cursor = SourceCursor(
-            self.source,
-            self.filesystem,
-            shard_index=self.shard_index,
-            shard_count=self.shard_count,
-        )
+        self._rebuild()
         if snapshot.get("cursor"):
             self._cursor.load_state_dict(snapshot["cursor"])
         chunk = MetadataColumns.from_records(list(snapshot.get("buffer", ())))
         if len(chunk):
             self._buffer.update(zip(chunk.sample_id, self._cost_rows(chunk)))
-            self._metadata_by_id.update(zip(chunk.sample_id, chunk.records))
             self.ledger.charge("prefetch_buffer", BUFFERED_METADATA_BYTES * len(chunk))
 
     def resize_worker_pool(self, num_workers: int) -> int:
@@ -510,109 +494,67 @@ class SourceLoader(Actor):
         """Buffer rows for an ingested chunk: metadata, transform latency, staged bytes."""
         return list(zip(chunk.records, *self._cost_columns(chunk)))
 
-    def _stage(self, sample_ids: list[int]) -> tuple[list[float], int]:
-        """Move the demanded samples from the buffer to the staging columns.
+    def _stage(self, sample_ids: list[int]) -> tuple[list, int]:
+        """Take the demanded rows out of the buffer, charged as staged payload.
 
-        Returns their transform latencies, in demand order, and the bytes
-        staged.  A sample this loader read earlier but no longer buffers is
-        costed again from its retained metadata.
+        Returns the rows, in demand order, and their staged bytes.  Every id
+        must be buffered and none may repeat; otherwise nothing is taken.
         """
-        for sample_id in sample_ids:
-            if sample_id not in self._metadata_by_id:
-                raise PlanError(
-                    f"loader {self.actor_name!r} was asked for unknown sample {sample_id}"
-                )
+        if len(self._buffer.keys() & sample_ids) != len(sample_ids):
+            seen: set[int] = set()
+            for sample_id in sample_ids:
+                if sample_id in seen or sample_id not in self._buffer:
+                    raise PlanError(
+                        f"loader {self.actor_name!r} was asked for unknown sample {sample_id}"
+                    )
+                seen.add(sample_id)
         rows = self._consume(sample_ids)
-        for index, row in enumerate(rows):
-            if row is None:
-                record = self._metadata_by_id[sample_ids[index]]
-                (rows[index],) = self._cost_rows(MetadataColumns.from_records([record]))
-        # The original metadata is staged: a crop inside the pipeline never
-        # reaches the hand-off columns.  Staging an id again replaces its row.
-        staged = self._staged
-        replaced = sum(staged[sample_id][3] for sample_id in staged.keys() & sample_ids)
-        staged.update(
-            (m.sample_id, (m.sample_id, m.text_tokens, m.image_tokens, size))
-            for m, _, size in rows
-        )
         staged_bytes = sum(size for _, _, size in rows)
-        if replaced:
-            self.ledger.release("sample_payload", replaced)
         if rows:
             self.ledger.charge("sample_payload", staged_bytes)
-        return [latency for _, latency, _ in rows], staged_bytes
+        return rows, staged_bytes
 
     def _consume(self, sample_ids: list[int]) -> list:
-        """Pop ``sample_ids`` from the buffer; a row is None where the id was not buffered."""
-        rows = [self._buffer.pop(sample_id, None) for sample_id in sample_ids]
-        removed = [sample_id for sample_id, row in zip(sample_ids, rows) if row is not None]
-        if removed:
-            self._changes += len(removed)
-            self.ledger.release("prefetch_buffer", BUFFERED_METADATA_BYTES * len(removed))
+        """Pop the buffered ones among ``sample_ids`` from the buffer, in order."""
+        buffer = self._buffer
+        rows = [buffer.pop(sample_id) for sample_id in sample_ids if sample_id in buffer]
+        if rows:
+            self._changes += len(rows)
+            self.ledger.release("prefetch_buffer", BUFFERED_METADATA_BYTES * len(rows))
         return rows
 
-    def _finish_prepare(
-        self, num_samples: int, total_latency: float, staged_bytes: int
-    ) -> dict[str, float]:
-        """Shared epilogue of the sync and async prepare paths."""
-        self.stats.samples_prepared += num_samples
-        self.stats.transform_seconds += total_latency
-        wall_clock = total_latency / self.num_workers
-        if not self.deferred_refill:
-            self.refill()
-        return {
-            "transform_latency_s": total_latency,
-            "wall_clock_s": wall_clock,
-            "staged_bytes": float(staged_bytes),
-            "num_samples": float(num_samples),
-        }
+    def fetch_prepared_ref(self, rows: list) -> dict[str, object]:
+        """Hand a finished ticket's rows to the Data Constructors.
 
-    def fetch_prepared_ref(self, sample_ids: list[int]) -> dict[str, object]:
-        """Hand staged samples to a Data Constructor, releasing their memory.
-
-        Zero-copy: the requested rows are built into one immutable
+        Zero-copy: the rows are built into one immutable
         :class:`~repro.core.assembly.PreparedColumns` slice, published with
         ``gcs.put(key, columns, immutable=True)`` (stored and served by
         reference — the freeze-on-put path), and only the *key* is returned.
         The consumer resolves it with ``gcs.take(key)``, receiving the very
         same column object with no per-sample copies anywhere on the path.
-        Every id is checked before any is removed, so a fetch naming an
-        unstaged id leaves the staged rows as they were.
+        The rows' memory is released once the put succeeded.
         """
         if self.gcs is None:
             raise PlanError(
                 f"loader {self.actor_name!r} has no GCS attached; "
                 "fetch_prepared_ref needs a runtime-managed actor"
             )
-        staged = self._staged
-        try:
-            rows = [staged[sample_id] for sample_id in sample_ids]
-        except KeyError as missing:
-            raise PlanError(
-                f"loader {self.actor_name!r} has no staged sample {missing.args[0]}"
-            ) from None
-        for sample_id in sample_ids:
-            staged.pop(sample_id, None)
-        columns = PreparedColumns.from_rows(rows)
-        released = columns.total_bytes()
-        self.ledger.release("sample_payload", released)
-        self.stats.samples_delivered += len(columns)
+        # The original metadata is handed off: a crop inside the pipeline
+        # never reaches the hand-off columns.
+        columns = PreparedColumns.from_rows(
+            [(m.sample_id, m.text_tokens, m.image_tokens, size) for m, _, size in rows]
+        )
         self._ref_seq += 1
         key = f"prepared/{self.actor_name}/{self._ref_seq}"
         self.gcs.put(key, columns, immutable=True)
+        released = columns.total_bytes()
+        self.ledger.release("sample_payload", released)
+        self.stats.samples_delivered += len(columns)
         return {"key": key, "count": len(columns), "staged_bytes": released}
 
-    def discard_staged(self, sample_ids: list[int]) -> int:
-        """Drop staged samples that will never be fetched (pipeline flush)."""
-        rows = [self._staged.pop(sample_id, None) for sample_id in sample_ids]
-        dropped = [row for row in rows if row is not None]
-        released = sum(row[3] for row in dropped)
-        if released:
-            self.ledger.release("sample_payload", released)
-        return len(dropped)
-
     def staged_count(self) -> int:
-        return len(self._staged)
+        """Rows on open tickets, taken from the buffer but not yet handed off."""
+        return sum(len(ticket.rows) for ticket in self._tickets.values())
 
     # -- checkpointing ----------------------------------------------------------------------------
 
@@ -650,9 +592,19 @@ class SourceLoader(Actor):
         self._buffer.clear()
         self._rebuilt = True
 
-    def _drop_staged(self) -> None:
-        released = sum(row[3] for row in self._staged.values())
-        self._staged.clear()
+    def _drop_tickets(self) -> None:
+        released = sum(ticket.staged_bytes for ticket in self._tickets.values())
+        self._tickets.clear()
         if released:
             self.ledger.release("sample_payload", released)
 
+    def _rebuild(self) -> None:
+        """Drop the open tickets and the buffer, and start a fresh cursor."""
+        self._drop_tickets()
+        self._drop_buffer()
+        self._cursor = SourceCursor(
+            self.source,
+            self.filesystem,
+            shard_index=self.shard_index,
+            shard_count=self.shard_count,
+        )

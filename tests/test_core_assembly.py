@@ -276,8 +276,8 @@ class TestCollationEquivalence:
 
 
 class TestStagedColumns:
-    """A loader stages prepared rows in a dict; a fetch turns the requested
-    rows into one ``PreparedColumns`` slice."""
+    """A ticket keeps the buffer rows it took; its hand-off turns exactly
+    those rows into one ``PreparedColumns`` slice."""
 
     def test_from_rows_keeps_row_order(self):
         columns = PreparedColumns.from_rows(
@@ -293,56 +293,51 @@ class TestStagedColumns:
         handle = spawn_loader(system, small_catalog, filesystem, buffer_size=16)
         loader = handle.instance()
         buffered = loader.summary_buffer()[:4]
-        handle.call("prepare", [m.sample_id for m in buffered])
-        wanted = [buffered[2], buffered[0]]
-        ref = handle.call("fetch_prepared_ref", [m.sample_id for m in wanted])
-        columns = system.gcs.take(ref["key"])
+        wanted = [buffered[2], buffered[0], buffered[3]]
+        reply = handle.call("poll", 1, 2, [m.sample_id for m in wanted])
+        assert loader.staged_count() == 2
+        reply = handle.call("poll", 1, 2)
+        columns = system.gcs.take(reply["key"])
         assert columns.sample_ids.tolist() == [m.sample_id for m in wanted]
         assert columns.total_tokens.tolist() == [m.total_tokens for m in wanted]
-        assert ref["staged_bytes"] == columns.total_bytes() > 0
-        assert loader.staged_count() == 2
+        assert reply["staged_bytes"] == columns.total_bytes() > 0
+        assert loader.staged_count() == 0
 
     def test_take_missing_raises(self, system, small_catalog, filesystem):
-        """A fetch naming an unstaged id fails before removing anything: the
+        """A demand naming an unbuffered id fails before taking anything: the
         retry without that id succeeds and releases every staged byte."""
         handle = spawn_loader(system, small_catalog, filesystem, buffer_size=16)
         loader = handle.instance()
         ids = [m.sample_id for m in loader.summary_buffer()[:2]]
-        handle.call("prepare", ids)
-        staged_bytes = loader.ledger.live_bytes("sample_payload")
-        with pytest.raises(PlanError, match="has no staged sample 12345"):
-            handle.call("fetch_prepared_ref", [ids[0], 12345])
-        assert loader.staged_count() == 2
-        assert loader.ledger.live_bytes("sample_payload") == staged_bytes
-        ref = handle.call("fetch_prepared_ref", ids)
-        assert system.gcs.take(ref["key"]).sample_ids.tolist() == ids
-        assert ref["staged_bytes"] == staged_bytes
+        with pytest.raises(PlanError, match="unknown sample 12345"):
+            handle.call("prepare", [ids[0], 12345])
+        assert loader.staged_count() == 0
+        assert loader.buffered_among(ids) == set(ids)
+        assert loader.ledger.live_bytes("sample_payload") == 0
+        reply = handle.call("prepare", ids)
+        assert system.gcs.take(reply["key"]).sample_ids.tolist() == ids
+        assert reply["staged_bytes"] > 0
         assert loader.staged_count() == 0
         assert loader.ledger.live_bytes("sample_payload") == 0
 
     def test_drop_and_drop_all_release_bytes(self, system, small_catalog, filesystem):
+        """Dropping the open tickets releases the rows they took: a pristine
+        reset drops them, and so does the loader's stop hook."""
         handle = spawn_loader(system, small_catalog, filesystem, buffer_size=16)
         loader = handle.instance()
-        ids = [m.sample_id for m in loader.summary_buffer()[:5]]
-        handle.call("prepare", ids)
-        kept = [ids[0], ids[2], ids[4]]
-        kept_bytes = sum(loader._staged[sample_id][3] for sample_id in kept)
-        assert handle.call("discard_staged", [ids[1], ids[3], 12345]) == 2
-        assert loader.staged_count() == 3
-        assert loader.ledger.live_bytes("sample_payload") == kept_bytes
-        system.stop_actor(handle.name)
+        ids = [m.sample_id for m in loader.summary_buffer()[:6]]
+        handle.call("poll", 1, 2, ids[:3])
+        assert loader.staged_count() == 2
+        handle.call("reset_for_replay")
         assert loader.staged_count() == 0
         assert loader.ledger.live_bytes("sample_payload") == 0
-
-    def test_restaging_an_id_replaces_its_row(self, system, small_catalog, filesystem):
-        handle = spawn_loader(system, small_catalog, filesystem, buffer_size=16)
-        loader = handle.instance()
-        ids = [m.sample_id for m in loader.summary_buffer()[:3]]
-        handle.call("prepare", ids)
-        handle.call("prepare", ids[:2])  # no longer buffered: costed again
+        handle.call("poll", 1, 2, ids[:3])
+        handle.call("poll", 2, 1, ids[3:5])
+        held = sum(row[2] for entry in loader._tickets.values() for row in entry.rows)
         assert loader.staged_count() == 3
-        ref = handle.call("fetch_prepared_ref", ids)
-        assert system.gcs.take(ref["key"]).sample_ids.tolist() == ids
+        assert loader.ledger.live_bytes("sample_payload") == held > 0
+        loader.on_stop()
+        assert loader.staged_count() == 0
         assert loader.ledger.live_bytes("sample_payload") == 0
 
     def test_prepared_columns_lookup_reports_missing(self):
@@ -375,10 +370,8 @@ class TestLoaderHandOff:
         handle = spawn_loader(system, small_catalog, filesystem, buffer_size=16)
         loader = handle.instance()
         sample_ids = [m.sample_id for m in loader.summary_buffer()[:4]]
-        handle.call("prepare", sample_ids)
-        assert loader.staged_count() == 4
-        ref = handle.call("fetch_prepared_ref", sample_ids)
-        assert ref["count"] == 4
+        ref = handle.call("prepare", sample_ids)
+        assert ref["num_samples"] == 4
         # The GCS serves the frozen columns BY REFERENCE: the exact object
         # the loader published, not a copy — and take() removes the key.
         published = system.gcs.get(ref["key"])
@@ -397,17 +390,22 @@ class TestLoaderHandOff:
         loader = handle.instance()
         buffered = loader.summary_buffer()[:2]
         sample_ids = [m.sample_id for m in buffered]
-        handle.call("prepare", sample_ids)
-        ref = handle.call("fetch_prepared_ref", sample_ids)
+        ref = handle.call("prepare", sample_ids)
         columns = system.gcs.take(ref["key"])
         assert columns.text_tokens.tolist() == [m.text_tokens for m in buffered]
         assert columns.image_tokens.tolist() == [m.image_tokens for m in buffered]
         assert columns.total_bytes() == ref["staged_bytes"]
 
     def test_missing_staged_sample_rejected(self, system, small_catalog, filesystem):
+        """A ticket whose rows a pristine reset dropped cannot be finished:
+        its continuation poll is rejected and nothing is published."""
         handle = spawn_loader(system, small_catalog, filesystem)
-        with pytest.raises(PlanError, match="has no staged sample 12345"):
-            handle.call("fetch_prepared_ref", [12345])
+        ids = [m.sample_id for m in handle.instance().summary_buffer()[:4]]
+        handle.call("poll", 3, 2, ids)
+        handle.call("reset_for_replay")
+        with pytest.raises(PlanError, match="has no ticket 3"):
+            handle.call("poll", 3, 2)
+        assert system.gcs.keys("prepared/") == []
 
 
 # -- constructor equivalence ------------------------------------------------------------

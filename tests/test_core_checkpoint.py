@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.actors.gcs import GlobalControlStore
 from repro.chaos import ChaosEngine, FaultEvent, FaultPlan
 from repro.core.checkpoint import (
     CheckpointError,
@@ -899,11 +900,12 @@ class TestGatherResync:
         """The first gather after a restore is a resync of the restored buffer;
         the gathers between count the rows the buffer gained and lost."""
         loader = SourceLoader(small_catalog.sources()[0], filesystem, buffer_size=8)
+        loader.gcs = GlobalControlStore()  # where the hand-off publishes
         loader.on_start()
         first = loader.buffer_delta()
         assert first["resync"] is True
         ids = [m.sample_id for m in loader.summary_buffer()[:2]]
-        loader.prepare(ids)
+        loader.gcs.take(loader.prepare(ids)["key"])
         delta = loader.buffer_delta()
         assert delta["resync"] is False
         assert delta["changes"] == 4  # two rows consumed, two refilled

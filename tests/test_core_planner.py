@@ -454,8 +454,7 @@ class TestColumnarPlanEquivalence:
                 ids = plan.source_demands.get(handle.instance().source.name, [])
                 picked = sorted({ids[c % len(ids)] for c in consume}) if ids else []
                 if picked:
-                    handle.call("prepare", picked)
-                    system.gcs.take(handle.call("fetch_prepared_ref", picked)["key"])
+                    system.gcs.take(handle.call("prepare", picked)["key"])
             if step == steps // 2:
                 # Pristine replay (the failover bootstrap) on one loader: the
                 # gather must see the rebuilt buffer.
@@ -574,8 +573,7 @@ class TestEmptyBufferBucketing:
         # Drain the second loader completely; deferred_refill keeps it empty.
         loader = handles[1].instance()
         ids = [m.sample_id for m in loader.summary_buffer()]
-        handles[1].call("prepare", ids)
-        system.gcs.take(handles[1].call("fetch_prepared_ref", ids)["key"])
+        system.gcs.take(handles[1].call("prepare", ids)["key"])
         assert loader.buffer_depth() == 0
 
         planner = Planner(

@@ -40,10 +40,9 @@ def spawn_loader(system, catalog, filesystem, source_index=0, **kwargs):
     )
 
 
-def fetch(system, handle, sample_ids):
-    """The production hand-off: fetch a GCS reference, resolve it once."""
-    ref = handle.call("fetch_prepared_ref", sample_ids)
-    return system.gcs.take(ref["key"])
+def fetch(system, reply):
+    """The production hand-off: resolve a final poll's GCS reference once."""
+    return system.gcs.take(reply["key"])
 
 
 class TestLifecycle:
@@ -75,10 +74,9 @@ class TestPrepareAndFetch:
         result = handle.call("prepare", sample_ids)
         assert result["num_samples"] == 4
         assert result["transform_latency_s"] > 0
-        assert loader.staged_count() == 4
-        delivered = fetch(system, handle, sample_ids)
-        assert delivered.sample_ids.tolist() == sample_ids
         assert loader.staged_count() == 0
+        delivered = fetch(system, result)
+        assert delivered.sample_ids.tolist() == sample_ids
 
     def test_prepare_refills_buffer(self, system, small_catalog, filesystem):
         handle = spawn_loader(system, small_catalog, filesystem, buffer_size=16)
@@ -103,19 +101,73 @@ class TestPrepareAndFetch:
         with pytest.raises(PlanError):
             handle.call("prepare", [999_999])
 
-    def test_fetch_unstaged_sample_rejected(self, system, small_catalog, filesystem):
-        handle = spawn_loader(system, small_catalog, filesystem)
-        with pytest.raises(PlanError):
-            handle.call("fetch_prepared_ref", [123456])
+    @pytest.mark.parametrize("bad", ["unbuffered", "repeated", "later_chunk"])
+    def test_a_demand_the_buffer_cannot_serve_takes_nothing(
+        self, system, small_catalog, filesystem, bad
+    ):
+        """A demand naming an unbuffered or repeated id raises before any row
+        leaves the buffer: buffer, ledger and open tickets stay as they were."""
+        handle = spawn_loader(system, small_catalog, filesystem, buffer_size=8)
+        loader = handle.instance()
+        ids = [m.sample_id for m in loader.summary_buffer()[:3]]
+        if bad == "later_chunk":
+            handle.call("poll", 5, 1, ids[:1] + [999_999])
+        buffered, ledger = loader.summary_buffer(), loader.ledger.snapshot().by_category
+        tickets, staged = dict(loader._tickets), loader.staged_count()
+        with pytest.raises(PlanError, match="unknown sample"):
+            if bad == "unbuffered":
+                handle.call("prepare", [ids[0], 999_999, ids[1]])
+            elif bad == "repeated":
+                handle.call("prepare", [ids[0], ids[1], ids[0]])
+            else:
+                handle.call("poll", 5, 1)
+        assert loader.summary_buffer() == buffered
+        assert loader.ledger.snapshot().by_category == ledger
+        assert loader._tickets == tickets
+        assert loader.staged_count() == staged
+        # Nothing stays open that would block the next demand.
+        fetch(system, handle.call("prepare", ids[1:]))
+        assert loader.buffer_depth() == 8
 
     def test_staged_memory_released_on_fetch(self, system, small_catalog, filesystem):
         handle = spawn_loader(system, small_catalog, filesystem, buffer_size=16)
         loader = handle.instance()
         ids = [m.sample_id for m in loader.summary_buffer()[:4]]
-        handle.call("prepare", ids)
+        status = handle.call("poll", 1, 2, ids)
         staged_bytes = loader.ledger.live_bytes("sample_payload")
         assert staged_bytes > 0
-        fetch(system, handle, ids)
+        assert loader.staged_count() == 2
+        status = handle.call("poll", 1, 2)
+        assert status["done"]
+        assert status["staged_bytes"] > staged_bytes
+        assert loader.ledger.live_bytes("sample_payload") == 0
+        assert fetch(system, status).total_bytes() == status["staged_bytes"]
+
+    def test_failed_hand_off_leaks_nothing(
+        self, system, small_catalog, filesystem, monkeypatch
+    ):
+        """A final poll whose publish fails keeps its ticket open, the rows it
+        took still charged; the loader's stop hook drops the ticket and
+        releases them (called directly: the runtime's ``stop_actor`` would
+        zero the ledger after it anyway)."""
+        handle = spawn_loader(system, small_catalog, filesystem, buffer_size=16)
+        loader = handle.instance()
+        ids = [m.sample_id for m in loader.summary_buffer()[:4]]
+        handle.call("poll", 2, 2, ids)
+
+        def refuse(key, value, immutable=None):
+            raise RuntimeError("store unavailable")
+
+        monkeypatch.setattr(system.gcs, "put", refuse)
+        with pytest.raises(RuntimeError, match="store unavailable"):
+            handle.call("poll", 2, 2)
+        ticket = loader._tickets[2]
+        assert [row[0].sample_id for row in ticket.rows] == ids
+        assert loader.staged_count() == 4
+        assert loader.ledger.live_bytes("sample_payload") == ticket.staged_bytes > 0
+        assert system.gcs.keys("prepared/") == []
+        loader.on_stop()
+        assert loader._tickets == {}
         assert loader.ledger.live_bytes("sample_payload") == 0
 
     def test_deferred_transforms_reduce_transfer(self, system, small_catalog, filesystem):
@@ -180,7 +232,7 @@ class TestAsyncPrepareProtocol:
         ids = [m.sample_id for m in sync_handle.instance().summary_buffer()[:6]]
 
         sync_result = sync_handle.call("prepare", ids)
-        want = fetch(system, sync_handle, ids)
+        want = fetch(system, sync_result)
 
         with pytest.raises(PlanError, match="first poll must carry"):
             async_handle.call("poll", 0, 2)
@@ -193,9 +245,9 @@ class TestAsyncPrepareProtocol:
         for key in ("transform_latency_s", "wall_clock_s", "staged_bytes", "num_samples"):
             assert status[key] == pytest.approx(sync_result[key])
         # The final poll handed the samples off: nothing stays staged and its
-        # key resolves to the columns ``prepare`` + ``fetch_prepared_ref`` gave.
+        # key resolves to the columns ``prepare`` gave.
         loader = async_handle.instance()
-        assert loader.inflight_tickets() == []
+        assert loader._tickets == {}
         assert loader.staged_count() == sync_handle.instance().staged_count() == 0
         got = system.gcs.take(status["key"])
         assert got.sample_ids.tolist() == want.sample_ids.tolist() == ids
@@ -213,20 +265,6 @@ class TestAsyncPrepareProtocol:
         handle = spawn_loader(system, small_catalog, filesystem, buffer_size=8)
         with pytest.raises(PlanError):
             handle.call("poll", 99)
-
-    def test_cancel_prepare_retires_ticket(self, system, small_catalog, filesystem):
-        handle = spawn_loader(system, small_catalog, filesystem, buffer_size=8)
-        ids = [m.sample_id for m in handle.instance().summary_buffer()[:4]]
-        handle.call("prepare_async", 1, ids)
-        handle.call("poll", 1, 2)  # partially prepared
-        assert handle.call("cancel_prepare", 1)
-        assert not handle.call("cancel_prepare", 1)
-        assert handle.instance().inflight_tickets() == []
-        # The partially staged samples can be explicitly discarded.
-        staged_before = handle.instance().staged_count()
-        assert staged_before == 2
-        assert handle.call("discard_staged", ids) == 2
-        assert handle.instance().ledger.live_bytes("sample_payload") == 0
 
     def test_replay_demands_reproduces_buffer_state(self, system, small_catalog, filesystem):
         primary = spawn_loader(system, small_catalog, filesystem, buffer_size=12)
@@ -306,8 +344,8 @@ def fresh_system():
 def test_sync_prepare_equals_async_polls_of_any_chunk_size(
     source_index, deferred_mask, shard_count, buffer_size, num_workers, picks
 ):
-    """``prepare(ids)`` + ``fetch_prepared_ref(ids)`` and ``poll(k)`` calls are
-    the same work, chunked: the first poll carries the ids, the final one the key."""
+    """``prepare(ids)`` and ``poll(k)`` calls are the same work, chunked: the
+    first poll carries the ids, the final one the key, as ``prepare``'s does."""
     system = fresh_system()
     source = PROPERTY_CATALOG.sources()[source_index]
     stages = source_loader.TransformPipeline.for_modality(source.modality).transform_names
@@ -321,7 +359,9 @@ def test_sync_prepare_equals_async_polls_of_any_chunk_size(
     assert len(buffered) == min(buffer_size, math.ceil(64 / shard_count))
     ids = list(dict.fromkeys(buffered[pick % len(buffered)] for pick in picks))
     expected = sync.call("prepare", ids)
-    want = fetch(system, sync, ids)
+    want = fetch(system, expected)
+    for key in ("key", "done", "chunk_wall_clock_s"):
+        expected.pop(key)
     for chunk in (1, 8, 16, len(ids)):
         chunked = spawn_loader(
             system, PROPERTY_CATALOG, PROPERTY_FILESYSTEM, source_index, **options
@@ -397,7 +437,10 @@ def test_chunked_refill_equals_the_per_row_loop(source_index, shard_count, buffe
     shard_count=st.integers(1, 3),
     ops=st.lists(
         st.tuples(
-            st.sampled_from(["gather", "refill", "poll", "replay", "reset", "restore"]),
+            st.sampled_from(
+                ["gather", "refill", "poll", "first_poll", "continue", "prepare",
+                 "replay", "reset", "restore"]
+            ),
             st.lists(st.integers(0, 10**6), max_size=8),
         ),
         max_size=16,
@@ -407,7 +450,12 @@ def test_chunked_refill_equals_the_per_row_loop(source_index, shard_count, buffe
 def test_gather_reports_the_buffer_its_changes_and_rebuilds(buffer_size, shard_count, ops):
     """Every ``buffer_delta`` reply carries the buffer; ``changes`` is the rows
     added plus the rows removed since the previous reply; ``resync`` is set on
-    exactly the first reply after a rebuild (start, pristine reset, restore)."""
+    exactly the first reply after a rebuild (start, pristine reset, restore).
+
+    The ledger is conserved through tickets left open, continued, failed and
+    dropped: after every op ``sample_payload`` is the bytes of the rows the
+    open tickets hold and ``prefetch_buffer`` is the buffered rows' share;
+    after ``stop`` both are 0."""
     system = fresh_system()
     handle = spawn_loader(
         system, PROPERTY_CATALOG, PROPERTY_FILESYSTEM, 0,
@@ -416,8 +464,18 @@ def test_gather_reports_the_buffer_its_changes_and_rebuilds(buffer_size, shard_c
     loader = handle.instance()
     snapshot = loader.replay_checkpoint()
     consumed: list[int] = []
+    open_tickets: list[int] = []
     changes, rebuilt = 0, True
+
+    def assert_ledger_conserved():
+        held = [row for entry in loader._tickets.values() for row in entry.rows]
+        assert loader.ledger.live_bytes("sample_payload") == sum(row[2] for row in held)
+        assert loader.ledger.live_bytes("prefetch_buffer") == (
+            source_loader.BUFFERED_METADATA_BYTES * loader.buffer_depth()
+        )
+
     for ticket, (op, picks) in enumerate([*ops, ("gather", [])]):
+        assert_ledger_conserved()
         buffered = [m.sample_id for m in loader.summary_buffer()]
         ids = list(dict.fromkeys(buffered[pick % len(buffered)] for pick in picks if buffered))
         added = loader.stats.samples_buffered
@@ -436,20 +494,49 @@ def test_gather_reports_the_buffer_its_changes_and_rebuilds(buffer_size, shard_c
             while not reply["done"]:
                 reply = handle.call("poll", ticket, 3)
             system.gcs.take(reply["key"])
+        elif op == "first_poll" and ids:
+            # Leaves the ticket open; a continuation may find its later ids
+            # taken by another demand in between.
+            reply = handle.call("poll", ticket, 2, ids)
+            changes += len(ids[:2])
+            if reply["done"]:
+                system.gcs.take(reply["key"])
+            else:
+                open_tickets.append(ticket)
+        elif op == "continue" and open_tickets and picks:
+            pending = open_tickets[picks[0] % len(open_tickets)]
+            remaining = loader._tickets[pending].remaining()
+            try:
+                reply = handle.call("poll", pending, 2)
+            except PlanError:
+                pass
+            else:
+                if reply["done"]:
+                    system.gcs.take(reply["key"])
+                    open_tickets.remove(pending)
+            left = loader._tickets[pending].remaining() if pending in open_tickets else 0
+            changes += remaining - left
+        elif op == "prepare" and ids:
+            system.gcs.take(handle.call("prepare", ids)["key"])
+            changes += len(ids)
         elif op == "replay":
             # An id consumed earlier is known but may no longer be buffered.
             ids += [sample_id for sample_id in consumed[-2:] if sample_id not in ids]
             handle.call("replay_demands", ids, False)
         elif op == "reset":
             handle.call("reset_for_replay")
-            rebuilt, consumed = True, []
+            rebuilt, consumed, open_tickets = True, [], []
         elif op == "restore":
             handle.call("restore_replay_checkpoint", snapshot)
-            rebuilt, consumed = True, []
+            rebuilt, consumed, open_tickets = True, [], []
         if op in ("poll", "replay"):
             consumed += ids
             changes += len(set(ids) & set(buffered))
         changes += loader.stats.samples_buffered - added
+    assert_ledger_conserved()
+    loader.on_stop()  # the stop hook itself, not the runtime's release_all
+    assert loader.ledger.live_bytes("sample_payload") == 0
+    assert loader.ledger.live_bytes("prefetch_buffer") == 0
 
 
 # -- a row is costed once per process, per cost key ------------------------------------
@@ -476,10 +563,12 @@ def test_loaders_with_different_deferred_transforms_never_share_costs(plain_firs
         handle = spawn_loader(system, catalog, filesystem, index, buffer_size=16, **options)
         ids = [m.sample_id for m in handle.instance().summary_buffer()]
         first = handle.call("prepare", ids[::2])
-        fetch(system, handle, ids[::2])
+        fetch(system, first)
         ids = [m.sample_id for m in handle.instance().summary_buffer()]  # refilled rows too
         second = handle.call("prepare", ids)
-        return first, second, list(fetch(system, handle, ids).transferred_bytes)
+        delivered = list(fetch(system, second).transferred_bytes)
+        del first["key"], second["key"]  # hand-off keys name the actor
+        return first, second, delivered
 
     shared = fresh_system()
     together = [stage(shared, catalog, filesystem, options) for options in variants]
