@@ -47,7 +47,7 @@ import time
 
 from repro.actors.runtime import ActorSystem, ClusterSpec
 from repro.core.checkpoint import InMemoryCheckpointStore
-from repro.core.fault_tolerance import FaultToleranceConfig, FaultToleranceManager
+from repro.core.fault_tolerance import FaultToleranceManager
 from repro.core.framework import MegaScaleData, TrainingJobSpec
 from repro.core.place_tree import ClientPlaceTree
 from repro.core.planner import Planner
@@ -139,7 +139,7 @@ def _drive(num_steps: int) -> dict[str, object]:
     )
     planner.register_loaders(handles)
     fault_manager = FaultToleranceManager(
-        system, FaultToleranceConfig(loader_checkpoint_interval=CHECKPOINT_INTERVAL)
+        system, loader_checkpoint_interval=CHECKPOINT_INTERVAL
     )
 
     # The training run: one plan per step, every loader consumes its demands

@@ -1,9 +1,12 @@
 """Fault tolerance demo: shadow loader failover and planner restart.
 
 Deploys a small job with shadow loaders enabled, kills a Source Loader
-mid-training, promotes its hot-standby shadow, then kills and restarts the
-Planner from its GCS checkpoint — all while the pull workflow keeps producing
-batches.
+mid-training and fails it over through ``recover_fleet_member`` — the one
+loader failover path: its hot-standby shadow is promoted, restores the last
+consistent differential checkpoint and replays the Planner's plan suffix, so
+training resumes on the failed loader's exact sample stream.  It then kills
+and restarts the Planner from its GCS checkpoint — all while the pull workflow
+keeps producing batches.
 
     python examples/fault_tolerance_demo.py
 """
@@ -36,11 +39,10 @@ def main() -> None:
           f"{manager.shadow_count()} shadow loaders "
           f"({format_bytes(manager.shadow_memory_bytes())} standby state)")
 
-    # Warm up and checkpoint the loaders (differential checkpointing).
+    # Warm up; the fleet takes its differential checkpoints at each step's
+    # sync point.
     for step in range(3):
         system.run_step(step=step)
-        for handle in system.loader_handles:
-            manager.checkpoint_loader(handle, step=step)
 
     # Inject a loader failure and detect it through the heartbeat probe.
     victim = system.loader_handles[0]
@@ -49,15 +51,16 @@ def main() -> None:
     failed = manager.detect_failures(system.loader_handles)
     print(f"detected failed loaders: {[handle.name for handle in failed]}")
 
-    # Promote the shadow and resume training.
-    promoted = manager.recover_loader(victim, step=3)
-    system.loader_handles[0] = promoted
-    system.planner_handle.instance().register_loaders(system.loader_handles)
+    # Promote the shadow, resync it and resume training.
+    checkpoint = manager.last_loader_checkpoint(victim.name, consistent=True)
+    system.recover_fleet_member(victim, system.step)
     event = manager.events()[-1]
-    print(f"recovered via {event.kind} ({event.detail}), "
-          f"recovery latency {event.recovery_latency_s:.2f}s")
-    result = system.run_step(step=4)
-    print(f"step 4 delivered batches to {len(result.deliveries)} ranks after failover")
+    print(f"recovered via {event.kind} ({event.detail}) from the step "
+          f"{checkpoint['step']} checkpoint, recovery latency "
+          f"{event.recovery_latency_s:.2f}s")
+    result = system.run_step()
+    print(f"step {result.step} delivered batches to {len(result.deliveries)} ranks "
+          f"after failover")
 
     # Kill the Planner and restart it from the GCS-backed checkpoint.
     print("\nkilling the planner")

@@ -24,7 +24,7 @@ from repro.core.checkpoint import (
 )
 from repro.core.data_constructor import DataConstructor
 from repro.core.degradation import DegradationController
-from repro.core.fault_tolerance import FaultToleranceConfig, FaultToleranceManager
+from repro.core.fault_tolerance import FaultToleranceManager
 from repro.core.job import TrainingJobSpec
 from repro.core.loader_fleet import loader_factory
 from repro.core.place_tree import ClientPlaceTree
@@ -105,9 +105,7 @@ def provision(
     planner: Planner = planner_handle.instance()
     planner.register_loaders(loader_handles)
 
-    fault_manager = FaultToleranceManager(
-        system, FaultToleranceConfig(loader_checkpoint_interval=job.replay_window)
-    )
+    fault_manager = FaultToleranceManager(system, loader_checkpoint_interval=job.replay_window)
     if job.enable_shadow_loaders:
         spawn_shadow_loaders(
             job, filesystem, system, partition_plan, loader_handles, fault_manager

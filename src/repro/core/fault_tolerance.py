@@ -10,17 +10,25 @@ Recovery is decoupled by component role (Sec. 6.1):
   Planner and the gap is bridged by deterministic replay of the Planner's
   plan history.
 
-A loader checkpoint lives in one place: the manager's short per-loader
-history.  Nothing writes it to the checkpoint store; the durable copy a
-whole-run restore needs is the one the ``run`` entry embeds
+Every loader failover takes one path: ``MegaScaleData.recover_fleet_member``
+→ :meth:`repro.core.recovery.FleetRecovery.recover_member`, which picks the
+replacement here (mirror, shadow or in-place restart) and then resyncs it.
+
+A loader checkpoint is one entry ``{step, consistent, replay}`` (``replay``
+only on consistent entries) and lives in one place: the manager's short
+per-loader history.  Nothing writes it to the checkpoint store; the durable
+copy a whole-run restore needs is the one the ``run`` entry embeds
 (:func:`repro.core.durability.save_run_checkpoint`).
+
+The retry, wait-out and breaker policies are module constants, not knobs;
+the one setting is the differential checkpoint interval.
 """
 
 from __future__ import annotations
 
 import zlib
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.actors.actor import ActorHandle, ActorState
@@ -62,6 +70,10 @@ class ShadowRegistration:
     source: str
 
 
+#: Fractional jitter: backoff delays are stretched by up to this much.
+RETRY_JITTER = 0.25
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Jittered exponential backoff for transient RPC failures.
@@ -71,41 +83,43 @@ class RetryPolicy:
     replay identically under the virtual clock (and across soak reruns).
     """
 
-    max_attempts: int = 5
-    base_delay_s: float = 0.05
-    max_delay_s: float = 2.0
-    #: Fractional jitter: attempt delays are stretched by up to this much.
-    jitter: float = 0.25
-    retry_on: tuple[type[BaseException], ...] = (ActorTimeout,)
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise FaultToleranceError("retry max_attempts must be >= 1")
-        if self.base_delay_s <= 0 or self.max_delay_s < self.base_delay_s:
-            raise FaultToleranceError("retry delays must satisfy 0 < base <= max")
-        if not 0 <= self.jitter <= 1:
-            raise FaultToleranceError("retry jitter must be within [0, 1]")
+    base_delay_s: float
+    max_delay_s: float
 
     def delay_s(self, attempt: int, key: str = "") -> float:
         """Backoff before retry ``attempt`` (1-based), jittered by ``key``."""
         base = min(self.max_delay_s, self.base_delay_s * (2 ** max(0, attempt - 1)))
         frac = (zlib.crc32(f"{key}:{attempt}".encode()) % 1000) / 999.0
-        return base * (1.0 + self.jitter * frac)
+        return base * (1.0 + RETRY_JITTER * frac)
+
+
+#: Backoff of :meth:`FaultToleranceManager.call_with_retry`, and how many
+#: attempts one call gets.  A small cap keeps call latency bounded.
+RPC_RETRY = RetryPolicy(base_delay_s=0.05, max_delay_s=2.0)
+RETRY_ATTEMPTS = 5
+#: Backoff of the *wait-out* loops (strict mode riding out a fault window),
+#: and how many heal-sleep-retry rounds they spend before giving up.  The
+#: large cap lets the bounded budget span windows hundreds of virtual
+#: seconds long: roughly ``WAIT_RETRY.max_delay_s * DEGRADED_WAIT_ATTEMPTS``.
+WAIT_RETRY = RetryPolicy(base_delay_s=0.5, max_delay_s=12.0)
+DEGRADED_WAIT_ATTEMPTS = 40
+#: Consecutive failures before an actor's circuit breaker opens.
+BREAKER_THRESHOLD = 3
+#: Ring-buffer capacity for retained :class:`RecoveryEvent` records;
+#: aggregate counts/latencies keep exact totals past eviction.
+EVENTS_LIMIT = 256
 
 
 class CircuitBreaker:
     """Per-actor consecutive-failure counter gating the retry loop.
 
-    An actor whose RPCs keep failing trips its breaker after ``threshold``
-    consecutive failures; callers then skip further in-place retries and
-    route the actor straight to recovery.  A successful call — or a
-    completed recovery — closes the breaker again.
+    An actor whose RPCs keep failing trips its breaker after
+    :data:`BREAKER_THRESHOLD` consecutive failures; callers then skip further
+    in-place retries and route the actor straight to recovery.  A successful
+    call — or a completed recovery — closes the breaker again.
     """
 
-    def __init__(self, threshold: int = 3) -> None:
-        if threshold < 1:
-            raise FaultToleranceError("breaker threshold must be >= 1")
-        self.threshold = threshold
+    def __init__(self) -> None:
         self._streaks: dict[str, int] = {}
 
     def record_failure(self, name: str) -> None:
@@ -118,61 +132,34 @@ class CircuitBreaker:
         self._streaks.pop(name, None)
 
     def is_open(self, name: str) -> bool:
-        return self._streaks.get(name, 0) >= self.threshold
-
-
-@dataclass
-class FaultToleranceConfig:
-    """Knobs controlling recovery behaviour."""
-
-    loader_checkpoint_interval: int = 50
-    #: Backoff policy applied by :meth:`FaultToleranceManager.call_with_retry`.
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-    #: Consecutive failures before an actor's circuit breaker opens.
-    breaker_threshold: int = 3
-    #: How many heal-sleep-retry rounds the framework spends waiting out an
-    #: unrecoverable fault window (source blackout, global GCS blip) before
-    #: giving up.  Together with ``wait`` the capped exponential delays give
-    #: roughly ``wait.max_delay_s * attempts`` seconds of virtual waiting
-    #: capacity — size it to the longest window strict mode must survive.
-    degraded_wait_attempts: int = 40
-    #: Backoff policy for the *wait-out* loops (strict mode riding out a
-    #: fault window).  Separate from ``retry``: RPC retries stay snappy
-    #: (small cap keeps call latency bounded) while wait-out sleeps grow to
-    #: a much larger cap so a bounded attempt budget can span windows
-    #: hundreds of virtual seconds long.
-    wait: RetryPolicy = field(
-        default_factory=lambda: RetryPolicy(base_delay_s=0.5, max_delay_s=12.0)
-    )
-    #: Ring-buffer capacity for retained :class:`RecoveryEvent` records;
-    #: aggregate counts/latencies keep exact totals past eviction.
-    events_limit: int = 256
+        return self._streaks.get(name, 0) >= BREAKER_THRESHOLD
 
 
 class FaultToleranceManager:
-    """Detects failures and drives recovery for loaders and coordinators."""
+    """Detects failures and drives recovery for loaders and coordinators.
 
-    def __init__(
-        self,
-        system: ActorSystem,
-        config: FaultToleranceConfig | None = None,
-    ) -> None:
+    ``loader_checkpoint_interval`` is the differential checkpoint interval:
+    loaders snapshot at multiples of it (deployments pass the job's
+    ``replay_window``).
+    """
+
+    def __init__(self, system: ActorSystem, loader_checkpoint_interval: int = 50) -> None:
         self.system = system
-        self.config = config or FaultToleranceConfig()
+        self.loader_checkpoint_interval = loader_checkpoint_interval
         self._shadows: dict[str, ShadowRegistration] = {}
         #: Per-loader checkpoint history, newest last, at most
         #: :data:`CHECKPOINT_HISTORY` entries.
         self._loader_checkpoints: dict[str, list[dict]] = {}
         #: Bounded recovery log: long chaos soaks retain only the newest
-        #: ``events_limit`` records while the aggregates below keep exact
+        #: :data:`EVENTS_LIMIT` records while the aggregates below keep exact
         #: lifetime totals (so ETTR never drifts when the ring evicts).
-        self._events: deque[RecoveryEvent] = deque(maxlen=self.config.events_limit)
+        self._events: deque[RecoveryEvent] = deque(maxlen=EVENTS_LIMIT)
         self._event_counts: dict[str, int] = {}
         self._event_latency: dict[str, float] = {}
         self._events_total = 0
         self._latency_total = 0.0
         #: Per-actor circuit breaker consulted by the retry loop.
-        self.breaker = CircuitBreaker(self.config.breaker_threshold)
+        self.breaker = CircuitBreaker()
 
     # -- retry / backoff policy ------------------------------------------------------------------
 
@@ -189,44 +176,36 @@ class FaultToleranceManager:
         else:
             clock.advance(delay_s)
 
-    def wait_delay_s(self, attempt: int, key: str = "") -> float:
-        """Backoff for a wait-out round (the long-cap ``wait`` policy)."""
-        return self.config.wait.delay_s(attempt, key)
-
     def call_with_retry(
         self,
         role: str,
         method: str,
         fn: Callable[[], object],
         actor: str | None = None,
-        retry_on: tuple[type[BaseException], ...] | None = None,
     ):
-        """Invoke ``fn`` under the retry policy.
+        """Invoke ``fn`` under :data:`RPC_RETRY`.
 
-        Retryable exceptions back off with deterministic jitter keyed by
-        ``(role, method, actor)``, up to ``retry.max_attempts`` attempts.
+        An :class:`ActorTimeout` backs off with deterministic jitter keyed by
+        ``(role, method, actor)``, up to :data:`RETRY_ATTEMPTS` attempts.
         When ``actor`` is given, failures feed its circuit breaker; an *open*
         breaker short-circuits the loop (the first failure re-raises
         immediately) so repeat offenders route straight to recovery instead
         of burning the whole backoff budget.
         """
-        policy = self.config.retry
-        retry_on = policy.retry_on if retry_on is None else retry_on
-        attempts = policy.max_attempts
         key = f"{role}.{method}.{actor or ''}"
         last_exc: BaseException | None = None
-        for attempt in range(1, attempts + 1):
+        for attempt in range(1, RETRY_ATTEMPTS + 1):
             try:
                 result = fn()
-            except retry_on as exc:
+            except ActorTimeout as exc:
                 last_exc = exc
                 if actor is not None:
                     self.breaker.record_failure(actor)
                     if self.breaker.is_open(actor):
                         raise
-                if attempt == attempts:
+                if attempt == RETRY_ATTEMPTS:
                     raise
-                self.sleep(policy.delay_s(attempt, key))
+                self.sleep(RPC_RETRY.delay_s(attempt, key))
             else:
                 if actor is not None:
                     self.breaker.record_success(actor)
@@ -278,11 +257,11 @@ class FaultToleranceManager:
     ) -> bool:
         """Snapshot a loader at multiples of ``loader_checkpoint_interval``.
 
-        Plain checkpoints hold the cursor-and-counters ``state_dict`` only
-        (they shorten the modelled recovery latency).  When the caller can
+        A plain entry records only its step (it shortens the modelled
+        recovery latency) and never becomes a replay base.  When the caller can
         guarantee the loader sits at a step boundary with every delivered
         plan's demands applied — the fleet sync point — it passes
-        ``consistent=True`` and the entry additionally captures the loader's
+        ``consistent=True`` and the entry captures the loader's
         full replay snapshot (:meth:`SourceLoader.replay_checkpoint`), which
         recovery restores verbatim so only the post-checkpoint plan suffix is
         replayed.  ``force=True`` bypasses the interval gate (spawn-time
@@ -293,13 +272,9 @@ class FaultToleranceManager:
         loader = handle.instance()
         if not isinstance(loader, SourceLoader):
             raise FaultToleranceError(f"{handle.name!r} is not a source loader")
-        if not force and step % self.config.loader_checkpoint_interval != 0:
+        if not force and step % self.loader_checkpoint_interval != 0:
             return False
-        entry = {
-            "step": step,
-            "state": loader.state_dict(),
-            "consistent": bool(consistent),
-        }
+        entry = {"step": step, "consistent": bool(consistent)}
         if consistent:
             entry["replay"] = loader.replay_checkpoint()
         history = self._loader_checkpoints.setdefault(handle.name, [])
@@ -381,9 +356,11 @@ class FaultToleranceManager:
     def recover_loader(self, failed: ActorHandle, step: int) -> ActorHandle:
         """Promote the shadow for a failed loader (or restart it in place).
 
-        The promoted loader restores the last differential checkpoint and the
-        remaining gap is covered by replaying the Planner's deterministic plan
-        history, whose cost is charged to the recovery latency.
+        Returns the replacement with whatever buffer state it holds; the
+        caller (:meth:`FleetRecovery.recover_member`) resyncs it from the last
+        consistent differential checkpoint plus a replay of the Planner's plan
+        suffix.  The replay gap past the newest checkpoint is charged to the
+        modelled recovery latency here.
         """
         registration = self._shadows.get(failed.name)
         checkpoint = self.last_loader_checkpoint(failed.name, max_step=step)
@@ -392,8 +369,6 @@ class FaultToleranceManager:
 
         if registration is not None and registration.shadow.state is ActorState.RUNNING:
             promoted = registration.shadow
-            if checkpoint is not None:
-                promoted.instance().load_state_dict(checkpoint["state"])
             latency = SHADOW_PROMOTION_LATENCY_S + replay_latency
             self._append_event(
                 RecoveryEvent(
@@ -408,9 +383,8 @@ class FaultToleranceManager:
             self.breaker.reset(failed.name)
             return promoted
 
-        # No shadow: restart in place from the last checkpoint.
-        state = checkpoint["state"] if checkpoint else None
-        restarted = self.system.restart_actor(failed.name, state=state)
+        # No shadow: restart in place.
+        restarted = self.system.restart_actor(failed.name)
         latency = COORDINATOR_RESTART_LATENCY_S + replay_latency
         self._append_event(
             RecoveryEvent(
@@ -468,7 +442,7 @@ class FaultToleranceManager:
     # -- reporting -----------------------------------------------------------------------------------------
 
     def events(self) -> list[RecoveryEvent]:
-        """The retained tail of the recovery log (newest ``events_limit``)."""
+        """The retained tail of the recovery log (newest :data:`EVENTS_LIMIT`)."""
         return list(self._events)
 
     def total_recovery_latency(self) -> float:

@@ -524,7 +524,6 @@ class MegaScaleData:
             # has started: force the baselines to exactly that point, so the
             # entry needs no replay.
             self.recovery.checkpoint_members(step - 1, force=True)
-        self.adopt_swapped_canonicals()
         save_run_checkpoint(self.checkpoint_store, step, self.recovery, self.pipeline.mixtures())
         return step
 
@@ -648,25 +647,6 @@ class MegaScaleData:
                 continue
 
     # -- fleet: routing, scaling, recovery ------------------------------------------------------------------
-
-    def split_demands(self, plan: LoadingPlan) -> dict[object, list[int]]:
-        """Map each fleet member to the sample ids it must prepare.
-
-        Routing is owned by the :class:`LoaderFleet`: ids go to the shard
-        group whose canonical buffers them, and split round-robin across the
-        group's members — byte-identical to the pre-fleet routing while every
-        group is a singleton, and work-dividing once the fleet scaled up.
-        Canonicals swapped externally (manual failover at the facade level)
-        are adopted into their shard groups first.
-        """
-        self.adopt_swapped_canonicals()
-        return self.fleet.split_demands(plan)
-
-    def adopt_swapped_canonicals(self) -> None:
-        """Tell the fleet about canonicals swapped in ``loader_handles`` directly."""
-        for handle in self.loader_handles:
-            if self.fleet.group_for(handle.name) is None:
-                self.fleet.adopt_canonical(handle)
 
     def apply_scaling_plan(self, plan: LoadingPlan) -> None:
         """Consume a plan's piggybacked ScalingPlan at the step boundary."""

@@ -524,32 +524,6 @@ class LoaderFleet:
                 reaped += 1
         return reaped
 
-    def adopt_canonical(self, handle: ActorHandle) -> None:
-        """Adopt an externally-swapped loader as its shard's canonical member.
-
-        Failover performed at the facade level (tests, operational tooling)
-        replaces an entry of ``MegaScaleData.loader_handles`` with a promoted
-        shadow or restarted loader without notifying the fleet.  This resolves
-        the handle's ``(source, shard_index)`` to its shard group and swaps
-        the canonical in place, so demand routing never targets the dead
-        predecessor.
-        """
-        loader: SourceLoader = handle.instance()
-        for group in self._by_source.get(loader.source.name, []):
-            if group.shard_index != loader.shard_index:
-                continue
-            old = group.members[0]
-            if old.name != handle.name:
-                self._group_of.pop(old.name, None)
-                group.members[0] = handle
-                self._group_of[handle.name] = group
-                self._apply_group_mode(group)
-            return
-        raise PlanError(
-            f"loader {handle.name!r} serves no registered shard of "
-            f"source {loader.source.name!r}"
-        )
-
     def replace_member(self, old: ActorHandle, new: ActorHandle) -> None:
         """Swap a failed member for its recovered replacement (failover)."""
         group = self._group_of.pop(old.name, None)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.actors.actor import ActorHandle, ActorState
+from repro.core.fault_tolerance import DEGRADED_WAIT_ATTEMPTS, WAIT_RETRY
 from repro.core.planner import Planner
 from repro.errors import ActorDead, ActorTimeout, ReproError, StorageError
 
@@ -87,9 +88,9 @@ class FleetRecovery:
         if dark and self.degradation is not None and self.degradation.can_degrade(dark):
             self.degradation.degrade(dark, step)
             return True
-        if attempt >= ft.config.degraded_wait_attempts:
+        if attempt >= DEGRADED_WAIT_ATTEMPTS:
             return False
-        ft.sleep(ft.wait_delay_s(attempt, f"gather-wait.{step}"))
+        ft.sleep(WAIT_RETRY.delay_s(attempt, f"gather-wait.{step}"))
         return True
 
     def probe_handles(self) -> list:
@@ -163,9 +164,9 @@ class FleetRecovery:
                 ft.recover_coordinator(handle, step)
             except ActorTimeout:
                 waits += 1
-                if waits >= ft.config.degraded_wait_attempts:
+                if waits >= DEGRADED_WAIT_ATTEMPTS:
                     raise
-                ft.sleep(ft.wait_delay_s(waits, wait_key))
+                ft.sleep(WAIT_RETRY.delay_s(waits, wait_key))
 
     def call_constructor(self, handle, step: int, method: str, *args):
         """Constructor RPC with retry/backoff; a dead constructor restarts."""

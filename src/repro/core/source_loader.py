@@ -375,10 +375,7 @@ class SourceLoader(Actor):
         initial state plus the sequence of demand applications, so exact
         reconstruction (failover, pipeline flush) starts from pristine state
         and replays the Planner's plan history via :meth:`replay_demands`.
-        Restored cursor checkpoints are deliberately discarded here — they
-        shorten the *modelled* recovery latency (differential checkpointing)
-        but cannot reproduce the buffer contents on their own.  Bounded
-        replay instead restores a consistent buffer snapshot via
+        Bounded replay instead restores a consistent buffer snapshot via
         :meth:`restore_replay_checkpoint` and replays only the suffix.
         """
         self._rebuild()
@@ -413,12 +410,11 @@ class SourceLoader(Actor):
     def replay_checkpoint(self) -> dict:
         """Snapshot the full replay state: cursor + buffer contents.
 
-        Unlike :meth:`state_dict` (cursor + counters only), this snapshot is
-        sufficient to reconstruct the buffer without replaying the plan
-        history from genesis: restoring it and replaying only the plans
-        *after* the snapshot step reproduces the exact state a full-history
-        replay would — recovery cost becomes bounded by the checkpoint
-        interval instead of O(steps).  Only valid at a step boundary where
+        The one loader checkpoint: it reconstructs the buffer without
+        replaying the plan history from genesis.  Restoring it and replaying
+        only the plans *after* the snapshot step reproduces the exact state a
+        full-history replay would, so recovery cost is bounded by the
+        checkpoint interval instead of O(steps).  Only valid at a step boundary where
         every delivered plan's demands have been applied (the fleet sync
         point); the fault-tolerance manager tags such snapshots consistent.
         """
@@ -555,28 +551,6 @@ class SourceLoader(Actor):
     def staged_count(self) -> int:
         """Rows on open tickets, taken from the buffer but not yet handed off."""
         return sum(len(ticket.rows) for ticket in self._tickets.values())
-
-    # -- checkpointing ----------------------------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """Cursor + counters; buffers are rebuilt by deterministic replay."""
-        cursor_state = self._cursor.state_dict() if self._cursor is not None else {}
-        return {
-            "source": self.source.name,
-            "cursor": cursor_state,
-            "samples_prepared": self.stats.samples_prepared,
-            "samples_delivered": self.stats.samples_delivered,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        if state.get("source") != self.source.name:
-            raise PlanError(
-                f"checkpoint for source {state.get('source')!r} does not match {self.source.name!r}"
-            )
-        if self._cursor is not None and state.get("cursor"):
-            self._cursor.load_state_dict(state["cursor"])
-        self.stats.samples_prepared = int(state.get("samples_prepared", 0))
-        self.stats.samples_delivered = int(state.get("samples_delivered", 0))
 
     def heartbeat_payload(self) -> dict:
         return {

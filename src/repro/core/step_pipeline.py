@@ -77,6 +77,7 @@ from dataclasses import dataclass, field
 
 from repro.actors.actor import ActorFuture, ActorHandle, ActorState
 from repro.core.assembly import PreparedColumns
+from repro.core.fault_tolerance import DEGRADED_WAIT_ATTEMPTS, WAIT_RETRY
 from repro.core.planner import PlanTimings
 from repro.core.plans import LoadingPlan
 from repro.data.mixture import MixtureSchedule
@@ -495,7 +496,7 @@ class StepPipeline:
         # step's demands, so the resized fleet serves the step that carried
         # the directive.
         fw.apply_scaling_plan(item.plan)
-        item.demands = fw.split_demands(item.plan)
+        item.demands = fw.fleet.split_demands(item.plan)
         for handle, sample_ids in item.demands.items():
             if sample_ids:
                 self._submit_prepare(item, handle)
@@ -616,13 +617,13 @@ class StepPipeline:
                 # constructor from its state dict, or sleep one backoff delay
                 # for a fault window (gcs blip) to expire, then resubmit.
                 item.recovery_attempts += 1
-                if item.recovery_attempts >= fw.fault_manager.config.degraded_wait_attempts:
+                if item.recovery_attempts >= DEGRADED_WAIT_ATTEMPTS:
                     raise exc
                 if isinstance(exc, ActorDead):
                     fw.fault_manager.recover_coordinator(constructor_handle, item.step)
                 else:
                     fw.fault_manager.sleep(
-                        fw.fault_manager.wait_delay_s(
+                        WAIT_RETRY.delay_s(
                             item.recovery_attempts,
                             f"pipeline-construct.{constructor_handle.name}",
                         )
@@ -699,14 +700,12 @@ class StepPipeline:
             self.flush()
             return
         item.recovery_attempts += 1
-        if item.recovery_attempts >= fw.fault_manager.config.degraded_wait_attempts:
+        if item.recovery_attempts >= DEGRADED_WAIT_ATTEMPTS:
             raise ActorTimeout(
                 f"loader {handle.name} unavailable past the degraded-wait budget"
             )
         fw.fault_manager.sleep(
-            fw.fault_manager.wait_delay_s(
-                item.recovery_attempts, f"pipeline-recover.{handle.name}"
-            )
+            WAIT_RETRY.delay_s(item.recovery_attempts, f"pipeline-recover.{handle.name}")
         )
         # Chaos faults fire before the target method body runs, so the failed
         # poll never executed and the identical re-issue is safe: the

@@ -13,7 +13,9 @@ from repro.chaos import ChaosEngine, FaultEvent, FaultPlan
 from repro.core.checkpoint import InMemoryCheckpointStore
 from repro.core.dgraph import expected_quotas
 from repro.core.fault_tolerance import (
-    FaultToleranceConfig,
+    BREAKER_THRESHOLD,
+    EVENTS_LIMIT,
+    RETRY_JITTER,
     FaultToleranceManager,
     RecoveryEvent,
     RetryPolicy,
@@ -267,24 +269,16 @@ class TestFailureDomains:
 
 class TestRetryPolicies:
     def test_delays_deterministic_and_bounded(self):
-        policy = RetryPolicy(base_delay_s=0.1, max_delay_s=1.0, jitter=0.25)
+        policy = RetryPolicy(0.1, 1.0)
         delays = [policy.delay_s(attempt, key="probe") for attempt in range(1, 8)]
         assert delays == [policy.delay_s(a, key="probe") for a in range(1, 8)]
-        assert all(d <= 1.0 * 1.25 for d in delays)
+        assert all(d <= 1.0 * (1 + RETRY_JITTER) for d in delays)
         # Different jitter keys decorrelate retry timelines.
         assert delays != [policy.delay_s(a, key="other") for a in range(1, 8)]
 
-    def test_invalid_policies_rejected(self):
-        from repro.core.fault_tolerance import FaultToleranceError
-
-        with pytest.raises(FaultToleranceError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(FaultToleranceError):
-            RetryPolicy(base_delay_s=2.0, max_delay_s=1.0)
-
     def test_call_with_retry_waits_out_transient(self, small_catalog, filesystem):
         system, _, _ = _loader_system(small_catalog, filesystem)
-        manager = FaultToleranceManager(system, FaultToleranceConfig())
+        manager = FaultToleranceManager(system)
         attempts = []
 
         def flaky():
@@ -300,15 +294,17 @@ class TestRetryPolicies:
 
     def test_open_breaker_short_circuits(self, small_catalog, filesystem):
         system, _, _ = _loader_system(small_catalog, filesystem)
-        manager = FaultToleranceManager(
-            system, FaultToleranceConfig(breaker_threshold=2)
-        )
+        manager = FaultToleranceManager(system)
+        failures = []
 
         def always_dark():
+            failures.append(1)
             raise ActorTimeout("dark")
 
         with pytest.raises(ActorTimeout):
             manager.call_with_retry("loader", "poll", always_dark, actor="victim")
+        # The breaker opened on the threshold-th consecutive failure.
+        assert len(failures) == BREAKER_THRESHOLD
         assert manager.breaker.is_open("victim")
         calls = []
 
@@ -324,24 +320,23 @@ class TestRetryPolicies:
 
     def test_recovery_log_ring_buffer(self, small_catalog, filesystem):
         system, _, _ = _loader_system(small_catalog, filesystem)
-        manager = FaultToleranceManager(
-            system, FaultToleranceConfig(events_limit=4)
-        )
-        for step in range(10):
+        manager = FaultToleranceManager(system)
+        appended = EVENTS_LIMIT + 4
+        for step in range(appended):
             manager._append_event(
                 RecoveryEvent(
                     step=step, component="loader", kind="restart",
                     recovery_latency_s=1.0,
                 )
             )
-        assert len(manager.events()) == 4
-        assert [event.step for event in manager.events()] == [6, 7, 8, 9]
+        assert len(manager.events()) == EVENTS_LIMIT
+        assert [event.step for event in manager.events()] == list(range(4, appended))
         summary = manager.recovery_summary()
         # Aggregates stay exact past ring eviction.
-        assert summary["total_events"] == 10
-        assert summary["retained_events"] == 4
-        assert summary["by_kind"]["restart"]["count"] == 10
-        assert summary["total_latency_s"] == pytest.approx(10.0)
+        assert summary["total_events"] == appended
+        assert summary["retained_events"] == EVENTS_LIMIT
+        assert summary["by_kind"]["restart"]["count"] == appended
+        assert summary["total_latency_s"] == pytest.approx(float(appended))
 
 
 # -- degraded-mode arithmetic ------------------------------------------------------------

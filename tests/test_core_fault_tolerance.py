@@ -6,11 +6,8 @@ import pytest
 
 from repro.actors.actor import ActorState
 from repro.actors.runtime import ActorSystem, ClusterSpec
-from repro.core.fault_tolerance import (
-    FaultToleranceConfig,
-    FaultToleranceError,
-    FaultToleranceManager,
-)
+from repro.core.data_constructor import DataConstructor
+from repro.core.fault_tolerance import FaultToleranceError, FaultToleranceManager
 from repro.core.source_loader import SourceLoader
 from repro.utils.units import GIB
 
@@ -22,7 +19,7 @@ def system():
 
 @pytest.fixture()
 def manager(system):
-    return FaultToleranceManager(system, FaultToleranceConfig(loader_checkpoint_interval=5))
+    return FaultToleranceManager(system, loader_checkpoint_interval=5)
 
 
 def spawn_pair(system, manager, catalog, filesystem, index=0):
@@ -58,25 +55,28 @@ class TestDetection:
         system.failures.timeout(primary.name)
         assert manager.detect_failures([primary]) == [primary]
 
-    def test_no_per_call_rpc_timeout(self):
-        """No engine bounds a call by a timeout, so the heartbeat has none to pass."""
-        with pytest.raises(TypeError, match="rpc_timeout_s"):
-            FaultToleranceConfig(rpc_timeout_s=1.0)
-
     @pytest.mark.parametrize(
         "name",
         [
+            "rpc_timeout_s",
             "retry_budgets",
             "shadow_promotion_latency_s",
             "coordinator_restart_latency_s",
             "replay_latency_per_step_s",
+            "retry",
+            "wait",
+            "breaker_threshold",
+            "degraded_wait_attempts",
+            "events_limit",
+            "config",
         ],
     )
-    def test_recovery_latencies_and_retry_budgets_are_not_knobs(self, name):
-        """No caller set them: the latencies are module constants and every
-        RPC retries under the one ``retry`` policy."""
+    def test_recovery_latencies_and_retry_budgets_are_not_knobs(self, system, name):
+        """The checkpoint interval is the manager's one setting: no engine
+        bounds a call by a timeout, and the latencies, retry and wait-out
+        policies, breaker threshold and event ring are module constants."""
         with pytest.raises(TypeError, match=name):
-            FaultToleranceConfig(**{name: 1})
+            FaultToleranceManager(system, **{name: 1})
 
 
 class TestCheckpointing:
@@ -136,17 +136,19 @@ class TestRecovery:
         short_gap = manager.events()[-1].recovery_latency_s
         assert long_gap > short_gap
 
-    def test_coordinator_restart_preserves_state(self, system, manager, small_catalog, filesystem):
-        source = small_catalog.sources()[0]
+    def test_coordinator_restart_preserves_state(self, system, manager, vlm_mesh):
         handle = system.create_actor(
-            lambda: SourceLoader(source, filesystem, buffer_size=8),
-            name="coordinator-like",
+            lambda: DataConstructor(bucket_index=1, mesh=vlm_mesh, dp_index=1),
+            name="constructor-1",
             memory_bytes=GIB,
         )
-        ids = [m.sample_id for m in handle.instance().summary_buffer()[:2]]
-        handle.call("prepare", ids)
+        before = handle.instance()
         recovered = manager.recover_coordinator(handle, step=3)
-        assert recovered.instance().stats.samples_prepared == 2
+        after = recovered.instance()
+        assert after is not before
+        assert after.state_dict() == before.state_dict()
+        assert system.actor_state(recovered.name) is ActorState.RUNNING
+        assert manager.events()[-1].kind == "coordinator_restart"
 
     def test_shadow_memory_accounted(self, system, manager, small_catalog, filesystem):
         spawn_pair(system, manager, small_catalog, filesystem)

@@ -199,24 +199,25 @@ class TestShardingAndCheckpoint:
         ids_b = {m.sample_id for m in b.instance().summary_buffer()}
         assert not ids_a & ids_b
 
-    def test_state_dict_roundtrip(self, system, small_catalog, filesystem):
-        handle = spawn_loader(system, small_catalog, filesystem, buffer_size=8)
-        loader = handle.instance()
-        ids = [m.sample_id for m in loader.summary_buffer()[:4]]
-        handle.call("prepare", ids)
-        state = loader.state_dict()
-        assert state["samples_prepared"] == 4
-
-        fresh = SourceLoader(loader.source, filesystem, buffer_size=8)
-        fresh.on_start()
-        fresh.load_state_dict(state)
-        assert fresh.stats.samples_prepared == 4
-
     def test_state_dict_source_mismatch(self, system, small_catalog, filesystem):
-        a = spawn_loader(system, small_catalog, filesystem, source_index=0)
-        b = spawn_loader(system, small_catalog, filesystem, source_index=1)
-        with pytest.raises(PlanError):
-            b.instance().load_state_dict(a.instance().state_dict())
+        """A replay checkpoint of another source or another shard is refused."""
+        loader = spawn_loader(
+            system, small_catalog, filesystem, shard_index=0, shard_count=2
+        ).instance()
+        other_source = spawn_loader(
+            system, small_catalog, filesystem, source_index=1, shard_index=0, shard_count=2
+        ).instance()
+        other_shard = spawn_loader(
+            system, small_catalog, filesystem, shard_index=1, shard_count=2
+        ).instance()
+        before = loader.replay_checkpoint()
+        for snapshot, match in (
+            (other_source.replay_checkpoint(), "source"),
+            (other_shard.replay_checkpoint(), "shard"),
+        ):
+            with pytest.raises(PlanError, match=match):
+                loader.restore_replay_checkpoint(snapshot)
+        assert loader.replay_checkpoint() == before
 
     def test_heartbeat_payload(self, system, small_catalog, filesystem):
         handle = spawn_loader(system, small_catalog, filesystem, buffer_size=8)
@@ -383,7 +384,11 @@ def test_sync_prepare_equals_async_polls_of_any_chunk_size(
         assert a.staged_count() == b.staged_count() == 0
         assert a.ledger.snapshot().by_category == b.ledger.snapshot().by_category
         assert a.summary_buffer() == b.summary_buffer()
-        assert a.state_dict() == b.state_dict()
+        assert a.replay_checkpoint()["cursor"] == b.replay_checkpoint()["cursor"]
+        assert (a.stats.samples_prepared, a.stats.samples_delivered) == (
+            b.stats.samples_prepared,
+            b.stats.samples_delivered,
+        )
         # Hand-off: the final poll's key resolves to equal columns.
         got = system.gcs.take(key)
         for column in ("sample_ids", "text_tokens", "image_tokens", "transferred_bytes"):
@@ -420,7 +425,7 @@ def test_chunked_refill_equals_the_per_row_loop(source_index, shard_count, buffe
     per_row_refill()
     for picks in demands:
         assert loader.summary_buffer() == list(model.values())
-        assert loader.state_dict()["cursor"] == cursor.state_dict()
+        assert loader.replay_checkpoint()["cursor"] == cursor.state_dict()
         assert loader.ledger.live_bytes("prefetch_buffer") == 96 * len(model)
         ids = list(dict.fromkeys(list(model)[pick % len(model)] for pick in picks))
         handle.call("replay_demands", ids)
@@ -429,7 +434,7 @@ def test_chunked_refill_equals_the_per_row_loop(source_index, shard_count, buffe
         if ids:
             per_row_refill()
     assert loader.summary_buffer() == list(model.values())
-    assert loader.state_dict()["cursor"] == cursor.state_dict()
+    assert loader.replay_checkpoint()["cursor"] == cursor.state_dict()
 
 
 @given(

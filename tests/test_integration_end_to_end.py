@@ -106,22 +106,32 @@ class TestFaultToleranceIntegration:
             samples_per_dp_step=8, num_microbatches=2, num_sources=3,
             samples_per_source=64, enable_shadow_loaders=True, seed=1,
         )
+        def demanded(result):
+            return {source: list(ids) for source, ids in result.plan.source_demands.items()}
+
+        reference = MegaScaleData.deploy(job)
+        expected = [demanded(reference.run_step()) for _ in range(6)]
+        reference.shutdown()
+
         system = MegaScaleData.deploy(job)
-        system.run_step()
+        got = [demanded(system.run_step())]
 
         victim = system.loader_handles[0]
-        system.fault_manager.checkpoint_loader(victim, step=0)
         system.system.failures.fail(victim.name)
         failed = system.fault_manager.detect_failures(system.loader_handles)
         assert victim in failed
 
-        promoted = system.fault_manager.recover_loader(victim, step=1)
-        system.loader_handles[0] = promoted
-        system.planner_handle.instance().register_loaders(system.loader_handles)
-
-        result = system.run_step()
-        assert result.deliveries
+        system.recover_fleet_member(victim, system.step)
         assert system.fault_manager.events()[-1].kind == "shadow_promotion"
+        assert victim not in system.loader_handles
+
+        for _ in range(5):
+            result = system.run_step()
+            assert result.deliveries
+            got.append(demanded(result))
+        # The promoted shadow resumes the failed loader's exact sample stream.
+        assert got == expected
+        system.shutdown()
 
     def test_planner_restart_resumes_from_gcs(self):
         job = TrainingJobSpec(

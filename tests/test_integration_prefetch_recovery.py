@@ -16,6 +16,7 @@ import pytest
 from repro.actors.runtime import ActorSystem
 from repro.chaos.engine import ChaosEngine
 from repro.chaos.plan import FaultEvent, FaultPlan
+from repro.core.fault_tolerance import DEGRADED_WAIT_ATTEMPTS
 from repro.core.framework import MegaScaleData, TrainingJobSpec
 from repro.core.source_loader import SourceLoader
 from repro.data.synthetic import build_source_catalog, navit_like_spec
@@ -332,8 +333,7 @@ def test_planner_timeout_is_waited_out_or_cleared(depth):
         system.system.failures.timeout(planner)
         with pytest.raises(ActorTimeout):
             system.run_step()
-        budget = system.fault_manager.config.degraded_wait_attempts
-        assert len(failed_plans) == budget
+        assert len(failed_plans) == DEGRADED_WAIT_ATTEMPTS
 
         system.system.failures.clear(planner)
         assert [delivery_signature(system.run_step()) for _ in range(3)] == expected
