@@ -7,14 +7,14 @@ production run.  The durable control plane fixes this with differential
 checkpoints: the FaultToleranceManager snapshots each loader's replay state
 (buffer + cursor) on the checkpoint interval, the Planner persists plans past
 its bounded in-memory window into a :class:`CheckpointStore`, and recovery
-restores the newest consistent snapshot and replays only the post-checkpoint
+restores the newest snapshot and replays only the post-checkpoint
 suffix — O(interval), flat in run length.
 
 This benchmark drives a loader fleet + Planner + FaultToleranceManager for
 {100, 400, 1600} steps and then measures wall-clock recovery of one loader
 under both policies:
 
-- ``bounded`` — restore the latest consistent differential checkpoint, replay
+- ``bounded`` — restore the latest differential checkpoint, replay
   the plan suffix after it (at most the checkpoint interval of plans);
 - ``full`` — reset to genesis and replay every plan of the run (the
   pre-checkpoint-store behaviour).
@@ -144,7 +144,7 @@ def _drive(num_steps: int) -> dict[str, object]:
 
     # The training run: one plan per step, every loader consumes its demands
     # (the live replay_demands semantics: refill iff something was consumed),
-    # and the fault manager takes interval-gated consistent checkpoints at
+    # and the fault manager takes interval-gated checkpoints at
     # the per-step sync point.
     for step in range(num_steps):
         plan = planner.generate_plan(step)
@@ -152,7 +152,7 @@ def _drive(num_steps: int) -> dict[str, object]:
             ids = plan.source_demands.get(handle.instance().source.name, [])
             if ids:
                 handle.call("replay_demands", list(ids))
-            fault_manager.checkpoint_loader(handle, step, consistent=True)
+            fault_manager.checkpoint_loader(handle, step)
 
     victim = handles[0]
     source_name = victim.instance().source.name
@@ -167,12 +167,12 @@ def _drive(num_steps: int) -> dict[str, object]:
             replayed += 1
         return replayed
 
-    # Bounded: restore the newest consistent differential checkpoint, replay
+    # Bounded: restore the newest differential checkpoint, replay
     # only the post-checkpoint plan suffix (store reads included in the cost).
     bounded_times = []
     for _ in range(REPETITIONS):
         begin = time.perf_counter()
-        entry = fault_manager.last_loader_checkpoint(victim.name, consistent=True)
+        entry = fault_manager.last_loader_checkpoint(victim.name)
         victim.call("restore_replay_checkpoint", entry["replay"])
         suffix_plans = replay_suffix(entry["step"])
         bounded_times.append(time.perf_counter() - begin)

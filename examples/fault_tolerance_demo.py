@@ -3,7 +3,7 @@
 Deploys a small job with shadow loaders enabled, kills a Source Loader
 mid-training and fails it over through ``recover_fleet_member`` — the one
 loader failover path: its hot-standby shadow is promoted, restores the last
-consistent differential checkpoint and replays the Planner's plan suffix, so
+differential checkpoint and replays the Planner's plan suffix, so
 training resumes on the failed loader's exact sample stream.  It then kills
 and restarts the Planner from its GCS checkpoint — all while the pull workflow
 keeps producing batches.
@@ -52,7 +52,7 @@ def main() -> None:
     print(f"detected failed loaders: {[handle.name for handle in failed]}")
 
     # Promote the shadow, resync it and resume training.
-    checkpoint = manager.last_loader_checkpoint(victim.name, consistent=True)
+    checkpoint = manager.last_loader_checkpoint(victim.name)
     system.recover_fleet_member(victim, system.step)
     event = manager.events()[-1]
     print(f"recovered via {event.kind} ({event.detail}) from the step "

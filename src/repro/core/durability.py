@@ -106,7 +106,7 @@ def save_run_checkpoint(
 
     Built from what the fault manager and the store already hold, so steps in
     flight beyond ``step`` are neither waited for nor disturbed: per canonical
-    loader the newest consistent differential checkpoint below ``step``
+    loader the newest differential checkpoint below ``step``
     (``None`` = pristine), the Planner's state cut to ``step``, the fleet
     topology (mirror counts, worker sizing) and the construction recipes of
     ``mixtures`` — ``(first step, schedule)`` runs, the first in effect at
@@ -122,7 +122,7 @@ def save_run_checkpoint(
             "source": group.source,
             "shard_index": group.shard_index,
             "checkpoint": recovery.fault_manager.last_loader_checkpoint(
-                handle.name, max_step=step - 1, consistent=True
+                handle.name, max_step=step - 1
             ),
         }
     recipes = [

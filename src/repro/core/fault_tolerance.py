@@ -14,10 +14,10 @@ Every loader failover takes one path: ``MegaScaleData.recover_fleet_member``
 → :meth:`repro.core.recovery.FleetRecovery.recover_member`, which picks the
 replacement here (mirror, shadow or in-place restart) and then resyncs it.
 
-A loader checkpoint is one entry ``{step, consistent, replay}`` (``replay``
-only on consistent entries) and lives in one place: the manager's short
-per-loader history.  Nothing writes it to the checkpoint store; the durable
-copy a whole-run restore needs is the one the ``run`` entry embeds
+A loader checkpoint is one entry ``{step, replay}`` taken at a fleet sync
+point and lives in one place: the manager's short per-loader history.
+Nothing writes it to the checkpoint store; the durable copy a whole-run
+restore needs is the one the ``run`` entry embeds
 (:func:`repro.core.durability.save_run_checkpoint`).
 
 The retry, wait-out and breaker policies are module constants, not knobs;
@@ -248,35 +248,24 @@ class FaultToleranceManager:
 
     # -- checkpointing -------------------------------------------------------------------------------
 
-    def checkpoint_loader(
-        self,
-        handle: ActorHandle,
-        step: int,
-        consistent: bool = False,
-        force: bool = False,
-    ) -> bool:
+    def checkpoint_loader(self, handle: ActorHandle, step: int, force: bool = False) -> bool:
         """Snapshot a loader at multiples of ``loader_checkpoint_interval``.
 
-        A plain entry records only its step (it shortens the modelled
-        recovery latency) and never becomes a replay base.  When the caller can
-        guarantee the loader sits at a step boundary with every delivered
-        plan's demands applied — the fleet sync point — it passes
-        ``consistent=True`` and the entry captures the loader's
-        full replay snapshot (:meth:`SourceLoader.replay_checkpoint`), which
-        recovery restores verbatim so only the post-checkpoint plan suffix is
-        replayed.  ``force=True`` bypasses the interval gate (spawn-time
-        baseline checkpoints, whole-run save).  The entry lives only in the
-        manager's short per-loader history; a whole-run save embeds what it
-        needs of it in the ``run`` entry.
+        The caller guarantees the loader sits at a step boundary with every
+        plan up to ``step`` applied — the fleet sync point — so the entry's
+        replay snapshot (:meth:`SourceLoader.replay_checkpoint`) is a valid
+        base: recovery restores it verbatim and replays only the
+        post-checkpoint plan suffix.  ``force=True`` bypasses the interval
+        gate (spawn-time baseline checkpoints, whole-run save).  The entry
+        lives only in the manager's short per-loader history; a whole-run
+        save embeds what it needs of it in the ``run`` entry.
         """
         loader = handle.instance()
         if not isinstance(loader, SourceLoader):
             raise FaultToleranceError(f"{handle.name!r} is not a source loader")
         if not force and step % self.loader_checkpoint_interval != 0:
             return False
-        entry = {"step": step, "consistent": bool(consistent)}
-        if consistent:
-            entry["replay"] = loader.replay_checkpoint()
+        entry = {"step": step, "replay": loader.replay_checkpoint()}
         history = self._loader_checkpoints.setdefault(handle.name, [])
         history[:] = [e for e in history if e["step"] != step]
         history.append(entry)
@@ -285,36 +274,18 @@ class FaultToleranceManager:
         return True
 
     def checkpoint_loaders(
-        self,
-        handles: list[ActorHandle],
-        step: int,
-        consistent: bool = False,
-        force: bool = False,
+        self, handles: list[ActorHandle], step: int, force: bool = False
     ) -> int:
         """:meth:`checkpoint_loader` over a whole fleet sync point; returns
         how many members were checkpointed."""
-        return sum(
-            self.checkpoint_loader(handle, step, consistent, force) for handle in handles
-        )
+        return sum(self.checkpoint_loader(handle, step, force) for handle in handles)
 
-    def last_loader_checkpoint(
-        self,
-        name: str,
-        max_step: int | None = None,
-        consistent: bool | None = None,
-    ) -> dict | None:
-        """Newest checkpoint entry for ``name``.
-
-        ``max_step`` restricts to entries at or below that step;
-        ``consistent=True`` restricts to entries carrying a replay snapshot.
-        """
+    def last_loader_checkpoint(self, name: str, max_step: int | None = None) -> dict | None:
+        """Newest checkpoint entry for ``name`` (at or below ``max_step``)."""
         history = self._loader_checkpoints.get(name, [])
         for entry in reversed(history):
-            if max_step is not None and entry["step"] > max_step:
-                continue
-            if consistent and not entry.get("consistent"):
-                continue
-            return entry
+            if max_step is None or entry["step"] <= max_step:
+                return entry
         return None
 
     def adopt_loader_checkpoint(self, name: str, entry: dict) -> None:
@@ -358,8 +329,7 @@ class FaultToleranceManager:
 
         Returns the replacement with whatever buffer state it holds; the
         caller (:meth:`FleetRecovery.recover_member`) resyncs it from the last
-        consistent differential checkpoint plus a replay of the Planner's plan
-        suffix.  The replay gap past the newest checkpoint is charged to the
+        differential checkpoint plus a replay of the Planner's plan suffix.  The replay gap past the newest checkpoint is charged to the
         modelled recovery latency here.
         """
         registration = self._shadows.get(failed.name)

@@ -513,7 +513,7 @@ class MegaScaleData:
         consumed as if nothing happened.  Writes one ``run`` entry for the
         consume position (:func:`~repro.core.durability.save_run_checkpoint`)
         out of what the fault manager and the store already hold — per loader
-        the newest consistent differential checkpoint below it, the Planner
+        the newest differential checkpoint below it, the Planner
         cut to it — from which :meth:`restore` resumes the run at the returned
         step with byte-identical batches, at a cost flat in run length.
         """
@@ -543,7 +543,7 @@ class MegaScaleData:
         is cut to the saved position — so a run killed without ``shutdown()``
         restores like a cleanly stopped one — and each loader is rebuilt from
         the differential checkpoint the entry embeds plus a replay of the
-        plan suffix) and every member gets a forced consistent baseline so
+        plan suffix) and every member gets a forced checkpoint baseline so
         post-restore failures keep bounded replay.  Continuation is
         byte-identical to the uninterrupted run: plans are a pure function of
         (buffer state, step, seed, mixture), all of which round-trip.

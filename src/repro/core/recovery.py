@@ -182,14 +182,14 @@ class FleetRecovery:
     def resync(self, handle, limit_step: int, planner: Planner, checkpoint_of: str) -> None:
         """Bring ``handle``'s buffer to the delivered prefix ``< limit_step``.
 
-        Restores the newest consistent differential checkpoint recorded for
+        Restores the newest differential checkpoint recorded for
         ``checkpoint_of`` (pristine reset when there is none) and replays the
         plan suffix past it (each record's ``source_demands``) — bounded in
         run length, byte-exact with an uninterrupted run.  The one replay
         routine of flush, failover and whole-run restore.
         """
         checkpoint = self.fault_manager.last_loader_checkpoint(
-            checkpoint_of, max_step=limit_step - 1, consistent=True
+            checkpoint_of, max_step=limit_step - 1
         )
         if checkpoint is not None:
             handle.call("restore_replay_checkpoint", checkpoint["replay"])
@@ -227,11 +227,11 @@ class FleetRecovery:
            absorb every member's demands each step, so the mirror *is* the
            canonical's state — zero replay.
         2. **Shadow promotion / in-place restart** with **bounded replay**:
-           the replacement restores the latest *consistent* differential
+           the replacement restores the latest differential
            checkpoint (buffer + cursor snapshot taken at a past sync point)
            and replays only the post-checkpoint plan suffix — Sec. 6.1
            differential checkpoint + replay, flat in run length.  With no
-           consistent checkpoint (fresh deployments), it falls back to the
+           checkpoint (fresh deployments), it falls back to the
            full from-genesis replay.
 
         Only canonical members sit in the Planner's gather set; a failed
@@ -276,14 +276,14 @@ class FleetRecovery:
 
         It cloned its canonical's buffer at the plan-application point
         *before* ``step``'s demands land (spawns are stamped with the plan
-        frontier), so a forced consistent checkpoint tagged ``step - 1`` is
+        frontier), so a forced checkpoint tagged ``step - 1`` is
         exactly its state.
         """
         for handle in self.fleet.all_handles():
             if handle.name == actor:
                 try:
                     self.fault_manager.checkpoint_loader(
-                        handle, step - 1, consistent=True, force=True
+                        handle, step - 1, force=True
                     )
                 except ReproError:  # best-effort baseline
                     pass
@@ -309,4 +309,4 @@ class FleetRecovery:
             except ReproError:  # a dying member is recovered later
                 continue
             healthy.append(handle)
-        self.fault_manager.checkpoint_loaders(healthy, step, consistent=True, force=force)
+        self.fault_manager.checkpoint_loaders(healthy, step, force=force)

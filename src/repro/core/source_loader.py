@@ -416,7 +416,7 @@ class SourceLoader(Actor):
         full-history replay would, so recovery cost is bounded by the
         checkpoint interval instead of O(steps).  Only valid at a step boundary where
         every delivered plan's demands have been applied (the fleet sync
-        point); the fault-tolerance manager tags such snapshots consistent.
+        point), which is the only place the fault-tolerance manager takes it.
         """
         return {
             "source": self.source.name,

@@ -324,7 +324,7 @@ class StepPipeline:
         window as :meth:`cancel` does — cancels the queued work and cuts plan
         history, degradation accounting and loader checkpoints back to the
         delivered prefix — (2) rewinds every fleet member to that prefix:
-        restores its newest consistent differential checkpoint and replays
+        restores its newest differential checkpoint and replays
         the plan suffix past it (pristine reset + full replay for a member
         without one), and (3) releases the staging the flushed steps occupied
         on the constructors.

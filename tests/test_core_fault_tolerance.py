@@ -6,9 +6,11 @@ import pytest
 
 from repro.actors.actor import ActorState
 from repro.actors.runtime import ActorSystem, ClusterSpec
-from repro.core.data_constructor import DataConstructor
 from repro.core.fault_tolerance import FaultToleranceError, FaultToleranceManager
+from repro.core.place_tree import ClientPlaceTree
+from repro.core.planner import Planner
 from repro.core.source_loader import SourceLoader
+from repro.core.strategies import StrategyConfig, backbone_balance_strategy
 from repro.utils.units import GIB
 
 
@@ -136,17 +138,38 @@ class TestRecovery:
         short_gap = manager.events()[-1].recovery_latency_s
         assert long_gap > short_gap
 
-    def test_coordinator_restart_preserves_state(self, system, manager, vlm_mesh):
-        handle = system.create_actor(
-            lambda: DataConstructor(bucket_index=1, mesh=vlm_mesh, dp_index=1),
-            name="constructor-1",
+    def test_coordinator_restart_preserves_state(
+        self, system, manager, small_catalog, filesystem, dp_mesh
+    ):
+        """A restarted Planner resumes at its position with its plan history,
+        which a fresh instance from the same factory would not have."""
+        loaders = [
+            system.create_actor(
+                lambda src=source: SourceLoader(src, filesystem, buffer_size=16),
+                name=f"loader-{index}",
+                memory_bytes=GIB,
+            )
+            for index, source in enumerate(small_catalog.sources()[:2])
+        ]
+        planner = system.create_actor(
+            lambda: Planner(
+                strategy=backbone_balance_strategy(StrategyConfig(num_microbatches=2)),
+                tree=ClientPlaceTree(dp_mesh),
+            ),
+            name="planner",
             memory_bytes=GIB,
         )
-        before = handle.instance()
-        recovered = manager.recover_coordinator(handle, step=3)
+        planner.instance().register_loaders(loaders)
+        for _ in range(3):
+            planner.call("generate_plan")
+        before = planner.instance()
+        history = before.plans_since(-1)
+        recovered = manager.recover_coordinator(planner, step=3)
         after = recovered.instance()
         assert after is not before
-        assert after.state_dict() == before.state_dict()
+        assert after.heartbeat_payload() == {"step": 3, "plans": 3}
+        assert after.plans_since(-1) == history
+        assert [record.step for record in history] == [0, 1, 2]
         assert system.actor_state(recovered.name) is ActorState.RUNNING
         assert manager.events()[-1].kind == "coordinator_restart"
 

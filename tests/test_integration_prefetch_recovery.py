@@ -10,6 +10,7 @@ failure-free synchronous run (deterministic replay, Sec. 6.1).
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -104,18 +105,23 @@ def test_failure_during_plan_gather_recovers():
 
 
 def test_checkpointed_loader_failure_stays_byte_identical():
-    """Regression: a restored cursor checkpoint must not double-advance the
-    replacement's buffer on top of the deterministic plan replay."""
+    """Regression: a loader that fails after a differential checkpoint stays
+    byte-identical — the replacement restores the checkpoint's replay snapshot
+    and replays only the plan suffix past it, never advancing twice."""
     seed = 9
-    reference = MegaScaleData.deploy(make_job(0, shadows=False, seed=seed))
-    system = MegaScaleData.deploy(make_job(2, shadows=True, seed=seed))
+    reference = MegaScaleData.deploy(
+        replace(make_job(0, shadows=False, seed=seed), replay_window=2)
+    )
+    system = MegaScaleData.deploy(replace(make_job(2, shadows=True, seed=seed), replay_window=2))
     try:
         reference_steps = [reference.run_step() for _ in range(8)]
-        results = [system.run_step() for _ in range(2)]
+        results = [system.run_step() for _ in range(3)]
         victim = system.loader_handles[0]
-        system.fault_manager.checkpoint_loader(victim, step=1)
+        checkpoint = system.fault_manager.last_loader_checkpoint(victim.name)
+        assert checkpoint is not None and checkpoint["step"] > 0
         system.system.failures.fail(victim.name)
-        results.extend(system.run_step() for _ in range(6))
+        results.extend(system.run_step() for _ in range(5))
+        assert "shadow_promotion" in [e.kind for e in system.fault_manager.events()]
         for ref_result, got in zip(reference_steps, results):
             assert delivery_signature(got) == delivery_signature(ref_result)
     finally:
