@@ -306,9 +306,6 @@ class ActorHandle:
         """Direct access to the underlying object (tests / same-process reads)."""
         return self._system.actor_instance(self.name)
 
-    def kill(self) -> None:
-        self._system.kill_actor(self.name)
-
     def __getattr__(self, method: str):
         if method.startswith("_"):
             raise AttributeError(method)

@@ -46,7 +46,6 @@ class GlobalControlStore:
 
     _store: dict[str, _VersionedValue] = field(default_factory=dict)
     _actor_registry: dict[str, dict] = field(default_factory=dict)
-    _heartbeats: dict[str, float] = field(default_factory=dict)
 
     # -- key/value ---------------------------------------------------------------
 
@@ -114,7 +113,6 @@ class GlobalControlStore:
 
     def deregister_actor(self, name: str) -> None:
         self._actor_registry.pop(name, None)
-        self._heartbeats.pop(name, None)
 
     def list_actors(self, role: str | None = None) -> list[str]:
         if role is None:
@@ -122,17 +120,3 @@ class GlobalControlStore:
         return sorted(
             name for name, info in self._actor_registry.items() if info.get("role") == role
         )
-
-    # -- heartbeats -----------------------------------------------------------------
-
-    def heartbeat(self, name: str, timestamp: float) -> None:
-        self._heartbeats[name] = timestamp
-
-    def stale_actors(self, now: float, timeout_s: float) -> list[str]:
-        """Actors whose last heartbeat is older than ``timeout_s``."""
-        stale = []
-        for name in self._actor_registry:
-            last = self._heartbeats.get(name)
-            if last is None or (now - last) > timeout_s:
-                stale.append(name)
-        return sorted(stale)

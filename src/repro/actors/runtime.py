@@ -77,9 +77,6 @@ class _ActorRecord:
     #: The actor class's ``role`` tag, read once here instead of per event.
     role: str = "actor"
     restart_count: int = 0
-    #: Parallel execution lanes on the virtual clock (a multi-server station:
-    #: e.g. a loader's worker pool serving several step tickets concurrently).
-    concurrency: int = 1
     #: Whether the actor's scheduler reservation was force-released by a node
     #: crash: a restart must re-book it (the node rebooted) and a stop must
     #: not release it twice.
@@ -146,7 +143,7 @@ class ActorSystem:
         self.rpc_latency_s = rpc_latency_s
         self.dispatcher = dispatcher
         self._actors: dict[str, _ActorRecord] = {}
-        #: Actors retiring in "drain" mode: no new submissions are accepted
+        #: Actors draining toward retirement: no new submissions are accepted
         #: and the actor is finalized as soon as its queue runs dry.
         self._retiring: set[str] = set()
         self._ids = IdAllocator()
@@ -228,11 +225,9 @@ class ActorSystem:
         cpu_cores: float = 1.0,
         memory_bytes: int = 64 * 1024 * 1024,
         prefer: NodeKind = NodeKind.ACCELERATOR,
-        node_affinity: str | None = None,
         anti_affinity: str | None = None,
         allow_spill: bool = True,
         concurrency: int = 1,
-        warmup_s: float = 0.0,
         tenant: str | None = None,
         free_from_s: float | None = None,
     ) -> ActorHandle:
@@ -243,25 +238,20 @@ class ActorSystem:
         Calls still *execute* in strict FIFO order per actor — only their
         simulated busy windows may overlap — so actor state stays
         deterministic while e.g. a loader's worker pool can serve several
-        prefetch tickets concurrently.
+        prefetch tickets concurrently.  The lane count is fixed for the
+        actor's life.
 
-        ``warmup_s`` books every execution lane busy for that many virtual
-        seconds from the current instant, modelling provisioning latency of
-        actors spawned *mid-run* (elastic scale-up): the new actor exists
-        immediately but cannot start events before its warm-up elapsed.
-
-        ``free_from_s`` overrides that "current instant" (only virtual-backend
-        callers pass one).  On a dedicated system the global clock's ``now_s``
-        is the spawning job's own event frontier, so the default is right; on
-        a *shared* (multi-tenant) system the global clock sits at whichever
-        tenant was simulated last, and anchoring a spawn there would charge
-        this tenant a wait it never caused.  Callers spawning on behalf of
-        one tenant pass that tenant's causal frontier instead.
+        Every lane is free from the current instant.  ``free_from_s``
+        overrides that instant (only virtual-backend callers pass one).  On a
+        dedicated system the global clock's ``now_s`` is the spawning job's
+        own event frontier, so the default is right; on a *shared*
+        (multi-tenant) system the global clock sits at whichever tenant was
+        simulated last, and anchoring a spawn there would charge this tenant
+        a wait it never caused.  Callers spawning on behalf of one tenant
+        pass that tenant's causal frontier instead.
         """
         if concurrency < 1:
             raise ActorError("actor concurrency must be >= 1")
-        if warmup_s < 0:
-            raise ActorError("actor warmup_s must be >= 0")
         instance = factory()
         role = getattr(type(instance), "role", "actor")
         # Unnamed actors draw ids from a per-tenant allocator namespace so two
@@ -275,7 +265,6 @@ class ActorSystem:
             cpu_cores=cpu_cores,
             memory_bytes=memory_bytes,
             prefer=prefer,
-            node_affinity=node_affinity,
             anti_affinity=anti_affinity,
             allow_spill=allow_spill,
             tenant=tenant,
@@ -296,40 +285,31 @@ class ActorSystem:
             placement=placement,
             state=ActorState.RUNNING,
             role=role,
-            concurrency=concurrency,
         )
         self._actors[actor_name] = record
         self._retiring.discard(actor_name)
         anchor_s = self.clock.now_s if free_from_s is None else float(free_from_s)
-        self.engine.register_actor(actor_name, concurrency, anchor_s + warmup_s)
+        self.engine.register_actor(actor_name, concurrency, anchor_s)
         self.gcs.register_actor(
             actor_name, {"role": role, "node": node.name, "spilled": placement.spilled}
         )
         instance.on_start()
         return ActorHandle(self, actor_name)
 
-    def resize_actor_pool(
-        self,
-        name: str,
-        cpu_cores: float | None = None,
-        concurrency: int | None = None,
-    ) -> None:
-        """Re-book a running actor's CPU reservation and execution lanes.
+    def resize_actor_pool(self, name: str, cpu_cores: float | None = None) -> None:
+        """Re-book a running actor's CPU reservation.
 
         Applies a worker-pool resize in place (elastic
         ``target_workers_per_actor`` directives): the node reservation is
-        re-booked at the new core count on the actor's existing node, and the
-        lane heap grows with fresh lanes free at the current instant or
-        shrinks by retiring the idlest lanes (the busiest workers keep their
-        booked windows).  Raises :class:`SchedulingError` when the node
-        cannot fit the grown reservation; the old reservation is restored
-        before raising, so a failed resize leaves the actor untouched.
+        re-booked at the new core count on the actor's existing node; the
+        actor's execution lanes are unchanged.  Raises
+        :class:`SchedulingError` when the node cannot fit the grown
+        reservation; the old reservation is restored before raising, so a
+        failed resize leaves the actor untouched.
         """
         record = self._record(name)
         if record.state is not ActorState.RUNNING:
             raise ActorError(f"cannot resize actor {name!r} in state {record.state}")
-        if concurrency is not None and concurrency < 1:
-            raise ActorError("actor concurrency must be >= 1")
         if cpu_cores is not None and cpu_cores != record.request.cpu_cores:
             node = self.scheduler.node(record.placement.node_name)
             old = record.request
@@ -346,9 +326,6 @@ class ActorSystem:
             self.scheduler.adjust_tenant_usage(
                 old.tenant, name, cpu_cores - old.cpu_cores, 0
             )
-        if concurrency is not None and concurrency != record.concurrency:
-            self.engine.resize_lanes(name, concurrency)
-            record.concurrency = concurrency
 
     def kill_actor(self, name: str) -> None:
         """Mark an actor failed, releasing its memory (its CPU slot stays reserved
@@ -407,44 +384,24 @@ class ActorSystem:
         self.engine.stop_actor(name)
         self.gcs.deregister_actor(name)
 
-    def retire_actor(
-        self, name: str, mode: str = "drain", successor: str | None = None
-    ) -> bool:
-        """Gracefully retire an actor mid-run without perturbing dispatch.
+    def retire_actor(self, name: str) -> bool:
+        """Gracefully retire an actor mid-run by draining it.
 
-        Unlike :meth:`stop_actor` (which fails still-queued calls), retirement
-        deals with pending events first:
+        Unlike :meth:`stop_actor` (which fails still-queued calls), the actor
+        stops accepting new submissions but its already-queued calls keep
+        dispatching in their normal virtual-time order; the actor is stopped
+        (resources released, heap entries invalidated) the moment its queue
+        runs dry.  Returns ``True`` when the actor retired immediately (empty
+        queue), ``False`` when the retirement is pending a drain.
 
-        - ``mode="drain"``: the actor stops accepting new submissions but its
-          already-queued calls keep dispatching in their normal virtual-time
-          order; the actor is stopped (resources released, heap entries
-          invalidated) the moment its queue runs dry.  Returns ``True`` when
-          the actor retired immediately (empty queue), ``False`` when the
-          retirement is pending a drain.
-        - ``mode="handoff"``: queued calls are re-targeted onto ``successor``
-          (merged by submission sequence, preserving the global virtual-time
-          order) and the actor stops immediately.  The successor must be a
-          live, non-retiring actor.
-
-        Either way, surviving actors' indexed-heap entries are untouched —
-        the retired actor's entries go stale via its generation stamp and are
-        lazily discarded, so the relative dispatch order of every other actor
-        is byte-identical to a run where the retirement never happened.
+        Surviving actors' indexed-heap entries are untouched — the retired
+        actor's entries go stale via its generation stamp and are lazily
+        discarded, so the relative dispatch order of every other actor is
+        byte-identical to a run where the retirement never happened.
         """
         record = self._record(name)
-        if mode not in ("drain", "handoff"):
-            raise ActorError(f"unknown retire mode {mode!r}")
         if record.state is not ActorState.RUNNING:
             raise ActorError(f"actor {name!r} is not running; cannot retire")
-        if mode == "handoff":
-            if successor is None or successor == name:
-                raise ActorError("handoff retirement needs a distinct successor actor")
-            target = self._record(successor)
-            if target.state is not ActorState.RUNNING or successor in self._retiring:
-                raise ActorError(f"successor {successor!r} cannot accept handed-off calls")
-            self.engine.handoff_queue(name, successor)
-            self.stop_actor(name)
-            return True
         if self.engine.is_idle(name):
             self.stop_actor(name)
             return True
@@ -456,7 +413,7 @@ class ActorSystem:
         return name in self._retiring
 
     def finish_retirement(self, name: str) -> None:
-        """Finalize a drain-mode retirement once the engine reports it idle."""
+        """Finalize a retirement once the engine reports the actor idle."""
         if name in self._retiring and self.engine.is_idle(name):
             self.stop_actor(name)
 

@@ -30,8 +30,6 @@ class PlacementRequest:
     cpu_cores: float
     memory_bytes: int
     prefer: NodeKind = NodeKind.ACCELERATOR
-    #: Pin the actor to a specific node (e.g. a sidecar feeding local GPUs).
-    node_affinity: str | None = None
     #: Failure-domain anti-affinity: never place on this node when any other
     #: feasible node exists (shadow/mirror vs. its primary's node, so one
     #: node crash cannot take both copies).  Falls back to the excluded node
@@ -221,12 +219,6 @@ class PlacementScheduler:
     def place(self, request: PlacementRequest) -> PlacementDecision:
         """Choose a node for the request and reserve its resources."""
         self._check_quota(request)
-        if request.node_affinity is not None:
-            node = self.node(request.node_affinity)
-            node.reserve(request.actor_name, request.cpu_cores, request.memory_bytes)
-            self._charge(request)
-            return PlacementDecision(request.actor_name, node.name, spilled=False)
-
         preferred = self._candidates(request.prefer)
         chosen = self._best_fit(preferred, request)
         spilled = False

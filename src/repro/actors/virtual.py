@@ -30,7 +30,9 @@ ties cannot occur (``seq`` is globally unique).
 
 :class:`VirtualEngine` serves the same method set as its thread-parallel twin
 (:class:`repro.actors.wallclock.WallclockEngine`); what the two share lives
-once on :class:`~repro.actors.runtime.ActorSystem`.
+once on :class:`~repro.actors.runtime.ActorSystem`.  An actor's lane count is
+fixed when it registers, and a retiring actor only drains: its queued calls
+dispatch in their normal order and the engine stops it once the queue is dry.
 """
 
 from __future__ import annotations
@@ -101,25 +103,6 @@ def purge_cancelled_heads(queue: deque[PendingCall]) -> None:
         queue.popleft()
 
 
-def merge_handoff(pending, resident, successor: str) -> tuple[list[PendingCall], int]:
-    """Merge a retiree's pending calls into its successor's queue by seq.
-
-    The one handoff merge both engines use: the retiree's live (uncancelled)
-    calls are re-targeted onto ``successor`` and interleaved with the
-    successor's own live calls by submission sequence, preserving the global
-    submission order.  Returns the merged queue and how many calls moved.
-    """
-    moved = [call for call in pending if not call.future.cancelled()]
-    for call in moved:
-        call.name = successor
-        call.future.actor = successor
-    merged = sorted(
-        moved + [call for call in resident if not call.future.cancelled()],
-        key=lambda call: call.seq,
-    )
-    return merged, len(moved)
-
-
 class VirtualEngine:
     """Discrete-event twin of the thread-parallel wallclock engine."""
 
@@ -170,35 +153,10 @@ class VirtualEngine:
         # incarnation, and surviving actors' dispatch order is unchanged.
         self._heap_entries.pop(name, None)
 
-    def resize_lanes(self, name: str, concurrency: int) -> None:
-        now_s = self.system.clock.now_s
-        lanes = sorted(self._lanes_s.get(name, [now_s]))
-        if concurrency > len(lanes):
-            lanes.extend([now_s] * (concurrency - len(lanes)))
-        else:
-            # Retire the earliest-free (idlest) lanes; the surviving
-            # workers keep their already-booked busy windows.
-            lanes = lanes[len(lanes) - concurrency :]
-        heapq.heapify(lanes)
-        self._lanes_s[name] = lanes
-
     def is_idle(self, name: str) -> bool:
         queue = self._queues.get(name, ())
         purge_cancelled_heads(queue)
         return not queue
-
-    def handoff_queue(self, name: str, successor: str) -> None:
-        """Merge the retiree's pending calls into the successor's queue by seq."""
-        pending = self._queues.pop(name, None)
-        if not pending:
-            return
-        merged, _ = merge_handoff(pending, self._queues.get(successor, ()), successor)
-        self._queues[successor] = deque(merged)
-        # The successor's head may now be an earlier call than the one its
-        # heap entry was keyed for; re-index it (the retiree's entries go
-        # stale via the generation stamp once stop_actor drops its count).
-        if self._indexed:
-            self._push_head(successor)
 
     def free_at_s(self, name: str) -> float:
         """The actor's earliest-free lane: lane lists are maintained as
@@ -391,7 +349,7 @@ class VirtualEngine:
             except Exception as exc:  # noqa: BLE001 - routed to the future
                 call.future._fail(exc)
             else:
-                # Re-read: the call may have resized its own lanes.
+                # Re-read: the call may have stopped or restarted its own actor.
                 lanes = lanes_s.get(name)
                 duration = call.duration_s
                 if duration is None:

@@ -51,7 +51,7 @@ import threading
 import time
 from collections import deque
 
-from repro.actors.virtual import merge_handoff, purge_cancelled_heads
+from repro.actors.virtual import purge_cancelled_heads
 from repro.errors import ActorError
 
 
@@ -127,7 +127,7 @@ class _Mailbox:
         #: ever serve direct calls never pay for threads.
         self.spawned = 0
         self.threads: list[threading.Thread] = []
-        #: Warm-up floor (elastic scale-up): no call starts before this.
+        #: The actor's spawn instant: no call starts before it.
         self.ready_floor_s = ready_floor_s
         #: Submitted-but-uncompleted calls (queued + claimed by a lane).
         self.inflight = 0
@@ -204,44 +204,12 @@ class WallclockEngine:
                 self._inflight_total -= len(failed)
                 self._cond.notify_all()
 
-    def resize_lanes(self, name: str, concurrency: int) -> None:
-        box = self._box(name)
-        with box.cond:
-            box.target_lanes = max(1, concurrency)
-            if box.spawned:
-                self._spawn_lanes_locked(box)
-            box.cond.notify_all()
-
     def is_idle(self, name: str) -> bool:
         box = self._mailboxes.get(name)
         if box is None:
             return True
         with box.cond:
             return not box.queue and box.inflight == 0
-
-    def handoff_queue(self, name: str, successor: str) -> None:
-        """Move the retiree's queued (unstarted) calls onto the successor.
-
-        Merged by submission ``seq`` — the same deterministic order the
-        virtual engine's handoff preserves.  Calls already claimed by a lane
-        stay with the retiree and finish there.
-        """
-        box = self._mailboxes.get(name)
-        target = self._box(successor)
-        if box is None:
-            return
-        first, second = sorted((box, target), key=lambda b: b.name)
-        with first.cond, second.cond:
-            merged, moved = merge_handoff(box.queue, target.queue, successor)
-            box.inflight -= len(box.queue)
-            box.queue.clear()
-            target.inflight += moved
-            target.queue.clear()
-            target.queue.extend(merged)
-            if target.queue:
-                self._spawn_lanes_locked(target)
-            box.cond.notify_all()
-            target.cond.notify_all()
 
     # -- submission ----------------------------------------------------------------------
 
@@ -266,7 +234,7 @@ class WallclockEngine:
             box.spawned += 1
             thread = threading.Thread(
                 target=self._lane_loop,
-                args=(box, index),
+                args=(box,),
                 name=f"wallclock-{box.name}-{index}",
                 daemon=True,
             )
@@ -275,13 +243,11 @@ class WallclockEngine:
 
     # -- lane execution ------------------------------------------------------------------
 
-    def _lane_loop(self, box: _Mailbox, lane_index: int) -> None:
+    def _lane_loop(self, box: _Mailbox) -> None:
         while True:
             with box.cond:
                 while True:
-                    if not box.open or lane_index >= box.target_lanes:
-                        if lane_index >= box.target_lanes:
-                            box.spawned = min(box.spawned, box.target_lanes)
+                    if not box.open:
                         return
                     purge_cancelled_heads(box.queue)
                     if box.queue and not box.executing:
@@ -301,8 +267,8 @@ class WallclockEngine:
         duration = 0.0
         lane_end = None
         if claimed:
-            # Causal floor: the caller-declared dependency plus the actor's
-            # warm-up — realized as a real (scaled) wait on this lane.
+            # Causal floor: the caller-declared dependency, no earlier than
+            # the actor's spawn — realized as a real (scaled) wait on this lane.
             self.clock.sleep_until(max(call.ready_at_s, box.ready_floor_s))
             start_s = self.clock.now_s
             try:

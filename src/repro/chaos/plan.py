@@ -125,14 +125,13 @@ class FaultPlan:
         sources: list[str] | None = None,
         roles: list[str] | None = None,
         num_events: int = 6,
-        include_store_outage: bool = True,
     ) -> "FaultPlan":
         """Seeded storm generator for soak runs and property tests.
 
         Draws ``num_events`` faults from whichever kinds the provided target
-        pools enable, with instants in the middle 10–85% of ``horizon_s``
-        and windows sized 3–12% of it.  Same seed → same storm, so soak
-        failures reproduce exactly.
+        pools enable plus a store outage, with instants in the middle 10–85%
+        of ``horizon_s`` and windows sized 3–12% of it.  Same seed → same
+        storm, so soak failures reproduce exactly.
         """
         if horizon_s <= 0:
             raise ConfigurationError("random_storm needs horizon_s > 0")
@@ -146,10 +145,7 @@ class FaultPlan:
             kinds.extend(["straggler", "gcs_blip"])
         if sources:
             kinds.append("source_blackout")
-        if include_store_outage:
-            kinds.append("store_outage")
-        if not kinds:
-            raise ConfigurationError("random_storm needs at least one target pool")
+        kinds.append("store_outage")
         events: list[FaultEvent] = []
         for _ in range(num_events):
             kind = rng.choice(kinds)

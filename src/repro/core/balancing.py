@@ -4,8 +4,8 @@ The ``balance`` primitive assigns cost-weighted items (samples) to bins
 (microbatches within a bucket, or buckets across DP ranks) so that the maximum
 bin cost — the straggler that sets the iteration's critical path — is as small
 as possible.  The strategies here are the two candidates named in Sec. 4.2
-plus an interleaved variant combining inter- and intra-microbatch balancing,
-and a registry for user-defined strategies (Zig-Zag, V-Shape, ...).
+plus an interleaved variant combining inter- and intra-microbatch balancing.
+The set is closed: these three are the only names :func:`get_strategy` knows.
 """
 
 from __future__ import annotations
@@ -48,9 +48,6 @@ class BalanceResult:
         if not self.bin_costs or self.min_cost <= 0:
             return float("inf") if self.max_cost > 0 else 1.0
         return self.max_cost / self.min_cost
-
-    def keys_per_bin(self) -> list[list[object]]:
-        return [[item.key for item in bin_] for bin_ in self.bins]
 
 
 BalanceFn = Callable[[Sequence[WeightedItem], int], BalanceResult]
@@ -172,19 +169,12 @@ _PACKING_LOOPS: dict[BalanceFn, PackFn] = {
     interleaved_balance: _pack_interleaved,
 }
 
-#: Registry of built-in and user-defined balancing strategies.
+#: The balancing strategies by name.
 _STRATEGIES: dict[str, BalanceFn] = {
     "greedy": greedy_binpack,
     "karmarkar-karp": karmarkar_karp,
     "interleave": interleaved_balance,
 }
-
-
-def register_strategy(name: str, fn: BalanceFn, overwrite: bool = False) -> None:
-    """Register a user-defined balancing strategy (framework extension API)."""
-    if name in _STRATEGIES and not overwrite:
-        raise OrchestrationError(f"balancing strategy {name!r} already exists")
-    _STRATEGIES[name] = fn
 
 
 def get_strategy(name: str) -> BalanceFn:
@@ -194,10 +184,6 @@ def get_strategy(name: str) -> BalanceFn:
         raise OrchestrationError(
             f"unknown balancing strategy {name!r}; available: {sorted(_STRATEGIES)}"
         ) from None
-
-
-def available_strategies() -> list[str]:
-    return sorted(_STRATEGIES)
 
 
 def balance_items(
@@ -212,40 +198,6 @@ def balance_positions(
 ) -> list[list[int]]:
     """:func:`balance_items` by index: the positions into ``costs`` each bin gets.
 
-    A built-in strategy runs its packing loop on the costs as they are; a
-    user-defined one is handed :class:`WeightedItem`s keyed by position.
+    The strategy's packing loop runs on the costs as they are.
     """
-    strategy = get_strategy(method)
-    pack = _PACKING_LOOPS.get(strategy)
-    if pack is not None:
-        return pack(costs, num_bins)[0]
-    items = [WeightedItem(position, cost) for position, cost in enumerate(costs)]
-    return strategy(items, num_bins).keys_per_bin()
-
-
-def hierarchical_balance(
-    items: Sequence[WeightedItem],
-    num_buckets: int,
-    bins_per_bucket: int,
-    method: str = "greedy",
-) -> list[BalanceResult]:
-    """Two-level balance: first across buckets (DP ranks), then across bins
-    (microbatches) inside each bucket — the inter+intra scheme of Sec. 4.2."""
-    outer = balance_items(items, num_buckets, method)
-    return [balance_items(bucket_items, bins_per_bucket, method) for bucket_items in outer.bins]
-
-
-def imbalance_statistics(costs: Sequence[float]) -> dict[str, float]:
-    """Summary statistics of a cost vector (used by benches and tests)."""
-    array = np.asarray(list(costs), dtype=float)
-    if array.size == 0:
-        return {"max": 0.0, "min": 0.0, "mean": 0.0, "ratio": 1.0, "cv": 0.0}
-    ratio = float(array.max() / array.min()) if array.min() > 0 else float("inf")
-    cv = float(array.std() / array.mean()) if array.mean() > 0 else 0.0
-    return {
-        "max": float(array.max()),
-        "min": float(array.min()),
-        "mean": float(array.mean()),
-        "ratio": ratio,
-        "cv": cv,
-    }
+    return _PACKING_LOOPS[get_strategy(method)](costs, num_bins)[0]

@@ -192,9 +192,6 @@ class LatencyRecorder:
             }
         return out
 
-    def to_provider(self) -> "CalibratedLatencyProvider":
-        return CalibratedLatencyProvider(self.samples())
-
 
 class CalibratedLatencyProvider:
     """Replays measured wall latencies as virtual durations.
@@ -240,6 +237,9 @@ RECONCILE_METRICS = (
     "data_stall_time_s",
     "virtual_wall_time_s",
 )
+#: Metrics whose measured and simulated values both lie within this many
+#: seconds of zero count as reconciled regardless of their relative error.
+_RECONCILE_ATOL_S = 1e-3
 
 
 def reconcile_timing(
@@ -247,13 +247,12 @@ def reconcile_timing(
     simulated: dict,
     metrics: tuple[str, ...] = RECONCILE_METRICS,
     tolerance: float = 0.25,
-    atol_s: float = 1e-3,
 ) -> dict:
     """Compare a measured (wallclock) run summary against a simulated one.
 
     For each metric the report carries both values, the absolute error and a
     symmetric relative error (``|m - s| / max(|m|, |s|)``); metrics where
-    both sides are within ``atol_s`` of zero count as reconciled regardless.
+    both sides are within 1 ms of zero count as reconciled regardless.
     ``within_tolerance`` is True when every metric's relative error is at or
     below ``tolerance`` — the fig25 acceptance gate.
     """
@@ -263,7 +262,7 @@ def reconcile_timing(
         m = float(measured.get(name, 0.0))
         s = float(simulated.get(name, 0.0))
         scale = max(abs(m), abs(s))
-        if scale <= atol_s:
+        if scale <= _RECONCILE_ATOL_S:
             rel = 0.0
         else:
             rel = abs(m - s) / scale
@@ -347,19 +346,6 @@ class BackboneCostModel:
     def cost(self, metadata: SampleMetadata) -> CostEstimate:
         load, memory = self(metadata)
         return CostEstimate(load=load, memory=memory)
-
-
-class CombinedVLMCostModel:
-    """Sum of encoder and backbone costs for one sample (hybrid balancing)."""
-
-    def __init__(self, encoder_model: EncoderCostModel, backbone_model: BackboneCostModel) -> None:
-        self.encoder_model = encoder_model
-        self.backbone_model = backbone_model
-
-    def __call__(self, metadata: SampleMetadata) -> tuple[float, float]:
-        enc_load, enc_mem = self.encoder_model(metadata)
-        bb_load, bb_mem = self.backbone_model(metadata)
-        return enc_load + bb_load, enc_mem + bb_mem
 
 
 def token_count_cost(metadata: SampleMetadata) -> tuple[float, float]:

@@ -448,29 +448,7 @@ class DGraph:
             ).tolist()
         return demands
 
-    # -- low-level interfaces (plan_raw / summary_buffer) --------------------------------
-
-    def plan_raw(
-        self, assignment_fn: Callable[[list[SampleMetadata], int, int], list[list[list[SampleMetadata]]]]
-    ) -> "DGraph":
-        """Escape hatch: supply the full bucket/bin assignment directly."""
-        if self._num_buckets is None:
-            raise OrchestrationError("call distribute() before plan_raw()")
-        assignment = assignment_fn(self._selected.to_list(), self._num_buckets, self._num_microbatches)
-        if len(assignment) != self._num_buckets:
-            raise OrchestrationError(
-                f"plan_raw returned {len(assignment)} buckets, expected {self._num_buckets}"
-            )
-        position_of = {
-            sample_id: position
-            for position, sample_id in enumerate(self._selected.sample_ids.tolist())
-        }
-        self._balance_result = [
-            [[position_of[sample.sample_id] for sample in bin_] for bin_ in bucket]
-            for bucket in assignment
-        ]
-        self._balance_method = "user"
-        return self
+    # -- low-level interfaces (summary_buffer) --------------------------------
 
     def summary_buffer(self) -> dict[str, dict[str, float]]:
         """Summarise the buffered metadata per source (tokens, counts, cost)."""

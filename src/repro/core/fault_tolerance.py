@@ -368,19 +368,17 @@ class FaultToleranceManager:
         self.breaker.reset(failed.name)
         return restarted
 
-    def promote_standby(
-        self, failed: ActorHandle, standby: ActorHandle, step: int, replay_steps: int = 0
-    ) -> ActorHandle:
+    def promote_standby(self, failed: ActorHandle, standby: ActorHandle, step: int) -> ActorHandle:
         """Promote a fleet mirror into a failed canonical's slot.
 
         A mirror is an exact live replica of its group's buffer state (the
         group-sync pass applies every member's demands to every member), so
         promotion needs no state restore at all — the hot-standby path the
         shadow registry provides for deploy-time loaders, extended to
-        elastically spawned fleet members.  ``replay_steps`` charges for any
-        demands the failed member had in flight past the mirror's state.
+        elastically spawned fleet members.  It costs the promotion latency
+        alone: the mirror already holds every demand the failed member had.
         """
-        latency = SHADOW_PROMOTION_LATENCY_S + max(0, replay_steps) * REPLAY_LATENCY_PER_STEP_S
+        latency = SHADOW_PROMOTION_LATENCY_S
         self._append_event(
             RecoveryEvent(
                 step=step,

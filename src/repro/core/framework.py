@@ -398,10 +398,6 @@ class MegaScaleData:
         """
         return self.pipeline.plan_frontier()
 
-    def next_batch(self) -> dict[int, RankDelivery]:
-        """Convenience wrapper: run a step and return the per-rank deliveries."""
-        return self.run_step().deliveries
-
     def run_training(self, num_steps: int, simulate: bool = True) -> dict[str, float]:
         """Run several steps and return aggregate throughput / latency metrics.
 
@@ -598,12 +594,6 @@ class MegaScaleData:
         report = dict(self.system.memory_by_node())
         report["total"] = sum(report.values())
         return report
-
-    def loader_memory_bytes(self) -> int:
-        """Live memory of the whole loader fleet (canonicals + mirrors)."""
-        return sum(
-            handle.instance().ledger.total_bytes() for handle in self.fleet.all_handles()
-        )
 
     def history(self) -> list[StepResult]:
         return list(self._history)

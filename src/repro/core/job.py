@@ -68,10 +68,6 @@ class TrainingJobSpec:
     deferred_transforms: tuple[str, ...] = ()
     seed: int = 0
 
-    #: Virtual provisioning latency booked on every lane of a loader spawned
-    #: mid-run by the elastic fleet (0 = instant warm-up).
-    spawn_warmup_s: float = 0.0
-
     #: How many future steps the StepPipeline keeps in flight behind the
     #: trainer.  0 = every data-plane call is issued inline, one step at a
     #: time (fetch latency fully exposed); >=1 = deferred calls, prefetching.
@@ -137,8 +133,6 @@ class TrainingJobSpec:
             )
         if self.prefetch_depth < 0:
             raise ConfigurationError("prefetch_depth must be >= 0")
-        if self.spawn_warmup_s < 0:
-            raise ConfigurationError("spawn_warmup_s must be >= 0")
         if self.replay_window < 1:
             raise ConfigurationError("replay_window must be >= 1")
         if self.checkpoint_backend not in ("memory", "sqlite"):

@@ -28,7 +28,7 @@ many loader actors serve each source.  This module makes those directives
   the sequence a lone loader preparing the full list would have consumed.
   Fleet changes are therefore behaviour-invisible: only timing moves.
 - A scale-down retires the youngest mirror through
-  :meth:`~repro.actors.runtime.ActorSystem.retire_actor` (drain mode),
+  :meth:`~repro.actors.runtime.ActorSystem.retire_actor`, which drains it,
   releasing its placement reservation.  Canonical members are never retired:
   they own the shard's registered buffer view.
 """
@@ -318,8 +318,8 @@ class LoaderFleet:
     def resize_workers(self, source: str, workers_per_actor: int, step: int) -> bool:
         """Apply a ``target_workers_per_actor`` directive to every member.
 
-        Re-books each member's CPU reservation and execution lanes at the new
-        pool size (:meth:`ActorSystem.resize_actor_pool`) and resizes the
+        Re-books each member's CPU reservation at the new pool size
+        (:meth:`ActorSystem.resize_actor_pool`) and resizes the
         loader's transform worker pool in place; future mirrors inherit the
         new size via the shard group.  Returns ``True`` when every member was
         resized; a member whose node cannot fit the grown reservation keeps
@@ -426,7 +426,6 @@ class LoaderFleet:
                 prefer=NodeKind.ACCELERATOR,
                 allow_spill=False,
                 concurrency=job.prefetch_depth + 1,
-                warmup_s=job.spawn_warmup_s,
                 tenant=job.tenant,
                 free_from_s=self.spawn_anchor_s,
                 # Failure domain: keep the mirror off its canonical's node so
@@ -500,7 +499,7 @@ class LoaderFleet:
             detail=f"mirror of shard {group.shard_index}",
         )
         try:
-            immediate = self.system.retire_actor(member.name, mode="drain")
+            immediate = self.system.retire_actor(member.name)
         except ActorError:
             # The mirror already failed/stopped: release its reservation
             # directly rather than leaking the placement.

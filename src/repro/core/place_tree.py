@@ -2,9 +2,9 @@
 
 The tree's levels follow the parallelism hierarchy (root -> PP -> DP -> CP ->
 TP -> rank leaves).  It lets the orchestration layer answer "how many
-consumers exist along axis X?", "which ranks sit under this bucket?", and
-"which ranks can be excluded because a trainer-side broadcast covers them?"
-without exposing device details to the user.  The tree is cheap to rebuild,
+consumers exist along axis X?" and "which ranks can be excluded because a
+trainer-side broadcast covers them?" without exposing device details to the
+user.  The tree is cheap to rebuild,
 so elastic resharding simply constructs a new one from the updated mesh.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import OrchestrationError
-from repro.parallelism.mesh import AXIS_ORDER, DeviceMesh
+from repro.parallelism.mesh import DeviceMesh
 
 #: Axes accepted by ``distribute``; WORLD means "every rank is a consumer".
 DISTRIBUTION_AXES = ("PP", "DP", "CP", "TP", "WORLD")
@@ -45,11 +45,6 @@ class ClientPlaceTree:
         self.gpus_per_node = gpus_per_node or mesh.gpus_per_node
         self.root = self._build()
         self._broadcast_axes: set[str] = set()
-
-    @classmethod
-    def from_device_mesh(cls, mesh: DeviceMesh) -> "ClientPlaceTree":
-        """The constructor used in the paper's Fig. 9 listing."""
-        return cls(mesh)
 
     def _build(self) -> PlaceTreeNode:
         root = PlaceTreeNode(axis="ROOT", index=0)
@@ -92,30 +87,6 @@ class ClientPlaceTree:
             return dims["DP"] * dims["CP"] * dims["TP"]
         return dims["PP"]
 
-    def consumer_groups(self, axis: str) -> list[list[int]]:
-        """Rank groups per consumer bucket along ``axis``."""
-        axis = axis.upper()
-        if axis == "WORLD":
-            return [[rank] for rank in range(self.mesh.world_size)]
-        if axis == "DP":
-            return [self.mesh.ranks_where(dp=index) for index in range(self.mesh.size("DP"))]
-        if axis == "CP":
-            groups = []
-            for dp in range(self.mesh.size("DP")):
-                for cp in range(self.mesh.size("CP")):
-                    groups.append(self.mesh.ranks_where(dp=dp, cp=cp))
-            return groups
-        if axis == "TP":
-            groups = []
-            for dp in range(self.mesh.size("DP")):
-                for cp in range(self.mesh.size("CP")):
-                    for tp in range(self.mesh.size("TP")):
-                        groups.append(self.mesh.ranks_where(dp=dp, cp=cp, tp=tp))
-            return groups
-        if axis == "PP":
-            return [self.mesh.ranks_where(pp=index) for index in range(self.mesh.size("PP"))]
-        raise OrchestrationError(f"unknown distribution axis {axis!r}")
-
     # -- broadcast handling -----------------------------------------------------------
 
     def mark_broadcast(self, axis: str) -> None:
@@ -146,21 +117,6 @@ class ClientPlaceTree:
                 fetchers.append(coord.rank)
         return fetchers
 
-    def fetching_clients_per_constructor(self, axis: str = "DP") -> dict[int, list[int]]:
-        """Map consumer bucket index -> the subset of its ranks that fetch."""
-        groups = self.consumer_groups(axis)
-        fetchers = set(self.fetching_ranks())
-        return {
-            index: [rank for rank in group if rank in fetchers]
-            for index, group in enumerate(groups)
-        }
-
-    # -- misc ------------------------------------------------------------------------
-
-    def nodes_spanned(self) -> int:
-        """Number of physical nodes hosting trainer ranks."""
-        return self.mesh.num_nodes
-
     def describe(self) -> str:
         dims = self.mesh.dims
         return (
@@ -170,18 +126,3 @@ class ClientPlaceTree:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return self.describe()
-
-    def walk(self):
-        """Yield every tree node depth-first (useful for visualisation)."""
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
-
-    def level_nodes(self, axis: str) -> list[PlaceTreeNode]:
-        """All tree nodes at the given axis level."""
-        axis = axis.upper()
-        if axis not in AXIS_ORDER and axis != "ROOT":
-            raise OrchestrationError(f"unknown tree level {axis!r}")
-        return [node for node in self.walk() if node.axis == axis]

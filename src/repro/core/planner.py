@@ -142,10 +142,6 @@ class Planner(Actor):
         self.tree = tree
 
     @property
-    def loader_names(self) -> list[str]:
-        return [handle.name for handle in self._loader_handles]
-
-    @property
     def installed_mixture(self) -> MixtureSchedule | None:
         """The user-installed mixture, ``None`` under the auto-sized default.
 
@@ -409,11 +405,6 @@ class Planner(Actor):
             dropped = max(dropped, self.checkpoint_store.delete_from(PLAN_NAMESPACE, step))
         self._step = min(self._step, step)
         return dropped
-
-    def latest_plan(self) -> PlanRecord:
-        if not self._plan_history:
-            raise PlanError("no plan has been generated yet")
-        return self._plan_history[-1]
 
     def heartbeat_payload(self) -> dict:
         return {"step": self._step, "plans": self.stats.plans_generated}

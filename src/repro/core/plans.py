@@ -176,12 +176,6 @@ class ScalingPlan:
     step: int
     directives: list[LoaderScalingDirective] = field(default_factory=list)
 
-    def for_source(self, source: str) -> LoaderScalingDirective | None:
-        for directive in self.directives:
-            if directive.source == source:
-                return directive
-        return None
-
     def is_empty(self) -> bool:
         return not self.directives
 

@@ -461,7 +461,7 @@ class SourceLoader(Actor):
 
         Re-books the worker execution contexts on the memory ledger and
         updates the latency amortisation divisor; the actor system re-books
-        the matching CPU reservation and execution lanes separately
+        the matching CPU reservation separately
         (:meth:`repro.actors.runtime.ActorSystem.resize_actor_pool`).
         """
         if num_workers < 1:

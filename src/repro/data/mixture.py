@@ -243,19 +243,6 @@ class MixtureSchedule:
         for memoized in [s for s in self._weights_memo if s >= step]:
             del self._weights_memo[memoized]
 
-    def sample_sources(
-        self, step: int, count: int, rng: np.random.Generator
-    ) -> list[str]:
-        """Draw ``count`` source names according to the step's weights."""
-        weights = self.weights_at(step)
-        names = list(weights)
-        probs = np.array([weights[name] for name in names], dtype=float)
-        if probs.sum() <= 0:
-            raise MixtureError(f"all mixing weights are zero at step {step}")
-        probs = probs / probs.sum()
-        picks = rng.choice(len(names), size=count, p=probs)
-        return [names[index] for index in picks]
-
     def moving_average(self, step: int, window: int = 10) -> dict[str, float]:
         """Average weights over the trailing ``window`` steps (AutoScaler signal)."""
         if window <= 0:

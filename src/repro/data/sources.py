@@ -13,7 +13,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, repeat
 
-import numpy as np
 
 from repro.data.samples import MetadataColumns, Modality, SampleMetadata
 from repro.errors import ConfigurationError
@@ -108,20 +107,6 @@ class SourceCatalog:
 
     def total_samples(self) -> int:
         return sum(source.num_samples for source in self)
-
-    def by_modality(self, modality: Modality) -> list[DataSource]:
-        return [source for source in self if source.modality is modality]
-
-    def transform_cost_spread(self) -> float:
-        """Max/min ratio of expected per-sample transformation latency.
-
-        Quantifies the preprocessing-cost heterogeneity that motivates
-        per-source worker sizing (Fig. 5 / Sec. 5.1).
-        """
-        latencies = [source.expected_transform_latency() for source in self]
-        if not latencies:
-            return 1.0
-        return max(latencies) / max(1e-12, min(latencies))
 
 
 #: Optional storage columns a cursor reads beside the required ``sample_id``,
@@ -333,19 +318,3 @@ class SourceCursor:
         if state.get("shard_index") != self._shard_index or state.get("shard_count") != self._shard_count:
             raise ConfigurationError("cursor state does not match this shard configuration")
         self._position = int(state["position"])
-
-
-def estimate_source_weights(sources: list[DataSource]) -> dict[str, float]:
-    """Proportional-to-size default mixing weights for a list of sources."""
-    total = sum(source.num_samples for source in sources)
-    if total == 0:
-        return {source.name: 0.0 for source in sources}
-    return {source.name: source.num_samples / total for source in sources}
-
-
-def heterogeneity_index(sources: list[DataSource]) -> float:
-    """Coefficient of variation of per-source transformation latencies."""
-    latencies = np.array([source.expected_transform_latency() for source in sources], dtype=float)
-    if latencies.size == 0 or latencies.mean() == 0:
-        return 0.0
-    return float(latencies.std() / latencies.mean())

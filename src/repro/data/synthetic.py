@@ -240,14 +240,3 @@ def build_source_catalog(
             )
         )
     return catalog
-
-
-def small_mixed_catalog(
-    filesystem: SimulatedFileSystem,
-    num_sources: int = 8,
-    samples_per_source: int = 256,
-    seed: int = 0,
-) -> SourceCatalog:
-    """A small heterogeneous catalog convenient for unit tests and examples."""
-    spec = navit_like_spec(num_sources=num_sources, samples_per_source=samples_per_source, seed=seed)
-    return build_source_catalog(spec, filesystem)

@@ -69,13 +69,10 @@ class MemoryLedger:
         self._live[category] = max(0, current - int(n_bytes))
         self._own_total -= current - self._live[category]
 
-    def release_all(self, category: str | None = None) -> None:
-        """Drop every byte in ``category``, or the entire ledger when None."""
-        if category is None:
-            self._live.clear()
-            self._own_total = 0
-        else:
-            self._own_total -= self._live.pop(category, 0)
+    def release_all(self) -> None:
+        """Drop every byte this ledger holds directly (children keep theirs)."""
+        self._live.clear()
+        self._own_total = 0
 
     def adopt(self, child: "MemoryLedger") -> None:
         """Aggregate ``child`` into this ledger's totals (hierarchical view)."""

@@ -81,10 +81,6 @@ class Timeline:
         """Events filtered by component and/or name."""
         return [TimelineEvent(*fields) for fields in self._select(component, name)]
 
-    def total_duration(self, component: str | None = None, name: str | None = None) -> float:
-        """Sum of durations for the selected events."""
-        return sum(fields[3] for fields in self._select(component, name))
-
     def span(self) -> float:
         """Latest event end time (the makespan of the timeline)."""
         return max(

@@ -104,11 +104,6 @@ class DeviceMesh:
     def coordinates(self) -> list[RankCoordinate]:
         return list(self._coords)
 
-    def node_of_rank(self, rank: int) -> int:
-        """Index of the physical node hosting ``rank``."""
-        self.coordinate(rank)
-        return rank // self.gpus_per_node
-
     # -- group queries ----------------------------------------------------------
 
     def ranks_where(self, **axis_values: int) -> list[int]:
@@ -118,17 +113,6 @@ class DeviceMesh:
             if all(coord.axis(axis) == value for axis, value in axis_values.items()):
                 selected.append(coord.rank)
         return selected
-
-    def group_of(self, rank: int, axis: str) -> list[int]:
-        """All ranks in the same ``axis`` communication group as ``rank``.
-
-        A TP group shares every other coordinate and varies only TP; likewise
-        for CP, DP and PP groups.
-        """
-        axis = axis.upper()
-        coord = self.coordinate(rank)
-        fixed = {a: coord.axis(a) for a in AXIS_ORDER if a != axis}
-        return self.ranks_where(**{a.lower(): v for a, v in fixed.items()})
 
     def data_consumers(self, axis: str = "DP") -> list[list[int]]:
         """Rank groups that consume distinct data along ``axis``.

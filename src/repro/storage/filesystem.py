@@ -100,15 +100,6 @@ class SimulatedFileSystem:
             raise FileNotFoundInStorage(path)
         del self._entries[path]
 
-    def listdir(self, prefix: str = "/") -> list[str]:
-        """All paths under ``prefix``, sorted."""
-        prefix = self._normalize(prefix)
-        if not prefix.endswith("/"):
-            prefix = prefix + "/"
-        return sorted(
-            path for path in self._entries if path.startswith(prefix) or path == prefix.rstrip("/")
-        )
-
     # -- connection model ------------------------------------------------------
 
     def open_connection(self, path: str) -> float:

@@ -39,10 +39,6 @@ class ModelConfig:
                 f"{self.name!r}: hidden size {self.hidden_size} not divisible by {self.num_heads} heads"
             )
 
-    @property
-    def head_dim(self) -> int:
-        return self.hidden_size // self.num_heads
-
     def approx_params(self) -> int:
         """Approximate dense parameter count (attention + MLP + embeddings)."""
         per_layer = 4 * self.hidden_size**2 + 2 * int(self.mlp_ratio * self.hidden_size**2)

@@ -11,7 +11,6 @@ from repro.transforms.sample import (
     TextTokenize,
     ImageDecode,
     ImageCrop,
-    ImageResize,
     VideoKeyframeExtract,
     AudioFeaturize,
     default_transforms_for,
@@ -27,7 +26,6 @@ from repro.transforms.microbatch import (
 from repro.transforms.parallelism import (
     ParallelSlice,
     context_parallel_slices,
-    data_parallel_shards,
     pipeline_stage_view,
     tensor_parallel_replicas,
 )
@@ -38,7 +36,6 @@ __all__ = [
     "TextTokenize",
     "ImageDecode",
     "ImageCrop",
-    "ImageResize",
     "VideoKeyframeExtract",
     "AudioFeaturize",
     "default_transforms_for",
@@ -50,7 +47,6 @@ __all__ = [
     "batch_samples",
     "ParallelSlice",
     "context_parallel_slices",
-    "data_parallel_shards",
     "pipeline_stage_view",
     "tensor_parallel_replicas",
     "TransformPipeline",

@@ -120,14 +120,6 @@ class CollatedMicrobatch:
             self._padding_tokens = sum(sequence.padding for sequence in self.sequences)
         return self._padding_tokens
 
-    def padding_fraction(self) -> float:
-        total = self.total_tokens()
-        return self.padding_tokens() / total if total else 0.0
-
-    def tensor_bytes(self, bytes_per_token: int = 4) -> int:
-        """Approximate memory footprint of the collated token tensor."""
-        return self.total_tokens() * bytes_per_token
-
 
 def _lazy_field(name: str, build) -> property:
     """A :class:`CollatedMicrobatch` field that ``build`` fills on first read.

@@ -31,23 +31,6 @@ class ParallelSlice:
     slice_info: dict = field(default_factory=dict, compare=False, hash=False)
 
 
-def data_parallel_shards(
-    microbatches: list[CollatedMicrobatch], dp_size: int
-) -> list[list[CollatedMicrobatch]]:
-    """Partition microbatches round-robin across DP groups.
-
-    Every DP group receives the same number of microbatches (the trailing
-    remainder is dropped, matching drop-last semantics in the trainer).
-    """
-    if dp_size <= 0:
-        raise TransformError("dp_size must be positive")
-    per_group = len(microbatches) // dp_size
-    shards: list[list[CollatedMicrobatch]] = [[] for _ in range(dp_size)]
-    for index in range(per_group * dp_size):
-        shards[index % dp_size].append(microbatches[index])
-    return shards
-
-
 def _cp_token_counts(lengths: np.ndarray, cp_size: int) -> list[int]:
     """Tokens per CP rank from a sequence-length array, without a rank × sequence loop.
 

@@ -63,10 +63,6 @@ class TransformPipeline:
         return cls(default_transforms_for(modality), deferred=deferred)
 
     @property
-    def transform_names(self) -> list[str]:
-        return [transform.name for transform in self._transforms]
-
-    @property
     def deferred_names(self) -> list[str]:
         return sorted(self._deferred)
 
@@ -127,18 +123,6 @@ class TransformPipeline:
         return latencies, [
             max(decoded, raw, 1) for decoded, raw in zip(chunk.decoded_bytes, chunk.raw_bytes)
         ]
-
-    def run_deferred(self, sample: Sample, deferred_names: list[str]) -> float:
-        """Apply previously deferred stages (on the receiving component)."""
-        latency = 0.0
-        by_name = {transform.name: transform for transform in self._transforms}
-        for name in deferred_names:
-            transform = by_name.get(name)
-            if transform is None:
-                raise TransformError(f"unknown deferred transform {name!r}")
-            if transform.applies_to(sample):
-                latency += transform.apply(sample)
-        return latency
 
     def estimate_latency(self, metadata: SampleMetadata, include_deferred: bool = True) -> float:
         """Latency estimate from metadata only (no payload mutation)."""

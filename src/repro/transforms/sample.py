@@ -130,36 +130,6 @@ class ImageCrop(SampleTransform):
 
 
 @dataclass
-class ImageResize(SampleTransform):
-    """Rescale an image's patch count by a fixed factor (fixed-resolution training)."""
-
-    scale: float = 1.0
-    seconds_per_patch: float = TOKENIZE_SECONDS_PER_TOKEN * 8.0
-    name = "image_resize"
-    modalities = (Modality.IMAGE, Modality.VIDEO)
-
-    def apply(self, sample: Sample) -> float:
-        if self.scale <= 0:
-            raise TransformError("resize scale must be positive")
-        patches = sample.metadata.image_tokens
-        new_patches = max(1, int(round(patches * self.scale))) if patches else 0
-        sample.metadata = sample.metadata.with_updates(image_tokens=new_patches)
-        sample.mark_transformed(self.name)
-        return self.estimate_latency(0, patches)
-
-    def estimate_latency(self, text_tokens: int, image_tokens: int) -> float:
-        return self.seconds_per_patch * image_tokens
-
-    def apply_columns(self, text_tokens, image_tokens, video_frames):
-        if self.scale <= 0:
-            raise TransformError("resize scale must be positive")
-        latencies = [self.seconds_per_patch * patches for patches in image_tokens]
-        return latencies, [
-            max(1, int(round(patches * self.scale))) if patches else 0 for patches in image_tokens
-        ]
-
-
-@dataclass
 class VideoKeyframeExtract(SampleTransform):
     """Extract keyframes from a video container before per-frame decoding."""
 

@@ -11,7 +11,7 @@ from repro.utils.units import (
     format_seconds,
 )
 from repro.utils.ids import IdAllocator
-from repro.utils.rng import derive_rng, spawn_rngs
+from repro.utils.rng import derive_rng
 
 __all__ = [
     "KIB",
@@ -24,5 +24,4 @@ __all__ = [
     "format_seconds",
     "IdAllocator",
     "derive_rng",
-    "spawn_rngs",
 ]

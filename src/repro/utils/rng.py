@@ -25,8 +25,3 @@ def derive_rng(seed: int, *labels: object) -> np.random.Generator:
         digest.update(str(label).encode())
     derived = int.from_bytes(digest.digest()[:8], "little")
     return np.random.default_rng(derived)
-
-
-def spawn_rngs(seed: int, count: int, label: str = "stream") -> list[np.random.Generator]:
-    """Return ``count`` independent generators derived from one seed."""
-    return [derive_rng(seed, label, index) for index in range(count)]

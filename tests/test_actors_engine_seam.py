@@ -61,9 +61,9 @@ def public_callables(cls) -> set[str]:
 def test_engines_serve_one_method_set():
     assert public_callables(VirtualEngine) == public_callables(WallclockEngine)
     assert public_callables(VirtualEngine) == {
-        "register_actor", "stop_actor", "resize_lanes", "is_idle", "handoff_queue",
-        "free_at_s", "quiesce", "direct_call", "submit", "on_future_cancelled",
-        "tick", "drain", "wait_future", "pending_count", "cancel_pending",
+        "register_actor", "stop_actor", "is_idle", "free_at_s", "quiesce",
+        "direct_call", "submit", "on_future_cancelled", "tick", "drain",
+        "wait_future", "pending_count", "cancel_pending",
     }
 
 
@@ -76,7 +76,7 @@ def test_system_always_has_exactly_one_engine(backend, dispatcher):
 
 @pytest.mark.parametrize("backend,dispatcher", ENGINES)
 def test_lifecycle_scenario_is_backend_independent(backend, dispatcher):
-    """Cancel a head, hand a queue off, drain-retire, stop with a call queued."""
+    """Cancel a head, drain-retire, stop with a call queued."""
     system = make_system(backend, dispatcher)
     bodies: list[tuple[str, str]] = []
 
@@ -87,30 +87,30 @@ def test_lifecycle_scenario_is_backend_independent(backend, dispatcher):
 
     a = system.create_actor(Probe, name="a")
     b = system.create_actor(Probe, name="b")
-    # Three calls per actor, interleaved so the handoff's seq-merge shows.
-    # The first of each holds its (single) lane for HOLD_S after its body, so
-    # on either engine the second call is the actor's unstarted queue head.
+    # Three calls per actor. A call with duration HOLD_S holds its actor's
+    # (single) lane after its body, so on either engine the call behind it
+    # is the actor's unstarted queue head.
     futures = {}
     for tag, handle, duration_s in [
         ("a1", a, HOLD_S), ("b1", b, HOLD_S), ("a2", a, 0.0),
-        ("b2", b, 0.0), ("a3", a, HOLD_S), ("b3", b, 0.0),
+        ("b2", b, HOLD_S), ("a3", a, 0.0), ("b3", b, 0.0),
     ]:
         futures[tag] = handle.submit_timed("work", tag, duration_s=duration_s)
     settle(system, lambda: len(bodies) == 2)
 
     assert futures["a2"].cancel()  # a's queue head
-    assert system.retire_actor("a", mode="handoff", successor="b") is True
-    assert system.retire_actor("b", mode="drain") is False
-    assert system.retiring("b")
+    assert system.retire_actor("a") is False  # a3 is still queued
+    assert system.retiring("a")
     with pytest.raises(ActorError, match="retiring"):
-        b.submit("work", "late")
-    # a3 (handed off) holds b's lane after its body; b3 is still queued.
-    settle(system, lambda: ("b", "a3") in bodies)
+        a.submit("work", "late")
+    # b2 holds b's lane after its body; b3 is still queued.
+    settle(system, lambda: ("b", "b2") in bodies and ("a", "a3") in bodies)
     system.stop_actor("b")
     settle(system, lambda: all(future.done() for future in futures.values()))
+    system.drain()  # the wallclock engine finalizes retirements on a drain
 
-    assert [tag for name, tag in bodies if name == "a"] == ["a1"]
-    assert [tag for name, tag in bodies if name == "b"] == ["b1", "b2", "a3"]
+    assert [tag for name, tag in bodies if name == "a"] == ["a1", "a3"]
+    assert [tag for name, tag in bodies if name == "b"] == ["b1", "b2"]
     outcome = {}
     for tag, future in futures.items():
         if future.cancelled():

@@ -1,7 +1,7 @@
 """Mid-run actor retirement and indexed-heap invalidation regressions.
 
-Covers the elastic-fleet runtime contract: `retire_actor` drains or hands off
-pending events, destroyed/retired actors never receive another dispatch, and
+Covers the elastic-fleet runtime contract: `retire_actor` drains pending
+events, destroyed/retired actors never receive another dispatch, and
 stale indexed-heap entries (including across name reuse) neither leak nor
 perturb the dispatch order of surviving actors — proven by trace equivalence
 against the ``dispatcher="linear"`` reference.
@@ -63,29 +63,6 @@ class TestRetireActor:
         assert "idle" not in system.list_actor_names()
         assert system.node(node).available_cpu == free_before + 2.0
 
-    def test_handoff_moves_pending_calls_to_successor(self):
-        system = make_system()
-        log: list = []
-        retiree = system.create_actor(lambda: Recorder(log, tag="retiree"), name="retiree")
-        system.create_actor(lambda: Recorder(log, tag="successor"), name="successor")
-        futures = [retiree.submit("work", token) for token in range(3)]
-        assert system.retire_actor("retiree", mode="handoff", successor="successor")
-        assert "retiree" not in system.list_actor_names()
-        system.drain()
-        # Every handed-off call executed on the successor, in submit order.
-        assert log == [("successor", 0), ("successor", 1), ("successor", 2)]
-        assert [future.result() for future in futures] == [0, 1, 2]
-
-    def test_handoff_requires_live_distinct_successor(self):
-        system = make_system()
-        system.create_actor(lambda: Recorder(), name="only")
-        with pytest.raises(ActorError):
-            system.retire_actor("only", mode="handoff", successor="only")
-        with pytest.raises(ActorError):
-            system.retire_actor("only", mode="handoff", successor="ghost")
-        with pytest.raises(ActorError):
-            system.retire_actor("only", mode="bogus")
-
     def test_cancel_during_drain_finalizes_retirement(self):
         system = make_system()
         handle = system.create_actor(lambda: Recorder(), name="worker")
@@ -108,14 +85,14 @@ class TestRetireActor:
         assert log == [("survivor", 7)]
         assert all(isinstance(f.exception(), ActorError) for f in doomed)
 
-    def test_mid_run_spawn_with_warmup_delays_first_event(self):
+    def test_mid_run_spawn_anchor_delays_first_event(self):
         system = make_system()
         system.create_actor(lambda: Recorder(), name="early")
         system.advance_clock(1.0)
-        late = system.create_actor(lambda: Recorder(), name="late", warmup_s=2.5)
+        late = system.create_actor(lambda: Recorder(), name="late", free_from_s=3.5)
         future = late.submit("work", 1)
         system.drain()
-        # The spawned actor's first event cannot start before its warm-up.
+        # The spawned actor's first event cannot start before its anchor.
         assert future.available_at_s >= 3.5
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.cost_model import (
     BackboneCostModel,
-    CombinedVLMCostModel,
     EncoderCostModel,
     image_token_cost,
     quadratic_token_cost,
@@ -56,15 +55,6 @@ class TestBackboneCostModel:
     def test_moe_backbone_supported(self, sample_factory):
         load, memory = BackboneCostModel(mixtral_8x7b())(sample_factory(0, text_tokens=1024))
         assert load > 0 and memory > 0
-
-    def test_combined_model_sums_components(self, sample_factory):
-        metadata = sample_factory(0, text_tokens=64, image_tokens=1024)
-        encoder = EncoderCostModel(vit_1b())
-        backbone = BackboneCostModel(llama_12b())
-        combined = CombinedVLMCostModel(encoder, backbone)
-        load, memory = combined(metadata)
-        assert load == pytest.approx(encoder(metadata)[0] + backbone(metadata)[0])
-        assert memory == pytest.approx(encoder(metadata)[1] + backbone(metadata)[1])
 
 
 class TestSimpleCostFns:

@@ -157,22 +157,6 @@ class TestPlan:
         assert plan.api_costs["cost"] > 0
         assert plan.api_costs["balance"] > 0
 
-    def test_plan_raw_override(self, buffer_infos, tree):
-        dgraph = DGraph.from_buffer_infos(buffer_infos).init(tree).distribute("DP")
-
-        def assign(samples, buckets, microbatches):
-            return [[list(samples)] if b == 0 else [[]] for b in range(buckets)]
-
-        dgraph.plan_raw(assign)
-        plan = dgraph.plan()
-        assert plan.module.balance_method == "user"
-        assert len(plan.module.bucket_assignments(0)[0].samples) == 32
-
-    def test_plan_raw_wrong_bucket_count(self, buffer_infos, tree):
-        dgraph = DGraph.from_buffer_infos(buffer_infos).init(tree).distribute("DP")
-        with pytest.raises(OrchestrationError):
-            dgraph.plan_raw(lambda samples, buckets, mb: [[list(samples)]])
-
     def test_summary_buffer_per_source(self, buffer_infos, tree):
         dgraph = DGraph.from_buffer_infos(buffer_infos).init(tree)
         summary = dgraph.summary_buffer()

@@ -4,15 +4,21 @@ from __future__ import annotations
 
 import pytest
 
+from repro.actors.actor import Actor
 from repro.actors.runtime import ActorSystem
-from repro.core.cost_model import DataPlaneLatencyProvider
+from repro.chaos import FaultPlan
+from repro.core.cost_model import DataPlaneLatencyProvider, reconcile_timing
+from repro.core.fault_tolerance import FaultToleranceManager
 from repro.core.framework import MegaScaleData, TrainingJobSpec
 from repro.core.resharding import ReshardNotification
 from repro.core.tenancy import TenantManager
 from repro.data.mixture import MixtureSchedule
 from repro.errors import ConfigurationError
+from repro.metrics.memory import MemoryLedger
 from repro.metrics.timeline import Timeline
 from repro.parallelism.mesh import DeviceMesh
+from repro.storage.filesystem import SimulatedFileSystem
+from repro.storage.reader import ColumnarReader
 
 
 @pytest.fixture(scope="module")
@@ -84,10 +90,28 @@ class TestRetiredKnobs:
             lambda: TrainingJobSpec(telemetry_window=32),
             lambda: ActorSystem(call_log_limit=3),
             lambda: Timeline(max_events=2),
+            lambda: TrainingJobSpec(spawn_warmup_s=1.0),
+            lambda: ActorSystem().create_actor(Actor, warmup_s=1.0),
+            lambda: ActorSystem().create_actor(Actor, node_affinity="n"),
+            lambda: ActorSystem().retire_actor("a", mode="handoff"),
+            lambda: ActorSystem().retire_actor("a", successor="b"),
+            lambda: ActorSystem().resize_actor_pool("a", concurrency=2),
+            lambda: ColumnarReader(SimulatedFileSystem(), "/f", MemoryLedger(), config=None),
+            lambda: FaultToleranceManager(ActorSystem()).promote_standby(
+                None, None, 0, replay_steps=1
+            ),
+            lambda: FaultPlan.random_storm(0, 10.0, include_store_outage=False),
+            lambda: reconcile_timing({}, {}, atol_s=0.1),
+            lambda: MemoryLedger().release_all("x"),
         ],
         ids=["job-lane_model", "job-elastic_fleet", "job-bounded_telemetry",
              "job-dispatcher", "tenancy-dispatcher", "provider-lane_model",
-             "job-telemetry_window", "system-call_log_limit", "timeline-max_events"],
+             "job-telemetry_window", "system-call_log_limit", "timeline-max_events",
+             "job-spawn_warmup_s", "create_actor-warmup_s", "create_actor-node_affinity",
+             "retire_actor-mode", "retire_actor-successor", "resize_actor_pool-concurrency",
+             "reader-config", "promote_standby-replay_steps",
+             "random_storm-include_store_outage", "reconcile_timing-atol_s",
+             "ledger-release_all-category"],
     )
     def test_removed_spelling_raises_type_error(self, build):
         with pytest.raises(TypeError):
@@ -96,7 +120,7 @@ class TestRetiredKnobs:
     def test_spec_field_count(self):
         import dataclasses
 
-        assert len(dataclasses.fields(TrainingJobSpec)) == 34
+        assert len(dataclasses.fields(TrainingJobSpec)) == 33
 
 
 class TestTelemetryWindow:
@@ -112,7 +136,6 @@ class TestDeployment:
         system = deployed_system
         assert len(system.constructor_handles) == system.job.dp
         assert len(system.loader_handles) >= system.job.num_sources
-        assert system.planner_handle.instance().loader_names
 
     def test_planner_on_cpu_pod(self, deployed_system):
         node = deployed_system.system.actor_node("planner")
@@ -126,7 +149,6 @@ class TestDeployment:
     def test_memory_report_nonzero(self, deployed_system):
         report = deployed_system.memory_report()
         assert report["total"] > 0
-        assert deployed_system.loader_memory_bytes() > 0
 
 
 class TestRunStep:
@@ -161,10 +183,6 @@ class TestRunStep:
         history = deployed_system.history()
         assert len(history) == before + 2
         assert history[-1].step == history[-2].step + 1
-
-    def test_next_batch_wrapper(self, deployed_system):
-        deliveries = deployed_system.next_batch()
-        assert deliveries
 
     def test_sync_path_keeps_random_step_access(self):
         """Regression: with prefetch_depth=0 the trainer may re-request an

@@ -9,6 +9,13 @@ from repro.errors import OrchestrationError
 from repro.parallelism.mesh import DeviceMesh
 
 
+def walk(node):
+    """Every tree node under ``node``, depth-first."""
+    yield node
+    for child in node.children:
+        yield from walk(child)
+
+
 class TestConsumers:
     def test_num_consumers_per_axis(self, vlm_mesh):
         tree = ClientPlaceTree(vlm_mesh)
@@ -22,17 +29,6 @@ class TestConsumers:
         tree = ClientPlaceTree(vlm_mesh)
         with pytest.raises(OrchestrationError):
             tree.num_consumers("EP")
-
-    def test_consumer_groups_partition_ranks(self, vlm_mesh):
-        tree = ClientPlaceTree(vlm_mesh)
-        for axis in ("DP", "CP", "TP", "PP", "WORLD"):
-            groups = tree.consumer_groups(axis)
-            flattened = sorted(rank for group in groups for rank in group)
-            assert flattened == list(range(vlm_mesh.world_size))
-
-    def test_from_device_mesh_constructor(self, vlm_mesh):
-        tree = ClientPlaceTree.from_device_mesh(vlm_mesh)
-        assert tree.mesh is vlm_mesh
 
 
 class TestBroadcast:
@@ -60,37 +56,24 @@ class TestBroadcast:
         tree = ClientPlaceTree(vlm_mesh)
         assert len(tree.fetching_ranks()) == vlm_mesh.world_size
 
-    def test_fetching_clients_per_constructor(self, vlm_mesh):
-        tree = ClientPlaceTree(vlm_mesh)
-        tree.mark_broadcast("TP")
-        mapping = tree.fetching_clients_per_constructor("DP")
-        assert set(mapping) == {0, 1}
-        for bucket_ranks in mapping.values():
-            assert all(vlm_mesh.coordinate(rank).tp == 0 for rank in bucket_ranks)
-
 
 class TestStructure:
     def test_walk_covers_all_levels(self, vlm_mesh):
         tree = ClientPlaceTree(vlm_mesh)
-        axes = {node.axis for node in tree.walk()}
+        axes = {node.axis for node in walk(tree.root)}
         assert axes == {"ROOT", "PP", "DP", "CP", "TP"}
 
     def test_level_nodes_counts(self, vlm_mesh):
         tree = ClientPlaceTree(vlm_mesh)
-        assert len(tree.level_nodes("DP")) == 2 * 2  # PP x DP
-        assert len(tree.level_nodes("TP")) == vlm_mesh.world_size  # one leaf per rank
+        nodes = list(walk(tree.root))
+        assert sum(node.axis == "DP" for node in nodes) == 2 * 2  # PP x DP
+        assert sum(node.axis == "TP" for node in nodes) == vlm_mesh.world_size  # one leaf per rank
 
     def test_leaf_ranks_cover_world(self, vlm_mesh):
         tree = ClientPlaceTree(vlm_mesh)
         assert sorted(tree.root.leaf_ranks()) == list(range(vlm_mesh.world_size))
 
-    def test_unknown_level(self, vlm_mesh):
-        tree = ClientPlaceTree(vlm_mesh)
-        with pytest.raises(OrchestrationError):
-            tree.level_nodes("EP")
-
-    def test_describe_and_nodes_spanned(self):
+    def test_describe(self):
         mesh = DeviceMesh(pp=1, dp=4, cp=1, tp=4, gpus_per_node=8)
         tree = ClientPlaceTree(mesh)
-        assert tree.nodes_spanned() == 2
         assert "DP=4" in tree.describe()

@@ -100,7 +100,7 @@ class TestLoadingPlan:
 
 
 class TestScalingPlan:
-    def test_lookup_and_totals(self):
+    def test_totals(self):
         plan = ScalingPlan(
             step=3,
             directives=[
@@ -108,8 +108,6 @@ class TestScalingPlan:
                 LoaderScalingDirective("b", target_actors=1, target_workers_per_actor=2),
             ],
         )
-        assert plan.for_source("a").target_actors == 2
-        assert plan.for_source("missing") is None
         assert not plan.is_empty()
         assert plan.total_workers() == 10
 

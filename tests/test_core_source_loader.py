@@ -20,7 +20,12 @@ from repro.data.sources import SourceCursor
 from repro.data.synthetic import build_source_catalog, navit_like_spec
 from repro.errors import PlanError
 from repro.storage.filesystem import SimulatedFileSystem
-from repro.transforms.sample import AudioFeaturize, ImageDecode, TextTokenize
+from repro.transforms.sample import (
+    AudioFeaturize,
+    ImageDecode,
+    TextTokenize,
+    default_transforms_for,
+)
 from repro.utils.units import GIB
 from test_golden_digests import _feed
 
@@ -349,7 +354,7 @@ def test_sync_prepare_equals_async_polls_of_any_chunk_size(
     first poll carries the ids, the final one the key, as ``prepare``'s does."""
     system = fresh_system()
     source = PROPERTY_CATALOG.sources()[source_index]
-    stages = source_loader.TransformPipeline.for_modality(source.modality).transform_names
+    stages = [transform.name for transform in default_transforms_for(source.modality)]
     options = dict(
         buffer_size=buffer_size, num_workers=num_workers, shard_count=shard_count,
         deferred_transforms={name for name, drop in zip(stages, deferred_mask) if drop},

@@ -6,7 +6,6 @@ import pytest
 
 from repro.data.mixture import MixturePhase, MixtureSchedule
 from repro.errors import MixtureError
-from repro.utils.rng import derive_rng
 
 
 class TestStatic:
@@ -104,18 +103,6 @@ class TestAdaptive:
 
 
 class TestSamplingAndAverages:
-    def test_sample_sources_respects_weights(self):
-        schedule = MixtureSchedule.static({"a": 0.9, "b": 0.1})
-        picks = schedule.sample_sources(0, 2000, derive_rng(0, "mix"))
-        frac_a = picks.count("a") / len(picks)
-        assert 0.85 < frac_a < 0.95
-
-    def test_sample_sources_deterministic(self):
-        schedule = MixtureSchedule.static({"a": 0.5, "b": 0.5})
-        a = schedule.sample_sources(0, 50, derive_rng(1, "m"))
-        b = schedule.sample_sources(0, 50, derive_rng(1, "m"))
-        assert a == b
-
     def test_moving_average_tracks_schedule_change(self):
         schedule = MixtureSchedule.staged(
             [MixturePhase(0, {"a": 1.0, "b": 0.0001}), MixturePhase(10, {"a": 0.0001, "b": 1.0})]

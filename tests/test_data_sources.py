@@ -14,8 +14,6 @@ from repro.data.sources import (
     DataSource,
     SourceCatalog,
     SourceCursor,
-    estimate_source_weights,
-    heterogeneity_index,
 )
 from repro.data.synthetic import SAMPLE_SCHEMA, build_source_catalog, navit_like_spec
 from repro.errors import ConfigurationError, CorruptFileError
@@ -70,15 +68,9 @@ class TestSourceCatalog:
         catalog = SourceCatalog([make_source("a", num_samples=5), make_source("b", num_samples=7)])
         assert catalog.total_samples() == 12
 
-    def test_by_modality(self, small_catalog):
-        images = small_catalog.by_modality(Modality.IMAGE)
-        assert all(source.modality is Modality.IMAGE for source in images)
-
     def test_transform_cost_spread_is_large_for_heterogeneous_catalog(self, small_catalog):
-        assert small_catalog.transform_cost_spread() > 2.0
-
-    def test_empty_catalog_spread(self):
-        assert SourceCatalog().transform_cost_spread() == 1.0
+        latencies = [source.expected_transform_latency() for source in small_catalog]
+        assert max(latencies) / min(latencies) > 2.0
 
 
 class TestSourceCursor:
@@ -295,18 +287,3 @@ def test_a_file_without_sample_ids_is_corrupt_to_peek_and_to_take():
     for read in (cursor.peek_ids, cursor.take_columns):
         with pytest.raises(CorruptFileError, match="no column 'sample_id'"):
             read(2)
-
-
-class TestHelpers:
-    def test_estimate_source_weights_proportional(self):
-        sources = [make_source("a", num_samples=30), make_source("b", num_samples=10)]
-        weights = estimate_source_weights(sources)
-        assert weights["a"] == pytest.approx(0.75)
-        assert weights["b"] == pytest.approx(0.25)
-
-    def test_heterogeneity_index_zero_for_identical_sources(self):
-        sources = [make_source("a"), make_source("b")]
-        assert heterogeneity_index(sources) == pytest.approx(0.0)
-
-    def test_heterogeneity_index_positive_for_mixed_catalog(self, small_catalog):
-        assert heterogeneity_index(small_catalog.sources()) > 0.0

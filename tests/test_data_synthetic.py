@@ -11,7 +11,6 @@ from repro.data.synthetic import (
     coyo700m_like_spec,
     generate_samples,
     navit_like_spec,
-    small_mixed_catalog,
 )
 from repro.errors import ConfigurationError
 from repro.storage.columnar import ColumnarFile
@@ -110,7 +109,9 @@ class TestBuildCatalog:
             float(np.mean([r["text_tokens"] for r in records]))
         )
 
-    def test_small_mixed_catalog_helper(self, filesystem):
-        catalog = small_mixed_catalog(filesystem, num_sources=4, samples_per_source=16)
+    def test_navit_like_catalog_size(self, filesystem):
+        catalog = build_source_catalog(
+            navit_like_spec(num_sources=4, samples_per_source=16), filesystem
+        )
         assert len(catalog) == 4
         assert catalog.total_samples() == 64

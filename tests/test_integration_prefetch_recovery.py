@@ -93,7 +93,7 @@ def test_failure_during_plan_gather_recovers():
         results = [system.run_step(), system.run_step()]
         # Kill the loader outright so even the planner's summary gather fails.
         victim = system.loader_handles[-1]
-        victim.kill()
+        system.system.kill_actor(victim.name)
         results.extend(system.run_step() for _ in range(2))
         assert [r.step for r in results] == [0, 1, 2, 3]
         assert any(e.kind in ("shadow_promotion", "restart") for e in system.fault_manager.events())

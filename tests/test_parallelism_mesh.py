@@ -42,29 +42,8 @@ class TestDeviceMesh:
         with pytest.raises(ConfigurationError):
             DeviceMesh(gpus_per_node=0)
 
-    def test_node_of_rank(self):
-        mesh = DeviceMesh(pp=1, dp=4, cp=1, tp=4, gpus_per_node=8)
-        assert mesh.node_of_rank(0) == 0
-        assert mesh.node_of_rank(15) == 1
-
 
 class TestGroups:
-    def test_group_of_tp(self):
-        mesh = DeviceMesh(pp=1, dp=2, cp=1, tp=4)
-        group = mesh.group_of(rank=1, axis="TP")
-        assert group == [0, 1, 2, 3]
-
-    def test_group_of_dp(self):
-        mesh = DeviceMesh(pp=1, dp=2, cp=1, tp=2)
-        group = mesh.group_of(rank=0, axis="DP")
-        assert len(group) == 2
-        assert all(mesh.coordinate(r).tp == 0 for r in group)
-
-    def test_group_sizes_match_axis(self, vlm_mesh):
-        for axis in ("PP", "DP", "CP", "TP"):
-            group = vlm_mesh.group_of(0, axis)
-            assert len(group) == vlm_mesh.size(axis)
-
     def test_data_consumers_dp(self):
         mesh = DeviceMesh(pp=2, dp=2, cp=2, tp=2)
         groups = mesh.data_consumers("DP")

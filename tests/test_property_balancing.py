@@ -10,19 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.balancing import (
-    BalanceResult,
     WeightedItem,
     balance_items,
     balance_positions,
     greedy_binpack,
     interleaved_balance,
     karmarkar_karp,
-    register_strategy,
 )
-from repro.core.dgraph import DGraph
-from repro.core.place_tree import ClientPlaceTree
-from repro.data.samples import Modality, SampleMetadata
-from repro.parallelism.mesh import DeviceMesh
 
 costs_strategy = st.lists(st.floats(min_value=0.01, max_value=1e6), min_size=1, max_size=80)
 bins_strategy = st.integers(min_value=1, max_value=12)
@@ -32,11 +26,15 @@ def make_items(costs):
     return [WeightedItem(key=index, cost=cost) for index, cost in enumerate(costs)]
 
 
+def keys_per_bin(result):
+    return [[item.key for item in bin_] for bin_ in result.bins]
+
+
 @given(costs=costs_strategy, num_bins=bins_strategy)
 @settings(max_examples=60, deadline=None)
 def test_greedy_preserves_every_item_exactly_once(costs, num_bins):
     result = greedy_binpack(make_items(costs), num_bins)
-    keys = sorted(key for bin_keys in result.keys_per_bin() for key in bin_keys)
+    keys = sorted(key for bin_keys in keys_per_bin(result) for key in bin_keys)
     assert keys == list(range(len(costs)))
 
 
@@ -68,7 +66,7 @@ def test_greedy_makespan_bounds(costs, num_bins):
 @settings(max_examples=40, deadline=None)
 def test_karmarkar_karp_preserves_items_and_cost(costs, num_bins):
     result = karmarkar_karp(make_items(costs), num_bins)
-    keys = sorted(key for bin_keys in result.keys_per_bin() for key in bin_keys)
+    keys = sorted(key for bin_keys in keys_per_bin(result) for key in bin_keys)
     assert keys == list(range(len(costs)))
     assert math.isclose(sum(result.bin_costs), sum(costs), rel_tol=1e-9)
     assert len(result.bins) == num_bins
@@ -78,7 +76,7 @@ def test_karmarkar_karp_preserves_items_and_cost(costs, num_bins):
 @settings(max_examples=40, deadline=None)
 def test_interleave_preserves_items(costs, num_bins):
     result = interleaved_balance(make_items(costs), num_bins)
-    keys = sorted(key for bin_keys in result.keys_per_bin() for key in bin_keys)
+    keys = sorted(key for bin_keys in keys_per_bin(result) for key in bin_keys)
     assert keys == list(range(len(costs)))
 
 
@@ -203,37 +201,6 @@ def test_position_form_equals_the_item_form(costs, num_bins, method):
     expected_positions = [[item.key for item in bin_] for bin_ in expected_bins]
     assert balance_positions(costs, num_bins, method) == expected_positions
     result = public(items, num_bins)
-    assert result.keys_per_bin() == expected_positions
+    assert keys_per_bin(result) == expected_positions
     assert result.bin_costs == expected_costs
     assert all(item is items[item.key] for bin_ in result.bins for item in bin_)
-
-
-def test_dgraph_balance_still_hands_a_registered_strategy_weighted_items():
-    seen = []
-
-    def reversed_greedy(items, num_bins):
-        seen.append(list(items))
-        result = greedy_binpack(items, num_bins)
-        return BalanceResult(result.bins[::-1], result.bin_costs[::-1])
-
-    register_strategy("reversed_greedy_test", reversed_greedy, overwrite=True)
-    samples = [
-        SampleMetadata(sample_id, "src", Modality.TEXT, text_tokens=tokens)
-        for sample_id, tokens in enumerate([5, 9, 9, 0, 3, 12, 7, 1, 4, 4, 8, 2])
-    ]
-
-    def planned(method):
-        tree = ClientPlaceTree(DeviceMesh(pp=1, dp=2, cp=1, tp=1))
-        dgraph = DGraph.from_buffer_infos(samples).init(tree).distribute("DP")
-        plan = dgraph.balance(method=method, num_microbatches=3).plan()
-        return [
-            [assignment.sample_ids() for assignment in plan.module.bucket_assignments(bucket)]
-            for bucket in range(2)
-        ]
-
-    greedy = planned("greedy")
-    # The strategy's bin order, reversed at both levels, is what the plan carries.
-    assert planned("reversed_greedy_test") == [bucket[::-1] for bucket in greedy[::-1]]
-    assert len(seen) == 3  # once across the buckets, once inside each
-    assert all(isinstance(item, WeightedItem) for items in seen for item in items)
-    assert sorted(item.cost for item in seen[0]) == sorted(float(s.total_tokens) for s in samples)

@@ -116,7 +116,7 @@ def test_ledger_never_negative_and_peak_monotone(operations):
         elif op == "release":
             ledger.release(category or "cat", amount)
         elif op == "release_all":
-            ledger.release_all(category)
+            ledger.release_all()
         elif op == "adopt" and ledger is not node and ledger not in node._children:
             node.adopt(ledger)
         elif op == "disown":

@@ -37,12 +37,6 @@ class TestNamespace:
         with pytest.raises(FileNotFoundInStorage):
             filesystem.delete("/nope")
 
-    def test_listdir_prefix(self, filesystem):
-        filesystem.write("/data/x/1", 1, size_bytes=1)
-        filesystem.write("/data/x/2", 2, size_bytes=1)
-        filesystem.write("/data/y/1", 3, size_bytes=1)
-        assert filesystem.listdir("/data/x") == ["/data/x/1", "/data/x/2"]
-
     def test_overwrite_replaces_payload(self, filesystem):
         filesystem.write("/data/z", 1, size_bytes=1)
         filesystem.write("/data/z", 2, size_bytes=1)

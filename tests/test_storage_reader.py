@@ -11,7 +11,6 @@ from repro.storage.reader import (
     SCHEMA_STATE_BYTES,
     SOCKET_STATE_BYTES,
     ColumnarReader,
-    ReaderConfig,
 )
 
 SCHEMA = [ColumnSchema("sample_id", "int64", 8), ColumnSchema("tokens", "int32", 4)]
@@ -84,8 +83,7 @@ class TestReads:
 
     def test_buffer_eviction_respects_limit(self, filesystem, stored_file):
         ledger = MemoryLedger()
-        config = ReaderConfig(buffered_row_groups=1)
-        with ColumnarReader(filesystem, "/data/f", ledger, config) as reader:
+        with ColumnarReader(filesystem, "/data/f", ledger) as reader:
             reader.read_row(0)
             first_buffer = ledger.live_bytes("row_group_buffer")
             reader.read_row(25)
@@ -94,28 +92,16 @@ class TestReads:
             )
             assert first_buffer > 0
 
-    def test_read_next_wraps_around(self, filesystem, stored_file):
-        with ColumnarReader(filesystem, "/data/f", MemoryLedger()) as reader:
-            for _ in range(stored_file.total_rows):
-                reader.read_next()
-            record, _ = reader.read_next()
-            assert record["sample_id"] == 0
-
-    def test_iter_rows_range(self, filesystem, stored_file):
-        with ColumnarReader(filesystem, "/data/f", MemoryLedger()) as reader:
-            rows = [record["sample_id"] for record, _ in reader.iter_rows(5, 5)]
-            assert rows == [5, 6, 7, 8, 9]
-
     def test_access_state_breakdown(self, filesystem, stored_file):
-        with ColumnarReader(filesystem, "/data/f", MemoryLedger()) as reader:
+        ledger = MemoryLedger()
+        with ColumnarReader(filesystem, "/data/f", ledger) as reader:
             reader.read_row(0)
-            state = reader.access_state()
-            assert state.socket_bytes == SOCKET_STATE_BYTES
-            assert state.footer_bytes == stored_file.footer_bytes
-            assert state.buffer_bytes > 0
-            assert state.total_bytes == (
-                state.socket_bytes + state.footer_bytes + state.schema_bytes + state.buffer_bytes
+            assert ledger.live_bytes("file_state") == (
+                SOCKET_STATE_BYTES + SCHEMA_STATE_BYTES + stored_file.footer_bytes
             )
+            buffered = ledger.live_bytes("row_group_buffer")
+            assert buffered == stored_file.row_groups[0].compressed_bytes > 0
+            assert ledger.total_bytes() == ledger.live_bytes("file_state") + buffered
 
     def test_total_rows(self, filesystem, stored_file):
         with ColumnarReader(filesystem, "/data/f", MemoryLedger()) as reader:

@@ -47,9 +47,6 @@ class TestTable1:
 
 
 class TestConfigs:
-    def test_head_dim(self):
-        assert llama_12b().head_dim == 4608 // 36
-
     def test_invalid_hidden_head_combo(self):
         with pytest.raises(ConfigurationError):
             ModelConfig(name="bad", num_layers=2, num_heads=3, hidden_size=10)

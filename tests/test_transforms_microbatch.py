@@ -94,7 +94,7 @@ class TestPaddingCollator:
         collated = PaddingCollator().collate(mb)
         assert all(seq.tokens == 30 for seq in collated.sequences)
         assert collated.padding_tokens() == 20
-        assert 0 < collated.padding_fraction() < 1
+        assert 0 < collated.padding_tokens() < collated.total_tokens()
 
     def test_respects_max_length(self, sample_factory):
         mb = Microbatch(index=0, samples=[sample_factory(0, text_tokens=100)])
@@ -104,7 +104,7 @@ class TestPaddingCollator:
     def test_empty_microbatch(self):
         collated = PaddingCollator().collate(Microbatch(index=0))
         assert collated.sequences == []
-        assert collated.padding_fraction() == 0.0
+        assert collated.padding_tokens() == 0
 
     def test_padding_wastes_more_than_packing(self, sample_factory):
         samples = [sample_factory(i, text_tokens=16 * (i + 1)) for i in range(8)]
@@ -141,8 +141,3 @@ class TestRope:
         collated = collate_with_positions(mb, 16, packing=True)
         assert isinstance(collated.position_ids, np.ndarray)
         assert collated.total_tokens() == 4
-
-    def test_tensor_bytes(self, sample_factory):
-        mb = Microbatch(index=0, samples=[sample_factory(0, text_tokens=100)])
-        collated = collate_with_positions(mb, 256)
-        assert collated.tensor_bytes(bytes_per_token=4) == 400

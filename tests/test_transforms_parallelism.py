@@ -10,7 +10,6 @@ from repro.transforms.microbatch import Microbatch, PackingCollator
 from repro.transforms.parallelism import (
     build_rank_slices,
     context_parallel_slices,
-    data_parallel_shards,
     pipeline_stage_view,
     tensor_parallel_replicas,
 )
@@ -20,20 +19,6 @@ from repro.transforms.parallelism import (
 def collated(sample_factory):
     mb = Microbatch(index=0, samples=[sample_factory(i, text_tokens=100) for i in range(4)])
     return PackingCollator(max_sequence_length=512).collate(mb)
-
-
-class TestDataParallelShards:
-    def test_round_robin_split(self, collated):
-        shards = data_parallel_shards([collated] * 6, dp_size=3)
-        assert [len(s) for s in shards] == [2, 2, 2]
-
-    def test_remainder_dropped(self, collated):
-        shards = data_parallel_shards([collated] * 7, dp_size=3)
-        assert sum(len(s) for s in shards) == 6
-
-    def test_invalid_dp_size(self, collated):
-        with pytest.raises(TransformError):
-            data_parallel_shards([collated], 0)
 
 
 class TestContextParallelSlices:

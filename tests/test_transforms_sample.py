@@ -10,7 +10,6 @@ from repro.transforms.sample import (
     AudioFeaturize,
     ImageCrop,
     ImageDecode,
-    ImageResize,
     TextTokenize,
     VideoKeyframeExtract,
     default_transforms_for,
@@ -59,16 +58,6 @@ class TestImageCropAndResize:
         sample = Sample(metadata=sample_factory(1, image_tokens=100))
         ImageCrop(max_patches=1024).apply(sample)
         assert sample.metadata.image_tokens == 100
-
-    def test_resize_scales_patches(self, sample_factory):
-        sample = Sample(metadata=sample_factory(1, image_tokens=100))
-        ImageResize(scale=0.5).apply(sample)
-        assert sample.metadata.image_tokens == 50
-
-    def test_resize_rejects_non_positive_scale(self, sample_factory):
-        sample = Sample(metadata=sample_factory(1, image_tokens=100))
-        with pytest.raises(TransformError):
-            ImageResize(scale=0.0).apply(sample)
 
 
 class TestVideoAndAudio:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.utils.ids import IdAllocator
-from repro.utils.rng import derive_rng, spawn_rngs
+from repro.utils.rng import derive_rng
 from repro.utils.units import GIB, KIB, MIB, bytes_to_gib, bytes_to_mib, format_bytes, format_seconds
 
 
@@ -86,12 +86,6 @@ class TestRng:
         a = derive_rng(1, "x").random(5)
         b = derive_rng(2, "x").random(5)
         assert not np.allclose(a, b)
-
-    def test_spawn_rngs_count_and_independence(self):
-        rngs = spawn_rngs(0, 4)
-        assert len(rngs) == 4
-        draws = [rng.random() for rng in rngs]
-        assert len(set(draws)) == 4
 
     def test_labels_accept_non_strings(self):
         rng = derive_rng(0, "source", 3, 2.5)
