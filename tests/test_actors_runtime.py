@@ -8,7 +8,7 @@ from repro.actors.actor import Actor, ActorState
 from repro.actors.gcs import GlobalControlStore
 from repro.actors.node import Node, NodeKind, ResourceSpec
 from repro.actors.runtime import ActorSystem, ClusterSpec
-from repro.actors.scheduler import PlacementRequest, PlacementScheduler
+from repro.actors.scheduler import PlacementRequest, PlacementScheduler, TenantQuota
 from repro.errors import ActorDead, ActorError, ActorTimeout, SchedulingError
 from repro.utils.units import GIB
 
@@ -67,6 +67,32 @@ class TestNode:
     def test_negative_resources_rejected(self):
         with pytest.raises(SchedulingError):
             ResourceSpec(cpu_cores=-1, memory_bytes=10)
+
+    def test_can_fit_needs_both_cpu_and_memory(self):
+        node = self.make_node()
+        node.reserve("a", 2, GIB // 2)
+        assert node.can_fit(6, GIB // 2)
+        assert not node.can_fit(7, 0)
+        assert not node.can_fit(0, GIB // 2 + 1)
+        assert node.available_memory == GIB // 2
+
+    def test_peak_utilization_outlives_release(self):
+        node = self.make_node()
+        node.reserve("a", 6, GIB // 4)
+        node.release("a", 6, GIB // 4)
+        node.reserve("b", 2, GIB // 2)
+        assert node.utilization()["cpu"] == pytest.approx(0.25)
+        peak = node.peak_utilization()
+        assert peak["cpu"] == pytest.approx(0.75)
+        assert peak["memory"] == pytest.approx(0.5)
+
+    def test_live_memory_bytes_reads_the_node_ledger(self):
+        node = self.make_node()
+        assert node.ledger.name == "node:n0"
+        node.ledger.charge("buffer", 300)
+        assert node.live_memory_bytes() == 300
+        node.ledger.release("buffer", 100)
+        assert node.live_memory_bytes() == 200
 
 
 class TestGcs:
@@ -165,6 +191,88 @@ class TestScheduler:
     def test_needs_at_least_one_node(self):
         with pytest.raises(SchedulingError):
             PlacementScheduler([])
+
+    def test_unknown_policy_rejected(self):
+        node = Node("n", NodeKind.CPU, ResourceSpec(1, 1))
+        with pytest.raises(SchedulingError):
+            PlacementScheduler([node], policy="scatter")
+
+    def two_accelerators(self, policy):
+        nodes = [
+            Node(f"accel-{i}", NodeKind.ACCELERATOR, ResourceSpec(cpu_cores=8, memory_bytes=4 * GIB))
+            for i in range(2)
+        ]
+        return PlacementScheduler(nodes, policy=policy)
+
+    def test_spread_policy_balances_nodes(self):
+        scheduler = self.two_accelerators("spread")
+        first = scheduler.place(PlacementRequest("a", 2, GIB))
+        second = scheduler.place(PlacementRequest("b", 2, GIB))
+        assert first.node_name != second.node_name
+
+    def test_pack_policy_fills_the_fullest_feasible_node(self):
+        scheduler = self.two_accelerators("pack")
+        first = scheduler.place(PlacementRequest("a", 2, GIB))
+        second = scheduler.place(PlacementRequest("b", 2, GIB))
+        assert first.node_name == second.node_name
+        # Once that node is full, pack moves on instead of failing.
+        third = scheduler.place(PlacementRequest("c", 6, GIB))
+        assert third.node_name != first.node_name
+
+    def test_release_refunds_the_tenant(self):
+        scheduler = self.make_scheduler()
+        scheduler.register_tenant(TenantQuota("t"))
+        decision = scheduler.place(PlacementRequest("a", 2, GIB, tenant="t"))
+        assert scheduler.tenant_usage("t") == {
+            "cpu_cores": 2.0, "memory_bytes": float(GIB), "actors": 1.0
+        }
+        scheduler.release("a", decision.node_name, 2, GIB, tenant="t")
+        assert scheduler.tenant_usage("t") == {"cpu_cores": 0.0, "memory_bytes": 0.0, "actors": 0.0}
+        assert scheduler.node(decision.node_name).available_cpu == 8
+
+    def test_refund_of_unknown_tenant_or_actor_is_noop(self):
+        scheduler = self.make_scheduler()
+        scheduler.register_tenant(TenantQuota("t"))
+        scheduler.place(PlacementRequest("a", 2, GIB, tenant="t"))
+        scheduler.refund(None, "a")
+        scheduler.refund("ghost-tenant", "a")
+        scheduler.refund("t", "ghost-actor")
+        assert scheduler.tenant_usage("t")["cpu_cores"] == 2.0
+
+    def test_adjust_tenant_usage_rebooks_a_live_actor(self):
+        scheduler = self.make_scheduler()
+        scheduler.register_tenant(TenantQuota("t"))
+        scheduler.place(PlacementRequest("a", 2, GIB, tenant="t"))
+        scheduler.adjust_tenant_usage("t", "a", cpu_delta=3.0, memory_delta=GIB)
+        assert scheduler.tenant_usage("t")["cpu_cores"] == 5.0
+        assert scheduler.tenant_usage("t")["memory_bytes"] == float(2 * GIB)
+        # The refund returns the adjusted reservation, not the original one.
+        scheduler.refund("t", "a")
+        assert scheduler.tenant_usage("t")["cpu_cores"] == 0.0
+        # An actor the tenant never placed is not booked by an adjustment.
+        scheduler.adjust_tenant_usage("t", "ghost", cpu_delta=1.0, memory_delta=0)
+        assert scheduler.tenant_usage("t")["actors"] == 0.0
+
+    def test_rebook_restores_node_reservation_and_tenant_charge(self):
+        scheduler = self.make_scheduler()
+        scheduler.register_tenant(TenantQuota("t"))
+        request = PlacementRequest("a", 2, GIB, tenant="t")
+        decision = scheduler.place(request)
+        scheduler.release("a", decision.node_name, 2, GIB, tenant="t")
+        scheduler.rebook(request, decision.node_name)
+        assert scheduler.node(decision.node_name).available_cpu == 6
+        assert scheduler.tenant_usage("t")["cpu_cores"] == 2.0
+
+    def test_peak_utilization_summary_keeps_a_released_peak(self):
+        scheduler = self.make_scheduler()
+        decision = scheduler.place(PlacementRequest("a", 6, 2 * GIB))
+        scheduler.release("a", decision.node_name, 6, 2 * GIB)
+        assert scheduler.cluster_utilization()["accel-0"]["cpu"] == 0.0
+        assert scheduler.peak_cluster_utilization()["accel-0"]["cpu"] == pytest.approx(0.75)
+        assert scheduler.peak_utilization_summary() == {
+            "peak_node_cpu_utilization": pytest.approx(0.75),
+            "peak_node_memory_utilization": pytest.approx(0.5),
+        }
 
 
 class TestActorSystem:
@@ -267,6 +375,16 @@ class TestActorSystem:
         system = self.make_system()
         with pytest.raises(ActorError):
             system.actor_state("ghost")
+
+    def test_has_actor_and_role(self):
+        system = self.make_system()
+        system.create_actor(Counter, name="c")
+        assert system.has_actor("c")
+        assert not system.has_actor("ghost")
+        assert system.actor_role("c") == "counter"
+        assert system.actor_role("ghost") == "actor"
+        system.stop_actor("c")
+        assert not system.has_actor("c")
 
 
 class TestCooperativeEventLoop:

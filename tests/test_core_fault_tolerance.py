@@ -6,7 +6,12 @@ import pytest
 
 from repro.actors.actor import ActorState
 from repro.actors.runtime import ActorSystem, ClusterSpec
-from repro.core.fault_tolerance import FaultToleranceError, FaultToleranceManager
+from repro.core.fault_tolerance import (
+    BREAKER_THRESHOLD,
+    CircuitBreaker,
+    FaultToleranceError,
+    FaultToleranceManager,
+)
 from repro.core.place_tree import ClientPlaceTree
 from repro.core.planner import Planner
 from repro.core.source_loader import SourceLoader
@@ -79,6 +84,20 @@ class TestDetection:
         policies, breaker threshold and event ring are module constants."""
         with pytest.raises(TypeError, match=name):
             FaultToleranceManager(system, **{name: 1})
+
+    def test_breaker_opens_on_the_threshold_failure_and_success_closes_it(self):
+        breaker = CircuitBreaker()
+        for _ in range(BREAKER_THRESHOLD - 1):
+            breaker.record_failure("a")
+        assert not breaker.is_open("a")
+        breaker.record_failure("a")
+        assert breaker.is_open("a")
+        assert not breaker.is_open("b")
+        breaker.record_success("a")
+        assert not breaker.is_open("a")
+        # The streak restarts from zero after a success.
+        breaker.record_failure("a")
+        assert not breaker.is_open("a")
 
 
 class TestCheckpointing:
@@ -172,6 +191,23 @@ class TestRecovery:
         assert [record.step for record in history] == [0, 1, 2]
         assert system.actor_state(recovered.name) is ActorState.RUNNING
         assert manager.events()[-1].kind == "coordinator_restart"
+
+    def test_total_recovery_latency_sums_every_event(
+        self, system, manager, small_catalog, filesystem
+    ):
+        assert manager.total_recovery_latency() == 0.0
+        assert manager.effective_training_time_ratio(10, 1.0) == 1.0
+        for index in range(2):
+            primary, _ = spawn_pair(system, manager, small_catalog, filesystem, index=index)
+            manager.checkpoint_loader(primary, step=0)
+            system.kill_actor(primary.name)
+            manager.recover_loader(primary, step=4)
+        latencies = [event.recovery_latency_s for event in manager.events()]
+        assert len(latencies) == 2
+        assert manager.total_recovery_latency() == pytest.approx(sum(latencies))
+        assert manager.recovery_summary()["total_latency_s"] == manager.total_recovery_latency()
+        ratio = manager.effective_training_time_ratio(10, 1.0)
+        assert ratio == pytest.approx(10.0 / (10.0 + sum(latencies)))
 
     def test_shadow_memory_accounted(self, system, manager, small_catalog, filesystem):
         spawn_pair(system, manager, small_catalog, filesystem)

@@ -63,6 +63,23 @@ class TestModulePlan:
         with pytest.raises(PlanError):
             plan.validate()
 
+    def test_bucket_samples_pads_each_bucket_to_num_microbatches(self, sample_factory):
+        plan = ModulePlan(module="backbone", axis="DP", num_buckets=2, num_microbatches=3)
+        plan.assignments.append(
+            MicrobatchAssignment(bucket_index=1, microbatch_index=0, samples=(sample_factory(4),))
+        )
+        plan.assignments.append(
+            MicrobatchAssignment(bucket_index=0, microbatch_index=1, samples=(sample_factory(2),))
+        )
+        plan.assignments.append(
+            MicrobatchAssignment(bucket_index=0, microbatch_index=0, samples=(sample_factory(1),))
+        )
+        buckets = plan.bucket_samples()
+        assert [[[s.sample_id for s in mb] for mb in bucket] for bucket in buckets] == [
+            [[1], [2], []],
+            [[4], [], []],
+        ]
+
     def test_assignment_helpers(self, sample_factory):
         assignment = MicrobatchAssignment(
             bucket_index=0,

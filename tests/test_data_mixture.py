@@ -143,3 +143,52 @@ class TestWeightsMemo:
         for step in range(1000):
             schedule.weights_at(step)
         assert len(schedule._weights_memo) <= 256
+
+
+class TestDescriptor:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: MixtureSchedule.static({"a": 3.0, "b": 1.0}),
+            lambda: MixtureSchedule.uniform(["a", "b", "c"]),
+            lambda: MixtureSchedule.staged(
+                [MixturePhase(0, {"a": 1.0}), MixturePhase(5, {"a": 0.2, "b": 0.8})]
+            ),
+            lambda: MixtureSchedule.warmup({"a": 1.0}, {"a": 0.5, "b": 0.5}, warmup_steps=4),
+        ],
+        ids=["static", "uniform", "staged", "warmup"],
+    )
+    def test_descriptor_round_trips(self, build):
+        schedule = build()
+        rebuilt = MixtureSchedule.from_descriptor(schedule.descriptor())
+        assert rebuilt.description == schedule.description
+        assert rebuilt.source_names == schedule.source_names
+        for step in (0, 2, 4, 5, 9):
+            assert rebuilt.weights_at(step) == pytest.approx(schedule.weights_at(step))
+
+    def test_adaptive_and_custom_schedules_have_no_descriptor(self):
+        adaptive = MixtureSchedule.adaptive(["a"], lambda step: {"a": 1.0})
+        custom = MixtureSchedule(lambda step: {"a": 1.0}, ["a"])
+        assert adaptive.descriptor() is None
+        assert custom.descriptor() is None
+
+    def test_unknown_descriptor_kind_rejected(self):
+        with pytest.raises(MixtureError):
+            MixtureSchedule.from_descriptor({"recipe": ("zipf", 1.2), "description": "zipf"})
+
+    def test_source_names_is_a_copy(self):
+        schedule = MixtureSchedule.uniform(["a", "b"])
+        schedule.source_names.append("c")
+        assert schedule.source_names == ["a", "b"]
+
+
+class TestInvalidateWeights:
+    def test_invalidate_recomputes_only_later_steps(self):
+        state = {"a": 1.0, "b": 1.0}
+        schedule = MixtureSchedule(lambda step: dict(state), ["a", "b"])
+        early, late = schedule.weights_at(2), schedule.weights_at(6)
+        state["a"] = 3.0
+        schedule.invalidate_weights_from(5)
+        assert schedule.weights_at(2) == early
+        assert schedule.weights_at(6) != late
+        assert schedule.weights_at(6)["a"] == pytest.approx(0.75)

@@ -48,6 +48,15 @@ class TestDataSource:
         assert expensive.expected_transform_latency() > cheap.expected_transform_latency()
 
 
+    def test_avg_tokens_sums_text_and_image(self):
+        source = DataSource(
+            name="vlm", modality=Modality.IMAGE, paths=("/p",), num_samples=1,
+            avg_text_tokens=40.0, avg_image_tokens=600.0,
+        )
+        assert source.avg_tokens == 640.0
+        assert make_source().avg_tokens == 64.0
+
+
 class TestSourceCatalog:
     def test_add_and_get(self):
         catalog = SourceCatalog([make_source("a"), make_source("b")])

@@ -6,7 +6,7 @@ import pytest
 
 from repro.metrics.memory import MemoryLedger
 from repro.metrics.report import MetricReport, summarize
-from repro.metrics.timeline import OverlapLedger, Timeline
+from repro.metrics.timeline import FleetEvent, OverlapLedger, Timeline
 
 
 class TestMemoryLedger:
@@ -265,6 +265,15 @@ class TestFleetEvents:
         with pytest.raises(ValueError):
             ledger.record_fleet_event("explode", 0, 0.0, "src", "actor")
 
+    def test_add_fleet_event_stores_the_given_record(self):
+        ledger = OverlapLedger()
+        event = FleetEvent("degrade", 3, 1.25, "src-a", "loader/src-a/0", detail="quota 8 -> 4")
+        assert ledger.add_fleet_event(event) is event
+        assert ledger.fleet_events("degrade") == [event]
+        with pytest.raises(ValueError):
+            ledger.add_fleet_event(FleetEvent("explode", 0, 0.0, "src", "actor"))
+        assert ledger.fleet_events() == [event]
+
     def test_fleet_role_excluded_from_overlap_accounting(self):
         """Fleet markers on the system timeline are neither data-plane busy
         time nor trainer compute: the rebuilt ledger ignores them even when
@@ -297,6 +306,18 @@ class TestClusterUtilizationTracker:
         assert summary["mean_node_cpu_utilization"] == pytest.approx((0.3 + 0.4) / 2)
         assert summary["mean_node_memory_utilization"] == pytest.approx((0.2 + 0.3) / 2)
         assert len(tracker.samples()) == 2
+
+    def test_tenant_summary_over_observed_shares(self):
+        from repro.metrics.report import ClusterUtilizationTracker
+
+        tracker = ClusterUtilizationTracker()
+        assert tracker.tenant_summary() == {}
+        tracker.observe_tenants({"a": {"share": 0.25}, "b": {"share": 0.75}})
+        tracker.observe_tenants({"a": {"share": 0.75}, "b": {"share": 0.25}})
+        tracker.observe_tenants({"a": {"share": 0.5}})
+        summary = tracker.tenant_summary()
+        assert summary["a"] == {"mean_cpu_share": pytest.approx(0.5), "peak_cpu_share": 0.75}
+        assert summary["b"] == {"mean_cpu_share": pytest.approx(0.5), "peak_cpu_share": 0.75}
 
     def test_empty_tracker_reports_zeros(self):
         from repro.metrics.report import ClusterUtilizationTracker

@@ -42,6 +42,27 @@ class TestDeviceMesh:
         with pytest.raises(ConfigurationError):
             DeviceMesh(gpus_per_node=0)
 
+    def test_coordinates_list_every_rank_in_order(self):
+        mesh = DeviceMesh(pp=2, dp=1, cp=1, tp=3)
+        coords = mesh.coordinates()
+        assert [coord.rank for coord in coords] == list(range(mesh.world_size))
+        assert coords == [mesh.coordinate(rank) for rank in range(mesh.world_size)]
+        coords.clear()  # a copy: the mesh keeps its own list
+        assert len(mesh.coordinates()) == 6
+
+    def test_axis_lookup_is_case_insensitive_and_checked(self):
+        coord = DeviceMesh(pp=2, dp=2, cp=2, tp=2).coordinate(11)
+        assert (coord.axis("pp"), coord.axis("DP"), coord.axis("cp"), coord.axis("Tp")) == (
+            1, 0, 1, 1
+        )
+        with pytest.raises(ConfigurationError):
+            coord.axis("EP")
+
+    def test_size_per_axis(self):
+        mesh = DeviceMesh(pp=2, dp=3, cp=1, tp=4)
+        assert mesh.dims.as_dict() == {"PP": 2, "DP": 3, "CP": 1, "TP": 4}
+        assert [mesh.size(axis) for axis in ("pp", "DP", "cp", "TP")] == [2, 3, 1, 4]
+
 
 class TestGroups:
     def test_data_consumers_dp(self):

@@ -13,6 +13,7 @@ from repro.training.flops import (
     imbalance_ratio,
     microbatch_flops,
     mlp_flops,
+    model_flops,
     packed_backbone_flops,
     transformer_layer_flops,
 )
@@ -44,6 +45,16 @@ class TestPrimitives:
 
 
 class TestModelFlops:
+    def test_model_is_layers_times_one_layer(self):
+        encoder = vit_1b()
+        assert model_flops(256, encoder) == pytest.approx(
+            encoder.num_layers * transformer_layer_flops(256, encoder.hidden_size, encoder.mlp_ratio)
+        )
+        assert model_flops(256, encoder, mlp_ratio=0.0) == pytest.approx(
+            encoder.num_layers * attention_flops(256, encoder.hidden_size)
+        )
+        assert encoder_sample_flops(256, encoder) == model_flops(256, encoder)
+
     def test_encoder_flops_scale_with_model_size(self):
         assert encoder_sample_flops(1024, vit_2b()) > encoder_sample_flops(1024, vit_1b())
 
