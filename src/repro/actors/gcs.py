@@ -14,9 +14,11 @@ from types import MappingProxyType
 
 #: Scalar types that are immutable by construction.
 _IMMUTABLE_SCALARS = (type(None), bool, int, float, complex, str, bytes)
+#: Nesting depth past which a tuple or frozenset is treated as mutable.
+_MAX_NESTING = 6
 
 
-def _is_deeply_immutable(value: object, depth: int = 6) -> bool:
+def _is_deeply_immutable(value: object, depth: int) -> bool:
     """Conservatively decide whether ``value`` can never be mutated.
 
     Tuples and frozensets are immutable iff their members are; anything else
@@ -64,7 +66,7 @@ class GlobalControlStore:
         """
         current = self._store.get(key)
         version = (current.version + 1) if current else 1
-        frozen = immutable if immutable is not None else _is_deeply_immutable(value)
+        frozen = immutable if immutable is not None else _is_deeply_immutable(value, _MAX_NESTING)
         if frozen and isinstance(value, dict):
             stored: object = MappingProxyType(dict(value))
         elif frozen:
@@ -89,7 +91,7 @@ class GlobalControlStore:
     def delete(self, key: str) -> None:
         self._store.pop(key, None)
 
-    def take(self, key: str, default: object = None) -> object:
+    def take(self, key: str) -> object:
         """Get and delete in one call — the hand-off primitive.
 
         Frozen payloads come back by reference (zero-copy); the key is
@@ -98,7 +100,7 @@ class GlobalControlStore:
         """
         entry = self._store.pop(key, None)
         if entry is None:
-            return default
+            return None
         if entry.frozen:
             return entry.value
         return copy.deepcopy(entry.value)

@@ -40,6 +40,9 @@ from repro.metrics.memory import MemoryLedger
 from repro.metrics.timeline import Timeline
 from repro.utils.ids import IdAllocator
 
+#: Modelled latency of one remote call, in virtual seconds.
+RPC_LATENCY_S = 0.0002
+
 
 @dataclass(frozen=True)
 class ClusterSpec:
@@ -120,7 +123,6 @@ class ActorSystem:
     def __init__(
         self,
         cluster: ClusterSpec | None = None,
-        rpc_latency_s: float = 0.0002,
         dispatcher: str = "indexed",
         backend: str = "virtual",
         time_scale: float = 1.0,
@@ -140,7 +142,7 @@ class ActorSystem:
         self.scheduler = PlacementScheduler(self.nodes, policy=placement_policy)
         self.gcs = GlobalControlStore()
         self.failures = FailureInjector()
-        self.rpc_latency_s = rpc_latency_s
+        self.rpc_latency_s = RPC_LATENCY_S
         self.dispatcher = dispatcher
         self._actors: dict[str, _ActorRecord] = {}
         #: Actors draining toward retirement: no new submissions are accepted
@@ -181,10 +183,6 @@ class ActorSystem:
         self.chaos = None
 
     # -- cluster management --------------------------------------------------------
-
-    def add_node(self, node: Node) -> None:
-        self.nodes.append(node)
-        self.scheduler.add_node(node)
 
     def node(self, name: str) -> Node:
         return self.scheduler.node(name)

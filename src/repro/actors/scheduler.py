@@ -113,11 +113,6 @@ class PlacementScheduler:
         except KeyError:
             raise SchedulingError(f"unknown node {name!r}") from None
 
-    def add_node(self, node: Node) -> None:
-        if node.name in self._nodes:
-            raise SchedulingError(f"duplicate node {node.name!r}")
-        self._nodes[node.name] = node
-
     # -- multi-tenant admission ------------------------------------------------
 
     def register_tenant(self, quota: TenantQuota) -> None:

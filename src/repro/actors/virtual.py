@@ -53,8 +53,8 @@ class VirtualClock:
     RPC latency on synchronous calls), never by real time.
     """
 
-    def __init__(self, now_s: float = 0.0) -> None:
-        self._now_s = float(now_s)
+    def __init__(self) -> None:
+        self._now_s = 0.0
 
     @property
     def now_s(self) -> float:

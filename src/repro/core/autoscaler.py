@@ -22,6 +22,17 @@ from repro.core.source_loader import WORKER_CONTEXT_BYTES
 from repro.data.sources import DataSource, SourceCatalog
 from repro.errors import ScalingError
 
+#: Worker processes one loader actor hosts; a source needing more gets more actors.
+MAX_WORKERS_PER_ACTOR = 8
+#: Per-actor file-handle and cursor state charged against the memory budget.
+PER_SOURCE_STATE_BYTES = 16 * 1024 * 1024
+#: A source scales up once its moving-average weight reaches this multiple of
+#: its fair share, and down once it falls to ``SCALE_DOWN_THRESHOLD`` of it.
+SCALE_UP_THRESHOLD = 1.5
+SCALE_DOWN_THRESHOLD = 0.5
+#: Online scaling never grows one source past this many loader actors.
+MAX_ACTORS_PER_SOURCE = 8
+
 
 @dataclass(frozen=True)
 class SourceLoaderConfig:
@@ -90,17 +101,11 @@ class SourceAutoPartitioner:
         self,
         num_clusters: int = 4,
         max_workers_per_source: int = 16,
-        max_workers_per_actor: int = 8,
-        per_source_state_bytes: int = 16 * 1024 * 1024,
-        one_source_per_actor: bool = True,
     ) -> None:
         if num_clusters < 1:
             raise ScalingError("num_clusters must be >= 1")
         self.num_clusters = num_clusters
         self.max_workers_per_source = max_workers_per_source
-        self.max_workers_per_actor = max_workers_per_actor
-        self.per_source_state_bytes = per_source_state_bytes
-        self.one_source_per_actor = one_source_per_actor
 
     # -- public API ---------------------------------------------------------------------
 
@@ -167,10 +172,7 @@ class SourceAutoPartitioner:
         plan: PartitionPlan,
     ) -> SourceLoaderConfig:
         workers = max(1, min(workers, self.max_workers_per_source))
-        if self.one_source_per_actor:
-            num_actors = max(1, math.ceil(workers / self.max_workers_per_actor))
-        else:
-            num_actors = 1
+        num_actors = max(1, math.ceil(workers / MAX_WORKERS_PER_ACTOR))
         workers_per_actor = max(1, math.ceil(workers / num_actors))
         memory = self._estimate_memory(source, num_actors, workers_per_actor)
         return SourceLoaderConfig(
@@ -183,7 +185,7 @@ class SourceAutoPartitioner:
         )
 
     def _estimate_memory(self, source: DataSource, num_actors: int, workers_per_actor: int) -> int:
-        file_state = self.per_source_state_bytes * num_actors
+        file_state = PER_SOURCE_STATE_BYTES * num_actors
         worker_state = WORKER_CONTEXT_BYTES * num_actors * workers_per_actor
         buffer_state = int(source.avg_raw_bytes * source.profile.memory_amplification * 64)
         return file_state + worker_state + buffer_state * num_actors
@@ -240,34 +242,23 @@ class MixtureDrivenScaler:
     """Online scaling driven by the mixture schedule's moving-average weights.
 
     When the Planner passes the shared virtual clock's ``now_s`` into
-    :meth:`observe`, decisions are stamped with the instant they landed and
-    (optionally) rate-limited by ``min_decision_interval_s`` of *simulated*
-    time — so with a prefetching pipeline, scaling reacts at realistic
-    instants on the co-simulated timeline rather than once per generated
-    plan regardless of how far ahead the pipeline ran.
+    :meth:`observe`, decisions are stamped with the instant they landed, so
+    the decision log places scaling on the co-simulated timeline. Decisions
+    are not rate-limited: a directive fires on the observation that
+    completes its streak.
     """
 
     def __init__(
         self,
         partition_plan: PartitionPlan,
-        scale_up_threshold: float = 1.5,
-        scale_down_threshold: float = 0.5,
         consecutive_intervals: int = 3,
         window: int = 10,
-        max_actors_per_source: int = 8,
-        min_decision_interval_s: float = 0.0,
     ) -> None:
         if consecutive_intervals < 1:
             raise ScalingError("consecutive_intervals must be >= 1")
-        if min_decision_interval_s < 0:
-            raise ScalingError("min_decision_interval_s must be >= 0")
         self.plan = partition_plan
-        self.scale_up_threshold = scale_up_threshold
-        self.scale_down_threshold = scale_down_threshold
         self.consecutive_intervals = consecutive_intervals
         self.window = window
-        self.max_actors_per_source = max_actors_per_source
-        self.min_decision_interval_s = min_decision_interval_s
         num_sources = max(1, len(partition_plan.configs))
         self._baseline_weight = 1.0 / num_sources
         self._streaks: dict[str, int] = {}
@@ -276,7 +267,6 @@ class MixtureDrivenScaler:
             name: config.num_actors for name, config in partition_plan.configs.items()
         }
         self.rescale_events = 0
-        self._last_decision_s: float | None = None
         self._last_observed_s: float | None = None
         self.decision_log: list[ScalingDecision] = []
 
@@ -298,15 +288,6 @@ class MixtureDrivenScaler:
             raise ScalingError(f"unknown source {source!r}")
         self._current_actors[source] = int(actual_actors)
 
-    def _decisions_gated(self, now_s: float | None) -> bool:
-        """Whether the virtual-time rate limit suppresses directives right now."""
-        return (
-            now_s is not None
-            and self._last_decision_s is not None
-            and self.min_decision_interval_s > 0
-            and now_s - self._last_decision_s < self.min_decision_interval_s
-        )
-
     def observe(
         self,
         step: int,
@@ -315,34 +296,31 @@ class MixtureDrivenScaler:
     ) -> ScalingPlan:
         """Consume one interval's moving-average weights; return directives.
 
-        A source whose weight stays above ``scale_up_threshold x`` its fair
+        A source whose weight stays above ``SCALE_UP_THRESHOLD x`` its fair
         share for ``consecutive_intervals`` intervals gains an actor (up to
-        the cap); one persistently below ``scale_down_threshold x`` fair share
-        gives an actor back (down to one).  ``now_s`` is the virtual-clock
-        instant of the observation: when the directive rate limit is active,
-        streaks keep accumulating but directives are held until
-        ``min_decision_interval_s`` simulated seconds passed since the last
-        decision.
+        ``MAX_ACTORS_PER_SOURCE``); one persistently below
+        ``SCALE_DOWN_THRESHOLD x`` fair share gives an actor back (down to
+        one).  ``now_s`` is the virtual-clock instant of the observation; it
+        stamps the decisions it produces.
         """
         if now_s is not None:
             # The virtual clock is monotonic by construction; an observation
             # stamped earlier than one already consumed means the caller is
             # feeding instants out of order, which would silently corrupt the
-            # rate limit and the decision log.
+            # decision log.
             if self._last_observed_s is not None and now_s < self._last_observed_s:
                 raise ScalingError(
                     f"observation clock moved backwards: {now_s} < {self._last_observed_s}"
                 )
             self._last_observed_s = now_s
-        gated = self._decisions_gated(now_s)
         directives: list[LoaderScalingDirective] = []
         for source, config in self.plan.configs.items():
             weight = moving_average_weights.get(source, 0.0)
             fair = self._baseline_weight
-            if weight >= self.scale_up_threshold * fair:
+            if weight >= SCALE_UP_THRESHOLD * fair:
                 self._streaks[source] = self._streaks.get(source, 0) + 1
                 self._down_streaks[source] = 0
-            elif weight <= self.scale_down_threshold * fair:
+            elif weight <= SCALE_DOWN_THRESHOLD * fair:
                 self._down_streaks[source] = self._down_streaks.get(source, 0) + 1
                 self._streaks[source] = 0
             else:
@@ -352,10 +330,8 @@ class MixtureDrivenScaler:
             current = self._current_actors.get(source, config.num_actors)
             if (
                 self._streaks.get(source, 0) >= self.consecutive_intervals
-                and current < self.max_actors_per_source
+                and current < MAX_ACTORS_PER_SOURCE
             ):
-                if gated:
-                    continue  # hold the decision; the streak stays armed
                 self._current_actors[source] = current + 1
                 self._streaks[source] = 0
                 self.rescale_events += 1
@@ -364,12 +340,10 @@ class MixtureDrivenScaler:
                         source=source,
                         target_actors=current + 1,
                         target_workers_per_actor=config.workers_per_actor,
-                        reason=f"weight {weight:.3f} > {self.scale_up_threshold}x fair share",
+                        reason=f"weight {weight:.3f} > {SCALE_UP_THRESHOLD}x fair share",
                     )
                 )
             elif self._down_streaks.get(source, 0) >= self.consecutive_intervals and current > 1:
-                if gated:
-                    continue  # hold the decision; the streak stays armed
                 self._current_actors[source] = current - 1
                 self._down_streaks[source] = 0
                 self.rescale_events += 1
@@ -378,17 +352,11 @@ class MixtureDrivenScaler:
                         source=source,
                         target_actors=current - 1,
                         target_workers_per_actor=config.workers_per_actor,
-                        reason=f"weight {weight:.3f} < {self.scale_down_threshold}x fair share",
+                        reason=f"weight {weight:.3f} < {SCALE_DOWN_THRESHOLD}x fair share",
                     )
                 )
-        if directives:
-            if now_s is not None:
-                # A clock-less observation must not disarm the rate limit.
-                self._last_decision_s = now_s
-            for directive in directives:
-                self.decision_log.append(
-                    ScalingDecision(step=step, at_s=now_s, directive=directive)
-                )
+        for directive in directives:
+            self.decision_log.append(ScalingDecision(step=step, at_s=now_s, directive=directive))
         return ScalingPlan(step=step, directives=directives)
 
     def total_current_actors(self) -> int:

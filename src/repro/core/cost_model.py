@@ -290,18 +290,18 @@ class CostEstimate:
 class EncoderCostModel:
     """Latency/memory cost of encoding one image sample.
 
-    Latency is the encoder forward(+backward) FLOPs at the GPU's achievable
-    throughput; memory is the activation footprint of the patch sequence.
+    Latency is the encoder forward+backward FLOPs at the default GPU's
+    achievable throughput; memory is the activation footprint of the patch
+    sequence.
     """
 
-    def __init__(self, encoder: EncoderConfig, gpu: GpuSpec | None = None, training: bool = True) -> None:
+    def __init__(self, encoder: EncoderConfig) -> None:
         self.encoder = encoder
-        self.gpu = gpu or GpuSpec()
-        self.multiplier = 1.0 + BACKWARD_MULTIPLIER if training else 1.0
+        self.gpu = GpuSpec()
 
     def __call__(self, metadata: SampleMetadata) -> tuple[float, float]:
         flops = encoder_sample_flops(metadata.image_tokens, self.encoder)
-        latency = self.gpu.seconds_for(flops * self.multiplier)
+        latency = self.gpu.seconds_for(flops * (1.0 + BACKWARD_MULTIPLIER))
         memory = (
             metadata.image_tokens * self.encoder.hidden_size * self.gpu.bytes_per_activation
         )
@@ -316,30 +316,20 @@ class BackboneCostModel:
     """Latency/memory cost of one sample's fused sequence in the LLM backbone.
 
     Accounts for the quadratic attention term, the MoE active-expert MLP
-    ratio, the vocabulary projection and the hidden size; divides by the
-    model-parallel sharding factor so the cost reflects per-rank time.
+    ratio, the vocabulary projection and the hidden size, as forward+backward
+    time on the default GPU.
     """
 
-    def __init__(
-        self,
-        backbone: BackboneConfig,
-        gpu: GpuSpec | None = None,
-        model_parallel_shard: int = 1,
-        training: bool = True,
-    ) -> None:
-        if model_parallel_shard < 1:
-            raise ValueError("model_parallel_shard must be >= 1")
+    def __init__(self, backbone: BackboneConfig) -> None:
         self.backbone = backbone
-        self.gpu = gpu or GpuSpec()
-        self.shard = model_parallel_shard
-        self.multiplier = 1.0 + BACKWARD_MULTIPLIER if training else 1.0
+        self.gpu = GpuSpec()
 
     def __call__(self, metadata: SampleMetadata) -> tuple[float, float]:
         tokens = metadata.total_tokens
         flops = packed_backbone_flops([tokens], self.backbone)
         # Vocabulary projection (dense models only; MoE heads are identical).
         flops += 2.0 * tokens * self.backbone.hidden_size * self.backbone.vocab_size
-        latency = self.gpu.seconds_for(flops * self.multiplier / self.shard)
+        latency = self.gpu.seconds_for(flops * (1.0 + BACKWARD_MULTIPLIER))
         memory = tokens * self.backbone.hidden_size * self.gpu.bytes_per_activation
         return latency, float(memory)
 

@@ -19,7 +19,7 @@ from repro.core.plans import ModulePlan
 from repro.errors import BackpressureError, PlanError
 from repro.parallelism.mesh import DeviceMesh
 from repro.transforms.microbatch import collate_columns_with_positions
-from repro.transforms.parallelism import ParallelSlice, RankLayout
+from repro.transforms.parallelism import BYTES_PER_TOKEN, ParallelSlice, RankLayout
 
 
 @dataclass
@@ -78,7 +78,6 @@ class DataConstructor(Actor):
         packing: bool = True,
         broadcast_tp: bool = True,
         broadcast_cp: bool = False,
-        bytes_per_token: int = 4,
         staging_capacity: int = 2,
         enforce_delivery_order: bool = True,
     ) -> None:
@@ -93,7 +92,6 @@ class DataConstructor(Actor):
         self.packing = packing
         self.broadcast_tp = broadcast_tp
         self.broadcast_cp = broadcast_cp
-        self.bytes_per_token = bytes_per_token
         self.staging_capacity = staging_capacity
         self.enforce_delivery_order = enforce_delivery_order
         self.stats = ConstructorStats()
@@ -160,7 +158,7 @@ class DataConstructor(Actor):
             )
             offset += len(chunk)
             collate_seconds += collated.total_tokens() * self.COLLATE_SECONDS_PER_TOKEN
-            full_bytes = collated.total_tokens() * self.bytes_per_token
+            full_bytes = collated.total_tokens() * BYTES_PER_TOKEN
             for piece in self._rank_layout.slices(collated.index, collated.sequence_lengths):
                 deliveries.setdefault(piece.rank, RankDelivery(rank=piece.rank)).slices.append(piece)
                 staged_bytes += piece.payload_bytes
@@ -250,7 +248,7 @@ class DataConstructor(Actor):
         self.mesh = mesh
         self.dp_index = dp_index
         self._rank_layout = RankLayout(
-            mesh, dp_index, self.broadcast_tp, self.broadcast_cp, self.bytes_per_token
+            mesh, dp_index, self.broadcast_tp, self.broadcast_cp
         )
         for step in list(self._pending_deliveries):
             self.release_step(step)

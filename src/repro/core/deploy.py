@@ -37,9 +37,17 @@ from repro.data.synthetic import (
     coyo700m_like_spec,
     navit_like_spec,
 )
+from repro.errors import ConfigurationError
 from repro.parallelism.mesh import DeviceMesh
 from repro.storage.filesystem import SimulatedFileSystem
 from repro.utils.units import GIB
+
+
+def check_mixture_sources(mixture: MixtureSchedule, catalog: SourceCatalog) -> None:
+    """Reject a mixture that names a source the catalog does not hold."""
+    unknown = [name for name in mixture.source_names if name not in catalog]
+    if unknown:
+        raise ConfigurationError(f"mixture names sources outside the catalog: {unknown}")
 
 
 def provision(
@@ -60,6 +68,8 @@ def provision(
     checkpoint_store = scoped_store(job, checkpoint_store)
     if catalog is None:
         catalog = build_catalog(job, filesystem)
+    if job.mixture is not None:
+        check_mixture_sources(job.mixture, catalog)
     mesh = job.device_mesh()
     tree = ClientPlaceTree(mesh)
     if system is not None:

@@ -329,7 +329,6 @@ class DGraph:
     def balance(
         self,
         method: str = "greedy",
-        costfn: CostFnLike | None = None,
         num_microbatches: int | None = None,
         intra_microbatch_reorder: bool = True,
     ) -> "DGraph":
@@ -345,8 +344,6 @@ class DGraph:
         """
         if self._num_buckets is None:
             raise OrchestrationError("call distribute() before balance()")
-        if costfn is not None:
-            self.cost(costfn)
         if self._cost_fn is None:
             self.cost(lambda metadata: float(metadata.total_tokens))
         if num_microbatches is not None:

@@ -41,7 +41,7 @@ from repro.core.checkpoint import CheckpointStore
 from repro.core.cost_model import DataPlaneLatencyProvider
 from repro.core.data_constructor import DataConstructor, RankDelivery
 from repro.core.degradation import DegradationController, ensure_sized_strategy
-from repro.core.deploy import provision, scoped_store
+from repro.core.deploy import check_mixture_sources, provision, scoped_store
 from repro.core.durability import (
     MANIFEST_NAMESPACE,
     RUN_NAMESPACE,
@@ -478,7 +478,11 @@ class MegaScaleData:
         depth-0 run that switched mixtures at the same step.  The default
         keeps the old behaviour: in-flight steps deliver under the old
         mixture and only not-yet-planned steps see the new one.
+
+        A mixture naming a source outside the catalog raises
+        :class:`ConfigurationError` before anything is flushed or installed.
         """
+        check_mixture_sources(mixture, self.catalog)
         if flush_pending:
             self.pipeline.flush()
         planner: Planner = self.planner_handle.instance()
@@ -653,6 +657,8 @@ class MegaScaleData:
         use (placement-gated, deterministic bootstrap replay, drain-mode
         retirement), without involving the scaler's streak logic.
         """
+        if source not in self.catalog:
+            raise ConfigurationError(f"unknown source {source!r}")
         if target_actors < 1:
             raise ConfigurationError("target_actors must be >= 1")
         planner: Planner = self.planner_handle.instance()

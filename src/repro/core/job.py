@@ -127,6 +127,8 @@ class TrainingJobSpec:
     namespace: str = ""
 
     def __post_init__(self) -> None:
+        if self.samples_per_dp_step < 1 or self.num_microbatches < 1:
+            raise ConfigurationError("samples_per_dp_step and num_microbatches must be >= 1")
         if self.samples_per_dp_step < self.num_microbatches:
             raise ConfigurationError(
                 "samples_per_dp_step must be >= num_microbatches so every microbatch is non-empty"

@@ -364,10 +364,8 @@ class LoaderFleet:
             group.workers_per_actor = workers_per_actor
         return ok
 
-    def pending_spawn_count(self, source: str | None = None) -> int:
-        """Queued spawns awaiting capacity (for one source, or in total)."""
-        if source is not None:
-            return self._pending_spawns.get(source, 0)
+    def pending_spawn_count(self) -> int:
+        """Queued spawns awaiting capacity, over all sources."""
         return sum(self._pending_spawns.values())
 
     def retry_pending_spawns(self, step: int, planner, scaler=None) -> int:

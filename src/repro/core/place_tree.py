@@ -1,16 +1,15 @@
 """ClientPlaceTree: a logical, hierarchical model of the trainer device mesh.
 
-The tree's levels follow the parallelism hierarchy (root -> PP -> DP -> CP ->
-TP -> rank leaves).  It lets the orchestration layer answer "how many
-consumers exist along axis X?" and "which ranks can be excluded because a
-trainer-side broadcast covers them?" without exposing device details to the
-user.  The tree is cheap to rebuild,
-so elastic resharding simply constructs a new one from the updated mesh.
+The tree's levels follow the parallelism hierarchy (PP -> DP -> CP -> TP ->
+rank leaves), read off the mesh dimensions rather than stored as nodes.  It
+lets the orchestration layer answer "how many consumers exist along axis X?"
+and "which ranks can be excluded because a trainer-side broadcast covers
+them?" without exposing device details to the user.  The tree is cheap to
+rebuild, so elastic resharding simply constructs a new one from the updated
+mesh.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from repro.errors import OrchestrationError
 from repro.parallelism.mesh import DeviceMesh
@@ -19,51 +18,16 @@ from repro.parallelism.mesh import DeviceMesh
 DISTRIBUTION_AXES = ("PP", "DP", "CP", "TP", "WORLD")
 
 
-@dataclass
-class PlaceTreeNode:
-    """One node of the tree: an axis label, its index, and child nodes."""
-
-    axis: str
-    index: int
-    children: list["PlaceTreeNode"] = field(default_factory=list)
-    ranks: list[int] = field(default_factory=list)
-
-    def leaf_ranks(self) -> list[int]:
-        if not self.children:
-            return list(self.ranks)
-        collected: list[int] = []
-        for child in self.children:
-            collected.extend(child.leaf_ranks())
-        return collected
-
-
 class ClientPlaceTree:
-    """Hierarchical topology of trainer clients, built from a device mesh."""
+    """Hierarchical topology of trainer clients over a device mesh.
 
-    def __init__(self, mesh: DeviceMesh, gpus_per_node: int | None = None) -> None:
+    Consumer counts come from the mesh dimensions; the tree's own state is
+    the set of axes the trainer broadcasts along.
+    """
+
+    def __init__(self, mesh: DeviceMesh) -> None:
         self.mesh = mesh
-        self.gpus_per_node = gpus_per_node or mesh.gpus_per_node
-        self.root = self._build()
         self._broadcast_axes: set[str] = set()
-
-    def _build(self) -> PlaceTreeNode:
-        root = PlaceTreeNode(axis="ROOT", index=0)
-        dims = self.mesh.dims.as_dict()
-        for pp in range(dims["PP"]):
-            pp_node = PlaceTreeNode(axis="PP", index=pp)
-            for dp in range(dims["DP"]):
-                dp_node = PlaceTreeNode(axis="DP", index=dp)
-                for cp in range(dims["CP"]):
-                    cp_node = PlaceTreeNode(axis="CP", index=cp)
-                    for tp in range(dims["TP"]):
-                        ranks = self.mesh.ranks_where(pp=pp, dp=dp, cp=cp, tp=tp)
-                        cp_node.children.append(
-                            PlaceTreeNode(axis="TP", index=tp, ranks=ranks)
-                        )
-                    dp_node.children.append(cp_node)
-                pp_node.children.append(dp_node)
-            root.children.append(pp_node)
-        return root
 
     # -- consumer enumeration ------------------------------------------------------
 

@@ -38,11 +38,10 @@ from dataclasses import dataclass, replace
 
 from repro.actors.runtime import ActorSystem, ClusterSpec
 from repro.actors.scheduler import TenantQuota
-from repro.core.checkpoint import CheckpointStore, InMemoryCheckpointStore
+from repro.core.checkpoint import InMemoryCheckpointStore
 from repro.core.framework import MegaScaleData, TrainingJobSpec
 from repro.core.planner import Planner
 from repro.errors import ConfigurationError
-from repro.storage.filesystem import SimulatedFileSystem
 
 
 @dataclass
@@ -80,30 +79,32 @@ class PreemptionEvent:
 
 
 class TenantManager:
-    """Admit, co-schedule and account many jobs on one shared data plane."""
+    """Admit, co-schedule and account many jobs on one shared data plane.
+
+    The manager builds the shared :class:`ActorSystem` on ``cluster`` with
+    ``backend`` (and, for the wallclock backend, ``time_scale``) and one
+    in-memory checkpoint store every tenant shares.
+    """
 
     def __init__(
         self,
         cluster: ClusterSpec | None = None,
-        system: ActorSystem | None = None,
-        checkpoint_store: CheckpointStore | None = None,
         backend: str = "virtual",
         time_scale: float = 1.0,
         enable_preemption: bool = True,
-        placement_policy: str = "pack",
     ) -> None:
-        #: Shared pools default to ``pack`` placement: consolidating tenant
-        #: base fleets keeps whole-node holes open, which is what lets one
+        #: Shared pools use ``pack`` placement: consolidating tenant base
+        #: fleets keeps whole-node holes open, which is what lets one
         #: tenant's burst borrow capacity a dedicated silo would not have.
-        self.system = system or ActorSystem(
+        self.system = ActorSystem(
             cluster or ClusterSpec(),
             backend=backend,
             time_scale=time_scale,
-            placement_policy=placement_policy,
+            placement_policy="pack",
         )
         #: One durable store shared by every tenant; each deployment sees a
         #: tenant-scoped view, so namespaces stay disjoint.
-        self.checkpoint_store = checkpoint_store or InMemoryCheckpointStore()
+        self.checkpoint_store = InMemoryCheckpointStore()
         self.enable_preemption = enable_preemption
         self.tenants: dict[str, TenantSpec] = {}
         self.deployments: dict[str, MegaScaleData] = {}
@@ -111,7 +112,7 @@ class TenantManager:
 
     # -- admission -------------------------------------------------------------
 
-    def admit(self, spec: TenantSpec, filesystem: SimulatedFileSystem | None = None) -> MegaScaleData:
+    def admit(self, spec: TenantSpec) -> MegaScaleData:
         """Register the tenant's quota and deploy its job on the shared pool.
 
         The job is deployed under ``namespace=<tenant name>``; a
@@ -142,10 +143,7 @@ class TenantManager:
             )
         )
         deployment = MegaScaleData.deploy(
-            job,
-            filesystem=filesystem,
-            checkpoint_store=self.checkpoint_store,
-            system=self.system,
+            job, checkpoint_store=self.checkpoint_store, system=self.system
         )
         self.tenants[spec.name] = spec
         self.deployments[spec.name] = deployment

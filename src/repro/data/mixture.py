@@ -1,4 +1,4 @@
-"""Data mixture schedules: static, staged/curriculum, warm-up and adaptive.
+"""Data mixture schedules: static, staged/curriculum and warm-up.
 
 A :class:`MixtureSchedule` maps a training step to per-source sampling
 weights.  The Planner consults the schedule every step; the AutoScaler
@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable
-
-import numpy as np
 
 from repro.errors import MixtureError
 
@@ -48,8 +46,8 @@ class MixtureSchedule:
     - :meth:`static` — fixed weights for the whole run.
     - :meth:`staged` — curriculum-style phases that switch at given steps.
     - :meth:`warmup` — linearly interpolate from an initial mix to a final mix.
-    - :meth:`adaptive` — weights produced by a callback over training metrics
-      (e.g. per-source loss), re-evaluated every ``refresh_every`` steps.
+
+    Any other policy is a custom ``weight_fn(step)`` passed to the constructor.
     """
 
     def __init__(
@@ -66,7 +64,7 @@ class MixtureSchedule:
         #: Construction recipe set by the serializable classmethod builders
         #: (static/uniform/staged/warmup); lets a durable checkpoint rebuild
         #: the schedule without pickling the weight closure.  ``None`` for
-        #: custom or callback-driven (adaptive) schedules.
+        #: custom schedules.
         self._recipe: tuple | None = None
         # Per-step memo: the Planner evaluates weights_at(step) several times
         # per step (DGraph.mix, the AutoScaler's moving average window), and
@@ -142,40 +140,6 @@ class MixtureSchedule:
         schedule._recipe = ("warmup", dict(initial), dict(final), warmup_steps)
         return schedule
 
-    @classmethod
-    def adaptive(
-        cls,
-        source_names: list[str],
-        metric_fn: Callable[[int], dict[str, float]],
-        temperature: float = 1.0,
-        refresh_every: int = 10,
-    ) -> "MixtureSchedule":
-        """Weights proportional to softmax(metric / temperature), refreshed periodically.
-
-        ``metric_fn(step)`` returns a per-source score (e.g. recent loss); the
-        schedule up-weights high-score sources, the common loss-driven policy
-        cited in Sec. 2.1.
-        """
-        if temperature <= 0:
-            raise MixtureError("temperature must be positive")
-        if refresh_every <= 0:
-            raise MixtureError("refresh_every must be positive")
-        cache: dict[int, dict[str, float]] = {}
-
-        def weight_fn(step: int) -> dict[str, float]:
-            bucket = step - (step % refresh_every)
-            if bucket not in cache:
-                metrics = metric_fn(bucket)
-                scores = np.array([metrics.get(name, 0.0) for name in source_names], dtype=float)
-                scores = scores / temperature
-                scores -= scores.max() if scores.size else 0.0
-                probs = np.exp(scores)
-                probs = probs / probs.sum() if probs.sum() > 0 else np.full(len(source_names), 1.0 / len(source_names))
-                cache[bucket] = {name: float(p) for name, p in zip(source_names, probs)}
-            return cache[bucket]
-
-        return cls(weight_fn, list(source_names), description="adaptive")
-
     # -- checkpointing ---------------------------------------------------------
 
     def descriptor(self) -> dict | None:
@@ -183,8 +147,8 @@ class MixtureSchedule:
 
         Schedules built via :meth:`static` / :meth:`uniform` / :meth:`staged` /
         :meth:`warmup` are pure functions of plain data and round-trip through
-        a durable checkpoint; adaptive and custom schedules close over user
-        callbacks and cannot (callers keep the job-spec schedule instead).
+        a durable checkpoint; custom schedules close over user callbacks and
+        cannot (callers keep the job-spec schedule instead).
         """
         if self._recipe is None:
             return None
@@ -218,7 +182,7 @@ class MixtureSchedule:
 
         Memoized per step (callers receive a fresh copy, so mutating the
         returned dict cannot poison the memo); the memo is cleared once it
-        grows past a small bound to keep long adaptive runs flat in memory.
+        grows past a small bound to keep long runs flat in memory.
         """
         if step < 0:
             raise MixtureError("step must be >= 0")

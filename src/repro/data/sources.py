@@ -74,10 +74,8 @@ class DataSource:
 class SourceCatalog:
     """An ordered collection of :class:`DataSource` objects."""
 
-    def __init__(self, sources: list[DataSource] | None = None) -> None:
+    def __init__(self) -> None:
         self._sources: dict[str, DataSource] = {}
-        for source in sources or []:
-            self.add(source)
 
     def add(self, source: DataSource) -> None:
         if source.name in self._sources:

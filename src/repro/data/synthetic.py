@@ -127,6 +127,9 @@ def navit_like_spec(
     return SyntheticDatasetSpec(group_name="navit_data", sources=tuple(sources), seed=seed)
 
 
+#: Rows per row group of every synthetic columnar file.
+ROWS_PER_GROUP = 512
+
 #: Columnar schema used for all synthetic sources (metadata-only records).
 SAMPLE_SCHEMA = (
     ColumnSchema("sample_id", "int64", 8),
@@ -182,11 +185,7 @@ def generate_samples(
     return records
 
 
-def build_source_catalog(
-    spec: SyntheticDatasetSpec,
-    filesystem: SimulatedFileSystem,
-    rows_per_group: int | None = 512,
-) -> SourceCatalog:
+def build_source_catalog(spec: SyntheticDatasetSpec, filesystem: SimulatedFileSystem) -> SourceCatalog:
     """Materialise a dataset spec into the filesystem and return its catalog.
 
     For every source the records are written to one or more columnar files
@@ -212,7 +211,7 @@ def build_source_catalog(
                 path,
                 chunk,
                 SAMPLE_SCHEMA,
-                rows_per_group=rows_per_group,
+                rows_per_group=ROWS_PER_GROUP,
                 source_name=source_spec.name,
             )
             filesystem.write(path, columnar, size_bytes=columnar.total_bytes(), kind="columnar")

@@ -33,7 +33,7 @@ class MemorySnapshot:
 
 @dataclass
 class MemoryLedger:
-    """Tracks live bytes by category, plus the peak ever observed.
+    """Tracks live bytes by category.
 
     Categories are free-form strings; the conventions used by the package are
     ``"file_state"`` (sockets, footers, schemas), ``"row_group_buffer"``,
@@ -43,7 +43,6 @@ class MemoryLedger:
 
     name: str = "ledger"
     _live: dict[str, int] = field(default_factory=dict)
-    _peak_total: int = 0
     _children: list["MemoryLedger"] = field(default_factory=list)
     #: Sum of ``_live``, kept incrementally so a charge does not re-sum it.
     _own_total: int = 0
@@ -55,7 +54,6 @@ class MemoryLedger:
         n_bytes = int(n_bytes)
         self._live[category] = self._live.get(category, 0) + n_bytes
         self._own_total += n_bytes
-        self._peak_total = max(self._peak_total, self.total_bytes())
 
     def release(self, category: str, n_bytes: int) -> None:
         """Release ``n_bytes`` previously charged under ``category``.
@@ -92,15 +90,6 @@ class MemoryLedger:
     def total_bytes(self) -> int:
         """Live bytes including all adopted children."""
         return self._own_total + sum(child.total_bytes() for child in self._children)
-
-    def peak_bytes(self) -> int:
-        """Peak of this ledger's own live bytes plus children peaks.
-
-        The peak is an upper bound: children peaks may not have coincided in
-        time, which is the conservative convention used for provisioning.
-        """
-        own_peak = self._peak_total
-        return max(own_peak, sum(child.peak_bytes() for child in self._children))
 
     def snapshot(self) -> MemorySnapshot:
         """Return an aggregated category breakdown across children."""

@@ -248,10 +248,9 @@ class OverlapLedger:
         at_s: float,
         source: str,
         actor: str,
-        node: str | None = None,
         detail: str = "",
     ) -> FleetEvent:
-        """Build and append one elasticity event from its fields."""
+        """Build and append one node-less elasticity event from its fields."""
         return self.add_fleet_event(
             FleetEvent(
                 kind=kind,
@@ -259,15 +258,12 @@ class OverlapLedger:
                 at_s=float(at_s),
                 source=source,
                 actor=actor,
-                node=node,
                 detail=detail,
             )
         )
 
-    def fleet_events(self, kind: str | None = None) -> list[FleetEvent]:
-        if kind is None:
-            return list(self._fleet_events)
-        return [event for event in self._fleet_events if event.kind == kind]
+    def fleet_events(self) -> list[FleetEvent]:
+        return list(self._fleet_events)
 
     def elasticity_summary(self) -> dict[str, float]:
         """Per-kind fleet mutation counts plus the net fleet delta."""

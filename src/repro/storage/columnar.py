@@ -13,13 +13,6 @@ from dataclasses import dataclass, field
 
 from repro.errors import CorruptFileError, StorageError
 
-#: Default row-group payload size used by the synthetic dataset writer.  The
-#: paper quotes 512 MB – 1 GB storage units; the simulated default is smaller
-#: so that laptop-scale experiments stay fast, but the footprint accounting is
-#: proportional either way.
-DEFAULT_ROW_GROUP_BYTES = 64 * 1024 * 1024
-
-
 @dataclass(frozen=True)
 class ColumnSchema:
     """Schema of one column (name, logical type, average encoded width)."""
@@ -110,24 +103,17 @@ def write_columnar_file(
     path: str,
     records: list[dict[str, object]],
     schema: list[ColumnSchema] | tuple[ColumnSchema, ...],
-    rows_per_group: int | None = None,
-    row_group_bytes: int = DEFAULT_ROW_GROUP_BYTES,
+    rows_per_group: int,
     source_name: str = "",
 ) -> ColumnarFile:
     """Build a :class:`ColumnarFile` from row-oriented records.
 
-    Parameters
-    ----------
-    rows_per_group:
-        Explicit rows per row group; when omitted it is derived from
-        ``row_group_bytes`` and the average record size from the schema.
+    Records are cut into row groups of ``rows_per_group`` rows each (the last
+    group holds the remainder).
     """
     schema = tuple(schema)
     if not schema:
         raise StorageError("cannot write a columnar file with an empty schema")
-    avg_record_bytes = max(1, sum(column.avg_value_bytes for column in schema))
-    if rows_per_group is None:
-        rows_per_group = max(1, row_group_bytes // avg_record_bytes)
 
     row_groups: list[RowGroup] = []
     for group_index, start in enumerate(range(0, len(records), rows_per_group)):

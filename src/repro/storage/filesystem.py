@@ -11,7 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import FileNotFoundInStorage, StorageError
+from repro.errors import FileNotFoundInStorage
+
+#: Storage nodes every file is replicated across, ``REPLICATION`` at a time.
+STORAGE_NODES = ("dfs-0", "dfs-1", "dfs-2")
+#: Replication factor (the HDFS default).
+REPLICATION = 3
+#: Simulated latency charged per newly opened connection.
+CONNECTION_LATENCY_S = 0.002
+#: Simulated read bandwidth in bytes per second.
+READ_BANDWIDTH_BPS = 2.0e9
 
 
 @dataclass(frozen=True)
@@ -36,35 +45,13 @@ class _Entry:
 class SimulatedFileSystem:
     """A namespace of files replicated over named storage nodes.
 
-    Parameters
-    ----------
-    storage_nodes:
-        Names of the storage nodes; files are replicated round-robin across
-        ``replication`` of them.
-    replication:
-        Replication factor (HDFS defaults to 3).
-    connection_latency_s:
-        Simulated latency charged per newly opened connection.
-    read_bandwidth_bps:
-        Simulated read bandwidth in bytes per second, used by callers to
-        convert payload sizes into transfer durations.
+    Files are replicated round-robin across ``REPLICATION`` of the
+    ``STORAGE_NODES``; each newly opened connection costs
+    ``CONNECTION_LATENCY_S``, and :meth:`transfer_time` converts payload sizes
+    into durations at ``READ_BANDWIDTH_BPS``.
     """
 
-    def __init__(
-        self,
-        storage_nodes: tuple[str, ...] | list[str] = ("dfs-0", "dfs-1", "dfs-2"),
-        replication: int = 3,
-        connection_latency_s: float = 0.002,
-        read_bandwidth_bps: float = 2.0e9,
-    ) -> None:
-        if not storage_nodes:
-            raise StorageError("a filesystem needs at least one storage node")
-        if replication < 1:
-            raise StorageError("replication factor must be >= 1")
-        self.storage_nodes = tuple(storage_nodes)
-        self.replication = min(replication, len(self.storage_nodes))
-        self.connection_latency_s = connection_latency_s
-        self.read_bandwidth_bps = read_bandwidth_bps
+    def __init__(self) -> None:
         self._entries: dict[str, _Entry] = {}
         self._placement_cursor = 0
 
@@ -106,7 +93,7 @@ class SimulatedFileSystem:
         """Open a socket-style connection to ``path``; returns the latency cost."""
         entry = self._entry(path)
         entry.open_connections += 1
-        return self.connection_latency_s
+        return CONNECTION_LATENCY_S
 
     def close_connection(self, path: str) -> None:
         entry = self._entry(path)
@@ -117,16 +104,16 @@ class SimulatedFileSystem:
 
     def transfer_time(self, n_bytes: int) -> float:
         """Seconds needed to stream ``n_bytes`` at the configured bandwidth."""
-        return max(0.0, n_bytes / self.read_bandwidth_bps)
+        return max(0.0, n_bytes / READ_BANDWIDTH_BPS)
 
     # -- internals -------------------------------------------------------------
 
     def _place(self) -> tuple[str, ...]:
         chosen = []
-        for offset in range(self.replication):
-            index = (self._placement_cursor + offset) % len(self.storage_nodes)
-            chosen.append(self.storage_nodes[index])
-        self._placement_cursor = (self._placement_cursor + 1) % len(self.storage_nodes)
+        for offset in range(REPLICATION):
+            index = (self._placement_cursor + offset) % len(STORAGE_NODES)
+            chosen.append(STORAGE_NODES[index])
+        self._placement_cursor = (self._placement_cursor + 1) % len(STORAGE_NODES)
         return tuple(chosen)
 
     def _entry(self, path: str) -> _Entry:

@@ -17,7 +17,6 @@ from repro.training.flops import (
     mlp_flops,
     transformer_layer_flops,
     encoder_sample_flops,
-    backbone_sequence_flops,
     microbatch_flops,
 )
 from repro.training.simulator import (
@@ -42,7 +41,6 @@ __all__ = [
     "mlp_flops",
     "transformer_layer_flops",
     "encoder_sample_flops",
-    "backbone_sequence_flops",
     "microbatch_flops",
     "GpuSpec",
     "IterationResult",

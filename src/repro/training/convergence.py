@@ -10,23 +10,18 @@ figure can be regenerated deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.data.samples import SampleMetadata
 from repro.utils.rng import derive_rng
 
 
-@dataclass(frozen=True)
-class ConvergenceConfig:
-    """Parameters of the synthetic loss model."""
-
-    initial_loss: float = 12.0
-    floor_loss: float = 1.8
-    tokens_to_halve: float = 5.0e6
-    sample_noise_scale: float = 0.08
-    cp_numerical_noise: float = 0.02
+# Parameters of the synthetic loss model.
+INITIAL_LOSS = 12.0
+FLOOR_LOSS = 1.8
+TOKENS_TO_HALVE = 5.0e6
+SAMPLE_NOISE_SCALE = 0.08
+CP_NUMERICAL_NOISE = 0.02
 
 
 class ConvergenceSimulator:
@@ -40,13 +35,7 @@ class ConvergenceSimulator:
     modified reduction order of distributed GEMMs.
     """
 
-    def __init__(
-        self,
-        config: ConvergenceConfig | None = None,
-        context_parallel: bool = False,
-        seed: int = 0,
-    ) -> None:
-        self.config = config or ConvergenceConfig()
+    def __init__(self, context_parallel: bool = False, seed: int = 0) -> None:
         self.context_parallel = context_parallel
         self._seed = seed
         self._cumulative_tokens = 0.0
@@ -55,9 +44,8 @@ class ConvergenceSimulator:
 
     def expected_loss(self, cumulative_tokens: float) -> float:
         """Smooth loss trajectory as a function of tokens consumed."""
-        cfg = self.config
-        halvings = cumulative_tokens / cfg.tokens_to_halve
-        return cfg.floor_loss + (cfg.initial_loss - cfg.floor_loss) * 0.5**halvings
+        halvings = cumulative_tokens / TOKENS_TO_HALVE
+        return FLOOR_LOSS + (INITIAL_LOSS - FLOOR_LOSS) * 0.5**halvings
 
     def step(self, batch: list[SampleMetadata]) -> float:
         """Consume one global batch and return the observed (reduced) loss."""
@@ -76,12 +64,12 @@ class ConvergenceSimulator:
             hardness = 0.0
         content_key = sum(sample.sample_id for sample in batch) % (2**31)
         rng = derive_rng(self._seed, "content", content_key)
-        content_noise = self.config.sample_noise_scale * float(rng.normal())
+        content_noise = SAMPLE_NOISE_SCALE * float(rng.normal())
 
         cp_noise = 0.0
         if self.context_parallel:
             cp_rng = derive_rng(self._seed, "cp", self._step)
-            cp_noise = self.config.cp_numerical_noise * float(cp_rng.normal())
+            cp_noise = CP_NUMERICAL_NOISE * float(cp_rng.normal())
 
         loss = base + 0.3 * hardness + content_noise + cp_noise
         self._losses.append(loss)

@@ -44,10 +44,9 @@ def transformer_layer_flops(seq_len: int, hidden_size: int, mlp_ratio: float) ->
     return attention_flops(seq_len, hidden_size) + mlp_flops(seq_len, hidden_size, mlp_ratio)
 
 
-def model_flops(seq_len: int, config: ModelConfig, mlp_ratio: float | None = None) -> float:
+def model_flops(seq_len: int, config: ModelConfig) -> float:
     """Forward FLOPs of a full model over one sequence of ``seq_len`` tokens."""
-    ratio = config.mlp_ratio if mlp_ratio is None else mlp_ratio
-    return config.num_layers * transformer_layer_flops(seq_len, config.hidden_size, ratio)
+    return config.num_layers * transformer_layer_flops(seq_len, config.hidden_size, config.mlp_ratio)
 
 
 def encoder_sample_flops(image_tokens: int, encoder: EncoderConfig) -> float:
@@ -58,12 +57,6 @@ def encoder_sample_flops(image_tokens: int, encoder: EncoderConfig) -> float:
     quadratic interaction.
     """
     return model_flops(image_tokens, encoder)
-
-
-def backbone_sequence_flops(sequence_tokens: int, backbone: BackboneConfig) -> float:
-    """Backbone forward FLOPs for one fused sequence of ``sequence_tokens``."""
-    ratio = backbone.active_mlp_ratio()
-    return model_flops(sequence_tokens, backbone, mlp_ratio=ratio)
 
 
 def packed_backbone_flops(segment_lengths: Iterable[int], backbone: BackboneConfig) -> float:
@@ -91,12 +84,11 @@ def microbatch_flops(
     samples: list[SampleMetadata],
     encoder: EncoderConfig | None,
     backbone: BackboneConfig,
-    packed: bool = True,
 ) -> dict[str, float]:
     """Encoder and backbone FLOPs of one microbatch of samples.
 
     Returns a dict with ``encoder_flops`` (sum over images) and
-    ``backbone_flops`` (packed fused sequences when ``packed``).
+    ``backbone_flops`` (the fused sequences packed into one).
     """
     encoder_total = 0.0
     if encoder is not None:
@@ -105,14 +97,7 @@ def microbatch_flops(
             for sample in samples
             if sample.image_tokens > 0
         )
-    if packed:
-        backbone_total = packed_backbone_flops(
-            [sample.total_tokens for sample in samples], backbone
-        )
-    else:
-        backbone_total = sum(
-            backbone_sequence_flops(sample.total_tokens, backbone) for sample in samples
-        )
+    backbone_total = packed_backbone_flops([sample.total_tokens for sample in samples], backbone)
     return {"encoder_flops": encoder_total, "backbone_flops": backbone_total}
 
 

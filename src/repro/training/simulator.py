@@ -92,8 +92,6 @@ class TrainingSimulator:
         model: VLMConfig | BackboneConfig,
         mesh: DeviceMesh,
         gpu: GpuSpec | None = None,
-        interconnect: InterconnectSpec | None = None,
-        encoder_mesh: DeviceMesh | None = None,
     ) -> None:
         if isinstance(model, VLMConfig):
             self.encoder: EncoderConfig | None = model.encoder
@@ -102,9 +100,8 @@ class TrainingSimulator:
             self.encoder = None
             self.backbone = model
         self.mesh = mesh
-        self.encoder_mesh = encoder_mesh
         self.gpu = gpu or GpuSpec()
-        self.interconnect = interconnect or InterconnectSpec()
+        self.interconnect = InterconnectSpec()
 
     # -- public API --------------------------------------------------------------
 

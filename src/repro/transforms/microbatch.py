@@ -162,14 +162,14 @@ class PackingCollator:
 
     Packing merges fragmented subsequences into complete sequences with
     segment boundaries so that attention can be masked per segment, minimising
-    padding waste relative to one-sample-per-sequence padding.
+    padding waste relative to one-sample-per-sequence padding.  A sample longer
+    than ``max_sequence_length`` is truncated to it.
     """
 
-    def __init__(self, max_sequence_length: int, allow_overflow: bool = True) -> None:
+    def __init__(self, max_sequence_length: int) -> None:
         if max_sequence_length <= 0:
             raise TransformError("max_sequence_length must be positive")
         self.max_sequence_length = max_sequence_length
-        self.allow_overflow = allow_overflow
 
     def collate(self, microbatch: Microbatch) -> CollatedMicrobatch:
         sequences: list[PackedSequence] = []
@@ -178,11 +178,6 @@ class PackingCollator:
         for sample in microbatch.samples:
             length = sample.total_tokens
             if length > self.max_sequence_length:
-                if not self.allow_overflow:
-                    raise TransformError(
-                        f"sample {sample.sample_id} has {length} tokens, exceeding the "
-                        f"{self.max_sequence_length}-token sequence limit"
-                    )
                 length = self.max_sequence_length
             total_tokens += length
             placed = False
@@ -251,14 +246,12 @@ class PaddingCollator:
         )
 
 
-def apply_rope_positions(collated: CollatedMicrobatch, theta: float = 10000.0) -> CollatedMicrobatch:
+def apply_rope_positions(collated: CollatedMicrobatch) -> CollatedMicrobatch:
     """Attach rotary position ids (restarting at each packed segment boundary).
 
-    The ``theta`` base is recorded so downstream consumers can reconstruct the
-    rotation frequencies; only the integer position ids are materialised here.
+    Only the integer position ids are materialised; the rotation frequencies
+    are the trainer's.
     """
-    if theta <= 0:
-        raise TransformError("RoPE theta must be positive")
     position_rows = []
     for sequence in collated.sequences:
         positions = np.empty(sequence.tokens, dtype=np.int32)
@@ -297,8 +290,7 @@ def first_fit_bin_indices(lengths: np.ndarray, capacity: int) -> np.ndarray:
     a max tournament tree over open-bin residuals (a heap-shaped segment
     tree), so a microbatch packs in O(samples · log bins) instead of the
     linear scan's O(samples · bins).  Over-capacity samples are clipped to
-    ``capacity``, :class:`PackingCollator`'s default overflow rule; rejecting
-    them instead is :func:`collate_columns_with_positions`' ``allow_overflow``.
+    ``capacity``, :class:`PackingCollator`'s overflow rule.
     """
     if capacity <= 0:
         raise TransformError("max_sequence_length must be positive")
@@ -422,7 +414,6 @@ def collate_columns_with_positions(
     lengths: np.ndarray,
     max_sequence_length: int,
     packing: bool = True,
-    allow_overflow: bool = True,
 ) -> CollatedMicrobatch:
     """Collate a microbatch straight from its token-length array.
 
@@ -435,12 +426,6 @@ def collate_columns_with_positions(
     ids, position ids).
     """
     lengths = np.asarray(lengths, dtype=np.int64)
-    if not allow_overflow and len(lengths) and int(lengths.max()) > max_sequence_length:
-        worst = int(np.argmax(lengths > max_sequence_length))
-        raise TransformError(
-            f"sample {sample_ids[worst]} has {int(lengths[worst])} tokens, exceeding "
-            f"the {max_sequence_length}-token sequence limit"
-        )
     target = max_sequence_length
     if not packing and len(lengths):
         target = min(max(int(lengths.max()), 1), target)

@@ -17,6 +17,9 @@ from repro.errors import TransformError
 from repro.parallelism.mesh import DeviceMesh
 from repro.transforms.microbatch import CollatedMicrobatch
 
+#: Bytes of one delivered token id.
+BYTES_PER_TOKEN = 4
+
 
 @dataclass(frozen=True)
 class ParallelSlice:
@@ -46,7 +49,7 @@ def _cp_token_counts(lengths: np.ndarray, cp_size: int) -> list[int]:
 
 
 def context_parallel_slices(
-    collated: CollatedMicrobatch, cp_size: int, bytes_per_token: int = 4
+    collated: CollatedMicrobatch, cp_size: int
 ) -> list[dict[str, object]]:
     """Slice every sequence of a collated microbatch into ``cp_size`` chunks.
 
@@ -62,7 +65,7 @@ def context_parallel_slices(
             {
                 "cp_rank": cp_rank,
                 "token_count": tokens,
-                "payload_bytes": tokens * bytes_per_token,
+                "payload_bytes": tokens * BYTES_PER_TOKEN,
             }
             for cp_rank, tokens in enumerate(_cp_token_counts(lengths, cp_size))
         ]
@@ -77,14 +80,14 @@ def context_parallel_slices(
             {
                 "cp_rank": cp_rank,
                 "token_count": tokens,
-                "payload_bytes": tokens * bytes_per_token,
+                "payload_bytes": tokens * BYTES_PER_TOKEN,
             }
         )
     return slices
 
 
 def tensor_parallel_replicas(
-    token_count: int, tp_size: int, broadcast: bool, bytes_per_token: int = 4
+    token_count: int, tp_size: int, broadcast: bool
 ) -> list[dict[str, object]]:
     """Describe what each TP rank receives.
 
@@ -101,7 +104,7 @@ def tensor_parallel_replicas(
             {
                 "tp_rank": tp_rank,
                 "token_count": token_count if fetches else 0,
-                "payload_bytes": token_count * bytes_per_token if fetches else 0,
+                "payload_bytes": token_count * BYTES_PER_TOKEN if fetches else 0,
                 "via_broadcast": (not fetches),
             }
         )
@@ -109,7 +112,7 @@ def tensor_parallel_replicas(
 
 
 def pipeline_stage_view(
-    collated: CollatedMicrobatch, pp_rank: int, pp_size: int, bytes_per_token: int = 4
+    collated: CollatedMicrobatch, pp_rank: int, pp_size: int
 ) -> dict[str, object]:
     """What a PP stage needs from a microbatch.
 
@@ -126,12 +129,12 @@ def pipeline_stage_view(
             "pp_rank": pp_rank,
             "needs_payload": True,
             "token_count": tokens,
-            "payload_bytes": tokens * bytes_per_token,
+            "payload_bytes": tokens * BYTES_PER_TOKEN,
             "metadata_bytes": 64 * len(collated.sequences),
         }
     needs_labels = pp_rank == pp_size - 1
     metadata_bytes = 64 * len(collated.sequences)
-    label_bytes = tokens * bytes_per_token if needs_labels else 0
+    label_bytes = tokens * BYTES_PER_TOKEN if needs_labels else 0
     return {
         "pp_rank": pp_rank,
         "needs_payload": needs_labels,
@@ -147,7 +150,6 @@ def build_rank_slices(
     dp_index: int,
     broadcast_tp: bool = True,
     broadcast_cp: bool = False,
-    bytes_per_token: int = 4,
 ) -> list[ParallelSlice]:
     """Expand one collated microbatch into per-rank delivery slices.
 
@@ -160,10 +162,10 @@ def build_rank_slices(
     cp_size = mesh.size("CP")
     tp_size = mesh.size("TP")
     pp_size = mesh.size("PP")
-    cp_slices = context_parallel_slices(collated, cp_size, bytes_per_token)
+    cp_slices = context_parallel_slices(collated, cp_size)
     for rank in mesh.ranks_where(dp=dp_index):
         coord = mesh.coordinate(rank)
-        stage = pipeline_stage_view(collated, coord.pp, pp_size, bytes_per_token)
+        stage = pipeline_stage_view(collated, coord.pp, pp_size)
         if not stage["needs_payload"]:
             slices.append(
                 ParallelSlice(
@@ -179,7 +181,7 @@ def build_rank_slices(
         token_count = int(cp_share["token_count"])
         if broadcast_cp and coord.cp > 0:
             token_count = 0
-        tp_replicas = tensor_parallel_replicas(token_count, tp_size, broadcast_tp, bytes_per_token)
+        tp_replicas = tensor_parallel_replicas(token_count, tp_size, broadcast_tp)
         tp_share = tp_replicas[coord.tp]
         slices.append(
             ParallelSlice(
@@ -213,10 +215,8 @@ class RankLayout:
         dp_index: int,
         broadcast_tp: bool = True,
         broadcast_cp: bool = False,
-        bytes_per_token: int = 4,
     ) -> None:
         self.cp_size = mesh.size("CP")
-        self.bytes_per_token = bytes_per_token
         payload_stages = (0, mesh.size("PP") - 1)
         tp_heads: dict[tuple[int, int], int] = {}
         #: Per rank: (rank, slice_info, CP index whose share it fetches or
@@ -247,7 +247,7 @@ class RankLayout:
                     rank=rank,
                     microbatch_index=microbatch_index,
                     token_count=tokens,
-                    payload_bytes=tokens * self.bytes_per_token + metadata_bytes,
+                    payload_bytes=tokens * BYTES_PER_TOKEN + metadata_bytes,
                     metadata_only=tokens == 0,
                     replicated_from=source,
                     slice_info=dict(slice_info),

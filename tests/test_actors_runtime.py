@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.actors.actor import Actor, ActorState
-from repro.actors.gcs import GlobalControlStore
+from repro.actors.gcs import _MAX_NESTING, GlobalControlStore, _is_deeply_immutable
 from repro.actors.node import Node, NodeKind, ResourceSpec
 from repro.actors.runtime import ActorSystem, ClusterSpec
 from repro.actors.scheduler import PlacementRequest, PlacementScheduler, TenantQuota
@@ -113,6 +113,20 @@ class TestGcs:
     def test_missing_key_default(self):
         assert GlobalControlStore().get("missing", 42) == 42
 
+    def test_take_removes_the_key(self):
+        gcs = GlobalControlStore()
+        gcs.put("k", (1, 2))
+        assert gcs.take("k") == (1, 2)
+        assert gcs.keys() == []
+        assert gcs.take("k") is None
+
+    def test_immutability_check_stops_at_the_nesting_limit(self):
+        nested = 1
+        for _ in range(_MAX_NESTING):
+            nested = (nested,)
+        assert _is_deeply_immutable(nested, _MAX_NESTING)
+        assert not _is_deeply_immutable((nested,), _MAX_NESTING)
+
     def test_keys_prefix(self):
         gcs = GlobalControlStore()
         gcs.put("plan/1", 1)
@@ -182,11 +196,6 @@ class TestScheduler:
             scheduler.place(
                 PlacementRequest("b", 2, GIB, prefer=NodeKind.ACCELERATOR, allow_spill=False)
             )
-
-    def test_duplicate_node_rejected(self):
-        scheduler = self.make_scheduler()
-        with pytest.raises(SchedulingError):
-            scheduler.add_node(Node("cpu-0", NodeKind.CPU, ResourceSpec(1, 1)))
 
     def test_needs_at_least_one_node(self):
         with pytest.raises(SchedulingError):

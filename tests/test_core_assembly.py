@@ -24,12 +24,11 @@ from repro.core.framework import MANIFEST_NAMESPACE, MegaScaleData, TrainingJobS
 from repro.core.plans import MicrobatchAssignment, ModulePlan
 from repro.core.source_loader import SourceLoader
 from repro.data.samples import Modality, SampleMetadata
-from repro.errors import PlanError, TransformError
+from repro.errors import PlanError
 from repro.parallelism.mesh import DeviceMesh
 from repro.transforms import microbatch
 from repro.transforms.microbatch import (
     Microbatch,
-    PackingCollator,
     _positions_from_blocks,
     collate_columns_with_positions,
     collate_with_positions,
@@ -252,24 +251,19 @@ class TestCollationEquivalence:
             columnar,
         )
 
+    def test_columnar_collation_clips_oversized_sample_like_reference(self):
+        metas = [meta(9, 100), meta(10, 20)]
+        columnar = collate_columns_with_positions(0, [9, 10], np.array([100, 20]), 64)
+        assert columnar.total_tokens() == 84
+        assert_collated_equal(
+            collate_with_positions(Microbatch(index=0, samples=metas), 64), columnar
+        )
+
     def test_first_fit_clips_and_has_no_overflow_flag(self):
-        # The flag was accepted and ignored; strict rejection is
-        # collate_columns_with_positions' (next test).
+        # The flag was accepted and ignored; over-capacity samples are clipped.
         assert first_fit_bin_indices(np.array([100, 10]), 64).tolist() == [0, 1]
         with pytest.raises(TypeError):
             first_fit_bin_indices(np.array([100]), 64, allow_overflow=False)
-
-    def test_columnar_strict_overflow_matches_legacy_error(self):
-        metas = [meta(9, 100)]
-        with pytest.raises(TransformError) as legacy_err:
-            PackingCollator(64, allow_overflow=False).collate(
-                Microbatch(index=0, samples=metas)
-            )
-        with pytest.raises(TransformError) as columnar_err:
-            collate_columns_with_positions(
-                0, [9], np.array([100]), 64, packing=True, allow_overflow=False
-            )
-        assert str(legacy_err.value) == str(columnar_err.value)
 
 
 # -- loader staging ---------------------------------------------------------------------

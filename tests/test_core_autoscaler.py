@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.autoscaler import (
+    MAX_ACTORS_PER_SOURCE,
+    MAX_WORKERS_PER_ACTOR,
+    PER_SOURCE_STATE_BYTES,
+    SCALE_DOWN_THRESHOLD,
+    SCALE_UP_THRESHOLD,
     MixtureDrivenScaler,
     PartitionPlan,
     ResourceBudget,
@@ -60,11 +67,11 @@ class TestSourceAutoPartitioner:
         assert cheap.total_workers == 1
 
     def test_worker_caps_respected(self):
-        partitioner = SourceAutoPartitioner(max_workers_per_source=4, max_workers_per_actor=2)
+        partitioner = SourceAutoPartitioner(max_workers_per_source=4)
         plan = partitioner.partition(heterogeneous_catalog(), BUDGET)
         for config in plan.configs.values():
             assert config.total_workers <= 4
-            assert config.workers_per_actor <= 2
+            assert config.workers_per_actor <= MAX_WORKERS_PER_ACTOR
 
     def test_cluster_count_bounded_by_sources(self):
         partitioner = SourceAutoPartitioner(num_clusters=50)
@@ -96,6 +103,14 @@ class TestSourceAutoPartitioner:
         bad = ResourceBudget(cpu_cores=6.0, memory_bytes=GIB, constructor_cores=4.0, planner_cores=4.0)
         with pytest.raises(ScalingError):
             bad.loader_cores()
+
+    def test_workers_split_over_actors_of_bounded_size(self):
+        plan = SourceAutoPartitioner().partition(heterogeneous_catalog(), BUDGET)
+        for config in plan.configs.values():
+            assert config.workers_per_actor <= MAX_WORKERS_PER_ACTOR
+            assert config.num_actors == math.ceil(config.total_workers / MAX_WORKERS_PER_ACTOR)
+            assert config.estimated_memory_bytes >= PER_SOURCE_STATE_BYTES * config.num_actors
+        assert max(config.num_actors for config in plan.configs.values()) > 1
 
     def test_partition_real_synthetic_catalog(self, small_catalog):
         plan = SourceAutoPartitioner().partition(small_catalog, BUDGET)
@@ -145,13 +160,31 @@ class TestMixtureDrivenScaler:
         assert any(d.source == "a" and d.target_actors == 1 for d in directives)
         assert scaler.current_actors("a") == 1
 
-    def test_actor_cap_respected(self):
-        scaler = MixtureDrivenScaler(
-            self.make_plan(), consecutive_intervals=1, max_actors_per_source=2
-        )
-        for step in range(10):
-            scaler.observe(step, {"a": 0.9, "b": 0.05, "c": 0.05})
+    def test_thresholds_are_inclusive(self):
+        scaler = MixtureDrivenScaler(self.make_plan(("a", "b")), consecutive_intervals=1)
+        fair = 0.5
+        up = SCALE_UP_THRESHOLD * fair
+        down = SCALE_DOWN_THRESHOLD * fair
+        assert [d.source for d in scaler.observe(0, {"a": up, "b": 1 - up}).directives] == ["a"]
         assert scaler.current_actors("a") == 2
+        directives = scaler.observe(1, {"a": down, "b": 1 - down}).directives
+        assert [(d.source, d.target_actors) for d in directives] == [("a", 1), ("b", 2)]
+
+    def test_back_to_back_observations_each_fire(self):
+        """No rate limit: a streak completed on every observation fires on
+        every observation, however close their virtual instants."""
+        scaler = MixtureDrivenScaler(self.make_plan(), consecutive_intervals=1)
+        hot = {"a": 0.8, "b": 0.1, "c": 0.1}
+        for step, now_s in enumerate((0.0, 0.0, 1e-9)):
+            assert scaler.observe(step, hot, now_s=now_s).directives
+        assert [decision.at_s for decision in scaler.decision_log] == [0.0, 0.0, 1e-9]
+        assert scaler.current_actors("a") == 4
+
+    def test_actor_cap_respected(self):
+        scaler = MixtureDrivenScaler(self.make_plan(), consecutive_intervals=1)
+        for step in range(2 * MAX_ACTORS_PER_SOURCE):
+            scaler.observe(step, {"a": 0.9, "b": 0.05, "c": 0.05})
+        assert scaler.current_actors("a") == MAX_ACTORS_PER_SOURCE
 
     def test_never_scales_below_one(self):
         scaler = MixtureDrivenScaler(self.make_plan(), consecutive_intervals=1)
@@ -184,40 +217,9 @@ class TestMixtureDrivenScaler:
         assert decision.at_s == 2.0
         assert decision.step == 1
 
-    def test_virtual_time_rate_limit_holds_decisions(self):
-        scaler = MixtureDrivenScaler(
-            self.make_plan(), consecutive_intervals=1, min_decision_interval_s=10.0
-        )
-        hot = {"a": 0.8, "b": 0.1, "c": 0.1}
-        assert scaler.observe(0, hot, now_s=0.0).directives  # first fires
-        # Within the interval: held, but the streak stays armed.
-        assert not scaler.observe(1, hot, now_s=3.0).directives
-        assert scaler.current_actors("a") == 2
-        # Past the interval: the armed streak fires immediately.
-        assert scaler.observe(2, hot, now_s=11.0).directives
-        assert scaler.current_actors("a") == 3
-
-    def test_invalid_decision_interval(self):
-        with pytest.raises(ScalingError):
-            MixtureDrivenScaler(self.make_plan(), min_decision_interval_s=-1.0)
-
-    def test_decision_exactly_at_min_interval_fires(self):
-        """The rate limit is a half-open window: an observation landing at
-        exactly ``last + min_decision_interval_s`` is *not* gated."""
-        scaler = MixtureDrivenScaler(
-            self.make_plan(), consecutive_intervals=1, min_decision_interval_s=10.0
-        )
-        hot = {"a": 0.8, "b": 0.1, "c": 0.1}
-        assert scaler.observe(0, hot, now_s=0.0).directives
-        # Strictly inside the window: held.
-        assert not scaler.observe(1, hot, now_s=10.0 - 1e-9).directives
-        # Exactly at the boundary: fires.
-        assert scaler.observe(2, hot, now_s=10.0).directives
-        assert scaler.current_actors("a") == 3
-
     def test_now_s_regression_rejected(self):
         """The virtual clock never moves backwards; feeding a stale instant
-        must fail loudly instead of silently corrupting the rate limit."""
+        must fail loudly instead of silently corrupting the decision log."""
         scaler = MixtureDrivenScaler(self.make_plan(), consecutive_intervals=1)
         hot = {"a": 0.8, "b": 0.1, "c": 0.1}
         scaler.observe(0, hot, now_s=5.0)
@@ -270,17 +272,6 @@ class TestMixtureDrivenScaler:
             scaler.reconcile_actors("a", 0)
         with pytest.raises(ScalingError):
             scaler.reconcile_actors("zzz", 1)
-
-    def test_clockless_observation_does_not_disarm_rate_limit(self):
-        scaler = MixtureDrivenScaler(
-            self.make_plan(), consecutive_intervals=1, min_decision_interval_s=10.0
-        )
-        hot = {"a": 0.8, "b": 0.1, "c": 0.1}
-        assert scaler.observe(0, hot, now_s=0.0).directives
-        # A clock-less observation may fire but keeps the last timestamp...
-        assert scaler.observe(1, hot).directives
-        # ...so a clocked observation inside the interval is still held.
-        assert not scaler.observe(2, hot, now_s=3.0).directives
 
 
 class TestAutoScalerUnderPipelinedRuns:

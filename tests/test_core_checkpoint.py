@@ -325,7 +325,7 @@ class TestReservationQueue:
             system.fleet.apply_scaling(plan, step=1, planner=planner)
             assert system.fleet.member_count(source) == before
             assert system.fleet.rejection_count() >= 1
-            assert system.fleet.pending_spawn_count(source) == 1
+            assert system.fleet.pending_spawn_count() == 1
             # Still no capacity: the retry is a quiet probe, not a new reject.
             rejects_before = system.fleet.rejection_count()
             assert system.fleet.retry_pending_spawns(2, planner) == 0
@@ -364,9 +364,9 @@ class TestReservationQueue:
                 step=0,
                 planner=planner,
             )
-            assert system.fleet.pending_spawn_count(source) == 1
+            assert system.fleet.pending_spawn_count() == 1
             system.run_step()  # saturated: queue survives the boundary
-            assert system.fleet.pending_spawn_count(source) == 1
+            assert system.fleet.pending_spawn_count() == 1
             for node in system.system.nodes:
                 node.release("filler", filler[node.name], 0)
             system.run_step()  # freed: boundary fires the queued spawn

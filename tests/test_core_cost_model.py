@@ -12,7 +12,8 @@ from repro.core.cost_model import (
     token_count_cost,
 )
 from repro.training.models import llama_12b, mixtral_8x7b, vit_1b, vit_2b
-from repro.training.simulator import GpuSpec
+from repro.training.flops import encoder_sample_flops, packed_backbone_flops
+from repro.training.simulator import BACKWARD_MULTIPLIER, GpuSpec
 
 
 class TestEncoderCostModel:
@@ -30,11 +31,11 @@ class TestEncoderCostModel:
         estimate = EncoderCostModel(vit_1b()).cost(sample_factory(0, image_tokens=128))
         assert estimate.memory > 0
 
-    def test_inference_cheaper_than_training(self, sample_factory):
+    def test_latency_is_forward_plus_backward_flops(self, sample_factory):
         metadata = sample_factory(0, image_tokens=1024)
-        train, _ = EncoderCostModel(vit_1b(), training=True)(metadata)
-        infer, _ = EncoderCostModel(vit_1b(), training=False)(metadata)
-        assert infer < train
+        latency, _ = EncoderCostModel(vit_1b())(metadata)
+        flops = encoder_sample_flops(1024, vit_1b()) * (1.0 + BACKWARD_MULTIPLIER)
+        assert latency == GpuSpec().seconds_for(flops)
 
 
 class TestBackboneCostModel:
@@ -42,15 +43,12 @@ class TestBackboneCostModel:
         model = BackboneCostModel(llama_12b())
         assert model(sample_factory(0, text_tokens=4096))[0] > model(sample_factory(1, text_tokens=512))[0]
 
-    def test_model_parallel_shard_divides_latency(self, sample_factory):
-        metadata = sample_factory(0, text_tokens=2048)
-        full, _ = BackboneCostModel(llama_12b(), model_parallel_shard=1)(metadata)
-        sharded, _ = BackboneCostModel(llama_12b(), model_parallel_shard=8)(metadata)
-        assert sharded == pytest.approx(full / 8)
-
-    def test_invalid_shard(self):
-        with pytest.raises(ValueError):
-            BackboneCostModel(llama_12b(), model_parallel_shard=0)
+    def test_latency_is_forward_plus_backward_flops(self, sample_factory):
+        backbone = llama_12b()
+        latency, _ = BackboneCostModel(backbone)(sample_factory(0, text_tokens=1024))
+        flops = packed_backbone_flops([1024], backbone)
+        flops += 2.0 * 1024 * backbone.hidden_size * backbone.vocab_size
+        assert latency == GpuSpec().seconds_for(flops * (1.0 + BACKWARD_MULTIPLIER))
 
     def test_moe_backbone_supported(self, sample_factory):
         load, memory = BackboneCostModel(mixtral_8x7b())(sample_factory(0, text_tokens=1024))
@@ -68,12 +66,6 @@ class TestSimpleCostFns:
     def test_image_token_cost_ignores_text(self, sample_factory):
         load, _ = image_token_cost(sample_factory(0, text_tokens=100, image_tokens=4))
         assert load == 16.0
-
-    def test_gpu_spec_affects_latency(self, sample_factory):
-        metadata = sample_factory(0, text_tokens=1024)
-        fast = BackboneCostModel(llama_12b(), gpu=GpuSpec(peak_flops=1e15))(metadata)[0]
-        slow = BackboneCostModel(llama_12b(), gpu=GpuSpec(peak_flops=1e13))(metadata)[0]
-        assert slow > fast
 
 
 class TestCapacitySplitLaneModel:

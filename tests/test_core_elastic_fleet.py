@@ -233,7 +233,7 @@ class TestFleetMechanics:
             )
             for source in scaler.plan.configs:
                 assert scaler.current_actors(source) == system.fleet.member_count(source)
-            rejects = system.overlap.fleet_events("reject")
+            rejects = [e for e in system.overlap.fleet_events() if e.kind == "reject"]
             assert rejects and rejects[0].source == "navit_data/src000"
         finally:
             system.shutdown()

@@ -12,7 +12,7 @@ from repro.core.fault_tolerance import FaultToleranceManager
 from repro.core.framework import MegaScaleData, TrainingJobSpec
 from repro.core.resharding import ReshardNotification
 from repro.core.tenancy import TenantManager
-from repro.data.mixture import MixtureSchedule
+from repro.data.mixture import MixturePhase, MixtureSchedule
 from repro.errors import ConfigurationError
 from repro.metrics.memory import MemoryLedger
 from repro.metrics.timeline import Timeline
@@ -59,6 +59,18 @@ class TestTrainingJobSpec:
     def test_invalid_batching(self):
         with pytest.raises(ConfigurationError):
             TrainingJobSpec(samples_per_dp_step=2, num_microbatches=4)
+
+    @pytest.mark.parametrize(
+        "batching",
+        [
+            {"samples_per_dp_step": 0, "num_microbatches": 0},
+            {"samples_per_dp_step": 4, "num_microbatches": 0},
+        ],
+        ids=["empty-step", "no-microbatches"],
+    )
+    def test_empty_step_rejected(self, batching):
+        with pytest.raises(ConfigurationError, match=">= 1"):
+            TrainingJobSpec(**batching)
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -359,6 +371,55 @@ class TestShutdownAndMixture:
             assert new_weights[names[0]] == pytest.approx(0.9)
         finally:
             system.shutdown()
+
+
+class TestUnknownSourceNames:
+    """A source name outside the catalog is a configuration error, not a
+    silent no-op or a renormalized-away weight."""
+
+    def make_job(self, **overrides) -> TrainingJobSpec:
+        return TrainingJobSpec(
+            pp=1, dp=2, cp=1, tp=1, encoder=None, strategy="backbone_balance",
+            samples_per_dp_step=4, num_microbatches=2, num_sources=3,
+            samples_per_source=32, prefetch_depth=2, **overrides,
+        )
+
+    def test_scale_source_rejects_unknown_source(self):
+        system = MegaScaleData.deploy(self.make_job())
+        try:
+            members = system.fleet.total_members()
+            with pytest.raises(ConfigurationError, match="no-such-source"):
+                system.scale_source("no-such-source", 3)
+            assert system.fleet.total_members() == members
+        finally:
+            system.shutdown()
+
+    @pytest.mark.parametrize("kind", ["static", "staged"])
+    def test_set_mixture_rejects_unknown_source_and_keeps_running(self, kind):
+        system = MegaScaleData.deploy(self.make_job())
+        try:
+            known = system.catalog.names()[0]
+            weights = {known: 0.5, "typo": 0.5}
+            mixture = (
+                MixtureSchedule.static(weights)
+                if kind == "static"
+                else MixtureSchedule.staged([MixturePhase(0, {known: 1.0}), MixturePhase(4, weights)])
+            )
+            planner = system.planner_handle.instance()
+            installed = planner.mixture
+            with pytest.raises(ConfigurationError, match="typo"):
+                system.set_mixture(mixture, flush_pending=True)
+            assert planner.mixture is installed
+            assert system.run_step().step == 0
+            system.set_mixture(MixtureSchedule.static({known: 1.0}), flush_pending=True)
+            assert set(system.run_step().plan.source_demands) == {known}
+        finally:
+            system.shutdown()
+
+    def test_deploy_rejects_job_mixture_with_unknown_source(self):
+        job = self.make_job(mixture=MixtureSchedule.static({"typo": 1.0}))
+        with pytest.raises(ConfigurationError, match="typo"):
+            MegaScaleData.deploy(job)
 
 
 class TestSetMixtureFlushPending:

@@ -229,6 +229,18 @@ class TestSchedulerTenancy:
 
 
 class TestTenantManager:
+    def test_pool_packs_and_tenants_share_one_store(self):
+        manager = TenantManager(cluster=big_cluster())
+        try:
+            assert manager.system.scheduler.policy == "pack"
+            deployment = manager.admit(TenantSpec(name="a", job=make_job(seed=0)))
+            store = deployment.checkpoint_store
+            assert isinstance(store, NamespacedCheckpointStore)
+            assert store.backend is manager.checkpoint_store
+            assert store.prefix == "a"
+        finally:
+            manager.shutdown()
+
     def test_admit_rejects_duplicates_and_mismatches(self):
         manager = TenantManager(cluster=big_cluster())
         try:

@@ -78,30 +78,6 @@ class TestWarmup:
             MixtureSchedule.warmup({"a": 1.0}, {"a": 1.0}, 0)
 
 
-class TestAdaptive:
-    def test_upweights_high_loss_sources(self):
-        losses = {"hard": 5.0, "easy": 1.0}
-        schedule = MixtureSchedule.adaptive(["hard", "easy"], lambda step: losses)
-        weights = schedule.weights_at(0)
-        assert weights["hard"] > weights["easy"]
-
-    def test_refresh_interval_caches_weights(self):
-        calls = []
-
-        def metric_fn(step):
-            calls.append(step)
-            return {"a": 1.0, "b": 1.0}
-
-        schedule = MixtureSchedule.adaptive(["a", "b"], metric_fn, refresh_every=5)
-        for step in range(10):
-            schedule.weights_at(step)
-        assert calls == [0, 5]
-
-    def test_invalid_temperature(self):
-        with pytest.raises(MixtureError):
-            MixtureSchedule.adaptive(["a"], lambda s: {"a": 1.0}, temperature=0.0)
-
-
 class TestSamplingAndAverages:
     def test_moving_average_tracks_schedule_change(self):
         schedule = MixtureSchedule.staged(
@@ -166,10 +142,8 @@ class TestDescriptor:
         for step in (0, 2, 4, 5, 9):
             assert rebuilt.weights_at(step) == pytest.approx(schedule.weights_at(step))
 
-    def test_adaptive_and_custom_schedules_have_no_descriptor(self):
-        adaptive = MixtureSchedule.adaptive(["a"], lambda step: {"a": 1.0})
+    def test_custom_schedule_has_no_descriptor(self):
         custom = MixtureSchedule(lambda step: {"a": 1.0}, ["a"])
-        assert adaptive.descriptor() is None
         assert custom.descriptor() is None
 
     def test_unknown_descriptor_kind_rejected(self):

@@ -57,15 +57,22 @@ class TestDataSource:
         assert make_source().avg_tokens == 64.0
 
 
+def catalog_of(*sources: DataSource) -> SourceCatalog:
+    catalog = SourceCatalog()
+    for source in sources:
+        catalog.add(source)
+    return catalog
+
+
 class TestSourceCatalog:
     def test_add_and_get(self):
-        catalog = SourceCatalog([make_source("a"), make_source("b")])
+        catalog = catalog_of(make_source("a"), make_source("b"))
         assert catalog.get("a").name == "a"
         assert len(catalog) == 2
         assert "a" in catalog
 
     def test_duplicate_rejected(self):
-        catalog = SourceCatalog([make_source("a")])
+        catalog = catalog_of(make_source("a"))
         with pytest.raises(ConfigurationError):
             catalog.add(make_source("a"))
 
@@ -74,7 +81,7 @@ class TestSourceCatalog:
             SourceCatalog().get("nope")
 
     def test_total_samples(self):
-        catalog = SourceCatalog([make_source("a", num_samples=5), make_source("b", num_samples=7)])
+        catalog = catalog_of(make_source("a", num_samples=5), make_source("b", num_samples=7))
         assert catalog.total_samples() == 12
 
     def test_transform_cost_spread_is_large_for_heterogeneous_catalog(self, small_catalog):
@@ -287,7 +294,10 @@ def test_cursors_racing_to_decode_the_same_rows_serve_whole_records():
 
 def test_a_file_without_sample_ids_is_corrupt_to_peek_and_to_take():
     file = write_columnar_file(
-        "/p/0", [{"text_tokens": 3}, {"text_tokens": 5}], (ColumnSchema("text_tokens", "int32"),)
+        "/p/0",
+        [{"text_tokens": 3}, {"text_tokens": 5}],
+        (ColumnSchema("text_tokens", "int32"),),
+        rows_per_group=2,
     )
     filesystem = SimulatedFileSystem()
     filesystem.write(file.path, file, size_bytes=file.total_bytes(), kind="columnar")

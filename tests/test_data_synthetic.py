@@ -7,6 +7,7 @@ import pytest
 
 from repro.data.samples import Modality
 from repro.data.synthetic import (
+    ROWS_PER_GROUP,
     build_source_catalog,
     coyo700m_like_spec,
     generate_samples,
@@ -82,6 +83,12 @@ class TestBuildCatalog:
         for source in catalog:
             for path in source.paths:
                 assert isinstance(filesystem.read(path), ColumnarFile)
+
+    def test_row_groups_hold_rows_per_group_rows(self, filesystem):
+        spec = coyo700m_like_spec(num_sources=1, samples_per_source=2 * ROWS_PER_GROUP + 76)
+        (source,) = build_source_catalog(spec, filesystem)
+        file = filesystem.read(source.paths[0])
+        assert [group.row_count for group in file.row_groups] == [ROWS_PER_GROUP] * 2 + [76]
 
     def test_sample_ids_globally_unique(self, filesystem):
         spec = coyo700m_like_spec(num_sources=3, samples_per_source=20)

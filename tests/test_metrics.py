@@ -39,14 +39,6 @@ class TestMemoryLedger:
         with pytest.raises(ValueError):
             ledger.release("buffer", -1)
 
-    def test_peak_tracking(self):
-        ledger = MemoryLedger()
-        ledger.charge("a", 100)
-        ledger.release("a", 100)
-        ledger.charge("a", 30)
-        assert ledger.peak_bytes() >= 100
-        assert ledger.total_bytes() == 30
-
     def test_hierarchical_adoption(self):
         parent = MemoryLedger(name="node")
         child = MemoryLedger(name="actor")
@@ -238,13 +230,13 @@ class TestFleetEvents:
 
     def test_record_and_summarize(self):
         ledger = OverlapLedger()
-        ledger.record_fleet_event("spawn", 2, 1.5, "src-a", "loader/src-a/0m1", node="accel-0")
-        ledger.record_fleet_event("spawn", 4, 2.5, "src-b", "loader/src-b/0m2", node="accel-1")
-        ledger.record_fleet_event("retire", 9, 5.0, "src-a", "loader/src-a/0m1", node="accel-0")
+        ledger.record_fleet_event("spawn", 2, 1.5, "src-a", "loader/src-a/0m1")
+        ledger.record_fleet_event("spawn", 4, 2.5, "src-b", "loader/src-b/0m2")
+        ledger.record_fleet_event("retire", 9, 5.0, "src-a", "loader/src-a/0m1")
         ledger.record_fleet_event("reject", 11, 6.0, "src-b", "loader/src-b/0m3",
                                   detail="no node can host")
         assert len(ledger.fleet_events()) == 4
-        assert [e.actor for e in ledger.fleet_events("spawn")] == [
+        assert [e.actor for e in ledger.fleet_events() if e.kind == "spawn"] == [
             "loader/src-a/0m1", "loader/src-b/0m2",
         ]
         ledger.record_fleet_event("resize", 12, 6.5, "src-a", "loader/src-a/0",
@@ -269,7 +261,6 @@ class TestFleetEvents:
         ledger = OverlapLedger()
         event = FleetEvent("degrade", 3, 1.25, "src-a", "loader/src-a/0", detail="quota 8 -> 4")
         assert ledger.add_fleet_event(event) is event
-        assert ledger.fleet_events("degrade") == [event]
         with pytest.raises(ValueError):
             ledger.add_fleet_event(FleetEvent("explode", 0, 0.0, "src", "actor"))
         assert ledger.fleet_events() == [event]

@@ -4,9 +4,11 @@ An AST scan collects each module-level and class-level ``def`` / ``class`` in
 ``src/`` and every reference made by ``src/``, ``bench/``, ``benchmarks/`` and
 ``examples/``. A reference is a ``Name``, an ``Attribute``, an imported name or
 an identifier-shaped string constant (``handle.call("poll")``, the tracer's
-``LAYERS``). ``__all__`` lists and package re-exports are not references.
-Matching is by name alone, so it errs towards keeping code:
-``ColumnarReader.read_row`` lives because ``ColumnarFile.read_row`` is called.
+``LAYERS``). ``__all__`` lists and package re-exports are not references,
+and neither is a reference made inside the definition's own body (recursion,
+a method naming itself in a string). Matching is by name alone, so it errs
+towards keeping code: ``ColumnarReader.read_row`` lives because
+``ColumnarFile.read_row`` is called.
 
 A definition that only tests reach is either deleted or listed in
 ``ALLOWLIST`` with the reason it stays.
@@ -17,6 +19,7 @@ from __future__ import annotations
 import ast
 import functools
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,6 +51,16 @@ ALLOWLIST = {
 }
 
 
+def python_files(directory: str) -> list[Path]:
+    """Every ``.py`` file under ``ROOT/directory``, in a stable order."""
+    return sorted((ROOT / directory).rglob("*.py"))
+
+
+@functools.cache
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
 def _definitions(tree: ast.Module, qual: str = ""):
     """Yield ``(qualified_name, node)`` for module- and class-level defs."""
     for node in tree.body:
@@ -65,12 +78,17 @@ def _is_dunder_all(node: ast.AST) -> bool:
 
 def _references(path: Path):
     """Yield every name ``path`` references."""
-    tree = ast.parse(path.read_text(), filename=str(path))
+    tree = parse(path)
     reexports = path.name == "__init__.py" and path.is_relative_to(SRC)
     skip: set[int] = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and _is_dunder_all(node):
             skip.update(id(sub) for sub in ast.walk(node))
+    yield from _names(tree, skip, reexports)
+
+
+def _names(tree: ast.AST, skip: set[int] = frozenset(), reexports: bool = False):
+    """Yield every name referenced under ``tree``."""
     for node in ast.walk(tree):
         if id(node) in skip:
             continue
@@ -90,34 +108,36 @@ def _references(path: Path):
 def scan():
     """Return ``(definitions, referenced)``.
 
-    ``definitions`` maps a qualified name to its ``path:line``; ``referenced``
-    holds every name referenced outside ``tests/``.
+    ``definitions`` maps a qualified name to ``(path:line, self_references)``,
+    the second being how often the definition's body names itself;
+    ``referenced`` counts every name referenced outside ``tests/``.
     """
-    definitions: dict[str, str] = {}
-    for path in sorted(SRC.rglob("*.py")):
-        for qual, node in _definitions(ast.parse(path.read_text(), filename=str(path))):
+    definitions: dict[str, tuple[str, int]] = {}
+    for path in python_files("src"):
+        for qual, node in _definitions(parse(path)):
             short = qual.rsplit(".", 1)[-1]
             if not (short.startswith("__") and short.endswith("__")):
-                definitions[qual] = f"{path.relative_to(ROOT)}:{node.lineno}"
-    referenced = {
+                self_references = sum(name == short for name in _names(node))
+                definitions[qual] = (f"{path.relative_to(ROOT)}:{node.lineno}", self_references)
+    referenced = Counter(
         name
         for directory in CALLER_DIRS
-        for path in sorted((ROOT / directory).rglob("*.py"))
+        for path in python_files(directory)
         for name in _references(path)
-    }
+    )
     return definitions, referenced
 
 
-def _reached(qual: str, referenced: set[str]) -> bool:
-    return qual.rsplit(".", 1)[-1] in referenced
+def _reached(qual: str, definitions, referenced: Counter) -> bool:
+    return referenced[qual.rsplit(".", 1)[-1]] > definitions[qual][1]
 
 
 def test_every_definition_is_reached_outside_tests():
     definitions, referenced = scan()
     dead = sorted(
         f"{where} {qual}"
-        for qual, where in definitions.items()
-        if not _reached(qual, referenced) and qual not in ALLOWLIST
+        for qual, (where, _) in definitions.items()
+        if not _reached(qual, definitions, referenced) and qual not in ALLOWLIST
     )
     assert not dead, "only tests reach these; delete them or allowlist with a reason:\n" + "\n".join(dead)
 
@@ -125,7 +145,11 @@ def test_every_definition_is_reached_outside_tests():
 def test_allowlist_is_current():
     definitions, referenced = scan()
     gone = sorted(q for q in ALLOWLIST if q not in definitions)
-    live = sorted(f"{definitions[q]} {q}" for q in ALLOWLIST if q in definitions and _reached(q, referenced))
+    live = sorted(
+        f"{definitions[q][0]} {q}"
+        for q in ALLOWLIST
+        if q in definitions and _reached(q, definitions, referenced)
+    )
     assert not gone, f"allowlisted but no longer defined: {gone}"
     assert not live, "allowlisted but now referenced outside tests; drop the entry:\n" + "\n".join(live)
 

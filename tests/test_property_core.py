@@ -106,9 +106,8 @@ def test_rope_positions_length_matches_tokens(spec, max_len):
     )
 )
 @settings(max_examples=100, deadline=None)
-def test_ledger_never_negative_and_peak_monotone(operations):
-    node, *actors = ledgers = [MemoryLedger(name=str(index)) for index in range(3)]
-    peak_seen = [0, 0, 0]
+def test_ledger_never_negative(operations):
+    node, *_ = ledgers = [MemoryLedger(name=str(index)) for index in range(3)]
     for op, which, category, amount in operations:
         ledger = ledgers[which]
         if op == "charge":
@@ -121,12 +120,9 @@ def test_ledger_never_negative_and_peak_monotone(operations):
             node.adopt(ledger)
         elif op == "disown":
             node.disown(ledger)
-        for index, each in enumerate(ledgers):
+        for each in ledgers:
             # The incrementally kept total is the re-summed one, children included.
             assert each.total_bytes() == each.snapshot().total_bytes >= 0
-            peak_seen[index] = max(peak_seen[index], each.total_bytes())
-    for index, actor in enumerate(actors, start=1):
-        assert actor.peak_bytes() >= peak_seen[index]
 
 
 # -- device mesh ------------------------------------------------------------------

@@ -23,17 +23,13 @@ class TestWrite:
         assert file.total_rows == 10
         assert [g.row_count for g in file.row_groups] == [3, 3, 3, 1]
 
-    def test_rows_per_group_derived_from_bytes(self):
-        file = write_columnar_file("/f", make_records(100), SCHEMA, row_group_bytes=120)
-        assert len(file.row_groups) == 10
-
     def test_empty_schema_rejected(self):
         with pytest.raises(StorageError):
-            write_columnar_file("/f", make_records(1), [])
+            write_columnar_file("/f", make_records(1), [], rows_per_group=4)
 
     def test_missing_column_rejected(self):
         with pytest.raises(StorageError):
-            write_columnar_file("/f", [{"sample_id": 1}], SCHEMA)
+            write_columnar_file("/f", [{"sample_id": 1}], SCHEMA, rows_per_group=4)
 
     def test_footer_bytes_grow_with_row_groups(self):
         small = write_columnar_file("/f", make_records(10), SCHEMA, rows_per_group=10)
@@ -41,7 +37,7 @@ class TestWrite:
         assert large.footer_bytes > small.footer_bytes
 
     def test_total_bytes_includes_footer(self):
-        file = write_columnar_file("/f", make_records(5), SCHEMA)
+        file = write_columnar_file("/f", make_records(5), SCHEMA, rows_per_group=4)
         assert file.total_bytes() > file.footer_bytes
 
 
@@ -55,12 +51,12 @@ class TestRead:
         assert file.row_group_for_row(5).index == 1
 
     def test_out_of_range_row(self):
-        file = write_columnar_file("/f", make_records(3), SCHEMA)
+        file = write_columnar_file("/f", make_records(3), SCHEMA, rows_per_group=4)
         with pytest.raises(StorageError):
             file.read_row(3)
 
     def test_column_names(self):
-        file = write_columnar_file("/f", make_records(1), SCHEMA)
+        file = write_columnar_file("/f", make_records(1), SCHEMA, rows_per_group=4)
         assert file.column_names() == ["sample_id", "tokens"]
 
 
@@ -81,6 +77,6 @@ class TestValidation:
             file.validate()
 
     def test_missing_column_access_raises(self):
-        file = write_columnar_file("/f", make_records(2), SCHEMA)
+        file = write_columnar_file("/f", make_records(2), SCHEMA, rows_per_group=4)
         with pytest.raises(CorruptFileError):
             file.row_groups[0].column("nope")

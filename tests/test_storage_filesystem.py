@@ -4,8 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import FileNotFoundInStorage, StorageError
-from repro.storage.filesystem import SimulatedFileSystem
+from repro.errors import FileNotFoundInStorage
+from repro.storage.filesystem import (
+    CONNECTION_LATENCY_S,
+    READ_BANDWIDTH_BPS,
+    REPLICATION,
+    STORAGE_NODES,
+    SimulatedFileSystem,
+)
 
 
 class TestNamespace:
@@ -25,7 +31,7 @@ class TestNamespace:
     def test_stat_reports_size_and_replicas(self, filesystem):
         stat = filesystem.write("/data/c", b"xx", size_bytes=2, kind="blob")
         assert stat.size_bytes == 2
-        assert len(stat.replicas) == filesystem.replication
+        assert len(stat.replicas) == REPLICATION
         assert stat.kind == "blob"
 
     def test_delete(self, filesystem):
@@ -43,22 +49,15 @@ class TestNamespace:
         assert filesystem.read("/data/z") == 2
 
 
-class TestConfiguration:
-    def test_requires_storage_nodes(self):
-        with pytest.raises(StorageError):
-            SimulatedFileSystem(storage_nodes=())
-
-    def test_replication_capped_to_node_count(self):
-        fs = SimulatedFileSystem(storage_nodes=("a", "b"), replication=5)
-        stat = fs.write("/f", 1, size_bytes=1)
-        assert len(stat.replicas) == 2
-
-    def test_invalid_replication_rejected(self):
-        with pytest.raises(StorageError):
-            SimulatedFileSystem(replication=0)
+class TestPlacement:
+    def test_every_file_has_replication_distinct_replicas(self, filesystem):
+        for index in range(len(STORAGE_NODES) + 1):
+            replicas = filesystem.write(f"/{index}", 1, size_bytes=1).replicas
+            assert len(set(replicas)) == REPLICATION
+            assert set(replicas) <= set(STORAGE_NODES)
 
     def test_replica_placement_rotates(self):
-        fs = SimulatedFileSystem(storage_nodes=("a", "b", "c"), replication=1)
+        fs = SimulatedFileSystem()
         first = fs.write("/1", 1, size_bytes=1).replicas
         second = fs.write("/2", 1, size_bytes=1).replicas
         assert first != second
@@ -68,7 +67,7 @@ class TestConnections:
     def test_open_close_connection_counts(self, filesystem):
         filesystem.write("/f", 1, size_bytes=1)
         latency = filesystem.open_connection("/f")
-        assert latency == pytest.approx(filesystem.connection_latency_s)
+        assert latency == pytest.approx(CONNECTION_LATENCY_S)
         assert filesystem.open_connection_count("/f") == 1
         filesystem.close_connection("/f")
         assert filesystem.open_connection_count("/f") == 0
@@ -77,6 +76,9 @@ class TestConnections:
         filesystem.write("/f", 1, size_bytes=1)
         filesystem.close_connection("/f")
         assert filesystem.open_connection_count("/f") == 0
+
+    def test_transfer_time_at_read_bandwidth(self, filesystem):
+        assert filesystem.transfer_time(int(READ_BANDWIDTH_BPS)) == pytest.approx(1.0)
 
     def test_transfer_time_scales_with_bytes(self, filesystem):
         small = filesystem.transfer_time(1_000)

@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.training.convergence import ConvergenceConfig, ConvergenceSimulator, max_divergence
+from repro.training.convergence import (
+    FLOOR_LOSS,
+    INITIAL_LOSS,
+    TOKENS_TO_HALVE,
+    ConvergenceSimulator,
+    max_divergence,
+)
 
 
 def make_batches(sample_factory, steps=20, batch_size=8, tokens=256):
@@ -31,9 +37,15 @@ class TestConvergence:
         assert sim.expected_loss(0) > sim.expected_loss(1e7) > sim.expected_loss(1e9)
 
     def test_floor_respected(self):
-        config = ConvergenceConfig(floor_loss=2.0)
-        sim = ConvergenceSimulator(config)
-        assert sim.expected_loss(1e18) == pytest.approx(2.0, abs=1e-6)
+        sim = ConvergenceSimulator()
+        assert sim.expected_loss(1e18) == pytest.approx(FLOOR_LOSS, abs=1e-6)
+
+    def test_excess_loss_halves_every_tokens_to_halve(self):
+        sim = ConvergenceSimulator()
+        assert sim.expected_loss(0) == pytest.approx(INITIAL_LOSS)
+        assert sim.expected_loss(TOKENS_TO_HALVE) == pytest.approx(
+            FLOOR_LOSS + (INITIAL_LOSS - FLOOR_LOSS) / 2
+        )
 
     def test_same_batches_same_losses(self, sample_factory):
         batches = make_batches(sample_factory)

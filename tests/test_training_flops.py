@@ -7,7 +7,6 @@ import pytest
 
 from repro.training.flops import (
     attention_flops,
-    backbone_sequence_flops,
     encoder_sample_flops,
     flops_imbalance_matrix,
     imbalance_ratio,
@@ -50,24 +49,21 @@ class TestModelFlops:
         assert model_flops(256, encoder) == pytest.approx(
             encoder.num_layers * transformer_layer_flops(256, encoder.hidden_size, encoder.mlp_ratio)
         )
-        assert model_flops(256, encoder, mlp_ratio=0.0) == pytest.approx(
-            encoder.num_layers * attention_flops(256, encoder.hidden_size)
-        )
         assert encoder_sample_flops(256, encoder) == model_flops(256, encoder)
 
     def test_encoder_flops_scale_with_model_size(self):
         assert encoder_sample_flops(1024, vit_2b()) > encoder_sample_flops(1024, vit_1b())
 
     def test_moe_uses_active_experts_only(self):
-        dense_like = backbone_sequence_flops(4096, llama_12b())
-        moe = backbone_sequence_flops(4096, mixtral_8x7b())
+        dense_like = packed_backbone_flops([4096], llama_12b())
+        moe = packed_backbone_flops([4096], mixtral_8x7b())
         # Mixtral 8x7B activates 2 of 8 experts; its cost is well below 8 experts' worth.
         assert moe < 4 * dense_like
 
     def test_packed_flops_below_single_sequence(self):
         backbone = llama_12b()
         packed = packed_backbone_flops([1024] * 4, backbone)
-        fused = backbone_sequence_flops(4096, backbone)
+        fused = packed_backbone_flops([4096], backbone)
         assert packed < fused
 
     def test_packed_flops_empty(self):
@@ -78,6 +74,11 @@ class TestModelFlops:
         flops = microbatch_flops(samples, vit_1b(), llama_12b())
         assert flops["encoder_flops"] > 0
         assert flops["backbone_flops"] > 0
+
+    def test_microbatch_backbone_packs_its_samples(self, sample_factory):
+        samples = [sample_factory(i, text_tokens=64 * (i + 1)) for i in range(4)]
+        flops = microbatch_flops(samples, None, llama_12b())
+        assert flops["backbone_flops"] == packed_backbone_flops([64, 128, 192, 256], llama_12b())
 
     def test_microbatch_without_encoder(self, sample_factory):
         samples = [sample_factory(i, text_tokens=64) for i in range(4)]

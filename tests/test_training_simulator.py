@@ -7,7 +7,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.parallelism.mesh import DeviceMesh
 from repro.training.models import VLMConfig, llama_12b, vit_1b
-from repro.training.simulator import GpuSpec, InterconnectSpec, TrainingSimulator
+from repro.training.simulator import GpuSpec, TrainingSimulator
 
 
 def assignments_for(sample_factory, dp, microbatches, tokens_per_sample, samples_per_mb=2, image_tokens=0):
@@ -118,19 +118,18 @@ class TestScalingBehaviour:
         result = text_simulator.simulate_iteration(assignments)
         assert result.peak_activation_tokens == 900
 
-    def test_custom_interconnect_slows_alltoall(self, sample_factory):
+    def test_alltoall_grows_with_image_payload(self, sample_factory):
         model = VLMConfig(encoder=vit_1b(), backbone=llama_12b())
-        mesh = DeviceMesh(pp=1, dp=2, cp=1, tp=1)
-        fast = TrainingSimulator(model, mesh)
-        slow = TrainingSimulator(
-            model, mesh, interconnect=InterconnectSpec(alltoall_bandwidth_bps=1.0e8)
-        )
-        assignments = assignments_for(
-            sample_factory, dp=2, microbatches=1, tokens_per_sample=64, image_tokens=2048
+        simulator = TrainingSimulator(model, DeviceMesh(pp=1, dp=2, cp=1, tp=1))
+        small, large = (
+            assignments_for(
+                sample_factory, dp=2, microbatches=1, tokens_per_sample=64, image_tokens=tokens
+            )
+            for tokens in (2048, 8192)
         )
         assert (
-            slow.simulate_iteration(assignments).alltoall_time_s
-            > fast.simulate_iteration(assignments).alltoall_time_s
+            simulator.simulate_iteration(large).alltoall_time_s
+            > simulator.simulate_iteration(small).alltoall_time_s
         )
 
     def test_timeline_recorded_per_dp_and_microbatch(self, text_simulator, sample_factory):

@@ -53,20 +53,15 @@ class TestPackingCollator:
         collated = PackingCollator(max_sequence_length=512).collate(mb)
         assert collated.sequences[0].tokens == 512
 
-    def test_oversized_sample_rejected_when_strict(self, sample_factory):
-        mb = Microbatch(index=0, samples=[sample_factory(0, text_tokens=1000)])
-        with pytest.raises(TransformError):
-            PackingCollator(max_sequence_length=512, allow_overflow=False).collate(mb)
-
-    def test_strict_mode_keeps_packing_and_zero_padding(self, sample_factory):
-        # Regression for the removed per-sequence padding reset: strict mode
-        # must still pack fitting samples normally, with padding untouched (0)
-        # and token totals exact.
+    def test_fitting_samples_pack_with_zero_padding(self, sample_factory):
+        # Regression for the removed per-sequence padding reset: fitting
+        # samples pack normally, with padding untouched (0) and token totals
+        # exact.
         mb = Microbatch(
             index=0,
             samples=[sample_factory(i, text_tokens=tokens) for i, tokens in enumerate([300, 200, 400])],
         )
-        collated = PackingCollator(max_sequence_length=512, allow_overflow=False).collate(mb)
+        collated = PackingCollator(max_sequence_length=512).collate(mb)
         assert [seq.padding for seq in collated.sequences] == [0] * len(collated.sequences)
         assert collated.total_tokens() == 900
         assert collated.padding_tokens() == 0
@@ -129,12 +124,6 @@ class TestRope:
         collated = apply_rope_positions(PaddingCollator().collate(mb))
         # first sequence: 2 real + 2 padding positions
         assert collated.position_ids[:4].tolist() == [0, 1, 0, 0]
-
-    def test_invalid_theta(self, sample_factory):
-        mb = Microbatch(index=0, samples=[sample_factory(0, text_tokens=2)])
-        collated = PackingCollator(16).collate(mb)
-        with pytest.raises(TransformError):
-            apply_rope_positions(collated, theta=0)
 
     def test_collate_with_positions_helper(self, sample_factory):
         mb = Microbatch(index=0, samples=[sample_factory(0, text_tokens=4)])

@@ -8,6 +8,7 @@ from repro.errors import TransformError
 from repro.parallelism.mesh import DeviceMesh
 from repro.transforms.microbatch import Microbatch, PackingCollator
 from repro.transforms.parallelism import (
+    BYTES_PER_TOKEN,
     build_rank_slices,
     context_parallel_slices,
     pipeline_stage_view,
@@ -22,6 +23,10 @@ def collated(sample_factory):
 
 
 class TestContextParallelSlices:
+    def test_payload_is_bytes_per_token(self, collated):
+        for share in context_parallel_slices(collated, cp_size=2):
+            assert share["payload_bytes"] == share["token_count"] * BYTES_PER_TOKEN
+
     def test_slices_cover_all_tokens(self, collated):
         slices = context_parallel_slices(collated, cp_size=4)
         assert sum(s["token_count"] for s in slices) == collated.total_tokens()
