@@ -50,12 +50,14 @@ RECONCILE_TOLERANCE = 0.35
 RECONCILE_METRICS = ("hidden_data_time_s", "exposed_data_time_s", "data_stall_time_s")
 
 
-def make_job(depth: int, gpu_spec=None, **overrides) -> TrainingJobSpec:
+def make_job(
+    depth: int, gpu_spec=None, backend: str = "virtual", wallclock_time_scale: float = 1.0
+) -> TrainingJobSpec:
     return TrainingJobSpec(
         pp=1, dp=2, cp=1, tp=1, encoder=None, strategy="backbone_balance",
         samples_per_dp_step=8, num_microbatches=2, num_sources=3,
         samples_per_source=128, seed=5, prefetch_depth=depth,
-        gpu_spec=gpu_spec, **overrides,
+        gpu_spec=gpu_spec, backend=backend, wallclock_time_scale=wallclock_time_scale,
     )
 
 

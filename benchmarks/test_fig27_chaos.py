@@ -58,12 +58,15 @@ REAL_BUDGET_S = 2.0
 STALL_BOUND = 2.0
 
 
-def make_job(**overrides) -> TrainingJobSpec:
+def make_job(
+    degraded_mode: str = "strict", backend: str = "virtual", wallclock_time_scale: float = 1.0
+) -> TrainingJobSpec:
     return TrainingJobSpec(
         pp=1, dp=2, cp=1, tp=1, encoder=None, strategy="backbone_balance",
         samples_per_dp_step=8, num_microbatches=2, num_sources=3,
         samples_per_source=128, seed=5, prefetch_depth=PREFETCH_DEPTH,
-        enable_shadow_loaders=True, **overrides,
+        enable_shadow_loaders=True, degraded_mode=degraded_mode, backend=backend,
+        wallclock_time_scale=wallclock_time_scale,
     )
 
 
@@ -149,11 +152,10 @@ def _matrix():
             else {}
         )
         for mode in MODES:
-            job_kw = dict(degraded_mode=mode, **backend_kw)
-            base_sigs, base_counts, base_wall, _, _ = run_case(make_job(**job_kw))
+            base_sigs, base_counts, base_wall, _, _ = run_case(make_job(mode, **backend_kw))
             try:
                 sigs, counts, wall, fired, recoveries = run_case(
-                    make_job(**job_kw), storm=FaultPlan(list(storm_template.events))
+                    make_job(mode, **backend_kw), storm=FaultPlan(list(storm_template.events))
                 )
             except Exception as exc:
                 raise AssertionError(

@@ -46,8 +46,8 @@ class _VersionedValue:
 class GlobalControlStore:
     """In-memory KV store with versioning, namespaces and an actor registry."""
 
-    _store: dict[str, _VersionedValue] = field(default_factory=dict)
-    _actor_registry: dict[str, dict] = field(default_factory=dict)
+    _store: dict[str, _VersionedValue] = field(default_factory=dict, init=False)
+    _actor_registry: dict[str, dict] = field(default_factory=dict, init=False)
 
     # -- key/value ---------------------------------------------------------------
 

@@ -51,13 +51,13 @@ class Node:
     kind: NodeKind
     resources: ResourceSpec
     ledger: MemoryLedger = field(default_factory=lambda: MemoryLedger())
-    _reserved_cpu: float = 0.0
-    _reserved_memory: int = 0
-    _resident_actors: set[str] = field(default_factory=set)
+    _reserved_cpu: float = field(default=0.0, init=False)
+    _reserved_memory: int = field(default=0, init=False)
+    _resident_actors: set[str] = field(default_factory=set, init=False)
     #: High-water marks over the node's lifetime — live telemetry for the
     #: elastic fleet, capturing reservation peaks even between report samples.
-    _peak_reserved_cpu: float = 0.0
-    _peak_reserved_memory: int = 0
+    _peak_reserved_cpu: float = field(default=0.0, init=False)
+    _peak_reserved_memory: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         self.ledger.name = f"node:{self.name}"

@@ -91,9 +91,9 @@ class FailureInjector:
     """Programmable failure behaviour for tests and fault-tolerance benches."""
 
     #: Actors that should raise ActorDead on their next call.
-    dead_actors: set[str] = field(default_factory=set)
+    dead_actors: set[str] = field(default_factory=set, init=False)
     #: Actors whose next call should time out.
-    timeout_actors: set[str] = field(default_factory=set)
+    timeout_actors: set[str] = field(default_factory=set, init=False)
 
     def fail(self, actor_name: str) -> None:
         self.dead_actors.add(actor_name)
@@ -127,7 +127,6 @@ class ActorSystem:
         backend: str = "virtual",
         time_scale: float = 1.0,
         placement_policy: str = "spread",
-        wallclock_tick_timeout_s: float = 60.0,
     ) -> None:
         if dispatcher not in self.DISPATCHERS:
             raise ActorError(
@@ -162,7 +161,7 @@ class ActorSystem:
             from repro.actors.wallclock import WallClock, WallclockEngine
 
             self.clock = WallClock(time_scale)
-            self.engine = WallclockEngine(self, tick_timeout_s=wallclock_tick_timeout_s)
+            self.engine = WallclockEngine(self)
         else:
             self.clock = VirtualClock()
             self.engine = VirtualEngine(self, dispatcher=dispatcher)

@@ -8,10 +8,10 @@ centralized scheduling.
 
 When several jobs share one cluster the scheduler also acts as the
 multi-tenant admission layer: each tenant registers a :class:`TenantQuota`
-(weight, priority tier, optional CPU/memory caps) and every placement carries
-a ``tenant`` tag.  Quota breaches are rejected at admission, per-tenant
+(its priority tier) and every placement carries a ``tenant`` tag.  Per-tenant
 reservations are tracked across place/release, and :meth:`tenant_shares`
-exposes the weighted fair-share deficit used to order queued placements.
+exposes the equal-share deficit used to order queued placements.  No tenant
+is capped: a placement fails only when no node can host it.
 """
 
 from __future__ import annotations
@@ -38,29 +38,20 @@ class PlacementRequest:
     anti_affinity: str | None = None
     #: Allow spilling to the other node kind when the preferred kind is full.
     allow_spill: bool = True
-    #: Owning tenant for quota accounting; ``None`` means unmetered.
+    #: Owning tenant for per-tenant accounting; ``None`` means unmetered.
     tenant: str | None = None
 
 
 @dataclass
 class TenantQuota:
-    """Admission policy and fair-share parameters for one tenant.
+    """One registered tenant and its priority tier.
 
-    ``weight`` sets the tenant's fair share of the cluster; ``priority``
-    orders tenants into tiers (higher wins) for queued placements and
-    preemption.  ``cpu_limit``/``memory_limit`` are hard admission caps —
-    ``None`` leaves that dimension uncapped.
+    ``priority`` orders tenants into tiers (higher wins) for queued
+    placements and preemption; every tenant is entitled to an equal share.
     """
 
     tenant: str
-    weight: float = 1.0
     priority: int = 0
-    cpu_limit: float | None = None
-    memory_limit: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise SchedulingError(f"tenant {self.tenant!r} needs a positive weight")
 
 
 @dataclass
@@ -68,7 +59,7 @@ class _TenantUsage:
     cpu_cores: float = 0.0
     memory_bytes: int = 0
     #: Per-actor reservation ledger so release() needs no caller bookkeeping.
-    actors: dict[str, tuple[float, int]] = field(default_factory=dict)
+    actors: dict[str, tuple[float, int]] = field(default_factory=dict, init=False)
 
 
 @dataclass(frozen=True)
@@ -116,31 +107,12 @@ class PlacementScheduler:
     # -- multi-tenant admission ------------------------------------------------
 
     def register_tenant(self, quota: TenantQuota) -> None:
-        """Register (or update) the quota for one tenant."""
+        """Register (or update) one tenant and its priority tier."""
         self._quotas[quota.tenant] = quota
         self._usage.setdefault(quota.tenant, _TenantUsage())
 
     def tenants(self) -> list[str]:
         return list(self._quotas)
-
-    def _check_quota(self, request: PlacementRequest) -> None:
-        if request.tenant is None or request.tenant not in self._quotas:
-            return
-        quota = self._quotas[request.tenant]
-        usage = self._usage[request.tenant]
-        if quota.cpu_limit is not None and usage.cpu_cores + request.cpu_cores > quota.cpu_limit:
-            raise SchedulingError(
-                f"tenant {request.tenant!r} CPU quota exceeded: "
-                f"{usage.cpu_cores + request.cpu_cores:.1f} > {quota.cpu_limit:.1f} cores"
-            )
-        if (
-            quota.memory_limit is not None
-            and usage.memory_bytes + request.memory_bytes > quota.memory_limit
-        ):
-            raise SchedulingError(
-                f"tenant {request.tenant!r} memory quota exceeded: "
-                f"{usage.memory_bytes + request.memory_bytes} > {quota.memory_limit} bytes"
-            )
 
     def _charge(self, request: PlacementRequest) -> None:
         if request.tenant is None:
@@ -184,28 +156,26 @@ class PlacementScheduler:
         }
 
     def tenant_shares(self) -> dict[str, dict[str, float]]:
-        """Per-tenant weighted fair-share view of current CPU reservations.
+        """Per-tenant fair-share view of current CPU reservations.
 
-        ``deficit`` is the gap between a tenant's weighted entitlement of the
+        ``deficit`` is the gap between a tenant's equal entitlement of the
         currently reserved CPU and what it actually holds — positive means the
         tenant is under-served, and queued placements are ordered by
         (priority desc, deficit desc).
         """
         metered = [t for t in self._quotas if t in self._usage]
-        total_weight = sum(self._quotas[t].weight for t in metered) or 1.0
         total_cpu = sum(self._usage[t].cpu_cores for t in metered)
+        entitlement = total_cpu / len(metered) if metered else 0.0
         shares: dict[str, dict[str, float]] = {}
         for tenant in metered:
             quota = self._quotas[tenant]
             usage = self._usage[tenant]
-            entitlement = total_cpu * quota.weight / total_weight
             shares[tenant] = {
                 "cpu_cores": usage.cpu_cores,
                 "share": usage.cpu_cores / total_cpu if total_cpu else 0.0,
                 "entitlement": entitlement,
                 "deficit": entitlement - usage.cpu_cores,
                 "priority": float(quota.priority),
-                "weight": quota.weight,
             }
         return shares
 
@@ -213,7 +183,6 @@ class PlacementScheduler:
 
     def place(self, request: PlacementRequest) -> PlacementDecision:
         """Choose a node for the request and reserve its resources."""
-        self._check_quota(request)
         preferred = self._candidates(request.prefer)
         chosen = self._best_fit(preferred, request)
         spilled = False

@@ -54,6 +54,11 @@ from collections import deque
 from repro.actors.virtual import purge_cancelled_heads
 from repro.errors import ActorError
 
+#: Real-seconds backstop for blocking waits: a tick/drain/quiesce that sees no
+#: completion for this long raises ``TimeoutError`` instead of hanging forever
+#: on a wedged lane.
+TICK_TIMEOUT_S = 60.0
+
 
 class WallClock:
     """Real monotonic time, reported in virtual-second units.
@@ -139,14 +144,10 @@ class _Mailbox:
 class WallclockEngine:
     """Thread-parallel twin of the virtual-clock event engine."""
 
-    def __init__(self, system, tick_timeout_s: float = 60.0) -> None:
+    def __init__(self, system) -> None:
         from repro.core.cost_model import LatencyRecorder  # local: optional layer
 
         self.system = system
-        #: Real-seconds backstop for blocking waits: a tick/drain/quiesce that
-        #: sees no completion for this long raises ``TimeoutError`` instead of
-        #: hanging forever on a wedged lane.
-        self.tick_timeout_s = float(tick_timeout_s)
         self._mailboxes: dict[str, _Mailbox] = {}
         #: Engine-wide completion signalling: ``_completed`` counts finished
         #: (completed/failed) submitted calls, ``_acked`` how many a ``tick``
@@ -351,13 +352,13 @@ class WallclockEngine:
         if box is not None:
             with box.cond:
                 if box.executing_thread != me:
-                    deadline = time.monotonic() + self.tick_timeout_s
+                    deadline = time.monotonic() + TICK_TIMEOUT_S
                     while box.executing:
                         remaining = deadline - time.monotonic()
                         if remaining <= 0:
                             raise ActorError(
                                 f"direct call to {name}.{method} could not acquire the "
-                                f"actor turnstile within {self.tick_timeout_s}s"
+                                f"actor turnstile within {TICK_TIMEOUT_S}s"
                             )
                         box.cond.wait(min(remaining, 0.2))
                     box.executing = True
@@ -389,7 +390,7 @@ class WallclockEngine:
         within the real-time backstop.
         """
         with self._cond:
-            deadline = time.monotonic() + self.tick_timeout_s
+            deadline = time.monotonic() + TICK_TIMEOUT_S
             while True:
                 available = self._completed - self._acked
                 if available:
@@ -403,7 +404,7 @@ class WallclockEngine:
                 if remaining <= 0:
                     raise TimeoutError(
                         f"wallclock tick saw no completion within "
-                        f"{self.tick_timeout_s}s with {self._inflight_total} "
+                        f"{TICK_TIMEOUT_S}s with {self._inflight_total} "
                         "calls in flight"
                     )
                 self._cond.wait(min(remaining, 0.2))
@@ -418,14 +419,14 @@ class WallclockEngine:
         """
         start = self.clock.now_s
         executed = 0
-        backstop = time.monotonic() + self.tick_timeout_s
+        backstop = time.monotonic() + TICK_TIMEOUT_S
         with self._cond:
             while True:
                 available = self._completed - self._acked
                 if available:
                     self._acked += available
                     executed += available
-                    backstop = time.monotonic() + self.tick_timeout_s
+                    backstop = time.monotonic() + TICK_TIMEOUT_S
                     continue
                 if self._inflight_total == 0:
                     break
@@ -436,7 +437,7 @@ class WallclockEngine:
                     )
                 if time.monotonic() >= backstop:
                     raise TimeoutError(
-                        f"drain saw no completion within {self.tick_timeout_s}s "
+                        f"drain saw no completion within {TICK_TIMEOUT_S}s "
                         f"with {self._inflight_total} calls in flight"
                     )
                 self._cond.wait(0.05)
@@ -454,7 +455,7 @@ class WallclockEngine:
         code relies on before rewinding actor state (the virtual engine gets
         it for free between ticks).
         """
-        deadline = time.monotonic() + self.tick_timeout_s
+        deadline = time.monotonic() + TICK_TIMEOUT_S
         for box in self._boxes(actor_names):
             with box.cond:
                 while box.inflight > 0:

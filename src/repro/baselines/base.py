@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -59,7 +60,7 @@ class LoaderArchitecture:
     #: Performs any load balancing of samples across ranks/microbatches.
     load_balancing: bool = False
     #: Default worker count per loader client before autoscaling.
-    base_workers_per_client: int = 4
+    base_workers_per_client: ClassVar[int] = 4
 
 
 @dataclass

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -54,10 +55,10 @@ class SourceLoaderConfig:
 class PartitionPlan:
     """Output of the offline auto-partitioning phase."""
 
-    configs: dict[str, SourceLoaderConfig] = field(default_factory=dict)
+    configs: dict[str, SourceLoaderConfig] = field(default_factory=dict, init=False)
     num_clusters: int = 0
     worker_block_cores: float = 1.0
-    notes: list[str] = field(default_factory=list)
+    notes: list[str] = field(default_factory=list, init=False)
 
     def config_for(self, source: str) -> SourceLoaderConfig:
         try:
@@ -81,8 +82,9 @@ class ResourceBudget:
 
     cpu_cores: float
     memory_bytes: int
-    constructor_cores: float = 4.0
-    planner_cores: float = 4.0
+    #: Cores held back for the Data Constructors and for the Planner.
+    constructor_cores: ClassVar[float] = 4.0
+    planner_cores: ClassVar[float] = 4.0
 
     def loader_cores(self) -> float:
         available = self.cpu_cores - self.constructor_cores - self.planner_cores

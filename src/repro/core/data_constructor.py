@@ -30,8 +30,8 @@ class RankDelivery:
     per-step accounting reads don't re-walk the slice list."""
 
     rank: int
-    slices: list[ParallelSlice] = field(default_factory=list)
-    _totals: tuple[int, int, int] | None = field(default=None, repr=False, compare=False)
+    slices: list[ParallelSlice] = field(default_factory=list, init=False)
+    _totals: tuple[int, int, int] | None = field(default=None, repr=False, compare=False, init=False)
 
     def _sum(self) -> tuple[int, int, int]:
         cache = self._totals
@@ -76,8 +76,6 @@ class DataConstructor(Actor):
         dp_index: int,
         max_sequence_length: int = 8192,
         packing: bool = True,
-        broadcast_tp: bool = True,
-        broadcast_cp: bool = False,
         staging_capacity: int = 2,
         enforce_delivery_order: bool = True,
     ) -> None:
@@ -90,8 +88,6 @@ class DataConstructor(Actor):
         self.bucket_index = bucket_index
         self.max_sequence_length = max_sequence_length
         self.packing = packing
-        self.broadcast_tp = broadcast_tp
-        self.broadcast_cp = broadcast_cp
         self.staging_capacity = staging_capacity
         self.enforce_delivery_order = enforce_delivery_order
         self.stats = ConstructorStats()
@@ -247,9 +243,7 @@ class DataConstructor(Actor):
         """
         self.mesh = mesh
         self.dp_index = dp_index
-        self._rank_layout = RankLayout(
-            mesh, dp_index, self.broadcast_tp, self.broadcast_cp
-        )
+        self._rank_layout = RankLayout(mesh, dp_index)
         for step in list(self._pending_deliveries):
             self.release_step(step)
         # Rank numbering changed with the topology; the in-order ledger

@@ -32,11 +32,7 @@ from repro.core.planner import Planner
 from repro.core.source_loader import SourceLoader
 from repro.data.mixture import MixtureSchedule
 from repro.data.sources import SourceCatalog
-from repro.data.synthetic import (
-    build_source_catalog,
-    coyo700m_like_spec,
-    navit_like_spec,
-)
+from repro.data.synthetic import DATASET_GROUPS, build_source_catalog
 from repro.errors import ConfigurationError
 from repro.parallelism.mesh import DeviceMesh
 from repro.storage.filesystem import SimulatedFileSystem
@@ -82,7 +78,6 @@ def provision(
             cluster,
             backend=job.backend,
             time_scale=job.wallclock_time_scale,
-            wallclock_tick_timeout_s=job.wallclock_tick_timeout_s,
         )
 
     partition_plan = partition_sources(catalog, cluster)
@@ -146,8 +141,7 @@ def scoped_store(job: TrainingJobSpec, store: CheckpointStore) -> CheckpointStor
 
 
 def build_catalog(job: TrainingJobSpec, filesystem: SimulatedFileSystem) -> SourceCatalog:
-    make_spec = coyo700m_like_spec if job.dataset_group == "coyo700m" else navit_like_spec
-    spec = make_spec(
+    spec = DATASET_GROUPS[job.dataset_group](
         num_sources=job.num_sources,
         samples_per_source=job.samples_per_source,
         seed=job.seed,
@@ -210,8 +204,6 @@ def spawn_constructor(job: TrainingJobSpec, mesh: DeviceMesh, system: ActorSyste
             mesh=mesh,
             dp_index=dp_index,
             max_sequence_length=job.max_sequence_length,
-            broadcast_tp=job.broadcast_tp,
-            broadcast_cp=job.broadcast_cp,
             staging_capacity=max(2, job.prefetch_depth + 2),
             # The sync workflow keeps legacy random step access;
             # prefetching requires strict in-order consumption.

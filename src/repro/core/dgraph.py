@@ -139,7 +139,7 @@ class DGraphPlan:
     fetching_ranks: list[int]
     mixture_weights: dict[str, float]
     source_demands: dict[str, list[int]]
-    subplan: dict[str, "DGraphPlan"] = field(default_factory=dict)
+    subplan: dict[str, "DGraphPlan"] = field(default_factory=dict, init=False)
     api_costs: dict[str, float] = field(default_factory=dict)
 
     def all_source_demands(self) -> dict[str, list[int]]:
@@ -174,7 +174,6 @@ class DGraph:
         self._tree: ClientPlaceTree | None = None
         self._mixture_weights: dict[str, float] = {}
         self._axis: str | None = None
-        self._group_size: int | None = None
         self._num_buckets: int | None = None
         self._cost_fn: CostFnLike | None = None
         #: Load cost per selected sample, aligned with ``_selected``.
@@ -185,7 +184,6 @@ class DGraph:
         self._num_microbatches = 1
         self._broadcast_dims: list[str] = []
         self._api_costs: dict[str, float] = {}
-        self._intra_reorder = True
         self._step = 0
         self._seed = 0
 
@@ -312,7 +310,6 @@ class DGraph:
                 raise OrchestrationError("group_size must be positive")
             consumers = math.ceil(consumers / group_size)
         self._axis = axis
-        self._group_size = group_size
         self._num_buckets = consumers
         return self
 
@@ -326,21 +323,15 @@ class DGraph:
         self._evaluate_costs()
         return self
 
-    def balance(
-        self,
-        method: str = "greedy",
-        num_microbatches: int | None = None,
-        intra_microbatch_reorder: bool = True,
-    ) -> "DGraph":
+    def balance(self, method: str = "greedy", num_microbatches: int | None = None) -> "DGraph":
         """Distribute the selected samples into buckets and microbatch bins.
 
         The bucket count comes from the preceding :meth:`distribute`; each
         bucket is further divided into ``num_microbatches`` bins and the named
         balancing method (greedy bin packing, Karmarkar-Karp or interleave)
-        assigns samples so per-bin costs are as even as possible.  Setting
-        ``intra_microbatch_reorder=False`` keeps the sampled order inside each
-        microbatch (the conservative configuration used for the Fig. 18 loss
-        study).
+        assigns samples so per-bin costs are as even as possible.  The
+        built-in strategies use greedy; Table 2 and the architecture model
+        compare the three.
         """
         if self._num_buckets is None:
             raise OrchestrationError("call distribute() before balance()")
@@ -350,23 +341,18 @@ class DGraph:
             if num_microbatches <= 0:
                 raise OrchestrationError("num_microbatches must be positive")
             self._num_microbatches = num_microbatches
-        self._intra_reorder = intra_microbatch_reorder
 
         costs = self._costs
         bins = self._num_microbatches
         assignments: list[list[list[int]]] = []
         for bucket in balance_positions(costs, self._num_buckets, method):
-            if self._intra_reorder:
-                bucket_costs = [costs[position] for position in bucket]
-                assignments.append(
-                    [
-                        [bucket[index] for index in bin_]
-                        for bin_ in balance_positions(bucket_costs, bins, method)
-                    ]
-                )
-            else:
-                # Sampled order kept: the bucket is dealt round-robin.
-                assignments.append([bucket[offset::bins] for offset in range(bins)])
+            bucket_costs = [costs[position] for position in bucket]
+            assignments.append(
+                [
+                    [bucket[index] for index in bin_]
+                    for bin_ in balance_positions(bucket_costs, bins, method)
+                ]
+            )
 
         self._balance_result = assignments
         self._balance_method = method

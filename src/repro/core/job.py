@@ -13,9 +13,10 @@ from repro.actors.runtime import ActorSystem
 from repro.core.data_constructor import RankDelivery
 from repro.core.planner import PlanTimings
 from repro.core.plans import LoadingPlan
-from repro.core.strategies import StrategyConfig, StrategyFn, make_strategy
+from repro.core.strategies import BUILTIN_STRATEGIES, StrategyConfig, StrategyFn, make_strategy
 from repro.data.mixture import MixtureSchedule
 from repro.data.samples import SampleMetadata
+from repro.data.synthetic import DATASET_GROUPS
 from repro.errors import ConfigurationError
 from repro.parallelism.mesh import DeviceMesh
 from repro.training.models import MODEL_ZOO, BackboneConfig, EncoderConfig, VLMConfig
@@ -27,6 +28,9 @@ from repro.training.simulator import GpuSpec, IterationResult
 #: quota deterministically once the source returns.
 DEGRADED_MODES = ("strict", "renormalize")
 
+#: GPUs per accelerator node of the job's device mesh.
+GPUS_PER_NODE = 16
+
 
 @dataclass
 class TrainingJobSpec:
@@ -37,7 +41,6 @@ class TrainingJobSpec:
     dp: int = 2
     cp: int = 1
     tp: int = 1
-    gpus_per_node: int = 16
 
     # Model.
     backbone: str = "Llama-12B"
@@ -56,16 +59,11 @@ class TrainingJobSpec:
 
     # Orchestration.
     strategy: str = "hybrid"
-    balance_method: str = "greedy"
-    broadcast_tp: bool = True
-    broadcast_cp: bool = False
-    group_size: int | None = None
 
     # Deployment.
     cpu_pods: int = 1
     enable_shadow_loaders: bool = False
     enable_autoscaler: bool = True
-    deferred_transforms: tuple[str, ...] = ()
     seed: int = 0
 
     #: How many future steps the StepPipeline keeps in flight behind the
@@ -102,13 +100,6 @@ class TrainingJobSpec:
     #: by the virtual backend.
     wallclock_time_scale: float = 1.0
 
-    #: Real-time backstop for a single ``tick()`` under the wallclock backend:
-    #: a tick that cannot finish draining within this many real seconds raises
-    #: ``TimeoutError`` instead of hanging the driver.  Long chaos soaks with
-    #: large stragglers or time scales may need a higher ceiling.  Ignored by
-    #: the virtual backend.
-    wallclock_tick_timeout_s: float = 60.0
-
     #: What the data plane does when every loader of a source is dead or
     #: blacked out and recovery keeps failing: "strict" (default) waits the
     #: fault out with jittered backoff — batches stay byte-identical to a
@@ -129,6 +120,8 @@ class TrainingJobSpec:
     def __post_init__(self) -> None:
         if self.samples_per_dp_step < 1 or self.num_microbatches < 1:
             raise ConfigurationError("samples_per_dp_step and num_microbatches must be >= 1")
+        if self.max_sequence_length < 1:
+            raise ConfigurationError("max_sequence_length must be >= 1")
         if self.samples_per_dp_step < self.num_microbatches:
             raise ConfigurationError(
                 "samples_per_dp_step must be >= num_microbatches so every microbatch is non-empty"
@@ -149,12 +142,20 @@ class TrainingJobSpec:
             )
         if self.wallclock_time_scale <= 0:
             raise ConfigurationError("wallclock_time_scale must be > 0")
-        if self.wallclock_tick_timeout_s <= 0:
-            raise ConfigurationError("wallclock_tick_timeout_s must be > 0")
         if self.degraded_mode not in DEGRADED_MODES:
             raise ConfigurationError(
                 f"unknown degraded_mode {self.degraded_mode!r}; "
                 f"expected one of {DEGRADED_MODES}"
+            )
+        if self.strategy not in BUILTIN_STRATEGIES:
+            raise ConfigurationError(
+                f"unknown strategy {self.strategy!r}; "
+                f"expected one of {tuple(BUILTIN_STRATEGIES)}"
+            )
+        if self.dataset_group not in DATASET_GROUPS:
+            raise ConfigurationError(
+                f"unknown dataset_group {self.dataset_group!r}; "
+                f"expected one of {tuple(DATASET_GROUPS)}"
             )
         if self.backbone not in MODEL_ZOO:
             raise ConfigurationError(f"unknown backbone {self.backbone!r}")
@@ -194,7 +195,7 @@ class TrainingJobSpec:
 
     def device_mesh(self) -> DeviceMesh:
         return DeviceMesh(
-            pp=self.pp, dp=self.dp, cp=self.cp, tp=self.tp, gpus_per_node=self.gpus_per_node
+            pp=self.pp, dp=self.dp, cp=self.cp, tp=self.tp, gpus_per_node=GPUS_PER_NODE
         )
 
     def model(self) -> VLMConfig | BackboneConfig:
@@ -213,14 +214,7 @@ class TrainingJobSpec:
         """The declared orchestration strategy, sampling under ``mixture``."""
         return make_strategy(
             self.strategy,
-            StrategyConfig(
-                mixture=mixture,
-                num_microbatches=self.num_microbatches,
-                balance_method=self.balance_method,
-                broadcast_tp=self.broadcast_tp,
-                broadcast_cp=self.broadcast_cp,
-                group_size=self.group_size,
-            ),
+            StrategyConfig(mixture=mixture, num_microbatches=self.num_microbatches),
         )
 
     @classmethod

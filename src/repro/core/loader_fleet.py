@@ -54,7 +54,6 @@ def loader_factory(
     Deploy-time canonicals, their shadows and elastic mirrors differ only in
     these arguments and in how their actor is placed.
     """
-    deferred_transforms = set(job.deferred_transforms) or None
     return lambda: SourceLoader(
         source=source,
         filesystem=filesystem,
@@ -62,7 +61,6 @@ def loader_factory(
         buffer_size=buffer_size,
         shard_index=shard_index,
         shard_count=shard_count,
-        deferred_transforms=deferred_transforms,
         deferred_refill=deferred_refill,
     )
 

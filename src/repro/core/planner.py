@@ -58,7 +58,7 @@ class PlanTimings:
 class PlannerStats:
     plans_generated: int = 0
     samples_planned: int = 0
-    timings: list[PlanTimings] = field(default_factory=list)
+    timings: list[PlanTimings] = field(default_factory=list, init=False)
 
     def latest_timings(self) -> PlanTimings:
         return self.timings[-1] if self.timings else PlanTimings()

@@ -39,7 +39,7 @@ class ModulePlan:
     axis: str
     num_buckets: int
     num_microbatches: int
-    assignments: list[MicrobatchAssignment] = field(default_factory=list)
+    assignments: list[MicrobatchAssignment] = field(default_factory=list, init=False)
     balance_method: str = "none"
 
     def bucket_assignments(self, bucket_index: int) -> list[MicrobatchAssignment]:

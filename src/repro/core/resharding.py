@@ -25,7 +25,6 @@ class ReshardNotification:
 
     step: int
     new_mesh: DeviceMesh
-    reason: str = "elastic_rescale"
 
 
 @dataclass

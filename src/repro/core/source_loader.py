@@ -90,7 +90,6 @@ class SourceLoader(Actor):
         buffer_size: int = 256,
         shard_index: int = 0,
         shard_count: int = 1,
-        deferred_transforms: set[str] | None = None,
         deferred_refill: bool = False,
     ) -> None:
         super().__init__()
@@ -113,9 +112,7 @@ class SourceLoader(Actor):
         #: single refill instead, keeping every member's cursor consumption
         #: byte-identical to a lone loader preparing the full demand list.
         self.deferred_refill = deferred_refill
-        self.pipeline = TransformPipeline.for_modality(
-            source.modality, deferred=deferred_transforms
-        )
+        self.pipeline = TransformPipeline.for_modality(source.modality)
         #: The pipeline's built-in latencies already encode the modality cost
         #: ratios; the per-source ``cost_per_token`` multiplies on top of the
         #: modality baseline to express within-modality heterogeneity.
@@ -123,13 +120,14 @@ class SourceLoader(Actor):
             source.profile.cost_per_token / max(1e-9, MODALITY_COST_PER_TOKEN[source.modality]),
             0.1,
         )
-        #: Everything :meth:`_cost_columns` reads besides a row's metadata.  A
-        #: row is costed once per process under this key, and every later
-        #: read of it, by any loader with the same key, reuses those costs.
+        #: Everything :meth:`_cost_columns` reads besides a row's metadata: the
+        #: source, its modality's transform chain, the latency scale and the
+        #: fixed cost.  A row is costed once per process under this key, and
+        #: every later read of it, by any loader with the same key, reuses
+        #: those costs.
         self._cost_key = (
             source.name,
             tuple(map(repr, self.pipeline._transforms)),
-            tuple(self.pipeline.deferred_names),
             self._latency_scale,
             source.profile.fixed_cost_s,
         )

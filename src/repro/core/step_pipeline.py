@@ -129,15 +129,15 @@ class _InflightStep:
     demands: dict[ActorHandle, list[int]] = field(default_factory=dict)
     #: Each loader's latest poll.  A completed final poll stays here, its
     #: ``prepared/`` key not yet taken, until the step leaves ``preparing``.
-    poll_futures: dict[ActorHandle, ActorFuture] = field(default_factory=dict)
+    poll_futures: dict[ActorHandle, ActorFuture] = field(default_factory=dict, init=False)
     #: Loaders whose ticket a completed first poll registered; only these
     #: are sent continuation polls, which carry no sample ids.
-    accepted: set[ActorHandle] = field(default_factory=set)
-    pending_loaders: set[ActorHandle] = field(default_factory=set)
+    accepted: set[ActorHandle] = field(default_factory=set, init=False)
+    pending_loaders: set[ActorHandle] = field(default_factory=set, init=False)
     #: Per-loader causal cursor: the completion instant of this ticket's
     #: latest poll event, serializing the ticket's chunks even when the
     #: loader's worker-pool lanes run other steps' tickets concurrently.
-    loader_cursor_s: dict[ActorHandle, float] = field(default_factory=dict)
+    loader_cursor_s: dict[ActorHandle, float] = field(default_factory=dict, init=False)
     loader_wall_clock_s: float = 0.0
     loader_transform_s: float = 0.0
 
@@ -146,7 +146,7 @@ class _InflightStep:
     fetch_ready_s: float = 0.0
 
     unconstructed: list[ActorHandle] = field(default_factory=list)
-    construct_futures: dict[str, ActorFuture] = field(default_factory=dict)
+    construct_futures: dict[str, ActorFuture] = field(default_factory=dict, init=False)
     collate_seconds: float = 0.0
     #: Virtual instant the step's last construct event completed — the
     #: measured readiness instant the framework stalls the trainer against.

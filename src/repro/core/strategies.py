@@ -23,10 +23,6 @@ from repro.data.samples import SampleMetadata
 #: Strategy signature used by the Planner.
 StrategyFn = Callable[[dict[str, list[SampleMetadata]], ClientPlaceTree, int, int], DGraphPlan]
 
-#: Cost function signature: metadata -> (load, memory) or float.
-CostFn = Callable[[SampleMetadata], object]
-
-
 def _token_cost(metadata: SampleMetadata) -> float:
     return float(metadata.total_tokens) ** 2
 
@@ -49,21 +45,18 @@ _image_cost.columns_eval = lambda columns: _square_columns(columns.image_tokens)
 
 @dataclass
 class StrategyConfig:
-    """Shared knobs for the built-in strategies."""
+    """Shared knobs for the built-in strategies.
+
+    Every strategy distributes along DP, costs backbone samples by squared
+    tokens (encoder samples by squared image tokens), balances greedily and
+    broadcasts along TP.
+    """
 
     mixture: MixtureSchedule | None = None
     #: Cap on how many samples ``mix`` draws per step (None = the whole
     #: buffered pool); benchmarks use it to decouple batch size from depth.
     sample_count: int | None = None
     num_microbatches: int = 4
-    balance_method: str = "greedy"
-    backbone_costfn: CostFn | None = None
-    encoder_costfn: CostFn | None = None
-    broadcast_tp: bool = True
-    broadcast_cp: bool = False
-    distribute_axis: str = "DP"
-    group_size: int | None = None
-    intra_microbatch_reorder: bool = True
 
 
 def vanilla_strategy(config: StrategyConfig | None = None) -> StrategyFn:
@@ -80,12 +73,9 @@ def vanilla_strategy(config: StrategyConfig | None = None) -> StrategyFn:
         dgraph.init(tree).with_step(step, seed)
         if config.mixture is not None:
             dgraph.mix(config.mixture, sample_count=config.sample_count)
-        dgraph.distribute(axis=config.distribute_axis, group_size=config.group_size)
+        dgraph.distribute(axis="DP")
         dgraph._num_microbatches = config.num_microbatches
-        if config.broadcast_tp:
-            dgraph.broadcast_at("TP")
-        if config.broadcast_cp:
-            dgraph.broadcast_at("CP")
+        dgraph.broadcast_at("TP")
         return dgraph.plan()
 
     return strategy
@@ -98,7 +88,6 @@ def backbone_balance_strategy(config: StrategyConfig | None = None) -> StrategyF
     register the backbone cost model, balance, and declare TP broadcasting.
     """
     config = config or StrategyConfig()
-    costfn = config.backbone_costfn or _token_cost
 
     def strategy(
         buffer_infos: dict[str, list[SampleMetadata]],
@@ -110,17 +99,10 @@ def backbone_balance_strategy(config: StrategyConfig | None = None) -> StrategyF
         dgraph.init(tree).with_step(step, seed)
         if config.mixture is not None:
             dgraph.mix(config.mixture, sample_count=config.sample_count)
-        dgraph.distribute(axis=config.distribute_axis, group_size=config.group_size)
-        dgraph.cost(costfn)
-        dgraph.balance(
-            method=config.balance_method,
-            num_microbatches=config.num_microbatches,
-            intra_microbatch_reorder=config.intra_microbatch_reorder,
-        )
-        if config.broadcast_tp:
-            dgraph.broadcast_at("TP")
-        if config.broadcast_cp:
-            dgraph.broadcast_at("CP")
+        dgraph.distribute(axis="DP")
+        dgraph.cost(_token_cost)
+        dgraph.balance(num_microbatches=config.num_microbatches)
+        dgraph.broadcast_at("TP")
         return dgraph.plan()
 
     return strategy
@@ -130,8 +112,6 @@ def hybrid_vlm_strategy(config: StrategyConfig | None = None) -> StrategyFn:
     """Hybrid balancing for VLMs: encoder images balanced WORLD-wide, backbone
     sequences balanced across DP ranks (Fig. 9 right, the five extra lines)."""
     config = config or StrategyConfig()
-    backbone_costfn = config.backbone_costfn or _token_cost
-    encoder_costfn = config.encoder_costfn or _image_cost
 
     def strategy(
         buffer_infos: dict[str, list[SampleMetadata]],
@@ -144,17 +124,10 @@ def hybrid_vlm_strategy(config: StrategyConfig | None = None) -> StrategyFn:
         dgraph.init(tree).with_step(step, seed)
         if config.mixture is not None:
             dgraph.mix(config.mixture, sample_count=config.sample_count)
-        dgraph.distribute(axis=config.distribute_axis, group_size=config.group_size)
-        dgraph.cost(backbone_costfn)
-        dgraph.balance(
-            method=config.balance_method,
-            num_microbatches=config.num_microbatches,
-            intra_microbatch_reorder=config.intra_microbatch_reorder,
-        )
-        if config.broadcast_tp:
-            dgraph.broadcast_at("TP")
-        if config.broadcast_cp:
-            dgraph.broadcast_at("CP")
+        dgraph.distribute(axis="DP")
+        dgraph.cost(_token_cost)
+        dgraph.balance(num_microbatches=config.num_microbatches)
+        dgraph.broadcast_at("TP")
         plan = dgraph.plan()
 
         # Encoder subplan: the image view of the *same* selected samples,
@@ -163,8 +136,8 @@ def hybrid_vlm_strategy(config: StrategyConfig | None = None) -> StrategyFn:
         dgraph_encoder = DGraph.from_buffer_infos(encoder_buffer, metas_image, module="encoder")
         dgraph_encoder.init(tree).with_step(step, seed)
         dgraph_encoder.distribute(axis="WORLD")
-        dgraph_encoder.cost(encoder_costfn)
-        dgraph_encoder.balance(method=config.balance_method, num_microbatches=config.num_microbatches)
+        dgraph_encoder.cost(_image_cost)
+        dgraph_encoder.balance(num_microbatches=config.num_microbatches)
         plan.subplan["encoder"] = dgraph_encoder.plan()
         return plan
 

@@ -13,13 +13,12 @@ Isolation is layered:
   scoped loader names) and checkpoint-store namespaces
   (:class:`~repro.core.checkpoint.NamespacedCheckpointStore`), so shared
   control-plane state never collides.
-- **Admission quotas** — each tenant registers a
-  :class:`~repro.actors.scheduler.TenantQuota` (weight, priority tier,
-  optional CPU/memory caps); the scheduler rejects placements that would
-  breach the caps and tracks per-tenant reservations.
+- **Tenant accounting** — each tenant registers a
+  :class:`~repro.actors.scheduler.TenantQuota` (its priority tier); the
+  scheduler tracks per-tenant reservations.  No tenant is capped.
 - **Fair-share service** — queued (capacity-rejected) spawns are served at
-  round boundaries by priority tier first, then weighted fair-share deficit,
-  so an under-served tenant catches up before an over-served one grows.
+  round boundaries by priority tier first, then equal-share deficit, so an
+  under-served tenant catches up before an over-served one grows.
 - **Mirror preemption** — when a higher-tier tenant's burst cannot place its
   mirrors, the manager drain-retires the *youngest mirrors* of the most
   over-served lower-tier tenants (canonical members are never preempted, so
@@ -46,19 +45,15 @@ from repro.errors import ConfigurationError
 
 @dataclass
 class TenantSpec:
-    """One tenant: a job plus its share of the pool.
+    """One tenant: a job plus its priority tier.
 
-    ``priority`` orders tenants into tiers (higher preempts lower);
-    ``weight`` sets the fair share within a tier; the optional quotas are
-    hard admission caps enforced by the scheduler.
+    ``priority`` orders tenants into tiers (higher preempts lower); within a
+    tier every tenant is entitled to an equal share of the pool.
     """
 
     name: str
     job: TrainingJobSpec
     priority: int = 0
-    weight: float = 1.0
-    cpu_quota: float | None = None
-    memory_quota: int | None = None
 
     def __post_init__(self) -> None:
         if not self.name or "/" in self.name or " " in self.name:
@@ -113,11 +108,11 @@ class TenantManager:
     # -- admission -------------------------------------------------------------
 
     def admit(self, spec: TenantSpec) -> MegaScaleData:
-        """Register the tenant's quota and deploy its job on the shared pool.
+        """Register the tenant and deploy its job on the shared pool.
 
         The job is deployed under ``namespace=<tenant name>``; a
-        :class:`SchedulingError` propagates when the pool (or the tenant's
-        quota) cannot host the job's base actors.
+        :class:`SchedulingError` propagates when the pool cannot host the
+        job's base actors.
         """
         if spec.name in self.tenants:
             raise ConfigurationError(f"tenant {spec.name!r} already admitted")
@@ -134,13 +129,7 @@ class TenantManager:
         if not job.namespace:
             job = replace(job, namespace=spec.name)
         self.system.scheduler.register_tenant(
-            TenantQuota(
-                tenant=spec.name,
-                weight=spec.weight,
-                priority=spec.priority,
-                cpu_limit=spec.cpu_quota,
-                memory_limit=spec.memory_quota,
-            )
+            TenantQuota(tenant=spec.name, priority=spec.priority)
         )
         deployment = MegaScaleData.deploy(
             job, checkpoint_store=self.checkpoint_store, system=self.system
@@ -272,7 +261,6 @@ class TenantManager:
             entry = {
                 "steps": float(len(history)),
                 "priority": float(self.tenants[name].priority),
-                "weight": self.tenants[name].weight,
                 "data_stall_time_s": stall,
                 "hidden_data_time_s": hidden,
                 "exposed_data_time_s": exposed,

@@ -123,9 +123,9 @@ class Sample:
     """
 
     metadata: SampleMetadata
-    payload: dict[str, object] = field(default_factory=dict)
+    payload: dict[str, object] = field(default_factory=dict, init=False)
     state: str = "raw"
-    applied_transforms: list[str] = field(default_factory=list)
+    applied_transforms: list[str] = field(default_factory=list, init=False)
 
     @property
     def sample_id(self) -> int:

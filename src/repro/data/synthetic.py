@@ -60,7 +60,6 @@ class SyntheticSourceSpec:
     text_distribution: BucketedLengthDistribution | None = None
     image_distribution: BucketedLengthDistribution | None = None
     cost_multiplier: float = 1.0
-    files_per_source: int = 1
 
 
 @dataclass(frozen=True)
@@ -127,6 +126,10 @@ def navit_like_spec(
     return SyntheticDatasetSpec(group_name="navit_data", sources=tuple(sources), seed=seed)
 
 
+#: The dataset groups a job can name, each with the function that makes its spec.
+DATASET_GROUPS = {"navit_data": navit_like_spec, "coyo700m": coyo700m_like_spec}
+
+
 #: Rows per row group of every synthetic columnar file.
 ROWS_PER_GROUP = 512
 
@@ -188,8 +191,8 @@ def generate_samples(
 def build_source_catalog(spec: SyntheticDatasetSpec, filesystem: SimulatedFileSystem) -> SourceCatalog:
     """Materialise a dataset spec into the filesystem and return its catalog.
 
-    For every source the records are written to one or more columnar files
-    under ``/data/<group>/<source>/part-N`` and a :class:`DataSource` entry is
+    For every source the records are written to one columnar file,
+    ``/data/<source>/part-00000``, and a :class:`DataSource` entry is
     registered describing the source's modality, size and cost profile.
     """
     if not spec.sources:
@@ -200,16 +203,11 @@ def build_source_catalog(spec: SyntheticDatasetSpec, filesystem: SimulatedFileSy
         records = generate_samples(source_spec, spec.seed, id_offset=id_offset)
         id_offset += len(records)
         paths = []
-        files = max(1, source_spec.files_per_source)
-        per_file = (len(records) + files - 1) // files
-        for file_index in range(files):
-            chunk = records[file_index * per_file : (file_index + 1) * per_file]
-            if not chunk:
-                continue
-            path = f"/data/{source_spec.name}/part-{file_index:05d}"
+        if records:
+            path = f"/data/{source_spec.name}/part-00000"
             columnar = write_columnar_file(
                 path,
-                chunk,
+                records,
                 SAMPLE_SCHEMA,
                 rows_per_group=ROWS_PER_GROUP,
                 source_name=source_spec.name,

@@ -42,10 +42,10 @@ class MemoryLedger:
     """
 
     name: str = "ledger"
-    _live: dict[str, int] = field(default_factory=dict)
-    _children: list["MemoryLedger"] = field(default_factory=list)
+    _live: dict[str, int] = field(default_factory=dict, init=False)
+    _children: list["MemoryLedger"] = field(default_factory=list, init=False)
     #: Sum of ``_live``, kept incrementally so a charge does not re-sum it.
-    _own_total: int = 0
+    _own_total: int = field(default=0, init=False)
 
     def charge(self, category: str, n_bytes: int) -> None:
         """Add ``n_bytes`` of live memory under ``category``."""

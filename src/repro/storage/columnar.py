@@ -35,7 +35,7 @@ class RowGroup:
     #: into; per Source Loader cost key, a list of their transform latencies
     #: and one of their staged bytes (None until first read).  Row groups are
     #: immutable, so every cursor over the file shares the one decoded copy.
-    decoded: dict[str | tuple, list] = field(default_factory=dict, repr=False, compare=False)
+    decoded: dict[str | tuple, list] = field(default_factory=dict, repr=False, compare=False, init=False)
 
     def column(self, name: str) -> list:
         try:

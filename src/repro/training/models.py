@@ -16,6 +16,7 @@ Mixtral - 8x7B 32       32      4096         MoE, top-k = 2
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.errors import ConfigurationError
 
@@ -28,8 +29,8 @@ class ModelConfig:
     num_layers: int
     num_heads: int
     hidden_size: int
-    vocab_size: int = 128_000
-    mlp_ratio: float = 4.0
+    vocab_size: ClassVar[int] = 128_000
+    mlp_ratio: ClassVar[float] = 4.0
 
     def __post_init__(self) -> None:
         if self.num_layers <= 0 or self.num_heads <= 0 or self.hidden_size <= 0:
@@ -50,8 +51,7 @@ class ModelConfig:
 class EncoderConfig(ModelConfig):
     """Vision Transformer encoder configuration."""
 
-    patch_size: int = 14
-    vocab_size: int = 0
+    vocab_size: ClassVar[int] = 0
 
 
 @dataclass(frozen=True)

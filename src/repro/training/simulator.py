@@ -16,6 +16,7 @@ Fig. 19) takes the same form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from repro.metrics.timeline import Timeline
 from repro.parallelism.mesh import DeviceMesh
 from repro.training.flops import microbatch_flops
 from repro.training.models import BackboneConfig, EncoderConfig, VLMConfig
-from repro.utils.units import GIB
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,10 @@ class GpuSpec:
 
     name: str = "L20"
     peak_flops: float = 119.0e12
-    mfu: float = 0.42
-    hbm_bytes: int = 48 * GIB
-    bytes_per_activation: int = 2
+    #: Achieved fraction of ``peak_flops`` (model FLOPs utilisation).
+    mfu: ClassVar[float] = 0.42
+    #: Bytes of one activation element (bf16).
+    bytes_per_activation: ClassVar[int] = 2
 
     def seconds_for(self, flops: float) -> float:
         """Wall-clock seconds to execute ``flops`` at the achievable rate."""
@@ -46,14 +47,11 @@ class GpuSpec:
         return flops / (self.peak_flops * self.mfu)
 
 
-@dataclass(frozen=True)
-class InterconnectSpec:
-    """All-to-all / P2P communication model."""
-
-    alltoall_bandwidth_bps: float = 50.0e9
-    alltoall_base_latency_s: float = 0.003
-    p2p_latency_s: float = 0.001
-    allreduce_base_latency_s: float = 0.010
+#: All-to-all communication model: bandwidth and per-exchange base latency.
+ALLTOALL_BANDWIDTH_BPS = 50.0e9
+ALLTOALL_BASE_LATENCY_S = 0.003
+#: Base latency of the gradient all-reduce barrier.
+ALLREDUCE_BASE_LATENCY_S = 0.010
 
 
 @dataclass
@@ -101,7 +99,6 @@ class TrainingSimulator:
             self.backbone = model
         self.mesh = mesh
         self.gpu = gpu or GpuSpec()
-        self.interconnect = InterconnectSpec()
 
     # -- public API --------------------------------------------------------------
 
@@ -173,7 +170,7 @@ class TrainingSimulator:
             per_dp_times.append(steady + bubble)
 
         # Gradient synchronisation: every DP rank waits for the slowest one.
-        allreduce = self.interconnect.allreduce_base_latency_s
+        allreduce = ALLREDUCE_BASE_LATENCY_S
         compute_time = max(per_dp_times) if per_dp_times else 0.0
         if hidden_fetch_s is None:
             # Legacy model: assume the fetch fully overlaps the previous
@@ -267,10 +264,7 @@ class TrainingSimulator:
                 if mb_index < len(dp_row):
                     image_tokens += sum(sample.image_tokens for sample in dp_row[mb_index])
             payload = image_tokens * feature_bytes_per_token
-            times.append(
-                self.interconnect.alltoall_base_latency_s
-                + payload / self.interconnect.alltoall_bandwidth_bps
-            )
+            times.append(ALLTOALL_BASE_LATENCY_S + payload / ALLTOALL_BANDWIDTH_BPS)
         return times
 
     def _backbone_microbatch_times(

@@ -47,7 +47,7 @@ class Microbatch:
     index: int
     samples: list[SampleMetadata] = field(default_factory=list)
     _token_cache: tuple[int, int, int, int] | None = field(
-        default=None, repr=False, compare=False
+        default=None, repr=False, compare=False, init=False
     )
 
     def _totals(self) -> tuple[int, int, int, int]:

@@ -145,18 +145,15 @@ def pipeline_stage_view(
 
 
 def build_rank_slices(
-    collated: CollatedMicrobatch,
-    mesh: DeviceMesh,
-    dp_index: int,
-    broadcast_tp: bool = True,
-    broadcast_cp: bool = False,
+    collated: CollatedMicrobatch, mesh: DeviceMesh, dp_index: int
 ) -> list[ParallelSlice]:
     """Expand one collated microbatch into per-rank delivery slices.
 
     The expansion walks the mesh: for the owning DP group, each (PP, CP, TP)
     coordinate receives a slice sized according to the stage/slice/broadcast
-    rules above.  This is the "parallelism transformation" a Data Constructor
-    applies before delivery.
+    rules above, with TP ranks past the first served by the TP broadcast and
+    every CP rank fetching its own share.  This is the "parallelism
+    transformation" a Data Constructor applies before delivery.
     """
     slices: list[ParallelSlice] = []
     cp_size = mesh.size("CP")
@@ -177,11 +174,8 @@ def build_rank_slices(
                 )
             )
             continue
-        cp_share = cp_slices[coord.cp]
-        token_count = int(cp_share["token_count"])
-        if broadcast_cp and coord.cp > 0:
-            token_count = 0
-        tp_replicas = tensor_parallel_replicas(token_count, tp_size, broadcast_tp)
+        token_count = int(cp_slices[coord.cp]["token_count"])
+        tp_replicas = tensor_parallel_replicas(token_count, tp_size, True)
         tp_share = tp_replicas[coord.tp]
         slices.append(
             ParallelSlice(
@@ -202,20 +196,14 @@ def build_rank_slices(
 class RankLayout:
     """The mesh walk of :func:`build_rank_slices` for one DP group, done once.
 
-    Which ranks the group holds, which PP stages need payloads and which TP/CP
-    ranks are served by a broadcast (and from which rank) depends on the mesh
-    and the flags, not on the microbatch.  :meth:`slices` sizes a microbatch's
+    Which ranks the group holds, which PP stages need payloads and which TP
+    ranks are served by the broadcast (and from which rank) depends on the
+    mesh, not on the microbatch.  :meth:`slices` sizes a microbatch's
     slices from its ``sequence_lengths`` alone and returns what
     :func:`build_rank_slices` returns for a collation with those lengths.
     """
 
-    def __init__(
-        self,
-        mesh: DeviceMesh,
-        dp_index: int,
-        broadcast_tp: bool = True,
-        broadcast_cp: bool = False,
-    ) -> None:
+    def __init__(self, mesh: DeviceMesh, dp_index: int) -> None:
         self.cp_size = mesh.size("CP")
         payload_stages = (0, mesh.size("PP") - 1)
         tp_heads: dict[tuple[int, int], int] = {}
@@ -228,12 +216,11 @@ class RankLayout:
             if coord.pp not in payload_stages:
                 self._ranks.append((rank, {}, None, None))  # shape metadata only
                 continue
-            via_tp_broadcast = broadcast_tp and coord.tp > 0
-            fetches = not via_tp_broadcast and not (broadcast_cp and coord.cp > 0)
             info = {"cp_rank": coord.cp, "tp_rank": coord.tp, "pp_rank": coord.pp}
-            self._ranks.append(
-                (rank, info, coord.cp if fetches else None, head if via_tp_broadcast else None)
-            )
+            if coord.tp > 0:  # served by the TP broadcast from the head
+                self._ranks.append((rank, info, None, head))
+            else:
+                self._ranks.append((rank, info, coord.cp, None))
 
     def slices(self, microbatch_index: int, sequence_lengths: np.ndarray) -> list[ParallelSlice]:
         """Per-rank delivery slices of one collated microbatch."""

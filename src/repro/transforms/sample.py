@@ -9,8 +9,6 @@ output token, audio ~4x image, video keyframe extraction heavier still).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.data.samples import Modality, Sample
@@ -50,15 +48,14 @@ class SampleTransform:
         """
         raise NotImplementedError
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+    def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
 
-@dataclass
 class TextTokenize(SampleTransform):
     """Convert raw text into token ids."""
 
-    seconds_per_token: float = TOKENIZE_SECONDS_PER_TOKEN
+    seconds_per_token = TOKENIZE_SECONDS_PER_TOKEN
     name = "text_tokenize"
     modalities = ()
 
@@ -75,12 +72,11 @@ class TextTokenize(SampleTransform):
         return [self.seconds_per_token * tokens for tokens in text_tokens], image_tokens
 
 
-@dataclass
 class ImageDecode(SampleTransform):
     """Decode a compressed image into a normalized patch tensor (JPEG -> RGB)."""
 
-    seconds_per_patch: float = TOKENIZE_SECONDS_PER_TOKEN * 75.0
-    bytes_per_patch: int = 14 * 14 * 3 * 4
+    seconds_per_patch = TOKENIZE_SECONDS_PER_TOKEN * 75.0
+    bytes_per_patch = 14 * 14 * 3 * 4
     name = "image_decode"
     modalities = (Modality.IMAGE, Modality.VIDEO)
 
@@ -101,12 +97,11 @@ class ImageDecode(SampleTransform):
         return [self.seconds_per_patch * patches for patches in image_tokens], image_tokens
 
 
-@dataclass
 class ImageCrop(SampleTransform):
     """Crop/resize an image to a bounded number of patches."""
 
-    max_patches: int = 16384
-    seconds_per_patch: float = TOKENIZE_SECONDS_PER_TOKEN * 6.0
+    max_patches = 16384
+    seconds_per_patch = TOKENIZE_SECONDS_PER_TOKEN * 6.0
     name = "image_crop"
     modalities = (Modality.IMAGE, Modality.VIDEO)
 
@@ -129,11 +124,10 @@ class ImageCrop(SampleTransform):
         return latencies, [min(patches, self.max_patches) for patches in image_tokens]
 
 
-@dataclass
 class VideoKeyframeExtract(SampleTransform):
     """Extract keyframes from a video container before per-frame decoding."""
 
-    seconds_per_frame: float = 0.004
+    seconds_per_frame = 0.004
     name = "video_keyframe_extract"
     modalities = (Modality.VIDEO,)
 
@@ -152,11 +146,10 @@ class VideoKeyframeExtract(SampleTransform):
         return [self.seconds_per_frame * frames + 0.002 for frames in video_frames], image_tokens
 
 
-@dataclass
 class AudioFeaturize(SampleTransform):
     """Convert raw audio into feature frames (the costliest modality per token)."""
 
-    seconds_per_token: float = TOKENIZE_SECONDS_PER_TOKEN * 300.0
+    seconds_per_token = TOKENIZE_SECONDS_PER_TOKEN * 300.0
     name = "audio_featurize"
     modalities = (Modality.AUDIO,)
 

@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.actors import wallclock
 from repro.actors.actor import Actor, ActorFuture
 from repro.actors.runtime import ActorSystem, ClusterSpec
 from repro.actors.wallclock import WallClock
@@ -155,6 +156,36 @@ class TestTimeoutParity:
             future.result(timeout=0.05)
         system.drain()
         assert future.result() == 0.3
+
+    def test_tick_backstop_raises_when_nothing_completes(self, monkeypatch):
+        monkeypatch.setattr(wallclock, "TICK_TIMEOUT_S", 0.05)
+        system = make_system(time_scale=1.0)
+        handle = system.create_actor(Sleeper, name="s")
+        future = handle.submit("nap", 0.3)
+        started = time.monotonic()
+        with pytest.raises(TimeoutError, match="no completion within 0.05s"):
+            system.tick()
+        assert time.monotonic() - started < 0.3  # raised before the nap ended
+        assert future.result(timeout=5.0) == 0.3
+        system.drain()
+
+    def test_drain_backstop_raises_when_nothing_completes(self, monkeypatch):
+        monkeypatch.setattr(wallclock, "TICK_TIMEOUT_S", 0.05)
+        system = make_system(time_scale=1.0)
+        future = system.create_actor(Sleeper, name="s").submit("nap", 0.3)
+        with pytest.raises(TimeoutError, match="drain saw no completion within 0.05s"):
+            system.drain()
+        assert future.result(timeout=5.0) == 0.3
+        system.drain()
+
+    def test_quiesce_backstop_raises_while_a_call_runs(self, monkeypatch):
+        monkeypatch.setattr(wallclock, "TICK_TIMEOUT_S", 0.05)
+        system = make_system(time_scale=1.0)
+        future = system.create_actor(Sleeper, name="s").submit("nap", 0.3)
+        with pytest.raises(TimeoutError, match="quiesce of actor 's'"):
+            system.engine.quiesce(["s"])
+        assert future.result(timeout=5.0) == 0.3
+        system.drain()
 
     def test_result_timeout_drives_virtual_engine(self):
         system = ActorSystem(ClusterSpec(accelerator_nodes=1, cpu_pods=1))

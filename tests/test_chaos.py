@@ -359,14 +359,6 @@ class TestQuotaArithmetic:
 
 
 class TestJobKnobs:
-    def test_wallclock_tick_timeout_validated(self):
-        with pytest.raises(ConfigurationError):
-            TrainingJobSpec(
-                pp=1, dp=1, cp=1, tp=1, encoder=None,
-                samples_per_dp_step=4, num_microbatches=1,
-                wallclock_tick_timeout_s=0.0,
-            )
-
     def test_degraded_mode_validated(self):
         with pytest.raises(ConfigurationError):
             TrainingJobSpec(

@@ -444,19 +444,15 @@ class TestConstructorEquivalence:
         dp=st.sampled_from([1, 2]),
         cp=st.sampled_from([1, 2, 3]),
         tp=st.sampled_from([1, 2]),
-        broadcast_tp=st.booleans(),
-        broadcast_cp=st.booleans(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_rank_deliveries_match_reference_collation(
-        self, tokens, packing, pp, dp, cp, tp, broadcast_tp, broadcast_cp
-    ):
+    def test_rank_deliveries_match_reference_collation(self, tokens, packing, pp, dp, cp, tp):
         mesh = DeviceMesh(pp=pp, dp=dp, cp=cp, tp=tp, gpus_per_node=8)
         dp_index = dp - 1
         plan = make_plan(tokens)
         constructor = DataConstructor(
             bucket_index=0, mesh=mesh, dp_index=dp_index, max_sequence_length=512,
-            packing=packing, broadcast_tp=broadcast_tp, broadcast_cp=broadcast_cp,
+            packing=packing,
         )
         stats = constructor.construct(0, plan, columns_for(plan))
 
@@ -472,10 +468,7 @@ class TestConstructorEquivalence:
                 packing=packing,
             )
             expected_tokens += collated.total_tokens()
-            for piece in build_rank_slices(
-                collated, mesh, dp_index=dp_index,
-                broadcast_tp=broadcast_tp, broadcast_cp=broadcast_cp,
-            ):
+            for piece in build_rank_slices(collated, mesh, dp_index=dp_index):
                 expected.setdefault(piece.rank, RankDelivery(rank=piece.rank)).slices.append(
                     piece
                 )

@@ -100,7 +100,7 @@ class TestSourceAutoPartitioner:
             SourceAutoPartitioner().partition(heterogeneous_catalog(), tiny)
 
     def test_budget_must_leave_loader_cores(self):
-        bad = ResourceBudget(cpu_cores=6.0, memory_bytes=GIB, constructor_cores=4.0, planner_cores=4.0)
+        bad = ResourceBudget(cpu_cores=8.0, memory_bytes=GIB)  # 4 constructor + 4 planner cores
         with pytest.raises(ScalingError):
             bad.loader_cores()
 

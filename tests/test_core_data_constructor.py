@@ -99,7 +99,7 @@ class TestConstruct:
 class TestParallelismSharing:
     def test_tp_broadcast_saves_bytes(self, system, sample_factory):
         mesh = DeviceMesh(pp=1, dp=1, cp=1, tp=4)
-        with_bcast = spawn_constructor(system, mesh, broadcast_tp=True)
+        with_bcast = spawn_constructor(system, mesh)
         plan = make_plan(sample_factory, buckets=1)
         with_bcast.call("construct", 0, plan, prepared_for(plan))
         assert with_bcast.instance().stats.broadcast_bytes_saved > 0

@@ -116,12 +116,6 @@ class TestPrimitives:
         plan = dgraph.plan()
         assert plan.module.balance_method == "greedy"
 
-    def test_balance_without_intra_reorder_keeps_round_robin(self, buffer_infos, tree):
-        dgraph = DGraph.from_buffer_infos(buffer_infos).init(tree).distribute("DP")
-        dgraph.balance(num_microbatches=4, intra_microbatch_reorder=False)
-        plan = dgraph.plan()
-        assert len(plan.module.assignments) == 8
-
     def test_broadcast_at_excludes_clients(self, buffer_infos, tree):
         dgraph = DGraph.from_buffer_infos(buffer_infos).init(tree)
         dgraph.distribute("DP").balance(num_microbatches=2)

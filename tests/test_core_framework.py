@@ -8,6 +8,7 @@ from repro.actors.actor import Actor
 from repro.actors.runtime import ActorSystem
 from repro.chaos import FaultPlan
 from repro.core.cost_model import DataPlaneLatencyProvider, reconcile_timing
+from repro.core.deploy import build_catalog
 from repro.core.fault_tolerance import FaultToleranceManager
 from repro.core.framework import MegaScaleData, TrainingJobSpec
 from repro.core.resharding import ReshardNotification
@@ -46,6 +47,17 @@ class TestTrainingJobSpec:
         mesh = job.device_mesh()
         assert mesh.world_size == 12
 
+    def test_device_mesh_has_sixteen_gpus_per_node(self):
+        mesh = TrainingJobSpec(pp=2, dp=4, cp=1, tp=4).device_mesh()
+        assert mesh.gpus_per_node == 16
+        assert mesh.num_nodes == 2
+
+    @pytest.mark.parametrize("group", ["navit_data", "coyo700m"])
+    def test_dataset_group_selects_the_catalog(self, group):
+        job = TrainingJobSpec(dataset_group=group, num_sources=2, samples_per_source=8)
+        catalog = build_catalog(job, SimulatedFileSystem())
+        assert {source.dataset_group for source in catalog} == {group}
+
     def test_vlm_model_built(self):
         job = TrainingJobSpec(backbone="Llama-12B", encoder="ViT-2B")
         model = job.model()
@@ -77,6 +89,18 @@ class TestTrainingJobSpec:
             TrainingJobSpec(backbone="GPT-9")
         with pytest.raises(ConfigurationError):
             TrainingJobSpec(encoder="CLIP-XXL")
+
+    def test_unknown_strategy_rejected(self):
+        with pytest.raises(ConfigurationError, match="strategy 'nope'"):
+            TrainingJobSpec(strategy="nope")
+
+    def test_unknown_dataset_group_rejected(self):
+        with pytest.raises(ConfigurationError, match="dataset_group 'coyo'"):
+            TrainingJobSpec(dataset_group="coyo")
+
+    def test_empty_sequence_length_rejected(self):
+        with pytest.raises(ConfigurationError, match="max_sequence_length"):
+            TrainingJobSpec(max_sequence_length=0)
 
     def test_global_samples_per_step(self):
         job = TrainingJobSpec(dp=4, samples_per_dp_step=8)
@@ -132,7 +156,7 @@ class TestRetiredKnobs:
     def test_spec_field_count(self):
         import dataclasses
 
-        assert len(dataclasses.fields(TrainingJobSpec)) == 33
+        assert len(dataclasses.fields(TrainingJobSpec)) == 26
 
 
 class TestTelemetryWindow:

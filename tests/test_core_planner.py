@@ -308,13 +308,12 @@ class TestColumnarPlanEquivalence:
         step=st.integers(min_value=0, max_value=50),
         seed=st.integers(min_value=0, max_value=10),
         strategy_name=st.sampled_from(["vanilla", "backbone_balance", "hybrid"]),
-        balance_method=st.sampled_from(["greedy", "interleave"]),
         sample_count=st.one_of(st.none(), st.integers(min_value=1, max_value=40)),
         weight_seed=st.integers(min_value=0, max_value=5),
     )
     @settings(max_examples=60, deadline=None)
     def test_columns_and_lists_emit_identical_plans(
-        self, spec, step, seed, strategy_name, balance_method, sample_count, weight_seed
+        self, spec, step, seed, strategy_name, sample_count, weight_seed
     ):
         buffer_infos = _random_buffer_infos(spec)
         # A deterministic "random" mixture over the drawn sources (some of
@@ -331,7 +330,6 @@ class TestColumnarPlanEquivalence:
             mixture=MixtureSchedule.static(weights),
             sample_count=sample_count,
             num_microbatches=2,
-            balance_method=balance_method,
         )
         tree_rows = ClientPlaceTree(DeviceMesh(pp=1, dp=2, cp=1, tp=2, gpus_per_node=8))
         tree_cols = ClientPlaceTree(DeviceMesh(pp=1, dp=2, cp=1, tp=2, gpus_per_node=8))

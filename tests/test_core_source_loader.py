@@ -20,12 +20,7 @@ from repro.data.sources import SourceCursor
 from repro.data.synthetic import build_source_catalog, navit_like_spec
 from repro.errors import PlanError
 from repro.storage.filesystem import SimulatedFileSystem
-from repro.transforms.sample import (
-    AudioFeaturize,
-    ImageDecode,
-    TextTokenize,
-    default_transforms_for,
-)
+from repro.transforms.sample import AudioFeaturize, ImageDecode, TextTokenize
 from repro.utils.units import GIB
 from test_golden_digests import _feed
 
@@ -175,26 +170,6 @@ class TestPrepareAndFetch:
         assert loader._tickets == {}
         assert loader.ledger.live_bytes("sample_payload") == 0
 
-    def test_deferred_transforms_reduce_transfer(self, system, small_catalog, filesystem):
-        image_index = next(
-            i for i, s in enumerate(small_catalog.sources()) if s.avg_image_tokens > 0
-        )
-        eager = spawn_loader(system, small_catalog, filesystem, source_index=image_index)
-        deferred = system.create_actor(
-            lambda: SourceLoader(
-                small_catalog.sources()[image_index],
-                filesystem,
-                deferred_transforms={"image_decode"},
-            ),
-            name="deferred-loader",
-            memory_bytes=GIB,
-        )
-        ids_eager = [m.sample_id for m in eager.instance().summary_buffer()[:4]]
-        ids_deferred = [m.sample_id for m in deferred.instance().summary_buffer()[:4]]
-        eager_bytes = eager.call("prepare", ids_eager)["staged_bytes"]
-        deferred_bytes = deferred.call("prepare", ids_deferred)["staged_bytes"]
-        assert deferred_bytes < eager_bytes
-
 
 class TestShardingAndCheckpoint:
     def test_shards_have_disjoint_buffers(self, system, small_catalog, filesystem):
@@ -340,7 +315,6 @@ def fresh_system():
 
 @given(
     source_index=st.integers(0, 5),
-    deferred_mask=st.lists(st.booleans(), min_size=4, max_size=4),
     shard_count=st.integers(1, 4),
     buffer_size=st.sampled_from([8, 24, 256]),
     num_workers=st.integers(1, 3),
@@ -348,17 +322,12 @@ def fresh_system():
 )
 @settings(max_examples=40, deadline=None)
 def test_sync_prepare_equals_async_polls_of_any_chunk_size(
-    source_index, deferred_mask, shard_count, buffer_size, num_workers, picks
+    source_index, shard_count, buffer_size, num_workers, picks
 ):
     """``prepare(ids)`` and ``poll(k)`` calls are the same work, chunked: the
     first poll carries the ids, the final one the key, as ``prepare``'s does."""
     system = fresh_system()
-    source = PROPERTY_CATALOG.sources()[source_index]
-    stages = [transform.name for transform in default_transforms_for(source.modality)]
-    options = dict(
-        buffer_size=buffer_size, num_workers=num_workers, shard_count=shard_count,
-        deferred_transforms={name for name, drop in zip(stages, deferred_mask) if drop},
-    )
+    options = dict(buffer_size=buffer_size, num_workers=num_workers, shard_count=shard_count)
     sync = spawn_loader(system, PROPERTY_CATALOG, PROPERTY_FILESYSTEM, source_index, **options)
     buffered = [m.sample_id for m in sync.instance().summary_buffer()]
     # Shards of 16 rows against a 24- or 256-row buffer hold the whole shard.
@@ -559,32 +528,15 @@ def fresh_catalog(samples_per_source=64):
     return build_source_catalog(spec, filesystem), filesystem
 
 
-@pytest.mark.parametrize("plain_first", [True, False])
-def test_loaders_with_different_deferred_transforms_never_share_costs(plain_first):
-    """Two loaders of one image source over the same row groups, one with
-    ``image_decode`` deferred: each stages what it would stage alone."""
+def test_loaders_of_one_source_share_one_cost_key():
+    """Every stage runs on the loader, so the key follows the source alone:
+    the shards and mirrors of a source reuse each other's row costs."""
     catalog, filesystem = fresh_catalog()
-    index = next(i for i, s in enumerate(catalog.sources()) if s.modality.value == "image")
-    variants = [{}, {"deferred_transforms": {"image_decode"}}]
-    if not plain_first:
-        variants.reverse()
-
-    def stage(system, catalog, filesystem, options):
-        handle = spawn_loader(system, catalog, filesystem, index, buffer_size=16, **options)
-        ids = [m.sample_id for m in handle.instance().summary_buffer()]
-        first = handle.call("prepare", ids[::2])
-        fetch(system, first)
-        ids = [m.sample_id for m in handle.instance().summary_buffer()]  # refilled rows too
-        second = handle.call("prepare", ids)
-        delivered = list(fetch(system, second).transferred_bytes)
-        del first["key"], second["key"]  # hand-off keys name the actor
-        return first, second, delivered
-
-    shared = fresh_system()
-    together = [stage(shared, catalog, filesystem, options) for options in variants]
-    alone = [stage(fresh_system(), *fresh_catalog(), options) for options in variants]
-    assert together == alone
-    assert together[0][2] != together[1][2]  # deferring the decode ships other bytes
+    first, second = catalog.sources()[:2]
+    key = SourceLoader(first, filesystem)._cost_key
+    member = SourceLoader(first, filesystem, num_workers=3, shard_index=1, shard_count=2)
+    assert member._cost_key == key
+    assert SourceLoader(second, filesystem)._cost_key != key
 
 
 def test_concurrent_first_reads_cost_every_row_whole():

@@ -47,7 +47,7 @@ class TestVanilla:
         assert plan.subplan == {}
 
     def test_broadcast_excludes_tp_clients(self, buffer_infos, tree):
-        strategy = vanilla_strategy(StrategyConfig(broadcast_tp=True))
+        strategy = vanilla_strategy(StrategyConfig())
         plan = strategy(buffer_infos, tree, 0, 0)
         assert len(plan.fetching_ranks) == tree.mesh.world_size // 2
 
@@ -56,7 +56,7 @@ class TestBackboneBalance:
     def test_balances_backbone_costs(self, buffer_infos, tree):
         costfn = lambda m: float(m.total_tokens) ** 2
         balanced_plan = backbone_balance_strategy(
-            StrategyConfig(num_microbatches=4, backbone_costfn=costfn)
+            StrategyConfig(num_microbatches=4)
         )(buffer_infos, tree, 0, 0)
         vanilla_plan = vanilla_strategy(StrategyConfig(num_microbatches=4))(buffer_infos, tree, 0, 0)
         assert bucket_cost_spread(balanced_plan.module, costfn) <= bucket_cost_spread(

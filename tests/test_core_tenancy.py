@@ -1,4 +1,4 @@
-"""Multi-tenant shared data plane: namespacing, quotas, fair share, preemption.
+"""Multi-tenant shared data plane: namespacing, fair share, preemption.
 
 The headline contracts:
 
@@ -7,7 +7,7 @@ The headline contracts:
   ``prepared/`` refs and checkpoint-store namespaces;
 - each tenant's delivered batches are byte-identical to the same job run
   solo, regardless of co-tenants, priorities or mid-run preemption;
-- the scheduler enforces per-tenant quotas and exposes weighted fair-share
+- the scheduler tracks per-tenant reservations and exposes equal-share
   deficits; the TenantManager preempts lower-tier mirrors for higher-tier
   unmet demand via the drain-retire + retry machinery.
 """
@@ -28,7 +28,7 @@ from repro.core.checkpoint import (
 )
 from repro.core.framework import MegaScaleData, TrainingJobSpec
 from repro.core.tenancy import TenantManager, TenantSpec
-from repro.errors import ActorError, ConfigurationError, SchedulingError
+from repro.errors import ActorError, ConfigurationError
 from repro.utils.units import GIB
 
 
@@ -169,7 +169,7 @@ class TestNamespacedCheckpointStore:
             scoped.clear()
 
 
-# -- scheduler quotas and fair share -------------------------------------------------
+# -- scheduler accounting and fair share ---------------------------------------------
 
 
 def tiny_scheduler():
@@ -183,44 +183,40 @@ def tiny_scheduler():
 
 
 class TestSchedulerTenancy:
-    def test_cpu_quota_rejected_at_admission(self):
-        scheduler = tiny_scheduler()
-        scheduler.register_tenant(TenantQuota(tenant="t", cpu_limit=4.0))
-        scheduler.place(PlacementRequest("t/a", 3.0, GIB, tenant="t"))
-        with pytest.raises(SchedulingError, match="CPU quota"):
-            scheduler.place(PlacementRequest("t/b", 2.0, GIB, tenant="t"))
-
-    def test_memory_quota_rejected_at_admission(self):
-        scheduler = tiny_scheduler()
-        scheduler.register_tenant(TenantQuota(tenant="t", memory_limit=2 * GIB))
-        scheduler.place(PlacementRequest("t/a", 1.0, GIB, tenant="t"))
-        with pytest.raises(SchedulingError, match="memory quota"):
-            scheduler.place(PlacementRequest("t/b", 1.0, 2 * GIB, tenant="t"))
-
     def test_release_refunds_usage(self):
         scheduler = tiny_scheduler()
-        scheduler.register_tenant(TenantQuota(tenant="t", cpu_limit=4.0))
+        scheduler.register_tenant(TenantQuota(tenant="t"))
         decision = scheduler.place(PlacementRequest("t/a", 4.0, GIB, tenant="t"))
         scheduler.release("t/a", decision.node_name, 4.0, GIB, tenant="t")
         assert scheduler.tenant_usage("t")["cpu_cores"] == 0.0
-        # Quota headroom is back.
         scheduler.place(PlacementRequest("t/b", 4.0, GIB, tenant="t"))
 
     def test_fair_share_deficit_orders_underserved_first(self):
         scheduler = tiny_scheduler()
-        scheduler.register_tenant(TenantQuota(tenant="big", weight=3.0))
-        scheduler.register_tenant(TenantQuota(tenant="small", weight=1.0))
+        scheduler.register_tenant(TenantQuota(tenant="big"))
+        scheduler.register_tenant(TenantQuota(tenant="small"))
         scheduler.place(PlacementRequest("big/a", 4.0, GIB, tenant="big"))
         scheduler.place(PlacementRequest("small/a", 12.0, GIB, tenant="small"))
         shares = scheduler.tenant_shares()
-        # big is entitled to 3/4 of the 16 reserved cores but holds 4.
-        assert shares["big"]["deficit"] == pytest.approx(8.0)
-        assert shares["small"]["deficit"] == pytest.approx(-8.0)
+        # Each is entitled to half of the 16 reserved cores; big holds 4.
+        assert shares["big"]["deficit"] == pytest.approx(4.0)
+        assert shares["small"]["deficit"] == pytest.approx(-4.0)
         assert shares["big"]["share"] == pytest.approx(0.25)
 
-    def test_unmetered_requests_bypass_quotas(self):
+    def test_tenants_are_entitled_to_equal_shares(self):
         scheduler = tiny_scheduler()
-        scheduler.register_tenant(TenantQuota(tenant="t", cpu_limit=1.0))
+        for tenant, cores in (("a", 2.0), ("b", 4.0), ("c", 6.0)):
+            scheduler.register_tenant(TenantQuota(tenant=tenant))
+            scheduler.place(PlacementRequest(f"{tenant}/x", cores, GIB, tenant=tenant))
+        shares = scheduler.tenant_shares()
+        assert {name: entry["entitlement"] for name, entry in shares.items()} == {
+            "a": 4.0, "b": 4.0, "c": 4.0,
+        }
+        assert [shares[name]["deficit"] for name in "abc"] == [2.0, 0.0, -2.0]
+
+    def test_unmetered_requests_are_not_charged(self):
+        scheduler = tiny_scheduler()
+        scheduler.register_tenant(TenantQuota(tenant="t"))
         scheduler.place(PlacementRequest("free/a", 8.0, GIB))  # no tenant tag
         assert scheduler.tenant_usage("t")["cpu_cores"] == 0.0
 
@@ -254,21 +250,11 @@ class TestTenantManager:
         finally:
             manager.shutdown()
 
-    def test_quota_too_small_for_base_actors_rejects_admission(self):
-        manager = TenantManager(cluster=big_cluster())
-        try:
-            with pytest.raises(SchedulingError, match="quota"):
-                manager.admit(
-                    TenantSpec(name="tiny", job=make_job(seed=0), cpu_quota=1.0)
-                )
-        finally:
-            manager.shutdown()
-
     def test_run_reports_per_tenant_overlap_and_shares(self):
         manager = TenantManager(cluster=big_cluster())
         try:
             manager.admit(TenantSpec(name="alpha", job=make_job(seed=0), priority=1))
-            manager.admit(TenantSpec(name="beta", job=make_job(seed=1), weight=2.0))
+            manager.admit(TenantSpec(name="beta", job=make_job(seed=1)))
             report = manager.run(3)
             assert set(report["tenants"]) == {"alpha", "beta"}
             for entry in report["tenants"].values():
@@ -445,7 +431,6 @@ def test_tenant_batches_byte_identical_to_solo_run(seed, depth, co_priority):
                 name="other",
                 job=make_job(seed=seed + 17, prefetch_depth=depth),
                 priority=co_priority,
-                weight=2.0,
             )
         )
         shared_steps = []

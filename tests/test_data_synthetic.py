@@ -84,6 +84,13 @@ class TestBuildCatalog:
             for path in source.paths:
                 assert isinstance(filesystem.read(path), ColumnarFile)
 
+    def test_one_file_per_source(self, filesystem):
+        spec = coyo700m_like_spec(num_sources=3, samples_per_source=10)
+        catalog = build_source_catalog(spec, filesystem)
+        assert [source.paths for source in catalog] == [
+            (f"/data/{source.name}/part-00000",) for source in catalog
+        ]
+
     def test_row_groups_hold_rows_per_group_rows(self, filesystem):
         spec = coyo700m_like_spec(num_sources=1, samples_per_source=2 * ROWS_PER_GROUP + 76)
         (source,) = build_source_catalog(spec, filesystem)

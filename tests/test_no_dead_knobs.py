@@ -1,4 +1,5 @@
-"""Guard: every defaulted parameter in ``src/`` is passed from outside ``tests/``.
+"""Guard: every defaulted parameter and dataclass field in ``src/`` is set from
+outside ``tests/``.
 
 A defaulted parameter that no call in ``src/``, ``bench/``, ``benchmarks/`` or
 ``examples/`` passes has one value in use, its default, so it is a constant.
@@ -19,7 +20,9 @@ A call from inside the function's own body to the function itself
 delegation to another object's namesake (``self.engine.drain(deadline_s)``)
 does. Matching is by name alone, so the scan errs towards keeping
 parameters. A parameter only tests pass is either made a constant or listed
-in ``ALLOWLIST`` with the reason it stays.
+in ``ALLOWLIST`` with the reason it stays. The field scan below holds the
+defaulted ``__init__`` fields of ``src/`` dataclasses to the same rule, with
+``FIELD_ALLOWLIST``.
 """
 
 from __future__ import annotations
@@ -37,8 +40,6 @@ ALLOWLIST = {
     "MegaScaleData.restore(cluster=)": "deployment: the twin of deploy(cluster=)",
     # Oracles that tests compare the program against.
     "DeviceMesh.data_consumers(axis=)": "oracle: the allowlisted data_consumers oracle",
-    "build_rank_slices(broadcast_tp=)": "oracle: slicing reference in every TP broadcast mode",
-    "build_rank_slices(broadcast_cp=)": "oracle: slicing reference in every CP broadcast mode",
     # A supported platform.
     "TenantManager(backend=)": "platform: co-tenants byte-identical on the wallclock backend",
     "TenantManager(time_scale=)": "platform: the wallclock backend's time scale",
@@ -141,36 +142,56 @@ def _passes(call, param: str, index: int | None, offset: int) -> bool:
 
 
 @functools.cache
-def scan():
-    """Return ``(defaulted, unpassed)``: ``{label: path:line}`` of every
-    defaulted parameter in ``src/``, and the subset no non-test call passes."""
+def _facts() -> dict:
     facts = {"calls": defaultdict(list), "values": set(), "assigned": set()}
     for directory in CALLER_DIRS:
         for path in python_files(directory):
             _Uses(facts).visit(parse(path))
+    return facts
 
-    functions, bases = [], {}
+
+@functools.cache
+def _src_definitions() -> tuple[list, dict]:
+    """``(functions, classes)``: ``(path, qual, node)`` of every ``src/`` function,
+    and ``{qual: (path, node)}`` of every ``src/`` class."""
+    functions, classes = [], {}
     for path in python_files("src"):
         for qual, node in _definitions(parse(path)):
             if isinstance(node, ast.ClassDef):
-                bases[qual] = {getattr(base, "id", getattr(base, "attr", None)) for base in node.bases}
+                classes[qual] = (path, node)
             else:
                 functions.append((path, qual, node))
+    return functions, classes
 
-    def family(cls: str) -> set[str]:
-        """``cls`` and, transitively, every class deriving from it."""
-        names = {cls.rsplit(".", 1)[-1]}
-        while grown := {q.rsplit(".", 1)[-1] for q, b in bases.items() if b & names} - names:
-            names |= grown
-        return names
 
+def _base_names(node: ast.ClassDef) -> set[str]:
+    return {getattr(base, "id", getattr(base, "attr", None)) for base in node.bases}
+
+
+def _family(cls: str) -> set[str]:
+    """``cls`` and, transitively, every class deriving from it."""
+    _, classes = _src_definitions()
+    names = {cls.rsplit(".", 1)[-1]}
+    while grown := {
+        q.rsplit(".", 1)[-1] for q, (_, node) in classes.items() if _base_names(node) & names
+    } - names:
+        names |= grown
+    return names
+
+
+@functools.cache
+def scan():
+    """Return ``(defaulted, unpassed)``: ``{label: path:line}`` of every
+    defaulted parameter in ``src/``, and the subset no non-test call passes."""
+    facts = _facts()
+    functions, classes = _src_definitions()
     defaulted, unpassed = {}, {}
     for path, qual, node in functions:
         owner, _, name = qual.rpartition(".")
-        is_method = owner in bases
+        is_method = owner in classes
         static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
         offset = 1 if is_method and not static else 0
-        callees = family(owner) if name == "__init__" else {name}
+        callees = _family(owner) if name == "__init__" else {name}
         as_value = name != "__init__" and name in facts["values"]
         calls = [
             call
@@ -210,5 +231,121 @@ def test_allowlist_is_current():
 
 
 def test_allowlist_entries_have_reasons():
-    assert len(ALLOWLIST) <= 7
+    assert len(ALLOWLIST) <= 5
     assert all(reason.strip() for reason in ALLOWLIST.values())
+
+
+# Dataclass fields. A defaulted ``__init__`` field is set outside ``tests/`` when
+# a constructor call of the class (a subclass, or ``cls(...)`` inside the class)
+# names it by keyword, reaches it by position or splats ``*`` / ``**``; when
+# ``replace(obj, <field>=...)`` names it (``replace(self, **changes)`` inside the
+# class sets every field); or when ``obj.<field> = ...`` assigns it. Fields marked
+# ``ClassVar`` or ``field(init=False)`` are not settable and not counted.
+
+# "Class.field" -> why it stays settable although only tests set it.
+FIELD_ALLOWLIST = {
+    "TrainingJobSpec.cpu_pods": "deployment: CPU pods in the default cluster deploy() builds",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        "dataclass" in (getattr(target, "id", None), getattr(target, "attr", None))
+        for decorator in node.decorator_list
+        for target in [decorator.func if isinstance(decorator, ast.Call) else decorator]
+    )
+
+
+def _own_fields(node: ast.ClassDef) -> list[tuple[str, int, bool]]:
+    """``(name, line, defaulted)`` of each ``__init__`` field the class declares."""
+    found = []
+    for stmt in node.body:
+        if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+            continue
+        if "ClassVar" in ast.unparse(stmt.annotation):
+            continue
+        value = stmt.value
+        is_field = isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field"
+        options = {keyword.arg: keyword.value for keyword in value.keywords} if is_field else {}
+        init = options.get("init")
+        if isinstance(init, ast.Constant) and init.value is False:
+            continue
+        defaulted = value is not None and (
+            not is_field or "default" in options or "default_factory" in options
+        )
+        found.append((stmt.target.id, stmt.lineno, defaulted))
+    return found
+
+
+@functools.cache
+def _init_fields(qual: str) -> tuple[str, ...]:
+    """Every ``__init__`` field of the dataclass ``qual`` in order, bases first."""
+    _, classes = _src_definitions()
+    short = {q.rsplit(".", 1)[-1]: q for q, (_, node) in classes.items() if _is_dataclass(node)}
+    order: list[str] = []
+    for base in _base_names(classes[qual][1]):
+        if base in short:
+            order += _init_fields(short[base])
+    for name, _, _ in _own_fields(classes[qual][1]):
+        if name not in order:
+            order.append(name)
+    return tuple(order)
+
+
+@functools.cache
+def field_scan():
+    """Return ``(defaulted, unset)``: ``{"Class.field": path:line}`` of every
+    defaulted dataclass field in ``src/``, and the subset nothing outside
+    ``tests/`` sets."""
+    facts = _facts()
+    functions, classes = _src_definitions()
+    owner_of = {id(node): qual.rpartition(".")[0] for _, qual, node in functions}
+    replaced, replaced_all = set(), set()
+    for args, keywords, inside in facts["calls"]["replace"]:
+        names = {keyword.arg for keyword in keywords}
+        replaced |= names - {None}
+        if None in names and args and getattr(args[0], "id", None) == "self" and inside:
+            replaced_all.add(owner_of.get(id(inside[-1])))
+
+    defaulted, unset = {}, {}
+    for qual, (path, node) in classes.items():
+        if not _is_dataclass(node):
+            continue
+        order = _init_fields(qual)
+        calls = [call for callee in _family(qual) for call in facts["calls"][callee]]
+        for name, line, has_default in _own_fields(node):
+            if not has_default:
+                continue
+            label = f"{qual}.{name}"
+            defaulted[label] = f"{path.relative_to(ROOT)}:{line}"
+            if qual in replaced_all or name in replaced or name in facts["assigned"]:
+                continue
+            if not any(_passes(call, name, order.index(name), 0) for call in calls):
+                unset[label] = defaulted[label]
+    return defaulted, unset
+
+
+def test_every_defaulted_field_is_set_outside_tests():
+    _, unset = field_scan()
+    dead = sorted(f"{where} {label}" for label, where in unset.items() if label not in FIELD_ALLOWLIST)
+    assert not dead, (
+        "only tests set these fields; make each a constant, a field(init=False), "
+        "or allowlist it with a reason:\n" + "\n".join(dead)
+    )
+
+
+def test_field_allowlist_is_current():
+    defaulted, unset = field_scan()
+    gone = sorted(label for label in FIELD_ALLOWLIST if label not in defaulted)
+    live = sorted(
+        f"{defaulted[label]} {label}"
+        for label in FIELD_ALLOWLIST
+        if label in defaulted and label not in unset
+    )
+    assert not gone, f"allowlisted but no longer a defaulted field: {gone}"
+    assert not live, "allowlisted but now set outside tests; drop the entry:\n" + "\n".join(live)
+
+
+def test_field_allowlist_entries_have_reasons():
+    assert len(FIELD_ALLOWLIST) <= 3
+    assert all(reason.strip() for reason in FIELD_ALLOWLIST.values())

@@ -89,11 +89,25 @@ class TestBuildRankSlices:
         slices = build_rank_slices(collated, mesh, dp_index=0)
         assert {s.rank for s in slices} == set(mesh.ranks_where(dp=0))
 
-    def test_tp_broadcast_reduces_fetched_bytes(self, collated):
+    def test_tp_broadcast_serves_ranks_past_the_first(self, collated):
         mesh = DeviceMesh(pp=1, dp=1, cp=1, tp=4)
-        with_bcast = build_rank_slices(collated, mesh, dp_index=0, broadcast_tp=True)
-        without = build_rank_slices(collated, mesh, dp_index=0, broadcast_tp=False)
-        assert sum(s.payload_bytes for s in with_bcast) < sum(s.payload_bytes for s in without)
+        head, *rest = sorted(build_rank_slices(collated, mesh, dp_index=0), key=lambda s: s.rank)
+        assert head.token_count == collated.total_tokens()
+        assert head.replicated_from is None
+        assert all(s.token_count == 0 and s.replicated_from == head.rank for s in rest)
+
+    def test_every_cp_rank_fetches_its_own_share(self, collated):
+        # CP ranks are never served by a broadcast; within each, TP ranks are.
+        mesh = DeviceMesh(pp=1, dp=1, cp=2, tp=2)
+        shares = context_parallel_slices(collated, cp_size=2)
+        for piece in build_rank_slices(collated, mesh, dp_index=0):
+            info = piece.slice_info
+            if info["tp_rank"] == 0:
+                assert piece.token_count == shares[info["cp_rank"]]["token_count"] > 0
+                assert piece.replicated_from is None
+            else:
+                assert piece.token_count == 0
+                assert piece.replicated_from == mesh.ranks_where(dp=0, cp=info["cp_rank"], pp=0)[0]
 
     def test_cp_ranks_receive_disjoint_shares(self, collated):
         mesh = DeviceMesh(pp=1, dp=1, cp=4, tp=1)

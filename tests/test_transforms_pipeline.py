@@ -1,4 +1,4 @@
-"""Unit tests for composable transform pipelines and deferred transforms."""
+"""Unit tests for composable transform pipelines."""
 
 from __future__ import annotations
 
@@ -22,14 +22,13 @@ class TestConstruction:
         with pytest.raises(TransformError):
             TransformPipeline([])
 
-    def test_unknown_deferred_rejected(self):
-        with pytest.raises(TransformError):
-            TransformPipeline([TextTokenize()], deferred={"image_decode"})
-
     def test_for_modality_builds_default_chain(self):
-        # Deferring a stage the chain lacks is rejected, so this proves it has one.
-        pipeline = TransformPipeline.for_modality(Modality.IMAGE, deferred={"image_decode"})
-        assert pipeline.deferred_names == ["image_decode"]
+        pipeline = TransformPipeline.for_modality(Modality.IMAGE)
+        assert [stage.name for stage in pipeline._transforms] == [
+            "text_tokenize",
+            "image_decode",
+            "image_crop",
+        ]
 
 
 class TestRun:
@@ -39,7 +38,6 @@ class TestRun:
         result = pipeline.run(sample)
         assert result.latency_s > 0
         assert "image_decode" in sample.applied_transforms
-        assert result.deferred_transforms == []
 
     def test_modality_filter_skips_stages(self, sample_factory):
         pipeline = TransformPipeline([TextTokenize(), ImageDecode()])
@@ -47,20 +45,10 @@ class TestRun:
         pipeline.run(sample)
         assert "image_decode" not in sample.applied_transforms
 
-    def test_deferred_stage_not_run_but_recorded(self, sample_factory):
-        pipeline = TransformPipeline.for_modality(Modality.IMAGE, deferred={"image_decode"})
-        sample = Sample(metadata=sample_factory(1, image_tokens=100))
-        result = pipeline.run(sample)
-        assert result.deferred_transforms == ["image_decode"]
-        assert "image_decode" not in sample.applied_transforms
-
-    def test_deferring_decode_ships_raw_bytes(self, sample_factory):
+    def test_run_ships_decoded_bytes(self, sample_factory):
         metadata = sample_factory(1, image_tokens=200)
-        eager = TransformPipeline.for_modality(Modality.IMAGE)
-        deferred = TransformPipeline.for_modality(Modality.IMAGE, deferred={"image_decode"})
-        eager_bytes = eager.run(Sample(metadata=metadata)).transferred_bytes
-        deferred_bytes = deferred.run(Sample(metadata=metadata)).transferred_bytes
-        assert deferred_bytes < eager_bytes
+        result = TransformPipeline.for_modality(Modality.IMAGE).run(Sample(metadata=metadata))
+        assert result.transferred_bytes == max(metadata.decoded_bytes, metadata.raw_bytes, 1)
 
 
 class TestEstimates:
@@ -71,23 +59,16 @@ class TestEstimates:
         actual = pipeline.run(Sample(metadata=metadata)).latency_s
         assert estimate == pytest.approx(actual, rel=0.2)
 
-    def test_estimate_excluding_deferred_is_smaller(self, sample_factory):
-        pipeline = TransformPipeline.for_modality(Modality.IMAGE, deferred={"image_decode"})
-        metadata = sample_factory(1, image_tokens=500)
-        full = pipeline.estimate_latency(metadata, include_deferred=True)
-        partial = pipeline.estimate_latency(metadata, include_deferred=False)
-        assert partial < full
-
-    def test_deferred_names_property(self):
-        pipeline = TransformPipeline.for_modality(Modality.IMAGE, deferred={"image_decode"})
-        assert pipeline.deferred_names == ["image_decode"]
-
 
 # -- the column evaluator against the per-sample reference -----------------------------
 
+class _SmallCrop(ImageCrop):
+    max_patches = 512
+
+
 #: The four modality defaults plus a chain whose crop feeds a later stage.
 PIPELINE_STAGES = [default_transforms_for(modality) for modality in Modality] + [
-    [TextTokenize(), ImageCrop(max_patches=512), ImageDecode()]
+    [TextTokenize(), _SmallCrop(), ImageDecode()]
 ]
 
 metadata_rows = st.lists(
@@ -107,16 +88,11 @@ metadata_rows = st.lists(
 )
 
 
-@given(
-    stages=st.sampled_from(PIPELINE_STAGES),
-    deferred_mask=st.lists(st.booleans(), min_size=4, max_size=4),
-    rows=metadata_rows,
-)
+@given(stages=st.sampled_from(PIPELINE_STAGES), rows=metadata_rows)
 @settings(max_examples=150, deadline=None)
-def test_run_columns_equals_run_sample_by_sample(stages, deferred_mask, rows):
-    """Every deferred subset, mixed-modality chunks: floats and bytes equal exactly."""
-    deferred = {stage.name for stage, drop in zip(stages, deferred_mask) if drop}
-    pipeline = TransformPipeline(stages, deferred=deferred)
+def test_run_columns_equals_run_sample_by_sample(stages, rows):
+    """Mixed-modality chunks: floats and bytes equal exactly."""
+    pipeline = TransformPipeline(stages)
     reference = [pipeline.run(Sample(metadata=row)) for row in rows]
     latencies, transferred = pipeline.run_columns(MetadataColumns.from_records(rows))
     assert latencies == [result.latency_s for result in reference]

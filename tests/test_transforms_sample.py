@@ -51,12 +51,12 @@ class TestImageDecode:
 class TestImageCropAndResize:
     def test_crop_limits_patch_count(self, sample_factory):
         sample = Sample(metadata=sample_factory(1, image_tokens=50_000))
-        ImageCrop(max_patches=1024).apply(sample)
-        assert sample.metadata.image_tokens == 1024
+        ImageCrop().apply(sample)
+        assert sample.metadata.image_tokens == ImageCrop.max_patches == 16384
 
     def test_crop_keeps_small_images(self, sample_factory):
         sample = Sample(metadata=sample_factory(1, image_tokens=100))
-        ImageCrop(max_patches=1024).apply(sample)
+        ImageCrop().apply(sample)
         assert sample.metadata.image_tokens == 100
 
 
