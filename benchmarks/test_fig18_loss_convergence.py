@@ -28,7 +28,7 @@ def _build_step_batches(catalog, filesystem, balanced):
         samples = sample_batch(catalog, filesystem, SAMPLES_PER_STEP, seed=100 + step)
         if balanced:
             items = [WeightedItem(key=s, cost=float(s.total_tokens) ** 2) for s in samples]
-            result = balance_items(items, NUM_MICROBATCHES, "greedy")
+            result = balance_items(items, NUM_MICROBATCHES)
             ordered = [item.key for bin_ in result.bins for item in bin_]
         else:
             ordered = samples

@@ -58,7 +58,7 @@ def _measure_case(catalog, filesystem, mesh, samples_per_dp, seq, group_size):
     dgraph = DGraph.from_buffer_infos({"navit": samples}, metas_token).init(tree)
     dgraph.distribute("DP", group_size=group_size)
     dgraph.cost(lambda m: float(m.total_tokens) ** 2)
-    dgraph.balance(method="greedy", num_microbatches=8)
+    dgraph.balance(num_microbatches=8)
     plan = dgraph.plan()
 
     assignments = []

@@ -30,7 +30,7 @@ def build_hybrid_plan(buffer_infos, tree, encoder_costfn, backbone_costfn, num_m
     dgraph.init(tree)
     dgraph.distribute(axis="DP")
     dgraph.cost(backbone_costfn)
-    dgraph.balance(method="greedy", num_microbatches=num_microbatches)
+    dgraph.balance(num_microbatches=num_microbatches)
     dgraph.broadcast_at("TP")
     plan = dgraph.plan()
 
@@ -39,7 +39,7 @@ def build_hybrid_plan(buffer_infos, tree, encoder_costfn, backbone_costfn, num_m
     dgraph_encoder.init(tree)
     dgraph_encoder.distribute(axis="WORLD")
     dgraph_encoder.cost(encoder_costfn)
-    dgraph_encoder.balance(method="greedy", num_microbatches=num_microbatches)
+    dgraph_encoder.balance(num_microbatches=num_microbatches)
     plan.subplan["encoder"] = dgraph_encoder.plan()
     return plan
 

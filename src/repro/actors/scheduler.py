@@ -7,8 +7,9 @@ the sidecar pool is exhausted; the Planner runs on a remote CPU pod for
 centralized scheduling.
 
 When several jobs share one cluster the scheduler also acts as the
-multi-tenant admission layer: each tenant registers a :class:`TenantQuota`
-(its priority tier) and every placement carries a ``tenant`` tag.  Per-tenant
+multi-tenant admission layer: each tenant registers its priority tier
+(:meth:`PlacementScheduler.register_tenant`) and every placement carries a
+``tenant`` tag.  Per-tenant
 reservations are tracked across place/release, and :meth:`tenant_shares`
 exposes the equal-share deficit used to order queued placements.  No tenant
 is capped: a placement fails only when no node can host it.
@@ -40,18 +41,6 @@ class PlacementRequest:
     allow_spill: bool = True
     #: Owning tenant for per-tenant accounting; ``None`` means unmetered.
     tenant: str | None = None
-
-
-@dataclass
-class TenantQuota:
-    """One registered tenant and its priority tier.
-
-    ``priority`` orders tenants into tiers (higher wins) for queued
-    placements and preemption; every tenant is entitled to an equal share.
-    """
-
-    tenant: str
-    priority: int = 0
 
 
 @dataclass
@@ -91,7 +80,7 @@ class PlacementScheduler:
             )
         self._nodes = {node.name: node for node in nodes}
         self.policy = policy
-        self._quotas: dict[str, TenantQuota] = {}
+        self._priorities: dict[str, int] = {}
         self._usage: dict[str, _TenantUsage] = {}
 
     @property
@@ -106,13 +95,17 @@ class PlacementScheduler:
 
     # -- multi-tenant admission ------------------------------------------------
 
-    def register_tenant(self, quota: TenantQuota) -> None:
-        """Register (or update) one tenant and its priority tier."""
-        self._quotas[quota.tenant] = quota
-        self._usage.setdefault(quota.tenant, _TenantUsage())
+    def register_tenant(self, tenant: str, priority: int = 0) -> None:
+        """Register (or update) one tenant and its priority tier.
+
+        ``priority`` orders tenants into tiers (higher wins) for queued
+        placements and preemption; every tenant is entitled to an equal share.
+        """
+        self._priorities[tenant] = priority
+        self._usage.setdefault(tenant, _TenantUsage())
 
     def tenants(self) -> list[str]:
-        return list(self._quotas)
+        return list(self._priorities)
 
     def _charge(self, request: PlacementRequest) -> None:
         if request.tenant is None:
@@ -163,19 +156,18 @@ class PlacementScheduler:
         tenant is under-served, and queued placements are ordered by
         (priority desc, deficit desc).
         """
-        metered = [t for t in self._quotas if t in self._usage]
+        metered = [t for t in self._priorities if t in self._usage]
         total_cpu = sum(self._usage[t].cpu_cores for t in metered)
         entitlement = total_cpu / len(metered) if metered else 0.0
         shares: dict[str, dict[str, float]] = {}
         for tenant in metered:
-            quota = self._quotas[tenant]
             usage = self._usage[tenant]
             shares[tenant] = {
                 "cpu_cores": usage.cpu_cores,
                 "share": usage.cpu_cores / total_cpu if total_cpu else 0.0,
                 "entitlement": entitlement,
                 "deficit": entitlement - usage.cpu_cores,
-                "priority": float(quota.priority),
+                "priority": float(self._priorities[tenant]),
             }
         return shares
 
@@ -235,7 +227,7 @@ class PlacementScheduler:
 
         The restart-after-node-crash path: the node "rebooted", the actor
         restarts in place, and both the node reservation and the tenant's
-        quota charge are re-established without running placement again.
+        usage charge are re-established without running placement again.
         """
         self.node(node_name).reserve(
             request.actor_name, request.cpu_cores, request.memory_bytes

@@ -122,9 +122,9 @@ class MegaScaleArchitectureModel(BaselineLoader):
         items = [
             WeightedItem(key=sample, cost=float(sample.total_tokens) ** 2) for sample in samples
         ]
-        buckets = balance_items(items, dp, method="greedy")
+        buckets = balance_items(items, dp)
         assignments: list[list[list[SampleMetadata]]] = []
         for bucket_items in buckets.bins:
-            bins = balance_items(bucket_items, self.num_microbatches, method="greedy")
+            bins = balance_items(bucket_items, self.num_microbatches)
             assignments.append([[item.key for item in bin_] for bin_ in bins.bins])
         return assignments

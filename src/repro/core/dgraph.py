@@ -12,7 +12,7 @@ topology, and manipulated through a small set of declarative primitives
     dgraph.mix(schedule)
     dgraph.distribute(axis="DP")
     dgraph.cost(costfn)
-    dgraph.balance(method="greedy")
+    dgraph.balance(num_microbatches=8)
     dgraph.broadcast_at("TP")
     plan = dgraph.plan()
 
@@ -323,15 +323,12 @@ class DGraph:
         self._evaluate_costs()
         return self
 
-    def balance(self, method: str = "greedy", num_microbatches: int | None = None) -> "DGraph":
+    def balance(self, num_microbatches: int | None = None) -> "DGraph":
         """Distribute the selected samples into buckets and microbatch bins.
 
         The bucket count comes from the preceding :meth:`distribute`; each
-        bucket is further divided into ``num_microbatches`` bins and the named
-        balancing method (greedy bin packing, Karmarkar-Karp or interleave)
-        assigns samples so per-bin costs are as even as possible.  The
-        built-in strategies use greedy; Table 2 and the architecture model
-        compare the three.
+        bucket is further divided into ``num_microbatches`` bins and greedy
+        bin packing assigns samples so per-bin costs are as even as possible.
         """
         if self._num_buckets is None:
             raise OrchestrationError("call distribute() before balance()")
@@ -345,17 +342,17 @@ class DGraph:
         costs = self._costs
         bins = self._num_microbatches
         assignments: list[list[list[int]]] = []
-        for bucket in balance_positions(costs, self._num_buckets, method):
+        for bucket in balance_positions(costs, self._num_buckets):
             bucket_costs = [costs[position] for position in bucket]
             assignments.append(
                 [
                     [bucket[index] for index in bin_]
-                    for bin_ in balance_positions(bucket_costs, bins, method)
+                    for bin_ in balance_positions(bucket_costs, bins)
                 ]
             )
 
         self._balance_result = assignments
-        self._balance_method = method
+        self._balance_method = "greedy"
         # Analytical estimate of the balance primitive's own latency: an
         # n-log-n sort plus bucket/bin heap operations per sample, scaled by
         # the bucket count (coordination across larger clusters costs more).
@@ -365,7 +362,7 @@ class DGraph:
             2.5e-6 * n * math.log2(n + 1) * coordination
         )
         self._lineage_ops.append(
-            ("balance", f"balance[{method}]", assignments, self._selected.sample_ids)
+            ("balance", assignments, self._selected.sample_ids)
         )
         return self
 
@@ -534,7 +531,7 @@ class DGraph:
                 for sample_id in op[1].tolist():
                     self._transition(sample_id, "buffered", "sampled", "mix")
             elif op[0] == "balance":
-                _, label, assignments, sample_ids = op
+                _, assignments, sample_ids = op
                 sample_ids = sample_ids.tolist()
                 for bucket_index, bucket in enumerate(assignments):
                     for mb_index, positions in enumerate(bucket):
@@ -546,7 +543,7 @@ class DGraph:
                                 sample_id,
                                 from_state,
                                 "assigned",
-                                label,
+                                "balance[greedy]",
                                 bucket=bucket_index,
                                 microbatch=mb_index,
                             )

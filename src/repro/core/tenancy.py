@@ -13,9 +13,9 @@ Isolation is layered:
   scoped loader names) and checkpoint-store namespaces
   (:class:`~repro.core.checkpoint.NamespacedCheckpointStore`), so shared
   control-plane state never collides.
-- **Tenant accounting** — each tenant registers a
-  :class:`~repro.actors.scheduler.TenantQuota` (its priority tier); the
-  scheduler tracks per-tenant reservations.  No tenant is capped.
+- **Tenant accounting** — each tenant registers its priority tier with the
+  placement scheduler, which tracks per-tenant reservations.  No tenant is
+  capped.
 - **Fair-share service** — queued (capacity-rejected) spawns are served at
   round boundaries by priority tier first, then equal-share deficit, so an
   under-served tenant catches up before an over-served one grows.
@@ -36,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.actors.runtime import ActorSystem, ClusterSpec
-from repro.actors.scheduler import TenantQuota
 from repro.core.checkpoint import InMemoryCheckpointStore
 from repro.core.framework import MegaScaleData, TrainingJobSpec
 from repro.core.planner import Planner
@@ -128,9 +127,7 @@ class TenantManager:
             )
         if not job.namespace:
             job = replace(job, namespace=spec.name)
-        self.system.scheduler.register_tenant(
-            TenantQuota(tenant=spec.name, priority=spec.priority)
-        )
+        self.system.scheduler.register_tenant(spec.name, spec.priority)
         deployment = MegaScaleData.deploy(
             job, checkpoint_store=self.checkpoint_store, system=self.system
         )

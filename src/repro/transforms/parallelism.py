@@ -86,20 +86,17 @@ def context_parallel_slices(
     return slices
 
 
-def tensor_parallel_replicas(
-    token_count: int, tp_size: int, broadcast: bool
-) -> list[dict[str, object]]:
+def tensor_parallel_replicas(token_count: int, tp_size: int) -> list[dict[str, object]]:
     """Describe what each TP rank receives.
 
-    Without broadcasting every TP rank fetches a full replica from the loader;
-    with ``broadcast`` only TP-0 fetches and the rest receive the tensor over
-    the trainer-side TP broadcast (zero loader-side bytes).
+    Only TP-0 fetches from the loader; the rest receive the tensor over the
+    trainer-side TP broadcast (zero loader-side bytes).
     """
     if tp_size <= 0:
         raise TransformError("tp_size must be positive")
     replicas = []
     for tp_rank in range(tp_size):
-        fetches = (tp_rank == 0) or not broadcast
+        fetches = tp_rank == 0
         replicas.append(
             {
                 "tp_rank": tp_rank,
@@ -175,7 +172,7 @@ def build_rank_slices(
             )
             continue
         token_count = int(cp_slices[coord.cp]["token_count"])
-        tp_replicas = tensor_parallel_replicas(token_count, tp_size, True)
+        tp_replicas = tensor_parallel_replicas(token_count, tp_size)
         tp_share = tp_replicas[coord.tp]
         slices.append(
             ParallelSlice(

@@ -8,7 +8,7 @@ from repro.actors.actor import Actor, ActorState
 from repro.actors.gcs import _MAX_NESTING, GlobalControlStore, _is_deeply_immutable
 from repro.actors.node import Node, NodeKind, ResourceSpec
 from repro.actors.runtime import ActorSystem, ClusterSpec
-from repro.actors.scheduler import PlacementRequest, PlacementScheduler, TenantQuota
+from repro.actors.scheduler import PlacementRequest, PlacementScheduler
 from repro.errors import ActorDead, ActorError, ActorTimeout, SchedulingError
 from repro.utils.units import GIB
 
@@ -230,7 +230,7 @@ class TestScheduler:
 
     def test_release_refunds_the_tenant(self):
         scheduler = self.make_scheduler()
-        scheduler.register_tenant(TenantQuota("t"))
+        scheduler.register_tenant("t")
         decision = scheduler.place(PlacementRequest("a", 2, GIB, tenant="t"))
         assert scheduler.tenant_usage("t") == {
             "cpu_cores": 2.0, "memory_bytes": float(GIB), "actors": 1.0
@@ -241,7 +241,7 @@ class TestScheduler:
 
     def test_refund_of_unknown_tenant_or_actor_is_noop(self):
         scheduler = self.make_scheduler()
-        scheduler.register_tenant(TenantQuota("t"))
+        scheduler.register_tenant("t")
         scheduler.place(PlacementRequest("a", 2, GIB, tenant="t"))
         scheduler.refund(None, "a")
         scheduler.refund("ghost-tenant", "a")
@@ -250,7 +250,7 @@ class TestScheduler:
 
     def test_adjust_tenant_usage_rebooks_a_live_actor(self):
         scheduler = self.make_scheduler()
-        scheduler.register_tenant(TenantQuota("t"))
+        scheduler.register_tenant("t")
         scheduler.place(PlacementRequest("a", 2, GIB, tenant="t"))
         scheduler.adjust_tenant_usage("t", "a", cpu_delta=3.0, memory_delta=GIB)
         assert scheduler.tenant_usage("t")["cpu_cores"] == 5.0
@@ -264,7 +264,7 @@ class TestScheduler:
 
     def test_rebook_restores_node_reservation_and_tenant_charge(self):
         scheduler = self.make_scheduler()
-        scheduler.register_tenant(TenantQuota("t"))
+        scheduler.register_tenant("t")
         request = PlacementRequest("a", 2, GIB, tenant="t")
         decision = scheduler.place(request)
         scheduler.release("a", decision.node_name, 2, GIB, tenant="t")

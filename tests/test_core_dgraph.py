@@ -97,7 +97,7 @@ class TestPrimitives:
         balanced = (
             DGraph.from_buffer_infos(buffer_infos).init(tree).distribute("DP").cost(costfn)
         )
-        balanced.balance(method="greedy", num_microbatches=4)
+        balanced.balance(num_microbatches=4)
         plan_balanced = balanced.plan()
 
         unbalanced = DGraph.from_buffer_infos(buffer_infos).init(tree).distribute("DP")
@@ -170,6 +170,40 @@ class TestPlan:
         sample_id = dgraph.selected_samples[0].sample_id
         assert dgraph.lineage(sample_id) == ["buffered", "sampled", "assigned"]
         assert len(dgraph.edges) > 0
+
+    def test_balance_edges_are_labelled_greedy(self, buffer_infos, tree):
+        dgraph = DGraph.from_buffer_infos(buffer_infos).init(tree)
+        dgraph.distribute("DP").balance(num_microbatches=2)
+        labels = {edge.label for edge in dgraph.edges if edge.dst[1] == "assigned"}
+        assert labels == {"balance[greedy]"}
+
+    def test_balance_assigns_every_selected_sample_once(self, buffer_infos, tree):
+        dgraph = DGraph.from_buffer_infos(buffer_infos).init(tree)
+        plan = dgraph.distribute("DP").balance(num_microbatches=4).plan()
+        assigned = [
+            sample_id
+            for assignment in plan.module.assignments
+            for sample_id in assignment.sample_ids()
+        ]
+        assert sorted(assigned) == sorted(s.sample_id for s in dgraph.selected_samples)
+
+    def test_describe_names_the_balancer_once_balanced(self, buffer_infos, tree):
+        dgraph = DGraph.from_buffer_infos(buffer_infos).init(tree).distribute("DP")
+        assert "balance='none'" in dgraph.describe()
+        dgraph.balance(num_microbatches=2)
+        assert "balance='greedy'" in dgraph.describe()
+
+    def test_balance_api_cost_accumulates_across_calls(self, buffer_infos, tree):
+        dgraph = DGraph.from_buffer_infos(buffer_infos).init(tree).distribute("DP")
+        once = dgraph.balance(num_microbatches=2).api_costs["balance"]
+        assert dgraph.balance(num_microbatches=2).api_costs["balance"] == pytest.approx(2 * once)
+
+    def test_a_later_balance_replaces_the_earlier_assignment(self, buffer_infos, tree):
+        dgraph = DGraph.from_buffer_infos(buffer_infos).init(tree).distribute("DP")
+        dgraph.balance(num_microbatches=2).balance(num_microbatches=4)
+        plan = dgraph.plan()
+        assert plan.module.num_microbatches == 4
+        assert {a.microbatch_index for a in plan.module.assignments} == {0, 1, 2, 3}
 
     def test_describe(self, buffer_infos, tree):
         dgraph = DGraph.from_buffer_infos(buffer_infos).init(tree).distribute("DP")

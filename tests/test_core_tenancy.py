@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.actors.node import ResourceSpec
 from repro.actors.runtime import ActorSystem, ClusterSpec
-from repro.actors.scheduler import PlacementRequest, PlacementScheduler, TenantQuota
+from repro.actors.scheduler import PlacementRequest, PlacementScheduler
 from repro.core.checkpoint import (
     CheckpointError,
     InMemoryCheckpointStore,
@@ -185,7 +185,7 @@ def tiny_scheduler():
 class TestSchedulerTenancy:
     def test_release_refunds_usage(self):
         scheduler = tiny_scheduler()
-        scheduler.register_tenant(TenantQuota(tenant="t"))
+        scheduler.register_tenant("t")
         decision = scheduler.place(PlacementRequest("t/a", 4.0, GIB, tenant="t"))
         scheduler.release("t/a", decision.node_name, 4.0, GIB, tenant="t")
         assert scheduler.tenant_usage("t")["cpu_cores"] == 0.0
@@ -193,8 +193,8 @@ class TestSchedulerTenancy:
 
     def test_fair_share_deficit_orders_underserved_first(self):
         scheduler = tiny_scheduler()
-        scheduler.register_tenant(TenantQuota(tenant="big"))
-        scheduler.register_tenant(TenantQuota(tenant="small"))
+        scheduler.register_tenant("big")
+        scheduler.register_tenant("small")
         scheduler.place(PlacementRequest("big/a", 4.0, GIB, tenant="big"))
         scheduler.place(PlacementRequest("small/a", 12.0, GIB, tenant="small"))
         shares = scheduler.tenant_shares()
@@ -206,7 +206,7 @@ class TestSchedulerTenancy:
     def test_tenants_are_entitled_to_equal_shares(self):
         scheduler = tiny_scheduler()
         for tenant, cores in (("a", 2.0), ("b", 4.0), ("c", 6.0)):
-            scheduler.register_tenant(TenantQuota(tenant=tenant))
+            scheduler.register_tenant(tenant)
             scheduler.place(PlacementRequest(f"{tenant}/x", cores, GIB, tenant=tenant))
         shares = scheduler.tenant_shares()
         assert {name: entry["entitlement"] for name, entry in shares.items()} == {
@@ -214,9 +214,31 @@ class TestSchedulerTenancy:
         }
         assert [shares[name]["deficit"] for name in "abc"] == [2.0, 0.0, -2.0]
 
+    def test_re_registering_updates_priority_and_keeps_usage(self):
+        scheduler = tiny_scheduler()
+        scheduler.register_tenant("t")
+        scheduler.place(PlacementRequest("t/a", 4.0, GIB, tenant="t"))
+        scheduler.register_tenant("t", 3)
+        assert scheduler.tenants() == ["t"]
+        assert scheduler.tenant_shares()["t"]["priority"] == 3.0
+        assert scheduler.tenant_usage("t")["cpu_cores"] == 4.0
+
+    def test_tenants_are_listed_in_registration_order(self):
+        scheduler = tiny_scheduler()
+        for tenant in ("b", "a", "c"):
+            scheduler.register_tenant(tenant)
+        assert scheduler.tenants() == ["b", "a", "c"]
+
+    def test_unregistered_tenant_is_charged_but_has_no_share(self):
+        scheduler = tiny_scheduler()
+        scheduler.register_tenant("t")
+        scheduler.place(PlacementRequest("ghost/a", 4.0, GIB, tenant="ghost"))
+        assert scheduler.tenant_usage("ghost")["cpu_cores"] == 4.0
+        assert set(scheduler.tenant_shares()) == {"t"}
+
     def test_unmetered_requests_are_not_charged(self):
         scheduler = tiny_scheduler()
-        scheduler.register_tenant(TenantQuota(tenant="t"))
+        scheduler.register_tenant("t")
         scheduler.place(PlacementRequest("free/a", 8.0, GIB))  # no tenant tag
         assert scheduler.tenant_usage("t")["cpu_cores"] == 0.0
 

@@ -17,11 +17,10 @@ emitting:
   microbatch, token count, payload bytes, metadata_only, replicated_from)``;
 - **pinned DGraph draws** — ``_plan_signature`` of fixed draws from the input
   space of ``test_columns_and_lists_emit_identical_plans``, recorded from
-  list-input (row-mode) graphs.  Draws 3-5 and 9-11 once balanced with
-  ``interleave``; since the strategies always balance greedily, those six
-  were re-recorded with greedy at ``a3e7b46``, the last commit whose
-  strategies took a balance method (3 and 9, vanilla, do not balance and
-  kept their digests).
+  list-input (row-mode) graphs.  Draws 3-5 and 9-11 once asked for
+  ``interleave``.  Draws 4, 5, 10 and 11 were re-recorded with greedy at
+  ``a3e7b46``, the last commit whose strategies took a balance method;
+  draws 3 and 9 are vanilla, never balanced, and kept their digests.
 
 A second twin went the same way: until ``34f2e2c`` a synchronous step driver
 in ``core/framework.py`` served ``prefetch_depth=0`` beside ``StepPipeline``.

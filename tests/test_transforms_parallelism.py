@@ -47,18 +47,23 @@ class TestContextParallelSlices:
 
 class TestTensorParallelReplicas:
     def test_broadcast_only_tp0_fetches(self):
-        replicas = tensor_parallel_replicas(1000, tp_size=4, broadcast=True)
+        replicas = tensor_parallel_replicas(1000, tp_size=4)
         assert replicas[0]["token_count"] == 1000
         assert all(r["token_count"] == 0 for r in replicas[1:])
         assert all(r["via_broadcast"] for r in replicas[1:])
 
-    def test_no_broadcast_all_fetch(self):
-        replicas = tensor_parallel_replicas(1000, tp_size=4, broadcast=False)
-        assert all(r["token_count"] == 1000 for r in replicas)
-
     def test_invalid_tp_size(self):
         with pytest.raises(TransformError):
-            tensor_parallel_replicas(10, 0, True)
+            tensor_parallel_replicas(10, 0)
+
+    def test_single_tp_rank_fetches_everything(self):
+        (replica,) = tensor_parallel_replicas(1000, tp_size=1)
+        assert replica["token_count"] == 1000
+        assert not replica["via_broadcast"]
+
+    def test_only_the_fetching_rank_carries_payload_bytes(self):
+        replicas = tensor_parallel_replicas(1000, tp_size=4)
+        assert [r["payload_bytes"] for r in replicas] == [1000 * BYTES_PER_TOKEN, 0, 0, 0]
 
 
 class TestPipelineStageView:
