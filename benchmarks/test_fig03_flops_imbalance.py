@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.metrics.report import MetricReport
-from repro.training.flops import flops_imbalance_matrix, imbalance_ratio
+from repro.training.flops import flops_imbalance_matrix, imbalance_ratio, token_arrays
 from repro.training.models import llama_12b, vit_2b
 
 from .conftest import emit, sample_batch
@@ -46,8 +46,8 @@ def test_fig3_flops_heatmaps(benchmark, navit_catalog, filesystem):
                 encoder_assignments.append(
                     [[s for i, s in enumerate(mb) if i % 2 == half and s.image_tokens > 0] for mb in dp_row]
                 )
-        token_matrix = flops_imbalance_matrix(backbone_assignments, None, llama_12b(), which="backbone")
-        image_matrix = flops_imbalance_matrix(encoder_assignments, vit_2b(), llama_12b(), which="encoder")
+        token_matrix = flops_imbalance_matrix(token_arrays(backbone_assignments), None, llama_12b(), which="backbone")
+        image_matrix = flops_imbalance_matrix(token_arrays(encoder_assignments), vit_2b(), llama_12b(), which="encoder")
         return token_matrix, image_matrix
 
     token_matrix, image_matrix = benchmark(build)

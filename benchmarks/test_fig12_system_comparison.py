@@ -13,6 +13,7 @@ from __future__ import annotations
 from repro.baselines import ALL_BASELINES
 from repro.baselines.megascale_model import MegaScaleArchitectureModel
 from repro.metrics.report import MetricReport
+from repro.training.flops import token_arrays
 from repro.training.models import VLMConfig, llama_12b, vit_2b
 from repro.training.simulator import TrainingSimulator
 from repro.utils.units import bytes_to_gib
@@ -36,7 +37,7 @@ def _evaluate_system(name, loader_cls, catalog, mesh, samples):
     assignments = loader.build_assignments(samples, seed=12)
     model = VLMConfig(encoder=vit_2b(), backbone=llama_12b())
     simulator = TrainingSimulator(model, mesh)
-    iteration = simulator.simulate_iteration(assignments, data_fetch_latency_s=report.fetch_latency_s)
+    iteration = simulator.simulate_iteration(token_arrays(assignments), data_fetch_latency_s=report.fetch_latency_s)
     return {
         "system": name,
         "iteration_s": iteration.iteration_time_s,

@@ -48,25 +48,9 @@ def _throughput(strategy_name, samples, model):
     buffer_infos = {"all": samples}
     plan = strategy(buffer_infos, tree, step=0, seed=0)
 
-    backbone_assignments = []
-    for bucket in range(plan.module.num_buckets):
-        bucket_row = [list(a.samples) for a in plan.module.bucket_assignments(bucket)]
-        while len(bucket_row) < NUM_MICROBATCHES:
-            bucket_row.append([])
-        backbone_assignments.append(bucket_row)
-
-    encoder_assignments = None
-    if "encoder" in plan.subplan:
-        encoder_plan = plan.subplan["encoder"].module
-        encoder_assignments = []
-        for bucket in range(encoder_plan.num_buckets):
-            row = [list(a.samples) for a in encoder_plan.bucket_assignments(bucket)]
-            while len(row) < NUM_MICROBATCHES:
-                row.append([])
-            encoder_assignments.append(row)
-
+    encoder = plan.subplan["encoder"].module.bucket_tokens() if "encoder" in plan.subplan else None
     simulator = TrainingSimulator(model, MESH)
-    result = simulator.simulate_iteration(backbone_assignments, encoder_assignments)
+    result = simulator.simulate_iteration(plan.module.bucket_tokens(), encoder)
     return result.throughput_tokens_per_s
 
 

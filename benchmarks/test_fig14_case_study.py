@@ -30,23 +30,9 @@ def _simulate(strategy_name, samples, model):
     tree = ClientPlaceTree(MESH)
     strategy = make_strategy(strategy_name, StrategyConfig(num_microbatches=NUM_MICROBATCHES))
     plan = strategy({"navit": samples}, tree, step=0, seed=0)
-    backbone = []
-    for bucket in range(plan.module.num_buckets):
-        row = [list(a.samples) for a in plan.module.bucket_assignments(bucket)]
-        while len(row) < NUM_MICROBATCHES:
-            row.append([])
-        backbone.append(row)
-    encoder = None
-    if "encoder" in plan.subplan:
-        module = plan.subplan["encoder"].module
-        encoder = []
-        for bucket in range(module.num_buckets):
-            row = [list(a.samples) for a in module.bucket_assignments(bucket)]
-            while len(row) < NUM_MICROBATCHES:
-                row.append([])
-            encoder.append(row)
+    encoder = plan.subplan["encoder"].module.bucket_tokens() if "encoder" in plan.subplan else None
     simulator = TrainingSimulator(model, MESH)
-    return simulator.simulate_iteration(backbone, encoder)
+    return simulator.simulate_iteration(plan.module.bucket_tokens(), encoder)
 
 
 def test_fig14_case_study_timeline(benchmark, navit_catalog, filesystem):

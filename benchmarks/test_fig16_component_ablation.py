@@ -16,6 +16,7 @@ from repro.baselines.megascale_model import MegaScaleArchitectureModel
 from repro.baselines.torch_loader import TorchColocatedLoader
 from repro.core.autoscaler import ResourceBudget, SourceAutoPartitioner
 from repro.metrics.report import MetricReport
+from repro.training.flops import token_arrays
 from repro.training.models import VLMConfig, llama_12b, vit_2b
 from repro.training.simulator import TrainingSimulator
 from repro.utils.units import GIB, bytes_to_gib
@@ -43,7 +44,7 @@ def _ablation(catalog, filesystem, mesh):
     def run(loader, label):
         report = loader.evaluate()
         iteration = simulator.simulate_iteration(
-            loader.build_assignments(samples, seed=16),
+            token_arrays(loader.build_assignments(samples, seed=16)),
             data_fetch_latency_s=report.fetch_latency_s,
         )
         return {

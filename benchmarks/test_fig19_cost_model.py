@@ -16,6 +16,7 @@ from repro.core.cost_model import BackboneCostModel, EncoderCostModel
 from repro.data.mixture import MixtureSchedule
 from repro.metrics.report import MetricReport
 from repro.parallelism.mesh import DeviceMesh
+from repro.training.flops import token_arrays
 from repro.training.models import VLMConfig, get_model
 from repro.training.simulator import TrainingSimulator
 from repro.utils.rng import derive_rng
@@ -41,7 +42,7 @@ def _fidelity_series(catalog, filesystem):
         samples = sample_batch(catalog, filesystem, SAMPLES_PER_STEP, seed=200 + step)
         predicted_encoder.append(sum(encoder_cost(s)[0] for s in samples))
         predicted_backbone.append(sum(backbone_cost(s)[0] for s in samples))
-        result = simulator.simulate_iteration([[samples]])
+        result = simulator.simulate_iteration(token_arrays([[samples]]))
         measured_encoder.append(result.encoder_time_s)
         measured_backbone.append(result.backbone_time_s)
     return (

@@ -41,6 +41,7 @@ import time
 import numpy as np
 
 from repro.core.assembly import PreparedColumns
+from repro.core.columns import SampleColumns
 from repro.core.data_constructor import DataConstructor, RankDelivery
 from repro.core.plans import MicrobatchAssignment, ModulePlan
 from repro.data.samples import Modality, SampleMetadata
@@ -152,7 +153,7 @@ def _delivery_plan(metas: list[SampleMetadata]) -> ModulePlan:
     for mb in range(DELIVERY_MICROBATCHES):
         chunk = metas[mb * per_microbatch : (mb + 1) * per_microbatch]
         plan.assignments.append(
-            MicrobatchAssignment(bucket_index=0, microbatch_index=mb, samples=tuple(chunk))
+            MicrobatchAssignment(0, mb, SampleColumns.from_samples(chunk))
         )
     return plan
 
@@ -169,8 +170,11 @@ def _assert_deliveries_identical(metas: list[SampleMetadata]) -> None:
         max_sequence_length=MAX_SEQUENCE_LENGTH,
         packing=True,
     )
-    payload = PreparedColumns.from_rows(
-        [(m.sample_id, m.text_tokens, m.image_tokens, m.raw_bytes) for m in metas]
+    payload = PreparedColumns(
+        *np.array(
+            [(m.sample_id, m.text_tokens, m.image_tokens, m.raw_bytes) for m in metas],
+            dtype=np.int64,
+        ).T
     )
     constructor.construct(0, plan, payload)
 

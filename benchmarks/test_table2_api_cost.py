@@ -17,6 +17,7 @@ from repro.data.synthetic import build_source_catalog, navit_like_spec
 from repro.metrics.report import MetricReport
 from repro.parallelism.mesh import DeviceMesh
 from repro.storage.filesystem import SimulatedFileSystem
+from repro.training.flops import token_arrays
 from repro.training.models import VLMConfig, get_model
 from repro.training.simulator import TrainingSimulator
 
@@ -70,7 +71,7 @@ def _measure_case(catalog, filesystem, mesh, samples_per_dp, seq, group_size):
     while len(assignments) < mesh.size("DP"):
         assignments.append([[] for _ in range(8)])
     model = VLMConfig(encoder=get_model("ViT-2B"), backbone=get_model("Llama-12B"))
-    iteration = TrainingSimulator(model, mesh).simulate_iteration(assignments)
+    iteration = TrainingSimulator(model, mesh).simulate_iteration(token_arrays(assignments))
     return {
         "cost_s": dgraph.api_costs.get("cost", 0.0),
         "balance_s": dgraph.api_costs.get("balance", 0.0),

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from repro.core.plans import ModulePlan
 from repro.data.sources import SourceCursor
 
 
@@ -25,15 +24,3 @@ def draw_samples(catalog, filesystem, count, context_length=None):
             metadata = metadata.with_updates(image_tokens=image, text_tokens=text)
         samples.append(metadata)
     return samples
-
-
-def assignments_from_module_plan(module_plan: ModulePlan, num_microbatches: int):
-    """Expand a ModulePlan into the [bucket][microbatch][samples] nesting the
-    training simulator expects."""
-    assignments = []
-    for bucket in range(module_plan.num_buckets):
-        row = [list(a.samples) for a in module_plan.bucket_assignments(bucket)]
-        while len(row) < num_microbatches:
-            row.append([])
-        assignments.append(row)
-    return assignments

@@ -20,7 +20,7 @@ from repro.parallelism.mesh import DeviceMesh
 from repro.storage.filesystem import SimulatedFileSystem
 from repro.training.models import VLMConfig, get_model
 from repro.training.simulator import TrainingSimulator
-from benchmark_utils_example import assignments_from_module_plan, draw_samples
+from benchmark_utils_example import draw_samples
 
 
 def build_hybrid_plan(buffer_infos, tree, encoder_costfn, backbone_costfn, num_microbatches):
@@ -68,8 +68,8 @@ def main() -> None:
             buffer_infos, ClientPlaceTree(mesh), encoder_cost, backbone_cost, num_microbatches
         )
         hybrid_result = simulator.simulate_iteration(
-            assignments_from_module_plan(hybrid_plan.module, num_microbatches),
-            assignments_from_module_plan(hybrid_plan.subplan["encoder"].module, num_microbatches),
+            hybrid_plan.module.bucket_tokens(),
+            hybrid_plan.subplan["encoder"].module.bucket_tokens(),
         )
 
         baseline = DGraph.from_buffer_infos(buffer_infos, metas_token).init(ClientPlaceTree(mesh))
@@ -77,7 +77,7 @@ def main() -> None:
         baseline._num_microbatches = num_microbatches
         baseline_plan = baseline.plan()
         baseline_result = simulator.simulate_iteration(
-            assignments_from_module_plan(baseline_plan.module, num_microbatches)
+            baseline_plan.module.bucket_tokens()
         )
 
         speedup = baseline_result.iteration_time_s / hybrid_result.iteration_time_s

@@ -21,6 +21,7 @@ the duration model (``modelled_duration``), timeline recording
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -185,6 +186,16 @@ class ActorSystem:
 
     def node(self, name: str) -> Node:
         return self.scheduler.node(name)
+
+    @property
+    def latency_provider(self):
+        return self._latency_provider
+
+    @latency_provider.setter
+    def latency_provider(self, provider) -> None:
+        # The provider's protocol is read once, not per event.
+        self._latency_provider = provider
+        self._lane_context = getattr(provider, "wants_lane_context", False)
 
     @property
     def clock_s(self) -> float:
@@ -586,12 +597,14 @@ class ActorSystem:
         record = self._actors.get(name)
         if record is None:
             return 0.0
-        if getattr(provider, "wants_lane_context", False):
-            # Capacity-aware providers see the actor's lane occupancy at the
-            # event's start instant — which lanes are still busy and until
-            # when — so a worker pool's throughput can be split across
-            # concurrently in-flight tickets (the capacity-split lane model).
-            busy_ends = tuple(end for end in lane_ends_s if end > start_s)
+        if self._lane_context:
+            # Capacity-aware providers see the actor's role and its lane
+            # occupancy at the event's start instant — which lanes are still
+            # busy and until when — so a worker pool's throughput can be
+            # split across concurrently in-flight tickets (the capacity-split
+            # lane model).  Both engines keep lane ends ascending, so the busy
+            # lanes are a suffix.
+            busy_ends = tuple(lane_ends_s[bisect_right(lane_ends_s, start_s):])
             duration = provider.call_duration_s(
                 record.instance,
                 method,
@@ -599,6 +612,7 @@ class ActorSystem:
                 busy_lanes=1 + len(busy_ends),
                 start_s=start_s,
                 lane_ends_s=busy_ends,
+                role=record.role,
             )
         else:
             duration = provider.call_duration_s(record.instance, method, result)

@@ -38,6 +38,7 @@ dispatch in their normal order and the engine stops it once the queue is dry.
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 
@@ -117,9 +118,9 @@ class VirtualEngine:
         self._generation: dict[str, int] = {}
         #: Per-actor FIFO queues of deferred calls (the event engine's inputs).
         self._queues: dict[str, deque[PendingCall]] = {}
-        #: Per-actor busy windows, kept as min-heaps: one entry per execution
-        #: lane holding the virtual instant that lane finishes its latest
-        #: executed call (``lanes[0]`` is the actor's earliest-free instant).
+        #: Per-actor busy windows, kept sorted: one entry per execution lane
+        #: holding the virtual instant that lane finishes its latest executed
+        #: call (``lanes[0]`` is the actor's earliest-free instant).
         self._lanes_s: dict[str, list[float]] = {}
         #: Indexed dispatcher state: a global heap of per-actor queue-head
         #: entries ``(start, seq, actor, generation)`` plus a per-actor
@@ -159,8 +160,8 @@ class VirtualEngine:
         return not queue
 
     def free_at_s(self, name: str) -> float:
-        """The actor's earliest-free lane: lane lists are maintained as
-        min-heaps, so this is O(1) rather than a min-scan over every lane."""
+        """The actor's earliest-free lane: lane lists are kept sorted, so
+        this is O(1) rather than a min-scan over every lane."""
         lanes = self._lanes_s.get(name)
         return lanes[0] if lanes else 0.0
 
@@ -334,7 +335,7 @@ class VirtualEngine:
                 system.sweep_retirements()
                 break
             name = call.name
-            # Lane lists are min-heaps: ``lanes[0]`` is the earliest-free lane.
+            # Lane lists are sorted: ``lanes[0]`` is the earliest-free lane.
             lanes = lanes_s.get(name)
             free = lanes[0] if lanes else 0.0
             start = call.ready_at_s if call.ready_at_s >= free else free
@@ -361,11 +362,12 @@ class VirtualEngine:
                 # never precedes work the call itself performed.
                 nested_s = clock.now_s - clock_before
                 end = start + nested_s + system.rpc_latency_s + max(0.0, duration)
-                # Book the earliest-free lane until ``end``: replacing the
-                # heap root is O(log L), O(1) for a single-lane actor.
+                # Book the earliest-free lane until ``end``, keeping the
+                # lanes sorted (a handful per actor).
                 if lanes is None:
                     lanes = lanes_s[name] = [0.0]
-                heapq.heapreplace(lanes, end)
+                del lanes[0]
+                insort(lanes, end)
                 call.future._complete(result, available_at_s=end)
                 system.record_event(call, start, end)
             if indexed and queues.get(name):

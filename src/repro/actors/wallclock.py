@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import threading
 import time
+from bisect import insort
 from collections import deque
 
 from repro.actors.virtual import purge_cancelled_heads
@@ -295,7 +296,7 @@ class WallclockEngine:
             box.executing_thread = None
             if claimed and failure is None and duration > 0:
                 lane_end = self.clock.now_s + duration + system.rpc_latency_s
-                box.lane_ends_s.append(lane_end)
+                insort(box.lane_ends_s, lane_end)
             box.cond.notify_all()
         if not claimed:
             # Cancelled between pop and claim; the cancel hook did the

@@ -2,13 +2,13 @@
 
 Prepared samples travel from Source Loaders to Data Constructors as one
 :class:`PreparedColumns` per fetch — an immutable column slice, never
-per-sample objects.  A Source Loader stages prepared rows in a plain dict and
-builds the slice when a fetch hands them off, with one array call over just
-the fetched rows (:meth:`PreparedColumns.from_rows`).  The slice travels *by
-reference* through the GCS freeze-on-put path (``put(..., immutable=True)``),
-so a fetch moves one key instead of copying per-sample records, and the Data
-Constructor's vectorized collation kernels consume its token-length arrays
-directly.
+per-sample objects.  A Source Loader keeps its buffer as typed columns, and a
+ticket holds the slots of the rows it took; the hand-off copies just those
+rows out of the loader's id, token and staged-bytes columns into the slice.
+The slice travels *by reference* through the GCS freeze-on-put path
+(``put(..., immutable=True)``), so a fetch moves one key instead of copying
+per-sample records, and the Data Constructor's vectorized collation kernels
+consume its token-length arrays directly.
 """
 
 from __future__ import annotations
@@ -60,12 +60,6 @@ class PreparedColumns:
             image_tokens=np.empty(0, dtype=np.int64),
             transferred_bytes=np.empty(0, dtype=np.int64),
         )
-
-    @classmethod
-    def from_rows(cls, rows: list[tuple[int, int, int, int]]) -> "PreparedColumns":
-        """Columns over ``(sample_id, text_tokens, image_tokens, transferred_bytes)``
-        rows, in row order (one array build)."""
-        return cls(*np.array(rows, dtype=np.int64).reshape(-1, 4).T)
 
     @classmethod
     def concat(cls, parts: list["PreparedColumns"]) -> "PreparedColumns":

@@ -1,75 +1,61 @@
-"""Columnar (struct-of-arrays) views over buffered sample metadata.
+"""Columnar (struct-of-arrays) sets of buffered samples: what plans are made of.
 
-Buffered :class:`~repro.data.samples.SampleMetadata` reaches the Planner and
-the DGraph as :class:`SampleColumns`, so a planning cycle costs numpy index
-arithmetic over the rows it selects rather than per-sample Python object
-churn.
+The Planner's gather concatenates every Source Loader's buffer reply — the
+sample id, text token and image token arrays, in buffer (arrival) order —
+into one :class:`SampleColumns` with one run of rows per source, in gather
+order.  A planning cycle is numpy index arithmetic over those arrays: ``mix``
+draws row positions per source run, ``cost`` and ``balance`` read the token
+arrays, and a plan's microbatch assignments are slices of the selected rows.
+No :class:`~repro.data.samples.SampleMetadata` is built on that path.
 
-:class:`SampleColumns` is an immutable struct-of-arrays view over a set of
-buffered samples: numpy arrays for sample id, token counts and source codes,
-plus an object array of the metadata records themselves so plan finalization
-emits the very :class:`SampleMetadata` objects the loaders buffered.  A set
-gathered from the loaders (:meth:`SampleColumns.of_source`) holds the
-loaders' own buffer rows, ``(metadata, ...)`` tuples in each loader's buffer
-order (the order plan determinism rests on), and builds its arrays on first
-read: length, per-source grouping, rotation, selection and the concatenation
-of distinct sources work on the row lists, so a plan reads a record, and
-builds arrays, only for the rows it selects.
+A record is built only when a caller asks for one (:meth:`SampleColumns.to_list`:
+examples, figures, tests, a step's ``backbone_assignments``).  Each source of
+a set has a *reader* that builds records from sample ids: the loader cursor's
+record lookup for a gathered set, an index over the given records for a set
+built from records (:meth:`SampleColumns.from_samples`).
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+from collections.abc import Callable
+from functools import partial
+from itertools import accumulate
 
 import numpy as np
 
 from repro.data.samples import SampleMetadata
 
-#: The array slots a lazy set (:meth:`SampleColumns.of_source`) fills on first read.
-_ARRAYS = ("sample_ids", "text_tokens", "image_tokens", "total_tokens", "source_codes", "metas")
-
-#: The record of a loader buffer row, ``(metadata, ...)``.
-_record_of = itemgetter(0)
+#: Builds a source's records from sample ids, in the given order.
+Reader = Callable[[list[int]], list[SampleMetadata]]
 
 
-def _record_arrays(
-    records: list[SampleMetadata],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Id, text token and image token arrays plus the object array of ``records``."""
-    count = len(records)
-    metas = np.empty(count, dtype=object)
-    metas[:] = records
-    return (
-        np.fromiter((s.sample_id for s in records), dtype=np.int64, count=count),
-        np.fromiter((s.text_tokens for s in records), dtype=np.int64, count=count),
-        np.fromiter((s.image_tokens for s in records), dtype=np.int64, count=count),
-        metas,
-    )
+def _read_index(index: dict[int, SampleMetadata], sample_ids: list[int]) -> list[SampleMetadata]:
+    return [index[sample_id] for sample_id in sample_ids]
 
 
 class SampleColumns:
-    """Immutable struct-of-arrays view over a sequence of sample metadata.
+    """Immutable struct-of-arrays view over a sequence of buffered samples.
 
     Attributes
     ----------
     sample_ids / text_tokens / image_tokens / total_tokens:
-        ``int64`` arrays, one entry per sample, in buffer (arrival) order.
+        ``int64`` arrays, one entry per sample.
     source_codes:
         ``int32`` array of indices into :attr:`sources`.
     sources:
         Tuple of source names referenced by :attr:`source_codes`.
-    metas:
-        ``object`` array of the underlying :class:`SampleMetadata` records —
-        fancy indexing over it keeps selection vectorized while letting the
-        finalized plan carry the very objects the loaders buffered.
-
-    A lazy set (:meth:`of_source`, and :meth:`concat` of lazy sets over
-    distinct sources) keeps its buffer rows as one list with one run per
-    source, and reads a row's record only to build these arrays, for the
-    rows a view keeps, or to list the set (:meth:`to_list`).
+    readers:
+        Per source, the :data:`Reader` that builds its records on demand.
+    runs:
+        ``(code, start, end)`` per source when the rows are grouped into one
+        contiguous run per source (a gathered set and what is cut from it by
+        source), else ``None``.
     """
 
-    __slots__ = (*_ARRAYS, "sources", "_rows", "_ends")
+    __slots__ = (
+        "sample_ids", "text_tokens", "image_tokens", "total_tokens",
+        "source_codes", "sources", "readers", "runs",
+    )
 
     def __init__(
         self,
@@ -78,63 +64,70 @@ class SampleColumns:
         image_tokens: np.ndarray,
         source_codes: np.ndarray,
         sources: tuple[str, ...],
-        metas: np.ndarray,
+        readers: tuple[Reader, ...],
+        total_tokens: np.ndarray | None = None,
+        runs: list[tuple[int, int, int]] | None = None,
     ) -> None:
         self.sample_ids = sample_ids
         self.text_tokens = text_tokens
         self.image_tokens = image_tokens
-        self.total_tokens = text_tokens + image_tokens
+        self.total_tokens = text_tokens + image_tokens if total_tokens is None else total_tokens
         self.source_codes = source_codes
         self.sources = sources
-        self.metas = metas
-        #: Lazy sets only: the buffer rows, and the end of each source's run.
-        self._rows: list[tuple] | None = None
-        self._ends: list[int] | None = None
+        self.readers = readers
+        self.runs = runs
 
     # -- constructors ---------------------------------------------------------------
 
     @classmethod
-    def empty(cls, sources: tuple[str, ...] = ()) -> "SampleColumns":
+    def empty(cls) -> "SampleColumns":
+        none = np.empty(0, dtype=np.int64)
+        return cls(none, none, none, np.empty(0, dtype=np.int32), (), (), none, runs=[])
+
+    @classmethod
+    def gathered(cls, sources: list[str], replies: list[list[dict]]) -> "SampleColumns":
+        """One set over loader buffer replies (``replies[i]`` are source
+        ``i``'s, each with ``sample_ids`` / ``text_tokens`` / ``image_tokens``
+        arrays and a ``records`` reader), grouped by source in the given
+        order, each source's loaders in reply order."""
+        counts = [sum(len(reply["sample_ids"]) for reply in group) for group in replies]
+        flat = [reply for group in replies for reply in group]
+        if not flat:
+            return cls.empty()
+        ends = list(accumulate(counts))
         return cls(
-            sample_ids=np.empty(0, dtype=np.int64),
-            text_tokens=np.empty(0, dtype=np.int64),
-            image_tokens=np.empty(0, dtype=np.int64),
-            source_codes=np.empty(0, dtype=np.int32),
-            sources=tuple(sources),
-            metas=np.empty(0, dtype=object),
+            *(np.concatenate([reply[name] for reply in flat])
+              for name in ("sample_ids", "text_tokens", "image_tokens")),
+            np.repeat(np.arange(len(sources), dtype=np.int32), counts),
+            tuple(sources),
+            tuple(group[0]["records"] for group in replies),
+            runs=[(code, end - count, end) for code, (count, end) in enumerate(zip(counts, ends))],
         )
-
-    @classmethod
-    def of_source(cls, source: str, rows: list[tuple]) -> "SampleColumns":
-        """One source's buffer rows, in buffer order; arrays built on first read.
-
-        ``rows`` are the loader's own buffer rows (``row[0]`` the record) and
-        are held as given, not copied: the caller hands over the list.
-        """
-        return cls._lazy((source,), rows, [len(rows)])
-
-    @classmethod
-    def _lazy(
-        cls, sources: tuple[str, ...], rows: list[tuple], ends: list[int]
-    ) -> "SampleColumns":
-        columns = cls.__new__(cls)
-        columns.sources = sources
-        columns._rows = rows
-        columns._ends = ends
-        return columns
 
     @classmethod
     def from_samples(cls, samples: list[SampleMetadata]) -> "SampleColumns":
         """Build columns from metadata records of any sources, in the given order."""
         if not samples:
             return cls.empty()
-        codes = np.empty(len(samples), dtype=np.int32)
         code_of: dict[str, int] = {}
-        for index, sample in enumerate(samples):
+        indexes: list[dict[int, SampleMetadata]] = []
+        codes = np.empty(len(samples), dtype=np.int32)
+        for position, sample in enumerate(samples):
             code = code_of.setdefault(sample.source, len(code_of))
-            codes[index] = code
-        sample_ids, text_tokens, image_tokens, metas = _record_arrays(samples)
-        return cls(sample_ids, text_tokens, image_tokens, codes, tuple(code_of), metas)
+            if code == len(indexes):
+                indexes.append({})
+            indexes[code][sample.sample_id] = sample
+            codes[position] = code
+        count = len(samples)
+        return cls(
+            np.fromiter((s.sample_id for s in samples), dtype=np.int64, count=count),
+            np.fromiter((s.text_tokens for s in samples), dtype=np.int64, count=count),
+            np.fromiter((s.image_tokens for s in samples), dtype=np.int64, count=count),
+            codes,
+            tuple(code_of),
+            tuple(partial(_read_index, index) for index in indexes),
+            runs=[(0, 0, count)] if len(indexes) == 1 else None,
+        )
 
     @classmethod
     def coerce(cls, samples) -> "SampleColumns":
@@ -152,112 +145,77 @@ class SampleColumns:
 
     @classmethod
     def concat(cls, parts: list["SampleColumns"]) -> "SampleColumns":
-        """Concatenate column sets, merging (and deduplicating) source tables.
+        """Concatenate column sets.
 
-        Lazy sets over distinct sources concatenate lazily: one record list,
-        one run per source.
+        Parts over distinct sources concatenate their arrays (grouped parts
+        into a grouped set); parts that share a source are rebuilt from their
+        records, merging the shared source into one table.
         """
         if not parts:
             return cls.empty()
         if len(parts) == 1:
             return parts[0]
-        sources = tuple(name for part in parts for name in part.sources)
-        if len(set(sources)) == len(sources) and all(part._rows is not None for part in parts):
-            rows: list[tuple] = []
-            ends: list[int] = []
-            for part in parts:
-                ends.extend(len(rows) + end for end in part._ends)
-                rows.extend(part._rows)
-            return cls._lazy(sources, rows, ends)
-        code_of: dict[str, int] = {}
-        recoded: list[np.ndarray] = []
+        sources = [name for part in parts for name in part.sources]
+        if len(set(sources)) < len(sources):
+            return cls.from_samples([record for part in parts for record in part.to_list()])
+        runs: list[tuple[int, int, int]] | None = []
+        codes: list[np.ndarray] = []
+        first_code = offset = 0
         for part in parts:
-            mapping = np.array(
-                [code_of.setdefault(name, len(code_of)) for name in part.sources],
-                dtype=np.int32,
-            )
-            recoded.append(
-                mapping[part.source_codes] if len(part) else part.source_codes
-            )
+            codes.append(part.source_codes + first_code)
+            if runs is not None and part.runs is not None:
+                runs += [(first_code + code, offset + start, offset + end)
+                         for code, start, end in part.runs]
+            else:
+                runs = None
+            first_code += len(part.sources)
+            offset += len(part)
         return cls(
             sample_ids=np.concatenate([part.sample_ids for part in parts]),
             text_tokens=np.concatenate([part.text_tokens for part in parts]),
             image_tokens=np.concatenate([part.image_tokens for part in parts]),
-            source_codes=np.concatenate(recoded),
-            sources=tuple(code_of),
-            metas=np.concatenate([part.metas for part in parts]),
+            source_codes=np.concatenate(codes).astype(np.int32),
+            sources=tuple(sources),
+            readers=tuple(reader for part in parts for reader in part.readers),
+            runs=runs,
         )
-
-    # -- lazy sets ------------------------------------------------------------------
-
-    def __getattr__(self, name: str):
-        # Reached only for an unset slot: a lazy set's arrays, built here
-        # once over all its rows.
-        if name not in _ARRAYS or self._rows is None:
-            raise AttributeError(name)
-        built = self._build(np.arange(len(self._rows)))
-        for slot in _ARRAYS:
-            setattr(self, slot, getattr(built, slot))
-        return getattr(self, name)
-
-    def _build(self, positions: np.ndarray) -> "SampleColumns":
-        """Columns over a lazy set's rows at ``positions`` (one array build)."""
-        records = list(map(_record_of, map(self._rows.__getitem__, positions.tolist())))
-        sample_ids, text_tokens, image_tokens, metas = _record_arrays(records)
-        codes = np.searchsorted(self._ends, positions, side="right").astype(np.int32)
-        return SampleColumns(sample_ids, text_tokens, image_tokens, codes, self.sources, metas)
-
-    def _runs(self):
-        """``(start, end)`` of each source's rows in a lazy set, in code order."""
-        return zip([0, *self._ends], self._ends)
 
     # -- views ----------------------------------------------------------------------
 
     def __len__(self) -> int:
-        if self._rows is not None:
-            return len(self._rows)
         return len(self.sample_ids)
 
-    def select(self, indices: np.ndarray) -> "SampleColumns":
-        """Rows at ``indices`` (fancy indexing; preserves the given order)."""
-        if self._rows is not None:
-            return self._build(np.asarray(indices, dtype=np.intp))
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, SampleColumns) and self.to_list() == other.to_list()
+
+    def select(
+        self, indices: np.ndarray, runs: list[tuple[int, int, int]] | None = None
+    ) -> "SampleColumns":
+        """Rows at ``indices`` (an index array, or a slice for views), in that
+        order; ``runs`` states the result's source runs when the caller knows them."""
         return SampleColumns(
-            sample_ids=self.sample_ids[indices],
-            text_tokens=self.text_tokens[indices],
-            image_tokens=self.image_tokens[indices],
-            source_codes=self.source_codes[indices],
-            sources=self.sources,
-            metas=self.metas[indices],
+            self.sample_ids[indices],
+            self.text_tokens[indices],
+            self.image_tokens[indices],
+            self.source_codes[indices],
+            self.sources,
+            self.readers,
+            total_tokens=self.total_tokens[indices],
+            runs=runs,
         )
 
     def where(self, mask: np.ndarray) -> "SampleColumns":
-        """Rows where ``mask`` is true (order preserved)."""
-        return self.select(np.flatnonzero(mask))
-
-    def rotate_take(self, offset: int, count: int) -> "SampleColumns":
-        """First ``count`` rows of the buffer rotated left by ``offset``.
-
-        Byte-identical to ``(rows[offset:] + rows[:offset])[:count]`` for
-        ``count <= len(rows)`` — the rotation the framework's deterministic
-        per-step buffer bounding applies.  A lazy one-source set rotates its
-        row list and stays lazy.
-        """
-        rows = self._rows
-        if rows is not None and len(self.sources) == 1 and 0 <= count <= len(rows):
-            offset %= max(1, len(rows))
-            taken = rows[offset : offset + count]
-            taken += rows[: count - len(taken)]
-            return SampleColumns.of_source(self.sources[0], taken)
-        if len(self) == 0 or count <= 0:
-            return self.select(np.empty(0, dtype=np.intp))
-        indices = (np.arange(count, dtype=np.intp) + offset) % len(self)
-        return self.select(indices)
+        """Rows where ``mask`` is true (order preserved; source runs kept)."""
+        runs = None
+        if self.runs is not None:
+            kept = np.concatenate(([0], np.cumsum(mask))).tolist()
+            runs = [(code, kept[start], kept[end]) for code, start, end in self.runs]
+        return self.select(np.flatnonzero(mask), runs=runs)
 
     def source_order(self) -> list[int]:
         """Source codes present, ordered by first occurrence."""
-        if self._rows is not None:
-            return [code for code, (start, end) in enumerate(self._runs()) if end > start]
+        if self.runs is not None:
+            return [code for code, start, end in self.runs if end > start]
         if len(self) == 0:
             return []
         present, first = np.unique(self.source_codes, return_index=True)
@@ -265,12 +223,8 @@ class SampleColumns:
 
     def pool_positions(self) -> dict[int, np.ndarray]:
         """Row positions per source code, each ascending."""
-        if self._rows is not None:
-            return {
-                code: np.arange(start, end)
-                for code, (start, end) in enumerate(self._runs())
-                if end > start
-            }
+        if self.runs is not None:
+            return {code: np.arange(start, end) for code, start, end in self.runs if end > start}
         order = np.argsort(self.source_codes, kind="stable")
         sorted_codes = self.source_codes[order]
         pools: dict[int, np.ndarray] = {}
@@ -280,8 +234,21 @@ class SampleColumns:
             pools[code] = order[lo:hi]
         return pools
 
-    def to_list(self) -> list[SampleMetadata]:
-        if self._rows is not None:
-            return list(map(_record_of, self._rows))
-        return self.metas.tolist()
+    def source_runs(self) -> dict[str, tuple[int, int, int]]:
+        """``source -> (code, start, end)`` of a grouped set (:attr:`runs`)."""
+        if self.runs is None:
+            raise ValueError("the rows are not grouped by source")
+        return {self.sources[code]: (code, start, end) for code, start, end in self.runs}
 
+    def to_list(self) -> list[SampleMetadata]:
+        """The rows' :class:`SampleMetadata` records, built by the sources' readers."""
+        sample_ids = self.sample_ids.tolist()
+        by_code: dict[int, list[int]] = {}
+        for position, code in enumerate(self.source_codes.tolist()):
+            by_code.setdefault(code, []).append(position)
+        records: list[SampleMetadata | None] = [None] * len(sample_ids)
+        for code, positions in by_code.items():
+            built = self.readers[code]([sample_ids[position] for position in positions])
+            for position, record in zip(positions, built):
+                records[position] = record
+        return records

@@ -35,7 +35,7 @@ Two families of models live here:
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from bisect import bisect_right
 from typing import Callable
 
 from repro.data.samples import SampleMetadata
@@ -50,7 +50,8 @@ CostFn = Callable[[SampleMetadata], tuple[float, float]]
 def capacity_split_duration_s(
     amortized_s: float, start_s: float, lane_ends_s: tuple[float, ...] | list[float]
 ) -> float:
-    """Fair-share duration of a chunk competing with in-flight lane work.
+    """Fair-share duration of a chunk competing with in-flight lane work
+    (``lane_ends_s`` ascending, as the engines keep them).
 
     A loader's worker pool has a fixed aggregate throughput; ``amortized_s``
     is the chunk's wall clock when the *whole* pool serves it.  While ``b``
@@ -68,7 +69,7 @@ def capacity_split_duration_s(
     remaining = float(amortized_s)
     if remaining <= 0.0:
         return 0.0
-    ends = sorted(end for end in lane_ends_s if end > start_s)
+    ends = lane_ends_s[bisect_right(lane_ends_s, start_s):]
     now = float(start_s)
     busy = len(ends)
     for index, end in enumerate(ends):
@@ -125,8 +126,9 @@ class DataPlaneLatencyProvider:
 
     #: Protocol flag read by the event engine: providers that set this
     #: receive the event's start instant (``start_s``), the number of
-    #: occupied lanes including the one the event takes (``busy_lanes``) and
-    #: the busy lanes' end instants (``lane_ends_s``) as keyword arguments.
+    #: occupied lanes including the one the event takes (``busy_lanes``),
+    #: the busy lanes' end instants (``lane_ends_s``, ascending) and the
+    #: actor's ``role`` as keyword arguments.
     wants_lane_context = True
 
     def call_duration_s(
@@ -137,8 +139,8 @@ class DataPlaneLatencyProvider:
         busy_lanes: int = 1,
         start_s: float = 0.0,
         lane_ends_s: tuple[float, ...] = (),
+        role: str = "actor",
     ) -> float:
-        role = getattr(type(actor), "role", "actor")
         if role == "planner" and method == "generate_plan":
             timings = getattr(getattr(actor, "stats", None), "latest_timings", None)
             return float(timings().total_s) if timings is not None else 0.0
@@ -279,14 +281,6 @@ def reconcile_timing(
     return report
 
 
-@dataclass(frozen=True)
-class CostEstimate:
-    """Latency and memory cost of a sample for one module."""
-
-    load: float
-    memory: float
-
-
 class EncoderCostModel:
     """Latency/memory cost of encoding one image sample.
 
@@ -306,10 +300,6 @@ class EncoderCostModel:
             metadata.image_tokens * self.encoder.hidden_size * self.gpu.bytes_per_activation
         )
         return latency, float(memory)
-
-    def cost(self, metadata: SampleMetadata) -> CostEstimate:
-        load, memory = self(metadata)
-        return CostEstimate(load=load, memory=memory)
 
 
 class BackboneCostModel:
@@ -332,47 +322,3 @@ class BackboneCostModel:
         latency = self.gpu.seconds_for(flops * (1.0 + BACKWARD_MULTIPLIER))
         memory = tokens * self.backbone.hidden_size * self.gpu.bytes_per_activation
         return latency, float(memory)
-
-    def cost(self, metadata: SampleMetadata) -> CostEstimate:
-        load, memory = self(metadata)
-        return CostEstimate(load=load, memory=memory)
-
-
-def token_count_cost(metadata: SampleMetadata) -> tuple[float, float]:
-    """A trivially cheap cost function: cost == fused-sequence token count."""
-    tokens = float(metadata.total_tokens)
-    return tokens, tokens
-
-
-def quadratic_token_cost(metadata: SampleMetadata) -> tuple[float, float]:
-    """Cost proportional to tokens^2: a model-free proxy for attention cost."""
-    tokens = float(metadata.total_tokens)
-    return tokens * tokens, tokens
-
-
-def image_token_cost(metadata: SampleMetadata) -> tuple[float, float]:
-    """Cost proportional to the encoder's per-image quadratic attention."""
-    patches = float(metadata.image_tokens)
-    return patches * patches, patches
-
-
-def _linear_columns(values):
-    floats = values.astype(float)
-    return floats, floats
-
-
-def _quadratic_columns(values):
-    floats = values.astype(float)
-    return floats * floats, floats
-
-
-# Vectorized twins for the columnar DGraph fast path (`columns_eval` takes a
-# SampleColumns view and returns (load array, memory array)); the arithmetic
-# mirrors the scalar forms exactly, so both paths cost bit-identically.
-token_count_cost.columns_eval = lambda columns: _linear_columns(columns.total_tokens)
-quadratic_token_cost.columns_eval = lambda columns: _quadratic_columns(
-    columns.total_tokens
-)
-image_token_cost.columns_eval = lambda columns: _quadratic_columns(
-    columns.image_tokens
-)

@@ -161,7 +161,7 @@ class DataConstructor(Actor):
                 if piece.replicated_from is not None or piece.metadata_only:
                     self.stats.broadcast_bytes_saved += max(0, full_bytes - piece.payload_bytes)
             self.stats.microbatches_built += 1
-            self.stats.samples_consumed += len(assignment.samples)
+            self.stats.samples_consumed += len(assignment.rows)
 
         self._pending_deliveries[step] = deliveries
         self._staged_bytes[step] = staged_bytes

@@ -9,6 +9,10 @@ the controller's exact integer quotas whenever one is installed.
 
 from __future__ import annotations
 
+from itertools import chain
+
+import numpy as np
+
 from repro.core.columns import SampleColumns
 from repro.core.dgraph import expected_quotas
 from repro.core.job import TrainingJobSpec
@@ -214,9 +218,7 @@ class DegradationController:
             del self._step_deltas[observed]
         self.schedule.invalidate_weights_from(step)
 
-    def bounding_quotas(
-        self, step: int, buffer_infos: dict[str, SampleColumns]
-    ) -> dict[str, int] | None:
+    def bounding_quotas(self, step: int, buffer_infos: SampleColumns) -> dict[str, int] | None:
         """Per-source quotas the batch bound applies while a controller exists.
 
         The default proportional bound subsamples the pool by buffer size,
@@ -232,10 +234,11 @@ class DegradationController:
         (and therefore byte-identical plans).
         """
         weights = self.schedule.weights_at(step)
+        runs = buffer_infos.source_runs()
         present = {
             name: weight
             for name, weight in weights.items()
-            if weight > 0 and len(buffer_infos.get(name, ())) > 0
+            if weight > 0 and name in runs and runs[name][2] > runs[name][1]
         }
         if not present:
             return None
@@ -288,37 +291,44 @@ def ensure_sized_strategy(
 
 
 def bound_buffer(
-    buffer_infos: dict[str, SampleColumns],
+    buffer_infos: SampleColumns,
     sample_count: int,
     step: int,
     quotas: dict[str, int] | None = None,
-) -> dict[str, SampleColumns]:
-    """Deterministically subsample the buffered metadata to the step budget.
+) -> SampleColumns:
+    """Deterministically subsample the gathered buffers to the step budget.
 
-    Each source keeps the first ``share`` rows of its buffer rotated by a
-    per-step offset (a slice of a gathered set's record list, so no arrays
-    are built for the rows it drops).
+    Sources are visited in name order; each keeps the first ``share`` rows of
+    its run rotated by a per-step offset.  The positions are computed from
+    the source runs, so the bound costs one selection over the kept rows.
     Explicit ``quotas`` (degraded catch-up) replace the proportional
     share; a source whose buffer runs shorter than its quota hands the
     spare budget to the next sources.
     """
-    total = sum(len(samples) for samples in buffer_infos.values())
+    total = len(buffer_infos)
     if total <= sample_count:
         return buffer_infos
-    bounded: dict[str, SampleColumns] = {}
+    runs = buffer_infos.source_runs()
+    kept: list[range] = []
+    bounded_runs: list[tuple[int, int, int]] = []
     remaining = sample_count
-    sources = sorted(buffer_infos)
+    sources = sorted(runs)
     spare = 0
     for index, source in enumerate(sources):
-        samples = buffer_infos[source]
+        code, start, end = runs[source]
+        size = end - start
         if quotas is not None:
             share = quotas.get(source, 0) + spare
-            spare = max(0, share - len(samples))
+            spare = max(0, share - size)
         else:
-            share = max(1, round(sample_count * len(samples) / total))
+            share = max(1, round(sample_count * size / total))
             share = min(share, remaining - (len(sources) - index - 1)) if index < len(sources) - 1 else remaining
-        share = max(0, min(share, len(samples), remaining))
-        offset = (step * 7) % max(1, len(samples))
-        bounded[source] = samples.rotate_take(offset, share)
+        share = max(0, min(share, size, remaining))
+        offset = (step * 7) % max(1, size)
+        head = range(start + offset, start + min(size, offset + share))
+        kept += [head, range(start, start + share - len(head))]
+        first = bounded_runs[-1][2] if bounded_runs else 0
+        bounded_runs.append((code, first, first + share))
         remaining -= share
-    return bounded
+    positions = np.fromiter(chain.from_iterable(kept), dtype=np.intp)
+    return buffer_infos.select(positions, runs=bounded_runs)

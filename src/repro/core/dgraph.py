@@ -20,12 +20,11 @@ Only lightweight metadata flows through the graph; payload bytes never do.
 
 Inside the graph the samples are one
 :class:`~repro.core.columns.SampleColumns` (metadata lists are converted at
-the door).  The Planner's gather hands over lazy per-source record lists, so
-``mix`` groups and draws over index ranges, O(sources + selected), and builds
-column arrays once, for the rows it draws; ``cost``/``plan`` then run as
-numpy index arithmetic over those arrays, ``balance`` packs row positions
-into the selection by one cost list aligned with it, and the per-sample
-lineage graph is **lazy** — nodes, edges
+the door).  The Planner's gather hands over one run of rows per source, so
+``mix`` draws over index ranges, O(sources + selected); ``cost``/``plan``
+run as numpy index arithmetic, ``balance`` packs row positions by one cost
+list aligned with the selection, each microbatch assignment is a slice of
+it (no sample record is built), and the lineage graph is **lazy** — nodes, edges
 and state transitions are recorded as compact column-level operations and
 only expanded into :class:`DGraphNode`/:class:`DGraphEdge` objects when
 :attr:`nodes`, :attr:`edges` or :meth:`lineage` is actually consulted
@@ -37,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Callable
 
 import numpy as np
@@ -69,17 +68,11 @@ def metas_image(metadata: SampleMetadata) -> SampleMetadata | None:
     return metadata if metadata.image_tokens > 0 else None
 
 
-def metas_text_only(metadata: SampleMetadata) -> SampleMetadata | None:
-    """Select only pure-text samples."""
-    return metadata if metadata.image_tokens == 0 else None
-
-
 # A selector that is a pure *filter* (returns the sample unchanged or None)
 # can advertise a vectorized mask over SampleColumns; ``None`` means "select
 # all".  Selectors without the attribute are evaluated per object.
 metas_token.columns_mask = lambda columns: None
 metas_image.columns_mask = lambda columns: columns.image_tokens > 0
-metas_text_only.columns_mask = lambda columns: columns.image_tokens == 0
 
 
 def expected_quotas(weights: dict[str, float], target: int) -> dict[str, int]:
@@ -270,6 +263,8 @@ class DGraph:
         )
 
         chosen_parts: list[np.ndarray] = []
+        runs: list[tuple[int, int, int]] = []
+        start = 0
         for name, code in available:
             pool = pools[code]
             quota = quotas[name]
@@ -278,12 +273,14 @@ class DGraph:
             else:
                 indices = rng.choice(len(pool), size=quota, replace=False)
                 chosen_parts.append(pool[np.sort(indices)])
+            runs.append((code, start, start + len(chosen_parts[-1])))
+            start = runs[-1][2]
         chosen = (
             np.concatenate(chosen_parts)
             if chosen_parts
             else np.empty(0, dtype=np.intp)
         )
-        selected = columns.select(chosen)
+        selected = columns.select(chosen, runs=runs)
         self._costs = [self._costs[position] for position in chosen.tolist()] if self._costs else []
         self._lineage_ops.append(("mix", selected.sample_ids))
         self._selected = selected
@@ -395,18 +392,26 @@ class DGraph:
             num_microbatches=self._num_microbatches,
             balance_method=self._balance_method,
         )
-        samples = self._selected.to_list()
-        costs = self._costs or [0.0] * len(samples)
-        for bucket_index, bucket in enumerate(self._balance_result):
-            for mb_index, positions in enumerate(bucket):
-                module_plan.assignments.append(
-                    MicrobatchAssignment(
-                        bucket_index=bucket_index,
-                        microbatch_index=mb_index,
-                        samples=tuple([samples[position] for position in positions]),
-                        estimated_cost=sum([costs[position] for position in positions]),
-                    )
+        costs = self._costs or [0.0] * len(self._selected)
+        bins = [
+            (bucket_index, mb_index, positions)
+            for bucket_index, bucket in enumerate(self._balance_result)
+            for mb_index, positions in enumerate(bucket)
+        ]
+        # One selection in bin order; each assignment is a slice of it.
+        order = chain.from_iterable(positions for _, _, positions in bins)
+        rows = self._selected.select(np.fromiter(order, dtype=np.intp))
+        start = 0
+        for bucket_index, mb_index, positions in bins:
+            module_plan.assignments.append(
+                MicrobatchAssignment(
+                    bucket_index=bucket_index,
+                    microbatch_index=mb_index,
+                    rows=rows.select(slice(start, start + len(positions))),
+                    estimated_cost=sum([costs[position] for position in positions]),
                 )
+            )
+            start += len(positions)
         module_plan.validate()
 
         return DGraphPlan(
@@ -418,15 +423,13 @@ class DGraph:
         )
 
     def _source_demands(self) -> dict[str, list[int]]:
-        """Selected sample ids per source, sorted."""
+        """Selected sample ids per source, sorted (Python ints)."""
         columns = self._selected
-        demands: dict[str, list[int]] = {}
-        for code in columns.source_order():
-            mask = columns.source_codes == code
-            demands[columns.sources[code]] = np.sort(
-                columns.sample_ids[mask]
-            ).tolist()
-        return demands
+        sample_ids = columns.sample_ids.tolist()
+        return {
+            columns.sources[code]: sorted(map(sample_ids.__getitem__, pool.tolist()))
+            for code, pool in columns.pool_positions().items()
+        }
 
     # -- low-level interfaces (summary_buffer) --------------------------------
 

@@ -274,10 +274,6 @@ class MegaScaleData:
                     )
         self.manifests.spill(step, plan, self.constructor_handles, sorted(deliveries))
 
-        backbone_assignments = plan.module("backbone").bucket_samples()
-        encoder_assignments = (
-            plan.modules["encoder"].bucket_samples() if "encoder" in plan.modules else None
-        )
         result = StepResult(
             step=step,
             plan=plan,
@@ -287,8 +283,6 @@ class MegaScaleData:
             constructor_collate_s=collate_seconds,
             data_fetch_latency_s=data_fetch_latency,
             deliveries=deliveries,
-            backbone_assignments=backbone_assignments,
-            encoder_assignments=encoder_assignments,
             hidden_fetch_s=entry.hidden_s,
             prefetched=prefetched,
             data_stall_s=stall_s,
@@ -301,12 +295,17 @@ class MegaScaleData:
         # re-book the identical window after recovery/backoff.
         begin_s = max(trainer_free_s, data_ready_s)
         if simulate:
+            backbone_tokens = plan.module("backbone").bucket_tokens()
+            encoder_tokens = (
+                plan.modules["encoder"].bucket_tokens() if "encoder" in plan.modules else None
+            )
+
             def submit_iteration():
                 return self.trainer_handle.submit_timed(
                     "train_step",
                     step,
-                    backbone_assignments,
-                    encoder_assignments,
+                    backbone_tokens,
+                    encoder_tokens,
                     data_fetch_latency_s=data_fetch_latency,
                     hidden_fetch_s=entry.hidden_s,
                     step_tag=step,

@@ -242,8 +242,6 @@ class StepResult:
     constructor_collate_s: float
     data_fetch_latency_s: float
     deliveries: dict[int, RankDelivery]
-    backbone_assignments: list[list[list[SampleMetadata]]]
-    encoder_assignments: list[list[list[SampleMetadata]]] | None = None
     iteration: IterationResult | None = None
     #: Portion of the fetch latency hidden behind compute, *measured* on the
     #: virtual clock (always 0 at ``prefetch_depth=0``).
@@ -253,6 +251,17 @@ class StepResult:
     #: Measured trainer wait for this step's data (virtual seconds the
     #: trainer sat idle between its previous iteration and data readiness).
     data_stall_s: float = 0.0
+
+    @property
+    def backbone_assignments(self) -> list[list[list[SampleMetadata]]]:
+        """Per DP bucket, per microbatch, the samples' records (built on demand)."""
+        return self.plan.module("backbone").bucket_samples()
+
+    @property
+    def encoder_assignments(self) -> list[list[list[SampleMetadata]]] | None:
+        """As :attr:`backbone_assignments`, per encoder rank (``None`` without one)."""
+        encoder = self.plan.modules.get("encoder")
+        return encoder and encoder.bucket_samples()
 
     @property
     def exposed_fetch_s(self) -> float:

@@ -11,7 +11,6 @@ Each of those phases is timed so the Fig. 15 breakdown can be regenerated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 from repro.actors.actor import Actor, ActorHandle
 from repro.actors.gcs import GlobalControlStore
@@ -176,43 +175,36 @@ class Planner(Actor):
 
     # -- planning -------------------------------------------------------------------------------
 
-    def gather_buffer_columns(self) -> tuple[dict[str, SampleColumns], float]:
+    def gather_buffer_columns(self) -> tuple[SampleColumns, float]:
         """Gather every loader's buffer; charge each loader for what changed.
 
-        Each loader returns its buffer and the rows it gained or lost since
-        the previous gather
+        Each loader returns its buffered ids and token counts and the rows it
+        gained or lost since the previous gather
         (:meth:`~repro.core.source_loader.SourceLoader.buffer_delta`).  The
         modelled latency charges per change, or per buffered sample on a
         resync: the first gather from a loader after it was registered or
         rebuilt (fresh instance, restart, pristine replay, restore), which a
         restarted Planner does for every loader.  Gather cost thus follows
-        churn rather than depth once in sync.  Each source gets a lazy column
-        set over its loaders' buffer rows as they reply them
-        (:meth:`SampleColumns.of_source`; a source with one loader keeps that
-        loader's reply list): a record is read, and arrays are built, only
-        for the rows a strategy keeps, and the rows' cost fields never.
+        churn rather than depth once in sync.  The replies concatenate into
+        one :class:`SampleColumns` with a run per source, in the order the
+        sources first reply (each source's loaders in handle order); a
+        source's first loader supplies the reader that builds its records on
+        demand.
         """
-        replies: dict[str, list[list[tuple]]] = {}
+        replies: dict[str, list[dict]] = {}
         latency = 0.0
         for handle in self._loader_handles:
             if self._is_excluded(handle):
                 continue
             source = self._declared_source(handle)
             reply = handle.call("buffer_delta")
-            buffer = reply["buffer"]
             if reply["resync"] or handle.name not in self._synced:
                 self._synced.add(handle.name)
-                latency += GATHER_RPC_SECONDS + GATHER_PER_SAMPLE_SECONDS * len(buffer)
+                latency += GATHER_RPC_SECONDS + GATHER_PER_SAMPLE_SECONDS * len(reply["sample_ids"])
             else:
                 latency += GATHER_RPC_SECONDS + GATHER_PER_DELTA_SECONDS * reply["changes"]
-            replies.setdefault(source, []).append(buffer)
-        infos = {
-            source: SampleColumns.of_source(
-                source, buffers[0] if len(buffers) == 1 else list(chain.from_iterable(buffers))
-            )
-            for source, buffers in replies.items()
-        }
-        return infos, latency
+            replies.setdefault(source, []).append(reply)
+        return SampleColumns.gathered(list(replies), list(replies.values())), latency
 
     def _declared_source(self, handle: ActorHandle) -> str:
         """The source a loader serves, resolved once and cached by actor name.

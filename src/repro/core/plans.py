@@ -5,12 +5,19 @@ samples each Source Loader must prepare, how they are grouped into
 microbatches per consumer bucket, and which trainer clients fetch versus
 receive broadcasts; plan history keeps only its :class:`PlanRecord`.  A
 :class:`ScalingPlan` is the AutoScaler's resource adjustment directive.
+
+An assignment holds its samples as columns (ids and token arrays); records are
+built only when read (:attr:`MicrobatchAssignment.samples`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
+import numpy as np
+
+from repro.core.columns import SampleColumns
 from repro.data.samples import SampleMetadata
 from repro.errors import PlanError
 
@@ -21,14 +28,19 @@ class MicrobatchAssignment:
 
     bucket_index: int
     microbatch_index: int
-    samples: tuple[SampleMetadata, ...]
+    rows: SampleColumns
     estimated_cost: float = 0.0
 
+    @property
+    def samples(self) -> tuple[SampleMetadata, ...]:
+        """The samples' records, built on demand."""
+        return tuple(self.rows.to_list())
+
     def total_tokens(self) -> int:
-        return sum(sample.total_tokens for sample in self.samples)
+        return int(self.rows.total_tokens.sum())
 
     def sample_ids(self) -> list[int]:
-        return [sample.sample_id for sample in self.samples]
+        return self.rows.sample_ids.tolist()
 
 
 @dataclass
@@ -49,29 +61,22 @@ class ModulePlan:
         )
 
     def bucket_samples(self) -> list[list[list[SampleMetadata]]]:
-        """Per bucket, its microbatches' sample lists (padded to ``num_microbatches``)."""
-        assignments: list[list[list[SampleMetadata]]] = []
-        for bucket_index in range(self.num_buckets):
-            bucket = [
-                list(assignment.samples)
-                for assignment in self.bucket_assignments(bucket_index)
-            ]
-            while len(bucket) < self.num_microbatches:
-                bucket.append([])
-            assignments.append(bucket)
-        return assignments
+        """Per bucket, its microbatches' sample records (padded to
+        ``num_microbatches``), built on demand."""
+        return [[rows.to_list() for rows in bucket] for bucket in self._bucket_rows()]
 
-    def bucket_costs(self) -> list[float]:
-        costs = [0.0] * self.num_buckets
-        for assignment in self.assignments:
-            costs[assignment.bucket_index] += assignment.estimated_cost
-        return costs
+    def bucket_tokens(self) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+        """:meth:`bucket_samples` as the fused- and image-token arrays the
+        training simulator reads."""
+        return [
+            [(rows.total_tokens, rows.image_tokens) for rows in bucket]
+            for bucket in self._bucket_rows()
+        ]
 
-    def all_sample_ids(self) -> set[int]:
-        ids: set[int] = set()
-        for assignment in self.assignments:
-            ids.update(assignment.sample_ids())
-        return ids
+    def _bucket_rows(self) -> list[list[SampleColumns]]:
+        buckets = [[a.rows for a in self.bucket_assignments(b)] for b in range(self.num_buckets)]
+        padding = [SampleColumns.empty()] * self.num_microbatches
+        return [bucket + padding[len(bucket):] for bucket in buckets]
 
     def validate(self) -> None:
         seen: dict[tuple[int, int], set[int]] = {}
@@ -119,11 +124,18 @@ class LoadingPlan:
         return sum(len(ids) for ids in self.source_demands.values())
 
     def validate(self) -> None:
-        for module_plan in self.modules.values():
-            module_plan.validate()
-        planned_ids = set().union(*(plan.all_sample_ids() for plan in self.modules.values()))
-        missing = planned_ids.difference(*self.source_demands.values())
-        if missing:
+        """Every assigned sample is among the source demands (each module plan
+        was validated where it was built, :meth:`ModulePlan.validate`)."""
+        assigned = np.concatenate([
+            assignment.rows.sample_ids
+            for module_plan in self.modules.values()
+            for assignment in module_plan.assignments
+        ] + [np.empty(0, dtype=np.int64)])
+        demanded = np.fromiter(chain.from_iterable(self.source_demands.values()), dtype=np.int64)
+        demanded = np.append(np.sort(demanded), np.iinfo(np.int64).max)  # past every id
+        outside = demanded[np.searchsorted(demanded, assigned)] != assigned
+        if outside.any():
+            missing = np.unique(assigned[outside])
             raise PlanError(
                 f"plan step {self.step}: {len(missing)} assigned samples missing from source demands"
             )
@@ -132,7 +144,7 @@ class LoadingPlan:
         """Approximate size of the plan when broadcast to actors."""
         per_sample = 48
         assignments = sum(
-            len(assignment.samples)
+            len(assignment.rows)
             for module_plan in self.modules.values()
             for assignment in module_plan.assignments
         )

@@ -3,13 +3,18 @@
 A Source Loader is a dedicated actor for one data source (or one shard of a
 source when the AutoScaler splits it).  It ingests metadata from the source's
 columnar files a chunk at a time, costs the sample-level transformations from
-that metadata as the chunk arrives (a pool of parallel workers amortises the
-latency), and keeps a read buffer of lightweight metadata the Planner can
-inspect.
+that metadata (a pool of parallel workers amortises the latency), and keeps a
+read buffer of lightweight metadata the Planner can inspect.
 
-A row is costed once per process: the costed row stays on its row group
-under the loader's cost key, so a shard-group mirror, or a loader rewound by
-a flush, restarted or restored, reads it back instead of costing it again.
+The buffer is typed columns: parallel arrays of sample id, text and image
+tokens, transform latency and staged bytes, by slot, plus an id → slot index
+in arrival order.  A refill writes the cursor's array slices into free slots,
+a ticket holds the slots its polls took, the hand-off copies those rows into
+one :class:`~repro.core.assembly.PreparedColumns`, and the Planner's gather
+gets copies of the buffered id and token columns.  A row is costed once per
+process: its row group costs all its rows under the loader's cost key on
+first touch, and every later reader (mirror, rewind, restart, restore)
+reads those costs.
 
 One step's work on one loader is a *ticket* and costs only its polls
 (:meth:`SourceLoader.poll`): the first poll carries the sample ids and
@@ -28,10 +33,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.actors.actor import Actor
 from repro.core.assembly import PreparedColumns
-from repro.data.samples import MetadataColumns, SampleMetadata
-from repro.data.sources import DataSource, SourceCursor
+from repro.data.samples import SampleMetadata
+from repro.data.sources import NO_ROWS, CostedRows, DataSource, SourceCursor
 from repro.data.synthetic import MODALITY_COST_PER_TOKEN
 from repro.errors import PlanError
 from repro.storage.filesystem import SimulatedFileSystem
@@ -64,17 +71,17 @@ class LoaderStats:
 
 @dataclass
 class _PrepareTicket:
-    """One in-flight prepare: its demands and the buffer rows its polls took."""
+    """One in-flight prepare: its demands and the buffer slots its polls took."""
 
     sample_ids: list[int]
-    #: The ``(metadata, transform latency, staged bytes)`` buffer rows taken
-    #: so far, in demand order; the final poll hands exactly these off.
-    rows: list[tuple[SampleMetadata, float, int]] = field(default_factory=list)
+    #: The slots of the buffer rows taken so far, in demand order; the final
+    #: poll hands exactly these rows off, and only then are the slots reused.
+    slots: list[int] = field(default_factory=list)
     total_latency_s: float = 0.0
     staged_bytes: int = 0
 
     def remaining(self) -> int:
-        return len(self.sample_ids) - len(self.rows)
+        return len(self.sample_ids) - len(self.slots)
 
 
 class SourceLoader(Actor):
@@ -120,7 +127,7 @@ class SourceLoader(Actor):
             source.profile.cost_per_token / max(1e-9, MODALITY_COST_PER_TOKEN[source.modality]),
             0.1,
         )
-        #: Everything :meth:`_cost_columns` reads besides a row's metadata: the
+        #: Everything :meth:`_cost_columns` reads besides a group's rows: the
         #: source, its modality's transform chain, the latency scale and the
         #: fixed cost.  A row is costed once per process under this key, and
         #: every later read of it, by any loader with the same key, reuses
@@ -135,14 +142,14 @@ class SourceLoader(Actor):
 
         self._cursor: SourceCursor | None = None
         self._readers: list[ColumnarReader] = []
-        #: Read buffer in arrival order: ``(metadata, transform latency,
-        #: transferred bytes)`` per row, the last two costed when the process
-        #: first read the row so preparing a sample is a lookup.  Keyed by
-        #: sample id (ids are unique within a buffer) so consuming a demanded
-        #: id is O(1); dict insertion order preserves the arrival order.  A
+        #: Row storage by slot (:data:`CostedRows` columns); a slot holds a
+        #: buffered row, a row on an open ticket, or is free.
+        self._rows: CostedRows = NO_ROWS
+        self._free: list[int] = []
+        #: The read buffer: buffered sample id -> slot, in arrival order.  A
         #: demanded row moves from here onto its ticket, and from there to
         #: the hand-off: the loader holds it nowhere else.
-        self._buffer: dict[int, tuple[SampleMetadata, float, int]] = {}
+        self._buffer: dict[int, int] = {}
         #: Monotone suffix for GCS hand-off keys minted by
         #: :meth:`fetch_prepared_ref`.
         self._ref_seq = 0
@@ -197,19 +204,18 @@ class SourceLoader(Actor):
         # Rows are new up to the first id already buffered: there the cursor
         # has wrapped around the shard onto a sample still waiting, and the
         # refill stops rather than introduce duplicates, the cursor left just
-        # past the repeated row.  Only the ids are scanned to find that row.
-        ids = self._cursor.peek_ids(wanted)
+        # past the repeated row (what it read beyond that row is given back).
+        rows = self._cursor.take_costed(wanted, self._cost_key, self._cost_columns)
+        ids = rows[0].tolist()
         fresh: set[int] = set()
         for sample_id in ids:
             if sample_id in self._buffer or sample_id in fresh:
                 break
             fresh.add(sample_id)
         added = len(fresh)
-        rows = self._cursor.take_costed(
-            min(wanted, added + 1), self._cost_key, self._cost_columns
-        )
+        self._cursor.rewind(wanted - min(wanted, added + 1))
         if added:
-            self._buffer.update(zip(ids[:added], rows))
+            self._buffer.update(zip(ids[:added], self._store(rows, added)))
             self._changes += added
             self.ledger.charge("prefetch_buffer", BUFFERED_METADATA_BYTES * added)
             self.stats.refills += 1
@@ -223,11 +229,11 @@ class SourceLoader(Actor):
     def summary_buffer(self) -> list[SampleMetadata]:
         """The buffered metadata records, in buffer order.
 
-        Rebuilds a list over every buffered row: the replay checkpoint and
-        inspection read it.  The Planner's gather takes the rows themselves
-        (:meth:`buffer_delta`) instead.
+        Builds a record per buffered row, for inspection; the Planner's
+        gather (:meth:`buffer_delta`) and the replay checkpoint read ids and
+        token columns instead.
         """
-        return [row[0] for row in self._buffer.values()]
+        return self._cursor.records(list(self._buffer))
 
     def buffered_among(self, sample_ids: list[int]) -> set[int]:
         """The subset of ``sample_ids`` waiting in the read buffer (O(ids), not O(buffer))."""
@@ -245,17 +251,22 @@ class SourceLoader(Actor):
     def buffer_delta(self) -> dict[str, object]:
         """The Planner's gather RPC: the buffer and what changed since the last call.
 
-        Returns ``{"buffer", "changes", "resync"}``: this loader's own buffer
-        rows, ``(metadata, transform latency, staged bytes)`` in buffer order
-        (a fresh list over the rows it holds: a pointer copy, no row is
-        rebuilt), the rows added plus the rows removed since the previous
-        call, and whether the buffer was rebuilt since then (always true on
-        an instance's first call).  Both reset at each call, so the
+        Returns ``{"sample_ids", "text_tokens", "image_tokens", "records",
+        "changes", "resync"}``: copies of the buffered rows' id and token
+        columns in buffer order, the lookup that builds a row's record on
+        demand, the rows added plus removed since the previous call, and
+        whether the buffer was rebuilt since then (always true on an
+        instance's first call).  Both counters reset at each call, so the
         protocol assumes one consumer, the Planner, which charges a gather by
         ``changes`` unless it must resync.
         """
+        slots = np.fromiter(self._buffer.values(), dtype=np.intp, count=len(self._buffer))
+        sample_ids, text_tokens, image_tokens = self._rows[:3]
         reply = {
-            "buffer": list(self._buffer.values()),
+            "sample_ids": sample_ids[slots],
+            "text_tokens": text_tokens[slots],
+            "image_tokens": image_tokens[slots],
+            "records": self._cursor.records,
             "changes": self._changes,
             "resync": self._rebuilt,
         }
@@ -328,19 +339,21 @@ class SourceLoader(Actor):
                 f"loader {self.actor_name!r} has no ticket {ticket}; "
                 "its first poll must carry the sample ids"
             )
-        position = len(entry.rows)
+        position = len(entry.slots)
         try:
-            rows, staged_bytes = self._stage(entry.sample_ids[position : position + max_samples])
+            slots, latencies, staged_bytes = self._stage(
+                entry.sample_ids[position : position + max_samples]
+            )
         except PlanError:
             if sample_ids is not None:  # a first poll that takes nothing registers nothing
                 del self._tickets[ticket]
             raise
-        entry.rows += rows
+        entry.slots += slots
         entry.staged_bytes += staged_bytes
         # Left to right from the ticket's running total, sample by sample:
         # the float totals are part of the modelled clock.
         chunk_latency = 0.0
-        for _, latency, _ in rows:
+        for latency in latencies:
             entry.total_latency_s += latency
             chunk_latency += latency
         chunk_wall_clock = chunk_latency / self.num_workers
@@ -354,7 +367,7 @@ class SourceLoader(Actor):
         self.stats.transform_seconds += entry.total_latency_s
         if not self.deferred_refill:
             self.refill()
-        key = self.fetch_prepared_ref(entry.rows)["key"]
+        key = self.fetch_prepared_ref(entry.slots)["key"]
         del self._tickets[ticket]
         return {
             "transform_latency_s": entry.total_latency_s,
@@ -399,14 +412,16 @@ class SourceLoader(Actor):
         slice without refilling, and this call performs the step's single
         refill even when it absorbed nothing).
         """
-        replayed = len(self._consume(sample_ids))
+        slots = self._consume(sample_ids)
+        self._free += slots
+        replayed = len(slots)
         self.stats.samples_replayed += replayed
         if refill is True or (refill is None and replayed):
             self.refill()
         return replayed
 
     def replay_checkpoint(self) -> dict:
-        """Snapshot the full replay state: cursor + buffer contents.
+        """Snapshot the full replay state: cursor + buffered sample ids.
 
         The one loader checkpoint: it reconstructs the buffer without
         replaying the plan history from genesis.  Restoring it and replaying
@@ -421,14 +436,16 @@ class SourceLoader(Actor):
             "shard_index": self.shard_index,
             "shard_count": self.shard_count,
             "cursor": self._cursor.state_dict() if self._cursor is not None else {},
-            "buffer": self.summary_buffer(),
+            "buffer": list(self._buffer),
         }
 
     def restore_replay_checkpoint(self, snapshot: dict) -> None:
         """Adopt a :meth:`replay_checkpoint` snapshot as this loader's state.
 
         Drops the open tickets and the buffer, and installs the snapshot's
-        cursor and buffer verbatim; the next gather resyncs (:meth:`buffer_delta`).  Used
+        cursor and buffered ids verbatim; the rows' costs are read back from
+        their row groups, not recomputed.  The next gather resyncs
+        (:meth:`buffer_delta`).  Used
         by bounded failover recovery, mirror bootstrap (cloning the
         canonical's live state) and whole-run restore.
         """
@@ -449,10 +466,11 @@ class SourceLoader(Actor):
         self._rebuild()
         if snapshot.get("cursor"):
             self._cursor.load_state_dict(snapshot["cursor"])
-        chunk = MetadataColumns.from_records(list(snapshot.get("buffer", ())))
-        if len(chunk):
-            self._buffer.update(zip(chunk.sample_id, self._cost_rows(chunk)))
-            self.ledger.charge("prefetch_buffer", BUFFERED_METADATA_BYTES * len(chunk))
+        sample_ids = list(snapshot.get("buffer", ()))
+        if sample_ids:
+            rows = self._cursor.costed_rows(sample_ids, self._cost_key, self._cost_columns)
+            self._buffer.update(zip(sample_ids, self._store(rows, len(sample_ids))))
+            self.ledger.charge("prefetch_buffer", BUFFERED_METADATA_BYTES * len(sample_ids))
 
     def resize_worker_pool(self, num_workers: int) -> int:
         """Grow or shrink the transform worker pool in place.
@@ -472,27 +490,41 @@ class SourceLoader(Actor):
         self.num_workers = num_workers
         return self.num_workers
 
-    def _cost_columns(self, chunk: MetadataColumns) -> tuple[list[float], list[int]]:
-        """Transform latency and staged bytes of each row of an ingested chunk.
+    def _cost_columns(self, columns: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """Transform latency and staged bytes of each row of a row group.
 
         Prepare is metadata-only: the pipeline's column evaluator gives what
         running the transforms over each sample would charge and ship, and the
-        source's cost profile scales that to this source.
+        source's cost profile scales that to this source (elementwise, so
+        each latency rounds as ``latency * scale + fixed`` does on floats).
         """
-        latencies, transferred = self.pipeline.run_columns(chunk)
-        scale = self._latency_scale
-        fixed = self.source.profile.fixed_cost_s
-        return [latency * scale + fixed for latency in latencies], transferred
+        latencies, transferred = self.pipeline.run_columns(columns)
+        return latencies * self._latency_scale + self.source.profile.fixed_cost_s, transferred
 
-    def _cost_rows(self, chunk: MetadataColumns) -> list[tuple[SampleMetadata, float, int]]:
-        """Buffer rows for an ingested chunk: metadata, transform latency, staged bytes."""
-        return list(zip(chunk.records, *self._cost_columns(chunk)))
+    def _store(self, rows: CostedRows, count: int) -> list[int]:
+        """Write the first ``count`` of ``rows`` into free slots; returns the slots."""
+        if count < len(rows[0]):
+            rows = tuple(values[:count] for values in rows)
+        if len(self._free) < count:
+            grown = max(count - len(self._free), len(self._rows[0]), self.buffer_size)
+            self._free += range(len(self._rows[0]), len(self._rows[0]) + grown)
+            self._rows = tuple(
+                np.concatenate((column, np.empty(grown, dtype=column.dtype)))
+                for column in self._rows
+            )
+        slots = self._free[-count:]
+        del self._free[-count:]
+        index = np.array(slots, dtype=np.intp)
+        for column, values in zip(self._rows, rows):
+            column[index] = values
+        return slots
 
-    def _stage(self, sample_ids: list[int]) -> tuple[list, int]:
+    def _stage(self, sample_ids: list[int]) -> tuple[list[int], list[float], int]:
         """Take the demanded rows out of the buffer, charged as staged payload.
 
-        Returns the rows, in demand order, and their staged bytes.  Every id
-        must be buffered and none may repeat; otherwise nothing is taken.
+        Returns the rows' slots and transform latencies, in demand order, and
+        their staged bytes.  Every id must be buffered and none may repeat;
+        otherwise nothing is taken.
         """
         if len(self._buffer.keys() & sample_ids) != len(sample_ids):
             seen: set[int] = set()
@@ -502,31 +534,33 @@ class SourceLoader(Actor):
                         f"loader {self.actor_name!r} was asked for unknown sample {sample_id}"
                     )
                 seen.add(sample_id)
-        rows = self._consume(sample_ids)
-        staged_bytes = sum(size for _, _, size in rows)
-        if rows:
-            self.ledger.charge("sample_payload", staged_bytes)
-        return rows, staged_bytes
+        slots = self._consume(sample_ids)
+        if not slots:
+            return slots, [], 0
+        index = np.array(slots, dtype=np.intp)
+        staged_bytes = sum(self._rows[4][index].tolist())
+        self.ledger.charge("sample_payload", staged_bytes)
+        return slots, self._rows[3][index].tolist(), staged_bytes
 
-    def _consume(self, sample_ids: list[int]) -> list:
-        """Pop the buffered ones among ``sample_ids`` from the buffer, in order."""
+    def _consume(self, sample_ids: list[int]) -> list[int]:
+        """Pop the buffered ones among ``sample_ids`` from the buffer; their slots, in order."""
         buffer = self._buffer
-        rows = [buffer.pop(sample_id) for sample_id in sample_ids if sample_id in buffer]
-        if rows:
-            self._changes += len(rows)
-            self.ledger.release("prefetch_buffer", BUFFERED_METADATA_BYTES * len(rows))
-        return rows
+        slots = [buffer.pop(sample_id) for sample_id in sample_ids if sample_id in buffer]
+        if slots:
+            self._changes += len(slots)
+            self.ledger.release("prefetch_buffer", BUFFERED_METADATA_BYTES * len(slots))
+        return slots
 
-    def fetch_prepared_ref(self, rows: list) -> dict[str, object]:
+    def fetch_prepared_ref(self, slots: list[int]) -> dict[str, object]:
         """Hand a finished ticket's rows to the Data Constructors.
 
-        Zero-copy: the rows are built into one immutable
-        :class:`~repro.core.assembly.PreparedColumns` slice, published with
+        The rows at ``slots`` are copied out of the buffer columns into one
+        immutable :class:`~repro.core.assembly.PreparedColumns` slice, published with
         ``gcs.put(key, columns, immutable=True)`` (stored and served by
         reference — the freeze-on-put path), and only the *key* is returned.
         The consumer resolves it with ``gcs.take(key)``, receiving the very
         same column object with no per-sample copies anywhere on the path.
-        The rows' memory is released once the put succeeded.
+        The rows' memory and slots are released once the put succeeded.
         """
         if self.gcs is None:
             raise PlanError(
@@ -535,20 +569,23 @@ class SourceLoader(Actor):
             )
         # The original metadata is handed off: a crop inside the pipeline
         # never reaches the hand-off columns.
-        columns = PreparedColumns.from_rows(
-            [(m.sample_id, m.text_tokens, m.image_tokens, size) for m, _, size in rows]
+        index = np.array(slots, dtype=np.intp)
+        sample_ids, text_tokens, image_tokens, _, sizes = self._rows
+        columns = PreparedColumns(
+            sample_ids[index], text_tokens[index], image_tokens[index], sizes[index]
         )
         self._ref_seq += 1
         key = f"prepared/{self.actor_name}/{self._ref_seq}"
         self.gcs.put(key, columns, immutable=True)
-        released = columns.total_bytes()
+        released = sum(columns.transferred_bytes.tolist())
         self.ledger.release("sample_payload", released)
+        self._free += slots
         self.stats.samples_delivered += len(columns)
         return {"key": key, "count": len(columns), "staged_bytes": released}
 
     def staged_count(self) -> int:
         """Rows on open tickets, taken from the buffer but not yet handed off."""
-        return sum(len(ticket.rows) for ticket in self._tickets.values())
+        return sum(len(ticket.slots) for ticket in self._tickets.values())
 
     def heartbeat_payload(self) -> dict:
         return {
@@ -561,11 +598,14 @@ class SourceLoader(Actor):
 
     def _drop_buffer(self) -> None:
         self.ledger.release("prefetch_buffer", BUFFERED_METADATA_BYTES * len(self._buffer))
+        self._free += self._buffer.values()
         self._buffer.clear()
         self._rebuilt = True
 
     def _drop_tickets(self) -> None:
         released = sum(ticket.staged_bytes for ticket in self._tickets.values())
+        for ticket in self._tickets.values():
+            self._free += ticket.slots
         self._tickets.clear()
         if released:
             self.ledger.release("sample_payload", released)

@@ -9,7 +9,7 @@ Constructors, mirroring the paper's "lightweight metadata" plan generation.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 
 class Modality(str, enum.Enum):
@@ -65,52 +65,6 @@ class SampleMetadata:
     def with_updates(self, **changes: object) -> "SampleMetadata":
         """Return a copy with selected fields replaced."""
         return replace(self, **changes)
-
-    def __reduce__(self) -> tuple:
-        # Pickled as one constructor call: the per-field ``__getstate__``
-        # dataclasses generate for ``slots=True`` is several times slower, and
-        # the loader snapshots a ``run`` entry embeds carry buffered records.
-        return SampleMetadata, (
-            self.sample_id, self.source, self.modality, self.text_tokens, self.image_tokens,
-            self.video_frames, self.audio_seconds, self.raw_bytes, self.decoded_bytes, self.extra,
-        )
-
-
-@dataclass
-class MetadataColumns:
-    """A chunk of sample metadata, column by column.
-
-    One list per stored field, named as in :class:`SampleMetadata` and the
-    columnar files — what the sample transformations charge a sample by —
-    plus ``records``, the same rows as the :class:`SampleMetadata` objects
-    loader buffers and the Planner's gathers carry.
-    """
-
-    records: list[SampleMetadata]
-    sample_id: list[int]
-    modality: list[Modality]
-    text_tokens: list[int]
-    image_tokens: list[int]
-    video_frames: list[int]
-    audio_seconds: list[float]
-    raw_bytes: list[int]
-    decoded_bytes: list[int]
-
-    @classmethod
-    def from_records(cls, records: list[SampleMetadata]) -> "MetadataColumns":
-        names = [column.name for column in fields(cls)][1:]
-        return cls(records, *([getattr(record, name) for record in records] for name in names))
-
-    @classmethod
-    def join(cls, parts: list["MetadataColumns"]) -> "MetadataColumns":
-        """Chunks read one after another, as one chunk."""
-        if len(parts) == 1:
-            return parts[0]
-        names = [column.name for column in fields(cls)]
-        return cls(*([row for part in parts for row in getattr(part, name)] for name in names))
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 @dataclass

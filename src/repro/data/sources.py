@@ -4,6 +4,13 @@ A :class:`DataSource` describes one dataset (its storage files, modality and
 preprocessing cost profile); a :class:`SourceCatalog` aggregates the hundreds
 of sources that make up an LFM data mixture and is the unit the AutoScaler
 partitions across Source Loader actors.
+
+A :class:`SourceCursor` reads a source's rows as the typed column arrays of
+its files' row groups.  A Source Loader takes its buffer rows as array
+slices — sample id, token counts and the transform latency and staged bytes
+each row group computes once per cost key — so no row becomes an object on
+the loader's path; a :class:`~repro.data.samples.SampleMetadata` record is
+built only when a caller asks for one.
 """
 
 from __future__ import annotations
@@ -11,10 +18,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, repeat
 
+import numpy as np
 
-from repro.data.samples import MetadataColumns, Modality, SampleMetadata
+from repro.data.samples import Modality, SampleMetadata
 from repro.errors import ConfigurationError
 from repro.storage.columnar import RowGroup
 from repro.storage.filesystem import SimulatedFileSystem
@@ -108,30 +116,53 @@ class SourceCatalog:
 
 
 #: Optional storage columns a cursor reads beside the required ``sample_id``,
-#: in :class:`SampleMetadata` field order: the type a value is read as, and
-#: what a file whose schema lacks the column yields.
+#: in :class:`SampleMetadata` field order, with what a file whose schema lacks
+#: the column yields for each row.
 _COLUMNS = {
-    "modality": (str, "text"),
-    "text_tokens": (int, 0),
-    "image_tokens": (int, 0),
-    "video_frames": (int, 0),
-    "audio_seconds": (float, 0.0),
-    "raw_bytes": (int, 0),
-    "decoded_bytes": (int, 0),
+    "modality": "text",
+    "text_tokens": 0,
+    "image_tokens": 0,
+    "video_frames": 0,
+    "audio_seconds": 0.0,
+    "raw_bytes": 0,
+    "decoded_bytes": 0,
 }
+
+
+def _column(group: RowGroup, name: str) -> np.ndarray:
+    """One of ``group``'s metadata columns, or its default when the file lacks it."""
+    values = group.columns.get(name)
+    return np.full(group.row_count, _COLUMNS[name]) if values is None else values
+
+
+def _metadata(group: RowGroup) -> dict[str, np.ndarray]:
+    """Every metadata column of ``group``, named as the :class:`SampleMetadata` fields."""
+    return {name: _column(group, name) for name in _COLUMNS}
+
+
+#: A source's costed buffer rows, as a Source Loader takes them: sample id,
+#: text tokens, image tokens (``int64``), transform latency (``float64``)
+#: and staged bytes (``int64``), one array each.
+CostedRows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+NO_ROWS: CostedRows = tuple(
+    np.empty(0, dtype=dtype) for dtype in (np.int64, np.int64, np.int64, np.float64, np.int64)
+)
+
+#: A Source Loader's row costing: a group's metadata columns -> per row, the
+#: transform latency and the staged bytes.
+CostFn = Callable[[dict[str, np.ndarray]], tuple[np.ndarray, np.ndarray]]
 
 
 class SourceCursor:
     """Sequential (wrapping) read cursor over one source's samples.
 
-    The cursor reads lightweight metadata records out of the row groups of
-    the source's columnar files (each row decoded once, whichever cursor gets
-    to it first), or a Source Loader's costed buffer rows
-    (:meth:`take_costed`, each row costed once per cost key); payload
-    materialisation is left to the Source Loader / transformation pipeline.
-    Its state is the row-group index plus one position: shard row ``k`` is
-    global row ``shard_index + k * shard_count``, located by bisecting the
-    row groups' prefix offsets, so the cursor itself holds nothing per row.
+    The cursor reads the column arrays of the row groups of the source's
+    columnar files.  A Source Loader takes its buffer rows as arrays
+    (:meth:`take_costed`); a :class:`SampleMetadata` record is built only when
+    asked for (:meth:`next_metadata`, :meth:`records`).  The cursor's state is
+    the row-group index plus one position: shard row ``k`` is global row
+    ``shard_index + k * shard_count``, located by bisecting the row groups'
+    prefix offsets, so the cursor itself holds nothing per row.
     """
 
     def __init__(
@@ -181,124 +212,113 @@ class SourceCursor:
             count -= run
             shard_row = 0  # the shard wrapped
 
-    def _read(self, group: RowGroup, picked: slice) -> MetadataColumns:
-        """``group``'s rows at ``picked`` as a chunk.
-
-        A row is decoded into its record the first time any cursor reads it;
-        the record stays on the row group (:attr:`RowGroup.decoded`), so every
-        later read of the row — by this cursor or another over the same file —
-        is a list slice that returns the same record.
-        """
-        name = self.source.name
-        decoded = group.decoded.get(name)
-        if decoded is None:
-            decoded = group.decoded.setdefault(name, [None] * group.row_count)
-        rows = decoded[picked]
-        if all(rows):
-            return MetadataColumns.from_records(rows)
-
-        def read(column: str, kind: type, default: object) -> list:
-            if column not in group.columns:
-                return [default] * len(rows)
-            return list(map(kind, group.columns[column][picked]))
-
-        ids = list(map(int, group.column("sample_id")[picked]))
-        columns = {column: read(column, *spec) for column, spec in _COLUMNS.items()}
-        members = {value: Modality(value) for value in set(columns["modality"])}
-        columns["modality"] = [members[value] for value in columns["modality"]]
-        # The stored values are converted for the whole slice (they are the
-        # chunk's columns); a record is built only for the rows without one.
-        missing = [row is None for row in rows]
-        fresh = map(
-            SampleMetadata, compress(ids, missing), repeat(name),
-            *(compress(column, missing) for column in columns.values()),
-        )
-        rows = decoded[picked] = [row or next(fresh) for row in rows]
-        return MetadataColumns(rows, ids, **columns)
-
-    def _read_costed(self, group: RowGroup, picked: slice, key: tuple, cost) -> list:
-        """``group``'s rows at ``picked`` as ``(metadata, latency_s, bytes)`` rows.
-
-        As with decoded records, a row is costed the first time any cursor
-        reads it under ``key`` and its costs stay on the row group
-        (``group.decoded[key]``, a latency list and a bytes list), so every
-        later read of it is list slices.  A row's record and bytes are written
-        before its latency, and a reader looks at the latency first: a reader
-        on another thread never sees a latency without its bytes.
-        """
-        costs = group.decoded.get(key)
-        if costs is None:
-            costs = group.decoded.setdefault(
-                key, ([None] * group.row_count, [None] * group.row_count)
-            )
-        latencies, sizes = costs
-        latency = latencies[picked]
-        if None not in latency:
-            records = group.decoded[self.source.name][picked]
-            return list(zip(records, latency, sizes[picked]))
-        chunk = self._read(group, picked)
-        records = chunk.records
-        missing = [index for index, value in enumerate(latency) if value is None]
-        if len(missing) == len(records):
-            latency, size = cost(chunk)
-        else:
-            fresh = cost(MetadataColumns.from_records([records[index] for index in missing]))
-            size = sizes[picked]
-            for index, value, nbytes in zip(missing, *fresh):
-                latency[index] = value
-                size[index] = nbytes
-        sizes[picked] = size
-        latencies[picked] = latency
-        return list(zip(records, latency, size))
-
     def _check_shard(self) -> None:
         if not self._shard_rows:
             raise ConfigurationError(f"source {self.source.name!r} shard is empty")
 
-    def take_columns(self, count: int) -> MetadataColumns:
-        """Read the next ``count`` samples as one chunk (wrapping at the end of shard)."""
-        self._check_shard()
-        parts = [self._read(group, picked) for group, picked in self._segments(count)]
-        self._position += count
-        return MetadataColumns.join(parts)
+    def take_costed(self, count: int, key: tuple, cost: CostFn) -> CostedRows:
+        """The next ``count`` rows (wrapping at the end of shard) as a Source
+        Loader's costed buffer rows.
 
-    def take_costed(
-        self,
-        count: int,
-        key: tuple,
-        cost: Callable[[MetadataColumns], tuple[list[float], list[int]]],
-    ) -> list[tuple[SampleMetadata, float, int]]:
-        """``(metadata, latency_s, bytes)`` for the next ``count`` samples
-        (wrapping at the end of shard): a Source Loader's buffer rows.
-
-        ``cost(chunk)`` gives a chunk's latencies and bytes, one per record;
-        ``key`` must cover everything ``cost`` reads besides the chunk.  Only
-        rows no cursor has read under ``key`` yet are costed, and only the
-        ``count`` rows returned: nothing is costed ahead.
+        ``cost`` gives a row group's latencies and bytes from its metadata
+        columns; ``key`` must cover everything ``cost`` reads besides them.  A
+        group is costed whole, once per key per process, the first time any
+        cursor takes a row of it under that key; the arrays returned are
+        slices of the group's shared arrays, not to be written to.
         """
         self._check_shard()
         parts = [
-            self._read_costed(group, picked, key, cost)
-            for group, picked in self._segments(count)
+            self._costed(group, picked, key, cost) for group, picked in self._segments(count)
         ]
         self._position += count
-        return parts[0] if len(parts) == 1 else [row for part in parts for row in part]
+        return self._joined(parts)
+
+    def costed_rows(self, sample_ids: list[int], key: tuple, cost: CostFn) -> CostedRows:
+        """The costed rows of ``sample_ids``, in that order (a restored buffer):
+        read as :meth:`take_costed` reads them, without moving the cursor."""
+        hits, order = self._find(sample_ids)
+        rows = self._joined([self._costed(group, offsets, key, cost) for group, offsets in hits])
+        return tuple(column[order] for column in rows)
+
+    def _costed(self, group: RowGroup, picked, key: tuple, cost: CostFn) -> CostedRows:
+        costs = group.costs.get(key)
+        if costs is None:
+            # Pure in the group's rows: a racing cursor on another thread
+            # computes the same arrays, and the first stored wins.
+            costs = group.costs.setdefault(key, cost(_metadata(group)))
+        return (
+            group.column("sample_id")[picked],
+            _column(group, "text_tokens")[picked],
+            _column(group, "image_tokens")[picked],
+            costs[0][picked],
+            costs[1][picked],
+        )
+
+    @staticmethod
+    def _joined(parts: list[CostedRows]) -> CostedRows:
+        if len(parts) == 1:
+            return parts[0]
+        return tuple(map(np.concatenate, zip(*parts))) if parts else NO_ROWS
+
+    def _find(self, sample_ids: list[int]) -> tuple[list[tuple[RowGroup, np.ndarray]], np.ndarray]:
+        """Where ``sample_ids`` lie: per group holding any, the group and those
+        rows' offsets, and where each wanted id lands among the rows listed
+        group by group (an id stored twice resolves to its first row)."""
+        wanted = np.asarray(sample_ids, dtype=np.int64)
+        if not len(wanted):
+            return [], np.empty(0, dtype=np.intp)
+        ids = np.concatenate([group.column("sample_id") for group in self._groups])
+        order = np.argsort(ids, kind="stable")
+        rows = order[np.minimum(np.searchsorted(ids[order], wanted), len(ids) - 1)]
+        missing = wanted[ids[rows] != wanted]
+        if len(missing):
+            raise ConfigurationError(f"source {self.source.name!r} has no sample {missing[0]}")
+        listed = np.argsort(rows, kind="stable")
+        rows = rows[listed]
+        numbers = np.searchsorted(self._group_ends, rows, side="right")
+        hits = []
+        for number in dict.fromkeys(numbers.tolist()):
+            group = self._groups[number]
+            start = self._group_ends[number] - group.row_count
+            hits.append((group, rows[numbers == number] - start))
+        positions = np.empty_like(listed)
+        positions[listed] = np.arange(len(listed))
+        return hits, positions
+
+    def _records(self, group: RowGroup, picked) -> list[SampleMetadata]:
+        """Records of ``group``'s rows at ``picked`` (a slice or offsets)."""
+        columns = _metadata(group)
+        modality = [Modality(value) for value in columns.pop("modality")[picked].tolist()]
+        return list(
+            map(
+                SampleMetadata,
+                group.column("sample_id")[picked].tolist(),
+                repeat(self.source.name),
+                modality,
+                *(values[picked].tolist() for values in columns.values()),
+            )
+        )
+
+    def records(self, sample_ids: list[int]) -> list[SampleMetadata]:
+        """Records of this source's rows with ``sample_ids``, in that order.
+
+        Built on demand (examples, figures, tests, a plan's records): the
+        loader and planning paths carry ids and token arrays instead.
+        """
+        hits, order = self._find(sample_ids)
+        records = [record for group, offsets in hits for record in self._records(group, offsets)]
+        return [records[rank] for rank in order.tolist()]
 
     def next_metadata(self) -> SampleMetadata:
         """Return metadata for the next sample (wrapping at the end of shard)."""
-        return self.take_columns(1).records[0]
-
-    def take(self, count: int) -> list[SampleMetadata]:
-        return self.take_columns(count).records
-
-    def peek_ids(self, count: int) -> list[int]:
-        """Sample ids of the next ``count`` rows, without reading them."""
         self._check_shard()
-        return [
-            int(value)
-            for group, picked in self._segments(count)
-            for value in group.column("sample_id")[picked]
-        ]
+        [(group, picked)] = self._segments(1)
+        self._position += 1
+        return self._records(group, picked)[0]
+
+    def rewind(self, count: int) -> None:
+        """Step back over the last ``count`` rows read (they are read again next)."""
+        self._position -= count
 
     @property
     def position(self) -> int:

@@ -17,7 +17,7 @@ class MetricReport:
 
     title: str
     columns: list[str]
-    rows: list[list[object]] = field(default_factory=list)
+    rows: list[list[object]] = field(default_factory=list, init=False)
 
     def add_row(self, *values: object) -> None:
         """Append a row; the number of values must match the column count."""

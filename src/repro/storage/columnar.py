@@ -5,11 +5,16 @@ carries a footer (schema, row-group index, statistics) that a reader must load
 into memory before it can execute queries — exactly the per-source metadata
 state whose replication across dataloader workers drives the memory pressure
 analysed in Sec. 2.3 of the paper.
+
+A row group's columns are numpy arrays, built once when the file is written;
+readers slice them and decode no row into an object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.errors import CorruptFileError, StorageError
 
@@ -29,15 +34,13 @@ class RowGroup:
     index: int
     row_start: int
     row_count: int
-    columns: dict[str, list] = field(default_factory=dict)
+    columns: dict[str, np.ndarray] = field(default_factory=dict)
     compressed_bytes: int = 0
-    #: Per source name, this group's rows as the records a cursor decoded them
-    #: into; per Source Loader cost key, a list of their transform latencies
-    #: and one of their staged bytes (None until first read).  Row groups are
-    #: immutable, so every cursor over the file shares the one decoded copy.
-    decoded: dict[str | tuple, list] = field(default_factory=dict, repr=False, compare=False, init=False)
+    #: Per Source Loader cost key, every row's transform latency and staged
+    #: bytes, computed for the whole (immutable) group on first touch.
+    costs: dict[tuple, tuple] = field(default_factory=dict, repr=False, compare=False, init=False)
 
-    def column(self, name: str) -> list:
+    def column(self, name: str) -> np.ndarray:
         try:
             return self.columns[name]
         except KeyError:
@@ -73,7 +76,7 @@ class ColumnarFile:
         """Materialise one record as a dict (column name -> value)."""
         group = self.row_group_for_row(row_index)
         offset = row_index - group.row_start
-        return {name: group.column(name)[offset] for name in self.column_names()}
+        return {name: group.column(name)[offset].item() for name in self.column_names()}
 
     def total_bytes(self) -> int:
         return self.footer_bytes + sum(group.compressed_bytes for group in self.row_groups)
@@ -109,7 +112,7 @@ def write_columnar_file(
     """Build a :class:`ColumnarFile` from row-oriented records.
 
     Records are cut into row groups of ``rows_per_group`` rows each (the last
-    group holds the remainder).
+    group holds the remainder); each column chunk becomes one array.
     """
     schema = tuple(schema)
     if not schema:
@@ -134,7 +137,7 @@ def write_columnar_file(
                 index=group_index,
                 row_start=start,
                 row_count=len(chunk),
-                columns=columns,
+                columns={name: np.asarray(values) for name, values in columns.items()},
                 compressed_bytes=compressed,
             )
         )

@@ -7,6 +7,9 @@ two 50-token segments.  These helpers compute forward-pass FLOPs for the
 encoder (per image) and the backbone (per fused sequence), and aggregate them
 per microbatch and per rank for the Fig. 3 heatmaps and the training
 simulator.
+
+A microbatch is read as :data:`MicrobatchTokens`; callers holding
+:class:`~repro.data.samples.SampleMetadata` lists convert with :func:`token_arrays`.
 """
 
 from __future__ import annotations
@@ -17,6 +20,21 @@ import numpy as np
 
 from repro.data.samples import SampleMetadata
 from repro.training.models import BackboneConfig, EncoderConfig, ModelConfig
+
+#: One microbatch: per sample, its fused tokens and its image tokens.
+MicrobatchTokens = tuple[Iterable[int], Iterable[int]]
+
+
+def token_arrays(assignments: list[list[list[SampleMetadata]]]) -> list[list[MicrobatchTokens]]:
+    """``[rank][microbatch]`` record lists as :data:`MicrobatchTokens` arrays."""
+    return [
+        [
+            tuple(np.array([getattr(s, name) for s in samples], dtype=np.int64)
+                  for name in ("total_tokens", "image_tokens"))
+            for samples in row
+        ]
+        for row in assignments
+    ]
 
 
 def attention_flops(seq_len: int, hidden_size: int) -> float:
@@ -74,42 +92,40 @@ def packed_backbone_flops(segment_lengths: Iterable[int], backbone: BackboneConf
         8.0 * total * backbone.hidden_size**2
         + mlp_flops(total, backbone.hidden_size, ratio)
     )
-    quadratic = backbone.num_layers * sum(
-        4.0 * length * length * backbone.hidden_size for length in lengths
-    )
+    hidden = backbone.hidden_size
+    quadratic = backbone.num_layers * sum(4.0 * length * length * hidden for length in lengths)
     return linear + quadratic
 
 
 def microbatch_flops(
-    samples: list[SampleMetadata],
+    tokens: MicrobatchTokens,
     encoder: EncoderConfig | None,
-    backbone: BackboneConfig,
+    backbone: BackboneConfig | None,
 ) -> dict[str, float]:
-    """Encoder and backbone FLOPs of one microbatch of samples.
+    """Encoder and backbone FLOPs of one microbatch (0.0 for a module passed as None).
 
     Returns a dict with ``encoder_flops`` (sum over images) and
     ``backbone_flops`` (the fused sequences packed into one).
     """
+    total_tokens, image_tokens = tokens
     encoder_total = 0.0
     if encoder is not None:
         encoder_total = sum(
-            encoder_sample_flops(sample.image_tokens, encoder)
-            for sample in samples
-            if sample.image_tokens > 0
+            encoder_sample_flops(image, encoder) for image in image_tokens if image > 0
         )
-    backbone_total = packed_backbone_flops([sample.total_tokens for sample in samples], backbone)
+    backbone_total = 0.0 if backbone is None else packed_backbone_flops(total_tokens, backbone)
     return {"encoder_flops": encoder_total, "backbone_flops": backbone_total}
 
 
 def flops_imbalance_matrix(
-    assignments: list[list[list[SampleMetadata]]],
+    assignments: list[list[MicrobatchTokens]],
     encoder: EncoderConfig | None,
     backbone: BackboneConfig,
     which: str = "backbone",
 ) -> np.ndarray:
     """FLOPs heatmap over [rank][microbatch] assignments (Fig. 3).
 
-    ``assignments[rank][microbatch]`` is the list of samples that rank
+    ``assignments[rank][microbatch]`` is the :data:`MicrobatchTokens` that rank
     processes in that microbatch; the returned array has the same shape filled
     with the selected FLOPs component.
     """
@@ -119,8 +135,8 @@ def flops_imbalance_matrix(
     num_microbatches = max((len(row) for row in assignments), default=0)
     matrix = np.zeros((num_ranks, num_microbatches), dtype=float)
     for rank_index, row in enumerate(assignments):
-        for mb_index, samples in enumerate(row):
-            flops = microbatch_flops(samples, encoder, backbone)
+        for mb_index, tokens in enumerate(row):
+            flops = microbatch_flops(tokens, encoder, backbone)
             matrix[rank_index, mb_index] = flops[f"{which}_flops"]
     return matrix
 

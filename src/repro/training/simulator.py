@@ -21,11 +21,10 @@ from typing import ClassVar
 import numpy as np
 
 from repro.actors.actor import Actor
-from repro.data.samples import SampleMetadata
 from repro.errors import ConfigurationError
 from repro.metrics.timeline import Timeline
 from repro.parallelism.mesh import DeviceMesh
-from repro.training.flops import microbatch_flops
+from repro.training.flops import MicrobatchTokens, microbatch_flops
 from repro.training.models import BackboneConfig, EncoderConfig, VLMConfig
 
 
@@ -104,8 +103,8 @@ class TrainingSimulator:
 
     def simulate_iteration(
         self,
-        backbone_assignments: list[list[list[SampleMetadata]]],
-        encoder_assignments: list[list[list[SampleMetadata]]] | None = None,
+        backbone_assignments: list[list[MicrobatchTokens]],
+        encoder_assignments: list[list[MicrobatchTokens]] | None = None,
         data_fetch_latency_s: float = 0.0,
         hidden_fetch_s: float | None = None,
     ) -> IterationResult:
@@ -114,12 +113,14 @@ class TrainingSimulator:
         Parameters
         ----------
         backbone_assignments:
-            ``backbone_assignments[dp][mb]`` is the list of samples whose fused
-            sequences DP group ``dp`` processes in microbatch ``mb``.
+            ``backbone_assignments[dp][mb]`` is the token arrays of the
+            samples DP group ``dp`` processes in microbatch ``mb``
+            (:meth:`~repro.core.plans.ModulePlan.bucket_tokens`).
         encoder_assignments:
-            ``encoder_assignments[gpu][mb]`` lists the image samples whose
-            patches GPU ``gpu`` encodes for microbatch ``mb``; defaults to the
-            backbone assignment replicated over each DP group's GPUs.
+            ``encoder_assignments[gpu][mb]`` is the token arrays of the image
+            samples whose patches GPU ``gpu`` encodes for microbatch ``mb``;
+            defaults to the backbone assignment replicated over each DP
+            group's GPUs.
         data_fetch_latency_s:
             Latency of fetching the iteration's data.
         hidden_fetch_s:
@@ -134,6 +135,11 @@ class TrainingSimulator:
             raise ConfigurationError(
                 f"expected assignments for {dp_size} DP groups, got {len(backbone_assignments)}"
             )
+        # Read every token array into Python ints once: the per-sample
+        # arithmetic and its summation order are the scalar model's.
+        backbone_assignments = _as_ints(backbone_assignments)
+        if encoder_assignments is not None:
+            encoder_assignments = _as_ints(encoder_assignments)
         num_microbatches = max((len(row) for row in backbone_assignments), default=0)
         timeline = Timeline()
 
@@ -185,10 +191,10 @@ class TrainingSimulator:
             max(per_dp_times) - min(per_dp_times) if len(per_dp_times) > 1 else 0.0
         )
         total_tokens = sum(
-            sample.total_tokens
+            tokens
             for row in backbone_assignments
-            for microbatch in row
-            for sample in microbatch
+            for totals, _ in row
+            for tokens in totals
         )
         peak_activation = self._peak_activation_tokens(backbone_assignments)
         return IterationResult(
@@ -212,8 +218,8 @@ class TrainingSimulator:
 
     def _encoder_microbatch_times(
         self,
-        backbone_assignments: list[list[list[SampleMetadata]]],
-        encoder_assignments: list[list[list[SampleMetadata]]] | None,
+        backbone_assignments: list[list[MicrobatchTokens]],
+        encoder_assignments: list[list[MicrobatchTokens]] | None,
         num_microbatches: int,
     ) -> list[float]:
         """Per-microbatch encoder stage time (max over encoder-DP ranks)."""
@@ -226,32 +232,34 @@ class TrainingSimulator:
         for mb_index in range(num_microbatches):
             rank_times = []
             for rank_row in encoder_assignments:
-                samples = rank_row[mb_index] if mb_index < len(rank_row) else []
-                flops = microbatch_flops(samples, self.encoder, self.backbone)["encoder_flops"]
+                tokens = rank_row[mb_index] if mb_index < len(rank_row) else ([], [])
+                flops = microbatch_flops(tokens, self.encoder, None)["encoder_flops"]
                 rank_times.append(self.gpu.seconds_for(flops * fwd_bwd))
             times.append(max(rank_times) if rank_times else 0.0)
         return times
 
     def _default_encoder_assignments(
-        self, backbone_assignments: list[list[list[SampleMetadata]]]
-    ) -> list[list[list[SampleMetadata]]]:
+        self, backbone_assignments: list[list[MicrobatchTokens]]
+    ) -> list[list[MicrobatchTokens]]:
         """Spread each DP group's images across that group's GPUs (EDP)."""
-        assignments: list[list[list[SampleMetadata]]] = []
+        assignments: list[list[MicrobatchTokens]] = []
         dp_size = self.mesh.size("DP")
         gpus_per_dp = max(1, self.mesh.world_size // dp_size)
-        for dp_index, dp_row in enumerate(backbone_assignments):
-            per_gpu: list[list[list[SampleMetadata]]] = [
-                [[] for _ in range(len(dp_row))] for _ in range(gpus_per_dp)
+        for dp_row in backbone_assignments:
+            per_gpu: list[list[MicrobatchTokens]] = [
+                [([], []) for _ in range(len(dp_row))] for _ in range(gpus_per_dp)
             ]
-            for mb_index, microbatch in enumerate(dp_row):
-                images = [sample for sample in microbatch if sample.image_tokens > 0]
-                for position, sample in enumerate(images):
-                    per_gpu[position % gpus_per_dp][mb_index].append(sample)
+            for mb_index, (totals, images) in enumerate(dp_row):
+                pictured = [pair for pair in zip(totals, images) if pair[1] > 0]
+                for position, (total, image) in enumerate(pictured):
+                    gpu = per_gpu[position % gpus_per_dp][mb_index]
+                    gpu[0].append(total)
+                    gpu[1].append(image)
             assignments.extend(per_gpu)
         return assignments
 
     def _alltoall_times(
-        self, backbone_assignments: list[list[list[SampleMetadata]]], num_microbatches: int
+        self, backbone_assignments: list[list[MicrobatchTokens]], num_microbatches: int
     ) -> list[float]:
         """All-to-all time moving encoded image features into the backbone."""
         if self.encoder is None:
@@ -262,13 +270,13 @@ class TrainingSimulator:
             image_tokens = 0
             for dp_row in backbone_assignments:
                 if mb_index < len(dp_row):
-                    image_tokens += sum(sample.image_tokens for sample in dp_row[mb_index])
+                    image_tokens += sum(dp_row[mb_index][1])
             payload = image_tokens * feature_bytes_per_token
             times.append(ALLTOALL_BASE_LATENCY_S + payload / ALLTOALL_BANDWIDTH_BPS)
         return times
 
     def _backbone_microbatch_times(
-        self, backbone_assignments: list[list[list[SampleMetadata]]], num_microbatches: int
+        self, backbone_assignments: list[list[MicrobatchTokens]], num_microbatches: int
     ) -> list[list[float]]:
         """Per-DP, per-microbatch backbone compute time.
 
@@ -285,21 +293,23 @@ class TrainingSimulator:
         for dp_row in backbone_assignments:
             row_times = []
             for mb_index in range(num_microbatches):
-                samples = dp_row[mb_index] if mb_index < len(dp_row) else []
-                flops = microbatch_flops(samples, None, self.backbone)["backbone_flops"]
+                tokens = dp_row[mb_index] if mb_index < len(dp_row) else ([], [])
+                flops = microbatch_flops(tokens, None, self.backbone)["backbone_flops"]
                 row_times.append(self.gpu.seconds_for(flops * fwd_bwd / shard))
             times.append(row_times)
         return times
 
-    def _peak_activation_tokens(
-        self, backbone_assignments: list[list[list[SampleMetadata]]]
-    ) -> int:
+    def _peak_activation_tokens(self, backbone_assignments: list[list[MicrobatchTokens]]) -> int:
         """Largest single-microbatch token count (drives activation memory / OOM risk)."""
         peak = 0
         for dp_row in backbone_assignments:
-            for microbatch in dp_row:
-                peak = max(peak, sum(sample.total_tokens for sample in microbatch))
+            for totals, _ in dp_row:
+                peak = max(peak, sum(totals))
         return peak
+
+
+def _as_ints(assignments: list[list[MicrobatchTokens]]) -> list[list[tuple[list, list]]]:
+    return [[(np.asarray(t).tolist(), np.asarray(i).tolist()) for t, i in row] for row in assignments]
 
 
 class TrainerActor(Actor):
@@ -332,8 +342,8 @@ class TrainerActor(Actor):
     def train_step(
         self,
         step: int,
-        backbone_assignments: list[list[list[SampleMetadata]]],
-        encoder_assignments: list[list[list[SampleMetadata]]] | None = None,
+        backbone_assignments: list[list[MicrobatchTokens]],
+        encoder_assignments: list[list[MicrobatchTokens]] | None = None,
         data_fetch_latency_s: float = 0.0,
         hidden_fetch_s: float = 0.0,
     ) -> IterationResult:

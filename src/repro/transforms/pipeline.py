@@ -10,9 +10,12 @@ moves decoding past the loader boundary, exists only as the analytical
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
-from repro.data.samples import MetadataColumns, Modality, Sample, SampleMetadata
+import numpy as np
+
+from repro.data.samples import Modality, Sample, SampleMetadata
 from repro.errors import TransformError
 from repro.transforms.sample import SampleTransform, default_transforms_for
 
@@ -55,38 +58,34 @@ class TransformPipeline:
             transferred_bytes=max(metadata.decoded_bytes, metadata.raw_bytes, 1),
         )
 
-    def run_columns(self, chunk: MetadataColumns) -> tuple[list[float], list[int]]:
-        """Metadata-only :meth:`run` over a chunk: no sample object, no payload.
+    def run_columns(self, columns: Mapping[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """Metadata-only :meth:`run` over columns of samples: no sample object, no payload.
 
-        Returns, per row, exactly the ``latency_s`` and ``transferred_bytes``
+        ``columns`` maps the :class:`SampleMetadata` field names ``modality``,
+        ``text_tokens``, ``image_tokens``, ``video_frames``, ``raw_bytes`` and
+        ``decoded_bytes`` to one array each.  Returns, per row, exactly the
+        ``latency_s`` (``float64``) and ``transferred_bytes`` (``int64``)
         :meth:`run` returns for a sample with that metadata — what the Source
-        Loader charges and stages — evaluated a column at a time.
+        Loader charges and stages.  A stage adds to a row's running total only
+        where it applies to the row's modality, in stage order, so every
+        total is the scalar ``((0.0 + stage1) + stage2) ...`` bit for bit.
         """
-        modalities = set(chunk.modality)
-        if len(modalities) > 1:
-            # Rows of different modalities run different stages: evaluate
-            # each modality's rows on their own.
-            latencies = [0.0] * len(chunk)
-            transferred = [0] * len(chunk)
-            for modality in modalities:
-                rows = [row for row, other in enumerate(chunk.modality) if other == modality]
-                part = MetadataColumns.from_records([chunk.records[row] for row in rows])
-                for row, latency, size in zip(rows, *self.run_columns(part)):
-                    latencies[row] = latency
-                    transferred[row] = size
-            return latencies, transferred
-        latencies = [0.0] * len(chunk)
-        image_tokens = chunk.image_tokens
+        modality = columns["modality"]
+        text_tokens = columns["text_tokens"]
+        video_frames = columns["video_frames"]
+        image_tokens = columns["image_tokens"]
+        latencies = np.zeros(len(modality))
         for transform in self._transforms:
-            if transform.modalities and not modalities.issubset(transform.modalities):
-                continue
-            stage, image_tokens = transform.apply_columns(
-                chunk.text_tokens, image_tokens, chunk.video_frames
-            )
-            latencies = [total + latency for total, latency in zip(latencies, stage)]
-        return latencies, [
-            max(decoded, raw, 1) for decoded, raw in zip(chunk.decoded_bytes, chunk.raw_bytes)
-        ]
+            stage, image_after = transform.apply_columns(text_tokens, image_tokens, video_frames)
+            if transform.modalities:
+                rows = np.isin(modality, [member.value for member in transform.modalities])
+                latencies = np.where(rows, latencies + stage, latencies)
+                image_tokens = np.where(rows, image_after, image_tokens)
+            else:
+                latencies = latencies + stage
+                image_tokens = image_after
+        transferred = np.maximum(np.maximum(columns["decoded_bytes"], columns["raw_bytes"]), 1)
+        return latencies, transferred
 
     def estimate_latency(self, metadata: SampleMetadata) -> float:
         """Latency estimate from metadata only (no payload mutation)."""

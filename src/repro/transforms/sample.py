@@ -38,13 +38,14 @@ class SampleTransform:
         raise NotImplementedError
 
     def apply_columns(
-        self, text_tokens: list[int], image_tokens: list[int], video_frames: list[int]
-    ) -> tuple[list[float], list[int]]:
-        """Metadata-only form of :meth:`apply` over columns of samples.
+        self, text_tokens: np.ndarray, image_tokens: np.ndarray, video_frames: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Metadata-only form of :meth:`apply` over ``int64`` columns of samples.
 
         Returns, per row, the latency :meth:`apply` returns for a sample with
-        these counts, and the ``image_tokens`` column it leaves behind (the
-        given list when the stage does not rescale).  No payload is built.
+        these counts (elementwise ``float64`` arithmetic rounds exactly as the
+        scalar form does), and the ``image_tokens`` column it leaves behind
+        (the given array when the stage does not rescale).  No payload is built.
         """
         raise NotImplementedError
 
@@ -69,7 +70,7 @@ class TextTokenize(SampleTransform):
         return self.seconds_per_token * text_tokens
 
     def apply_columns(self, text_tokens, image_tokens, video_frames):
-        return [self.seconds_per_token * tokens for tokens in text_tokens], image_tokens
+        return self.seconds_per_token * text_tokens, image_tokens
 
 
 class ImageDecode(SampleTransform):
@@ -94,7 +95,7 @@ class ImageDecode(SampleTransform):
         return self.seconds_per_patch * image_tokens
 
     def apply_columns(self, text_tokens, image_tokens, video_frames):
-        return [self.seconds_per_patch * patches for patches in image_tokens], image_tokens
+        return self.seconds_per_patch * image_tokens, image_tokens
 
 
 class ImageCrop(SampleTransform):
@@ -120,8 +121,7 @@ class ImageCrop(SampleTransform):
 
     def apply_columns(self, text_tokens, image_tokens, video_frames):
         # Charged by the patches that arrive, not by the patches the crop keeps.
-        latencies = [self.seconds_per_patch * patches for patches in image_tokens]
-        return latencies, [min(patches, self.max_patches) for patches in image_tokens]
+        return self.seconds_per_patch * image_tokens, np.minimum(image_tokens, self.max_patches)
 
 
 class VideoKeyframeExtract(SampleTransform):
@@ -143,7 +143,7 @@ class VideoKeyframeExtract(SampleTransform):
     def apply_columns(self, text_tokens, image_tokens, video_frames):
         # By the container's frame count, like ``apply`` (``estimate_latency``
         # only has token counts and guesses frames from them).
-        return [self.seconds_per_frame * frames + 0.002 for frames in video_frames], image_tokens
+        return self.seconds_per_frame * video_frames + 0.002, image_tokens
 
 
 class AudioFeaturize(SampleTransform):
@@ -163,7 +163,7 @@ class AudioFeaturize(SampleTransform):
         return self.seconds_per_token * text_tokens
 
     def apply_columns(self, text_tokens, image_tokens, video_frames):
-        return [self.seconds_per_token * tokens for tokens in text_tokens], image_tokens
+        return self.seconds_per_token * text_tokens, image_tokens
 
 
 def default_transforms_for(modality: Modality) -> list[SampleTransform]:

@@ -4,6 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+import numpy as np
+
+from repro.core.assembly import PreparedColumns
+from repro.core.columns import SampleColumns
+from repro.core.plans import MicrobatchAssignment
 from repro.data.samples import Modality, SampleMetadata
 from repro.data.synthetic import build_source_catalog, navit_like_spec
 from repro.parallelism.mesh import DeviceMesh
@@ -58,3 +63,15 @@ def make_sample(
 @pytest.fixture()
 def sample_factory():
     return make_sample
+
+
+def prepared_rows(rows) -> PreparedColumns:
+    """A hand-off over ``(sample_id, text_tokens, image_tokens, bytes)`` rows."""
+    return PreparedColumns(*np.array(rows, dtype=np.int64).reshape(-1, 4).T)
+
+
+def assignment_of(bucket_index, microbatch_index, samples, estimated_cost=0.0):
+    """A microbatch assignment over metadata records."""
+    return MicrobatchAssignment(
+        bucket_index, microbatch_index, SampleColumns.from_samples(list(samples)), estimated_cost
+    )

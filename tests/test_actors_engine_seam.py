@@ -145,7 +145,10 @@ class LaneProvider:
     def __init__(self) -> None:
         self.seen: list[tuple[int, float, tuple]] = []
 
-    def call_duration_s(self, actor, method, result, busy_lanes=1, start_s=0.0, lane_ends_s=()):
+    def call_duration_s(
+        self, actor, method, result, busy_lanes=1, start_s=0.0, lane_ends_s=(), role="actor"
+    ):
+        assert role == type(actor).role
         self.seen.append((busy_lanes, start_s, lane_ends_s))
         return result * busy_lanes
 
@@ -208,3 +211,39 @@ def test_straggler_stretches_deferred_calls_only(backend, provider):
         assert elapsed_s == pytest.approx(system.rpc_latency_s)
     else:
         assert base_s * 0.95 <= elapsed_s < 2.0 * base_s
+
+
+def test_lane_ends_stay_sorted_where_they_are_booked():
+    """Both engines keep an actor's lane ends ascending, so the busy lanes at
+    an event's start are a suffix and the lane model never re-sorts them."""
+    from dataclasses import replace
+
+    from repro import MegaScaleData, TrainingJobSpec
+
+    system = MegaScaleData.deploy(replace(TrainingJobSpec.text_example(), prefetch_depth=2))
+    try:
+        engine = system.system.engine
+        seen = []
+        plain = system.system.modelled_duration
+
+        def recording(name, method, result, start_s, lane_ends_s=(), inline=False):
+            seen.append(list(lane_ends_s))
+            return plain(name, method, result, start_s, lane_ends_s, inline)
+
+        system.system.modelled_duration = recording
+        for _ in range(4):
+            system.run_step()
+        assert any(len(lanes) > 1 for lanes in seen)
+        assert all(lanes == sorted(lanes) for lanes in seen)
+        assert all(lanes == sorted(lanes) for lanes in engine._lanes_s.values())
+    finally:
+        system.shutdown()
+
+
+def test_the_provider_protocol_is_read_when_the_provider_is_set():
+    system = make_system("virtual")
+    system.create_actor(Worker, name="w")
+    lanes = system.latency_provider = LaneProvider()
+    lanes.wants_lane_context = False  # read once, on assignment
+    assert system.modelled_duration("w", "cost", 2.0, 5.0, (7.0,)) == 2.0 * 2
+    assert lanes.seen[-1] == (2, 5.0, (7.0,))

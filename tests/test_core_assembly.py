@@ -21,10 +21,11 @@ from repro.core.assembly import PreparedColumns
 from repro.core.checkpoint import InMemoryCheckpointStore, SqliteCheckpointStore
 from repro.core.data_constructor import DataConstructor, RankDelivery
 from repro.core.framework import MANIFEST_NAMESPACE, MegaScaleData, TrainingJobSpec
-from repro.core.plans import MicrobatchAssignment, ModulePlan
+from repro.core.plans import ModulePlan
 from repro.core.source_loader import SourceLoader
 from repro.data.samples import Modality, SampleMetadata
 from repro.errors import PlanError
+from conftest import assignment_of, prepared_rows
 from repro.parallelism.mesh import DeviceMesh
 from repro.transforms import microbatch
 from repro.transforms.microbatch import (
@@ -273,15 +274,13 @@ class TestStagedColumns:
     """A ticket keeps the buffer rows it took; its hand-off turns exactly
     those rows into one ``PreparedColumns`` slice."""
 
-    def test_from_rows_keeps_row_order(self):
-        columns = PreparedColumns.from_rows(
-            [(5, 50, 0, 200), (3, 30, 7, 120), (9, 90, 0, 360)]
-        )
+    def test_columns_keep_row_order(self):
+        columns = prepared_rows([(5, 50, 0, 200), (3, 30, 7, 120), (9, 90, 0, 360)])
         assert columns.sample_ids.tolist() == [5, 3, 9]
         assert columns.total_tokens.tolist() == [50, 37, 90]
         assert columns.transferred_bytes.tolist() == [200, 120, 360]
         assert columns.total_bytes() == 680
-        assert len(PreparedColumns.from_rows([])) == 0
+        assert len(prepared_rows([])) == 0
 
     def test_take_returns_rows_in_requested_order(self, system, small_catalog, filesystem):
         handle = spawn_loader(system, small_catalog, filesystem, buffer_size=16)
@@ -327,7 +326,7 @@ class TestStagedColumns:
         assert loader.ledger.live_bytes("sample_payload") == 0
         handle.call("poll", 1, 2, ids[:3])
         handle.call("poll", 2, 1, ids[3:5])
-        held = sum(row[2] for entry in loader._tickets.values() for row in entry.rows)
+        held = sum(entry.staged_bytes for entry in loader._tickets.values())
         assert loader.staged_count() == 3
         assert loader.ledger.live_bytes("sample_payload") == held > 0
         loader.on_stop()
@@ -335,7 +334,7 @@ class TestStagedColumns:
         assert loader.ledger.live_bytes("sample_payload") == 0
 
     def test_prepared_columns_lookup_reports_missing(self):
-        columns = PreparedColumns.from_rows([(4, 16, 0, 64), (8, 16, 0, 64), (2, 16, 0, 64)])
+        columns = prepared_rows([(4, 16, 0, 64), (8, 16, 0, 64), (2, 16, 0, 64)])
         rows, missing = columns.lookup([8, 6, 2])
         assert missing == [6]
         assert columns.sample_ids[rows].tolist() == [8, 2]
@@ -417,13 +416,13 @@ def make_plan(tokens_by_microbatch, bucket=0):
         samples = tuple(meta(sid + k, tokens) for k, tokens in enumerate(token_list))
         sid += len(token_list)
         plan.assignments.append(
-            MicrobatchAssignment(bucket_index=bucket, microbatch_index=mb, samples=samples)
+            assignment_of(bucket, mb, samples)
         )
     return plan
 
 
 def columns_for(plan):
-    return PreparedColumns.from_rows(
+    return prepared_rows(
         [
             (m.sample_id, m.text_tokens, m.image_tokens, m.raw_bytes)
             for assignment in plan.assignments

@@ -138,9 +138,10 @@ class TestCheckpointStores:
         restored = backend.load("loader/test", 0)
         assert restored is not snapshot
         assert restored["cursor"] == snapshot["cursor"]
-        assert [m.sample_id for m in restored["buffer"]] == [
-            m.sample_id for m in snapshot["buffer"]
+        assert restored["buffer"] == snapshot["buffer"] == [
+            m.sample_id for m in loader.summary_buffer()
         ]
+        assert all(type(sample_id) is int for sample_id in restored["buffer"])
         fresh = SourceLoader(small_catalog.sources()[0], filesystem, buffer_size=8)
         fresh.on_start()
         fresh.restore_replay_checkpoint(restored)
@@ -907,13 +908,15 @@ class TestGatherResync:
         loader.restore_replay_checkpoint(snapshot)
         resync = loader.buffer_delta()
         assert resync["resync"] is True
-        records = loader.summary_buffer()
-        assert [row[0] for row in resync["buffer"]] == records
-        assert [row[0] for row in delta["buffer"]] == records
+        ids = [m.sample_id for m in loader.summary_buffer()]
+        assert resync["sample_ids"].tolist() == ids
+        assert delta["sample_ids"].tolist() == ids
         quiet = loader.buffer_delta()
-        assert [row[0] for row in quiet["buffer"]] == records
+        assert quiet["sample_ids"].tolist() == ids
         assert (quiet["changes"], quiet["resync"]) == (0, False)
-        assert quiet.keys() == {"buffer", "changes", "resync"}
+        assert quiet.keys() == {
+            "sample_ids", "text_tokens", "image_tokens", "records", "changes", "resync"
+        }
 
 
 # -- one differential-checkpoint interval -------------------------------------------

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.cost_model import (
     BackboneCostModel,
     EncoderCostModel,
-    image_token_cost,
-    quadratic_token_cost,
-    token_count_cost,
 )
 from repro.training.models import llama_12b, mixtral_8x7b, vit_1b, vit_2b
 from repro.training.flops import encoder_sample_flops, packed_backbone_flops
@@ -28,8 +27,8 @@ class TestEncoderCostModel:
         assert EncoderCostModel(vit_2b())(metadata)[0] > EncoderCostModel(vit_1b())(metadata)[0]
 
     def test_memory_component_positive(self, sample_factory):
-        estimate = EncoderCostModel(vit_1b()).cost(sample_factory(0, image_tokens=128))
-        assert estimate.memory > 0
+        _, memory = EncoderCostModel(vit_1b())(sample_factory(0, image_tokens=128))
+        assert memory > 0
 
     def test_latency_is_forward_plus_backward_flops(self, sample_factory):
         metadata = sample_factory(0, image_tokens=1024)
@@ -53,19 +52,6 @@ class TestBackboneCostModel:
     def test_moe_backbone_supported(self, sample_factory):
         load, memory = BackboneCostModel(mixtral_8x7b())(sample_factory(0, text_tokens=1024))
         assert load > 0 and memory > 0
-
-
-class TestSimpleCostFns:
-    def test_token_count_cost(self, sample_factory):
-        assert token_count_cost(sample_factory(0, text_tokens=10, image_tokens=5)) == (15.0, 15.0)
-
-    def test_quadratic_token_cost(self, sample_factory):
-        load, _ = quadratic_token_cost(sample_factory(0, text_tokens=10))
-        assert load == 100.0
-
-    def test_image_token_cost_ignores_text(self, sample_factory):
-        load, _ = image_token_cost(sample_factory(0, text_tokens=100, image_tokens=4))
-        assert load == 16.0
 
 
 class TestCapacitySplitLaneModel:
@@ -110,12 +96,42 @@ class TestCapacitySplitLaneModel:
     def test_provider_lane_models(self):
         from repro.core.cost_model import DataPlaneLatencyProvider
 
-        class FakeLoader:
-            role = "source_loader"
-
         result = {"chunk_wall_clock_s": 1.0}
         split = DataPlaneLatencyProvider()
         assert split.wants_lane_context
         assert split.call_duration_s(
-            FakeLoader(), "poll", result, busy_lanes=2, start_s=0.0, lane_ends_s=(50.0,)
+            object(), "poll", result, busy_lanes=2, start_s=0.0, lane_ends_s=(50.0,),
+            role="source_loader",
         ) == pytest.approx(2.0)
+
+
+def _sorting_capacity_split(amortized_s, start_s, lane_ends_s):
+    """The lane model as it read before the engines kept lane ends sorted."""
+    remaining = float(amortized_s)
+    if remaining <= 0.0:
+        return 0.0
+    ends = sorted(end for end in lane_ends_s if end > start_s)
+    now = float(start_s)
+    for index, end in enumerate(ends):
+        share = 1.0 / (len(ends) - index + 1)
+        window = (end - now) * share
+        if window >= remaining:
+            return now + remaining / share - start_s
+        remaining -= window
+        now = end
+    return now + remaining - start_s
+
+
+@given(
+    amortized_s=st.floats(0.0, 10.0, allow_nan=False),
+    start_s=st.floats(0.0, 10.0, allow_nan=False),
+    lane_ends_s=st.lists(st.floats(0.0, 20.0, allow_nan=False), max_size=4),
+)
+@settings(max_examples=200, deadline=None)
+def test_capacity_split_over_sorted_lanes_equals_the_sorting_model(amortized_s, start_s, lane_ends_s):
+    from repro.core.cost_model import capacity_split_duration_s
+
+    ends = sorted(lane_ends_s)
+    assert capacity_split_duration_s(amortized_s, start_s, ends) == _sorting_capacity_split(
+        amortized_s, start_s, lane_ends_s
+    )

@@ -7,13 +7,14 @@ import pytest
 from repro.actors.runtime import ActorSystem, ClusterSpec
 from repro.core.assembly import PreparedColumns
 from repro.core.data_constructor import DataConstructor
-from repro.core.plans import MicrobatchAssignment, ModulePlan
+from repro.core.plans import ModulePlan
 from repro.errors import PlanError
 from repro.parallelism.mesh import DeviceMesh
 from repro.transforms import microbatch
 from repro.transforms.microbatch import Microbatch, collate_with_positions
 from repro.transforms.parallelism import build_rank_slices
 from repro.utils.units import GIB
+from conftest import assignment_of, prepared_rows
 from test_core_source_loader import THREE_STEP_DELIVERIES, three_step_vlm_deliveries
 
 
@@ -25,14 +26,14 @@ def make_plan(sample_factory, buckets=2, microbatches=2, tokens=128):
             samples = tuple(sample_factory(sid + k, text_tokens=tokens) for k in range(2))
             sid += 2
             plan.assignments.append(
-                MicrobatchAssignment(bucket_index=bucket, microbatch_index=mb, samples=samples)
+                assignment_of(bucket, mb, samples)
             )
     return plan
 
 
 def prepared_for(plan) -> PreparedColumns:
     """The hand-off a loader would publish for every sample of ``plan``."""
-    return PreparedColumns.from_rows(
+    return prepared_rows(
         [
             (m.sample_id, m.text_tokens, m.image_tokens, m.raw_bytes)
             for assignment in plan.assignments
@@ -77,7 +78,7 @@ class TestConstruct:
         handle = spawn_constructor(system, vlm_mesh, dp_index=1)
         plan = ModulePlan(module="backbone", axis="DP", num_buckets=2, num_microbatches=1)
         plan.assignments.append(
-            MicrobatchAssignment(bucket_index=0, microbatch_index=0, samples=(sample_factory(0),))
+            assignment_of(0, 0, [sample_factory(0)])
         )
         with pytest.raises(PlanError):
             handle.call("construct", 0, plan, prepared_for(plan))

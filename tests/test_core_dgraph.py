@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.dgraph import DGraph, metas_image, metas_text_only, metas_token
+from repro.core.dgraph import DGraph, metas_image, metas_token
 from repro.core.place_tree import ClientPlaceTree
 from repro.data.mixture import MixtureSchedule
 from repro.errors import OrchestrationError
@@ -39,7 +39,9 @@ class TestConstruction:
         assert all(s.image_tokens > 0 for s in dgraph.selected_samples)
 
     def test_text_only_view(self, buffer_infos):
-        dgraph = DGraph.from_buffer_infos(buffer_infos, metas_text_only)
+        """A selector without a column mask is evaluated per record."""
+        dgraph = DGraph.from_buffer_infos(buffer_infos, lambda m: m if m.image_tokens == 0 else None)
+        assert len(dgraph.selected_samples) == 16
         assert all(s.image_tokens == 0 for s in dgraph.selected_samples)
 
     def test_flat_list_accepted(self, buffer_infos):
@@ -134,7 +136,7 @@ class TestPlan:
         dgraph = DGraph.from_buffer_infos(buffer_infos).init(tree)
         dgraph.distribute("DP").balance(num_microbatches=4)
         plan = dgraph.plan()
-        assert len(plan.module.all_sample_ids()) == 32
+        assert len({i for a in plan.module.assignments for i in a.sample_ids()}) == 32
         assert sum(len(ids) for ids in plan.source_demands.values()) == 32
 
     def test_plan_without_balance_uses_arrival_order(self, buffer_infos, tree):

@@ -392,7 +392,10 @@ class TestDeltaCacheUnderFleetChurn:
             buffered.setdefault(loader.source.name, []).extend(
                 m.sample_id for m in loader.summary_buffer()
             )
-        assert {source: rows.sample_ids.tolist() for source, rows in infos.items()} == buffered
+        assert {
+            source: infos.sample_ids[start:end].tolist()
+            for source, (_, start, end) in infos.source_runs().items()
+        } == buffered
 
     @pytest.mark.parametrize("depth", [0, 2])
     def test_cache_exact_across_scale_up_down_and_mirror_crash(self, depth):

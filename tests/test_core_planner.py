@@ -264,9 +264,34 @@ def _random_buffer_infos(draw_spec):
     return buffer_infos
 
 
-def _buffer_rows(samples):
-    """Loader-shaped buffer rows over ``samples``: ``(metadata, latency, bytes)``."""
-    return [(sample, 1e-3 * index, 64 * index) for index, sample in enumerate(samples)]
+def _gathered(buffer_infos):
+    """The Planner's gather over per-source records: one run per source."""
+    return SampleColumns.concat(
+        [SampleColumns.from_samples(samples) for samples in buffer_infos.values()]
+    )
+
+
+def _bounded_ids(buffer_infos, sample_count, step):
+    """The ids ``bound_buffer`` keeps, computed on record lists: each source,
+    in name order, keeps its proportional share of its rows rotated by a
+    per-step offset."""
+    total = sum(len(rows) for rows in buffer_infos.values())
+    if total <= sample_count:
+        return [m.sample_id for rows in buffer_infos.values() for m in rows]
+    kept, remaining = [], sample_count
+    sources = sorted(buffer_infos)
+    for index, source in enumerate(sources):
+        rows = buffer_infos[source]
+        share = max(1, round(sample_count * len(rows) / total))
+        if index < len(sources) - 1:
+            share = min(share, remaining - (len(sources) - index - 1))
+        else:
+            share = remaining
+        share = max(0, min(share, len(rows), remaining))
+        offset = (step * 7) % max(1, len(rows))
+        kept += [m.sample_id for m in (rows[offset:] + rows[:offset])[:share]]
+        remaining -= share
+    return kept
 
 
 buffer_specs = st.lists(
@@ -340,11 +365,8 @@ class TestColumnarPlanEquivalence:
             source: SampleColumns.from_samples(samples)
             for source, samples in buffer_infos.items()
         }
-        # The Planner's gather: per-source loader buffer rows, arrays built lazily.
-        lazy_infos = {
-            source: SampleColumns.of_source(source, _buffer_rows(samples))
-            for source, samples in buffer_infos.items()
-        }
+        # The Planner's gather: one set, a run per source.
+        lazy_infos = _gathered(buffer_infos)
         plan_rows = strategy_rows(buffer_infos, tree_rows, step, seed)
         plan_cols = strategy_cols(columns_infos, tree_cols, step, seed)
         plan_lazy = make_strategy(strategy_name, config)(
@@ -361,43 +383,37 @@ class TestColumnarPlanEquivalence:
         picks=st.lists(st.integers(min_value=0, max_value=10**6), max_size=12),
     )
     @settings(max_examples=60, deadline=None)
-    def test_lazy_sets_match_eager_columns(self, spec, step, budget, picks):
-        """Every view of a lazy per-source set over buffer rows — bounded,
-        concatenated, grouped, selected, or built whole — equals the same
-        view of eager columns over the rows' records."""
+    def test_bound_buffer_keeps_rotated_shares(self, spec, step, budget, picks):
+        """``bound_buffer`` over a gathered set keeps, per source in name
+        order, the rows the record-list rotation keeps; the bounded set stays
+        grouped, and its views equal those of columns over its records."""
         buffer_infos = _random_buffer_infos(spec)
-        lazy = {
-            source: SampleColumns.of_source(source, _buffer_rows(rows))
-            for source, rows in buffer_infos.items()
-        }
-        eager = {source: SampleColumns.from_samples(rows) for source, rows in buffer_infos.items()}
+        gathered = _gathered(buffer_infos)
 
         def view(columns):
             return (
-                columns.sources,
                 columns.sample_ids.tolist(),
                 columns.text_tokens.tolist(),
                 columns.image_tokens.tolist(),
                 columns.total_tokens.tolist(),
-                columns.source_codes.tolist(),
+                [columns.sources[code] for code in columns.source_codes.tolist()],
                 columns.to_list(),
             )
 
-        bounded_lazy = bound_buffer(lazy, budget, step)
-        bounded_eager = bound_buffer(eager, budget, step)
-        assert list(bounded_lazy) == list(bounded_eager)
-        for source in bounded_eager:
-            assert view(bounded_lazy[source]) == view(bounded_eager[source])
-        whole_lazy = SampleColumns.coerce(lazy)
-        whole_eager = SampleColumns.coerce(eager)
-        assert len(whole_lazy) == len(whole_eager)
-        assert whole_lazy.source_order() == whole_eager.source_order()
-        assert {code: pool.tolist() for code, pool in whole_lazy.pool_positions().items()} == {
-            code: pool.tolist() for code, pool in whole_eager.pool_positions().items()
-        }
-        indices = np.array([pick % len(whole_eager) for pick in picks], dtype=np.intp)
-        assert view(whole_lazy.select(indices)) == view(whole_eager.select(indices))
-        assert view(whole_lazy) == view(whole_eager)
+        bounded = bound_buffer(gathered, budget, step)
+        assert bounded.sample_ids.tolist() == _bounded_ids(buffer_infos, budget, step)
+        eager = SampleColumns.from_samples(bounded.to_list())
+        assert view(bounded) == view(eager)
+        assert [bounded.sources[code] for code in bounded.source_order()] == [
+            eager.sources[code] for code in eager.source_order()
+        ]
+        assert [pool.tolist() for pool in bounded.pool_positions().values()] == [
+            pool.tolist() for pool in eager.pool_positions().values()
+        ]
+        if len(gathered):
+            indices = np.array([pick % len(gathered) for pick in picks], dtype=np.intp)
+            picked = gathered.select(indices)
+            assert view(picked) == view(SampleColumns.from_samples(picked.to_list()))
 
 
     @given(
@@ -461,32 +477,31 @@ class TestColumnarPlanEquivalence:
             # The gathered columns are exactly each loader's buffer — no
             # stale rows, no duplicates, same order.
             infos, _ = planner.gather_buffer_columns()
+            runs = infos.source_runs()
             for source, buffered in full_copies().items():
-                assert infos[source].sample_ids.tolist() == [
-                    m.sample_id for m in buffered
-                ]
+                _, start, end = runs[source]
+                assert infos.sample_ids[start:end].tolist() == [m.sample_id for m in buffered]
+                assert infos.to_list()[start:end] == buffered
 
 
-class TestArrayBuildsPerPlan:
-    """A plan builds sample arrays once, over the rows it draws — not over
-    every loader's buffer."""
+class TestNoRecordsPerPlan:
+    """A plan is made from the loaders' id and token columns: planning
+    builds no sample record and no loader lists its buffer as records."""
 
     @staticmethod
-    def _spy_rows_built(monkeypatch) -> list[int]:
+    def _spy_records(monkeypatch) -> list[int]:
         built: list[int] = []
-        init = SampleColumns.__init__
+        init = SampleMetadata.__init__
 
         def spy(self, *args, **kwargs):
             init(self, *args, **kwargs)
-            built.append(len(self.sample_ids))
+            built.append(1)
 
-        monkeypatch.setattr(SampleColumns, "__init__", spy)
+        monkeypatch.setattr(SampleMetadata, "__init__", spy)
         return built
 
-    def test_mixture_plan_builds_only_selected_rows(self, monkeypatch):
-        """fig22's middle point: 16 sources x 1024 deep, a 64-sample mixture
-        plan.  The gather takes each loader's buffer rows as they are: no
-        loader rebuilds a record list over its buffer for the plan."""
+    def test_mixture_plan_builds_no_record(self, monkeypatch):
+        """fig22's middle point: 16 sources x 1024 deep, a 64-sample mixture plan."""
         depth, num_sources, batch = 1024, 16, 64
         filesystem = SimulatedFileSystem()
         catalog = build_source_catalog(
@@ -511,7 +526,7 @@ class TestArrayBuildsPerPlan:
             mixture=mixture,
         )
         planner.register_loaders(handles)
-        built = self._spy_rows_built(monkeypatch)
+        built = self._spy_records(monkeypatch)
         summaries: list[str] = []
         summary_buffer = SourceLoader.summary_buffer
 
@@ -521,20 +536,21 @@ class TestArrayBuildsPerPlan:
 
         monkeypatch.setattr(SourceLoader, "summary_buffer", spy_summary)
         for step in range(3):
-            built.clear()
-            summaries.clear()
             plan = planner.generate_plan(step)
             assert plan.total_samples() == batch
-            assert 0 < sum(built) <= 2 * batch, built
+            assert built == []
             assert summaries == []
             for handle in handles:
                 ids = plan.source_demands.get(handle.instance().source.name, [])
                 if ids:
                     handle.call("replay_demands", list(ids))
+        # Records are still there on demand.
+        assert len(plan.module("backbone").bucket_samples()) == 4
+        assert len(built) == batch
 
-    def test_sized_path_builds_only_the_batch(self, monkeypatch):
-        """The auto-sized strategy: ``bound_buffer`` rotates each source's
-        records, then the mix builds the batch's arrays."""
+    def test_sized_path_builds_no_record(self, monkeypatch):
+        """The auto-sized strategy: ``bound_buffer`` cuts the gathered set by
+        source runs, then the mix selects the batch."""
         system = MegaScaleData.deploy(
             TrainingJobSpec(
                 pp=1, dp=2, cp=1, tp=1, encoder=None, strategy="backbone_balance",
@@ -543,12 +559,11 @@ class TestArrayBuildsPerPlan:
             )
         )
         try:
-            system.run_step()  # the gather's one-time resync
-            built = self._spy_rows_built(monkeypatch)
+            system.run_step()
+            built = self._spy_records(monkeypatch)
             for _ in range(3):
-                built.clear()
-                planned = system.run_step().plan.total_samples()
-                assert 0 < sum(built) <= 2 * planned, built
+                assert system.run_step().plan.total_samples() > 0
+                assert built == []
         finally:
             system.shutdown()
 
@@ -581,5 +596,28 @@ class TestEmptyBufferBucketing:
         )
         planner.register_loaders(handles)
         infos, _ = planner.gather_buffer_columns()
-        assert set(infos) == {source.name}
-        assert len(infos[source.name]) == 8
+        assert infos.sources == (source.name,)
+        assert len(infos) == 8
+
+
+@pytest.mark.parametrize("job", [TrainingJobSpec.vlm_example, TrainingJobSpec.text_example])
+def test_a_plan_is_validated_once_where_it_is_built(job, monkeypatch):
+    """``DGraph.plan`` validates each module plan; the Planner then checks only
+    that the assigned ids are among the demands."""
+    from dataclasses import replace
+
+    from repro.core.plans import ModulePlan
+
+    validated = []
+    plain = ModulePlan.validate
+    monkeypatch.setattr(
+        ModulePlan, "validate", lambda plan: validated.append(plan.module) or plain(plan)
+    )
+    system = MegaScaleData.deploy(replace(job(), prefetch_depth=0))
+    try:
+        system.run_step()
+        validated.clear()
+        plan = system.run_step().plan
+        assert sorted(validated) == sorted(plan.modules)
+    finally:
+        system.shutdown()

@@ -7,11 +7,11 @@ import pytest
 from repro.core.plans import (
     LoaderScalingDirective,
     LoadingPlan,
-    MicrobatchAssignment,
     ModulePlan,
     ScalingPlan,
 )
 from repro.errors import PlanError
+from conftest import assignment_of
 
 
 def make_module_plan(sample_factory, buckets=2, microbatches=2):
@@ -21,14 +21,7 @@ def make_module_plan(sample_factory, buckets=2, microbatches=2):
         for mb in range(microbatches):
             samples = (sample_factory(sid), sample_factory(sid + 1))
             sid += 2
-            plan.assignments.append(
-                MicrobatchAssignment(
-                    bucket_index=bucket,
-                    microbatch_index=mb,
-                    samples=samples,
-                    estimated_cost=float(sid),
-                )
-            )
+            plan.assignments.append(assignment_of(bucket, mb, samples, float(sid)))
     return plan
 
 
@@ -40,19 +33,19 @@ class TestModulePlan:
         assert all(a.bucket_index == 1 for a in assignments)
 
     def test_bucket_costs(self, sample_factory):
+        """Each assignment keeps the cost the balancer packed it by."""
         plan = make_module_plan(sample_factory)
-        costs = plan.bucket_costs()
-        assert len(costs) == 2
-        assert all(cost > 0 for cost in costs)
+        costs = [a.estimated_cost for a in plan.assignments]
+        assert costs == [2.0, 4.0, 6.0, 8.0]
 
     def test_all_sample_ids(self, sample_factory):
         plan = make_module_plan(sample_factory)
-        assert len(plan.all_sample_ids()) == 8
+        assert len({i for a in plan.assignments for i in a.sample_ids()}) == 8
 
     def test_validate_rejects_out_of_range_bucket(self, sample_factory):
         plan = make_module_plan(sample_factory)
         plan.assignments.append(
-            MicrobatchAssignment(bucket_index=5, microbatch_index=0, samples=(sample_factory(99),))
+            assignment_of(5, 0, [sample_factory(99)])
         )
         with pytest.raises(PlanError):
             plan.validate()
@@ -66,13 +59,13 @@ class TestModulePlan:
     def test_bucket_samples_pads_each_bucket_to_num_microbatches(self, sample_factory):
         plan = ModulePlan(module="backbone", axis="DP", num_buckets=2, num_microbatches=3)
         plan.assignments.append(
-            MicrobatchAssignment(bucket_index=1, microbatch_index=0, samples=(sample_factory(4),))
+            assignment_of(1, 0, [sample_factory(4)])
         )
         plan.assignments.append(
-            MicrobatchAssignment(bucket_index=0, microbatch_index=1, samples=(sample_factory(2),))
+            assignment_of(0, 1, [sample_factory(2)])
         )
         plan.assignments.append(
-            MicrobatchAssignment(bucket_index=0, microbatch_index=0, samples=(sample_factory(1),))
+            assignment_of(0, 0, [sample_factory(1)])
         )
         buckets = plan.bucket_samples()
         assert [[[s.sample_id for s in mb] for mb in bucket] for bucket in buckets] == [
@@ -81,10 +74,8 @@ class TestModulePlan:
         ]
 
     def test_assignment_helpers(self, sample_factory):
-        assignment = MicrobatchAssignment(
-            bucket_index=0,
-            microbatch_index=0,
-            samples=(sample_factory(1, text_tokens=10), sample_factory(2, text_tokens=20)),
+        assignment = assignment_of(
+            0, 0, [sample_factory(1, text_tokens=10), sample_factory(2, text_tokens=20)]
         )
         assert assignment.total_tokens() == 30
         assert assignment.sample_ids() == [1, 2]
@@ -96,7 +87,7 @@ class TestLoadingPlan:
         plan = LoadingPlan(step=0, modules={"backbone": module})
         with pytest.raises(PlanError):
             plan.validate()
-        plan.source_demands = {"src": sorted(module.all_sample_ids())}
+        plan.source_demands = {"src": sorted({i for a in module.assignments for i in a.sample_ids()})}
         plan.validate()
 
     def test_module_lookup(self, sample_factory):
@@ -110,7 +101,7 @@ class TestLoadingPlan:
         plan = LoadingPlan(
             step=0,
             modules={"backbone": module},
-            source_demands={"src": sorted(module.all_sample_ids())},
+            source_demands={"src": sorted({i for a in module.assignments for i in a.sample_ids()})},
         )
         assert plan.total_samples() == 8
         assert plan.metadata_bytes() > 1024

@@ -16,9 +16,11 @@ from repro.actors.runtime import ActorSystem, ClusterSpec
 from repro.core import source_loader
 from repro.core.framework import MegaScaleData, TrainingJobSpec
 from repro.core.source_loader import WORKER_CONTEXT_BYTES, SourceLoader
-from repro.data.sources import SourceCursor
-from repro.data.synthetic import build_source_catalog, navit_like_spec
+from repro.data.samples import Modality, Sample, metadata_from_record
+from repro.data.sources import DataSource, SourceCursor, SourcePreprocessingProfile
+from repro.data.synthetic import SAMPLE_SCHEMA, build_source_catalog, navit_like_spec
 from repro.errors import PlanError
+from repro.storage.columnar import write_columnar_file
 from repro.storage.filesystem import SimulatedFileSystem
 from repro.transforms.sample import AudioFeaturize, ImageDecode, TextTokenize
 from repro.utils.units import GIB
@@ -162,7 +164,7 @@ class TestPrepareAndFetch:
         with pytest.raises(RuntimeError, match="store unavailable"):
             handle.call("poll", 2, 2)
         ticket = loader._tickets[2]
-        assert [row[0].sample_id for row in ticket.rows] == ids
+        assert loader._rows[0][ticket.slots].tolist() == ids
         assert loader.staged_count() == 4
         assert loader.ledger.live_bytes("sample_payload") == ticket.staged_bytes > 0
         assert system.gcs.keys("prepared/") == []
@@ -276,22 +278,23 @@ class TestBufferDeltaProtocol:
         reply = handle.call("buffer_delta")
         assert not reply["resync"]
         assert reply["changes"] == 0
-        assert [row[0] for row in reply["buffer"]] == handle.instance().summary_buffer()
+        assert reply_records(reply) == handle.instance().summary_buffer()
 
     def test_gather_replies_the_rows_the_loader_buffers(
         self, system, small_catalog, filesystem
     ):
-        """The reply is a fresh list over the loader's own buffer rows: no
-        row is rebuilt, and the loader's later churn never reaches it."""
+        """The reply copies the loader's buffered id and token columns: the
+        loader's later churn never reaches it."""
         handle = spawn_loader(system, small_catalog, filesystem, buffer_size=8)
         loader = handle.instance()
         reply = handle.call("buffer_delta")
-        held = list(loader._buffer.values())
-        assert len(reply["buffer"]) == len(held) == 8
-        assert all(row is buffered for row, buffered in zip(reply["buffer"], held))
-        ids = [m.sample_id for m in loader.summary_buffer()[:2]]
-        handle.call("prepare", ids)
-        assert reply["buffer"] == held
+        held = loader.summary_buffer()
+        assert reply["sample_ids"].tolist() == [m.sample_id for m in held]
+        assert reply["text_tokens"].tolist() == [m.text_tokens for m in held]
+        assert reply["image_tokens"].tolist() == [m.image_tokens for m in held]
+        handle.call("prepare", [m.sample_id for m in held[:2]])
+        handle.call("refill")
+        assert reply_records(reply) == held
 
     def test_declared_source_names_the_deployed_source(
         self, system, small_catalog, filesystem
@@ -447,8 +450,8 @@ def test_gather_reports_the_buffer_its_changes_and_rebuilds(buffer_size, shard_c
     changes, rebuilt = 0, True
 
     def assert_ledger_conserved():
-        held = [row for entry in loader._tickets.values() for row in entry.rows]
-        assert loader.ledger.live_bytes("sample_payload") == sum(row[2] for row in held)
+        held = [slot for entry in loader._tickets.values() for slot in entry.slots]
+        assert loader.ledger.live_bytes("sample_payload") == int(loader._rows[4][held].sum())
         assert loader.ledger.live_bytes("prefetch_buffer") == (
             source_loader.BUFFERED_METADATA_BYTES * loader.buffer_depth()
         )
@@ -460,7 +463,7 @@ def test_gather_reports_the_buffer_its_changes_and_rebuilds(buffer_size, shard_c
         added = loader.stats.samples_buffered
         if op == "gather":
             reply = handle.call("buffer_delta")
-            assert [row[0] for row in reply["buffer"]] == loader.summary_buffer()
+            assert reply_records(reply) == loader.summary_buffer()
             assert reply["resync"] is rebuilt
             if not rebuilt:
                 assert reply["changes"] == changes
@@ -521,6 +524,11 @@ def test_gather_reports_the_buffer_its_changes_and_rebuilds(buffer_size, shard_c
 # -- a row is costed once per process, per cost key ------------------------------------
 
 
+def reply_records(reply):
+    """The records of a ``buffer_delta`` reply's rows, built by its reader."""
+    return reply["records"](reply["sample_ids"].tolist())
+
+
 def fresh_catalog(samples_per_source=64):
     """A catalog over its own files: rows nothing has read or costed yet."""
     filesystem = SimulatedFileSystem()
@@ -568,7 +576,7 @@ def test_concurrent_first_reads_cost_every_row_whole():
             def read(reader):
                 for _ in range(source.num_samples // chunk):
                     barrier.wait()
-                    got[reader].extend(cursors[reader].take_costed(chunk, key, cost))
+                    got[reader].append(cursors[reader].take_costed(chunk, key, cost))
 
             threads = [threading.Thread(target=read, args=(r,)) for r in range(readers)]
             for thread in threads:
@@ -576,7 +584,9 @@ def test_concurrent_first_reads_cost_every_row_whole():
             for thread in threads:
                 thread.join(timeout=60)
                 assert not thread.is_alive()
-            assert all(rows == expected for rows in got)
+            expected = [column.tolist() for column in expected]
+            for parts in got:
+                assert [sum((part[i].tolist() for part in parts), []) for i in range(5)] == expected
     finally:
         sys.setswitchinterval(interval)
 
@@ -622,3 +632,98 @@ class TestMetadataOnlyPrepare:
 
     def test_the_loader_builds_no_sample_objects(self):
         assert "Sample(" not in inspect.getsource(source_loader)
+
+
+# -- vectorized row costs against the per-sample pipeline -------------------------------
+
+
+cost_rows = st.lists(
+    st.fixed_dictionaries({
+        "modality": st.sampled_from(["text", "image", "video", "audio"]),
+        "text_tokens": st.integers(0, 9000),
+        # Zero-patch images and images past ``ImageCrop.max_patches`` included.
+        "image_tokens": st.one_of(st.integers(0, 600), st.integers(16000, 17000)),
+        "video_frames": st.integers(0, 300),
+        "audio_seconds": st.floats(0.0, 100.0, allow_nan=False),
+        "raw_bytes": st.integers(0, 10**7),
+        "decoded_bytes": st.integers(0, 10**8),
+    }),
+    min_size=1,
+    max_size=30,
+)
+
+
+@given(
+    rows=cost_rows,
+    modality=st.sampled_from(list(Modality)),
+    cost_per_token=st.floats(0.01, 500.0, allow_nan=False),
+    fixed_cost_s=st.floats(0.0, 0.01, allow_nan=False),
+    rows_per_group=st.integers(1, 12),
+)
+@settings(max_examples=150, deadline=None)
+def test_vectorized_row_costs_equal_the_per_sample_pipeline(
+    rows, modality, cost_per_token, fixed_cost_s, rows_per_group
+):
+    """A loader's row-group costs are, row for row and bit for bit, what
+    ``TransformPipeline.run`` charges and ships for that sample, scaled by the
+    source's cost profile: every modality's chain, crop-capped images, and
+    row groups mixing modalities the source's chain treats differently."""
+    records = [{"sample_id": 500 + index, **row} for index, row in enumerate(rows)]
+    file = write_columnar_file("/costs/0", records, SAMPLE_SCHEMA, rows_per_group=rows_per_group)
+    filesystem = SimulatedFileSystem()
+    filesystem.write(file.path, file, size_bytes=file.total_bytes(), kind="columnar")
+    source = DataSource(
+        name="costs", modality=modality, paths=(file.path,), num_samples=len(records),
+        profile=SourcePreprocessingProfile(cost_per_token=cost_per_token, fixed_cost_s=fixed_cost_s),
+    )
+    loader = SourceLoader(source, filesystem)
+    cursor = SourceCursor(source, filesystem)
+    ids, text, image, latency, size = cursor.take_costed(
+        len(records), loader._cost_key, loader._cost_columns
+    )
+    expected = [
+        loader.pipeline.run(Sample(metadata=metadata_from_record(record, source.name)))
+        for record in records
+    ]
+    assert ids.tolist() == [record["sample_id"] for record in records]
+    assert text.tolist() == [record["text_tokens"] for record in records]
+    # The hand-off carries the stored patches, not the crop's.
+    assert image.tolist() == [record["image_tokens"] for record in records]
+    assert latency.tolist() == [
+        result.latency_s * loader._latency_scale + fixed_cost_s for result in expected
+    ]
+    assert size.tolist() == [result.transferred_bytes for result in expected]
+
+
+class TestReplaySnapshots:
+    def test_a_snapshot_carries_ids_and_a_restore_costs_nothing(
+        self, system, small_catalog, filesystem, monkeypatch
+    ):
+        """The snapshot holds the cursor and the buffered ids (Python ints);
+        restoring reads the rows' costs back from their row groups, so a
+        restored loader charges exactly what the original would."""
+        original = spawn_loader(system, small_catalog, filesystem, buffer_size=12).instance()
+        snapshot = original.replay_checkpoint()
+        assert set(snapshot) == {"source", "shard_index", "shard_count", "cursor", "buffer"}
+        assert snapshot["buffer"] == [m.sample_id for m in original.summary_buffer()]
+        assert all(type(sample_id) is int for sample_id in snapshot["buffer"])
+
+        restored = spawn_loader(system, small_catalog, filesystem, buffer_size=12).instance()
+        costed = []
+        plain = SourceLoader._cost_columns
+        monkeypatch.setattr(
+            SourceLoader, "_cost_columns",
+            lambda loader, columns: costed.append(1) or plain(loader, columns),
+        )
+        restored.restore_replay_checkpoint(snapshot)
+        assert costed == []
+        assert restored.summary_buffer() == original.summary_buffer()
+        ids = snapshot["buffer"][1:7]
+        replies = [handle_of(system, loader).call("prepare", ids) for loader in (original, restored)]
+        for reply in replies:
+            system.gcs.take(reply.pop("key"))
+        assert replies[0] == replies[1]
+
+
+def handle_of(system, loader):
+    return next(handle for handle in system.handles() if handle.name == loader.actor_name)

@@ -18,6 +18,7 @@ from repro.data.mixture import MixtureSchedule
 from repro.errors import BackpressureError, ConfigurationError, PlanError
 from repro.metrics.timeline import DATA_PLANE_ROLES
 from repro.parallelism.mesh import DeviceMesh
+from conftest import prepared_rows
 
 
 def make_job(prefetch_depth: int, **overrides) -> TrainingJobSpec:
@@ -32,7 +33,7 @@ def make_job(prefetch_depth: int, **overrides) -> TrainingJobSpec:
 
 def prepared_columns(samples) -> PreparedColumns:
     """The hand-off a loader would publish for ``samples``."""
-    return PreparedColumns.from_rows(
+    return prepared_rows(
         [(s.sample_id, s.text_tokens, s.image_tokens, s.raw_bytes) for s in samples]
     )
 

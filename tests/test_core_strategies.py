@@ -88,8 +88,8 @@ class TestHybrid:
 
     def test_encoder_samples_subset_of_backbone(self, buffer_infos, tree):
         plan = hybrid_vlm_strategy(StrategyConfig(num_microbatches=2))(buffer_infos, tree, 0, 0)
-        backbone_ids = plan.module.all_sample_ids()
-        encoder_ids = plan.subplan["encoder"].module.all_sample_ids()
+        backbone_ids = {i for a in plan.module.assignments for i in a.sample_ids()}
+        encoder_ids = {i for a in plan.subplan["encoder"].module.assignments for i in a.sample_ids()}
         assert encoder_ids <= backbone_ids
 
     def test_all_source_demands_merges_subplans(self, buffer_infos, tree):

@@ -21,6 +21,11 @@ from repro.storage.columnar import ColumnSchema, write_columnar_file
 from repro.storage.filesystem import SimulatedFileSystem
 
 
+def take(cursor, count):
+    """The records of the cursor's next ``count`` rows."""
+    return [cursor.next_metadata() for _ in range(count)]
+
+
 def make_source(name="s", modality=Modality.TEXT, num_samples=10):
     return DataSource(
         name=name, modality=modality, paths=("/data/x",), num_samples=num_samples
@@ -109,8 +114,8 @@ class TestSourceCursor:
         source = catalog.sources()[0]
         shard0 = SourceCursor(source, filesystem, shard_index=0, shard_count=2)
         shard1 = SourceCursor(source, filesystem, shard_index=1, shard_count=2)
-        ids0 = {m.sample_id for m in shard0.take(source.num_samples // 2)}
-        ids1 = {m.sample_id for m in shard1.take(source.num_samples // 2)}
+        ids0 = {m.sample_id for m in take(shard0, source.num_samples // 2)}
+        ids1 = {m.sample_id for m in take(shard1, source.num_samples // 2)}
         assert not ids0 & ids1
 
     def test_invalid_shard_rejected(self, filesystem, catalog):
@@ -121,7 +126,7 @@ class TestSourceCursor:
     def test_state_dict_roundtrip(self, filesystem, catalog):
         source = catalog.sources()[0]
         cursor = SourceCursor(source, filesystem)
-        cursor.take(5)
+        take(cursor, 5)
         state = cursor.state_dict()
         other = SourceCursor(source, filesystem)
         other.load_state_dict(state)
@@ -179,6 +184,11 @@ def per_row_read(located, source):
     return [metadata_from_record(file.read_row(row), source.name) for file, row in located]
 
 
+def toy_cost(columns):
+    """A stand-in for a loader's row costing: reads two metadata columns."""
+    return columns["text_tokens"] * 0.5 + 1.0, columns["raw_bytes"] + 7
+
+
 @given(
     file_rows=st.lists(st.integers(1, 23), min_size=1, max_size=3),
     rows_per_group=st.integers(1, 9),
@@ -192,7 +202,7 @@ def per_row_read(located, source):
     reads=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 40)), min_size=1, max_size=8),
 )
 @settings(max_examples=150, deadline=None)
-def test_take_columns_equals_the_per_row_read(
+def test_chunked_reads_equal_the_per_row_read(
     file_rows, rows_per_group, full_schema, shards, reads
 ):
     source, filesystem, files = write_source(file_rows, rows_per_group, full_schema)
@@ -201,62 +211,88 @@ def test_take_columns_equals_the_per_row_read(
         return SourceCursor(source, filesystem, start_fraction, shard_index, shard_count)
 
     # Several cursors over the same files, each with its own shard and start,
-    # read in interleaved chunks (a chunked and a row-by-row cursor per shard).
+    # read in interleaved chunks: records, costed rows and row by row.
     shards = [(pick % count, count, fraction) for count, pick, fraction in shards]
-    readers = [(cursor(*shard), cursor(*shard), reference_rows(files, *shard)) for shard in shards]
-    served = {}  # (path, row) -> the one record every cursor hands out for it
+    readers = [
+        (cursor(*shard), cursor(*shard), cursor(*shard), reference_rows(files, *shard))
+        for shard in shards
+    ]
     for pick, count in reads:
-        chunked, by_row, rows = readers[pick % len(readers)]
+        chunked, costed, by_row, rows = readers[pick % len(readers)]
         if not rows:
             with pytest.raises(ConfigurationError):
-                chunked.take_columns(1)
+                take(chunked, 1)
+            with pytest.raises(ConfigurationError):
+                costed.take_costed(1, ("toy",), toy_cost)
             continue
         start = chunked.position
         located = [rows[(start + k) % len(rows)] for k in range(count)]
-        chunk = chunked.take_columns(count)
         expected = per_row_read(located, source)
-        assert chunk.records == expected
-        assert chunk.sample_id == [record.sample_id for record in expected]
-        assert chunk.modality == [record.modality for record in expected]
-        for column in ("text_tokens", "image_tokens", "video_frames", "raw_bytes", "decoded_bytes"):
-            assert getattr(chunk, column) == [getattr(record, column) for record in expected]
-        by_row_records = [by_row.next_metadata() for _ in range(count)]
-        for (file, row), record, again in zip(located, chunk.records, by_row_records):
-            assert record is again is served.setdefault((file.path, row), record)
-        assert chunked.position == by_row.position == start + count
+        assert take(chunked, count) == expected
+        ids, text, image, latency, size = costed.take_costed(count, ("toy",), toy_cost)
+        assert ids.tolist() == [record.sample_id for record in expected]
+        assert text.tolist() == [record.text_tokens for record in expected]
+        assert image.tolist() == [record.image_tokens for record in expected]
+        assert latency.tolist() == [record.text_tokens * 0.5 + 1.0 for record in expected]
+        assert size.tolist() == [record.raw_bytes + 7 for record in expected]
+        assert [by_row.next_metadata() for _ in range(count)] == expected
+        assert by_row.records([record.sample_id for record in expected]) == expected
+        restored = costed.costed_rows(ids.tolist(), ("toy",), toy_cost)
+        assert all(a.tolist() == b.tolist() for a, b in zip(restored, (ids, text, image, latency, size)))
+        assert chunked.position == costed.position == by_row.position == start + count
         assert chunked.state_dict() == by_row.state_dict()
-    widest = max(range(len(readers)), key=lambda index: len(readers[index][2]))
-    chunked, _, rows = readers[widest]
+    widest = max(range(len(readers)), key=lambda index: len(readers[index][3]))
+    chunked, _, _, rows = readers[widest]
     if not rows:
         return
     # The state round-trips, also once the position is past a wrap.
-    chunked.take_columns(len(rows))
+    take(chunked, len(rows))
     resumed = cursor(*shards[widest])
     resumed.load_state_dict(chunked.state_dict())
-    assert resumed.take_columns(len(rows) + 2).records == chunked.take_columns(len(rows) + 2).records
-    # Peeking reads ahead without moving the cursor.
+    assert take(resumed, len(rows) + 2) == take(chunked, len(rows) + 2)
+    # A rewind gives back rows read past where a refill stops.
     state = resumed.state_dict()
-    ahead = resumed.peek_ids(len(rows) + 3)
+    ahead = resumed.take_costed(len(rows) + 3, ("toy",), toy_cost)[0].tolist()
+    resumed.rewind(len(rows) + 3)
     assert resumed.state_dict() == state
-    assert resumed.take_columns(len(rows) + 3).sample_id == ahead
+    assert [record.sample_id for record in take(resumed, len(rows) + 3)] == ahead
     # A rewritten path is new row groups: a cursor opened afterwards reads the
     # new rows, a cursor opened before keeps reading the file it opened.
     write_source(file_rows, rows_per_group, full_schema, filesystem, first_id=5000)
     total = sum(file_rows)
-    assert [r.sample_id for r in SourceCursor(source, filesystem).take(total)] == list(
+    assert [r.sample_id for r in take(SourceCursor(source, filesystem), total)] == list(
         range(5000, 5000 + total)
     )
     start = chunked.position
-    assert chunked.take(len(rows)) == per_row_read(
+    assert take(chunked, len(rows)) == per_row_read(
         [rows[(start + k) % len(rows)] for k in range(len(rows))], source
     )
 
 
-def test_cursors_racing_to_decode_the_same_rows_serve_whole_records():
-    """``backend="wallclock"`` runs loaders on threads: a racing fill of the shared
-    decoded copy may decode a row twice but never hands out a missing or partial one."""
+def test_a_row_group_is_costed_once_per_key():
+    source, filesystem, files = write_source([20], rows_per_group=8, full_schema=True)
+    calls = []
+
+    def counting_cost(columns):
+        calls.append(len(columns["text_tokens"]))
+        return toy_cost(columns)
+
+    first, second = SourceCursor(source, filesystem), SourceCursor(source, filesystem)
+    first.take_costed(5, ("counted",), counting_cost)
+    second.take_costed(20, ("counted",), counting_cost)
+    first.take_costed(20, ("counted",), counting_cost)
+    # Whole groups, each once: 8 + 8 + 4 rows, whatever cursor read them.
+    assert calls == [8, 8, 4]
+    assert [group.costs[("counted",)][0].tolist() for group in files[0].row_groups] == [
+        toy_cost(dict(group.columns))[0].tolist() for group in files[0].row_groups
+    ]
+
+
+def test_cursors_racing_to_cost_the_same_rows_agree():
+    """``backend="wallclock"`` runs loaders on threads: cursors racing to cost a
+    row group may compute its costs twice, but every cursor reads one result."""
     source, filesystem, files = write_source([97, 64], rows_per_group=16, full_schema=True)
-    expected = per_row_read(reference_rows(files, 0, 1, 0.0), source)
+    expected = SourceCursor(source, filesystem).take_costed(161, ("reference",), toy_cost)
     workers = 6
     barrier = threading.Barrier(workers)
     results, errors = {}, []
@@ -265,10 +301,11 @@ def test_cursors_racing_to_decode_the_same_rows_serve_whole_records():
         try:
             cursor = SourceCursor(source, filesystem, start_fraction=0.0)
             barrier.wait(timeout=10)
-            records = []
-            while len(records) < len(expected):
-                records += cursor.take(min(worker + 3, len(expected) - len(records)))
-            results[worker] = records
+            parts = []
+            while sum(len(part[0]) for part in parts) < 161:
+                taken = sum(len(part[0]) for part in parts)
+                parts.append(cursor.take_costed(min(worker + 3, 161 - taken), ("raced",), toy_cost))
+            results[worker] = [sum((part[i].tolist() for part in parts), []) for i in range(5)]
         except Exception as error:  # noqa: BLE001 - reported by the assert below
             errors.append(error)
 
@@ -284,12 +321,7 @@ def test_cursors_racing_to_decode_the_same_rows_serve_whole_records():
     finally:
         sys.setswitchinterval(interval)
     assert not errors
-    assert all(results[worker] == expected for worker in range(workers))
-    # Once the race is over every cursor is handed the records that settled.
-    settled = SourceCursor(source, filesystem).take(len(expected))
-    assert settled == expected
-    again = SourceCursor(source, filesystem).take(len(expected))
-    assert all(a is b for a, b in zip(settled, again))
+    assert all(results[worker] == [a.tolist() for a in expected] for worker in range(workers))
 
 
 def test_a_file_without_sample_ids_is_corrupt_to_peek_and_to_take():
@@ -303,6 +335,11 @@ def test_a_file_without_sample_ids_is_corrupt_to_peek_and_to_take():
     filesystem.write(file.path, file, size_bytes=file.total_bytes(), kind="columnar")
     source = DataSource(name="p", modality=Modality.TEXT, num_samples=2, paths=(file.path,))
     cursor = SourceCursor(source, filesystem)
-    for read in (cursor.peek_ids, cursor.take_columns):
+    reads = (
+        cursor.next_metadata,
+        lambda: cursor.take_costed(2, ("toy",), toy_cost),
+        lambda: cursor.records([3]),
+    )
+    for read in reads:
         with pytest.raises(CorruptFileError, match="no column 'sample_id'"):
-            read(2)
+            read()

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.framework import MegaScaleData, TrainingJobSpec
 from repro.data.mixture import MixturePhase, MixtureSchedule
+from repro.training.flops import token_arrays
 
 
 class TestVlmEndToEnd:
@@ -54,7 +55,7 @@ class TestVlmEndToEnd:
             chunk = flat[b * per_bucket : (b + 1) * per_bucket]
             per_mb = max(1, (len(chunk) + microbatches - 1) // microbatches)
             arrival.append([chunk[m * per_mb : (m + 1) * per_mb] for m in range(microbatches)])
-        naive = system.simulator.simulate_iteration(arrival)
+        naive = system.simulator.simulate_iteration(token_arrays(arrival))
         assert result.iteration.iteration_time_s <= naive.iteration_time_s * 1.05
 
 

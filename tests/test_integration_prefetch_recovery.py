@@ -181,13 +181,12 @@ def test_recovered_loader_serves_subsequent_prefetch():
         system.shutdown()
 
 
-def test_a_row_is_decoded_once_however_often_it_is_reread(monkeypatch):
+def test_a_row_is_costed_once_however_often_it_is_reread(monkeypatch):
     """Mirrors, flush rewinds, restarts and ``restore`` re-read rows the process
-    already decoded and costed: none of those reads may build a
-    ``SampleMetadata`` again, nor refill a buffer by costing a row again."""
+    already costed: each row group is costed once per cost key, whoever reads
+    it, and no read builds a ``SampleMetadata``."""
     from repro.data import sources
     from repro.data.mixture import MixtureSchedule
-    from repro.transforms.pipeline import TransformPipeline
 
     built = []
     plain_record = sources.SampleMetadata
@@ -199,40 +198,23 @@ def test_a_row_is_decoded_once_however_often_it_is_reread(monkeypatch):
 
     def take_costed(cursor, count, key, cost):
         rows = plain_take(cursor, count, key, cost)
-        served.extend((cursor.source.name, row[0].sample_id) for row in rows)
+        served.extend((cursor.source.name, sample_id) for sample_id in rows[0].tolist())
         return rows
 
     monkeypatch.setattr(sources.SourceCursor, "take_costed", take_costed)
 
-    # Every row the transform pipeline costs: (loader method, source, sample id).
+    # Every (row group, cost key) the loaders' costing runs for.
     costed = []
-    callers = []
+    plain_costed = sources.SourceCursor._costed
 
-    def traced(method):
-        plain = getattr(SourceLoader, method)
+    def costed_rows(cursor, group, picked, key, cost):
+        def counted(columns):
+            costed.append((id(group), key))
+            return cost(columns)
 
-        def call(loader, *args):
-            callers.append(method)
-            try:
-                return plain(loader, *args)
-            finally:
-                callers.pop()
+        return plain_costed(cursor, group, picked, key, counted)
 
-        monkeypatch.setattr(SourceLoader, method, call)
-
-    for method in ("refill", "restore_replay_checkpoint", "_stage"):
-        traced(method)
-    plain_run = TransformPipeline.run_columns
-
-    def run_columns(pipeline, chunk):
-        # A mixed-modality chunk is costed one modality at a time, through
-        # this same method: its rows are counted there, once.
-        if len(set(chunk.modality)) < 2:
-            caller = callers[-1] if callers else None
-            costed.extend((caller, m.source, m.sample_id) for m in chunk.records)
-        return plain_run(pipeline, chunk)
-
-    monkeypatch.setattr(TransformPipeline, "run_columns", run_columns)
+    monkeypatch.setattr(sources.SourceCursor, "_costed", costed_rows)
 
     job = TrainingJobSpec(
         pp=1, dp=2, cp=1, tp=1, encoder=None, strategy="backbone_balance",
@@ -278,14 +260,8 @@ def test_a_row_is_decoded_once_however_often_it_is_reread(monkeypatch):
     finally:
         system.shutdown()
     assert len(served) > 3 * len(set(served))  # the scenario does re-read
-    assert len(built) <= len(set(served))
-    refilled = [(source, sample_id) for caller, source, sample_id in costed if caller == "refill"]
-    assert refilled and len(refilled) == len(set(refilled))
-    # What is still costed again: a restored snapshot's buffer, and a demanded
-    # id the loader no longer buffers.
-    others = {caller for caller, *_ in costed} - {"refill"}
-    assert "restore_replay_checkpoint" in others
-    assert others <= {"restore_replay_checkpoint", "_stage"}
+    assert built == []
+    assert costed and len(costed) == len(set(costed))
 
 
 # -- planner faults: one policy at every depth ---------------------------------------

@@ -6,7 +6,8 @@ An AST scan collects each module-level and class-level ``def`` / ``class`` in
 an identifier-shaped string constant (``handle.call("poll")``, the tracer's
 ``LAYERS``). ``__all__`` lists and package re-exports are not references,
 and neither is a reference made inside the definition's own body (recursion,
-a method naming itself in a string). Matching is by name alone, so it errs
+a method naming itself in a string) nor the object of an attribute store
+(``cost_fn.columns_eval = ...`` decorates a function, it does not use it). Matching is by name alone, so it errs
 towards keeping code: ``ColumnarReader.read_row`` lives because
 ``ColumnarFile.read_row`` is called.
 
@@ -84,6 +85,8 @@ def _references(path: Path):
     for node in ast.walk(tree):
         if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and _is_dunder_all(node):
             skip.update(id(sub) for sub in ast.walk(node))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            skip.add(id(node.value))
     yield from _names(tree, skip, reexports)
 
 

@@ -14,6 +14,7 @@ from repro.training.flops import (
     mlp_flops,
     model_flops,
     packed_backbone_flops,
+    token_arrays,
     transformer_layer_flops,
 )
 from repro.training.models import llama_12b, mixtral_8x7b, vit_1b, vit_2b
@@ -71,18 +72,18 @@ class TestModelFlops:
 
     def test_microbatch_flops_components(self, sample_factory):
         samples = [sample_factory(i, text_tokens=64, image_tokens=256) for i in range(4)]
-        flops = microbatch_flops(samples, vit_1b(), llama_12b())
+        flops = microbatch_flops(token_arrays([[samples]])[0][0], vit_1b(), llama_12b())
         assert flops["encoder_flops"] > 0
         assert flops["backbone_flops"] > 0
 
     def test_microbatch_backbone_packs_its_samples(self, sample_factory):
         samples = [sample_factory(i, text_tokens=64 * (i + 1)) for i in range(4)]
-        flops = microbatch_flops(samples, None, llama_12b())
+        flops = microbatch_flops(token_arrays([[samples]])[0][0], None, llama_12b())
         assert flops["backbone_flops"] == packed_backbone_flops([64, 128, 192, 256], llama_12b())
 
     def test_microbatch_without_encoder(self, sample_factory):
         samples = [sample_factory(i, text_tokens=64) for i in range(4)]
-        flops = microbatch_flops(samples, None, llama_12b())
+        flops = microbatch_flops(token_arrays([[samples]])[0][0], None, llama_12b())
         assert flops["encoder_flops"] == 0.0
 
 
@@ -92,13 +93,13 @@ class TestImbalance:
             [[sample_factory(0, text_tokens=100)], [sample_factory(1, text_tokens=1000)]],
             [[sample_factory(2, text_tokens=500)], [sample_factory(3, text_tokens=500)]],
         ]
-        matrix = flops_imbalance_matrix(assignments, None, llama_12b())
+        matrix = flops_imbalance_matrix(token_arrays(assignments), None, llama_12b())
         assert matrix.shape == (2, 2)
         assert imbalance_ratio(matrix) > 1.5
 
     def test_balanced_matrix_ratio_is_one(self, sample_factory):
         assignments = [[[sample_factory(i, text_tokens=100)]] for i in range(4)]
-        matrix = flops_imbalance_matrix(assignments, None, llama_12b())
+        matrix = flops_imbalance_matrix(token_arrays(assignments), None, llama_12b())
         assert imbalance_ratio(matrix) == pytest.approx(1.0)
 
     def test_empty_matrix_ratio(self):
@@ -106,4 +107,6 @@ class TestImbalance:
 
     def test_invalid_component(self, sample_factory):
         with pytest.raises(ValueError):
-            flops_imbalance_matrix([[[sample_factory(0)]]], None, llama_12b(), which="vocab")
+            flops_imbalance_matrix(
+                token_arrays([[[sample_factory(0)]]]), None, llama_12b(), which="vocab"
+            )

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.parallelism.mesh import DeviceMesh
+from repro.training.flops import token_arrays
 from repro.training.models import VLMConfig, llama_12b, vit_1b
 from repro.training.simulator import GpuSpec, TrainingSimulator
 
@@ -17,10 +18,10 @@ def assignments_for(sample_factory, dp, microbatches, tokens_per_sample, samples
         counter[0] += 1
         return sample_factory(counter[0], text_tokens=tokens, image_tokens=image_tokens)
 
-    return [
+    return token_arrays([
         [[next_sample(tokens_per_sample) for _ in range(samples_per_mb)] for _ in range(microbatches)]
         for _ in range(dp)
-    ]
+    ])
 
 
 @pytest.fixture()
@@ -87,8 +88,8 @@ class TestScalingBehaviour:
             [[sample_factory(5, text_tokens=1900), sample_factory(6, text_tokens=1900)]],
             [[sample_factory(7, text_tokens=100), sample_factory(8, text_tokens=100)]],
         ]
-        fast = text_simulator.simulate_iteration(balanced)
-        slow = text_simulator.simulate_iteration(imbalanced)
+        fast = text_simulator.simulate_iteration(token_arrays(balanced))
+        slow = text_simulator.simulate_iteration(token_arrays(imbalanced))
         assert slow.iteration_time_s > fast.iteration_time_s
         assert slow.bubble_time_s > fast.bubble_time_s
 
@@ -115,7 +116,7 @@ class TestScalingBehaviour:
             [[sample_factory(1, text_tokens=100)], [sample_factory(2, text_tokens=900)]],
             [[sample_factory(3, text_tokens=500)], [sample_factory(4, text_tokens=500)]],
         ]
-        result = text_simulator.simulate_iteration(assignments)
+        result = text_simulator.simulate_iteration(token_arrays(assignments))
         assert result.peak_activation_tokens == 900
 
     def test_alltoall_grows_with_image_payload(self, sample_factory):

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data.samples import MetadataColumns, Modality, Sample, SampleMetadata
+from repro.data.samples import Modality, Sample, SampleMetadata
 from repro.errors import TransformError
 from repro.transforms.pipeline import TransformPipeline
 from repro.transforms.sample import (
@@ -94,6 +95,17 @@ def test_run_columns_equals_run_sample_by_sample(stages, rows):
     """Mixed-modality chunks: floats and bytes equal exactly."""
     pipeline = TransformPipeline(stages)
     reference = [pipeline.run(Sample(metadata=row)) for row in rows]
-    latencies, transferred = pipeline.run_columns(MetadataColumns.from_records(rows))
-    assert latencies == [result.latency_s for result in reference]
-    assert transferred == [result.transferred_bytes for result in reference]
+    latencies, transferred = pipeline.run_columns(columns_of(rows))
+    assert latencies.dtype == np.float64 and transferred.dtype == np.int64
+    assert latencies.tolist() == [result.latency_s for result in reference]
+    assert transferred.tolist() == [result.transferred_bytes for result in reference]
+
+
+def columns_of(rows):
+    """``rows`` as the typed metadata columns a row group holds."""
+    columns = {
+        name: np.array([getattr(row, name) for row in rows], dtype=np.int64)
+        for name in ("text_tokens", "image_tokens", "video_frames", "raw_bytes", "decoded_bytes")
+    }
+    columns["modality"] = np.array([row.modality.value for row in rows], dtype=str)
+    return columns
