@@ -41,7 +41,7 @@ def _loss_curves(catalog, filesystem):
     for cp in (False, True):
         for balanced in (False, True):
             batches = _build_step_batches(catalog, filesystem, balanced)
-            sim = ConvergenceSimulator(context_parallel=cp, seed=18)
+            sim = ConvergenceSimulator(context_parallel=cp)
             curves[(cp, balanced)] = sim.run(batches)
     return curves
 

@@ -83,7 +83,7 @@ def run_mode(elastic: bool) -> dict:
         scaler.consecutive_intervals = 2
         scaler.window = 3
     try:
-        summary = system.run_training(num_steps=NUM_STEPS, simulate=True)
+        summary = system.run_training(num_steps=NUM_STEPS)
         stall_series = [
             {"step": step, "stall_s": stall, "fleet": fleet}
             for step, stall, fleet in system.trainer_handle.instance().stall_log

@@ -112,22 +112,20 @@ def _time_collation(metas: list[SampleMetadata]) -> dict[str, float]:
     for _ in range(TIMED_REPS):
         gc.collect()
         begin = time.perf_counter()
-        legacy = collate_with_positions(microbatch, MAX_SEQUENCE_LENGTH, packing=True)
+        legacy = collate_with_positions(microbatch, MAX_SEQUENCE_LENGTH)
         legacy_s = min(legacy_s, time.perf_counter() - begin)
     for _ in range(TIMED_REPS * 3):
         gc.collect()
         begin = time.perf_counter()
-        columnar = collate_columns_with_positions(
-            0, sample_ids, lengths, MAX_SEQUENCE_LENGTH, packing=True
-        )
+        columnar = collate_columns_with_positions(0, sample_ids, lengths, MAX_SEQUENCE_LENGTH)
         # Reading the two lazy fields builds them, inside the timed region.
         assert columnar.sequences is not None and columnar.position_ids is not None
         columnar_s = min(columnar_s, time.perf_counter() - begin)
 
     # Identical collations, byte for byte: same bins, segments, positions.
     assert legacy.sample_ids == columnar.sample_ids
-    assert [(s.tokens, s.padding, s.segments) for s in legacy.sequences] == [
-        (s.tokens, s.padding, s.segments) for s in columnar.sequences
+    assert [(s.tokens, s.segments) for s in legacy.sequences] == [
+        (s.tokens, s.segments) for s in columnar.sequences
     ]
     assert np.array_equal(legacy.position_ids, columnar.position_ids)
     assert legacy.total_tokens() == columnar.total_tokens()
@@ -168,7 +166,6 @@ def _assert_deliveries_identical(metas: list[SampleMetadata]) -> None:
         mesh=mesh,
         dp_index=0,
         max_sequence_length=MAX_SEQUENCE_LENGTH,
-        packing=True,
     )
     payload = PreparedColumns(
         *np.array(
@@ -183,9 +180,8 @@ def _assert_deliveries_identical(metas: list[SampleMetadata]) -> None:
         collated = collate_with_positions(
             Microbatch(index=assignment.microbatch_index, samples=list(assignment.samples)),
             MAX_SEQUENCE_LENGTH,
-            packing=True,
         )
-        for piece in build_rank_slices(collated, mesh, dp_index=0):
+        for piece in build_rank_slices(collated, mesh):
             expected.setdefault(piece.rank, RankDelivery(rank=piece.rank)).slices.append(
                 piece
             )

@@ -147,7 +147,7 @@ def run_silos(num_tenants: int) -> dict:
         )
         tune_scaler(deployment)
         try:
-            summary = deployment.run_training(num_steps=NUM_STEPS, simulate=True)
+            summary = deployment.run_training(num_steps=NUM_STEPS)
             per_tenant.append(
                 {
                     "data_stall_time_s": summary["data_stall_time_s"],

@@ -282,7 +282,6 @@ def _assert_seeded_storm_survives(seed: int, mode: str) -> None:
         nodes=["cpu-pod-0"],
         sources=pools["sources"],
         roles=["source_loader"],
-        num_events=4,
     )
     sigs, counts, _, _ = _run_property(mode, storm)
     assert len(sigs) == PROPERTY_STEPS

@@ -74,7 +74,9 @@ def main() -> None:
     result = system.run_step(step=resume_step)
     print(f"step {resume_step} delivered batches to {len(result.deliveries)} ranks")
 
-    ettr = manager.effective_training_time_ratio(iterations=6, iteration_time_s=30.0)
+    # ETTR over six 30 s iterations: productive time / (productive + recovery).
+    productive_s = 6 * 30.0
+    ettr = productive_s / (productive_s + manager.total_recovery_latency())
     print(f"\neffective training time ratio with recoveries: {ettr:.3f}")
     system.shutdown()
 

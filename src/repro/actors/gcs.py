@@ -47,7 +47,7 @@ class GlobalControlStore:
     """In-memory KV store with versioning, namespaces and an actor registry."""
 
     _store: dict[str, _VersionedValue] = field(default_factory=dict, init=False)
-    _actor_registry: dict[str, dict] = field(default_factory=dict, init=False)
+    _actor_registry: set[str] = field(default_factory=set, init=False)
 
     # -- key/value ---------------------------------------------------------------
 
@@ -110,15 +110,11 @@ class GlobalControlStore:
 
     # -- actor registry -----------------------------------------------------------
 
-    def register_actor(self, name: str, info: dict) -> None:
-        self._actor_registry[name] = dict(info)
+    def register_actor(self, name: str) -> None:
+        self._actor_registry.add(name)
 
     def deregister_actor(self, name: str) -> None:
-        self._actor_registry.pop(name, None)
+        self._actor_registry.discard(name)
 
-    def list_actors(self, role: str | None = None) -> list[str]:
-        if role is None:
-            return sorted(self._actor_registry)
-        return sorted(
-            name for name, info in self._actor_registry.items() if info.get("role") == role
-        )
+    def list_actors(self) -> list[str]:
+        return sorted(self._actor_registry)

@@ -36,7 +36,7 @@ from repro.actors.node import (
 )
 from repro.actors.scheduler import PlacementDecision, PlacementRequest, PlacementScheduler
 from repro.actors.virtual import PendingCall, VirtualClock, VirtualEngine
-from repro.errors import ActorDead, ActorError, ActorTimeout, SchedulingError
+from repro.errors import ActorDead, ActorError, SchedulingError
 from repro.metrics.memory import MemoryLedger
 from repro.metrics.timeline import Timeline
 from repro.utils.ids import IdAllocator
@@ -93,22 +93,15 @@ class FailureInjector:
 
     #: Actors that should raise ActorDead on their next call.
     dead_actors: set[str] = field(default_factory=set, init=False)
-    #: Actors whose next call should time out.
-    timeout_actors: set[str] = field(default_factory=set, init=False)
 
     def fail(self, actor_name: str) -> None:
         self.dead_actors.add(actor_name)
 
-    def timeout(self, actor_name: str) -> None:
-        self.timeout_actors.add(actor_name)
-
     def clear(self, actor_name: str | None = None) -> None:
         if actor_name is None:
             self.dead_actors.clear()
-            self.timeout_actors.clear()
         else:
             self.dead_actors.discard(actor_name)
-            self.timeout_actors.discard(actor_name)
 
 
 class ActorSystem:
@@ -298,9 +291,7 @@ class ActorSystem:
         self._retiring.discard(actor_name)
         anchor_s = self.clock.now_s if free_from_s is None else float(free_from_s)
         self.engine.register_actor(actor_name, concurrency, anchor_s)
-        self.gcs.register_actor(
-            actor_name, {"role": role, "node": node.name, "spilled": placement.spilled}
-        )
+        self.gcs.register_actor(actor_name)
         instance.on_start()
         return ActorHandle(self, actor_name)
 
@@ -331,9 +322,7 @@ class ActorSystem:
                 node.reserve(name, old.cpu_cores, old.memory_bytes)
                 raise
             record.request = replace(old, cpu_cores=cpu_cores)
-            self.scheduler.adjust_tenant_usage(
-                old.tenant, name, cpu_cores - old.cpu_cores, 0
-            )
+            self.scheduler.adjust_tenant_usage(old.tenant, name, cpu_cores - old.cpu_cores)
 
     def kill_actor(self, name: str) -> None:
         """Mark an actor failed, releasing its memory (its CPU slot stays reserved
@@ -476,8 +465,6 @@ class ActorSystem:
             # call when a blip/blackout window covers it.  Faults raise before
             # the method body runs, so retried calls re-execute cleanly.
             self.chaos.on_invoke(name, method, record)
-        if name in self.failures.timeout_actors:
-            raise ActorTimeout(f"call to {name}.{method} timed out")
         if record.state is not ActorState.RUNNING or name in self.failures.dead_actors:
             record.state = ActorState.FAILED
             raise ActorDead(f"actor {name!r} is not running")
@@ -655,18 +642,12 @@ class ActorSystem:
     def restart_count(self, name: str) -> int:
         return self._record(name).restart_count
 
-    def handles(self, role: str | None = None) -> list[ActorHandle]:
-        return [ActorHandle(self, name) for name in self.list_actor_names(role)]
-
-    def list_actor_names(self, role: str | None = None) -> list[str]:
-        return [name for name in self.gcs.list_actors(role) if name in self._actors]
+    def list_actor_names(self) -> list[str]:
+        return [name for name in self.gcs.list_actors() if name in self._actors]
 
     def memory_by_node(self) -> dict[str, int]:
         """Live actor-charged memory per node (the Fig. 12 per-node metric)."""
         return {node.name: node.live_memory_bytes() for node in self.nodes}
-
-    def total_memory(self) -> int:
-        return sum(self.memory_by_node().values())
 
     def _record(self, name: str) -> _ActorRecord:
         try:

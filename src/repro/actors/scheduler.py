@@ -126,19 +126,16 @@ class PlacementScheduler:
         usage.cpu_cores = max(0.0, usage.cpu_cores - cpu_cores)
         usage.memory_bytes = max(0, usage.memory_bytes - memory_bytes)
 
-    def adjust_tenant_usage(
-        self, tenant: str | None, actor_name: str, cpu_delta: float, memory_delta: int
-    ) -> None:
-        """Re-book a live actor's reservation (worker-pool resizes bypass place())."""
+    def adjust_tenant_usage(self, tenant: str | None, actor_name: str, cpu_delta: float) -> None:
+        """Re-book a live actor's CPU reservation (worker-pool resizes bypass place())."""
         if tenant is None:
             return
         usage = self._usage.get(tenant)
         if usage is None or actor_name not in usage.actors:
             return
         cpu_cores, memory_bytes = usage.actors[actor_name]
-        usage.actors[actor_name] = (cpu_cores + cpu_delta, memory_bytes + memory_delta)
+        usage.actors[actor_name] = (cpu_cores + cpu_delta, memory_bytes)
         usage.cpu_cores = max(0.0, usage.cpu_cores + cpu_delta)
-        usage.memory_bytes = max(0, usage.memory_bytes + memory_delta)
 
     def tenant_usage(self, tenant: str) -> dict[str, float]:
         usage = self._usage.get(tenant, _TenantUsage())

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 import numpy as np
 
@@ -55,12 +54,8 @@ class LoaderArchitecture:
     caching: bool = False
     #: Reorders transformations to ship compressed payloads (Pecan-style).
     transformation_reordering: bool = False
-    #: Automatically right-sizes the worker count to hide preprocessing.
-    worker_autoscaling: bool = True
     #: Performs any load balancing of samples across ranks/microbatches.
     load_balancing: bool = False
-    #: Default worker count per loader client before autoscaling.
-    base_workers_per_client: ClassVar[int] = 4
 
 
 @dataclass
@@ -113,9 +108,6 @@ class BaselineLoader:
 
     def workers_per_client(self) -> int:
         """Worker processes per loader client (autoscaled to hide preprocessing)."""
-        arch = self.architecture
-        if not arch.worker_autoscaling:
-            return arch.base_workers_per_client
         # Size workers so the slowest source's per-step transform time fits the
         # target iteration time (worst-case provisioning, Sec. 2.3).
         worst_latency = max(

@@ -22,6 +22,5 @@ class CachewLoader(BaselineLoader):
         remote_workers=True,
         caching=True,
         transformation_reordering=False,
-        worker_autoscaling=True,
         load_balancing=False,
     )

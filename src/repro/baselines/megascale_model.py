@@ -38,7 +38,6 @@ class MegaScaleArchitectureModel(BaselineLoader):
         remote_workers=True,
         caching=False,
         transformation_reordering=True,
-        worker_autoscaling=True,
         load_balancing=True,
     )
 

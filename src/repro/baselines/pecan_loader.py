@@ -23,6 +23,5 @@ class PecanLoader(BaselineLoader):
         remote_workers=True,
         caching=False,
         transformation_reordering=True,
-        worker_autoscaling=True,
         load_balancing=False,
     )

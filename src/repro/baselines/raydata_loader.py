@@ -23,7 +23,6 @@ class RayDataLoader(BaselineLoader):
         remote_workers=True,
         caching=False,
         transformation_reordering=False,
-        worker_autoscaling=True,
         load_balancing=False,
     )
 

@@ -24,7 +24,6 @@ class TfDataServiceLoader(BaselineLoader):
         remote_workers=True,
         caching=False,
         transformation_reordering=False,
-        worker_autoscaling=True,
         load_balancing=False,
     )
 

@@ -23,6 +23,5 @@ class TorchColocatedLoader(BaselineLoader):
         remote_workers=False,
         caching=False,
         transformation_reordering=False,
-        worker_autoscaling=True,
         load_balancing=False,
     )

@@ -48,6 +48,9 @@ FAULT_KINDS = (
 #: Kinds that describe a window rather than an instant.
 WINDOWED_KINDS = frozenset({"straggler", "gcs_blip", "store_outage", "source_blackout"})
 
+#: Faults per :meth:`FaultPlan.random_storm` storm.
+STORM_EVENTS = 4
+
 
 @dataclass(frozen=True)
 class FaultEvent:
@@ -124,11 +127,10 @@ class FaultPlan:
         nodes: list[str] | None = None,
         sources: list[str] | None = None,
         roles: list[str] | None = None,
-        num_events: int = 6,
     ) -> "FaultPlan":
         """Seeded storm generator for soak runs and property tests.
 
-        Draws ``num_events`` faults from whichever kinds the provided target
+        Draws :data:`STORM_EVENTS` faults from whichever kinds the provided target
         pools enable plus a store outage, with instants in the middle 10–85%
         of ``horizon_s`` and windows sized 3–12% of it.  Same seed → same
         storm, so soak failures reproduce exactly.
@@ -147,7 +149,7 @@ class FaultPlan:
             kinds.append("source_blackout")
         kinds.append("store_outage")
         events: list[FaultEvent] = []
-        for _ in range(num_events):
+        for _ in range(STORM_EVENTS):
             kind = rng.choice(kinds)
             at_s = rng.uniform(0.10, 0.85) * horizon_s
             duration_s = rng.uniform(0.03, 0.12) * horizon_s

@@ -26,25 +26,10 @@ class WeightedItem:
 
 @dataclass
 class BalanceResult:
-    """Assignment of items to bins plus imbalance statistics."""
+    """Assignment of items to bins plus each bin's total cost."""
 
     bins: list[list[WeightedItem]]
     bin_costs: list[float]
-
-    @property
-    def max_cost(self) -> float:
-        return max(self.bin_costs) if self.bin_costs else 0.0
-
-    @property
-    def min_cost(self) -> float:
-        return min(self.bin_costs) if self.bin_costs else 0.0
-
-    @property
-    def imbalance_ratio(self) -> float:
-        """max/min bin cost (1.0 means perfectly balanced)."""
-        if not self.bin_costs or self.min_cost <= 0:
-            return float("inf") if self.max_cost > 0 else 1.0
-        return self.max_cost / self.min_cost
 
 
 def _pack_greedy(costs: Sequence[float], num_bins: int) -> tuple[list[list[int]], list[float]]:

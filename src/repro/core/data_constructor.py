@@ -2,7 +2,7 @@
 
 A Data Constructor is the data sink for one consumer bucket (typically one
 data-parallel group).  It pulls prepared samples from Source Loaders according
-to the loading plan, performs microbatch transformations (packing/padding,
+to the loading plan, performs microbatch transformations (packing,
 RoPE) and parallelism transformations (CP slicing, TP broadcast exclusion, PP
 metadata pruning), and serves the resulting per-rank slices to trainer
 clients.  Sharing one constructor per CP/PP group is what removes the
@@ -65,8 +65,8 @@ class DataConstructor(Actor):
 
     role = "data_constructor"
 
-    #: Collation throughput: seconds of CPU per fused token (padding, packing
-    #: and tensor assembly are memory-bandwidth-bound copies).
+    #: Collation throughput: seconds of CPU per fused token (packing and
+    #: tensor assembly are memory-bandwidth-bound copies).
     COLLATE_SECONDS_PER_TOKEN = 2.5e-8
 
     def __init__(
@@ -75,7 +75,6 @@ class DataConstructor(Actor):
         mesh: DeviceMesh,
         dp_index: int,
         max_sequence_length: int = 8192,
-        packing: bool = True,
         staging_capacity: int = 2,
         enforce_delivery_order: bool = True,
     ) -> None:
@@ -87,7 +86,6 @@ class DataConstructor(Actor):
             raise PlanError("staging_capacity must be >= 2 (double buffering)")
         self.bucket_index = bucket_index
         self.max_sequence_length = max_sequence_length
-        self.packing = packing
         self.staging_capacity = staging_capacity
         self.enforce_delivery_order = enforce_delivery_order
         self.stats = ConstructorStats()
@@ -150,7 +148,6 @@ class DataConstructor(Actor):
                 chunk,
                 lengths[offset : offset + len(chunk)],
                 self.max_sequence_length,
-                packing=self.packing,
             )
             offset += len(chunk)
             collate_seconds += collated.total_tokens() * self.COLLATE_SECONDS_PER_TOKEN

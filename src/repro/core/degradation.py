@@ -149,7 +149,6 @@ class DegradationController:
                 step,
                 recovery.system.clock.now_s,
                 source,
-                actor="",
                 detail="all loaders unreachable; mixture renormalized",
             )
 
@@ -172,7 +171,6 @@ class DegradationController:
                 step,
                 recovery.system.clock.now_s,
                 source,
-                actor="",
                 detail="loaders healthy; quota catch-up begins",
             )
         if restored:

@@ -24,10 +24,10 @@ the door).  The Planner's gather hands over one run of rows per source, so
 ``mix`` draws over index ranges, O(sources + selected); ``cost``/``plan``
 run as numpy index arithmetic, ``balance`` packs row positions by one cost
 list aligned with the selection, each microbatch assignment is a slice of
-it (no sample record is built), and the lineage graph is **lazy** — nodes, edges
+it (no sample record is built), and the lineage graph is **lazy** — nodes
 and state transitions are recorded as compact column-level operations and
-only expanded into :class:`DGraphNode`/:class:`DGraphEdge` objects when
-:attr:`nodes`, :attr:`edges` or :meth:`lineage` is actually consulted
+only expanded into :class:`DGraphNode` objects when :attr:`nodes` or
+:meth:`lineage` is actually consulted
 (telemetry, debugging).  The hot planning path therefore allocates
 O(selected) small objects instead of O(buffered).
 """
@@ -115,15 +115,6 @@ class DGraphNode:
     detail: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class DGraphEdge:
-    """A directed edge encoding a transformation or logical dependency."""
-
-    src: tuple[int, str]
-    dst: tuple[int, str]
-    label: str
-
-
 @dataclass
 class DGraphPlan:
     """The finalized output of :meth:`DGraph.plan`."""
@@ -154,8 +145,7 @@ class DGraph:
     ) -> None:
         self.module = module
         self._nodes: dict[tuple[int, str], DGraphNode] = {}
-        self._edges: list[DGraphEdge] = []
-        # Lazy lineage: compact column-level ops replayed into nodes/edges
+        # Lazy lineage: compact column-level ops replayed into nodes
         # only when the lineage is actually inspected.
         self._lineage_ops: list[tuple] = []
         self._lineage_cursor = 0
@@ -467,11 +457,6 @@ class DGraph:
         return list(self._nodes.values())
 
     @property
-    def edges(self) -> list[DGraphEdge]:
-        self._materialize_lineage()
-        return list(self._edges)
-
-    @property
     def api_costs(self) -> dict[str, float]:
         """Simulated seconds spent inside each primitive (Table 2)."""
         return dict(self._api_costs)
@@ -502,20 +487,12 @@ class DGraph:
             sample_id=sample_id, state=state, source=source, detail=dict(detail)
         )
 
-    def _transition(
-        self, sample_id: int, from_state: str, to_state: str, label: str, **detail: object
-    ) -> None:
-        source = ""
+    def _transition(self, sample_id: int, from_state: str, to_state: str, **detail: object) -> None:
         node = self._nodes.get((sample_id, from_state))
-        if node is not None:
-            source = node.source
-        self._add_node(sample_id, to_state, source, **detail)
-        self._edges.append(
-            DGraphEdge(src=(sample_id, from_state), dst=(sample_id, to_state), label=label)
-        )
+        self._add_node(sample_id, to_state, node.source if node is not None else "", **detail)
 
     def _materialize_lineage(self) -> None:
-        """Expand recorded column-level ops into nodes/edges.
+        """Expand recorded column-level ops into nodes.
 
         Idempotent and incremental: the buffered base nodes are created once,
         and each recorded op is consumed exactly once, so primitive calls and
@@ -532,7 +509,7 @@ class DGraph:
             self._lineage_cursor += 1
             if op[0] == "mix":
                 for sample_id in op[1].tolist():
-                    self._transition(sample_id, "buffered", "sampled", "mix")
+                    self._transition(sample_id, "buffered", "sampled")
             elif op[0] == "balance":
                 _, assignments, sample_ids = op
                 sample_ids = sample_ids.tolist()
@@ -546,7 +523,6 @@ class DGraph:
                                 sample_id,
                                 from_state,
                                 "assigned",
-                                "balance[greedy]",
                                 bucket=bucket_index,
                                 microbatch=mb_index,
                             )

@@ -176,23 +176,17 @@ class FaultToleranceManager:
         else:
             clock.advance(delay_s)
 
-    def call_with_retry(
-        self,
-        role: str,
-        method: str,
-        fn: Callable[[], object],
-        actor: str | None = None,
-    ):
-        """Invoke ``fn`` under :data:`RPC_RETRY`.
+    def call_with_retry(self, fn: Callable[[], object], actor: str | None = None):
+        """Invoke ``fn``, a Data Constructor's ``get_batch``, under :data:`RPC_RETRY`.
 
         An :class:`ActorTimeout` backs off with deterministic jitter keyed by
-        ``(role, method, actor)``, up to :data:`RETRY_ATTEMPTS` attempts.
+        ``actor``, up to :data:`RETRY_ATTEMPTS` attempts.
         When ``actor`` is given, failures feed its circuit breaker; an *open*
         breaker short-circuits the loop (the first failure re-raises
         immediately) so repeat offenders route straight to recovery instead
         of burning the whole backoff budget.
         """
-        key = f"{role}.{method}.{actor or ''}"
+        key = f"data_constructor.get_batch.{actor or ''}"
         last_exc: BaseException | None = None
         for attempt in range(1, RETRY_ATTEMPTS + 1):
             try:
@@ -436,12 +430,3 @@ class FaultToleranceManager:
                 for kind in sorted(self._event_counts)
             },
         }
-
-    def effective_training_time_ratio(
-        self, iterations: int, iteration_time_s: float
-    ) -> float:
-        """ETTR: productive compute time / (productive + recovery) time."""
-        productive = iterations * iteration_time_s
-        if productive <= 0:
-            return 0.0
-        return productive / (productive + self.total_recovery_latency())

@@ -270,7 +270,7 @@ class MegaScaleData:
             for rank in constructor.ranks_served(step):
                 if rank in fetching:
                     deliveries[rank] = self.recovery.call_constructor(
-                        constructor_handle, step, "get_batch", step, rank
+                        constructor_handle, step, rank
                     )
         self.manifests.spill(step, plan, self.constructor_handles, sorted(deliveries))
 
@@ -397,8 +397,8 @@ class MegaScaleData:
         """
         return self.pipeline.plan_frontier()
 
-    def run_training(self, num_steps: int, simulate: bool = True) -> dict[str, float]:
-        """Run several steps and return aggregate throughput / latency metrics.
+    def run_training(self, num_steps: int) -> dict[str, float]:
+        """Run and simulate several steps; return aggregate throughput / latency metrics.
 
         Besides per-step averages, the summary reports the run's *virtual
         wall time* — the span of the trainer's booked windows on the shared
@@ -414,7 +414,7 @@ class MegaScaleData:
         tokens = 0
         wall_start_s = self.virtual_time_s()
         for _ in range(num_steps):
-            result = self.run_step(simulate=simulate)
+            result = self.run_step(simulate=True)
             fetch_latencies.append(result.data_fetch_latency_s)
             hidden_total += result.hidden_fetch_s
             exposed_total += result.exposed_fetch_s

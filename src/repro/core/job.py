@@ -15,7 +15,6 @@ from repro.core.planner import PlanTimings
 from repro.core.plans import LoadingPlan
 from repro.core.strategies import BUILTIN_STRATEGIES, StrategyConfig, StrategyFn, make_strategy
 from repro.data.mixture import MixtureSchedule
-from repro.data.samples import SampleMetadata
 from repro.data.synthetic import DATASET_GROUPS
 from repro.errors import ConfigurationError
 from repro.parallelism.mesh import DeviceMesh
@@ -253,20 +252,6 @@ class StepResult:
     data_stall_s: float = 0.0
 
     @property
-    def backbone_assignments(self) -> list[list[list[SampleMetadata]]]:
-        """Per DP bucket, per microbatch, the samples' records (built on demand)."""
-        return self.plan.module("backbone").bucket_samples()
-
-    @property
-    def encoder_assignments(self) -> list[list[list[SampleMetadata]]] | None:
-        """As :attr:`backbone_assignments`, per encoder rank (``None`` without one)."""
-        encoder = self.plan.modules.get("encoder")
-        return encoder and encoder.bucket_samples()
-
-    @property
     def exposed_fetch_s(self) -> float:
         """Fetch latency left on the iteration critical path."""
         return max(0.0, self.data_fetch_latency_s - self.hidden_fetch_s)
-
-    def fetched_bytes(self) -> int:
-        return sum(delivery.total_payload_bytes() for delivery in self.deliveries.values())

@@ -60,14 +60,9 @@ class ModulePlan:
             key=lambda a: a.microbatch_index,
         )
 
-    def bucket_samples(self) -> list[list[list[SampleMetadata]]]:
-        """Per bucket, its microbatches' sample records (padded to
-        ``num_microbatches``), built on demand."""
-        return [[rows.to_list() for rows in bucket] for bucket in self._bucket_rows()]
-
     def bucket_tokens(self) -> list[list[tuple[np.ndarray, np.ndarray]]]:
-        """:meth:`bucket_samples` as the fused- and image-token arrays the
-        training simulator reads."""
+        """Per bucket, its microbatches' fused- and image-token arrays (padded
+        to ``num_microbatches``), which the training simulator reads."""
         return [
             [(rows.total_tokens, rows.image_tokens) for rows in bucket]
             for bucket in self._bucket_rows()

@@ -168,11 +168,11 @@ class FleetRecovery:
                     raise
                 ft.sleep(WAIT_RETRY.delay_s(waits, wait_key))
 
-    def call_constructor(self, handle, step: int, method: str, *args):
-        """Constructor RPC with retry/backoff; a dead constructor restarts."""
+    def call_constructor(self, handle, step: int, rank: int):
+        """``get_batch(step, rank)`` with retry/backoff; a dead constructor restarts."""
         def call():
             return self.fault_manager.call_with_retry(
-                "data_constructor", method, lambda: handle.call(method, *args), actor=handle.name
+                lambda: handle.call("get_batch", step, rank), actor=handle.name
             )
 
         return self.ride_out(call, handle, step, f"constructor-wait.{handle.name}")

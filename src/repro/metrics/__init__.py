@@ -1,12 +1,11 @@
 """Measurement utilities: byte-accurate memory ledgers and event timelines."""
 
-from repro.metrics.memory import MemoryLedger, MemorySnapshot
+from repro.metrics.memory import MemoryLedger
 from repro.metrics.timeline import FetchOverlap, OverlapLedger, Timeline, TimelineEvent
 from repro.metrics.report import MetricReport, summarize
 
 __all__ = [
     "MemoryLedger",
-    "MemorySnapshot",
     "FetchOverlap",
     "OverlapLedger",
     "Timeline",

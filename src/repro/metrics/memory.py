@@ -13,24 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-@dataclass(frozen=True)
-class MemorySnapshot:
-    """Immutable view of a ledger at a point in time."""
-
-    total_bytes: int
-    by_category: dict[str, int]
-
-    def category(self, name: str) -> int:
-        """Bytes charged under ``name`` (0 when the category is unknown)."""
-        return self.by_category.get(name, 0)
-
-    def fraction(self, name: str) -> float:
-        """Fraction of total bytes held by ``name`` (0.0 for an empty ledger)."""
-        if self.total_bytes == 0:
-            return 0.0
-        return self.by_category.get(name, 0) / self.total_bytes
-
-
 @dataclass
 class MemoryLedger:
     """Tracks live bytes by category.
@@ -90,15 +72,6 @@ class MemoryLedger:
     def total_bytes(self) -> int:
         """Live bytes including all adopted children."""
         return self._own_total + sum(child.total_bytes() for child in self._children)
-
-    def snapshot(self) -> MemorySnapshot:
-        """Return an aggregated category breakdown across children."""
-        merged: dict[str, int] = dict(self._live)
-        for child in self._children:
-            child_snapshot = child.snapshot()
-            for category, value in child_snapshot.by_category.items():
-                merged[category] = merged.get(category, 0) + value
-        return MemorySnapshot(total_bytes=sum(merged.values()), by_category=merged)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MemoryLedger(name={self.name!r}, total={self.total_bytes()})"

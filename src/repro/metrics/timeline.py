@@ -81,20 +81,6 @@ class Timeline:
         """Events filtered by component and/or name."""
         return [TimelineEvent(*fields) for fields in self._select(component, name)]
 
-    def span(self) -> float:
-        """Latest event end time (the makespan of the timeline)."""
-        return max(
-            (start + duration for _, _, start, duration, _ in list(self._events)),
-            default=0.0,
-        )
-
-    def breakdown(self) -> dict[str, float]:
-        """Total time attributed to each component."""
-        totals: dict[str, float] = {}
-        for component, _, _, duration, _ in list(self._events):
-            totals[component] = totals.get(component, 0.0) + duration
-        return totals
-
     def __len__(self) -> int:
         return len(self._events)
 
@@ -247,17 +233,16 @@ class OverlapLedger:
         step: int,
         at_s: float,
         source: str,
-        actor: str,
         detail: str = "",
     ) -> FleetEvent:
-        """Build and append one node-less elasticity event from its fields."""
+        """Build and append one source-level event (no actor, no node) from its fields."""
         return self.add_fleet_event(
             FleetEvent(
                 kind=kind,
                 step=int(step),
                 at_s=float(at_s),
                 source=source,
-                actor=actor,
+                actor="",
                 detail=detail,
             )
         )

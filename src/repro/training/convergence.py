@@ -22,6 +22,8 @@ FLOOR_LOSS = 1.8
 TOKENS_TO_HALVE = 5.0e6
 SAMPLE_NOISE_SCALE = 0.08
 CP_NUMERICAL_NOISE = 0.02
+#: Seed of the content and CP noise draws.
+LOSS_SEED = 18
 
 
 class ConvergenceSimulator:
@@ -35,12 +37,10 @@ class ConvergenceSimulator:
     modified reduction order of distributed GEMMs.
     """
 
-    def __init__(self, context_parallel: bool = False, seed: int = 0) -> None:
+    def __init__(self, context_parallel: bool = False) -> None:
         self.context_parallel = context_parallel
-        self._seed = seed
         self._cumulative_tokens = 0.0
         self._step = 0
-        self._losses: list[float] = []
 
     def expected_loss(self, cumulative_tokens: float) -> float:
         """Smooth loss trajectory as a function of tokens consumed."""
@@ -63,26 +63,21 @@ class ConvergenceSimulator:
         else:
             hardness = 0.0
         content_key = sum(sample.sample_id for sample in batch) % (2**31)
-        rng = derive_rng(self._seed, "content", content_key)
+        rng = derive_rng(LOSS_SEED, "content", content_key)
         content_noise = SAMPLE_NOISE_SCALE * float(rng.normal())
 
         cp_noise = 0.0
         if self.context_parallel:
-            cp_rng = derive_rng(self._seed, "cp", self._step)
+            cp_rng = derive_rng(LOSS_SEED, "cp", self._step)
             cp_noise = CP_NUMERICAL_NOISE * float(cp_rng.normal())
 
         loss = base + 0.3 * hardness + content_noise + cp_noise
-        self._losses.append(loss)
         self._step += 1
         return loss
 
     def run(self, batches: list[list[SampleMetadata]]) -> list[float]:
         """Consume a sequence of batches and return the per-step loss series."""
         return [self.step(batch) for batch in batches]
-
-    @property
-    def cumulative_tokens(self) -> float:
-        return self._cumulative_tokens
 
 
 def max_divergence(reference: list[float], candidate: list[float]) -> float:

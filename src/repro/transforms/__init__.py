@@ -2,7 +2,7 @@
 
 Mirrors the "LFM Data Preprocessing Pipeline" of Fig. 1: sample
 transformations (tokenize, decode, crop, ...), microbatch transformations
-(batching, packing, padding, RoPE) and parallelism transformations (DP
+(batching, packing, RoPE) and parallelism transformations (DP
 sharding, CP slicing, TP broadcast, PP metadata pruning).
 """
 
@@ -19,7 +19,6 @@ from repro.transforms.microbatch import (
     Microbatch,
     CollatedMicrobatch,
     PackingCollator,
-    PaddingCollator,
     apply_rope_positions,
     batch_samples,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "Microbatch",
     "CollatedMicrobatch",
     "PackingCollator",
-    "PaddingCollator",
     "apply_rope_positions",
     "batch_samples",
     "ParallelSlice",

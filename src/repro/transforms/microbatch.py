@@ -1,24 +1,23 @@
-"""Microbatch-level transformations: batching, packing, padding, RoPE.
+"""Microbatch-level transformations: batching, packing, RoPE.
 
 After the Planner assigns samples to microbatches, the Data Constructor
 collates them into fixed-shape inputs: *packing* merges fragmented
-subsequences into complete sequences with segment masks, *padding* aligns
-variable-length sequences with dummy tokens, and RoPE position ids provide the
-positional context the backbone expects.
+subsequences into complete sequences with segment masks, and RoPE position
+ids provide the positional context the backbone expects.
 
 The Data Constructor collates with :func:`collate_columns_with_positions`:
 numpy kernels over a microbatch's token-length array — first-fit packing via
 a max-residual tournament tree over open-bin residuals (O(samples · log bins)
-instead of an O(samples · bins) linear scan) and padding as a clip/subtract.
+instead of an O(samples · bins) linear scan).
 What parallelism slicing reads (``sequence_lengths``, token totals) is
 computed at collation; the per-token and per-segment outputs (``position_ids``
 as slices of one cached int32 ramp, ``sequences`` from one stable argsort) are
 built on first read, so a caller that only slices never pays for them.
-:class:`PackingCollator` / :class:`PaddingCollator` /
-:func:`apply_rope_positions` state the same transformations one sample at a
-time over metadata objects; they are the readable reference the kernels are
-specified against, and the hypothesis tests in ``tests/test_core_assembly.py``
-require both to emit byte-identical :class:`CollatedMicrobatch` objects.
+:class:`PackingCollator` / :func:`apply_rope_positions` state the same
+transformations one sample at a time over metadata objects; they are the
+readable reference the kernels are specified against, and the hypothesis
+tests in ``tests/test_core_assembly.py`` require both to emit byte-identical
+:class:`CollatedMicrobatch` objects.
 """
 
 from __future__ import annotations
@@ -78,7 +77,6 @@ class PackedSequence:
 
     tokens: int
     segments: list[tuple[int, int]]  # (sample_id, token_count)
-    padding: int = 0
 
 
 @dataclass
@@ -91,10 +89,9 @@ class CollatedMicrobatch:
     totals are computed once at collation time and cached; the lazy fallback
     keeps hand-built instances working.
 
-    A kernel-built instance carries ``_layout`` — ``(bin index per sample or
-    None for one sample per padded sequence, clipped sample lengths)`` — in
-    place of ``sequences`` and ``position_ids``; either is expanded from it on
-    first read and kept.
+    A kernel-built instance carries ``_layout`` — ``(bin index per sample,
+    clipped sample lengths)`` — in place of ``sequences`` and
+    ``position_ids``; either is expanded from it on first read and kept.
     """
 
     index: int
@@ -102,11 +99,9 @@ class CollatedMicrobatch:
     max_sequence_length: int
     sample_ids: list[int]
     position_ids: np.ndarray | None = None
-    collation: str = "packed"
     sequence_lengths: np.ndarray | None = field(default=None, repr=False, compare=False)
     _total_tokens: int | None = field(default=None, repr=False, compare=False)
-    _padding_tokens: int | None = field(default=None, repr=False, compare=False)
-    _layout: tuple[np.ndarray | None, np.ndarray] | None = field(
+    _layout: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, repr=False, compare=False
     )
 
@@ -114,11 +109,6 @@ class CollatedMicrobatch:
         if self._total_tokens is None:
             self._total_tokens = sum(sequence.tokens for sequence in self.sequences)
         return self._total_tokens
-
-    def padding_tokens(self) -> int:
-        if self._padding_tokens is None:
-            self._padding_tokens = sum(sequence.padding for sequence in self.sequences)
-        return self._padding_tokens
 
 
 def _lazy_field(name: str, build) -> property:
@@ -162,7 +152,7 @@ class PackingCollator:
 
     Packing merges fragmented subsequences into complete sequences with
     segment boundaries so that attention can be masked per segment, minimising
-    padding waste relative to one-sample-per-sequence padding.  A sample longer
+    the padding one sample per sequence would waste.  A sample longer
     than ``max_sequence_length`` is truncated to it.
     """
 
@@ -196,53 +186,7 @@ class PackingCollator:
             sequences=sequences,
             max_sequence_length=self.max_sequence_length,
             sample_ids=[sample.sample_id for sample in microbatch.samples],
-            collation="packed",
             _total_tokens=total_tokens,
-            _padding_tokens=0,
-        )
-
-
-class PaddingCollator:
-    """One sample per sequence, padded up to the longest sample in the batch."""
-
-    def __init__(self, max_sequence_length: int | None = None) -> None:
-        self.max_sequence_length = max_sequence_length
-
-    def collate(self, microbatch: Microbatch) -> CollatedMicrobatch:
-        if not microbatch.samples:
-            return CollatedMicrobatch(
-                index=microbatch.index,
-                sequences=[],
-                max_sequence_length=self.max_sequence_length or 0,
-                sample_ids=[],
-                collation="padded",
-                _total_tokens=0,
-                _padding_tokens=0,
-            )
-        lengths = [sample.total_tokens for sample in microbatch.samples]
-        target = max(lengths)
-        if self.max_sequence_length is not None:
-            target = min(max(target, 1), self.max_sequence_length)
-        sequences = []
-        padding_tokens = 0
-        for sample, length in zip(microbatch.samples, lengths):
-            clipped = min(length, target)
-            padding_tokens += target - clipped
-            sequences.append(
-                PackedSequence(
-                    tokens=target,
-                    segments=[(sample.sample_id, clipped)],
-                    padding=target - clipped,
-                )
-            )
-        return CollatedMicrobatch(
-            index=microbatch.index,
-            sequences=sequences,
-            max_sequence_length=target,
-            sample_ids=[sample.sample_id for sample in microbatch.samples],
-            collation="padded",
-            _total_tokens=target * len(sequences),
-            _padding_tokens=padding_tokens,
         )
 
 
@@ -259,8 +203,6 @@ def apply_rope_positions(collated: CollatedMicrobatch) -> CollatedMicrobatch:
         for _, segment_tokens in sequence.segments:
             positions[cursor : cursor + segment_tokens] = np.arange(segment_tokens, dtype=np.int32)
             cursor += segment_tokens
-        if cursor < sequence.tokens:
-            positions[cursor:] = 0  # padding positions
         position_rows.append(positions)
     collated.position_ids = (
         np.concatenate(position_rows) if position_rows else np.empty(0, dtype=np.int32)
@@ -268,14 +210,9 @@ def apply_rope_positions(collated: CollatedMicrobatch) -> CollatedMicrobatch:
     return collated
 
 
-def collate_with_positions(
-    microbatch: Microbatch, max_sequence_length: int, packing: bool = True
-) -> CollatedMicrobatch:
-    """Convenience helper: collate (packed or padded) and attach RoPE positions."""
-    collator = (
-        PackingCollator(max_sequence_length) if packing else PaddingCollator(max_sequence_length)
-    )
-    return apply_rope_positions(collator.collate(microbatch))
+def collate_with_positions(microbatch: Microbatch, max_sequence_length: int) -> CollatedMicrobatch:
+    """Convenience helper: pack and attach RoPE positions."""
+    return apply_rope_positions(PackingCollator(max_sequence_length).collate(microbatch))
 
 
 # -- columnar collation kernels -----------------------------------------------------------------
@@ -345,14 +282,12 @@ def first_fit_bin_indices(lengths: np.ndarray, capacity: int) -> np.ndarray:
 _RAMP = np.arange(4096, dtype=np.int32)
 
 
-def _positions_from_blocks(
-    block_lengths: np.ndarray, padding_lengths: np.ndarray | None = None
-) -> np.ndarray:
-    """Position ids ``0..len-1`` per block, block ``i`` followed by ``padding_lengths[i]`` zeros.
+def _positions_from_blocks(block_lengths: np.ndarray) -> np.ndarray:
+    """Position ids ``0..len-1`` per block, blocks back to back.
 
-    Every block is a slice of the one cached ramp (padding a slice of one
-    zeros array) and a single ``concatenate`` copies them out, so the cost is
-    one pass at memory bandwidth with no per-token arithmetic.
+    Every block is a slice of the one cached ramp and a single ``concatenate``
+    copies them out, so the cost is one pass at memory bandwidth with no
+    per-token arithmetic.
     """
     global _RAMP
     if len(block_lengths) == 0:
@@ -361,28 +296,13 @@ def _positions_from_blocks(
     longest = int(block_lengths.max())
     if longest > len(ramp):
         ramp = _RAMP = np.arange(max(longest, 2 * len(ramp)), dtype=np.int32)
-    if padding_lengths is None:
-        return np.concatenate([ramp[:length] for length in block_lengths.tolist()])
-    zeros = np.zeros(int(padding_lengths.max()), dtype=np.int32)
-    return np.concatenate(
-        [
-            part
-            for length, padding in zip(block_lengths.tolist(), padding_lengths.tolist())
-            for part in (ramp[:length], zeros[:padding])
-        ]
-    )
+    return np.concatenate([ramp[:length] for length in block_lengths.tolist()])
 
 
 def _expand_sequences(
-    collated: CollatedMicrobatch, bins: np.ndarray | None, clipped: np.ndarray
+    collated: CollatedMicrobatch, bins: np.ndarray, clipped: np.ndarray
 ) -> list[PackedSequence]:
     """Segment tables of a kernel-built collation (one stable argsort by bin)."""
-    if bins is None:
-        target = collated.max_sequence_length
-        return [
-            PackedSequence(tokens=target, segments=[(sample_id, length)], padding=target - length)
-            for sample_id, length in zip(collated.sample_ids, clipped.tolist())
-        ]
     order = np.argsort(bins, kind="stable")
     ordered_ids = [collated.sample_ids[i] for i in order.tolist()]
     ordered_lengths = clipped[order].tolist()
@@ -396,11 +316,9 @@ def _expand_sequences(
 
 
 def _expand_positions(
-    collated: CollatedMicrobatch, bins: np.ndarray | None, clipped: np.ndarray
+    collated: CollatedMicrobatch, bins: np.ndarray, clipped: np.ndarray
 ) -> np.ndarray:
     """RoPE position ids of a kernel-built collation, restarting per segment."""
-    if bins is None:
-        return _positions_from_blocks(clipped, collated.max_sequence_length - clipped)
     return _positions_from_blocks(clipped[np.argsort(bins, kind="stable")])
 
 
@@ -413,38 +331,27 @@ def collate_columns_with_positions(
     sample_ids: list[int],
     lengths: np.ndarray,
     max_sequence_length: int,
-    packing: bool = True,
 ) -> CollatedMicrobatch:
-    """Collate a microbatch straight from its token-length array.
+    """Pack a microbatch straight from its token-length array.
 
-    Packing runs :func:`first_fit_bin_indices`, padding is a clip/subtract;
-    both fill in ``sequence_lengths`` and the token totals, which is all that
-    parallelism slicing reads.  ``sequences`` and ``position_ids`` are built
+    Packing runs :func:`first_fit_bin_indices` and fills in
+    ``sequence_lengths`` and the token total, which is all that parallelism
+    slicing reads.  ``sequences`` and ``position_ids`` are built
     from the bin assignment when first read.  The returned
     :class:`CollatedMicrobatch` is byte-identical to
     :func:`collate_with_positions`' output (sequences, segment tables, sample
     ids, position ids).
     """
     lengths = np.asarray(lengths, dtype=np.int64)
-    target = max_sequence_length
-    if not packing and len(lengths):
-        target = min(max(int(lengths.max()), 1), target)
-    clipped = np.minimum(lengths, target)
-    if packing:
-        bins = first_fit_bin_indices(lengths, target)
-        sequence_lengths = np.bincount(bins, weights=clipped).astype(np.int64)
-    else:
-        bins = None
-        sequence_lengths = np.full(len(clipped), target, dtype=np.int64)
-    total_tokens = int(sequence_lengths.sum())
+    clipped = np.minimum(lengths, max_sequence_length)
+    bins = first_fit_bin_indices(lengths, max_sequence_length)
+    sequence_lengths = np.bincount(bins, weights=clipped).astype(np.int64)
     return CollatedMicrobatch(
         index=index,
         sequences=None,
-        max_sequence_length=target,
+        max_sequence_length=max_sequence_length,
         sample_ids=list(sample_ids),
-        collation="packed" if packing else "padded",
         sequence_lengths=sequence_lengths,
-        _total_tokens=total_tokens,
-        _padding_tokens=total_tokens - int(clipped.sum()),
+        _total_tokens=int(sequence_lengths.sum()),
         _layout=(bins, clipped),
     )

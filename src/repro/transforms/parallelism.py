@@ -141,15 +141,14 @@ def pipeline_stage_view(
     }
 
 
-def build_rank_slices(
-    collated: CollatedMicrobatch, mesh: DeviceMesh, dp_index: int
-) -> list[ParallelSlice]:
+def build_rank_slices(collated: CollatedMicrobatch, mesh: DeviceMesh) -> list[ParallelSlice]:
     """Expand one collated microbatch into per-rank delivery slices.
 
-    The expansion walks the mesh: for the owning DP group, each (PP, CP, TP)
-    coordinate receives a slice sized according to the stage/slice/broadcast
-    rules above, with TP ranks past the first served by the TP broadcast and
-    every CP rank fetching its own share.  This is the "parallelism
+    The expansion walks the mesh in rank order as if every DP group received
+    this microbatch: each (PP, CP, TP) coordinate receives a slice sized
+    according to the stage/slice/broadcast rules above, with TP ranks past
+    the first served by the TP broadcast and every CP rank fetching its own
+    share.  This is the "parallelism
     transformation" a Data Constructor applies before delivery.
     """
     slices: list[ParallelSlice] = []
@@ -157,8 +156,8 @@ def build_rank_slices(
     tp_size = mesh.size("TP")
     pp_size = mesh.size("PP")
     cp_slices = context_parallel_slices(collated, cp_size)
-    for rank in mesh.ranks_where(dp=dp_index):
-        coord = mesh.coordinate(rank)
+    for coord in mesh.coordinates():
+        rank = coord.rank
         stage = pipeline_stage_view(collated, coord.pp, pp_size)
         if not stage["needs_payload"]:
             slices.append(
@@ -181,7 +180,7 @@ def build_rank_slices(
                 token_count=int(tp_share["token_count"]),
                 payload_bytes=int(tp_share["payload_bytes"]) + int(stage["metadata_bytes"]),
                 metadata_only=int(tp_share["token_count"]) == 0,
-                replicated_from=mesh.ranks_where(dp=dp_index, cp=coord.cp, pp=coord.pp)[0]
+                replicated_from=mesh.ranks_where(dp=coord.dp, cp=coord.cp, pp=coord.pp)[0]
                 if tp_share["via_broadcast"]
                 else None,
                 slice_info={"cp_rank": coord.cp, "tp_rank": coord.tp, "pp_rank": coord.pp},
@@ -197,7 +196,8 @@ class RankLayout:
     ranks are served by the broadcast (and from which rank) depends on the
     mesh, not on the microbatch.  :meth:`slices` sizes a microbatch's
     slices from its ``sequence_lengths`` alone and returns what
-    :func:`build_rank_slices` returns for a collation with those lengths.
+    :func:`build_rank_slices` returns for the group's ranks of a collation
+    with those lengths.
     """
 
     def __init__(self, mesh: DeviceMesh, dp_index: int) -> None:

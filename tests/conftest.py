@@ -70,6 +70,14 @@ def prepared_rows(rows) -> PreparedColumns:
     return PreparedColumns(*np.array(rows, dtype=np.int64).reshape(-1, 4).T)
 
 
+def bucket_samples(module_plan) -> list[list[list[SampleMetadata]]]:
+    """Per bucket, its microbatches' planned records; a bucket with fewer
+    microbatches is padded with empty ones up to ``num_microbatches``."""
+    buckets = [module_plan.bucket_assignments(b) for b in range(module_plan.num_buckets)]
+    padding = [[]] * module_plan.num_microbatches
+    return [[list(a.samples) for a in bucket] + padding[len(bucket):] for bucket in buckets]
+
+
 def assignment_of(bucket_index, microbatch_index, samples, estimated_cost=0.0):
     """A microbatch assignment over metadata records."""
     return MicrobatchAssignment(

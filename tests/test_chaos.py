@@ -10,6 +10,7 @@ from repro.actors.node import NodeKind
 from repro.actors.runtime import ActorSystem, ClusterSpec
 from repro.actors.scheduler import PlacementRequest, PlacementScheduler
 from repro.chaos import ChaosEngine, FaultEvent, FaultPlan
+from repro.chaos.plan import STORM_EVENTS
 from repro.core.checkpoint import InMemoryCheckpointStore
 from repro.core.dgraph import expected_quotas
 from repro.core.fault_tolerance import (
@@ -67,7 +68,6 @@ class TestFaultPlan:
             nodes=["cpu-pod-0"],
             sources=["src-a"],
             roles=["source_loader"],
-            num_events=8,
         )
         assert FaultPlan.random_storm(3, **kwargs).events == FaultPlan.random_storm(
             3, **kwargs
@@ -79,9 +79,9 @@ class TestFaultPlan:
     def test_random_storm_stays_inside_horizon(self):
         for seed in range(8):
             storm = FaultPlan.random_storm(
-                seed, horizon_s=100.0, actors=["a"], sources=["s"], num_events=6
+                seed, horizon_s=100.0, actors=["a"], sources=["s"]
             )
-            assert len(storm.events) == 6
+            assert len(storm.events) == STORM_EVENTS
             for event in storm.events:
                 assert 10.0 <= event.at_s <= 85.0
                 assert event.end_s <= 100.0
@@ -287,7 +287,7 @@ class TestRetryPolicies:
                 raise ActorTimeout("transient")
             return "ok"
 
-        assert manager.call_with_retry("planner", "gather", flaky) == "ok"
+        assert manager.call_with_retry(flaky) == "ok"
         assert len(attempts) == 3
         # Backoff sleeps advanced the shared clock between attempts.
         assert attempts == sorted(attempts) and attempts[0] < attempts[-1]
@@ -302,7 +302,7 @@ class TestRetryPolicies:
             raise ActorTimeout("dark")
 
         with pytest.raises(ActorTimeout):
-            manager.call_with_retry("loader", "poll", always_dark, actor="victim")
+            manager.call_with_retry(always_dark, actor="victim")
         # The breaker opened on the threshold-th consecutive failure.
         assert len(failures) == BREAKER_THRESHOLD
         assert manager.breaker.is_open("victim")
@@ -315,7 +315,7 @@ class TestRetryPolicies:
         # The open breaker re-raises on the first failure instead of
         # burning the whole backoff budget.
         with pytest.raises(ActorTimeout):
-            manager.call_with_retry("loader", "poll", counted, actor="victim")
+            manager.call_with_retry(counted, actor="victim")
         assert len(calls) == 1
 
     def test_recovery_log_ring_buffer(self, small_catalog, filesystem):

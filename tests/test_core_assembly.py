@@ -25,7 +25,7 @@ from repro.core.plans import ModulePlan
 from repro.core.source_loader import SourceLoader
 from repro.data.samples import Modality, SampleMetadata
 from repro.errors import PlanError
-from conftest import assignment_of, prepared_rows
+from conftest import assignment_of, bucket_samples, prepared_rows
 from repro.parallelism.mesh import DeviceMesh
 from repro.transforms import microbatch
 from repro.transforms.microbatch import (
@@ -52,13 +52,11 @@ def meta(sample_id: int, text_tokens: int, image_tokens: int = 0) -> SampleMetad
 
 def assert_collated_equal(a, b) -> None:
     assert a.index == b.index
-    assert a.collation == b.collation
     assert a.max_sequence_length == b.max_sequence_length
     assert a.sample_ids == b.sample_ids
     assert len(a.sequences) == len(b.sequences)
     for sa, sb in zip(a.sequences, b.sequences):
         assert sa.tokens == sb.tokens
-        assert sa.padding == sb.padding
         assert sa.segments == sb.segments
         # Byte-identity includes the *types*: numpy ints sneaking into
         # segment tuples would change pickled payloads.
@@ -66,7 +64,6 @@ def assert_collated_equal(a, b) -> None:
     assert a.position_ids.dtype == b.position_ids.dtype == np.int32
     assert np.array_equal(a.position_ids, b.position_ids)
     assert a.total_tokens() == b.total_tokens()
-    assert a.padding_tokens() == b.padding_tokens()
     assert b.sequence_lengths.tolist() == [sequence.tokens for sequence in a.sequences]
 
 
@@ -83,23 +80,18 @@ lengths_lists = st.lists(
 )
 
 
-def old_positions_from_blocks(block_lengths, block_is_padding):
-    """The position kernel as it stood at 6bb56dd (delta cumsum / arange - repeat)."""
+def old_positions_from_blocks(block_lengths):
+    """The packed position kernel as it stood at 6bb56dd (delta cumsum)."""
     total = int(block_lengths.sum())
     if total == 0:
         return np.empty(0, dtype=np.int32)
-    if not block_is_padding.any():
-        lens = block_lengths[block_lengths > 0]
-        deltas = np.ones(total, dtype=np.int32)
-        deltas[0] = 0
-        if len(lens) > 1:
-            starts = np.cumsum(lens[:-1])
-            deltas[starts] = 1 - lens[:-1]
-        return np.cumsum(deltas, dtype=np.int32)
-    starts = np.concatenate([[0], np.cumsum(block_lengths)[:-1]])
-    positions = np.arange(total, dtype=np.int64) - np.repeat(starts, block_lengths)
-    positions[np.repeat(block_is_padding, block_lengths)] = 0
-    return positions.astype(np.int32)
+    lens = block_lengths[block_lengths > 0]
+    deltas = np.ones(total, dtype=np.int32)
+    deltas[0] = 0
+    if len(lens) > 1:
+        starts = np.cumsum(lens[:-1])
+        deltas[starts] = 1 - lens[:-1]
+    return np.cumsum(deltas, dtype=np.int32)
 
 
 def assert_same_array(a, b) -> None:
@@ -116,31 +108,15 @@ class TestPositionKernel:
     def test_blocks_match_old_kernel_and_per_block_arange(self, blocks):
         lengths = np.array(blocks, dtype=np.int64)
         got = _positions_from_blocks(lengths)
-        assert_same_array(got, old_positions_from_blocks(lengths, np.zeros(len(blocks), bool)))
+        assert_same_array(got, old_positions_from_blocks(lengths))
         per_block = [np.arange(n, dtype=np.int32) for n in blocks]
-        assert_same_array(got, np.concatenate([np.empty(0, np.int32), *per_block]))
-
-    @given(blocks=st.lists(st.tuples(block_lengths, block_lengths), max_size=24))
-    @settings(max_examples=120, deadline=None)
-    def test_padded_blocks_match_old_kernel_and_per_block_arange(self, blocks):
-        lengths = np.array([n for n, _ in blocks], dtype=np.int64)
-        paddings = np.array([pad for _, pad in blocks], dtype=np.int64)
-        got = _positions_from_blocks(lengths, paddings)
-        interleaved = np.array([n for pair in blocks for n in pair], dtype=np.int64)
-        is_padding = np.arange(len(interleaved)) % 2 == 1
-        assert_same_array(got, old_positions_from_blocks(interleaved, is_padding))
-        per_block = [
-            part
-            for n, pad in blocks
-            for part in (np.arange(n, dtype=np.int32), np.zeros(pad, dtype=np.int32))
-        ]
         assert_same_array(got, np.concatenate([np.empty(0, np.int32), *per_block]))
 
     def test_block_longer_than_the_cached_ramp_grows_it(self):
         before = len(microbatch._RAMP)
         lengths = np.array([3, before + 7, 0, 5], dtype=np.int64)
         got = _positions_from_blocks(lengths)
-        assert_same_array(got, old_positions_from_blocks(lengths, np.zeros(4, bool)))
+        assert_same_array(got, old_positions_from_blocks(lengths))
         assert len(microbatch._RAMP) >= before + 7
         assert_same_array(microbatch._RAMP, np.arange(len(microbatch._RAMP), dtype=np.int32))
         # The result is a copy: writing to it must not reach the shared ramp.
@@ -153,31 +129,12 @@ class TestCollationEquivalence:
     @settings(max_examples=120, deadline=None)
     def test_packed_collation_byte_identical(self, lengths, max_len):
         metas = [meta(3 * i + 1, n) for i, n in enumerate(lengths)]
-        legacy = collate_with_positions(
-            Microbatch(index=2, samples=list(metas)), max_len, packing=True
-        )
+        legacy = collate_with_positions(Microbatch(index=2, samples=list(metas)), max_len)
         columnar = collate_columns_with_positions(
             2,
             [m.sample_id for m in metas],
             np.array([m.total_tokens for m in metas], dtype=np.int64),
             max_len,
-            packing=True,
-        )
-        assert_collated_equal(legacy, columnar)
-
-    @given(lengths=lengths_lists, max_len=st.sampled_from(MAX_LENGTHS))
-    @settings(max_examples=120, deadline=None)
-    def test_padded_collation_byte_identical(self, lengths, max_len):
-        metas = [meta(3 * i + 1, n) for i, n in enumerate(lengths)]
-        legacy = collate_with_positions(
-            Microbatch(index=0, samples=list(metas)), max_len, packing=False
-        )
-        columnar = collate_columns_with_positions(
-            0,
-            [m.sample_id for m in metas],
-            np.array([m.total_tokens for m in metas], dtype=np.int64),
-            max_len,
-            packing=False,
         )
         assert_collated_equal(legacy, columnar)
 
@@ -203,41 +160,36 @@ class TestCollationEquivalence:
     # The degenerate corners the sweep never hits: empty microbatches,
     # all-overflow samples, single-sample batches.
     @given(
-        packing=st.booleans(),
         corner=st.sampled_from(["empty", "all_overflow", "single"]),
         max_len=st.integers(min_value=1, max_value=64),
         seed=st.integers(min_value=0, max_value=10_000),
     )
     @settings(max_examples=80, deadline=None)
-    def test_degenerate_corners_invariant_across_modes(self, packing, corner, max_len, seed):
+    def test_degenerate_corners_match_reference(self, corner, max_len, seed):
         if corner == "empty":
             metas = []
         elif corner == "all_overflow":
             metas = [meta(i + 1, max_len + 1 + (seed + i) % 7) for i in range(4)]
         else:
             metas = [meta(seed + 1, seed % (2 * max_len + 1))]
-        legacy = collate_with_positions(
-            Microbatch(index=1, samples=list(metas)), max_len, packing=packing
-        )
+        legacy = collate_with_positions(Microbatch(index=1, samples=list(metas)), max_len)
         columnar = collate_columns_with_positions(
             1,
             [m.sample_id for m in metas],
             np.array([m.total_tokens for m in metas], dtype=np.int64),
             max_len,
-            packing=packing,
         )
         assert_collated_equal(legacy, columnar)
-        if packing and corner == "all_overflow":
+        if corner == "all_overflow":
             # Every clipped sample fills a whole bin: assignments are 0..n-1.
             assert [len(seq.segments) for seq in columnar.sequences] == [1] * len(metas)
 
-    @given(lengths=lengths_lists, packing=st.booleans(), positions_first=st.booleans())
+    @given(lengths=lengths_lists, positions_first=st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_kernel_collation_expands_on_first_read_only(self, lengths, packing, positions_first):
+    def test_kernel_collation_expands_on_first_read_only(self, lengths, positions_first):
         metas = [meta(3 * i + 1, n) for i, n in enumerate(lengths)]
         columnar = collate_columns_with_positions(
-            4, [m.sample_id for m in metas], np.array(lengths, dtype=np.int64), 96,
-            packing=packing,
+            4, [m.sample_id for m in metas], np.array(lengths, dtype=np.int64), 96
         )
         # Slicing inputs are there without either lazy field having been built.
         assert vars(columnar)["sequences"] is None and vars(columnar)["position_ids"] is None
@@ -248,7 +200,7 @@ class TestCollationEquivalence:
         first = columnar.position_ids if positions_first else columnar.sequences
         assert (columnar.position_ids if positions_first else columnar.sequences) is first
         assert_collated_equal(
-            collate_with_positions(Microbatch(index=4, samples=metas), 96, packing=packing),
+            collate_with_positions(Microbatch(index=4, samples=metas), 96),
             columnar,
         )
 
@@ -438,20 +390,18 @@ class TestConstructorEquivalence:
             min_size=1,
             max_size=4,
         ),
-        packing=st.booleans(),
         pp=st.sampled_from([1, 2, 4]),
         dp=st.sampled_from([1, 2]),
         cp=st.sampled_from([1, 2, 3]),
         tp=st.sampled_from([1, 2]),
     )
     @settings(max_examples=150, deadline=None)
-    def test_rank_deliveries_match_reference_collation(self, tokens, packing, pp, dp, cp, tp):
+    def test_rank_deliveries_match_reference_collation(self, tokens, pp, dp, cp, tp):
         mesh = DeviceMesh(pp=pp, dp=dp, cp=cp, tp=tp, gpus_per_node=8)
         dp_index = dp - 1
         plan = make_plan(tokens)
         constructor = DataConstructor(
-            bucket_index=0, mesh=mesh, dp_index=dp_index, max_sequence_length=512,
-            packing=packing,
+            bucket_index=0, mesh=mesh, dp_index=dp_index, max_sequence_length=512
         )
         stats = constructor.construct(0, plan, columns_for(plan))
 
@@ -464,13 +414,13 @@ class TestConstructorEquivalence:
                     index=assignment.microbatch_index, samples=list(assignment.samples)
                 ),
                 512,
-                packing=packing,
             )
             expected_tokens += collated.total_tokens()
-            for piece in build_rank_slices(collated, mesh, dp_index=dp_index):
-                expected.setdefault(piece.rank, RankDelivery(rank=piece.rank)).slices.append(
-                    piece
-                )
+            group = mesh.ranks_where(dp=dp_index)
+            for piece in build_rank_slices(collated, mesh):
+                if piece.rank in group:
+                    delivery = expected.setdefault(piece.rank, RankDelivery(rank=piece.rank))
+                    delivery.slices.append(piece)
         assert constructor.ranks_served(0) == sorted(expected)
         for rank, reference in expected.items():
             delivered = constructor.get_batch(0, rank)
@@ -550,7 +500,7 @@ class TestDeliveryManifests:
             )
             planned_ids = sorted(
                 metadata.sample_id
-                for bucket in result.backbone_assignments
+                for bucket in bucket_samples(result.plan.module("backbone"))
                 for microbatch in bucket
                 for metadata in microbatch
             )

@@ -171,13 +171,16 @@ class TestPlan:
         dgraph.mix(schedule).distribute("DP").balance(num_microbatches=2)
         sample_id = dgraph.selected_samples[0].sample_id
         assert dgraph.lineage(sample_id) == ["buffered", "sampled", "assigned"]
-        assert len(dgraph.edges) > 0
+        sampled = [node for node in dgraph.nodes if node.state == "sampled"]
+        assert len(sampled) == len(dgraph.selected_samples)
 
-    def test_balance_edges_are_labelled_greedy(self, buffer_infos, tree):
+    def test_balance_nodes_record_bucket_and_microbatch(self, buffer_infos, tree):
         dgraph = DGraph.from_buffer_infos(buffer_infos).init(tree)
         dgraph.distribute("DP").balance(num_microbatches=2)
-        labels = {edge.label for edge in dgraph.edges if edge.dst[1] == "assigned"}
-        assert labels == {"balance[greedy]"}
+        assigned = [node for node in dgraph.nodes if node.state == "assigned"]
+        assert len(assigned) == len(dgraph.selected_samples)
+        assert {node.detail["microbatch"] for node in assigned} == {0, 1}
+        assert all(0 <= node.detail["bucket"] < dgraph.num_buckets for node in assigned)
 
     def test_balance_assigns_every_selected_sample_once(self, buffer_infos, tree):
         dgraph = DGraph.from_buffer_infos(buffer_infos).init(tree)

@@ -20,6 +20,7 @@ from repro.metrics.timeline import Timeline
 from repro.parallelism.mesh import DeviceMesh
 from repro.storage.filesystem import SimulatedFileSystem
 from repro.storage.reader import ColumnarReader
+from conftest import bucket_samples
 
 
 @pytest.fixture(scope="module")
@@ -193,18 +194,16 @@ class TestRunStep:
         fetchers = set(result.plan.fetching_ranks)
         assert fetchers
         assert fetchers <= set(result.deliveries)
-        assert result.fetched_bytes() > 0
+        assert sum(d.total_payload_bytes() for d in result.deliveries.values()) > 0
         assert result.data_fetch_latency_s > 0
 
     def test_assignments_match_mesh(self, deployed_system):
         result = deployed_system.run_step()
-        assert len(result.backbone_assignments) == deployed_system.job.dp
-        assert all(
-            len(bucket) == deployed_system.job.num_microbatches
-            for bucket in result.backbone_assignments
-        )
-        assert result.encoder_assignments is not None
-        assert len(result.encoder_assignments) == deployed_system.tree.mesh.world_size
+        backbone = bucket_samples(result.plan.module("backbone"))
+        assert len(backbone) == deployed_system.job.dp
+        assert all(len(bucket) == deployed_system.job.num_microbatches for bucket in backbone)
+        encoder = bucket_samples(result.plan.module("encoder"))
+        assert len(encoder) == deployed_system.tree.mesh.world_size
 
     def test_simulate_iteration(self, deployed_system):
         result = deployed_system.run_step(simulate=True)

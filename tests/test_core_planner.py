@@ -36,6 +36,7 @@ from repro.data.samples import Modality, SampleMetadata
 from repro.errors import PlanError
 from repro.parallelism.mesh import DeviceMesh
 from repro.utils.units import GIB
+from conftest import bucket_samples
 
 
 @pytest.fixture()
@@ -545,7 +546,7 @@ class TestNoRecordsPerPlan:
                 if ids:
                     handle.call("replay_demands", list(ids))
         # Records are still there on demand.
-        assert len(plan.module("backbone").bucket_samples()) == 4
+        assert len(bucket_samples(plan.module("backbone"))) == 4
         assert len(built) == batch
 
     def test_sized_path_builds_no_record(self, monkeypatch):

@@ -56,7 +56,7 @@ class TestModulePlan:
         with pytest.raises(PlanError):
             plan.validate()
 
-    def test_bucket_samples_pads_each_bucket_to_num_microbatches(self, sample_factory):
+    def test_bucket_tokens_pads_each_bucket_to_num_microbatches(self, sample_factory):
         plan = ModulePlan(module="backbone", axis="DP", num_buckets=2, num_microbatches=3)
         plan.assignments.append(
             assignment_of(1, 0, [sample_factory(4)])
@@ -67,10 +67,10 @@ class TestModulePlan:
         plan.assignments.append(
             assignment_of(0, 0, [sample_factory(1)])
         )
-        buckets = plan.bucket_samples()
-        assert [[[s.sample_id for s in mb] for mb in bucket] for bucket in buckets] == [
-            [[1], [2], []],
-            [[4], [], []],
+        buckets = plan.bucket_tokens()
+        assert [[len(tokens) for tokens, _ in bucket] for bucket in buckets] == [
+            [1, 1, 0],
+            [1, 0, 0],
         ]
 
     def test_assignment_helpers(self, sample_factory):

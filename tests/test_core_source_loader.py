@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.actors.actor import ActorHandle
 from repro.actors.runtime import ActorSystem, ClusterSpec
 from repro.core import source_loader
 from repro.core.framework import MegaScaleData, TrainingJobSpec
@@ -58,7 +59,7 @@ class TestLifecycle:
     def test_stop_releases_memory(self, system, small_catalog, filesystem):
         handle = spawn_loader(system, small_catalog, filesystem, buffer_size=16)
         system.stop_actor(handle.name)
-        assert system.total_memory() == 0
+        assert sum(system.memory_by_node().values()) == 0
 
     def test_invalid_configuration(self, small_catalog, filesystem):
         source = small_catalog.sources()[0]
@@ -114,7 +115,7 @@ class TestPrepareAndFetch:
         ids = [m.sample_id for m in loader.summary_buffer()[:3]]
         if bad == "later_chunk":
             handle.call("poll", 5, 1, ids[:1] + [999_999])
-        buffered, ledger = loader.summary_buffer(), loader.ledger.snapshot().by_category
+        buffered, ledger = loader.summary_buffer(), dict(loader.ledger._live)
         tickets, staged = dict(loader._tickets), loader.staged_count()
         with pytest.raises(PlanError, match="unknown sample"):
             if bad == "unbuffered":
@@ -124,7 +125,7 @@ class TestPrepareAndFetch:
             else:
                 handle.call("poll", 5, 1)
         assert loader.summary_buffer() == buffered
-        assert loader.ledger.snapshot().by_category == ledger
+        assert dict(loader.ledger._live) == ledger
         assert loader._tickets == tickets
         assert loader.staged_count() == staged
         # Nothing stays open that would block the next demand.
@@ -359,7 +360,7 @@ def test_sync_prepare_equals_async_polls_of_any_chunk_size(
         assert wall_clock == pytest.approx(expected["wall_clock_s"])
         a, b = sync.instance(), chunked.instance()
         assert a.staged_count() == b.staged_count() == 0
-        assert a.ledger.snapshot().by_category == b.ledger.snapshot().by_category
+        assert a.ledger._live == b.ledger._live
         assert a.summary_buffer() == b.summary_buffer()
         assert a.replay_checkpoint()["cursor"] == b.replay_checkpoint()["cursor"]
         assert (a.stats.samples_prepared, a.stats.samples_delivered) == (
@@ -726,4 +727,4 @@ class TestReplaySnapshots:
 
 
 def handle_of(system, loader):
-    return next(handle for handle in system.handles() if handle.name == loader.actor_name)
+    return ActorHandle(system, loader.actor_name)

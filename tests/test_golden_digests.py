@@ -57,6 +57,7 @@ from repro.core.plans import MicrobatchAssignment
 from repro.core.strategies import StrategyConfig, make_strategy
 from repro.data.mixture import MixtureSchedule
 from repro.parallelism.mesh import DeviceMesh
+from conftest import bucket_samples
 from test_core_planner import _plan_signature, _random_buffer_infos
 
 STEPS = 6
@@ -125,7 +126,7 @@ def _feed_deliveries(digest, result) -> None:
         digest,
         [
             [[sample.sample_id for sample in bin_] for bin_ in bucket]
-            for bucket in result.backbone_assignments
+            for bucket in bucket_samples(result.plan.module("backbone"))
         ],
     )
     for rank in sorted(result.deliveries):
@@ -328,7 +329,7 @@ def run_churn_cell() -> tuple[str, list[int]]:
         _feed_deliveries(deliveries, result)
         ids = [
             sample.sample_id
-            for bucket in result.backbone_assignments
+            for bucket in bucket_samples(result.plan.module("backbone"))
             for bin_ in bucket
             for sample in bin_
         ]

@@ -7,6 +7,7 @@ import pytest
 from repro.core.framework import MegaScaleData, TrainingJobSpec
 from repro.data.mixture import MixturePhase, MixtureSchedule
 from repro.training.flops import token_arrays
+from conftest import bucket_samples
 
 
 class TestVlmEndToEnd:
@@ -46,7 +47,8 @@ class TestVlmEndToEnd:
 
     def test_balanced_assignment_beats_arrival_order(self, system):
         result = system.run_step(simulate=True)
-        flat = [s for bucket in result.backbone_assignments for mb in bucket for s in mb]
+        backbone = bucket_samples(result.plan.module("backbone"))
+        flat = [s for bucket in backbone for mb in bucket for s in mb]
         dp = system.job.dp
         microbatches = system.job.num_microbatches
         per_bucket = (len(flat) + dp - 1) // dp

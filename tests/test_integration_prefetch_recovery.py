@@ -17,7 +17,7 @@ import pytest
 from repro.actors.runtime import ActorSystem
 from repro.chaos.engine import ChaosEngine
 from repro.chaos.plan import FaultEvent, FaultPlan
-from repro.core.fault_tolerance import DEGRADED_WAIT_ATTEMPTS
+from repro.core.fault_tolerance import BREAKER_THRESHOLD, DEGRADED_WAIT_ATTEMPTS
 from repro.core.framework import MegaScaleData, TrainingJobSpec
 from repro.core.source_loader import SourceLoader
 from repro.data.synthetic import build_source_catalog, navit_like_spec
@@ -291,10 +291,27 @@ def test_killed_planner_is_restarted_once(depth):
         system.shutdown()
 
 
+#: A ``gcs_blip`` window long enough to last until :func:`blip` clears it.
+UNTIL_CLEARED_S = 1e9
+
+
+def blip(system, names) -> None:
+    """Time out every call to ``names`` from now until the next ``blip``;
+    no names clears the window."""
+    events = [
+        FaultEvent("gcs_blip", system.clock.now_s, target=name, duration_s=UNTIL_CLEARED_S)
+        for name in sorted(names)
+    ]
+    if events:
+        ChaosEngine(FaultPlan(events)).attach(system)
+    else:
+        system.chaos = None
+
+
 @pytest.mark.parametrize("depth", [0, 2])
 def test_planner_timeout_is_waited_out_or_cleared(depth):
-    """An injected planner timeout is seen at every depth: the step waits out
-    the degraded-wait budget and raises; cleared first, it delivers normally."""
+    """A planner blip is seen at every depth: the step waits out the
+    degraded-wait budget and raises; cleared first, it delivers normally."""
     reference = MegaScaleData.deploy(make_job(depth, shadows=False, seed=12))
     system = MegaScaleData.deploy(make_job(depth, shadows=False, seed=12))
     try:
@@ -312,13 +329,85 @@ def test_planner_timeout_is_waited_out_or_cleared(depth):
                 raise
 
         system.system.invoke = counting_invoke
-        system.system.failures.timeout(planner)
+        blip(system.system, [planner])
         with pytest.raises(ActorTimeout):
             system.run_step()
         assert len(failed_plans) == DEGRADED_WAIT_ATTEMPTS
 
-        system.system.failures.clear(planner)
+        blip(system.system, [])
         assert [delivery_signature(system.run_step()) for _ in range(3)] == expected
+    finally:
+        reference.shutdown()
+        system.shutdown()
+
+
+@pytest.mark.parametrize("depth", [0, 2])
+def test_a_constructor_blip_past_the_retry_budget_is_waited_out(depth):
+    """A blip on ``get_batch`` that outlasts the per-call retries (the
+    constructor's breaker opens) is waited out on the clock: the step
+    completes, later, with the fault-free run's batches."""
+    reference = MegaScaleData.deploy(make_job(depth, shadows=False, seed=12))
+    system = MegaScaleData.deploy(make_job(depth, shadows=False, seed=12))
+    try:
+        expected = [delivery_signature(reference.run_step()) for _ in range(3)]
+        invoke = system.system.invoke
+        victims, timeouts = [], []
+
+        def blipping_invoke(name, method, args, kwargs, advance_rpc):
+            if method == "get_batch" and args[0] == 1 and not victims:
+                victims.append(name)
+                now_s = system.system.clock.now_s
+                window = FaultEvent("gcs_blip", now_s, target=name, duration_s=2.0)
+                ChaosEngine(FaultPlan([window])).attach(system.system)
+            try:
+                return invoke(name, method, args, kwargs, advance_rpc)
+            except ActorTimeout:
+                timeouts.append(name)
+                raise
+
+        system.system.invoke = blipping_invoke
+        assert [delivery_signature(system.run_step()) for _ in range(3)] == expected
+        # More failures than the breaker lets one retried call absorb: the
+        # wait-out loop re-issued the call after the retries gave up.
+        assert timeouts == victims * len(timeouts)
+        assert len(timeouts) > BREAKER_THRESHOLD
+    finally:
+        reference.shutdown()
+        system.shutdown()
+
+
+def test_a_blipped_staging_release_is_left_to_the_next_sweep():
+    """A blip on a constructor's step-boundary ``release_steps_below`` does not
+    fail the step: the skipped step stays staged until the next boundary's
+    sweep frees it, and every batch is the fault-free run's (prefetching;
+    at depth 0 the extra staged step fills the queue before that sweep)."""
+    reference = MegaScaleData.deploy(make_job(2, shadows=False, seed=12))
+    system = MegaScaleData.deploy(make_job(2, shadows=False, seed=12))
+    try:
+        expected = [delivery_signature(reference.run_step()) for _ in range(4)]
+        invoke = system.system.invoke
+        blipped = []
+
+        def blipping_invoke(name, method, args, kwargs, advance_rpc):
+            if method != "release_steps_below" or args != (1,):
+                return invoke(name, method, args, kwargs, advance_rpc)
+            blip(system.system, [name])
+            try:
+                return invoke(name, method, args, kwargs, advance_rpc)
+            except ActorTimeout:
+                blipped.append(name)
+                raise
+            finally:
+                blip(system.system, [])
+
+        system.system.invoke = blipping_invoke
+        constructors = [handle.instance() for handle in system.constructor_handles]
+        delivered = [delivery_signature(system.run_step()) for _ in range(2)]
+        assert sorted(blipped) == sorted(handle.name for handle in system.constructor_handles)
+        assert all(0 in constructor.staged_steps() for constructor in constructors)
+        delivered += [delivery_signature(system.run_step()) for _ in range(2)]
+        assert delivered == expected
+        assert all(0 not in constructor.staged_steps() for constructor in constructors)
     finally:
         reference.shutdown()
         system.shutdown()
@@ -340,20 +429,6 @@ def two_poll_job(prefetch_depth: int, num_sources: int = 2, **overrides) -> Trai
     )
 
 
-def arm_fault(system, kind: str, name: str):
-    """Make the next call to ``name`` time out, or (``"kill"``) kill the actor;
-    returns the disarm callable."""
-    if kind == "timeout":
-        system.failures.timeout(name)
-        return lambda: system.failures.clear(name)
-    if kind == "kill":
-        system.kill_actor(name)
-        return lambda: None
-    blip = FaultEvent("gcs_blip", system.clock.now_s, target=name, duration_s=1e-3)
-    ChaosEngine(FaultPlan([blip])).attach(system)
-    return lambda: setattr(system, "chaos", None)
-
-
 def fault_polls(monkeypatch, kind: str, which: str, loaders: int = 1) -> dict:
     """Fault one loader poll of ``FAULTED_STEP`` on each of ``loaders``
     loaders, once, before its body runs.
@@ -367,8 +442,25 @@ def fault_polls(monkeypatch, kind: str, which: str, loaders: int = 1) -> dict:
     invoke = ActorSystem.invoke
     accept = SourceLoader.prepare_async
     publish = SourceLoader.fetch_prepared_ref
-    # Wallclock lanes invoke concurrently: pick the victims atomically.
+    # Wallclock lanes invoke concurrently: pick, blip and clear victims atomically.
     picking = threading.Lock()
+    blipped: set[str] = set()
+
+    def arm_fault(system, name: str):
+        """Make the next call to ``name`` time out (``"blip"``) or kill the
+        actor (``"kill"``); returns the disarm callable."""
+        if kind == "kill":
+            system.kill_actor(name)
+            return lambda: None
+        blipped.add(name)
+        blip(system, blipped)
+
+        def disarm() -> None:
+            with picking:
+                blipped.discard(name)
+                blip(system, blipped)
+
+        return disarm
 
     def is_target(system, name, method, args) -> bool:
         if len(log["faulted"]) >= loaders or method != "poll" or args[0] != FAULTED_STEP:
@@ -386,7 +478,7 @@ def fault_polls(monkeypatch, kind: str, which: str, loaders: int = 1) -> dict:
         with picking:
             if is_target(self, name, method, args):
                 log["faulted"].append((name, args[0]))
-                disarm = arm_fault(self, kind, name)
+                disarm = arm_fault(self, name)
         try:
             result = invoke(self, name, method, args, kwargs, advance_rpc)
         except (ActorDead, ActorTimeout):
@@ -432,13 +524,10 @@ def assert_each_ticket_handed_off_once(log: dict) -> None:
         )
 
 
-@pytest.mark.parametrize("kind", ["timeout", "blip"])
 @pytest.mark.parametrize(
     "prefetch_depth,which", [(0, "first"), (2, "first"), (2, "final")]
 )
-def test_a_fault_on_a_folded_poll_is_retried_exactly_once(
-    monkeypatch, kind, prefetch_depth, which
-):
+def test_a_fault_on_a_folded_poll_is_retried_exactly_once(monkeypatch, prefetch_depth, which):
     """The accept rides a ticket's first poll and the hand-off its final one.
     A fault on either fires before the body runs, so the retry accepts the
     ticket once and publishes one ``prepared/`` key, and the run delivers
@@ -448,7 +537,7 @@ def test_a_fault_on_a_folded_poll_is_retried_exactly_once(
         expected = [delivery_signature(reference.run_step()) for _ in range(5)]
     finally:
         reference.shutdown()
-    log = fault_polls(monkeypatch, kind, which)
+    log = fault_polls(monkeypatch, "blip", which)
     system = MegaScaleData.deploy(two_poll_job(prefetch_depth))
     try:
         assert [delivery_signature(system.run_step()) for _ in range(5)] == expected
@@ -467,7 +556,7 @@ def test_a_fault_on_a_folded_poll_is_retried_exactly_once(
     assert_each_ticket_handed_off_once(log)
 
 
-@pytest.mark.parametrize("kind", ["timeout", "kill"])
+@pytest.mark.parametrize("kind", ["blip", "kill"])
 @pytest.mark.parametrize("backend", ["virtual", "wallclock"])
 def test_two_first_polls_failing_in_one_round_are_each_retried_once(
     monkeypatch, backend, kind

@@ -58,23 +58,17 @@ class TestMemoryLedger:
         parent = MemoryLedger()
         parent.disown(MemoryLedger())
 
-    def test_snapshot_merges_categories(self):
+    def test_live_bytes_are_own_and_totals_include_children(self):
         parent = MemoryLedger()
         child = MemoryLedger()
         parent.adopt(child)
         parent.charge("a", 10)
         child.charge("a", 5)
         child.charge("b", 1)
-        snapshot = parent.snapshot()
-        assert snapshot.category("a") == 15
-        assert snapshot.category("b") == 1
-        assert snapshot.total_bytes == 16
-
-    def test_snapshot_fraction(self):
-        ledger = MemoryLedger()
-        ledger.charge("a", 75)
-        ledger.charge("b", 25)
-        assert ledger.snapshot().fraction("a") == pytest.approx(0.75)
+        assert parent.live_bytes("a") == 10
+        assert parent.live_bytes("b") == 0
+        assert child.live_bytes("b") == 1
+        assert parent.total_bytes() == 16
 
     def test_release_all(self):
         ledger = MemoryLedger()
@@ -96,24 +90,6 @@ class TestTimeline:
         timeline = Timeline()
         with pytest.raises(ValueError):
             timeline.record("x", "y", 0.0, -1.0)
-
-    def test_span_is_latest_end(self):
-        timeline = Timeline()
-        timeline.record("a", "x", 0.0, 1.0)
-        timeline.record("b", "y", 5.0, 2.0)
-        assert timeline.span() == pytest.approx(7.0)
-
-    def test_empty_span_is_zero(self):
-        assert Timeline().span() == 0.0
-
-    def test_breakdown_by_component(self):
-        timeline = Timeline()
-        timeline.record("a", "x", 0.0, 1.0)
-        timeline.record("a", "y", 0.0, 2.0)
-        timeline.record("b", "z", 0.0, 4.0)
-        breakdown = timeline.breakdown()
-        assert breakdown["a"] == pytest.approx(3.0)
-        assert breakdown["b"] == pytest.approx(4.0)
 
     def test_event_metadata_preserved(self):
         timeline = Timeline()
@@ -230,18 +206,20 @@ class TestFleetEvents:
 
     def test_record_and_summarize(self):
         ledger = OverlapLedger()
-        ledger.record_fleet_event("spawn", 2, 1.5, "src-a", "loader/src-a/0m1")
-        ledger.record_fleet_event("spawn", 4, 2.5, "src-b", "loader/src-b/0m2")
-        ledger.record_fleet_event("retire", 9, 5.0, "src-a", "loader/src-a/0m1")
-        ledger.record_fleet_event("reject", 11, 6.0, "src-b", "loader/src-b/0m3",
-                                  detail="no node can host")
+        ledger.add_fleet_event(FleetEvent("spawn", 2, 1.5, "src-a", "loader/src-a/0m1"))
+        ledger.add_fleet_event(FleetEvent("spawn", 4, 2.5, "src-b", "loader/src-b/0m2"))
+        ledger.add_fleet_event(FleetEvent("retire", 9, 5.0, "src-a", "loader/src-a/0m1"))
+        ledger.add_fleet_event(
+            FleetEvent("reject", 11, 6.0, "src-b", "loader/src-b/0m3", detail="no node can host")
+        )
         assert len(ledger.fleet_events()) == 4
         assert [e.actor for e in ledger.fleet_events() if e.kind == "spawn"] == [
             "loader/src-a/0m1", "loader/src-b/0m2",
         ]
-        ledger.record_fleet_event("resize", 12, 6.5, "src-a", "loader/src-a/0",
-                                  detail="workers 2 -> 4")
-        ledger.record_fleet_event("promote", 13, 7.0, "src-b", "loader/src-b/0m4")
+        ledger.add_fleet_event(
+            FleetEvent("resize", 12, 6.5, "src-a", "loader/src-a/0", detail="workers 2 -> 4")
+        )
+        ledger.add_fleet_event(FleetEvent("promote", 13, 7.0, "src-b", "loader/src-b/0m4"))
         summary = ledger.elasticity_summary()
         assert summary == {
             "fleet_spawns": 2.0,
@@ -255,7 +233,16 @@ class TestFleetEvents:
     def test_unknown_kind_rejected(self):
         ledger = OverlapLedger()
         with pytest.raises(ValueError):
-            ledger.record_fleet_event("explode", 0, 0.0, "src", "actor")
+            ledger.record_fleet_event("explode", 0, 0.0, "src")
+
+    def test_record_fleet_event_builds_a_source_level_record(self):
+        ledger = OverlapLedger()
+        event = ledger.record_fleet_event("degrade", 3, 1, "src-a", detail="all loaders unreachable")
+        assert ledger.fleet_events() == [event]
+        assert (event.kind, event.step, event.at_s, event.source, event.actor) == (
+            "degrade", 3, 1.0, "src-a", "",
+        )
+        assert type(event.at_s) is float and event.detail == "all loaders unreachable"
 
     def test_add_fleet_event_stores_the_given_record(self):
         ledger = OverlapLedger()

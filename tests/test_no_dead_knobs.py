@@ -1,9 +1,12 @@
-"""Guard: every defaulted parameter and dataclass field in ``src/`` is set from
-outside ``tests/``.
+"""Guard: every parameter and dataclass field in ``src/`` takes more than one
+value outside ``tests/``.
 
 A defaulted parameter that no call in ``src/``, ``bench/``, ``benchmarks/`` or
 ``examples/`` passes has one value in use, its default, so it is a constant.
-The AST scan counts a parameter as passed when, outside ``tests/``:
+So is a parameter, defaulted or required, that every such call passes as the
+same literal (``broadcast_at(..., "TP")`` everywhere); a call that leaves a
+parameter out passes its default, and only a literal default counts as a
+literal. The AST scan counts a parameter as passed when, outside ``tests/``:
 
 - a call whose callee name is the function's (for ``__init__``: the class, a
   subclass, or ``cls(...)`` inside the class) passes it by keyword, passes
@@ -15,23 +18,26 @@ The AST scan counts a parameter as passed when, outside ``tests/``:
 - ``obj.<param> = ...`` assigns a parameter the function stores as
   ``self.<param>`` (``scaler.consecutive_intervals = 2``).
 
-A call from inside the function's own body to the function itself
+A splat, a variable, any other expression, or two different literals keep a
+parameter. A call from inside the function's own body to the function itself
 (``name(...)``, or ``self.name(...)`` in a method) does not count; a
 delegation to another object's namesake (``self.engine.drain(deadline_s)``)
 does. Matching is by name alone, so the scan errs towards keeping
 parameters. A parameter only tests pass is either made a constant or listed
-in ``ALLOWLIST`` with the reason it stays. The field scan below holds the
-defaulted ``__init__`` fields of ``src/`` dataclasses to the same rule, with
-``FIELD_ALLOWLIST``.
+in ``ALLOWLIST`` with the reason it stays; one every caller passes as the same
+literal, in ``LITERAL_ALLOWLIST``. The field scan below holds the ``__init__``
+fields of ``src/`` dataclasses to the same rules, with ``FIELD_ALLOWLIST``.
+The calls, value uses and attribute stores come from the one pass
+``test_no_dead_surface.py`` makes (:func:`uses`).
 """
 
 from __future__ import annotations
 
 import ast
 import functools
-from collections import defaultdict
+from pathlib import Path
 
-from test_no_dead_surface import CALLER_DIRS, ROOT, _definitions, parse, python_files
+from test_no_dead_surface import ROOT, _definitions, parse, python_files, uses
 
 # "Qual.func(param=)" (a class for ``__init__``) -> why it stays settable.
 ALLOWLIST = {
@@ -45,20 +51,39 @@ ALLOWLIST = {
     "TenantManager(time_scale=)": "platform: the wallclock backend's time scale",
 }
 
+# A parameter label or "Class.field" -> why it stays although every caller
+# outside ``tests/`` passes it the same literal.
+LITERAL_ALLOWLIST = {
+    "DGraph.broadcast_at(target_dim=)": "paper Table 2 primitive: broadcast along a mesh axis",
+    # The paper's pipeline and context axes: every figure and example runs one
+    # stage and one CP rank, but the end-to-end tests deploy PP=2 and CP=2 jobs
+    # through them, the layouts the data-consumer deduplication exists for.
+    "TrainingJobSpec.pp": "paper 4D parallelism: pipeline stages of the job's mesh",
+    "TrainingJobSpec.cp": "paper 4D parallelism: context-parallel ranks of the job's mesh",
+}
+
+#: What :func:`_argument` returns when a ``*`` / ``**`` splat may carry the argument.
+_SPLAT = object()
+
 
 def _label(qual: str, param: str) -> str:
     return f"{qual.removesuffix('.__init__')}({param}=)"
 
 
-def _defaulted(node: ast.FunctionDef) -> list[tuple[str, int | None]]:
-    """``(name, positional index or None)`` of every parameter with a default."""
+def _parameters(
+    node: ast.FunctionDef, offset: int
+) -> list[tuple[str, int | None, ast.expr | None]]:
+    """``(name, positional index or None, default or None)`` of every named
+    parameter after the first ``offset`` (``self`` / ``cls``)."""
     args = node.args
     positional = args.posonlyargs + args.args
-    first = len(positional) - len(args.defaults)
-    found = [(arg.arg, index) for index, arg in enumerate(positional) if index >= first]
-    found += [
-        (arg.arg, None) for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default
+    defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
+    found = [
+        (arg.arg, index, default)
+        for index, (arg, default) in enumerate(zip(positional, defaults))
+        if index >= offset
     ]
+    found += [(arg.arg, None, default) for arg, default in zip(args.kwonlyargs, args.kw_defaults)]
     return found
 
 
@@ -75,87 +100,52 @@ def _stored(node: ast.FunctionDef) -> set[str]:
     }
 
 
-class _Uses(ast.NodeVisitor):
-    """Calls, string-named calls, value uses and attribute stores of one file."""
-
-    def __init__(self, facts: dict) -> None:
-        self.facts = facts
-        self.enclosing: list[ast.AST] = []
-        self.classes: list[str] = []
-
-    def visit_FunctionDef(self, node) -> None:
-        self.enclosing.append(node)
-        self.generic_visit(node)
-        self.enclosing.pop()
-
-    visit_AsyncFunctionDef = visit_FunctionDef
-
-    def visit_ClassDef(self, node) -> None:
-        self.classes.append(node.name)
-        self.generic_visit(node)
-        self.classes.pop()
-
-    def visit_Call(self, node) -> None:
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if name == "cls" and self.classes:
-            name = self.classes[-1]
-        # Only a bare or ``self.``/``cls.`` call can be the function calling itself.
-        receiver = getattr(getattr(func, "value", None), "id", None)
-        own = isinstance(func, ast.Name) or receiver in ("self", "cls")
-        inside = tuple(self.enclosing) if own else ()
-        if name:
-            self.facts["calls"][name].append((node.args, node.keywords, inside))
-        for index, arg in enumerate(node.args):
-            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-                rest = node.args[index + 1 :]
-                self.facts["calls"][arg.value].append((rest, node.keywords, ()))
-        # The callee itself is called, not used as a value: visit its receiver only.
-        if isinstance(func, ast.Attribute):
-            self.visit(func.value)
-        elif not isinstance(func, ast.Name):
-            self.visit(func)
-        for arg in node.args:
-            self.visit(arg)
-        for keyword in node.keywords:
-            self.visit(keyword.value)
-
-    def visit_Name(self, node) -> None:
-        if isinstance(node.ctx, ast.Load):
-            self.facts["values"].add(node.id)
-
-    def visit_Attribute(self, node) -> None:
-        if isinstance(node.ctx, ast.Load):
-            self.facts["values"].add(node.attr)
-        elif not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")):
-            self.facts["assigned"].add(node.attr)
-        self.generic_visit(node)
-
-
-def _passes(call, param: str, index: int | None, offset: int) -> bool:
+def _argument(call, param: str, index: int | None, offset: int):
+    """What ``call`` passes as ``param``: the expression, ``None`` when the call
+    leaves it out, or ``_SPLAT`` when a ``*`` / ``**`` may carry it."""
     args, keywords, _ = call
-    if any(isinstance(arg, ast.Starred) for arg in args):
-        return True
-    if any(keyword.arg in (None, param) for keyword in keywords):
-        return True
-    return index is not None and len(args) + offset > index
+    for keyword in keywords:
+        if keyword.arg == param:
+            return keyword.value
+    if index is not None:
+        position = index - offset
+        if any(isinstance(arg, ast.Starred) for arg in args[: position + 1]):
+            return _SPLAT
+        if position < len(args):
+            return args[position]
+    if any(isinstance(arg, ast.Starred) for arg in args) or any(k.arg is None for k in keywords):
+        return _SPLAT
+    return None
+
+
+def _literal(node) -> str | None:
+    """``repr`` of a constant expression (``True``, ``"TP"``, ``-1``), else ``None``."""
+    if isinstance(node, ast.Constant) or (
+        isinstance(node, ast.UnaryOp) and isinstance(node.operand, ast.Constant)
+    ):
+        try:
+            return repr(ast.literal_eval(node))
+        except ValueError:
+            return None
+    return None
+
+
+def _judge(passed: list, default) -> tuple[bool, str | None]:
+    """``(unpassed, literal)`` for one parameter or field, given what each call
+    passes (:func:`_argument`): whether every call leaves it out, and the one
+    literal every call passes, if there is one."""
+    if default is not None and all(value is None for value in passed):
+        return True, None
+    literals = {_literal(default if value is None else value) for value in passed}
+    return False, literals.pop() if len(literals) == 1 else None
 
 
 @functools.cache
-def _facts() -> dict:
-    facts = {"calls": defaultdict(list), "values": set(), "assigned": set()}
-    for directory in CALLER_DIRS:
-        for path in python_files(directory):
-            _Uses(facts).visit(parse(path))
-    return facts
-
-
-@functools.cache
-def _src_definitions() -> tuple[list, dict]:
+def _src_definitions(root: Path = ROOT) -> tuple[list, dict]:
     """``(functions, classes)``: ``(path, qual, node)`` of every ``src/`` function,
     and ``{qual: (path, node)}`` of every ``src/`` class."""
     functions, classes = [], {}
-    for path in python_files("src"):
+    for path in python_files("src", root):
         for qual, node in _definitions(parse(path)):
             if isinstance(node, ast.ClassDef):
                 classes[qual] = (path, node)
@@ -168,9 +158,9 @@ def _base_names(node: ast.ClassDef) -> set[str]:
     return {getattr(base, "id", getattr(base, "attr", None)) for base in node.bases}
 
 
-def _family(cls: str) -> set[str]:
+def _family(cls: str, root: Path) -> set[str]:
     """``cls`` and, transitively, every class deriving from it."""
-    _, classes = _src_definitions()
+    _, classes = _src_definitions(root)
     names = {cls.rsplit(".", 1)[-1]}
     while grown := {
         q.rsplit(".", 1)[-1] for q, (_, node) in classes.items() if _base_names(node) & names
@@ -180,18 +170,20 @@ def _family(cls: str) -> set[str]:
 
 
 @functools.cache
-def scan():
-    """Return ``(defaulted, unpassed)``: ``{label: path:line}`` of every
-    defaulted parameter in ``src/``, and the subset no non-test call passes."""
-    facts = _facts()
-    functions, classes = _src_definitions()
-    defaulted, unpassed = {}, {}
+def scan(root: Path = ROOT):
+    """Return ``(defaulted, unpassed, literal)``: ``{label: path:line}`` of
+    every defaulted parameter in ``src/`` and of the subset no non-test call
+    passes, and ``{label: (path:line, literal)}`` of every parameter each
+    non-test call passes as that one literal."""
+    facts = uses(root)
+    functions, classes = _src_definitions(root)
+    defaulted, unpassed, literal = {}, {}, {}
     for path, qual, node in functions:
         owner, _, name = qual.rpartition(".")
         is_method = owner in classes
         static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
         offset = 1 if is_method and not static else 0
-        callees = _family(owner) if name == "__init__" else {name}
+        callees = _family(owner, root) if name == "__init__" else {name}
         as_value = name != "__init__" and name in facts["values"]
         calls = [
             call
@@ -199,18 +191,24 @@ def scan():
             for call in facts["calls"][callee]
             if node not in call[2]  # the function calling itself
         ]
-        for param, index in _defaulted(node):
+        where = f"{path.relative_to(root)}:{node.lineno}"
+        for param, index, default in _parameters(node, offset):
             label = _label(qual, param)
-            defaulted[label] = f"{path.relative_to(ROOT)}:{node.lineno}"
+            if default is not None:
+                defaulted[label] = where
             if as_value or (param in facts["assigned"] and param in _stored(node)):
                 continue
-            if not any(_passes(call, param, index, offset) for call in calls):
-                unpassed[label] = defaulted[label]
-    return defaulted, unpassed
+            passed = [_argument(call, param, index, offset) for call in calls]
+            none, one = _judge(passed, default)
+            if none:
+                unpassed[label] = where
+            elif one is not None:
+                literal[label] = (where, one)
+    return defaulted, unpassed, literal
 
 
 def test_every_defaulted_parameter_is_passed_outside_tests():
-    _, unpassed = scan()
+    _, unpassed, _ = scan()
     dead = sorted(f"{where} {label}" for label, where in unpassed.items() if label not in ALLOWLIST)
     assert not dead, (
         "only tests pass these; make each a constant or allowlist it with a reason:\n"
@@ -219,7 +217,7 @@ def test_every_defaulted_parameter_is_passed_outside_tests():
 
 
 def test_allowlist_is_current():
-    defaulted, unpassed = scan()
+    defaulted, unpassed, _ = scan()
     gone = sorted(label for label in ALLOWLIST if label not in defaulted)
     live = sorted(
         f"{defaulted[label]} {label}"
@@ -235,12 +233,13 @@ def test_allowlist_entries_have_reasons():
     assert all(reason.strip() for reason in ALLOWLIST.values())
 
 
-# Dataclass fields. A defaulted ``__init__`` field is set outside ``tests/`` when
-# a constructor call of the class (a subclass, or ``cls(...)`` inside the class)
+# Dataclass fields. An ``__init__`` field is set outside ``tests/`` when a
+# constructor call of the class (a subclass, or ``cls(...)`` inside the class)
 # names it by keyword, reaches it by position or splats ``*`` / ``**``; when
 # ``replace(obj, <field>=...)`` names it (``replace(self, **changes)`` inside the
-# class sets every field); or when ``obj.<field> = ...`` assigns it. Fields marked
-# ``ClassVar`` or ``field(init=False)`` are not settable and not counted.
+# class sets every field); or when ``obj.<field> = ...`` assigns it. The last
+# two keep a field whatever they assign. Fields marked ``ClassVar`` or
+# ``field(init=False)`` are not settable and not counted.
 
 # "Class.field" -> why it stays settable although only tests set it.
 FIELD_ALLOWLIST = {
@@ -256,8 +255,9 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     )
 
 
-def _own_fields(node: ast.ClassDef) -> list[tuple[str, int, bool]]:
-    """``(name, line, defaulted)`` of each ``__init__`` field the class declares."""
+def _own_fields(node: ast.ClassDef) -> list[tuple[str, int, ast.expr | None]]:
+    """``(name, line, default or None)`` of each ``__init__`` field the class
+    declares; a ``default_factory`` is its call, never a literal."""
     found = []
     for stmt in node.body:
         if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
@@ -270,22 +270,21 @@ def _own_fields(node: ast.ClassDef) -> list[tuple[str, int, bool]]:
         init = options.get("init")
         if isinstance(init, ast.Constant) and init.value is False:
             continue
-        defaulted = value is not None and (
-            not is_field or "default" in options or "default_factory" in options
-        )
-        found.append((stmt.target.id, stmt.lineno, defaulted))
+        if is_field:
+            value = options.get("default", options.get("default_factory") and value)
+        found.append((stmt.target.id, stmt.lineno, value))
     return found
 
 
 @functools.cache
-def _init_fields(qual: str) -> tuple[str, ...]:
+def _init_fields(qual: str, root: Path) -> tuple[str, ...]:
     """Every ``__init__`` field of the dataclass ``qual`` in order, bases first."""
-    _, classes = _src_definitions()
+    _, classes = _src_definitions(root)
     short = {q.rsplit(".", 1)[-1]: q for q, (_, node) in classes.items() if _is_dataclass(node)}
     order: list[str] = []
     for base in _base_names(classes[qual][1]):
         if base in short:
-            order += _init_fields(short[base])
+            order += _init_fields(short[base], root)
     for name, _, _ in _own_fields(classes[qual][1]):
         if name not in order:
             order.append(name)
@@ -293,12 +292,11 @@ def _init_fields(qual: str) -> tuple[str, ...]:
 
 
 @functools.cache
-def field_scan():
-    """Return ``(defaulted, unset)``: ``{"Class.field": path:line}`` of every
-    defaulted dataclass field in ``src/``, and the subset nothing outside
-    ``tests/`` sets."""
-    facts = _facts()
-    functions, classes = _src_definitions()
+def field_scan(root: Path = ROOT):
+    """Return ``(defaulted, unset, literal)`` over dataclass fields, labelled
+    ``"Class.field"``, as :func:`scan` does over parameters."""
+    facts = uses(root)
+    functions, classes = _src_definitions(root)
     owner_of = {id(node): qual.rpartition(".")[0] for _, qual, node in functions}
     replaced, replaced_all = set(), set()
     for args, keywords, inside in facts["calls"]["replace"]:
@@ -307,26 +305,30 @@ def field_scan():
         if None in names and args and getattr(args[0], "id", None) == "self" and inside:
             replaced_all.add(owner_of.get(id(inside[-1])))
 
-    defaulted, unset = {}, {}
+    defaulted, unset, literal = {}, {}, {}
     for qual, (path, node) in classes.items():
         if not _is_dataclass(node):
             continue
-        order = _init_fields(qual)
-        calls = [call for callee in _family(qual) for call in facts["calls"][callee]]
-        for name, line, has_default in _own_fields(node):
-            if not has_default:
-                continue
+        order = _init_fields(qual, root)
+        calls = [call for callee in _family(qual, root) for call in facts["calls"][callee]]
+        for name, line, default in _own_fields(node):
             label = f"{qual}.{name}"
-            defaulted[label] = f"{path.relative_to(ROOT)}:{line}"
+            where = f"{path.relative_to(root)}:{line}"
+            if default is not None:
+                defaulted[label] = where
             if qual in replaced_all or name in replaced or name in facts["assigned"]:
                 continue
-            if not any(_passes(call, name, order.index(name), 0) for call in calls):
-                unset[label] = defaulted[label]
-    return defaulted, unset
+            passed = [_argument(call, name, order.index(name), 0) for call in calls]
+            none, one = _judge(passed, default)
+            if none:
+                unset[label] = where
+            elif one is not None:
+                literal[label] = (where, one)
+    return defaulted, unset, literal
 
 
 def test_every_defaulted_field_is_set_outside_tests():
-    _, unset = field_scan()
+    _, unset, _ = field_scan()
     dead = sorted(f"{where} {label}" for label, where in unset.items() if label not in FIELD_ALLOWLIST)
     assert not dead, (
         "only tests set these fields; make each a constant, a field(init=False), "
@@ -335,7 +337,7 @@ def test_every_defaulted_field_is_set_outside_tests():
 
 
 def test_field_allowlist_is_current():
-    defaulted, unset = field_scan()
+    defaulted, unset, _ = field_scan()
     gone = sorted(label for label in FIELD_ALLOWLIST if label not in defaulted)
     live = sorted(
         f"{defaulted[label]} {label}"
@@ -347,5 +349,31 @@ def test_field_allowlist_is_current():
 
 
 def test_field_allowlist_entries_have_reasons():
-    assert len(FIELD_ALLOWLIST) <= 3
+    assert len(FIELD_ALLOWLIST) <= 1
     assert all(reason.strip() for reason in FIELD_ALLOWLIST.values())
+
+
+def _literals() -> dict[str, tuple[str, str]]:
+    return {**scan()[2], **field_scan()[2]}
+
+
+def test_no_parameter_or_field_is_always_one_literal():
+    fixed = sorted(
+        f"{where} {label} is always {value}"
+        for label, (where, value) in _literals().items()
+        if label not in LITERAL_ALLOWLIST
+    )
+    assert not fixed, (
+        "every caller outside tests passes these the same literal; make each a "
+        "constant or allowlist it with a reason:\n" + "\n".join(fixed)
+    )
+
+
+def test_literal_allowlist_is_current():
+    stale = sorted(label for label in LITERAL_ALLOWLIST if label not in _literals())
+    assert not stale, f"allowlisted but no longer one literal in every call; drop it: {stale}"
+
+
+def test_literal_allowlist_entries_have_reasons():
+    assert len(LITERAL_ALLOWLIST) <= 3
+    assert all(reason.strip() for reason in LITERAL_ALLOWLIST.values())

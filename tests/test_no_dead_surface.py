@@ -7,12 +7,23 @@ an identifier-shaped string constant (``handle.call("poll")``, the tracer's
 ``LAYERS``). ``__all__`` lists and package re-exports are not references,
 and neither is a reference made inside the definition's own body (recursion,
 a method naming itself in a string) nor the object of an attribute store
-(``cost_fn.columns_eval = ...`` decorates a function, it does not use it). Matching is by name alone, so it errs
-towards keeping code: ``ColumnarReader.read_row`` lives because
-``ColumnarFile.read_row`` is called.
+(``cost_fn.columns_eval = ...`` decorates a function, it does not use it).
+
+A class member is reached only by an attribute (``self.next(...)``), a string,
+or a bare name in its own class body (``visit_AsyncFunctionDef =
+visit_FunctionDef``). A bare name anywhere else, an import included, binds a
+local, a builtin or a module-level name: a local ``bucket_costs`` does not keep
+``ModulePlan.bucket_costs`` alive, the builtin ``next()`` does not keep
+``IdAllocator.next``, and importing the function ``imbalance_ratio`` does not
+keep the method ``BalanceResult.imbalance_ratio``. Members are still matched by
+name, not by type, so the scan errs towards keeping code: the
+``file.read_row(...)`` in ``ColumnarReader.read_row`` reaches every class's
+``read_row``, not only ``ColumnarFile``'s.
 
 A definition that only tests reach is either deleted or listed in
-``ALLOWLIST`` with the reason it stays.
+``ALLOWLIST`` with the reason it stays. The same pass (:class:`Uses`) also
+records the calls, value uses and attribute stores that
+``test_no_dead_knobs.py`` checks parameters against.
 """
 
 from __future__ import annotations
@@ -20,11 +31,10 @@ from __future__ import annotations
 import ast
 import functools
 import re
-from collections import Counter
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SRC = ROOT / "src"
 CALLER_DIRS = ("src", "bench", "benchmarks", "examples")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -47,14 +57,14 @@ ALLOWLIST = {
     "MixtureDrivenScaler.total_current_actors": "probe: fleet size",
     "DataConstructor.staging_backlog": "probe: staged-delivery backlog",
     "DGraph.selected_samples": "probe: samples a plan kept",
-    "StepResult.fetched_bytes": "probe: bytes fetched per step",
+    "MemoryLedger.live_bytes": "probe: one category's live bytes",
     "SimulatedFileSystem.open_connection_count": "probe: leaked connections",
 }
 
 
-def python_files(directory: str) -> list[Path]:
-    """Every ``.py`` file under ``ROOT/directory``, in a stable order."""
-    return sorted((ROOT / directory).rglob("*.py"))
+def python_files(directory: str, root: Path = ROOT) -> list[Path]:
+    """Every ``.py`` file under ``root/directory``, in a stable order."""
+    return sorted((root / directory).rglob("*.py"))
 
 
 @functools.cache
@@ -73,85 +83,193 @@ def _definitions(tree: ast.Module, qual: str = ""):
 
 
 def _is_dunder_all(node: ast.AST) -> bool:
-    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
     return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
 
 
-def _references(path: Path):
-    """Yield every name ``path`` references."""
-    tree = parse(path)
-    reexports = path.name == "__init__.py" and path.is_relative_to(SRC)
-    skip: set[int] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and _is_dunder_all(node):
-            skip.update(id(sub) for sub in ast.walk(node))
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
-            skip.add(id(node.value))
-    yield from _names(tree, skip, reexports)
+class Uses(ast.NodeVisitor):
+    """One pass over a caller file, recording into ``facts``:
 
+    - ``references[name]``: ``(is_bare_name, enclosing, class_scope)`` per
+      reference, where ``enclosing`` holds the definitions it lies in and
+      ``class_scope`` is the class whose body scope it is in, if any;
+    - ``calls[name]``: ``(args, keywords, enclosing)`` per call of ``name``,
+      ``enclosing`` empty unless the call is bare or on ``self`` / ``cls``
+      (only those can be a function calling itself); a string argument names
+      a call too (``handle.call("poll", ticket)`` calls ``poll(ticket)``);
+    - ``values``: names loaded other than as a callee;
+    - ``assigned``: attributes stored on anything but ``self`` / ``cls``.
+    """
 
-def _names(tree: ast.AST, skip: set[int] = frozenset(), reexports: bool = False):
-    """Yield every name referenced under ``tree``."""
-    for node in ast.walk(tree):
-        if id(node) in skip:
-            continue
-        if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
-        elif isinstance(node, (ast.Import, ast.ImportFrom)) and not reexports:
+    def __init__(self, facts: dict, reexports: bool = False) -> None:
+        self.facts = facts
+        self.reexports = reexports
+        self.enclosing: tuple[ast.AST, ...] = ()
+        self.classes: list[str] = []
+        self.scope: ast.ClassDef | None = None
+        self.store_objects: set[int] = set()
+
+    def reference(self, name: str, bare: bool = False) -> None:
+        self.facts["references"][name].append((bare, self.enclosing, self.scope))
+
+    def _enter(self, node, visit_body) -> None:
+        outer = self.enclosing, self.scope
+        self.enclosing += (node,)
+        visit_body()
+        self.enclosing, self.scope = outer
+
+    def visit_FunctionDef(self, node) -> None:
+        def body() -> None:
+            # Decorators, defaults and annotations are in the enclosing scope.
+            for expr in [*node.decorator_list, node.args, node.returns]:
+                if expr is not None:
+                    self.visit(expr)
+            self.scope = None
+            for stmt in node.body:
+                self.visit(stmt)
+
+        self._enter(node, body)
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Lambda(self, node) -> None:
+        outer = self.scope
+        self.scope = None
+        self.generic_visit(node)
+        self.scope = outer
+
+    def visit_ClassDef(self, node) -> None:
+        def body() -> None:
+            for expr in [*node.decorator_list, *node.bases, *node.keywords]:
+                self.visit(expr)
+            self.scope = node
+            for stmt in node.body:
+                self.visit(stmt)
+
+        self.classes.append(node.name)
+        self._enter(node, body)
+        self.classes.pop()
+
+    def visit_Assign(self, node) -> None:
+        if not _is_dunder_all(node):
+            self.generic_visit(node)
+
+    visit_AugAssign = visit_AnnAssign = visit_Assign
+
+    def visit_Import(self, node) -> None:
+        if not self.reexports:
             for alias in node.names:
-                yield alias.name.rsplit(".", 1)[-1]
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if _IDENT.match(node.value):
-                yield node.value
+                # An import binds a bare name, as an assignment would.
+                self.reference(alias.name.rsplit(".", 1)[-1], bare=True)
+
+    visit_ImportFrom = visit_Import
+
+    def visit_Constant(self, node) -> None:
+        if isinstance(node.value, str) and _IDENT.match(node.value):
+            self.reference(node.value)
+
+    def visit_Call(self, node) -> None:
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "cls" and self.classes:
+            name = self.classes[-1]
+        receiver = getattr(getattr(func, "value", None), "id", None)
+        own = isinstance(func, ast.Name) or receiver in ("self", "cls")
+        if name:
+            inside = self.enclosing if own else ()
+            self.facts["calls"][name].append((node.args, node.keywords, inside))
+        for index, arg in enumerate(node.args):
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                self.facts["calls"][arg.value].append((node.args[index + 1 :], node.keywords, ()))
+        # The callee is referenced but not used as a value.
+        if isinstance(func, ast.Name):
+            self.reference(func.id, bare=True)
+        elif isinstance(func, ast.Attribute):
+            self.reference(func.attr)
+            self.visit(func.value)
+        else:
+            self.visit(func)
+        for arg in node.args:
+            self.visit(arg)
+        for keyword in node.keywords:
+            self.visit(keyword.value)
+
+    def visit_Name(self, node) -> None:
+        if isinstance(node.ctx, ast.Load):
+            self.facts["values"].add(node.id)
+        if id(node) not in self.store_objects:
+            self.reference(node.id, bare=True)
+
+    def visit_Attribute(self, node) -> None:
+        if isinstance(node.ctx, ast.Load):
+            self.facts["values"].add(node.attr)
+        else:
+            # ``obj.attr = ...`` uses ``attr``, not ``obj``.
+            self.store_objects.add(id(node.value))
+            if getattr(node.value, "id", None) not in ("self", "cls"):
+                self.facts["assigned"].add(node.attr)
+        if id(node) not in self.store_objects:
+            self.reference(node.attr)
+        self.generic_visit(node)
 
 
 @functools.cache
-def scan():
-    """Return ``(definitions, referenced)``.
+def uses(root: Path = ROOT) -> dict:
+    """The facts :class:`Uses` records over every caller file under ``root``."""
+    facts = {
+        "references": defaultdict(list),
+        "calls": defaultdict(list),
+        "values": set(),
+        "assigned": set(),
+    }
+    src = root / "src"
+    for directory in CALLER_DIRS:
+        for path in python_files(directory, root):
+            reexports = path.name == "__init__.py" and path.is_relative_to(src)
+            Uses(facts, reexports).visit(parse(path))
+    return facts
 
-    ``definitions`` maps a qualified name to ``(path:line, self_references)``,
-    the second being how often the definition's body names itself;
-    ``referenced`` counts every name referenced outside ``tests/``.
-    """
-    definitions: dict[str, tuple[str, int]] = {}
-    for path in python_files("src"):
+
+def _reaches(reference, node: ast.AST, owner: ast.ClassDef | None) -> bool:
+    bare, enclosing, class_scope = reference
+    if node in enclosing:
+        return False
+    return not bare or owner is None or class_scope is owner
+
+
+@functools.cache
+def scan(root: Path = ROOT):
+    """Return ``(definitions, unreached)``: ``{qualified name: path:line}`` of
+    every definition in ``src/``, and the names nothing outside ``tests/`` reaches."""
+    references = uses(root)["references"]
+    definitions: dict[str, str] = {}
+    unreached: set[str] = set()
+    for path in python_files("src", root):
+        classes = {}
         for qual, node in _definitions(parse(path)):
-            short = qual.rsplit(".", 1)[-1]
-            if not (short.startswith("__") and short.endswith("__")):
-                self_references = sum(name == short for name in _names(node))
-                definitions[qual] = (f"{path.relative_to(ROOT)}:{node.lineno}", self_references)
-    referenced = Counter(
-        name
-        for directory in CALLER_DIRS
-        for path in python_files(directory)
-        for name in _references(path)
-    )
-    return definitions, referenced
-
-
-def _reached(qual: str, definitions, referenced: Counter) -> bool:
-    return referenced[qual.rsplit(".", 1)[-1]] > definitions[qual][1]
+            owner, _, short = qual.rpartition(".")
+            if isinstance(node, ast.ClassDef):
+                classes[qual] = node
+            if short.startswith("__") and short.endswith("__"):
+                continue
+            definitions[qual] = f"{path.relative_to(root)}:{node.lineno}"
+            owner_node = classes.get(owner)
+            if not any(_reaches(ref, node, owner_node) for ref in references[short]):
+                unreached.add(qual)
+    return definitions, unreached
 
 
 def test_every_definition_is_reached_outside_tests():
-    definitions, referenced = scan()
-    dead = sorted(
-        f"{where} {qual}"
-        for qual, (where, _) in definitions.items()
-        if not _reached(qual, definitions, referenced) and qual not in ALLOWLIST
-    )
+    definitions, unreached = scan()
+    dead = sorted(f"{definitions[qual]} {qual}" for qual in unreached - ALLOWLIST.keys())
     assert not dead, "only tests reach these; delete them or allowlist with a reason:\n" + "\n".join(dead)
 
 
 def test_allowlist_is_current():
-    definitions, referenced = scan()
+    definitions, unreached = scan()
     gone = sorted(q for q in ALLOWLIST if q not in definitions)
     live = sorted(
-        f"{definitions[q][0]} {q}"
-        for q in ALLOWLIST
-        if q in definitions and _reached(q, definitions, referenced)
+        f"{definitions[q]} {q}" for q in ALLOWLIST if q in definitions and q not in unreached
     )
     assert not gone, f"allowlisted but no longer defined: {gone}"
     assert not live, "allowlisted but now referenced outside tests; drop the entry:\n" + "\n".join(live)

@@ -18,14 +18,15 @@ import pytest
 
 from repro import MegaScaleData, TrainingJobSpec
 from repro.data.samples import SampleMetadata
+from conftest import bucket_samples
 
 JOBS = {
     "vlm": TrainingJobSpec.vlm_example,
     "text": TrainingJobSpec.text_example,
 }
 
-#: sha256 over every field of ``backbone_assignments`` and
-#: ``encoder_assignments`` of steps 3-5 (seed 0, both depths), recorded with
+#: sha256 over every field of the backbone's and the encoder's planned records
+#: (``MicrobatchAssignment.samples``) of steps 3-5 (seed 0, both depths), recorded with
 #: the record-carrying data path, where the plan held the very records the
 #: loaders had decoded.
 RECORD_DIGESTS = {
@@ -37,8 +38,9 @@ RECORD_DIGESTS = {
 def record_digest(results) -> str:
     digest = hashlib.sha256()
     for result in results:
-        for assignments in (result.backbone_assignments, result.encoder_assignments or []):
-            for bucket in assignments:
+        for module in ("backbone", "encoder"):
+            plan = result.plan.modules.get(module)
+            for bucket in bucket_samples(plan) if plan else []:
                 for microbatch in bucket:
                     for s in microbatch:
                         digest.update(repr((
@@ -104,7 +106,7 @@ def test_ids_and_lengths_that_leave_the_step_path_are_python_ints():
                 for assignment in module.assignments:
                     assert all(_is_int(i) for i in assignment.sample_ids())
                     assert _is_int(assignment.total_tokens())
-            for bucket in result.backbone_assignments:
+            for bucket in bucket_samples(result.plan.module("backbone")):
                 for microbatch in bucket:
                     for sample in microbatch:
                         assert all(

@@ -49,9 +49,9 @@ def test_greedy_makespan_bounds(costs, num_bins):
     """
     result = balance_items(make_items(costs), num_bins)
     lower_bound = max(max(costs), sum(costs) / num_bins)
-    assert result.max_cost >= lower_bound * (1.0 - 1e-9)
+    assert max(result.bin_costs) >= lower_bound * (1.0 - 1e-9)
     upper_bound = sum(costs) / num_bins + max(costs)
-    assert result.max_cost <= upper_bound * (1.0 + 1e-9) + 1e-6
+    assert max(result.bin_costs) <= upper_bound * (1.0 + 1e-9) + 1e-6
 
 
 @given(
@@ -68,7 +68,7 @@ def test_greedy_within_approximation_of_arrival_order(costs, num_bins):
     arrival_max = max(
         sum(costs[i : i + chunk]) for i in range(0, len(costs), chunk)
     )
-    assert balanced.max_cost <= (4.0 / 3.0) * arrival_max + 1e-6
+    assert max(balanced.bin_costs) <= (4.0 / 3.0) * arrival_max + 1e-6
 
 
 @given(costs=costs_strategy)

@@ -27,10 +27,9 @@ def make_batches(sample_factory, steps=20, batch_size=8, tokens=256):
 
 class TestConvergence:
     def test_loss_decreases_over_training(self, sample_factory):
-        sim = ConvergenceSimulator(seed=0)
+        sim = ConvergenceSimulator()
         losses = sim.run(make_batches(sample_factory, steps=40, tokens=4096))
         assert losses[-1] < losses[0]
-        assert sim.cumulative_tokens > 0
 
     def test_expected_loss_monotone(self):
         sim = ConvergenceSimulator()
@@ -49,30 +48,30 @@ class TestConvergence:
 
     def test_same_batches_same_losses(self, sample_factory):
         batches = make_batches(sample_factory)
-        a = ConvergenceSimulator(seed=1).run(batches)
-        b = ConvergenceSimulator(seed=1).run(batches)
+        a = ConvergenceSimulator().run(batches)
+        b = ConvergenceSimulator().run(batches)
         assert a == b
 
     def test_intra_step_reordering_does_not_change_loss(self, sample_factory):
         batches = make_batches(sample_factory)
         reordered = [list(reversed(batch)) for batch in batches]
-        a = ConvergenceSimulator(seed=2).run(batches)
-        b = ConvergenceSimulator(seed=2).run(reordered)
+        a = ConvergenceSimulator().run(batches)
+        b = ConvergenceSimulator().run(reordered)
         assert max_divergence(a, b) == pytest.approx(0.0)
 
     def test_cross_step_reassignment_perturbs_loss_slightly(self, sample_factory):
         batches = make_batches(sample_factory, steps=10)
         swapped = [list(batch) for batch in batches]
         swapped[0][0], swapped[5][0] = swapped[5][0], swapped[0][0]
-        a = ConvergenceSimulator(seed=3).run(batches)
-        b = ConvergenceSimulator(seed=3).run(swapped)
+        a = ConvergenceSimulator().run(batches)
+        b = ConvergenceSimulator().run(swapped)
         divergence = max_divergence(a, b)
         assert 0.0 < divergence < 1.0
 
     def test_cp_adds_bounded_noise(self, sample_factory):
         batches = make_batches(sample_factory, steps=30)
-        base = ConvergenceSimulator(seed=4, context_parallel=False).run(batches)
-        with_cp = ConvergenceSimulator(seed=4, context_parallel=True).run(batches)
+        base = ConvergenceSimulator(context_parallel=False).run(batches)
+        with_cp = ConvergenceSimulator(context_parallel=True).run(batches)
         divergence = max_divergence(base, with_cp)
         assert 0.0 < divergence < 0.2
 

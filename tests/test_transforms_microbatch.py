@@ -1,4 +1,4 @@
-"""Unit tests for microbatch transformations: batching, packing, padding, RoPE."""
+"""Unit tests for microbatch transformations: batching, packing, RoPE."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from repro.errors import TransformError
 from repro.transforms.microbatch import (
     Microbatch,
     PackingCollator,
-    PaddingCollator,
     apply_rope_positions,
     batch_samples,
     collate_with_positions,
@@ -41,7 +40,6 @@ class TestPackingCollator:
         collated = PackingCollator(max_sequence_length=512).collate(mb)
         assert len(collated.sequences) == 1
         assert collated.sequences[0].tokens == 400
-        assert collated.padding_tokens() == 0
 
     def test_opens_new_bin_when_full(self, sample_factory):
         mb = Microbatch(index=0, samples=[sample_factory(i, text_tokens=200) for i in range(3)])
@@ -53,18 +51,15 @@ class TestPackingCollator:
         collated = PackingCollator(max_sequence_length=512).collate(mb)
         assert collated.sequences[0].tokens == 512
 
-    def test_fitting_samples_pack_with_zero_padding(self, sample_factory):
+    def test_fitting_samples_pack_with_exact_totals(self, sample_factory):
         # Regression for the removed per-sequence padding reset: fitting
-        # samples pack normally, with padding untouched (0) and token totals
-        # exact.
+        # samples pack normally, with token totals exact.
         mb = Microbatch(
             index=0,
             samples=[sample_factory(i, text_tokens=tokens) for i, tokens in enumerate([300, 200, 400])],
         )
         collated = PackingCollator(max_sequence_length=512).collate(mb)
-        assert [seq.padding for seq in collated.sequences] == [0] * len(collated.sequences)
         assert collated.total_tokens() == 900
-        assert collated.padding_tokens() == 0
         assert sorted(seg for seq in collated.sequences for seg in seq.segments) == [
             (0, 300),
             (1, 200),
@@ -81,32 +76,10 @@ class TestPackingCollator:
         assert collated.sequences[0].segments == [(7, 10)]
 
 
-class TestPaddingCollator:
-    def test_pads_to_longest(self, sample_factory):
-        mb = Microbatch(
-            index=0, samples=[sample_factory(0, text_tokens=10), sample_factory(1, text_tokens=30)]
-        )
-        collated = PaddingCollator().collate(mb)
-        assert all(seq.tokens == 30 for seq in collated.sequences)
-        assert collated.padding_tokens() == 20
-        assert 0 < collated.padding_tokens() < collated.total_tokens()
-
-    def test_respects_max_length(self, sample_factory):
-        mb = Microbatch(index=0, samples=[sample_factory(0, text_tokens=100)])
-        collated = PaddingCollator(max_sequence_length=64).collate(mb)
-        assert collated.sequences[0].tokens == 64
-
     def test_empty_microbatch(self):
-        collated = PaddingCollator().collate(Microbatch(index=0))
+        collated = PackingCollator(64).collate(Microbatch(index=0))
         assert collated.sequences == []
-        assert collated.padding_tokens() == 0
-
-    def test_padding_wastes_more_than_packing(self, sample_factory):
-        samples = [sample_factory(i, text_tokens=16 * (i + 1)) for i in range(8)]
-        mb = Microbatch(index=0, samples=samples)
-        packed = PackingCollator(512).collate(mb)
-        padded = PaddingCollator().collate(mb)
-        assert padded.total_tokens() > packed.total_tokens()
+        assert collated.total_tokens() == 0
 
 
 class TestRope:
@@ -117,16 +90,8 @@ class TestRope:
         collated = apply_rope_positions(PackingCollator(16).collate(mb))
         assert collated.position_ids.tolist() == [0, 1, 2, 0, 1]
 
-    def test_padding_positions_are_zero(self, sample_factory):
-        mb = Microbatch(
-            index=0, samples=[sample_factory(0, text_tokens=2), sample_factory(1, text_tokens=4)]
-        )
-        collated = apply_rope_positions(PaddingCollator().collate(mb))
-        # first sequence: 2 real + 2 padding positions
-        assert collated.position_ids[:4].tolist() == [0, 1, 0, 0]
-
     def test_collate_with_positions_helper(self, sample_factory):
         mb = Microbatch(index=0, samples=[sample_factory(0, text_tokens=4)])
-        collated = collate_with_positions(mb, 16, packing=True)
+        collated = collate_with_positions(mb, 16)
         assert isinstance(collated.position_ids, np.ndarray)
         assert collated.total_tokens() == 4

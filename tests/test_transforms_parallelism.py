@@ -91,12 +91,17 @@ class TestPipelineStageView:
 class TestBuildRankSlices:
     def test_covers_every_rank_of_dp_group(self, collated):
         mesh = DeviceMesh(pp=2, dp=2, cp=2, tp=2)
-        slices = build_rank_slices(collated, mesh, dp_index=0)
-        assert {s.rank for s in slices} == set(mesh.ranks_where(dp=0))
+        slices = build_rank_slices(collated, mesh)
+        assert [s.rank for s in slices] == list(range(mesh.world_size))
+        # Every DP group gets the same slices, broadcast within the group.
+        for piece in slices:
+            if piece.replicated_from is not None:
+                head = mesh.coordinate(piece.replicated_from)
+                assert head.dp == mesh.coordinate(piece.rank).dp
 
     def test_tp_broadcast_serves_ranks_past_the_first(self, collated):
         mesh = DeviceMesh(pp=1, dp=1, cp=1, tp=4)
-        head, *rest = sorted(build_rank_slices(collated, mesh, dp_index=0), key=lambda s: s.rank)
+        head, *rest = sorted(build_rank_slices(collated, mesh), key=lambda s: s.rank)
         assert head.token_count == collated.total_tokens()
         assert head.replicated_from is None
         assert all(s.token_count == 0 and s.replicated_from == head.rank for s in rest)
@@ -105,7 +110,7 @@ class TestBuildRankSlices:
         # CP ranks are never served by a broadcast; within each, TP ranks are.
         mesh = DeviceMesh(pp=1, dp=1, cp=2, tp=2)
         shares = context_parallel_slices(collated, cp_size=2)
-        for piece in build_rank_slices(collated, mesh, dp_index=0):
+        for piece in build_rank_slices(collated, mesh):
             info = piece.slice_info
             if info["tp_rank"] == 0:
                 assert piece.token_count == shares[info["cp_rank"]]["token_count"] > 0
@@ -116,12 +121,12 @@ class TestBuildRankSlices:
 
     def test_cp_ranks_receive_disjoint_shares(self, collated):
         mesh = DeviceMesh(pp=1, dp=1, cp=4, tp=1)
-        slices = build_rank_slices(collated, mesh, dp_index=0)
+        slices = build_rank_slices(collated, mesh)
         assert sum(s.token_count for s in slices) == collated.total_tokens()
 
     def test_later_pp_stages_marked_metadata_only(self, collated):
         mesh = DeviceMesh(pp=4, dp=1, cp=1, tp=1)
-        slices = build_rank_slices(collated, mesh, dp_index=0)
+        slices = build_rank_slices(collated, mesh)
         by_rank = {s.rank: s for s in slices}
         middle_ranks = mesh.ranks_where(pp=1) + mesh.ranks_where(pp=2)
         assert all(by_rank[rank].metadata_only for rank in middle_ranks)
