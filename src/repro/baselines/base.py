@@ -258,8 +258,10 @@ def estimate_transform_pipeline_latency(catalog: SourceCatalog) -> dict[str, flo
             modality=source.modality,
             text_tokens=int(source.avg_text_tokens),
             image_tokens=int(source.avg_image_tokens),
+            # A catalog has no frame counts: guess one frame per 256 patches.
+            video_frames=int(source.avg_image_tokens) // 256,
         )
-        base = pipeline.estimate_latency(metadata)
+        base, _ = pipeline.run(metadata)
         estimates[source.name] = base * source.profile.cost_per_token / max(
             1.0, _modality_reference(source)
         ) + source.profile.fixed_cost_s

@@ -339,7 +339,8 @@ class MegaScaleData:
                 constructor_handle.call("release_steps_below", step)
             except ActorTimeout:
                 # Transient blip: the release is idempotent and the next
-                # step's sweep covers this one (staging is keyed by step).
+                # step's sweep covers this one (staging is keyed by step);
+                # a construct that finds staging full first re-runs it.
                 pass
         self.step = step + 1
         self._history.append(result)
@@ -577,7 +578,7 @@ class MegaScaleData:
         constructors = {
             handle.name: handle.instance() for handle in self.constructor_handles
         }
-        report = self.resharder.apply(notification, constructors)
+        report = self.resharder.reshard(notification, constructors)
         self.tree = self.resharder.tree
 
         self.constructor_handles = resize_constructors(

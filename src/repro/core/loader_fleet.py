@@ -238,8 +238,9 @@ class LoaderFleet:
                     group_ids.setdefault(id(group), []).append(sample_id)
             for group in groups:
                 ids = group_ids.get(id(group), [])
-                for position, sample_id in enumerate(ids):
-                    demands[group.members[position % len(group.members)]].append(sample_id)
+                count = len(group.members)
+                for index, member in enumerate(group.members):
+                    demands[member].extend(ids[index::count])
         return demands
 
     def sync_after_prepare(self, demands: dict[ActorHandle, list[int]]) -> None:

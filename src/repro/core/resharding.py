@@ -82,7 +82,7 @@ class ElasticResharder:
         )
         return report
 
-    def apply(
+    def reshard(
         self,
         notification: ReshardNotification,
         constructors: dict[str, DataConstructor],

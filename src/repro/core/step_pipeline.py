@@ -61,7 +61,9 @@ size either.
 
 Backpressure: Data Constructors bound their staging queues; a full queue
 raises :class:`BackpressureError` and the pipeline pauses prefetching until
-the trainer consumes (and releases) a step.
+the trainer consumes (and releases) a step.  A full queue on the step the
+trainer waits on means a step-boundary release was skipped; the pipeline
+re-runs it there.
 
 Fault tolerance: a loader failure mid-step is detected on its future,
 recovered through :class:`FaultToleranceManager` (shadow promotion or restart)
@@ -607,8 +609,17 @@ class StepPipeline:
             exc = future.exception()
             if isinstance(exc, BackpressureError):
                 # Bounded staging is full: pause this step's prefetch until
-                # the trainer releases a step.
+                # the trainer releases a step.  The step the trainer waits on
+                # cannot wait for that; whatever is staged below it was
+                # delivered, so a step-boundary sweep was skipped (a blip).
+                # Run that sweep now, waiting the blip out, and re-issue.
                 del item.construct_futures[constructor_handle.name]
+                if item.step == fw.step and fw.recovery.ride_out(
+                    lambda: constructor_handle.call("release_steps_below", fw.step),
+                    constructor_handle, item.step,
+                    f"constructor-release.{constructor_handle.name}",
+                ):
+                    continue
                 blocked = True
                 continue
             if isinstance(exc, (ActorDead, ActorTimeout)):

@@ -1,6 +1,6 @@
 """Multisource dataset substrate: samples, sources, synthetic generators, mixtures."""
 
-from repro.data.samples import Sample, SampleMetadata, Modality
+from repro.data.samples import SampleMetadata, Modality
 from repro.data.sources import DataSource, SourceCatalog
 from repro.data.mixture import MixtureSchedule, MixturePhase
 from repro.data.synthetic import (
@@ -12,7 +12,6 @@ from repro.data.synthetic import (
 )
 
 __all__ = [
-    "Sample",
     "SampleMetadata",
     "Modality",
     "DataSource",

@@ -1,15 +1,15 @@
-"""Sample and metadata types flowing through the preprocessing pipeline.
+"""Sample metadata flowing through the preprocessing pipeline.
 
-A :class:`Sample` carries a (synthetic) raw payload plus lightweight
-:class:`SampleMetadata`.  The orchestration layer (DGraph, Planner) only ever
-moves metadata around; payload bytes stay inside Source Loaders and Data
-Constructors, mirroring the paper's "lightweight metadata" plan generation.
+A sample is described by lightweight :class:`SampleMetadata` only.  The
+orchestration layer (DGraph, Planner) moves metadata around, and Source
+Loaders cost transforms from it, mirroring the paper's "lightweight metadata"
+plan generation.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 
 class Modality(str, enum.Enum):
@@ -65,49 +65,6 @@ class SampleMetadata:
     def with_updates(self, **changes: object) -> "SampleMetadata":
         """Return a copy with selected fields replaced."""
         return replace(self, **changes)
-
-
-@dataclass
-class Sample:
-    """A training sample: raw/transformed payload plus metadata.
-
-    The ``payload`` dict holds synthetic stand-ins for the real artefacts
-    (token id arrays, decoded pixel tensors); transformations mutate it and
-    update ``metadata`` and ``state`` accordingly.
-    """
-
-    metadata: SampleMetadata
-    payload: dict[str, object] = field(default_factory=dict, init=False)
-    state: str = "raw"
-    applied_transforms: list[str] = field(default_factory=list, init=False)
-
-    @property
-    def sample_id(self) -> int:
-        return self.metadata.sample_id
-
-    @property
-    def source(self) -> str:
-        return self.metadata.source
-
-    def mark_transformed(self, transform_name: str, new_state: str | None = None) -> None:
-        """Record that ``transform_name`` has been applied."""
-        self.applied_transforms.append(transform_name)
-        if new_state is not None:
-            self.state = new_state
-
-    def payload_bytes(self) -> int:
-        """Approximate live bytes held by the payload."""
-        total = 0
-        for value in self.payload.values():
-            if isinstance(value, (bytes, bytearray)):
-                total += len(value)
-            elif isinstance(value, (list, tuple)):
-                total += 8 * len(value)
-            elif hasattr(value, "nbytes"):
-                total += int(value.nbytes)
-            else:
-                total += 64
-        return total
 
 
 def metadata_from_record(record: dict[str, object], source: str) -> SampleMetadata:

@@ -1,9 +1,10 @@
 """Composable transformation pipelines.
 
-A :class:`TransformPipeline` applies an ordered list of sample transforms to a
-sample, accumulating simulated latency and tracking decoded payload bytes.
-Every stage runs on the Source Loader, so what ships downstream is the
-decoded sample.  The paper's transformation reordering (Sec. 6.2), which
+A :class:`TransformPipeline` folds an ordered list of sample transforms over
+sample metadata: each stage that applies to a sample's modality adds its
+:meth:`~repro.transforms.sample.SampleTransform.apply_columns` latency, and
+what ships downstream is the decoded sample's size.  Every stage runs on the
+Source Loader.  The paper's transformation reordering (Sec. 6.2), which
 moves decoding past the loader boundary, exists only as the analytical
 ``transformation_reordering`` flag of :mod:`repro.baselines` (Fig. 12).
 """
@@ -11,22 +12,12 @@ moves decoding past the loader boundary, exists only as the analytical
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 
 import numpy as np
 
-from repro.data.samples import Modality, Sample, SampleMetadata
+from repro.data.samples import Modality, SampleMetadata
 from repro.errors import TransformError
 from repro.transforms.sample import SampleTransform, default_transforms_for
-
-
-@dataclass
-class TransformResult:
-    """Outcome of running a pipeline over one sample."""
-
-    sample: Sample
-    latency_s: float
-    transferred_bytes: int
 
 
 class TransformPipeline:
@@ -45,30 +36,30 @@ class TransformPipeline:
         """Build the default pipeline for a modality (Fig. 1's sample stage)."""
         return cls(default_transforms_for(modality))
 
-    def run(self, sample: Sample) -> TransformResult:
-        """Apply every matching stage to ``sample`` in place."""
+    def run(self, metadata: SampleMetadata) -> tuple[float, int]:
+        """One sample's ``(latency_s, transferred_bytes)``: the one-row fold."""
         latency = 0.0
+        image_tokens = metadata.image_tokens
         for transform in self._transforms:
-            if transform.applies_to(sample):
-                latency += transform.apply(sample)
-        metadata = sample.metadata
-        return TransformResult(
-            sample=sample,
-            latency_s=latency,
-            transferred_bytes=max(metadata.decoded_bytes, metadata.raw_bytes, 1),
-        )
+            if transform.modalities and metadata.modality not in transform.modalities:
+                continue
+            stage, image_tokens = transform.apply_columns(
+                metadata.text_tokens, image_tokens, metadata.video_frames
+            )
+            latency += stage
+        return float(latency), max(metadata.decoded_bytes, metadata.raw_bytes, 1)
 
     def run_columns(self, columns: Mapping[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """Metadata-only :meth:`run` over columns of samples: no sample object, no payload.
+        """:meth:`run` over columns of samples.
 
         ``columns`` maps the :class:`SampleMetadata` field names ``modality``,
         ``text_tokens``, ``image_tokens``, ``video_frames``, ``raw_bytes`` and
         ``decoded_bytes`` to one array each.  Returns, per row, exactly the
         ``latency_s`` (``float64``) and ``transferred_bytes`` (``int64``)
-        :meth:`run` returns for a sample with that metadata — what the Source
-        Loader charges and stages.  A stage adds to a row's running total only
-        where it applies to the row's modality, in stage order, so every
-        total is the scalar ``((0.0 + stage1) + stage2) ...`` bit for bit.
+        :meth:`run` returns for that metadata — what the Source Loader charges
+        and stages.  A stage adds to a row's running total only where it
+        applies to the row's modality, in stage order, so every total is the
+        scalar ``((0.0 + stage1) + stage2) ...`` bit for bit.
         """
         modality = columns["modality"]
         text_tokens = columns["text_tokens"]
@@ -86,12 +77,3 @@ class TransformPipeline:
                 image_tokens = image_after
         transferred = np.maximum(np.maximum(columns["decoded_bytes"], columns["raw_bytes"]), 1)
         return latencies, transferred
-
-    def estimate_latency(self, metadata: SampleMetadata) -> float:
-        """Latency estimate from metadata only (no payload mutation)."""
-        total = 0.0
-        for transform in self._transforms:
-            if transform.modalities and metadata.modality not in transform.modalities:
-                continue
-            total += transform.estimate_latency(metadata.text_tokens, metadata.image_tokens)
-        return total

@@ -1,17 +1,19 @@
-"""Sample-level transformations with calibrated cost models.
+"""Sample-level transformations as calibrated, metadata-only cost rules.
 
-Each transform consumes a :class:`repro.data.samples.Sample`, mutates its
-payload/metadata and returns the simulated CPU latency it took.  Latencies are
-derived from per-token costs calibrated against the relative magnitudes the
-paper quotes (image decoding ~2 orders of magnitude above tokenization per
-output token, audio ~4x image, video keyframe extraction heavier still).
+Each transform states its cost once, in :meth:`SampleTransform.apply_columns`:
+from a sample's token and frame counts it returns the simulated CPU latency the
+stage takes and the image-token count it leaves behind.  No payload is built.
+Latencies are derived from per-token costs calibrated against the relative
+magnitudes the paper quotes (image decoding ~2 orders of magnitude above
+tokenization per output token, audio ~4x image, video keyframe extraction
+heavier still).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.data.samples import Modality, Sample
+from repro.data.samples import Modality
 from repro.errors import TransformError
 
 #: Seconds of CPU time per text token for tokenization (calibration anchor).
@@ -21,31 +23,18 @@ TOKENIZE_SECONDS_PER_TOKEN = 2.0e-6
 class SampleTransform:
     """Base class for sample-level transformations."""
 
-    #: Human-readable name recorded on the sample after application.
+    #: Human-readable stage name.
     name = "sample_transform"
     #: Modalities this transform applies to (empty means all).
     modalities: tuple[Modality, ...] = ()
 
-    def applies_to(self, sample: Sample) -> bool:
-        return not self.modalities or sample.metadata.modality in self.modalities
+    def apply_columns(self, text_tokens, image_tokens, video_frames):
+        """The stage's cost over one sample's counts (ints) or ``int64`` columns.
 
-    def apply(self, sample: Sample) -> float:
-        """Apply in place and return the simulated latency in seconds."""
-        raise NotImplementedError
-
-    def estimate_latency(self, text_tokens: int, image_tokens: int) -> float:
-        """Latency estimate from token counts only (used by cost models)."""
-        raise NotImplementedError
-
-    def apply_columns(
-        self, text_tokens: np.ndarray, image_tokens: np.ndarray, video_frames: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Metadata-only form of :meth:`apply` over ``int64`` columns of samples.
-
-        Returns, per row, the latency :meth:`apply` returns for a sample with
-        these counts (elementwise ``float64`` arithmetic rounds exactly as the
-        scalar form does), and the ``image_tokens`` column it leaves behind
-        (the given array when the stage does not rescale).  No payload is built.
+        Returns the latency in seconds per row (``float64`` arithmetic, so a
+        column rounds exactly as the one-row form does) and the
+        ``image_tokens`` the stage leaves behind (the given value when it does
+        not rescale).
         """
         raise NotImplementedError
 
@@ -60,15 +49,6 @@ class TextTokenize(SampleTransform):
     name = "text_tokenize"
     modalities = ()
 
-    def apply(self, sample: Sample) -> float:
-        tokens = sample.metadata.text_tokens
-        sample.payload["text_token_ids"] = np.arange(tokens, dtype=np.int32)
-        sample.mark_transformed(self.name, new_state="tokenized")
-        return self.estimate_latency(tokens, 0)
-
-    def estimate_latency(self, text_tokens: int, image_tokens: int) -> float:
-        return self.seconds_per_token * text_tokens
-
     def apply_columns(self, text_tokens, image_tokens, video_frames):
         return self.seconds_per_token * text_tokens, image_tokens
 
@@ -77,22 +57,8 @@ class ImageDecode(SampleTransform):
     """Decode a compressed image into a normalized patch tensor (JPEG -> RGB)."""
 
     seconds_per_patch = TOKENIZE_SECONDS_PER_TOKEN * 75.0
-    bytes_per_patch = 14 * 14 * 3 * 4
     name = "image_decode"
     modalities = (Modality.IMAGE, Modality.VIDEO)
-
-    def apply(self, sample: Sample) -> float:
-        if not self.applies_to(sample):
-            raise TransformError(f"{self.name} cannot decode a {sample.metadata.modality} sample")
-        patches = sample.metadata.image_tokens
-        sample.payload["image_patches"] = np.zeros(
-            (max(1, patches), self.bytes_per_patch // 4), dtype=np.float32
-        )
-        sample.mark_transformed(self.name, new_state="decoded")
-        return self.estimate_latency(0, patches)
-
-    def estimate_latency(self, text_tokens: int, image_tokens: int) -> float:
-        return self.seconds_per_patch * image_tokens
 
     def apply_columns(self, text_tokens, image_tokens, video_frames):
         return self.seconds_per_patch * image_tokens, image_tokens
@@ -106,19 +72,6 @@ class ImageCrop(SampleTransform):
     name = "image_crop"
     modalities = (Modality.IMAGE, Modality.VIDEO)
 
-    def apply(self, sample: Sample) -> float:
-        patches = sample.metadata.image_tokens
-        latency = self.estimate_latency(0, patches)
-        if patches > self.max_patches:
-            sample.metadata = sample.metadata.with_updates(image_tokens=self.max_patches)
-            if "image_patches" in sample.payload:
-                sample.payload["image_patches"] = sample.payload["image_patches"][: self.max_patches]
-        sample.mark_transformed(self.name)
-        return latency
-
-    def estimate_latency(self, text_tokens: int, image_tokens: int) -> float:
-        return self.seconds_per_patch * image_tokens
-
     def apply_columns(self, text_tokens, image_tokens, video_frames):
         # Charged by the patches that arrive, not by the patches the crop keeps.
         return self.seconds_per_patch * image_tokens, np.minimum(image_tokens, self.max_patches)
@@ -131,18 +84,7 @@ class VideoKeyframeExtract(SampleTransform):
     name = "video_keyframe_extract"
     modalities = (Modality.VIDEO,)
 
-    def apply(self, sample: Sample) -> float:
-        frames = sample.metadata.video_frames
-        sample.payload["keyframes"] = list(range(frames))
-        sample.mark_transformed(self.name)
-        return self.seconds_per_frame * frames + 0.002
-
-    def estimate_latency(self, text_tokens: int, image_tokens: int) -> float:
-        return self.seconds_per_frame * (image_tokens // 256) + 0.002
-
     def apply_columns(self, text_tokens, image_tokens, video_frames):
-        # By the container's frame count, like ``apply`` (``estimate_latency``
-        # only has token counts and guesses frames from them).
         return self.seconds_per_frame * video_frames + 0.002, image_tokens
 
 
@@ -152,15 +94,6 @@ class AudioFeaturize(SampleTransform):
     seconds_per_token = TOKENIZE_SECONDS_PER_TOKEN * 300.0
     name = "audio_featurize"
     modalities = (Modality.AUDIO,)
-
-    def apply(self, sample: Sample) -> float:
-        tokens = sample.metadata.text_tokens
-        sample.payload["audio_features"] = np.zeros((max(1, tokens), 80), dtype=np.float32)
-        sample.mark_transformed(self.name, new_state="featurized")
-        return self.estimate_latency(tokens, 0)
-
-    def estimate_latency(self, text_tokens: int, image_tokens: int) -> float:
-        return self.seconds_per_token * text_tokens
 
     def apply_columns(self, text_tokens, image_tokens, video_frames):
         return self.seconds_per_token * text_tokens, image_tokens

@@ -14,7 +14,9 @@ from repro.baselines import (
     TorchColocatedLoader,
 )
 from repro.baselines.base import estimate_transform_pipeline_latency
+from repro.data.synthetic import build_source_catalog, navit_like_spec
 from repro.parallelism.mesh import DeviceMesh
+from repro.storage.filesystem import SimulatedFileSystem
 
 
 @pytest.fixture()
@@ -145,3 +147,26 @@ class TestAssignmentsAndReports:
         estimates = estimate_transform_pipeline_latency(small_catalog)
         assert set(estimates) == set(small_catalog.names())
         assert all(latency > 0 for latency in estimates.values())
+
+    def test_transform_latency_estimates_are_pinned(self):
+        """Fig. 5's catalog: one source of each modality, to the bit (the
+        video source's keyframe cost comes from its guessed frame count)."""
+        catalog = build_source_catalog(
+            navit_like_spec(num_sources=100, samples_per_source=32, seed=5),
+            SimulatedFileSystem(),
+        )
+        estimates = estimate_transform_pipeline_latency(catalog)
+        assert {name: estimates[name] for name in FIG5_PINNED_ESTIMATES} == FIG5_PINNED_ESTIMATES
+        assert {catalog.get(name).modality.value for name in FIG5_PINNED_ESTIMATES} == {
+            "video", "image", "text", "audio"
+        }
+
+
+#: ``estimate_transform_pipeline_latency`` over Fig. 5's catalog, one source
+#: per modality (video, image, text, audio).
+FIG5_PINNED_ESTIMATES = {
+    "navit_data/src000": 0.30484834308495695,
+    "navit_data/src001": 0.5773631189653204,
+    "navit_data/src003": 0.0015742159783438598,
+    "navit_data/src012": 2.332372284534724,
+}

@@ -476,7 +476,7 @@ class TestDemandRouting:
     )
     def test_probe_routing_equals_map_routing(self, small_catalog, filesystem, shards, picks, data):
         system = ActorSystem(ClusterSpec(accelerator_nodes=1, cpu_pods=1))
-        fleet = LoaderFleet(system, filesystem, job=None)
+        fleet = LoaderFleet(system, filesystem, job=make_job(0, elastic=True))
         source = small_catalog.sources()[0]
         # One group per shard plus a last group reading the whole source, so
         # some ids sit in one canonical's buffer, some in two, most in none.
@@ -505,5 +505,8 @@ class TestDemandRouting:
             known[pick] if pick < len(known) else unknown + pick for pick in picks
         ))
         ids = data.draw(st.permutations(ids))
+        # Mirrors go to the smallest group first: groups of one to three members.
+        for _ in range(data.draw(st.integers(0, 2 * len(layouts)))):
+            assert fleet.spawn_member(source.name, step=0, planner=None) is not None
         plan = LoadingPlan(step=0, source_demands={source.name: list(ids)})
         assert fleet.split_demands(plan) == self._map_based_routing(fleet, plan)

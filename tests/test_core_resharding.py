@@ -56,7 +56,7 @@ class TestApply:
         resharder = ElasticResharder(tree)
         constructors = make_constructors(vlm_mesh, 2)
         new_mesh = DeviceMesh(pp=1, dp=2, cp=1, tp=2)
-        report = resharder.apply(ReshardNotification(step=4, new_mesh=new_mesh), constructors)
+        report = resharder.reshard(ReshardNotification(step=4, new_mesh=new_mesh), constructors)
         assert resharder.tree.mesh is new_mesh
         assert "TP" in resharder.tree.broadcast_axes
         for name, bucket in report.reassigned_buckets.items():
@@ -68,5 +68,5 @@ class TestApply:
         resharder = ElasticResharder(tree)
         constructors = make_constructors(vlm_mesh, 4)
         new_mesh = DeviceMesh(pp=2, dp=2, cp=2, tp=2)
-        report = resharder.apply(ReshardNotification(step=0, new_mesh=new_mesh), constructors)
+        report = resharder.reshard(ReshardNotification(step=0, new_mesh=new_mesh), constructors)
         assert sorted(report.reassigned_buckets.values()) == [0, 1]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import inspect
 import math
 from dataclasses import replace
 
@@ -17,13 +16,13 @@ from repro.actors.runtime import ActorSystem, ClusterSpec
 from repro.core import source_loader
 from repro.core.framework import MegaScaleData, TrainingJobSpec
 from repro.core.source_loader import WORKER_CONTEXT_BYTES, SourceLoader
-from repro.data.samples import Modality, Sample, metadata_from_record
+from repro.data.samples import Modality, metadata_from_record
 from repro.data.sources import DataSource, SourceCursor, SourcePreprocessingProfile
 from repro.data.synthetic import SAMPLE_SCHEMA, build_source_catalog, navit_like_spec
 from repro.errors import PlanError
 from repro.storage.columnar import write_columnar_file
 from repro.storage.filesystem import SimulatedFileSystem
-from repro.transforms.sample import AudioFeaturize, ImageDecode, TextTokenize
+from repro.transforms.pipeline import TransformPipeline
 from repro.utils.units import GIB
 from test_golden_digests import _feed
 
@@ -620,19 +619,16 @@ def three_step_vlm_deliveries(prefetch_depth: int) -> str:
 
 
 class TestMetadataOnlyPrepare:
-    """The loader costs transforms from metadata: ``apply`` is the reference, not the hot path."""
+    """The loader costs transforms by columns: the one-row ``run`` is the
+    reference, not the hot path."""
 
     @pytest.mark.parametrize("prefetch_depth", [0, 2])
     def test_no_payload_is_built_on_the_step_path(self, monkeypatch, prefetch_depth):
-        def dead_store(self, sample):
-            raise AssertionError(f"{type(self).__name__}.apply ran on the step path")
+        def dead_store(self, metadata):
+            raise AssertionError("TransformPipeline.run ran on the step path")
 
-        for transform in (ImageDecode, AudioFeaturize, TextTokenize):
-            monkeypatch.setattr(transform, "apply", dead_store)
+        monkeypatch.setattr(TransformPipeline, "run", dead_store)
         assert three_step_vlm_deliveries(prefetch_depth) == THREE_STEP_DELIVERIES
-
-    def test_the_loader_builds_no_sample_objects(self):
-        assert "Sample(" not in inspect.getsource(source_loader)
 
 
 # -- vectorized row costs against the per-sample pipeline -------------------------------
@@ -683,17 +679,16 @@ def test_vectorized_row_costs_equal_the_per_sample_pipeline(
         len(records), loader._cost_key, loader._cost_columns
     )
     expected = [
-        loader.pipeline.run(Sample(metadata=metadata_from_record(record, source.name)))
-        for record in records
+        loader.pipeline.run(metadata_from_record(record, source.name)) for record in records
     ]
     assert ids.tolist() == [record["sample_id"] for record in records]
     assert text.tolist() == [record["text_tokens"] for record in records]
     # The hand-off carries the stored patches, not the crop's.
     assert image.tolist() == [record["image_tokens"] for record in records]
     assert latency.tolist() == [
-        result.latency_s * loader._latency_scale + fixed_cost_s for result in expected
+        latency_s * loader._latency_scale + fixed_cost_s for latency_s, _ in expected
     ]
-    assert size.tolist() == [result.transferred_bytes for result in expected]
+    assert size.tolist() == [transferred for _, transferred in expected]
 
 
 class TestReplaySnapshots:

@@ -1,11 +1,11 @@
-"""Unit tests for sample metadata and payload types."""
+"""Unit tests for sample metadata."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.data.samples import Modality, Sample, SampleMetadata, metadata_from_record
+from repro.data.samples import Modality, metadata_from_record
+from repro.transforms.pipeline import TransformPipeline
 
 
 class TestSampleMetadata:
@@ -28,27 +28,6 @@ class TestSampleMetadata:
         assert str(Modality.VIDEO) == "video"
 
 
-class TestSample:
-    def test_mark_transformed_records_history(self, sample_factory):
-        sample = Sample(metadata=sample_factory(1))
-        sample.mark_transformed("tokenize", new_state="tokenized")
-        sample.mark_transformed("crop")
-        assert sample.applied_transforms == ["tokenize", "crop"]
-        assert sample.state == "tokenized"
-
-    def test_payload_bytes_counts_arrays_and_bytes(self, sample_factory):
-        sample = Sample(metadata=sample_factory(1))
-        sample.payload["tokens"] = np.zeros(100, dtype=np.int32)
-        sample.payload["raw"] = b"x" * 50
-        sample.payload["list"] = [1, 2, 3]
-        assert sample.payload_bytes() == 400 + 50 + 24
-
-    def test_convenience_properties(self, sample_factory):
-        sample = Sample(metadata=sample_factory(7, source="s"))
-        assert sample.sample_id == 7
-        assert sample.source == "s"
-
-
 class TestMetadataFromRecord:
     def test_full_record(self):
         record = {
@@ -64,6 +43,18 @@ class TestMetadataFromRecord:
         assert metadata.modality is Modality.IMAGE
         assert metadata.source == "src-a"
         assert metadata.total_tokens == 312
+
+    def test_a_record_carries_what_the_transforms_cost(self):
+        record = {
+            "sample_id": 9, "modality": "video", "text_tokens": 20, "image_tokens": 1024,
+            "video_frames": 8, "raw_bytes": 5000, "decoded_bytes": 9000,
+        }
+        metadata = metadata_from_record(record, source="src-v")
+        latency, transferred = TransformPipeline.for_modality(Modality.VIDEO).run(metadata)
+        # tokenize 20 x 2e-6, keyframes 8 x 0.004 + 0.002, decode and crop
+        # 1024 x (1.5e-4 + 1.2e-5)
+        assert latency == pytest.approx(4e-5 + 0.034 + 1024 * 1.62e-4)
+        assert transferred == 9000
 
     def test_defaults_for_missing_fields(self):
         metadata = metadata_from_record({"sample_id": 1}, source="s")

@@ -413,6 +413,43 @@ def test_a_blipped_staging_release_is_left_to_the_next_sweep():
         system.shutdown()
 
 
+def test_a_blipped_staging_release_at_depth_0_is_swept_before_the_next_construct():
+    """Without prefetching, the step after a blipped step-boundary
+    ``release_steps_below`` finds its staging full (the skipped step plus the
+    one just delivered): the pipeline runs the skipped sweep then and
+    re-issues the construct, so every batch is the fault-free run's."""
+    reference = MegaScaleData.deploy(make_job(0, shadows=False, seed=12))
+    system = MegaScaleData.deploy(make_job(0, shadows=False, seed=12))
+    try:
+        expected = [delivery_signature(reference.run_step()) for _ in range(4)]
+        invoke = system.system.invoke
+        blipped = []
+
+        def blipping_invoke(name, method, args, kwargs, advance_rpc):
+            if method != "release_steps_below" or args != (1,):
+                return invoke(name, method, args, kwargs, advance_rpc)
+            blip(system.system, [name])
+            try:
+                return invoke(name, method, args, kwargs, advance_rpc)
+            except ActorTimeout:
+                blipped.append(name)
+                raise
+            finally:
+                blip(system.system, [])
+
+        system.system.invoke = blipping_invoke
+        constructors = [handle.instance() for handle in system.constructor_handles]
+        delivered = [delivery_signature(system.run_step()) for _ in range(2)]
+        assert sorted(blipped) == sorted(handle.name for handle in system.constructor_handles)
+        assert all(constructor.staged_steps() == [0, 1] for constructor in constructors)
+        delivered += [delivery_signature(system.run_step()) for _ in range(2)]
+        assert delivered == expected
+        assert all(constructor.staged_steps() == [3] for constructor in constructors)
+    finally:
+        reference.shutdown()
+        system.shutdown()
+
+
 # -- faults on the polls that carry a ticket's accept and hand-off -------------------
 
 FAULTED_STEP = 2

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data.samples import Modality, Sample, SampleMetadata
+from repro.data.samples import Modality, SampleMetadata
 from repro.errors import TransformError
 from repro.transforms.pipeline import TransformPipeline
 from repro.transforms.sample import (
@@ -35,42 +35,89 @@ class TestConstruction:
 class TestRun:
     def test_run_applies_matching_stages(self, sample_factory):
         pipeline = TransformPipeline.for_modality(Modality.IMAGE)
-        sample = Sample(metadata=sample_factory(1, text_tokens=20, image_tokens=100))
-        result = pipeline.run(sample)
-        assert result.latency_s > 0
-        assert "image_decode" in sample.applied_transforms
+        latency, _ = pipeline.run(sample_factory(1, text_tokens=20, image_tokens=100))
+        # tokenize 20 x 2e-6 + decode 100 x 1.5e-4 + crop 100 x 1.2e-5
+        assert latency == pytest.approx(4e-5 + 0.015 + 0.0012)
 
     def test_modality_filter_skips_stages(self, sample_factory):
         pipeline = TransformPipeline([TextTokenize(), ImageDecode()])
-        sample = Sample(metadata=sample_factory(1, text_tokens=20, image_tokens=0, modality=Modality.TEXT))
-        pipeline.run(sample)
-        assert "image_decode" not in sample.applied_transforms
+        text = sample_factory(1, text_tokens=20, image_tokens=100, modality=Modality.TEXT)
+        assert pipeline.run(text)[0] == pytest.approx(4e-5)
 
     def test_run_ships_decoded_bytes(self, sample_factory):
         metadata = sample_factory(1, image_tokens=200)
-        result = TransformPipeline.for_modality(Modality.IMAGE).run(Sample(metadata=metadata))
-        assert result.transferred_bytes == max(metadata.decoded_bytes, metadata.raw_bytes, 1)
+        _, transferred = TransformPipeline.for_modality(Modality.IMAGE).run(metadata)
+        assert transferred == max(metadata.decoded_bytes, metadata.raw_bytes, 1)
 
 
-class TestEstimates:
-    def test_estimate_matches_actual_order_of_magnitude(self, sample_factory):
-        pipeline = TransformPipeline.for_modality(Modality.IMAGE)
-        metadata = sample_factory(1, text_tokens=50, image_tokens=500)
-        estimate = pipeline.estimate_latency(metadata)
-        actual = pipeline.run(Sample(metadata=metadata)).latency_s
-        assert estimate == pytest.approx(actual, rel=0.2)
-
-
-# -- the column evaluator against the per-sample reference -----------------------------
+# -- golden per-row costs -----------------------------------------------------------------
 
 class _SmallCrop(ImageCrop):
     max_patches = 512
 
 
 #: The four modality defaults plus a chain whose crop feeds a later stage.
-PIPELINE_STAGES = [default_transforms_for(modality) for modality in Modality] + [
-    [TextTokenize(), _SmallCrop(), ImageDecode()]
+CHAINS = {modality.value: default_transforms_for(modality) for modality in Modality}
+CHAINS["small_crop"] = [TextTokenize(), _SmallCrop(), ImageDecode()]
+PIPELINE_STAGES = list(CHAINS.values())
+
+#: ``(modality, text_tokens, image_tokens, video_frames, raw_bytes, decoded_bytes)``:
+#: every modality, and an image and a video past ``ImageCrop.max_patches``.
+PINNED_ROWS = [
+    ("text", 733, 0, 0, 2932, 2932),
+    ("image", 41, 600, 0, 120_000, 470_400),
+    ("image", 17, 20_000, 0, 3_000_000, 15_680_000),
+    ("video", 64, 4_096, 12, 9_000_000, 3_211_264),
+    ("video", 5, 16_385, 300, 40_000_000, 0),
+    ("audio", 1_500, 0, 0, 48_000, 6_000),
 ]
+
+#: Per chain, each pinned row's ``(latency_s, transferred_bytes)``, recorded
+#: from the payload-building per-sample transforms this fold replaced.
+PINNED_COSTS = {
+    "text": [
+        (0.0014659999999999999, 2932), (8.2e-05, 470400), (3.4e-05, 15680000),
+        (0.000128, 9000000), (9.999999999999999e-06, 40000000), (0.003, 48000),
+    ],
+    "image": [
+        (0.0014659999999999999, 2932), (0.097282, 470400), (3.2400339999999996, 15680000),
+        (0.6636799999999999, 9000000), (2.6543799999999997, 40000000), (0.003, 48000),
+    ],
+    "video": [
+        (0.0014659999999999999, 2932), (0.097282, 470400), (3.2400339999999996, 15680000),
+        (0.71368, 9000000), (3.8563799999999997, 40000000), (0.003, 48000),
+    ],
+    "audio": [
+        (0.0, 2932), (0.0, 470400), (0.0, 15680000),
+        (0.0, 9000000), (0.0, 40000000), (0.8999999999999999, 48000),
+    ],
+    "small_crop": [
+        (0.0014659999999999999, 2932), (0.08408199999999999, 470400), (0.316834, 15680000),
+        (0.12608, 9000000), (0.27343, 40000000), (0.003, 48000),
+    ],
+}
+
+
+def pinned_metadata():
+    return [
+        SampleMetadata(
+            sample_id=index, source="s", modality=Modality(modality), text_tokens=text,
+            image_tokens=image, video_frames=frames, raw_bytes=raw, decoded_bytes=decoded,
+        )
+        for index, (modality, text, image, frames, raw, decoded) in enumerate(PINNED_ROWS)
+    ]
+
+
+@pytest.mark.parametrize("chain", sorted(CHAINS))
+def test_run_and_run_columns_equal_the_pinned_per_sample_costs(chain):
+    pipeline = TransformPipeline(CHAINS[chain])
+    rows = pinned_metadata()
+    latencies, transferred = pipeline.run_columns(columns_of(rows))
+    assert [pipeline.run(row) for row in rows] == PINNED_COSTS[chain]
+    assert list(zip(latencies.tolist(), transferred.tolist())) == PINNED_COSTS[chain]
+
+
+# -- the column evaluator against the one-row fold ---------------------------------------
 
 metadata_rows = st.lists(
     st.builds(
@@ -94,11 +141,9 @@ metadata_rows = st.lists(
 def test_run_columns_equals_run_sample_by_sample(stages, rows):
     """Mixed-modality chunks: floats and bytes equal exactly."""
     pipeline = TransformPipeline(stages)
-    reference = [pipeline.run(Sample(metadata=row)) for row in rows]
     latencies, transferred = pipeline.run_columns(columns_of(rows))
     assert latencies.dtype == np.float64 and transferred.dtype == np.int64
-    assert latencies.tolist() == [result.latency_s for result in reference]
-    assert transferred.tolist() == [result.transferred_bytes for result in reference]
+    assert list(zip(latencies.tolist(), transferred.tolist())) == [pipeline.run(row) for row in rows]
 
 
 def columns_of(rows):
