@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.errors import OrchestrationError
 
@@ -33,6 +33,17 @@ class BalanceResult:
 
 
 def _pack_greedy(costs: Sequence[float], num_bins: int) -> tuple[list[list[int]], list[float]]:
+    return pack_in_order(
+        costs, sorted(range(len(costs)), key=costs.__getitem__, reverse=True), num_bins
+    )
+
+
+def pack_in_order(
+    costs: Sequence[float], positions: Iterable[int], num_bins: int
+) -> tuple[list[list[int]], list[float]]:
+    """Place ``positions`` (indices into ``costs``), in the order given, each
+    into the currently lightest bin; returns every bin's positions and its
+    running cost total."""
     if num_bins <= 0:
         raise OrchestrationError("num_bins must be positive")
     bins: list[list[int]] = [[] for _ in range(num_bins)]
@@ -40,7 +51,7 @@ def _pack_greedy(costs: Sequence[float], num_bins: int) -> tuple[list[list[int]]
     # The heap entries *are* the running bin costs — the final tally falls
     # out of the packing loop instead of a second O(n·bins) nested sum.
     running = [0.0] * num_bins
-    for position in sorted(range(len(costs)), key=costs.__getitem__, reverse=True):
+    for position in positions:
         cost, index = heap[0]
         bins[index].append(position)
         running[index] = cost = cost + costs[position]

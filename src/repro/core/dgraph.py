@@ -41,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.balancing import balance_positions
+from repro.core.balancing import balance_positions, pack_in_order
 from repro.core.columns import SampleColumns
 from repro.core.place_tree import DISTRIBUTION_AXES, ClientPlaceTree
 from repro.core.plans import MicrobatchAssignment, ModulePlan
@@ -161,8 +161,9 @@ class DGraph:
         self._cost_fn: CostFnLike | None = None
         #: Load cost per selected sample, aligned with ``_selected``.
         self._costs: list[float] = []
-        #: Per bucket, per microbatch bin: row positions into ``_selected``.
-        self._balance_result: list[list[list[int]]] | None = None
+        #: Per bucket, per microbatch bin: row positions into ``_selected``
+        #: and their summed cost.
+        self._balance_result: list[list[tuple[list[int], float]]] | None = None
         self._balance_method = "none"
         self._num_microbatches = 1
         self._broadcast_dims: list[str] = []
@@ -327,16 +328,13 @@ class DGraph:
             self._num_microbatches = num_microbatches
 
         costs = self._costs
-        bins = self._num_microbatches
-        assignments: list[list[list[int]]] = []
+        assignments: list[list[tuple[list[int], float]]] = []
         for bucket in balance_positions(costs, self._num_buckets):
-            bucket_costs = [costs[position] for position in bucket]
-            assignments.append(
-                [
-                    [bucket[index] for index in bin_]
-                    for bin_ in balance_positions(bucket_costs, bins)
-                ]
-            )
+            # A bucket's positions arrive in non-increasing cost order, the
+            # order greedy packing would sort them into.
+            bins, totals = pack_in_order(costs, bucket, self._num_microbatches)
+            # An empty bin costs int 0, as ``sum`` over it does.
+            assignments.append([(bin_, total if bin_ else 0) for bin_, total in zip(bins, totals)])
 
         self._balance_result = assignments
         self._balance_method = "greedy"
@@ -382,23 +380,22 @@ class DGraph:
             num_microbatches=self._num_microbatches,
             balance_method=self._balance_method,
         )
-        costs = self._costs or [0.0] * len(self._selected)
         bins = [
-            (bucket_index, mb_index, positions)
+            (bucket_index, mb_index, positions, total)
             for bucket_index, bucket in enumerate(self._balance_result)
-            for mb_index, positions in enumerate(bucket)
+            for mb_index, (positions, total) in enumerate(bucket)
         ]
         # One selection in bin order; each assignment is a slice of it.
-        order = chain.from_iterable(positions for _, _, positions in bins)
+        order = chain.from_iterable(positions for _, _, positions, _ in bins)
         rows = self._selected.select(np.fromiter(order, dtype=np.intp))
         start = 0
-        for bucket_index, mb_index, positions in bins:
+        for bucket_index, mb_index, positions, total in bins:
             module_plan.assignments.append(
                 MicrobatchAssignment(
                     bucket_index=bucket_index,
                     microbatch_index=mb_index,
                     rows=rows.select(slice(start, start + len(positions))),
-                    estimated_cost=sum([costs[position] for position in positions]),
+                    estimated_cost=total,
                 )
             )
             start += len(positions)
@@ -514,7 +511,7 @@ class DGraph:
                 _, assignments, sample_ids = op
                 sample_ids = sample_ids.tolist()
                 for bucket_index, bucket in enumerate(assignments):
-                    for mb_index, positions in enumerate(bucket):
+                    for mb_index, (positions, _) in enumerate(bucket):
                         for sample_id in map(sample_ids.__getitem__, positions):
                             from_state = (
                                 "sampled" if (sample_id, "sampled") in self._nodes else "buffered"
@@ -555,7 +552,7 @@ class DGraph:
             self._api_costs.get("cost", 0.0) + 1.2e-6 * len(columns)
         )
 
-    def _unbalanced_assignment(self) -> list[list[list[int]]]:
+    def _unbalanced_assignment(self) -> list[list[tuple[list[int], float]]]:
         """Arrival-order assignment used when balance() was never called."""
         buckets: list[list[list[int]]] = [
             [[] for _ in range(self._num_microbatches)] for _ in range(self._num_buckets or 1)
@@ -568,7 +565,8 @@ class DGraph:
             per_bin = math.ceil(per_bucket / self._num_microbatches) or 1
             mb_index = min(self._num_microbatches - 1, offset // per_bin)
             buckets[bucket_index][mb_index].append(position)
-        return buckets
+        costs = self._costs or [0.0] * len(self._selected)
+        return [[(bin_, sum([costs[p] for p in bin_])) for bin_ in bucket] for bucket in buckets]
 
     @staticmethod
     def _quota_per_source(

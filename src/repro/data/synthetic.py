@@ -11,7 +11,7 @@ in Fig. 5 (text tokenization vs image decoding vs video keyframes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,6 +60,12 @@ class SyntheticSourceSpec:
     text_distribution: BucketedLengthDistribution | None = None
     image_distribution: BucketedLengthDistribution | None = None
     cost_multiplier: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.num_samples < 1:
+            raise ConfigurationError(
+                f"source {self.name!r} must have at least one sample, got {self.num_samples}"
+            )
 
 
 @dataclass(frozen=True)
@@ -148,50 +154,43 @@ SAMPLE_SCHEMA = (
 
 def generate_samples(
     spec: SyntheticSourceSpec, seed: int, id_offset: int = 0
-) -> list[dict[str, object]]:
-    """Generate metadata records for one synthetic source."""
+) -> dict[str, np.ndarray]:
+    """Generate one synthetic source's metadata, one array per :data:`SAMPLE_SCHEMA` column."""
     rng = derive_rng(seed, "samples", spec.name)
-    text_lengths = (
-        spec.text_distribution.sample_lengths(spec.num_samples, rng)
+    count = spec.num_samples
+    modality = spec.modality
+    text_tokens = (
+        spec.text_distribution.sample_lengths(count, rng).astype(np.int64)
         if spec.text_distribution is not None
-        else np.zeros(spec.num_samples, dtype=int)
+        else np.zeros(count, dtype=np.int64)
     )
-    image_lengths = (
-        spec.image_distribution.sample_lengths(spec.num_samples, rng)
-        if spec.image_distribution is not None
-        else np.zeros(spec.num_samples, dtype=int)
+    image_tokens = (
+        spec.image_distribution.sample_lengths(count, rng).astype(np.int64)
+        if spec.image_distribution is not None and modality is not Modality.TEXT
+        else np.zeros(count, dtype=np.int64)
     )
-    records: list[dict[str, object]] = []
-    for index in range(spec.num_samples):
-        text_tokens = int(text_lengths[index])
-        image_tokens = int(image_lengths[index]) if spec.modality is not Modality.TEXT else 0
-        modality = spec.modality
-        video_frames = int(image_tokens // 256) if modality is Modality.VIDEO else 0
-        audio_seconds = float(text_tokens / 8.0) if modality is Modality.AUDIO else 0.0
-        raw_bytes = (
-            text_tokens * MODALITY_RAW_BYTES_PER_TOKEN[Modality.TEXT]
-            + image_tokens * MODALITY_RAW_BYTES_PER_TOKEN[modality]
-        )
-        decoded_bytes = int(raw_bytes * MODALITY_DECODE_AMPLIFICATION[modality])
-        records.append(
-            {
-                "sample_id": id_offset + index,
-                "modality": modality.value,
-                "text_tokens": text_tokens,
-                "image_tokens": image_tokens,
-                "video_frames": video_frames,
-                "audio_seconds": audio_seconds,
-                "raw_bytes": raw_bytes,
-                "decoded_bytes": decoded_bytes,
-            }
-        )
-    return records
+    raw_bytes = (
+        text_tokens * MODALITY_RAW_BYTES_PER_TOKEN[Modality.TEXT]
+        + image_tokens * MODALITY_RAW_BYTES_PER_TOKEN[modality]
+    )
+    return {
+        "sample_id": np.arange(id_offset, id_offset + count, dtype=np.int64),
+        "modality": np.full(count, modality.value),
+        "text_tokens": text_tokens,
+        "image_tokens": image_tokens,
+        "video_frames": (
+            image_tokens // 256 if modality is Modality.VIDEO else np.zeros(count, dtype=np.int64)
+        ),
+        "audio_seconds": text_tokens / 8.0 if modality is Modality.AUDIO else np.zeros(count),
+        "raw_bytes": raw_bytes,
+        "decoded_bytes": (raw_bytes * MODALITY_DECODE_AMPLIFICATION[modality]).astype(np.int64),
+    }
 
 
 def build_source_catalog(spec: SyntheticDatasetSpec, filesystem: SimulatedFileSystem) -> SourceCatalog:
     """Materialise a dataset spec into the filesystem and return its catalog.
 
-    For every source the records are written to one columnar file,
+    For every source the generated columns are written to one columnar file,
     ``/data/<source>/part-00000``, and a :class:`DataSource` entry is
     registered describing the source's modality, size and cost profile.
     """
@@ -200,24 +199,13 @@ def build_source_catalog(spec: SyntheticDatasetSpec, filesystem: SimulatedFileSy
     catalog = SourceCatalog()
     id_offset = 0
     for source_spec in spec.sources:
-        records = generate_samples(source_spec, spec.seed, id_offset=id_offset)
-        id_offset += len(records)
-        paths = []
-        if records:
-            path = f"/data/{source_spec.name}/part-00000"
-            columnar = write_columnar_file(
-                path,
-                records,
-                SAMPLE_SCHEMA,
-                rows_per_group=ROWS_PER_GROUP,
-                source_name=source_spec.name,
-            )
-            filesystem.write(path, columnar, size_bytes=columnar.total_bytes(), kind="columnar")
-            paths.append(path)
-
-        avg_text = float(np.mean([record["text_tokens"] for record in records]))
-        avg_image = float(np.mean([record["image_tokens"] for record in records]))
-        avg_raw = float(np.mean([record["raw_bytes"] for record in records]))
+        columns = generate_samples(source_spec, spec.seed, id_offset=id_offset)
+        id_offset += source_spec.num_samples
+        path = f"/data/{source_spec.name}/part-00000"
+        columnar = write_columnar_file(
+            path, columns, SAMPLE_SCHEMA, ROWS_PER_GROUP, source_name=source_spec.name
+        )
+        filesystem.write(path, columnar, size_bytes=columnar.total_bytes(), kind="columnar")
         profile = SourcePreprocessingProfile(
             cost_per_token=MODALITY_COST_PER_TOKEN[source_spec.modality] * source_spec.cost_multiplier,
             fixed_cost_s=0.0005 * source_spec.cost_multiplier,
@@ -227,13 +215,13 @@ def build_source_catalog(spec: SyntheticDatasetSpec, filesystem: SimulatedFileSy
             DataSource(
                 name=source_spec.name,
                 modality=source_spec.modality,
-                paths=tuple(paths),
-                num_samples=len(records),
+                paths=(path,),
+                num_samples=source_spec.num_samples,
                 dataset_group=spec.group_name,
                 profile=profile,
-                avg_text_tokens=avg_text,
-                avg_image_tokens=avg_image,
-                avg_raw_bytes=avg_raw,
+                avg_text_tokens=float(np.mean(columns["text_tokens"])),
+                avg_image_tokens=float(np.mean(columns["image_tokens"])),
+                avg_raw_bytes=float(np.mean(columns["raw_bytes"])),
             )
         )
     return catalog

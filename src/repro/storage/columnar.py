@@ -12,6 +12,7 @@ readers slice them and decode no row into an object.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,41 +105,44 @@ class ColumnarFile:
 
 def write_columnar_file(
     path: str,
-    records: list[dict[str, object]],
+    columns: Mapping[str, np.ndarray],
     schema: list[ColumnSchema] | tuple[ColumnSchema, ...],
     rows_per_group: int,
     source_name: str = "",
 ) -> ColumnarFile:
-    """Build a :class:`ColumnarFile` from row-oriented records.
+    """Build a :class:`ColumnarFile` from one array per schema column.
 
-    Records are cut into row groups of ``rows_per_group`` rows each (the last
-    group holds the remainder); each column chunk becomes one array.
+    The columns are cut into row groups of ``rows_per_group`` rows each (the
+    last group holds the remainder); each group keeps its own copy of its
+    slice of every column.
     """
     schema = tuple(schema)
     if not schema:
         raise StorageError("cannot write a columnar file with an empty schema")
+    if rows_per_group < 1:
+        raise StorageError(f"rows_per_group must be at least 1, got {rows_per_group}")
+    missing = [column.name for column in schema if column.name not in columns]
+    if missing:
+        raise StorageError(f"columns {missing} required by the schema are missing")
+    arrays = {column.name: np.asarray(columns[column.name]) for column in schema}
+    lengths = {name: len(values) for name, values in arrays.items()}
+    total_rows = next(iter(lengths.values()))
+    if any(length != total_rows for length in lengths.values()):
+        raise StorageError(f"columns have unequal lengths: {lengths}")
 
     row_groups: list[RowGroup] = []
-    for group_index, start in enumerate(range(0, len(records), rows_per_group)):
-        chunk = records[start : start + rows_per_group]
-        columns: dict[str, list] = {column.name: [] for column in schema}
-        for record in chunk:
-            for column in schema:
-                if column.name not in record:
-                    raise StorageError(
-                        f"record {start} is missing column {column.name!r} required by the schema"
-                    )
-                columns[column.name].append(record[column.name])
-        compressed = sum(
-            _encoded_size(columns[column.name], column.avg_value_bytes) for column in schema
-        )
+    for group_index, start in enumerate(range(0, total_rows, rows_per_group)):
+        rows = slice(start, start + rows_per_group)
+        chunk = {name: values[rows].copy() for name, values in arrays.items()}
         row_groups.append(
             RowGroup(
                 index=group_index,
                 row_start=start,
-                row_count=len(chunk),
-                columns={name: np.asarray(values) for name, values in columns.items()},
-                compressed_bytes=compressed,
+                row_count=len(chunk[schema[0].name]),
+                columns=chunk,
+                compressed_bytes=sum(
+                    _chunk_bytes(chunk[column.name], column.avg_value_bytes) for column in schema
+                ),
             )
         )
 
@@ -149,21 +153,16 @@ def write_columnar_file(
         schema=schema,
         row_groups=row_groups,
         footer_bytes=footer_bytes,
-        total_rows=len(records),
+        total_rows=total_rows,
         source_name=source_name,
     )
     file.validate()
     return file
 
 
-def _encoded_size(values: list, avg_value_bytes: int) -> int:
-    """Approximate the encoded byte size of one column chunk."""
-    total = 0
-    for value in values:
-        if isinstance(value, (bytes, bytearray, str)):
-            total += len(value)
-        elif isinstance(value, (list, tuple)):
-            total += 8 * len(value)
-        else:
-            total += avg_value_bytes
-    return total
+def _chunk_bytes(values: np.ndarray, avg_value_bytes: int) -> int:
+    """Approximate encoded size of one column chunk: its characters for
+    strings, ``avg_value_bytes`` per value otherwise."""
+    if values.dtype.kind in "SU":
+        return sum(map(len, values.tolist()))
+    return avg_value_bytes * len(values)

@@ -12,6 +12,7 @@ from repro.core.plans import MicrobatchAssignment
 from repro.data.samples import Modality, SampleMetadata
 from repro.data.synthetic import build_source_catalog, navit_like_spec
 from repro.parallelism.mesh import DeviceMesh
+from repro.storage.columnar import ColumnarFile, write_columnar_file
 from repro.storage.filesystem import SimulatedFileSystem
 
 
@@ -36,6 +37,13 @@ def vlm_mesh() -> DeviceMesh:
 @pytest.fixture()
 def dp_mesh() -> DeviceMesh:
     return DeviceMesh(pp=1, dp=4, cp=1, tp=1, gpus_per_node=4)
+
+
+def store_columns(filesystem, path, columns, schema, rows_per_group) -> ColumnarFile:
+    """Write ``columns`` (name -> values) as a columnar file and store it at ``path``."""
+    file = write_columnar_file(path, columns, schema, rows_per_group=rows_per_group)
+    filesystem.write(path, file, size_bytes=file.total_bytes(), kind="columnar")
+    return file
 
 
 def make_sample(

@@ -192,6 +192,21 @@ class TestPlan:
         ]
         assert sorted(assigned) == sorted(s.sample_id for s in dgraph.selected_samples)
 
+    @pytest.mark.parametrize("balanced", [True, False])
+    def test_estimated_cost_sums_the_bin_and_an_empty_bin_costs_int_zero(
+        self, sample_factory, tree, balanced
+    ):
+        samples = [sample_factory(i, text_tokens=tokens) for i, tokens in enumerate([9, 5, 3])]
+        dgraph = DGraph.from_buffer_infos({"src": samples}).init(tree).distribute("DP")
+        dgraph.cost(lambda metadata: float(metadata.total_tokens))
+        if balanced:
+            dgraph.balance(num_microbatches=4)
+        costs = {sample.sample_id: float(sample.total_tokens) for sample in samples}
+        for assignment in dgraph.plan().module.assignments:
+            expected = sum([costs[sample_id] for sample_id in assignment.sample_ids()])
+            assert assignment.estimated_cost == expected
+            assert type(assignment.estimated_cost) is type(expected)
+
     def test_describe_names_the_balancer_once_balanced(self, buffer_infos, tree):
         dgraph = DGraph.from_buffer_infos(buffer_infos).init(tree).distribute("DP")
         assert "balance='none'" in dgraph.describe()

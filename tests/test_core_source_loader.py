@@ -20,10 +20,10 @@ from repro.data.samples import Modality, metadata_from_record
 from repro.data.sources import DataSource, SourceCursor, SourcePreprocessingProfile
 from repro.data.synthetic import SAMPLE_SCHEMA, build_source_catalog, navit_like_spec
 from repro.errors import PlanError
-from repro.storage.columnar import write_columnar_file
 from repro.storage.filesystem import SimulatedFileSystem
 from repro.transforms.pipeline import TransformPipeline
 from repro.utils.units import GIB
+from conftest import store_columns
 from test_golden_digests import _feed
 
 
@@ -666,9 +666,9 @@ def test_vectorized_row_costs_equal_the_per_sample_pipeline(
     source's cost profile: every modality's chain, crop-capped images, and
     row groups mixing modalities the source's chain treats differently."""
     records = [{"sample_id": 500 + index, **row} for index, row in enumerate(rows)]
-    file = write_columnar_file("/costs/0", records, SAMPLE_SCHEMA, rows_per_group=rows_per_group)
+    columns = {name: np.array([record[name] for record in records]) for name in records[0]}
     filesystem = SimulatedFileSystem()
-    filesystem.write(file.path, file, size_bytes=file.total_bytes(), kind="columnar")
+    file = store_columns(filesystem, "/costs/0", columns, SAMPLE_SCHEMA, rows_per_group)
     source = DataSource(
         name="costs", modality=modality, paths=(file.path,), num_samples=len(records),
         profile=SourcePreprocessingProfile(cost_per_token=cost_per_token, fixed_cost_s=fixed_cost_s),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import sys
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,8 +18,9 @@ from repro.data.sources import (
 )
 from repro.data.synthetic import SAMPLE_SCHEMA, build_source_catalog, navit_like_spec
 from repro.errors import ConfigurationError, CorruptFileError
-from repro.storage.columnar import ColumnSchema, write_columnar_file
+from repro.storage.columnar import ColumnSchema
 from repro.storage.filesystem import SimulatedFileSystem
+from conftest import store_columns
 
 
 def take(cursor, count):
@@ -148,23 +150,19 @@ def write_source(file_rows, rows_per_group, full_schema, filesystem=None, first_
     filesystem = filesystem or SimulatedFileSystem()
     files, next_id = [], first_id
     for index, count in enumerate(file_rows):
-        records = [
-            {
-                "sample_id": next_id + row,
-                "modality": ("image", "video", "text")[(next_id + row) % 3],
-                "text_tokens": 7 * (next_id + row) % 501,
-                "image_tokens": 11 * (next_id + row) % 3001,
-                "video_frames": (next_id + row) % 5,
-                "audio_seconds": (next_id + row) / 8.0,
-                "raw_bytes": 4 * (next_id + row),
-                "decoded_bytes": 48 * (next_id + row),
-            }
-            for row in range(count)
-        ]
+        ids = np.arange(next_id, next_id + count)
+        columns = {
+            "sample_id": ids,
+            "modality": np.array(["image", "video", "text"])[ids % 3],
+            "text_tokens": 7 * ids % 501,
+            "image_tokens": 11 * ids % 3001,
+            "video_frames": ids % 5,
+            "audio_seconds": ids / 8.0,
+            "raw_bytes": 4 * ids,
+            "decoded_bytes": 48 * ids,
+        }
         next_id += count
-        file = write_columnar_file(f"/p/{index}", records, schema, rows_per_group=rows_per_group)
-        filesystem.write(file.path, file, size_bytes=file.total_bytes(), kind="columnar")
-        files.append(file)
+        files.append(store_columns(filesystem, f"/p/{index}", columns, schema, rows_per_group))
     source = DataSource(
         name="p", modality=Modality.IMAGE, num_samples=sum(file_rows),
         paths=tuple(file.path for file in files),
@@ -325,14 +323,14 @@ def test_cursors_racing_to_cost_the_same_rows_agree():
 
 
 def test_a_file_without_sample_ids_is_corrupt_to_peek_and_to_take():
-    file = write_columnar_file(
+    filesystem = SimulatedFileSystem()
+    file = store_columns(
+        filesystem,
         "/p/0",
-        [{"text_tokens": 3}, {"text_tokens": 5}],
+        {"text_tokens": np.array([3, 5])},
         (ColumnSchema("text_tokens", "int32"),),
         rows_per_group=2,
     )
-    filesystem = SimulatedFileSystem()
-    filesystem.write(file.path, file, size_bytes=file.total_bytes(), kind="columnar")
     source = DataSource(name="p", modality=Modality.TEXT, num_samples=2, paths=(file.path,))
     cursor = SourceCursor(source, filesystem)
     reads = (

@@ -8,6 +8,8 @@ import pytest
 from repro.data.samples import Modality
 from repro.data.synthetic import (
     ROWS_PER_GROUP,
+    SAMPLE_SCHEMA,
+    SyntheticSourceSpec,
     build_source_catalog,
     coyo700m_like_spec,
     generate_samples,
@@ -38,36 +40,104 @@ class TestSpecs:
         assert [s.modality for s in a.sources] == [s.modality for s in b.sources]
 
 
+class FixedLengths:
+    """A length distribution that draws the given lengths."""
+
+    def __init__(self, *lengths: int) -> None:
+        self.lengths = lengths
+
+    def sample_lengths(self, count, rng):
+        return np.array(self.lengths[:count])
+
+
+def fixed_source(modality: Modality) -> SyntheticSourceSpec:
+    return SyntheticSourceSpec(
+        name="fixed",
+        modality=modality,
+        num_samples=2,
+        text_distribution=FixedLengths(10, 600),
+        image_distribution=FixedLengths(300, 1000),
+    )
+
+
 class TestGenerateSamples:
-    def test_records_have_expected_columns(self):
+    def test_columns_follow_the_schema(self):
         spec = coyo700m_like_spec(num_sources=1, samples_per_source=10)
-        records = generate_samples(spec.sources[0], seed=0)
-        assert len(records) == 10
-        assert {"sample_id", "modality", "text_tokens", "image_tokens"} <= set(records[0])
+        columns = generate_samples(spec.sources[0], seed=0)
+        assert list(columns) == [column.name for column in SAMPLE_SCHEMA]
+        assert all(len(values) == 10 for values in columns.values())
 
     def test_id_offset_applied(self):
         spec = coyo700m_like_spec(num_sources=1, samples_per_source=5)
-        records = generate_samples(spec.sources[0], seed=0, id_offset=100)
-        assert [r["sample_id"] for r in records] == [100, 101, 102, 103, 104]
+        columns = generate_samples(spec.sources[0], seed=0, id_offset=100)
+        assert columns["sample_id"].tolist() == [100, 101, 102, 103, 104]
 
     def test_text_sources_have_no_image_tokens(self):
         spec = navit_like_spec(num_sources=40, samples_per_source=4, seed=1)
         text_specs = [s for s in spec.sources if s.modality is Modality.TEXT]
         assert text_specs, "expected at least one text source in 40 draws"
-        records = generate_samples(text_specs[0], seed=1)
-        assert all(r["image_tokens"] == 0 for r in records)
+        columns = generate_samples(text_specs[0], seed=1)
+        assert not columns["image_tokens"].any()
+
+    # Text lengths 10 and 600, image lengths 300 and 1000; raw bytes are 4 per
+    # text token plus the modality's bytes per image token, then amplified.
+    def test_text_formulas(self):
+        columns = generate_samples(fixed_source(Modality.TEXT), seed=0)
+        assert columns["modality"].tolist() == ["text", "text"]
+        assert columns["text_tokens"].tolist() == [10, 600]
+        assert columns["image_tokens"].tolist() == [0, 0]
+        assert columns["raw_bytes"].tolist() == [40, 2400]
+        assert columns["decoded_bytes"].tolist() == [40, 2400]
+        assert columns["video_frames"].tolist() == [0, 0]
+        assert columns["audio_seconds"].tolist() == [0.0, 0.0]
+
+    def test_image_formulas(self):
+        columns = generate_samples(fixed_source(Modality.IMAGE), seed=0)
+        assert columns["image_tokens"].tolist() == [300, 1000]
+        assert columns["raw_bytes"].tolist() == [14440, 50400]
+        assert columns["decoded_bytes"].tolist() == [173280, 604800]
+        assert columns["video_frames"].tolist() == [0, 0]
+        assert columns["audio_seconds"].tolist() == [0.0, 0.0]
+
+    def test_video_formulas(self):
+        columns = generate_samples(fixed_source(Modality.VIDEO), seed=0)
+        assert columns["raw_bytes"].tolist() == [28840, 98400]
+        assert columns["decoded_bytes"].tolist() == [692160, 2361600]
+        assert columns["video_frames"].tolist() == [1, 3]
+        assert columns["audio_seconds"].tolist() == [0.0, 0.0]
+
+    def test_audio_formulas(self):
+        columns = generate_samples(fixed_source(Modality.AUDIO), seed=0)
+        assert columns["raw_bytes"].tolist() == [19240, 66400]
+        assert columns["decoded_bytes"].tolist() == [115440, 398400]
+        assert columns["video_frames"].tolist() == [0, 0]
+        assert columns["audio_seconds"].tolist() == [1.25, 75.0]
+
+    def test_column_dtypes(self):
+        columns = generate_samples(fixed_source(Modality.AUDIO), seed=0)
+        assert columns["modality"].dtype == np.dtype("<U5")
+        assert columns["audio_seconds"].dtype == np.float64
+        integers = set(columns) - {"modality", "audio_seconds"}
+        assert {columns[name].dtype for name in integers} == {np.dtype(np.int64)}
 
     def test_decoded_bytes_amplified_for_images(self):
         spec = coyo700m_like_spec(num_sources=1, samples_per_source=20)
-        records = generate_samples(spec.sources[0], seed=0)
-        assert all(r["decoded_bytes"] >= r["raw_bytes"] for r in records)
-        assert any(r["decoded_bytes"] > 5 * r["raw_bytes"] for r in records)
+        columns = generate_samples(spec.sources[0], seed=0)
+        assert (columns["decoded_bytes"] >= columns["raw_bytes"]).all()
+        assert (columns["decoded_bytes"] > 5 * columns["raw_bytes"]).any()
 
     def test_generation_deterministic(self):
         spec = coyo700m_like_spec(num_sources=1, samples_per_source=50)
         a = generate_samples(spec.sources[0], seed=9)
         b = generate_samples(spec.sources[0], seed=9)
-        assert a == b
+        assert a.keys() == b.keys()
+        assert all(np.array_equal(a[name], b[name]) for name in a)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("num_samples", [0, -3])
+    def test_source_without_samples_rejected(self, num_samples):
+        with pytest.raises(ConfigurationError, match="'coyo700m/src000' must have at least one"):
+            SyntheticSourceSpec("coyo700m/src000", Modality.IMAGE, num_samples=num_samples)
 
 
 class TestBuildCatalog:
@@ -118,10 +188,10 @@ class TestBuildCatalog:
         spec = coyo700m_like_spec(num_sources=1, samples_per_source=200)
         catalog = build_source_catalog(spec, filesystem)
         source = catalog.sources()[0]
-        records = generate_samples(spec.sources[0], seed=spec.seed)
-        assert source.avg_text_tokens == pytest.approx(
-            float(np.mean([r["text_tokens"] for r in records]))
-        )
+        columns = generate_samples(spec.sources[0], seed=spec.seed)
+        assert source.avg_text_tokens == float(np.mean(columns["text_tokens"]))
+        assert source.avg_image_tokens == float(np.mean(columns["image_tokens"]))
+        assert source.avg_raw_bytes == float(np.mean(columns["raw_bytes"]))
 
     def test_navit_like_catalog_size(self, filesystem):
         catalog = build_source_catalog(

@@ -44,7 +44,7 @@ import hashlib
 import random
 import struct
 import zlib
-from dataclasses import replace
+from dataclasses import astuple, replace
 from unittest import mock
 
 import pytest
@@ -56,7 +56,15 @@ from repro.core.place_tree import ClientPlaceTree
 from repro.core.plans import MicrobatchAssignment
 from repro.core.strategies import StrategyConfig, make_strategy
 from repro.data.mixture import MixtureSchedule
+from repro.data.samples import Modality
+from repro.data.synthetic import (
+    ROWS_PER_GROUP,
+    build_source_catalog,
+    coyo700m_like_spec,
+    navit_like_spec,
+)
 from repro.parallelism.mesh import DeviceMesh
+from repro.storage.filesystem import SimulatedFileSystem
 from conftest import bucket_samples
 from test_core_planner import _plan_signature, _random_buffer_infos
 
@@ -465,3 +473,54 @@ GOLDEN_DRAWS: list[str] = [
 @pytest.mark.parametrize("as_columns", [False, True], ids=["lists", "columns"])
 def test_pinned_draw_matches_recorded_digest(index, as_columns):
     assert draw_digest(index, as_columns) == GOLDEN_DRAWS[index]
+
+
+# -- source catalog: what the row-record writer built -----------------------------
+
+CATALOG_SPECS = {
+    "navit_data": lambda: navit_like_spec(num_sources=16, samples_per_source=1100, seed=0),
+    "coyo700m": coyo700m_like_spec,
+}
+
+
+def catalog_digest(spec) -> tuple[str, set[Modality], set[int]]:
+    """Build ``spec``'s catalog; returns ``(digest, modalities, last-group row
+    counts)``.  The digest covers every ``DataSource`` field, per file the
+    stored size, footer bytes and row count, and per row group its extent,
+    ``compressed_bytes`` and each column's name, dtype and bytes."""
+    filesystem = SimulatedFileSystem()
+    catalog = build_source_catalog(spec, filesystem)
+    digest = hashlib.sha256()
+    last_counts = set()
+    for source in catalog:
+        _feed(digest, astuple(source))
+        for path in source.paths:
+            file = filesystem.read(path)
+            _feed(digest, (filesystem.stat(path).size_bytes, file.footer_bytes, file.total_rows))
+            for group in file.row_groups:
+                _feed(digest, (group.row_start, group.row_count, group.compressed_bytes))
+                for name, values in group.columns.items():
+                    _feed(digest, (name, values.dtype.str))
+                    digest.update(values.tobytes())
+            last_counts.add(file.row_groups[-1].row_count)
+    return digest.hexdigest(), {source.modality for source in catalog}, last_counts
+
+
+#: Recorded at ``e4c70f0``, the last commit whose writer took per-row record
+#: dicts: the column-mapping writer must build the same catalogs, byte for byte.
+GOLDEN_CATALOGS: dict[str, str] = {
+    "navit_data": "15379cf14c0198a89da0ce535b39e4a09c96225c10a99845a53046c6e35ffa22",
+    "coyo700m": "5abe26c1cbd523988639ed6534d4fb076481c12b8a8123f49786c40c6e1a79fb",
+}
+
+
+def test_catalogs_match_the_record_writer_recording():
+    modalities, last_counts = set(), set()
+    for group, make_spec in CATALOG_SPECS.items():
+        digest, group_modalities, group_last_counts = catalog_digest(make_spec())
+        assert digest == GOLDEN_CATALOGS[group], group
+        modalities |= group_modalities
+        last_counts |= group_last_counts
+    # The pin covers every modality's formulas and a partial last row group.
+    assert modalities == set(Modality)
+    assert any(count < ROWS_PER_GROUP for count in last_counts)

@@ -2,26 +2,26 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import StorageError
 from repro.metrics.memory import MemoryLedger
-from repro.storage.columnar import ColumnSchema, write_columnar_file
+from repro.storage.columnar import ColumnSchema
 from repro.storage.reader import (
     SCHEMA_STATE_BYTES,
     SOCKET_STATE_BYTES,
     ColumnarReader,
 )
+from conftest import store_columns
 
 SCHEMA = [ColumnSchema("sample_id", "int64", 8), ColumnSchema("tokens", "int32", 4)]
 
 
 @pytest.fixture()
 def stored_file(filesystem):
-    records = [{"sample_id": i, "tokens": i} for i in range(30)]
-    file = write_columnar_file("/data/f", records, SCHEMA, rows_per_group=10)
-    filesystem.write("/data/f", file, size_bytes=file.total_bytes(), kind="columnar")
-    return file
+    columns = {"sample_id": np.arange(30), "tokens": np.arange(30)}
+    return store_columns(filesystem, "/data/f", columns, SCHEMA, rows_per_group=10)
 
 
 class TestLifecycle:
