@@ -1,11 +1,13 @@
 """Fig. 22 (planner leg) — plan-generation throughput vs buffer depth × sources.
 
 With event *dispatch* at O(E·log A), what bounds the simulator next is the
-per-step planning cycle itself.  The Planner gathers each loader's buffer
-rows by reference, charged per row changed since the previous plan, and the
-DGraph mixes, costs and finalizes over column arrays built for the selected
-rows only, with lazy lineage, so a plan costs a pointer copy per buffered
-row plus O(selected samples) of record reads and array work.
+per-step planning cycle itself.  Every plan, the Planner gathers a copy of
+each loader's buffered id and token columns (``buffer_delta``) and
+concatenates them into one column set; the modelled gather charge counts only
+the rows changed since the previous plan.  The DGraph mixes, costs and
+finalizes over column arrays built for the selected rows only, with lazy
+lineage, so a plan costs array copies over every buffered row (no per-row
+Python work) plus O(selected samples) of array work.
 This benchmark sweeps buffer depth × source count and measures raw planning
 throughput (plans/sec of ``Planner.generate_plan``).
 

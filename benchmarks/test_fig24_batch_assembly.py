@@ -37,13 +37,14 @@ from __future__ import annotations
 import gc
 import os
 import time
+from itertools import pairwise
 
 import numpy as np
 
 from repro.core.assembly import PreparedColumns
 from repro.core.columns import SampleColumns
 from repro.core.data_constructor import DataConstructor, RankDelivery
-from repro.core.plans import MicrobatchAssignment, ModulePlan
+from repro.core.plans import ModulePlan
 from repro.data.samples import Modality, SampleMetadata
 from repro.metrics.report import MetricReport
 from repro.parallelism.mesh import DeviceMesh
@@ -141,19 +142,18 @@ def _time_collation(metas: list[SampleMetadata]) -> dict[str, float]:
 
 
 def _delivery_plan(metas: list[SampleMetadata]) -> ModulePlan:
-    plan = ModulePlan(
+    """One bucket of ``DELIVERY_MICROBATCHES`` equal microbatches over ``metas``."""
+    per_microbatch = len(metas) // DELIVERY_MICROBATCHES
+    used = per_microbatch * DELIVERY_MICROBATCHES
+    return ModulePlan(
         module="backbone",
         axis="DP",
         num_buckets=1,
         num_microbatches=DELIVERY_MICROBATCHES,
+        rows=SampleColumns.from_samples(metas[:used]),
+        offsets=list(range(0, used + 1, per_microbatch)),
+        estimated_costs=[0.0] * DELIVERY_MICROBATCHES,
     )
-    per_microbatch = len(metas) // DELIVERY_MICROBATCHES
-    for mb in range(DELIVERY_MICROBATCHES):
-        chunk = metas[mb * per_microbatch : (mb + 1) * per_microbatch]
-        plan.assignments.append(
-            MicrobatchAssignment(0, mb, SampleColumns.from_samples(chunk))
-        )
-    return plan
 
 
 def _assert_deliveries_identical(metas: list[SampleMetadata]) -> None:
@@ -176,10 +176,10 @@ def _assert_deliveries_identical(metas: list[SampleMetadata]) -> None:
     constructor.construct(0, plan, payload)
 
     expected: dict[int, RankDelivery] = {}
-    for assignment in plan.bucket_assignments(0):
+    records = plan.rows.to_list()
+    for mb, (start, end) in enumerate(pairwise(plan.offsets)):
         collated = collate_with_positions(
-            Microbatch(index=assignment.microbatch_index, samples=list(assignment.samples)),
-            MAX_SEQUENCE_LENGTH,
+            Microbatch(index=mb, samples=records[start:end]), MAX_SEQUENCE_LENGTH
         )
         for piece in build_rank_slices(collated, mesh):
             expected.setdefault(piece.rank, RankDelivery(rank=piece.rank)).slices.append(

@@ -62,16 +62,12 @@ def _measure_case(catalog, filesystem, mesh, samples_per_dp, seq, group_size):
     dgraph.balance(num_microbatches=8)
     plan = dgraph.plan()
 
-    assignments = []
-    for bucket in range(min(plan.module.num_buckets, mesh.size("DP"))):
-        row = [list(a.samples) for a in plan.module.bucket_assignments(bucket)]
-        while len(row) < 8:
-            row.append([])
-        assignments.append(row)
-    while len(assignments) < mesh.size("DP"):
-        assignments.append([[] for _ in range(8)])
+    # Coarsened bucket counts leave DP ranks idle: those get empty microbatches.
+    dp = mesh.size("DP")
+    tokens = plan.module.bucket_tokens()[:dp]
+    tokens += token_arrays([[[]] * 8] * (dp - len(tokens)))
     model = VLMConfig(encoder=get_model("ViT-2B"), backbone=get_model("Llama-12B"))
-    iteration = TrainingSimulator(model, mesh).simulate_iteration(token_arrays(assignments))
+    iteration = TrainingSimulator(model, mesh).simulate_iteration(tokens)
     return {
         "cost_s": dgraph.api_costs.get("cost", 0.0),
         "balance_s": dgraph.api_costs.get("balance", 0.0),

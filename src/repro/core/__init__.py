@@ -15,7 +15,7 @@
 
 from repro.core.dgraph import DGraph
 from repro.core.place_tree import ClientPlaceTree
-from repro.core.plans import LoadingPlan, MicrobatchAssignment, ScalingPlan
+from repro.core.plans import LoadingPlan, ScalingPlan
 from repro.core.framework import MegaScaleData, TrainingJobSpec
 from repro.core.step_pipeline import StepPipeline
 
@@ -23,7 +23,6 @@ __all__ = [
     "DGraph",
     "ClientPlaceTree",
     "LoadingPlan",
-    "MicrobatchAssignment",
     "ScalingPlan",
     "MegaScaleData",
     "StepPipeline",

@@ -5,11 +5,12 @@ sample id, text token and image token arrays, in buffer (arrival) order —
 into one :class:`SampleColumns` with one run of rows per source, in gather
 order.  A planning cycle is numpy index arithmetic over those arrays: ``mix``
 draws row positions per source run, ``cost`` and ``balance`` read the token
-arrays, and a plan's microbatch assignments are slices of the selected rows.
+arrays, and a module plan is one selection of rows in bin order plus the
+bins' row offsets.
 No :class:`~repro.data.samples.SampleMetadata` is built on that path.
 
 A record is built only when a caller asks for one (:meth:`SampleColumns.to_list`:
-examples, figures, tests, a step's ``backbone_assignments``).  Each source of
+examples, figures, tests).  Each source of
 a set has a *reader* that builds records from sample ids: the loader cursor's
 record lookup for a gathered set, an index over the given records for a set
 built from records (:meth:`SampleColumns.from_samples`).

@@ -12,6 +12,7 @@ parallelism redundancy shown in Fig. 6 / Fig. 17a.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import pairwise
 
 from repro.actors.actor import Actor
 from repro.core.assembly import PreparedColumns
@@ -122,43 +123,39 @@ class DataConstructor(Actor):
                 f"constructor {self.actor_name!r} staging queue is full "
                 f"({self.staging_capacity} steps); release a step first"
             )
-        assignments = module_plan.bucket_assignments(self.bucket_index)
-        if not assignments:
-            raise PlanError(
-                f"constructor {self.actor_name!r}: plan has no microbatches for bucket "
-                f"{self.bucket_index}"
-            )
-        ids = [assignment.sample_ids() for assignment in assignments]
-        rows, missing = prepared.lookup([sample_id for chunk in ids for sample_id in chunk])
+        offsets = module_plan.bucket_offsets(self.bucket_index)
+        first = offsets[0]
+        bucket_ids = module_plan.rows.sample_ids[first : offsets[-1]]
+        rows, missing = prepared.lookup(bucket_ids)
         if missing:
             raise PlanError(
                 f"constructor {self.actor_name!r}: missing prepared samples "
                 f"{missing[:5]}"
             )
+        ids = bucket_ids.tolist()
         lengths = prepared.total_tokens[rows]
         collate_seconds = 0.0
         staged_bytes = 0
-        offset = 0
         deliveries: dict[int, RankDelivery] = {}
-        for assignment, chunk in zip(assignments, ids):
+        for microbatch_index, (start, end) in enumerate(pairwise(offsets)):
+            start, end = start - first, end - first
             # Slicing reads lengths and totals only; the collation's per-token
             # and per-segment fields are built on first read, i.e. not here.
             collated = collate_columns_with_positions(
-                assignment.microbatch_index,
-                chunk,
-                lengths[offset : offset + len(chunk)],
-                self.max_sequence_length,
+                microbatch_index, ids[start:end], lengths[start:end], self.max_sequence_length
             )
-            offset += len(chunk)
             collate_seconds += collated.total_tokens() * self.COLLATE_SECONDS_PER_TOKEN
             full_bytes = collated.total_tokens() * BYTES_PER_TOKEN
             for piece in self._rank_layout.slices(collated.index, collated.sequence_lengths):
-                deliveries.setdefault(piece.rank, RankDelivery(rank=piece.rank)).slices.append(piece)
+                delivery = deliveries.get(piece.rank)
+                if delivery is None:
+                    delivery = deliveries[piece.rank] = RankDelivery(rank=piece.rank)
+                delivery.slices.append(piece)
                 staged_bytes += piece.payload_bytes
                 if piece.replicated_from is not None or piece.metadata_only:
                     self.stats.broadcast_bytes_saved += max(0, full_bytes - piece.payload_bytes)
-            self.stats.microbatches_built += 1
-            self.stats.samples_consumed += len(assignment.rows)
+        self.stats.microbatches_built += module_plan.num_microbatches
+        self.stats.samples_consumed += len(ids)
 
         self._pending_deliveries[step] = deliveries
         self._staged_bytes[step] = staged_bytes
@@ -167,7 +164,7 @@ class DataConstructor(Actor):
         return {
             "collate_seconds": collate_seconds,
             "staged_bytes": float(staged_bytes),
-            "num_microbatches": float(len(assignments)),
+            "num_microbatches": float(module_plan.num_microbatches),
         }
 
     # -- delivery ---------------------------------------------------------------------------------

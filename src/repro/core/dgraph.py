@@ -23,8 +23,9 @@ Inside the graph the samples are one
 the door).  The Planner's gather hands over one run of rows per source, so
 ``mix`` draws over index ranges, O(sources + selected); ``cost``/``plan``
 run as numpy index arithmetic, ``balance`` packs row positions by one cost
-list aligned with the selection, each microbatch assignment is a slice of
-it (no sample record is built), and the lineage graph is **lazy** — nodes
+list aligned with the selection, the plan is one selection of rows in bin
+order plus the bins' row offsets (no per-bin object, no sample record is
+built), and the lineage graph is **lazy** — nodes
 and state transitions are recorded as compact column-level operations and
 only expanded into :class:`DGraphNode` objects when :attr:`nodes` or
 :meth:`lineage` is actually consulted
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from typing import Callable
 
 import numpy as np
@@ -44,7 +45,7 @@ import numpy as np
 from repro.core.balancing import balance_positions, pack_in_order
 from repro.core.columns import SampleColumns
 from repro.core.place_tree import DISTRIBUTION_AXES, ClientPlaceTree
-from repro.core.plans import MicrobatchAssignment, ModulePlan
+from repro.core.plans import ModulePlan
 from repro.data.mixture import MixtureSchedule
 from repro.data.samples import SampleMetadata
 from repro.errors import OrchestrationError
@@ -153,6 +154,8 @@ class DGraph:
 
         self._columns = SampleColumns.coerce(samples)
         self._selected = self._columns
+        #: Positions of the selected rows in ``_columns`` (None: all of them).
+        self._positions: np.ndarray | None = None
 
         self._tree: ClientPlaceTree | None = None
         self._mixture_weights: dict[str, float] = {}
@@ -272,6 +275,7 @@ class DGraph:
             else np.empty(0, dtype=np.intp)
         )
         selected = columns.select(chosen, runs=runs)
+        self._positions = chosen if self._positions is None else self._positions[chosen]
         self._costs = [self._costs[position] for position in chosen.tolist()] if self._costs else []
         self._lineage_ops.append(("mix", selected.sample_ids))
         self._selected = selected
@@ -373,32 +377,19 @@ class DGraph:
             self._balance_result = self._unbalanced_assignment()
             self._balance_method = "none"
 
+        # One selection in bin order, cut into bins by row offsets.
+        bins = list(chain.from_iterable(self._balance_result))
+        order = chain.from_iterable(positions for positions, _ in bins)
         module_plan = ModulePlan(
             module=self.module,
             axis=self._axis or "DP",
             num_buckets=self._num_buckets or 1,
             num_microbatches=self._num_microbatches,
+            rows=self._selected.select(np.fromiter(order, dtype=np.intp)),
+            offsets=list(accumulate((len(positions) for positions, _ in bins), initial=0)),
+            estimated_costs=[total for _, total in bins],
             balance_method=self._balance_method,
         )
-        bins = [
-            (bucket_index, mb_index, positions, total)
-            for bucket_index, bucket in enumerate(self._balance_result)
-            for mb_index, (positions, total) in enumerate(bucket)
-        ]
-        # One selection in bin order; each assignment is a slice of it.
-        order = chain.from_iterable(positions for _, _, positions, _ in bins)
-        rows = self._selected.select(np.fromiter(order, dtype=np.intp))
-        start = 0
-        for bucket_index, mb_index, positions, total in bins:
-            module_plan.assignments.append(
-                MicrobatchAssignment(
-                    bucket_index=bucket_index,
-                    microbatch_index=mb_index,
-                    rows=rows.select(slice(start, start + len(positions))),
-                    estimated_cost=total,
-                )
-            )
-            start += len(positions)
         module_plan.validate()
 
         return DGraphPlan(
@@ -440,9 +431,10 @@ class DGraph:
         return self._selected.to_list()
 
     @property
-    def selected_ids(self) -> np.ndarray:
-        """Ids of the selected samples (no object materialisation needed)."""
-        return self._selected.sample_ids
+    def selected_positions(self) -> np.ndarray | None:
+        """Positions of the selected samples in the graph's input rows, in
+        selection order (``None`` when every input row is selected)."""
+        return self._positions
 
     @property
     def num_buckets(self) -> int | None:

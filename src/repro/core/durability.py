@@ -8,6 +8,8 @@ the payload half of :meth:`MegaScaleData.save_checkpoint` / ``restore``.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.checkpoint import CheckpointStore
 from repro.core.data_constructor import DataConstructor
 from repro.core.planner import Planner
@@ -47,11 +49,10 @@ class DeliveryManifests:
         buckets: dict[str, list[int]] = {}
         for constructor_handle in constructor_handles:
             constructor: DataConstructor = constructor_handle.instance()
-            ids: list[int] = []
-            for assignment in backbone.bucket_assignments(constructor.bucket_index):
-                ids.extend(assignment.sample_ids())
-            if ids:
-                buckets[constructor_handle.name] = sorted(ids)
+            offsets = backbone.bucket_offsets(constructor.bucket_index)
+            ids = backbone.rows.sample_ids[offsets[0] : offsets[-1]]
+            if len(ids):
+                buckets[constructor_handle.name] = np.sort(ids).tolist()
         # A store outage queues the manifest instead of failing the step;
         # ordered draining keeps the audit trail gap-free once it heals.
         self._backlog.append(

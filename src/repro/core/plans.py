@@ -6,91 +6,83 @@ microbatches per consumer bucket, and which trainer clients fetch versus
 receive broadcasts; plan history keeps only its :class:`PlanRecord`.  A
 :class:`ScalingPlan` is the AutoScaler's resource adjustment directive.
 
-An assignment holds its samples as columns (ids and token arrays); records are
-built only when read (:attr:`MicrobatchAssignment.samples`).
+A module plan holds its samples as one column set in bin order plus the bins'
+row offsets; records are built only when read, from a slice of the rows
+(:meth:`~repro.core.columns.SampleColumns.to_list`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, pairwise
 
 import numpy as np
 
 from repro.core.columns import SampleColumns
-from repro.data.samples import SampleMetadata
 from repro.errors import PlanError
-
-
-@dataclass(frozen=True)
-class MicrobatchAssignment:
-    """Samples assigned to one microbatch of one consumer bucket."""
-
-    bucket_index: int
-    microbatch_index: int
-    rows: SampleColumns
-    estimated_cost: float = 0.0
-
-    @property
-    def samples(self) -> tuple[SampleMetadata, ...]:
-        """The samples' records, built on demand."""
-        return tuple(self.rows.to_list())
-
-    def total_tokens(self) -> int:
-        return int(self.rows.total_tokens.sum())
-
-    def sample_ids(self) -> list[int]:
-        return self.rows.sample_ids.tolist()
 
 
 @dataclass
 class ModulePlan:
-    """The per-module part of a loading plan (e.g. 'backbone' or 'encoder')."""
+    """The per-module part of a loading plan (e.g. 'backbone' or 'encoder').
+
+    ``rows`` holds the module's samples in bin order: bucket first, then
+    microbatch, every bucket with ``num_microbatches`` bins (some possibly
+    empty).  Bin ``k`` (bucket ``k // num_microbatches``, microbatch
+    ``k % num_microbatches``) is ``rows[offsets[k]:offsets[k + 1]]`` with
+    estimated cost ``estimated_costs[k]``, so a bucket is one contiguous range
+    of rows.
+    """
 
     module: str
     axis: str
     num_buckets: int
     num_microbatches: int
-    assignments: list[MicrobatchAssignment] = field(default_factory=list, init=False)
+    rows: SampleColumns
+    offsets: list[int]
+    estimated_costs: list[float]
     balance_method: str = "none"
 
-    def bucket_assignments(self, bucket_index: int) -> list[MicrobatchAssignment]:
-        return sorted(
-            (a for a in self.assignments if a.bucket_index == bucket_index),
-            key=lambda a: a.microbatch_index,
-        )
+    def bucket_offsets(self, bucket_index: int) -> list[int]:
+        """The ``num_microbatches + 1`` row offsets of a bucket's bins: its
+        microbatch ``m`` is ``rows[o[m]:o[m + 1]]``."""
+        if not 0 <= bucket_index < self.num_buckets:
+            raise PlanError(f"module {self.module!r}: bucket {bucket_index} out of range")
+        first = bucket_index * self.num_microbatches
+        return self.offsets[first : first + self.num_microbatches + 1]
 
     def bucket_tokens(self) -> list[list[tuple[np.ndarray, np.ndarray]]]:
-        """Per bucket, its microbatches' fused- and image-token arrays (padded
-        to ``num_microbatches``), which the training simulator reads."""
-        return [
-            [(rows.total_tokens, rows.image_tokens) for rows in bucket]
-            for bucket in self._bucket_rows()
-        ]
-
-    def _bucket_rows(self) -> list[list[SampleColumns]]:
-        buckets = [[a.rows for a in self.bucket_assignments(b)] for b in range(self.num_buckets)]
-        padding = [SampleColumns.empty()] * self.num_microbatches
-        return [bucket + padding[len(bucket):] for bucket in buckets]
+        """Per bucket, its microbatches' fused- and image-token arrays, which
+        the training simulator reads."""
+        total, image = self.rows.total_tokens, self.rows.image_tokens
+        bins = [(total[lo:hi], image[lo:hi]) for lo, hi in pairwise(self.offsets)]
+        width = self.num_microbatches
+        return [bins[first : first + width] for first in range(0, len(bins), width)]
 
     def validate(self) -> None:
-        seen: dict[tuple[int, int], set[int]] = {}
-        for assignment in self.assignments:
-            if not (0 <= assignment.bucket_index < self.num_buckets):
-                raise PlanError(
-                    f"module {self.module!r}: bucket {assignment.bucket_index} out of range"
-                )
-            if not (0 <= assignment.microbatch_index < self.num_microbatches):
-                raise PlanError(
-                    f"module {self.module!r}: microbatch {assignment.microbatch_index} out of range"
-                )
-            bin_ = (assignment.bucket_index, assignment.microbatch_index)
-            ids = assignment.sample_ids()
-            bin_ids = seen.setdefault(bin_, set())
-            expected = len(bin_ids) + len(ids)
-            bin_ids.update(ids)
-            if len(bin_ids) != expected:
-                raise PlanError(f"module {self.module!r}: a sample is assigned twice to bin {bin_}")
+        """The bins tile ``rows`` in order and no bin holds a sample twice
+        (one sample may sit in two bins of a module)."""
+        num_bins = self.num_buckets * self.num_microbatches
+        offsets = np.asarray(self.offsets, dtype=np.int64)
+        sizes = np.diff(offsets)
+        if (
+            len(offsets) != num_bins + 1
+            or len(self.estimated_costs) != num_bins
+            or offsets[0] != 0
+            or offsets[-1] != len(self.rows)
+            or (sizes < 0).any()
+        ):
+            raise PlanError(
+                f"module {self.module!r}: offsets {self.offsets} do not cut its "
+                f"{len(self.rows)} rows into {self.num_buckets} x {self.num_microbatches} bins"
+            )
+        bin_of = np.repeat(np.arange(num_bins), sizes)
+        order = np.lexsort((self.rows.sample_ids, bin_of))
+        ids, bin_of = self.rows.sample_ids[order], bin_of[order]
+        repeated = np.flatnonzero((ids[1:] == ids[:-1]) & (bin_of[1:] == bin_of[:-1]))
+        if len(repeated):
+            bin_ = divmod(int(bin_of[repeated[0]]), self.num_microbatches)
+            raise PlanError(f"module {self.module!r}: a sample is assigned twice to bin {bin_}")
 
 
 @dataclass
@@ -121,11 +113,10 @@ class LoadingPlan:
     def validate(self) -> None:
         """Every assigned sample is among the source demands (each module plan
         was validated where it was built, :meth:`ModulePlan.validate`)."""
-        assigned = np.concatenate([
-            assignment.rows.sample_ids
-            for module_plan in self.modules.values()
-            for assignment in module_plan.assignments
-        ] + [np.empty(0, dtype=np.int64)])
+        assigned = np.concatenate(
+            [module_plan.rows.sample_ids for module_plan in self.modules.values()]
+            + [np.empty(0, dtype=np.int64)]
+        )
         demanded = np.fromiter(chain.from_iterable(self.source_demands.values()), dtype=np.int64)
         demanded = np.append(np.sort(demanded), np.iinfo(np.int64).max)  # past every id
         outside = demanded[np.searchsorted(demanded, assigned)] != assigned
@@ -138,12 +129,8 @@ class LoadingPlan:
     def metadata_bytes(self) -> int:
         """Approximate size of the plan when broadcast to actors."""
         per_sample = 48
-        assignments = sum(
-            len(assignment.rows)
-            for module_plan in self.modules.values()
-            for assignment in module_plan.assignments
-        )
-        return 1024 + per_sample * (assignments + self.total_samples())
+        assigned = sum(len(module_plan.rows) for module_plan in self.modules.values())
+        return 1024 + per_sample * (assigned + self.total_samples())
 
     def record(self) -> "PlanRecord":
         """The compact form plan history keeps of this plan."""

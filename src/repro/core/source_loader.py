@@ -207,12 +207,14 @@ class SourceLoader(Actor):
         # past the repeated row (what it read beyond that row is given back).
         rows = self._cursor.take_costed(wanted, self._cost_key, self._cost_columns)
         ids = rows[0].tolist()
-        fresh: set[int] = set()
-        for sample_id in ids:
-            if sample_id in self._buffer or sample_id in fresh:
-                break
-            fresh.add(sample_id)
-        added = len(fresh)
+        added = len(ids)
+        if len(set(ids)) < added:  # the take wrapped the whole shard
+            _, first = np.unique(rows[0], return_index=True)
+            repeated = np.ones(added, dtype=bool)
+            repeated[first] = False
+            added = int(np.argmax(repeated))
+        if self._buffer and not self._buffer.keys().isdisjoint(ids[:added]):
+            added = next(i for i, sample_id in enumerate(ids) if sample_id in self._buffer)
         self._cursor.rewind(wanted - min(wanted, added + 1))
         if added:
             self._buffer.update(zip(ids[:added], self._store(rows, added)))

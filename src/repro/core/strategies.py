@@ -132,7 +132,14 @@ def hybrid_vlm_strategy(config: StrategyConfig | None = None) -> StrategyFn:
 
         # Encoder subplan: the image view of the *same* selected samples,
         # distributed across every GPU (world-wide encoder data parallelism).
-        encoder_buffer = columns.where(np.isin(columns.sample_ids, dgraph.selected_ids))
+        # The backbone graph's input rows are ``columns``, so the positions
+        # its mix chose pick the encoder's rows in buffer order.
+        positions = dgraph.selected_positions
+        encoder_buffer = columns
+        if positions is not None:
+            chosen = np.zeros(len(columns), dtype=bool)
+            chosen[positions] = True
+            encoder_buffer = columns.where(chosen)
         dgraph_encoder = DGraph.from_buffer_infos(encoder_buffer, metas_image, module="encoder")
         dgraph_encoder.init(tree).with_step(step, seed)
         dgraph_encoder.distribute(axis="WORLD")

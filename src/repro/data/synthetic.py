@@ -139,16 +139,17 @@ DATASET_GROUPS = {"navit_data": navit_like_spec, "coyo700m": coyo700m_like_spec}
 #: Rows per row group of every synthetic columnar file.
 ROWS_PER_GROUP = 512
 
-#: Columnar schema used for all synthetic sources (metadata-only records).
+#: Columnar schema used for all synthetic sources (metadata-only records), with
+#: each column's modelled compressed width per value.
 SAMPLE_SCHEMA = (
-    ColumnSchema("sample_id", "int64", 8),
-    ColumnSchema("modality", "string", 8),
-    ColumnSchema("text_tokens", "int32", 4),
-    ColumnSchema("image_tokens", "int32", 4),
-    ColumnSchema("video_frames", "int32", 4),
-    ColumnSchema("audio_seconds", "float32", 4),
-    ColumnSchema("raw_bytes", "int64", 8),
-    ColumnSchema("decoded_bytes", "int64", 8),
+    ColumnSchema("sample_id", 8),
+    ColumnSchema("modality", 8),
+    ColumnSchema("text_tokens", 4),
+    ColumnSchema("image_tokens", 4),
+    ColumnSchema("video_frames", 4),
+    ColumnSchema("audio_seconds", 4),
+    ColumnSchema("raw_bytes", 8),
+    ColumnSchema("decoded_bytes", 8),
 )
 
 

@@ -21,10 +21,12 @@ from repro.errors import CorruptFileError, StorageError
 
 @dataclass(frozen=True)
 class ColumnSchema:
-    """Schema of one column (name, logical type, average encoded width)."""
+    """Schema of one column: its name and ``avg_value_bytes``, the modelled
+    compressed width of one value, which a numeric chunk's
+    ``compressed_bytes`` counts per row.  A column is stored at its array's
+    dtype; a string chunk is charged its characters instead."""
 
     name: str
-    dtype: str
     avg_value_bytes: int = 8
 
 

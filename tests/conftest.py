@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+from itertools import accumulate, pairwise
+
 import pytest
 
 import numpy as np
 
 from repro.core.assembly import PreparedColumns
 from repro.core.columns import SampleColumns
-from repro.core.plans import MicrobatchAssignment
+from repro.core.plans import ModulePlan
 from repro.data.samples import Modality, SampleMetadata
 from repro.data.synthetic import build_source_catalog, navit_like_spec
 from repro.parallelism.mesh import DeviceMesh
@@ -79,15 +81,34 @@ def prepared_rows(rows) -> PreparedColumns:
 
 
 def bucket_samples(module_plan) -> list[list[list[SampleMetadata]]]:
-    """Per bucket, its microbatches' planned records; a bucket with fewer
-    microbatches is padded with empty ones up to ``num_microbatches``."""
-    buckets = [module_plan.bucket_assignments(b) for b in range(module_plan.num_buckets)]
-    padding = [[]] * module_plan.num_microbatches
-    return [[list(a.samples) for a in bucket] + padding[len(bucket):] for bucket in buckets]
+    """Per bucket, its microbatches' planned records (built from the rows)."""
+    records = module_plan.rows.to_list()
+    bins = [records[lo:hi] for lo, hi in pairwise(module_plan.offsets)]
+    width = module_plan.num_microbatches
+    return [bins[first : first + width] for first in range(0, len(bins), width)]
 
 
-def assignment_of(bucket_index, microbatch_index, samples, estimated_cost=0.0):
-    """A microbatch assignment over metadata records."""
-    return MicrobatchAssignment(
-        bucket_index, microbatch_index, SampleColumns.from_samples(list(samples)), estimated_cost
+def plan_bins(module_plan) -> list[tuple[int, int, list[int], float]]:
+    """Per bin, in bin order: ``(bucket, microbatch, sample ids, estimated_cost)``."""
+    ids = module_plan.rows.sample_ids.tolist()
+    return [
+        (*divmod(k, module_plan.num_microbatches), ids[lo:hi], cost)
+        for k, ((lo, hi), cost) in enumerate(
+            zip(pairwise(module_plan.offsets), module_plan.estimated_costs)
+        )
+    ]
+
+
+def module_plan_of(buckets, costs=None, module="backbone", axis="DP") -> ModulePlan:
+    """A module plan over records: ``buckets[b][m]`` is microbatch ``m`` of
+    bucket ``b``; every bucket lists the same number of microbatches."""
+    bins = [list(bin_) for bucket in buckets for bin_ in bucket]
+    return ModulePlan(
+        module=module,
+        axis=axis,
+        num_buckets=len(buckets),
+        num_microbatches=len(buckets[0]),
+        rows=SampleColumns.from_samples([sample for bin_ in bins for sample in bin_]),
+        offsets=list(accumulate(map(len, bins), initial=0)),
+        estimated_costs=[0.0] * len(bins) if costs is None else list(costs),
     )

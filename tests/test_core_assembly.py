@@ -10,6 +10,8 @@ manifest audit trail.  End-to-end bytes are pinned in
 
 from __future__ import annotations
 
+from itertools import count
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,11 +23,10 @@ from repro.core.assembly import PreparedColumns
 from repro.core.checkpoint import InMemoryCheckpointStore, SqliteCheckpointStore
 from repro.core.data_constructor import DataConstructor, RankDelivery
 from repro.core.framework import MANIFEST_NAMESPACE, MegaScaleData, TrainingJobSpec
-from repro.core.plans import ModulePlan
 from repro.core.source_loader import SourceLoader
 from repro.data.samples import Modality, SampleMetadata
 from repro.errors import PlanError
-from conftest import assignment_of, bucket_samples, prepared_rows
+from conftest import bucket_samples, module_plan_of, prepared_rows
 from repro.parallelism.mesh import DeviceMesh
 from repro.transforms import microbatch
 from repro.transforms.microbatch import (
@@ -356,30 +357,16 @@ class TestLoaderHandOff:
 # -- constructor equivalence ------------------------------------------------------------
 
 
-def make_plan(tokens_by_microbatch, bucket=0):
-    plan = ModulePlan(
-        module="backbone",
-        axis="DP",
-        num_buckets=bucket + 1,
-        num_microbatches=len(tokens_by_microbatch),
+def make_plan(tokens_by_microbatch):
+    sids = count(1)
+    return module_plan_of(
+        [[[meta(next(sids), tokens) for tokens in token_list] for token_list in tokens_by_microbatch]]
     )
-    sid = 1
-    for mb, token_list in enumerate(tokens_by_microbatch):
-        samples = tuple(meta(sid + k, tokens) for k, tokens in enumerate(token_list))
-        sid += len(token_list)
-        plan.assignments.append(
-            assignment_of(bucket, mb, samples)
-        )
-    return plan
 
 
 def columns_for(plan):
     return prepared_rows(
-        [
-            (m.sample_id, m.text_tokens, m.image_tokens, m.raw_bytes)
-            for assignment in plan.assignments
-            for m in assignment.samples
-        ]
+        [(m.sample_id, m.text_tokens, m.image_tokens, m.raw_bytes) for m in plan.rows.to_list()]
     )
 
 
@@ -408,11 +395,9 @@ class TestConstructorEquivalence:
         # Expected: the per-sample reference collator + the reference mesh walk.
         expected: dict[int, RankDelivery] = {}
         expected_tokens = 0
-        for assignment in plan.bucket_assignments(0):
+        for mb, samples in enumerate(bucket_samples(plan)[0]):
             collated = collate_with_positions(
-                Microbatch(
-                    index=assignment.microbatch_index, samples=list(assignment.samples)
-                ),
+                Microbatch(index=mb, samples=samples),
                 512,
             )
             expected_tokens += collated.total_tokens()

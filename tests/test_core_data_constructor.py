@@ -7,38 +7,29 @@ import pytest
 from repro.actors.runtime import ActorSystem, ClusterSpec
 from repro.core.assembly import PreparedColumns
 from repro.core.data_constructor import DataConstructor
-from repro.core.plans import ModulePlan
 from repro.errors import PlanError
 from repro.parallelism.mesh import DeviceMesh
 from repro.transforms import microbatch
 from repro.transforms.microbatch import Microbatch, collate_with_positions
 from repro.transforms.parallelism import build_rank_slices
 from repro.utils.units import GIB
-from conftest import assignment_of, prepared_rows
+from conftest import bucket_samples, module_plan_of, prepared_rows
 from test_core_source_loader import THREE_STEP_DELIVERIES, three_step_vlm_deliveries
 
 
 def make_plan(sample_factory, buckets=2, microbatches=2, tokens=128):
-    plan = ModulePlan(module="backbone", axis="DP", num_buckets=buckets, num_microbatches=microbatches)
-    sid = 0
-    for bucket in range(buckets):
-        for mb in range(microbatches):
-            samples = tuple(sample_factory(sid + k, text_tokens=tokens) for k in range(2))
-            sid += 2
-            plan.assignments.append(
-                assignment_of(bucket, mb, samples)
-            )
-    return plan
+    samples = iter(
+        sample_factory(sid, text_tokens=tokens) for sid in range(2 * buckets * microbatches)
+    )
+    return module_plan_of(
+        [[[next(samples), next(samples)] for _ in range(microbatches)] for _ in range(buckets)]
+    )
 
 
 def prepared_for(plan) -> PreparedColumns:
     """The hand-off a loader would publish for every sample of ``plan``."""
     return prepared_rows(
-        [
-            (m.sample_id, m.text_tokens, m.image_tokens, m.raw_bytes)
-            for assignment in plan.assignments
-            for m in assignment.samples
-        ]
+        [(m.sample_id, m.text_tokens, m.image_tokens, m.raw_bytes) for m in plan.rows.to_list()]
     )
 
 
@@ -76,11 +67,8 @@ class TestConstruct:
 
     def test_plan_without_bucket_rejected(self, system, vlm_mesh, sample_factory):
         handle = spawn_constructor(system, vlm_mesh, dp_index=1)
-        plan = ModulePlan(module="backbone", axis="DP", num_buckets=2, num_microbatches=1)
-        plan.assignments.append(
-            assignment_of(0, 0, [sample_factory(0)])
-        )
-        with pytest.raises(PlanError):
+        plan = module_plan_of([[[sample_factory(0)]]])
+        with pytest.raises(PlanError, match="bucket 1 out of range"):
             handle.call("construct", 0, plan, prepared_for(plan))
 
     def test_get_batch_unknown_step(self, system, vlm_mesh):
@@ -152,9 +140,9 @@ class TestReshardAndCheckpoint:
         handle.call("construct", 1, plan, prepared_for(plan))
         constructor = handle.instance()
         expected: dict[int, list] = {}
-        for assignment in plan.bucket_assignments(0):
+        for mb, samples in enumerate(bucket_samples(plan)[0]):
             collated = collate_with_positions(
-                Microbatch(index=assignment.microbatch_index, samples=list(assignment.samples)),
+                Microbatch(index=mb, samples=samples),
                 constructor.max_sequence_length,
             )
             for piece in build_rank_slices(collated, new_mesh):

@@ -9,6 +9,7 @@ from repro.core.place_tree import ClientPlaceTree
 from repro.data.mixture import MixtureSchedule
 from repro.errors import OrchestrationError
 from repro.parallelism.mesh import DeviceMesh
+from conftest import bucket_samples, plan_bins
 
 
 @pytest.fixture()
@@ -107,7 +108,11 @@ class TestPrimitives:
         plan_unbalanced = unbalanced.plan()
 
         def spread(plan):
-            costs = [sum(float(s.total_tokens) ** 2 for s in a.samples) for a in plan.module.assignments]
+            costs = [
+                sum(float(s.total_tokens) ** 2 for s in bin_)
+                for bucket in bucket_samples(plan.module)
+                for bin_ in bucket
+            ]
             return max(costs) / max(1e-9, min(costs))
 
         assert spread(plan_balanced) < spread(plan_unbalanced)
@@ -136,7 +141,7 @@ class TestPlan:
         dgraph = DGraph.from_buffer_infos(buffer_infos).init(tree)
         dgraph.distribute("DP").balance(num_microbatches=4)
         plan = dgraph.plan()
-        assert len({i for a in plan.module.assignments for i in a.sample_ids()}) == 32
+        assert len(set(plan.module.rows.sample_ids.tolist())) == 32
         assert sum(len(ids) for ids in plan.source_demands.values()) == 32
 
     def test_plan_without_balance_uses_arrival_order(self, buffer_infos, tree):
@@ -185,11 +190,7 @@ class TestPlan:
     def test_balance_assigns_every_selected_sample_once(self, buffer_infos, tree):
         dgraph = DGraph.from_buffer_infos(buffer_infos).init(tree)
         plan = dgraph.distribute("DP").balance(num_microbatches=4).plan()
-        assigned = [
-            sample_id
-            for assignment in plan.module.assignments
-            for sample_id in assignment.sample_ids()
-        ]
+        assigned = plan.module.rows.sample_ids.tolist()
         assert sorted(assigned) == sorted(s.sample_id for s in dgraph.selected_samples)
 
     @pytest.mark.parametrize("balanced", [True, False])
@@ -202,10 +203,10 @@ class TestPlan:
         if balanced:
             dgraph.balance(num_microbatches=4)
         costs = {sample.sample_id: float(sample.total_tokens) for sample in samples}
-        for assignment in dgraph.plan().module.assignments:
-            expected = sum([costs[sample_id] for sample_id in assignment.sample_ids()])
-            assert assignment.estimated_cost == expected
-            assert type(assignment.estimated_cost) is type(expected)
+        for _, _, ids, estimated_cost in plan_bins(dgraph.plan().module):
+            expected = sum([costs[sample_id] for sample_id in ids])
+            assert estimated_cost == expected
+            assert type(estimated_cost) is type(expected)
 
     def test_describe_names_the_balancer_once_balanced(self, buffer_infos, tree):
         dgraph = DGraph.from_buffer_infos(buffer_infos).init(tree).distribute("DP")
@@ -223,7 +224,7 @@ class TestPlan:
         dgraph.balance(num_microbatches=2).balance(num_microbatches=4)
         plan = dgraph.plan()
         assert plan.module.num_microbatches == 4
-        assert {a.microbatch_index for a in plan.module.assignments} == {0, 1, 2, 3}
+        assert {mb for _, mb, _, _ in plan_bins(plan.module)} == {0, 1, 2, 3}
 
     def test_describe(self, buffer_infos, tree):
         dgraph = DGraph.from_buffer_infos(buffer_infos).init(tree).distribute("DP")

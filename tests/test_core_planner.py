@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from repro.actors.runtime import ActorSystem, ClusterSpec
 from repro.core.autoscaler import MixtureDrivenScaler, ResourceBudget, SourceAutoPartitioner
 from repro.core.columns import SampleColumns
+from repro.core.dgraph import DGraph, metas_image, metas_token
 from repro.core.degradation import bound_buffer
 from repro.core.framework import MegaScaleData, TrainingJobSpec
 from repro.core.place_tree import ClientPlaceTree
@@ -25,7 +26,9 @@ from repro.core.planner import (
 from repro.core.source_loader import SourceLoader
 from repro.core.strategies import (
     StrategyConfig,
+    _image_cost,
     backbone_balance_strategy,
+    hybrid_vlm_strategy,
     make_strategy,
     vanilla_strategy,
 )
@@ -36,7 +39,7 @@ from repro.data.samples import Modality, SampleMetadata
 from repro.errors import PlanError
 from repro.parallelism.mesh import DeviceMesh
 from repro.utils.units import GIB
-from conftest import bucket_samples
+from conftest import bucket_samples, plan_bins
 
 
 @pytest.fixture()
@@ -309,6 +312,20 @@ buffer_specs = st.lists(
 )
 
 
+def _drawn_weights(sources, weight_seed):
+    """A deterministic "random" mixture over the drawn sources (some of them
+    possibly zero-weighted so whole pools drop out of the mix).  crc32, not
+    hash(): PYTHONHASHSEED salting would make a falsifying example
+    irreproducible in another process."""
+    weights = {
+        source: (zlib.crc32(f"{source}:{weight_seed}".encode()) % 7) / 7.0
+        for source in sources
+    }
+    if all(weight == 0.0 for weight in weights.values()):
+        weights[next(iter(weights))] = 1.0
+    return weights
+
+
 def _plan_signature(plan):
     """The byte-identity fields of a DGraphPlan/LoadingPlan module plan."""
     return (
@@ -319,7 +336,7 @@ def _plan_signature(plan):
         plan.module.axis,
         plan.module.num_buckets,
         plan.module.balance_method,
-        plan.module.assignments,
+        plan_bins(plan.module),
         plan.api_costs,
         {name: _plan_signature(sub) for name, sub in plan.subplan.items()},
     )
@@ -342,18 +359,8 @@ class TestColumnarPlanEquivalence:
         self, spec, step, seed, strategy_name, sample_count, weight_seed
     ):
         buffer_infos = _random_buffer_infos(spec)
-        # A deterministic "random" mixture over the drawn sources (some of
-        # them possibly zero-weighted so whole pools drop out of the mix).
-        # crc32, not hash(): PYTHONHASHSEED salting would make a falsifying
-        # example irreproducible in another process.
-        weights = {
-            source: (zlib.crc32(f"{source}:{weight_seed}".encode()) % 7) / 7.0
-            for source in buffer_infos
-        }
-        if all(weight == 0.0 for weight in weights.values()):
-            weights[next(iter(weights))] = 1.0
         config = StrategyConfig(
-            mixture=MixtureSchedule.static(weights),
+            mixture=MixtureSchedule.static(_drawn_weights(buffer_infos, weight_seed)),
             sample_count=sample_count,
             num_microbatches=2,
         )
@@ -376,6 +383,52 @@ class TestColumnarPlanEquivalence:
         )
         assert _plan_signature(plan_cols) == _plan_signature(plan_rows)
         assert _plan_signature(plan_lazy) == _plan_signature(plan_rows)
+
+    @given(
+        spec=buffer_specs,
+        step=st.integers(min_value=0, max_value=50),
+        seed=st.integers(min_value=0, max_value=10),
+        mixed=st.booleans(),
+        sample_count=st.one_of(st.none(), st.integers(min_value=1, max_value=40)),
+        weight_seed=st.integers(min_value=0, max_value=5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_the_encoder_view_by_position_equals_the_view_by_id(
+        self, spec, step, seed, mixed, sample_count, weight_seed
+    ):
+        """The hybrid strategy cuts the encoder's rows from the positions the
+        backbone's mix chose.  On a gathered set (ids unique) that is the
+        view ``np.isin`` over the selected ids gives, and the encoder plans
+        built from the two views are identical."""
+        columns = _gathered(_random_buffer_infos(spec))
+        mixture = MixtureSchedule.static(_drawn_weights(columns.sources, weight_seed))
+        mesh = DeviceMesh(pp=1, dp=2, cp=1, tp=2, gpus_per_node=8)
+        backbone = DGraph.from_buffer_infos(columns, metas_token)
+        backbone.init(ClientPlaceTree(mesh)).with_step(step, seed)
+        if mixed:
+            backbone.mix(mixture, sample_count=sample_count)
+        selected = [sample.sample_id for sample in backbone.selected_samples]
+        by_id = columns.where(np.isin(columns.sample_ids, selected))
+
+        positions = backbone.selected_positions
+        assert (positions is None) == (not mixed)
+        chosen = np.zeros(len(columns), dtype=bool)
+        chosen[slice(None) if positions is None else positions] = True
+        by_position = columns.where(chosen)
+        for name in ("sample_ids", "text_tokens", "image_tokens", "source_codes"):
+            assert np.array_equal(getattr(by_position, name), getattr(by_id, name)), name
+        assert (by_position.sources, by_position.runs) == (by_id.sources, by_id.runs)
+
+        config = StrategyConfig(
+            mixture=mixture if mixed else None, sample_count=sample_count, num_microbatches=2
+        )
+        plan = hybrid_vlm_strategy(config)(columns, ClientPlaceTree(mesh), step, seed)
+        tree = ClientPlaceTree(mesh)
+        tree.mark_broadcast("TP")  # as the backbone graph declared on the shared tree
+        encoder = DGraph.from_buffer_infos(by_id, metas_image, module="encoder")
+        encoder.init(tree).with_step(step, seed).distribute(axis="WORLD")
+        encoder.cost(_image_cost).balance(num_microbatches=2)
+        assert _plan_signature(plan.subplan["encoder"]) == _plan_signature(encoder.plan())
 
     @given(
         spec=buffer_specs,
@@ -463,7 +516,8 @@ class TestColumnarPlanEquivalence:
             assert plan.source_demands == expected.all_source_demands()
             assert plan.mixture_weights == expected.mixture_weights
             assert plan.fetching_ranks == expected.fetching_ranks
-            assert plan.modules["backbone"].assignments == expected.module.assignments
+            assert plan_bins(plan.modules["backbone"]) == plan_bins(expected.module)
+            assert bucket_samples(plan.modules["backbone"]) == bucket_samples(expected.module)
             # Churn the fleet: prepare a drawn subset of the demanded ids
             # (consuming them and triggering a refill).
             for handle in handles:

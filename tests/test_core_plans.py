@@ -2,83 +2,138 @@
 
 from __future__ import annotations
 
+import hashlib
+from dataclasses import replace
+from unittest import mock
+
 import pytest
 
-from repro.core.plans import (
-    LoaderScalingDirective,
-    LoadingPlan,
-    ModulePlan,
-    ScalingPlan,
-)
+from repro import MegaScaleData, TrainingJobSpec
+from repro.core.dgraph import DGraph
+from repro.core.plans import LoaderScalingDirective, LoadingPlan, ScalingPlan
 from repro.errors import PlanError
-from conftest import assignment_of
+from conftest import module_plan_of, plan_bins
 
 
 def make_module_plan(sample_factory, buckets=2, microbatches=2):
-    plan = ModulePlan(module="backbone", axis="DP", num_buckets=buckets, num_microbatches=microbatches)
-    sid = 0
-    for bucket in range(buckets):
-        for mb in range(microbatches):
-            samples = (sample_factory(sid), sample_factory(sid + 1))
-            sid += 2
-            plan.assignments.append(assignment_of(bucket, mb, samples, float(sid)))
-    return plan
+    samples = iter(sample_factory(sid) for sid in range(2 * buckets * microbatches))
+    return module_plan_of(
+        [[[next(samples), next(samples)] for _ in range(microbatches)] for _ in range(buckets)],
+        costs=[float(2 * k + 2) for k in range(buckets * microbatches)],
+    )
 
 
 class TestModulePlan:
-    def test_bucket_assignments_sorted(self, sample_factory):
+    def test_bins_are_bucket_major(self, sample_factory):
         plan = make_module_plan(sample_factory)
-        assignments = plan.bucket_assignments(1)
-        assert [a.microbatch_index for a in assignments] == [0, 1]
-        assert all(a.bucket_index == 1 for a in assignments)
+        assert [(bucket, mb) for bucket, mb, _, _ in plan_bins(plan)] == [
+            (0, 0), (0, 1), (1, 0), (1, 1)
+        ]
+        assert plan.bucket_offsets(1) == [4, 6, 8]
+        assert plan.rows.sample_ids[4:8].tolist() == [4, 5, 6, 7]
 
     def test_bucket_costs(self, sample_factory):
-        """Each assignment keeps the cost the balancer packed it by."""
+        """Each bin keeps the cost the balancer packed it by."""
         plan = make_module_plan(sample_factory)
-        costs = [a.estimated_cost for a in plan.assignments]
-        assert costs == [2.0, 4.0, 6.0, 8.0]
+        assert plan.estimated_costs == [2.0, 4.0, 6.0, 8.0]
 
-    def test_all_sample_ids(self, sample_factory):
+    def test_bucket_offsets_reject_an_out_of_range_bucket(self, sample_factory):
         plan = make_module_plan(sample_factory)
-        assert len({i for a in plan.assignments for i in a.sample_ids()}) == 8
+        for bucket in (-1, 2):
+            with pytest.raises(PlanError, match=f"bucket {bucket} out of range"):
+                plan.bucket_offsets(bucket)
 
-    def test_validate_rejects_out_of_range_bucket(self, sample_factory):
+    @pytest.mark.parametrize(
+        "offsets", [[0, 2, 4, 6], [0, 2, 4, 6, 7], [1, 2, 4, 6, 8], [0, 4, 2, 6, 8]]
+    )
+    def test_validate_rejects_offsets_that_do_not_tile_the_rows(self, sample_factory, offsets):
         plan = make_module_plan(sample_factory)
-        plan.assignments.append(
-            assignment_of(5, 0, [sample_factory(99)])
-        )
-        with pytest.raises(PlanError):
+        plan.offsets = offsets
+        with pytest.raises(PlanError, match="do not cut"):
             plan.validate()
 
-    def test_validate_rejects_duplicate_assignment(self, sample_factory):
+    def test_validate_rejects_a_cost_list_of_another_length(self, sample_factory):
         plan = make_module_plan(sample_factory)
-        plan.assignments.append(plan.assignments[0])
-        with pytest.raises(PlanError):
+        plan.estimated_costs = plan.estimated_costs[:-1]
+        with pytest.raises(PlanError, match="do not cut"):
             plan.validate()
 
-    def test_bucket_tokens_pads_each_bucket_to_num_microbatches(self, sample_factory):
-        plan = ModulePlan(module="backbone", axis="DP", num_buckets=2, num_microbatches=3)
-        plan.assignments.append(
-            assignment_of(1, 0, [sample_factory(4)])
-        )
-        plan.assignments.append(
-            assignment_of(0, 1, [sample_factory(2)])
-        )
-        plan.assignments.append(
-            assignment_of(0, 0, [sample_factory(1)])
-        )
+    @pytest.mark.parametrize("bucket, mb", [(0, 0), (0, 1), (1, 1)])
+    def test_validate_rejects_a_repeated_id_within_one_bin(self, sample_factory, bucket, mb):
+        buckets = [[[sample_factory(10 * b + m)] for m in range(2)] for b in range(2)]
+        buckets[bucket][mb] = [sample_factory(7), sample_factory(3), sample_factory(7)]
+        with pytest.raises(PlanError, match=rf"assigned twice to bin \({bucket}, {mb}\)"):
+            module_plan_of(buckets).validate()
+
+    def test_validate_accepts_one_id_in_two_bins_of_a_module(self, sample_factory):
+        """A sample may sit in two bins (of one bucket or of two)."""
+        twice = sample_factory(7)
+        module_plan_of([[[twice], [twice]], [[twice, sample_factory(8)], []]]).validate()
+
+    def test_validate_accepts_empty_bins(self, sample_factory):
+        module_plan_of([[[], []], [[sample_factory(1)], []]]).validate()
+        module_plan_of([[[], []]]).validate()
+
+    def test_bucket_tokens_follow_the_offsets(self, sample_factory):
+        plan = module_plan_of([
+            [[sample_factory(1, text_tokens=10)], [sample_factory(2, image_tokens=5)], []],
+            [[sample_factory(4, text_tokens=30)], [], []],
+        ])
         buckets = plan.bucket_tokens()
-        assert [[len(tokens) for tokens, _ in bucket] for bucket in buckets] == [
-            [1, 1, 0],
-            [1, 0, 0],
+        assert [[tokens.tolist() for tokens, _ in bucket] for bucket in buckets] == [
+            [[10], [64 + 5], []],
+            [[30], [], []],
+        ]
+        assert [[image.tolist() for _, image in bucket] for bucket in buckets] == [
+            [[0], [5], []],
+            [[0], [], []],
         ]
 
-    def test_assignment_helpers(self, sample_factory):
-        assignment = assignment_of(
-            0, 0, [sample_factory(1, text_tokens=10), sample_factory(2, text_tokens=20)]
-        )
-        assert assignment.total_tokens() == 30
-        assert assignment.sample_ids() == [1, 2]
+
+#: sha256 over every plan ``DGraph.plan`` finalizes in the first 5 steps of
+#: each cell: per module and bin, ``repr((module, bucket, microbatch, sample
+#: ids, type name of estimated_cost, estimated_cost))``.  Recorded when each
+#: bin was an object of its own, before plans became one row selection plus
+#: bin offsets.
+PER_BIN_DIGESTS = {
+    ("vlm", 0, 0): "c532c831d83e10ad1f651bebe9e3a7fd705f5d157d89ba835beda4670cb4bf5c",
+    ("vlm", 0, 1): "b4e74511936303fa2cf186d071feb170dc0ab113dbac4b3bc4acde7634be42ca",
+    ("vlm", 0, 2): "e16826901b623299b2758d22eaef6374f2e0acc5f933321d77ef35612e9ab454",
+    ("vlm", 2, 0): "1efd8d8e460e2696362bf9e127049cd9ad98a6b0ff6ba7bf55aae44ef55731cb",
+    ("vlm", 2, 1): "03d6e32b3431e0d9e9437f23badcdca2e5936e9e24c59550bd559f4460c041aa",
+    ("vlm", 2, 2): "8ad5a12bd6f416cbd1ad25bd4f8a32cbcfc066099607de5c88826b847da855ca",
+    ("text", 0, 0): "c564ce63764d8df0a0b3ca48bc7d77783b806e2de944206d780a97006c1c53bb",
+    ("text", 0, 1): "14cbd8dfa9668e5caad434d74380c00bd1976061e4578805e615e60ffadb8458",
+    ("text", 0, 2): "4d19eff2ac75bc4821d194342967aab1c1e68e909fec61d2d4d2bf8b40e25d77",
+    ("text", 2, 0): "6241e31fba3e0924f36113b8cb40ada48c0e0b4129d9579062fd8359d69b1f26",
+    ("text", 2, 1): "009d70e8b12c031ccfb5b1685b877b48cd4c2a3edd289ede00fdd75a20e3080d",
+    ("text", 2, 2): "b05123c1172ece4bcb3986261bfc472b6a0a9a55321ef0de02e7919714eb0225",
+}
+
+JOBS = {"vlm": TrainingJobSpec.vlm_example, "text": TrainingJobSpec.text_example}
+
+
+@pytest.mark.parametrize("job_name, depth, seed", sorted(PER_BIN_DIGESTS))
+def test_plans_match_the_per_bin_recording(job_name, depth, seed):
+    digest = hashlib.sha256()
+    finalize = DGraph.plan
+
+    def recording(dgraph):
+        plan = finalize(dgraph)
+        for module in [plan.module, *(sub.module for sub in plan.subplan.values())]:
+            for bucket, mb, ids, cost in plan_bins(module):
+                entry = (module.module, bucket, mb, ids, type(cost).__name__, cost)
+                digest.update(repr(entry).encode())
+        return plan
+
+    with mock.patch.object(DGraph, "plan", recording):
+        system = MegaScaleData.deploy(replace(JOBS[job_name](), prefetch_depth=depth, seed=seed))
+        try:
+            for _ in range(5):
+                system.run_step()
+        finally:
+            system.shutdown()
+    assert digest.hexdigest() == PER_BIN_DIGESTS[job_name, depth, seed]
 
 
 class TestLoadingPlan:
@@ -87,7 +142,7 @@ class TestLoadingPlan:
         plan = LoadingPlan(step=0, modules={"backbone": module})
         with pytest.raises(PlanError):
             plan.validate()
-        plan.source_demands = {"src": sorted({i for a in module.assignments for i in a.sample_ids()})}
+        plan.source_demands = {"src": sorted(module.rows.sample_ids.tolist())}
         plan.validate()
 
     def test_module_lookup(self, sample_factory):
@@ -101,7 +156,7 @@ class TestLoadingPlan:
         plan = LoadingPlan(
             step=0,
             modules={"backbone": module},
-            source_demands={"src": sorted({i for a in module.assignments for i in a.sample_ids()})},
+            source_demands={"src": sorted(module.rows.sample_ids.tolist())},
         )
         assert plan.total_samples() == 8
         assert plan.metadata_bytes() > 1024

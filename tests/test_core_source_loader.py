@@ -373,23 +373,43 @@ def test_sync_prepare_equals_async_polls_of_any_chunk_size(
         assert system.gcs.keys("prepared/") == []
 
 
+#: Catalogs of 64 and of 7 rows per source, on their own file systems: the
+#: small one gives shards of 1 to 7 rows, which every buffer size wraps.
+SMALL_FILESYSTEM = SimulatedFileSystem()
+REFILL_CATALOGS = {
+    64: (PROPERTY_CATALOG, PROPERTY_FILESYSTEM),
+    7: (
+        build_source_catalog(
+            navit_like_spec(num_sources=6, samples_per_source=7, seed=3), SMALL_FILESYSTEM
+        ),
+        SMALL_FILESYSTEM,
+    ),
+}
+
+
 @given(
+    rows_per_source=st.sampled_from(sorted(REFILL_CATALOGS)),
     source_index=st.integers(0, 5),
     shard_count=st.integers(1, 4),
     buffer_size=st.sampled_from([5, 16, 40, 256]),
     demands=st.lists(st.lists(st.integers(0, 10**6), max_size=12), min_size=1, max_size=8),
 )
-@settings(max_examples=60, deadline=None)
-def test_chunked_refill_equals_the_per_row_loop(source_index, shard_count, buffer_size, demands):
-    """Buffer order, cursor position (wrap-around probe included) and ledger bytes."""
+@settings(max_examples=80, deadline=None)
+def test_chunked_refill_equals_the_per_row_loop(
+    rows_per_source, source_index, shard_count, buffer_size, demands
+):
+    """Buffer order, cursor position (wrap-around probe included) and ledger
+    bytes, over shards of 1 to 64 rows: the refill stops at the first id
+    already buffered or repeated within its take, as a per-row loop does."""
+    catalog, filesystem = REFILL_CATALOGS[rows_per_source]
     system = fresh_system()
-    source = PROPERTY_CATALOG.sources()[source_index]
+    source = catalog.sources()[source_index]
     handle = spawn_loader(
-        system, PROPERTY_CATALOG, PROPERTY_FILESYSTEM, source_index,
+        system, catalog, filesystem, source_index,
         buffer_size=buffer_size, shard_count=shard_count,
     )
     loader = handle.instance()
-    cursor = SourceCursor(source, PROPERTY_FILESYSTEM, shard_count=shard_count)
+    cursor = SourceCursor(source, filesystem, shard_count=shard_count)
     model: dict[int, object] = {}
 
     def per_row_refill():

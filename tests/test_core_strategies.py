@@ -14,6 +14,7 @@ from repro.core.strategies import (
     vanilla_strategy,
 )
 from repro.data.mixture import MixtureSchedule
+from conftest import bucket_samples
 
 
 @pytest.fixture()
@@ -32,9 +33,9 @@ def tree(vlm_mesh):
 
 
 def bucket_cost_spread(module_plan, costfn):
-    costs = [0.0] * module_plan.num_buckets
-    for assignment in module_plan.assignments:
-        costs[assignment.bucket_index] += sum(costfn(s) for s in assignment.samples)
+    costs = [
+        sum(costfn(s) for bin_ in bucket for s in bin_) for bucket in bucket_samples(module_plan)
+    ]
     return max(costs) / max(1e-9, min(costs))
 
 
@@ -83,13 +84,12 @@ class TestHybrid:
 
     def test_encoder_plan_only_contains_image_samples(self, buffer_infos, tree):
         plan = hybrid_vlm_strategy(StrategyConfig(num_microbatches=2))(buffer_infos, tree, 0, 0)
-        for assignment in plan.subplan["encoder"].module.assignments:
-            assert all(sample.image_tokens > 0 for sample in assignment.samples)
+        assert (plan.subplan["encoder"].module.rows.image_tokens > 0).all()
 
     def test_encoder_samples_subset_of_backbone(self, buffer_infos, tree):
         plan = hybrid_vlm_strategy(StrategyConfig(num_microbatches=2))(buffer_infos, tree, 0, 0)
-        backbone_ids = {i for a in plan.module.assignments for i in a.sample_ids()}
-        encoder_ids = {i for a in plan.subplan["encoder"].module.assignments for i in a.sample_ids()}
+        backbone_ids = set(plan.module.rows.sample_ids.tolist())
+        encoder_ids = set(plan.subplan["encoder"].module.rows.sample_ids.tolist())
         assert encoder_ids <= backbone_ids
 
     def test_all_source_demands_merges_subplans(self, buffer_infos, tree):

@@ -145,7 +145,7 @@ class TestSourceCursor:
 def write_source(file_rows, rows_per_group, full_schema, filesystem=None, first_id=100):
     """A source over ``len(file_rows)`` files; returns (source, filesystem, files)."""
     schema = SAMPLE_SCHEMA if full_schema else (
-        ColumnSchema("sample_id", "int64"), ColumnSchema("text_tokens", "int32")
+        ColumnSchema("sample_id"), ColumnSchema("text_tokens")
     )
     filesystem = filesystem or SimulatedFileSystem()
     files, next_id = [], first_id
@@ -328,7 +328,7 @@ def test_a_file_without_sample_ids_is_corrupt_to_peek_and_to_take():
         filesystem,
         "/p/0",
         {"text_tokens": np.array([3, 5])},
-        (ColumnSchema("text_tokens", "int32"),),
+        (ColumnSchema("text_tokens"),),
         rows_per_group=2,
     )
     source = DataSource(name="p", modality=Modality.TEXT, num_samples=2, paths=(file.path,))

@@ -9,7 +9,7 @@ They pin byte-exactly (tolerance: none) what the one remaining path must keep
 emitting:
 
 - **plan bytes** — every ``DGraphPlan`` the strategies finalize, in call
-  order: source demands, per-assignment ``(bucket, microbatch, sample ids,
+  order: source demands, per bin ``(bucket, microbatch, sample ids,
   estimated_cost)``, ``api_costs``, mixture weights, fetching ranks, and the
   encoder subplan;
 - **delivery bytes** — per delivered step the backbone sample ids per
@@ -53,7 +53,6 @@ from repro.core.columns import SampleColumns
 from repro.core.dgraph import DGraph
 from repro.core.framework import MegaScaleData, TrainingJobSpec
 from repro.core.place_tree import ClientPlaceTree
-from repro.core.plans import MicrobatchAssignment
 from repro.core.strategies import StrategyConfig, make_strategy
 from repro.data.mixture import MixtureSchedule
 from repro.data.samples import Modality
@@ -78,13 +77,6 @@ SCALE_AT = 4
 
 def _feed(digest, value) -> None:
     """Canonical, order-preserving byte encoding of plan/delivery values."""
-    if isinstance(value, MicrobatchAssignment):
-        value = (
-            value.bucket_index,
-            value.microbatch_index,
-            value.sample_ids(),
-            value.estimated_cost,
-        )
     if value is None:
         digest.update(b"n")
     elif isinstance(value, float):

@@ -1,10 +1,11 @@
 """Guard: the step path moves typed columns, never ``SampleMetadata`` records.
 
 From the row group to the simulator a sample is a row of arrays: the loader
-buffer, the Planner's gather, the plan's microbatch assignments and the
-trainer's token arrays.  A record is built only when a caller asks for one.
-These tests count ``SampleMetadata.__init__`` over steady-state steps (it
-must be zero), pin the records built on demand to digests of the records
+buffer, the Planner's gather, a module plan's rows and the trainer's token
+arrays.  A record is built only when a caller asks for one.  These tests
+count ``SampleMetadata.__init__`` over steady-state steps (it must be zero)
+and ``SampleColumns.__init__`` (it must not grow with the number of
+microbatch bins), pin the records built on demand to digests of the records
 plans used to carry, and check that what reaches digests, manifests, plan
 records and checkpoints is Python ints.
 """
@@ -17,8 +18,9 @@ from dataclasses import replace
 import pytest
 
 from repro import MegaScaleData, TrainingJobSpec
+from repro.core.columns import SampleColumns
 from repro.data.samples import SampleMetadata
-from conftest import bucket_samples
+from conftest import bucket_samples, plan_bins
 
 JOBS = {
     "vlm": TrainingJobSpec.vlm_example,
@@ -26,9 +28,9 @@ JOBS = {
 }
 
 #: sha256 over every field of the backbone's and the encoder's planned records
-#: (``MicrobatchAssignment.samples``) of steps 3-5 (seed 0, both depths), recorded with
-#: the record-carrying data path, where the plan held the very records the
-#: loaders had decoded.
+#: (built from each plan's rows, ``bucket_samples``) of steps 3-5 (seed 0, both
+#: depths), recorded with the record-carrying data path, where the plan held the
+#: very records the loaders had decoded.
 RECORD_DIGESTS = {
     "vlm": "1dd8c631ce4675243b9a136fe0a1e4238ab0caaf3890da99970d2365bcdf85dc",
     "text": "e9ec60cf40a601a3a088cf0bb7f1c59d7dbf814d233d20a1a6c7e5c666c052f6",
@@ -52,17 +54,22 @@ def record_digest(results) -> str:
     return digest.hexdigest()
 
 
-@pytest.fixture()
-def count_records(monkeypatch):
+def _counted_inits(monkeypatch, cls) -> list[int]:
+    """A list that grows by one per ``cls`` instance built from now on."""
     built: list[int] = []
-    init = SampleMetadata.__init__
+    init = cls.__init__
 
     def counting(self, *args, **kwargs):
         built.append(1)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(SampleMetadata, "__init__", counting)
+    monkeypatch.setattr(cls, "__init__", counting)
     return built
+
+
+@pytest.fixture()
+def count_records(monkeypatch):
+    return _counted_inits(monkeypatch, SampleMetadata)
 
 
 @pytest.mark.parametrize("depth", [0, 2])
@@ -81,6 +88,32 @@ def test_steady_state_steps_build_no_record(job_name, depth, count_records):
         assert count_records
     finally:
         system.shutdown()
+
+
+@pytest.fixture()
+def count_column_sets(monkeypatch):
+    return _counted_inits(monkeypatch, SampleColumns)
+
+
+@pytest.mark.parametrize("depth", [0, 2])
+@pytest.mark.parametrize("job_name", sorted(JOBS))
+def test_column_sets_per_step_do_not_grow_with_the_bin_count(job_name, depth, count_column_sets):
+    """A plan is one row selection per module plus bin offsets: doubling the
+    microbatches (and so the bins) builds no more ``SampleColumns`` per step."""
+    per_step = {}
+    for microbatches in (4, 8):
+        job = replace(JOBS[job_name](), prefetch_depth=depth, seed=0, num_microbatches=microbatches)
+        system = MegaScaleData.deploy(job)
+        try:
+            for _ in range(3):
+                system.run_step(simulate=True)
+            count_column_sets.clear()
+            for _ in range(3):
+                system.run_step(simulate=True)
+            per_step[microbatches] = len(count_column_sets) / 3
+        finally:
+            system.shutdown()
+    assert per_step[4] == per_step[8], per_step
 
 
 def _is_int(value) -> bool:
@@ -103,9 +136,9 @@ def test_ids_and_lengths_that_leave_the_step_path_are_python_ints():
             manifest = system.delivery_manifest(result.step)
             assert all(_is_int(i) for ids in manifest["buckets"].values() for i in ids)
             for module in plan.modules.values():
-                for assignment in module.assignments:
-                    assert all(_is_int(i) for i in assignment.sample_ids())
-                    assert _is_int(assignment.total_tokens())
+                for _, _, ids, _ in plan_bins(module):
+                    assert all(_is_int(i) for i in ids)
+                assert all(_is_int(i) for i in module.offsets)
             for bucket in bucket_samples(result.plan.module("backbone")):
                 for microbatch in bucket:
                     for sample in microbatch:

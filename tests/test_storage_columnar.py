@@ -9,8 +9,8 @@ from repro.errors import CorruptFileError, StorageError
 from repro.storage.columnar import ColumnSchema, write_columnar_file
 
 SCHEMA = [
-    ColumnSchema("sample_id", "int64", 8),
-    ColumnSchema("tokens", "int32", 4),
+    ColumnSchema("sample_id", 8),
+    ColumnSchema("tokens", 4),
 ]
 
 
@@ -50,7 +50,7 @@ class TestWrite:
         assert file.row_groups[0].columns["tokens"].base is None
 
     def test_compressed_bytes_count_values_and_characters(self):
-        schema = SCHEMA + [ColumnSchema("modality", "string", 8)]
+        schema = SCHEMA + [ColumnSchema("modality", 8)]
         columns = {**make_columns(3), "modality": np.array(["text", "image", "audio"])}
         (group,) = write_columnar_file("/f", columns, schema, rows_per_group=4).row_groups
         # 3 x 8 id bytes + 3 x 4 token bytes + 4 + 5 + 5 characters.

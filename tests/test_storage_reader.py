@@ -15,7 +15,7 @@ from repro.storage.reader import (
 )
 from conftest import store_columns
 
-SCHEMA = [ColumnSchema("sample_id", "int64", 8), ColumnSchema("tokens", "int32", 4)]
+SCHEMA = [ColumnSchema("sample_id", 8), ColumnSchema("tokens", 4)]
 
 
 @pytest.fixture()
