@@ -48,9 +48,9 @@ def _throughput(strategy_name, samples, model):
     buffer_infos = {"all": samples}
     plan = strategy(buffer_infos, tree, step=0, seed=0)
 
-    encoder = plan.subplan["encoder"].module.bucket_tokens() if "encoder" in plan.subplan else None
+    encoder = plan.subplan["encoder"].module.token_bins() if "encoder" in plan.subplan else None
     simulator = TrainingSimulator(model, MESH)
-    result = simulator.simulate_iteration(plan.module.bucket_tokens(), encoder)
+    result = simulator.simulate_iteration(plan.module.token_bins(), encoder)
     return result.throughput_tokens_per_s
 
 

@@ -30,9 +30,9 @@ def _simulate(strategy_name, samples, model):
     tree = ClientPlaceTree(MESH)
     strategy = make_strategy(strategy_name, StrategyConfig(num_microbatches=NUM_MICROBATCHES))
     plan = strategy({"navit": samples}, tree, step=0, seed=0)
-    encoder = plan.subplan["encoder"].module.bucket_tokens() if "encoder" in plan.subplan else None
+    encoder = plan.subplan["encoder"].module.token_bins() if "encoder" in plan.subplan else None
     simulator = TrainingSimulator(model, MESH)
-    return simulator.simulate_iteration(plan.module.bucket_tokens(), encoder)
+    return simulator.simulate_iteration(plan.module.token_bins(), encoder)
 
 
 def test_fig14_case_study_timeline(benchmark, navit_catalog, filesystem):

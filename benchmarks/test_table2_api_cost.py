@@ -17,7 +17,7 @@ from repro.data.synthetic import build_source_catalog, navit_like_spec
 from repro.metrics.report import MetricReport
 from repro.parallelism.mesh import DeviceMesh
 from repro.storage.filesystem import SimulatedFileSystem
-from repro.training.flops import token_arrays
+from repro.training.flops import TokenBins
 from repro.training.models import VLMConfig, get_model
 from repro.training.simulator import TrainingSimulator
 
@@ -63,9 +63,14 @@ def _measure_case(catalog, filesystem, mesh, samples_per_dp, seq, group_size):
     plan = dgraph.plan()
 
     # Coarsened bucket counts leave DP ranks idle: those get empty microbatches.
+    bins = plan.module.token_bins()
     dp = mesh.size("DP")
-    tokens = plan.module.bucket_tokens()[:dp]
-    tokens += token_arrays([[[]] * 8] * (dp - len(tokens)))
+    offsets = bins.offsets[: min(bins.num_buckets, dp) * bins.num_microbatches + 1]
+    offsets += offsets[-1:] * (dp * bins.num_microbatches + 1 - len(offsets))
+    rows = slice(0, offsets[-1])
+    tokens = TokenBins(
+        bins.total_tokens[rows], bins.image_tokens[rows], offsets, dp, bins.num_microbatches
+    )
     model = VLMConfig(encoder=get_model("ViT-2B"), backbone=get_model("Llama-12B"))
     iteration = TrainingSimulator(model, mesh).simulate_iteration(tokens)
     return {

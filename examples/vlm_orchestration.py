@@ -68,8 +68,8 @@ def main() -> None:
             buffer_infos, ClientPlaceTree(mesh), encoder_cost, backbone_cost, num_microbatches
         )
         hybrid_result = simulator.simulate_iteration(
-            hybrid_plan.module.bucket_tokens(),
-            hybrid_plan.subplan["encoder"].module.bucket_tokens(),
+            hybrid_plan.module.token_bins(),
+            hybrid_plan.subplan["encoder"].module.token_bins(),
         )
 
         baseline = DGraph.from_buffer_infos(buffer_infos, metas_token).init(ClientPlaceTree(mesh))
@@ -77,7 +77,7 @@ def main() -> None:
         baseline._num_microbatches = num_microbatches
         baseline_plan = baseline.plan()
         baseline_result = simulator.simulate_iteration(
-            baseline_plan.module.bucket_tokens()
+            baseline_plan.module.token_bins()
         )
 
         speedup = baseline_result.iteration_time_s / hybrid_result.iteration_time_s

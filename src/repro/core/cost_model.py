@@ -39,7 +39,7 @@ from bisect import bisect_right
 from typing import Callable
 
 from repro.data.samples import SampleMetadata
-from repro.training.flops import encoder_sample_flops, packed_backbone_flops
+from repro.training.flops import encoder_sample_flops, sequence_backbone_flops
 from repro.training.models import BackboneConfig, EncoderConfig
 from repro.training.simulator import BACKWARD_MULTIPLIER, GpuSpec, IterationResult
 
@@ -316,7 +316,7 @@ class BackboneCostModel:
 
     def __call__(self, metadata: SampleMetadata) -> tuple[float, float]:
         tokens = metadata.total_tokens
-        flops = packed_backbone_flops([tokens], self.backbone)
+        flops = sequence_backbone_flops(tokens, self.backbone)
         # Vocabulary projection (dense models only; MoE heads are identical).
         flops += 2.0 * tokens * self.backbone.hidden_size * self.backbone.vocab_size
         latency = self.gpu.seconds_for(flops * (1.0 + BACKWARD_MULTIPLIER))

@@ -295,9 +295,9 @@ class MegaScaleData:
         # re-book the identical window after recovery/backoff.
         begin_s = max(trainer_free_s, data_ready_s)
         if simulate:
-            backbone_tokens = plan.module("backbone").bucket_tokens()
+            backbone_tokens = plan.module("backbone").token_bins()
             encoder_tokens = (
-                plan.modules["encoder"].bucket_tokens() if "encoder" in plan.modules else None
+                plan.modules["encoder"].token_bins() if "encoder" in plan.modules else None
             )
 
             def submit_iteration():

@@ -22,12 +22,14 @@ class ClientPlaceTree:
     """Hierarchical topology of trainer clients over a device mesh.
 
     Consumer counts come from the mesh dimensions; the tree's own state is
-    the set of axes the trainer broadcasts along.
+    the set of axes the trainer broadcasts along and the fetching ranks they
+    leave, computed once per set of axes.
     """
 
     def __init__(self, mesh: DeviceMesh) -> None:
         self.mesh = mesh
         self._broadcast_axes: set[str] = set()
+        self._fetchers: list[int] | None = None
 
     # -- consumer enumeration ------------------------------------------------------
 
@@ -62,7 +64,9 @@ class ClientPlaceTree:
         axis = axis.upper()
         if axis not in ("TP", "CP", "PP"):
             raise OrchestrationError(f"broadcast axis must be TP, CP or PP (got {axis!r})")
-        self._broadcast_axes.add(axis)
+        if axis not in self._broadcast_axes:
+            self._broadcast_axes.add(axis)
+            self._fetchers = None
 
     @property
     def broadcast_axes(self) -> set[str]:
@@ -73,13 +77,16 @@ class ClientPlaceTree:
 
         A rank fetches unless it has a non-zero coordinate on any broadcast
         axis (in which case an intra-group trainer-side broadcast covers it).
+        The walk over the ranks runs once per set of broadcast axes (a reshard
+        builds a new tree); each call returns its own copy of the list.
         """
-        fetchers = []
-        for coord in self.mesh.coordinates():
-            excluded = any(coord.axis(axis) > 0 for axis in self._broadcast_axes)
-            if not excluded:
-                fetchers.append(coord.rank)
-        return fetchers
+        if self._fetchers is None:
+            self._fetchers = [
+                coord.rank
+                for coord in self.mesh.coordinates()
+                if not any(coord.axis(axis) > 0 for axis in self._broadcast_axes)
+            ]
+        return list(self._fetchers)
 
     def describe(self) -> str:
         dims = self.mesh.dims

@@ -14,12 +14,13 @@ row offsets; records are built only when read, from a slice of the rows
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, pairwise
+from itertools import chain
 
 import numpy as np
 
 from repro.core.columns import SampleColumns
 from repro.errors import PlanError
+from repro.training.flops import TokenBins
 
 
 @dataclass
@@ -51,13 +52,16 @@ class ModulePlan:
         first = bucket_index * self.num_microbatches
         return self.offsets[first : first + self.num_microbatches + 1]
 
-    def bucket_tokens(self) -> list[list[tuple[np.ndarray, np.ndarray]]]:
-        """Per bucket, its microbatches' fused- and image-token arrays, which
-        the training simulator reads."""
-        total, image = self.rows.total_tokens, self.rows.image_tokens
-        bins = [(total[lo:hi], image[lo:hi]) for lo, hi in pairwise(self.offsets)]
-        width = self.num_microbatches
-        return [bins[first : first + width] for first in range(0, len(bins), width)]
+    def token_bins(self) -> TokenBins:
+        """The fused- and image-token columns in bin order plus the bin
+        offsets, which the training simulator reads."""
+        return TokenBins(
+            self.rows.total_tokens,
+            self.rows.image_tokens,
+            self.offsets,
+            self.num_buckets,
+            self.num_microbatches,
+        )
 
     def validate(self) -> None:
         """The bins tile ``rows`` in order and no bin holds a sample twice

@@ -8,66 +8,105 @@ encoder (per image) and the backbone (per fused sequence), and aggregate them
 per microbatch and per rank for the Fig. 3 heatmaps and the training
 simulator.
 
-A microbatch is read as :data:`MicrobatchTokens`; callers holding
-:class:`~repro.data.samples.SampleMetadata` lists convert with :func:`token_arrays`.
+Every formula takes a token count or an array of them: the cost models price
+one sample with Python floats, the simulator prices a whole plan elementwise,
+and an array result equals the Python-float result of each element bit for
+bit.  Token counts are non-negative, and zero tokens cost exactly 0.0.
+
+A module's samples reach the model as :class:`TokenBins`: its token columns in
+bin order plus the bin offsets, which a :class:`~repro.core.plans.ModulePlan`
+holds.  Per-bin totals are added in Python ``sum()`` order
+(:meth:`TokenBins.grid`).  Callers holding
+:class:`~repro.data.samples.SampleMetadata` lists convert with
+:func:`token_arrays`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from dataclasses import dataclass
+from itertools import accumulate, chain, pairwise
 
 import numpy as np
 
 from repro.data.samples import SampleMetadata
 from repro.training.models import BackboneConfig, EncoderConfig, ModelConfig
 
-#: One microbatch: per sample, its fused tokens and its image tokens.
-MicrobatchTokens = tuple[Iterable[int], Iterable[int]]
+
+@dataclass(frozen=True, eq=False)
+class TokenBins:
+    """A module's per-sample token columns cut into buckets x microbatches bins.
+
+    Bin ``k`` (bucket ``k // num_microbatches``, microbatch
+    ``k % num_microbatches``) holds rows ``offsets[k]:offsets[k + 1]``; the
+    bins tile the columns in order.
+    """
+
+    total_tokens: np.ndarray
+    image_tokens: np.ndarray
+    offsets: list[int]
+    num_buckets: int
+    num_microbatches: int
+
+    def grid(self, values: np.ndarray) -> np.ndarray:
+        """Per-row ``values`` summed per bin, as a ``num_buckets x
+        num_microbatches`` array (a stack of columns, shape ``(k, rows)``,
+        gives ``(k, num_buckets, num_microbatches)``).
+
+        Each bin is added by Python's ``sum()`` over its slice of the column,
+        so a float bin total is the scalar model's bit for bit (``np.sum``
+        adds pairwise).  There are tens of bins, against hundreds of rows:
+        one slice per bin costs less than laying the rows out in a padded
+        array for a ``cumsum``.  Empty bins sum to zero.
+        """
+        bounds = list(pairwise(self.offsets))
+        columns = values.reshape(-1, values.shape[-1]).tolist()
+        sums = [[sum(column[lo:hi]) for lo, hi in bounds] for column in columns]
+        shape = values.shape[:-1] + (self.num_buckets, self.num_microbatches)
+        return np.array(sums, dtype=values.dtype).reshape(shape)
 
 
-def token_arrays(assignments: list[list[list[SampleMetadata]]]) -> list[list[MicrobatchTokens]]:
-    """``[rank][microbatch]`` record lists as :data:`MicrobatchTokens` arrays."""
-    return [
-        [
-            tuple(np.array([getattr(s, name) for s in samples], dtype=np.int64)
-                  for name in ("total_tokens", "image_tokens"))
-            for samples in row
-        ]
-        for row in assignments
-    ]
+def token_arrays(assignments: list[list[list[SampleMetadata]]]) -> TokenBins:
+    """``[rank][microbatch]`` record lists as :class:`TokenBins` (a rank with
+    fewer microbatches than the widest ends in empty bins)."""
+    width = max((len(row) for row in assignments), default=0)
+    bins = [row[mb] if mb < len(row) else [] for row in assignments for mb in range(width)]
+    samples = list(chain.from_iterable(bins))
+    return TokenBins(
+        np.array([s.total_tokens for s in samples], dtype=np.int64),
+        np.array([s.image_tokens for s in samples], dtype=np.int64),
+        list(accumulate(map(len, bins), initial=0)),
+        len(assignments),
+        width,
+    )
 
 
-def attention_flops(seq_len: int, hidden_size: int) -> float:
+def attention_flops(seq_len, hidden_size: int):
     """Forward FLOPs of one self-attention block over ``seq_len`` tokens.
 
     QKV + output projections are linear in sequence length; the score and
     value aggregation matmuls contribute the quadratic term.
     """
-    if seq_len <= 0:
-        return 0.0
     projections = 8.0 * seq_len * hidden_size * hidden_size
     score_and_context = 4.0 * seq_len * seq_len * hidden_size
     return projections + score_and_context
 
 
-def mlp_flops(seq_len: int, hidden_size: int, mlp_ratio: float) -> float:
+def mlp_flops(seq_len, hidden_size: int, mlp_ratio: float):
     """Forward FLOPs of one MLP block (two projections)."""
-    if seq_len <= 0:
-        return 0.0
     return 4.0 * seq_len * hidden_size * (hidden_size * mlp_ratio)
 
 
-def transformer_layer_flops(seq_len: int, hidden_size: int, mlp_ratio: float) -> float:
+def transformer_layer_flops(seq_len, hidden_size: int, mlp_ratio: float):
     """Forward FLOPs of one transformer layer."""
     return attention_flops(seq_len, hidden_size) + mlp_flops(seq_len, hidden_size, mlp_ratio)
 
 
-def model_flops(seq_len: int, config: ModelConfig) -> float:
+def model_flops(seq_len, config: ModelConfig):
     """Forward FLOPs of a full model over one sequence of ``seq_len`` tokens."""
     return config.num_layers * transformer_layer_flops(seq_len, config.hidden_size, config.mlp_ratio)
 
 
-def encoder_sample_flops(image_tokens: int, encoder: EncoderConfig) -> float:
+def encoder_sample_flops(image_tokens, encoder: EncoderConfig):
     """Encoder forward FLOPs for one image of ``image_tokens`` patches.
 
     Each image attends only over its own patches, so the encoder cost of a
@@ -77,68 +116,63 @@ def encoder_sample_flops(image_tokens: int, encoder: EncoderConfig) -> float:
     return model_flops(image_tokens, encoder)
 
 
-def packed_backbone_flops(segment_lengths: Iterable[int], backbone: BackboneConfig) -> float:
-    """Backbone FLOPs for a packed sequence with per-segment attention masks.
+def segment_attention_flops(segment_tokens, backbone: BackboneConfig):
+    """One backbone layer's attention-score FLOPs over one packed segment.
+
+    A packed sequence's quadratic term is the sum of its segments' (the
+    segment masks keep attention within a segment), which
+    :func:`packed_backbone_flops` takes.
+    """
+    return 4.0 * segment_tokens * segment_tokens * backbone.hidden_size
+
+
+def packed_backbone_flops(total_tokens, segment_attention, backbone: BackboneConfig):
+    """Backbone FLOPs of a packed sequence of ``total_tokens`` tokens whose
+    segments' :func:`segment_attention_flops` add up to ``segment_attention``.
 
     Packing with segment masks keeps attention quadratic only within each
     segment while the linear projections scale with the total packed length.
     """
-    lengths = [int(length) for length in segment_lengths if length > 0]
-    total = sum(lengths)
-    if total == 0:
-        return 0.0
-    ratio = backbone.active_mlp_ratio()
-    linear = backbone.num_layers * (
-        8.0 * total * backbone.hidden_size**2
-        + mlp_flops(total, backbone.hidden_size, ratio)
-    )
     hidden = backbone.hidden_size
-    quadratic = backbone.num_layers * sum(4.0 * length * length * hidden for length in lengths)
-    return linear + quadratic
+    linear = backbone.num_layers * (
+        8.0 * total_tokens * hidden**2
+        + mlp_flops(total_tokens, hidden, backbone.active_mlp_ratio())
+    )
+    return linear + backbone.num_layers * segment_attention
 
 
-def microbatch_flops(
-    tokens: MicrobatchTokens,
-    encoder: EncoderConfig | None,
-    backbone: BackboneConfig | None,
-) -> dict[str, float]:
-    """Encoder and backbone FLOPs of one microbatch (0.0 for a module passed as None).
+def sequence_backbone_flops(tokens, backbone: BackboneConfig):
+    """Backbone FLOPs of ``tokens`` as one sequence of a single segment."""
+    return packed_backbone_flops(tokens, segment_attention_flops(tokens, backbone), backbone)
 
-    Returns a dict with ``encoder_flops`` (sum over images) and
-    ``backbone_flops`` (the fused sequences packed into one).
-    """
-    total_tokens, image_tokens = tokens
-    encoder_total = 0.0
-    if encoder is not None:
-        encoder_total = sum(
-            encoder_sample_flops(image, encoder) for image in image_tokens if image > 0
-        )
-    backbone_total = 0.0 if backbone is None else packed_backbone_flops(total_tokens, backbone)
-    return {"encoder_flops": encoder_total, "backbone_flops": backbone_total}
+
+def encoder_bin_flops(bins: TokenBins, encoder: EncoderConfig) -> np.ndarray:
+    """Encoder FLOPs per bin: the sum over the bin's images."""
+    return bins.grid(encoder_sample_flops(bins.image_tokens, encoder))
 
 
 def flops_imbalance_matrix(
-    assignments: list[list[MicrobatchTokens]],
+    assignments: TokenBins,
     encoder: EncoderConfig | None,
     backbone: BackboneConfig,
     which: str = "backbone",
 ) -> np.ndarray:
     """FLOPs heatmap over [rank][microbatch] assignments (Fig. 3).
 
-    ``assignments[rank][microbatch]`` is the :data:`MicrobatchTokens` that rank
-    processes in that microbatch; the returned array has the same shape filled
-    with the selected FLOPs component.
+    Bucket ``rank``'s microbatch ``mb`` of ``assignments`` is what that rank
+    processes in that microbatch; the returned ``rank x microbatch`` array
+    holds the selected FLOPs component: backbone FLOPs pack each bin's
+    samples into one sequence, encoder FLOPs are 0.0 without an encoder.
     """
-    if which not in ("backbone", "encoder"):
+    if which == "backbone":
+        totals = assignments.total_tokens
+        attention = assignments.grid(segment_attention_flops(totals, backbone))
+        return packed_backbone_flops(assignments.grid(totals), attention, backbone)
+    if which != "encoder":
         raise ValueError("which must be 'backbone' or 'encoder'")
-    num_ranks = len(assignments)
-    num_microbatches = max((len(row) for row in assignments), default=0)
-    matrix = np.zeros((num_ranks, num_microbatches), dtype=float)
-    for rank_index, row in enumerate(assignments):
-        for mb_index, tokens in enumerate(row):
-            flops = microbatch_flops(tokens, encoder, backbone)
-            matrix[rank_index, mb_index] = flops[f"{which}_flops"]
-    return matrix
+    if encoder is None:
+        return np.zeros((assignments.num_buckets, assignments.num_microbatches))
+    return encoder_bin_flops(assignments, encoder)
 
 
 def imbalance_ratio(matrix: np.ndarray) -> float:

@@ -10,12 +10,18 @@ load-time balancing removes.
 
 The simulator is intentionally analytical (FLOPs / achievable-throughput)
 rather than cycle-accurate: the paper's own cost model (Sec. 4.2, validated in
-Fig. 19) takes the same form.
+Fig. 19) takes the same form.  It reads a plan's token columns
+(:class:`~repro.training.flops.TokenBins`) and computes a step as array
+passes: FLOPs per sample, their sums per bin, then stage times on per-bin
+arrays, with no Python loop per sample.  The per-microbatch
+:attr:`IterationResult.timeline` is built from the stage times only when it
+is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -24,7 +30,12 @@ from repro.actors.actor import Actor
 from repro.errors import ConfigurationError
 from repro.metrics.timeline import Timeline
 from repro.parallelism.mesh import DeviceMesh
-from repro.training.flops import MicrobatchTokens, microbatch_flops
+from repro.training.flops import (
+    TokenBins,
+    encoder_bin_flops,
+    packed_backbone_flops,
+    segment_attention_flops,
+)
 from repro.training.models import BackboneConfig, EncoderConfig, VLMConfig
 
 
@@ -39,10 +50,9 @@ class GpuSpec:
     #: Bytes of one activation element (bf16).
     bytes_per_activation: ClassVar[int] = 2
 
-    def seconds_for(self, flops: float) -> float:
-        """Wall-clock seconds to execute ``flops`` at the achievable rate."""
-        if flops <= 0:
-            return 0.0
+    def seconds_for(self, flops):
+        """Wall-clock seconds to execute ``flops`` (a float or an array) at
+        the achievable rate."""
         return flops / (self.peak_flops * self.mfu)
 
 
@@ -67,14 +77,55 @@ class IterationResult:
     exposed_fetch_time_s: float
     total_tokens: int
     peak_activation_tokens: int
+    #: Stage seconds per microbatch: encoder and all-to-all (global barriers,
+    #: one per microbatch) and backbone (``dp x microbatch``).
+    stage_times_s: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False, compare=False)
     hidden_fetch_time_s: float = 0.0
-    timeline: Timeline = field(default_factory=Timeline)
 
     @property
     def throughput_tokens_per_s(self) -> float:
         if self.iteration_time_s <= 0:
             return 0.0
         return self.total_tokens / self.iteration_time_s
+
+    @cached_property
+    def timeline(self) -> Timeline:
+        """Per DP rank ``dp{i}``, one ``mb{j}`` event per microbatch carrying
+        its encoder, all-to-all and backbone stage seconds; built on first read."""
+        encoder, alltoall, backbone = self.stage_times_s
+        mb_times, elapsed = _microbatch_times(encoder, alltoall, backbone)
+        starts = np.zeros_like(mb_times)
+        starts[:, 1:] = elapsed[:, :-1]
+        encoder, alltoall = encoder.tolist(), alltoall.tolist()
+        timeline = Timeline()
+        rows = zip(starts.tolist(), mb_times.tolist(), backbone.tolist())
+        for dp_index, (row_starts, row_times, row_backbone) in enumerate(rows):
+            for mb_index, (start, duration, backbone_stage) in enumerate(
+                zip(row_starts, row_times, row_backbone)
+            ):
+                timeline.record(
+                    component=f"dp{dp_index}",
+                    name=f"mb{mb_index}",
+                    start=start,
+                    duration=duration,
+                    encoder=encoder[mb_index],
+                    alltoall=alltoall[mb_index],
+                    backbone=backbone_stage,
+                )
+        return timeline
+
+
+def _microbatch_times(
+    encoder: np.ndarray, alltoall: np.ndarray, backbone: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each DP rank's per-microbatch step times and their running totals.
+
+    The encoder + all-to-all stage is a global barrier (features are
+    exchanged across the whole cluster), the backbone stage is per-DP; the
+    running totals add left to right, as ``sum()`` does.
+    """
+    mb_times = (encoder + alltoall) + backbone
+    return mb_times, mb_times.cumsum(axis=1)
 
 
 #: Backward pass costs roughly 2x the forward pass.
@@ -103,8 +154,8 @@ class TrainingSimulator:
 
     def simulate_iteration(
         self,
-        backbone_assignments: list[list[MicrobatchTokens]],
-        encoder_assignments: list[list[MicrobatchTokens]] | None = None,
+        backbone_assignments: TokenBins,
+        encoder_assignments: TokenBins | None = None,
         data_fetch_latency_s: float = 0.0,
         hidden_fetch_s: float | None = None,
     ) -> IterationResult:
@@ -113,13 +164,13 @@ class TrainingSimulator:
         Parameters
         ----------
         backbone_assignments:
-            ``backbone_assignments[dp][mb]`` is the token arrays of the
-            samples DP group ``dp`` processes in microbatch ``mb``
-            (:meth:`~repro.core.plans.ModulePlan.bucket_tokens`).
+            The backbone's token columns: bucket ``dp``'s microbatch ``mb`` is
+            the samples DP group ``dp`` processes in microbatch ``mb``
+            (:meth:`~repro.core.plans.ModulePlan.token_bins`).
         encoder_assignments:
-            ``encoder_assignments[gpu][mb]`` is the token arrays of the image
-            samples whose patches GPU ``gpu`` encodes for microbatch ``mb``;
-            defaults to the backbone assignment replicated over each DP
+            The encoder's token columns: bucket ``gpu``'s microbatch ``mb`` is
+            the image samples whose patches GPU ``gpu`` encodes for microbatch
+            ``mb``; defaults to each DP group's images spread over that
             group's GPUs.
         data_fetch_latency_s:
             Latency of fetching the iteration's data.
@@ -130,54 +181,53 @@ class TrainingSimulator:
             previous iteration's compute; ``0.0`` models a synchronous data
             plane whose fetch sits entirely on the critical path.
         """
-        dp_size = self.mesh.size("DP")
-        if len(backbone_assignments) != dp_size:
+        bins = backbone_assignments
+        dims = self.mesh.dims
+        dp_size = dims.dp
+        if bins.num_buckets != dp_size:
             raise ConfigurationError(
-                f"expected assignments for {dp_size} DP groups, got {len(backbone_assignments)}"
+                f"expected assignments for {dp_size} DP groups, got {bins.num_buckets}"
             )
-        # Read every token array into Python ints once: the per-sample
-        # arithmetic and its summation order are the scalar model's.
-        backbone_assignments = _as_ints(backbone_assignments)
-        if encoder_assignments is not None:
-            encoder_assignments = _as_ints(encoder_assignments)
-        num_microbatches = max((len(row) for row in backbone_assignments), default=0)
-        timeline = Timeline()
+        num_microbatches = bins.num_microbatches
+        fwd_bwd = 1.0 + BACKWARD_MULTIPLIER
+        # One pass sums the backbone's columns per bin: the segments'
+        # attention terms, the fused tokens and, for the all-to-all, the image
+        # tokens (integer counts below 2**53, which float64 adds exactly).
+        columns = [segment_attention_flops(bins.total_tokens, self.backbone), bins.total_tokens]
+        if self.encoder is not None:
+            columns.append(bins.image_tokens)
+        sums = bins.grid(np.array(columns))
+        attention, tokens = sums[0], sums[1]
+        # The backbone is sharded across PP stages (layers), CP ranks
+        # (sequence) and TP ranks (operators): a microbatch's stage time
+        # divides the full-model time by pp * cp * tp.
+        shard = dims.pp * dims.cp * dims.tp
+        flops = packed_backbone_flops(tokens, attention, self.backbone)
+        backbone_times = self.gpu.seconds_for(flops * fwd_bwd / shard)
+        if self.encoder is None:
+            encoder_times = alltoall_times = np.zeros(num_microbatches)
+        else:
+            if encoder_assignments is None:
+                encoder_assignments = self._default_encoder_assignments(bins)
+            encoder_times = self._encoder_microbatch_times(encoder_assignments, num_microbatches)
+            # The all-to-all moves every encoded image feature into the backbone.
+            payload = sums[2].sum(axis=0) * (
+                self.encoder.hidden_size * self.gpu.bytes_per_activation
+            )
+            alltoall_times = ALLTOALL_BASE_LATENCY_S + payload / ALLTOALL_BANDWIDTH_BPS
 
-        encoder_mb_times = self._encoder_microbatch_times(
-            backbone_assignments, encoder_assignments, num_microbatches
-        )
-        alltoall_mb_times = self._alltoall_times(backbone_assignments, num_microbatches)
-        backbone_mb_times = self._backbone_microbatch_times(backbone_assignments, num_microbatches)
-
-        # Per-microbatch "step" time as experienced by every DP rank: the
-        # encoder + all-to-all stage is a global barrier (features are
-        # exchanged across the whole cluster), the backbone stage is per-DP.
-        per_dp_times: list[float] = []
-        pp_size = self.mesh.size("PP")
-        for dp_index in range(dp_size):
-            mb_times = []
-            for mb_index in range(num_microbatches):
-                encoder_stage = encoder_mb_times[mb_index]
-                comm_stage = alltoall_mb_times[mb_index]
-                backbone_stage = backbone_mb_times[dp_index][mb_index]
-                mb_times.append(encoder_stage + comm_stage + backbone_stage)
-                timeline.record(
-                    component=f"dp{dp_index}",
-                    name=f"mb{mb_index}",
-                    start=sum(mb_times[:-1]),
-                    duration=mb_times[-1],
-                    encoder=encoder_stage,
-                    alltoall=comm_stage,
-                    backbone=backbone_stage,
-                )
-            steady = sum(mb_times)
-            bubble = (pp_size - 1) * (max(mb_times) if mb_times else 0.0) / max(1, num_microbatches)
-            bubble *= len(mb_times) and 1.0
-            per_dp_times.append(steady + bubble)
+        # A pipeline of PP stages adds a fill/drain bubble of (PP - 1) of the
+        # rank's longest microbatches, spread over its microbatches.
+        mb_times, elapsed = _microbatch_times(encoder_times, alltoall_times, backbone_times)
+        if num_microbatches:
+            bubble = (dims.pp - 1) * mb_times.max(axis=1) / num_microbatches
+            per_dp_times = (elapsed[:, -1] + bubble).tolist()
+        else:
+            per_dp_times = [0.0] * dp_size
 
         # Gradient synchronisation: every DP rank waits for the slowest one.
         allreduce = ALLREDUCE_BASE_LATENCY_S
-        compute_time = max(per_dp_times) if per_dp_times else 0.0
+        compute_time = max(per_dp_times)
         if hidden_fetch_s is None:
             # Legacy model: assume the fetch fully overlaps the previous
             # iteration's compute window.
@@ -187,129 +237,56 @@ class TrainingSimulator:
         exposed_fetch = max(0.0, data_fetch_latency_s - hidden)
         iteration_time = compute_time + allreduce + exposed_fetch
 
-        bubble_time = (
-            max(per_dp_times) - min(per_dp_times) if len(per_dp_times) > 1 else 0.0
-        )
-        total_tokens = sum(
-            tokens
-            for row in backbone_assignments
-            for totals, _ in row
-            for tokens in totals
-        )
-        peak_activation = self._peak_activation_tokens(backbone_assignments)
         return IterationResult(
             iteration_time_s=iteration_time,
             per_dp_time_s=per_dp_times,
-            encoder_time_s=sum(encoder_mb_times),
-            backbone_time_s=max(
-                (sum(row) for row in backbone_mb_times), default=0.0
-            ),
-            alltoall_time_s=sum(alltoall_mb_times),
-            bubble_time_s=bubble_time,
+            encoder_time_s=sum(encoder_times.tolist()),
+            backbone_time_s=max(map(sum, backbone_times.tolist())),
+            alltoall_time_s=sum(alltoall_times.tolist()),
+            bubble_time_s=compute_time - min(per_dp_times) if dp_size > 1 else 0.0,
             data_fetch_latency_s=data_fetch_latency_s,
             exposed_fetch_time_s=exposed_fetch,
-            total_tokens=total_tokens,
-            peak_activation_tokens=peak_activation,
+            total_tokens=int(tokens.sum()),
+            # The largest microbatch drives activation memory / OOM risk.
+            peak_activation_tokens=int(tokens.max(initial=0)),
+            stage_times_s=(encoder_times, alltoall_times, backbone_times),
             hidden_fetch_time_s=hidden,
-            timeline=timeline,
         )
 
-    # -- stage models --------------------------------------------------------------
+    # -- encoder stage ------------------------------------------------------------
 
     def _encoder_microbatch_times(
-        self,
-        backbone_assignments: list[list[MicrobatchTokens]],
-        encoder_assignments: list[list[MicrobatchTokens]] | None,
-        num_microbatches: int,
-    ) -> list[float]:
-        """Per-microbatch encoder stage time (max over encoder-DP ranks)."""
-        if self.encoder is None:
-            return [0.0] * num_microbatches
-        if encoder_assignments is None:
-            encoder_assignments = self._default_encoder_assignments(backbone_assignments)
-        times = []
-        fwd_bwd = 1.0 + BACKWARD_MULTIPLIER
-        for mb_index in range(num_microbatches):
-            rank_times = []
-            for rank_row in encoder_assignments:
-                tokens = rank_row[mb_index] if mb_index < len(rank_row) else ([], [])
-                flops = microbatch_flops(tokens, self.encoder, None)["encoder_flops"]
-                rank_times.append(self.gpu.seconds_for(flops * fwd_bwd))
-            times.append(max(rank_times) if rank_times else 0.0)
-        return times
+        self, encoder_assignments: TokenBins, num_microbatches: int
+    ) -> np.ndarray:
+        """Per-microbatch encoder stage time (max over encoder-DP ranks); a
+        microbatch a rank has no bin for encodes nothing there."""
+        flops = encoder_bin_flops(encoder_assignments, self.encoder)[:, :num_microbatches]
+        seconds = self.gpu.seconds_for(flops * (1.0 + BACKWARD_MULTIPLIER))
+        times = seconds.max(axis=0, initial=0.0)
+        missing = num_microbatches - len(times)
+        return np.concatenate([times, np.zeros(missing)]) if missing else times
 
-    def _default_encoder_assignments(
-        self, backbone_assignments: list[list[MicrobatchTokens]]
-    ) -> list[list[MicrobatchTokens]]:
-        """Spread each DP group's images across that group's GPUs (EDP)."""
-        assignments: list[list[MicrobatchTokens]] = []
-        dp_size = self.mesh.size("DP")
+    def _default_encoder_assignments(self, backbone_assignments: TokenBins) -> TokenBins:
+        """Spread each DP group's images across that group's GPUs (EDP): a
+        bin's ``k``-th image goes to the group's GPU ``k % gpus_per_dp``."""
+        bins = backbone_assignments
+        dp_size, width = bins.num_buckets, bins.num_microbatches
         gpus_per_dp = max(1, self.mesh.world_size // dp_size)
-        for dp_row in backbone_assignments:
-            per_gpu: list[list[MicrobatchTokens]] = [
-                [([], []) for _ in range(len(dp_row))] for _ in range(gpus_per_dp)
-            ]
-            for mb_index, (totals, images) in enumerate(dp_row):
-                pictured = [pair for pair in zip(totals, images) if pair[1] > 0]
-                for position, (total, image) in enumerate(pictured):
-                    gpu = per_gpu[position % gpus_per_dp][mb_index]
-                    gpu[0].append(total)
-                    gpu[1].append(image)
-            assignments.extend(per_gpu)
-        return assignments
-
-    def _alltoall_times(
-        self, backbone_assignments: list[list[MicrobatchTokens]], num_microbatches: int
-    ) -> list[float]:
-        """All-to-all time moving encoded image features into the backbone."""
-        if self.encoder is None:
-            return [0.0] * num_microbatches
-        times = []
-        feature_bytes_per_token = self.encoder.hidden_size * self.gpu.bytes_per_activation
-        for mb_index in range(num_microbatches):
-            image_tokens = 0
-            for dp_row in backbone_assignments:
-                if mb_index < len(dp_row):
-                    image_tokens += sum(dp_row[mb_index][1])
-            payload = image_tokens * feature_bytes_per_token
-            times.append(ALLTOALL_BASE_LATENCY_S + payload / ALLTOALL_BANDWIDTH_BPS)
-        return times
-
-    def _backbone_microbatch_times(
-        self, backbone_assignments: list[list[MicrobatchTokens]], num_microbatches: int
-    ) -> list[list[float]]:
-        """Per-DP, per-microbatch backbone compute time.
-
-        The backbone is sharded across PP stages (layers), CP ranks (sequence)
-        and TP ranks (operators); a microbatch's stage time therefore divides
-        the full-model time by ``pp * cp * tp``.
-        """
-        pp = self.mesh.size("PP")
-        cp = self.mesh.size("CP")
-        tp = self.mesh.size("TP")
-        shard = pp * cp * tp
-        fwd_bwd = 1.0 + BACKWARD_MULTIPLIER
-        times: list[list[float]] = []
-        for dp_row in backbone_assignments:
-            row_times = []
-            for mb_index in range(num_microbatches):
-                tokens = dp_row[mb_index] if mb_index < len(dp_row) else ([], [])
-                flops = microbatch_flops(tokens, None, self.backbone)["backbone_flops"]
-                row_times.append(self.gpu.seconds_for(flops * fwd_bwd / shard))
-            times.append(row_times)
-        return times
-
-    def _peak_activation_tokens(self, backbone_assignments: list[list[MicrobatchTokens]]) -> int:
-        """Largest single-microbatch token count (drives activation memory / OOM risk)."""
-        peak = 0
-        for dp_row in backbone_assignments:
-            for totals, _ in dp_row:
-                peak = max(peak, sum(totals))
-        return peak
-
-
-def _as_ints(assignments: list[list[MicrobatchTokens]]) -> list[list[tuple[list, list]]]:
-    return [[(np.asarray(t).tolist(), np.asarray(i).tolist()) for t, i in row] for row in assignments]
+        pictured = np.flatnonzero(bins.image_tokens > 0)
+        bin_of = np.arange(dp_size * width).repeat(np.diff(bins.offsets))[pictured]
+        position = np.arange(len(pictured)) - np.searchsorted(bin_of, bin_of)
+        dp_index, mb_index = np.divmod(bin_of, width)
+        gpu_bin = (dp_index * gpus_per_dp + position % gpus_per_dp) * width + mb_index
+        order = np.argsort(gpu_bin, kind="stable")
+        rows = pictured[order]
+        num_gpus = dp_size * gpus_per_dp
+        return TokenBins(
+            bins.total_tokens[rows],
+            bins.image_tokens[rows],
+            np.searchsorted(gpu_bin[order], np.arange(num_gpus * width + 1)).tolist(),
+            num_gpus,
+            width,
+        )
 
 
 class TrainerActor(Actor):
@@ -342,8 +319,8 @@ class TrainerActor(Actor):
     def train_step(
         self,
         step: int,
-        backbone_assignments: list[list[MicrobatchTokens]],
-        encoder_assignments: list[list[MicrobatchTokens]] | None = None,
+        backbone_assignments: TokenBins,
+        encoder_assignments: TokenBins | None = None,
         data_fetch_latency_s: float = 0.0,
         hidden_fetch_s: float = 0.0,
     ) -> IterationResult:

@@ -11,7 +11,7 @@ from repro.core.cost_model import (
     EncoderCostModel,
 )
 from repro.training.models import llama_12b, mixtral_8x7b, vit_1b, vit_2b
-from repro.training.flops import encoder_sample_flops, packed_backbone_flops
+from repro.training.flops import encoder_sample_flops, sequence_backbone_flops
 from repro.training.simulator import BACKWARD_MULTIPLIER, GpuSpec
 
 
@@ -45,7 +45,7 @@ class TestBackboneCostModel:
     def test_latency_is_forward_plus_backward_flops(self, sample_factory):
         backbone = llama_12b()
         latency, _ = BackboneCostModel(backbone)(sample_factory(0, text_tokens=1024))
-        flops = packed_backbone_flops([1024], backbone)
+        flops = sequence_backbone_flops(1024, backbone)
         flops += 2.0 * 1024 * backbone.hidden_size * backbone.vocab_size
         assert latency == GpuSpec().seconds_for(flops * (1.0 + BACKWARD_MULTIPLIER))
 

@@ -74,20 +74,17 @@ class TestModulePlan:
         module_plan_of([[[], []], [[sample_factory(1)], []]]).validate()
         module_plan_of([[[], []]]).validate()
 
-    def test_bucket_tokens_follow_the_offsets(self, sample_factory):
+    def test_token_bins_follow_the_offsets(self, sample_factory):
         plan = module_plan_of([
             [[sample_factory(1, text_tokens=10)], [sample_factory(2, image_tokens=5)], []],
             [[sample_factory(4, text_tokens=30)], [], []],
         ])
-        buckets = plan.bucket_tokens()
-        assert [[tokens.tolist() for tokens, _ in bucket] for bucket in buckets] == [
-            [[10], [64 + 5], []],
-            [[30], [], []],
-        ]
-        assert [[image.tolist() for _, image in bucket] for bucket in buckets] == [
-            [[0], [5], []],
-            [[0], [], []],
-        ]
+        bins = plan.token_bins()
+        assert (bins.num_buckets, bins.num_microbatches) == (2, 3)
+        assert bins.total_tokens.tolist() == [10, 64 + 5, 30]
+        assert bins.offsets == [0, 1, 2, 2, 3, 3, 3]
+        assert bins.grid(bins.total_tokens).tolist() == [[10, 64 + 5, 0], [30, 0, 0]]
+        assert bins.grid(bins.image_tokens).tolist() == [[0, 5, 0], [0, 0, 0]]
 
 
 #: sha256 over every plan ``DGraph.plan`` finalizes in the first 5 steps of

@@ -2,22 +2,30 @@
 
 from __future__ import annotations
 
+from itertools import accumulate, pairwise
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.training.flops import (
     attention_flops,
+    TokenBins,
+    encoder_bin_flops,
     encoder_sample_flops,
     flops_imbalance_matrix,
     imbalance_ratio,
-    microbatch_flops,
     mlp_flops,
     model_flops,
     packed_backbone_flops,
+    segment_attention_flops,
+    sequence_backbone_flops,
     token_arrays,
     transformer_layer_flops,
 )
-from repro.training.models import llama_12b, mixtral_8x7b, vit_1b, vit_2b
+from repro.training.models import llama_12b, mixtral_8x7b, tmoe_25b, vit_1b, vit_2b
+from repro.training.simulator import GpuSpec
 
 
 class TestPrimitives:
@@ -56,35 +64,91 @@ class TestModelFlops:
         assert encoder_sample_flops(1024, vit_2b()) > encoder_sample_flops(1024, vit_1b())
 
     def test_moe_uses_active_experts_only(self):
-        dense_like = packed_backbone_flops([4096], llama_12b())
-        moe = packed_backbone_flops([4096], mixtral_8x7b())
+        dense_like = sequence_backbone_flops(4096, llama_12b())
+        moe = sequence_backbone_flops(4096, mixtral_8x7b())
         # Mixtral 8x7B activates 2 of 8 experts; its cost is well below 8 experts' worth.
         assert moe < 4 * dense_like
 
     def test_packed_flops_below_single_sequence(self):
         backbone = llama_12b()
-        packed = packed_backbone_flops([1024] * 4, backbone)
-        fused = packed_backbone_flops([4096], backbone)
+        packed = packed_backbone_flops(4096, 4 * segment_attention_flops(1024, backbone), backbone)
+        fused = sequence_backbone_flops(4096, backbone)
         assert packed < fused
 
     def test_packed_flops_empty(self):
-        assert packed_backbone_flops([], llama_12b()) == 0.0
+        assert packed_backbone_flops(0, 0.0, llama_12b()) == 0.0
 
     def test_microbatch_flops_components(self, sample_factory):
         samples = [sample_factory(i, text_tokens=64, image_tokens=256) for i in range(4)]
-        flops = microbatch_flops(token_arrays([[samples]])[0][0], vit_1b(), llama_12b())
-        assert flops["encoder_flops"] > 0
-        assert flops["backbone_flops"] > 0
+        bins = token_arrays([[samples]])
+        assert encoder_bin_flops(bins, vit_1b())[0, 0] > 0
+        assert flops_imbalance_matrix(bins, None, llama_12b())[0, 0] > 0
 
     def test_microbatch_backbone_packs_its_samples(self, sample_factory):
         samples = [sample_factory(i, text_tokens=64 * (i + 1)) for i in range(4)]
-        flops = microbatch_flops(token_arrays([[samples]])[0][0], None, llama_12b())
-        assert flops["backbone_flops"] == packed_backbone_flops([64, 128, 192, 256], llama_12b())
+        flops = flops_imbalance_matrix(token_arrays([[samples]]), None, llama_12b())
+        attention = sum(segment_attention_flops(t, llama_12b()) for t in (64, 128, 192, 256))
+        assert flops[0, 0] == packed_backbone_flops(640, attention, llama_12b())
 
     def test_microbatch_without_encoder(self, sample_factory):
         samples = [sample_factory(i, text_tokens=64) for i in range(4)]
-        flops = microbatch_flops(token_arrays([[samples]])[0][0], None, llama_12b())
-        assert flops["encoder_flops"] == 0.0
+        matrix = flops_imbalance_matrix(token_arrays([[samples]]), None, llama_12b(), "encoder")
+        assert matrix.tolist() == [[0.0]]
+
+
+MODELS = (vit_1b(), vit_2b(), llama_12b(), mixtral_8x7b(), tmoe_25b())
+token_counts = st.lists(st.integers(min_value=0, max_value=2**20), max_size=40)
+
+
+class TestArrayFormulas:
+    """Array formulas equal the scalar Python-float formulas bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(tokens=token_counts)
+    def test_per_sample_formulas(self, tokens):
+        column = np.array(tokens, dtype=np.int64)
+        for model in MODELS:
+            assert model_flops(column, model).tolist() == [model_flops(t, model) for t in tokens]
+        encoder = vit_1b()
+        assert encoder_sample_flops(column, encoder).tolist() == [
+            encoder_sample_flops(t, encoder) for t in tokens
+        ]
+        for backbone in MODELS[2:]:
+            attention = segment_attention_flops(column, backbone)
+            assert attention.tolist() == [segment_attention_flops(t, backbone) for t in tokens]
+            assert sequence_backbone_flops(column, backbone).tolist() == [
+                sequence_backbone_flops(t, backbone) for t in tokens
+            ]
+            # A packed sequence: totals and attention sums from other rows.
+            assert packed_backbone_flops(column[::-1], attention, backbone).tolist() == [
+                packed_backbone_flops(t, a, backbone)
+                for t, a in zip(tokens[::-1], attention.tolist())
+            ]
+        flops = encoder_sample_flops(column, encoder) * 3.0
+        assert GpuSpec().seconds_for(flops).tolist() == [
+            GpuSpec().seconds_for(f) for f in flops.tolist()
+        ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        widths=st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=30),
+        wide=st.integers(min_value=50, max_value=600),
+        at=st.integers(min_value=0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_bin_sums_add_in_python_sum_order(self, widths, wide, at, seed):
+        widths.insert(at % (len(widths) + 1), wide)
+        offsets = list(accumulate(widths, initial=0))
+        rng = np.random.default_rng(seed)
+        floats = rng.random(offsets[-1]) * 10.0 ** rng.integers(-3, 18, offsets[-1])
+        ints = rng.integers(0, 2**20, offsets[-1])
+        bins = TokenBins(ints, ints, offsets, len(widths), 1)
+
+        def expected(column):
+            return [[sum(column[lo:hi].tolist())] for lo, hi in pairwise(offsets)]
+
+        assert bins.grid(floats).tolist() == expected(floats)
+        assert bins.grid(ints).tolist() == expected(ints)
 
 
 class TestImbalance:
