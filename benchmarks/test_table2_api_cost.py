@@ -9,6 +9,8 @@ clusters.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.dgraph import DGraph, metas_token
@@ -17,7 +19,6 @@ from repro.data.synthetic import build_source_catalog, navit_like_spec
 from repro.metrics.report import MetricReport
 from repro.parallelism.mesh import DeviceMesh
 from repro.storage.filesystem import SimulatedFileSystem
-from repro.training.flops import TokenBins
 from repro.training.models import VLMConfig, get_model
 from repro.training.simulator import TrainingSimulator
 
@@ -64,13 +65,8 @@ def _measure_case(catalog, filesystem, mesh, samples_per_dp, seq, group_size):
 
     # Coarsened bucket counts leave DP ranks idle: those get empty microbatches.
     bins = plan.module.token_bins()
-    dp = mesh.size("DP")
-    offsets = bins.offsets[: min(bins.num_buckets, dp) * bins.num_microbatches + 1]
-    offsets += offsets[-1:] * (dp * bins.num_microbatches + 1 - len(offsets))
-    rows = slice(0, offsets[-1])
-    tokens = TokenBins(
-        bins.total_tokens[rows], bins.image_tokens[rows], offsets, dp, bins.num_microbatches
-    )
+    idle = (mesh.size("DP") - bins.num_buckets) * bins.num_microbatches
+    tokens = replace(bins, offsets=bins.offsets + bins.offsets[-1:] * idle, num_buckets=mesh.size("DP"))
     model = VLMConfig(encoder=get_model("ViT-2B"), backbone=get_model("Llama-12B"))
     iteration = TrainingSimulator(model, mesh).simulate_iteration(tokens)
     return {

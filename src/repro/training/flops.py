@@ -9,14 +9,15 @@ per microbatch and per rank for the Fig. 3 heatmaps and the training
 simulator.
 
 Every formula takes a token count or an array of them: the cost models price
-one sample with Python floats, the simulator prices a whole plan elementwise,
-and an array result equals the Python-float result of each element bit for
-bit.  Token counts are non-negative, and zero tokens cost exactly 0.0.
+one sample with Python floats, the simulator prices a plan's columns
+elementwise and then its per-bin totals as Python floats, and an array result
+equals the Python-float result of each element bit for bit.  Token counts are
+non-negative, and zero tokens cost exactly 0.0.
 
 A module's samples reach the model as :class:`TokenBins`: its token columns in
 bin order plus the bin offsets, which a :class:`~repro.core.plans.ModulePlan`
 holds.  Per-bin totals are added in Python ``sum()`` order
-(:meth:`TokenBins.grid`).  Callers holding
+(:meth:`TokenBins.bin_sums`).  Callers holding
 :class:`~repro.data.samples.SampleMetadata` lists convert with
 :func:`token_arrays`.
 """
@@ -47,22 +48,23 @@ class TokenBins:
     num_buckets: int
     num_microbatches: int
 
-    def grid(self, values: np.ndarray) -> np.ndarray:
-        """Per-row ``values`` summed per bin, as a ``num_buckets x
-        num_microbatches`` array (a stack of columns, shape ``(k, rows)``,
-        gives ``(k, num_buckets, num_microbatches)``).
+    def bin_sums(self, values: np.ndarray) -> list:
+        """Per-row ``values`` summed per bin, as a Python list in bin order.
 
         Each bin is added by Python's ``sum()`` over its slice of the column,
         so a float bin total is the scalar model's bit for bit (``np.sum``
         adds pairwise).  There are tens of bins, against hundreds of rows:
         one slice per bin costs less than laying the rows out in a padded
-        array for a ``cumsum``.  Empty bins sum to zero.
+        array for a ``cumsum``.  Empty bins sum to ``0``.
         """
-        bounds = list(pairwise(self.offsets))
-        columns = values.reshape(-1, values.shape[-1]).tolist()
-        sums = [[sum(column[lo:hi]) for lo, hi in bounds] for column in columns]
-        shape = values.shape[:-1] + (self.num_buckets, self.num_microbatches)
-        return np.array(sums, dtype=values.dtype).reshape(shape)
+        column = values.tolist()
+        return [sum(column[lo:hi]) for lo, hi in pairwise(self.offsets)]
+
+    def grid(self, values: np.ndarray) -> np.ndarray:
+        """:meth:`bin_sums` as a ``num_buckets x num_microbatches`` array."""
+        return np.array(self.bin_sums(values), dtype=values.dtype).reshape(
+            self.num_buckets, self.num_microbatches
+        )
 
 
 def token_arrays(assignments: list[list[list[SampleMetadata]]]) -> TokenBins:
@@ -146,11 +148,6 @@ def sequence_backbone_flops(tokens, backbone: BackboneConfig):
     return packed_backbone_flops(tokens, segment_attention_flops(tokens, backbone), backbone)
 
 
-def encoder_bin_flops(bins: TokenBins, encoder: EncoderConfig) -> np.ndarray:
-    """Encoder FLOPs per bin: the sum over the bin's images."""
-    return bins.grid(encoder_sample_flops(bins.image_tokens, encoder))
-
-
 def flops_imbalance_matrix(
     assignments: TokenBins,
     encoder: EncoderConfig | None,
@@ -172,7 +169,7 @@ def flops_imbalance_matrix(
         raise ValueError("which must be 'backbone' or 'encoder'")
     if encoder is None:
         return np.zeros((assignments.num_buckets, assignments.num_microbatches))
-    return encoder_bin_flops(assignments, encoder)
+    return assignments.grid(encoder_sample_flops(assignments.image_tokens, encoder))
 
 
 def imbalance_ratio(matrix: np.ndarray) -> float:

@@ -11,17 +11,18 @@ load-time balancing removes.
 The simulator is intentionally analytical (FLOPs / achievable-throughput)
 rather than cycle-accurate: the paper's own cost model (Sec. 4.2, validated in
 Fig. 19) takes the same form.  It reads a plan's token columns
-(:class:`~repro.training.flops.TokenBins`) and computes a step as array
-passes: FLOPs per sample, their sums per bin, then stage times on per-bin
-arrays, with no Python loop per sample.  The per-microbatch
-:attr:`IterationResult.timeline` is built from the stage times only when it
-is read.
+(:class:`~repro.training.flops.TokenBins`): FLOPs per sample are array
+passes over the columns, their sums per bin are Python floats, and the stage
+times follow from those tens of bins, with no Python loop per sample.  The
+per-microbatch :attr:`IterationResult.timeline` is built from the stage times
+only when it is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import ClassVar
 
 import numpy as np
@@ -32,7 +33,7 @@ from repro.metrics.timeline import Timeline
 from repro.parallelism.mesh import DeviceMesh
 from repro.training.flops import (
     TokenBins,
-    encoder_bin_flops,
+    encoder_sample_flops,
     packed_backbone_flops,
     segment_attention_flops,
 )
@@ -78,8 +79,10 @@ class IterationResult:
     total_tokens: int
     peak_activation_tokens: int
     #: Stage seconds per microbatch: encoder and all-to-all (global barriers,
-    #: one per microbatch) and backbone (``dp x microbatch``).
-    stage_times_s: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False, compare=False)
+    #: one per microbatch) and backbone (one list per DP rank).
+    stage_times_s: tuple[list[float], list[float], list[list[float]]] = field(
+        repr=False, compare=False
+    )
     hidden_fetch_time_s: float = 0.0
 
     @property
@@ -93,39 +96,32 @@ class IterationResult:
         """Per DP rank ``dp{i}``, one ``mb{j}`` event per microbatch carrying
         its encoder, all-to-all and backbone stage seconds; built on first read."""
         encoder, alltoall, backbone = self.stage_times_s
-        mb_times, elapsed = _microbatch_times(encoder, alltoall, backbone)
-        starts = np.zeros_like(mb_times)
-        starts[:, 1:] = elapsed[:, :-1]
-        encoder, alltoall = encoder.tolist(), alltoall.tolist()
         timeline = Timeline()
-        rows = zip(starts.tolist(), mb_times.tolist(), backbone.tolist())
-        for dp_index, (row_starts, row_times, row_backbone) in enumerate(rows):
-            for mb_index, (start, duration, backbone_stage) in enumerate(
-                zip(row_starts, row_times, row_backbone)
+        for dp_index, row in enumerate(backbone):
+            mb_times = _microbatch_times(encoder, alltoall, row)
+            stages = zip(accumulate(mb_times, initial=0), mb_times, encoder, alltoall, row)
+            for mb_index, (start, duration, encoder_stage, comm_stage, backbone_stage) in enumerate(
+                stages
             ):
                 timeline.record(
                     component=f"dp{dp_index}",
                     name=f"mb{mb_index}",
                     start=start,
                     duration=duration,
-                    encoder=encoder[mb_index],
-                    alltoall=alltoall[mb_index],
+                    encoder=encoder_stage,
+                    alltoall=comm_stage,
                     backbone=backbone_stage,
                 )
         return timeline
 
 
 def _microbatch_times(
-    encoder: np.ndarray, alltoall: np.ndarray, backbone: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each DP rank's per-microbatch step times and their running totals.
-
-    The encoder + all-to-all stage is a global barrier (features are
-    exchanged across the whole cluster), the backbone stage is per-DP; the
-    running totals add left to right, as ``sum()`` does.
-    """
-    mb_times = (encoder + alltoall) + backbone
-    return mb_times, mb_times.cumsum(axis=1)
+    encoder: list[float], alltoall: list[float], backbone: list[float]
+) -> list[float]:
+    """One DP rank's per-microbatch step times: the encoder + all-to-all
+    stage is a global barrier (features are exchanged across the whole
+    cluster), the backbone stage is per-DP."""
+    return [e + a + b for e, a, b in zip(encoder, alltoall, backbone)]
 
 
 #: Backward pass costs roughly 2x the forward pass.
@@ -188,42 +184,42 @@ class TrainingSimulator:
             raise ConfigurationError(
                 f"expected assignments for {dp_size} DP groups, got {bins.num_buckets}"
             )
-        num_microbatches = bins.num_microbatches
+        width = bins.num_microbatches
         fwd_bwd = 1.0 + BACKWARD_MULTIPLIER
-        # One pass sums the backbone's columns per bin: the segments'
-        # attention terms, the fused tokens and, for the all-to-all, the image
-        # tokens (integer counts below 2**53, which float64 adds exactly).
-        columns = [segment_attention_flops(bins.total_tokens, self.backbone), bins.total_tokens]
-        if self.encoder is not None:
-            columns.append(bins.image_tokens)
-        sums = bins.grid(np.array(columns))
-        attention, tokens = sums[0], sums[1]
+        # Per sample as arrays, then per bin as Python numbers: the segments'
+        # attention terms and the fused tokens, each bin added in sum() order.
+        attention = bins.bin_sums(segment_attention_flops(bins.total_tokens, self.backbone))
+        tokens = bins.bin_sums(bins.total_tokens)
         # The backbone is sharded across PP stages (layers), CP ranks
         # (sequence) and TP ranks (operators): a microbatch's stage time
         # divides the full-model time by pp * cp * tp.
         shard = dims.pp * dims.cp * dims.tp
-        flops = packed_backbone_flops(tokens, attention, self.backbone)
-        backbone_times = self.gpu.seconds_for(flops * fwd_bwd / shard)
+        stage_times = [
+            self.gpu.seconds_for(packed_backbone_flops(t, a, self.backbone) * fwd_bwd / shard)
+            for t, a in zip(tokens, attention)
+        ]
+        backbone_times = [stage_times[dp * width : (dp + 1) * width] for dp in range(dp_size)]
         if self.encoder is None:
-            encoder_times = alltoall_times = np.zeros(num_microbatches)
+            encoder_times = alltoall_times = [0.0] * width
         else:
             if encoder_assignments is None:
                 encoder_assignments = self._default_encoder_assignments(bins)
-            encoder_times = self._encoder_microbatch_times(encoder_assignments, num_microbatches)
+            encoder_times = self._encoder_microbatch_times(encoder_assignments, width)
             # The all-to-all moves every encoded image feature into the backbone.
-            payload = sums[2].sum(axis=0) * (
-                self.encoder.hidden_size * self.gpu.bytes_per_activation
-            )
-            alltoall_times = ALLTOALL_BASE_LATENCY_S + payload / ALLTOALL_BANDWIDTH_BPS
+            images = bins.bin_sums(bins.image_tokens)
+            feature_bytes = self.encoder.hidden_size * self.gpu.bytes_per_activation
+            payloads = [sum(images[mb::width]) * feature_bytes for mb in range(width)]
+            alltoall_times = [
+                ALLTOALL_BASE_LATENCY_S + payload / ALLTOALL_BANDWIDTH_BPS for payload in payloads
+            ]
 
         # A pipeline of PP stages adds a fill/drain bubble of (PP - 1) of the
         # rank's longest microbatches, spread over its microbatches.
-        mb_times, elapsed = _microbatch_times(encoder_times, alltoall_times, backbone_times)
-        if num_microbatches:
-            bubble = (dims.pp - 1) * mb_times.max(axis=1) / num_microbatches
-            per_dp_times = (elapsed[:, -1] + bubble).tolist()
-        else:
-            per_dp_times = [0.0] * dp_size
+        per_dp_times = []
+        for row in backbone_times:
+            mb_times = _microbatch_times(encoder_times, alltoall_times, row)
+            bubble = (dims.pp - 1) * max(mb_times, default=0.0) / max(1, width)
+            per_dp_times.append(sum(mb_times) + bubble)
 
         # Gradient synchronisation: every DP rank waits for the slowest one.
         allreduce = ALLREDUCE_BASE_LATENCY_S
@@ -240,31 +236,29 @@ class TrainingSimulator:
         return IterationResult(
             iteration_time_s=iteration_time,
             per_dp_time_s=per_dp_times,
-            encoder_time_s=sum(encoder_times.tolist()),
-            backbone_time_s=max(map(sum, backbone_times.tolist())),
-            alltoall_time_s=sum(alltoall_times.tolist()),
+            encoder_time_s=sum(encoder_times),
+            backbone_time_s=max(map(sum, backbone_times)),
+            alltoall_time_s=sum(alltoall_times),
             bubble_time_s=compute_time - min(per_dp_times) if dp_size > 1 else 0.0,
             data_fetch_latency_s=data_fetch_latency_s,
             exposed_fetch_time_s=exposed_fetch,
-            total_tokens=int(tokens.sum()),
+            total_tokens=sum(tokens),
             # The largest microbatch drives activation memory / OOM risk.
-            peak_activation_tokens=int(tokens.max(initial=0)),
+            peak_activation_tokens=max(tokens, default=0),
             stage_times_s=(encoder_times, alltoall_times, backbone_times),
             hidden_fetch_time_s=hidden,
         )
 
     # -- encoder stage ------------------------------------------------------------
 
-    def _encoder_microbatch_times(
-        self, encoder_assignments: TokenBins, num_microbatches: int
-    ) -> np.ndarray:
+    def _encoder_microbatch_times(self, encoder_assignments: TokenBins, width: int) -> list[float]:
         """Per-microbatch encoder stage time (max over encoder-DP ranks); a
         microbatch a rank has no bin for encodes nothing there."""
-        flops = encoder_bin_flops(encoder_assignments, self.encoder)[:, :num_microbatches]
-        seconds = self.gpu.seconds_for(flops * (1.0 + BACKWARD_MULTIPLIER))
-        times = seconds.max(axis=0, initial=0.0)
-        missing = num_microbatches - len(times)
-        return np.concatenate([times, np.zeros(missing)]) if missing else times
+        bins = encoder_assignments
+        flops = bins.bin_sums(encoder_sample_flops(bins.image_tokens, self.encoder))
+        seconds = [self.gpu.seconds_for(f * (1.0 + BACKWARD_MULTIPLIER)) for f in flops]
+        own = bins.num_microbatches
+        return [max(seconds[mb::own], default=0.0) if mb < own else 0.0 for mb in range(width)]
 
     def _default_encoder_assignments(self, backbone_assignments: TokenBins) -> TokenBins:
         """Spread each DP group's images across that group's GPUs (EDP): a

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from repro.training.flops import (
     attention_flops,
     TokenBins,
-    encoder_bin_flops,
     encoder_sample_flops,
     flops_imbalance_matrix,
     imbalance_ratio,
@@ -81,7 +80,7 @@ class TestModelFlops:
     def test_microbatch_flops_components(self, sample_factory):
         samples = [sample_factory(i, text_tokens=64, image_tokens=256) for i in range(4)]
         bins = token_arrays([[samples]])
-        assert encoder_bin_flops(bins, vit_1b())[0, 0] > 0
+        assert flops_imbalance_matrix(bins, vit_1b(), llama_12b(), "encoder")[0, 0] > 0
         assert flops_imbalance_matrix(bins, None, llama_12b())[0, 0] > 0
 
     def test_microbatch_backbone_packs_its_samples(self, sample_factory):
@@ -94,6 +93,13 @@ class TestModelFlops:
         samples = [sample_factory(i, text_tokens=64) for i in range(4)]
         matrix = flops_imbalance_matrix(token_arrays([[samples]]), None, llama_12b(), "encoder")
         assert matrix.tolist() == [[0.0]]
+
+    def test_module_without_rows(self):
+        # Two ranks whose two microbatches are all empty: no row to sum.
+        bins = token_arrays([[[], []], [[], []]])
+        for which in ("backbone", "encoder"):
+            matrix = flops_imbalance_matrix(bins, vit_1b(), llama_12b(), which)
+            assert matrix.tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
 
 MODELS = (vit_1b(), vit_2b(), llama_12b(), mixtral_8x7b(), tmoe_25b())
@@ -145,10 +151,11 @@ class TestArrayFormulas:
         bins = TokenBins(ints, ints, offsets, len(widths), 1)
 
         def expected(column):
-            return [[sum(column[lo:hi].tolist())] for lo, hi in pairwise(offsets)]
+            return [sum(column[lo:hi].tolist()) for lo, hi in pairwise(offsets)]
 
-        assert bins.grid(floats).tolist() == expected(floats)
-        assert bins.grid(ints).tolist() == expected(ints)
+        assert bins.bin_sums(floats) == expected(floats)
+        assert bins.bin_sums(ints) == expected(ints)
+        assert bins.grid(floats).tolist() == [[total] for total in expected(floats)]
 
 
 class TestImbalance:

@@ -8,7 +8,9 @@ values the Planner's balancing reads.  The cases cover a hybrid VLM plan with
 explicit encoder assignments, the default per-DP-group encoder spread, a
 text-only plan, a PP=2 mesh (bubble term), a CP=2 x TP=2 mesh (shard
 divisor), an MoE backbone, a wide bin, more microbatches than ``np.sum``
-adds sequentially, and empty bins, zero-token samples and uneven widths.
+adds sequentially, empty bins, zero-token samples and uneven widths, and
+modules without rows: a VLM step with no image (default spread and an empty
+encoder plan) and an empty backbone.
 """
 
 from __future__ import annotations
@@ -80,6 +82,9 @@ WIDE = [
     [[(9, 0)] * 9, [(2**20, 2**19)]],
 ]
 
+# Text-only bins for a VLM: the default encoder spread has no image to place.
+NO_IMAGES = [[[(640, 0), (96, 0)], [(1500, 0)], []], [[(33, 0)], [(700, 0), (5, 0)], [(4096, 0)]]]
+
 MODELS = {
     "vlm": lambda: VLMConfig(encoder=vit_1b(), backbone=llama_12b()),
     "llama": llama_12b,
@@ -114,6 +119,11 @@ CASES = {
         None, (0.0, None),
     ),
     "ragged_bins": ("vlm", (2, 3, 1, 2), RAGGED, None, (0.0, 0.0)),
+    "vlm_no_images_default_spread": ("vlm", (1, 2, 1, 2), NO_IMAGES, None, (0.0, None)),
+    "vlm_empty_encoder_plan": (
+        "vlm", (1, 2, 1, 2), HYBRID_BACKBONE, [[[], [], []]] * 4, (0.01, 0.0),
+    ),
+    "empty_backbone_module": ("vlm", (2, 2, 1, 2), [[[], [], []]] * 2, None, (0.04, None)),
 }
 
 EXPECTED = {
@@ -290,6 +300,63 @@ EXPECTED = {
             ('mb0', 0.0, 63.93158200816327, 63.92489079536327, 0.0066912128000000005, 0.0),
             ('mb1', 63.93158200816327, 0.31221725837061226, 0.06048256860504202, 0.0030288358400000002, 0.24870585392557024),
             ('mb2', 64.24379926653388, 1.9048814688960385, 0.28340403574933976, 0.0031306624, 1.6183467707466987),
+        ],
+    },
+    'vlm_no_images_default_spread': {
+        'iteration_time_s': 3.7758444763889556,
+        'encoder_time_s': 0.0,
+        'backbone_time_s': 3.756844476388956,
+        'alltoall_time_s': 0.009000000000000001,
+        'bubble_time_s': 2.1514911371524614,
+        'data_fetch_latency_s': 0.0,
+        'exposed_fetch_time_s': 0.0,
+        'total_tokens': 7070,
+        'peak_activation_tokens': 4096,
+        'hidden_fetch_time_s': 0.0,
+        'throughput_tokens_per_s': 1872.428815384214,
+        'per_dp_time_s': [1.6143533392364944, 3.765844476388956],
+        'dp0_timeline': [
+            ('mb0', 0.0, 0.5199747173877551, 0.0, 0.003, 0.5169747173877551),
+            ('mb1', 0.5199747173877551, 1.0913786218487393, 0.0, 0.003, 1.0883786218487395),
+            ('mb2', 1.6113533392364945, 0.003, 0.0, 0.003, 0.0),
+        ],
+    },
+    'vlm_empty_encoder_plan': {
+        'iteration_time_s': 5.261036616420648,
+        'encoder_time_s': 0.0,
+        'backbone_time_s': 5.231459899620648,
+        'alltoall_time_s': 0.0095767168,
+        'bubble_time_s': 0.17619097907322967,
+        'data_fetch_latency_s': 0.01,
+        'exposed_fetch_time_s': 0.01,
+        'total_tokens': 14528,
+        'peak_activation_tokens': 2560,
+        'hidden_fetch_time_s': 0.0,
+        'throughput_tokens_per_s': 2761.432975899746,
+        'per_dp_time_s': [5.064845637347418, 5.241036616420648],
+        'dp0_timeline': [
+            ('mb0', 0.0, 1.6147791965518365, 0.0, 0.00318743296, 1.6115917635918366),
+            ('mb1', 1.6147791965518365, 1.6363697288543577, 0.0, 0.00318743296, 1.6331822958943578),
+            ('mb2', 3.251148925406194, 1.8136967119412246, 0.0, 0.00320185088, 1.8104948610612246),
+        ],
+    },
+    'empty_backbone_module': {
+        'iteration_time_s': 0.05,
+        'encoder_time_s': 0.0,
+        'backbone_time_s': 0.0,
+        'alltoall_time_s': 0.009000000000000001,
+        'bubble_time_s': 0.0,
+        'data_fetch_latency_s': 0.04,
+        'exposed_fetch_time_s': 0.03,
+        'total_tokens': 0,
+        'peak_activation_tokens': 0,
+        'hidden_fetch_time_s': 0.010000000000000002,
+        'throughput_tokens_per_s': 0.0,
+        'per_dp_time_s': [0.010000000000000002, 0.010000000000000002],
+        'dp0_timeline': [
+            ('mb0', 0.0, 0.003, 0.0, 0.003, 0.0),
+            ('mb1', 0.003, 0.003, 0.0, 0.003, 0.0),
+            ('mb2', 0.006, 0.003, 0.0, 0.003, 0.0),
         ],
     },
 }

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.place_tree import ClientPlaceTree
+from repro.core.strategies import StrategyConfig, make_strategy
 from repro.errors import ConfigurationError
 from repro.parallelism.mesh import DeviceMesh
 from repro.training.flops import token_arrays
@@ -139,3 +141,22 @@ class TestScalingBehaviour:
         )
         assert len(result.timeline.events(component="dp0")) == 3
         assert len(result.timeline.events(component="dp1")) == 3
+
+
+class TestModulesWithoutRows:
+    def test_hybrid_step_without_images(self, sample_factory):
+        # A text-only step: the hybrid strategy's encoder module selects no row.
+        samples = [sample_factory(i, text_tokens=64 * (i + 1)) for i in range(8)]
+        mesh = DeviceMesh(pp=1, dp=2, cp=1, tp=2)
+        strategy = make_strategy("hybrid", StrategyConfig(num_microbatches=2))
+        plan = strategy({"text": samples}, ClientPlaceTree(mesh), 0, 0)
+        encoder = plan.subplan["encoder"].module
+        assert encoder.offsets[-1] == 0
+        simulator = TrainingSimulator(VLMConfig(encoder=vit_1b(), backbone=llama_12b()), mesh)
+        explicit = simulator.simulate_iteration(plan.module.token_bins(), encoder.token_bins())
+        spread = simulator.simulate_iteration(plan.module.token_bins())
+        # Recorded from the scalar per-sample model.
+        for result in (explicit, spread):
+            assert result.encoder_time_s == 0.0
+            assert result.iteration_time_s == 0.8192595677887156
+            assert result.per_dp_time_s == [0.8092595677887156, 0.8092595677887156]
