@@ -177,11 +177,10 @@ def run_shared(num_tenants: int) -> dict:
             tune_scaler(deployment)
         manager.run(NUM_STEPS)
         for name, deployment in manager.deployments.items():
-            history = deployment.history()
             utilization = deployment.utilization.summary()
             per_tenant.append(
                 {
-                    "data_stall_time_s": sum(r.data_stall_s for r in history),
+                    "data_stall_time_s": deployment.overlap.stall_total_s(),
                     "virtual_wall_time_s": deployment.virtual_time_s(),
                     "mean_node_cpu_utilization": utilization["mean_node_cpu_utilization"],
                     "fleet_spawns": deployment.fleet.spawn_count(),
@@ -271,12 +270,11 @@ def run_isolation(co_tenants: bool, enable_preemption: bool = True) -> dict:
                 for deployment in batch:
                     deployment.scale_source(BURST_SOURCE, 4)
             manager.service_round(round_index)
-        history = prod.history()
         return {
             "mode": (
                 "shared" if enable_preemption else "shared_no_preemption"
             ) if co_tenants else "solo",
-            "prod_data_stall_s": sum(r.data_stall_s for r in history),
+            "prod_data_stall_s": prod.overlap.stall_total_s(),
             "prod_fleet_spawns": prod.fleet.spawn_count(),
             "prod_pending_spawns": prod.fleet.pending_spawn_count(),
             "batch_mirrors_left": sum(d.fleet.total_members() for d in batch),

@@ -14,9 +14,9 @@ default) or the thread-parallel
 Both serve one method set, so every engine-facing method here is an
 unconditional delegation.  What they share is written once on
 :class:`ActorSystem` and called by both: the invocation core (``invoke``),
-the duration model (``modelled_duration``), timeline recording
-(``record_event``) and the drain-retirement sweep (``finish_retirement`` /
-``sweep_retirements``).
+the booking loop (``book_chunks``) with its duration model
+(``modelled_duration``) and timeline recording (``record_event``), and the
+drain-retirement sweep (``finish_retirement`` / ``sweep_retirements``).
 """
 
 from __future__ import annotations
@@ -43,6 +43,15 @@ from repro.utils.ids import IdAllocator
 
 #: Modelled latency of one remote call, in virtual seconds.
 RPC_LATENCY_S = 0.0002
+
+
+def chunk_count(result: object) -> int:
+    """How many chunks an executed call books: one per entry of the
+    ``chunk_wall_clock_s`` tuple its result carries (a loader ticket,
+    :meth:`~repro.core.source_loader.SourceLoader.poll`), and at least one."""
+    if type(result) is dict and "chunk_wall_clock_s" in result:
+        return max(1, len(result["chunk_wall_clock_s"]))
+    return 1
 
 
 @dataclass(frozen=True)
@@ -164,9 +173,9 @@ class ActorSystem:
         #: tagged with the actor's role and, when provided, the pipeline step.
         self.timeline = Timeline()
         #: Optional duck-typed hook ``call_duration_s(actor, method, result)``
-        #: deriving virtual durations from call results (see
-        #: :mod:`repro.core.cost_model`).  ``None`` means every deferred call
-        #: is instantaneous apart from the RPC latency.
+        #: deriving virtual durations from call results, called once per
+        #: booked chunk (see :mod:`repro.core.cost_model`).  ``None`` means
+        #: every deferred call is instantaneous apart from the RPC latency.
         self.latency_provider = None
         #: Optional fault-injection hook (see :mod:`repro.chaos`): consulted
         #: on every invocation (both engines route through :meth:`invoke`)
@@ -560,6 +569,34 @@ class ActorSystem:
 
     # -- shared by both engines ----------------------------------------------------------
 
+    def book_chunks(
+        self, call: PendingCall, result: object, start_s: float, lane_ends, occupy
+    ) -> float:
+        """The one booking loop of an executed deferred call, on both engines.
+
+        The call books :func:`chunk_count` chunks back to back, a chain of
+        one for most calls.  Each chunk is priced (:meth:`modelled_duration`)
+        with the actor's lanes as they stand at its own start
+        (``lane_ends()``, ascending); ``occupy(start_s, duration_s)`` holds
+        the actor's earliest-free lane for the chunk plus the RPC latency and
+        returns ``(end_s, next_start_s)``; one timeline event records it.
+        The next chunk starts at ``next_start_s`` — this chunk's end, or the
+        instant a lane frees if that is later — and the clock advances
+        there.  Returns the last chunk's end, the call's completion instant.
+        """
+        duration = call.duration_s
+        for chunk in range(chunk_count(result)):
+            if chunk:
+                self.clock.advance_to(start_s)
+            if call.duration_s is None:
+                duration = self.modelled_duration(
+                    call.name, call.method, result, start_s, lane_ends(), chunk=chunk
+                )
+            end_s, next_start_s = occupy(start_s, max(0.0, duration))
+            self.record_event(call, start_s, end_s)
+            start_s = next_start_s
+        return end_s
+
     def modelled_duration(
         self,
         name: str,
@@ -568,9 +605,10 @@ class ActorSystem:
         start_s: float,
         lane_ends_s=(),
         inline: bool = False,
+        chunk: int = 0,
     ) -> float:
-        """The one duration model: what the ``latency_provider`` says an
-        executed call costs (``0.0`` without one).
+        """The one duration model: what the ``latency_provider`` says chunk
+        ``chunk`` of an executed call costs (``0.0`` without one).
 
         A *deferred* call's duration is stretched by any active chaos
         ``straggler`` window, on both engines.  An ``inline`` (synchronous
@@ -600,6 +638,7 @@ class ActorSystem:
                 start_s=start_s,
                 lane_ends_s=busy_ends,
                 role=record.role,
+                chunk=chunk,
             )
         else:
             duration = provider.call_duration_s(record.instance, method, result)

@@ -12,7 +12,9 @@ by :meth:`ActorSystem.modelled_duration` — and its completion instant is
 published on the future (``ActorFuture.available_at_s``) and on the system
 :class:`~repro.metrics.timeline.Timeline`.  Trainer compute and data-plane
 work are therefore co-simulated on one clock, which is what makes prefetch
-overlap a *measured* quantity rather than a heuristic credit.
+overlap a *measured* quantity rather than a heuristic credit.  A loader
+ticket is one call booked as a chain of chunks, each on the earliest-free
+lane from the previous chunk's end (:meth:`ActorSystem.book_chunks`).
 
 Dispatch is an **indexed priority queue** (``dispatcher="indexed"``, the
 default): one global heap holds an entry per actor queue head, keyed by
@@ -314,9 +316,9 @@ class VirtualEngine:
         scans the step's loaders once.  Either way the loop stays inside the
         dispatcher instead of re-entering it per call.
 
-        Each executed call advances the shared clock to its start instant,
-        marks its actor busy until ``start + rpc + duration`` and publishes
-        that completion instant on the future and the system timeline.
+        Each executed call advances the shared clock to its start instant
+        and is booked chunk by chunk (:meth:`ActorSystem.book_chunks`); its
+        last chunk's end is published on the future.
         Returns the number of calls actually executed.  Exceptions raised by
         the callee (including injected :class:`ActorDead` / :class:`ActorTimeout`)
         are captured on the future rather than propagated.
@@ -328,6 +330,24 @@ class VirtualEngine:
         retiring = system._retiring
         indexed = self._indexed
         pop_next = self._pop_next_indexed if indexed else self._next_call
+        # The executed call's lanes and nested-call time, which the booking
+        # hooks below read (bound once per tick, not per call).
+        lanes: list[float] = []
+        nested_s = 0.0
+
+        def lane_ends() -> list[float]:
+            return lanes
+
+        def occupy(chunk_start_s: float, duration_s: float) -> tuple[float, float]:
+            nonlocal nested_s
+            end = chunk_start_s + nested_s + system.rpc_latency_s + duration_s
+            nested_s = 0.0
+            # Book the earliest-free lane until ``end``, keeping the lanes
+            # sorted (a handful per actor).
+            del lanes[0]
+            insort(lanes, end)
+            return end, (lanes[0] if lanes[0] > end else end)
+
         executed = 0
         while max_calls is None or executed < max_calls:
             call = pop_next()
@@ -352,24 +372,14 @@ class VirtualEngine:
             else:
                 # Re-read: the call may have stopped or restarted its own actor.
                 lanes = lanes_s.get(name)
-                duration = call.duration_s
-                if duration is None:
-                    duration = system.modelled_duration(
-                        name, call.method, result, start, lanes or ()
-                    )
-                # Nested synchronous calls made by the target advance the
-                # clock; fold exactly that delta into the event so completion
-                # never precedes work the call itself performed.
-                nested_s = clock.now_s - clock_before
-                end = start + nested_s + system.rpc_latency_s + max(0.0, duration)
-                # Book the earliest-free lane until ``end``, keeping the
-                # lanes sorted (a handful per actor).
                 if lanes is None:
                     lanes = lanes_s[name] = [0.0]
-                del lanes[0]
-                insort(lanes, end)
+                # Nested synchronous calls made by the target advance the
+                # clock; fold exactly that delta into the first chunk so
+                # completion never precedes work the call itself performed.
+                nested_s = clock.now_s - clock_before
+                end = system.book_chunks(call, result, start, lane_ends, occupy)
                 call.future._complete(result, available_at_s=end)
-                system.record_event(call, start, end)
             if indexed and queues.get(name):
                 # Only this actor's key changed: re-index its next head.
                 self._push_head(name)

@@ -39,10 +39,14 @@ Design invariants (the cross-backend byte-identity guarantee):
   *waits* for the affected actors' in-flight calls to drain, and
   :meth:`WallclockEngine.quiesce` offers the same barrier standalone.
 
-Every completed submitted call is also recorded as a per-``(role, method)``
-wall-latency sample on the engine's :class:`~repro.core.cost_model.LatencyRecorder`,
-feeding the calibration loop (``CalibratedLatencyProvider``) that replays
-measured latencies as virtual durations.
+A completed submitted call is booked by the loop both engines share
+(:meth:`~repro.actors.runtime.ActorSystem.book_chunks`): each chunk (a loader
+ticket has several, any other call one) is priced at its start, slept out on
+the call's lane thread and recorded, as a timeline event and as a
+per-``(role, method)`` wall-latency sample on the engine's
+:class:`~repro.core.cost_model.LatencyRecorder`, feeding the calibration loop
+(``CalibratedLatencyProvider``) that replays measured latencies per chunk as
+virtual durations.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ import time
 from bisect import insort
 from collections import deque
 
+from repro.actors.runtime import chunk_count
 from repro.actors.virtual import purge_cancelled_heads
 from repro.errors import ActorError
 
@@ -262,72 +267,64 @@ class WallclockEngine:
 
     def _execute(self, box: _Mailbox, call) -> None:
         system = self.system
-        claimed = call.future._mark_running()
-        failure: BaseException | None = None
-        result = None
-        start_s = 0.0
-        duration = 0.0
-        lane_end = None
-        if claimed:
-            # Causal floor: the caller-declared dependency, no earlier than
-            # the actor's spawn — realized as a real (scaled) wait on this lane.
-            self.clock.sleep_until(max(call.ready_at_s, box.ready_floor_s))
-            start_s = self.clock.now_s
-            try:
-                result = system.invoke(
-                    call.name, call.method, call.args, call.kwargs, advance_rpc=False
-                )
-            except Exception as exc:  # noqa: BLE001 - routed to the future
-                failure = exc
-            else:
-                duration = call.duration_s
-                if duration is None:
-                    with box.cond:
-                        lane_ends = tuple(box.lane_ends_s)
-                    duration = system.modelled_duration(
-                        call.name, call.method, result, start_s, lane_ends
-                    )
-                duration = max(0.0, float(duration))
-        # Release the turnstile *before* sleeping out the modelled latency:
-        # the next call's body may start while this one's latency elapses —
-        # exactly the virtual engine's overlapping busy windows.
-        with box.cond:
-            box.executing = False
-            box.executing_thread = None
-            if claimed and failure is None and duration > 0:
-                lane_end = self.clock.now_s + duration + system.rpc_latency_s
-                insort(box.lane_ends_s, lane_end)
-            box.cond.notify_all()
-        if not claimed:
+        if not call.future._mark_running():
             # Cancelled between pop and claim; the cancel hook did the
             # accounting and nobody waits on this future.
+            self._release_turnstile(box)
             return
-        if failure is not None:
-            call.future._fail(failure)
-            self._finish(box, call, start_s, self.clock.now_s, failed=True)
+        # Causal floor: the caller-declared dependency, no earlier than the
+        # actor's spawn — realized as a real (scaled) wait on this lane.
+        self.clock.sleep_until(max(call.ready_at_s, box.ready_floor_s))
+        start_s = self.clock.now_s
+        try:
+            result = system.invoke(
+                call.name, call.method, call.args, call.kwargs, advance_rpc=False
+            )
+        except Exception as exc:  # noqa: BLE001 - routed to the future
+            self._release_turnstile(box)
+            call.future._fail(exc)
+            self._finish(box, call, self.clock.now_s, failed=True)
             return
-        self.clock.sleep_virtual(duration + system.rpc_latency_s)
-        end_s = self.clock.now_s
-        if lane_end is not None:
-            with box.cond:
-                try:
-                    box.lane_ends_s.remove(lane_end)
-                except ValueError:  # pragma: no cover - defensive
-                    pass
-        call.future._complete(result, available_at_s=end_s)
-        self._finish(box, call, start_s, end_s, failed=False)
 
-    def _finish(self, box: _Mailbox, call, start_s: float, end_s: float, failed: bool) -> None:
-        if not failed:
+        def occupy(chunk_start_s: float, duration_s: float) -> tuple[float, float]:
+            # The first chunk releases the turnstile before sleeping out its
+            # modelled latency: the next call's body may start while this
+            # one's latency elapses — the virtual engine's overlapping busy
+            # windows.  The first chunk was priced before, under it.
+            self._release_turnstile(box)
+            lane_end = self.clock.now_s + duration_s + system.rpc_latency_s
             with box.cond:
+                insort(box.lane_ends_s, lane_end)
+            self.clock.sleep_virtual(duration_s + system.rpc_latency_s)
+            end_s = self.clock.now_s
+            with box.cond:
+                box.lane_ends_s.remove(lane_end)
+            if system.has_actor(call.name):
+                self.calibration.record(
+                    system.actor_role(call.name), call.method, end_s - chunk_start_s
+                )
+            return end_s, end_s
+
+        # A one-call copy of the sorted lane ends: no lane thread sees a
+        # half-done insort or remove.
+        end_s = system.book_chunks(call, result, start_s, box.lane_ends_s.copy, occupy)
+        call.future._complete(result, available_at_s=end_s)
+        self._finish(box, call, end_s, failed=False)
+
+    def _release_turnstile(self, box: _Mailbox) -> None:
+        """Let the next call body run, if this lane thread holds the turnstile."""
+        with box.cond:
+            if box.executing_thread == threading.get_ident():
+                box.executing = False
+                box.executing_thread = None
+                box.cond.notify_all()
+
+    def _finish(self, box: _Mailbox, call, end_s: float, failed: bool) -> None:
+        with box.cond:
+            if not failed:
                 # Under the box lock: concurrent lane completions of the same
                 # actor must not lose the larger instant to a read/write race.
                 self._free_at[call.name] = max(self._free_at.get(call.name, 0.0), end_s)
-            system = self.system
-            system.record_event(call, start_s, end_s)
-            if system.has_actor(call.name):
-                self.calibration.record(system.actor_role(call.name), call.method, end_s - start_s)
-        with box.cond:
             box.inflight -= 1
             box.cond.notify_all()
         with self._cond:
@@ -370,11 +367,11 @@ class WallclockEngine:
             result = self.system.invoke(name, method, args, kwargs, advance_rpc=True)
         finally:
             if owned:
-                with box.cond:
-                    box.executing = False
-                    box.executing_thread = None
-                    box.cond.notify_all()
-        duration = self.system.modelled_duration(name, method, result, start_s, inline=True)
+                self._release_turnstile(box)
+        duration = sum(
+            self.system.modelled_duration(name, method, result, start_s, inline=True, chunk=chunk)
+            for chunk in range(chunk_count(result))
+        )
         if duration > 0:
             self.clock.sleep_virtual(duration)
             self._free_at[name] = max(self._free_at.get(name, 0.0), self.clock.now_s)

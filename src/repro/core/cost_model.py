@@ -18,14 +18,16 @@ Two families of models live here:
 
        def call_duration_s(self, actor, method, result) -> float: ...
 
-   The event engine calls it once per executed deferred call, *after* the
-   call ran, handing it the target actor instance, the method name and the
-   call's return value; the provider answers with the call's virtual
-   duration in seconds.  Deriving durations from results keeps a single
-   source of truth: the same simulated latencies the components already
-   compute for reporting (planner :class:`~repro.core.planner.PlanTimings`,
-   loader worker-amortised wall clock, constructor collate seconds, trainer
-   compute windows) are what occupies each actor on the shared clock.
+   The event engine calls it once per booked chunk of an executed deferred
+   call (one chunk for most calls, one per ``POLL_CHUNK`` rows for a loader
+   ticket), *after* the call ran, handing it the target actor instance, the
+   method name and the call's return value; the provider answers with the
+   chunk's virtual duration in seconds.  Deriving durations from results
+   keeps a single source of truth: the same simulated latencies the
+   components already compute for reporting (planner
+   :class:`~repro.core.planner.PlanTimings`, loader worker-amortised wall
+   clock, constructor collate seconds, trainer compute windows) are what
+   occupies each actor on the shared clock.
    :class:`DataPlaneLatencyProvider` is the canonical implementation wired
    in by :meth:`repro.core.framework.MegaScaleData.deploy`; swap in a custom
    provider (``system.latency_provider = ...``) to model different hardware
@@ -93,12 +95,12 @@ class DataPlaneLatencyProvider:
     ====================  ==================  =====================================
     ``planner``           ``generate_plan``   :attr:`PlanTimings.total_s` (gather +
                                               compute + broadcast) of that plan
-    ``source_loader``     ``prepare``         worker-amortised ``wall_clock_s``
-    ``source_loader``     ``poll``            the chunk's ``chunk_wall_clock_s``,
-                                              stretched by lane contention under
-                                              the capacity-split lane model; the
-                                              accept (first poll) and hand-off
-                                              (final poll) it carries add nothing
+    ``source_loader``     ``poll``            per chunk of the ticket, its entry of
+                                              ``chunk_wall_clock_s``, stretched by
+                                              lane contention at the chunk's start
+                                              under the capacity-split lane model;
+                                              the accept and hand-off the call
+                                              carries add nothing
     ``data_constructor``  ``construct``       ``collate_seconds`` of the step
     ``trainer``           ``train_step``      the iteration's compute window
                                               (iteration time minus exposed fetch)
@@ -108,8 +110,7 @@ class DataPlaneLatencyProvider:
     Methods that merely move references (the ``prepared/`` GCS hand-off,
     ``get_batch``, buffer-metadata gathers) are deliberately free: their
     cost is the simulated RPC latency the runtime already charges.  The
-    hand-off rides a ticket's final poll, so it is still free and now costs
-    no RPC of its own either.
+    hand-off rides a ticket's poll, so it costs no RPC of its own either.
     ``construct`` is charged the token-proportional ``collate_seconds``, a
     modelled quantity; the collation kernels' real (Python wall-clock) speed
     is measured by the fig24 benchmark instead.
@@ -118,17 +119,18 @@ class DataPlaneLatencyProvider:
     lanes so its worker pool can pipeline several step tickets, and the
     pool's throughput divides across concurrently busy lanes (capacity
     split): the event engine reports the busy lanes' end instants at a
-    poll's start (via the ``wants_lane_context`` protocol flag), and the
+    chunk's start (via the ``wants_lane_context`` protocol flag), and the
     chunk's amortised wall clock is stretched by integrating its fair pool
     share over those windows (:func:`capacity_split_duration_s`) —
     overlapping tickets split the pool, conserving aggregate throughput.
     """
 
     #: Protocol flag read by the event engine: providers that set this
-    #: receive the event's start instant (``start_s``), the number of
-    #: occupied lanes including the one the event takes (``busy_lanes``),
-    #: the busy lanes' end instants (``lane_ends_s``, ascending) and the
-    #: actor's ``role`` as keyword arguments.
+    #: receive the chunk's start instant (``start_s``), the number of
+    #: occupied lanes including the one the chunk takes (``busy_lanes``),
+    #: the busy lanes' end instants (``lane_ends_s``, ascending), the
+    #: actor's ``role`` and the chunk's index (``chunk``) as keyword
+    #: arguments.
     wants_lane_context = True
 
     def call_duration_s(
@@ -140,17 +142,15 @@ class DataPlaneLatencyProvider:
         start_s: float = 0.0,
         lane_ends_s: tuple[float, ...] = (),
         role: str = "actor",
+        chunk: int = 0,
     ) -> float:
         if role == "planner" and method == "generate_plan":
             timings = getattr(getattr(actor, "stats", None), "latest_timings", None)
             return float(timings().total_s) if timings is not None else 0.0
-        if role == "source_loader" and isinstance(result, dict):
-            if method == "prepare":
-                return float(result.get("wall_clock_s", 0.0))
-            if method == "poll":
-                amortized = float(result.get("chunk_wall_clock_s", 0.0))
-                return capacity_split_duration_s(amortized, start_s, lane_ends_s)
-            return 0.0
+        if role == "source_loader" and method == "poll" and isinstance(result, dict):
+            chunks = result.get("chunk_wall_clock_s")
+            amortized = float(chunks[chunk]) if chunks else 0.0
+            return capacity_split_duration_s(amortized, start_s, lane_ends_s)
         if role == "data_constructor" and method == "construct" and isinstance(result, dict):
             return float(result.get("collate_seconds", 0.0))
         if role == "trainer" and isinstance(result, IterationResult):
@@ -161,9 +161,10 @@ class DataPlaneLatencyProvider:
 class LatencyRecorder:
     """Per-(role, method) record of measured call latencies.
 
-    The wallclock engine appends one sample per completed submitted call —
-    the call's full occupancy in clock units: real body time plus the
-    modelled (slept) latency — from concurrent lane threads, hence the lock.
+    The wallclock engine appends one sample per booked chunk of a completed
+    submitted call — the chunk's full occupancy in clock units: real body
+    time (first chunk) plus the modelled (slept) latency — from concurrent
+    lane threads, hence the lock.
     The samples feed :class:`CalibratedLatencyProvider`, closing the
     measure → calibrate → simulate loop (the fig19 cost-model extension).
     """
@@ -200,8 +201,8 @@ class CalibratedLatencyProvider:
 
     Drop-in ``latency_provider`` for the virtual backend: each
     ``(role, method)`` key replays its recorded samples FIFO — a virtual
-    rerun of the same job makes the same call sequence, so call *k* gets the
-    latency call *k* actually took on the wallclock run — then falls back to
+    rerun of the same job books the same chunks, so chunk *k* gets the
+    latency chunk *k* actually took on the wallclock run — then falls back to
     the key's mean (runs longer than the recording), and to 0 for keys never
     measured.  ``wants_lane_context`` is deliberately False: the measured
     occupancy already includes any lane-contention stretch the real run

@@ -16,13 +16,13 @@ process: its row group costs all its rows under the loader's cost key on
 first touch, and every later reader (mirror, rewind, restart, restore)
 reads those costs.
 
-One step's work on one loader is a *ticket* and costs only its polls
-(:meth:`SourceLoader.poll`): the first poll carries the sample ids and
-registers the ticket, each poll moves one chunk of buffer rows onto the
-ticket, and the final poll publishes exactly the rows the ticket took as a
-``prepared/`` GCS reference and returns its key.  There is no separate
-accept or hand-off call, and a row is only ever in the buffer or on one
-ticket.
+One step's work on one loader is a *ticket* and costs one call
+(:meth:`SourceLoader.poll`): it takes the demanded rows out of the buffer,
+refills it and publishes exactly those rows as a ``prepared/`` GCS
+reference, returning its key and the worker-amortised wall clock of each
+chunk of the ticket, which the engine books back to back on the loader's
+lanes.  There is no separate accept or hand-off call, and a row is only ever
+in the buffer or on one ticket.
 
 Because the file access state lives in exactly one actor per source (not in
 every dataloader worker on every rank), source-scaling memory redundancy is
@@ -31,7 +31,7 @@ eliminated (Sec. 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,17 +71,14 @@ class LoaderStats:
 
 @dataclass
 class _PrepareTicket:
-    """One in-flight prepare: its demands and the buffer slots its polls took."""
+    """One open ticket: the buffer rows it took for its demands."""
 
-    sample_ids: list[int]
-    #: The slots of the buffer rows taken so far, in demand order; the final
-    #: poll hands exactly these rows off, and only then are the slots reused.
-    slots: list[int] = field(default_factory=list)
-    total_latency_s: float = 0.0
-    staged_bytes: int = 0
-
-    def remaining(self) -> int:
-        return len(self.sample_ids) - len(self.slots)
+    #: The slots of the rows taken, in demand order; the hand-off publishes
+    #: exactly these rows, and only then are the slots reused.
+    slots: list[int]
+    #: The rows' transform latencies, in demand order.
+    latencies: list[float]
+    staged_bytes: int
 
 
 class SourceLoader(Actor):
@@ -284,100 +281,72 @@ class SourceLoader(Actor):
     def prepare(self, sample_ids: list[int]) -> dict[str, object]:
         """Transform the requested samples and hand them off: a one-chunk ticket.
 
-        Returns what a ticket's final :meth:`poll` returns: the total
-        transformation latency, the wall-clock latency after amortising it
-        across the parallel workers, and the ``key`` of the ``prepared/``
-        reference.  Until its hand-off succeeds the ticket is open under the
-        id ``None``.
+        Returns what :meth:`poll` returns; the ticket goes by the id ``None``.
         """
         return self.poll(None, max(1, len(sample_ids)), sample_ids)
 
     # -- asynchronous plan execution -------------------------------------------------------
 
-    def prepare_async(self, ticket: int | None, sample_ids: list[int]) -> dict[str, object]:
-        """Register a non-blocking prepare request identified by ``ticket``.
+    def prepare_async(self, ticket: int | None, sample_ids: list[int]) -> None:
+        """Open ``ticket``: take its demanded rows out of the buffer onto it.
 
-        The actual transformation work happens incrementally through
-        :meth:`poll` calls, so the caller (the step pipeline) can interleave
-        preparation across loaders and overlap it with trainer compute.  The
-        pipeline never sends this call: a ticket's first poll makes it.
+        Every id must be buffered and none may repeat; otherwise nothing is
+        taken and no ticket opens.  :meth:`poll` opens its ticket here and
+        closes it in the same call; the pipeline never sends this call on
+        its own.  A ticket left open keeps its rows charged as staged payload
+        until the loader is rebuilt or stopped.
         """
         if ticket in self._tickets:
             raise PlanError(
                 f"loader {self.actor_name!r} already has an in-flight ticket {ticket}"
             )
-        self._tickets[ticket] = _PrepareTicket(sample_ids=list(sample_ids))
-        return {"ticket": ticket, "num_samples": float(len(sample_ids))}
+        self._tickets[ticket] = _PrepareTicket(*self._stage(sample_ids))
 
     def poll(
-        self, ticket: int | None, max_samples: int = 16, sample_ids: list[int] | None = None
+        self, ticket: int | None, max_samples: int, sample_ids: list[int]
     ) -> dict[str, object]:
-        """Advance an asynchronous prepare by up to ``max_samples`` samples.
+        """Prepare a whole ticket and hand it off, in one call.
 
-        A ticket costs only its polls.  The first one carries ``sample_ids``
-        and registers the ticket (:meth:`prepare_async`); a later one carries
-        the ticket alone.  Each poll moves its chunk's rows from the buffer
-        onto the ticket, and returns ``{"done": False, "remaining": n}``
-        while work is left.  The final poll refills the buffer (unless
+        Opens the ticket (:meth:`prepare_async`), refills the buffer (unless
         ``deferred_refill``), hands the ticket's rows off
-        (:meth:`fetch_prepared_ref`), retires the ticket and returns its
+        (:meth:`fetch_prepared_ref`) and closes the ticket.  Returns its
         transform latency, its worker-amortised wall-clock latency, its
-        staged bytes, ``done=True`` and the ``key`` of the ``prepared/``
-        reference.  A poll that names an id the buffer does not hold takes
-        nothing; a failed hand-off leaves the ticket open, its rows still
-        charged.  Every poll reports ``chunk_wall_clock_s`` — the
-        worker-amortised latency of just this chunk — which the latency
-        provider books as the poll's virtual duration, so a ticket's chunks
-        occupy the loader for exactly its total wall-clock time on the
-        shared clock.
+        staged bytes and sample count, the ``key`` of the ``prepared/``
+        reference and ``chunk_wall_clock_s``: the worker-amortised latency of
+        each chunk of ``max_samples`` rows, in demand order (at least one
+        chunk).  The latency provider prices each chunk, and the engine books
+        them as a chain on the loader's lanes, so a ticket occupies the
+        loader for its total wall-clock time on the shared clock.  A demand
+        the buffer cannot serve opens nothing; a failed hand-off leaves the
+        ticket open, its rows still charged.
         """
         if max_samples < 1:
-            raise PlanError("poll must advance at least one sample")
-        if sample_ids is not None:
-            self.prepare_async(ticket, sample_ids)
-        entry = self._tickets.get(ticket)
-        if entry is None:
-            raise PlanError(
-                f"loader {self.actor_name!r} has no ticket {ticket}; "
-                "its first poll must carry the sample ids"
-            )
-        position = len(entry.slots)
-        try:
-            slots, latencies, staged_bytes = self._stage(
-                entry.sample_ids[position : position + max_samples]
-            )
-        except PlanError:
-            if sample_ids is not None:  # a first poll that takes nothing registers nothing
-                del self._tickets[ticket]
-            raise
-        entry.slots += slots
-        entry.staged_bytes += staged_bytes
-        # Left to right from the ticket's running total, sample by sample:
-        # the float totals are part of the modelled clock.
-        chunk_latency = 0.0
-        for latency in latencies:
-            entry.total_latency_s += latency
-            chunk_latency += latency
-        chunk_wall_clock = chunk_latency / self.num_workers
-        if entry.remaining() > 0:
-            return {
-                "done": False,
-                "remaining": float(entry.remaining()),
-                "chunk_wall_clock_s": chunk_wall_clock,
-            }
-        self.stats.samples_prepared += len(entry.sample_ids)
-        self.stats.transform_seconds += entry.total_latency_s
+            raise PlanError("a poll chunk must hold at least one sample")
+        self.prepare_async(ticket, sample_ids)
+        entry = self._tickets[ticket]
+        # Each chunk sums its latencies from 0.0 and the ticket total
+        # accumulates sample by sample, both left to right: the floats are
+        # part of the modelled clock.
+        total = 0.0
+        chunks = []
+        for begin in range(0, max(1, len(entry.latencies)), max_samples):
+            chunk = 0.0
+            for latency in entry.latencies[begin : begin + max_samples]:
+                total += latency
+                chunk += latency
+            chunks.append(chunk / self.num_workers)
+        self.stats.samples_prepared += len(entry.slots)
+        self.stats.transform_seconds += total
         if not self.deferred_refill:
             self.refill()
         key = self.fetch_prepared_ref(entry.slots)["key"]
         del self._tickets[ticket]
         return {
-            "transform_latency_s": entry.total_latency_s,
-            "wall_clock_s": entry.total_latency_s / self.num_workers,
+            "transform_latency_s": total,
+            "wall_clock_s": total / self.num_workers,
             "staged_bytes": float(entry.staged_bytes),
-            "num_samples": float(len(entry.sample_ids)),
-            "done": True,
-            "chunk_wall_clock_s": chunk_wall_clock,
+            "num_samples": float(len(entry.slots)),
+            "chunk_wall_clock_s": tuple(chunks),
             "key": key,
         }
 

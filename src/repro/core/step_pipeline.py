@@ -8,21 +8,21 @@ non-blocking loader preparation and constructor staging for steps
 ``N+1..N+prefetch_depth`` through the actor system's cooperative event loop
 (deferred calls + futures).
 
-A loader's share of a step is one ticket of *k* :meth:`SourceLoader.poll`
-calls and nothing else: the first poll carries the demanded ids and registers
-the ticket, a continuation poll is sent only once the ticket is accepted, and
-the final poll hands the samples off, returning the key of a ``prepared/``
-GCS reference.  The final poll's completion instant is the loader's fetch
-instant.  Once every loader's final poll is in (and the per-step sync point
-has passed), the references are taken in demand order and the step moves on
-to constructing.
+A loader's share of a step is one ticket, one :meth:`SourceLoader.poll`
+call and nothing else: it carries the demanded ids, and the loader stages
+them, refills and hands the samples off, returning the key of a
+``prepared/`` GCS reference.  The engine books the ticket as a chain of
+``POLL_CHUNK``-row chunks on the loader's lanes; the last chunk's end is the
+loader's fetch instant.  Once every loader's poll is in (and the per-step
+sync point has passed), the references are taken in demand order and the
+step moves on to constructing.
 
 ``prefetch_depth=0`` is the same machine with one thing changed — how a call
 is issued.  Each data-plane call runs inline on the caller
 (:meth:`ActorHandle.call_settled` instead of :meth:`ActorHandle.submit_timed`)
 and comes back as an already-settled future, so nothing is queued on or
 ticked from the engine (a co-tenant's events never run mid-step), a ticket is
-polled in one chunk, nothing is issued ahead of the consume, the queue is
+one chunk, nothing is issued ahead of the consume, the queue is
 empty between steps (``flush`` has nothing to rewind, ``run_step(step=N)`` may
 move the consume position) and the trainer's stall is *computed* from the
 step's modelled fetch latency rather than measured.
@@ -36,7 +36,7 @@ Timing (depth >= 1) is a discrete-event co-simulation on the actor system's
 shared :class:`~repro.actors.virtual.VirtualClock`: every deferred call is
 submitted with its causal dependency (``earliest_start_s`` — a step's loader
 work cannot start before its plan was broadcast, a construct not before its
-final polls completed, a re-issued construct not before the consume that
+polls completed, a re-issued construct not before the consume that
 freed a staging slot) and occupies its actor for a cost-model-derived virtual
 duration.  The instant a step's last construct event completes is its
 ``data_ready_s``; the framework measures the trainer's stall against it, so
@@ -47,17 +47,18 @@ keeps up.
 
 Rounds (depth >= 1): one pump round of ``preparing`` or ``constructing``
 drains the engine — ``tick(None)`` runs every runnable event — and then scans
-the step's loaders (or constructors) once, in demand order, issuing the next
-poll of every ticket whose previous one completed.  Round size cannot move
-the modelled clock: while a step is ``preparing`` only its own polls are
-queued, each on its own loader actor with an explicit ``earliest_start_s``
-(the plan broadcast, or the ticket's previous poll completion), so an event's
-start and end instants depend on its loader's lanes and that cursor, not on
-how many events ran beside it.  On a shared (multi-tenant) system a round may
-also run a co-tenant's runnable events, whose instants are fixed the same
-way.  The step's loader transform time, a float sum, is added up in demand
-order when it leaves ``preparing``, so its last bits do not depend on round
-size either.
+the step's loaders (or constructors) once, in demand order, collecting every
+finished ticket.  A step costs one poll per loader, so its ``preparing``
+state is one round unless a poll failed.  Round size cannot move the
+modelled clock: while a step is ``preparing`` only its own polls are queued,
+each on its own loader actor with the plan broadcast as its
+``earliest_start_s``, and the engine books a ticket's chunks back to back
+from there, so every chunk's start and end instants depend on its loader's
+lanes alone, not on how many events ran beside it.  On a shared
+(multi-tenant) system a round may also run a co-tenant's runnable events,
+whose instants are fixed the same way.  The step's loader transform time, a
+float sum, is added up in demand order when it leaves ``preparing``, so its
+last bits do not depend on round size either.
 
 Backpressure: Data Constructors bound their staging queues; a full queue
 raises :class:`BackpressureError` and the pipeline pauses prefetching until
@@ -94,8 +95,9 @@ from repro.errors import (
 )
 
 
-#: Samples one deferred (depth >= 1) poll advances its ticket by; the inline
-#: (depth 0) case polls the whole ticket in one call.
+#: Rows per chunk of a deferred (depth >= 1) ticket, which the engine books
+#: as a chain of chunks on the loader's lanes; an inline (depth 0) ticket is
+#: one chunk.
 POLL_CHUNK = 8
 
 
@@ -129,22 +131,14 @@ class _InflightStep:
     plan_ready_s: float = 0.0
 
     demands: dict[ActorHandle, list[int]] = field(default_factory=dict)
-    #: Each loader's latest poll.  A completed final poll stays here, its
-    #: ``prepared/`` key not yet taken, until the step leaves ``preparing``.
+    #: Each loader's poll.  A completed one stays here, its ``prepared/`` key
+    #: not yet taken, until the step leaves ``preparing``.
     poll_futures: dict[ActorHandle, ActorFuture] = field(default_factory=dict, init=False)
-    #: Loaders whose ticket a completed first poll registered; only these
-    #: are sent continuation polls, which carry no sample ids.
-    accepted: set[ActorHandle] = field(default_factory=set, init=False)
-    pending_loaders: set[ActorHandle] = field(default_factory=set, init=False)
-    #: Per-loader causal cursor: the completion instant of this ticket's
-    #: latest poll event, serializing the ticket's chunks even when the
-    #: loader's worker-pool lanes run other steps' tickets concurrently.
-    loader_cursor_s: dict[ActorHandle, float] = field(default_factory=dict, init=False)
     loader_wall_clock_s: float = 0.0
     loader_transform_s: float = 0.0
 
     prepared: PreparedColumns | None = None
-    #: Virtual instant the last final poll handed its samples over.
+    #: Virtual instant the last poll handed its samples over.
     fetch_ready_s: float = 0.0
 
     unconstructed: list[ActorHandle] = field(default_factory=list)
@@ -383,10 +377,10 @@ class StepPipeline:
             + [fw.planner_handle.name]
         )
         for item in self._queue:
-            # A final poll published a hand-off reference; one never taken
-            # would leak its frozen columns in the GCS.  Read the futures, not
-            # what the pump observed: a wallclock lane may have completed a
-            # final poll during the quiesce.
+            # A poll published a hand-off reference; one never taken would
+            # leak its frozen columns in the GCS.  Read the futures, not what
+            # the pump observed: a wallclock lane may have completed a poll
+            # during the quiesce.
             for future in item.poll_futures.values():
                 if future.done() and not future.cancelled() and future.exception() is None:
                     key = future.result().get("key")
@@ -506,19 +500,12 @@ class StepPipeline:
         return True
 
     def _submit_prepare(self, item: _InflightStep, handle: ActorHandle) -> None:
-        """(Re-)issue ``handle``'s ticket for the step's demands: its first poll."""
-        item.pending_loaders.add(handle)
-        self._submit_poll(item, handle)
-
-    def _submit_poll(self, item: _InflightStep, handle: ActorHandle) -> None:
-        """Issue ``handle``'s next poll; until the ticket is accepted, that is
-        the first poll, which carries the demands and registers the ticket."""
+        """(Re-)issue ``handle``'s ticket for the step's demands: one poll."""
         item.poll_futures[handle] = self._issue(
             handle, "poll", item.step,
             POLL_CHUNK if self.prefetch_depth else len(item.demands[handle]),
-            None if handle in item.accepted else list(item.demands[handle]),
-            step_tag=item.step,
-            earliest_start_s=max(item.plan_ready_s, item.loader_cursor_s.get(handle, 0.0)),
+            list(item.demands[handle]),
+            step_tag=item.step, earliest_start_s=item.plan_ready_s,
         )
 
     def _advance_preparing(self, item: _InflightStep) -> bool:
@@ -527,16 +514,19 @@ class StepPipeline:
             # Drain, then scan once; the module docstring says why the round
             # size cannot move the modelled clock.
             fw.system.tick(None)
-        # Routing (demand) order, not set order: re-issued polls take their
-        # sequence numbers, and a failure is handled, in the same order in
-        # every run.  A round handles at most one failed poll; the next round
-        # picks up any other.
-        for handle in [h for h in item.demands if h in item.pending_loaders]:
+        # Routing (demand) order: re-issued polls take their sequence
+        # numbers, and a failure is handled, in the same order in every run.
+        # A round handles at most one failed poll; the next round picks up
+        # any other.
+        pending = False
+        for handle, sample_ids in item.demands.items():
+            if not sample_ids:
+                continue
             poll = item.poll_futures.get(handle)
             if poll is None:
-                self._submit_poll(item, handle)
-                continue
-            if not poll.done():
+                self._submit_prepare(item, handle)
+            if poll is None or not poll.done():
+                pending = True
                 continue
             exc = poll.exception()
             if isinstance(exc, (ActorDead, ActorTimeout)):
@@ -544,23 +534,14 @@ class StepPipeline:
                 return True
             if exc is not None:
                 raise exc
-            status = poll.result()
-            item.accepted.add(handle)
-            item.loader_cursor_s[handle] = max(
-                item.loader_cursor_s.get(handle, 0.0), poll.available_at_s or 0.0
+            # The poll handed the samples off; its future keeps the key (and
+            # its transform total) until the step leaves ``preparing``.
+            item.loader_wall_clock_s = max(
+                item.loader_wall_clock_s, poll.result()["wall_clock_s"]
             )
-            if status["done"]:
-                # The final poll handed the samples off; its future keeps the
-                # key (and its transform total) until the step leaves
-                # ``preparing``.
-                item.loader_wall_clock_s = max(item.loader_wall_clock_s, status["wall_clock_s"])
-                item.fetch_ready_s = max(item.fetch_ready_s, poll.available_at_s or 0.0)
-                item.pending_loaders.discard(handle)
-            else:
-                # Issue the continuation now, so the next round runs it.
-                self._submit_poll(item, handle)
+            item.fetch_ready_s = max(item.fetch_ready_s, poll.available_at_s or 0.0)
 
-        if not item.pending_loaders:
+        if not pending:
             # Every loader finished mutating its buffer for this step: let
             # shard-group mirrors absorb their peers' demands now (one refill
             # per member), before any later step's plan gathers buffers.
@@ -569,10 +550,10 @@ class StepPipeline:
             # the strict-order pump guarantees every plan <= item.step is
             # fully applied here and nothing beyond has started.
             fw.recovery.checkpoint_members(item.step)
-            # Resolve the final polls' GCS references in demand order: the
-            # very column slices the loaders froze travel to the constructors
+            # Resolve the polls' GCS references in demand order: the very
+            # column slices the loaders froze travel to the constructors
             # without a copy.  The transform total is summed in that order
-            # too, so its last bits never depend on which round a final poll
+            # too, so its last bits never depend on which round a poll
             # landed in.
             columns = []
             transform_s = 0.0
@@ -688,9 +669,6 @@ class StepPipeline:
 
         sample_ids = item.demands.pop(handle, [])
         item.poll_futures.pop(handle, None)
-        item.accepted.discard(handle)
-        item.loader_cursor_s.pop(handle, None)
-        item.pending_loaders.discard(handle)
         item.demands[promoted] = sample_ids
         if sample_ids:
             self._submit_prepare(item, promoted)
@@ -720,8 +698,7 @@ class StepPipeline:
         )
         # Chaos faults fire before the target method body runs, so the failed
         # poll never executed and the identical re-issue is safe: the
-        # preparing loop re-submits a missing poll on its next round, with
-        # the ids again if the failed one was the unaccepted first poll.
+        # preparing loop re-submits a missing poll on its next round.
         # Without that, the same completed-with-exception future would keep
         # re-triggering this wait loop even after the fault window expires.
         poll = item.poll_futures.get(handle)

@@ -249,18 +249,15 @@ class TenantManager:
         total_steps = 0
         wall_end_s = 0.0
         for name, deployment in self.deployments.items():
-            history = deployment.history()
-            stall = sum(result.data_stall_s for result in history)
-            hidden = sum(result.hidden_fetch_s for result in history)
-            exposed = sum(result.exposed_fetch_s for result in history)
-            total_steps += len(history)
+            ledger = deployment.overlap
+            total_steps += len(ledger)
             wall_end_s = max(wall_end_s, deployment.virtual_time_s())
             entry = {
-                "steps": float(len(history)),
+                "steps": float(len(ledger)),
                 "priority": float(self.tenants[name].priority),
-                "data_stall_time_s": stall,
-                "hidden_data_time_s": hidden,
-                "exposed_data_time_s": exposed,
+                "data_stall_time_s": ledger.stall_total_s(),
+                "hidden_data_time_s": ledger.hidden_total_s(),
+                "exposed_data_time_s": ledger.exposed_total_s(),
                 "loader_actors": float(deployment.fleet.total_members()),
                 "preemptions_suffered": float(
                     sum(1 for event in self.preemptions if event.victim == name)

@@ -146,9 +146,11 @@ class LaneProvider:
         self.seen: list[tuple[int, float, tuple]] = []
 
     def call_duration_s(
-        self, actor, method, result, busy_lanes=1, start_s=0.0, lane_ends_s=(), role="actor"
+        self, actor, method, result, busy_lanes=1, start_s=0.0, lane_ends_s=(), role="actor",
+        chunk=0,
     ):
         assert role == type(actor).role
+        assert chunk == 0
         self.seen.append((busy_lanes, start_s, lane_ends_s))
         return result * busy_lanes
 
@@ -226,9 +228,9 @@ def test_lane_ends_stay_sorted_where_they_are_booked():
         seen = []
         plain = system.system.modelled_duration
 
-        def recording(name, method, result, start_s, lane_ends_s=(), inline=False):
+        def recording(name, method, result, start_s, lane_ends_s=(), inline=False, chunk=0):
             seen.append(list(lane_ends_s))
-            return plain(name, method, result, start_s, lane_ends_s, inline)
+            return plain(name, method, result, start_s, lane_ends_s, inline, chunk)
 
         system.system.modelled_duration = recording
         for _ in range(4):

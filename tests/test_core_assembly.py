@@ -241,8 +241,7 @@ class TestStagedColumns:
         buffered = loader.summary_buffer()[:4]
         wanted = [buffered[2], buffered[0], buffered[3]]
         reply = handle.call("poll", 1, 2, [m.sample_id for m in wanted])
-        assert loader.staged_count() == 2
-        reply = handle.call("poll", 1, 2)
+        assert len(reply["chunk_wall_clock_s"]) == 2
         columns = system.gcs.take(reply["key"])
         assert columns.sample_ids.tolist() == [m.sample_id for m in wanted]
         assert columns.total_tokens.tolist() == [m.total_tokens for m in wanted]
@@ -272,13 +271,13 @@ class TestStagedColumns:
         handle = spawn_loader(system, small_catalog, filesystem, buffer_size=16)
         loader = handle.instance()
         ids = [m.sample_id for m in loader.summary_buffer()[:6]]
-        handle.call("poll", 1, 2, ids[:3])
+        handle.call("prepare_async", 1, ids[:2])
         assert loader.staged_count() == 2
         handle.call("reset_for_replay")
         assert loader.staged_count() == 0
         assert loader.ledger.live_bytes("sample_payload") == 0
-        handle.call("poll", 1, 2, ids[:3])
-        handle.call("poll", 2, 1, ids[3:5])
+        handle.call("prepare_async", 1, ids[:2])
+        handle.call("prepare_async", 2, ids[3:4])
         held = sum(entry.staged_bytes for entry in loader._tickets.values())
         assert loader.staged_count() == 3
         assert loader.ledger.live_bytes("sample_payload") == held > 0
@@ -342,16 +341,18 @@ class TestLoaderHandOff:
         assert columns.image_tokens.tolist() == [m.image_tokens for m in buffered]
         assert columns.total_bytes() == ref["staged_bytes"]
 
-    def test_missing_staged_sample_rejected(self, system, small_catalog, filesystem):
-        """A ticket whose rows a pristine reset dropped cannot be finished:
-        its continuation poll is rejected and nothing is published."""
+    def test_a_reset_drops_an_open_ticket(self, system, small_catalog, filesystem):
+        """An open ticket blocks its id until a pristine reset drops it, rows
+        and all: nothing is published for it, and the id serves again."""
         handle = spawn_loader(system, small_catalog, filesystem)
         ids = [m.sample_id for m in handle.instance().summary_buffer()[:4]]
-        handle.call("poll", 3, 2, ids)
+        handle.call("prepare_async", 3, ids)
+        with pytest.raises(PlanError, match="in-flight ticket 3"):
+            handle.call("poll", 3, 2, ids)
         handle.call("reset_for_replay")
-        with pytest.raises(PlanError, match="has no ticket 3"):
-            handle.call("poll", 3, 2)
         assert system.gcs.keys("prepared/") == []
+        reply = handle.call("poll", 3, 2, ids)
+        assert system.gcs.keys("prepared/") == [reply["key"]]
 
 
 # -- constructor equivalence ------------------------------------------------------------

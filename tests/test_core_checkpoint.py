@@ -696,7 +696,7 @@ def run_schedule(system, schedule, start: tuple[int, int] = (0, 0), saves: bool 
 def run_totals(system) -> tuple:
     return (
         system.virtual_time_s(),
-        sum(result.data_stall_s for result in system.history()),
+        system.overlap.stall_total_s(),
         len(system.fleet.all_handles()),
         system.memory_report()["total"],
     )

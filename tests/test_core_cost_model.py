@@ -96,13 +96,17 @@ class TestCapacitySplitLaneModel:
     def test_provider_lane_models(self):
         from repro.core.cost_model import DataPlaneLatencyProvider
 
-        result = {"chunk_wall_clock_s": 1.0}
+        result = {"chunk_wall_clock_s": (3.0, 1.0)}
         split = DataPlaneLatencyProvider()
         assert split.wants_lane_context
         assert split.call_duration_s(
             object(), "poll", result, busy_lanes=2, start_s=0.0, lane_ends_s=(50.0,),
-            role="source_loader",
+            role="source_loader", chunk=1,
         ) == pytest.approx(2.0)
+        # Each chunk is priced from its own entry, with its own lane context.
+        assert split.call_duration_s(
+            object(), "poll", result, start_s=0.0, role="source_loader", chunk=0,
+        ) == pytest.approx(3.0)
 
 
 def _sorting_capacity_split(amortized_s, start_s, lane_ends_s):

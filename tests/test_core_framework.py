@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.actors.actor import Actor
@@ -10,9 +13,9 @@ from repro.chaos import FaultPlan
 from repro.core.cost_model import DataPlaneLatencyProvider, reconcile_timing
 from repro.core.deploy import build_catalog
 from repro.core.fault_tolerance import FaultToleranceManager
-from repro.core.framework import MegaScaleData, TrainingJobSpec
+from repro.core.framework import HISTORY_WINDOW, MegaScaleData, TrainingJobSpec
 from repro.core.resharding import ReshardNotification
-from repro.core.tenancy import TenantManager
+from repro.core.tenancy import TenantManager, TenantSpec
 from repro.data.mixture import MixturePhase, MixtureSchedule
 from repro.errors import ConfigurationError
 from repro.metrics.memory import MemoryLedger
@@ -22,6 +25,11 @@ from repro.storage.filesystem import SimulatedFileSystem
 from repro.storage.reader import ColumnarReader
 from conftest import bucket_samples
 
+#: What a run of ``vlm_example`` may still retain from step 40 to step 200:
+#: the per-step records other components keep (overlap ledger, utilization
+#: samples, planner timings, the in-memory store's plan records and
+#: manifests), about 6 KB a step.  An unbounded history added 17 KB a step.
+RETAINED_SLACK_BYTES = 160 * 8 * 1024
 
 @pytest.fixture(scope="module")
 def deployed_system():
@@ -166,6 +174,49 @@ class TestTelemetryWindow:
         # The field is gone, so every window is rejected at construction.
         with pytest.raises(TypeError, match="telemetry_window"):
             TrainingJobSpec(telemetry_window=window)
+
+
+class TestBoundedHistory:
+    def test_history_keeps_a_window_and_the_ledger_keeps_the_run(self):
+        """``history()`` holds the latest ``HISTORY_WINDOW`` results; the
+        overlap ledger's totals, which the tenant report reads, still sum
+        every consumed step in consume order."""
+        manager = TenantManager()
+        system = manager.admit(TenantSpec(name="solo", job=TrainingJobSpec.text_example()))
+        try:
+            results = [system.run_step() for _ in range(HISTORY_WINDOW + 5)]
+            history = system.history()
+            report = manager.report()["tenants"]["solo"]
+        finally:
+            manager.shutdown()
+        assert len(history) == HISTORY_WINDOW
+        assert all(kept is result for kept, result in zip(history, results[-HISTORY_WINDOW:]))
+        assert report["steps"] == len(results)
+        assert report["data_stall_time_s"] == sum(r.data_stall_s for r in results)
+        assert report["hidden_data_time_s"] == sum(r.hidden_fetch_s for r in results)
+        assert report["exposed_data_time_s"] == sum(r.exposed_fetch_s for r in results)
+
+    def test_retained_memory_does_not_grow_with_the_history(self):
+        """Past the window, a longer run keeps no more step results: from
+        40 to 200 steps the bytes a run retains (tracemalloc, after warm-up)
+        grow by the other components' per-step records alone."""
+        system = MegaScaleData.deploy(TrainingJobSpec.vlm_example())
+        try:
+            for _ in range(20):
+                system.run_step()
+            tracemalloc.start()
+            try:
+                retained = []
+                for steps in (20, 160):
+                    for _ in range(steps):
+                        system.run_step()
+                    gc.collect()
+                    retained.append(tracemalloc.get_traced_memory()[0])
+            finally:
+                tracemalloc.stop()
+        finally:
+            system.shutdown()
+        assert retained[1] - retained[0] < RETAINED_SLACK_BYTES
 
 
 class TestDeployment:

@@ -108,12 +108,11 @@ class TestPrepareAndFetch:
         self, system, small_catalog, filesystem, bad
     ):
         """A demand naming an unbuffered or repeated id raises before any row
-        leaves the buffer: buffer, ledger and open tickets stay as they were."""
+        leaves the buffer, even when the id falls in a later chunk: buffer,
+        ledger and open tickets stay as they were."""
         handle = spawn_loader(system, small_catalog, filesystem, buffer_size=8)
         loader = handle.instance()
         ids = [m.sample_id for m in loader.summary_buffer()[:3]]
-        if bad == "later_chunk":
-            handle.call("poll", 5, 1, ids[:1] + [999_999])
         buffered, ledger = loader.summary_buffer(), dict(loader.ledger._live)
         tickets, staged = dict(loader._tickets), loader.staged_count()
         with pytest.raises(PlanError, match="unknown sample"):
@@ -122,7 +121,7 @@ class TestPrepareAndFetch:
             elif bad == "repeated":
                 handle.call("prepare", [ids[0], ids[1], ids[0]])
             else:
-                handle.call("poll", 5, 1)
+                handle.call("poll", 5, 1, [ids[2], 999_999])
         assert loader.summary_buffer() == buffered
         assert dict(loader.ledger._live) == ledger
         assert loader._tickets == tickets
@@ -135,34 +134,33 @@ class TestPrepareAndFetch:
         handle = spawn_loader(system, small_catalog, filesystem, buffer_size=16)
         loader = handle.instance()
         ids = [m.sample_id for m in loader.summary_buffer()[:4]]
-        status = handle.call("poll", 1, 2, ids)
+        handle.call("prepare_async", 1, ids[:2])
         staged_bytes = loader.ledger.live_bytes("sample_payload")
         assert staged_bytes > 0
         assert loader.staged_count() == 2
-        status = handle.call("poll", 1, 2)
-        assert status["done"]
-        assert status["staged_bytes"] > staged_bytes
-        assert loader.ledger.live_bytes("sample_payload") == 0
+        status = handle.call("poll", 2, 2, ids[2:])
+        assert loader.ledger.live_bytes("sample_payload") == staged_bytes
+        assert loader.staged_count() == 2
+        assert status["staged_bytes"] > 0
         assert fetch(system, status).total_bytes() == status["staged_bytes"]
 
     def test_failed_hand_off_leaks_nothing(
         self, system, small_catalog, filesystem, monkeypatch
     ):
-        """A final poll whose publish fails keeps its ticket open, the rows it
-        took still charged; the loader's stop hook drops the ticket and
-        releases them (called directly: the runtime's ``stop_actor`` would
-        zero the ledger after it anyway)."""
+        """A poll whose publish fails keeps its ticket open, the rows it took
+        still charged; the loader's stop hook drops the ticket and releases
+        them (called directly: the runtime's ``stop_actor`` would zero the
+        ledger after it anyway)."""
         handle = spawn_loader(system, small_catalog, filesystem, buffer_size=16)
         loader = handle.instance()
         ids = [m.sample_id for m in loader.summary_buffer()[:4]]
-        handle.call("poll", 2, 2, ids)
 
         def refuse(key, value, immutable=None):
             raise RuntimeError("store unavailable")
 
         monkeypatch.setattr(system.gcs, "put", refuse)
         with pytest.raises(RuntimeError, match="store unavailable"):
-            handle.call("poll", 2, 2)
+            handle.call("poll", 2, 2, ids)
         ticket = loader._tickets[2]
         assert loader._rows[0][ticket.slots].tolist() == ids
         assert loader.staged_count() == 4
@@ -217,18 +215,13 @@ class TestAsyncPrepareProtocol:
         sync_result = sync_handle.call("prepare", ids)
         want = fetch(system, sync_result)
 
-        with pytest.raises(PlanError, match="first poll must carry"):
-            async_handle.call("poll", 0, 2)
-        status = async_handle.call("poll", 0, 2, ids)  # accepts the ticket
-        polls = 1
-        while not status["done"]:
-            status = async_handle.call("poll", 0, 2)
-            polls += 1
-        assert polls == 3  # chunked: 6 samples at 2 per poll
+        status = async_handle.call("poll", 0, 2, ids)
+        assert len(status["chunk_wall_clock_s"]) == 3  # 6 samples at 2 per chunk
+        assert len(sync_result["chunk_wall_clock_s"]) == 1
         for key in ("transform_latency_s", "wall_clock_s", "staged_bytes", "num_samples"):
-            assert status[key] == pytest.approx(sync_result[key])
-        # The final poll handed the samples off: nothing stays staged and its
-        # key resolves to the columns ``prepare`` gave.
+            assert status[key] == sync_result[key]
+        # The poll handed the samples off: nothing stays staged and its key
+        # resolves to the columns ``prepare`` gave.
         loader = async_handle.instance()
         assert loader._tickets == {}
         assert loader.staged_count() == sync_handle.instance().staged_count() == 0
@@ -244,10 +237,13 @@ class TestAsyncPrepareProtocol:
         with pytest.raises(PlanError):
             handle.call("prepare_async", 7, ids)
 
-    def test_poll_unknown_ticket_rejected(self, system, small_catalog, filesystem):
+    def test_poll_of_an_open_ticket_rejected(self, system, small_catalog, filesystem):
         handle = spawn_loader(system, small_catalog, filesystem, buffer_size=8)
-        with pytest.raises(PlanError):
-            handle.call("poll", 99)
+        ids = [m.sample_id for m in handle.instance().summary_buffer()[:2]]
+        handle.call("prepare_async", 99, ids[:1])
+        with pytest.raises(PlanError, match="in-flight ticket 99"):
+            handle.call("poll", 99, 8, ids[1:])
+        assert handle.instance().buffered_among(ids[1:]) == set(ids[1:])
 
     def test_replay_demands_reproduces_buffer_state(self, system, small_catalog, filesystem):
         primary = spawn_loader(system, small_catalog, filesystem, buffer_size=12)
@@ -327,8 +323,8 @@ def fresh_system():
 def test_sync_prepare_equals_async_polls_of_any_chunk_size(
     source_index, shard_count, buffer_size, num_workers, picks
 ):
-    """``prepare(ids)`` and ``poll(k)`` calls are the same work, chunked: the
-    first poll carries the ids, the final one the key, as ``prepare``'s does."""
+    """``prepare(ids)`` and ``poll(ticket, k, ids)`` are the same work, the
+    poll's wall clock split into chunks of ``k`` rows."""
     system = fresh_system()
     options = dict(buffer_size=buffer_size, num_workers=num_workers, shard_count=shard_count)
     sync = spawn_loader(system, PROPERTY_CATALOG, PROPERTY_FILESYSTEM, source_index, **options)
@@ -338,25 +334,25 @@ def test_sync_prepare_equals_async_polls_of_any_chunk_size(
     ids = list(dict.fromkeys(buffered[pick % len(buffered)] for pick in picks))
     expected = sync.call("prepare", ids)
     want = fetch(system, expected)
-    for key in ("key", "done", "chunk_wall_clock_s"):
-        expected.pop(key)
+    assert expected.pop("chunk_wall_clock_s") == (expected["wall_clock_s"],)
+    expected.pop("key")
+    loader = sync.instance()
+    latencies = loader._cursor.costed_rows(ids, loader._cost_key, loader._cost_columns)[3]
     for chunk in (1, 8, 16, len(ids)):
         chunked = spawn_loader(
             system, PROPERTY_CATALOG, PROPERTY_FILESYSTEM, source_index, **options
         )
-        with pytest.raises(PlanError):
-            chunked.call("poll", 3, chunk)  # no ticket until a poll carries the ids
-        polls, wall_clock = 0, 0.0
-        while True:
-            reply = chunked.call("poll", 3, chunk, None if polls else ids)
-            polls += 1
-            wall_clock += reply.pop("chunk_wall_clock_s")
-            if reply.pop("done"):
-                break
-        assert polls == math.ceil(len(ids) / chunk)
+        reply = chunked.call("poll", 3, chunk, ids)
+        chunks = reply.pop("chunk_wall_clock_s")
+        assert len(chunks) == math.ceil(len(ids) / chunk)
+        for index, begin in enumerate(range(0, len(ids), chunk)):
+            total = 0.0
+            for latency in latencies[begin : begin + chunk].tolist():
+                total += latency
+            assert chunks[index] == total / num_workers
         key = reply.pop("key")
         assert reply == expected  # floats included: no tolerance
-        assert wall_clock == pytest.approx(expected["wall_clock_s"])
+        assert sum(chunks) == pytest.approx(expected["wall_clock_s"])
         a, b = sync.instance(), chunked.instance()
         assert a.staged_count() == b.staged_count() == 0
         assert a.ledger._live == b.ledger._live
@@ -440,7 +436,7 @@ def test_chunked_refill_equals_the_per_row_loop(
     ops=st.lists(
         st.tuples(
             st.sampled_from(
-                ["gather", "refill", "poll", "first_poll", "continue", "prepare",
+                ["gather", "refill", "poll", "open", "reuse", "prepare",
                  "replay", "reset", "restore"]
             ),
             st.lists(st.integers(0, 10**6), max_size=8),
@@ -454,8 +450,7 @@ def test_gather_reports_the_buffer_its_changes_and_rebuilds(buffer_size, shard_c
     added plus the rows removed since the previous reply; ``resync`` is set on
     exactly the first reply after a rebuild (start, pristine reset, restore).
 
-    The ledger is conserved through tickets left open, continued, failed and
-    dropped: after every op ``sample_payload`` is the bytes of the rows the
+    The ledger is conserved through tickets left open, refused and dropped: after every op ``sample_payload`` is the bytes of the rows the
     open tickets hold and ``prefetch_buffer`` is the buffered rows' share;
     after ``stop`` both are 0."""
     system = fresh_system()
@@ -492,32 +487,17 @@ def test_gather_reports_the_buffer_its_changes_and_rebuilds(buffer_size, shard_c
         if op == "refill":
             handle.call("refill")
         elif op == "poll" and ids:
-            reply = handle.call("poll", ticket, 3, ids)
-            while not reply["done"]:
-                reply = handle.call("poll", ticket, 3)
-            system.gcs.take(reply["key"])
-        elif op == "first_poll" and ids:
-            # Leaves the ticket open; a continuation may find its later ids
-            # taken by another demand in between.
-            reply = handle.call("poll", ticket, 2, ids)
-            changes += len(ids[:2])
-            if reply["done"]:
-                system.gcs.take(reply["key"])
-            else:
-                open_tickets.append(ticket)
-        elif op == "continue" and open_tickets and picks:
+            system.gcs.take(handle.call("poll", ticket, 3, ids)["key"])
+        elif op == "open" and ids:
+            # Leaves the ticket open, its rows charged, until a rebuild.
+            handle.call("prepare_async", ticket, ids)
+            changes += len(ids)
+            open_tickets.append(ticket)
+        elif op == "reuse" and open_tickets and ids:
+            # A poll under an open ticket's id takes nothing.
             pending = open_tickets[picks[0] % len(open_tickets)]
-            remaining = loader._tickets[pending].remaining()
-            try:
-                reply = handle.call("poll", pending, 2)
-            except PlanError:
-                pass
-            else:
-                if reply["done"]:
-                    system.gcs.take(reply["key"])
-                    open_tickets.remove(pending)
-            left = loader._tickets[pending].remaining() if pending in open_tickets else 0
-            changes += remaining - left
+            with pytest.raises(PlanError, match="in-flight ticket"):
+                handle.call("poll", pending, 2, ids)
         elif op == "prepare" and ids:
             system.gcs.take(handle.call("prepare", ids)["key"])
             changes += len(ids)

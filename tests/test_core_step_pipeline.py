@@ -158,33 +158,52 @@ class TestPrefetchDepths:
             system.shutdown()
 
     def test_a_round_drains_the_engine(self, monkeypatch):
-        """One pump round runs every runnable event, then scans the loaders:
-        engine ticks per step are bounded by the most polls any ticket needs,
-        not by the events a step runs (twelve loaders, about two polls each)."""
+        """One pump round runs every runnable event, then scans the loaders,
+        and a ticket is one poll: at every ticket size a steady step costs at
+        most four engine ticks (the trainer's window, the plan, one preparing
+        round, the constructs) and one poll per loader."""
         ticks = [0]
+        polls: list[tuple[str, int]] = []
         plain_tick = ActorSystem.tick
+        plain_poll = SourceLoader.poll
 
         def counting_tick(self, max_calls=1):
             ticks[0] += 1
             return plain_tick(self, max_calls)
 
+        def counting_poll(self, ticket, max_samples, sample_ids):
+            polls.append((self.actor_name, ticket))
+            return plain_poll(self, ticket, max_samples, sample_ids)
+
         monkeypatch.setattr(ActorSystem, "tick", counting_tick)
-        system = MegaScaleData.deploy(
-            make_job(2, num_sources=12, samples_per_dp_step=96, samples_per_source=256)
-        )
-        try:
-            system.run_step(simulate=True)  # fills the prefetch window
-            ticks[0] = 0
-            results = [system.run_step(simulate=True) for _ in range(4)]
-        finally:
-            system.shutdown()
-        most_polls = max(
-            -(-len(ids) // POLL_CHUNK)
-            for result in results
-            for ids in result.plan.source_demands.values()
-        )
-        # Per step: the trainer's window, the plan, the polls, the constructs.
-        assert ticks[0] / len(results) <= most_polls + 3
+        monkeypatch.setattr(SourceLoader, "poll", counting_poll)
+        for samples_per_dp_step in (12, 96, 192):
+            system = MegaScaleData.deploy(
+                make_job(
+                    2, num_sources=12, samples_per_dp_step=samples_per_dp_step,
+                    samples_per_source=256,
+                )
+            )
+            try:
+                system.run_step(simulate=True)  # fills the prefetch window
+                ticks[0] = 0
+                polls.clear()
+                results = [system.run_step(simulate=True) for _ in range(4)]
+            finally:
+                system.shutdown()
+            most_chunks = max(
+                -(-len(ids) // POLL_CHUNK)
+                for result in results
+                for ids in result.plan.source_demands.values()
+            )
+            assert most_chunks > 1 or samples_per_dp_step == 12
+            assert ticks[0] / len(results) <= 4
+            # Each loader polled once per step, and every demanded source polled.
+            assert len(polls) == len(set(polls))
+            demanded = sum(
+                1 for result in results for ids in result.plan.source_demands.values() if ids
+            )
+            assert len(polls) >= demanded
 
     def test_run_training_reports_overlap(self):
         system = MegaScaleData.deploy(make_job(2))

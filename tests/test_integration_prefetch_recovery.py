@@ -450,7 +450,7 @@ def test_a_blipped_staging_release_at_depth_0_is_swept_before_the_next_construct
         system.shutdown()
 
 
-# -- faults on the polls that carry a ticket's accept and hand-off -------------------
+# -- faults on the poll that carries a ticket's accept and hand-off -------------------
 
 FAULTED_STEP = 2
 #: Real seconds per modelled second on the wallclock backend.
@@ -458,7 +458,7 @@ TIME_SCALE = 2e-4
 
 
 def two_poll_job(prefetch_depth: int, num_sources: int = 2, **overrides) -> TrainingJobSpec:
-    """Sources at 12 demanded ids per step each: a deferred ticket is two polls."""
+    """Sources at 12 demanded ids per step each: a deferred ticket is two chunks."""
     return TrainingJobSpec(
         pp=1, dp=2, cp=1, tp=1, encoder=None, strategy="backbone_balance",
         samples_per_dp_step=6 * num_sources, num_microbatches=2, num_sources=num_sources,
@@ -466,14 +466,12 @@ def two_poll_job(prefetch_depth: int, num_sources: int = 2, **overrides) -> Trai
     )
 
 
-def fault_polls(monkeypatch, kind: str, which: str, loaders: int = 1) -> dict:
-    """Fault one loader poll of ``FAULTED_STEP`` on each of ``loaders``
-    loaders, once, before its body runs.
+def fault_polls(monkeypatch, kind: str, loaders: int = 1) -> dict:
+    """Fault the poll of ``FAULTED_STEP`` on each of ``loaders`` loaders,
+    once, before its body runs.
 
-    ``which="first"`` picks a poll that carries sample ids (it would accept the
-    ticket); ``"final"`` picks a continuation poll that would finish its
-    ticket.  Returns a log of every loader poll — ``(loader, ticket, carried
-    ids, failed)`` — plus the tickets accepted and the keys published.
+    Returns a log of every loader poll — ``(loader, ticket, failed)`` — plus
+    the tickets accepted and the keys published.
     """
     log = {"polls": [], "accepted": [], "published": [], "faulted": []}
     invoke = ActorSystem.invoke
@@ -502,13 +500,7 @@ def fault_polls(monkeypatch, kind: str, which: str, loaders: int = 1) -> dict:
     def is_target(system, name, method, args) -> bool:
         if len(log["faulted"]) >= loaders or method != "poll" or args[0] != FAULTED_STEP:
             return False
-        if (name, args[0]) in log["faulted"]:
-            return False
-        if which == "first":
-            return args[2] is not None
-        if args[2] is not None:
-            return False
-        return system.actor_instance(name)._tickets[args[0]].remaining() <= args[1]
+        return (name, args[0]) not in log["faulted"]
 
     def faulty_invoke(self, name, method, args, kwargs, advance_rpc):
         disarm = None
@@ -520,13 +512,13 @@ def fault_polls(monkeypatch, kind: str, which: str, loaders: int = 1) -> dict:
             result = invoke(self, name, method, args, kwargs, advance_rpc)
         except (ActorDead, ActorTimeout):
             if method == "poll":
-                log["polls"].append((name, args[0], args[2] is not None, True))
+                log["polls"].append((name, args[0], True))
             raise
         finally:
             if disarm is not None:
                 disarm()
         if method == "poll":
-            log["polls"].append((name, args[0], args[2] is not None, False))
+            log["polls"].append((name, args[0], False))
         return result
 
     def counted_accept(self, ticket, sample_ids):
@@ -544,15 +536,15 @@ def fault_polls(monkeypatch, kind: str, which: str, loaders: int = 1) -> dict:
     return log
 
 
-def victim_polls(log: dict, victim: tuple[str, int]) -> list[tuple[bool, bool]]:
-    """``(carried ids, failed)`` of every poll of the victim's ticket, in order."""
-    return [(ids, failed) for name, step, ids, failed in log["polls"] if (name, step) == victim]
+def victim_polls(log: dict, victim: tuple[str, int]) -> list[bool]:
+    """Whether each poll of the victim's ticket failed, in order."""
+    return [failed for name, step, failed in log["polls"] if (name, step) == victim]
 
 
 def assert_each_ticket_handed_off_once(log: dict) -> None:
     """Every ticket was accepted exactly once and handed off exactly once."""
     assert len(log["accepted"]) == len(set(log["accepted"]))
-    tickets = sorted({(name, step) for name, step, _, _ in log["polls"]})
+    tickets = sorted({(name, step) for name, step, _ in log["polls"]})
     assert sorted(log["accepted"]) == tickets
     assert len(log["published"]) == len(tickets)
     for victim, _ in log["faulted"]:
@@ -561,20 +553,18 @@ def assert_each_ticket_handed_off_once(log: dict) -> None:
         )
 
 
-@pytest.mark.parametrize(
-    "prefetch_depth,which", [(0, "first"), (2, "first"), (2, "final")]
-)
-def test_a_fault_on_a_folded_poll_is_retried_exactly_once(monkeypatch, prefetch_depth, which):
-    """The accept rides a ticket's first poll and the hand-off its final one.
-    A fault on either fires before the body runs, so the retry accepts the
-    ticket once and publishes one ``prepared/`` key, and the run delivers
-    what a fault-free run delivers."""
+@pytest.mark.parametrize("prefetch_depth", [0, 1, 2])
+def test_a_fault_on_a_folded_poll_is_retried_exactly_once(monkeypatch, prefetch_depth):
+    """The accept and the hand-off ride a ticket's one poll.  A fault on it
+    fires before the body runs, so the retry accepts the ticket once and
+    publishes one ``prepared/`` key, and the run delivers what a fault-free
+    run delivers."""
     reference = MegaScaleData.deploy(two_poll_job(prefetch_depth))
     try:
         expected = [delivery_signature(reference.run_step()) for _ in range(5)]
     finally:
         reference.shutdown()
-    log = fault_polls(monkeypatch, "blip", which)
+    log = fault_polls(monkeypatch, "blip")
     system = MegaScaleData.deploy(two_poll_job(prefetch_depth))
     try:
         assert [delivery_signature(system.run_step()) for _ in range(5)] == expected
@@ -584,12 +574,8 @@ def test_a_fault_on_a_folded_poll_is_retried_exactly_once(monkeypatch, prefetch_
 
     assert len(log["faulted"]) == 1
     polls = victim_polls(log, log["faulted"][0])
-    assert sum(failed for _, failed in polls) == 1
-    if which == "first":
-        # Re-issued with its ids: the ticket was never registered.
-        assert polls[:2] == [(True, True), (True, False)]
-    else:
-        assert polls[-2:] == [(False, True), (False, False)]
+    # Re-issued once, with its ids: the ticket was never registered.
+    assert polls == [True, False]
     assert_each_ticket_handed_off_once(log)
 
 
@@ -598,8 +584,8 @@ def test_a_fault_on_a_folded_poll_is_retried_exactly_once(monkeypatch, prefetch_
 def test_two_first_polls_failing_in_one_round_are_each_retried_once(
     monkeypatch, backend, kind
 ):
-    """A pump round drains the engine, so two loaders' first polls of one step
-    can fail in the same round (timed out, or the loaders killed just before
+    """A pump round drains the engine, so two loaders' polls of one step can
+    fail in the same round (timed out, or the loaders killed just before
     them).  The round handles one failure and the next round the other: each
     failed poll is re-sent once, with its ids, each ticket is accepted once
     and handed off once, and the run delivers what a fault-free run does."""
@@ -609,7 +595,7 @@ def test_two_first_polls_failing_in_one_round_are_each_retried_once(
         expected = [delivery_signature(reference.run_step()) for _ in range(5)]
     finally:
         reference.shutdown()
-    log = fault_polls(monkeypatch, kind, "first", loaders=2)
+    log = fault_polls(monkeypatch, kind, loaders=2)
     system = MegaScaleData.deploy(job)
     try:
         assert [delivery_signature(system.run_step()) for _ in range(5)] == expected
@@ -620,13 +606,11 @@ def test_two_first_polls_failing_in_one_round_are_each_retried_once(
 
     assert len(log["faulted"]) == 2
     for victim in log["faulted"]:
-        polls = victim_polls(log, victim)
-        assert sum(failed for _, failed in polls) == 1
-        assert polls[:2] == [(True, True), (True, False)]
+        assert victim_polls(log, victim) == [True, False]
     if backend == "virtual":
         # Both failed in one round: neither retry ran before the other failure.
         faulted = [
-            failed for name, step, _, failed in log["polls"] if (name, step) in log["faulted"]
+            failed for name, step, failed in log["polls"] if (name, step) in log["faulted"]
         ]
         assert faulted[:2] == [True, True]
     assert recoveries == (["restart", "restart"] if kind == "kill" else [])
