@@ -57,10 +57,11 @@ class PlanTimings:
 class PlannerStats:
     plans_generated: int = 0
     samples_planned: int = 0
-    timings: list[PlanTimings] = field(default_factory=list, init=False)
+    #: The latest plan's timings (all zero before the first plan).
+    timings: PlanTimings = field(default_factory=PlanTimings, init=False)
 
     def latest_timings(self) -> PlanTimings:
-        return self.timings[-1] if self.timings else PlanTimings()
+        return self.timings
 
 
 class Planner(Actor):
@@ -249,12 +250,11 @@ class Planner(Actor):
         broadcast_latency = (
             BROADCAST_BASE_SECONDS + plan.metadata_bytes() * BROADCAST_PER_BYTE_SECONDS
         )
-        timings = PlanTimings(
+        self.stats.timings = PlanTimings(
             buffer_gather_s=gather_latency,
             compute_plan_s=compute_latency,
             broadcast_plan_s=broadcast_latency,
         )
-        self.stats.timings.append(timings)
         self.stats.plans_generated += 1
         self.stats.samples_planned += plan.total_samples()
         record = plan.record()

@@ -6,15 +6,16 @@ columnar files a chunk at a time, costs the sample-level transformations from
 that metadata (a pool of parallel workers amortises the latency), and keeps a
 read buffer of lightweight metadata the Planner can inspect.
 
-The buffer is typed columns: parallel arrays of sample id, text and image
-tokens, transform latency and staged bytes, by slot, plus an id → slot index
-in arrival order.  A refill writes the cursor's array slices into free slots,
-a ticket holds the slots its polls took, the hand-off copies those rows into
-one :class:`~repro.core.assembly.PreparedColumns`, and the Planner's gather
-gets copies of the buffered id and token columns.  A row is costed once per
-process: its row group costs all its rows under the loader's cost key on
-first touch, and every later reader (mirror, rewind, restart, restore)
-reads those costs.
+A buffered sample is a row number into its source's immutable columns
+(sample id, text and image tokens, transform latency and staged bytes),
+which every loader of the source shares with the storage files: the buffer
+is an id → row index plus the buffered rows in arrival order.  A refill adds
+the row numbers the cursor hands out, a ticket holds the rows it took, and
+the hand-off (one :class:`~repro.core.assembly.PreparedColumns`) and the
+Planner's gather each index the source's columns once.  A row is costed once
+per process: its file costs all its rows under the loader's cost key on
+first use, and every later reader (mirror, rewind, restart, restore) reads
+those costs.
 
 One step's work on one loader is a *ticket* and costs one call
 (:meth:`SourceLoader.poll`): it takes the demanded rows out of the buffer,
@@ -38,7 +39,7 @@ import numpy as np
 from repro.actors.actor import Actor
 from repro.core.assembly import PreparedColumns
 from repro.data.samples import SampleMetadata
-from repro.data.sources import NO_ROWS, CostedRows, DataSource, SourceCursor
+from repro.data.sources import DataSource, SourceCursor
 from repro.data.synthetic import MODALITY_COST_PER_TOKEN
 from repro.errors import PlanError
 from repro.storage.filesystem import SimulatedFileSystem
@@ -73,9 +74,9 @@ class LoaderStats:
 class _PrepareTicket:
     """One open ticket: the buffer rows it took for its demands."""
 
-    #: The slots of the rows taken, in demand order; the hand-off publishes
-    #: exactly these rows, and only then are the slots reused.
-    slots: list[int]
+    #: The global rows taken, in demand order; the hand-off publishes
+    #: exactly these rows.
+    rows: np.ndarray
     #: The rows' transform latencies, in demand order.
     latencies: list[float]
     staged_bytes: int
@@ -124,7 +125,7 @@ class SourceLoader(Actor):
             source.profile.cost_per_token / max(1e-9, MODALITY_COST_PER_TOKEN[source.modality]),
             0.1,
         )
-        #: Everything :meth:`_cost_columns` reads besides a group's rows: the
+        #: Everything :meth:`_cost_columns` reads besides a file's rows: the
         #: source, its modality's transform chain, the latency scale and the
         #: fixed cost.  A row is costed once per process under this key, and
         #: every later read of it, by any loader with the same key, reuses
@@ -139,14 +140,17 @@ class SourceLoader(Actor):
 
         self._cursor: SourceCursor | None = None
         self._readers: list[ColumnarReader] = []
-        #: Row storage by slot (:data:`CostedRows` columns); a slot holds a
-        #: buffered row, a row on an open ticket, or is free.
-        self._rows: CostedRows = NO_ROWS
-        self._free: list[int] = []
-        #: The read buffer: buffered sample id -> slot, in arrival order.  A
-        #: demanded row moves from here onto its ticket, and from there to
-        #: the hand-off: the loader holds it nowhere else.
+        #: The source's sample id, text token, image token, transform latency
+        #: and staged byte columns, by global row: the storage arrays and the
+        #: per-cost-key costs, shared, never written.
+        self._columns: tuple[np.ndarray, ...] = ()
+        #: The read buffer: buffered sample id -> global row.  A demanded row
+        #: moves from here onto its ticket, and from there to the hand-off.
         self._buffer: dict[int, int] = {}
+        #: The buffered rows in arrival order, and per source row whether it
+        #: is buffered; both kept as rows enter and leave the buffer.
+        self._order = np.empty(0, dtype=np.intp)
+        self._held = np.zeros(0, dtype=bool)
         #: Monotone suffix for GCS hand-off keys minted by
         #: :meth:`fetch_prepared_ref`.
         self._ref_seq = 0
@@ -162,12 +166,7 @@ class SourceLoader(Actor):
 
     def on_start(self) -> None:
         """Open file access states, charge worker contexts and fill the buffer."""
-        self._cursor = SourceCursor(
-            self.source,
-            self.filesystem,
-            shard_index=self.shard_index,
-            shard_count=self.shard_count,
-        )
+        self._open_cursor()
         for path in self.source.paths:
             reader = ColumnarReader(self.filesystem, path, self.ledger)
             self.stats.read_seconds += reader.open()
@@ -188,10 +187,8 @@ class SourceLoader(Actor):
     def refill(self) -> int:
         """Top the read buffer back up to ``buffer_size`` metadata entries.
 
-        The cursor hands over costed buffer rows (:meth:`SourceCursor.take_costed`):
-        a row this process already costed under this loader's cost key — read
-        before by a shard-group mirror, or by this loader before a flush
-        rewind, restart or restore — is reused, not costed again.
+        The cursor hands over global row numbers (:meth:`SourceCursor.take`);
+        the rows' ids, tokens and costs stay in the source's columns.
         """
         if self._cursor is None:
             raise PlanError(f"loader {self.actor_name!r} is not started")
@@ -202,11 +199,12 @@ class SourceLoader(Actor):
         # has wrapped around the shard onto a sample still waiting, and the
         # refill stops rather than introduce duplicates, the cursor left just
         # past the repeated row (what it read beyond that row is given back).
-        rows = self._cursor.take_costed(wanted, self._cost_key, self._cost_columns)
-        ids = rows[0].tolist()
+        rows = self._cursor.take(wanted)
+        taken = self._columns[0][rows]
+        ids = taken.tolist()
         added = len(ids)
         if len(set(ids)) < added:  # the take wrapped the whole shard
-            _, first = np.unique(rows[0], return_index=True)
+            _, first = np.unique(taken, return_index=True)
             repeated = np.ones(added, dtype=bool)
             repeated[first] = False
             added = int(np.argmax(repeated))
@@ -214,7 +212,7 @@ class SourceLoader(Actor):
             added = next(i for i, sample_id in enumerate(ids) if sample_id in self._buffer)
         self._cursor.rewind(wanted - min(wanted, added + 1))
         if added:
-            self._buffer.update(zip(ids[:added], self._store(rows, added)))
+            self._enter(ids[:added], rows[:added])
             self._changes += added
             self.ledger.charge("prefetch_buffer", BUFFERED_METADATA_BYTES * added)
             self.stats.refills += 1
@@ -251,20 +249,20 @@ class SourceLoader(Actor):
         """The Planner's gather RPC: the buffer and what changed since the last call.
 
         Returns ``{"sample_ids", "text_tokens", "image_tokens", "records",
-        "changes", "resync"}``: copies of the buffered rows' id and token
-        columns in buffer order, the lookup that builds a row's record on
+        "changes", "resync"}``: the source's id and token columns at the
+        buffered rows, in arrival order (one fancy index each), the lookup that builds a row's record on
         demand, the rows added plus removed since the previous call, and
         whether the buffer was rebuilt since then (always true on an
         instance's first call).  Both counters reset at each call, so the
         protocol assumes one consumer, the Planner, which charges a gather by
         ``changes`` unless it must resync.
         """
-        slots = np.fromiter(self._buffer.values(), dtype=np.intp, count=len(self._buffer))
-        sample_ids, text_tokens, image_tokens = self._rows[:3]
+        rows = self._order
+        sample_ids, text_tokens, image_tokens = self._columns[:3]
         reply = {
-            "sample_ids": sample_ids[slots],
-            "text_tokens": text_tokens[slots],
-            "image_tokens": image_tokens[slots],
+            "sample_ids": sample_ids[rows],
+            "text_tokens": text_tokens[rows],
+            "image_tokens": image_tokens[rows],
             "records": self._cursor.records,
             "changes": self._changes,
             "resync": self._rebuilt,
@@ -335,17 +333,17 @@ class SourceLoader(Actor):
                 total += latency
                 chunk += latency
             chunks.append(chunk / self.num_workers)
-        self.stats.samples_prepared += len(entry.slots)
+        self.stats.samples_prepared += len(entry.rows)
         self.stats.transform_seconds += total
         if not self.deferred_refill:
             self.refill()
-        key = self.fetch_prepared_ref(entry.slots)["key"]
+        key = self.fetch_prepared_ref(entry.rows)["key"]
         del self._tickets[ticket]
         return {
             "transform_latency_s": total,
             "wall_clock_s": total / self.num_workers,
             "staged_bytes": float(entry.staged_bytes),
-            "num_samples": float(len(entry.slots)),
+            "num_samples": float(len(entry.rows)),
             "chunk_wall_clock_s": tuple(chunks),
             "key": key,
         }
@@ -383,9 +381,7 @@ class SourceLoader(Actor):
         slice without refilling, and this call performs the step's single
         refill even when it absorbed nothing).
         """
-        slots = self._consume(sample_ids)
-        self._free += slots
-        replayed = len(slots)
+        replayed = len(self._consume(sample_ids))
         self.stats.samples_replayed += replayed
         if refill is True or (refill is None and replayed):
             self.refill()
@@ -414,11 +410,11 @@ class SourceLoader(Actor):
         """Adopt a :meth:`replay_checkpoint` snapshot as this loader's state.
 
         Drops the open tickets and the buffer, and installs the snapshot's
-        cursor and buffered ids verbatim; the rows' costs are read back from
-        their row groups, not recomputed.  The next gather resyncs
-        (:meth:`buffer_delta`).  Used
-        by bounded failover recovery, mirror bootstrap (cloning the
-        canonical's live state) and whole-run restore.
+        cursor and buffered ids verbatim, their rows looked up by id
+        (:meth:`SourceCursor.rows_of`); no row is costed again.  The next
+        gather resyncs (:meth:`buffer_delta`).  Used by bounded failover
+        recovery, mirror bootstrap (cloning the canonical's live state) and
+        whole-run restore.
         """
         if snapshot.get("source") != self.source.name:
             raise PlanError(
@@ -439,8 +435,7 @@ class SourceLoader(Actor):
             self._cursor.load_state_dict(snapshot["cursor"])
         sample_ids = list(snapshot.get("buffer", ()))
         if sample_ids:
-            rows = self._cursor.costed_rows(sample_ids, self._cost_key, self._cost_columns)
-            self._buffer.update(zip(sample_ids, self._store(rows, len(sample_ids))))
+            self._enter(sample_ids, self._cursor.rows_of(sample_ids))
             self.ledger.charge("prefetch_buffer", BUFFERED_METADATA_BYTES * len(sample_ids))
 
     def resize_worker_pool(self, num_workers: int) -> int:
@@ -462,7 +457,7 @@ class SourceLoader(Actor):
         return self.num_workers
 
     def _cost_columns(self, columns: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """Transform latency and staged bytes of each row of a row group.
+        """Transform latency and staged bytes of each row of a file.
 
         Prepare is metadata-only: the pipeline's column evaluator gives what
         running the transforms over each sample would charge and ship, and the
@@ -472,28 +467,16 @@ class SourceLoader(Actor):
         latencies, transferred = self.pipeline.run_columns(columns)
         return latencies * self._latency_scale + self.source.profile.fixed_cost_s, transferred
 
-    def _store(self, rows: CostedRows, count: int) -> list[int]:
-        """Write the first ``count`` of ``rows`` into free slots; returns the slots."""
-        if count < len(rows[0]):
-            rows = tuple(values[:count] for values in rows)
-        if len(self._free) < count:
-            grown = max(count - len(self._free), len(self._rows[0]), self.buffer_size)
-            self._free += range(len(self._rows[0]), len(self._rows[0]) + grown)
-            self._rows = tuple(
-                np.concatenate((column, np.empty(grown, dtype=column.dtype)))
-                for column in self._rows
-            )
-        slots = self._free[-count:]
-        del self._free[-count:]
-        index = np.array(slots, dtype=np.intp)
-        for column, values in zip(self._rows, rows):
-            column[index] = values
-        return slots
+    def _enter(self, sample_ids: list[int], rows: np.ndarray) -> None:
+        """Append the rows of ``sample_ids`` (none buffered yet) to the buffer."""
+        self._buffer.update(zip(sample_ids, rows.tolist()))
+        self._order = np.concatenate((self._order, rows))
+        self._held[rows] = True
 
-    def _stage(self, sample_ids: list[int]) -> tuple[list[int], list[float], int]:
+    def _stage(self, sample_ids: list[int]) -> tuple[np.ndarray, list[float], int]:
         """Take the demanded rows out of the buffer, charged as staged payload.
 
-        Returns the rows' slots and transform latencies, in demand order, and
+        Returns the rows and their transform latencies, in demand order, and
         their staged bytes.  Every id must be buffered and none may repeat;
         otherwise nothing is taken.
         """
@@ -505,33 +488,37 @@ class SourceLoader(Actor):
                         f"loader {self.actor_name!r} was asked for unknown sample {sample_id}"
                     )
                 seen.add(sample_id)
-        slots = self._consume(sample_ids)
-        if not slots:
-            return slots, [], 0
-        index = np.array(slots, dtype=np.intp)
-        staged_bytes = sum(self._rows[4][index].tolist())
+        rows = self._consume(sample_ids)
+        if not len(rows):
+            return rows, [], 0
+        staged_bytes = sum(self._columns[4][rows].tolist())
         self.ledger.charge("sample_payload", staged_bytes)
-        return slots, self._rows[3][index].tolist(), staged_bytes
+        return rows, self._columns[3][rows].tolist(), staged_bytes
 
-    def _consume(self, sample_ids: list[int]) -> list[int]:
-        """Pop the buffered ones among ``sample_ids`` from the buffer; their slots, in order."""
+    def _consume(self, sample_ids: list[int]) -> np.ndarray:
+        """Pop the buffered ones among ``sample_ids`` from the buffer; their rows, in order."""
         buffer = self._buffer
-        slots = [buffer.pop(sample_id) for sample_id in sample_ids if sample_id in buffer]
-        if slots:
-            self._changes += len(slots)
-            self.ledger.release("prefetch_buffer", BUFFERED_METADATA_BYTES * len(slots))
-        return slots
+        rows = np.array(
+            [buffer.pop(sample_id) for sample_id in sample_ids if sample_id in buffer],
+            dtype=np.intp,
+        )
+        if len(rows):
+            self._held[rows] = False
+            self._order = self._order[self._held[self._order]]
+            self._changes += len(rows)
+            self.ledger.release("prefetch_buffer", BUFFERED_METADATA_BYTES * len(rows))
+        return rows
 
-    def fetch_prepared_ref(self, slots: list[int]) -> dict[str, object]:
+    def fetch_prepared_ref(self, rows: np.ndarray) -> dict[str, object]:
         """Hand a finished ticket's rows to the Data Constructors.
 
-        The rows at ``slots`` are copied out of the buffer columns into one
+        The source's columns at the global ``rows`` are gathered into one
         immutable :class:`~repro.core.assembly.PreparedColumns` slice, published with
         ``gcs.put(key, columns, immutable=True)`` (stored and served by
         reference — the freeze-on-put path), and only the *key* is returned.
         The consumer resolves it with ``gcs.take(key)``, receiving the very
         same column object with no per-sample copies anywhere on the path.
-        The rows' memory and slots are released once the put succeeded.
+        The rows' memory is released once the put succeeded.
         """
         if self.gcs is None:
             raise PlanError(
@@ -540,23 +527,19 @@ class SourceLoader(Actor):
             )
         # The original metadata is handed off: a crop inside the pipeline
         # never reaches the hand-off columns.
-        index = np.array(slots, dtype=np.intp)
-        sample_ids, text_tokens, image_tokens, _, sizes = self._rows
-        columns = PreparedColumns(
-            sample_ids[index], text_tokens[index], image_tokens[index], sizes[index]
-        )
+        sample_ids, text_tokens, image_tokens, _, sizes = self._columns
+        columns = PreparedColumns(sample_ids[rows], text_tokens[rows], image_tokens[rows], sizes[rows])
         self._ref_seq += 1
         key = f"prepared/{self.actor_name}/{self._ref_seq}"
         self.gcs.put(key, columns, immutable=True)
         released = sum(columns.transferred_bytes.tolist())
         self.ledger.release("sample_payload", released)
-        self._free += slots
         self.stats.samples_delivered += len(columns)
         return {"key": key, "count": len(columns), "staged_bytes": released}
 
     def staged_count(self) -> int:
         """Rows on open tickets, taken from the buffer but not yet handed off."""
-        return sum(len(ticket.slots) for ticket in self._tickets.values())
+        return sum(len(ticket.rows) for ticket in self._tickets.values())
 
     def heartbeat_payload(self) -> dict:
         return {
@@ -569,14 +552,13 @@ class SourceLoader(Actor):
 
     def _drop_buffer(self) -> None:
         self.ledger.release("prefetch_buffer", BUFFERED_METADATA_BYTES * len(self._buffer))
-        self._free += self._buffer.values()
         self._buffer.clear()
+        self._held[self._order] = False
+        self._order = self._order[:0]
         self._rebuilt = True
 
     def _drop_tickets(self) -> None:
         released = sum(ticket.staged_bytes for ticket in self._tickets.values())
-        for ticket in self._tickets.values():
-            self._free += ticket.slots
         self._tickets.clear()
         if released:
             self.ledger.release("sample_payload", released)
@@ -585,9 +567,21 @@ class SourceLoader(Actor):
         """Drop the open tickets and the buffer, and start a fresh cursor."""
         self._drop_tickets()
         self._drop_buffer()
-        self._cursor = SourceCursor(
+        self._open_cursor()
+
+    def _open_cursor(self) -> None:
+        """Start a cursor at the shard's first row and read the source's columns."""
+        cursor = SourceCursor(
             self.source,
             self.filesystem,
             shard_index=self.shard_index,
             shard_count=self.shard_count,
         )
+        self._cursor = cursor
+        self._columns = (
+            cursor.column("sample_id"),
+            cursor.column("text_tokens"),
+            cursor.column("image_tokens"),
+            *cursor.costs(self._cost_key, self._cost_columns),
+        )
+        self._held = np.zeros(cursor.total_rows, dtype=bool)

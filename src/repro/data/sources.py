@@ -5,26 +5,26 @@ preprocessing cost profile); a :class:`SourceCatalog` aggregates the hundreds
 of sources that make up an LFM data mixture and is the unit the AutoScaler
 partitions across Source Loader actors.
 
-A :class:`SourceCursor` reads a source's rows as the typed column arrays of
-its files' row groups.  A Source Loader takes its buffer rows as array
-slices — sample id, token counts and the transform latency and staged bytes
-each row group computes once per cost key — so no row becomes an object on
-the loader's path; a :class:`~repro.data.samples.SampleMetadata` record is
-built only when a caller asks for one.
+A :class:`SourceCursor` reads a source's rows as global row numbers into
+its files' typed column arrays.  A Source Loader buffers those row numbers
+and indexes the source's columns — sample id, token counts and the transform
+latency and staged bytes each file computes once per cost key — so no row is
+copied or becomes an object on the loader's path; a
+:class:`~repro.data.samples.SampleMetadata` record is built only when a
+caller asks for one.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
+from itertools import repeat
 
 import numpy as np
 
 from repro.data.samples import Modality, SampleMetadata
 from repro.errors import ConfigurationError
-from repro.storage.columnar import RowGroup
+from repro.storage.columnar import ColumnarFile
 from repro.storage.filesystem import SimulatedFileSystem
 
 
@@ -129,40 +129,38 @@ _COLUMNS = {
 }
 
 
-def _column(group: RowGroup, name: str) -> np.ndarray:
-    """One of ``group``'s metadata columns, or its default when the file lacks it."""
-    values = group.columns.get(name)
-    return np.full(group.row_count, _COLUMNS[name]) if values is None else values
+def _column(file: ColumnarFile, name: str) -> np.ndarray:
+    """Column ``name`` of ``file``; an optional column the file lacks reads as its default."""
+    if name in _COLUMNS and name not in file.columns:
+        return np.full(file.total_rows, _COLUMNS[name])
+    return file.column(name)
 
 
-def _metadata(group: RowGroup) -> dict[str, np.ndarray]:
-    """Every metadata column of ``group``, named as the :class:`SampleMetadata` fields."""
-    return {name: _column(group, name) for name in _COLUMNS}
+def _metadata(file: ColumnarFile) -> dict[str, np.ndarray]:
+    """Every metadata column of ``file``, named as the :class:`SampleMetadata` fields."""
+    return {name: _column(file, name) for name in _COLUMNS}
 
 
-#: A source's costed buffer rows, as a Source Loader takes them: sample id,
-#: text tokens, image tokens (``int64``), transform latency (``float64``)
-#: and staged bytes (``int64``), one array each.
-CostedRows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-NO_ROWS: CostedRows = tuple(
-    np.empty(0, dtype=dtype) for dtype in (np.int64, np.int64, np.int64, np.float64, np.int64)
-)
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-#: A Source Loader's row costing: a group's metadata columns -> per row, the
-#: transform latency and the staged bytes.
+
+#: A Source Loader's row costing: a file's metadata columns -> per row, the
+#: transform latency (``float64``) and the staged bytes (``int64``).
 CostFn = Callable[[dict[str, np.ndarray]], tuple[np.ndarray, np.ndarray]]
 
 
 class SourceCursor:
     """Sequential (wrapping) read cursor over one source's samples.
 
-    The cursor reads the column arrays of the row groups of the source's
-    columnar files.  A Source Loader takes its buffer rows as arrays
-    (:meth:`take_costed`); a :class:`SampleMetadata` record is built only when
-    asked for (:meth:`next_metadata`, :meth:`records`).  The cursor's state is
-    the row-group index plus one position: shard row ``k`` is global row
-    ``shard_index + k * shard_count``, located by bisecting the row groups'
-    prefix offsets, so the cursor itself holds nothing per row.
+    A source's rows are the rows of its files in order; global row ``r`` is
+    row ``r`` of the source's columns (:meth:`column`, :meth:`costs`), which
+    for a one-file source are the file's own arrays.  The cursor hands out
+    rows as global row numbers (:meth:`take`): a Source Loader buffers those
+    and indexes the columns, so no row is copied or becomes an object on its
+    path; a :class:`SampleMetadata` record is built only when asked for
+    (:meth:`next_metadata`, :meth:`records`).  The cursor's state is one
+    position: shard row ``k`` is global row ``shard_index + k * shard_count``.
     """
 
     def __init__(
@@ -178,124 +176,86 @@ class SourceCursor:
                 f"invalid shard ({shard_index}/{shard_count}) for source {source.name!r}"
             )
         self.source = source
-        self._groups = [
-            group for path in source.paths for group in filesystem.read(path).row_groups
-        ]
-        #: Global row at which each row group ends (prefix offsets over all files).
-        self._group_ends = list(accumulate(group.row_count for group in self._groups))
-        total_rows = self._group_ends[-1] if self._group_ends else 0
+        self._files: list[ColumnarFile] = [filesystem.read(path) for path in source.paths]
+        #: Rows over all of the source's files.
+        self.total_rows = sum(file.total_rows for file in self._files)
         self._shard_index = shard_index
         self._shard_count = shard_count
-        self._shard_rows = len(range(shard_index, total_rows, shard_count))
+        self._shard_rows = len(range(shard_index, self.total_rows, shard_count))
         #: Shard row the cursor starts from (``start_fraction`` of the way in).
         self._rotation = int(start_fraction * self._shard_rows) % max(1, self._shard_rows)
         self._position = 0
+        #: Source-wide metadata columns read so far, by name.
+        self._columns: dict[str, np.ndarray] = {}
 
-    def _segments(self, count: int):
-        """Locate the next ``count`` shard rows: ``(row group, slice of its rows)``."""
-        stride = self._shard_count
-        shard_row = (self._position + self._rotation) % self._shard_rows
-        while count > 0:
-            run = min(count, self._shard_rows - shard_row)
-            row = self._shard_index + shard_row * stride
-            stop = row + run * stride
-            group_index = bisect_right(self._group_ends, row)
-            while row < stop:
-                group_end = self._group_ends[group_index]
-                group = self._groups[group_index]
-                group_start = group_end - group.row_count
-                rows = range(row, min(stop, group_end), stride)
-                if rows:
-                    yield group, slice(row - group_start, rows.stop - group_start, stride)
-                row += len(rows) * stride
-                group_index += 1
-            count -= run
-            shard_row = 0  # the shard wrapped
-
-    def _check_shard(self) -> None:
+    def take(self, count: int) -> np.ndarray:
+        """The next ``count`` shard rows (wrapping at the end of shard), as global rows."""
         if not self._shard_rows:
             raise ConfigurationError(f"source {self.source.name!r} shard is empty")
-
-    def take_costed(self, count: int, key: tuple, cost: CostFn) -> CostedRows:
-        """The next ``count`` rows (wrapping at the end of shard) as a Source
-        Loader's costed buffer rows.
-
-        ``cost`` gives a row group's latencies and bytes from its metadata
-        columns; ``key`` must cover everything ``cost`` reads besides them.  A
-        group is costed whole, once per key per process, the first time any
-        cursor takes a row of it under that key; the arrays returned are
-        slices of the group's shared arrays, not to be written to.
-        """
-        self._check_shard()
-        parts = [
-            self._costed(group, picked, key, cost) for group, picked in self._segments(count)
-        ]
+        first = (self._position + self._rotation) % self._shard_rows
         self._position += count
-        return self._joined(parts)
+        stride, offset = self._shard_count, self._shard_index
+        if first + count <= self._shard_rows:  # no wrap: one strided run
+            return np.arange(first * stride + offset, (first + count) * stride + offset, stride)
+        return np.arange(first, first + count) % self._shard_rows * stride + offset
 
-    def costed_rows(self, sample_ids: list[int], key: tuple, cost: CostFn) -> CostedRows:
-        """The costed rows of ``sample_ids``, in that order (a restored buffer):
-        read as :meth:`take_costed` reads them, without moving the cursor."""
-        hits, order = self._find(sample_ids)
-        rows = self._joined([self._costed(group, offsets, key, cost) for group, offsets in hits])
-        return tuple(column[order] for column in rows)
+    def column(self, name: str) -> np.ndarray:
+        """Metadata column ``name`` (or ``sample_id``) of every row, by global row.
 
-    def _costed(self, group: RowGroup, picked, key: tuple, cost: CostFn) -> CostedRows:
-        costs = group.costs.get(key)
-        if costs is None:
-            # Pure in the group's rows: a racing cursor on another thread
-            # computes the same arrays, and the first stored wins.
-            costs = group.costs.setdefault(key, cost(_metadata(group)))
-        return (
-            group.column("sample_id")[picked],
-            _column(group, "text_tokens")[picked],
-            _column(group, "image_tokens")[picked],
-            costs[0][picked],
-            costs[1][picked],
-        )
+        For a one-file source this is the file's own read-only array; a source
+        over several files concatenates theirs, once per cursor.
+        """
+        values = self._columns.get(name)
+        if values is None:
+            values = self._columns[name] = _joined([_column(file, name) for file in self._files])
+        return values
 
-    @staticmethod
-    def _joined(parts: list[CostedRows]) -> CostedRows:
-        if len(parts) == 1:
-            return parts[0]
-        return tuple(map(np.concatenate, zip(*parts))) if parts else NO_ROWS
+    def costs(self, key: tuple, cost: CostFn) -> tuple[np.ndarray, np.ndarray]:
+        """Every row's transform latency and staged bytes under ``key``, by global row.
 
-    def _find(self, sample_ids: list[int]) -> tuple[list[tuple[RowGroup, np.ndarray]], np.ndarray]:
-        """Where ``sample_ids`` lie: per group holding any, the group and those
-        rows' offsets, and where each wanted id lands among the rows listed
-        group by group (an id stored twice resolves to its first row)."""
+        ``cost`` gives a file's latencies and bytes from its metadata columns;
+        ``key`` must cover everything ``cost`` reads besides them.  A file is
+        costed whole, once per key per process, the first time any cursor
+        asks; the arrays are shared by every cursor, not to be written to.
+        """
+        parts = [
+            file.derived(("costs", key), lambda file=file: cost(_metadata(file)))
+            for file in self._files
+        ]
+        return _joined([latency for latency, _ in parts]), _joined([size for _, size in parts])
+
+    def rows_of(self, sample_ids: list[int]) -> np.ndarray:
+        """The global rows of ``sample_ids``, in that order (an id stored twice
+        resolves to its first row).
+
+        Searches each file's sorted-id index, built once per file per process.
+        """
         wanted = np.asarray(sample_ids, dtype=np.int64)
-        if not len(wanted):
-            return [], np.empty(0, dtype=np.intp)
-        ids = np.concatenate([group.column("sample_id") for group in self._groups])
-        order = np.argsort(ids, kind="stable")
-        rows = order[np.minimum(np.searchsorted(ids[order], wanted), len(ids) - 1)]
-        missing = wanted[ids[rows] != wanted]
+        rows = np.full(len(wanted), -1, dtype=np.intp)
+        start = 0
+        for file in self._files:
+            order, ordered = file.derived(("sorted", "sample_id"), lambda file=file: _sorted(file))
+            if len(ordered):
+                at = np.minimum(np.searchsorted(ordered, wanted), len(ordered) - 1)
+                found = (rows < 0) & (ordered[at] == wanted)
+                rows[found] = (at[found] if order is None else order[at[found]]) + start
+            start += file.total_rows
+        missing = wanted[rows < 0]
         if len(missing):
             raise ConfigurationError(f"source {self.source.name!r} has no sample {missing[0]}")
-        listed = np.argsort(rows, kind="stable")
-        rows = rows[listed]
-        numbers = np.searchsorted(self._group_ends, rows, side="right")
-        hits = []
-        for number in dict.fromkeys(numbers.tolist()):
-            group = self._groups[number]
-            start = self._group_ends[number] - group.row_count
-            hits.append((group, rows[numbers == number] - start))
-        positions = np.empty_like(listed)
-        positions[listed] = np.arange(len(listed))
-        return hits, positions
+        return rows
 
-    def _records(self, group: RowGroup, picked) -> list[SampleMetadata]:
-        """Records of ``group``'s rows at ``picked`` (a slice or offsets)."""
-        columns = _metadata(group)
-        modality = [Modality(value) for value in columns.pop("modality")[picked].tolist()]
+    def _records(self, rows: np.ndarray) -> list[SampleMetadata]:
+        """Records of the global ``rows``, in that order."""
+        columns = {name: self.column(name)[rows].tolist() for name in _COLUMNS}
+        modality = [Modality(value) for value in columns.pop("modality")]
         return list(
             map(
                 SampleMetadata,
-                group.column("sample_id")[picked].tolist(),
+                self.column("sample_id")[rows].tolist(),
                 repeat(self.source.name),
                 modality,
-                *(values[picked].tolist() for values in columns.values()),
+                *columns.values(),
             )
         )
 
@@ -305,16 +265,11 @@ class SourceCursor:
         Built on demand (examples, figures, tests, a plan's records): the
         loader and planning paths carry ids and token arrays instead.
         """
-        hits, order = self._find(sample_ids)
-        records = [record for group, offsets in hits for record in self._records(group, offsets)]
-        return [records[rank] for rank in order.tolist()]
+        return self._records(self.rows_of(sample_ids))
 
     def next_metadata(self) -> SampleMetadata:
         """Return metadata for the next sample (wrapping at the end of shard)."""
-        self._check_shard()
-        [(group, picked)] = self._segments(1)
-        self._position += 1
-        return self._records(group, picked)[0]
+        return self._records(self.take(1))[0]
 
     def rewind(self, count: int) -> None:
         """Step back over the last ``count`` rows read (they are read again next)."""
@@ -336,3 +291,13 @@ class SourceCursor:
         if state.get("shard_index") != self._shard_index or state.get("shard_count") != self._shard_count:
             raise ConfigurationError("cursor state does not match this shard configuration")
         self._position = int(state["position"])
+
+
+def _sorted(file: ColumnarFile) -> tuple[np.ndarray | None, np.ndarray]:
+    """``file``'s sorted-id index: the stable sort order of its ids (``None``
+    for ids stored in order, which are their own index) and the sorted ids."""
+    ids = file.column("sample_id")
+    if (ids[1:] >= ids[:-1]).all():
+        return None, ids
+    order = np.argsort(ids, kind="stable")
+    return order, ids[order]

@@ -6,18 +6,23 @@ into memory before it can execute queries — exactly the per-source metadata
 state whose replication across dataloader workers drives the memory pressure
 analysed in Sec. 2.3 of the paper.
 
-A row group's columns are numpy arrays, built once when the file is written;
-readers slice them and decode no row into an object.
+A file holds each column once, as one read-only numpy array built when the
+file is written; its row groups' columns are views of those arrays.  Readers
+index them and decode no row into an object.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 import numpy as np
 
 from repro.errors import CorruptFileError, StorageError
+
+T = TypeVar("T")
+
 
 @dataclass(frozen=True)
 class ColumnSchema:
@@ -39,9 +44,6 @@ class RowGroup:
     row_count: int
     columns: dict[str, np.ndarray] = field(default_factory=dict)
     compressed_bytes: int = 0
-    #: Per Source Loader cost key, every row's transform latency and staged
-    #: bytes, computed for the whole (immutable) group on first touch.
-    costs: dict[tuple, tuple] = field(default_factory=dict, repr=False, compare=False, init=False)
 
     def column(self, name: str) -> np.ndarray:
         try:
@@ -60,9 +62,33 @@ class ColumnarFile:
     footer_bytes: int
     total_rows: int
     source_name: str = ""
+    #: Every schema column over all rows, one read-only array each; the row
+    #: groups' columns are views of these.
+    columns: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
+    #: What :meth:`derived` computed, by key.
+    _derived: dict[tuple, object] = field(default_factory=dict, repr=False, compare=False, init=False)
 
     def column_names(self) -> list[str]:
         return [column.name for column in self.schema]
+
+    def column(self, name: str) -> np.ndarray:
+        try:
+            return self.columns[name]
+        except KeyError:
+            raise CorruptFileError(f"file {self.path!r} has no column {name!r}") from None
+
+    def derived(self, key: tuple, build: Callable[[], T]) -> T:
+        """``build()``, computed once per ``key`` per process and kept with the file.
+
+        For arrays that are a pure function of the (immutable) columns, such
+        as a Source Loader's row costs or a column's sort order.  Threads
+        racing on a new key may each build it; the first stored wins and
+        every caller gets that one.
+        """
+        value = self._derived.get(key)
+        if value is None:
+            value = self._derived.setdefault(key, build())
+        return value
 
     def row_group_for_row(self, row_index: int) -> RowGroup:
         """Locate the row group containing global row ``row_index``."""
@@ -114,9 +140,10 @@ def write_columnar_file(
 ) -> ColumnarFile:
     """Build a :class:`ColumnarFile` from one array per schema column.
 
-    The columns are cut into row groups of ``rows_per_group`` rows each (the
-    last group holds the remainder); each group keeps its own copy of its
-    slice of every column.
+    Each column is copied once into a read-only array the file keeps, and
+    cut into row groups of ``rows_per_group`` rows each (the last group holds
+    the remainder) whose columns are views of that array, so the file holds
+    every value once.
     """
     schema = tuple(schema)
     if not schema:
@@ -126,7 +153,9 @@ def write_columnar_file(
     missing = [column.name for column in schema if column.name not in columns]
     if missing:
         raise StorageError(f"columns {missing} required by the schema are missing")
-    arrays = {column.name: np.asarray(columns[column.name]) for column in schema}
+    arrays = {column.name: np.array(columns[column.name]) for column in schema}
+    for values in arrays.values():
+        values.flags.writeable = False
     lengths = {name: len(values) for name, values in arrays.items()}
     total_rows = next(iter(lengths.values()))
     if any(length != total_rows for length in lengths.values()):
@@ -135,7 +164,7 @@ def write_columnar_file(
     row_groups: list[RowGroup] = []
     for group_index, start in enumerate(range(0, total_rows, rows_per_group)):
         rows = slice(start, start + rows_per_group)
-        chunk = {name: values[rows].copy() for name, values in arrays.items()}
+        chunk = {name: values[rows] for name, values in arrays.items()}
         row_groups.append(
             RowGroup(
                 index=group_index,
@@ -157,6 +186,7 @@ def write_columnar_file(
         footer_bytes=footer_bytes,
         total_rows=total_rows,
         source_name=source_name,
+        columns=arrays,
     )
     file.validate()
     return file

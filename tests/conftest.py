@@ -48,6 +48,19 @@ def store_columns(filesystem, path, columns, schema, rows_per_group) -> Columnar
     return file
 
 
+def costed_take(cursor, count, key, cost) -> tuple[np.ndarray, ...]:
+    """What a Source Loader reads for the cursor's next ``count`` rows: their
+    sample ids, text and image tokens, transform latencies and staged bytes."""
+    return costed_at(cursor, cursor.take(count), key, cost)
+
+
+def costed_at(cursor, rows, key, cost) -> tuple[np.ndarray, ...]:
+    """The loader's five columns at the source's global ``rows``."""
+    latency, size = cursor.costs(key, cost)
+    columns = (cursor.column(name) for name in ("sample_id", "text_tokens", "image_tokens"))
+    return tuple(values[rows] for values in (*columns, latency, size))
+
+
 def make_sample(
     sample_id: int,
     text_tokens: int = 64,

@@ -6,6 +6,8 @@ A traced bench round (``python3 -m bench --quick``) replaces each
 those functions makes every traced round raise ``KeyError``, which only the
 end-to-end bench run would otherwise notice.  This check only reads
 ``bench/``: the tracer module is loaded from its file and nothing is wrapped.
+A second check runs a few text steps and counts the loader calls the
+``core.source_loader`` layer is made of, so none of them is bypassed.
 """
 
 from __future__ import annotations
@@ -38,3 +40,37 @@ def test_every_traced_target_resolves():
         if owner is None or attr not in vars(owner):
             missing.append(f"{layer}: {module_name}.{owner_name or '<module>'}.{attr}")
     assert missing == []
+
+
+#: The loader calls a step makes, each a span of ``core.source_loader``.
+LOADER_CALLS = ("poll", "prepare_async", "refill", "buffer_delta", "fetch_prepared_ref")
+
+
+def test_text_steps_make_every_traced_loader_call(monkeypatch):
+    """Depth-2 steps of the text example call each of these loader methods
+    through its class attribute, where the tracer wraps it: a refactor that
+    inlines one would silently drop its spans from the per-layer counts."""
+    from collections import Counter
+    from dataclasses import replace
+
+    from repro import MegaScaleData, TrainingJobSpec
+    from repro.core.source_loader import SourceLoader
+
+    traced = {attr for layer, _, _, attr in traced_targets() if layer == "core.source_loader"}
+    assert set(LOADER_CALLS) <= traced
+    system = MegaScaleData.deploy(replace(TrainingJobSpec.text_example(), prefetch_depth=2))
+    calls = Counter()
+    for name in LOADER_CALLS:
+        plain = vars(SourceLoader)[name]
+
+        def counted(self, *args, _name=name, _plain=plain, **kwargs):
+            calls[_name] += 1
+            return _plain(self, *args, **kwargs)
+
+        monkeypatch.setattr(SourceLoader, name, counted)
+    try:
+        for _ in range(3):
+            system.run_step(simulate=True)
+    finally:
+        system.shutdown()
+    assert all(calls[name] for name in LOADER_CALLS), calls

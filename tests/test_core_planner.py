@@ -21,6 +21,7 @@ from repro.core.planner import (
     GATHER_PER_DELTA_SECONDS,
     GATHER_PER_SAMPLE_SECONDS,
     GATHER_RPC_SECONDS,
+    PlanTimings,
     Planner,
 )
 from repro.core.source_loader import SourceLoader
@@ -102,12 +103,14 @@ class TestPlanning:
 
     def test_timings_recorded_per_step(self, system, dp_mesh, loader_handles):
         planner = make_planner(system, ClientPlaceTree(dp_mesh), loader_handles)
-        planner.call("generate_plan")
-        planner.call("generate_plan")
         stats = planner.instance().stats
+        assert stats.latest_timings() == PlanTimings()
+        planner.call("generate_plan")
+        first = stats.latest_timings()
+        planner.call("generate_plan")
         assert stats.plans_generated == 2
-        assert len(stats.timings) == 2
         timings = stats.latest_timings()
+        assert timings is not first  # the second plan's, not kept beside the first
         assert timings.buffer_gather_s > 0
         assert timings.compute_plan_s > 0
         assert timings.broadcast_plan_s > 0

@@ -23,7 +23,7 @@ from repro.errors import PlanError
 from repro.storage.filesystem import SimulatedFileSystem
 from repro.transforms.pipeline import TransformPipeline
 from repro.utils.units import GIB
-from conftest import store_columns
+from conftest import costed_take, store_columns
 from test_golden_digests import _feed
 
 
@@ -162,7 +162,7 @@ class TestPrepareAndFetch:
         with pytest.raises(RuntimeError, match="store unavailable"):
             handle.call("poll", 2, 2, ids)
         ticket = loader._tickets[2]
-        assert loader._rows[0][ticket.slots].tolist() == ids
+        assert loader._columns[0][ticket.rows].tolist() == ids
         assert loader.staged_count() == 4
         assert loader.ledger.live_bytes("sample_payload") == ticket.staged_bytes > 0
         assert system.gcs.keys("prepared/") == []
@@ -337,7 +337,9 @@ def test_sync_prepare_equals_async_polls_of_any_chunk_size(
     assert expected.pop("chunk_wall_clock_s") == (expected["wall_clock_s"],)
     expected.pop("key")
     loader = sync.instance()
-    latencies = loader._cursor.costed_rows(ids, loader._cost_key, loader._cost_columns)[3]
+    latencies = loader._cursor.costs(loader._cost_key, loader._cost_columns)[0][
+        loader._cursor.rows_of(ids)
+    ]
     for chunk in (1, 8, 16, len(ids)):
         chunked = spawn_loader(
             system, PROPERTY_CATALOG, PROPERTY_FILESYSTEM, source_index, **options
@@ -431,6 +433,106 @@ def test_chunked_refill_equals_the_per_row_loop(
 
 
 @given(
+    rows_per_source=st.sampled_from(sorted(REFILL_CATALOGS)),
+    source_index=st.integers(0, 5),
+    shard_count=st.integers(1, 3),
+    buffer_size=st.sampled_from([5, 16, 40]),
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["poll", "replay", "reset", "snapshot", "restore", "refill", "gather"]),
+            st.lists(st.integers(0, 10**6), max_size=9),
+        ),
+        max_size=14,
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_a_loader_matches_a_plain_dict_model(
+    rows_per_source, source_index, shard_count, buffer_size, ops
+):
+    """A loader against a model that buffers whole records in a dict, read row
+    by row from its own cursor: every gather lists the model's ids in arrival
+    order with the catalog's token counts, every hand-off is the demanded
+    catalog rows in demand order, and the ledger holds the buffered rows'
+    metadata and no staged payload, across polls, replays, pristine resets,
+    restores of earlier snapshots and refills that wrap small shards."""
+    catalog, filesystem = REFILL_CATALOGS[rows_per_source]
+    source = catalog.sources()[source_index]
+    system = fresh_system()
+    handle = spawn_loader(
+        system, catalog, filesystem, source_index,
+        buffer_size=buffer_size, shard_count=shard_count,
+    )
+    loader = handle.instance()
+    model: dict[int, object] = {}
+    cursor = SourceCursor(source, filesystem, shard_count=shard_count)
+
+    def refill():
+        while len(model) < buffer_size:
+            record = cursor.next_metadata()
+            if record.sample_id in model:
+                break
+            model[record.sample_id] = record
+
+    refill()
+    snapshots = [(loader.replay_checkpoint(), dict(model), cursor.state_dict())]
+    for ticket, (op, picks) in enumerate([*ops, ("gather", [])]):
+        buffered = list(model)
+        ids = list(dict.fromkeys(buffered[pick % len(buffered)] for pick in picks if buffered))
+        if op == "poll" and ids:
+            reply = handle.call("poll", ticket, 1 + picks[0] % 4, ids)
+            handed = system.gcs.take(reply["key"])
+            records = [model.pop(sample_id) for sample_id in ids]
+            assert handed.sample_ids.tolist() == ids
+            assert handed.text_tokens.tolist() == [r.text_tokens for r in records]
+            assert handed.image_tokens.tolist() == [r.image_tokens for r in records]
+            assert handed.transferred_bytes.tolist() == [
+                loader.pipeline.run(record)[1] for record in records
+            ]
+            assert reply["transform_latency_s"] == pytest.approx(sum(
+                loader.pipeline.run(record)[0] * loader._latency_scale
+                + source.profile.fixed_cost_s
+                for record in records
+            ))
+            refill()
+        elif op == "replay":
+            # Ids this loader does not buffer (another shard's) are skipped.
+            others = [picks[-1] % 10**4 + 10**5] if picks else []
+            consumed = handle.call("replay_demands", ids + others)
+            assert consumed == len(ids)
+            for sample_id in ids:
+                del model[sample_id]
+            if ids:
+                refill()
+        elif op == "reset":
+            handle.call("reset_for_replay")
+            model.clear()
+            cursor = SourceCursor(source, filesystem, shard_count=shard_count)
+            refill()
+        elif op == "snapshot":
+            snapshots.append((loader.replay_checkpoint(), dict(model), cursor.state_dict()))
+        elif op == "restore":
+            snapshot, held, state = snapshots[(picks[0] if picks else 0) % len(snapshots)]
+            handle.call("restore_replay_checkpoint", snapshot)
+            model = dict(held)
+            cursor.load_state_dict(state)
+        elif op == "refill":
+            handle.call("refill")
+            refill()
+        elif op == "gather":
+            reply = handle.call("buffer_delta")
+            assert reply["sample_ids"].tolist() == list(model)
+            assert reply["text_tokens"].tolist() == [r.text_tokens for r in model.values()]
+            assert reply["image_tokens"].tolist() == [r.image_tokens for r in model.values()]
+        assert loader.buffer_depth() == len(model)
+        assert loader.replay_checkpoint()["cursor"] == cursor.state_dict()
+        assert loader.ledger.live_bytes("prefetch_buffer") == (
+            source_loader.BUFFERED_METADATA_BYTES * len(model)
+        )
+        assert loader.ledger.live_bytes("sample_payload") == 0
+    assert system.gcs.keys("prepared/") == []
+
+
+@given(
     buffer_size=st.sampled_from([5, 16, 40]),
     shard_count=st.integers(1, 3),
     ops=st.lists(
@@ -465,8 +567,8 @@ def test_gather_reports_the_buffer_its_changes_and_rebuilds(buffer_size, shard_c
     changes, rebuilt = 0, True
 
     def assert_ledger_conserved():
-        held = [slot for entry in loader._tickets.values() for slot in entry.slots]
-        assert loader.ledger.live_bytes("sample_payload") == int(loader._rows[4][held].sum())
+        held = [row for entry in loader._tickets.values() for row in entry.rows]
+        assert loader.ledger.live_bytes("sample_payload") == int(loader._columns[4][held].sum())
         assert loader.ledger.live_bytes("prefetch_buffer") == (
             source_loader.BUFFERED_METADATA_BYTES * loader.buffer_depth()
         )
@@ -567,8 +669,8 @@ def test_concurrent_first_reads_cost_every_row_whole():
             loader = SourceLoader(source, filesystem)
             key, cost = loader._cost_key, loader._cost_columns
             cursors = [SourceCursor(source, filesystem) for _ in range(readers)]
-            expected = SourceCursor(reference.sources()[index], reference_fs).take_costed(
-                source.num_samples, key, cost
+            expected = costed_take(
+                SourceCursor(reference.sources()[index], reference_fs), source.num_samples, key, cost
             )
             barrier = threading.Barrier(readers, timeout=30)
             got = [[] for _ in range(readers)]
@@ -576,7 +678,7 @@ def test_concurrent_first_reads_cost_every_row_whole():
             def read(reader):
                 for _ in range(source.num_samples // chunk):
                     barrier.wait()
-                    got[reader].append(cursors[reader].take_costed(chunk, key, cost))
+                    got[reader].append(costed_take(cursors[reader], chunk, key, cost))
 
             threads = [threading.Thread(target=read, args=(r,)) for r in range(readers)]
             for thread in threads:
@@ -675,8 +777,8 @@ def test_vectorized_row_costs_equal_the_per_sample_pipeline(
     )
     loader = SourceLoader(source, filesystem)
     cursor = SourceCursor(source, filesystem)
-    ids, text, image, latency, size = cursor.take_costed(
-        len(records), loader._cost_key, loader._cost_columns
+    ids, text, image, latency, size = costed_take(
+        cursor, len(records), loader._cost_key, loader._cost_columns
     )
     expected = [
         loader.pipeline.run(metadata_from_record(record, source.name)) for record in records

@@ -20,7 +20,7 @@ from repro.data.synthetic import SAMPLE_SCHEMA, build_source_catalog, navit_like
 from repro.errors import ConfigurationError, CorruptFileError
 from repro.storage.columnar import ColumnSchema
 from repro.storage.filesystem import SimulatedFileSystem
-from conftest import store_columns
+from conftest import costed_at, costed_take, store_columns
 
 
 def take(cursor, count):
@@ -221,13 +221,13 @@ def test_chunked_reads_equal_the_per_row_read(
             with pytest.raises(ConfigurationError):
                 take(chunked, 1)
             with pytest.raises(ConfigurationError):
-                costed.take_costed(1, ("toy",), toy_cost)
+                costed.take(1)
             continue
         start = chunked.position
         located = [rows[(start + k) % len(rows)] for k in range(count)]
         expected = per_row_read(located, source)
         assert take(chunked, count) == expected
-        ids, text, image, latency, size = costed.take_costed(count, ("toy",), toy_cost)
+        ids, text, image, latency, size = costed_take(costed, count, ("toy",), toy_cost)
         assert ids.tolist() == [record.sample_id for record in expected]
         assert text.tolist() == [record.text_tokens for record in expected]
         assert image.tolist() == [record.image_tokens for record in expected]
@@ -235,7 +235,7 @@ def test_chunked_reads_equal_the_per_row_read(
         assert size.tolist() == [record.raw_bytes + 7 for record in expected]
         assert [by_row.next_metadata() for _ in range(count)] == expected
         assert by_row.records([record.sample_id for record in expected]) == expected
-        restored = costed.costed_rows(ids.tolist(), ("toy",), toy_cost)
+        restored = costed_at(costed, costed.rows_of(ids.tolist()), ("toy",), toy_cost)
         assert all(a.tolist() == b.tolist() for a, b in zip(restored, (ids, text, image, latency, size)))
         assert chunked.position == costed.position == by_row.position == start + count
         assert chunked.state_dict() == by_row.state_dict()
@@ -250,7 +250,7 @@ def test_chunked_reads_equal_the_per_row_read(
     assert take(resumed, len(rows) + 2) == take(chunked, len(rows) + 2)
     # A rewind gives back rows read past where a refill stops.
     state = resumed.state_dict()
-    ahead = resumed.take_costed(len(rows) + 3, ("toy",), toy_cost)[0].tolist()
+    ahead = costed_take(resumed, len(rows) + 3, ("toy",), toy_cost)[0].tolist()
     resumed.rewind(len(rows) + 3)
     assert resumed.state_dict() == state
     assert [record.sample_id for record in take(resumed, len(rows) + 3)] == ahead
@@ -267,30 +267,39 @@ def test_chunked_reads_equal_the_per_row_read(
     )
 
 
-def test_a_row_group_is_costed_once_per_key():
-    source, filesystem, files = write_source([20], rows_per_group=8, full_schema=True)
+def test_a_file_is_costed_once_per_key():
+    source, filesystem, files = write_source([20, 7], rows_per_group=8, full_schema=True)
     calls = []
 
     def counting_cost(columns):
         calls.append(len(columns["text_tokens"]))
         return toy_cost(columns)
 
-    first, second = SourceCursor(source, filesystem), SourceCursor(source, filesystem)
-    first.take_costed(5, ("counted",), counting_cost)
-    second.take_costed(20, ("counted",), counting_cost)
-    first.take_costed(20, ("counted",), counting_cost)
-    # Whole groups, each once: 8 + 8 + 4 rows, whatever cursor read them.
-    assert calls == [8, 8, 4]
-    assert [group.costs[("counted",)][0].tolist() for group in files[0].row_groups] == [
-        toy_cost(dict(group.columns))[0].tolist() for group in files[0].row_groups
-    ]
+    first = SourceCursor(source, filesystem)
+    second = SourceCursor(source, filesystem, shard_index=1, shard_count=2)
+    costed_take(first, 5, ("counted",), counting_cost)
+    costed_take(second, 20, ("counted",), counting_cost)
+    latency, size = first.costs(("counted",), counting_cost)
+    # Whole files, each once: 20 + 7 rows, whatever cursor read them.
+    assert calls == [20, 7]
+    assert latency.tolist() == sum((toy_cost(file.columns)[0].tolist() for file in files), [])
+    assert size.tolist() == sum((toy_cost(file.columns)[1].tolist() for file in files), [])
+    # One source-wide array per cost key for a one-file source: the file's own.
+    lone, lone_filesystem, (file,) = write_source([9], rows_per_group=4, full_schema=True)
+    cursor = SourceCursor(lone, lone_filesystem)
+    assert cursor.costs(("counted",), counting_cost)[0] is cursor.costs(("counted",), toy_cost)[0]
+    assert cursor.column("text_tokens") is file.columns["text_tokens"]
+    assert calls == [20, 7, 9]
+    # Another key is costed anew.
+    second.costs(("other",), counting_cost)
+    assert calls == [20, 7, 9, 20, 7]
 
 
 def test_cursors_racing_to_cost_the_same_rows_agree():
     """``backend="wallclock"`` runs loaders on threads: cursors racing to cost a
     row group may compute its costs twice, but every cursor reads one result."""
     source, filesystem, files = write_source([97, 64], rows_per_group=16, full_schema=True)
-    expected = SourceCursor(source, filesystem).take_costed(161, ("reference",), toy_cost)
+    expected = costed_take(SourceCursor(source, filesystem), 161, ("reference",), toy_cost)
     workers = 6
     barrier = threading.Barrier(workers)
     results, errors = {}, []
@@ -302,7 +311,7 @@ def test_cursors_racing_to_cost_the_same_rows_agree():
             parts = []
             while sum(len(part[0]) for part in parts) < 161:
                 taken = sum(len(part[0]) for part in parts)
-                parts.append(cursor.take_costed(min(worker + 3, 161 - taken), ("raced",), toy_cost))
+                parts.append(costed_take(cursor, min(worker + 3, 161 - taken), ("raced",), toy_cost))
             results[worker] = [sum((part[i].tolist() for part in parts), []) for i in range(5)]
         except Exception as error:  # noqa: BLE001 - reported by the assert below
             errors.append(error)
@@ -335,9 +344,23 @@ def test_a_file_without_sample_ids_is_corrupt_to_peek_and_to_take():
     cursor = SourceCursor(source, filesystem)
     reads = (
         cursor.next_metadata,
-        lambda: cursor.take_costed(2, ("toy",), toy_cost),
+        lambda: costed_take(cursor, 2, ("toy",), toy_cost),
         lambda: cursor.records([3]),
     )
     for read in reads:
         with pytest.raises(CorruptFileError, match="no column 'sample_id'"):
             read()
+
+
+def test_ids_stored_out_of_order_or_twice_resolve_to_their_first_row():
+    filesystem = SimulatedFileSystem()
+    schema = (ColumnSchema("sample_id"), ColumnSchema("text_tokens"))
+    for path, ids in (("/p/0", [7, 3, 9, 3, 1]), ("/p/1", [2, 9])):
+        ids = np.array(ids)
+        store_columns(filesystem, path, {"sample_id": ids, "text_tokens": 10 * ids}, schema, 2)
+    source = DataSource(name="p", modality=Modality.TEXT, num_samples=7, paths=("/p/0", "/p/1"))
+    cursor = SourceCursor(source, filesystem)
+    assert cursor.rows_of([9, 3, 2, 1, 7]).tolist() == [2, 1, 5, 4, 0]
+    assert [r.text_tokens for r in cursor.records([9, 3, 2])] == [90, 30, 20]
+    with pytest.raises(ConfigurationError, match="has no sample 4"):
+        cursor.rows_of([1, 4])

@@ -183,10 +183,12 @@ def test_recovered_loader_serves_subsequent_prefetch():
 
 def test_a_row_is_costed_once_however_often_it_is_reread(monkeypatch):
     """Mirrors, flush rewinds, restarts and ``restore`` re-read rows the process
-    already costed: each row group is costed once per cost key, whoever reads
-    it, and no read builds a ``SampleMetadata``."""
+    already costed: each file is costed once per cost key (so each row once),
+    and its sorted-id index built once, whoever reads it; no read builds a
+    ``SampleMetadata``."""
     from repro.data import sources
     from repro.data.mixture import MixtureSchedule
+    from repro.storage.columnar import ColumnarFile
 
     built = []
     plain_record = sources.SampleMetadata
@@ -194,27 +196,28 @@ def test_a_row_is_costed_once_however_often_it_is_reread(monkeypatch):
         sources, "SampleMetadata", lambda *fields: built.append(1) or plain_record(*fields)
     )
     served = []
-    plain_take = sources.SourceCursor.take_costed
+    plain_take = sources.SourceCursor.take
 
-    def take_costed(cursor, count, key, cost):
-        rows = plain_take(cursor, count, key, cost)
-        served.extend((cursor.source.name, sample_id) for sample_id in rows[0].tolist())
+    def take(cursor, count):
+        rows = plain_take(cursor, count)
+        ids = cursor.column("sample_id")[rows].tolist()
+        served.extend((cursor.source.name, sample_id) for sample_id in ids)
         return rows
 
-    monkeypatch.setattr(sources.SourceCursor, "take_costed", take_costed)
+    monkeypatch.setattr(sources.SourceCursor, "take", take)
 
-    # Every (row group, cost key) the loaders' costing runs for.
+    # Every (file, key) a cost or an index is built for.
     costed = []
-    plain_costed = sources.SourceCursor._costed
+    plain_derived = ColumnarFile.derived
 
-    def costed_rows(cursor, group, picked, key, cost):
-        def counted(columns):
-            costed.append((id(group), key))
-            return cost(columns)
+    def derived(file, key, build):
+        def counted():
+            costed.append((file.path, key))
+            return build()
 
-        return plain_costed(cursor, group, picked, key, counted)
+        return plain_derived(file, key, counted)
 
-    monkeypatch.setattr(sources.SourceCursor, "_costed", costed_rows)
+    monkeypatch.setattr(ColumnarFile, "derived", derived)
 
     job = TrainingJobSpec(
         pp=1, dp=2, cp=1, tp=1, encoder=None, strategy="backbone_balance",
@@ -261,7 +264,12 @@ def test_a_row_is_costed_once_however_often_it_is_reread(monkeypatch):
         system.shutdown()
     assert len(served) > 3 * len(set(served))  # the scenario does re-read
     assert built == []
-    assert costed and len(costed) == len(set(costed))
+    assert len(costed) == len(set(costed))
+    # Every file was costed (under the one key of its source's loaders) and
+    # indexed: the restore looked rows up by id.
+    paths = {path for path, _ in costed}
+    assert len(paths) == len(names)
+    assert sorted(key[0] for _, key in costed) == ["costs"] * len(names) + ["sorted"] * len(names)
 
 
 # -- planner faults: one policy at every depth ---------------------------------------

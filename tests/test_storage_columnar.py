@@ -42,12 +42,17 @@ class TestWrite:
         with pytest.raises(StorageError, match="rows_per_group must be at least 1"):
             write_columnar_file("/f", make_columns(1), SCHEMA, rows_per_group=rows_per_group)
 
-    def test_row_groups_copy_their_slices(self):
+    def test_the_file_copies_each_column_once_and_row_groups_view_it(self):
         columns = make_columns(6)
         file = write_columnar_file("/f", columns, SCHEMA, rows_per_group=4)
         columns["tokens"][:] = -1
+        assert file.column("tokens").tolist() == [0, 10, 20, 30, 40, 50]
         assert file.row_groups[1].columns["tokens"].tolist() == [40, 50]
-        assert file.row_groups[0].columns["tokens"].base is None
+        for group in file.row_groups:
+            assert group.columns["tokens"].base is file.column("tokens")
+        assert not file.column("tokens").flags.writeable
+        with pytest.raises(ValueError):
+            file.row_groups[0].columns["tokens"][0] = 1
 
     def test_compressed_bytes_count_values_and_characters(self):
         schema = SCHEMA + [ColumnSchema("modality", 8)]
@@ -106,3 +111,19 @@ class TestValidation:
         file = write_columnar_file("/f", make_columns(2), SCHEMA, rows_per_group=4)
         with pytest.raises(CorruptFileError):
             file.row_groups[0].column("nope")
+        with pytest.raises(CorruptFileError, match="no column 'nope'"):
+            file.column("nope")
+
+    def test_derived_arrays_are_built_once_per_key(self):
+        file = write_columnar_file("/f", make_columns(3), SCHEMA, rows_per_group=2)
+        built = []
+
+        def build():
+            built.append(1)
+            return file.column("tokens") * 2
+
+        first = file.derived(("double",), build)
+        assert file.derived(("double",), build) is first
+        assert first.tolist() == [0, 20, 40]
+        assert file.derived(("other",), build) is not first
+        assert built == [1, 1]
