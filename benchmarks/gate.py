@@ -9,12 +9,13 @@ the figure's sweep point, compares one throughput metric of every fresh row
 against the committed row at the same point and exits non-zero on a
 regression beyond ``--threshold`` (default: 30%).
 
-Where a figure measures a fast path against its reference in the same run,
-that same-run speedup is printed as machine-independent context: a slow
-runner depresses both paths equally, so a healthy speedup alongside a failed
-absolute check points at the runner, not the code — while a collapsed
-speedup (``speedup="gate"``) is a real regression even if absolute numbers
-pass.  What differs between the figures is the :data:`GATES` table.
+Where a figure measures a fast path against its reference in the same run
+(``recovery``: bounded replay against full from-genesis replay), that same-run
+speedup is printed as machine-independent context: a slow runner depresses
+both paths equally, so a healthy speedup alongside a failed absolute check
+points at the runner, not the code — while a collapsed speedup (<= 1.0) is a
+real regression even if absolute numbers pass.  What differs between the
+figures is the :data:`GATES` table.
 """
 
 from __future__ import annotations
@@ -47,11 +48,9 @@ class Gate:
     #: Gated throughput field (higher is better) and its printed name.
     metric: str
     label: str
-    #: Same-run speedup: ``None`` (not measured), ``"report"`` (printed as
-    #: context) or ``"gate"`` (printed, and <= 1.0 fails).
-    speedup: str | None = None
-    speedup_label: str = "speedup"
-    #: What a same-run speedup <= 1.0 means (``speedup="gate"``).
+    #: Printed name of the row's same-run ``speedup`` ("" = not measured);
+    #: a speedup <= 1.0 fails, and ``collapsed`` says what that means.
+    speedup_label: str = ""
     collapsed: str = ""
     #: Extra per-row bounds: each returns a failure message or ``None``.
     checks: tuple[Callable[[dict], str | None], ...] = ()
@@ -60,7 +59,7 @@ class Gate:
 GATES = {
     "sched": Gate(
         "BENCH_fig20_sched.json", "scheduler_scalability", "BENCH_SCHED_SMOKE",
-        ("actors",), "indexed_events_per_s", "indexed ev/s", speedup="report",
+        ("actors",), "indexed_events_per_s", "indexed ev/s",
     ),
     "plan": Gate(
         "BENCH_fig22_planner.json", "planner_scalability", "BENCH_PLANNER_SMOKE",
@@ -69,13 +68,11 @@ GATES = {
     "assembly": Gate(
         "BENCH_fig24_assembly.json", "assembly_sweep", "BENCH_ASSEMBLY_SMOKE",
         ("batch", "sources"), "columnar_samples_per_s", "columnar samples/s",
-        speedup="gate",
-        collapsed="the fast path is no faster than legacy in this run",
     ),
     "recovery": Gate(
         "BENCH_fig23_recovery.json", "recovery_latency", "BENCH_RECOVERY_SMOKE",
         ("steps",), "recoveries_per_s_bounded", "bounded recoveries/s",
-        speedup="gate", speedup_label="full-over-bounded speedup",
+        speedup_label="full-over-bounded speedup",
         collapsed="bounded recovery is no faster than full from-genesis replay in this run",
         checks=(_replay_is_bounded,),
     ),
@@ -112,12 +109,12 @@ def run_gate(gate: Gate, artifact, threshold: float) -> int:
             f"{where} {gate.label}", row[gate.metric], baseline[gate.metric], threshold
         ):
             failures += 1
-        if gate.speedup:
+        if gate.speedup_label:
             print(
                 f"{where}: same-run {gate.speedup_label} x{row['speedup']:.2f} "
                 f"(committed sweep x{baseline['speedup']:.2f})"
             )
-            if gate.speedup == "gate" and row["speedup"] <= 1.0:
+            if row["speedup"] <= 1.0:
                 print(f"{where}: REGRESSION — {gate.collapsed}")
                 failures += 1
         for check in gate.checks:

@@ -1,28 +1,24 @@
 """Fig. 24 — batch-assembly (collation) throughput vs batch size × source count.
 
-The per-sample reference collator first-fits every sample with a linear scan
-over all open bins — O(samples × bins) residual checks per microbatch — and
-materialises RoPE position ids one Python list at a time.  The data path keeps
-prepared samples as token-length *columns* end to end and collates with array
-kernels: first-fit on a max tournament tree (O(samples · log bins)), positions
-as slices of one cached int32 ramp joined by a single concatenate, segment
-tables from one stable argsort.  The kernel builds positions and segment
-tables only when they are read (the Data Constructor never does), so the timed
-region reads both: this figure measures a *materialised* collation.
+The data path keeps prepared samples as token-length *columns* end to end and
+collates with array kernels: first-fit on a max tournament tree
+(O(samples · log bins)), positions as slices of one cached int32 ramp joined by
+a single concatenate, segment tables from one stable argsort.  The kernel
+builds positions and segment tables only when they are read (the Data
+Constructor never does), so the timed region reads both: this figure measures
+a *materialised* collation.
 
 This benchmark sweeps batch size × source count (sources shape the length
 mixture: each source draws from its own band, so more sources = a wider,
-more realistic token-length distribution) and measures raw collation
-throughput (samples/sec) of the reference collator (reported as ``legacy_*``)
-and of the kernel over identical inputs.  In the same run, each sweep point
-also drives a real ``DataConstructor`` over the same plan and asserts its
-per-rank ``RankDelivery`` objects are **byte-identical** (``==`` over every
-rank of a pp=2 × cp=2 × tp=2 mesh) to the ones built from the reference
-collator's output.
+more realistic token-length distribution) and measures collation throughput
+(samples/sec).  In the same run, each sweep point also drives a real
+``DataConstructor`` over the same samples and checks the sha256 of its
+per-rank ``RankDelivery`` slices on a pp=2 × cp=2 × tp=2 mesh against
+:data:`DELIVERY_SHA256`, recorded from the per-sample reference collator and
+mesh walk at ``a65cb3b`` (``tests/test_reference_pins.py`` pins the same
+corpora's collations).
 
-The kernel must deliver **>= 10x** the reference samples/sec at the largest
-sweep point (the gap widens with batch size: log-depth tree queries vs linear
-bin scans).  Results are written to ``BENCH_fig24_assembly.json``; the CI
+Results are written to ``BENCH_fig24_assembly.json``; the CI
 ``assembly-bench`` leg re-runs the middle sweep point in smoke mode and fails
 on a >30% samples/sec regression against the committed artifact via
 ``gate.py assembly``.
@@ -35,25 +31,20 @@ writes the ``smoke`` section of the artifact.
 from __future__ import annotations
 
 import gc
+import hashlib
 import os
 import time
-from itertools import pairwise
 
 import numpy as np
 
 from repro.core.assembly import PreparedColumns
 from repro.core.columns import SampleColumns
-from repro.core.data_constructor import DataConstructor, RankDelivery
+from repro.core.data_constructor import DataConstructor
 from repro.core.plans import ModulePlan
 from repro.data.samples import Modality, SampleMetadata
 from repro.metrics.report import MetricReport
 from repro.parallelism.mesh import DeviceMesh
-from repro.transforms.microbatch import (
-    Microbatch,
-    collate_columns_with_positions,
-    collate_with_positions,
-)
-from repro.transforms.parallelism import build_rank_slices
+from repro.transforms.microbatch import collate_columns_with_positions
 
 from .conftest import emit, write_bench_json
 
@@ -65,11 +56,17 @@ SWEEP_POINTS = ((2048, 4), (8192, 8), (32768, 16))
 #: timed region is a few milliseconds, which is too noisy to gate on.
 SMOKE_POINTS = ((8192, 8),)
 MAX_SEQUENCE_LENGTH = 2048
-TIMED_REPS = 2
-#: Microbatches per constructor plan in the byte-identity drive.
+#: Best-of-N wall clocks per sweep point.
+TIMED_REPS = 6
+#: Microbatches per constructor plan in the delivery check.
 DELIVERY_MICROBATCHES = 8
-#: Required kernel-over-reference collation speedup at the largest sweep point.
-REQUIRED_SPEEDUP = 10.0
+#: sha256 of each sweep point's per-rank deliveries (:func:`_deliveries_digest`),
+#: recorded from the per-sample reference collator and mesh walk.
+DELIVERY_SHA256 = {
+    (2048, 4): "2d5074fd12b500148c5f11c9a03b228ffc426f6f42dc05bc05c45cae42d5ccfd",
+    (8192, 8): "287f123760eba3d89915dc6eec3e188b0e155168923fb29dbb378e55024836db",
+    (32768, 16): "40f688e960f095cd602975849650d7cbd8fbf2aabfcef6d72c436f977d0243a4",
+}
 
 
 def _smoke_mode() -> bool:
@@ -97,47 +94,26 @@ def _make_batch(batch: int, num_sources: int) -> list[SampleMetadata]:
 
 
 def _time_collation(metas: list[SampleMetadata]) -> dict[str, float]:
-    """Time reference vs kernel collation of one whole batch; return samples/s."""
-    microbatch = Microbatch(index=0, samples=list(metas))
+    """Time the kernel's collation of one whole batch; return samples/s.
+
+    Best-of-N wall clocks: each rep collects garbage first and the minimum is
+    kept, which discards first-touch page faults and scheduler noise.
+    """
     sample_ids = [meta.sample_id for meta in metas]
     lengths = np.array([meta.total_tokens for meta in metas], dtype=np.int64)
-
-    # Best-of-N wall clocks: each rep collects garbage first (the legacy path
-    # churns millions of short-lived objects whose GC debt would otherwise be
-    # charged to whichever region runs next) and the minimum is kept, which
-    # discards first-touch page faults and scheduler noise.  The cheap
-    # columnar path gets extra reps; the legacy path's per-rep cost is
-    # dominated by the bin scan and is stable from the first rep.
-    legacy = columnar = None
-    legacy_s = columnar_s = float("inf")
+    collated = None
+    wall_s = float("inf")
     for _ in range(TIMED_REPS):
         gc.collect()
         begin = time.perf_counter()
-        legacy = collate_with_positions(microbatch, MAX_SEQUENCE_LENGTH)
-        legacy_s = min(legacy_s, time.perf_counter() - begin)
-    for _ in range(TIMED_REPS * 3):
-        gc.collect()
-        begin = time.perf_counter()
-        columnar = collate_columns_with_positions(0, sample_ids, lengths, MAX_SEQUENCE_LENGTH)
+        collated = collate_columns_with_positions(0, sample_ids, lengths, MAX_SEQUENCE_LENGTH)
         # Reading the two lazy fields builds them, inside the timed region.
-        assert columnar.sequences is not None and columnar.position_ids is not None
-        columnar_s = min(columnar_s, time.perf_counter() - begin)
-
-    # Identical collations, byte for byte: same bins, segments, positions.
-    assert legacy.sample_ids == columnar.sample_ids
-    assert [(s.tokens, s.segments) for s in legacy.sequences] == [
-        (s.tokens, s.segments) for s in columnar.sequences
-    ]
-    assert np.array_equal(legacy.position_ids, columnar.position_ids)
-    assert legacy.total_tokens() == columnar.total_tokens()
-
-    count = len(metas)
+        assert collated.sequences is not None and collated.position_ids is not None
+        wall_s = min(wall_s, time.perf_counter() - begin)
+    assert len(collated.position_ids) == collated.total_tokens()
     return {
-        "legacy_wall_s": legacy_s,
-        "columnar_wall_s": columnar_s,
-        "legacy_samples_per_s": count / legacy_s,
-        "columnar_samples_per_s": count / columnar_s,
-        "total_tokens": int(legacy.total_tokens()),
+        "columnar_samples_per_s": len(metas) / wall_s,
+        "total_tokens": collated.total_tokens(),
     }
 
 
@@ -156,11 +132,9 @@ def _delivery_plan(metas: list[SampleMetadata]) -> ModulePlan:
     )
 
 
-def _assert_deliveries_identical(metas: list[SampleMetadata]) -> None:
-    """Drive a real constructor; its per-rank deliveries must equal the ones
-    built from the reference collator's output."""
+def _deliveries_digest(metas: list[SampleMetadata]) -> str:
+    """Drive a real constructor; sha256 of its per-rank slices, every field."""
     mesh = DeviceMesh(pp=2, dp=1, cp=2, tp=2, gpus_per_node=8)
-    plan = _delivery_plan(metas)
     constructor = DataConstructor(
         bucket_index=0,
         mesh=mesh,
@@ -173,21 +147,26 @@ def _assert_deliveries_identical(metas: list[SampleMetadata]) -> None:
             dtype=np.int64,
         ).T
     )
-    constructor.construct(0, plan, payload)
-
-    expected: dict[int, RankDelivery] = {}
-    records = plan.rows.to_list()
-    for mb, (start, end) in enumerate(pairwise(plan.offsets)):
-        collated = collate_with_positions(
-            Microbatch(index=mb, samples=records[start:end]), MAX_SEQUENCE_LENGTH
+    constructor.construct(0, _delivery_plan(metas), payload)
+    deliveries = [
+        (
+            rank,
+            [
+                (
+                    piece.rank,
+                    piece.microbatch_index,
+                    piece.token_count,
+                    piece.payload_bytes,
+                    piece.metadata_only,
+                    piece.replicated_from,
+                    sorted(piece.slice_info.items()),
+                )
+                for piece in constructor.get_batch(0, rank).slices
+            ],
         )
-        for piece in build_rank_slices(collated, mesh):
-            expected.setdefault(piece.rank, RankDelivery(rank=piece.rank)).slices.append(
-                piece
-            )
-    assert constructor.ranks_served(0) == sorted(expected)
-    for rank, delivery in expected.items():
-        assert constructor.get_batch(0, rank) == delivery
+        for rank in constructor.ranks_served(0)
+    ]
+    return hashlib.sha256(repr(deliveries).encode()).hexdigest()
 
 
 def _sweep(points) -> list[dict[str, object]]:
@@ -195,18 +174,8 @@ def _sweep(points) -> list[dict[str, object]]:
     for batch, num_sources in points:
         metas = _make_batch(batch, num_sources)
         timing = _time_collation(metas)
-        _assert_deliveries_identical(metas)
-        rows.append(
-            {
-                "batch": batch,
-                "sources": num_sources,
-                "total_tokens": timing["total_tokens"],
-                "legacy_samples_per_s": timing["legacy_samples_per_s"],
-                "columnar_samples_per_s": timing["columnar_samples_per_s"],
-                "speedup": timing["columnar_samples_per_s"]
-                / timing["legacy_samples_per_s"],
-            }
-        )
+        assert _deliveries_digest(metas) == DELIVERY_SHA256[batch, num_sources]
+        rows.append({"batch": batch, "sources": num_sources, **timing})
     return rows
 
 
@@ -217,19 +186,14 @@ def test_fig24_batch_assembly(benchmark):
 
     report = MetricReport(
         title="Fig. 24 - collation throughput vs batch size x sources",
-        columns=[
-            "batch", "sources", "tokens", "legacy samples/s",
-            "columnar samples/s", "speedup",
-        ],
+        columns=["batch", "sources", "tokens", "columnar samples/s"],
     )
     for row in rows:
         report.add_row(
             row["batch"],
             row["sources"],
             row["total_tokens"],
-            round(row["legacy_samples_per_s"]),
             round(row["columnar_samples_per_s"]),
-            round(row["speedup"], 2),
         )
     emit(report)
 
@@ -243,11 +207,3 @@ def test_fig24_batch_assembly(benchmark):
         },
     )
 
-    # Even at the smallest point the fast path must not be slower.
-    assert all(row["speedup"] > 1.0 for row in rows)
-    if not smoke:
-        largest = rows[-1]
-        # The tentpole claim: >= 10x collation samples/sec at the largest point.
-        assert largest["speedup"] >= REQUIRED_SPEEDUP
-        # The gap must widen with batch size (log-depth queries vs bin scans).
-        assert largest["speedup"] > rows[0]["speedup"]

@@ -116,8 +116,6 @@ class FailureInjector:
 class ActorSystem:
     """Owns nodes, the GCS and every actor placed on the cluster."""
 
-    #: Dispatcher implementations accepted by ``dispatcher=``.
-    DISPATCHERS = ("indexed", "linear")
     #: Execution backends accepted by ``backend=``: the discrete-event
     #: virtual-clock engine (deterministic reference) or real thread-parallel
     #: lanes behind the same API (:mod:`repro.actors.wallclock`).
@@ -126,15 +124,10 @@ class ActorSystem:
     def __init__(
         self,
         cluster: ClusterSpec | None = None,
-        dispatcher: str = "indexed",
         backend: str = "virtual",
         time_scale: float = 1.0,
         placement_policy: str = "spread",
     ) -> None:
-        if dispatcher not in self.DISPATCHERS:
-            raise ActorError(
-                f"unknown dispatcher {dispatcher!r}; expected one of {self.DISPATCHERS}"
-            )
         if backend not in self.BACKENDS:
             raise ActorError(
                 f"unknown backend {backend!r}; expected one of {self.BACKENDS}"
@@ -145,7 +138,6 @@ class ActorSystem:
         self.gcs = GlobalControlStore()
         self.failures = FailureInjector()
         self.rpc_latency_s = RPC_LATENCY_S
-        self.dispatcher = dispatcher
         self._actors: dict[str, _ActorRecord] = {}
         #: Actors draining toward retirement: no new submissions are accepted
         #: and the actor is finalized as soon as its queue runs dry.
@@ -167,7 +159,7 @@ class ActorSystem:
             self.engine = WallclockEngine(self)
         else:
             self.clock = VirtualClock()
-            self.engine = VirtualEngine(self, dispatcher=dispatcher)
+            self.engine = VirtualEngine(self)
         self.engine: VirtualEngine | WallclockEngine  # exactly one, never None
         #: Executed deferred calls as timed intervals (one event per call),
         #: tagged with the actor's role and, when provided, the pipeline step.

@@ -16,19 +16,18 @@ overlap a *measured* quantity rather than a heuristic credit.  A loader
 ticket is one call booked as a chain of chunks, each on the earliest-free
 lane from the previous chunk's end (:meth:`ActorSystem.book_chunks`).
 
-Dispatch is an **indexed priority queue** (``dispatcher="indexed"``, the
-default): one global heap holds an entry per actor queue head, keyed by
-``(max(ready_at_s, actor_free_at_s), seq)``, so popping the next event is
-O(log A) in the number of actors instead of a linear scan over every queue.
-Executing an event only changes its own actor's busy window, so only that
-actor's head is re-keyed (lazy invalidation: stale heap entries are
-discarded or corrected when they surface).  Per-actor execution lanes are
-kept as min-heaps, making the busy-window lookup and the lane booking O(1)
-amortized / O(log L).  The O(A)-per-pop linear-scan reference survives as
-``dispatcher="linear"`` for A/B benchmarks and the order-equivalence
-property test: both dispatchers execute the exact same ``(start, seq)``
-sequence because per-actor keys are non-decreasing between head changes and
-ties cannot occur (``seq`` is globally unique).
+Dispatch is an **indexed priority queue**: the next call is the queue head
+with the smallest ``(max(ready_at_s, actor_free_at_s), seq)`` over every
+actor, and one global heap holds an entry per actor queue head under that
+key, so popping the next event is O(log A) in the number of actors instead of
+a scan over every queue.  Executing an event only changes its own actor's busy
+window, so only that actor's head is re-keyed (lazy invalidation: stale heap
+entries are discarded or corrected when they surface).  Per-actor lane lists
+are kept sorted, so the busy-window lookup is O(1) and a lane booking
+O(L).  Ties cannot occur (``seq`` is globally unique), so the order is
+exactly that of a scan over the queue heads; the dispatch property test in
+``tests/test_actors_dispatch_equivalence.py`` replays random scripts against
+such a scan, and ``tests/test_reference_pins.py`` pins fixed scripts' traces.
 
 :class:`VirtualEngine` serves the same method set as its thread-parallel twin
 (:class:`repro.actors.wallclock.WallclockEngine`); what the two share lives
@@ -98,9 +97,9 @@ class PendingCall:
 def purge_cancelled_heads(queue: deque[PendingCall]) -> None:
     """Drop cancelled calls from the queue front.
 
-    The single definition both dispatchers (and the head indexer) share:
-    the linear/indexed equivalence guarantee depends on identical purge
-    behaviour at every site that inspects a queue head.
+    Every site that reads a queue head (the heap pop, the head indexer,
+    ``is_idle``) purges through this one definition, so a cancelled call is
+    never a head that keys or wins dispatch.
     """
     while queue and queue[0].future.cancelled():
         queue.popleft()
@@ -109,9 +108,8 @@ def purge_cancelled_heads(queue: deque[PendingCall]) -> None:
 class VirtualEngine:
     """Discrete-event twin of the thread-parallel wallclock engine."""
 
-    def __init__(self, system, dispatcher: str = "indexed") -> None:
+    def __init__(self, system) -> None:
         self.system = system
-        self._indexed = dispatcher == "indexed"
         #: Per-name incarnation counter.  Heap entries are stamped with the
         #: generation current at push time, so entries belonging to a removed
         #: (or removed-and-recreated) actor are recognisably stale and are
@@ -124,7 +122,7 @@ class VirtualEngine:
         #: holding the virtual instant that lane finishes its latest executed
         #: call (``lanes[0]`` is the actor's earliest-free instant).
         self._lanes_s: dict[str, list[float]] = {}
-        #: Indexed dispatcher state: a global heap of per-actor queue-head
+        #: Dispatch state: a global heap of per-actor queue-head
         #: entries ``(start, seq, actor, generation)`` plus a per-actor
         #: live-entry count used for lazy invalidation (stale entries are
         #: discarded when they surface; the count guarantees every non-empty
@@ -183,13 +181,11 @@ class VirtualEngine:
             queue = self._queues[call.name] = deque()
         was_empty = not queue
         queue.append(call)
-        if self._indexed and was_empty:
+        if was_empty:
             # The call became its actor's queue head: index it in the
             # global dispatch heap.  Non-head calls are indexed lazily
             # when they surface (FIFO per actor), keeping submission
-            # O(log A).  The linear dispatcher never consumes the heap,
-            # so it must not feed it either (entries would accumulate
-            # unboundedly).
+            # O(log A).
             self._push_head(call.name)
 
     def on_future_cancelled(self, name: str, future) -> None:
@@ -199,44 +195,14 @@ class VirtualEngine:
         *smaller* (an earlier ``earliest_start_s``) — the one way an actor's
         true key can decrease.  Without an immediate re-index the stale heap
         entry would over-estimate the actor's key and another actor could be
-        dispatched first, diverging from the linear-scan reference.
-        Non-head cancellations leave the head (and its key) untouched.
+        dispatched first, out of ``(start, seq)`` order.  Non-head
+        cancellations leave the head (and its key) untouched.
         """
-        if not self._indexed:
-            # The linear dispatcher never consumes the heap, so it must not
-            # feed it (owners are set under every dispatcher for
-            # ``result(timeout=)`` support, not just the indexed one).
-            return
         queue = self._queues.get(name)
         if queue and queue[0].future is future:
             self._push_head(name)
 
     # -- dispatch ------------------------------------------------------------------------
-
-    def _next_call(self) -> PendingCall | None:
-        """Pop the earliest queued call — the O(A·L) linear-scan reference.
-
-        Per-actor queues are FIFO; across actors the head with the smallest
-        ``(start, seq)`` wins, where ``start`` respects both the call's ready
-        instant and the actor's busy window.  Cancelled heads are discarded.
-        This is the reference implementation the indexed dispatcher must
-        match event-for-event (``dispatcher="linear"``); it is kept for A/B
-        benchmarks and the equivalence property test.
-        """
-        best: PendingCall | None = None
-        best_key: tuple[float, int] | None = None
-        for name, queue in self._queues.items():
-            purge_cancelled_heads(queue)
-            if not queue:
-                continue
-            head = queue[0]
-            start = max(head.ready_at_s, self.free_at_s(name))
-            key = (start, head.seq)
-            if best_key is None or key < best_key:
-                best, best_key = head, key
-        if best is not None:
-            self._queues[best.name].popleft()
-        return best
 
     def _push_head(self, name: str) -> None:
         """Index the actor's current queue head in the global dispatch heap."""
@@ -259,12 +225,12 @@ class VirtualEngine:
         else:
             self._heap_entries.pop(name, None)
 
-    def _pop_next_indexed(self) -> PendingCall | None:
-        """Pop the earliest queued call via the indexed heap — O(log A).
+    def _pop_next(self) -> PendingCall | None:
+        """Pop the earliest queued call via the heap — O(log A).
 
         Heap entries are keyed ``(start, seq)`` with ``seq`` globally unique,
-        so ties cannot occur and the executed order is byte-identical to the
-        linear-scan reference.  Entries go stale only when their actor's head
+        so ties cannot occur and the executed order is the one a scan over
+        every queue head for the smallest key would give.  Entries go stale only when their actor's head
         changed (the head executes → busy window moves → next head surfaces)
         or its future was cancelled externally; stale entries are discarded
         when they reach the top — or re-keyed in place when they are the
@@ -328,8 +294,7 @@ class VirtualEngine:
         lanes_s = self._lanes_s
         queues = self._queues
         retiring = system._retiring
-        indexed = self._indexed
-        pop_next = self._pop_next_indexed if indexed else self._next_call
+        pop_next = self._pop_next
         # The executed call's lanes and nested-call time, which the booking
         # hooks below read (bound once per tick, not per call).
         lanes: list[float] = []
@@ -380,7 +345,7 @@ class VirtualEngine:
                 nested_s = clock.now_s - clock_before
                 end = system.book_chunks(call, result, start, lane_ends, occupy)
                 call.future._complete(result, available_at_s=end)
-            if indexed and queues.get(name):
+            if queues.get(name):
                 # Only this actor's key changed: re-index its next head.
                 self._push_head(name)
             if retiring:
@@ -446,7 +411,7 @@ class VirtualEngine:
             queue = self._queues.get(name)
             if not queue:
                 continue
-            # Snapshot first: cancelling a head triggers the dispatcher's
+            # Snapshot first: cancelling a head triggers the engine's
             # re-key hook, which purges cancelled heads from the live deque.
             snapshot = list(queue)
             for call in snapshot:

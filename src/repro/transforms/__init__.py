@@ -2,8 +2,8 @@
 
 Mirrors the "LFM Data Preprocessing Pipeline" of Fig. 1: sample
 transformations (tokenize, decode, crop, ...), microbatch transformations
-(batching, packing, RoPE) and parallelism transformations (DP
-sharding, CP slicing, TP broadcast, PP metadata pruning).
+(packing, RoPE) and parallelism transformations (DP sharding, CP
+slicing, TP broadcast, PP metadata pruning).
 """
 
 from repro.transforms.sample import (
@@ -15,19 +15,8 @@ from repro.transforms.sample import (
     AudioFeaturize,
     default_transforms_for,
 )
-from repro.transforms.microbatch import (
-    Microbatch,
-    CollatedMicrobatch,
-    PackingCollator,
-    apply_rope_positions,
-    batch_samples,
-)
-from repro.transforms.parallelism import (
-    ParallelSlice,
-    context_parallel_slices,
-    pipeline_stage_view,
-    tensor_parallel_replicas,
-)
+from repro.transforms.microbatch import CollatedMicrobatch
+from repro.transforms.parallelism import ParallelSlice
 from repro.transforms.pipeline import TransformPipeline
 
 __all__ = [
@@ -38,14 +27,7 @@ __all__ = [
     "VideoKeyframeExtract",
     "AudioFeaturize",
     "default_transforms_for",
-    "Microbatch",
     "CollatedMicrobatch",
-    "PackingCollator",
-    "apply_rope_positions",
-    "batch_samples",
     "ParallelSlice",
-    "context_parallel_slices",
-    "pipeline_stage_view",
-    "tensor_parallel_replicas",
     "TransformPipeline",
 ]

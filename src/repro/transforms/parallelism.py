@@ -1,10 +1,19 @@
 """Parallelism transformations: map collated microbatches to per-rank inputs.
 
 Hybrid parallelism determines which fraction of a collated microbatch each
-trainer rank actually needs: DP ranks get disjoint minibatches, CP ranks get
-contiguous slices of each sequence, TP ranks replicate the TP-0 input (or
-receive it via broadcast), and PP stages beyond the first need only metadata
-(shapes, sequence lengths) rather than token payloads.
+trainer rank actually needs (Fig. 6):
+
+- DP ranks get disjoint minibatches: a Data Constructor serves one DP group.
+- CP rank ``r`` fetches ``len // cp + (r < len % cp)`` tokens of every
+  sequence, so the CP shares cover the microbatch once.
+- Only TP rank 0 fetches; the other TP ranks of its (PP, CP) coordinate
+  receive the tensor over the trainer-side broadcast (zero loader bytes).
+- Only the first and last PP stages need tokens (inputs and labels); the
+  stages between need only the 64-byte-per-sequence shape metadata, which
+  every rank receives.
+
+:class:`RankLayout` is the one implementation; ``tests/test_reference_pins.py``
+pins its deliveries on every pp × cp × tp mesh in {1, 2}³ and a cp=3 mesh.
 """
 
 from __future__ import annotations
@@ -13,9 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import TransformError
 from repro.parallelism.mesh import DeviceMesh
-from repro.transforms.microbatch import CollatedMicrobatch
 
 #: Bytes of one delivered token id.
 BYTES_PER_TOKEN = 4
@@ -48,156 +55,13 @@ def _cp_token_counts(lengths: np.ndarray, cp_size: int) -> list[int]:
     return [base + int(extra) for extra in extras[1:]] + [base]
 
 
-def context_parallel_slices(
-    collated: CollatedMicrobatch, cp_size: int
-) -> list[dict[str, object]]:
-    """Slice every sequence of a collated microbatch into ``cp_size`` chunks.
-
-    Each CP rank receives a contiguous 1/cp_size share of every sequence
-    (ring-attention style); the slices jointly cover the full microbatch so
-    only one loader-side copy of the data is needed.
-    """
-    if cp_size <= 0:
-        raise TransformError("cp_size must be positive")
-    lengths = collated.sequence_lengths
-    if lengths is not None:
-        return [
-            {
-                "cp_rank": cp_rank,
-                "token_count": tokens,
-                "payload_bytes": tokens * BYTES_PER_TOKEN,
-            }
-            for cp_rank, tokens in enumerate(_cp_token_counts(lengths, cp_size))
-        ]
-    slices = []
-    for cp_rank in range(cp_size):
-        tokens = 0
-        for sequence in collated.sequences:
-            chunk = sequence.tokens // cp_size
-            remainder = sequence.tokens % cp_size
-            tokens += chunk + (1 if cp_rank < remainder else 0)
-        slices.append(
-            {
-                "cp_rank": cp_rank,
-                "token_count": tokens,
-                "payload_bytes": tokens * BYTES_PER_TOKEN,
-            }
-        )
-    return slices
-
-
-def tensor_parallel_replicas(token_count: int, tp_size: int) -> list[dict[str, object]]:
-    """Describe what each TP rank receives.
-
-    Only TP-0 fetches from the loader; the rest receive the tensor over the
-    trainer-side TP broadcast (zero loader-side bytes).
-    """
-    if tp_size <= 0:
-        raise TransformError("tp_size must be positive")
-    replicas = []
-    for tp_rank in range(tp_size):
-        fetches = tp_rank == 0
-        replicas.append(
-            {
-                "tp_rank": tp_rank,
-                "token_count": token_count if fetches else 0,
-                "payload_bytes": token_count * BYTES_PER_TOKEN if fetches else 0,
-                "via_broadcast": (not fetches),
-            }
-        )
-    return replicas
-
-
-def pipeline_stage_view(
-    collated: CollatedMicrobatch, pp_rank: int, pp_size: int
-) -> dict[str, object]:
-    """What a PP stage needs from a microbatch.
-
-    Only the first stage (PP0) consumes token payloads; later stages receive
-    activations from their predecessor over P2P and need only shape/length
-    metadata (plus labels on the last stage), which is the redundancy the Data
-    Constructor exploits in Fig. 6.
-    """
-    if not (0 <= pp_rank < pp_size):
-        raise TransformError(f"pp_rank {pp_rank} out of range for pp_size {pp_size}")
-    tokens = collated.total_tokens()
-    if pp_rank == 0:
-        return {
-            "pp_rank": pp_rank,
-            "needs_payload": True,
-            "token_count": tokens,
-            "payload_bytes": tokens * BYTES_PER_TOKEN,
-            "metadata_bytes": 64 * len(collated.sequences),
-        }
-    needs_labels = pp_rank == pp_size - 1
-    metadata_bytes = 64 * len(collated.sequences)
-    label_bytes = tokens * BYTES_PER_TOKEN if needs_labels else 0
-    return {
-        "pp_rank": pp_rank,
-        "needs_payload": needs_labels,
-        "token_count": tokens if needs_labels else 0,
-        "payload_bytes": label_bytes,
-        "metadata_bytes": metadata_bytes,
-    }
-
-
-def build_rank_slices(collated: CollatedMicrobatch, mesh: DeviceMesh) -> list[ParallelSlice]:
-    """Expand one collated microbatch into per-rank delivery slices.
-
-    The expansion walks the mesh in rank order as if every DP group received
-    this microbatch: each (PP, CP, TP) coordinate receives a slice sized
-    according to the stage/slice/broadcast rules above, with TP ranks past
-    the first served by the TP broadcast and every CP rank fetching its own
-    share.  This is the "parallelism
-    transformation" a Data Constructor applies before delivery.
-    """
-    slices: list[ParallelSlice] = []
-    cp_size = mesh.size("CP")
-    tp_size = mesh.size("TP")
-    pp_size = mesh.size("PP")
-    cp_slices = context_parallel_slices(collated, cp_size)
-    for coord in mesh.coordinates():
-        rank = coord.rank
-        stage = pipeline_stage_view(collated, coord.pp, pp_size)
-        if not stage["needs_payload"]:
-            slices.append(
-                ParallelSlice(
-                    rank=rank,
-                    microbatch_index=collated.index,
-                    token_count=0,
-                    payload_bytes=int(stage["metadata_bytes"]),
-                    metadata_only=True,
-                )
-            )
-            continue
-        token_count = int(cp_slices[coord.cp]["token_count"])
-        tp_replicas = tensor_parallel_replicas(token_count, tp_size)
-        tp_share = tp_replicas[coord.tp]
-        slices.append(
-            ParallelSlice(
-                rank=rank,
-                microbatch_index=collated.index,
-                token_count=int(tp_share["token_count"]),
-                payload_bytes=int(tp_share["payload_bytes"]) + int(stage["metadata_bytes"]),
-                metadata_only=int(tp_share["token_count"]) == 0,
-                replicated_from=mesh.ranks_where(dp=coord.dp, cp=coord.cp, pp=coord.pp)[0]
-                if tp_share["via_broadcast"]
-                else None,
-                slice_info={"cp_rank": coord.cp, "tp_rank": coord.tp, "pp_rank": coord.pp},
-            )
-        )
-    return slices
-
-
 class RankLayout:
-    """The mesh walk of :func:`build_rank_slices` for one DP group, done once.
+    """One DP group's per-rank slicing rules, derived from the mesh once.
 
     Which ranks the group holds, which PP stages need payloads and which TP
     ranks are served by the broadcast (and from which rank) depends on the
-    mesh, not on the microbatch.  :meth:`slices` sizes a microbatch's
-    slices from its ``sequence_lengths`` alone and returns what
-    :func:`build_rank_slices` returns for the group's ranks of a collation
-    with those lengths.
+    mesh, not on the microbatch.  :meth:`slices` sizes a microbatch's slices
+    from its ``sequence_lengths`` alone.
     """
 
     def __init__(self, mesh: DeviceMesh, dp_index: int) -> None:

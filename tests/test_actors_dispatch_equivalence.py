@@ -1,13 +1,13 @@
-"""Equivalence tests for the indexed (heap) event-engine dispatcher.
+"""Equivalence tests for the virtual engine's heap dispatcher.
 
-The indexed dispatcher must execute the *exact* same ``(start, seq, actor,
-method)`` sequence as the linear-scan reference for any workload: randomized
-submissions with causal dependencies and explicit durations, multi-lane
-actors, mid-run cancellations (both per-future and per-actor) and nested
-submissions/calls issued from inside executing events.  On top of the
-property test, a full prefetching data-plane run is replayed under both
-dispatchers and must deliver byte-identical batches on an identical virtual
-clock.
+The heap must execute the *exact* same ``(start, seq, actor, method)``
+sequence as :func:`scan_pop`, an oracle that scans every actor's queue head
+for the smallest ``(start, seq)``, for any workload: randomized submissions
+with causal dependencies and explicit durations, multi-lane actors, mid-run
+cancellations (both per-future and per-actor) and nested submissions/calls
+issued from inside executing events.  On top of the property test, a full
+prefetching data-plane run is replayed with the oracle in place of the heap
+and must deliver byte-identical batches on an identical virtual clock.
 """
 
 from __future__ import annotations
@@ -22,6 +22,10 @@ from repro.core.framework import MegaScaleData, TrainingJobSpec
 from repro.errors import ActorError
 
 NUM_ACTORS = 4
+
+
+def make_system() -> ActorSystem:
+    return ActorSystem(ClusterSpec(accelerator_nodes=1, cpu_pods=1))
 
 
 class Probe(Actor):
@@ -50,6 +54,37 @@ class Probe(Actor):
         return self.system.call_actor(target, "work", (token + 20_000,), {})
 
 
+# -- the oracle -----------------------------------------------------------------
+
+
+def scan_pop(engine):
+    """Pop the queue head with the smallest ``(start, seq)``, scanning every queue.
+
+    ``start`` is the later of the call's ready instant and its actor's
+    earliest-free lane; cancelled heads are dropped on the way.
+    """
+    best = best_key = None
+    for name, queue in engine._queues.items():
+        while queue and queue[0].future.cancelled():
+            queue.popleft()
+        if not queue:
+            continue
+        head = queue[0]
+        lanes = engine._lanes_s.get(name)
+        key = (max(head.ready_at_s, min(lanes) if lanes else 0.0), head.seq)
+        if best_key is None or key < best_key:
+            best, best_key = head, key
+    if best is not None:
+        engine._queues[best.name].popleft()
+    return best
+
+
+def scan_dispatch(system: ActorSystem) -> ActorSystem:
+    """Make ``system`` dispatch through :func:`scan_pop` instead of its heap."""
+    system.engine._pop_next = lambda: scan_pop(system.engine)
+    return system
+
+
 # -- workload scripts -----------------------------------------------------------
 
 actor_idx = st.integers(min_value=0, max_value=NUM_ACTORS - 1)
@@ -70,11 +105,8 @@ script_ops = st.lists(
 )
 
 
-def run_script(dispatcher: str, concurrencies: list[int], ops: list[tuple]) -> tuple:
-    """Replay one workload script; returns every observable of the run."""
-    system = ActorSystem(
-        ClusterSpec(accelerator_nodes=1, cpu_pods=1), dispatcher=dispatcher
-    )
+def run_script(system: ActorSystem, concurrencies: list[int], ops: list[tuple]) -> tuple:
+    """Replay one workload script on ``system``; returns every observable of the run."""
     system.dispatch_trace = []
     names = []
     for index in range(NUM_ACTORS):
@@ -139,10 +171,10 @@ def run_script(dispatcher: str, concurrencies: list[int], ops: list[tuple]) -> t
     ops=script_ops,
 )
 @settings(max_examples=120, deadline=None)
-def test_indexed_dispatch_order_matches_linear_reference(concurrencies, ops):
+def test_heap_dispatch_order_matches_the_scan_oracle(concurrencies, ops):
     """Byte-identical dispatch: same (start, seq, actor, method) sequence."""
-    reference = run_script("linear", concurrencies, ops)
-    indexed = run_script("indexed", concurrencies, ops)
+    reference = run_script(scan_dispatch(make_system()), concurrencies, ops)
+    indexed = run_script(make_system(), concurrencies, ops)
     assert indexed[0] == reference[0]  # dispatch trace, exact floats included
     assert indexed[1] == reference[1]  # per-actor execution logs
     assert indexed[2] == reference[2]  # future states and completion instants
@@ -154,18 +186,8 @@ def test_indexed_dispatch_order_matches_linear_reference(concurrencies, ops):
 
 
 class TestIndexedDispatcher:
-    def make_system(self, **kwargs) -> ActorSystem:
-        return ActorSystem(ClusterSpec(accelerator_nodes=1, cpu_pods=1), **kwargs)
-
-    def test_indexed_is_the_default(self):
-        assert self.make_system().dispatcher == "indexed"
-
-    def test_unknown_dispatcher_rejected(self):
-        with pytest.raises(ActorError):
-            self.make_system(dispatcher="quantum")
-
     def test_stopped_actor_entries_are_discarded(self):
-        system = self.make_system()
+        system = make_system()
         keep = system.create_actor(Probe, name="keep")
         gone = system.create_actor(Probe, name="gone")
         kept = keep.submit("work", 1)
@@ -176,7 +198,7 @@ class TestIndexedDispatcher:
         assert kept.result() == 1
 
     def test_cancel_then_resubmit_keeps_order(self):
-        system = self.make_system()
+        system = make_system()
         handle = system.create_actor(Probe, name="p")
         first = handle.submit("work", 1)
         first.cancel()
@@ -187,7 +209,7 @@ class TestIndexedDispatcher:
         assert system.actor_instance("p").log == [2, 3]
 
     def test_unbounded_tick_drains_nested_submissions(self):
-        system = self.make_system()
+        system = make_system()
         a = system.create_actor(Probe, name="a")
         system.create_actor(Probe, name="b")
         for instance in ("a", "b"):
@@ -196,11 +218,12 @@ class TestIndexedDispatcher:
         assert system.tick(max_calls=None) == 2
         assert system.actor_instance("b").log == [10_005]
 
-    def test_linear_dispatcher_leaves_the_heap_empty(self):
-        system = self.make_system(dispatcher="linear")
+    def test_a_drained_engine_holds_no_heap_entries(self):
+        system = make_system()
         handle = system.create_actor(Probe, name="p")
         for token in range(10):
             handle.submit("work", token)
+            handle.submit("work", token).cancel()
             system.drain()
         assert system.engine._heap == []
         assert system.engine._heap_entries == {}
@@ -227,27 +250,21 @@ def _delivery_bytes(result):
     }
 
 
-def _deploy(dispatcher: str, depth: int) -> MegaScaleData:
+def _deploy(depth: int) -> MegaScaleData:
     job = TrainingJobSpec(
         pp=1, dp=2, cp=1, tp=1, encoder=None, strategy="backbone_balance",
         samples_per_dp_step=4, num_microbatches=2, num_sources=3,
         samples_per_source=48, seed=11, prefetch_depth=depth,
     )
-    if dispatcher == "indexed":
-        return MegaScaleData.deploy(job)
-    # The linear scan is an ActorSystem-level reference, not a job option:
-    # deploy onto a pre-built system with the cluster a fresh deploy sizes.
-    cluster = ClusterSpec(
-        accelerator_nodes=max(1, job.device_mesh().num_nodes), cpu_pods=job.cpu_pods
-    )
-    return MegaScaleData.deploy(job, system=ActorSystem(cluster, dispatcher=dispatcher))
+    return MegaScaleData.deploy(job)
 
 
 @pytest.mark.parametrize("depth", [1, 2])
-def test_prefetch_pipeline_byte_identical_across_dispatchers(depth):
-    """The heap dispatcher changes dispatch cost, never what is delivered."""
-    reference = _deploy("linear", depth)
-    indexed = _deploy("indexed", depth)
+def test_prefetch_pipeline_byte_identical_under_the_scan_oracle(depth):
+    """The heap changes dispatch cost, never what is delivered."""
+    reference = _deploy(depth)
+    scan_dispatch(reference.system)
+    indexed = _deploy(depth)
     try:
         for _ in range(4):
             a = reference.run_step(simulate=True)

@@ -26,14 +26,13 @@ FAST = 0.01
 #: for the driver's (microsecond) lifecycle operations to land inside it.
 HOLD_S = 30.0
 
-ENGINES = [("virtual", "indexed"), ("virtual", "linear"), ("wallclock", "indexed")]
+ENGINES = ["virtual", "wallclock"]
 
 
-def make_system(backend: str, dispatcher: str = "indexed") -> ActorSystem:
+def make_system(backend: str) -> ActorSystem:
     return ActorSystem(
         ClusterSpec(accelerator_nodes=1, cpu_pods=1),
         backend=backend,
-        dispatcher=dispatcher,
         time_scale=FAST,
     )
 
@@ -67,17 +66,17 @@ def test_engines_serve_one_method_set():
     }
 
 
-@pytest.mark.parametrize("backend,dispatcher", ENGINES)
-def test_system_always_has_exactly_one_engine(backend, dispatcher):
-    system = make_system(backend, dispatcher)
+@pytest.mark.parametrize("backend", ENGINES)
+def test_system_always_has_exactly_one_engine(backend):
+    system = make_system(backend)
     expected = WallclockEngine if backend == "wallclock" else VirtualEngine
     assert type(system.engine) is expected
 
 
-@pytest.mark.parametrize("backend,dispatcher", ENGINES)
-def test_lifecycle_scenario_is_backend_independent(backend, dispatcher):
+@pytest.mark.parametrize("backend", ENGINES)
+def test_lifecycle_scenario_is_backend_independent(backend):
     """Cancel a head, drain-retire, stop with a call queued."""
-    system = make_system(backend, dispatcher)
+    system = make_system(backend)
     bodies: list[tuple[str, str]] = []
 
     class Probe(Actor):

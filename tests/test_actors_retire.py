@@ -4,7 +4,7 @@ Covers the elastic-fleet runtime contract: `retire_actor` drains pending
 events, destroyed/retired actors never receive another dispatch, and
 stale indexed-heap entries (including across name reuse) neither leak nor
 perturb the dispatch order of surviving actors — proven by trace equivalence
-against the ``dispatcher="linear"`` reference.
+against the queue-scan oracle of ``test_actors_dispatch_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import pytest
 from repro.actors.actor import Actor
 from repro.actors.runtime import ActorSystem, ClusterSpec
 from repro.errors import ActorError
+from test_actors_dispatch_equivalence import scan_dispatch
 
 
 class Recorder(Actor):
@@ -31,10 +32,8 @@ class Recorder(Actor):
         return token
 
 
-def make_system(dispatcher: str = "indexed") -> ActorSystem:
-    return ActorSystem(
-        ClusterSpec(accelerator_nodes=1, cpu_pods=1), dispatcher=dispatcher
-    )
+def make_system() -> ActorSystem:
+    return ActorSystem(ClusterSpec(accelerator_nodes=1, cpu_pods=1))
 
 
 class TestRetireActor:
@@ -96,14 +95,13 @@ class TestRetireActor:
         assert future.available_at_s >= 3.5
 
 
-def run_scripted_lifecycle(dispatcher: str):
+def run_scripted_lifecycle(system: ActorSystem):
     """A scripted create/submit/destroy/reuse sequence, returning the trace.
 
     Exercises the stale-heap hazards: an actor accumulating multiple heap
     entries (head cancellation re-pushes), destruction with queued events,
     and immediate name reuse with new submissions.
     """
-    system = make_system(dispatcher)
     system.dispatch_trace = []
     log: list = []
 
@@ -135,14 +133,14 @@ def run_scripted_lifecycle(dispatcher: str):
 
 
 class TestStaleHeapEntries:
-    def test_destroy_and_reuse_matches_linear_dispatch(self):
-        """Regression (indexed vs linear): destroying/retiring actors with
-        queued events — including reusing the freed name — must produce the
-        exact same dispatch trace as the linear-scan reference."""
-        indexed_trace, indexed_log = run_scripted_lifecycle("indexed")
-        linear_trace, linear_log = run_scripted_lifecycle("linear")
-        assert indexed_trace == linear_trace
-        assert indexed_log == linear_log
+    def test_destroy_and_reuse_matches_the_scan_oracle(self):
+        """Regression (heap vs scan): destroying/retiring actors with queued
+        events — including reusing the freed name — must produce the exact
+        same dispatch trace as a scan over every queue head."""
+        indexed_trace, indexed_log = run_scripted_lifecycle(make_system())
+        scan_trace, scan_log = run_scripted_lifecycle(scan_dispatch(make_system()))
+        assert indexed_trace == scan_trace
+        assert indexed_log == scan_log
 
     def test_heap_count_stays_exact_across_name_reuse(self):
         """The count-corruption hazard: phantom entries of a destroyed

@@ -1,11 +1,13 @@
-"""Batch assembly: collation kernels vs their reference, staging, hand-off.
+"""Batch assembly: collation kernels vs oracles, staging, hand-off.
 
-The collation kernels must be indistinguishable from the per-sample reference
-collators everywhere it can be observed: collated microbatches, bin
-assignments, RoPE positions, per-rank deliveries.  These tests pin that, plus
-the zero-copy mechanics (GCS reference identity) and the delivered-batch
-manifest audit trail.  End-to-end bytes are pinned in
-``test_golden_digests.py``.
+The collation kernels and the rank layout are checked against oracles written
+out here, one sample, segment or rank at a time: a first-fit scan over open-bin
+residuals, segment tables appended per sample, a per-segment ``arange`` for
+positions, and the CP split ``len // cp + (r < len % cp)`` with the TP
+broadcast and PP metadata rules for deliveries.  The tests also pin the
+zero-copy mechanics (GCS reference identity) and the delivered-batch manifest
+audit trail.  The retired reference implementations' bytes are pinned in
+``test_reference_pins.py``; end-to-end bytes in ``test_golden_digests.py``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from repro.actors.gcs import GlobalControlStore
 from repro.actors.runtime import ActorSystem, ClusterSpec
 from repro.core.assembly import PreparedColumns
 from repro.core.checkpoint import InMemoryCheckpointStore, SqliteCheckpointStore
-from repro.core.data_constructor import DataConstructor, RankDelivery
+from repro.core.data_constructor import DataConstructor
 from repro.core.framework import MANIFEST_NAMESPACE, MegaScaleData, TrainingJobSpec
 from repro.core.source_loader import SourceLoader
 from repro.data.samples import Modality, SampleMetadata
@@ -30,13 +32,11 @@ from conftest import bucket_samples, module_plan_of, prepared_rows
 from repro.parallelism.mesh import DeviceMesh
 from repro.transforms import microbatch
 from repro.transforms.microbatch import (
-    Microbatch,
     _positions_from_blocks,
     collate_columns_with_positions,
-    collate_with_positions,
     first_fit_bin_indices,
 )
-from repro.transforms.parallelism import build_rank_slices
+from repro.transforms.parallelism import BYTES_PER_TOKEN, ParallelSlice
 from repro.utils.units import GIB
 
 
@@ -51,21 +51,68 @@ def meta(sample_id: int, text_tokens: int, image_tokens: int = 0) -> SampleMetad
     )
 
 
-def assert_collated_equal(a, b) -> None:
-    assert a.index == b.index
-    assert a.max_sequence_length == b.max_sequence_length
-    assert a.sample_ids == b.sample_ids
-    assert len(a.sequences) == len(b.sequences)
-    for sa, sb in zip(a.sequences, b.sequences):
-        assert sa.tokens == sb.tokens
-        assert sa.segments == sb.segments
-        # Byte-identity includes the *types*: numpy ints sneaking into
-        # segment tuples would change pickled payloads.
-        assert all(type(x) is int for seg in sb.segments for x in seg)
-    assert a.position_ids.dtype == b.position_ids.dtype == np.int32
-    assert np.array_equal(a.position_ids, b.position_ids)
-    assert a.total_tokens() == b.total_tokens()
-    assert b.sequence_lengths.tolist() == [sequence.tokens for sequence in a.sequences]
+def first_fit_scan(lengths: list[int], capacity: int) -> list[int]:
+    """Oracle: each (clipped) sample goes to the lowest-numbered open bin
+    whose residual fits it, found by scanning every open bin."""
+    residuals: list[int] = []
+    bins = []
+    for length in lengths:
+        length = min(length, capacity)
+        for index, residual in enumerate(residuals):
+            if residual >= length:
+                residuals[index] -= length
+                bins.append(index)
+                break
+        else:
+            residuals.append(capacity - length)
+            bins.append(len(residuals) - 1)
+    return bins
+
+
+def segment_tables(sample_ids: list[int], lengths: list[int], capacity: int) -> list[list]:
+    """Oracle: per sequence, its ``(sample_id, clipped length)`` segments in arrival order."""
+    bins = first_fit_scan(lengths, capacity)
+    tables: list[list] = [[] for _ in range(max(bins, default=-1) + 1)]
+    for sample_id, length, index in zip(sample_ids, lengths, bins):
+        tables[index].append((sample_id, min(length, capacity)))
+    return tables
+
+
+def assert_collation_matches_oracle(collated, index, sample_ids, lengths, capacity) -> None:
+    tables = segment_tables(sample_ids, lengths, capacity)
+    assert collated.index == index
+    assert collated.max_sequence_length == capacity
+    assert collated.sample_ids == sample_ids
+    assert [sequence.segments for sequence in collated.sequences] == tables
+    # Byte-identity includes the *types*: numpy ints sneaking into segment
+    # tuples would change pickled payloads.
+    assert all(type(x) is int for seq in collated.sequences for seg in seq.segments for x in seg)
+    totals = [sum(n for _, n in table) for table in tables]
+    assert [sequence.tokens for sequence in collated.sequences] == totals
+    assert collated.sequence_lengths.tolist() == totals
+    assert collated.total_tokens() == sum(totals)
+    per_segment = [np.arange(n, dtype=np.int32) for table in tables for _, n in table]
+    assert collated.position_ids.dtype == np.int32
+    assert collated.position_ids.tolist() == np.concatenate(
+        [np.empty(0, np.int32), *per_segment]
+    ).tolist()
+
+
+def collate_metas(index, metas, capacity):
+    return collate_columns_with_positions(
+        index,
+        [m.sample_id for m in metas],
+        np.array([m.total_tokens for m in metas], dtype=np.int64),
+        capacity,
+    )
+
+
+def assert_metas_collate_like_oracle(index, metas, capacity):
+    collated = collate_metas(index, metas, capacity)
+    assert_collation_matches_oracle(
+        collated, index, [m.sample_id for m in metas], [m.total_tokens for m in metas], capacity
+    )
+    return collated
 
 
 # -- collation kernels ------------------------------------------------------------------
@@ -129,34 +176,13 @@ class TestCollationEquivalence:
     @given(lengths=lengths_lists, max_len=st.sampled_from(MAX_LENGTHS))
     @settings(max_examples=120, deadline=None)
     def test_packed_collation_byte_identical(self, lengths, max_len):
-        metas = [meta(3 * i + 1, n) for i, n in enumerate(lengths)]
-        legacy = collate_with_positions(Microbatch(index=2, samples=list(metas)), max_len)
-        columnar = collate_columns_with_positions(
-            2,
-            [m.sample_id for m in metas],
-            np.array([m.total_tokens for m in metas], dtype=np.int64),
-            max_len,
-        )
-        assert_collated_equal(legacy, columnar)
+        assert_metas_collate_like_oracle(2, [meta(3 * i + 1, n) for i, n in enumerate(lengths)], max_len)
 
     @given(lengths=lengths_lists, capacity=st.integers(min_value=1, max_value=512))
     @settings(max_examples=120, deadline=None)
     def test_first_fit_matches_reference_scan(self, lengths, capacity):
-        arr = np.array(lengths, dtype=np.int64)
-        fast = first_fit_bin_indices(arr, capacity)
-        residuals: list[int] = []
-        expected = []
-        for length in lengths:
-            length = min(length, capacity)
-            for index, residual in enumerate(residuals):
-                if residual >= length:
-                    residuals[index] -= length
-                    expected.append(index)
-                    break
-            else:
-                residuals.append(capacity - length)
-                expected.append(len(residuals) - 1)
-        assert fast.tolist() == expected
+        fast = first_fit_bin_indices(np.array(lengths, dtype=np.int64), capacity)
+        assert fast.tolist() == first_fit_scan(lengths, capacity)
 
     # The degenerate corners the sweep never hits: empty microbatches,
     # all-overflow samples, single-sample batches.
@@ -173,14 +199,7 @@ class TestCollationEquivalence:
             metas = [meta(i + 1, max_len + 1 + (seed + i) % 7) for i in range(4)]
         else:
             metas = [meta(seed + 1, seed % (2 * max_len + 1))]
-        legacy = collate_with_positions(Microbatch(index=1, samples=list(metas)), max_len)
-        columnar = collate_columns_with_positions(
-            1,
-            [m.sample_id for m in metas],
-            np.array([m.total_tokens for m in metas], dtype=np.int64),
-            max_len,
-        )
-        assert_collated_equal(legacy, columnar)
+        columnar = assert_metas_collate_like_oracle(1, metas, max_len)
         if corner == "all_overflow":
             # Every clipped sample fills a whole bin: assignments are 0..n-1.
             assert [len(seq.segments) for seq in columnar.sequences] == [1] * len(metas)
@@ -193,25 +212,19 @@ class TestCollationEquivalence:
             4, [m.sample_id for m in metas], np.array(lengths, dtype=np.int64), 96
         )
         # Slicing inputs are there without either lazy field having been built.
-        assert vars(columnar)["sequences"] is None and vars(columnar)["position_ids"] is None
+        assert "sequences" not in vars(columnar) and "position_ids" not in vars(columnar)
         assert columnar.total_tokens() == int(columnar.sequence_lengths.sum())
-        assert vars(columnar)["sequences"] is None and vars(columnar)["position_ids"] is None
-        # Either read order gives the reference's values, and a second read
+        assert "sequences" not in vars(columnar) and "position_ids" not in vars(columnar)
+        # Either read order gives the oracle's values, and a second read
         # returns the object the first one built.
         first = columnar.position_ids if positions_first else columnar.sequences
         assert (columnar.position_ids if positions_first else columnar.sequences) is first
-        assert_collated_equal(
-            collate_with_positions(Microbatch(index=4, samples=metas), 96),
-            columnar,
-        )
+        assert_collation_matches_oracle(columnar, 4, [m.sample_id for m in metas], lengths, 96)
 
     def test_columnar_collation_clips_oversized_sample_like_reference(self):
-        metas = [meta(9, 100), meta(10, 20)]
         columnar = collate_columns_with_positions(0, [9, 10], np.array([100, 20]), 64)
         assert columnar.total_tokens() == 84
-        assert_collated_equal(
-            collate_with_positions(Microbatch(index=0, samples=metas), 64), columnar
-        )
+        assert_collation_matches_oracle(columnar, 0, [9, 10], [100, 20], 64)
 
     def test_first_fit_clips_and_has_no_overflow_flag(self):
         # The flag was accepted and ignored; over-capacity samples are clipped.
@@ -371,6 +384,35 @@ def columns_for(plan):
     )
 
 
+def rank_slices_oracle(mesh, dp_index, index, sequence_lengths) -> list[ParallelSlice]:
+    """Oracle: one DP group's slices of a microbatch, one rank at a time.
+
+    PP stages past the first and before the last get shape metadata only; TP
+    ranks past the first get the broadcast from their (PP, CP) head; CP rank
+    ``r`` fetches ``len // cp + (r < len % cp)`` tokens of every sequence.
+    """
+    cp, last_stage = mesh.size("CP"), mesh.size("PP") - 1
+    metadata_bytes = 64 * len(sequence_lengths)
+    slices = []
+    for rank in mesh.ranks_where(dp=dp_index):
+        coord = mesh.coordinate(rank)
+        info = {"cp_rank": coord.cp, "tp_rank": coord.tp, "pp_rank": coord.pp}
+        head = mesh.ranks_where(dp=dp_index, cp=coord.cp, pp=coord.pp)[0]
+        if coord.pp not in (0, last_stage):
+            tokens, info, source = 0, {}, None
+        elif coord.tp > 0:
+            tokens, source = 0, head
+        else:
+            tokens = sum(n // cp + (coord.cp < n % cp) for n in sequence_lengths)
+            source = None
+        slices.append(ParallelSlice(
+            rank=rank, microbatch_index=index, token_count=tokens,
+            payload_bytes=tokens * BYTES_PER_TOKEN + metadata_bytes,
+            metadata_only=tokens == 0, replicated_from=source, slice_info=info,
+        ))
+    return slices
+
+
 class TestConstructorEquivalence:
     @given(
         tokens=st.lists(
@@ -393,31 +435,29 @@ class TestConstructorEquivalence:
         )
         stats = constructor.construct(0, plan, columns_for(plan))
 
-        # Expected: the per-sample reference collator + the reference mesh walk.
-        expected: dict[int, RankDelivery] = {}
+        # Expected: the oracle's segment tables, sliced by the oracle's rules.
+        expected: dict[int, list[ParallelSlice]] = {}
         expected_tokens = 0
         for mb, samples in enumerate(bucket_samples(plan)[0]):
-            collated = collate_with_positions(
-                Microbatch(index=mb, samples=samples),
-                512,
+            tables = segment_tables(
+                [m.sample_id for m in samples], [m.total_tokens for m in samples], 512
             )
-            expected_tokens += collated.total_tokens()
-            group = mesh.ranks_where(dp=dp_index)
-            for piece in build_rank_slices(collated, mesh):
-                if piece.rank in group:
-                    delivery = expected.setdefault(piece.rank, RankDelivery(rank=piece.rank))
-                    delivery.slices.append(piece)
+            lengths = [sum(n for _, n in table) for table in tables]
+            expected_tokens += sum(lengths)
+            for piece in rank_slices_oracle(mesh, dp_index, mb, lengths):
+                expected.setdefault(piece.rank, []).append(piece)
         assert constructor.ranks_served(0) == sorted(expected)
         for rank, reference in expected.items():
             delivered = constructor.get_batch(0, rank)
-            assert delivered == reference
+            assert delivered.rank == rank
+            assert delivered.slices == reference
             # ``slice_info`` is excluded from ``==``; it must match all the same.
             assert [piece.slice_info for piece in delivered.slices] == [
-                piece.slice_info for piece in reference.slices
+                piece.slice_info for piece in reference
             ]
-            assert delivered.total_tokens() == reference.total_tokens()
-            assert delivered.total_payload_bytes() == reference.total_payload_bytes()
-        # The virtual-clock charge is the reference token count's, too.
+            assert delivered.total_tokens() == sum(piece.token_count for piece in reference)
+            assert delivered.total_payload_bytes() == sum(piece.payload_bytes for piece in reference)
+        # The virtual-clock charge is the oracle token count's, too.
         assert stats["collate_seconds"] == pytest.approx(
             expected_tokens * DataConstructor.COLLATE_SECONDS_PER_TOKEN, rel=1e-12
         )

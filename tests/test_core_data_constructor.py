@@ -10,10 +10,8 @@ from repro.core.data_constructor import DataConstructor
 from repro.errors import PlanError
 from repro.parallelism.mesh import DeviceMesh
 from repro.transforms import microbatch
-from repro.transforms.microbatch import Microbatch, collate_with_positions
-from repro.transforms.parallelism import build_rank_slices
 from repro.utils.units import GIB
-from conftest import bucket_samples, module_plan_of, prepared_rows
+from conftest import module_plan_of, prepared_rows
 from test_core_source_loader import THREE_STEP_DELIVERIES, three_step_vlm_deliveries
 
 
@@ -139,18 +137,14 @@ class TestReshardAndCheckpoint:
         handle.call("reshard", new_mesh, 1)
         handle.call("construct", 1, plan, prepared_for(plan))
         constructor = handle.instance()
-        expected: dict[int, list] = {}
-        for mb, samples in enumerate(bucket_samples(plan)[0]):
-            collated = collate_with_positions(
-                Microbatch(index=mb, samples=samples),
-                constructor.max_sequence_length,
-            )
-            for piece in build_rank_slices(collated, new_mesh):
-                if piece.rank in new_mesh.ranks_where(dp=1):
-                    expected.setdefault(piece.rank, []).append(piece)
-        assert constructor.ranks_served(1) == new_mesh.ranks_where(dp=1)
-        for rank, slices in expected.items():
-            assert constructor.get_batch(1, rank).slices == slices
+        # A constructor built on the new mesh slices the same plan the same way.
+        fresh = DataConstructor(bucket_index=0, mesh=new_mesh, dp_index=1)
+        fresh.construct(1, plan, prepared_for(plan))
+        assert constructor.ranks_served(1) == fresh.ranks_served(1) == new_mesh.ranks_where(dp=1)
+        for rank in new_mesh.ranks_where(dp=1):
+            resharded, built = constructor.get_batch(1, rank).slices, fresh.get_batch(1, rank).slices
+            assert resharded == built
+            assert [piece.slice_info for piece in resharded] == [piece.slice_info for piece in built]
 
     def test_state_dict_roundtrip(self, system, vlm_mesh, sample_factory):
         handle = spawn_constructor(system, vlm_mesh)

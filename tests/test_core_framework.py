@@ -131,6 +131,7 @@ class TestRetiredKnobs:
             lambda: TrainingJobSpec(bounded_telemetry=False),
             lambda: TrainingJobSpec(dispatcher="indexed"),
             lambda: TenantManager(dispatcher="indexed"),
+            lambda: ActorSystem(dispatcher="linear"),
             lambda: DataPlaneLatencyProvider(lane_model="capacity_split"),
             lambda: TrainingJobSpec(telemetry_window=32),
             lambda: ActorSystem(call_log_limit=3),
@@ -150,7 +151,7 @@ class TestRetiredKnobs:
             lambda: MemoryLedger().release_all("x"),
         ],
         ids=["job-lane_model", "job-elastic_fleet", "job-bounded_telemetry",
-             "job-dispatcher", "tenancy-dispatcher", "provider-lane_model",
+             "job-dispatcher", "tenancy-dispatcher", "system-dispatcher", "provider-lane_model",
              "job-telemetry_window", "system-call_log_limit", "timeline-max_events",
              "job-spawn_warmup_s", "create_actor-warmup_s", "create_actor-node_affinity",
              "retire_actor-mode", "retire_actor-successor", "resize_actor_pool-concurrency",

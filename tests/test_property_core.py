@@ -13,12 +13,7 @@ from repro.data.mixture import MixtureSchedule
 from repro.data.samples import Modality, SampleMetadata
 from repro.metrics.memory import MemoryLedger
 from repro.parallelism.mesh import DeviceMesh
-from repro.transforms.microbatch import (
-    Microbatch,
-    PackingCollator,
-    apply_rope_positions,
-    collate_columns_with_positions,
-)
+from repro.transforms.microbatch import collate_columns_with_positions
 from conftest import bucket_samples, plan_bins
 
 # -- strategies -------------------------------------------------------------------
@@ -56,40 +51,36 @@ def make_samples(spec):
 # -- packing ---------------------------------------------------------------------
 
 
-def packed_collations(samples, max_len):
-    """The reference collation and the lazily expanded kernel one: same invariants."""
-    reference = PackingCollator(max_sequence_length=max_len).collate(
-        Microbatch(index=0, samples=samples)
-    )
-    kernel = collate_columns_with_positions(
+def packed_collation(samples, max_len):
+    """The kernel collation, lazily expanded fields included."""
+    return collate_columns_with_positions(
         0,
         [sample.sample_id for sample in samples],
         np.array([sample.total_tokens for sample in samples], dtype=np.int64),
         max_len,
     )
-    return [apply_rope_positions(reference), kernel]
 
 
 @given(spec=sample_lists, max_len=st.integers(min_value=128, max_value=16384))
 @settings(max_examples=60, deadline=None)
 def test_packing_never_exceeds_max_length_and_loses_no_sample(spec, max_len):
     samples = make_samples(spec)
-    for collated in packed_collations(samples, max_len):
-        assert all(seq.tokens <= max_len for seq in collated.sequences)
-        packed_ids = sorted(sid for seq in collated.sequences for sid, _ in seq.segments)
-        assert packed_ids == sorted(s.sample_id for s in samples)
+    collated = packed_collation(samples, max_len)
+    assert all(seq.tokens <= max_len for seq in collated.sequences)
+    packed_ids = sorted(sid for seq in collated.sequences for sid, _ in seq.segments)
+    assert packed_ids == sorted(s.sample_id for s in samples)
 
 
 @given(spec=sample_lists, max_len=st.integers(min_value=128, max_value=16384))
 @settings(max_examples=40, deadline=None)
 def test_rope_positions_length_matches_tokens(spec, max_len):
-    for collated in packed_collations(make_samples(spec), max_len):
-        assert len(collated.position_ids) == collated.total_tokens()
-        assert (collated.position_ids >= 0).all()
-        # Positions restart at every segment and never reach its length.
-        segment_lengths = [tokens for seq in collated.sequences for _, tokens in seq.segments]
-        assert int((collated.position_ids == 0).sum()) == sum(1 for n in segment_lengths if n)
-        assert int(collated.position_ids.max(initial=0)) == max(0, max(segment_lengths) - 1)
+    collated = packed_collation(make_samples(spec), max_len)
+    assert len(collated.position_ids) == collated.total_tokens()
+    assert (collated.position_ids >= 0).all()
+    # Positions restart at every segment and never reach its length.
+    segment_lengths = [tokens for seq in collated.sequences for _, tokens in seq.segments]
+    assert int((collated.position_ids == 0).sum()) == sum(1 for n in segment_lengths if n)
+    assert int(collated.position_ids.max(initial=0)) == max(0, max(segment_lengths) - 1)
 
 
 # -- memory ledger ---------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Unit tests for microbatch transformations: batching, packing, RoPE."""
+"""Unit tests for microbatch transformations: packing and RoPE positions."""
 
 from __future__ import annotations
 
@@ -6,59 +6,39 @@ import numpy as np
 import pytest
 
 from repro.errors import TransformError
-from repro.transforms.microbatch import (
-    Microbatch,
-    PackingCollator,
-    apply_rope_positions,
-    batch_samples,
-    collate_with_positions,
-)
+from repro.transforms.microbatch import collate_columns_with_positions
 
 
-class TestBatchSamples:
-    def test_contiguous_split(self, sample_factory):
-        samples = [sample_factory(i, text_tokens=10) for i in range(10)]
-        microbatches = batch_samples(samples, 4)
-        assert len(microbatches) == 4
-        assert sum(len(mb) for mb in microbatches) == 10
-        assert [s.sample_id for s in microbatches[0].samples] == [0, 1, 2]
-
-    def test_invalid_count(self, sample_factory):
-        with pytest.raises(TransformError):
-            batch_samples([sample_factory(0)], 0)
-
-    def test_token_totals(self, sample_factory):
-        mb = Microbatch(index=0, samples=[sample_factory(0, 10, 20), sample_factory(1, 5, 0)])
-        assert mb.total_tokens() == 35
-        assert mb.text_tokens() == 15
-        assert mb.image_tokens() == 20
+def collate(samples, max_sequence_length):
+    """Pack sample records through the column kernel."""
+    return collate_columns_with_positions(
+        0,
+        [sample.sample_id for sample in samples],
+        np.array([sample.total_tokens for sample in samples], dtype=np.int64),
+        max_sequence_length,
+    )
 
 
-class TestPackingCollator:
+class TestPacking:
     def test_packs_small_samples_into_one_sequence(self, sample_factory):
-        mb = Microbatch(index=0, samples=[sample_factory(i, text_tokens=100) for i in range(4)])
-        collated = PackingCollator(max_sequence_length=512).collate(mb)
+        collated = collate([sample_factory(i, text_tokens=100) for i in range(4)], 512)
         assert len(collated.sequences) == 1
         assert collated.sequences[0].tokens == 400
 
     def test_opens_new_bin_when_full(self, sample_factory):
-        mb = Microbatch(index=0, samples=[sample_factory(i, text_tokens=200) for i in range(3)])
-        collated = PackingCollator(max_sequence_length=512).collate(mb)
+        collated = collate([sample_factory(i, text_tokens=200) for i in range(3)], 512)
         assert len(collated.sequences) == 2
 
-    def test_oversized_sample_truncated_when_allowed(self, sample_factory):
-        mb = Microbatch(index=0, samples=[sample_factory(0, text_tokens=1000)])
-        collated = PackingCollator(max_sequence_length=512).collate(mb)
+    def test_oversized_sample_truncated(self, sample_factory):
+        collated = collate([sample_factory(0, text_tokens=1000)], 512)
         assert collated.sequences[0].tokens == 512
+        assert collated.total_tokens() == 512
 
     def test_fitting_samples_pack_with_exact_totals(self, sample_factory):
         # Regression for the removed per-sequence padding reset: fitting
         # samples pack normally, with token totals exact.
-        mb = Microbatch(
-            index=0,
-            samples=[sample_factory(i, text_tokens=tokens) for i, tokens in enumerate([300, 200, 400])],
-        )
-        collated = PackingCollator(max_sequence_length=512).collate(mb)
+        samples = [sample_factory(i, text_tokens=tokens) for i, tokens in enumerate([300, 200, 400])]
+        collated = collate(samples, 512)
         assert collated.total_tokens() == 900
         assert sorted(seg for seq in collated.sequences for seg in seq.segments) == [
             (0, 300),
@@ -66,32 +46,30 @@ class TestPackingCollator:
             (2, 400),
         ]
 
-    def test_invalid_sequence_length(self):
+    def test_invalid_sequence_length(self, sample_factory):
         with pytest.raises(TransformError):
-            PackingCollator(max_sequence_length=0)
+            collate([sample_factory(0)], 0)
 
     def test_segments_record_sample_ids(self, sample_factory):
-        mb = Microbatch(index=0, samples=[sample_factory(7, text_tokens=10)])
-        collated = PackingCollator(128).collate(mb)
+        collated = collate([sample_factory(7, text_tokens=10)], 128)
         assert collated.sequences[0].segments == [(7, 10)]
 
-
     def test_empty_microbatch(self):
-        collated = PackingCollator(64).collate(Microbatch(index=0))
+        collated = collate([], 64)
         assert collated.sequences == []
         assert collated.total_tokens() == 0
+        assert collated.position_ids.dtype == np.int32 and len(collated.position_ids) == 0
 
 
 class TestRope:
     def test_positions_restart_per_segment(self, sample_factory):
-        mb = Microbatch(
-            index=0, samples=[sample_factory(0, text_tokens=3), sample_factory(1, text_tokens=2)]
+        collated = collate(
+            [sample_factory(0, text_tokens=3), sample_factory(1, text_tokens=2)], 16
         )
-        collated = apply_rope_positions(PackingCollator(16).collate(mb))
         assert collated.position_ids.tolist() == [0, 1, 2, 0, 1]
 
-    def test_collate_with_positions_helper(self, sample_factory):
-        mb = Microbatch(index=0, samples=[sample_factory(0, text_tokens=4)])
-        collated = collate_with_positions(mb, 16)
+    def test_positions_are_int32_and_cover_every_token(self, sample_factory):
+        collated = collate([sample_factory(0, text_tokens=4)], 16)
         assert isinstance(collated.position_ids, np.ndarray)
-        assert collated.total_tokens() == 4
+        assert collated.position_ids.dtype == np.int32
+        assert collated.total_tokens() == len(collated.position_ids) == 4
