@@ -44,6 +44,8 @@ def emit(report: MetricReport) -> None:
 REPO_ROOT = Path(__file__).resolve().parent.parent
 #: Where a plain test run writes its artifacts (ignored by git).
 OUT_DIR = Path(__file__).resolve().parent / "out"
+#: Artifacts this test session has written so far.
+_WRITTEN: set[Path] = set()
 
 
 def write_bench_json(figure: str, section: str, payload: object) -> Path:
@@ -53,16 +55,18 @@ def write_bench_json(figure: str, section: str, payload: object) -> Path:
     can run independently (e.g. one prefetch-depth leg of the CI matrix)
     without clobbering each other's numbers.
 
-    A plain run leaves the tree clean: it writes to ``benchmarks/out/``,
-    starting from the committed artifact so the other sections are still
-    there for a regression gate to compare against (point the gate at it with
-    ``--artifact benchmarks/out/BENCH_<figure>.json``).  Only ``BENCH_COMMIT=1``
+    A plain run leaves the tree clean: it writes to ``benchmarks/out/``.  The
+    session's first write of a figure starts from the committed artifact, so
+    the other sections are the committed baseline, never a stale local file,
+    when a regression gate compares against it (point the gate at it with
+    ``--artifact benchmarks/out/BENCH_<figure>.json``); the session's later
+    writes of that figure merge into it.  Only ``BENCH_COMMIT=1``
     — set by CI for the whole workflow, and by hand to refresh a committed
     baseline — writes the tracked file in the repository root.
     """
     committed = REPO_ROOT / f"BENCH_{figure}.json"
     path = committed if os.environ.get("BENCH_COMMIT") == "1" else OUT_DIR / committed.name
-    source = path if path.exists() else committed
+    source = path if path in _WRITTEN else committed
     document: dict[str, object] = {}
     if source.exists():
         try:
@@ -72,6 +76,7 @@ def write_bench_json(figure: str, section: str, payload: object) -> Path:
     document[section] = payload
     path.parent.mkdir(exist_ok=True)
     path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+    _WRITTEN.add(path)
     return path
 
 

@@ -16,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.core.columns import SampleColumns
 from repro.core.framework import MegaScaleData, TrainingJobSpec
 from repro.core.place_tree import ClientPlaceTree
 from repro.core.strategies import StrategyConfig, make_strategy
@@ -45,8 +46,7 @@ def _throughput(strategy_name, samples, model):
     tree = ClientPlaceTree(MESH)
     config = StrategyConfig(num_microbatches=NUM_MICROBATCHES)
     strategy = make_strategy(strategy_name, config)
-    buffer_infos = {"all": samples}
-    plan = strategy(buffer_infos, tree, step=0, seed=0)
+    plan = strategy(SampleColumns.from_samples(samples), tree, step=0, seed=0)
 
     encoder = plan.subplan["encoder"].module.token_bins() if "encoder" in plan.subplan else None
     simulator = TrainingSimulator(model, MESH)

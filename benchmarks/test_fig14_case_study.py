@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.columns import SampleColumns
 from repro.core.place_tree import ClientPlaceTree
 from repro.core.strategies import StrategyConfig, make_strategy
 from repro.metrics.report import MetricReport
@@ -29,7 +30,7 @@ SAMPLES_PER_DP = 32
 def _simulate(strategy_name, samples, model):
     tree = ClientPlaceTree(MESH)
     strategy = make_strategy(strategy_name, StrategyConfig(num_microbatches=NUM_MICROBATCHES))
-    plan = strategy({"navit": samples}, tree, step=0, seed=0)
+    plan = strategy(SampleColumns.from_samples(samples), tree, step=0, seed=0)
     encoder = plan.subplan["encoder"].module.token_bins() if "encoder" in plan.subplan else None
     simulator = TrainingSimulator(model, MESH)
     return simulator.simulate_iteration(plan.module.token_bins(), encoder)

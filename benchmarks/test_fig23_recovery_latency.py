@@ -101,7 +101,7 @@ def _smoke_mode() -> bool:
 
 
 def _buffer_ids(handle) -> list[int]:
-    return [m.sample_id for m in handle.instance().summary_buffer()]
+    return handle.instance().replay_checkpoint()["buffer"]
 
 
 def _drive(num_steps: int) -> dict[str, object]:

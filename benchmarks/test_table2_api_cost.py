@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core.columns import SampleColumns
 from repro.core.dgraph import DGraph, metas_token
 from repro.core.place_tree import ClientPlaceTree
 from repro.data.synthetic import build_source_catalog, navit_like_spec
@@ -57,9 +58,9 @@ def _clip(samples, limit):
 def _measure_case(catalog, filesystem, mesh, samples_per_dp, seq, group_size):
     samples = _clip(sample_batch(catalog, filesystem, samples_per_dp * mesh.size("DP"), seed=2), seq)
     tree = ClientPlaceTree(mesh)
-    dgraph = DGraph.from_buffer_infos({"navit": samples}, metas_token).init(tree)
+    dgraph = DGraph.from_buffer_infos(SampleColumns.from_samples(samples), metas_token).init(tree)
     dgraph.distribute("DP", group_size=group_size)
-    dgraph.cost(lambda m: float(m.total_tokens) ** 2)
+    dgraph.cost(lambda rows: rows.total_tokens.astype(float) ** 2)
     dgraph.balance(num_microbatches=8)
     plan = dgraph.plan()
 

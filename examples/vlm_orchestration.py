@@ -12,6 +12,7 @@ arrival-order plan for three context lengths.
 
 from __future__ import annotations
 
+from repro.core.columns import SampleColumns
 from repro.core.cost_model import BackboneCostModel, EncoderCostModel
 from repro.core.dgraph import DGraph, metas_image, metas_token
 from repro.core.place_tree import ClientPlaceTree
@@ -24,7 +25,11 @@ from benchmark_utils_example import draw_samples
 
 
 def build_hybrid_plan(buffer_infos, tree, encoder_costfn, backbone_costfn, num_microbatches):
-    """The Fig. 9 strategy, written directly against the DGraph primitives."""
+    """The Fig. 9 strategy, written directly against the DGraph primitives.
+
+    ``buffer_infos`` is the buffered rows (:class:`SampleColumns`); each cost
+    function maps the selected rows to per-row (latency, memory) arrays.
+    """
     # Backbone: distribute along DP, balance fused-sequence cost, broadcast TP.
     dgraph = DGraph.from_buffer_infos(buffer_infos, metas_token, module="backbone")
     dgraph.init(tree)
@@ -62,7 +67,7 @@ def main() -> None:
     print(f"{'context':>8} {'baseline (s)':>14} {'hybrid (s)':>12} {'speedup':>8}")
     for context_length in (4096, 8192, 16384):
         samples = draw_samples(catalog, filesystem, 16 * mesh.size("DP"), context_length)
-        buffer_infos = {"navit": samples}
+        buffer_infos = SampleColumns.from_samples(samples)
 
         hybrid_plan = build_hybrid_plan(
             buffer_infos, ClientPlaceTree(mesh), encoder_cost, backbone_cost, num_microbatches

@@ -3,35 +3,22 @@
 The Planner's gather concatenates every Source Loader's buffer reply — the
 sample id, text token and image token arrays, in buffer (arrival) order —
 into one :class:`SampleColumns` with one run of rows per source, in gather
-order.  A planning cycle is numpy index arithmetic over those arrays: ``mix``
-draws row positions per source run, ``cost`` and ``balance`` read the token
-arrays, and a module plan is one selection of rows in bin order plus the
-bins' row offsets.
-No :class:`~repro.data.samples.SampleMetadata` is built on that path.
+order.  A :class:`SampleColumns` is the one input and output of planning: a
+DGraph selects its rows with a row mask, ``mix`` draws row positions per
+source run, a cost function maps the selected rows to per-row load arrays,
+``balance`` packs row positions, and a module plan is one selection of rows in
+bin order plus the bins' row offsets.
 
-A record is built only when a caller asks for one (:meth:`SampleColumns.to_list`:
-examples, figures, tests).  Each source of
-a set has a *reader* that builds records from sample ids: the loader cursor's
-record lookup for a gathered set, an index over the given records for a set
-built from records (:meth:`SampleColumns.from_samples`).
+Metadata records enter only through :meth:`SampleColumns.from_samples`
+(examples, figures and tests that draw records); no record is built from a
+column set.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from functools import partial
 from itertools import accumulate
 
 import numpy as np
-
-from repro.data.samples import SampleMetadata
-
-#: Builds a source's records from sample ids, in the given order.
-Reader = Callable[[list[int]], list[SampleMetadata]]
-
-
-def _read_index(index: dict[int, SampleMetadata], sample_ids: list[int]) -> list[SampleMetadata]:
-    return [index[sample_id] for sample_id in sample_ids]
 
 
 class SampleColumns:
@@ -45,8 +32,6 @@ class SampleColumns:
         ``int32`` array of indices into :attr:`sources`.
     sources:
         Tuple of source names referenced by :attr:`source_codes`.
-    readers:
-        Per source, the :data:`Reader` that builds its records on demand.
     runs:
         ``(code, start, end)`` per source when the rows are grouped into one
         contiguous run per source (a gathered set and what is cut from it by
@@ -55,7 +40,7 @@ class SampleColumns:
 
     __slots__ = (
         "sample_ids", "text_tokens", "image_tokens", "total_tokens",
-        "source_codes", "sources", "readers", "runs",
+        "source_codes", "sources", "runs",
     )
 
     def __init__(
@@ -65,7 +50,6 @@ class SampleColumns:
         image_tokens: np.ndarray,
         source_codes: np.ndarray,
         sources: tuple[str, ...],
-        readers: tuple[Reader, ...],
         total_tokens: np.ndarray | None = None,
         runs: list[tuple[int, int, int]] | None = None,
     ) -> None:
@@ -75,7 +59,6 @@ class SampleColumns:
         self.total_tokens = text_tokens + image_tokens if total_tokens is None else total_tokens
         self.source_codes = source_codes
         self.sources = sources
-        self.readers = readers
         self.runs = runs
 
     # -- constructors ---------------------------------------------------------------
@@ -83,14 +66,14 @@ class SampleColumns:
     @classmethod
     def empty(cls) -> "SampleColumns":
         none = np.empty(0, dtype=np.int64)
-        return cls(none, none, none, np.empty(0, dtype=np.int32), (), (), none, runs=[])
+        return cls(none, none, none, np.empty(0, dtype=np.int32), (), none, runs=[])
 
     @classmethod
     def gathered(cls, sources: list[str], replies: list[list[dict]]) -> "SampleColumns":
         """One set over loader buffer replies (``replies[i]`` are source
         ``i``'s, each with ``sample_ids`` / ``text_tokens`` / ``image_tokens``
-        arrays and a ``records`` reader), grouped by source in the given
-        order, each source's loaders in reply order."""
+        arrays), grouped by source in the given order, each source's loaders
+        in reply order."""
         counts = [sum(len(reply["sample_ids"]) for reply in group) for group in replies]
         flat = [reply for group in replies for reply in group]
         if not flat:
@@ -101,84 +84,27 @@ class SampleColumns:
               for name in ("sample_ids", "text_tokens", "image_tokens")),
             np.repeat(np.arange(len(sources), dtype=np.int32), counts),
             tuple(sources),
-            tuple(group[0]["records"] for group in replies),
             runs=[(code, end - count, end) for code, (count, end) in enumerate(zip(counts, ends))],
         )
 
     @classmethod
-    def from_samples(cls, samples: list[SampleMetadata]) -> "SampleColumns":
-        """Build columns from metadata records of any sources, in the given order."""
+    def from_samples(cls, samples: list) -> "SampleColumns":
+        """Columns of metadata records (:class:`~repro.data.samples.SampleMetadata`)
+        of any sources, in the given order."""
         if not samples:
             return cls.empty()
         code_of: dict[str, int] = {}
-        indexes: list[dict[int, SampleMetadata]] = []
-        codes = np.empty(len(samples), dtype=np.int32)
-        for position, sample in enumerate(samples):
-            code = code_of.setdefault(sample.source, len(code_of))
-            if code == len(indexes):
-                indexes.append({})
-            indexes[code][sample.sample_id] = sample
-            codes[position] = code
         count = len(samples)
+        codes = np.fromiter(
+            (code_of.setdefault(s.source, len(code_of)) for s in samples), dtype=np.int32, count=count
+        )
         return cls(
             np.fromiter((s.sample_id for s in samples), dtype=np.int64, count=count),
             np.fromiter((s.text_tokens for s in samples), dtype=np.int64, count=count),
             np.fromiter((s.image_tokens for s in samples), dtype=np.int64, count=count),
             codes,
             tuple(code_of),
-            tuple(partial(_read_index, index) for index in indexes),
-            runs=[(0, 0, count)] if len(indexes) == 1 else None,
-        )
-
-    @classmethod
-    def coerce(cls, samples) -> "SampleColumns":
-        """One column set from any accepted metadata input.
-
-        ``samples`` is a :class:`SampleColumns` (returned as is), a flat
-        collection of metadata records, or a ``source -> records | columns``
-        mapping (concatenated in mapping order).
-        """
-        if isinstance(samples, SampleColumns):
-            return samples
-        if isinstance(samples, dict):
-            return cls.concat([cls.coerce(value) for value in samples.values()])
-        return cls.from_samples(list(samples))
-
-    @classmethod
-    def concat(cls, parts: list["SampleColumns"]) -> "SampleColumns":
-        """Concatenate column sets.
-
-        Parts over distinct sources concatenate their arrays (grouped parts
-        into a grouped set); parts that share a source are rebuilt from their
-        records, merging the shared source into one table.
-        """
-        if not parts:
-            return cls.empty()
-        if len(parts) == 1:
-            return parts[0]
-        sources = [name for part in parts for name in part.sources]
-        if len(set(sources)) < len(sources):
-            return cls.from_samples([record for part in parts for record in part.to_list()])
-        runs: list[tuple[int, int, int]] | None = []
-        codes: list[np.ndarray] = []
-        first_code = offset = 0
-        for part in parts:
-            codes.append(part.source_codes + first_code)
-            if runs is not None and part.runs is not None:
-                runs += [(first_code + code, offset + start, offset + end)
-                         for code, start, end in part.runs]
-            else:
-                runs = None
-            first_code += len(part.sources)
-            offset += len(part)
-        return cls(
-            sample_ids=np.concatenate([part.sample_ids for part in parts]),
-            text_tokens=np.concatenate([part.text_tokens for part in parts]),
-            image_tokens=np.concatenate([part.image_tokens for part in parts]),
-            source_codes=np.concatenate(codes).astype(np.int32),
-            sources=tuple(sources),
-            readers=tuple(reader for part in parts for reader in part.readers),
-            runs=runs,
+            runs=[(0, 0, count)] if len(code_of) == 1 else None,
         )
 
     # -- views ----------------------------------------------------------------------
@@ -187,7 +113,15 @@ class SampleColumns:
         return len(self.sample_ids)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, SampleColumns) and self.to_list() == other.to_list()
+        """Same ids, token counts and source per row."""
+        return (
+            isinstance(other, SampleColumns)
+            and np.array_equal(self.sample_ids, other.sample_ids)
+            and np.array_equal(self.text_tokens, other.text_tokens)
+            and np.array_equal(self.image_tokens, other.image_tokens)
+            and [self.sources[code] for code in self.source_codes.tolist()]
+            == [other.sources[code] for code in other.source_codes.tolist()]
+        )
 
     def select(
         self, indices: np.ndarray, runs: list[tuple[int, int, int]] | None = None
@@ -200,7 +134,6 @@ class SampleColumns:
             self.image_tokens[indices],
             self.source_codes[indices],
             self.sources,
-            self.readers,
             total_tokens=self.total_tokens[indices],
             runs=runs,
         )
@@ -240,16 +173,3 @@ class SampleColumns:
         if self.runs is None:
             raise ValueError("the rows are not grouped by source")
         return {self.sources[code]: (code, start, end) for code, start, end in self.runs}
-
-    def to_list(self) -> list[SampleMetadata]:
-        """The rows' :class:`SampleMetadata` records, built by the sources' readers."""
-        sample_ids = self.sample_ids.tolist()
-        by_code: dict[int, list[int]] = {}
-        for position, code in enumerate(self.source_codes.tolist()):
-            by_code.setdefault(code, []).append(position)
-        records: list[SampleMetadata | None] = [None] * len(sample_ids)
-        for code, positions in by_code.items():
-            built = self.readers[code]([sample_ids[position] for position in positions])
-            for position, record in zip(positions, built):
-                records[position] = record
-        return records

@@ -3,7 +3,9 @@
 Two families of models live here:
 
 1. **Per-sample cost models** registered via the ``cost`` primitive
-   (Sec. 4.2): "we model the encoder's cost as a function of the image
+   (Sec. 4.2), which map the selected rows (a
+   :class:`~repro.core.columns.SampleColumns`) to per-row latency and memory
+   arrays: "we model the encoder's cost as a function of the image
    sequence length, the dimensions of the embedding and MLP layers, and the
    model's depth.  The cost for the language backbone is likewise modeled as
    a function of the total sequence length and key architectural parameters,
@@ -38,15 +40,13 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_right
-from typing import Callable
 
-from repro.data.samples import SampleMetadata
+import numpy as np
+
+from repro.core.columns import SampleColumns
 from repro.training.flops import encoder_sample_flops, sequence_backbone_flops
 from repro.training.models import BackboneConfig, EncoderConfig
 from repro.training.simulator import BACKWARD_MULTIPLIER, GpuSpec, IterationResult
-
-#: Signature of a user cost function: metadata -> (load cost, memory cost).
-CostFn = Callable[[SampleMetadata], tuple[float, float]]
 
 
 def capacity_split_duration_s(
@@ -283,7 +283,7 @@ def reconcile_timing(
 
 
 class EncoderCostModel:
-    """Latency/memory cost of encoding one image sample.
+    """Per-row latency/memory cost of encoding each row's image.
 
     Latency is the encoder forward+backward FLOPs at the default GPU's
     achievable throughput; memory is the activation footprint of the patch
@@ -294,17 +294,15 @@ class EncoderCostModel:
         self.encoder = encoder
         self.gpu = GpuSpec()
 
-    def __call__(self, metadata: SampleMetadata) -> tuple[float, float]:
-        flops = encoder_sample_flops(metadata.image_tokens, self.encoder)
+    def __call__(self, rows: SampleColumns) -> tuple[np.ndarray, np.ndarray]:
+        flops = encoder_sample_flops(rows.image_tokens, self.encoder)
         latency = self.gpu.seconds_for(flops * (1.0 + BACKWARD_MULTIPLIER))
-        memory = (
-            metadata.image_tokens * self.encoder.hidden_size * self.gpu.bytes_per_activation
-        )
-        return latency, float(memory)
+        memory = rows.image_tokens * self.encoder.hidden_size * self.gpu.bytes_per_activation
+        return latency, memory
 
 
 class BackboneCostModel:
-    """Latency/memory cost of one sample's fused sequence in the LLM backbone.
+    """Per-row latency/memory cost of each row's fused sequence in the LLM backbone.
 
     Accounts for the quadratic attention term, the MoE active-expert MLP
     ratio, the vocabulary projection and the hidden size, as forward+backward
@@ -315,11 +313,11 @@ class BackboneCostModel:
         self.backbone = backbone
         self.gpu = GpuSpec()
 
-    def __call__(self, metadata: SampleMetadata) -> tuple[float, float]:
-        tokens = metadata.total_tokens
+    def __call__(self, rows: SampleColumns) -> tuple[np.ndarray, np.ndarray]:
+        tokens = rows.total_tokens
         flops = sequence_backbone_flops(tokens, self.backbone)
         # Vocabulary projection (dense models only; MoE heads are identical).
         flops += 2.0 * tokens * self.backbone.hidden_size * self.backbone.vocab_size
         latency = self.gpu.seconds_for(flops * (1.0 + BACKWARD_MULTIPLIER))
         memory = tokens * self.backbone.hidden_size * self.gpu.bytes_per_activation
-        return latency, float(memory)
+        return latency, memory

@@ -2,12 +2,13 @@
 
 A :class:`DGraph` is a stateful dataflow graph that tracks the lifecycle of
 training samples through explicit producer-consumer relationships.  It is
-initialised from the *buffer metadata* collected from Source Loaders, bound to
+initialised from the *buffer metadata* collected from Source Loaders — one
+:class:`~repro.core.columns.SampleColumns`, the Planner's gather — bound to
 a :class:`~repro.core.place_tree.ClientPlaceTree` describing the trainer
 topology, and manipulated through a small set of declarative primitives
 (Sec. 4.2)::
 
-    dgraph = DGraph.from_buffer_infos(buffer_infos, metas_token)
+    dgraph = DGraph.from_buffer_infos(buffer_columns, metas_token)
     dgraph.init(client_place_tree)
     dgraph.mix(schedule)
     dgraph.distribute(axis="DP")
@@ -18,14 +19,14 @@ topology, and manipulated through a small set of declarative primitives
 
 Only lightweight metadata flows through the graph; payload bytes never do.
 
-Inside the graph the samples are one
-:class:`~repro.core.columns.SampleColumns` (metadata lists are converted at
-the door).  The Planner's gather hands over one run of rows per source, so
-``mix`` draws over index ranges, O(sources + selected); ``cost``/``plan``
-run as numpy index arithmetic, ``balance`` packs row positions by one cost
-list aligned with the selection, the plan is one selection of rows in bin
-order plus the bins' row offsets (no per-bin object, no sample record is
-built), and the lineage graph is **lazy** — nodes
+``metas`` (:func:`metas_token`, :func:`metas_image`) maps the columns to a row
+mask, and a cost function maps the selected rows to per-row load arrays, or
+to ``(loads, memory)`` arrays.  The Planner's gather hands over one run of
+rows per source, so ``mix`` draws over index ranges, O(sources + selected);
+``cost``/``plan`` run as numpy index arithmetic, ``balance`` packs row
+positions by one cost list aligned with the selection, the plan is one
+selection of rows in bin order plus the bins' row offsets (no per-bin
+object, no sample record is built), and the lineage graph is **lazy** — nodes
 and state transitions are recorded as compact column-level operations and
 only expanded into :class:`DGraphNode` objects when :attr:`nodes` or
 :meth:`lineage` is actually consulted
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain
 from typing import Callable
 
 import numpy as np
@@ -47,33 +48,25 @@ from repro.core.columns import SampleColumns
 from repro.core.place_tree import DISTRIBUTION_AXES, ClientPlaceTree
 from repro.core.plans import ModulePlan
 from repro.data.mixture import MixtureSchedule
-from repro.data.samples import SampleMetadata
 from repro.errors import OrchestrationError
 from repro.utils.rng import derive_rng
 
-#: Signature of cost functions accepted by ``cost``/``balance``:
-#: metadata -> (load cost, memory cost) or a bare float.
-CostFnLike = Callable[[SampleMetadata], object]
+#: Signature of cost functions accepted by ``cost``/``balance``: the selected
+#: rows -> per-row load array, or ``(load array, memory array)``.
+CostFnLike = Callable[[SampleColumns], object]
 
 
-# -- metadata selectors (the ``metas`` argument of from_buffer_infos) ------------
+# -- row selectors (the ``metas`` argument of from_buffer_infos) ------------------
 
 
-def metas_token(metadata: SampleMetadata) -> SampleMetadata | None:
+def metas_token(columns: SampleColumns) -> np.ndarray:
     """Select every sample, viewed through its fused token sequence."""
-    return metadata
+    return np.ones(len(columns), dtype=bool)
 
 
-def metas_image(metadata: SampleMetadata) -> SampleMetadata | None:
+def metas_image(columns: SampleColumns) -> np.ndarray:
     """Select only samples carrying image tokens (the encoder's view)."""
-    return metadata if metadata.image_tokens > 0 else None
-
-
-# A selector that is a pure *filter* (returns the sample unchanged or None)
-# can advertise a vectorized mask over SampleColumns; ``None`` means "select
-# all".  Selectors without the attribute are evaluated per object.
-metas_token.columns_mask = lambda columns: None
-metas_image.columns_mask = lambda columns: columns.image_tokens > 0
+    return columns.image_tokens > 0
 
 
 def expected_quotas(weights: dict[str, float], target: int) -> dict[str, int]:
@@ -139,11 +132,7 @@ class DGraphPlan:
 class DGraph:
     """Stateful dataflow graph over buffered sample metadata."""
 
-    def __init__(
-        self,
-        samples: list[SampleMetadata] | SampleColumns,
-        module: str = "backbone",
-    ) -> None:
+    def __init__(self, columns: SampleColumns, module: str = "backbone") -> None:
         self.module = module
         self._nodes: dict[tuple[int, str], DGraphNode] = {}
         # Lazy lineage: compact column-level ops replayed into nodes
@@ -152,8 +141,8 @@ class DGraph:
         self._lineage_cursor = 0
         self._base_materialized = False
 
-        self._columns = SampleColumns.coerce(samples)
-        self._selected = self._columns
+        self._columns = columns
+        self._selected = columns
         #: Positions of the selected rows in ``_columns`` (None: all of them).
         self._positions: np.ndarray | None = None
 
@@ -179,34 +168,20 @@ class DGraph:
     @classmethod
     def from_buffer_infos(
         cls,
-        buffer_infos: (
-            dict[str, list[SampleMetadata] | SampleColumns]
-            | list[SampleMetadata]
-            | SampleColumns
-        ),
-        metas: Callable[[SampleMetadata], SampleMetadata | None] = metas_token,
+        buffer_infos: SampleColumns,
+        metas: Callable[[SampleColumns], np.ndarray] = metas_token,
         module: str = "backbone",
     ) -> "DGraph":
-        """Create a DGraph from Source Loader buffer metadata.
+        """Create a DGraph over the rows of Source Loader buffer metadata.
 
-        ``buffer_infos`` is either a mapping ``source name -> buffered sample
-        metadata`` (as gathered by the Planner) or a flat collection.  ``metas``
-        selects and re-views the metadata for this graph's module: e.g.
-        :func:`metas_image` builds the encoder's view over the same shared
-        buffer dictionary, giving the "unified multisource representation" of
-        Sec. 4.1.
-
-        Values may be metadata lists or :class:`SampleColumns` (the Planner's
-        gather); either way the graph holds one concatenated column set.
+        ``buffer_infos`` is the Planner's gather, one :class:`SampleColumns`
+        with a run of rows per source.  ``metas`` maps it to a row mask that
+        selects this graph's module view: e.g. :func:`metas_image` builds the
+        encoder's view over the same shared buffer, giving the "unified
+        multisource representation" of Sec. 4.1.
         """
-        columns = SampleColumns.coerce(buffer_infos)
-        mask_fn = getattr(metas, "columns_mask", None)
-        if mask_fn is not None:
-            mask = mask_fn(columns)
-            return cls(columns if mask is None else columns.where(mask), module=module)
-        # Arbitrary (possibly transforming) selector: evaluate per object.
-        viewed = [metas(sample) for sample in columns.to_list()]
-        return cls([sample for sample in viewed if sample is not None], module=module)
+        mask = metas(buffer_infos)
+        return cls(buffer_infos if mask.all() else buffer_infos.where(mask), module=module)
 
     def init(self, tree: ClientPlaceTree) -> "DGraph":
         """Bind the graph to a trainer topology."""
@@ -306,7 +281,8 @@ class DGraph:
         return self
 
     def cost(self, costfn: CostFnLike) -> "DGraph":
-        """Register a cost function mapping sample metadata to (load, memory).
+        """Register a cost function mapping the selected rows to per-row loads
+        (or to ``(loads, memory)`` arrays).
 
         Costs are evaluated lazily over the currently selected samples and
         propagated automatically to the subsequent :meth:`balance` call.
@@ -325,7 +301,7 @@ class DGraph:
         if self._num_buckets is None:
             raise OrchestrationError("call distribute() before balance()")
         if self._cost_fn is None:
-            self.cost(lambda metadata: float(metadata.total_tokens))
+            self.cost(lambda rows: rows.total_tokens.astype(float))
         if num_microbatches is not None:
             if num_microbatches <= 0:
                 raise OrchestrationError("num_microbatches must be positive")
@@ -409,26 +385,7 @@ class DGraph:
             for code, pool in columns.pool_positions().items()
         }
 
-    # -- low-level interfaces (summary_buffer) --------------------------------
-
-    def summary_buffer(self) -> dict[str, dict[str, float]]:
-        """Summarise the buffered metadata per source (tokens, counts, cost)."""
-        summary: dict[str, dict[str, float]] = {}
-        for sample, cost in zip(self._selected.to_list(), self._costs or repeat(0.0)):
-            entry = summary.setdefault(
-                sample.source, {"count": 0.0, "tokens": 0.0, "image_tokens": 0.0, "cost": 0.0}
-            )
-            entry["count"] += 1
-            entry["tokens"] += sample.total_tokens
-            entry["image_tokens"] += sample.image_tokens
-            entry["cost"] += cost
-        return summary
-
     # -- introspection ---------------------------------------------------------------------
-
-    @property
-    def selected_samples(self) -> list[SampleMetadata]:
-        return self._selected.to_list()
 
     @property
     def selected_positions(self) -> np.ndarray | None:
@@ -521,25 +478,12 @@ class DGraph:
 
         The per-primitive latency recorded in ``api_costs`` is an analytical
         estimate (a fixed per-sample evaluation cost) so that Table 2 numbers
-        are deterministic and machine-independent.
-
-        Cost functions advertising a ``columns_eval`` hook (metadata columns
-        -> (load array, memory array)) are evaluated in one vectorized pass;
-        others fall back to the per-object loop, which yields bit-identical
-        values by construction.
+        are deterministic and machine-independent.  Only the loads are kept.
         """
-        if self._cost_fn is None:
-            return
         columns = self._selected
-        columns_eval = getattr(self._cost_fn, "columns_eval", None)
-        if columns_eval is not None:
-            loads, _ = columns_eval(columns)
-            self._costs = np.asarray(loads, dtype=float).tolist()
-        else:
-            results = map(self._cost_fn, columns.to_list())
-            self._costs = [
-                float(result[0] if isinstance(result, tuple) else result) for result in results
-            ]
+        result = self._cost_fn(columns)
+        loads = result[0] if isinstance(result, tuple) else result
+        self._costs = np.asarray(loads, dtype=float).tolist()
         self._api_costs["cost"] = (
             self._api_costs.get("cost", 0.0) + 1.2e-6 * len(columns)
         )

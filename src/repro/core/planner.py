@@ -188,9 +188,8 @@ class Planner(Actor):
         restarted Planner does for every loader.  Gather cost thus follows
         churn rather than depth once in sync.  The replies concatenate into
         one :class:`SampleColumns` with a run per source, in the order the
-        sources first reply (each source's loaders in handle order); a
-        source's first loader supplies the reader that builds its records on
-        demand.
+        sources first reply (each source's loaders in handle order): the one
+        input of the strategy, whose cost functions map rows to load arrays.
         """
         replies: dict[str, list[dict]] = {}
         latency = 0.0

@@ -7,8 +7,8 @@ receive broadcasts; plan history keeps only its :class:`PlanRecord`.  A
 :class:`ScalingPlan` is the AutoScaler's resource adjustment directive.
 
 A module plan holds its samples as one column set in bin order plus the bins'
-row offsets; records are built only when read, from a slice of the rows
-(:meth:`~repro.core.columns.SampleColumns.to_list`).
+row offsets: planning takes a :class:`~repro.core.columns.SampleColumns` and
+gives one, and no metadata record is built from either.
 """
 
 from __future__ import annotations

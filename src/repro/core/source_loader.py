@@ -38,7 +38,6 @@ import numpy as np
 
 from repro.actors.actor import Actor
 from repro.core.assembly import PreparedColumns
-from repro.data.samples import SampleMetadata
 from repro.data.sources import DataSource, SourceCursor
 from repro.data.synthetic import MODALITY_COST_PER_TOKEN
 from repro.errors import PlanError
@@ -223,15 +222,6 @@ class SourceLoader(Actor):
             )
         return added
 
-    def summary_buffer(self) -> list[SampleMetadata]:
-        """The buffered metadata records, in buffer order.
-
-        Builds a record per buffered row, for inspection; the Planner's
-        gather (:meth:`buffer_delta`) and the replay checkpoint read ids and
-        token columns instead.
-        """
-        return self._cursor.records(list(self._buffer))
-
     def buffered_among(self, sample_ids: list[int]) -> set[int]:
         """The subset of ``sample_ids`` waiting in the read buffer (O(ids), not O(buffer))."""
         return self._buffer.keys() & sample_ids
@@ -248,11 +238,12 @@ class SourceLoader(Actor):
     def buffer_delta(self) -> dict[str, object]:
         """The Planner's gather RPC: the buffer and what changed since the last call.
 
-        Returns ``{"sample_ids", "text_tokens", "image_tokens", "records",
-        "changes", "resync"}``: the source's id and token columns at the
-        buffered rows, in arrival order (one fancy index each), the lookup that builds a row's record on
-        demand, the rows added plus removed since the previous call, and
-        whether the buffer was rebuilt since then (always true on an
+        Returns ``{"sample_ids", "text_tokens", "image_tokens", "changes",
+        "resync"}``: the source's id and token columns at the buffered rows,
+        in arrival order (one fancy index each) — the rows the Planner
+        concatenates into the one :class:`~repro.core.columns.SampleColumns`
+        it plans over — the rows added plus removed since the previous call,
+        and whether the buffer was rebuilt since then (always true on an
         instance's first call).  Both counters reset at each call, so the
         protocol assumes one consumer, the Planner, which charges a gather by
         ``changes`` unless it must resync.
@@ -263,7 +254,6 @@ class SourceLoader(Actor):
             "sample_ids": sample_ids[rows],
             "text_tokens": text_tokens[rows],
             "image_tokens": image_tokens[rows],
-            "records": self._cursor.records,
             "changes": self._changes,
             "resync": self._rebuilt,
         }

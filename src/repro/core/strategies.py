@@ -1,10 +1,11 @@
 """Built-in orchestration strategies expressed with the DGraph primitives.
 
 A *strategy* is a callable ``(buffer_infos, tree, step, seed) -> DGraphPlan``
-that the Planner invokes every step.  The strategies here correspond to the
-three configurations evaluated in Sec. 7.3 (Vanilla, Backbone balance, Hybrid
-balance) plus the unimodal long-short-sequence example of Fig. 9, and they
-demonstrate how compact the declarative interface keeps each policy.
+that the Planner invokes every step with its gather, one
+:class:`~repro.core.columns.SampleColumns`.  The strategies here correspond
+to the three configurations evaluated in Sec. 7.3 (Vanilla, Backbone balance,
+Hybrid balance) plus the unimodal long-short-sequence example of Fig. 9, and
+they demonstrate how compact the declarative interface keeps each policy.
 """
 
 from __future__ import annotations
@@ -18,29 +19,19 @@ from repro.core.columns import SampleColumns
 from repro.core.dgraph import DGraph, DGraphPlan, metas_image, metas_token
 from repro.core.place_tree import ClientPlaceTree
 from repro.data.mixture import MixtureSchedule
-from repro.data.samples import SampleMetadata
 
 #: Strategy signature used by the Planner.
-StrategyFn = Callable[[dict[str, list[SampleMetadata]], ClientPlaceTree, int, int], DGraphPlan]
-
-def _token_cost(metadata: SampleMetadata) -> float:
-    return float(metadata.total_tokens) ** 2
+StrategyFn = Callable[[SampleColumns, ClientPlaceTree, int, int], DGraphPlan]
 
 
-def _image_cost(metadata: SampleMetadata) -> float:
-    return float(metadata.image_tokens) ** 2
+def _token_cost(rows: SampleColumns) -> np.ndarray:
+    tokens = rows.total_tokens.astype(float)
+    return tokens * tokens
 
 
-def _square_columns(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    floats = values.astype(float)
-    return floats * floats, np.zeros(len(floats), dtype=float)
-
-
-# Vectorized forms the DGraph evaluates over SampleColumns: one array pass
-# instead of a per-sample call, bit-identical to the scalar forms above
-# (squaring a double rounds once either way).
-_token_cost.columns_eval = lambda columns: _square_columns(columns.total_tokens)
-_image_cost.columns_eval = lambda columns: _square_columns(columns.image_tokens)
+def _image_cost(rows: SampleColumns) -> np.ndarray:
+    tokens = rows.image_tokens.astype(float)
+    return tokens * tokens
 
 
 @dataclass
@@ -64,7 +55,7 @@ def vanilla_strategy(config: StrategyConfig | None = None) -> StrategyFn:
     config = config or StrategyConfig()
 
     def strategy(
-        buffer_infos: dict[str, list[SampleMetadata]],
+        buffer_infos: SampleColumns,
         tree: ClientPlaceTree,
         step: int,
         seed: int = 0,
@@ -90,7 +81,7 @@ def backbone_balance_strategy(config: StrategyConfig | None = None) -> StrategyF
     config = config or StrategyConfig()
 
     def strategy(
-        buffer_infos: dict[str, list[SampleMetadata]],
+        buffer_infos: SampleColumns,
         tree: ClientPlaceTree,
         step: int,
         seed: int = 0,
@@ -114,13 +105,12 @@ def hybrid_vlm_strategy(config: StrategyConfig | None = None) -> StrategyFn:
     config = config or StrategyConfig()
 
     def strategy(
-        buffer_infos: dict[str, list[SampleMetadata]],
+        buffer_infos: SampleColumns,
         tree: ClientPlaceTree,
         step: int,
         seed: int = 0,
     ) -> DGraphPlan:
-        columns = SampleColumns.coerce(buffer_infos)
-        dgraph = DGraph.from_buffer_infos(columns, metas_token, module="backbone")
+        dgraph = DGraph.from_buffer_infos(buffer_infos, metas_token, module="backbone")
         dgraph.init(tree).with_step(step, seed)
         if config.mixture is not None:
             dgraph.mix(config.mixture, sample_count=config.sample_count)
@@ -132,14 +122,14 @@ def hybrid_vlm_strategy(config: StrategyConfig | None = None) -> StrategyFn:
 
         # Encoder subplan: the image view of the *same* selected samples,
         # distributed across every GPU (world-wide encoder data parallelism).
-        # The backbone graph's input rows are ``columns``, so the positions
-        # its mix chose pick the encoder's rows in buffer order.
+        # The backbone graph's input rows are ``buffer_infos``, so the
+        # positions its mix chose pick the encoder's rows in buffer order.
         positions = dgraph.selected_positions
-        encoder_buffer = columns
+        encoder_buffer = buffer_infos
         if positions is not None:
-            chosen = np.zeros(len(columns), dtype=bool)
+            chosen = np.zeros(len(buffer_infos), dtype=bool)
             chosen[positions] = True
-            encoder_buffer = columns.where(chosen)
+            encoder_buffer = buffer_infos.where(chosen)
         dgraph_encoder = DGraph.from_buffer_infos(encoder_buffer, metas_image, module="encoder")
         dgraph_encoder.init(tree).with_step(step, seed)
         dgraph_encoder.distribute(axis="WORLD")

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -159,8 +158,8 @@ class SourceCursor:
     rows as global row numbers (:meth:`take`): a Source Loader buffers those
     and indexes the columns, so no row is copied or becomes an object on its
     path; a :class:`SampleMetadata` record is built only when asked for
-    (:meth:`next_metadata`, :meth:`records`).  The cursor's state is one
-    position: shard row ``k`` is global row ``shard_index + k * shard_count``.
+    (:meth:`next_metadata`).  The cursor's state is one position: shard row
+    ``k`` is global row ``shard_index + k * shard_count``.
     """
 
     def __init__(
@@ -245,31 +244,16 @@ class SourceCursor:
             raise ConfigurationError(f"source {self.source.name!r} has no sample {missing[0]}")
         return rows
 
-    def _records(self, rows: np.ndarray) -> list[SampleMetadata]:
-        """Records of the global ``rows``, in that order."""
-        columns = {name: self.column(name)[rows].tolist() for name in _COLUMNS}
-        modality = [Modality(value) for value in columns.pop("modality")]
-        return list(
-            map(
-                SampleMetadata,
-                self.column("sample_id")[rows].tolist(),
-                repeat(self.source.name),
-                modality,
-                *columns.values(),
-            )
-        )
-
-    def records(self, sample_ids: list[int]) -> list[SampleMetadata]:
-        """Records of this source's rows with ``sample_ids``, in that order.
-
-        Built on demand (examples, figures, tests, a plan's records): the
-        loader and planning paths carry ids and token arrays instead.
-        """
-        return self._records(self.rows_of(sample_ids))
-
     def next_metadata(self) -> SampleMetadata:
         """Return metadata for the next sample (wrapping at the end of shard)."""
-        return self._records(self.take(1))[0]
+        row = self.take(1)
+        values = {name: self.column(name)[row].item() for name in _COLUMNS}
+        return SampleMetadata(
+            self.column("sample_id")[row].item(),
+            self.source.name,
+            Modality(values.pop("modality")),
+            *values.values(),
+        )
 
     def rewind(self, count: int) -> None:
         """Step back over the last ``count`` rows read (they are read again next)."""

@@ -264,9 +264,6 @@ class OverlapLedger:
             "fleet_net_delta": float(counts["spawn"] - counts["retire"]),
         }
 
-    def records(self) -> list[FetchOverlap]:
-        return list(self._records)
-
     def fetch_total_s(self) -> float:
         return sum(entry.fetch_s for entry in self._records)
 

@@ -12,6 +12,7 @@ from repro.core.assembly import PreparedColumns
 from repro.core.columns import SampleColumns
 from repro.core.plans import ModulePlan
 from repro.data.samples import Modality, SampleMetadata
+from repro.data.sources import SourceCursor
 from repro.data.synthetic import build_source_catalog, navit_like_spec
 from repro.parallelism.mesh import DeviceMesh
 from repro.storage.columnar import ColumnarFile, write_columnar_file
@@ -93,12 +94,36 @@ def prepared_rows(rows) -> PreparedColumns:
     return PreparedColumns(*np.array(rows, dtype=np.int64).reshape(-1, 4).T)
 
 
-def bucket_samples(module_plan) -> list[list[list[SampleMetadata]]]:
-    """Per bucket, its microbatches' planned records (built from the rows)."""
-    records = module_plan.rows.to_list()
-    bins = [records[lo:hi] for lo, hi in pairwise(module_plan.offsets)]
+def bucket_samples(module_plan) -> list[list[SampleColumns]]:
+    """Per bucket, its microbatches' planned rows."""
+    rows = module_plan.rows
+    bins = [rows.select(slice(lo, hi)) for lo, hi in pairwise(module_plan.offsets)]
     width = module_plan.num_microbatches
     return [bins[first : first + width] for first in range(0, len(bins), width)]
+
+
+def gathered_columns(buffer_infos: dict[str, list[SampleMetadata]]) -> SampleColumns:
+    """``source -> records`` as the Planner's gather holds them: one set with
+    a run of rows per source, in mapping order."""
+    parts = [SampleColumns.from_samples(samples) for samples in buffer_infos.values()]
+    names = ("sample_ids", "text_tokens", "image_tokens")
+    return SampleColumns.gathered(
+        list(buffer_infos), [[{name: getattr(part, name) for name in names}] for part in parts]
+    )
+
+
+def buffered_ids(loader) -> list[int]:
+    """A loader's buffered sample ids in buffer order, read without touching
+    the gather's change counters (unlike ``buffer_delta``)."""
+    return loader.replay_checkpoint()["buffer"]
+
+
+def stored_tokens(loader, sample_ids) -> tuple[list[int], list[int]]:
+    """The text and image token counts of ``sample_ids`` as the loader's
+    source files store them."""
+    cursor = SourceCursor(loader.source, loader.filesystem)
+    rows = cursor.rows_of(sample_ids)
+    return tuple(cursor.column(name)[rows].tolist() for name in ("text_tokens", "image_tokens"))
 
 
 def plan_bins(module_plan) -> list[tuple[int, int, list[int], float]]:

@@ -277,11 +277,11 @@ def test_prefetch_pipeline_byte_identical_under_the_scan_oracle(depth):
         assert reference.system.clock_s == indexed.system.clock_s
         ref_ledger = [
             (entry.step, entry.fetch_s, entry.hidden_s, entry.stall_s)
-            for entry in reference.overlap.records()
+            for entry in reference.overlap._records
         ]
         idx_ledger = [
             (entry.step, entry.fetch_s, entry.hidden_s, entry.stall_s)
-            for entry in indexed.overlap.records()
+            for entry in indexed.overlap._records
         ]
         assert ref_ledger == idx_ledger
     finally:

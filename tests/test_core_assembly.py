@@ -28,7 +28,7 @@ from repro.core.framework import MANIFEST_NAMESPACE, MegaScaleData, TrainingJobS
 from repro.core.source_loader import SourceLoader
 from repro.data.samples import Modality, SampleMetadata
 from repro.errors import PlanError
-from conftest import bucket_samples, module_plan_of, prepared_rows
+from conftest import bucket_samples, buffered_ids, module_plan_of, prepared_rows, stored_tokens
 from repro.parallelism.mesh import DeviceMesh
 from repro.transforms import microbatch
 from repro.transforms.microbatch import (
@@ -251,13 +251,14 @@ class TestStagedColumns:
     def test_take_returns_rows_in_requested_order(self, system, small_catalog, filesystem):
         handle = spawn_loader(system, small_catalog, filesystem, buffer_size=16)
         loader = handle.instance()
-        buffered = loader.summary_buffer()[:4]
+        buffered = buffered_ids(loader)[:4]
         wanted = [buffered[2], buffered[0], buffered[3]]
-        reply = handle.call("poll", 1, 2, [m.sample_id for m in wanted])
+        reply = handle.call("poll", 1, 2, wanted)
         assert len(reply["chunk_wall_clock_s"]) == 2
         columns = system.gcs.take(reply["key"])
-        assert columns.sample_ids.tolist() == [m.sample_id for m in wanted]
-        assert columns.total_tokens.tolist() == [m.total_tokens for m in wanted]
+        assert columns.sample_ids.tolist() == wanted
+        text, image = stored_tokens(loader, wanted)
+        assert columns.total_tokens.tolist() == [t + i for t, i in zip(text, image)]
         assert reply["staged_bytes"] == columns.total_bytes() > 0
         assert loader.staged_count() == 0
 
@@ -266,7 +267,7 @@ class TestStagedColumns:
         retry without that id succeeds and releases every staged byte."""
         handle = spawn_loader(system, small_catalog, filesystem, buffer_size=16)
         loader = handle.instance()
-        ids = [m.sample_id for m in loader.summary_buffer()[:2]]
+        ids = buffered_ids(loader)[:2]
         with pytest.raises(PlanError, match="unknown sample 12345"):
             handle.call("prepare", [ids[0], 12345])
         assert loader.staged_count() == 0
@@ -283,7 +284,7 @@ class TestStagedColumns:
         reset drops them, and so does the loader's stop hook."""
         handle = spawn_loader(system, small_catalog, filesystem, buffer_size=16)
         loader = handle.instance()
-        ids = [m.sample_id for m in loader.summary_buffer()[:6]]
+        ids = buffered_ids(loader)[:6]
         handle.call("prepare_async", 1, ids[:2])
         assert loader.staged_count() == 2
         handle.call("reset_for_replay")
@@ -327,7 +328,7 @@ class TestLoaderHandOff:
     def test_fetch_prepared_ref_is_zero_copy(self, system, small_catalog, filesystem):
         handle = spawn_loader(system, small_catalog, filesystem, buffer_size=16)
         loader = handle.instance()
-        sample_ids = [m.sample_id for m in loader.summary_buffer()[:4]]
+        sample_ids = buffered_ids(loader)[:4]
         ref = handle.call("prepare", sample_ids)
         assert ref["num_samples"] == 4
         # The GCS serves the frozen columns BY REFERENCE: the exact object
@@ -346,19 +347,19 @@ class TestLoaderHandOff:
     ):
         handle = spawn_loader(system, small_catalog, filesystem, buffer_size=8)
         loader = handle.instance()
-        buffered = loader.summary_buffer()[:2]
-        sample_ids = [m.sample_id for m in buffered]
+        sample_ids = buffered_ids(loader)[:2]
         ref = handle.call("prepare", sample_ids)
         columns = system.gcs.take(ref["key"])
-        assert columns.text_tokens.tolist() == [m.text_tokens for m in buffered]
-        assert columns.image_tokens.tolist() == [m.image_tokens for m in buffered]
+        assert (columns.text_tokens.tolist(), columns.image_tokens.tolist()) == stored_tokens(
+            loader, sample_ids
+        )
         assert columns.total_bytes() == ref["staged_bytes"]
 
     def test_a_reset_drops_an_open_ticket(self, system, small_catalog, filesystem):
         """An open ticket blocks its id until a pristine reset drops it, rows
         and all: nothing is published for it, and the id serves again."""
         handle = spawn_loader(system, small_catalog, filesystem)
-        ids = [m.sample_id for m in handle.instance().summary_buffer()[:4]]
+        ids = buffered_ids(handle.instance())[:4]
         handle.call("prepare_async", 3, ids)
         with pytest.raises(PlanError, match="in-flight ticket 3"):
             handle.call("poll", 3, 2, ids)
@@ -379,9 +380,9 @@ def make_plan(tokens_by_microbatch):
 
 
 def columns_for(plan):
-    return prepared_rows(
-        [(m.sample_id, m.text_tokens, m.image_tokens, m.raw_bytes) for m in plan.rows.to_list()]
-    )
+    """The hand-off of ``plan``'s rows, with the raw bytes ``meta`` gives them."""
+    rows = plan.rows
+    return PreparedColumns(rows.sample_ids, rows.text_tokens, rows.image_tokens, 4 * rows.total_tokens)
 
 
 def rank_slices_oracle(mesh, dp_index, index, sequence_lengths) -> list[ParallelSlice]:
@@ -440,7 +441,7 @@ class TestConstructorEquivalence:
         expected_tokens = 0
         for mb, samples in enumerate(bucket_samples(plan)[0]):
             tables = segment_tables(
-                [m.sample_id for m in samples], [m.total_tokens for m in samples], 512
+                samples.sample_ids.tolist(), samples.total_tokens.tolist(), 512
             )
             lengths = [sum(n for _, n in table) for table in tables]
             expected_tokens += sum(lengths)
@@ -524,12 +525,7 @@ class TestDeliveryManifests:
                 for ids in manifest["buckets"].values()
                 for sid in ids
             )
-            planned_ids = sorted(
-                metadata.sample_id
-                for bucket in bucket_samples(result.plan.module("backbone"))
-                for microbatch in bucket
-                for metadata in microbatch
-            )
+            planned_ids = sorted(result.plan.module("backbone").rows.sample_ids.tolist())
             assert delivered_ids == planned_ids
         audit = framework.delivery_audit()
         assert audit["steps"] == 3

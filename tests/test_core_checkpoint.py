@@ -37,6 +37,7 @@ from repro.core.plans import LoaderScalingDirective, PlanRecord, ScalingPlan
 from repro.core.source_loader import SourceLoader
 from repro.data.mixture import MixturePhase, MixtureSchedule
 from repro.errors import ConfigurationError, StorageError
+from conftest import buffered_ids
 
 
 def make_job(prefetch_depth: int = 0, seed: int = 11, **overrides) -> TrainingJobSpec:
@@ -138,16 +139,12 @@ class TestCheckpointStores:
         restored = backend.load("loader/test", 0)
         assert restored is not snapshot
         assert restored["cursor"] == snapshot["cursor"]
-        assert restored["buffer"] == snapshot["buffer"] == [
-            m.sample_id for m in loader.summary_buffer()
-        ]
+        assert restored["buffer"] == snapshot["buffer"]
         assert all(type(sample_id) is int for sample_id in restored["buffer"])
         fresh = SourceLoader(small_catalog.sources()[0], filesystem, buffer_size=8)
         fresh.on_start()
         fresh.restore_replay_checkpoint(restored)
-        assert [m.sample_id for m in fresh.summary_buffer()] == [
-            m.sample_id for m in loader.summary_buffer()
-        ]
+        assert buffered_ids(fresh) == buffered_ids(loader)
         backend.close()
 
     def test_sqlite_rejects_unpicklable_payload(self):
@@ -899,7 +896,7 @@ class TestGatherResync:
         loader.on_start()
         first = loader.buffer_delta()
         assert first["resync"] is True
-        ids = [m.sample_id for m in loader.summary_buffer()[:2]]
+        ids = buffered_ids(loader)[:2]
         loader.gcs.take(loader.prepare(ids)["key"])
         delta = loader.buffer_delta()
         assert delta["resync"] is False
@@ -908,14 +905,14 @@ class TestGatherResync:
         loader.restore_replay_checkpoint(snapshot)
         resync = loader.buffer_delta()
         assert resync["resync"] is True
-        ids = [m.sample_id for m in loader.summary_buffer()]
+        ids = buffered_ids(loader)
         assert resync["sample_ids"].tolist() == ids
         assert delta["sample_ids"].tolist() == ids
         quiet = loader.buffer_delta()
         assert quiet["sample_ids"].tolist() == ids
         assert (quiet["changes"], quiet["resync"]) == (0, False)
         assert quiet.keys() == {
-            "sample_ids", "text_tokens", "image_tokens", "records", "changes", "resync"
+            "sample_ids", "text_tokens", "image_tokens", "changes", "resync"
         }
 
 

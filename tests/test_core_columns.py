@@ -13,27 +13,20 @@ def make_sample(sample_id, text_tokens=64, source="src"):
     return SampleMetadata(sample_id, source, Modality.TEXT, text_tokens=text_tokens)
 
 
-def reply_of(samples, index):
-    """A loader's buffer reply over ``samples``; ``index`` holds the source's records."""
+def reply_of(samples):
+    """A loader's buffer reply over ``samples``."""
     return {
         "sample_ids": np.array([s.sample_id for s in samples], dtype=np.int64),
         "text_tokens": np.array([s.text_tokens for s in samples], dtype=np.int64),
         "image_tokens": np.array([s.image_tokens for s in samples], dtype=np.int64),
-        "records": lambda ids: [index[i] for i in ids],
     }
 
 
 def gathered(by_source):
     """A gathered set: ``source -> list of per-loader record lists``."""
-    replies = []
-    for loaders in by_source.values():
-        index = {s.sample_id: s for loader in loaders for s in loader}
-        replies.append([reply_of(loader, index) for loader in loaders])
-    return SampleColumns.gathered(list(by_source), replies)
-
-
-def ids_of(columns):
-    return [sample.sample_id for sample in columns.to_list()]
+    return SampleColumns.gathered(
+        list(by_source), [[reply_of(loader) for loader in loaders] for loaders in by_source.values()]
+    )
 
 
 class TestGathered:
@@ -47,7 +40,7 @@ class TestGathered:
         assert columns.source_codes.tolist() == [0, 0, 1, 1, 1]
         assert columns.runs == [(0, 0, 2), (1, 2, 5), (2, 5, 5)]
         assert columns.source_runs() == {"a": (0, 0, 2), "b": (1, 2, 5), "c": (2, 5, 5)}
-        assert columns.to_list() == a + b1 + b2
+        assert columns == SampleColumns.from_samples(a + b1 + b2)
         assert columns.total_tokens.tolist() == [s.total_tokens for s in a + b1 + b2]
 
     def test_views_agree_grouped_and_ungrouped(self):
@@ -64,37 +57,15 @@ class TestGathered:
             flat.source_runs()
 
 
-class TestConcat:
-    def test_shared_sources_are_merged_into_one_table(self):
-        first = SampleColumns.from_samples([make_sample(1, source="a"), make_sample(2, source="b")])
-        second = SampleColumns.from_samples([make_sample(3, source="b"), make_sample(4, source="c")])
-        joined = SampleColumns.concat([first, second])
-        assert joined.sources == ("a", "b", "c")
-        assert [joined.sources[code] for code in joined.source_codes] == ["a", "b", "b", "c"]
-        assert joined.sample_ids.tolist() == [1, 2, 3, 4]
-        assert joined.runs is None
-        assert ids_of(joined) == [1, 2, 3, 4]
-
-    def test_grouped_parts_over_distinct_sources_stay_grouped(self):
-        a = gathered({"a": [[make_sample(1, source="a")]]})
-        b = gathered({"b": [[make_sample(5, source="b"), make_sample(6, source="b")]]})
-        joined = SampleColumns.concat([a, b])
-        assert joined.runs == [(0, 0, 1), (1, 1, 3)]
-        assert ids_of(joined) == [1, 5, 6]
-
-    def test_no_parts_and_one_part(self):
-        assert len(SampleColumns.concat([])) == 0
-        only = SampleColumns.from_samples([make_sample(5)])
-        assert SampleColumns.concat([only]) is only
-
-    def test_coerce_concatenates_a_mapping_in_order(self):
-        mapping = {
-            "b": [make_sample(3, source="b")],
-            "a": gathered({"a": [[make_sample(1, source="a")]]}),
-        }
-        columns = SampleColumns.coerce(mapping)
-        assert ids_of(columns) == [3, 1]
-        assert SampleColumns.coerce(columns) is columns
+class TestEquality:
+    def test_ids_tokens_and_row_sources_are_compared(self):
+        samples = [make_sample(1, source="a"), make_sample(2, source="b")]
+        columns = SampleColumns.from_samples(samples)
+        assert columns == gathered({"a": [samples[:1]], "b": [samples[1:]]})
+        assert columns != SampleColumns.from_samples([make_sample(1, source="a"), make_sample(2)])
+        assert columns != SampleColumns.from_samples([samples[0], make_sample(2, 65, "b")])
+        assert columns != SampleColumns.from_samples(samples[::-1])
+        assert SampleColumns.empty() == SampleColumns.from_samples([])
 
 
 class TestViews:
@@ -104,15 +75,16 @@ class TestViews:
         kept = columns.where(columns.text_tokens > 25)
         assert kept.sample_ids.tolist() == [4, 6, 3, 5]
         assert kept.runs == [(0, 0, 2), (1, 2, 4)]
-        assert ids_of(kept) == [4, 6, 3, 5]
+        assert kept.sources == ("a", "b")
+        assert kept.source_codes.tolist() == [0, 0, 1, 1]
 
     def test_select_and_slice(self):
         samples = [make_sample(i, text_tokens=10 * i) for i in range(1, 6)]
         columns = SampleColumns.from_samples(samples)
         picked = columns.select(np.array([4, 0]))
         assert picked.sample_ids.tolist() == [5, 1]
-        assert picked.to_list() == [samples[4], samples[0]]
+        assert picked == SampleColumns.from_samples([samples[4], samples[0]])
         cut = columns.select(slice(1, 3))
         assert cut.total_tokens.tolist() == [20, 30]
-        assert cut.to_list() == samples[1:3]
-        assert len(SampleColumns.empty().to_list()) == 0
+        assert cut == SampleColumns.from_samples(samples[1:3])
+        assert len(SampleColumns.empty()) == 0

@@ -11,7 +11,7 @@ from repro.errors import PlanError
 from repro.parallelism.mesh import DeviceMesh
 from repro.transforms import microbatch
 from repro.utils.units import GIB
-from conftest import module_plan_of, prepared_rows
+from conftest import module_plan_of
 from test_core_source_loader import THREE_STEP_DELIVERIES, three_step_vlm_deliveries
 
 
@@ -25,10 +25,11 @@ def make_plan(sample_factory, buckets=2, microbatches=2, tokens=128):
 
 
 def prepared_for(plan) -> PreparedColumns:
-    """The hand-off a loader would publish for every sample of ``plan``."""
-    return prepared_rows(
-        [(m.sample_id, m.text_tokens, m.image_tokens, m.raw_bytes) for m in plan.rows.to_list()]
-    )
+    """The hand-off a loader would publish for every sample of ``plan``, with
+    the raw bytes ``make_sample`` gives them."""
+    rows = plan.rows
+    raw_bytes = 4 * rows.text_tokens + 48 * rows.image_tokens
+    return PreparedColumns(rows.sample_ids, rows.text_tokens, rows.image_tokens, raw_bytes)
 
 
 @pytest.fixture()

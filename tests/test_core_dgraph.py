@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.columns import SampleColumns
 from repro.core.dgraph import DGraph, metas_image, metas_token
 from repro.core.place_tree import ClientPlaceTree
 from repro.data.mixture import MixtureSchedule
 from repro.errors import OrchestrationError
 from repro.parallelism.mesh import DeviceMesh
-from conftest import bucket_samples, plan_bins
+from conftest import bucket_samples, gathered_columns, make_sample, plan_bins
 
 
 @pytest.fixture()
@@ -20,7 +21,12 @@ def buffer_infos(sample_factory):
         sample_factory(100 + i, text_tokens=32, image_tokens=256 * (i + 1), source="img_src")
         for i in range(16)
     ]
-    return {"text_src": text, "img_src": image}
+    return gathered_columns({"text_src": text, "img_src": image})
+
+
+def selected_rows(dgraph, tree):
+    """The rows a graph selected, as its plan lists them (bin order)."""
+    return dgraph.init(tree).plan().module.rows
 
 
 @pytest.fixture()
@@ -29,26 +35,30 @@ def tree(vlm_mesh):
 
 
 class TestConstruction:
-    def test_from_buffer_infos_counts(self, buffer_infos):
+    def test_from_buffer_infos_counts(self, buffer_infos, tree):
         dgraph = DGraph.from_buffer_infos(buffer_infos, metas_token)
-        assert len(dgraph.selected_samples) == 32
         assert len(dgraph.nodes) == 32
+        assert selected_rows(dgraph, tree) == buffer_infos
 
-    def test_image_view_filters_text(self, buffer_infos):
-        dgraph = DGraph.from_buffer_infos(buffer_infos, metas_image)
-        assert len(dgraph.selected_samples) == 16
-        assert all(s.image_tokens > 0 for s in dgraph.selected_samples)
+    def test_image_view_filters_text(self, buffer_infos, tree):
+        rows = selected_rows(DGraph.from_buffer_infos(buffer_infos, metas_image), tree)
+        assert len(rows) == 16
+        assert (rows.image_tokens > 0).all()
 
-    def test_text_only_view(self, buffer_infos):
-        """A selector without a column mask is evaluated per record."""
-        dgraph = DGraph.from_buffer_infos(buffer_infos, lambda m: m if m.image_tokens == 0 else None)
-        assert len(dgraph.selected_samples) == 16
-        assert all(s.image_tokens == 0 for s in dgraph.selected_samples)
+    def test_text_only_view(self, buffer_infos, tree):
+        """Any row mask over the columns selects a view."""
+        dgraph = DGraph.from_buffer_infos(buffer_infos, lambda rows: rows.image_tokens == 0)
+        rows = selected_rows(dgraph, tree)
+        assert len(rows) == 16
+        assert (rows.image_tokens == 0).all()
 
-    def test_flat_list_accepted(self, buffer_infos):
-        flat = [s for samples in buffer_infos.values() for s in samples]
-        dgraph = DGraph.from_buffer_infos(flat)
-        assert len(dgraph.selected_samples) == 32
+    def test_rows_not_grouped_by_source_accepted(self, buffer_infos, tree):
+        flat = SampleColumns.from_samples(
+            [make_sample(i, source="ab"[i % 2]) for i in range(8)]
+        )
+        assert flat.runs is None
+        rows = selected_rows(DGraph.from_buffer_infos(flat), tree)
+        assert sorted(rows.sample_ids.tolist()) == list(range(8))
 
     def test_primitives_require_init(self, buffer_infos):
         dgraph = DGraph.from_buffer_infos(buffer_infos)
@@ -81,8 +91,7 @@ class TestPrimitives:
         schedule = MixtureSchedule.static({"text_src": 0.999, "img_src": 0.001})
         dgraph = DGraph.from_buffer_infos(buffer_infos).init(tree).with_step(0)
         dgraph.mix(schedule, sample_count=16)
-        sources = [s.source for s in dgraph.selected_samples]
-        assert sources.count("text_src") >= 14
+        assert len(dgraph.plan().source_demands["text_src"]) >= 14
 
     def test_mix_zero_weight_everywhere_rejected(self, buffer_infos, tree):
         schedule = MixtureSchedule.static({"other": 1.0})
@@ -96,7 +105,7 @@ class TestPrimitives:
             dgraph.balance()
 
     def test_balance_reduces_imbalance(self, buffer_infos, tree):
-        costfn = lambda m: float(m.total_tokens) ** 2
+        costfn = lambda rows: rows.total_tokens.astype(float) ** 2
         balanced = (
             DGraph.from_buffer_infos(buffer_infos).init(tree).distribute("DP").cost(costfn)
         )
@@ -109,7 +118,7 @@ class TestPrimitives:
 
         def spread(plan):
             costs = [
-                sum(float(s.total_tokens) ** 2 for s in bin_)
+                sum(costfn(bin_).tolist())
                 for bucket in bucket_samples(plan.module)
                 for bin_ in bucket
             ]
@@ -152,38 +161,32 @@ class TestPlan:
 
     def test_plan_api_costs_recorded(self, buffer_infos, tree):
         dgraph = DGraph.from_buffer_infos(buffer_infos).init(tree).distribute("DP")
-        dgraph.cost(lambda m: float(m.total_tokens))
+        dgraph.cost(lambda rows: rows.total_tokens.astype(float))
         dgraph.balance(num_microbatches=2)
         plan = dgraph.plan()
         assert plan.api_costs["cost"] > 0
         assert plan.api_costs["balance"] > 0
 
-    def test_summary_buffer_per_source(self, buffer_infos, tree):
-        dgraph = DGraph.from_buffer_infos(buffer_infos).init(tree)
-        summary = dgraph.summary_buffer()
-        assert summary["text_src"]["count"] == 16
-        assert summary["img_src"]["image_tokens"] > 0
-
     def test_lineage_tracks_states(self, buffer_infos, tree):
         dgraph = DGraph.from_buffer_infos(buffer_infos).init(tree)
         dgraph.distribute("DP").balance(num_microbatches=2)
-        sample_id = dgraph.selected_samples[0].sample_id
+        sample_id = selected_rows(dgraph, tree).sample_ids.tolist()[0]
         assert dgraph.lineage(sample_id) == ["buffered", "assigned"]
 
     def test_mix_then_balance_lineage(self, buffer_infos, tree):
         schedule = MixtureSchedule.uniform(["text_src", "img_src"])
         dgraph = DGraph.from_buffer_infos(buffer_infos).init(tree).with_step(1)
         dgraph.mix(schedule).distribute("DP").balance(num_microbatches=2)
-        sample_id = dgraph.selected_samples[0].sample_id
-        assert dgraph.lineage(sample_id) == ["buffered", "sampled", "assigned"]
+        rows = selected_rows(dgraph, tree)
+        assert dgraph.lineage(rows.sample_ids.tolist()[0]) == ["buffered", "sampled", "assigned"]
         sampled = [node for node in dgraph.nodes if node.state == "sampled"]
-        assert len(sampled) == len(dgraph.selected_samples)
+        assert len(sampled) == len(rows)
 
     def test_balance_nodes_record_bucket_and_microbatch(self, buffer_infos, tree):
         dgraph = DGraph.from_buffer_infos(buffer_infos).init(tree)
         dgraph.distribute("DP").balance(num_microbatches=2)
         assigned = [node for node in dgraph.nodes if node.state == "assigned"]
-        assert len(assigned) == len(dgraph.selected_samples)
+        assert len(assigned) == len(buffer_infos)
         assert {node.detail["microbatch"] for node in assigned} == {0, 1}
         assert all(0 <= node.detail["bucket"] < dgraph.num_buckets for node in assigned)
 
@@ -191,15 +194,16 @@ class TestPlan:
         dgraph = DGraph.from_buffer_infos(buffer_infos).init(tree)
         plan = dgraph.distribute("DP").balance(num_microbatches=4).plan()
         assigned = plan.module.rows.sample_ids.tolist()
-        assert sorted(assigned) == sorted(s.sample_id for s in dgraph.selected_samples)
+        assert sorted(assigned) == sorted(buffer_infos.sample_ids.tolist())
 
     @pytest.mark.parametrize("balanced", [True, False])
     def test_estimated_cost_sums_the_bin_and_an_empty_bin_costs_int_zero(
         self, sample_factory, tree, balanced
     ):
         samples = [sample_factory(i, text_tokens=tokens) for i, tokens in enumerate([9, 5, 3])]
-        dgraph = DGraph.from_buffer_infos({"src": samples}).init(tree).distribute("DP")
-        dgraph.cost(lambda metadata: float(metadata.total_tokens))
+        rows = SampleColumns.from_samples(samples)
+        dgraph = DGraph.from_buffer_infos(rows).init(tree).distribute("DP")
+        dgraph.cost(lambda rows: rows.total_tokens.astype(float))
         if balanced:
             dgraph.balance(num_microbatches=4)
         costs = {sample.sample_id: float(sample.total_tokens) for sample in samples}

@@ -20,6 +20,7 @@ from repro.core.source_loader import SourceLoader
 from repro.data.mixture import MixturePhase, MixtureSchedule
 from repro.errors import ConfigurationError
 from repro.utils.units import GIB
+from conftest import buffered_ids
 
 
 def bursty_mixture():
@@ -200,13 +201,9 @@ class TestFleetMechanics:
             for _ in range(4):
                 system.run_step()
             for group in system.fleet._by_source[source]:
-                canonical_buffer = [
-                    m.sample_id for m in group.canonical.instance().summary_buffer()
-                ]
+                canonical_buffer = buffered_ids(group.canonical.instance())
                 for member in group.members[1:]:
-                    mirror_buffer = [
-                        m.sample_id for m in member.instance().summary_buffer()
-                    ]
+                    mirror_buffer = buffered_ids(member.instance())
                     assert mirror_buffer == canonical_buffer
                     # The mirror actually did a share of the transform work.
                     assert member.instance().stats.samples_prepared > 0
@@ -390,7 +387,7 @@ class TestDeltaCacheUnderFleetChurn:
         for handle in system.loader_handles:
             loader = handle.instance()
             buffered.setdefault(loader.source.name, []).extend(
-                m.sample_id for m in loader.summary_buffer()
+                buffered_ids(loader)
             )
         assert {
             source: infos.sample_ids[start:end].tolist()
@@ -451,14 +448,14 @@ class TestDemandRouting:
 
     @staticmethod
     def _map_based_routing(fleet, plan):
-        """split_demands as it stood at 6bb56dd, from ``summary_buffer()``."""
+        """split_demands as it stood at 6bb56dd, from every canonical's buffered ids."""
         demands = {handle: [] for handle in fleet.all_handles()}
         for source, sample_ids in plan.source_demands.items():
             groups = fleet._by_source[source]
             buffered = {}
             for group in groups:
-                for metadata in group.canonical.instance().summary_buffer():
-                    buffered.setdefault(metadata.sample_id, group)
+                for sample_id in buffered_ids(group.canonical.instance()):
+                    buffered.setdefault(sample_id, group)
             group_ids = {}
             for position, sample_id in enumerate(sample_ids):
                 group = buffered.get(sample_id, groups[position % len(groups)])
@@ -492,7 +489,7 @@ class TestDemandRouting:
             )
             fleet.register_canonical(handle, source.name, shard_index, shard_count, 1, GIB)
         buffers = [
-            [m.sample_id for m in group.canonical.instance().summary_buffer()]
+            buffered_ids(group.canonical.instance())
             for group in fleet._by_source[source.name]
         ]
         in_two = set(buffers[-1]) & set().union(*buffers[:-1])

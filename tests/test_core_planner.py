@@ -37,10 +37,11 @@ from repro.data.synthetic import build_source_catalog, navit_like_spec
 from repro.storage.filesystem import SimulatedFileSystem
 from repro.data.mixture import MixturePhase, MixtureSchedule
 from repro.data.samples import Modality, SampleMetadata
+from repro.data.sources import SourceCursor
 from repro.errors import PlanError
 from repro.parallelism.mesh import DeviceMesh
 from repro.utils.units import GIB
-from conftest import bucket_samples, plan_bins
+from conftest import bucket_samples, buffered_ids, gathered_columns, plan_bins
 
 
 @pytest.fixture()
@@ -231,7 +232,7 @@ class TestFaultTolerance:
         planner.call("generate_plan")
         assert gathered() == charged(everyone, {})
         churned, restarted = loader_handles[0], loader_handles[1]
-        ids = [m.sample_id for m in churned.instance().summary_buffer()[:3]]
+        ids = buffered_ids(churned.instance())[:3]
         before = churned.instance().stats.samples_buffered
         churned.call("prepare", ids)
         refilled = churned.instance().stats.samples_buffered - before
@@ -269,13 +270,6 @@ def _random_buffer_infos(draw_spec):
             sample_id += 1
         buffer_infos[source] = samples
     return buffer_infos
-
-
-def _gathered(buffer_infos):
-    """The Planner's gather over per-source records: one run per source."""
-    return SampleColumns.concat(
-        [SampleColumns.from_samples(samples) for samples in buffer_infos.values()]
-    )
 
 
 def _bounded_ids(buffer_infos, sample_count, step):
@@ -346,8 +340,9 @@ def _plan_signature(plan):
 
 
 class TestColumnarPlanEquivalence:
-    """Metadata lists and SampleColumns entering the DGraph's door must yield
-    byte-identical plans (pinned draws: ``test_golden_digests.py``)."""
+    """Rows grouped by source (the Planner's gather) and the same rows
+    without source runs must yield byte-identical plans (pinned draws:
+    ``test_golden_digests.py``)."""
 
     @given(
         spec=buffer_specs,
@@ -367,25 +362,17 @@ class TestColumnarPlanEquivalence:
             sample_count=sample_count,
             num_microbatches=2,
         )
-        tree_rows = ClientPlaceTree(DeviceMesh(pp=1, dp=2, cp=1, tp=2, gpus_per_node=8))
-        tree_cols = ClientPlaceTree(DeviceMesh(pp=1, dp=2, cp=1, tp=2, gpus_per_node=8))
-        strategy_rows = make_strategy(strategy_name, config)
-        strategy_cols = make_strategy(strategy_name, config)
-
-        columns_infos = {
-            source: SampleColumns.from_samples(samples)
-            for source, samples in buffer_infos.items()
-        }
         # The Planner's gather: one set, a run per source.
-        lazy_infos = _gathered(buffer_infos)
-        plan_rows = strategy_rows(buffer_infos, tree_rows, step, seed)
-        plan_cols = strategy_cols(columns_infos, tree_cols, step, seed)
-        plan_lazy = make_strategy(strategy_name, config)(
-            lazy_infos, ClientPlaceTree(DeviceMesh(pp=1, dp=2, cp=1, tp=2, gpus_per_node=8)),
-            step, seed,
-        )
-        assert _plan_signature(plan_cols) == _plan_signature(plan_rows)
-        assert _plan_signature(plan_lazy) == _plan_signature(plan_rows)
+        grouped = gathered_columns(buffer_infos)
+        flat = SampleColumns.from_samples([m for rows in buffer_infos.values() for m in rows])
+        plans = [
+            make_strategy(strategy_name, config)(
+                rows, ClientPlaceTree(DeviceMesh(pp=1, dp=2, cp=1, tp=2, gpus_per_node=8)),
+                step, seed,
+            )
+            for rows in (grouped, flat)
+        ]
+        assert _plan_signature(plans[0]) == _plan_signature(plans[1])
 
     @given(
         spec=buffer_specs,
@@ -403,14 +390,14 @@ class TestColumnarPlanEquivalence:
         backbone's mix chose.  On a gathered set (ids unique) that is the
         view ``np.isin`` over the selected ids gives, and the encoder plans
         built from the two views are identical."""
-        columns = _gathered(_random_buffer_infos(spec))
+        columns = gathered_columns(_random_buffer_infos(spec))
         mixture = MixtureSchedule.static(_drawn_weights(columns.sources, weight_seed))
         mesh = DeviceMesh(pp=1, dp=2, cp=1, tp=2, gpus_per_node=8)
         backbone = DGraph.from_buffer_infos(columns, metas_token)
         backbone.init(ClientPlaceTree(mesh)).with_step(step, seed)
         if mixed:
             backbone.mix(mixture, sample_count=sample_count)
-        selected = [sample.sample_id for sample in backbone.selected_samples]
+        selected = [i for ids in backbone.plan().source_demands.values() for i in ids]
         by_id = columns.where(np.isin(columns.sample_ids, selected))
 
         positions = backbone.selected_positions
@@ -445,7 +432,11 @@ class TestColumnarPlanEquivalence:
         order, the rows the record-list rotation keeps; the bounded set stays
         grouped, and its views equal those of columns over its records."""
         buffer_infos = _random_buffer_infos(spec)
-        gathered = _gathered(buffer_infos)
+        gathered = gathered_columns(buffer_infos)
+        by_id = {m.sample_id: m for rows in buffer_infos.values() for m in rows}
+
+        def records_of(columns):
+            return SampleColumns.from_samples([by_id[i] for i in columns.sample_ids.tolist()])
 
         def view(columns):
             return (
@@ -454,12 +445,11 @@ class TestColumnarPlanEquivalence:
                 columns.image_tokens.tolist(),
                 columns.total_tokens.tolist(),
                 [columns.sources[code] for code in columns.source_codes.tolist()],
-                columns.to_list(),
             )
 
         bounded = bound_buffer(gathered, budget, step)
         assert bounded.sample_ids.tolist() == _bounded_ids(buffer_infos, budget, step)
-        eager = SampleColumns.from_samples(bounded.to_list())
+        eager = records_of(bounded)
         assert view(bounded) == view(eager)
         assert [bounded.sources[code] for code in bounded.source_order()] == [
             eager.sources[code] for code in eager.source_order()
@@ -470,7 +460,7 @@ class TestColumnarPlanEquivalence:
         if len(gathered):
             indices = np.array([pick % len(gathered) for pick in picks], dtype=np.intp)
             picked = gathered.select(indices)
-            assert view(picked) == view(SampleColumns.from_samples(picked.to_list()))
+            assert view(picked) == view(records_of(picked))
 
 
     @given(
@@ -507,11 +497,21 @@ class TestColumnarPlanEquivalence:
         )
         planner.register_loaders(handles)
 
+        cursors = [SourceCursor(handle.instance().source, filesystem) for handle in handles]
+
         def full_copies():
-            return {
-                handle.instance().source.name: handle.instance().summary_buffer()
-                for handle in handles
-            }
+            """Every loader's buffered ids, their tokens read from the stored
+            columns, grouped as the gather groups them."""
+            replies = []
+            for handle, cursor in zip(handles, cursors):
+                ids = buffered_ids(handle.instance())
+                rows = cursor.rows_of(ids)
+                replies.append([{
+                    "sample_ids": np.asarray(ids, dtype=np.int64),
+                    "text_tokens": cursor.column("text_tokens")[rows],
+                    "image_tokens": cursor.column("image_tokens")[rows],
+                }])
+            return SampleColumns.gathered([cursor.source.name for cursor in cursors], replies)
 
         for step in range(steps):
             expected = strategy(full_copies(), ClientPlaceTree(mesh), step, seed)
@@ -535,16 +535,14 @@ class TestColumnarPlanEquivalence:
             # The gathered columns are exactly each loader's buffer — no
             # stale rows, no duplicates, same order.
             infos, _ = planner.gather_buffer_columns()
-            runs = infos.source_runs()
-            for source, buffered in full_copies().items():
-                _, start, end = runs[source]
-                assert infos.sample_ids[start:end].tolist() == [m.sample_id for m in buffered]
-                assert infos.to_list()[start:end] == buffered
+            expected = full_copies()
+            assert infos == expected
+            assert infos.source_runs() == expected.source_runs()
 
 
 class TestNoRecordsPerPlan:
     """A plan is made from the loaders' id and token columns: planning
-    builds no sample record and no loader lists its buffer as records."""
+    builds no sample record."""
 
     @staticmethod
     def _spy_records(monkeypatch) -> list[int]:
@@ -585,26 +583,15 @@ class TestNoRecordsPerPlan:
         )
         planner.register_loaders(handles)
         built = self._spy_records(monkeypatch)
-        summaries: list[str] = []
-        summary_buffer = SourceLoader.summary_buffer
-
-        def spy_summary(loader):
-            summaries.append(loader.actor_name)
-            return summary_buffer(loader)
-
-        monkeypatch.setattr(SourceLoader, "summary_buffer", spy_summary)
         for step in range(3):
             plan = planner.generate_plan(step)
             assert plan.total_samples() == batch
             assert built == []
-            assert summaries == []
             for handle in handles:
                 ids = plan.source_demands.get(handle.instance().source.name, [])
                 if ids:
                     handle.call("replay_demands", list(ids))
-        # Records are still there on demand.
         assert len(bucket_samples(plan.module("backbone"))) == 4
-        assert len(built) == batch
 
     def test_sized_path_builds_no_record(self, monkeypatch):
         """The auto-sized strategy: ``bound_buffer`` cuts the gathered set by
@@ -644,7 +631,7 @@ class TestEmptyBufferBucketing:
         ]
         # Drain the second loader completely; deferred_refill keeps it empty.
         loader = handles[1].instance()
-        ids = [m.sample_id for m in loader.summary_buffer()]
+        ids = buffered_ids(loader)
         system.gcs.take(handles[1].call("prepare", ids)["key"])
         assert loader.buffer_depth() == 0
 

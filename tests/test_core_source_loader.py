@@ -23,7 +23,7 @@ from repro.errors import PlanError
 from repro.storage.filesystem import SimulatedFileSystem
 from repro.transforms.pipeline import TransformPipeline
 from repro.utils.units import GIB
-from conftest import costed_take, store_columns
+from conftest import buffered_ids, costed_take, store_columns, stored_tokens
 from test_golden_digests import _feed
 
 
@@ -72,7 +72,7 @@ class TestPrepareAndFetch:
     def test_prepare_stages_and_fetch_delivers(self, system, small_catalog, filesystem):
         handle = spawn_loader(system, small_catalog, filesystem, buffer_size=16)
         loader = handle.instance()
-        sample_ids = [m.sample_id for m in loader.summary_buffer()[:4]]
+        sample_ids = buffered_ids(loader)[:4]
         result = handle.call("prepare", sample_ids)
         assert result["num_samples"] == 4
         assert result["transform_latency_s"] > 0
@@ -83,7 +83,7 @@ class TestPrepareAndFetch:
     def test_prepare_refills_buffer(self, system, small_catalog, filesystem):
         handle = spawn_loader(system, small_catalog, filesystem, buffer_size=16)
         loader = handle.instance()
-        sample_ids = [m.sample_id for m in loader.summary_buffer()[:8]]
+        sample_ids = buffered_ids(loader)[:8]
         handle.call("prepare", sample_ids)
         assert loader.buffer_depth() == 16
 
@@ -92,8 +92,8 @@ class TestPrepareAndFetch:
         four = spawn_loader(
             system, small_catalog, filesystem, buffer_size=16, num_workers=4, shard_index=0,
         )
-        ids_one = [m.sample_id for m in one.instance().summary_buffer()[:8]]
-        ids_four = [m.sample_id for m in four.instance().summary_buffer()[:8]]
+        ids_one = buffered_ids(one.instance())[:8]
+        ids_four = buffered_ids(four.instance())[:8]
         slow = one.call("prepare", ids_one)
         fast = four.call("prepare", ids_four)
         assert fast["wall_clock_s"] < slow["wall_clock_s"]
@@ -112,8 +112,8 @@ class TestPrepareAndFetch:
         ledger and open tickets stay as they were."""
         handle = spawn_loader(system, small_catalog, filesystem, buffer_size=8)
         loader = handle.instance()
-        ids = [m.sample_id for m in loader.summary_buffer()[:3]]
-        buffered, ledger = loader.summary_buffer(), dict(loader.ledger._live)
+        ids = buffered_ids(loader)[:3]
+        buffered, ledger = buffered_ids(loader), dict(loader.ledger._live)
         tickets, staged = dict(loader._tickets), loader.staged_count()
         with pytest.raises(PlanError, match="unknown sample"):
             if bad == "unbuffered":
@@ -122,7 +122,7 @@ class TestPrepareAndFetch:
                 handle.call("prepare", [ids[0], ids[1], ids[0]])
             else:
                 handle.call("poll", 5, 1, [ids[2], 999_999])
-        assert loader.summary_buffer() == buffered
+        assert buffered_ids(loader) == buffered
         assert dict(loader.ledger._live) == ledger
         assert loader._tickets == tickets
         assert loader.staged_count() == staged
@@ -133,7 +133,7 @@ class TestPrepareAndFetch:
     def test_staged_memory_released_on_fetch(self, system, small_catalog, filesystem):
         handle = spawn_loader(system, small_catalog, filesystem, buffer_size=16)
         loader = handle.instance()
-        ids = [m.sample_id for m in loader.summary_buffer()[:4]]
+        ids = buffered_ids(loader)[:4]
         handle.call("prepare_async", 1, ids[:2])
         staged_bytes = loader.ledger.live_bytes("sample_payload")
         assert staged_bytes > 0
@@ -153,7 +153,7 @@ class TestPrepareAndFetch:
         ledger after it anyway)."""
         handle = spawn_loader(system, small_catalog, filesystem, buffer_size=16)
         loader = handle.instance()
-        ids = [m.sample_id for m in loader.summary_buffer()[:4]]
+        ids = buffered_ids(loader)[:4]
 
         def refuse(key, value, immutable=None):
             raise RuntimeError("store unavailable")
@@ -175,8 +175,8 @@ class TestShardingAndCheckpoint:
     def test_shards_have_disjoint_buffers(self, system, small_catalog, filesystem):
         a = spawn_loader(system, small_catalog, filesystem, shard_index=0, shard_count=2, buffer_size=8)
         b = spawn_loader(system, small_catalog, filesystem, shard_index=1, shard_count=2, buffer_size=8)
-        ids_a = {m.sample_id for m in a.instance().summary_buffer()}
-        ids_b = {m.sample_id for m in b.instance().summary_buffer()}
+        ids_a = set(buffered_ids(a.instance()))
+        ids_b = set(buffered_ids(b.instance()))
         assert not ids_a & ids_b
 
     def test_state_dict_source_mismatch(self, system, small_catalog, filesystem):
@@ -210,7 +210,7 @@ class TestAsyncPrepareProtocol:
     def test_poll_until_done_matches_sync_prepare(self, system, small_catalog, filesystem):
         sync_handle = spawn_loader(system, small_catalog, filesystem, buffer_size=16)
         async_handle = spawn_loader(system, small_catalog, filesystem, buffer_size=16)
-        ids = [m.sample_id for m in sync_handle.instance().summary_buffer()[:6]]
+        ids = buffered_ids(sync_handle.instance())[:6]
 
         sync_result = sync_handle.call("prepare", ids)
         want = fetch(system, sync_result)
@@ -232,14 +232,14 @@ class TestAsyncPrepareProtocol:
 
     def test_duplicate_ticket_rejected(self, system, small_catalog, filesystem):
         handle = spawn_loader(system, small_catalog, filesystem, buffer_size=8)
-        ids = [m.sample_id for m in handle.instance().summary_buffer()[:2]]
+        ids = buffered_ids(handle.instance())[:2]
         handle.call("prepare_async", 7, ids)
         with pytest.raises(PlanError):
             handle.call("prepare_async", 7, ids)
 
     def test_poll_of_an_open_ticket_rejected(self, system, small_catalog, filesystem):
         handle = spawn_loader(system, small_catalog, filesystem, buffer_size=8)
-        ids = [m.sample_id for m in handle.instance().summary_buffer()[:2]]
+        ids = buffered_ids(handle.instance())[:2]
         handle.call("prepare_async", 99, ids[:1])
         with pytest.raises(PlanError, match="in-flight ticket 99"):
             handle.call("poll", 99, 8, ids[1:])
@@ -248,17 +248,17 @@ class TestAsyncPrepareProtocol:
     def test_replay_demands_reproduces_buffer_state(self, system, small_catalog, filesystem):
         primary = spawn_loader(system, small_catalog, filesystem, buffer_size=12)
         replica = spawn_loader(system, small_catalog, filesystem, buffer_size=12)
-        first = [m.sample_id for m in primary.instance().summary_buffer()[:3]]
+        first = buffered_ids(primary.instance())[:3]
         primary.call("prepare", first)
-        second = [m.sample_id for m in primary.instance().summary_buffer()[:3]]
+        second = buffered_ids(primary.instance())[:3]
         primary.call("prepare", second)
 
         # Replaying the same demand history (without staging) must leave the
         # replica's buffer identical to the primary's.
         assert replica.call("replay_demands", first) == 3
         assert replica.call("replay_demands", second) == 3
-        primary_ids = [m.sample_id for m in primary.instance().summary_buffer()]
-        replica_ids = [m.sample_id for m in replica.instance().summary_buffer()]
+        primary_ids = buffered_ids(primary.instance())
+        replica_ids = buffered_ids(replica.instance())
         assert primary_ids == replica_ids
         assert replica.instance().staged_count() == 0
         # Ids from other shards are ignored rather than failing.
@@ -274,7 +274,7 @@ class TestBufferDeltaProtocol:
         reply = handle.call("buffer_delta")
         assert not reply["resync"]
         assert reply["changes"] == 0
-        assert reply_records(reply) == handle.instance().summary_buffer()
+        assert reply_rows(reply) == stored_rows(handle.instance())
 
     def test_gather_replies_the_rows_the_loader_buffers(
         self, system, small_catalog, filesystem
@@ -284,13 +284,11 @@ class TestBufferDeltaProtocol:
         handle = spawn_loader(system, small_catalog, filesystem, buffer_size=8)
         loader = handle.instance()
         reply = handle.call("buffer_delta")
-        held = loader.summary_buffer()
-        assert reply["sample_ids"].tolist() == [m.sample_id for m in held]
-        assert reply["text_tokens"].tolist() == [m.text_tokens for m in held]
-        assert reply["image_tokens"].tolist() == [m.image_tokens for m in held]
-        handle.call("prepare", [m.sample_id for m in held[:2]])
+        held = stored_rows(loader)
+        assert reply_rows(reply) == held
+        handle.call("prepare", held[0][:2])
         handle.call("refill")
-        assert reply_records(reply) == held
+        assert reply_rows(reply) == held
 
     def test_declared_source_names_the_deployed_source(
         self, system, small_catalog, filesystem
@@ -328,7 +326,7 @@ def test_sync_prepare_equals_async_polls_of_any_chunk_size(
     system = fresh_system()
     options = dict(buffer_size=buffer_size, num_workers=num_workers, shard_count=shard_count)
     sync = spawn_loader(system, PROPERTY_CATALOG, PROPERTY_FILESYSTEM, source_index, **options)
-    buffered = [m.sample_id for m in sync.instance().summary_buffer()]
+    buffered = buffered_ids(sync.instance())
     # Shards of 16 rows against a 24- or 256-row buffer hold the whole shard.
     assert len(buffered) == min(buffer_size, math.ceil(64 / shard_count))
     ids = list(dict.fromkeys(buffered[pick % len(buffered)] for pick in picks))
@@ -358,7 +356,7 @@ def test_sync_prepare_equals_async_polls_of_any_chunk_size(
         a, b = sync.instance(), chunked.instance()
         assert a.staged_count() == b.staged_count() == 0
         assert a.ledger._live == b.ledger._live
-        assert a.summary_buffer() == b.summary_buffer()
+        assert buffered_ids(a) == buffered_ids(b)
         assert a.replay_checkpoint()["cursor"] == b.replay_checkpoint()["cursor"]
         assert (a.stats.samples_prepared, a.stats.samples_delivered) == (
             b.stats.samples_prepared,
@@ -419,7 +417,7 @@ def test_chunked_refill_equals_the_per_row_loop(
 
     per_row_refill()
     for picks in demands:
-        assert loader.summary_buffer() == list(model.values())
+        assert buffered_ids(loader) == list(model)
         assert loader.replay_checkpoint()["cursor"] == cursor.state_dict()
         assert loader.ledger.live_bytes("prefetch_buffer") == 96 * len(model)
         ids = list(dict.fromkeys(list(model)[pick % len(model)] for pick in picks))
@@ -428,7 +426,7 @@ def test_chunked_refill_equals_the_per_row_loop(
             del model[sample_id]
         if ids:
             per_row_refill()
-    assert loader.summary_buffer() == list(model.values())
+    assert buffered_ids(loader) == list(model)
     assert loader.replay_checkpoint()["cursor"] == cursor.state_dict()
 
 
@@ -575,12 +573,12 @@ def test_gather_reports_the_buffer_its_changes_and_rebuilds(buffer_size, shard_c
 
     for ticket, (op, picks) in enumerate([*ops, ("gather", [])]):
         assert_ledger_conserved()
-        buffered = [m.sample_id for m in loader.summary_buffer()]
+        buffered = buffered_ids(loader)
         ids = list(dict.fromkeys(buffered[pick % len(buffered)] for pick in picks if buffered))
         added = loader.stats.samples_buffered
         if op == "gather":
             reply = handle.call("buffer_delta")
-            assert reply_records(reply) == loader.summary_buffer()
+            assert reply_rows(reply) == stored_rows(loader)
             assert reply["resync"] is rebuilt
             if not rebuilt:
                 assert reply["changes"] == changes
@@ -626,9 +624,15 @@ def test_gather_reports_the_buffer_its_changes_and_rebuilds(buffer_size, shard_c
 # -- a row is costed once per process, per cost key ------------------------------------
 
 
-def reply_records(reply):
-    """The records of a ``buffer_delta`` reply's rows, built by its reader."""
-    return reply["records"](reply["sample_ids"].tolist())
+def reply_rows(reply):
+    """A ``buffer_delta`` reply's ids and token counts."""
+    return tuple(reply[name].tolist() for name in ("sample_ids", "text_tokens", "image_tokens"))
+
+
+def stored_rows(loader):
+    """A loader's buffered ids with their token counts as the source's files store them."""
+    ids = buffered_ids(loader)
+    return ids, *stored_tokens(loader, ids)
 
 
 def fresh_catalog(samples_per_source=64):
@@ -803,7 +807,9 @@ class TestReplaySnapshots:
         original = spawn_loader(system, small_catalog, filesystem, buffer_size=12).instance()
         snapshot = original.replay_checkpoint()
         assert set(snapshot) == {"source", "shard_index", "shard_count", "cursor", "buffer"}
-        assert snapshot["buffer"] == [m.sample_id for m in original.summary_buffer()]
+        assert snapshot["buffer"] == handle_of(system, original).call("buffer_delta")[
+            "sample_ids"
+        ].tolist()
         assert all(type(sample_id) is int for sample_id in snapshot["buffer"])
 
         restored = spawn_loader(system, small_catalog, filesystem, buffer_size=12).instance()
@@ -815,7 +821,7 @@ class TestReplaySnapshots:
         )
         restored.restore_replay_checkpoint(snapshot)
         assert costed == []
-        assert restored.summary_buffer() == original.summary_buffer()
+        assert buffered_ids(restored) == buffered_ids(original)
         ids = snapshot["buffer"][1:7]
         replies = [handle_of(system, loader).call("prepare", ids) for loader in (original, restored)]
         for reply in replies:

@@ -10,6 +10,7 @@ import pytest
 
 from repro.actors.runtime import ActorSystem
 from repro.core.assembly import PreparedColumns
+from repro.core.columns import SampleColumns
 from repro.core.data_constructor import DataConstructor
 from repro.core.framework import MegaScaleData, TrainingJobSpec
 from repro.core.source_loader import SourceLoader
@@ -227,7 +228,7 @@ class TestBackpressure:
 
         tree = ClientPlaceTree(DeviceMesh(pp=1, dp=1, cp=1, tp=1))
         samples = [sample_factory(i, text_tokens=32) for i in range(4)]
-        plan = DGraph.from_buffer_infos(samples).init(tree).distribute("DP").balance(
+        plan = DGraph.from_buffer_infos(SampleColumns.from_samples(samples)).init(tree).distribute("DP").balance(
             num_microbatches=2
         ).plan()
         prepared = prepared_columns(samples)
@@ -254,7 +255,7 @@ class TestBackpressure:
         constructor = DataConstructor(bucket_index=0, mesh=mesh, dp_index=0)
         tree = ClientPlaceTree(mesh)
         samples = [sample_factory(i, text_tokens=32) for i in range(2)]
-        plan = DGraph.from_buffer_infos(samples).init(tree).distribute("DP").balance(
+        plan = DGraph.from_buffer_infos(SampleColumns.from_samples(samples)).init(tree).distribute("DP").balance(
             num_microbatches=1
         ).plan()
         prepared = prepared_columns(samples)
@@ -291,7 +292,7 @@ class TestInOrderDelivery:
                                       staging_capacity=3)
         tree = ClientPlaceTree(mesh)
         samples = [sample_factory(i, text_tokens=16) for i in range(4)]
-        plan = DGraph.from_buffer_infos(samples).init(tree).distribute("DP").balance(
+        plan = DGraph.from_buffer_infos(SampleColumns.from_samples(samples)).init(tree).distribute("DP").balance(
             num_microbatches=1
         ).plan()
         prepared = prepared_columns(samples)
@@ -403,10 +404,10 @@ class TestVirtualClockCoSimulation:
             for _ in range(5):
                 system.run_step(simulate=True)
             measured = OverlapLedger.from_timeline(system.system.timeline)
-            by_step = {entry.step: entry for entry in measured.records()}
+            by_step = {entry.step: entry for entry in measured._records}
             # Step 0: before any compute window, nothing overlaps.
             assert by_step[0].hidden_s == pytest.approx(0.0)
-            for entry in system.overlap.records():
+            for entry in system.overlap._records:
                 if entry.step <= depth:
                     continue  # warmup: prefetched before training started
                 rebuilt = by_step[entry.step]

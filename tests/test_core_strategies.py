@@ -14,7 +14,7 @@ from repro.core.strategies import (
     vanilla_strategy,
 )
 from repro.data.mixture import MixtureSchedule
-from conftest import bucket_samples
+from conftest import bucket_samples, gathered_columns
 
 
 @pytest.fixture()
@@ -24,7 +24,7 @@ def buffer_infos(sample_factory):
         for i in range(48)
     ]
     text = [sample_factory(100 + i, text_tokens=64 + 32 * i, source="text") for i in range(16)]
-    return {"mixed": mixed, "text": text}
+    return gathered_columns({"mixed": mixed, "text": text})
 
 
 @pytest.fixture()
@@ -34,7 +34,7 @@ def tree(vlm_mesh):
 
 def bucket_cost_spread(module_plan, costfn):
     costs = [
-        sum(costfn(s) for bin_ in bucket for s in bin_) for bucket in bucket_samples(module_plan)
+        sum(sum(costfn(bin_).tolist()) for bin_ in bucket) for bucket in bucket_samples(module_plan)
     ]
     return max(costs) / max(1e-9, min(costs))
 
@@ -55,7 +55,7 @@ class TestVanilla:
 
 class TestBackboneBalance:
     def test_balances_backbone_costs(self, buffer_infos, tree):
-        costfn = lambda m: float(m.total_tokens) ** 2
+        costfn = lambda rows: rows.total_tokens.astype(float) ** 2
         balanced_plan = backbone_balance_strategy(
             StrategyConfig(num_microbatches=4)
         )(buffer_infos, tree, 0, 0)
@@ -98,7 +98,7 @@ class TestHybrid:
         assert set(merged) == {"mixed", "text"}
 
     def test_hybrid_balances_image_costs_across_world(self, buffer_infos, tree):
-        imgcost = lambda m: float(m.image_tokens) ** 2
+        imgcost = lambda rows: rows.image_tokens.astype(float) ** 2
         plan = hybrid_vlm_strategy(StrategyConfig(num_microbatches=2))(buffer_infos, tree, 0, 0)
         encoder_spread = bucket_cost_spread(plan.subplan["encoder"].module, imgcost)
         vanilla = vanilla_strategy(StrategyConfig(num_microbatches=2))(buffer_infos, tree, 0, 0)

@@ -234,7 +234,6 @@ def test_chunked_reads_equal_the_per_row_read(
         assert latency.tolist() == [record.text_tokens * 0.5 + 1.0 for record in expected]
         assert size.tolist() == [record.raw_bytes + 7 for record in expected]
         assert [by_row.next_metadata() for _ in range(count)] == expected
-        assert by_row.records([record.sample_id for record in expected]) == expected
         restored = costed_at(costed, costed.rows_of(ids.tolist()), ("toy",), toy_cost)
         assert all(a.tolist() == b.tolist() for a, b in zip(restored, (ids, text, image, latency, size)))
         assert chunked.position == costed.position == by_row.position == start + count
@@ -345,7 +344,7 @@ def test_a_file_without_sample_ids_is_corrupt_to_peek_and_to_take():
     reads = (
         cursor.next_metadata,
         lambda: costed_take(cursor, 2, ("toy",), toy_cost),
-        lambda: cursor.records([3]),
+        lambda: cursor.rows_of([3]),
     )
     for read in reads:
         with pytest.raises(CorruptFileError, match="no column 'sample_id'"):
@@ -361,6 +360,6 @@ def test_ids_stored_out_of_order_or_twice_resolve_to_their_first_row():
     source = DataSource(name="p", modality=Modality.TEXT, num_samples=7, paths=("/p/0", "/p/1"))
     cursor = SourceCursor(source, filesystem)
     assert cursor.rows_of([9, 3, 2, 1, 7]).tolist() == [2, 1, 5, 4, 0]
-    assert [r.text_tokens for r in cursor.records([9, 3, 2])] == [90, 30, 20]
+    assert cursor.column("text_tokens")[cursor.rows_of([9, 3, 2])].tolist() == [90, 30, 20]
     with pytest.raises(ConfigurationError, match="has no sample 4"):
         cursor.rows_of([1, 4])

@@ -64,7 +64,7 @@ from repro.data.synthetic import (
 )
 from repro.parallelism.mesh import DeviceMesh
 from repro.storage.filesystem import SimulatedFileSystem
-from conftest import bucket_samples
+from conftest import bucket_samples, gathered_columns
 from test_core_planner import _plan_signature, _random_buffer_infos
 
 STEPS = 6
@@ -125,7 +125,7 @@ def _feed_deliveries(digest, result) -> None:
     _feed(
         digest,
         [
-            [[sample.sample_id for sample in bin_] for bin_ in bucket]
+            [bin_.sample_ids.tolist() for bin_ in bucket]
             for bucket in bucket_samples(result.plan.module("backbone"))
         ],
     )
@@ -328,10 +328,10 @@ def run_churn_cell() -> tuple[str, list[int]]:
         result = system.run_step(simulate=True)
         _feed_deliveries(deliveries, result)
         ids = [
-            sample.sample_id
+            sample_id
             for bucket in bucket_samples(result.plan.module("backbone"))
             for bin_ in bucket
-            for sample in bin_
+            for sample_id in bin_.sample_ids.tolist()
         ]
         sample_ids.append(zlib.crc32(repr((result.step, ids)).encode()))
 
@@ -432,13 +432,12 @@ def draw_digest(index: int, as_columns: bool) -> str:
         num_microbatches=2,
     )
     if as_columns:
-        buffer_infos = {
-            source: SampleColumns.from_samples(samples)
-            for source, samples in buffer_infos.items()
-        }
+        rows = gathered_columns(buffer_infos)
+    else:
+        rows = SampleColumns.from_samples([m for samples in buffer_infos.values() for m in samples])
     tree = ClientPlaceTree(DeviceMesh(pp=1, dp=2, cp=1, tp=2, gpus_per_node=8))
     plan = make_strategy(draw["strategy_name"], config)(
-        buffer_infos, tree, draw["step"], draw["seed"]
+        rows, tree, draw["step"], draw["seed"]
     )
     digest = hashlib.sha256()
     _feed(digest, _plan_signature(plan))

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import pytest
 
 from repro.core.framework import MegaScaleData, TrainingJobSpec
 from repro.data.mixture import MixturePhase, MixtureSchedule
-from repro.training.flops import token_arrays
-from conftest import bucket_samples
+from repro.training.flops import TokenBins
 
 
 class TestVlmEndToEnd:
@@ -47,8 +48,8 @@ class TestVlmEndToEnd:
 
     def test_balanced_assignment_beats_arrival_order(self, system):
         result = system.run_step(simulate=True)
-        backbone = bucket_samples(result.plan.module("backbone"))
-        flat = [s for bucket in backbone for mb in bucket for s in mb]
+        rows = result.plan.module("backbone").rows
+        flat = list(range(len(rows)))  # row positions, in plan order
         dp = system.job.dp
         microbatches = system.job.num_microbatches
         per_bucket = (len(flat) + dp - 1) // dp
@@ -57,7 +58,17 @@ class TestVlmEndToEnd:
             chunk = flat[b * per_bucket : (b + 1) * per_bucket]
             per_mb = max(1, (len(chunk) + microbatches - 1) // microbatches)
             arrival.append([chunk[m * per_mb : (m + 1) * per_mb] for m in range(microbatches)])
-        naive = system.simulator.simulate_iteration(token_arrays(arrival))
+        bins = [mb for rank in arrival for mb in rank]
+        order = [position for bin_ in bins for position in bin_]
+        naive = system.simulator.simulate_iteration(
+            TokenBins(
+                rows.total_tokens[order],
+                rows.image_tokens[order],
+                list(accumulate(map(len, bins), initial=0)),
+                dp,
+                microbatches,
+            )
+        )
         assert result.iteration.iteration_time_s <= naive.iteration_time_s * 1.05
 
 

@@ -164,7 +164,7 @@ class TestOverlapLedger:
         ledger = OverlapLedger()
         ledger.record(step=0, fetch_s=2.0, hidden_s=1.5)
         entry = ledger.record(step=1, fetch_s=1.0, hidden_s=0.0, stall_s=3.0)
-        assert ledger.records()[0].stall_s == pytest.approx(0.5)
+        assert ledger._records[0].stall_s == pytest.approx(0.5)
         # A measured stall may exceed the step's own fetch latency (the step
         # queued behind earlier data-plane work).
         assert entry.stall_s == pytest.approx(3.0)
@@ -191,7 +191,7 @@ class TestOverlapLedgerFromTimeline:
     def test_measures_interval_overlap_per_step(self):
         ledger = OverlapLedger.from_timeline(self.make_timeline())
         assert len(ledger) == 1
-        entry = ledger.records()[0]
+        entry = ledger._records[0]
         assert entry.step == 1
         assert entry.fetch_s == pytest.approx(1.2)
         assert entry.hidden_s == pytest.approx(0.7)
@@ -264,7 +264,7 @@ class TestFleetEvents:
         plain.record("loader/a/0m1", "spawn", 1.5, 0.0, role=FLEET_ROLE, step=0)
         plain.record("loader/a/0m1", "retire", 2.5, 0.0, role=FLEET_ROLE, step=1)
         rebuilt = OverlapLedger.from_timeline(plain)
-        records = rebuilt.records()
+        records = rebuilt._records
         assert len(records) == 1
         assert records[0].fetch_s == pytest.approx(2.0)
         assert records[0].hidden_s == pytest.approx(1.0)

@@ -6,6 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.columns import SampleColumns
 from repro.core.dgraph import DGraph
 from repro.core.framework import MegaScaleData, TrainingJobSpec
 from repro.core.place_tree import ClientPlaceTree
@@ -177,7 +178,7 @@ def test_dgraph_plan_assigns_every_selected_sample_once(spec, dims, microbatches
     pp, dp, cp, tp = dims
     samples = make_samples(spec)
     tree = ClientPlaceTree(DeviceMesh(pp=pp, dp=dp, cp=cp, tp=tp))
-    dgraph = DGraph.from_buffer_infos(samples).init(tree)
+    dgraph = DGraph.from_buffer_infos(SampleColumns.from_samples(samples)).init(tree)
     dgraph.distribute("DP").balance(num_microbatches=microbatches)
     plan = dgraph.plan()
     assigned = sorted(plan.module.rows.sample_ids.tolist())

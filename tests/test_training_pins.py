@@ -20,6 +20,7 @@ from itertools import accumulate, chain
 import numpy as np
 import pytest
 
+from repro.core.columns import SampleColumns
 from repro.core.cost_model import BackboneCostModel, EncoderCostModel
 from repro.parallelism.mesh import DeviceMesh
 from repro.training.flops import TokenBins
@@ -437,7 +438,14 @@ def test_iteration_matches_the_recorded_scalar_model(name):
 
 
 def test_per_sample_cost_models_match_the_recorded_values():
-    samples = [make_sample(k, text, image) for k, (text, image) in enumerate(COST_SAMPLES)]
-    assert [EncoderCostModel(vit_1b())(s) for s in samples] == EXPECTED_COSTS["vit_1b"]
+    rows = SampleColumns.from_samples(
+        [make_sample(k, text, image) for k, (text, image) in enumerate(COST_SAMPLES)]
+    )
+
+    def per_row(model):
+        loads, memory = model(rows)
+        return list(zip(loads.tolist(), memory.tolist()))
+
+    assert per_row(EncoderCostModel(vit_1b())) == EXPECTED_COSTS["vit_1b"]
     for label, backbone in (("llama_12b", llama_12b()), ("mixtral_8x7b", mixtral_8x7b())):
-        assert [BackboneCostModel(backbone)(s) for s in samples] == EXPECTED_COSTS[label]
+        assert per_row(BackboneCostModel(backbone)) == EXPECTED_COSTS[label]

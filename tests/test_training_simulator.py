@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.columns import SampleColumns
 from repro.core.place_tree import ClientPlaceTree
 from repro.core.strategies import StrategyConfig, make_strategy
 from repro.errors import ConfigurationError
@@ -149,7 +150,7 @@ class TestModulesWithoutRows:
         samples = [sample_factory(i, text_tokens=64 * (i + 1)) for i in range(8)]
         mesh = DeviceMesh(pp=1, dp=2, cp=1, tp=2)
         strategy = make_strategy("hybrid", StrategyConfig(num_microbatches=2))
-        plan = strategy({"text": samples}, ClientPlaceTree(mesh), 0, 0)
+        plan = strategy(SampleColumns.from_samples(samples), ClientPlaceTree(mesh), 0, 0)
         encoder = plan.subplan["encoder"].module
         assert encoder.offsets[-1] == 0
         simulator = TrainingSimulator(VLMConfig(encoder=vit_1b(), backbone=llama_12b()), mesh)
