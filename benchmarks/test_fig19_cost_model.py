@@ -40,8 +40,8 @@ def _fidelity_series(catalog, filesystem):
     predicted_backbone, measured_backbone = [], []
     for step in range(STEPS):
         samples = sample_batch(catalog, filesystem, SAMPLES_PER_STEP, seed=200 + step)
-        predicted_encoder.append(sum(encoder_cost(s)[0] for s in samples))
-        predicted_backbone.append(sum(backbone_cost(s)[0] for s in samples))
+        predicted_encoder.append(sum(encoder_cost(s) for s in samples))
+        predicted_backbone.append(sum(backbone_cost(s) for s in samples))
         result = simulator.simulate_iteration(token_arrays([[samples]]))
         measured_encoder.append(result.encoder_time_s)
         measured_backbone.append(result.backbone_time_s)

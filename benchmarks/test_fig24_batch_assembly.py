@@ -2,8 +2,10 @@
 
 The data path keeps prepared samples as token-length *columns* end to end and
 collates with array kernels: first-fit on a max tournament tree
-(O(samples · log bins)), positions as slices of one cached int32 ramp joined by
-a single concatenate, segment tables from one stable argsort.  The kernel
+(O(samples · log bins); every sweep point collates one microbatch far above
+``SCAN_MAX_SAMPLES``, so the small-microbatch scan never runs here), positions
+as slices of one cached int32 ramp joined by a single concatenate, segment
+tables from one stable argsort.  The kernel
 builds positions and segment tables only when they are read (the Data
 Constructor never does), so the timed region reads both: this figure measures
 a *materialised* collation.

@@ -283,26 +283,20 @@ def reconcile_timing(
 
 
 class EncoderCostModel:
-    """Per-row latency/memory cost of encoding each row's image.
-
-    Latency is the encoder forward+backward FLOPs at the default GPU's
-    achievable throughput; memory is the activation footprint of the patch
-    sequence.
-    """
+    """Per-row latency of encoding each row's image: the encoder
+    forward+backward FLOPs at the default GPU's achievable throughput."""
 
     def __init__(self, encoder: EncoderConfig) -> None:
         self.encoder = encoder
         self.gpu = GpuSpec()
 
-    def __call__(self, rows: SampleColumns) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(self, rows: SampleColumns) -> np.ndarray:
         flops = encoder_sample_flops(rows.image_tokens, self.encoder)
-        latency = self.gpu.seconds_for(flops * (1.0 + BACKWARD_MULTIPLIER))
-        memory = rows.image_tokens * self.encoder.hidden_size * self.gpu.bytes_per_activation
-        return latency, memory
+        return self.gpu.seconds_for(flops * (1.0 + BACKWARD_MULTIPLIER))
 
 
 class BackboneCostModel:
-    """Per-row latency/memory cost of each row's fused sequence in the LLM backbone.
+    """Per-row latency of each row's fused sequence in the LLM backbone.
 
     Accounts for the quadratic attention term, the MoE active-expert MLP
     ratio, the vocabulary projection and the hidden size, as forward+backward
@@ -313,11 +307,9 @@ class BackboneCostModel:
         self.backbone = backbone
         self.gpu = GpuSpec()
 
-    def __call__(self, rows: SampleColumns) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(self, rows: SampleColumns) -> np.ndarray:
         tokens = rows.total_tokens
         flops = sequence_backbone_flops(tokens, self.backbone)
         # Vocabulary projection (dense models only; MoE heads are identical).
         flops += 2.0 * tokens * self.backbone.hidden_size * self.backbone.vocab_size
-        latency = self.gpu.seconds_for(flops * (1.0 + BACKWARD_MULTIPLIER))
-        memory = tokens * self.backbone.hidden_size * self.gpu.bytes_per_activation
-        return latency, memory
+        return self.gpu.seconds_for(flops * (1.0 + BACKWARD_MULTIPLIER))

@@ -6,12 +6,12 @@ to the loading plan, performs microbatch transformations (packing,
 RoPE) and parallelism transformations (CP slicing, TP broadcast exclusion, PP
 metadata pruning), and serves the resulting per-rank slices to trainer
 clients.  Sharing one constructor per CP/PP group is what removes the
-parallelism redundancy shown in Fig. 6 / Fig. 17a.
+parallelism redundancy shown in Fig. 6 / Fig. 17a.  Per step it collates its
+whole bucket in one call and stages one :class:`RankDelivery` row per rank.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import pairwise
 
 from repro.actors.actor import Actor
@@ -20,45 +20,7 @@ from repro.core.plans import ModulePlan
 from repro.errors import BackpressureError, PlanError
 from repro.parallelism.mesh import DeviceMesh
 from repro.transforms.microbatch import collate_columns_with_positions
-from repro.transforms.parallelism import BYTES_PER_TOKEN, ParallelSlice, RankLayout
-
-
-@dataclass
-class RankDelivery:
-    """Everything one trainer rank receives for one step.
-
-    Byte/token totals are summed once and cached against the slice count, so
-    per-step accounting reads don't re-walk the slice list."""
-
-    rank: int
-    slices: list[ParallelSlice] = field(default_factory=list, init=False)
-    _totals: tuple[int, int, int] | None = field(default=None, repr=False, compare=False, init=False)
-
-    def _sum(self) -> tuple[int, int, int]:
-        cache = self._totals
-        if cache is None or cache[0] != len(self.slices):
-            cache = (
-                len(self.slices),
-                sum(piece.payload_bytes for piece in self.slices),
-                sum(piece.token_count for piece in self.slices),
-            )
-            self._totals = cache
-        return cache
-
-    def total_payload_bytes(self) -> int:
-        return self._sum()[1]
-
-    def total_tokens(self) -> int:
-        return self._sum()[2]
-
-
-@dataclass
-class ConstructorStats:
-    microbatches_built: int = 0
-    samples_consumed: int = 0
-    collate_seconds: float = 0.0
-    deliveries: int = 0
-    broadcast_bytes_saved: int = 0
+from repro.transforms.parallelism import BYTES_PER_TOKEN, RankDelivery, RankLayout
 
 
 class DataConstructor(Actor):
@@ -89,9 +51,10 @@ class DataConstructor(Actor):
         self.max_sequence_length = max_sequence_length
         self.staging_capacity = staging_capacity
         self.enforce_delivery_order = enforce_delivery_order
-        self.stats = ConstructorStats()
+        #: Token bytes the TP broadcast and the PP metadata rule spared
+        #: their ranks, against each fetching its whole microbatch.
+        self.broadcast_bytes_saved = 0
         self._pending_deliveries: dict[int, dict[int, RankDelivery]] = {}
-        self._staged_bytes: dict[int, int] = {}
         self._delivered_up_to: dict[int, int] = {}
         # Adopting the first mesh (``mesh``, ``dp_index``) is a reshard with nothing staged.
         self.reshard(mesh, dp_index)
@@ -132,35 +95,30 @@ class DataConstructor(Actor):
                 f"constructor {self.actor_name!r}: missing prepared samples "
                 f"{missing[:5]}"
             )
-        ids = bucket_ids.tolist()
-        lengths = prepared.total_tokens[rows]
+        # Slicing reads sequence lengths only: no per-token field is built here.
+        collated = collate_columns_with_positions(
+            self.bucket_index,
+            bucket_ids.tolist(),
+            prepared.total_tokens[rows],
+            self.max_sequence_length,
+            [offset - first for offset in offsets],
+        )
+        deliveries = self._rank_layout.deliveries(
+            collated.sequence_lengths, collated.sequence_offsets
+        )
         collate_seconds = 0.0
-        staged_bytes = 0
-        deliveries: dict[int, RankDelivery] = {}
-        for microbatch_index, (start, end) in enumerate(pairwise(offsets)):
-            start, end = start - first, end - first
-            # Slicing reads lengths and totals only; the collation's per-token
-            # and per-segment fields are built on first read, i.e. not here.
-            collated = collate_columns_with_positions(
-                microbatch_index, ids[start:end], lengths[start:end], self.max_sequence_length
-            )
-            collate_seconds += collated.total_tokens() * self.COLLATE_SECONDS_PER_TOKEN
-            full_bytes = collated.total_tokens() * BYTES_PER_TOKEN
-            for piece in self._rank_layout.slices(collated.index, collated.sequence_lengths):
-                delivery = deliveries.get(piece.rank)
-                if delivery is None:
-                    delivery = deliveries[piece.rank] = RankDelivery(rank=piece.rank)
-                delivery.slices.append(piece)
-                staged_bytes += piece.payload_bytes
-                if piece.replicated_from is not None or piece.metadata_only:
-                    self.stats.broadcast_bytes_saved += max(0, full_bytes - piece.payload_bytes)
-        self.stats.microbatches_built += module_plan.num_microbatches
-        self.stats.samples_consumed += len(ids)
-
-        self._pending_deliveries[step] = deliveries
-        self._staged_bytes[step] = staged_bytes
+        full_bytes = []
+        for start, end in pairwise(collated.sequence_offsets):
+            tokens = sum(collated.sequence_lengths[start:end])
+            collate_seconds += tokens * self.COLLATE_SECONDS_PER_TOKEN
+            full_bytes.append(tokens * BYTES_PER_TOKEN)
+        for delivery in deliveries:
+            for full, tokens, payload in zip(full_bytes, delivery.token_counts, delivery.payload_bytes):
+                if delivery.replicated_from is not None or tokens == 0:
+                    self.broadcast_bytes_saved += max(0, full - payload)
+        self._pending_deliveries[step] = {delivery.rank: delivery for delivery in deliveries}
+        staged_bytes = sum(delivery.total_payload_bytes() for delivery in deliveries)
         self.ledger.charge("constructed_batch", staged_bytes)
-        self.stats.collate_seconds += collate_seconds
         return {
             "collate_seconds": collate_seconds,
             "staged_bytes": float(staged_bytes),
@@ -194,7 +152,6 @@ class DataConstructor(Actor):
                 f"{last}; out-of-order request for step {step}"
             )
         self._delivered_up_to[rank] = max(step, last) if last is not None else step
-        self.stats.deliveries += 1
         return delivery
 
     def staging_backlog(self) -> int:
@@ -206,8 +163,8 @@ class DataConstructor(Actor):
 
     def release_step(self, step: int) -> None:
         """Free the memory staged for a completed step."""
-        self._pending_deliveries.pop(step, None)
-        staged = self._staged_bytes.pop(step, 0)
+        deliveries = self._pending_deliveries.pop(step, {})
+        staged = sum(delivery.total_payload_bytes() for delivery in deliveries.values())
         self.ledger.release("constructed_batch", staged)
 
     def release_steps_below(self, step: int) -> int:

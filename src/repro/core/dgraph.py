@@ -20,8 +20,8 @@ topology, and manipulated through a small set of declarative primitives
 Only lightweight metadata flows through the graph; payload bytes never do.
 
 ``metas`` (:func:`metas_token`, :func:`metas_image`) maps the columns to a row
-mask, and a cost function maps the selected rows to per-row load arrays, or
-to ``(loads, memory)`` arrays.  The Planner's gather hands over one run of
+mask, and a cost function maps the selected rows to a per-row load array.
+The Planner's gather hands over one run of
 rows per source, so ``mix`` draws over index ranges, O(sources + selected);
 ``cost``/``plan`` run as numpy index arithmetic, ``balance`` packs row
 positions by one cost list aligned with the selection, the plan is one
@@ -281,8 +281,7 @@ class DGraph:
         return self
 
     def cost(self, costfn: CostFnLike) -> "DGraph":
-        """Register a cost function mapping the selected rows to per-row loads
-        (or to ``(loads, memory)`` arrays).
+        """Register a cost function mapping the selected rows to per-row loads.
 
         Costs are evaluated lazily over the currently selected samples and
         propagated automatically to the subsequent :meth:`balance` call.
@@ -478,12 +477,10 @@ class DGraph:
 
         The per-primitive latency recorded in ``api_costs`` is an analytical
         estimate (a fixed per-sample evaluation cost) so that Table 2 numbers
-        are deterministic and machine-independent.  Only the loads are kept.
+        are deterministic and machine-independent.
         """
         columns = self._selected
-        result = self._cost_fn(columns)
-        loads = result[0] if isinstance(result, tuple) else result
-        self._costs = np.asarray(loads, dtype=float).tolist()
+        self._costs = np.asarray(self._cost_fn(columns), dtype=float).tolist()
         self._api_costs["cost"] = (
             self._api_costs.get("cost", 0.0) + 1.2e-6 * len(columns)
         )

@@ -15,8 +15,6 @@ from repro.transforms.sample import (
     AudioFeaturize,
     default_transforms_for,
 )
-from repro.transforms.microbatch import CollatedMicrobatch
-from repro.transforms.parallelism import ParallelSlice
 from repro.transforms.pipeline import TransformPipeline
 
 __all__ = [
@@ -27,7 +25,5 @@ __all__ = [
     "VideoKeyframeExtract",
     "AudioFeaturize",
     "default_transforms_for",
-    "CollatedMicrobatch",
-    "ParallelSlice",
     "TransformPipeline",
 ]

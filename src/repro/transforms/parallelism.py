@@ -12,15 +12,17 @@ trainer rank actually needs (Fig. 6):
   stages between need only the 64-byte-per-sequence shape metadata, which
   every rank receives.
 
-:class:`RankLayout` is the one implementation; ``tests/test_reference_pins.py``
-pins its deliveries on every pp × cp × tp mesh in {1, 2}³ and a cp=3 mesh.
+:class:`RankLayout` is the one implementation: it sizes a whole collated
+batch into one :class:`RankDelivery` row per rank, and a rank's
+:class:`ParallelSlice` objects are built only when read.
+``tests/test_reference_pins.py`` pins its deliveries on every pp × cp × tp
+mesh in {1, 2}³ and a cp=3 mesh.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from itertools import pairwise
 
 from repro.parallelism.mesh import DeviceMesh
 
@@ -41,18 +43,45 @@ class ParallelSlice:
     slice_info: dict = field(default_factory=dict, compare=False, hash=False)
 
 
-def _cp_token_counts(lengths: np.ndarray, cp_size: int) -> list[int]:
-    """Tokens per CP rank from a sequence-length array, without a rank × sequence loop.
+@dataclass
+class RankDelivery:
+    """Everything one trainer rank receives for one step: a token count and
+    payload bytes per microbatch, and the rank's broadcast source and
+    ``slice_info``.  ``slices`` builds its :class:`ParallelSlice` objects on
+    each read."""
 
-    CP rank r gets floor(len/cp) from every sequence plus one extra token
-    from each sequence whose remainder exceeds r: one bincount of the
-    remainders, suffix-summed.
-    """
+    rank: int
+    token_counts: list[int] = field(repr=False)
+    payload_bytes: list[int] = field(repr=False)
+    replicated_from: int | None
+    slice_info: dict = field(repr=False)
+
+    @property
+    def slices(self) -> list[ParallelSlice]:
+        return [
+            ParallelSlice(
+                rank=self.rank, microbatch_index=index, token_count=tokens,
+                payload_bytes=payload, metadata_only=tokens == 0,
+                replicated_from=self.replicated_from, slice_info=dict(self.slice_info),
+            )
+            for index, (tokens, payload) in enumerate(zip(self.token_counts, self.payload_bytes))
+        ]
+
+    def total_payload_bytes(self) -> int:
+        return sum(self.payload_bytes)
+
+    def total_tokens(self) -> int:
+        return sum(self.token_counts)
+
+
+def _cp_token_counts(lengths: list[int], cp_size: int) -> list[int]:
+    """Tokens per CP rank of one microbatch from its sequence lengths: rank
+    r gets ``len // cp + (r < len % cp)`` tokens of every sequence."""
     if cp_size == 1:
-        return [int(lengths.sum())]
-    base = int((lengths // cp_size).sum())
-    extras = np.bincount(lengths % cp_size, minlength=cp_size)[::-1].cumsum()[::-1]
-    return [base + int(extra) for extra in extras[1:]] + [base]
+        return [sum(lengths)]
+    base = sum(length // cp_size for length in lengths)
+    remainders = [length % cp_size for length in lengths]
+    return [base + sum(rank < remainder for remainder in remainders) for rank in range(cp_size)]
 
 
 class RankLayout:
@@ -60,8 +89,8 @@ class RankLayout:
 
     Which ranks the group holds, which PP stages need payloads and which TP
     ranks are served by the broadcast (and from which rank) depends on the
-    mesh, not on the microbatch.  :meth:`slices` sizes a microbatch's slices
-    from its ``sequence_lengths`` alone.
+    mesh, not on the microbatch.  :meth:`deliveries` sizes every rank's
+    share of a batch from its sequence lengths alone.
     """
 
     def __init__(self, mesh: DeviceMesh, dp_index: int) -> None:
@@ -83,22 +112,19 @@ class RankLayout:
             else:
                 self._ranks.append((rank, info, coord.cp, None))
 
-    def slices(self, microbatch_index: int, sequence_lengths: np.ndarray) -> list[ParallelSlice]:
-        """Per-rank delivery slices of one collated microbatch."""
-        cp_tokens = _cp_token_counts(sequence_lengths, self.cp_size)
-        metadata_bytes = 64 * len(sequence_lengths)
-        slices = []
+    def deliveries(
+        self, sequence_lengths: list[int], sequence_offsets: list[int]
+    ) -> list[RankDelivery]:
+        """Every rank's delivery of a collated batch whose microbatch ``m`` is
+        sequences ``sequence_offsets[m]`` to ``sequence_offsets[m + 1]``."""
+        bounds = list(pairwise(sequence_offsets))
+        cp_tokens = [
+            _cp_token_counts(sequence_lengths[start:end], self.cp_size) for start, end in bounds
+        ]
+        metadata_bytes = [64 * (end - start) for start, end in bounds]
+        deliveries = []
         for rank, slice_info, cp_share, source in self._ranks:
-            tokens = 0 if cp_share is None else cp_tokens[cp_share]
-            slices.append(
-                ParallelSlice(
-                    rank=rank,
-                    microbatch_index=microbatch_index,
-                    token_count=tokens,
-                    payload_bytes=tokens * BYTES_PER_TOKEN + metadata_bytes,
-                    metadata_only=tokens == 0,
-                    replicated_from=source,
-                    slice_info=dict(slice_info),
-                )
-            )
-        return slices
+            tokens = [0] * len(bounds) if cp_share is None else [row[cp_share] for row in cp_tokens]
+            payloads = [count * BYTES_PER_TOKEN + meta for count, meta in zip(tokens, metadata_bytes)]
+            deliveries.append(RankDelivery(rank, tokens, payloads, source, slice_info))
+        return deliveries

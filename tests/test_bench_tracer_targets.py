@@ -74,3 +74,62 @@ def test_text_steps_make_every_traced_loader_call(monkeypatch):
     finally:
         system.shutdown()
     assert all(calls[name] for name in LOADER_CALLS), calls
+
+
+def test_text_steps_collate_once_per_constructor_through_the_traced_globals(monkeypatch):
+    """Depth-2 steps of the text example call ``collate_columns_with_positions``
+    exactly once per constructor per step, through the
+    ``repro.core.data_constructor`` global the tracer wraps, and that
+    collation calls ``first_fit_bin_indices`` once through the
+    ``repro.transforms.microbatch`` global: a refactor that inlines the
+    kernel, or goes back to one collation per microbatch, fails here."""
+    from dataclasses import replace
+
+    from repro import MegaScaleData, TrainingJobSpec
+    from repro.core import data_constructor
+    from repro.transforms import microbatch
+
+    traced = {
+        (module_name, attr)
+        for layer, module_name, _, attr in traced_targets()
+        if layer == "transforms.microbatch"
+    }
+    assert traced == {
+        ("repro.core.data_constructor", "collate_columns_with_positions"),
+        ("repro.transforms.microbatch", "first_fit_bin_indices"),
+    }
+    calls: list[tuple] = []
+
+    def counting(module, name):
+        plain = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return plain(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(data_constructor, "collate_columns_with_positions")
+    counting(microbatch, "first_fit_bin_indices")
+    construct = data_constructor.DataConstructor.construct
+
+    def counted_construct(self, step, *args, **kwargs):
+        calls.append(("construct", self.bucket_index, step))
+        return construct(self, step, *args, **kwargs)
+
+    monkeypatch.setattr(data_constructor.DataConstructor, "construct", counted_construct)
+    job = replace(TrainingJobSpec.text_example(), prefetch_depth=2)
+    assert job.num_microbatches > 1
+    system = MegaScaleData.deploy(job)
+    try:
+        for _ in range(3):
+            system.run_step(simulate=True)
+    finally:
+        system.shutdown()
+    constructs = [call for call in calls if call[0] == "construct"]
+    assert len(set(constructs)) == len(constructs) >= 3 * len(system.constructor_handles)
+    assert calls == [
+        entry
+        for call in constructs
+        for entry in (call, "collate_columns_with_positions", "first_fit_bin_indices")
+    ]

@@ -12,7 +12,7 @@ audit trail.  The retired reference implementations' bytes are pinned in
 
 from __future__ import annotations
 
-from itertools import count
+from itertools import accumulate, count
 
 import numpy as np
 import pytest
@@ -89,7 +89,7 @@ def assert_collation_matches_oracle(collated, index, sample_ids, lengths, capaci
     assert all(type(x) is int for seq in collated.sequences for seg in seq.segments for x in seg)
     totals = [sum(n for _, n in table) for table in tables]
     assert [sequence.tokens for sequence in collated.sequences] == totals
-    assert collated.sequence_lengths.tolist() == totals
+    assert collated.sequence_lengths == totals
     assert collated.total_tokens() == sum(totals)
     per_segment = [np.arange(n, dtype=np.int32) for table in tables for _, n in table]
     assert collated.position_ids.dtype == np.int32
@@ -181,8 +181,14 @@ class TestCollationEquivalence:
     @given(lengths=lengths_lists, capacity=st.integers(min_value=1, max_value=512))
     @settings(max_examples=120, deadline=None)
     def test_first_fit_matches_reference_scan(self, lengths, capacity):
-        fast = first_fit_bin_indices(np.array(lengths, dtype=np.int64), capacity)
+        fast, sequence_lengths, sequence_offsets = first_fit_bin_indices(
+            np.array(lengths, dtype=np.int64), capacity, [0, len(lengths)]
+        )
         assert fast.tolist() == first_fit_scan(lengths, capacity)
+        assert sequence_offsets == [0, len(sequence_lengths)]
+        assert sequence_lengths == [
+            sum(n for _, n in table) for table in segment_tables(list(range(len(lengths))), lengths, capacity)
+        ]
 
     # The degenerate corners the sweep never hits: empty microbatches,
     # all-overflow samples, single-sample batches.
@@ -213,7 +219,7 @@ class TestCollationEquivalence:
         )
         # Slicing inputs are there without either lazy field having been built.
         assert "sequences" not in vars(columnar) and "position_ids" not in vars(columnar)
-        assert columnar.total_tokens() == int(columnar.sequence_lengths.sum())
+        assert columnar.total_tokens() == sum(columnar.sequence_lengths)
         assert "sequences" not in vars(columnar) and "position_ids" not in vars(columnar)
         # Either read order gives the oracle's values, and a second read
         # returns the object the first one built.
@@ -228,9 +234,99 @@ class TestCollationEquivalence:
 
     def test_first_fit_clips_and_has_no_overflow_flag(self):
         # The flag was accepted and ignored; over-capacity samples are clipped.
-        assert first_fit_bin_indices(np.array([100, 10]), 64).tolist() == [0, 1]
+        bins, sequence_lengths, _ = first_fit_bin_indices(np.array([100, 10]), 64, [0, 2])
+        assert (bins.tolist(), sequence_lengths) == ([0, 1], [64, 10])
         with pytest.raises(TypeError):
-            first_fit_bin_indices(np.array([100]), 64, allow_overflow=False)
+            first_fit_bin_indices(np.array([100]), 64, [0, 1], allow_overflow=False)
+
+
+def bucket_lengths(rng, sizes: list[int], capacity: int) -> list[list[int]]:
+    """Per microbatch, ``size`` token lengths: mostly in ``0..capacity``,
+    salted with zero-length, exactly-full and over-capacity samples."""
+    microbatches = []
+    for size in sizes:
+        lengths = rng.integers(0, capacity + 1, size=size)
+        salt = rng.random(size)
+        lengths[salt < 0.1] = 0
+        lengths[(salt >= 0.1) & (salt < 0.15)] = capacity
+        lengths[salt >= 0.9] = capacity + 1 + rng.integers(0, capacity + 1, size=size)[salt >= 0.9]
+        microbatches.append(lengths.tolist())
+    return microbatches
+
+
+#: Microbatch sizes either side of the scan / tree switch, empty ones included.
+segment_sizes = st.lists(
+    st.integers(min_value=0, max_value=300)
+    | st.sampled_from([0, microbatch.SCAN_MAX_SAMPLES, microbatch.SCAN_MAX_SAMPLES + 1]),
+    max_size=5,
+)
+
+
+class TestBucketCollation:
+    """One call over a bucket equals each microbatch packed on its own."""
+
+    @given(
+        sizes=segment_sizes,
+        capacity=st.integers(min_value=1, max_value=512),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_segmented_first_fit_is_a_scan_per_microbatch(self, sizes, capacity, seed):
+        microbatches = bucket_lengths(np.random.default_rng(seed), sizes, capacity)
+        offsets = [0]
+        expected, sequence_offsets = [], [0]
+        for lengths in microbatches:
+            offsets.append(offsets[-1] + len(lengths))
+            local = first_fit_scan(lengths, capacity)
+            expected += [sequence_offsets[-1] + index for index in local]
+            sequence_offsets.append(sequence_offsets[-1] + max(local, default=-1) + 1)
+        flat = np.array([n for lengths in microbatches for n in lengths], dtype=np.int64)
+        bins, _, got_offsets = first_fit_bin_indices(flat, capacity, offsets)
+        assert bins.tolist() == expected
+        assert got_offsets == sequence_offsets
+
+    @given(
+        sizes=segment_sizes,
+        capacity=st.sampled_from(MAX_LENGTHS),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bucket_collation_is_each_microbatch_collated_alone(self, sizes, capacity, seed):
+        microbatches = bucket_lengths(np.random.default_rng(seed), sizes, capacity)
+        ids = count(5, 3)
+        id_lists = [[next(ids) for _ in lengths] for lengths in microbatches]
+        collated = collate_columns_with_positions(
+            2,
+            [i for id_list in id_lists for i in id_list],
+            np.array([n for lengths in microbatches for n in lengths], dtype=np.int64),
+            capacity,
+            list(accumulate(map(len, microbatches), initial=0)),
+        )
+        assert collated.index == 2
+        tables = [segment_tables(*pair, capacity) for pair in zip(id_lists, microbatches)]
+        bounds = collated.sequence_offsets
+        assert [bounds[m + 1] - bounds[m] for m in range(len(tables))] == list(map(len, tables))
+        every_table = [table for per_microbatch in tables for table in per_microbatch]
+        assert [sequence.segments for sequence in collated.sequences] == every_table
+        assert collated.sequence_lengths == [sum(n for _, n in t) for t in every_table]
+        assert collated.position_ids.tolist() == [
+            position for table in every_table for _, n in table for position in range(n)
+        ]
+
+    def test_each_side_of_the_switch_runs(self, monkeypatch):
+        ran = []
+        for name in ("_scan_segment", "_tree_segment"):
+            plain = getattr(microbatch, name)
+
+            def counted(*args, _name=name, _plain=plain):
+                ran.append(_name)
+                return _plain(*args)
+
+            monkeypatch.setattr(microbatch, name, counted)
+        size = microbatch.SCAN_MAX_SAMPLES
+        lengths = np.arange(2 * size + 1, dtype=np.int64) % 97
+        first_fit_bin_indices(lengths, 256, [0, size, 2 * size + 1])
+        assert ran == ["_scan_segment", "_tree_segment"]
 
 
 # -- loader staging ---------------------------------------------------------------------
@@ -416,37 +512,38 @@ def rank_slices_oracle(mesh, dp_index, index, sequence_lengths) -> list[Parallel
 
 class TestConstructorEquivalence:
     @given(
-        tokens=st.lists(
-            st.lists(st.integers(min_value=0, max_value=900), min_size=1, max_size=10),
-            min_size=1,
-            max_size=4,
-        ),
-        pp=st.sampled_from([1, 2, 4]),
+        sizes=segment_sizes.filter(any),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        pp=st.sampled_from([1, 2, 3, 4]),
         dp=st.sampled_from([1, 2]),
         cp=st.sampled_from([1, 2, 3]),
-        tp=st.sampled_from([1, 2]),
+        tp=st.sampled_from([1, 2, 3]),
     )
     @settings(max_examples=150, deadline=None)
-    def test_rank_deliveries_match_reference_collation(self, tokens, pp, dp, cp, tp):
+    def test_rank_deliveries_match_reference_collation(self, sizes, seed, pp, dp, cp, tp):
         mesh = DeviceMesh(pp=pp, dp=dp, cp=cp, tp=tp, gpus_per_node=8)
         dp_index = dp - 1
-        plan = make_plan(tokens)
+        plan = make_plan(bucket_lengths(np.random.default_rng(seed), sizes, 512))
         constructor = DataConstructor(
             bucket_index=0, mesh=mesh, dp_index=dp_index, max_sequence_length=512
         )
         stats = constructor.construct(0, plan, columns_for(plan))
 
-        # Expected: the oracle's segment tables, sliced by the oracle's rules.
+        # Expected: the oracle's segment tables, sliced by the oracle's rules,
+        # one microbatch and one rank at a time.
         expected: dict[int, list[ParallelSlice]] = {}
-        expected_tokens = 0
+        expected_seconds = expected_staged = expected_saved = 0
         for mb, samples in enumerate(bucket_samples(plan)[0]):
             tables = segment_tables(
                 samples.sample_ids.tolist(), samples.total_tokens.tolist(), 512
             )
             lengths = [sum(n for _, n in table) for table in tables]
-            expected_tokens += sum(lengths)
+            expected_seconds += sum(lengths) * DataConstructor.COLLATE_SECONDS_PER_TOKEN
             for piece in rank_slices_oracle(mesh, dp_index, mb, lengths):
                 expected.setdefault(piece.rank, []).append(piece)
+                expected_staged += piece.payload_bytes
+                if piece.replicated_from is not None or piece.metadata_only:
+                    expected_saved += max(0, sum(lengths) * BYTES_PER_TOKEN - piece.payload_bytes)
         assert constructor.ranks_served(0) == sorted(expected)
         for rank, reference in expected.items():
             delivered = constructor.get_batch(0, rank)
@@ -458,10 +555,11 @@ class TestConstructorEquivalence:
             ]
             assert delivered.total_tokens() == sum(piece.token_count for piece in reference)
             assert delivered.total_payload_bytes() == sum(piece.payload_bytes for piece in reference)
-        # The virtual-clock charge is the oracle token count's, too.
-        assert stats["collate_seconds"] == pytest.approx(
-            expected_tokens * DataConstructor.COLLATE_SECONDS_PER_TOKEN, rel=1e-12
-        )
+        # The virtual-clock charge sums microbatch by microbatch, as the
+        # oracle does; staged and saved bytes are exact.
+        assert stats["collate_seconds"] == expected_seconds
+        assert stats["staged_bytes"] == expected_staged
+        assert constructor.broadcast_bytes_saved == expected_saved
 
     def test_missing_sample_rejected(self):
         mesh = DeviceMesh(pp=1, dp=1, cp=1, tp=1, gpus_per_node=8)

@@ -16,32 +16,27 @@ from repro.training.flops import encoder_sample_flops, sequence_backbone_flops
 from repro.training.simulator import BACKWARD_MULTIPLIER, GpuSpec
 
 
-def per_row(model, *samples) -> list[tuple[float, int]]:
-    """``model``'s (load, memory) of each sample, evaluated over their rows."""
-    loads, memory = model(SampleColumns.from_samples(list(samples)))
-    return list(zip(loads.tolist(), memory.tolist()))
+def per_row(model, *samples) -> list[float]:
+    """``model``'s load of each sample, evaluated over their rows."""
+    return model(SampleColumns.from_samples(list(samples))).tolist()
 
 
 class TestEncoderCostModel:
     def test_cost_grows_superlinearly_with_patches(self, sample_factory):
         model = EncoderCostModel(vit_1b())
-        (small, _), (large, _) = per_row(
+        small, large = per_row(
             model, sample_factory(0, image_tokens=1024), sample_factory(1, image_tokens=4096)
         )
         assert large > 4 * small
 
     def test_larger_encoder_costs_more(self, sample_factory):
         metadata = sample_factory(0, image_tokens=2048)
-        larger = per_row(EncoderCostModel(vit_2b()), metadata)[0][0]
-        assert larger > per_row(EncoderCostModel(vit_1b()), metadata)[0][0]
-
-    def test_memory_component_positive(self, sample_factory):
-        [(_, memory)] = per_row(EncoderCostModel(vit_1b()), sample_factory(0, image_tokens=128))
-        assert memory > 0
+        [larger] = per_row(EncoderCostModel(vit_2b()), metadata)
+        assert larger > per_row(EncoderCostModel(vit_1b()), metadata)[0]
 
     def test_latency_is_forward_plus_backward_flops(self, sample_factory):
         metadata = sample_factory(0, image_tokens=1024)
-        [(latency, _)] = per_row(EncoderCostModel(vit_1b()), metadata)
+        [latency] = per_row(EncoderCostModel(vit_1b()), metadata)
         flops = encoder_sample_flops(1024, vit_1b()) * (1.0 + BACKWARD_MULTIPLIER)
         assert latency == GpuSpec().seconds_for(flops)
 
@@ -49,21 +44,21 @@ class TestEncoderCostModel:
 class TestBackboneCostModel:
     def test_cost_grows_with_tokens(self, sample_factory):
         model = BackboneCostModel(llama_12b())
-        (long, _), (short, _) = per_row(
+        long, short = per_row(
             model, sample_factory(0, text_tokens=4096), sample_factory(1, text_tokens=512)
         )
         assert long > short
 
     def test_latency_is_forward_plus_backward_flops(self, sample_factory):
         backbone = llama_12b()
-        [(latency, _)] = per_row(BackboneCostModel(backbone), sample_factory(0, text_tokens=1024))
+        [latency] = per_row(BackboneCostModel(backbone), sample_factory(0, text_tokens=1024))
         flops = sequence_backbone_flops(1024, backbone)
         flops += 2.0 * 1024 * backbone.hidden_size * backbone.vocab_size
         assert latency == GpuSpec().seconds_for(flops * (1.0 + BACKWARD_MULTIPLIER))
 
     def test_moe_backbone_supported(self, sample_factory):
-        [(load, memory)] = per_row(BackboneCostModel(mixtral_8x7b()), sample_factory(0, text_tokens=1024))
-        assert load > 0 and memory > 0
+        [load] = per_row(BackboneCostModel(mixtral_8x7b()), sample_factory(0, text_tokens=1024))
+        assert load > 0
 
 
 class TestCapacitySplitLaneModel:

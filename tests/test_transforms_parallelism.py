@@ -21,12 +21,14 @@ def lengths(sample_factory):
         np.array([sample.total_tokens for sample in samples], dtype=np.int64),
         512,
     )
-    assert collated.sequence_lengths.tolist() == [407, 500]
+    assert collated.sequence_lengths == [407, 500]
     return collated.sequence_lengths
 
 
 def slices(mesh: DeviceMesh, lengths, dp_index: int = 0):
-    return RankLayout(mesh, dp_index).slices(0, lengths)
+    """Every rank's slice of one microbatch, in rank order."""
+    deliveries = RankLayout(mesh, dp_index).deliveries(lengths, [0, len(lengths)])
+    return [piece for delivery in deliveries for piece in delivery.slices]
 
 
 def token_bytes(piece, lengths) -> int:
@@ -41,7 +43,7 @@ class TestContextParallelShares:
 
     def test_shares_cover_all_tokens(self, lengths):
         shares = slices(DeviceMesh(cp=4), lengths)
-        assert sum(piece.token_count for piece in shares) == int(lengths.sum())
+        assert sum(piece.token_count for piece in shares) == sum(lengths)
 
     def test_shares_nearly_equal(self, lengths):
         counts = [piece.token_count for piece in slices(DeviceMesh(cp=3), lengths)]
@@ -50,12 +52,12 @@ class TestContextParallelShares:
     def test_rank_r_gets_floor_plus_one_per_remainder_above_r(self, lengths):
         counts = [piece.token_count for piece in slices(DeviceMesh(cp=3), lengths)]
         assert counts == [
-            sum(n // 3 + (r < n % 3) for n in lengths.tolist()) for r in range(3)
+            sum(n // 3 + (r < n % 3) for n in lengths) for r in range(3)
         ]
 
     def test_single_cp_is_identity(self, lengths):
         (piece,) = slices(DeviceMesh(), lengths)
-        assert piece.token_count == int(lengths.sum())
+        assert piece.token_count == sum(lengths)
 
     @pytest.mark.parametrize("axis", ["cp", "tp"])
     def test_zero_sized_axis_is_refused_by_the_mesh(self, axis):
@@ -66,19 +68,19 @@ class TestContextParallelShares:
 class TestTensorParallelBroadcast:
     def test_broadcast_only_tp0_fetches(self, lengths):
         head, *rest = slices(DeviceMesh(tp=4), lengths)
-        assert head.token_count == int(lengths.sum())
+        assert head.token_count == sum(lengths)
         assert all(piece.token_count == 0 for piece in rest)
         assert all(piece.replicated_from == head.rank for piece in rest)
 
     def test_single_tp_rank_fetches_everything(self, lengths):
         (piece,) = slices(DeviceMesh(tp=1), lengths)
-        assert piece.token_count == int(lengths.sum())
+        assert piece.token_count == sum(lengths)
         assert piece.replicated_from is None
 
     def test_only_the_fetching_rank_carries_token_bytes(self, lengths):
         shares = slices(DeviceMesh(tp=4), lengths)
         assert [token_bytes(piece, lengths) for piece in shares] == [
-            int(lengths.sum()) * BYTES_PER_TOKEN, 0, 0, 0
+            sum(lengths) * BYTES_PER_TOKEN, 0, 0, 0
         ]
 
 
@@ -126,7 +128,7 @@ class TestRankLayout:
 
     def test_cp_ranks_receive_disjoint_shares(self, lengths):
         shares = slices(DeviceMesh(pp=1, dp=1, cp=4, tp=1), lengths)
-        assert sum(piece.token_count for piece in shares) == int(lengths.sum())
+        assert sum(piece.token_count for piece in shares) == sum(lengths)
 
     def test_later_pp_stages_marked_metadata_only(self, lengths):
         mesh = DeviceMesh(pp=4, dp=1, cp=1, tp=1)
