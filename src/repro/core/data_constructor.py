@@ -55,6 +55,7 @@ class DataConstructor(Actor):
         #: their ranks, against each fetching its whole microbatch.
         self.broadcast_bytes_saved = 0
         self._pending_deliveries: dict[int, dict[int, RankDelivery]] = {}
+        self._staged_bytes: dict[int, int] = {}
         self._delivered_up_to: dict[int, int] = {}
         # Adopting the first mesh (``mesh``, ``dp_index``) is a reshard with nothing staged.
         self.reshard(mesh, dp_index)
@@ -117,7 +118,7 @@ class DataConstructor(Actor):
                 if delivery.replicated_from is not None or tokens == 0:
                     self.broadcast_bytes_saved += max(0, full - payload)
         self._pending_deliveries[step] = {delivery.rank: delivery for delivery in deliveries}
-        staged_bytes = sum(delivery.total_payload_bytes() for delivery in deliveries)
+        staged_bytes = self._staged_bytes[step] = sum(map(RankDelivery.total_payload_bytes, deliveries))
         self.ledger.charge("constructed_batch", staged_bytes)
         return {
             "collate_seconds": collate_seconds,
@@ -163,9 +164,8 @@ class DataConstructor(Actor):
 
     def release_step(self, step: int) -> None:
         """Free the memory staged for a completed step."""
-        deliveries = self._pending_deliveries.pop(step, {})
-        staged = sum(delivery.total_payload_bytes() for delivery in deliveries.values())
-        self.ledger.release("constructed_batch", staged)
+        self._pending_deliveries.pop(step, None)
+        self.ledger.release("constructed_batch", self._staged_bytes.pop(step, 0))
 
     def release_steps_below(self, step: int) -> int:
         """Free every staged step older than ``step``; returns how many.

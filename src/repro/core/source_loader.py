@@ -60,6 +60,13 @@ class LoaderStats:
     samples_buffered: int = 0
     samples_prepared: int = 0
     samples_delivered: int = 0
+    #: Demanded ids consumed from the buffer without transforming (mirror
+    #: members of a fleet shard group absorbing their peers' demands, and
+    #: failover/bootstrap replay).
+    samples_replayed: int = 0
+    transform_seconds: float = 0.0
+    read_seconds: float = 0.0
+    refills: int = 0
 
 
 @dataclass
@@ -161,7 +168,7 @@ class SourceLoader(Actor):
         self._open_cursor()
         for path in self.source.paths:
             reader = ColumnarReader(self.filesystem, path, self.ledger)
-            reader.open()
+            self.stats.read_seconds += reader.open()
             self._readers.append(reader)
         self.ledger.charge("worker_context", WORKER_CONTEXT_BYTES * self.num_workers)
         self.refill()
@@ -207,7 +214,12 @@ class SourceLoader(Actor):
             self._enter(ids[:added], rows[:added])
             self._changes += added
             self.ledger.charge("prefetch_buffer", BUFFERED_METADATA_BYTES * added)
+            self.stats.refills += 1
             self.stats.samples_buffered += added
+            # Sequential row reads at the storage bandwidth.
+            self.stats.read_seconds += self.filesystem.transfer_time(
+                int(added * self.source.avg_raw_bytes)
+            )
         return added
 
     def buffered_among(self, sample_ids: list[int]) -> set[int]:
@@ -312,6 +324,7 @@ class SourceLoader(Actor):
                 chunk += latency
             chunks.append(chunk / self.num_workers)
         self.stats.samples_prepared += len(entry.rows)
+        self.stats.transform_seconds += total
         if not self.deferred_refill:
             self.refill()
         key = self.fetch_prepared_ref(entry.rows)["key"]
@@ -359,6 +372,7 @@ class SourceLoader(Actor):
         refill even when it absorbed nothing).
         """
         replayed = len(self._consume(sample_ids))
+        self.stats.samples_replayed += replayed
         if refill is True or (refill is None and replayed):
             self.refill()
         return replayed

@@ -8,16 +8,13 @@ ids provide the positional context the backbone expects.
 :func:`collate_columns_with_positions` is the one collation: kernels over a
 batch's token-length array, cut into microbatches by row offsets.  In each
 microbatch a sample goes to the lowest-numbered open sequence it fits (first
-fit): a scan of the open residuals below the :data:`SCAN_MAX_SAMPLES`
-crossover, O(samples · sequences), a max tournament tree above it,
-O(samples · log sequences).  A sample longer than ``max_sequence_length`` is
-clipped to it.  What slicing reads (``sequence_lengths``,
-``sequence_offsets``) is computed at collation; ``sequences`` (one stable
-argsort) and ``position_ids`` (slices of one cached int32 ramp) are built on
-first read, so a caller that only slices never pays for them.
-``tests/test_core_assembly.py`` checks the kernels against a first-fit scan
-per microbatch and a per-block ``arange``, and ``tests/test_reference_pins.py``
-pins their bytes.
+fit; a sample longer than ``max_sequence_length`` is clipped to it): a scan
+of open residuals below the :data:`SCAN_MAX_SAMPLES` crossover, O(samples ·
+sequences), a max tournament tree above it, O(samples · log sequences).
+``sequences`` and ``position_ids`` are built on first read, so a caller that
+only slices never pays for them.  ``tests/test_core_assembly.py`` checks the
+kernels against a first-fit scan per microbatch and a per-block ``arange``,
+and ``tests/test_reference_pins.py`` pins their bytes.
 """
 
 from __future__ import annotations
@@ -31,9 +28,10 @@ import numpy as np
 from repro.errors import TransformError
 
 #: Microbatches of at most this many samples scan; longer ones use the tree.
-#: On fig24-like lengths (16-1400 tokens into 2048) the scan is 3-4x faster
-#: up to 32 samples, 1.5x at 128, and the two meet near 200.
-SCAN_MAX_SAMPLES = 128
+#: Set at the crossover measured on fig24's corpora (16-1400-token samples
+#: into 2048): scan/tree time per microbatch 0.81-0.97 at 448 samples and
+#: 0.91-1.10 at 512.  The bench workloads' microbatches hold at most 71.
+SCAN_MAX_SAMPLES = 448
 
 
 @dataclass
@@ -46,17 +44,14 @@ class PackedSequence:
 
 @dataclass
 class CollatedBatch:
-    """A collated batch of microbatches, ready for parallelism slicing.
-
-    Sequences are numbered across the batch: microbatch ``m`` packs
-    sequences ``sequence_offsets[m]`` to ``sequence_offsets[m + 1]``, whose
-    token counts are in ``sequence_lengths``.  ``_layout`` is ``(sequence
-    index per sample, clipped sample lengths)``; ``sequences`` and
-    ``position_ids`` are expanded from it on first read and kept.
+    """A collated batch: microbatch ``m`` packs sequences
+    ``sequence_offsets[m]`` to ``sequence_offsets[m + 1]``, whose token counts
+    are in ``sequence_lengths``.  ``_layout`` is ``(sequence per sample,
+    clipped sample lengths)``; ``sequences`` and ``position_ids`` are expanded
+    from it on first read and kept.
     """
 
     index: int
-    max_sequence_length: int
     sample_ids: list[int]
     sequence_lengths: list[int] = field(repr=False, compare=False)
     sequence_offsets: list[int] = field(repr=False, compare=False)
@@ -156,15 +151,11 @@ def _tree_segment(lengths: list[int], capacity: int, base: int, bins: list[int])
 def first_fit_bin_indices(
     lengths: np.ndarray, capacity: int, offsets: Sequence[int]
 ) -> tuple[np.ndarray, list[int], list[int]]:
-    """First-fit sequence per sample, restarting at each microbatch (rows
-    ``offsets[m]`` to ``offsets[m + 1]``).
-
-    A sample goes to the *lowest-numbered* open sequence of its microbatch
-    whose residual fits it, else opens one; a zero-length sample fits the
-    first open sequence; over-capacity samples are clipped to ``capacity``.
+    """First fit restarting at each microbatch (rows ``offsets[m]`` to
+    ``offsets[m + 1]``): a sample goes to the *lowest-numbered* open sequence
+    of its microbatch that fits it, a zero-length one to the first open one.
     Returns each sample's sequence, each sequence's token count and each
-    microbatch's first sequence plus the total (sequences are numbered
-    across microbatches).
+    microbatch's first sequence plus the total (numbered across microbatches).
     """
     if capacity <= 0:
         raise TransformError("max_sequence_length must be positive")
@@ -212,8 +203,9 @@ def collate_columns_with_positions(
     """Pack a batch's microbatches (cut at ``offsets``; default: one of
     every row) with one :func:`first_fit_bin_indices` call.
 
-    ``index`` labels the batch; the Data Constructor passes its bucket.
-    ``sequences`` and ``position_ids`` are built when first read.
+    ``index`` is only echoed as ``CollatedBatch.index``, which nothing
+    outside the tests reads.  ``sequences`` and ``position_ids`` are built
+    when first read.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     if offsets is None:
@@ -223,7 +215,6 @@ def collate_columns_with_positions(
     )
     return CollatedBatch(
         index=index,
-        max_sequence_length=max_sequence_length,
         sample_ids=list(sample_ids),
         sequence_lengths=sequence_lengths,
         sequence_offsets=sequence_offsets,

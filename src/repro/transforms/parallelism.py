@@ -12,11 +12,10 @@ trainer rank actually needs (Fig. 6):
   stages between need only the 64-byte-per-sequence shape metadata, which
   every rank receives.
 
-:class:`RankLayout` is the one implementation: it sizes a whole collated
-batch into one :class:`RankDelivery` row per rank, and a rank's
-:class:`ParallelSlice` objects are built only when read.
-``tests/test_reference_pins.py`` pins its deliveries on every pp × cp × tp
-mesh in {1, 2}³ and a cp=3 mesh.
+:class:`RankLayout` is the one implementation: one :class:`RankDelivery` row
+per rank and batch, whose :class:`ParallelSlice` objects are built only when
+read.  ``tests/test_reference_pins.py`` pins its deliveries on every pp × cp
+× tp mesh in {1, 2}³ and a cp=3 mesh.
 """
 
 from __future__ import annotations
@@ -126,5 +125,5 @@ class RankLayout:
         for rank, slice_info, cp_share, source in self._ranks:
             tokens = [0] * len(bounds) if cp_share is None else [row[cp_share] for row in cp_tokens]
             payloads = [count * BYTES_PER_TOKEN + meta for count, meta in zip(tokens, metadata_bytes)]
-            deliveries.append(RankDelivery(rank, tokens, payloads, source, slice_info))
+            deliveries.append(RankDelivery(rank, tokens, payloads, source, dict(slice_info)))
         return deliveries

@@ -81,7 +81,6 @@ def segment_tables(sample_ids: list[int], lengths: list[int], capacity: int) -> 
 def assert_collation_matches_oracle(collated, index, sample_ids, lengths, capacity) -> None:
     tables = segment_tables(sample_ids, lengths, capacity)
     assert collated.index == index
-    assert collated.max_sequence_length == capacity
     assert collated.sample_ids == sample_ids
     assert [sequence.segments for sequence in collated.sequences] == tables
     # Byte-identity includes the *types*: numpy ints sneaking into segment
@@ -257,7 +256,9 @@ def bucket_lengths(rng, sizes: list[int], capacity: int) -> list[list[int]]:
 #: Microbatch sizes either side of the scan / tree switch, empty ones included.
 segment_sizes = st.lists(
     st.integers(min_value=0, max_value=300)
-    | st.sampled_from([0, microbatch.SCAN_MAX_SAMPLES, microbatch.SCAN_MAX_SAMPLES + 1]),
+    | st.sampled_from(
+        [0, microbatch.SCAN_MAX_SAMPLES, microbatch.SCAN_MAX_SAMPLES + 1, 2 * microbatch.SCAN_MAX_SAMPLES]
+    ),
     max_size=5,
 )
 

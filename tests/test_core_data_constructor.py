@@ -102,6 +102,25 @@ class TestParallelismSharing:
         assert constructor.ledger.live_bytes("constructed_batch") == 0
         assert constructor.staged_steps() == []
 
+    def test_edited_delivery_leaves_ledger_and_later_steps_alone(
+        self, system, vlm_mesh, sample_factory
+    ):
+        handle = spawn_constructor(system, vlm_mesh)
+        plan = make_plan(sample_factory)
+        staged = [handle.call("construct", step, plan, prepared_for(plan))["staged_bytes"]
+                  for step in (0, 1)]
+        constructor = handle.instance()
+        rank = constructor.ranks_served(0)[0]
+        delivery = handle.call("get_batch", 0, rank)
+        info = dict(delivery.slice_info)
+        # A consumer that edits what it was handed: neither the staged
+        # charge nor the next step's delivery may follow.
+        delivery.payload_bytes[0] += 10**6
+        delivery.slice_info["cp_rank"] = -1
+        handle.call("release_step", 0)
+        assert constructor.ledger.live_bytes("constructed_batch") == staged[1]
+        assert handle.call("get_batch", 1, rank).slice_info == info
+
     def test_pp_later_stage_gets_metadata_only(self, system, sample_factory):
         mesh = DeviceMesh(pp=4, dp=1, cp=1, tp=1)
         handle = spawn_constructor(system, mesh)

@@ -1,8 +1,9 @@
-"""Guard: a Data Constructor stages one table per step, not slice objects.
+"""Guard: a Data Constructor stages per-rank delivery rows, not slice objects.
 
 Each constructor packs its whole bucket with one collation (first fit
-restarts at each microbatch) and sizes every rank's share of every
-microbatch in one :class:`DeliveryTable`.  A rank's
+restarts at each microbatch), and ``RankLayout.deliveries`` sizes every
+rank's share of every microbatch as one :class:`RankDelivery` per rank, with
+per-microbatch ``token_counts`` and ``payload_bytes`` lists.  A rank's
 :class:`ParallelSlice` objects are built only when ``RankDelivery.slices`` is
 read, which nothing on the step path does.  These tests count instances
 through a patched ``__init__`` over steady-state steps: no ``ParallelSlice``,
