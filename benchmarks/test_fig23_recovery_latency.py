@@ -101,7 +101,7 @@ def _smoke_mode() -> bool:
 
 
 def _buffer_ids(handle) -> list[int]:
-    return handle.instance().replay_checkpoint()["buffer"]
+    return list(handle.instance().replay_checkpoint()["buffer"])
 
 
 def _drive(num_steps: int) -> dict[str, object]:

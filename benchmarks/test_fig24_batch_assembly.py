@@ -108,7 +108,7 @@ def _time_collation(metas: list[SampleMetadata]) -> dict[str, float]:
     for _ in range(TIMED_REPS):
         gc.collect()
         begin = time.perf_counter()
-        collated = collate_columns_with_positions(0, sample_ids, lengths, MAX_SEQUENCE_LENGTH)
+        collated = collate_columns_with_positions(sample_ids, lengths, MAX_SEQUENCE_LENGTH)
         # Reading the two lazy fields builds them, inside the timed region.
         assert collated.sequences is not None and collated.position_ids is not None
         wall_s = min(wall_s, time.perf_counter() - begin)

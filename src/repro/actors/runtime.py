@@ -643,13 +643,9 @@ class ActorSystem:
 
     def record_event(self, call: PendingCall, start: float, end: float) -> None:
         """Record an executed deferred call as a timed interval on the timeline."""
-        role = self.actor_role(call.name)
-        if call.step is None:
-            self.timeline.record(call.name, call.method, start, end - start, role=role)
-        else:
-            self.timeline.record(
-                call.name, call.method, start, end - start, role=role, step=call.step
-            )
+        self.timeline.record(
+            call.name, call.method, start, end - start, self.actor_role(call.name), call.step
+        )
 
     # -- introspection ----------------------------------------------------------------------
 

@@ -153,9 +153,10 @@ class ChaosEngine:
 class ChaosCheckpointStore(CheckpointStore):
     """Checkpoint-store decorator that fails during ``store_outage`` windows.
 
-    Reads and writes raise :class:`StorageError` while a window is active;
-    read-only metadata (``steps``) and maintenance calls are left working so
-    recovery bookkeeping does not wedge on an outage it can survive.
+    Reads, writes and compaction (``delete_below``) raise
+    :class:`StorageError` while a window is active; read-only metadata
+    (``steps``) and the truncation a flush makes (``delete_from``) are left
+    working so recovery bookkeeping does not wedge on an outage it can survive.
     """
 
     def __init__(self, store: CheckpointStore, engine: ChaosEngine) -> None:
@@ -187,6 +188,10 @@ class ChaosCheckpointStore(CheckpointStore):
 
     def delete_from(self, namespace: str, step: int) -> int:
         return self._store.delete_from(namespace, step)
+
+    def delete_below(self, namespace: str, step: int) -> int:
+        self._check("delete_below")
+        return self._store.delete_below(namespace, step)
 
     def clear(self) -> None:
         self._store.clear()

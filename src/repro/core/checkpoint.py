@@ -4,9 +4,13 @@ Recovery in the paper's system is *differential*: loaders persist small cursor
 checkpoints on an interval, and a failed component restores the latest
 checkpoint and replays only the post-checkpoint suffix of the plan history.
 For that story to hold at production run lengths, the control-plane state that
-replay depends on — plan history beyond the replay window, delta-cache epochs,
-fleet topology, the active mixture — must itself be durable rather than
-rebuilt from genesis.
+replay depends on — plan history beyond the replay window, fleet topology,
+the active mixture — must itself be durable rather than rebuilt from
+genesis, and bounded rather than kept from genesis: the store keeps the plan
+records from the replay floor on (older rows are dropped with
+:meth:`CheckpointStore.delete_below`, see
+:meth:`~repro.core.recovery.FleetRecovery.compact`) and the newest ``run``
+entry.
 
 :class:`CheckpointStore` is the pluggable persistence interface.  Two backends
 ship here:
@@ -22,7 +26,9 @@ Payload conventions
 -------------------
 Stores are namespaced (``planner/plans``, ``delivery/manifests``, ``run``) and
 step-indexed.  A ``planner/plans`` row, like the ``run`` entry's plan history,
-is a :class:`~repro.core.plans.PlanRecord`: demanded ids, no sample metadata.
+is a :class:`~repro.core.plans.PlanRecord`: demanded ids in one
+``array("q")``, no sample metadata.  A ``delivery/manifests`` row, kept for
+every delivered step, holds each constructor's ids as an ``array("q")``.
 Loader differential checkpoints are not rows here: they live in
 :class:`~repro.core.fault_tolerance.FaultToleranceManager`'s in-memory
 history, and the ``run`` entry embeds the ones a whole-run restore needs.
@@ -76,6 +82,10 @@ class CheckpointStore:
         """Drop entries with step >= ``step``; returns how many were dropped."""
         raise NotImplementedError
 
+    def delete_below(self, namespace: str, step: int) -> int:
+        """Drop entries with step < ``step`` (compaction); returns how many."""
+        raise NotImplementedError
+
     def clear(self) -> None:
         raise NotImplementedError
 
@@ -123,6 +133,9 @@ class NamespacedCheckpointStore(CheckpointStore):
     def delete_from(self, namespace: str, step: int) -> int:
         return self.backend.delete_from(self._scoped(namespace), step)
 
+    def delete_below(self, namespace: str, step: int) -> int:
+        return self.backend.delete_below(self._scoped(namespace), step)
+
     def clear(self) -> None:
         raise CheckpointError(
             "refusing to clear a shared store through a tenant-scoped view; "
@@ -162,8 +175,14 @@ class InMemoryCheckpointStore(CheckpointStore):
         return sorted(self._data.get(namespace, {}))
 
     def delete_from(self, namespace: str, step: int) -> int:
+        return self._delete(namespace, lambda s: s >= step)
+
+    def delete_below(self, namespace: str, step: int) -> int:
+        return self._delete(namespace, lambda s: s < step)
+
+    def _delete(self, namespace: str, doomed_step) -> int:
         entries = self._data.get(namespace, {})
-        doomed = [s for s in entries if s >= step]
+        doomed = [s for s in entries if doomed_step(s)]
         for s in doomed:
             del entries[s]
         return len(doomed)
@@ -223,6 +242,9 @@ class SqliteCheckpointStore(CheckpointStore):
 
     def delete_from(self, namespace: str, step: int) -> int:
         return self._kv.delete_from(namespace, step)
+
+    def delete_below(self, namespace: str, step: int) -> int:
+        return self._kv.delete_below(namespace, step)
 
     def clear(self) -> None:
         self._kv.clear()

@@ -98,7 +98,6 @@ class DataConstructor(Actor):
             )
         # Slicing reads sequence lengths only: no per-token field is built here.
         collated = collate_columns_with_positions(
-            self.bucket_index,
             bucket_ids.tolist(),
             prepared.total_tokens[rows],
             self.max_sequence_length,

@@ -2,17 +2,20 @@
 
 Everything here reads or writes the job's :class:`CheckpointStore`:
 :class:`DeliveryManifests` is the exactly-once audit trail (one manifest per
-delivered step), and the ``*_run_checkpoint`` / ``restore_*`` functions are
-the payload half of :meth:`MegaScaleData.save_checkpoint` / ``restore``.
+delivered step, the one record the store keeps for every step of a run), and
+the ``*_run_checkpoint`` functions are the payload half of
+:meth:`MegaScaleData.save_checkpoint` / ``restore``.
 """
 
 from __future__ import annotations
+
+from array import array
 
 import numpy as np
 
 from repro.core.checkpoint import CheckpointStore
 from repro.core.data_constructor import DataConstructor
-from repro.core.planner import Planner
+from repro.core.planner import PLAN_NAMESPACE, Planner
 from repro.core.plans import LoadingPlan
 from repro.core.recovery import FleetRecovery
 from repro.errors import ConfigurationError, StorageError
@@ -26,7 +29,11 @@ MANIFEST_NAMESPACE = "delivery/manifests"
 
 
 class DeliveryManifests:
-    """Per-step delivered-batch manifests in the durable checkpoint store."""
+    """Per-step delivered-batch manifests in the durable checkpoint store.
+
+    Unlike plan records, manifests are never compacted: :meth:`audit` spans
+    the whole run, and a manifest costs 8 bytes a delivered id.
+    """
 
     def __init__(self, store: CheckpointStore) -> None:
         self.store = store
@@ -40,19 +47,20 @@ class DeliveryManifests:
         """Persist the step's delivered-batch manifest to the checkpoint store.
 
         One entry per delivered step: which constructor consumed which sample
-        ids, and which ``ranks`` pulled slices.  Manifests survive a restore (they
+        ids (sorted, one ``array("q")`` per constructor: iterating it yields
+        Python ints), and which ``ranks`` pulled slices.  Manifests survive a restore (they
         live in the same durable store as the run checkpoints), so
         :meth:`audit` can prove exactly-once delivery across a
         crash/recovery boundary instead of only within one process lifetime.
         """
         backbone = plan.module("backbone")
-        buckets: dict[str, list[int]] = {}
+        buckets: dict[str, array] = {}
         for constructor_handle in constructor_handles:
             constructor: DataConstructor = constructor_handle.instance()
             offsets = backbone.bucket_offsets(constructor.bucket_index)
             ids = backbone.rows.sample_ids[offsets[0] : offsets[-1]]
             if len(ids):
-                buckets[constructor_handle.name] = np.sort(ids).tolist()
+                buckets[constructor_handle.name] = array("q", np.sort(ids).tobytes())
         # A store outage queues the manifest instead of failing the step;
         # ordered draining keeps the audit trail gap-free once it heals.
         self._backlog.append(
@@ -114,6 +122,12 @@ def save_run_checkpoint(
     ``step``.  The plans between a loader's checkpoint and ``step``, which
     :func:`load_run_checkpoint` replays, are demand records in the durable ``planner/plans``
     namespace or, after a store outage, in the Planner state's persist backlog.
+
+    The store keeps the newest ``run`` entry only, the one
+    :meth:`MegaScaleData.restore` reads: older ones are deleted (a store outage skips that until the next
+    save), and the entry's replay base holds the replay floor down
+    (:meth:`~repro.core.recovery.FleetRecovery.compact`), so the plan
+    records it replays stay.
     """
     planner: Planner = recovery.planner_handle.instance()
     loaders = {}
@@ -141,6 +155,24 @@ def save_run_checkpoint(
         "mixture_swaps": [recipe for recipe in recipes[1:] if recipe[1] is not None],
     }
     store.save(RUN_NAMESPACE, step, payload)
+    recovery.run_base = _replay_base(payload)
+    try:
+        store.delete_below(RUN_NAMESPACE, step)
+    except StorageError:
+        pass
+    recovery.compact(step)
+
+
+def _replay_base(payload: dict) -> int:
+    """The step a restore from ``payload`` replays plans after: the oldest
+    loader checkpoint it embeds (-1, genesis, for a pristine loader)."""
+    return min(
+        [payload["step"] - 1]
+        + [
+            entry["checkpoint"]["step"] if entry["checkpoint"] else -1
+            for entry in payload["loaders"].values()
+        ]
+    )
 
 
 def latest_run_checkpoint(store: CheckpointStore) -> dict:
@@ -180,7 +212,6 @@ def load_run_checkpoint(payload: dict, recovery: FleetRecovery) -> None:
         (entry["source"], entry["shard_index"]): entry["checkpoint"]
         for entry in payload["loaders"].values()
     }
-    replay_after = step - 1
     for handle in recovery.loader_handles:
         group = recovery.fleet.group_for(handle.name)
         if (group.source, group.shard_index) not in saved:
@@ -191,7 +222,12 @@ def load_run_checkpoint(payload: dict, recovery: FleetRecovery) -> None:
         checkpoint = saved[group.source, group.shard_index]
         if checkpoint is not None:
             recovery.fault_manager.adopt_loader_checkpoint(handle.name, checkpoint)
-        replay_after = min(replay_after, checkpoint["step"] if checkpoint else -1)
+    replay_after = _replay_base(payload)
+    # Compaction may have dropped records since the entry was saved (never
+    # past its base): the floor is where the stored records start.
+    stored = planner.checkpoint_store.steps(PLAN_NAMESPACE)[:1]
+    planner.replay_floor = max([planner.replay_floor, *stored])
+    recovery.run_base = replay_after
     suffix = [plan.step for plan in planner.plans_since(replay_after)]
     if suffix != list(range(replay_after + 1, step)):
         raise ConfigurationError(

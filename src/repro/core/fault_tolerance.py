@@ -282,6 +282,32 @@ class FaultToleranceManager:
                 return entry
         return None
 
+    def shard_checkpoint(self, shard: tuple[str, int, int], max_step: int) -> dict | None:
+        """Newest checkpoint at or below ``max_step`` that any loader of
+        ``shard`` (source, shard index, shard count) recorded: every member
+        of a shard holds the same state at a sync point."""
+        found = None
+        for history in self._loader_checkpoints.values():
+            for entry in history:
+                replay = entry["replay"]
+                if (
+                    entry["step"] <= max_step
+                    and (found is None or entry["step"] > found["step"])
+                    and (replay["source"], replay["shard_index"], replay["shard_count"]) == shard
+                ):
+                    found = entry
+        return found
+
+    def oldest_checkpoint_step(self, name: str) -> int:
+        """Step of the oldest checkpoint kept for ``name``: the earliest
+        step its replay may start from (-1, genesis, when none is kept)."""
+        history = self._loader_checkpoints.get(name)
+        return history[0]["step"] if history else -1
+
+    def forget_loader(self, name: str) -> None:
+        """Drop the checkpoints kept for ``name`` (a retired fleet member)."""
+        self._loader_checkpoints.pop(name, None)
+
     def adopt_loader_checkpoint(self, name: str, entry: dict) -> None:
         """Make ``entry`` — a checkpoint another incarnation recorded for the
         same shard — loader ``name``'s history (whole-run restore)."""

@@ -97,8 +97,12 @@ class Planner(Actor):
         self.seed = seed
         #: Durable store for plan records.  In-memory history is bounded to
         #: ``replay_window`` records once a store is attached; older records
-        #: stay durable in the store and are served via :meth:`plans_since`.
+        #: stay durable in the store, down to the replay floor, and are
+        #: served via :meth:`plans_since`.
         self.checkpoint_store = checkpoint_store
+        #: The oldest step a replay may start from (:meth:`compact_below`):
+        #: the store keeps the records from this step on.
+        self.replay_floor = -1
         self.replay_window = replay_window
         #: Shared :class:`~repro.actors.virtual.VirtualClock` (when deployed on
         #: an actor system) so AutoScaler decisions are stamped with the
@@ -260,11 +264,12 @@ class Planner(Actor):
         self._plan_history.append(record)
         if self.checkpoint_store is not None:
             # Persist the record before trimming: in-memory history keeps
-            # only the bounded replay window, the store keeps everything, so
-            # replay consumers restore a checkpoint and fetch just the
-            # suffix instead of rebuilding from genesis.  A store outage
-            # queues the record instead of failing the planning cycle; memory
-            # holds every unpersisted record until the store heals.
+            # only the bounded replay window, the store keeps every record
+            # from the replay floor on, so replay consumers restore a
+            # checkpoint and fetch just the suffix instead of rebuilding from
+            # genesis.  A store outage queues the record instead of failing
+            # the planning cycle; memory holds every unpersisted record until
+            # the store heals.
             self._persist_backlog.append(record)
             self._flush_persist_backlog()
             if not self._persist_backlog and len(self._plan_history) > self.replay_window:
@@ -313,6 +318,7 @@ class Planner(Actor):
             "plan_history": [p for p in self._plan_history if p.step < before_step],
             "persist_backlog": [p for p in self._persist_backlog if p.step < before_step],
             "excluded_sources": tuple(sorted(self._excluded_sources)),
+            "replay_floor": self.replay_floor,
         }
 
     def load_state_dict(self, state: dict) -> None:
@@ -322,6 +328,7 @@ class Planner(Actor):
             self._plan_history = list(state["plan_history"])
             self._persist_backlog = list(state.get("persist_backlog", []))
             self._excluded_sources = frozenset(state.get("excluded_sources", ()))
+            self.replay_floor = int(state.get("replay_floor", -1))
 
     def replay_from_gcs(self) -> int:
         """Recover the planning position after a restart.
@@ -353,7 +360,8 @@ class Planner(Actor):
     # -- introspection -----------------------------------------------------------------------------------
 
     def plan_history(self) -> list[PlanRecord]:
-        """Every plan's record, oldest first (store-backed beyond the window)."""
+        """Every plan's record, oldest first (store-backed beyond the window);
+        raises :class:`PlanError` once a compaction dropped the oldest."""
         return self.plans_since(-1)
 
     def plans_since(self, step: int) -> list[PlanRecord]:
@@ -365,8 +373,16 @@ class Planner(Actor):
         the restored checkpoint's step so only the suffix is ever
         materialised: memory holds the newest plans, so what is missing lies
         between ``step`` and the window's first plan, and only an empty
-        window makes the store list every step of the run.
+        window makes the store list every step it keeps.  The store keeps
+        the records from the replay floor on (:meth:`compact_below`), so a
+        suffix that needs an older one raises :class:`PlanError` rather than
+        return part of what was asked.
         """
+        if step + 1 < self.replay_floor:
+            raise PlanError(
+                f"plans after step {step} were compacted: the store keeps "
+                f"step {self.replay_floor} on"
+            )
         plans = [plan for plan in self._plan_history if plan.step > step]
         if self.checkpoint_store is not None:
             if self._plan_history:
@@ -376,6 +392,24 @@ class Planner(Actor):
             fetched = [self.checkpoint_store.load(PLAN_NAMESPACE, s) for s in missing]
             plans = [plan for plan in fetched if plan is not None] + plans
         return plans
+
+    def compact_below(self, floor: int) -> None:
+        """Raise the replay floor to ``floor`` and drop the stored records
+        below it (one store call; without a store, history is kept whole).
+
+        The floor only advances, and never past the oldest unpersisted
+        record.  A store outage skips the delete; the next advance drops
+        everything below its floor.
+        """
+        if self._persist_backlog:
+            floor = min(floor, self._persist_backlog[0].step)
+        if self.checkpoint_store is None or floor <= self.replay_floor:
+            return
+        self.replay_floor = floor
+        try:
+            self.checkpoint_store.delete_below(PLAN_NAMESPACE, floor)
+        except StorageError:
+            pass
 
     def truncate_history(self, step: int) -> int:
         """Drop plans for steps ``>= step``; returns how many were dropped.

@@ -13,8 +13,9 @@ gives one, and no metadata record is built from either.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, pairwise
 
 import numpy as np
 
@@ -138,8 +139,19 @@ class LoadingPlan:
 
     def record(self) -> "PlanRecord":
         """The compact form plan history keeps of this plan."""
-        demands = {source: tuple(ids) for source, ids in self.source_demands.items()}
-        return PlanRecord(self.step, demands, dict(self.mixture_weights), self.scaling)
+        ids = array("q")
+        offsets = array("q", [0])
+        for demanded in self.source_demands.values():
+            ids.extend(demanded)
+            offsets.append(len(ids))
+        return PlanRecord(
+            self.step,
+            tuple(self.source_demands),
+            ids,
+            offsets,
+            dict(self.mixture_weights),
+            self.scaling,
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,14 +159,32 @@ class PlanRecord:
     """What replay reads of a plan, the form the Planner's history keeps.
 
     The window, the persist backlog, the ``planner/plans`` rows and the
-    ``run`` entry hold these: no modules, no sample metadata.  Demands are
-    tuples, so a record never aliases the live plan's lists.
+    ``run`` entry hold these: no modules, no sample metadata.  The demanded
+    ids are one ``array("q")``, 8 bytes an id, which never aliases the live
+    plan's lists: source ``sources[k]`` demanded ``ids[offsets[k]:offsets[k + 1]]``.
     """
 
     step: int
-    source_demands: dict[str, tuple[int, ...]]
+    sources: tuple[str, ...]
+    ids: array
+    offsets: array
     mixture_weights: dict[str, float]
     scaling: "ScalingPlan | None" = None
+
+    def demands(self, source: str) -> array:
+        """``source``'s demanded ids in plan order (empty when it has none)."""
+        if source not in self.sources:
+            return array("q")
+        k = self.sources.index(source)
+        return self.ids[self.offsets[k] : self.offsets[k + 1]]
+
+    @property
+    def source_demands(self) -> dict[str, array]:
+        """Source name -> its demanded ids, as the live plan maps them."""
+        return {
+            source: self.ids[begin:end]
+            for source, (begin, end) in zip(self.sources, pairwise(self.offsets))
+        }
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Callable
 from repro.actors.actor import ActorHandle, ActorState
 from repro.core.fault_tolerance import DEGRADED_WAIT_ATTEMPTS, WAIT_RETRY
 from repro.core.planner import Planner
-from repro.errors import ActorDead, ActorTimeout, ReproError, StorageError
+from repro.errors import ActorDead, ActorTimeout, PlanError, ReproError, StorageError
 
 
 class FleetRecovery:
@@ -43,6 +43,9 @@ class FleetRecovery:
         #: heal goes through, so each recovery is observable as a facade
         #: call; its body is :meth:`recover_member`.
         self.heal = heal
+        #: Replay base of the newest ``run`` entry (the step its restore
+        #: replays plans after), ``None`` before the first save or restore.
+        self.run_base: int | None = None
 
     # -- fault absorption ------------------------------------------------------------------
 
@@ -184,36 +187,50 @@ class FleetRecovery:
 
         Restores the newest differential checkpoint recorded for
         ``checkpoint_of`` (pristine reset when there is none) and replays the
-        plan suffix past it (each record's ``source_demands``) — bounded in
-        run length, byte-exact with an uninterrupted run.  The one replay
-        routine of flush, failover and whole-run restore.
+        plan suffix past it (each record's demands for the loader's source)
+        — bounded in run length, byte-exact with an uninterrupted run.  The
+        one replay routine of flush, failover and whole-run restore.  With
+        no checkpoint of its own once compaction dropped the genesis
+        records, it starts from the newest one another member of its shard
+        recorded; a suffix that still starts below the Planner's replay
+        floor raises :class:`PlanError` (:meth:`Planner.plans_since`).
         """
+        loader = handle.instance()
         checkpoint = self.fault_manager.last_loader_checkpoint(
             checkpoint_of, max_step=limit_step - 1
         )
+        if checkpoint is None and planner.replay_floor > 0:
+            # The genesis records are compacted (a mirror whose spawn
+            # baseline a flush discarded, a promoted standby): any member of
+            # the shard held this state at a checkpointed sync point.
+            checkpoint = self.fault_manager.shard_checkpoint(
+                (loader.source.name, loader.shard_index, loader.shard_count), limit_step - 1
+            )
         if checkpoint is not None:
             handle.call("restore_replay_checkpoint", checkpoint["replay"])
             suffix_after = checkpoint["step"]
         else:
             handle.call("reset_for_replay")
             suffix_after = -1
-        source_name = handle.instance().source.name
         for plan in planner.plans_since(suffix_after):
             if plan.step >= limit_step:
                 continue
-            demanded = plan.source_demands.get(source_name, [])
+            demanded = plan.demands(loader.source.name)
             if demanded:
                 handle.call("replay_demands", list(demanded))
 
     def rewind_members(self, limit_step: int, handles=None) -> None:
         """Rewind loaders (default: the whole fleet) to the prefix ``< limit_step``.
 
-        Shared by the pipeline flush and source re-admission.
+        Shared by the pipeline flush and source re-admission.  A replay the
+        compacted plan records cannot serve raises.
         """
         planner: Planner = self.planner_handle.instance()
         for handle in handles if handles is not None else self.fleet.all_handles():
             try:
                 self.resync(handle, limit_step, planner, handle.name)
+            except PlanError:
+                raise
             except ReproError:  # unreachable members recover later
                 continue
 
@@ -289,7 +306,7 @@ class FleetRecovery:
                     pass
                 break
 
-    def checkpoint_members(self, step: int, force: bool = False) -> None:
+    def checkpoint_members(self, step: int, force: bool = False) -> int:
         """Checkpoint every fleet member at a consistent sync point.
 
         Called once per step right after :meth:`LoaderFleet.sync_after_prepare`
@@ -297,7 +314,8 @@ class FleetRecovery:
         applied to every member and nothing beyond has started — so the
         snapshots are valid bases for bounded suffix replay.  The differential
         interval gate inside :meth:`FaultToleranceManager.checkpoint_loader`
-        keeps this O(1) on non-interval steps.
+        keeps this O(1) on non-interval steps.  Returns how many members were
+        checkpointed.
         """
         healthy = []
         for handle in self.fleet.all_handles():
@@ -309,4 +327,20 @@ class FleetRecovery:
             except ReproError:  # a dying member is recovered later
                 continue
             healthy.append(handle)
-        self.fault_manager.checkpoint_loaders(healthy, step, force=force)
+        return self.fault_manager.checkpoint_loaders(healthy, step, force=force)
+
+    def compact(self, consumed: int) -> None:
+        """Advance the replay floor and drop the plan records below it.
+
+        The floor is the oldest step any consumer may still replay from: per
+        fleet member the oldest checkpoint the fault manager keeps for it,
+        or genesis (-1) when that one is not below the consume position
+        ``consumed`` (a flush there could need none of them); the base of
+        the newest ``run`` entry; and, inside :meth:`Planner.compact_below`,
+        the Planner's unpersisted backlog.
+        """
+        bases = [] if self.run_base is None else [self.run_base]
+        for handle in self.fleet.all_handles():
+            base = self.fault_manager.oldest_checkpoint_step(handle.name)
+            bases.append(base if base < consumed else -1)
+        self.planner_handle.instance().compact_below(min(bases, default=-1))

@@ -32,6 +32,7 @@ eliminated (Sec. 3).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -378,7 +379,8 @@ class SourceLoader(Actor):
         return replayed
 
     def replay_checkpoint(self) -> dict:
-        """Snapshot the full replay state: cursor + buffered sample ids.
+        """Snapshot the full replay state: cursor + buffered sample ids (an
+        ``array("q")``, 8 bytes an id, in buffer order).
 
         The one loader checkpoint: it reconstructs the buffer without
         replaying the plan history from genesis.  Restoring it and replaying
@@ -393,7 +395,7 @@ class SourceLoader(Actor):
             "shard_index": self.shard_index,
             "shard_count": self.shard_count,
             "cursor": self._cursor.state_dict() if self._cursor is not None else {},
-            "buffer": list(self._buffer),
+            "buffer": array("q", self._buffer),
         }
 
     def restore_replay_checkpoint(self, snapshot: dict) -> None:

@@ -548,8 +548,10 @@ class StepPipeline:
             fw.fleet.sync_after_prepare(item.demands)
             # Differential-interval checkpoint at the per-step sync point —
             # the strict-order pump guarantees every plan <= item.step is
-            # fully applied here and nothing beyond has started.
-            fw.recovery.checkpoint_members(item.step)
+            # fully applied here and nothing beyond has started.  A new
+            # checkpoint may raise the replay floor.
+            if fw.recovery.checkpoint_members(item.step):
+                fw.recovery.compact(fw.step)
             # Resolve the polls' GCS references in demand order: the very
             # column slices the loaders froze travel to the constructors
             # without a copy.  The transform total is summed in that order

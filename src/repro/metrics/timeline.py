@@ -14,6 +14,7 @@ event intervals with the trainer's compute windows.
 from __future__ import annotations
 
 import threading
+from collections import deque
 from dataclasses import dataclass, field
 
 
@@ -32,20 +33,26 @@ class TimelineEvent:
         return self.start + self.duration
 
 
+#: How many events a :class:`Timeline` keeps: the newest, so a run of any
+#: length holds a fixed number of them.
+TIMELINE_WINDOW = 2048
+
+
 class Timeline:
-    """Append-only record of :class:`TimelineEvent` intervals.
+    """The newest :data:`TIMELINE_WINDOW` :class:`TimelineEvent` intervals.
 
     The engine appends one event per executed call through :meth:`record`;
-    every view (:meth:`events`, :meth:`span`, :meth:`breakdown`,
-    :meth:`total_duration`, ``len``) is computed from the recorded events,
-    none of which is ever evicted.
+    :meth:`events` and ``len`` read the retained events, and appending past
+    the window evicts the oldest.
     """
 
     def __init__(self) -> None:
-        #: Events as ``(component, name, start, duration, metadata)`` tuples:
-        #: a tuple costs a fraction of a frozen dataclass, so :meth:`events`
-        #: builds the :class:`TimelineEvent` views on demand.
-        self._events: list[tuple[str, str, float, float, dict]] = []
+        #: Events as ``(component, name, start, duration, role, step, metadata)``
+        #: tuples, ``metadata`` ``None`` when there is none besides the role
+        #: and step: a tuple costs a fraction of a frozen dataclass and a
+        #: dict, so :meth:`events` builds the :class:`TimelineEvent` views on
+        #: demand.
+        self._events: deque[tuple] = deque(maxlen=TIMELINE_WINDOW)
         #: The wallclock backend records events from concurrent lane threads.
         self._lock = threading.Lock()
 
@@ -55,31 +62,36 @@ class Timeline:
         name: str,
         start: float,
         duration: float,
+        role: str | None = None,
+        step: int | None = None,
         **metadata: object,
     ) -> None:
-        """Append an event (read it back through :meth:`events`)."""
+        """Append an event (read it back through :meth:`events`); a ``role``
+        or ``step`` given is read back as that metadata key."""
         if duration < 0:
             raise ValueError(f"negative duration {duration} for event {name!r}")
-        event = (component, name, float(start), float(duration), metadata)
+        event = (component, name, float(start), float(duration), role, step, metadata or None)
         with self._lock:
             self._events.append(event)
-
-    def _select(
-        self, component: str | None, name: str | None
-    ) -> list[tuple[str, str, float, float, dict]]:
-        # Copy first: a wallclock lane thread may append meanwhile.
-        return [
-            fields
-            for fields in list(self._events)
-            if (component is None or fields[0] == component)
-            and (name is None or fields[1] == name)
-        ]
 
     def events(
         self, component: str | None = None, name: str | None = None
     ) -> list[TimelineEvent]:
-        """Events filtered by component and/or name."""
-        return [TimelineEvent(*fields) for fields in self._select(component, name)]
+        """Retained events, oldest first, filtered by component and/or name."""
+        with self._lock:
+            retained = list(self._events)
+        events = []
+        for event_component, event_name, start, duration, role, step, extra in retained:
+            if (component is None or event_component == component) and (
+                name is None or event_name == name
+            ):
+                metadata = {} if role is None else {"role": role}
+                if step is not None:
+                    metadata["step"] = step
+                if extra:
+                    metadata.update(extra)
+                events.append(TimelineEvent(event_component, event_name, start, duration, metadata))
+        return events
 
     def __len__(self) -> int:
         return len(self._events)

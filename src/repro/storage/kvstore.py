@@ -151,6 +151,22 @@ class SqliteKVStore:
             (namespace, int(step)),
         )
 
+    def delete_below(self, namespace: str, step: int) -> int:
+        """Drop every entry in ``namespace`` with step < ``step``, in one
+        ``DELETE``, and their mirrored files."""
+        with self._lock:
+            steps = self._conn.execute(
+                "DELETE FROM checkpoints WHERE namespace = ? AND step < ? RETURNING step",
+                (namespace, int(step)),
+            ).fetchall()
+            self._conn.commit()
+        if self.filesystem is not None:
+            for (deleted,) in steps:
+                path = f"/checkpoints/{namespace}/{int(deleted)}"
+                if self.filesystem.exists(path):
+                    self.filesystem.delete(path)
+        return len(steps)
+
     def clear(self) -> None:
         self._write("DELETE FROM checkpoints", ())
 

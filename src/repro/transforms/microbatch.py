@@ -51,7 +51,6 @@ class CollatedBatch:
     from it on first read and kept.
     """
 
-    index: int
     sample_ids: list[int]
     sequence_lengths: list[int] = field(repr=False, compare=False)
     sequence_offsets: list[int] = field(repr=False, compare=False)
@@ -194,7 +193,6 @@ def _positions_from_blocks(block_lengths: np.ndarray) -> np.ndarray:
 
 
 def collate_columns_with_positions(
-    index: int,
     sample_ids: list[int],
     lengths: np.ndarray,
     max_sequence_length: int,
@@ -203,9 +201,7 @@ def collate_columns_with_positions(
     """Pack a batch's microbatches (cut at ``offsets``; default: one of
     every row) with one :func:`first_fit_bin_indices` call.
 
-    ``index`` is only echoed as ``CollatedBatch.index``, which nothing
-    outside the tests reads.  ``sequences`` and ``position_ids`` are built
-    when first read.
+    ``sequences`` and ``position_ids`` are built when first read.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     if offsets is None:
@@ -214,7 +210,6 @@ def collate_columns_with_positions(
         lengths, max_sequence_length, offsets
     )
     return CollatedBatch(
-        index=index,
         sample_ids=list(sample_ids),
         sequence_lengths=sequence_lengths,
         sequence_offsets=sequence_offsets,

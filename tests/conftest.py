@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
 from itertools import accumulate, pairwise
+from typing import Callable
 
 import pytest
 
@@ -112,10 +115,32 @@ def gathered_columns(buffer_infos: dict[str, list[SampleMetadata]]) -> SampleCol
     )
 
 
+def retained_bytes(
+    run_step: Callable[[int], object], traced_from: int, marks: tuple[int, ...]
+) -> list[int]:
+    """The bytes a run retains after each of ``marks`` steps: calls
+    ``run_step(i)`` for ``i`` up to the last mark, traces allocations
+    (tracemalloc) from step ``traced_from`` on and reads the traced total
+    after a ``gc.collect()`` at every mark."""
+    retained = []
+    try:
+        for index in range(max(marks) + 1):
+            if index == traced_from:
+                tracemalloc.start()
+            if index in marks:
+                gc.collect()
+                retained.append(tracemalloc.get_traced_memory()[0])
+            if index < max(marks):
+                run_step(index)
+    finally:
+        tracemalloc.stop()
+    return retained
+
+
 def buffered_ids(loader) -> list[int]:
     """A loader's buffered sample ids in buffer order, read without touching
     the gather's change counters (unlike ``buffer_delta``)."""
-    return loader.replay_checkpoint()["buffer"]
+    return list(loader.replay_checkpoint()["buffer"])
 
 
 def stored_tokens(loader, sample_ids) -> tuple[list[int], list[int]]:

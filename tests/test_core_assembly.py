@@ -78,9 +78,8 @@ def segment_tables(sample_ids: list[int], lengths: list[int], capacity: int) -> 
     return tables
 
 
-def assert_collation_matches_oracle(collated, index, sample_ids, lengths, capacity) -> None:
+def assert_collation_matches_oracle(collated, sample_ids, lengths, capacity) -> None:
     tables = segment_tables(sample_ids, lengths, capacity)
-    assert collated.index == index
     assert collated.sample_ids == sample_ids
     assert [sequence.segments for sequence in collated.sequences] == tables
     # Byte-identity includes the *types*: numpy ints sneaking into segment
@@ -97,19 +96,18 @@ def assert_collation_matches_oracle(collated, index, sample_ids, lengths, capaci
     ).tolist()
 
 
-def collate_metas(index, metas, capacity):
+def collate_metas(metas, capacity):
     return collate_columns_with_positions(
-        index,
         [m.sample_id for m in metas],
         np.array([m.total_tokens for m in metas], dtype=np.int64),
         capacity,
     )
 
 
-def assert_metas_collate_like_oracle(index, metas, capacity):
-    collated = collate_metas(index, metas, capacity)
+def assert_metas_collate_like_oracle(metas, capacity):
+    collated = collate_metas(metas, capacity)
     assert_collation_matches_oracle(
-        collated, index, [m.sample_id for m in metas], [m.total_tokens for m in metas], capacity
+        collated, [m.sample_id for m in metas], [m.total_tokens for m in metas], capacity
     )
     return collated
 
@@ -175,7 +173,7 @@ class TestCollationEquivalence:
     @given(lengths=lengths_lists, max_len=st.sampled_from(MAX_LENGTHS))
     @settings(max_examples=120, deadline=None)
     def test_packed_collation_byte_identical(self, lengths, max_len):
-        assert_metas_collate_like_oracle(2, [meta(3 * i + 1, n) for i, n in enumerate(lengths)], max_len)
+        assert_metas_collate_like_oracle([meta(3 * i + 1, n) for i, n in enumerate(lengths)], max_len)
 
     @given(lengths=lengths_lists, capacity=st.integers(min_value=1, max_value=512))
     @settings(max_examples=120, deadline=None)
@@ -204,7 +202,7 @@ class TestCollationEquivalence:
             metas = [meta(i + 1, max_len + 1 + (seed + i) % 7) for i in range(4)]
         else:
             metas = [meta(seed + 1, seed % (2 * max_len + 1))]
-        columnar = assert_metas_collate_like_oracle(1, metas, max_len)
+        columnar = assert_metas_collate_like_oracle(metas, max_len)
         if corner == "all_overflow":
             # Every clipped sample fills a whole bin: assignments are 0..n-1.
             assert [len(seq.segments) for seq in columnar.sequences] == [1] * len(metas)
@@ -214,7 +212,7 @@ class TestCollationEquivalence:
     def test_kernel_collation_expands_on_first_read_only(self, lengths, positions_first):
         metas = [meta(3 * i + 1, n) for i, n in enumerate(lengths)]
         columnar = collate_columns_with_positions(
-            4, [m.sample_id for m in metas], np.array(lengths, dtype=np.int64), 96
+            [m.sample_id for m in metas], np.array(lengths, dtype=np.int64), 96
         )
         # Slicing inputs are there without either lazy field having been built.
         assert "sequences" not in vars(columnar) and "position_ids" not in vars(columnar)
@@ -224,12 +222,12 @@ class TestCollationEquivalence:
         # returns the object the first one built.
         first = columnar.position_ids if positions_first else columnar.sequences
         assert (columnar.position_ids if positions_first else columnar.sequences) is first
-        assert_collation_matches_oracle(columnar, 4, [m.sample_id for m in metas], lengths, 96)
+        assert_collation_matches_oracle(columnar, [m.sample_id for m in metas], lengths, 96)
 
     def test_columnar_collation_clips_oversized_sample_like_reference(self):
-        columnar = collate_columns_with_positions(0, [9, 10], np.array([100, 20]), 64)
+        columnar = collate_columns_with_positions([9, 10], np.array([100, 20]), 64)
         assert columnar.total_tokens() == 84
-        assert_collation_matches_oracle(columnar, 0, [9, 10], [100, 20], 64)
+        assert_collation_matches_oracle(columnar, [9, 10], [100, 20], 64)
 
     def test_first_fit_clips_and_has_no_overflow_flag(self):
         # The flag was accepted and ignored; over-capacity samples are clipped.
@@ -297,13 +295,11 @@ class TestBucketCollation:
         ids = count(5, 3)
         id_lists = [[next(ids) for _ in lengths] for lengths in microbatches]
         collated = collate_columns_with_positions(
-            2,
             [i for id_list in id_lists for i in id_list],
             np.array([n for lengths in microbatches for n in lengths], dtype=np.int64),
             capacity,
             list(accumulate(map(len, microbatches), initial=0)),
         )
-        assert collated.index == 2
         tables = [segment_tables(*pair, capacity) for pair in zip(id_lists, microbatches)]
         bounds = collated.sequence_offsets
         assert [bounds[m + 1] - bounds[m] for m in range(len(tables))] == list(map(len, tables))

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import gc
-import tracemalloc
-
 import pytest
 
 from repro.actors.actor import Actor
@@ -23,13 +20,17 @@ from repro.metrics.timeline import Timeline
 from repro.parallelism.mesh import DeviceMesh
 from repro.storage.filesystem import SimulatedFileSystem
 from repro.storage.reader import ColumnarReader
-from conftest import bucket_samples
+from conftest import bucket_samples, retained_bytes
 
-#: What a run of ``vlm_example`` may still retain from step 40 to step 200:
-#: the per-step records other components keep (overlap ledger, utilization
-#: samples, planner timings, the in-memory store's plan records and
-#: manifests), about 6 KB a step.  An unbounded history added 17 KB a step.
-RETAINED_SLACK_BYTES = 160 * 8 * 1024
+#: What a run of ``vlm_example`` may still retain from step 40 to step 200,
+#: tracing from step 20: the windows filling up with traced records (step
+#: results, timeline events, plan records up to the replay floor) and the
+#: per-step records that still grow (delivery manifests, overlap ledger,
+#: utilization samples, stall log), about 3.9 KB a step; the slack is a third above
+#: that, rounded to 5 KiB.  An unbounded history added 17 KB a step, and
+#: keeping every plan record, timeline event and loader snapshot as Python
+#: objects 5.4 KB.
+RETAINED_SLACK_BYTES = 160 * 5 * 1024
 
 @pytest.fixture(scope="module")
 def deployed_system():
@@ -203,18 +204,7 @@ class TestBoundedHistory:
         grow by the other components' per-step records alone."""
         system = MegaScaleData.deploy(TrainingJobSpec.vlm_example())
         try:
-            for _ in range(20):
-                system.run_step()
-            tracemalloc.start()
-            try:
-                retained = []
-                for steps in (20, 160):
-                    for _ in range(steps):
-                        system.run_step()
-                    gc.collect()
-                    retained.append(tracemalloc.get_traced_memory()[0])
-            finally:
-                tracemalloc.stop()
+            retained = retained_bytes(lambda _: system.run_step(), 20, (40, 200))
         finally:
             system.shutdown()
         assert retained[1] - retained[0] < RETAINED_SLACK_BYTES

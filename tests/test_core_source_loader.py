@@ -807,7 +807,7 @@ class TestReplaySnapshots:
         original = spawn_loader(system, small_catalog, filesystem, buffer_size=12).instance()
         snapshot = original.replay_checkpoint()
         assert set(snapshot) == {"source", "shard_index", "shard_count", "cursor", "buffer"}
-        assert snapshot["buffer"] == handle_of(system, original).call("buffer_delta")[
+        assert list(snapshot["buffer"]) == handle_of(system, original).call("buffer_delta")[
             "sample_ids"
         ].tolist()
         assert all(type(sample_id) is int for sample_id in snapshot["buffer"])

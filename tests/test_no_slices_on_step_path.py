@@ -28,7 +28,7 @@ from test_no_records_on_step_path import JOBS, _counted_inits
 @pytest.mark.parametrize("job_name", sorted(JOBS))
 def test_steps_build_no_slice_and_one_collation_per_bucket(job_name, depth, monkeypatch):
     # Whatever class the collation returns, counted from here on.
-    collation = type(microbatch.collate_columns_with_positions(0, [1], np.array([1]), 8))
+    collation = type(microbatch.collate_columns_with_positions([1], np.array([1]), 8))
     job = replace(JOBS[job_name](), prefetch_depth=depth, seed=0)
     assert job.num_microbatches > 1
     system = MegaScaleData.deploy(job)

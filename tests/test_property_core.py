@@ -55,7 +55,6 @@ def make_samples(spec):
 def packed_collation(samples, max_len):
     """The kernel collation, lazily expanded fields included."""
     return collate_columns_with_positions(
-        0,
         [sample.sample_id for sample in samples],
         np.array([sample.total_tokens for sample in samples], dtype=np.int64),
         max_len,

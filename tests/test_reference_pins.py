@@ -103,7 +103,7 @@ CORNERS = [
 
 def collate(index: int, sample_ids: list[int], lengths: list[int], max_len: int):
     return collate_columns_with_positions(
-        index, sample_ids, np.array(lengths, dtype=np.int64), max_len
+        sample_ids, np.array(lengths, dtype=np.int64), max_len
     )
 
 

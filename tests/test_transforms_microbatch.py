@@ -12,7 +12,6 @@ from repro.transforms.microbatch import collate_columns_with_positions
 def collate(samples, max_sequence_length):
     """Pack sample records through the column kernel."""
     return collate_columns_with_positions(
-        0,
         [sample.sample_id for sample in samples],
         np.array([sample.total_tokens for sample in samples], dtype=np.int64),
         max_sequence_length,

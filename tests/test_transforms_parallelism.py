@@ -16,7 +16,6 @@ def lengths(sample_factory):
     """Sequence lengths of a kernel collation: two sequences, 407 and 500 tokens."""
     samples = [sample_factory(i, text_tokens=tokens) for i, tokens in enumerate([100] * 4 + [7, 500])]
     collated = collate_columns_with_positions(
-        0,
         [sample.sample_id for sample in samples],
         np.array([sample.total_tokens for sample in samples], dtype=np.int64),
         512,
