@@ -38,7 +38,7 @@ from repro.actors.scheduler import PlacementDecision, PlacementRequest, Placemen
 from repro.actors.virtual import PendingCall, VirtualClock, VirtualEngine
 from repro.errors import ActorDead, ActorError, SchedulingError
 from repro.metrics.memory import MemoryLedger
-from repro.metrics.timeline import Timeline
+from repro.metrics.timeline import TIMELINE_WINDOW, Timeline
 from repro.utils.ids import IdAllocator
 
 #: Modelled latency of one remote call, in virtual seconds.
@@ -163,7 +163,7 @@ class ActorSystem:
         self.engine: VirtualEngine | WallclockEngine  # exactly one, never None
         #: Executed deferred calls as timed intervals (one event per call),
         #: tagged with the actor's role and, when provided, the pipeline step.
-        self.timeline = Timeline()
+        self.timeline = Timeline(window=TIMELINE_WINDOW)
         #: Optional duck-typed hook ``call_duration_s(actor, method, result)``
         #: deriving virtual durations from call results, called once per
         #: booked chunk (see :mod:`repro.core.cost_model`).  ``None`` means

@@ -18,7 +18,7 @@ from repro.core.data_constructor import DataConstructor
 from repro.core.planner import PLAN_NAMESPACE, Planner
 from repro.core.plans import LoadingPlan
 from repro.core.recovery import FleetRecovery
-from repro.errors import ConfigurationError, StorageError
+from repro.errors import ConfigurationError, PlanError, StorageError
 
 #: Checkpoint-store namespace for whole-run control-plane checkpoints.
 RUN_NAMESPACE = "run"
@@ -115,19 +115,23 @@ def save_run_checkpoint(
 
     Built from what the fault manager and the store already hold, so steps in
     flight beyond ``step`` are neither waited for nor disturbed: per canonical
-    loader the newest differential checkpoint below ``step``
-    (``None`` = pristine), the Planner's state cut to ``step``, the fleet
-    topology (mirror counts, worker sizing) and the construction recipes of
-    ``mixtures`` — ``(first step, schedule)`` runs, the first in effect at
-    ``step``.  The plans between a loader's checkpoint and ``step``, which
-    :func:`load_run_checkpoint` replays, are demand records in the durable ``planner/plans``
-    namespace or, after a store outage, in the Planner state's persist backlog.
+    loader the newest differential checkpoint any member of its shard
+    recorded below ``step`` (``None`` = pristine), the Planner's state cut to
+    ``step``, the fleet topology (mirror counts, worker sizing) and the
+    construction recipes of ``mixtures`` — ``(first step, schedule)`` runs,
+    the first in effect at ``step``.  The plans between a loader's checkpoint
+    and ``step``, which :func:`load_run_checkpoint` replays, are demand
+    records in the durable ``planner/plans`` namespace or, after a store
+    outage, in the Planner state's persist backlog.
 
     The store keeps the newest ``run`` entry only, the one
-    :meth:`MegaScaleData.restore` reads: older ones are deleted (a store outage skips that until the next
-    save), and the entry's replay base holds the replay floor down
+    :meth:`MegaScaleData.restore` reads: once the new entry is written, older
+    ones are deleted (a store outage skips that until the next save), and the
+    entry's replay base holds the replay floor down
     (:meth:`~repro.core.recovery.FleetRecovery.compact`), so the plan
-    records it replays stay.
+    records it replays stay.  An entry whose replay would start below the
+    floor could not be restored: it raises :class:`ConfigurationError`
+    before anything is written or deleted.
     """
     planner: Planner = recovery.planner_handle.instance()
     loaders = {}
@@ -136,8 +140,8 @@ def save_run_checkpoint(
         loaders[handle.name] = {
             "source": group.source,
             "shard_index": group.shard_index,
-            "checkpoint": recovery.fault_manager.last_loader_checkpoint(
-                handle.name, max_step=step - 1
+            "checkpoint": recovery.fault_manager.shard_checkpoint(
+                (group.source, group.shard_index, group.shard_count), step - 1
             ),
         }
     recipes = [
@@ -154,8 +158,14 @@ def save_run_checkpoint(
         # flight at ``step``: restore re-installs each at its first step.
         "mixture_swaps": [recipe for recipe in recipes[1:] if recipe[1] is not None],
     }
+    base = _replay_base(payload)
+    if base + 1 < planner.replay_floor:
+        raise ConfigurationError(
+            f"whole-run checkpoint at step {step} would replay the plans after "
+            f"step {base}, compacted below the replay floor {planner.replay_floor}"
+        )
     store.save(RUN_NAMESPACE, step, payload)
-    recovery.run_base = _replay_base(payload)
+    recovery.run_base = base
     try:
         store.delete_below(RUN_NAMESPACE, step)
     except StorageError:
@@ -228,14 +238,19 @@ def load_run_checkpoint(payload: dict, recovery: FleetRecovery) -> None:
     stored = planner.checkpoint_store.steps(PLAN_NAMESPACE)[:1]
     planner.replay_floor = max([planner.replay_floor, *stored])
     recovery.run_base = replay_after
-    suffix = [plan.step for plan in planner.plans_since(replay_after)]
+    try:
+        suffix = [plan.step for plan in planner.plans_since(replay_after)]
+    except PlanError as exc:
+        raise ConfigurationError(
+            f"whole-run checkpoint at step {step} cannot rebuild its loaders: {exc}"
+        ) from exc
     if suffix != list(range(replay_after + 1, step)):
         raise ConfigurationError(
             f"whole-run checkpoint at step {step} needs the plans of steps "
             f"{replay_after + 1}..{step - 1} to rebuild its loaders; found {suffix}"
         )
     for handle in recovery.loader_handles:
-        recovery.resync(handle, step, planner, handle.name)
+        recovery.resync(handle, step, planner)
     for entry in payload["topology"]:
         recovery.fleet.resize_workers(entry["source"], entry["workers_per_actor"], step)
         for _ in range(entry["mirrors"]):

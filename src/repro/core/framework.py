@@ -521,7 +521,7 @@ class MegaScaleData:
         consumed as if nothing happened.  Writes one ``run`` entry for the
         consume position (:func:`~repro.core.durability.save_run_checkpoint`)
         out of what the fault manager and the store already hold — per loader
-        the newest differential checkpoint below it, the Planner
+        shard the newest differential checkpoint below it, the Planner
         cut to it — from which :meth:`restore` resumes the run at the returned
         step with byte-identical batches, at a cost flat in run length.
         """

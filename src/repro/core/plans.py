@@ -171,13 +171,6 @@ class PlanRecord:
     mixture_weights: dict[str, float]
     scaling: "ScalingPlan | None" = None
 
-    def demands(self, source: str) -> array:
-        """``source``'s demanded ids in plan order (empty when it has none)."""
-        if source not in self.sources:
-            return array("q")
-        k = self.sources.index(source)
-        return self.ids[self.offsets[k] : self.offsets[k + 1]]
-
     @property
     def source_demands(self) -> dict[str, array]:
         """Source name -> its demanded ids, as the live plan maps them."""

@@ -182,30 +182,24 @@ class FleetRecovery:
 
     # -- replay ----------------------------------------------------------------------------
 
-    def resync(self, handle, limit_step: int, planner: Planner, checkpoint_of: str) -> None:
+    def resync(self, handle, limit_step: int, planner: Planner) -> None:
         """Bring ``handle``'s buffer to the delivered prefix ``< limit_step``.
 
-        Restores the newest differential checkpoint recorded for
-        ``checkpoint_of`` (pristine reset when there is none) and replays the
-        plan suffix past it (each record's demands for the loader's source)
-        — bounded in run length, byte-exact with an uninterrupted run.  The
-        one replay routine of flush, failover and whole-run restore.  With
-        no checkpoint of its own once compaction dropped the genesis
-        records, it starts from the newest one another member of its shard
-        recorded; a suffix that still starts below the Planner's replay
-        floor raises :class:`PlanError` (:meth:`Planner.plans_since`).
+        Restores the newest differential checkpoint any member of its shard
+        recorded below ``limit_step`` (every member of a shard holds the same
+        state at a sync point, so a promoted shadow or a mirror whose birth
+        baseline a flush discarded needs none of its own), or resets it
+        pristine when there is none, and replays the plan suffix past it
+        (each record's demands for the loader's source) — bounded in run
+        length, byte-exact with an uninterrupted run.  The one replay routine
+        of flush, failover and whole-run restore.  A suffix that starts below
+        the Planner's replay floor raises :class:`PlanError`
+        (:meth:`Planner.plans_since`).
         """
         loader = handle.instance()
-        checkpoint = self.fault_manager.last_loader_checkpoint(
-            checkpoint_of, max_step=limit_step - 1
+        checkpoint = self.fault_manager.shard_checkpoint(
+            (loader.source.name, loader.shard_index, loader.shard_count), limit_step - 1
         )
-        if checkpoint is None and planner.replay_floor > 0:
-            # The genesis records are compacted (a mirror whose spawn
-            # baseline a flush discarded, a promoted standby): any member of
-            # the shard held this state at a checkpointed sync point.
-            checkpoint = self.fault_manager.shard_checkpoint(
-                (loader.source.name, loader.shard_index, loader.shard_count), limit_step - 1
-            )
         if checkpoint is not None:
             handle.call("restore_replay_checkpoint", checkpoint["replay"])
             suffix_after = checkpoint["step"]
@@ -215,7 +209,7 @@ class FleetRecovery:
         for plan in planner.plans_since(suffix_after):
             if plan.step >= limit_step:
                 continue
-            demanded = plan.demands(loader.source.name)
+            demanded = plan.source_demands.get(loader.source.name)
             if demanded:
                 handle.call("replay_demands", list(demanded))
 
@@ -228,7 +222,7 @@ class FleetRecovery:
         planner: Planner = self.planner_handle.instance()
         for handle in handles if handles is not None else self.fleet.all_handles():
             try:
-                self.resync(handle, limit_step, planner, handle.name)
+                self.resync(handle, limit_step, planner)
             except PlanError:
                 raise
             except ReproError:  # unreachable members recover later
@@ -277,7 +271,7 @@ class FleetRecovery:
         promoted = self.fault_manager.recover_loader(handle, step=at_step)
         self._adopt(handle, promoted, planner)
         self.fleet.replace_member(handle, promoted)
-        self.resync(promoted, at_step, planner, handle.name)
+        self.resync(promoted, at_step, planner)
         return promoted
 
     def _adopt(self, failed, promoted, planner: Planner) -> None:

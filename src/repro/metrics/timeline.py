@@ -33,26 +33,28 @@ class TimelineEvent:
         return self.start + self.duration
 
 
-#: How many events a :class:`Timeline` keeps: the newest, so a run of any
-#: length holds a fixed number of them.
+#: How many events the actor system's run timeline keeps: the newest, so a
+#: run of any length holds a fixed number of them.
 TIMELINE_WINDOW = 2048
 
 
 class Timeline:
-    """The newest :data:`TIMELINE_WINDOW` :class:`TimelineEvent` intervals.
+    """:class:`TimelineEvent` intervals, the newest ``window`` of them.
 
     The engine appends one event per executed call through :meth:`record`;
-    :meth:`events` and ``len`` read the retained events, and appending past
-    the window evicts the oldest.
+    :meth:`events` and ``len`` read the retained events.  A run-long
+    timeline (the actor system's) passes ``window=TIMELINE_WINDOW``, so
+    appending past it evicts the oldest; ``None`` keeps every event, for a
+    timeline whose size the job fixes (one iteration's microbatches).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, window: int | None = None) -> None:
         #: Events as ``(component, name, start, duration, role, step, metadata)``
         #: tuples, ``metadata`` ``None`` when there is none besides the role
         #: and step: a tuple costs a fraction of a frozen dataclass and a
         #: dict, so :meth:`events` builds the :class:`TimelineEvent` views on
         #: demand.
-        self._events: deque[tuple] = deque(maxlen=TIMELINE_WINDOW)
+        self._events: deque[tuple] = deque(maxlen=window)
         #: The wallclock backend records events from concurrent lane threads.
         self._lock = threading.Lock()
 

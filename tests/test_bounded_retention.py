@@ -26,7 +26,7 @@ from repro.core.durability import MANIFEST_NAMESPACE, RUN_NAMESPACE
 from repro.core.fault_tolerance import CHECKPOINT_HISTORY, FaultToleranceManager
 from repro.core.planner import PLAN_NAMESPACE
 from repro.data.mixture import MixturePhase, MixtureSchedule
-from repro.errors import PlanError
+from repro.errors import ConfigurationError, PlanError
 from repro.metrics.timeline import TIMELINE_WINDOW
 from conftest import retained_bytes
 
@@ -205,9 +205,8 @@ def test_compaction_changes_no_batch(depth):
 
 def test_a_mirror_spawned_in_a_flushed_window_resyncs_from_its_shard(monkeypatch):
     """A mirror spawned from a plan inside the prefetch window loses its
-    birth baseline to the flush; with the genesis records compacted it
-    starts from its shard's newest checkpoint, and the batches are the ones
-    a replay from genesis gave."""
+    birth baseline to the flush; it starts from its shard's newest
+    checkpoint, and the batches are the ones a replay from genesis gave."""
     found = []
     shard_checkpoint = FaultToleranceManager.shard_checkpoint
 
@@ -307,3 +306,61 @@ def test_plan_rows_stay_within_the_checkpoint_history():
         system.shutdown()
     assert max(rows) <= bound, (max(rows), bound)
     assert rows[-1] < 300
+
+
+def test_a_promoted_shadow_saved_before_its_own_checkpoint_restores():
+    """A canonical loader fails after the replay floor has advanced and its
+    shadow is promoted under its own name; a save before the shadow's next
+    interval checkpoint embeds the shard's newest checkpoint, so the run
+    restores and delivers the batches of a run with no failure."""
+    job = replace(
+        TrainingJobSpec.text_example(), prefetch_depth=2, replay_window=5,
+        enable_shadow_loaders=True, seed=0,
+    )
+    reference = MegaScaleData.deploy(job)
+    system = MegaScaleData.deploy(job)
+    try:
+        expected = [reference.run_step() for _ in range(40)]
+        results = [system.run_step() for _ in range(31)]
+        floor = assert_replay_stops_at_the_floor(system)
+        victim = system.loader_handles[0].name
+        system.system.failures.fail(victim)
+        results.append(system.run_step())
+        promoted = system.loader_handles[0].name
+        assert promoted != victim
+        assert system.fault_manager.last_loader_checkpoint(promoted, max_step=31) is None
+        saved_at = system.save_checkpoint()
+        assert saved_at % job.replay_window != 0
+        store = system.checkpoint_store
+        system.shutdown()
+        restored = MegaScaleData.restore(job, store)
+        try:
+            assert restored.step == saved_at == 32
+            assert restored.planner_handle.instance().replay_floor >= floor
+            results += [restored.run_step() for _ in range(8)]
+        finally:
+            restored.shutdown()
+    finally:
+        reference.shutdown()
+        system.shutdown()
+    assert delivery_digest(results) == delivery_digest(expected)
+
+
+def test_a_save_that_could_not_be_restored_raises_and_keeps_the_older_entry():
+    """With no checkpoint left for a shard once the floor has advanced, the
+    entry would need a replay from genesis: the save raises before it
+    writes, and the older ``run`` entry stays restorable."""
+    job = replace(TrainingJobSpec.text_example(), prefetch_depth=2, replay_window=5, seed=0)
+    system = MegaScaleData.deploy(job)
+    try:
+        for _ in range(31):
+            system.run_step()
+        assert_replay_stops_at_the_floor(system)
+        saved_at = system.save_checkpoint()
+        system.run_step()
+        system.fault_manager._loader_checkpoints.clear()
+        with pytest.raises(ConfigurationError, match="replay floor"):
+            system.save_checkpoint()
+        assert system.checkpoint_store.steps(RUN_NAMESPACE) == [saved_at]
+    finally:
+        system.shutdown()

@@ -82,7 +82,7 @@ def deploy_scaled(job: TrainingJobSpec) -> MegaScaleData:
     return system
 
 
-def assert_clean_stop(system, store, delivered: int, floor: int) -> None:
+def assert_clean_stop(system, store, delivered: int, floor: int = -1) -> None:
     # The delivered prefix, from the replay floor on (compaction drops older).
     assert store.steps(PLAN_NAMESPACE) == list(range(max(0, floor), delivered))
     assert not [name for name in stored_namespaces(store) if name.startswith("loader/")]
@@ -102,23 +102,26 @@ def test_shutdown_abandons_the_window_without_rewinding(monkeypatch, prefetch_de
         run_steps(system, 5)
         assert bool(system.pipeline.inflight()) == bool(prefetch_depth)
         delivered = system.step
-        floor = system.planner_handle.instance().replay_floor
         calls = spy_on_shutdown(monkeypatch)
         system.shutdown()
         assert calls == Counter()
         assert not system.pipeline.inflight()
-        assert_clean_stop(system, store, delivered, floor)
+        assert_clean_stop(system, store, delivered)
     finally:
         system.shutdown()
 
 
-@pytest.mark.parametrize("steps", [20, 200])
-def test_shutdown_cost_is_flat_in_run_length(monkeypatch, steps):
+# The replay floor at ``steps``: the oldest of the CHECKPOINT_HISTORY = 4
+# loader checkpoints kept (interval 50), once it is below the consume
+# position.  At 200 steps the window has prepared step 200, so the four kept
+# are of steps 50-200; at 20 the floor has never advanced (-1, genesis).
+@pytest.mark.parametrize("steps, floor", [(20, -1), (200, 50)])
+def test_shutdown_cost_is_flat_in_run_length(monkeypatch, steps, floor):
     system = deploy_scaled(make_job(prefetch_depth=2))
     store = system.checkpoint_store
     try:
         run_steps(system, steps - 1)
-        floor = system.planner_handle.instance().replay_floor
+        assert system.planner_handle.instance().replay_floor == floor
         calls = spy_on_shutdown(monkeypatch)
         system.shutdown()
         assert calls == Counter()

@@ -6,7 +6,7 @@ import pytest
 
 from repro.metrics.memory import MemoryLedger
 from repro.metrics.report import MetricReport, summarize
-from repro.metrics.timeline import FleetEvent, OverlapLedger, Timeline
+from repro.metrics.timeline import TIMELINE_WINDOW, FleetEvent, OverlapLedger, Timeline
 
 
 class TestMemoryLedger:
@@ -85,6 +85,16 @@ class TestTimeline:
         assert len(timeline) == 2
         assert len(timeline.events(component="planner")) == 1
         assert len(timeline.events(name="prepare")) == 1
+
+    def test_a_window_keeps_the_newest_events_and_none_keeps_all(self):
+        windowed, whole = Timeline(window=TIMELINE_WINDOW), Timeline()
+        for index in range(TIMELINE_WINDOW + 3):
+            for timeline in (windowed, whole):
+                timeline.record("dp0", f"mb{index}", float(index), 1.0)
+        assert len(windowed) == TIMELINE_WINDOW
+        assert windowed.events()[0].name == "mb3"
+        assert len(whole) == TIMELINE_WINDOW + 3
+        assert whole.events()[0].name == "mb0"
 
     def test_negative_duration_rejected(self):
         timeline = Timeline()
