@@ -34,12 +34,13 @@ def _per_source_profiles():
         readers = [ColumnarReader(filesystem, path, ledger) for path in source.paths]
         for reader in readers:
             reader.open()
-        # Touch one row per file so a row-group buffer is resident, as a real
-        # reader would keep while iterating.
+        # Read each file through, as a real reader iterating it does: the
+        # footer and one row-group buffer stay resident.
         cursor = SourceCursor(source, filesystem)
         cursor.next_metadata()
         for reader in readers:
-            reader.read_row(0)
+            for row in range(reader.total_rows):
+                reader.read_row(row)
         memory_bytes.append(ledger.total_bytes())
         for reader in readers:
             reader.close()

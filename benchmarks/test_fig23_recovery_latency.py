@@ -152,10 +152,12 @@ def _drive(num_steps: int) -> dict[str, object]:
             ids = plan.source_demands.get(handle.instance().source.name, [])
             if ids:
                 handle.call("replay_demands", list(ids))
-            fault_manager.checkpoint_loader(handle, step)
+        fault_manager.checkpoint_loaders(handles, step)
 
     victim = handles[0]
-    source_name = victim.instance().source.name
+    loader = victim.instance()
+    source_name = loader.source.name
+    shard = (source_name, loader.shard_index, loader.shard_count)
     live_ids = _buffer_ids(victim)
 
     def replay_suffix(after_step: int) -> int:
@@ -172,7 +174,7 @@ def _drive(num_steps: int) -> dict[str, object]:
     bounded_times = []
     for _ in range(REPETITIONS):
         begin = time.perf_counter()
-        entry = fault_manager.last_loader_checkpoint(victim.name)
+        entry = fault_manager.shard_checkpoint(shard, num_steps)
         victim.call("restore_replay_checkpoint", entry["replay"])
         suffix_plans = replay_suffix(entry["step"])
         bounded_times.append(time.perf_counter() - begin)

@@ -46,13 +46,14 @@ def main() -> None:
 
     # Inject a loader failure and detect it through the heartbeat probe.
     victim = system.loader_handles[0]
+    shard = system.fleet.group_for(victim.name).shard
     print(f"\ninjecting failure into {victim.name}")
     system.system.failures.fail(victim.name)
     failed = manager.detect_failures(system.loader_handles)
     print(f"detected failed loaders: {[handle.name for handle in failed]}")
 
     # Promote the shadow, resync it and resume training.
-    checkpoint = manager.last_loader_checkpoint(victim.name)
+    checkpoint = manager.shard_checkpoint(shard, system.step)
     system.recover_fleet_member(victim, system.step)
     event = manager.events()[-1]
     print(f"recovered via {event.kind} ({event.detail}) from the step "

@@ -539,16 +539,12 @@ class ActorSystem:
         """
         return self.engine.tick(max_calls)
 
-    def drain(self, deadline_s: float | None = None) -> int:
-        """Run the engine until no pending calls remain; returns how many ran.
+    def drain(self) -> int:
+        """Run the engine until no pending calls remain; returns how many ran."""
+        return self.engine.drain()
 
-        ``deadline_s`` bounds the drain in clock units (virtual seconds on
-        either backend) and raises :class:`TimeoutError` on expiry.
-        """
-        return self.engine.drain(deadline_s)
-
-    def pending_count(self, actor_name: str | None = None) -> int:
-        return self.engine.pending_count(actor_name)
+    def pending_count(self) -> int:
+        return self.engine.pending_count()
 
     def cancel_pending(self, actor_name: str | None = None) -> int:
         """Cancel queued calls (for one actor, or all); returns how many.

@@ -353,32 +353,16 @@ class VirtualEngine:
             executed += 1
         return executed
 
-    def drain(self, deadline_s: float | None = None) -> int:
+    def drain(self) -> int:
         """Run the event engine until no pending calls remain.
 
         One unbounded tick per pass: the dispatch loop keeps popping until
-        the index is empty (nested submits included), so draining no longer
-        pays a pending-count scan per batch.
-
-        ``deadline_s`` bounds the drain in virtual seconds: if pending calls
-        remain once the clock has advanced that far past the drain's start,
-        :class:`TimeoutError` is raised instead of hanging — API parity with
-        the wallclock engine, where a wedged lane would otherwise block
-        forever.
+        the index is empty (nested submits included), so draining pays no
+        pending-count scan per batch.
         """
-        clock = self.system.clock
         executed = 0
-        start_s = clock.now_s
-        # A deadline is checked between events, so it forgoes the batched tick.
-        budget = None if deadline_s is None else 1
-        while ran := self.tick(budget):
+        while ran := self.tick():
             executed += ran
-            expired = deadline_s is not None and clock.now_s - start_s >= deadline_s
-            if expired and self.pending_count() > 0:
-                raise TimeoutError(
-                    f"drain deadline of {deadline_s}s (virtual) expired with "
-                    f"{self.pending_count()} calls still pending"
-                )
         return executed
 
     def wait_future(self, future: ActorFuture, timeout_s: float) -> None:
@@ -390,15 +374,10 @@ class VirtualEngine:
             if self.tick() == 0:
                 break
 
-    def pending_count(self, actor_name: str | None = None) -> int:
-        queues = (
-            self._queues.values()
-            if actor_name is None
-            else [self._queues.get(actor_name, deque())]
-        )
+    def pending_count(self) -> int:
         return sum(
             1
-            for queue in queues
+            for queue in self._queues.values()
             for call in queue
             if not call.future.cancelled()
         )

@@ -409,13 +409,12 @@ class WallclockEngine:
         self.system.sweep_retirements()
         return taken
 
-    def drain(self, deadline_s: float | None = None) -> int:
+    def drain(self) -> int:
         """Wait until no submitted call remains; returns completions consumed.
 
-        ``deadline_s`` (clock units — virtual seconds) bounds the wait and
-        raises :class:`TimeoutError` on expiry with work still in flight.
+        Raises :class:`TimeoutError` when no call completes for
+        :data:`TICK_TIMEOUT_S` with work still in flight.
         """
-        start = self.clock.now_s
         executed = 0
         backstop = time.monotonic() + TICK_TIMEOUT_S
         with self._cond:
@@ -428,11 +427,6 @@ class WallclockEngine:
                     continue
                 if self._inflight_total == 0:
                     break
-                if deadline_s is not None and self.clock.now_s - start >= deadline_s:
-                    raise TimeoutError(
-                        f"drain deadline of {deadline_s}s expired with "
-                        f"{self._inflight_total} calls in flight"
-                    )
                 if time.monotonic() >= backstop:
                     raise TimeoutError(
                         f"drain saw no completion within {TICK_TIMEOUT_S}s "
@@ -465,9 +459,9 @@ class WallclockEngine:
                         )
                     box.cond.wait(min(remaining, 0.2))
 
-    def pending_count(self, actor_name: str | None = None) -> int:
+    def pending_count(self) -> int:
         total = 0
-        for box in self._boxes(None if actor_name is None else [actor_name]):
+        for box in self._boxes(None):
             with box.cond:
                 total += box.inflight
         return total

@@ -179,9 +179,9 @@ class ChaosCheckpointStore(CheckpointStore):
         self._check("load")
         return self._store.load(namespace, step)
 
-    def load_latest(self, namespace: str, max_step: int | None = None):
+    def load_latest(self, namespace: str):
         self._check("load_latest")
-        return self._store.load_latest(namespace, max_step)
+        return self._store.load_latest(namespace)
 
     def steps(self, namespace: str) -> list[int]:
         return self._store.steps(namespace)
@@ -192,6 +192,3 @@ class ChaosCheckpointStore(CheckpointStore):
     def delete_below(self, namespace: str, step: int) -> int:
         self._check("delete_below")
         return self._store.delete_below(namespace, step)
-
-    def clear(self) -> None:
-        self._store.clear()

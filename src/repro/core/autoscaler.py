@@ -360,6 +360,3 @@ class MixtureDrivenScaler:
         for directive in directives:
             self.decision_log.append(ScalingDecision(step=step, at_s=now_s, directive=directive))
         return ScalingPlan(step=step, directives=directives)
-
-    def total_current_actors(self) -> int:
-        return sum(self._current_actors.values())

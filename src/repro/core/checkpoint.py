@@ -17,10 +17,9 @@ ship here:
 
 * :class:`InMemoryCheckpointStore` — dict-backed, zero-cost, the default for
   simulation runs and unit tests.
-* :class:`SqliteCheckpointStore` — a real database via
-  :class:`repro.storage.kvstore.SqliteKVStore`, demonstrating that every
-  payload the control plane checkpoints survives pickling to a durable
-  medium (the ``checkpointer_sqlite`` idiom).
+* :class:`SqliteCheckpointStore` — a real stdlib :mod:`sqlite3` database,
+  demonstrating that every payload the control plane checkpoints survives
+  pickling to a durable medium (the ``checkpointer_sqlite`` idiom).
 
 Payload conventions
 -------------------
@@ -31,7 +30,8 @@ is a :class:`~repro.core.plans.PlanRecord`: demanded ids in one
 every delivered step, holds each constructor's ids as an ``array("q")``.
 Loader differential checkpoints are not rows here: they live in
 :class:`~repro.core.fault_tolerance.FaultToleranceManager`'s in-memory
-history, and the ``run`` entry embeds the ones a whole-run restore needs.
+per-shard history, and the ``run`` entry embeds, per shard, the one a
+whole-run restore needs.
 
 Payloads must be picklable for the SQLite backend; the in-memory backend keeps
 live references, so callers should only store plain-data snapshots (dicts,
@@ -41,11 +41,12 @@ lists, frozen records) — never live actors or objects the step path mutates.
 from __future__ import annotations
 
 import pickle
+import sqlite3
+import threading
 from typing import Any
 
 from repro.errors import ReproError
 from repro.storage.filesystem import SimulatedFileSystem
-from repro.storage.kvstore import SqliteKVStore
 
 
 class CheckpointError(ReproError):
@@ -71,8 +72,8 @@ class CheckpointStore:
     def load(self, namespace: str, step: int) -> Any | None:
         raise NotImplementedError
 
-    def load_latest(self, namespace: str, max_step: int | None = None) -> tuple[int, Any] | None:
-        """Newest ``(step, payload)`` in ``namespace`` with step <= max_step."""
+    def load_latest(self, namespace: str) -> tuple[int, Any] | None:
+        """Newest ``(step, payload)`` in ``namespace``."""
         raise NotImplementedError
 
     def steps(self, namespace: str) -> list[int]:
@@ -86,17 +87,13 @@ class CheckpointStore:
         """Drop entries with step < ``step`` (compaction); returns how many."""
         raise NotImplementedError
 
-    def clear(self) -> None:
-        raise NotImplementedError
-
 
 class NamespacedCheckpointStore(CheckpointStore):
     """View of a shared store with every namespace prefixed by a tenant scope.
 
     Multi-tenant deployments hand each job this wrapper around the one shared
     backend so ``planner/plans``, ``run``, ``delivery/manifests`` etc. never
-    collide across tenants.  ``clear()`` is always refused, to protect
-    co-tenants: clear the backend store explicitly.
+    collide across tenants.
     """
 
     def __init__(self, store: CheckpointStore, prefix: str) -> None:
@@ -124,8 +121,8 @@ class NamespacedCheckpointStore(CheckpointStore):
     def load(self, namespace: str, step: int) -> Any | None:
         return self.backend.load(self._scoped(namespace), step)
 
-    def load_latest(self, namespace: str, max_step: int | None = None) -> tuple[int, Any] | None:
-        return self.backend.load_latest(self._scoped(namespace), max_step)
+    def load_latest(self, namespace: str) -> tuple[int, Any] | None:
+        return self.backend.load_latest(self._scoped(namespace))
 
     def steps(self, namespace: str) -> list[int]:
         return self.backend.steps(self._scoped(namespace))
@@ -135,12 +132,6 @@ class NamespacedCheckpointStore(CheckpointStore):
 
     def delete_below(self, namespace: str, step: int) -> int:
         return self.backend.delete_below(self._scoped(namespace), step)
-
-    def clear(self) -> None:
-        raise CheckpointError(
-            "refusing to clear a shared store through a tenant-scoped view; "
-            "clear the backend store explicitly"
-        )
 
 
 class InMemoryCheckpointStore(CheckpointStore):
@@ -161,14 +152,11 @@ class InMemoryCheckpointStore(CheckpointStore):
     def load(self, namespace: str, step: int) -> Any | None:
         return self._data.get(namespace, {}).get(int(step))
 
-    def load_latest(self, namespace: str, max_step: int | None = None) -> tuple[int, Any] | None:
+    def load_latest(self, namespace: str) -> tuple[int, Any] | None:
         entries = self._data.get(namespace)
         if not entries:
             return None
-        eligible = [s for s in entries if max_step is None or s <= max_step]
-        if not eligible:
-            return None
-        step = max(eligible)
+        step = max(entries)
         return step, entries[step]
 
     def steps(self, namespace: str) -> list[int]:
@@ -187,16 +175,20 @@ class InMemoryCheckpointStore(CheckpointStore):
             del entries[s]
         return len(doomed)
 
-    def clear(self) -> None:
-        self._data.clear()
-
 
 class SqliteCheckpointStore(CheckpointStore):
     """SQLite-backed store; payloads round-trip through :mod:`pickle`.
 
-    Built on :class:`repro.storage.kvstore.SqliteKVStore` so the SQL lives in
-    the storage package and checkpoint bytes can be mirrored into the
-    simulated filesystem's accounting.
+    One table holds every namespace::
+
+        checkpoints(namespace TEXT, step INTEGER, payload BLOB,
+                    PRIMARY KEY (namespace, step))
+
+    ``path`` defaults to ``":memory:"``, still a real SQLite database (SQL,
+    constraints), just not persisted to disk.  With a ``filesystem``, every
+    row is mirrored as a file of the payload's size under
+    ``/checkpoints/<namespace>/<step>``, so storage byte accounting sees
+    checkpoint traffic; a row and its file are written and deleted together.
     """
 
     def __init__(
@@ -204,50 +196,113 @@ class SqliteCheckpointStore(CheckpointStore):
         path: str = ":memory:",
         filesystem: SimulatedFileSystem | None = None,
     ) -> None:
-        self._kv = SqliteKVStore(path, filesystem=filesystem)
+        self.filesystem = filesystem
+        # Wallclock actors checkpoint from their lane threads: one connection
+        # shared across threads, every statement (and its commit) under a lock.
+        self._conn = sqlite3.connect(path, check_same_thread=False)
+        self._lock = threading.Lock()
+        # Write-ahead logging + NORMAL fsync policy: checkpoint writers land
+        # on the WAL (sequential appends, readers never block) and fsyncs
+        # move off the per-transaction critical path — the standard durable
+        # spill configuration.  In-memory databases ignore WAL; executing the
+        # pragmas there is harmless.
+        self._conn.execute("PRAGMA journal_mode=WAL")
+        self._conn.execute("PRAGMA synchronous=NORMAL")
+        self._conn.execute(
+            "CREATE TABLE IF NOT EXISTS checkpoints ("
+            " namespace TEXT NOT NULL,"
+            " step INTEGER NOT NULL,"
+            " payload BLOB NOT NULL,"
+            " PRIMARY KEY (namespace, step))"
+        )
+        self._conn.commit()
 
     def save(self, namespace: str, step: int, payload: Any) -> None:
-        try:
-            blob = pickle.dumps(payload)
-        except Exception as exc:  # pragma: no cover - defensive
-            raise CheckpointError(
-                f"checkpoint payload for {namespace!r} step {step} is not picklable: {exc}"
-            ) from exc
-        self._kv.put(namespace, step, blob)
+        self._put([_row(namespace, step, payload)])
 
     def save_many(self, entries: list[tuple[str, int, Any]]) -> None:
-        blobs = []
-        for namespace, step, payload in entries:
-            try:
-                blobs.append((namespace, step, pickle.dumps(payload)))
-            except Exception as exc:  # pragma: no cover - defensive
-                raise CheckpointError(
-                    f"checkpoint payload for {namespace!r} step {step} is not picklable: {exc}"
-                ) from exc
-        self._kv.put_many(blobs)
+        """Write every entry in one transaction: one commit (and one WAL
+        fsync) for the batch.  No control-plane path batches its writes
+        today: plans, delivery manifests and run entries each :meth:`save`."""
+        self._put([_row(namespace, step, payload) for namespace, step, payload in entries])
 
     def load(self, namespace: str, step: int) -> Any | None:
-        blob = self._kv.get(namespace, step)
-        return None if blob is None else pickle.loads(blob)
+        rows = self._read(
+            "SELECT payload FROM checkpoints WHERE namespace = ? AND step = ?",
+            (namespace, int(step)),
+        )
+        return pickle.loads(rows[0][0]) if rows else None
 
-    def load_latest(self, namespace: str, max_step: int | None = None) -> tuple[int, Any] | None:
-        found = self._kv.latest(namespace, max_step=max_step)
-        if found is None:
-            return None
-        step, blob = found
-        return step, pickle.loads(blob)
+    def load_latest(self, namespace: str) -> tuple[int, Any] | None:
+        rows = self._read(
+            "SELECT step, payload FROM checkpoints WHERE namespace = ?"
+            " ORDER BY step DESC LIMIT 1",
+            (namespace,),
+        )
+        return (int(rows[0][0]), pickle.loads(rows[0][1])) if rows else None
 
     def steps(self, namespace: str) -> list[int]:
-        return self._kv.steps(namespace)
+        rows = self._read(
+            "SELECT step FROM checkpoints WHERE namespace = ? ORDER BY step", (namespace,)
+        )
+        return [int(row[0]) for row in rows]
 
     def delete_from(self, namespace: str, step: int) -> int:
-        return self._kv.delete_from(namespace, step)
+        return self._delete(namespace, "step >= ?", step)
 
     def delete_below(self, namespace: str, step: int) -> int:
-        return self._kv.delete_below(namespace, step)
-
-    def clear(self) -> None:
-        self._kv.clear()
+        return self._delete(namespace, "step < ?", step)
 
     def close(self) -> None:
-        self._kv.close()
+        with self._lock:
+            self._conn.close()
+
+    def _read(self, sql: str, params) -> list[tuple]:
+        with self._lock:
+            return self._conn.execute(sql, params).fetchall()
+
+    def _put(self, rows: list[tuple[str, int, bytes]]) -> None:
+        """Insert or replace ``rows`` in one transaction, then mirror them."""
+        if not rows:
+            return
+        with self._lock:
+            self._conn.executemany(
+                "INSERT OR REPLACE INTO checkpoints (namespace, step, payload) VALUES (?, ?, ?)",
+                rows,
+            )
+            self._conn.commit()
+        if self.filesystem is not None:
+            for namespace, step, payload in rows:
+                self.filesystem.write(
+                    f"/checkpoints/{namespace}/{step}",
+                    None,
+                    size_bytes=len(payload),
+                    kind="checkpoint",
+                )
+
+    def _delete(self, namespace: str, condition: str, step: int) -> int:
+        """Drop the rows of ``namespace`` whose step meets ``condition`` in
+        one ``DELETE``, and their mirrored files; returns how many."""
+        with self._lock:
+            deleted = self._conn.execute(
+                f"DELETE FROM checkpoints WHERE namespace = ? AND {condition} RETURNING step",
+                (namespace, int(step)),
+            ).fetchall()
+            self._conn.commit()
+        if self.filesystem is not None:
+            for (gone,) in deleted:
+                path = f"/checkpoints/{namespace}/{gone}"
+                if self.filesystem.exists(path):
+                    self.filesystem.delete(path)
+        return len(deleted)
+
+
+def _row(namespace: str, step: int, payload: Any) -> tuple[str, int, bytes]:
+    """One ``checkpoints`` row: the payload pickled."""
+    try:
+        blob = pickle.dumps(payload)
+    except Exception as exc:
+        raise CheckpointError(
+            f"checkpoint payload for {namespace!r} step {step} is not picklable: {exc}"
+        ) from exc
+    return namespace, int(step), blob

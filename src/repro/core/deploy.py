@@ -279,4 +279,4 @@ def spawn_shadow_loaders(
             # with the placement flagged ``colocated``).
             anti_affinity=system.actor_node(handle.name),
         )
-        fault_manager.register_shadow(handle, shadow, source.name)
+        fault_manager.register_shadow(handle, shadow)

@@ -114,10 +114,10 @@ def save_run_checkpoint(
     """Write one ``run`` entry: the control plane as of consume position ``step``.
 
     Built from what the fault manager and the store already hold, so steps in
-    flight beyond ``step`` are neither waited for nor disturbed: per canonical
-    loader the newest differential checkpoint any member of its shard
-    recorded below ``step`` (``None`` = pristine), the Planner's state cut to
-    ``step``, the fleet topology (mirror counts, worker sizing) and the
+    flight beyond ``step`` are neither waited for nor disturbed: per loader
+    shard its newest differential checkpoint below ``step`` (``None`` =
+    pristine), the Planner's state cut to ``step``, the fleet topology
+    (mirror counts, worker sizing) and the
     construction recipes of ``mixtures`` — ``(first step, schedule)`` runs,
     the first in effect at ``step``.  The plans between a loader's checkpoint
     and ``step``, which :func:`load_run_checkpoint` replays, are demand
@@ -134,16 +134,10 @@ def save_run_checkpoint(
     before anything is written or deleted.
     """
     planner: Planner = recovery.planner_handle.instance()
-    loaders = {}
-    for handle in recovery.loader_handles:
-        group = recovery.fleet.group_for(handle.name)
-        loaders[handle.name] = {
-            "source": group.source,
-            "shard_index": group.shard_index,
-            "checkpoint": recovery.fault_manager.shard_checkpoint(
-                (group.source, group.shard_index, group.shard_count), step - 1
-            ),
-        }
+    loaders = {
+        group.shard: recovery.fault_manager.shard_checkpoint(group.shard, step - 1)
+        for group in recovery.fleet.groups
+    }
     recipes = [
         (first_step, mixture.descriptor() if mixture is not None else None)
         for first_step, mixture in mixtures
@@ -175,13 +169,10 @@ def save_run_checkpoint(
 
 def _replay_base(payload: dict) -> int:
     """The step a restore from ``payload`` replays plans after: the oldest
-    loader checkpoint it embeds (-1, genesis, for a pristine loader)."""
+    shard checkpoint it embeds (-1, genesis, for a pristine shard)."""
     return min(
         [payload["step"] - 1]
-        + [
-            entry["checkpoint"]["step"] if entry["checkpoint"] else -1
-            for entry in payload["loaders"].values()
-        ]
+        + [entry["step"] if entry else -1 for entry in payload["loaders"].values()]
     )
 
 
@@ -202,11 +193,13 @@ def load_run_checkpoint(payload: dict, recovery: FleetRecovery) -> None:
     The Planner resumes at the saved position, and the plans a run that was
     killed (or simply ran on) after the save left in ``planner/plans`` beyond
     it — never delivered as far as this entry knows — are purged before
-    anything is planned.  Every canonical loader adopts the checkpoint the
-    entry embeds (its only durable copy) and goes through the resync a flush
-    or a failover uses (:meth:`FleetRecovery.resync`: restore it, or reset when
-    pristine, and replay the plan suffix up to the saved position); mirrors
-    are respawned to the saved fleet shape by cloning the rebuilt canonicals.
+    anything is planned.  The fault manager adopts the shard checkpoints the
+    entry embeds (their only durable copy) and every canonical loader goes
+    through the resync a flush or a failover uses
+    (:meth:`FleetRecovery.resync`: restore its shard's checkpoint, or reset
+    when pristine, and replay the plan suffix up to the saved position);
+    mirrors are respawned to the saved fleet shape by cloning the rebuilt
+    canonicals.
     A prefix that cannot be rebuilt — no entry for a loader's shard, a plan of
     the suffix gone from store and Planner state — raises
     :class:`ConfigurationError`: restore never resumes from a guessed state.
@@ -215,23 +208,14 @@ def load_run_checkpoint(payload: dict, recovery: FleetRecovery) -> None:
     step = payload["step"]
     planner.load_state_dict(payload["planner"])
     planner.truncate_history(step)
-    # Match entries by the shard they describe, not by actor name: a
-    # promoted mirror saves under its own name (``…/0m2``), which the
-    # fresh deployment's canonical for that shard does not share.
-    saved = {
-        (entry["source"], entry["shard_index"]): entry["checkpoint"]
-        for entry in payload["loaders"].values()
-    }
-    for handle in recovery.loader_handles:
-        group = recovery.fleet.group_for(handle.name)
-        if (group.source, group.shard_index) not in saved:
+    saved = payload["loaders"]
+    for group in recovery.fleet.groups:
+        if group.shard not in saved:
             raise ConfigurationError(
-                f"whole-run checkpoint holds no entry for loader "
-                f"{handle.name!r}; was it saved under a different job spec?"
+                f"whole-run checkpoint holds no entry for loader shard "
+                f"{group.shard!r}; was it saved under a different job spec?"
             )
-        checkpoint = saved[group.source, group.shard_index]
-        if checkpoint is not None:
-            recovery.fault_manager.adopt_loader_checkpoint(handle.name, checkpoint)
+    recovery.fault_manager.adopt_checkpoints(saved)
     replay_after = _replay_base(payload)
     # Compaction may have dropped records since the entry was saved (never
     # past its base): the floor is where the stored records start.

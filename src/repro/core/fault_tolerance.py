@@ -15,7 +15,9 @@ Every loader failover takes one path: ``MegaScaleData.recover_fleet_member``
 replacement here (mirror, shadow or in-place restart) and then resyncs it.
 
 A loader checkpoint is one entry ``{step, replay}`` taken at a fleet sync
-point and lives in one place: the manager's short per-loader history.
+point, where every member of a shard holds the same state, so it is keyed by
+the shard ``(source, shard_index, shard_count)``, not by the actor that
+served it, and lives in one place: the manager's short per-shard history.
 Nothing writes it to the checkpoint store; the durable copy a whole-run
 restore needs is the one the ``run`` entry embeds
 (:func:`repro.core.durability.save_run_checkpoint`).
@@ -36,7 +38,10 @@ from repro.actors.runtime import ActorSystem
 from repro.core.source_loader import SourceLoader
 from repro.errors import ActorDead, ActorTimeout, ReproError
 
-#: How many checkpoint entries are retained per loader.  Recovery only ever
+#: A loader shard: ``(source, shard_index, shard_count)``.
+Shard = tuple[str, int, int]
+
+#: How many checkpoint entries are retained per shard.  Recovery only ever
 #: needs the newest entry at or below the failed step, but keeping a short
 #: history lets a flush discard entries for never-delivered future steps
 #: without losing the last delivered one.
@@ -61,13 +66,6 @@ class RecoveryEvent:
     kind: str
     detail: str = ""
     recovery_latency_s: float = 0.0
-
-
-@dataclass
-class ShadowRegistration:
-    primary: ActorHandle
-    shadow: ActorHandle
-    source: str
 
 
 #: Fractional jitter: backoff delays are stretched by up to this much.
@@ -146,10 +144,11 @@ class FaultToleranceManager:
     def __init__(self, system: ActorSystem, loader_checkpoint_interval: int = 50) -> None:
         self.system = system
         self.loader_checkpoint_interval = loader_checkpoint_interval
-        self._shadows: dict[str, ShadowRegistration] = {}
-        #: Per-loader checkpoint history, newest last, at most
+        #: Primary loader name -> its hot-standby shadow.
+        self._shadows: dict[str, ActorHandle] = {}
+        #: Per-shard checkpoint history, newest last, at most
         #: :data:`CHECKPOINT_HISTORY` entries.
-        self._loader_checkpoints: dict[str, list[dict]] = {}
+        self._checkpoints: dict[Shard, list[dict]] = {}
         #: Bounded recovery log: long chaos soaks retain only the newest
         #: :data:`EVENTS_LIMIT` records while the aggregates below keep exact
         #: lifetime totals (so ETTR never drifts when the ring evicts).
@@ -219,15 +218,12 @@ class FaultToleranceManager:
 
     # -- shadow loaders ------------------------------------------------------------------------
 
-    def register_shadow(self, primary: ActorHandle, shadow: ActorHandle, source: str) -> None:
+    def register_shadow(self, primary: ActorHandle, shadow: ActorHandle) -> None:
         """Pair a primary Source Loader with a hot-standby shadow."""
-        self._shadows[primary.name] = ShadowRegistration(
-            primary=primary, shadow=shadow, source=source
-        )
+        self._shadows[primary.name] = shadow
 
     def shadow_for(self, primary_name: str) -> ActorHandle | None:
-        registration = self._shadows.get(primary_name)
-        return registration.shadow if registration else None
+        return self._shadows.get(primary_name)
 
     def shadow_count(self) -> int:
         return len(self._shadows)
@@ -235,83 +231,64 @@ class FaultToleranceManager:
     def shadow_memory_bytes(self) -> int:
         """Live memory held by shadow loaders (the Fig. 16 FT memory cost)."""
         total = 0
-        for registration in self._shadows.values():
-            if registration.shadow.state is ActorState.RUNNING:
-                total += registration.shadow.instance().ledger.total_bytes()
+        for shadow in self._shadows.values():
+            if shadow.state is ActorState.RUNNING:
+                total += shadow.instance().ledger.total_bytes()
         return total
 
     # -- checkpointing -------------------------------------------------------------------------------
 
-    def checkpoint_loader(self, handle: ActorHandle, step: int, force: bool = False) -> bool:
-        """Snapshot a loader at multiples of ``loader_checkpoint_interval``.
-
-        The caller guarantees the loader sits at a step boundary with every
-        plan up to ``step`` applied — the fleet sync point — so the entry's
-        replay snapshot (:meth:`SourceLoader.replay_checkpoint`) is a valid
-        base: recovery restores it verbatim and replays only the
-        post-checkpoint plan suffix.  ``force=True`` bypasses the interval
-        gate (spawn-time baseline checkpoints, whole-run save).  The entry
-        lives only in the manager's short per-loader history; a whole-run
-        save embeds what it needs of it in the ``run`` entry.
-        """
-        loader = handle.instance()
-        if not isinstance(loader, SourceLoader):
-            raise FaultToleranceError(f"{handle.name!r} is not a source loader")
-        if not force and step % self.loader_checkpoint_interval != 0:
-            return False
-        entry = {"step": step, "replay": loader.replay_checkpoint()}
-        history = self._loader_checkpoints.setdefault(handle.name, [])
-        history[:] = [e for e in history if e["step"] != step]
-        history.append(entry)
-        history.sort(key=lambda e: e["step"])
-        del history[:-CHECKPOINT_HISTORY]
-        return True
-
     def checkpoint_loaders(
         self, handles: list[ActorHandle], step: int, force: bool = False
     ) -> int:
-        """:meth:`checkpoint_loader` over a whole fleet sync point; returns
-        how many members were checkpointed."""
-        return sum(self.checkpoint_loader(handle, step, force) for handle in handles)
+        """Snapshot the shard each of ``handles`` serves, at multiples of
+        ``loader_checkpoint_interval``; returns how many shards were
+        checkpointed.
 
-    def last_loader_checkpoint(self, name: str, max_step: int | None = None) -> dict | None:
-        """Newest checkpoint entry for ``name`` (at or below ``max_step``)."""
-        history = self._loader_checkpoints.get(name, [])
-        for entry in reversed(history):
-            if max_step is None or entry["step"] <= max_step:
+        The caller passes one member per shard and guarantees each sits at a
+        step boundary with every plan up to ``step`` applied — the fleet sync
+        point, where every member of a shard holds the same state — so the
+        entry's replay snapshot (:meth:`SourceLoader.replay_checkpoint`) is a
+        valid base for any of them: recovery restores it verbatim and replays
+        only the post-checkpoint plan suffix.  ``force=True`` bypasses the
+        interval gate (whole-run save and restore).  The entry lives only in
+        the manager's short per-shard history; a whole-run save embeds what
+        it needs of it in the ``run`` entry.
+        """
+        if not force and step % self.loader_checkpoint_interval != 0:
+            return 0
+        for handle in handles:
+            loader = handle.instance()
+            if not isinstance(loader, SourceLoader):
+                raise FaultToleranceError(f"{handle.name!r} is not a source loader")
+            replay = loader.replay_checkpoint()
+            shard = (replay["source"], replay["shard_index"], replay["shard_count"])
+            history = self._checkpoints.setdefault(shard, [])
+            history[:] = [e for e in history if e["step"] != step]
+            history.append({"step": step, "replay": replay})
+            history.sort(key=lambda e: e["step"])
+            del history[:-CHECKPOINT_HISTORY]
+        return len(handles)
+
+    def shard_checkpoint(self, shard: Shard, max_step: int) -> dict | None:
+        """Newest checkpoint of ``shard`` at or below ``max_step``."""
+        for entry in reversed(self._checkpoints.get(shard, [])):
+            if entry["step"] <= max_step:
                 return entry
         return None
 
-    def shard_checkpoint(self, shard: tuple[str, int, int], max_step: int) -> dict | None:
-        """Newest checkpoint at or below ``max_step`` that any loader of
-        ``shard`` (source, shard index, shard count) recorded: every member
-        of a shard holds the same state at a sync point."""
-        found = None
-        for history in self._loader_checkpoints.values():
-            for entry in history:
-                replay = entry["replay"]
-                if (
-                    entry["step"] <= max_step
-                    and (found is None or entry["step"] > found["step"])
-                    and (replay["source"], replay["shard_index"], replay["shard_count"]) == shard
-                ):
-                    found = entry
-        return found
-
-    def oldest_checkpoint_step(self, name: str) -> int:
-        """Step of the oldest checkpoint kept for ``name``: the earliest
+    def oldest_checkpoint_step(self, shard: Shard) -> int:
+        """Step of the oldest checkpoint kept for ``shard``: the earliest
         step its replay may start from (-1, genesis, when none is kept)."""
-        history = self._loader_checkpoints.get(name)
+        history = self._checkpoints.get(shard)
         return history[0]["step"] if history else -1
 
-    def forget_loader(self, name: str) -> None:
-        """Drop the checkpoints kept for ``name`` (a retired fleet member)."""
-        self._loader_checkpoints.pop(name, None)
-
-    def adopt_loader_checkpoint(self, name: str, entry: dict) -> None:
-        """Make ``entry`` — a checkpoint another incarnation recorded for the
-        same shard — loader ``name``'s history (whole-run restore)."""
-        self._loader_checkpoints[name] = [entry]
+    def adopt_checkpoints(self, checkpoints: dict[Shard, dict | None]) -> None:
+        """Make each shard's history the one entry ``checkpoints`` holds for
+        it (``None``: none, a pristine shard) — whole-run restore."""
+        self._checkpoints = {
+            shard: [entry] for shard, entry in checkpoints.items() if entry is not None
+        }
 
     def discard_checkpoints_after(self, step: int) -> int:
         """Drop checkpoint entries for steps ``> step`` (pipeline flush).
@@ -322,7 +299,7 @@ class FaultToleranceManager:
         Returns how many entries were discarded.
         """
         dropped = 0
-        for history in self._loader_checkpoints.values():
+        for history in self._checkpoints.values():
             kept = [e for e in history if e["step"] <= step]
             dropped += len(history) - len(kept)
             history[:] = kept
@@ -344,21 +321,22 @@ class FaultToleranceManager:
 
     # -- recovery ----------------------------------------------------------------------------------------
 
-    def recover_loader(self, failed: ActorHandle, step: int) -> ActorHandle:
+    def recover_loader(self, failed: ActorHandle, step: int, shard: Shard) -> ActorHandle:
         """Promote the shadow for a failed loader (or restart it in place).
 
         Returns the replacement with whatever buffer state it holds; the
-        caller (:meth:`FleetRecovery.recover_member`) resyncs it from the last
-        differential checkpoint plus a replay of the Planner's plan suffix.  The replay gap past the newest checkpoint is charged to the
+        caller (:meth:`FleetRecovery.recover_member`) resyncs it from the
+        newest checkpoint of its ``shard`` plus a replay of the Planner's
+        plan suffix.  The replay gap past that checkpoint is charged to the
         modelled recovery latency here.
         """
-        registration = self._shadows.get(failed.name)
-        checkpoint = self.last_loader_checkpoint(failed.name, max_step=step)
+        shadow = self._shadows.get(failed.name)
+        checkpoint = self.shard_checkpoint(shard, step)
         replay_steps = step - checkpoint["step"] if checkpoint else step
         replay_latency = max(0, replay_steps) * REPLAY_LATENCY_PER_STEP_S
 
-        if registration is not None and registration.shadow.state is ActorState.RUNNING:
-            promoted = registration.shadow
+        if shadow is not None and shadow.state is ActorState.RUNNING:
+            promoted = shadow
             latency = SHADOW_PROMOTION_LATENCY_S + replay_latency
             self._append_event(
                 RecoveryEvent(

@@ -705,11 +705,6 @@ class MegaScaleData:
             node=change.node,
         )
         self.overlap.add_fleet_event(change)
-        if change.kind == "spawn":
-            self.recovery.baseline_spawn(change.actor, change.step)
-        elif change.kind == "retire":
-            # A retired mirror has left its shard group and is never resynced.
-            self.fault_manager.forget_loader(change.actor)
 
 
 def fetch_bound_gpu_spec(job: TrainingJobSpec, compute_fraction: float = 0.42) -> GpuSpec:

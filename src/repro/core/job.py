@@ -82,8 +82,9 @@ class TrainingJobSpec:
     replay_window: int = 50
 
     #: Control-plane checkpoint persistence: "memory" (dict-backed, the
-    #: simulation default) or "sqlite" (a real stdlib-sqlite3 database via
-    #: ``storage/kvstore``; payloads round-trip through pickle).
+    #: simulation default) or "sqlite" (a real stdlib-sqlite3 database,
+    #: :class:`~repro.core.checkpoint.SqliteCheckpointStore`; payloads
+    #: round-trip through pickle).
     checkpoint_backend: str = "memory"
 
     #: Actor execution backend: "virtual" (discrete-event virtual-clock

@@ -82,6 +82,11 @@ class ShardGroup:
         return self.members[0]
 
     @property
+    def shard(self) -> tuple[str, int, int]:
+        """The key loader checkpoints are kept under."""
+        return self.source, self.shard_index, self.shard_count
+
+    @property
     def deferred(self) -> bool:
         """Whether members run in deferred-refill (group-sync) mode."""
         return len(self.members) > 1
@@ -94,7 +99,8 @@ class LoaderFleet:
         self.system = system
         self.filesystem = filesystem
         self.job = job
-        self._groups: list[ShardGroup] = []
+        #: Every shard group, in deploy order.
+        self.groups: list[ShardGroup] = []
         self._by_source: dict[str, list[ShardGroup]] = {}
         self._group_of: dict[str, ShardGroup] = {}
         #: Members whose drain-mode retirement is still pending.
@@ -141,7 +147,7 @@ class LoaderFleet:
             memory_bytes=memory_bytes,
             members=[handle],
         )
-        self._groups.append(group)
+        self.groups.append(group)
         self._by_source.setdefault(source, []).append(group)
         self._group_of[handle.name] = group
 
@@ -151,11 +157,11 @@ class LoaderFleet:
         return sum(len(group.members) for group in self._by_source.get(source, []))
 
     def total_members(self) -> int:
-        return sum(len(group.members) for group in self._groups)
+        return sum(len(group.members) for group in self.groups)
 
     def peak_members(self) -> int:
         """Largest fleet size reached, replayed from the change log."""
-        size = len(self._groups)
+        size = len(self.groups)
         peak = size
         for change in self.changes:
             if change.kind == "spawn":
@@ -167,7 +173,7 @@ class LoaderFleet:
 
     def all_handles(self) -> list[ActorHandle]:
         """Every active member (canonicals first within each group)."""
-        return [handle for group in self._groups for handle in group.members]
+        return [handle for group in self.groups for handle in group.members]
 
     def group_for(self, handle_name: str) -> ShardGroup | None:
         return self._group_of.get(handle_name)
@@ -181,7 +187,7 @@ class LoaderFleet:
         of their canonical).
         """
         by_source: dict[str, dict] = {}
-        for group in self._groups:
+        for group in self.groups:
             entry = by_source.setdefault(
                 group.source,
                 {

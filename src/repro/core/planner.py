@@ -56,7 +56,6 @@ class PlanTimings:
 @dataclass
 class PlannerStats:
     plans_generated: int = 0
-    samples_planned: int = 0
     #: The latest plan's timings (all zero before the first plan).
     timings: PlanTimings = field(default_factory=PlanTimings, init=False)
 
@@ -259,7 +258,6 @@ class Planner(Actor):
             broadcast_plan_s=broadcast_latency,
         )
         self.stats.plans_generated += 1
-        self.stats.samples_planned += plan.total_samples()
         record = plan.record()
         self._plan_history.append(record)
         if self.checkpoint_store is not None:

@@ -185,13 +185,12 @@ class FleetRecovery:
     def resync(self, handle, limit_step: int, planner: Planner) -> None:
         """Bring ``handle``'s buffer to the delivered prefix ``< limit_step``.
 
-        Restores the newest differential checkpoint any member of its shard
-        recorded below ``limit_step`` (every member of a shard holds the same
-        state at a sync point, so a promoted shadow or a mirror whose birth
-        baseline a flush discarded needs none of its own), or resets it
-        pristine when there is none, and replays the plan suffix past it
-        (each record's demands for the loader's source) — bounded in run
-        length, byte-exact with an uninterrupted run.  The one replay routine
+        Restores the newest differential checkpoint of its shard below
+        ``limit_step`` (every member of a shard holds the same state at a
+        sync point, so one checkpoint serves canonical, mirror and promoted
+        shadow alike), or resets it pristine when there is none, and replays
+        the plan suffix past it (each record's demands for the loader's
+        source) — bounded in run length, byte-exact with an uninterrupted run.  The one replay routine
         of flush, failover and whole-run restore.  A suffix that starts below
         the Planner's replay floor raises :class:`PlanError`
         (:meth:`Planner.plans_since`).
@@ -238,7 +237,7 @@ class FleetRecovery:
            absorb every member's demands each step, so the mirror *is* the
            canonical's state — zero replay.
         2. **Shadow promotion / in-place restart** with **bounded replay**:
-           the replacement restores the latest differential
+           the replacement restores its shard's latest differential
            checkpoint (buffer + cursor snapshot taken at a past sync point)
            and replays only the post-checkpoint plan suffix — Sec. 6.1
            differential checkpoint + replay, flat in run length.  With no
@@ -268,7 +267,7 @@ class FleetRecovery:
                 pass
             return promoted
 
-        promoted = self.fault_manager.recover_loader(handle, step=at_step)
+        promoted = self.fault_manager.recover_loader(handle, at_step, group.shard)
         self._adopt(handle, promoted, planner)
         self.fleet.replace_member(handle, promoted)
         self.resync(promoted, at_step, planner)
@@ -282,59 +281,43 @@ class FleetRecovery:
                 break
         planner.register_loaders(self.loader_handles)
 
-    def baseline_spawn(self, actor: str, step: int) -> None:
-        """Give the member spawned as ``actor`` a bounded-replay baseline from birth.
-
-        It cloned its canonical's buffer at the plan-application point
-        *before* ``step``'s demands land (spawns are stamped with the plan
-        frontier), so a forced checkpoint tagged ``step - 1`` is
-        exactly its state.
-        """
-        for handle in self.fleet.all_handles():
-            if handle.name == actor:
-                try:
-                    self.fault_manager.checkpoint_loader(
-                        handle, step - 1, force=True
-                    )
-                except ReproError:  # best-effort baseline
-                    pass
-                break
-
     def checkpoint_members(self, step: int, force: bool = False) -> int:
-        """Checkpoint every fleet member at a consistent sync point.
+        """Checkpoint every shard at a consistent sync point.
 
         Called once per step right after :meth:`LoaderFleet.sync_after_prepare`
         — the instant where every plan up to and including ``step`` has been
-        applied to every member and nothing beyond has started — so the
-        snapshots are valid bases for bounded suffix replay.  The differential
-        interval gate inside :meth:`FaultToleranceManager.checkpoint_loader`
-        keeps this O(1) on non-interval steps.  Returns how many members were
-        checkpointed.
+        applied to every member and nothing beyond has started, so all
+        members of a shard hold the same state and one live member's
+        snapshot is a valid base for bounded suffix replay of any of them.
+        The differential interval gate inside
+        :meth:`FaultToleranceManager.checkpoint_loaders` keeps this cheap on
+        non-interval steps.  Returns how many shards were checkpointed.
         """
-        healthy = []
-        for handle in self.fleet.all_handles():
-            try:
-                # Snapshot eligibility probes the live instance; a member that
-                # died since the last boundary is skipped here and recovered
-                # at its next RPC.
-                handle.instance()
-            except ReproError:  # a dying member is recovered later
-                continue
-            healthy.append(handle)
-        return self.fault_manager.checkpoint_loaders(healthy, step, force=force)
+        live = []
+        for group in self.fleet.groups:
+            for handle in group.members:
+                try:
+                    # A member that died since the last boundary is skipped
+                    # here and recovered at its next RPC.
+                    handle.instance()
+                except ReproError:
+                    continue
+                live.append(handle)
+                break
+        return self.fault_manager.checkpoint_loaders(live, step, force=force)
 
     def compact(self, consumed: int) -> None:
         """Advance the replay floor and drop the plan records below it.
 
         The floor is the oldest step any consumer may still replay from: per
-        fleet member the oldest checkpoint the fault manager keeps for it,
-        or genesis (-1) when that one is not below the consume position
+        shard the oldest checkpoint the fault manager keeps for it, or
+        genesis (-1) when that one is not below the consume position
         ``consumed`` (a flush there could need none of them); the base of
         the newest ``run`` entry; and, inside :meth:`Planner.compact_below`,
         the Planner's unpersisted backlog.
         """
         bases = [] if self.run_base is None else [self.run_base]
-        for handle in self.fleet.all_handles():
-            base = self.fault_manager.oldest_checkpoint_step(handle.name)
+        for group in self.fleet.groups:
+            base = self.fault_manager.oldest_checkpoint_step(group.shard)
             bases.append(base if base < consumed else -1)
         self.planner_handle.instance().compact_below(min(bases, default=-1))

@@ -13,6 +13,12 @@ from typing import Callable
 
 from repro.errors import MixtureError
 
+#: How many steps' weights :meth:`MixtureSchedule.weights_at` keeps (the
+#: newest): the autoscaler's 10-step moving average re-reads the steps just
+#: planned, and a flush re-plans from up to a prefetch window (6 steps here)
+#: behind the newest one.
+WEIGHTS_MEMO_WINDOW = 16
+
 
 def _normalize(weights: dict[str, float]) -> dict[str, float]:
     cleaned = {name: float(weight) for name, weight in weights.items()}
@@ -181,8 +187,9 @@ class MixtureSchedule:
         """Normalized weights for ``step`` (unknown sources get weight 0).
 
         Memoized per step (callers receive a fresh copy, so mutating the
-        returned dict cannot poison the memo); the memo is cleared once it
-        grows past a small bound to keep long runs flat in memory.
+        returned dict cannot poison the memo); past
+        :data:`WEIGHTS_MEMO_WINDOW` entries the oldest is dropped, so long
+        runs stay flat in memory.
         """
         if step < 0:
             raise MixtureError("step must be >= 0")
@@ -191,8 +198,8 @@ class MixtureSchedule:
             weights = self._weight_fn(step)
             full = {name: float(weights.get(name, 0.0)) for name in self._source_names}
             cached = _normalize(full) if sum(full.values()) > 0 else full
-            if len(self._weights_memo) >= 256:
-                self._weights_memo.clear()
+            if len(self._weights_memo) >= WEIGHTS_MEMO_WINDOW:
+                del self._weights_memo[next(iter(self._weights_memo))]
             self._weights_memo[step] = cached
         return dict(cached)
 

@@ -199,30 +199,25 @@ class TestTimeoutParity:
         with pytest.raises(TimeoutError):
             future.result(timeout=0.02)
 
-    def test_drain_deadline_raises_wallclock(self):
+    def test_drain_backstop_raises_wallclock(self, monkeypatch):
+        """A wedged lane cannot hang a drain: no completion within
+        ``TICK_TIMEOUT_S`` raises."""
         system = make_system(time_scale=FAST)
         handle = system.create_actor(Sleeper, name="s")
+        monkeypatch.setattr(wallclock, "TICK_TIMEOUT_S", 0.05)
         handle.submit("nap", 0.2)
         with pytest.raises(TimeoutError):
-            # 1 virtual second = 10ms real; the nap takes 200ms real.
-            system.drain(deadline_s=1.0)
+            system.drain()
+        monkeypatch.undo()
         system.drain()
 
-    def test_drain_deadline_raises_virtual(self):
+    def test_drain_runs_serialized_virtual_work_to_the_end(self):
         system = ActorSystem(ClusterSpec(accelerator_nodes=1, cpu_pods=1))
         handle = system.create_actor(Recorder, name="r")
-        # Serialized 100s events: the virtual clock passes the 150s deadline
-        # while calls are still pending, so the drain must raise.
         for _ in range(4):
             handle.submit_timed("mark", 0, duration_s=100.0)
-        with pytest.raises(TimeoutError):
-            system.drain(deadline_s=150.0)
-
-    def test_drain_deadline_passes_when_work_fits(self):
-        system = ActorSystem(ClusterSpec(accelerator_nodes=1, cpu_pods=1))
-        handle = system.create_actor(Recorder, name="r")
-        handle.submit_timed("mark", 0, duration_s=10.0)
-        assert system.drain(deadline_s=1000.0) == 1
+        assert system.drain() == 4
+        assert system.clock.now_s >= 300.0
 
 
 #: Retire/cancel cases whose contract is the same on both engines run on both;
@@ -256,7 +251,7 @@ class TestRetireAndCancel:
         time.sleep(0.01)  # let a couple of calls get claimed by lanes
         system.cancel_pending("s")
         # Contract: nothing pending afterwards and nothing mid-execution.
-        assert system.pending_count("s") == 0
+        assert system.pending_count() == 0
         states = {"done": 0, "cancelled": 0}
         for future in futures:
             assert future.done()
@@ -272,14 +267,14 @@ class TestRetireAndCancel:
         handle = system.create_actor(Sleeper, name="s")
         handle.submit("nap", 0.05)
         system.quiesce(["s"])
-        assert system.pending_count("s") == 0
+        assert system.pending_count() == 0
 
     def test_quiesce_is_noop_on_virtual(self):
         system = ActorSystem(ClusterSpec(accelerator_nodes=1, cpu_pods=1))
         handle = system.create_actor(Recorder, name="r")
         handle.submit("mark", 1)
         system.quiesce()  # must not hang or execute anything
-        assert system.pending_count("r") == 1
+        assert system.pending_count() == 1
 
     def test_stop_actor_fails_queued_calls(self):
         system = make_system(time_scale=FAST)

@@ -20,11 +20,14 @@ from dataclasses import replace
 import pytest
 
 from repro import MegaScaleData, TrainingJobSpec
+from repro.actors.runtime import ClusterSpec
 from repro.chaos import ChaosEngine, FaultEvent, FaultPlan
 from repro.core.checkpoint import InMemoryCheckpointStore
 from repro.core.durability import MANIFEST_NAMESPACE, RUN_NAMESPACE
 from repro.core.fault_tolerance import CHECKPOINT_HISTORY, FaultToleranceManager
 from repro.core.planner import PLAN_NAMESPACE
+from repro.core.recovery import FleetRecovery
+from repro.core.source_loader import SourceLoader
 from repro.data.mixture import MixturePhase, MixtureSchedule
 from repro.errors import ConfigurationError, PlanError
 from repro.metrics.timeline import TIMELINE_WINDOW
@@ -253,12 +256,13 @@ def test_a_store_outage_skips_compaction_until_the_next_advance():
         system.shutdown()
 
 
-def test_plan_rows_stay_within_the_checkpoint_history():
-    """A ``curriculum_churn``-shaped job (SQLite store, autoscaler, a staged
-    mixture, a 20-step cycle of flush, scale-up, loader failure, scale-down
-    and save) keeps at most ``CHECKPOINT_HISTORY x interval + depth + 1``
-    plan rows over 300 steps, and loader checkpoints for its live members
-    only."""
+def churn_scenario(cluster=None):
+    """Run a ``curriculum_churn``-shaped job for 300 steps: SQLite store,
+    autoscaler, a staged mixture, and a 20-step cycle of flush, scale-up,
+    loader failure, scale-down and save.  On the default one-node cluster
+    every mirror spawn is rejected for capacity; ``cluster`` can make room.
+    Returns the live system and the plan rows the store held after each
+    step."""
     names = [f"navit_data/src{index:03d}" for index in range(8)]
     job = TrainingJobSpec(
         dp=4, encoder=None, strategy="backbone_balance", samples_per_dp_step=32,
@@ -270,10 +274,9 @@ def test_plan_rows_stay_within_the_checkpoint_history():
         ]),
         seed=0,
     )
-    system = MegaScaleData.deploy(job)
+    system = MegaScaleData.deploy(job, cluster=cluster)
     store = system.checkpoint_store
     names = [source.name for source in system.catalog.sources()]
-    bound = CHECKPOINT_HISTORY * job.replay_window + job.prefetch_depth + 1
     rows = []
     try:
         for index in range(300):
@@ -297,15 +300,98 @@ def test_plan_rows_stay_within_the_checkpoint_history():
                 system.save_checkpoint()
             system.run_step()
             rows.append(len(store.steps(PLAN_NAMESPACE)))
+    except BaseException:
+        system.shutdown()
+        raise
+    return system, rows
+
+
+def test_plan_rows_stay_within_the_checkpoint_history():
+    """The churn scenario keeps at most ``CHECKPOINT_HISTORY x interval +
+    depth + 1`` plan rows over 300 steps and audits exactly-once."""
+    system, rows = churn_scenario()
+    job = system.job
+    try:
         assert system.delivery_audit()["exactly_once"]
-        # Checkpoints are kept for the fleet's members only: a retired
-        # mirror's go with it.
-        members = {handle.name for handle in system.fleet.all_handles()}
-        assert set(system.fault_manager._loader_checkpoints) <= members | set(system.fleet._draining)
     finally:
         system.shutdown()
-    assert max(rows) <= bound, (max(rows), bound)
+    assert max(rows) <= CHECKPOINT_HISTORY * job.replay_window + job.prefetch_depth + 1, max(rows)
     assert rows[-1] < 300
+
+
+def test_checkpoints_are_kept_per_shard_and_taken_once_per_shard(monkeypatch):
+    """Through the churn scenario's spawns, retires, failovers, flushes and
+    saves (on two accelerator nodes, so its scale-ups place mirrors), the
+    checkpoint history is keyed by exactly the fleet's shards, holds at most
+    ``CHECKPOINT_HISTORY`` entries a shard, and an interval sync point takes
+    one snapshot per shard, not one per member."""
+    snapshots = []
+    snapshot = SourceLoader.replay_checkpoint
+    checkpoint_members = FleetRecovery.checkpoint_members
+    sync_points = []
+
+    def spy_snapshot(self):
+        snapshots.append(self)
+        return snapshot(self)
+
+    def spy_sync_point(self, step, force=False):
+        before = len(snapshots)
+        shards = checkpoint_members(self, step, force)
+        sync_points.append((shards, len(snapshots) - before, self.fleet.total_members()))
+        return shards
+
+    monkeypatch.setattr(SourceLoader, "replay_checkpoint", spy_snapshot)
+    monkeypatch.setattr(FleetRecovery, "checkpoint_members", spy_sync_point)
+    system, _ = churn_scenario(ClusterSpec(accelerator_nodes=2, cpu_pods=1))
+    try:
+        history = system.fault_manager._checkpoints
+        shards = {group.shard for group in system.fleet.groups}
+        assert set(history) == shards
+        assert all(0 < len(entries) <= CHECKPOINT_HISTORY for entries in history.values())
+    finally:
+        system.shutdown()
+    taken = [(count, members) for checkpointed, count, members in sync_points if checkpointed]
+    assert taken and all(count == len(shards) for count, _ in taken)
+    assert any(members > len(shards) for _, members in taken)
+
+
+def flush_replays_with_a_window_mirror(steps: int, monkeypatch) -> int:
+    """After ``steps`` steps at depth 2, spawn a mirror from a plan inside
+    the prefetch window, then flush it with a mixture swap; returns how many
+    ``replay_demands`` calls the flush made."""
+    job = replace(TrainingJobSpec.text_example(), prefetch_depth=2, replay_window=5, seed=0)
+    system = MegaScaleData.deploy(job)
+    calls = []
+    replay = SourceLoader.replay_demands
+    try:
+        for _ in range(steps):
+            system.run_step()
+        sources = [source.name for source in system.catalog.sources()]
+        system.scale_source(sources[1], 2)
+        weights = {name: 1.0 for name in sources}
+        weights[sources[2]] = 2.0
+
+        def spy(self, *args):
+            calls.append(self)
+            return replay(self, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SourceLoader, "replay_demands", spy)
+            system.set_mixture(MixtureSchedule.static(weights), flush_pending=True)
+        for _ in range(5):
+            system.run_step()
+    finally:
+        system.shutdown()
+    return len(calls)
+
+
+def test_a_flush_with_a_window_mirror_replays_as_much_at_step_200_as_at_step_20(monkeypatch):
+    """A mirror spawned inside the flushed window resyncs from its shard's
+    newest checkpoint, not from genesis: the flush's replay is bounded by
+    the checkpoint interval, the same at step 20 and at step 200."""
+    early = flush_replays_with_a_window_mirror(20, monkeypatch)
+    late = flush_replays_with_a_window_mirror(200, monkeypatch)
+    assert 0 < early == late
 
 
 def test_a_promoted_shadow_saved_before_its_own_checkpoint_restores():
@@ -328,7 +414,9 @@ def test_a_promoted_shadow_saved_before_its_own_checkpoint_restores():
         results.append(system.run_step())
         promoted = system.loader_handles[0].name
         assert promoted != victim
-        assert system.fault_manager.last_loader_checkpoint(promoted, max_step=31) is None
+        # The shard's checkpoint serves the shadow, which took none itself.
+        shard = system.fleet.group_for(promoted).shard
+        assert system.fault_manager.shard_checkpoint(shard, 31)["step"] <= 30
         saved_at = system.save_checkpoint()
         assert saved_at % job.replay_window != 0
         store = system.checkpoint_store
@@ -358,7 +446,7 @@ def test_a_save_that_could_not_be_restored_raises_and_keeps_the_older_entry():
         assert_replay_stops_at_the_floor(system)
         saved_at = system.save_checkpoint()
         system.run_step()
-        system.fault_manager._loader_checkpoints.clear()
+        system.fault_manager._checkpoints.clear()
         with pytest.raises(ConfigurationError, match="replay floor"):
             system.save_checkpoint()
         assert system.checkpoint_store.steps(RUN_NAMESPACE) == [saved_at]

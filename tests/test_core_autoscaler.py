@@ -196,9 +196,9 @@ class TestMixtureDrivenScaler:
         with pytest.raises(ScalingError):
             MixtureDrivenScaler(self.make_plan(), consecutive_intervals=0)
 
-    def test_total_current_actors(self):
+    def test_current_actors_start_at_the_plan(self):
         scaler = MixtureDrivenScaler(self.make_plan())
-        assert scaler.total_current_actors() == 3
+        assert [scaler.current_actors(source) for source in "abc"] == [1, 1, 1]
 
     def test_unknown_source_lookup(self):
         plan = self.make_plan()
@@ -234,7 +234,11 @@ class TestMixtureDrivenScaler:
         """Up/down decisions across sources must keep the per-source counts
         and their total reconciled with the issued directives."""
         scaler = MixtureDrivenScaler(self.make_plan(), consecutive_intervals=1)
-        baseline = scaler.total_current_actors()
+
+        def total() -> int:
+            return sum(scaler.current_actors(source) for source in "abc")
+
+        baseline = total()
         net = 0
         mixtures = [
             {"a": 0.8, "b": 0.1, "c": 0.1},   # a up
@@ -247,10 +251,7 @@ class TestMixtureDrivenScaler:
             plan = scaler.observe(step, weights)
             for directive in plan.directives:
                 net += 1 if ">" in directive.reason else -1
-        assert scaler.total_current_actors() == baseline + net
-        assert scaler.total_current_actors() == sum(
-            scaler.current_actors(source) for source in ("a", "b", "c")
-        )
+        assert total() == baseline + net
         # Every logged decision's target matches the count adopted at issue time.
         replay = {"a": 1, "b": 1, "c": 1}
         for decision in scaler.decision_log:
@@ -266,8 +267,7 @@ class TestMixtureDrivenScaler:
         assert scaler.current_actors("a") == 2
         # Placement rejected the spawn: the facade reports the actual count.
         scaler.reconcile_actors("a", 1)
-        assert scaler.current_actors("a") == 1
-        assert scaler.total_current_actors() == 3
+        assert [scaler.current_actors(source) for source in "abc"] == [1, 1, 1]
         with pytest.raises(ScalingError):
             scaler.reconcile_actors("a", 0)
         with pytest.raises(ScalingError):

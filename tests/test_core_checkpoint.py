@@ -66,7 +66,7 @@ def stored_namespaces(store) -> list[str]:
     """Every namespace holding a row in ``store`` (the store interface itself
     does not enumerate namespaces)."""
     if isinstance(store, SqliteCheckpointStore):
-        rows = store._kv._read("SELECT DISTINCT namespace FROM checkpoints ORDER BY namespace", ())
+        rows = store._read("SELECT DISTINCT namespace FROM checkpoints ORDER BY namespace", ())
         return [namespace for (namespace,) in rows]
     return sorted(namespace for namespace, entries in store._data.items() if entries)
 
@@ -102,8 +102,6 @@ class TestCheckpointStores:
         assert store.steps("ns") == [0, 5, 10]
         assert store.load("ns", 5) == {"step": 5}
         assert store.load_latest("ns") == (10, {"step": 10})
-        assert store.load_latest("ns", max_step=9) == (5, {"step": 5})
-        assert store.load_latest("ns", max_step=4) == (0, {"step": 0})
         assert store.load_latest("other") is None
 
     def test_overwrite_replaces_payload(self, store):
@@ -118,8 +116,9 @@ class TestCheckpointStores:
         assert store.delete_from("ns", 4) == 2
         assert store.steps("ns") == [0, 1, 2, 3]
         assert store.delete_from("ns", 9) == 0
-        store.clear()
-        assert store.steps("ns") == []
+        assert store.delete_below("ns", 2) == 2
+        assert store.steps("ns") == [2, 3]
+        assert store.load_latest("ns") == (3, 3)
 
     def test_namespaces_are_isolated(self, store):
         store.save("a", 0, "a0")
@@ -184,7 +183,10 @@ class TestPlannerBoundedWindow:
             assert window == [store.load(PLAN_NAMESPACE, r.step) for r in window]
             # A durable row holds the demanded ids, not per-sample metadata.
             for record in planner.plan_history():
-                blob = store._kv.get(PLAN_NAMESPACE, record.step)
+                ((blob,),) = store._read(
+                    "SELECT payload FROM checkpoints WHERE namespace = ? AND step = ?",
+                    (PLAN_NAMESPACE, record.step),
+                )
                 assert b"SampleMetadata" not in blob
                 ids = sum(len(ids) for ids in record.source_demands.values())
                 assert ids > 0
@@ -515,8 +517,8 @@ class TestWholeRunRestore:
             assert restored_group.canonical.instance().num_workers == workers
             # And the restored members carry a consistent replay baseline, so
             # a post-restore crash keeps bounded replay.
-            for handle in system.fleet.all_handles():
-                entry = system.fault_manager.last_loader_checkpoint(handle.name)
+            for group in system.fleet.groups:
+                entry = system.fault_manager.shard_checkpoint(group.shard, system.step - 1)
                 assert entry is not None and "replay" in entry
         finally:
             system.shutdown()
@@ -759,8 +761,7 @@ class TestSaveBesidePrefetch:
             assert [plan.step for plan in history] == [0, 1, 2, 3]
             assert all(type(plan) is PlanRecord for plan in history)
             assert all(
-                entry["checkpoint"] is None or entry["checkpoint"]["step"] <= 3
-                for entry in payload["loaders"].values()
+                entry is None or entry["step"] <= 3 for entry in payload["loaders"].values()
             )
             system.run_step()
             # One new plan for the one new window slot: nothing was re-planned.
@@ -805,7 +806,7 @@ class TestSaveBesidePrefetch:
             prefix = run_signature(system, 2)
             assert system.save_checkpoint() == 2
             loaders = store.load(RUN_NAMESPACE, 2)["loaders"].values()
-            assert {entry["checkpoint"]["step"] for entry in loaders} == {0}
+            assert {entry["step"] for entry in loaders} == {0}
             restored = MegaScaleData.restore(job, store)
             assert prefix + run_signature(restored, 4) == expected
             restored.shutdown()
@@ -827,7 +828,7 @@ class TestSaveBesidePrefetch:
             prefix = run_signature(system, 5)
             assert system.save_checkpoint() == 5
             payload = store.load(RUN_NAMESPACE, 5)
-            assert all(entry["checkpoint"] is None for entry in payload["loaders"].values())
+            assert all(entry is None for entry in payload["loaders"].values())
             assert len(payload["planner"]["plan_history"]) < 5
             restored = MegaScaleData.restore(job, store)
             assert prefix + run_signature(restored, 3) == expected
@@ -925,12 +926,12 @@ def test_consistent_checkpoints_land_only_at_interval_multiples(depth):
     gates it: with a window of 60, a 62-step run checkpoints at 0 and 60."""
     system = MegaScaleData.deploy(make_job(depth, replay_window=60))
     try:
-        steps: dict[str, list[int]] = {}
+        steps: dict[tuple, list[int]] = {}
         for _ in range(62):
             system.run_step()
-            for handle in system.loader_handles:
-                entry = system.fault_manager.last_loader_checkpoint(handle.name)
-                taken = steps.setdefault(handle.name, [])
+            for group in system.fleet.groups:
+                entry = system.fault_manager.shard_checkpoint(group.shard, 62 + depth)
+                taken = steps.setdefault(group.shard, [])
                 if entry is not None and entry["step"] not in taken:
                     assert "replay" in entry
                     taken.append(entry["step"])
@@ -952,7 +953,11 @@ def test_save_checkpoint_writes_run_namespace():
         assert found is not None
         step, payload = found
         assert step == saved_at == 3
-        assert set(payload["loaders"]) == {h.name for h in system.loader_handles}
+        # One entry per loader shard, keyed (source, shard index, shard count).
+        assert set(payload["loaders"]) == {
+            (h.instance().source.name, h.instance().shard_index, h.instance().shard_count)
+            for h in system.loader_handles
+        }
         assert payload["planner"]["step"] >= 2
         assert {entry["source"] for entry in payload["topology"]} == {
             h.instance().source.name for h in system.loader_handles

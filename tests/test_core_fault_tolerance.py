@@ -42,8 +42,14 @@ def spawn_pair(system, manager, catalog, filesystem, index=0):
         name=f"shadow-{index}",
         memory_bytes=GIB,
     )
-    manager.register_shadow(primary, shadow, source.name)
+    manager.register_shadow(primary, shadow)
     return primary, shadow
+
+
+def shard_of(handle) -> tuple[str, int, int]:
+    """The shard a live loader serves, the key its checkpoints are kept under."""
+    loader = handle.instance()
+    return loader.source.name, loader.shard_index, loader.shard_count
 
 
 class TestDetection:
@@ -108,26 +114,28 @@ class TestDetection:
 class TestCheckpointing:
     def test_checkpoint_written_on_interval(self, system, manager, small_catalog, filesystem):
         primary, _ = spawn_pair(system, manager, small_catalog, filesystem)
-        assert manager.checkpoint_loader(primary, step=0)
-        assert not manager.checkpoint_loader(primary, step=3)
-        assert manager.checkpoint_loader(primary, step=5)
-        checkpoint = manager.last_loader_checkpoint(primary.name)
+        assert manager.checkpoint_loaders([primary], 0) == 1
+        assert manager.checkpoint_loaders([primary], 3) == 0
+        assert manager.checkpoint_loaders([primary], 5) == 1
+        checkpoint = manager.shard_checkpoint(shard_of(primary), 5)
         assert checkpoint["step"] == 5
+        assert manager.shard_checkpoint(shard_of(primary), 4)["step"] == 0
 
     def test_checkpoint_requires_loader(self, system, manager):
         from repro.actors.actor import Actor
 
         other = system.create_actor(Actor, name="not-a-loader")
         with pytest.raises(FaultToleranceError):
-            manager.checkpoint_loader(other, step=0)
+            manager.checkpoint_loaders([other], 0)
 
 
 class TestRecovery:
     def test_shadow_promotion(self, system, manager, small_catalog, filesystem):
         primary, shadow = spawn_pair(system, manager, small_catalog, filesystem)
-        manager.checkpoint_loader(primary, step=0)
+        manager.checkpoint_loaders([primary], 0)
+        shard = shard_of(primary)
         system.kill_actor(primary.name)
-        promoted = manager.recover_loader(primary, step=7)
+        promoted = manager.recover_loader(primary, 7, shard)
         assert promoted.name == shadow.name
         events = manager.events()
         assert events[-1].kind == "shadow_promotion"
@@ -142,23 +150,26 @@ class TestRecovery:
             name="solo-loader",
             memory_bytes=GIB,
         )
-        manager.checkpoint_loader(handle, step=0)
+        manager.checkpoint_loaders([handle], 0)
+        shard = shard_of(handle)
         system.kill_actor(handle.name)
-        recovered = manager.recover_loader(handle, step=10)
+        recovered = manager.recover_loader(handle, 10, shard)
         assert recovered.state is ActorState.RUNNING
         assert manager.events()[-1].kind == "restart"
 
     def test_replay_gap_adds_latency(self, system, manager, small_catalog, filesystem):
         primary, _ = spawn_pair(system, manager, small_catalog, filesystem)
-        manager.checkpoint_loader(primary, step=0)
+        manager.checkpoint_loaders([primary], 0)
+        shard = shard_of(primary)
         system.kill_actor(primary.name)
-        manager.recover_loader(primary, step=100)
+        manager.recover_loader(primary, 100, shard)
         long_gap = manager.events()[-1].recovery_latency_s
 
         primary2, _ = spawn_pair(system, manager, small_catalog, filesystem, index=1)
-        manager.checkpoint_loader(primary2, step=0)
+        manager.checkpoint_loaders([primary2], 0)
+        shard2 = shard_of(primary2)
         system.kill_actor(primary2.name)
-        manager.recover_loader(primary2, step=1)
+        manager.recover_loader(primary2, 1, shard2)
         short_gap = manager.events()[-1].recovery_latency_s
         assert long_gap > short_gap
 
@@ -203,9 +214,10 @@ class TestRecovery:
         assert manager.total_recovery_latency() == 0.0
         for index in range(2):
             primary, _ = spawn_pair(system, manager, small_catalog, filesystem, index=index)
-            manager.checkpoint_loader(primary, step=0)
+            manager.checkpoint_loaders([primary], 0)
+            shard = shard_of(primary)
             system.kill_actor(primary.name)
-            manager.recover_loader(primary, step=4)
+            manager.recover_loader(primary, 4, shard)
         latencies = [event.recovery_latency_s for event in manager.events()]
         assert len(latencies) == 2
         assert manager.total_recovery_latency() == pytest.approx(sum(latencies))

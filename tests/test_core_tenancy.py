@@ -21,11 +21,7 @@ from hypothesis import strategies as st
 from repro.actors.node import ResourceSpec
 from repro.actors.runtime import ActorSystem, ClusterSpec
 from repro.actors.scheduler import PlacementRequest, PlacementScheduler
-from repro.core.checkpoint import (
-    CheckpointError,
-    InMemoryCheckpointStore,
-    NamespacedCheckpointStore,
-)
+from repro.core.checkpoint import InMemoryCheckpointStore, NamespacedCheckpointStore
 from repro.core.framework import MegaScaleData, TrainingJobSpec
 from repro.core.tenancy import TenantManager, TenantSpec
 from repro.errors import ActorError, ConfigurationError
@@ -162,11 +158,6 @@ class TestNamespacedCheckpointStore:
         outer = NamespacedCheckpointStore(NamespacedCheckpointStore(backend, "a"), "b")
         assert outer.backend is backend
         assert outer.prefix == "a/b"
-
-    def test_clear_refused_on_scoped_view(self):
-        scoped = NamespacedCheckpointStore(InMemoryCheckpointStore(), "jobA")
-        with pytest.raises(CheckpointError):
-            scoped.clear()
 
 
 # -- scheduler accounting and fair share ---------------------------------------------

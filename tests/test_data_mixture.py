@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.data.mixture import MixturePhase, MixtureSchedule
+from repro.data.mixture import WEIGHTS_MEMO_WINDOW, MixturePhase, MixtureSchedule
 from repro.errors import MixtureError
 
 
@@ -114,11 +114,31 @@ class TestWeightsMemo:
         first["a"] = 99.0  # mutating the returned dict must not poison the memo
         assert schedule.weights_at(0)["a"] == pytest.approx(0.5)
 
-    def test_memo_is_bounded(self):
+    def test_memo_keeps_a_window_of_the_newest_steps(self):
         schedule = MixtureSchedule.static({"a": 1.0})
         for step in range(1000):
             schedule.weights_at(step)
-        assert len(schedule._weights_memo) <= 256
+        assert list(schedule._weights_memo) == list(range(1000 - WEIGHTS_MEMO_WINDOW, 1000))
+
+    def test_planning_and_flushed_replanning_compute_each_step_once(self):
+        calls = []
+
+        def weight_fn(step):
+            calls.append(step)
+            return {"a": 1.0 + step % 3, "b": 1.0}
+
+        schedule = MixtureSchedule(weight_fn, ["a", "b"])
+
+        def plan(step):
+            schedule.weights_at(step)
+            schedule.moving_average(step, window=10)
+
+        for step in range(300):
+            plan(step)
+            if step % 20 == 19:  # a flush of a 6-step prefetch window re-plans it
+                for replanned in range(step - 5, step + 1):
+                    plan(replanned)
+        assert calls == list(range(300))
 
 
 class TestDescriptor:

@@ -117,7 +117,8 @@ def test_checkpointed_loader_failure_stays_byte_identical():
         reference_steps = [reference.run_step() for _ in range(8)]
         results = [system.run_step() for _ in range(3)]
         victim = system.loader_handles[0]
-        checkpoint = system.fault_manager.last_loader_checkpoint(victim.name)
+        shard = system.fleet.group_for(victim.name).shard
+        checkpoint = system.fault_manager.shard_checkpoint(shard, system.step)
         assert checkpoint is not None and checkpoint["step"] > 0
         system.system.failures.fail(victim.name)
         results.extend(system.run_step() for _ in range(5))
@@ -627,17 +628,18 @@ def test_two_first_polls_failing_in_one_round_are_each_retried_once(
 
 def test_checkpoint_members_surfaces_programming_errors(monkeypatch):
     """Recovery rides out the ``ReproError`` taxonomy, not bugs: a member
-    gone from the system is skipped, but a ``TypeError`` from one member's
-    snapshot propagates instead of being skipped."""
+    gone from the system is skipped (its shard keeps its older checkpoint),
+    but a ``TypeError`` from one member's snapshot propagates instead of
+    being skipped."""
     system = MegaScaleData.deploy(make_job(0, shadows=False, seed=13))
     try:
         system.run_step()
         dead, buggy, *_ = system.fleet.all_handles()
+        shards = [system.fleet.group_for(handle.name).shard for handle in (dead, buggy)]
         system.system.stop_actor(dead.name)
         system.recovery.checkpoint_members(1, force=True)
         manager = system.fault_manager
-        assert manager.last_loader_checkpoint(dead.name)["step"] == 0
-        assert manager.last_loader_checkpoint(buggy.name)["step"] == 1
+        assert [manager.shard_checkpoint(shard, 1)["step"] for shard in shards] == [0, 1]
 
         snapshot = SourceLoader.replay_checkpoint
         broken = buggy.instance()

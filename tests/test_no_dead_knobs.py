@@ -19,11 +19,10 @@ literal. The AST scan counts a parameter as passed when, outside ``tests/``:
   ``self.<param>`` (``scaler.consecutive_intervals = 2``).
 
 A splat, a variable, any other expression, or two different literals keep a
-parameter. A call from inside the function's own body to the function itself
-(``name(...)``, or ``self.name(...)`` in a method) does not count; a
-delegation to another object's namesake (``self.engine.drain(deadline_s)``)
-does. Matching is by name alone, so the scan errs towards keeping
-parameters. A parameter only tests pass is either made a constant or listed
+parameter. A call made inside a function of the callee's name does not count:
+it recurses or forwards to a namesake (``self._store.load_latest(namespace)``
+in ``load_latest``), passing on what its own caller chose. Matching is by name
+alone, so the scan errs towards keeping parameters. A parameter only tests pass is either made a constant or listed
 in ``ALLOWLIST`` with the reason it stays; one every caller passes as the same
 literal, in ``LITERAL_ALLOWLIST``. The field scan below holds the ``__init__``
 fields of ``src/`` dataclasses to the same rules, with ``FIELD_ALLOWLIST``.
@@ -185,12 +184,7 @@ def scan(root: Path = ROOT):
         offset = 1 if is_method and not static else 0
         callees = _family(owner, root) if name == "__init__" else {name}
         as_value = name != "__init__" and name in facts["values"]
-        calls = [
-            call
-            for callee in callees
-            for call in facts["calls"][callee]
-            if node not in call[2]  # the function calling itself
-        ]
+        calls = [call for callee in callees for call in facts["calls"][callee]]
         where = f"{path.relative_to(root)}:{node.lineno}"
         for param, index, default in _parameters(node, offset):
             label = _label(qual, param)

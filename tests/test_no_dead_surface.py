@@ -54,7 +54,7 @@ ALLOWLIST = {
     "Node.reserved_cpu": "probe: reservation conservation",
     "PlacementScheduler.tenant_usage": "probe: per-tenant quota use",
     "ChaosEngine.blackout_active": "probe: blackout window state",
-    "MixtureDrivenScaler.total_current_actors": "probe: fleet size",
+    "ActorSystem.pending_count": "probe: calls still queued or in flight",
     "DataConstructor.staging_backlog": "probe: staged-delivery backlog",
     "MemoryLedger.live_bytes": "probe: one category's live bytes",
     "SimulatedFileSystem.open_connection_count": "probe: leaked connections",
@@ -92,10 +92,10 @@ class Uses(ast.NodeVisitor):
     - ``references[name]``: ``(is_bare_name, enclosing, class_scope)`` per
       reference, where ``enclosing`` holds the definitions it lies in and
       ``class_scope`` is the class whose body scope it is in, if any;
-    - ``calls[name]``: ``(args, keywords, enclosing)`` per call of ``name``,
-      ``enclosing`` empty unless the call is bare or on ``self`` / ``cls``
-      (only those can be a function calling itself); a string argument names
-      a call too (``handle.call("poll", ticket)`` calls ``poll(ticket)``);
+    - ``calls[name]``: ``(args, keywords, enclosing)`` per call of ``name``
+      made outside any function named ``name``, ``enclosing`` empty unless
+      the call is bare or on ``self`` / ``cls``; a string argument names a
+      call too (``handle.call("poll", ticket)`` calls ``poll(ticket)``);
     - ``values``: names loaded other than as a callee;
     - ``assigned``: attributes stored on anything but ``self`` / ``cls``.
     """
@@ -174,7 +174,15 @@ class Uses(ast.NodeVisitor):
             name = self.classes[-1]
         receiver = getattr(getattr(func, "value", None), "id", None)
         own = isinstance(func, ast.Name) or receiver in ("self", "cls")
-        if name:
+        # A call inside a function of the same name recurses or forwards to a
+        # namesake (``self.engine.drain()`` in ``drain``): it passes nothing
+        # a caller chose, so it is not recorded.
+        forwards = any(
+            outer.name == name
+            for outer in self.enclosing
+            if not isinstance(outer, ast.ClassDef)
+        )
+        if name and not forwards:
             inside = self.enclosing if own else ()
             self.facts["calls"][name].append((node.args, node.keywords, inside))
         for index, arg in enumerate(node.args):
